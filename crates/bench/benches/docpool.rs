@@ -2,7 +2,7 @@
 //! get, prefix scan and MapReduce — at a realistic pool size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dra_docpool::{map_reduce, HTable, TableConfig};
+use dra_docpool::{map_reduce_scan, HTable, Scan, TableConfig};
 
 fn loaded_table(n: usize) -> HTable {
     let t = HTable::new(TableConfig { max_versions: 2, max_region_rows: 2048 });
@@ -54,7 +54,7 @@ fn bench_docpool(c: &mut Criterion) {
             x ^= x >> 7;
             x ^= x << 17;
             let pid = format!("proc-{:07}", (x as usize) % n);
-            table.scan_prefix(&format!("doc/{pid}/"))
+            table.query(&Scan::prefix(&format!("doc/{pid}/")))
         })
     });
 
@@ -65,17 +65,12 @@ fn bench_docpool(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    map_reduce(
+                    map_reduce_scan(
                         &table,
+                        &Scan::prefix("meta/").family("meta").threads(threads),
                         threads,
-                        |key, row| {
-                            if !key.starts_with("meta/") {
-                                return vec![];
-                            }
-                            match row.get_str("meta", "status") {
-                                Some(s) => vec![(s, 1usize)],
-                                None => vec![],
-                            }
+                        |_, row| {
+                            row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect()
                         },
                         |_, vs| vs.len(),
                     )

@@ -117,9 +117,8 @@ pub fn run_chain_incremental(n: usize, encrypted: bool, payload: &str) -> Vec<Ch
 }
 
 /// [`run_chain_incremental`] with every AEA recording spans into `tracer` —
-/// the workload for the observability-overhead measurement (`claim_obs`)
-/// and the `--trace-out` option of `claim_scaling`. Chains run on no
-/// simulated network, so pair it with [`Tracer::sequential`] for a
+/// the workload for the observability-overhead measurement (`claim obs`).
+/// Chains run on no simulated network, so pair it with [`Tracer::sequential`] for a
 /// deterministic logical-time trace, or [`Tracer::disabled`] to measure
 /// the uninstrumented baseline.
 pub fn run_chain_incremental_traced(

@@ -8,11 +8,11 @@
 //! process instance (the owning engine); DRA4WfMS has `n` interchangeable
 //! stateless portals plus AEAs at the participants' own machines, so the
 //! attacker saturates one portal and goodput flows through the rest.
-//!
-//! Run with: `cargo run --release -p dra-bench --bin claim_dos [portals]`
 
-fn main() {
-    let portals: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
+use super::ClaimOutput;
+
+pub(super) fn run() -> ClaimOutput {
+    let portals: usize = 4;
     let metrics = dra_obs::MetricsRegistry::new();
     metrics.incr("dos.portals", portals as u64);
 
@@ -70,5 +70,7 @@ fn main() {
     println!("the engine-based WfMS is a single fixed target, the document-routing");
     println!("deployment degrades by at most one portal's share. (Architectural model,");
     println!("no absolute numbers claimed — matching the paper's qualitative argument.)");
-    dra_bench::enforce_metric_invariants(&metrics);
+    let mut out = ClaimOutput::default();
+    out.invariants("run", &metrics);
+    out
 }

@@ -1,0 +1,456 @@
+//! # The claim harness
+//!
+//! Every quantitative claim this repository reproduces — the paper's
+//! C1–C6 and our C7–C15 extensions — is one entry of [`CLAIMS`]: a
+//! function that builds its cells and returns a [`ClaimOutput`] (rows,
+//! side files, named verdicts, metric-invariant results). Everything
+//! around that function is written once, here:
+//!
+//! * the row format's writer, reader and regression gate ([`rows`]);
+//! * the Fig. 9 actors and instruments the cloud claims share
+//!   ([`fixture`]);
+//! * the driver ([`reproduce`]): a deterministic claim runs **twice**,
+//!   each run on a fresh thread (so thread-local cost counters and memos
+//!   start cold, as in a fresh process), every output of the two runs must
+//!   be byte-identical, the rows are held against
+//!   `perf/BENCH_<name>.baseline.json` under `perf/perf_tolerances.json`
+//!   and must equal it byte for byte, every verdict must hold and no
+//!   metric invariant may be violated;
+//! * the command line ([`main`]): `claim <name>`, `claim all`, `claim list`.
+//!
+//! A wall-clock claim (`deterministic: false`) runs once and writes no
+//! file; its numbers go to stdout.
+//!
+//! To accept an intended change of a gated number, copy the fresh
+//! `BENCH_<name>.json` over its baseline in `perf/` in the same commit.
+
+pub mod fixture;
+pub mod rows;
+
+mod crash;
+mod dashboard;
+mod dos;
+mod faults;
+mod federation;
+mod fleet;
+mod fuzz;
+mod obs;
+mod pool;
+mod profile;
+mod scalability;
+mod scaling;
+mod tamper;
+mod tfc;
+
+pub use rows::{Row, Rows, Value};
+
+use dra_cloud::{alerts_to_jsonl, check_metric_invariants, Alert};
+use dra_obs::MetricsRegistry;
+use rows::Tolerances;
+use std::path::Path;
+use std::process::ExitCode;
+
+/// One reproducible claim.
+pub struct Claim {
+    /// The command-line name; outputs are `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// The claim number in EXPERIMENTS.md.
+    pub id: &'static str,
+    /// Whether every output is a pure function of the code (virtual time,
+    /// seeded schedules, op counters): such a claim is run twice,
+    /// byte-compared, written to disk and gated.
+    pub deterministic: bool,
+    /// Build the cells.
+    pub run: fn() -> ClaimOutput,
+}
+
+/// Every claim, in EXPERIMENTS.md order.
+pub const CLAIMS: [Claim; 14] = [
+    Claim { name: "scaling", id: "C1/C12", deterministic: true, run: scaling::run },
+    Claim { name: "tfc", id: "C2", deterministic: false, run: tfc::run },
+    Claim { name: "tamper", id: "C3", deterministic: false, run: tamper::run },
+    Claim { name: "scalability", id: "C4", deterministic: false, run: scalability::run },
+    Claim { name: "pool", id: "C5", deterministic: false, run: pool::run },
+    Claim { name: "dos", id: "C6", deterministic: false, run: dos::run },
+    Claim { name: "faults", id: "C7", deterministic: true, run: faults::run },
+    Claim { name: "crash", id: "C8", deterministic: true, run: crash::run },
+    Claim { name: "obs", id: "C9", deterministic: true, run: obs::run },
+    Claim { name: "profile", id: "C10", deterministic: true, run: profile::run },
+    Claim { name: "fleet", id: "C11", deterministic: true, run: fleet::run },
+    Claim { name: "federation", id: "C13", deterministic: true, run: federation::run },
+    Claim { name: "fuzz", id: "C14", deterministic: true, run: fuzz::run },
+    Claim { name: "dashboard", id: "C15", deterministic: true, run: dashboard::run },
+];
+
+/// What one run of a claim produced.
+#[derive(Default)]
+pub struct ClaimOutput {
+    /// The cells, written to `BENCH_<name>.json`.
+    pub rows: Option<Rows>,
+    /// Side files (alert JSONL, trace exports, dashboard), `name → bytes`.
+    pub files: Vec<(String, String)>,
+    /// Named pass/fail statements; the claim holds only if all are true.
+    pub verdicts: Vec<(String, bool)>,
+    /// Cross-layer metric invariants that did not hold, `cell: reason`.
+    pub invariant_violations: Vec<String>,
+    /// The alerts the closed cells raised, in cell order.
+    pub alerts: Vec<Alert>,
+}
+
+impl ClaimOutput {
+    /// Record the cells.
+    pub fn set_rows(&mut self, rows: Rows) {
+        self.rows = Some(rows);
+    }
+
+    /// Record a named verdict.
+    pub fn verdict(&mut self, name: &str, ok: bool) {
+        self.verdicts.push((name.to_string(), ok));
+    }
+
+    /// Record a side file.
+    pub fn file(&mut self, name: &str, contents: String) {
+        self.files.push((name.to_string(), contents));
+    }
+
+    /// Record the alert stream of every cell closed so far as a side file.
+    pub fn alerts_file(&mut self, name: &str) {
+        self.file(name, alerts_to_jsonl(&self.alerts));
+    }
+
+    /// Hold `metrics` to the cross-layer accounting invariants; returns
+    /// whether they held, for the cell's own row.
+    pub fn invariants(&mut self, cell: &str, metrics: &MetricsRegistry) -> bool {
+        let result = check_metric_invariants(&metrics.snapshot());
+        if let Err(e) = &result {
+            self.invariant_violations.push(format!("{cell}: {e}"));
+        }
+        result.is_ok()
+    }
+
+    /// Close a cell run on `fx`: check its books and keep the alerts its
+    /// monitor raised. Returns `(invariants held, alerts raised)`.
+    pub fn close_cell(&mut self, cell: &str, fx: &fixture::Fig9) -> (bool, usize) {
+        let alerts = fx.monitor.alerts();
+        let raised = alerts.len();
+        self.alerts.extend(alerts);
+        (self.invariants(cell, &fx.metrics), raised)
+    }
+
+    /// Every file this output stands for, rendered.
+    fn rendered(&self, claim: &Claim) -> Vec<(String, String)> {
+        let rows = self.rows.iter().map(|r| (format!("BENCH_{}.json", claim.name), r.write()));
+        rows.chain(self.files.iter().cloned()).collect()
+    }
+}
+
+/// How a cell's row words the outcome of its metric-invariant check.
+pub fn held(invariants_ok: bool) -> &'static str {
+    if invariants_ok {
+        "ok"
+    } else {
+        "violated"
+    }
+}
+
+/// Run `run` on a fresh thread with the main thread's stack size; a panic
+/// inside the claim becomes an error instead of tearing the harness down.
+fn isolated(run: fn() -> ClaimOutput) -> Result<ClaimOutput, String> {
+    let handle = std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(run)
+        .map_err(|e| format!("could not start the claim thread: {e}"))?;
+    handle.join().map_err(|panic| {
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("(no message)");
+        format!("the claim panicked: {message}")
+    })
+}
+
+/// Drive one claim end to end, printing as it goes: outputs land in
+/// `out_dir`, baselines and tolerances are read from `perf_dir`. Returns
+/// what failed; empty means the claim is reproduced.
+pub fn reproduce(claim: &Claim, out_dir: &Path, perf_dir: &Path) -> Vec<String> {
+    let runs = if claim.deterministic { 2 } else { 1 };
+    println!("== {} {}: {runs} run(s) ==", claim.id, claim.name);
+    let mut failures = Vec::new();
+    let mut outputs = Vec::new();
+    for n in 1..=runs {
+        println!("-- run {n}/{runs} --");
+        match isolated(claim.run) {
+            Ok(output) => outputs.push(output),
+            Err(e) => failures.push(format!("run {n}: {e}")),
+        }
+    }
+
+    if let Some(first) = outputs.first() {
+        let rendered = first.rendered(claim);
+        if let Some(rows) = &first.rows {
+            println!("\n{}", rows.write());
+        }
+        if let Some(replay) = outputs.get(1) {
+            let replayed = replay.rendered(claim);
+            if rendered.len() != replayed.len() {
+                failures.push("non-deterministic: the two runs produced different files".into());
+            }
+            for ((name, a), (other, b)) in rendered.iter().zip(&replayed) {
+                match name == other && a == b {
+                    true => println!("{name}: byte-identical across both runs"),
+                    false => {
+                        failures.push(format!("non-deterministic: {name} differs between runs"))
+                    }
+                }
+            }
+        }
+        if claim.deterministic {
+            for (name, contents) in &rendered {
+                if let Err(e) = std::fs::write(out_dir.join(name), contents) {
+                    failures.push(format!("could not write {name}: {e}"));
+                }
+            }
+            if let Some(rows) = &first.rows {
+                failures.extend(gate(claim, rows, perf_dir));
+            }
+        }
+        for (name, ok) in &first.verdicts {
+            println!("{name}: {ok}");
+        }
+        println!("metric invariants hold: {}", first.invariant_violations.is_empty());
+    }
+    for (n, output) in outputs.iter().enumerate() {
+        let refuted = output.verdicts.iter().filter(|(_, ok)| !ok);
+        failures.extend(refuted.map(|(name, _)| format!("run {}: verdict failed: {name}", n + 1)));
+        let violated = output.invariant_violations.iter();
+        failures.extend(violated.map(|v| format!("run {}: metric invariants: {v}", n + 1)));
+    }
+
+    for failure in &failures {
+        eprintln!("FAILED {}: {failure}", claim.name);
+    }
+    let verdict = if failures.is_empty() { "REPRODUCED" } else { "NOT REPRODUCED" };
+    println!("== {} {}: {verdict} ==\n", claim.id, claim.name);
+    failures
+}
+
+/// Hold `rows` against the claim's checked-in baseline, if it has one:
+/// first the gate (names what regressed, vanished or is new), then the
+/// bytes (a deterministic output that differs from its baseline at all
+/// means the baseline is stale).
+fn gate(claim: &Claim, rows: &Rows, perf_dir: &Path) -> Vec<String> {
+    let file = format!("BENCH_{}.baseline.json", claim.name);
+    let Ok(baseline_text) = std::fs::read_to_string(perf_dir.join(&file)) else {
+        println!("gate: no {file}, nothing to hold");
+        return vec![];
+    };
+    let tolerances = std::fs::read_to_string(perf_dir.join("perf_tolerances.json"))
+        .ok()
+        .and_then(|text| Tolerances::parse(&text));
+    let (baseline, tol) = match (Rows::read(&baseline_text), tolerances) {
+        (Ok(baseline), Some(tol)) => (baseline, tol),
+        (Err(e), _) => return vec![format!("gate: {file} is malformed: {e}")],
+        (_, None) => return vec!["gate: perf_tolerances.json is missing or malformed".into()],
+    };
+    let (violations, held) = rows::gate(&baseline, rows, &tol);
+    println!("gate: {held} values of {file}, default tolerance +{}%", tol.default_pct);
+    let mut failures: Vec<String> =
+        violations.iter().map(|v| format!("gate: {}: {}", v.key, v.detail)).collect();
+    if held == 0 {
+        failures.push(format!("gate: {file} holds no values"));
+    }
+    if failures.is_empty() && rows.write() != baseline_text {
+        failures.push(format!(
+            "gate: output drifted from {file} within tolerance — the baseline is stale; \
+             if the change is intended, copy BENCH_{}.json over it",
+            claim.name
+        ));
+    }
+    failures
+}
+
+/// The `claim` command line: `claim <name> | all | list`, run from the
+/// repository root (outputs land there, baselines are read from `perf/`).
+pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
+    let args: Vec<String> = args.collect();
+    let selected: Vec<&Claim> = match args.as_slice() {
+        [arg] if arg == "list" => {
+            CLAIMS.iter().for_each(|c| println!("{}", c.name));
+            return ExitCode::SUCCESS;
+        }
+        [arg] if arg == "all" => CLAIMS.iter().collect(),
+        [arg] => CLAIMS.iter().filter(|c| c.name == arg).collect(),
+        _ => vec![],
+    };
+    if selected.is_empty() {
+        let names: Vec<&str> = CLAIMS.iter().map(|c| c.name).collect();
+        eprintln!("usage: claim <name> | all | list\nclaims: {}", names.join(" "));
+        return ExitCode::from(2);
+    }
+    let failed: Vec<&str> = selected
+        .iter()
+        .filter(|c| !reproduce(c, Path::new("."), Path::new("perf")).is_empty())
+        .map(|c| c.name)
+        .collect();
+    if selected.len() > 1 {
+        println!("{} of {} claims reproduced", selected.len() - failed.len(), selected.len());
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("not reproduced: {}", failed.join(" "));
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const PERF: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perf");
+    const BASELINE: &str = "[\n  {\"cell\": \"toy\", \"hops\": 9, \"sha\": \"ab12\"}\n]\n";
+
+    fn steady() -> ClaimOutput {
+        let mut out = ClaimOutput::default();
+        out.set_rows(Rows::array(vec![Row::new()
+            .with("cell", "toy")
+            .with("hops", 9u64)
+            .with("sha", "ab12")]));
+        out.file("BENCH_toy_alerts.jsonl", "{}\n".into());
+        out.verdict("toy holds", true);
+        out
+    }
+
+    fn drifting() -> ClaimOutput {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let mut out = steady();
+        out.file("BENCH_toy_trace.jsonl", format!("{}\n", RUNS.fetch_add(1, Ordering::SeqCst)));
+        out
+    }
+
+    /// Run the toy claim in a scratch directory holding `baseline` (when
+    /// given) and the real tolerance file; returns what failed and the
+    /// `BENCH_toy.json` the run left behind.
+    fn run_toy(
+        test: &str,
+        baseline: Option<&str>,
+        run: fn() -> ClaimOutput,
+    ) -> (Vec<String>, Option<String>) {
+        let dir = std::env::temp_dir().join(format!("dra-claims-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(
+            Path::new(PERF).join("perf_tolerances.json"),
+            dir.join("perf_tolerances.json"),
+        )
+        .unwrap();
+        if let Some(text) = baseline {
+            std::fs::write(dir.join("BENCH_toy.baseline.json"), text).unwrap();
+        }
+        let failures =
+            reproduce(&Claim { name: "toy", id: "T0", deterministic: true, run }, &dir, &dir);
+        let written = std::fs::read_to_string(dir.join("BENCH_toy.json")).ok();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (failures, written)
+    }
+
+    #[test]
+    fn steady_claim_is_reproduced_and_written() {
+        let (failures, written) = run_toy("steady", Some(BASELINE), steady);
+        assert_eq!(failures, Vec::<String>::new());
+        assert_eq!(written.as_deref(), Some(BASELINE));
+        // no baseline: nothing to hold, still reproduced
+        assert_eq!(run_toy("ungated", None, steady).0, Vec::<String>::new());
+    }
+
+    #[test]
+    fn non_deterministic_claim_is_a_determinism_failure() {
+        let (failures, _) = run_toy("drifting", Some(BASELINE), drifting);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("non-deterministic: BENCH_toy_trace.jsonl"), "{failures:?}");
+    }
+
+    #[test]
+    fn failed_verdicts_violated_invariants_and_panics_fail_the_claim() {
+        fn refuted() -> ClaimOutput {
+            let mut out = steady();
+            out.verdict("toy refuted", false);
+            out.invariant_violations.push("cell-1: books do not balance".into());
+            out
+        }
+        let (failures, _) = run_toy("refuted", Some(BASELINE), refuted);
+        assert!(failures.iter().any(|f| f.contains("verdict failed: toy refuted")), "{failures:?}");
+        assert!(
+            failures.iter().any(|f| f.contains("cell-1: books do not balance")),
+            "{failures:?}"
+        );
+
+        let (failures, _) = run_toy("panicking", None, || panic!("cell blew up"));
+        assert!(failures.iter().any(|f| f.contains("panicked: cell blew up")), "{failures:?}");
+    }
+
+    #[test]
+    fn stale_baselines_fail_the_gate() {
+        let run = |test: &str, baseline: &str| run_toy(test, Some(baseline), steady).0;
+        // a key the baseline lacks, a key only the baseline has
+        let missing = run("missing", &BASELINE.replace("\"hops\": 9, ", ""));
+        assert!(
+            missing.iter().any(|f| f.contains("toy/hops: present in the new output")),
+            "{missing:?}"
+        );
+        let extra = run("extra", &BASELINE.replace("\"hops\": 9", "\"hops\": 9, \"old\": 1"));
+        assert!(extra.iter().any(|f| f.contains("toy/old: present in the baseline")), "{extra:?}");
+        // one flipped digit: up is a regression, down (within any
+        // tolerance) is still a stale baseline, and so is a digest
+        let regressed = run("regressed", &BASELINE.replace("\"hops\": 9", "\"hops\": 5"));
+        assert!(regressed.iter().any(|f| f.contains("toy/hops: regressed")), "{regressed:?}");
+        let improved = run("improved", &BASELINE.replace("\"hops\": 9", "\"hops\": 19"));
+        assert!(improved.iter().any(|f| f.contains("baseline is stale")), "{improved:?}");
+        let digest = run("digest", &BASELINE.replace("ab12", "ab13"));
+        assert!(digest.iter().any(|f| f.contains("toy/sha: changed")), "{digest:?}");
+        assert_eq!(run("empty", "[\n]\n").len(), 3, "two unknown values and an empty baseline");
+    }
+
+    #[test]
+    fn ci_matrix_lists_every_claim() {
+        let ci = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.github/workflows/ci.yml");
+        let ci = std::fs::read_to_string(ci).unwrap();
+        let (_, list) = ci.split_once("claim: [").expect("a claim matrix");
+        let (list, _) = list.split_once(']').expect("an inline list");
+        let matrix: Vec<&str> = list.split(',').map(str::trim).collect();
+        let names: Vec<&str> = CLAIMS.iter().map(|c| c.name).collect();
+        assert_eq!(matrix, names, "the CI matrix is `claim list`");
+    }
+
+    #[test]
+    fn claim_names_are_unique_and_own_their_baselines() {
+        let mut names: Vec<&str> = CLAIMS.iter().map(|c| c.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), CLAIMS.len(), "claim names are unique");
+
+        // every checked-in baseline belongs to exactly one deterministic
+        // claim, and reads back to the bytes it was written from
+        let mut baselines = 0;
+        for entry in std::fs::read_dir(PERF).unwrap() {
+            let file = entry.unwrap().file_name().into_string().unwrap();
+            let Some(name) =
+                file.strip_prefix("BENCH_").and_then(|f| f.strip_suffix(".baseline.json"))
+            else {
+                assert_eq!(
+                    file, "perf_tolerances.json",
+                    "perf/ holds baselines and tolerances only"
+                );
+                continue;
+            };
+            let owners: Vec<&Claim> = CLAIMS.iter().filter(|c| c.name == name).collect();
+            assert_eq!(owners.len(), 1, "{file} belongs to one claim");
+            assert!(owners[0].deterministic, "{file}: only deterministic claims are gated");
+            let text = std::fs::read_to_string(Path::new(PERF).join(&file)).unwrap();
+            assert_eq!(Rows::read(&text).unwrap().write(), text, "{file} round-trips");
+            baselines += 1;
+        }
+        assert_eq!(baselines, 6);
+    }
+}

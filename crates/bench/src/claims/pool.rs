@@ -4,16 +4,15 @@
 //!
 //! Loads N finished-workflow documents into the pool, then measures mixed
 //! random access and MapReduce statistics at several thread counts.
-//!
-//! Run with: `cargo run --release -p dra-bench --bin claim_pool [documents]`
 
-use dra_bench::chain::finished_chain_document;
-use dra_docpool::{map_reduce, HTable, TableConfig};
+use super::ClaimOutput;
+use crate::chain::finished_chain_document;
+use dra_docpool::{map_reduce_scan, HTable, Scan, TableConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
+pub(super) fn run() -> ClaimOutput {
+    let n: usize = 20_000;
     let (xml, _) = finished_chain_document(4, false);
     println!("document template: {} bytes; loading {n} documents…", xml.len());
 
@@ -69,7 +68,7 @@ fn main() {
                         x ^= x << 17;
                         let pid = format!("proc-{:07}", (x as usize) % n);
                         if i.is_multiple_of(5) {
-                            let _ = table.scan_prefix(&format!("doc/{pid}/"));
+                            let _ = table.query(&Scan::prefix(&format!("doc/{pid}/")));
                         } else {
                             let _ = table.get(&format!("meta/{pid}"), "meta", "status");
                         }
@@ -80,18 +79,11 @@ fn main() {
         let access = t.elapsed();
 
         let t = Instant::now();
-        let counts = map_reduce(
+        let counts = map_reduce_scan(
             &table,
+            &Scan::prefix("meta/").family("meta").threads(threads),
             threads,
-            |key, row| {
-                if !key.starts_with("meta/") {
-                    return vec![];
-                }
-                match row.get_str("meta", "status") {
-                    Some(s) => vec![(s, 1usize)],
-                    None => vec![],
-                }
-            },
+            |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
             |_, vs| vs.len(),
         );
         let mr = t.elapsed();
@@ -106,5 +98,7 @@ fn main() {
     println!("\nC5 verdict: random access stays flat as documents grow (range-partitioned");
     println!("regions) and MapReduce statistics scale with threads — matching the role");
     println!("HBase+Hadoop played in the paper's deployment.");
-    dra_bench::enforce_metric_invariants(&metrics);
+    let mut out = ClaimOutput::default();
+    out.invariants("run", &metrics);
+    out
 }

@@ -9,9 +9,8 @@
 //!   the global ownership lock;
 //! * DRA4WfMS: every hop is an independent AEA receive+complete, with the
 //!   final document stored into the (sharded) pool.
-//!
-//! Run with: `cargo run --release -p dra-bench --bin claim_scalability [instances]`
 
+use super::ClaimOutput;
 use dra4wfms_core::prelude::*;
 use dra_engine::DistributedWfms;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,8 +102,8 @@ fn dra_run(instances: usize, threads: usize) -> f64 {
     instances as f64 * 3.0 / wall
 }
 
-fn main() {
-    let instances: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(120);
+pub(super) fn run() -> ClaimOutput {
+    let instances: usize = 120;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "cross-enterprise workload: {instances} instances × 3 hops across 3 organizations ({cores} core(s))\n"
@@ -128,5 +127,7 @@ fn main() {
     println!("and the coherence cost stays, add AEAs and DRA4WfMS scales linearly.");
     println!("The structural point (C4): engine migrations = 3×instances (every hop");
     println!("crosses organizations); DRA4WfMS shared-state accesses = 0.");
-    dra_bench::enforce_metric_invariants(&metrics);
+    let mut out = ClaimOutput::default();
+    out.invariants("run", &metrics);
+    out
 }

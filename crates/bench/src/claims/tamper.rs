@@ -5,11 +5,10 @@
 //!
 //! Applies a battery of random tamper operations to both systems and
 //! reports detection rates.
-//!
-//! Run with: `cargo run --release -p dra-bench --bin claim_tamper [trials]`
 
+use super::ClaimOutput;
+use crate::chain::{chain_cast, chain_definition, finished_chain_document};
 use dra4wfms_core::prelude::*;
-use dra_bench::chain::{chain_cast, chain_definition, finished_chain_document};
 use dra_engine::WorkflowEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,8 +37,8 @@ fn tamper_document(xml: &str, rng: &mut StdRng) -> Option<String> {
     None
 }
 
-fn main() {
-    let trials: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(200);
+pub(super) fn run() -> ClaimOutput {
+    let trials: usize = 200;
     let mut rng = StdRng::seed_from_u64(42);
 
     // --- DRA4WfMS ---------------------------------------------------------
@@ -116,5 +115,7 @@ fn main() {
         100.0 * detected as f64 / applied.max(1) as f64
     );
     metrics.incr("tamper.engine_rewrites", trials as u64);
-    dra_bench::enforce_metric_invariants(&metrics);
+    let mut out = ClaimOutput::default();
+    out.invariants("run", &metrics);
+    out
 }

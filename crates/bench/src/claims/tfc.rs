@@ -6,18 +6,17 @@
 //! Measures (a) per-document TFC cost vs AEA cost, and (b) TFC throughput
 //! scaling across worker threads — a single TFC deployment keeps up with
 //! many concurrent AEAs.
-//!
-//! Run with: `cargo run --release -p dra-bench --bin claim_tfc [docs] [max_threads]`
 
+use super::ClaimOutput;
+use crate::fig9::{cast, fig9b_intermediate_documents, run_fig9_trace};
 use dra4wfms_core::prelude::*;
-use dra_bench::fig9::{cast, fig9b_intermediate_documents, run_fig9_trace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn main() {
-    let docs_per_thread: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(40);
-    let max_threads: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(8);
+pub(super) fn run() -> ClaimOutput {
+    let docs_per_thread: usize = 40;
+    let max_threads: usize = 8;
 
     // (a) per-step cost split, from the Table 2 trace
     let trace = run_fig9_trace(true);
@@ -63,7 +62,9 @@ fn main() {
     }
     println!("\nC2 verdict: the TFC parallelizes across documents (stateless notary),");
     println!("and per-document TFC cost ≈ AEA cost — the TFC is not the bottleneck.");
-    dra_bench::enforce_metric_invariants(&metrics);
+    let mut out = ClaimOutput::default();
+    out.invariants("run", &metrics);
+    out
 }
 
 /// Tiny scoped-thread helper (keeps the dependency surface inside dra-bench

@@ -1,7 +1,9 @@
 //! # dra-bench — workloads and harnesses for the paper's evaluation
 //!
-//! Shared by the table-regeneration binaries (`src/bin/*.rs`) and the
-//! Criterion benches (`benches/*.rs`). The central piece is
+//! Shared by the table-regeneration binaries, the `claim` binary
+//! (`src/bin/*.rs`; every claim and the harness around them live in
+//! [`claims`]) and the Criterion benches (`benches/*.rs`). The central
+//! piece of the paper's own tables is
 //! [`fig9::run_fig9_trace`], which executes the exact step sequence of the
 //! paper's experiments (Fig. 9A/9B: sequence, AND-split/join, one loop
 //! iteration) while timing each phase at the same boundaries as Tables 1–2:
@@ -16,25 +18,9 @@
 #![warn(missing_docs)]
 
 pub mod chain;
+pub mod claims;
 pub mod fig9;
 pub mod fuzz;
-pub mod perfgate;
 pub mod table;
 
 pub use fig9::{run_fig9_trace, StepRecord};
-
-/// End-of-bin metric gate shared by every `claim_*` binary: run the
-/// cross-layer accounting invariants on whatever the bin recorded and exit
-/// nonzero on a violation. Bins that never touch the delivery layer still
-/// pass through here — the invariants degrade gracefully when the
-/// delivery/alert counters are absent, and the call keeps every bin honest
-/// about the books it *does* keep.
-pub fn enforce_metric_invariants(metrics: &dra_obs::MetricsRegistry) {
-    match dra_cloud::check_metric_invariants(&metrics.snapshot()) {
-        Ok(()) => println!("metric invariants: ok"),
-        Err(e) => {
-            eprintln!("metric invariants VIOLATED: {e}");
-            std::process::exit(1);
-        }
-    }
-}

@@ -4,7 +4,7 @@
 //! injection point a component dies. It is the crash-side analogue of
 //! [`crate::faults::FaultProfile`]: the same plan always kills the same
 //! visit, so a recovery run is exactly reproducible — the property the
-//! `claim_crash` bench sweeps to show byte-identical pools after recovery.
+//! `claim crash` bench sweeps to show byte-identical pools after recovery.
 //!
 //! A plan fires **once** and then disarms (single-crash schedules): the
 //! recovered component revisits the same site during takeover and must get

@@ -22,7 +22,7 @@
 //!   deterministic activation-bus ordering, because re-routing only remaps
 //!   *which portal index* executes an admission, never what is admitted.
 //!
-//! The safety contract is the one the `claim_federation` sweep proves: a
+//! The safety contract is the one the `claim federation` sweep proves: a
 //! bad cloud costs time (retries, failover confirmation, reroutes), never
 //! safety — every instance completes and the surviving pool's document
 //! rows are byte-identical to a healthy single-cloud run.

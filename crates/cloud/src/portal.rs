@@ -1364,7 +1364,7 @@ mod tests {
         let first = sys.store_sealed(0, &sealed, &route).unwrap();
         let second = sys.store_sealed(1, &sealed, &route).unwrap();
         assert_eq!(first, second, "duplicate acks the original sequence number");
-        assert_eq!(sys.pool.scan_prefix("doc/p-dup/").len(), 1, "pool holds one version");
+        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/p-dup/")), 1, "pool holds one version");
         assert_eq!(sys.total_stored(), 1);
         assert_eq!(sys.total_duplicates_suppressed(), 1);
     }
@@ -1388,7 +1388,7 @@ mod tests {
         // a tampered copy is rejected, stored nothing
         let tampered = wire.replace("alice", "mallory");
         assert!(sys.ingest_wire(0, &tampered, &route, None).is_err());
-        assert_eq!(sys.pool.scan_prefix("doc/p-iw/").len(), 1);
+        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/p-iw/")), 1);
     }
 
     #[test]
@@ -1437,7 +1437,7 @@ mod tests {
         let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
         assert!(ack.duplicate);
         assert_eq!(ack.seq, 0);
-        assert_eq!(sys.pool.scan_prefix("doc/p-cr/").len(), 1);
+        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/p-cr/")), 1);
     }
 
     #[test]

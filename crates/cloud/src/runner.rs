@@ -536,6 +536,7 @@ mod tests {
     use crate::netsim::NetworkSim;
     use dra4wfms_core::monitor::ProcessStatus;
     use dra4wfms_core::verify::Verifier;
+    use dra_docpool::Scan;
 
     /// The Fig. 9A workflow: A → AND-split(B1,B2) → AND-join C → (loop to A
     /// on "insufficient" | D on accept) → end.
@@ -623,7 +624,7 @@ mod tests {
         let report = Verifier::new(&dir).run(&out.document).unwrap().report;
         assert_eq!(report.signatures_verified, 10, "designer + 9 CERs");
         // and the pool has every intermediate version
-        assert_eq!(sys.pool.scan_prefix("doc/fig9a-run/").len(), 10);
+        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/fig9a-run/")), 10);
     }
 
     #[test]
@@ -745,7 +746,7 @@ mod tests {
             "the takeover waited out the lease"
         );
         // no version lost, none duplicated
-        assert_eq!(sys.pool.scan_prefix("doc/crash-run/").len(), 10);
+        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/crash-run/")), 10);
         Verifier::new(&dir).run(&out.document).unwrap();
     }
 
@@ -782,7 +783,7 @@ mod tests {
         assert_eq!(stats.sends, 10, "initial + 9 stores");
         assert!(stats.attempts >= stats.sends);
         // the pool holds exactly the 10 versions despite duplicated copies
-        assert_eq!(sys.pool.scan_prefix("doc/faulty-run/").len(), 10);
+        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/faulty-run/")), 10);
         // the final document still verifies end to end
         Verifier::new(&dir).run(&out.document).unwrap();
     }

@@ -4,6 +4,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_cloud::{CloudSystem, NetworkSim};
+use dra_docpool::Scan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -75,7 +76,11 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
         .unwrap();
     assert!(late.duplicate, "delayed copy recognised by wire digest");
     assert_eq!(late.seq, ack.seq);
-    assert_eq!(sys.pool.scan_prefix("doc/race-1/").len(), 2, "initial + one CER, no phantom");
+    assert_eq!(
+        sys.pool.query_count(&Scan::prefix("doc/race-1/")),
+        2,
+        "initial + one CER, no phantom"
+    );
     assert_eq!(sys.total_duplicates_suppressed(), 1);
 
     // bob was notified exactly once and the flow can continue
@@ -154,5 +159,5 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
         .ingest_wire(1, &final1.document.wire(), &final1.route, final1.document.trust())
         .unwrap();
     assert!(late.duplicate);
-    assert_eq!(sys.pool.scan_prefix("doc/race-2/").len(), 2);
+    assert_eq!(sys.pool.query_count(&Scan::prefix("doc/race-2/")), 2);
 }

@@ -3,7 +3,7 @@
 
 use crate::region::{KeyRange, Region};
 use crate::row::{RowPredicate, RowSnapshot};
-use crate::scan::{prefix_end, Scan, ScanResult, ScanStats};
+use crate::scan::{Scan, ScanResult, ScanStats};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -224,40 +224,6 @@ impl HTable {
         self.with_region(key, |r| r.delete_cell(key, family, qualifier)).0
     }
 
-    /// Scan `[from, to)` across regions, in key order.
-    pub fn scan(&self, from: &str, to: Option<&str>) -> Vec<(String, RowSnapshot)> {
-        let regions: Vec<Arc<Region>> = self.regions.read().clone();
-        let mut out = Vec::new();
-        for region in regions {
-            // skip regions entirely outside the scan window
-            if let Some(t) = to {
-                if region.range.start.as_str() >= t {
-                    break;
-                }
-            }
-            if let Some(e) = &region.range.end {
-                if e.as_str() <= from {
-                    continue;
-                }
-            }
-            let lo = if from > region.range.start.as_str() { from } else { &region.range.start };
-            let hi = match (&region.range.end, to) {
-                (Some(e), Some(t)) => Some(if e.as_str() < t { e.as_str() } else { t }),
-                (Some(e), None) => Some(e.as_str()),
-                (None, Some(t)) => Some(t),
-                (None, None) => None,
-            };
-            out.extend(region.scan(lo, hi));
-        }
-        out
-    }
-
-    /// Scan rows whose key starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &str) -> Vec<(String, RowSnapshot)> {
-        let to = prefix_end(prefix);
-        self.scan(prefix, to.as_deref())
-    }
-
     /// Clamp a [`Scan`] window to the current region layout: returns the
     /// regions the window intersects (with per-region `[lo, hi)` bounds) and
     /// the total region count, so callers can report how many were pruned.
@@ -307,26 +273,22 @@ impl HTable {
         let mut parts = Vec::with_capacity(visited);
         let mut examined = 0usize;
         let mut matched = 0usize;
+        let select = |(region, lo, hi): &ScanWindow| {
+            let families = scan.families.as_deref();
+            region.scan_select(lo, hi.as_deref(), families, predicate, scan.limit, count_only)
+        };
         for chunk in live.chunks(scan.threads.max(1)) {
-            let results: Vec<RegionScanOut> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = chunk
-                    .iter()
-                    .map(|(region, lo, hi)| {
-                        s.spawn(move |_| {
-                            region.scan_select(
-                                lo,
-                                hi.as_deref(),
-                                scan.families.as_deref(),
-                                predicate,
-                                scan.limit,
-                                count_only,
-                            )
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("scan worker")).collect()
-            })
-            .expect("scan scope");
+            let results: Vec<RegionScanOut> = match chunk {
+                // one window at a time (the default): walk it on this
+                // thread, as the sequential scans this API replaced did
+                [window] => vec![select(window)],
+                _ => crossbeam::thread::scope(|s| {
+                    let handles: Vec<_> =
+                        chunk.iter().map(|window| s.spawn(move |_| select(window))).collect();
+                    handles.into_iter().map(|h| h.join().expect("scan worker")).collect()
+                })
+                .expect("scan scope"),
+            };
             for (rows, ex, m) in results {
                 examined += ex;
                 matched += m;
@@ -353,8 +315,7 @@ impl HTable {
 
     /// Run a [`Scan`] with a predicate pushed down to the regions: rows are
     /// tested live under the region read lock and non-matches are never
-    /// snapshot-cloned (unlike [`HTable::scan_filter`], which copies first
-    /// and filters after).
+    /// snapshot-cloned.
     pub fn query_where(&self, scan: &Scan, predicate: RowPredicate<'_>) -> ScanResult {
         self.query_with(scan, Some(predicate))
     }
@@ -383,16 +344,6 @@ impl HTable {
     /// `pool.scanned_regions` metric pair.
     pub fn scan_counters(&self) -> (usize, usize) {
         (self.scanned_rows.load(Ordering::Relaxed), self.scanned_regions.load(Ordering::Relaxed))
-    }
-
-    /// Scan with a row predicate.
-    pub fn scan_filter(
-        &self,
-        from: &str,
-        to: Option<&str>,
-        pred: impl Fn(&str, &RowSnapshot) -> bool,
-    ) -> Vec<(String, RowSnapshot)> {
-        self.scan(from, to).into_iter().filter(|(k, r)| pred(k, r)).collect()
     }
 
     /// Total row count.
@@ -436,13 +387,17 @@ impl HTable {
             h ^= 0xff;
             h.wrapping_mul(FNV_PRIME)
         }
+        // a divergence probe, not a monitoring query: walks the regions
+        // directly, outside the scan counters
         let mut h = FNV_OFFSET;
-        for (key, row) in self.scan_prefix(prefix) {
-            h = mix(h, key.as_bytes());
-            for (family, qualifier, cell) in row.columns() {
-                h = mix(h, family.as_bytes());
-                h = mix(h, qualifier.as_bytes());
-                h = mix(h, &cell.value);
+        for (region, lo, hi) in self.scan_windows(&Scan::prefix(prefix)).0 {
+            for (key, row) in region.scan_select(&lo, hi.as_deref(), None, None, 0, false).0 {
+                h = mix(h, key.as_bytes());
+                for (family, qualifier, cell) in row.columns() {
+                    h = mix(h, family.as_bytes());
+                    h = mix(h, qualifier.as_bytes());
+                    h = mix(h, &cell.value);
+                }
             }
         }
         h
@@ -508,7 +463,7 @@ mod tests {
             );
         }
         // scans still see everything in order
-        let all = t.scan("", None);
+        let all = t.query(&Scan::all()).rows;
         assert_eq!(all.len(), 100);
         let keys: Vec<&String> = all.iter().map(|(k, _)| k).collect();
         let mut sorted = keys.clone();
@@ -526,7 +481,7 @@ mod tests {
         assert_eq!(t.get_str("alpha", "f", "q").unwrap(), "1");
         assert_eq!(t.get_str("kilo", "f", "q").unwrap(), "2");
         assert_eq!(t.get_str("zulu", "f", "q").unwrap(), "3");
-        assert_eq!(t.scan("", None).len(), 3);
+        assert_eq!(t.query_count(&Scan::all()), 3);
     }
 
     #[test]
@@ -535,31 +490,32 @@ mod tests {
         for k in ["a", "b", "n", "z"] {
             t.put(k, "f", "q", k);
         }
-        let hits = t.scan("b", Some("z"));
-        let keys: Vec<&str> = hits.iter().map(|(k, _)| k.as_str()).collect();
+        let hits = t.query(&Scan::range("b", Some("z".to_string())));
+        let keys: Vec<&str> = hits.rows.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["b", "n"]);
     }
 
     #[test]
-    fn scan_prefix_works() {
+    fn prefix_query_works() {
         let t = HTable::default();
         for k in ["proc-1/doc-1", "proc-1/doc-2", "proc-2/doc-1", "other"] {
             t.put(k, "f", "q", k);
         }
-        let hits = t.scan_prefix("proc-1/");
+        let hits = t.query(&Scan::prefix("proc-1/")).rows;
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|(k, _)| k.starts_with("proc-1/")));
     }
 
     #[test]
-    fn scan_filter_applies_predicate() {
+    fn query_where_applies_predicate() {
         let t = HTable::default();
         t.put("a", "meta", "status", "open");
         t.put("b", "meta", "status", "closed");
         t.put("c", "meta", "status", "open");
-        let open =
-            t.scan_filter("", None, |_, r| r.get_str("meta", "status").as_deref() == Some("open"));
-        assert_eq!(open.len(), 2);
+        let open = t.query_where(&Scan::all(), &|_, r| {
+            r.get_str("meta", "status").as_deref() == Some("open")
+        });
+        assert_eq!(open.rows.len(), 2);
     }
 
     fn seeded_table() -> HTable {

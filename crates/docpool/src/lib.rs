@@ -40,7 +40,7 @@ pub mod views;
 
 pub use cluster::{HTable, PoolStats, TableConfig};
 pub use journal::{Journal, PutOp};
-pub use mapreduce::{map_reduce, map_reduce_scan};
+pub use mapreduce::map_reduce_scan;
 pub use persist::PersistError;
 pub use row::{Cell, Row, RowPredicate, RowSnapshot};
 pub use scan::{Scan, ScanResult, ScanStats};

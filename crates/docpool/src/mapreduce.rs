@@ -3,73 +3,28 @@
 //! "The MapReduce computing model supported in the HBase system can apply
 //! some statistical analyses to workflow processes or instances stored in
 //! the DRA4WfMS cloud system" (§4.2). This module runs one mapper task per
-//! region in parallel (crossbeam scoped threads), shuffles by key, and
-//! reduces key groups in parallel.
+//! region a [`Scan`] visits in parallel (crossbeam scoped threads), shuffles
+//! by key, and reduces key groups in parallel.
 
 use crate::cluster::HTable;
 use crate::row::RowSnapshot;
 use crate::scan::Scan;
 use std::collections::BTreeMap;
 
-/// Run a MapReduce job over every row of `table`.
+/// Run a MapReduce job over the rows a [`Scan`] selects — a key window for
+/// the monitoring paths that must never do a full table read, or
+/// [`Scan::all`] for whole-table statistics.
 ///
 /// * `map` — called once per row, emits zero or more `(key, value)` pairs;
 /// * `reduce` — called once per distinct key with all its values;
 /// * `threads` — maximum parallel mapper/reducer tasks (≥1).
 ///
-/// Mappers run one task per region snapshot (region parallelism, like
-/// HBase's `TableInputFormat` splits); reducers run over contiguous chunks
-/// of the shuffled key space.
-pub fn map_reduce<K, V, O, M, R>(
-    table: &HTable,
-    threads: usize,
-    map: M,
-    reduce: R,
-) -> BTreeMap<K, O>
-where
-    K: Ord + Send,
-    V: Send,
-    O: Send,
-    M: Fn(&str, &RowSnapshot) -> Vec<(K, V)> + Sync,
-    R: Fn(&K, Vec<V>) -> O + Sync,
-{
-    let threads = threads.max(1);
-    let regions = table.regions();
-
-    // --- map phase: one task per region, capped at `threads` in flight ----
-    let mut emitted: Vec<Vec<(K, V)>> = Vec::new();
-    for chunk in regions.chunks(threads) {
-        let results = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|region| {
-                    let map = &map;
-                    s.spawn(move |_| {
-                        let mut out = Vec::new();
-                        for (key, row) in region.snapshot_all() {
-                            out.extend(map(&key, &row));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("mapper panicked")).collect::<Vec<_>>()
-        })
-        .expect("map scope");
-        emitted.extend(results);
-    }
-
-    shuffle_and_reduce(emitted, threads, reduce)
-}
-
-/// Run a MapReduce job over the rows a [`Scan`] selects instead of the whole
-/// table — the monitoring-path variant that never does a full table read.
-///
 /// The scan's regions are walked in parallel (honouring projection, limit
 /// and the scan's own thread count), producing one input split per visited
-/// region; mappers then run one task per split, and shuffle/reduce proceed
-/// exactly as in [`map_reduce`]. Results are deterministic for any thread
-/// count. Rows touched are accounted in the table's scan counters.
+/// region (region parallelism, like HBase's `TableInputFormat` splits);
+/// mappers then run one task per split, and reducers run over contiguous
+/// chunks of the shuffled key space. Results are deterministic for any
+/// thread count. Rows touched are accounted in the table's scan counters.
 pub fn map_reduce_scan<K, V, O, M, R>(
     table: &HTable,
     scan: &Scan,
@@ -167,14 +122,15 @@ where
     reduced.into_iter().flatten().collect()
 }
 
-/// Convenience: count rows per key emitted by `classify`.
+/// Convenience: count every row of `table` per key emitted by `classify`.
 pub fn count_by<K, F>(table: &HTable, threads: usize, classify: F) -> BTreeMap<K, usize>
 where
     K: Ord + Send,
     F: Fn(&str, &RowSnapshot) -> Option<K> + Sync,
 {
-    map_reduce(
+    map_reduce_scan(
         table,
+        &Scan::all().threads(threads),
         threads,
         |k, r| classify(k, r).map(|key| (key, 1usize)).into_iter().collect(),
         |_, vs| vs.len(),
@@ -207,8 +163,9 @@ mod tests {
     #[test]
     fn sum_steps_per_status() {
         let t = table_with_statuses();
-        let sums = map_reduce(
+        let sums = map_reduce_scan(
             &t,
+            &Scan::all().threads(4),
             4,
             |_, row| {
                 let status = row.get_str("meta", "status");
@@ -252,8 +209,9 @@ mod tests {
             |_, vs| vs.len(),
         );
         // ...must agree with a full-table job that filters in the mapper
-        let full = map_reduce(
+        let full = map_reduce_scan(
             &t,
+            &Scan::all(),
             4,
             |key, row| {
                 if ("proc-0050".."proc-0100").contains(&key) {

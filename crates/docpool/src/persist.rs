@@ -304,6 +304,6 @@ mod tests {
             restored.put(&format!("row-{i:03}"), "doc", "xml", "x");
         }
         assert!(restored.stats().regions > 1);
-        assert_eq!(restored.scan_prefix("row-").len(), 200);
+        assert_eq!(restored.query_count(&crate::Scan::prefix("row-")), 200);
     }
 }

@@ -107,20 +107,6 @@ impl Region {
         self.rows.read().len()
     }
 
-    /// Scan rows with keys in `[from, to)` (clamped to this region's range),
-    /// returning snapshots.
-    pub fn scan(&self, from: &str, to: Option<&str>) -> Vec<(String, RowSnapshot)> {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        let rows = self.rows.read();
-        rows.range(from.to_string()..)
-            .take_while(|(k, _)| match to {
-                Some(t) => k.as_str() < t,
-                None => true,
-            })
-            .map(|(k, r)| (k.clone(), r.snapshot()))
-            .collect()
-    }
-
     /// The scan-API primitive: walk `[from, to)` in key order, evaluate the
     /// predicate against the **live** row under the read lock (pushdown —
     /// non-matching rows are never snapshot-cloned), and project only the
@@ -251,11 +237,10 @@ mod tests {
         for k in ["d", "a", "c", "b"] {
             r.put(k, "f", "q", b(k), 1, 1);
         }
-        let hits = r.scan("b", Some("d"));
+        let (hits, _, _) = r.scan_select("b", Some("d"), None, None, 0, false);
         let keys: Vec<&str> = hits.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["b", "c"]);
-        let all = r.scan("", None);
-        assert_eq!(all.len(), 4);
+        assert_eq!(r.snapshot_all().len(), 4);
     }
 
     #[test]
@@ -299,8 +284,8 @@ mod tests {
         assert_eq!(left.range.end, Some("k05".to_string()));
         assert_eq!(right.range.start, "k05");
         // all left keys < all right keys
-        let lmax = left.scan("", None).last().unwrap().0.clone();
-        let rmin = right.scan("", None).first().unwrap().0.clone();
+        let lmax = left.snapshot_all().last().unwrap().0.clone();
+        let rmin = right.snapshot_all().first().unwrap().0.clone();
         assert!(lmax < rmin);
     }
 
@@ -316,7 +301,7 @@ mod tests {
         let r = Region::new(KeyRange::all());
         r.put("k", "f", "q", b("v"), 1, 1);
         r.get("k", "f", "q");
-        r.scan("", None);
+        r.scan_select("", None, None, None, 0, true);
         assert_eq!(r.ops.load(Ordering::Relaxed), 3);
     }
 }

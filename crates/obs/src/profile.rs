@@ -17,8 +17,8 @@
 //!
 //! Everything is integer virtual-time arithmetic over a deterministic
 //! event slice, so `to_json` output is byte-identical run after run: the
-//! property the bench regression gate (`claim_profile` + `perf_gate`)
-//! relies on.
+//! property the bench regression gate (`claim profile`, held against
+//! `perf/BENCH_profile.baseline.json`) relies on.
 
 use crate::event::TraceEvent;
 use crate::export::json_escape;

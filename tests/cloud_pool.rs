@@ -3,6 +3,7 @@
 //! MapReduce statistics (claims C5 of DESIGN.md).
 
 use dra4wfms::cloud::{CloudSystem, InstanceRun, NetworkSim};
+use dra4wfms::docpool::Scan;
 use dra4wfms::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,7 +79,7 @@ fn concurrent_instances_share_the_pool() {
         let pid = format!("t-{i:03}");
         let status = sys.process_status(&pid).unwrap().unwrap();
         assert_eq!(status.steps(), 2, "{pid}");
-        assert_eq!(sys.pool.scan_prefix(&format!("doc/{pid}/")).len(), 3);
+        assert_eq!(sys.pool.query_count(&Scan::prefix(&format!("doc/{pid}/"))), 3);
         // the stored final document verifies
         let xml = sys.retrieve_latest(0, &pid).unwrap();
         Verifier::new(&dir).run(&DraDocument::parse(&xml).unwrap()).unwrap();

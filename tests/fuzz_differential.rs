@@ -1,5 +1,5 @@
 //! Small-corpus smoke of the differential fuzzing harness. The full
-//! 64-seed campaign runs in CI through the `claim_fuzz` bin (see
+//! 64-seed campaign runs in CI through `claim fuzz` (see
 //! EXPERIMENTS.md C14); this keeps a handful of seeds in the ordinary
 //! test suite so a regression in the harness — or in anything it
 //! differential-checks — fails fast and locally.

@@ -197,7 +197,7 @@ proptest! {
 
     /// Honest scheduler runs of pattern-rich workflows verify and
     /// reconcile cleanly against their span traces (the heavy end-to-end
-    /// property; the full matrix runs in `claim_fuzz`).
+    /// property; the full matrix runs in `claim fuzz`).
     #[test]
     fn pattern_rich_runs_verify_and_reconcile(seed in any::<u64>()) {
         let gw = fuzz::generate(seed);
