@@ -507,8 +507,8 @@ mod tests {
 }"#;
 
     const SCALING: &str = r#"[
-  {"cell": "n=1", "sigs": 2, "seq_ec_ops": 1000, "batch_ec_ops": 700, "canon_bytes": 512, "arena_steady_alloc": 0},
-  {"cell": "n=8", "sigs": 9, "seq_ec_ops": 4500, "batch_ec_ops": 1500, "canon_bytes": 2048, "arena_steady_alloc": 0}
+  {"cell": "n=1", "sigs": 2, "seq_ec_ops": 1000, "batch_ec_ops": 700, "canon_bytes": 512, "inc_hash_bytes": 600},
+  {"cell": "n=8", "sigs": 9, "seq_ec_ops": 4500, "batch_ec_ops": 1500, "canon_bytes": 2048, "inc_hash_bytes": 600}
 ]
 "#;
 

@@ -100,10 +100,6 @@ pub struct CloudSystem {
     bus: Arc<ActivationBus>,
     /// The crash schedule portals consult mid-admission.
     crash_plan: Arc<CrashPlan>,
-    /// Digests of canonical definition XML already proven sound, shared by
-    /// the portals: the reachability analysis runs once per *definition*,
-    /// not once per admitted document version.
-    sound_defs: std::sync::Mutex<std::collections::BTreeSet<[u8; 32]>>,
     /// Span recorder for portal admissions; disabled (free) unless
     /// [`CloudSystem::with_tracer`] is used.
     tracer: Tracer,
@@ -133,7 +129,6 @@ impl CloudSystem {
             journal: Arc::new(Journal::new()),
             bus: Arc::new(ActivationBus::new()),
             crash_plan: CrashPlan::none(),
-            sound_defs: Default::default(),
             tracer: Tracer::disabled(),
             federation: None,
             views: Arc::new(FleetViews::new()),
@@ -181,7 +176,6 @@ impl CloudSystem {
             journal: Arc::clone(&replicas[0].journal),
             bus: Arc::new(ActivationBus::new()),
             crash_plan: CrashPlan::none(),
-            sound_defs: Default::default(),
             tracer: Tracer::disabled(),
             federation: Some(Federation { controller, replicas }),
             views: Arc::new(FleetViews::new()),
@@ -522,10 +516,10 @@ impl CloudSystem {
             // TO-DO row is still unconsumed, publish a fresh activation —
             // a duplicate wake-up is skipped harmlessly by the scheduler,
             // a lost one would strand the instance.
-            let (def, _) = dra4wfms_core::amendment::effective_definition(sealed)?;
+            let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
             if let Ok(pid) = sealed.document().process_id() {
                 for target in &route.targets {
-                    let Ok(act) = def.activity(target) else { continue };
+                    let Ok(act) = definition.def.activity(target) else { continue };
                     let participant = act.participant.clone();
                     if pool
                         .get_str(&Self::todo_key(&participant, &pid, target), FAM_META, "seq")
@@ -563,19 +557,16 @@ impl CloudSystem {
         // process (parallel AND-split branches have equal CER counts, so the
         // CER count alone would collide); counted without cloning snapshots
         let seq = pool.query_count(&Scan::prefix(&format!("doc/{pid}/")));
-        let (def, _) = dra4wfms_core::amendment::effective_definition(sealed)?;
+        let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
         // design-time soundness gate: a definition that can deadlock, starve
         // an activity or orphan a join is rejected *here*, before any row is
         // written — the designer gets the diagnostic while the fix is still
-        // a document edit, not a stranded instance. Amendments re-enter the
-        // gate because the folded definition's canonical bytes change.
-        let def_digest = dra_crypto::sha256(&dra_xml::canon::canonicalize(&def.to_xml()));
-        let known_sound =
-            self.sound_defs.lock().unwrap_or_else(|e| e.into_inner()).contains(&def_digest);
-        if !known_sound {
-            dra4wfms_core::soundness::require_sound(&def)?;
-            self.sound_defs.lock().unwrap_or_else(|e| e.into_inner()).insert(def_digest);
-        }
+        // a document edit, not a stranded instance. The verdict lives with
+        // the shared parse, so the reachability analysis runs once per
+        // definition content; amendments re-enter the gate because a folded
+        // definition is an entry of its own.
+        definition.require_sound()?;
+        let def = &definition.def;
         let status = if route.is_final() { "complete" } else { "running" };
 
         // Assemble the full admission as one journaled batch: the digest →
@@ -1044,11 +1035,11 @@ impl CloudSystem {
                 .get_str(&format!("initial/{process_id}"), FAM_DOC, QUAL_XML)
                 .ok_or_else(|| WfError::Malformed(format!("no pending initial '{process_id}'")))?;
         let doc = DraDocument::parse(&xml)?;
-        let (def, _) = dra4wfms_core::amendment::effective_definition(&doc)?;
+        let definition = dra4wfms_core::amendment::effective_definition(&doc)?;
         self.store_document(
             portal,
             &xml,
-            &Route { targets: vec![def.start.clone()], ends: false },
+            &Route { targets: vec![definition.def.start.clone()], ends: false },
         )?;
         self.active_pool().delete_row(&format!("initial/{process_id}"));
         Ok(())
@@ -1146,7 +1137,6 @@ impl CloudSystem {
             journal: Arc::new(Journal::new()),
             bus: Arc::new(ActivationBus::new()),
             crash_plan: CrashPlan::none(),
-            sound_defs: Default::default(),
             tracer: Tracer::disabled(),
             federation: None,
             views: Arc::new(FleetViews::new()),
@@ -1187,6 +1177,70 @@ mod tests {
         assert_eq!(xml, doc.to_xml_string());
         assert_eq!(sys.retrieve_version("p-1", 0).unwrap(), xml);
         assert!(sys.retrieve_version("p-1", 3).is_none());
+    }
+
+    #[test]
+    fn definition_map_stays_bounded_and_evicted_definitions_are_rechecked() {
+        use dra4wfms_core::amendment::{
+            definition_cache_len, effective_definition, DEFINITION_CACHE_ENTRIES,
+        };
+        let (sys, _, pol, designer, _) = setup();
+        // a tenant submitting ever new definitions: distinct, sound, valid
+        let variant = |i: usize| {
+            WorkflowDefinition::builder(format!("tenant-wf-{i}"), "designer")
+                .simple_activity("submit", "alice", &["amount"])
+                .flow_end("submit")
+                .build()
+                .unwrap()
+        };
+        let admit = |def: &WorkflowDefinition, pid: &str| {
+            let doc = DraDocument::new_initial_with_pid(def, &pol, &designer, pid).unwrap();
+            let route = Route { targets: vec![def.start.clone()], ends: false };
+            sys.store_document(0, &doc.to_xml_string(), &route).map(|_| doc)
+        };
+
+        let first = admit(&variant(0), "tenant-0").unwrap();
+        let entry = effective_definition(&first).unwrap();
+        assert!(entry.soundness_checked(), "admission ran the soundness gate");
+
+        let distinct = DEFINITION_CACHE_ENTRIES + 8;
+        for i in 1..distinct {
+            admit(&variant(i), &format!("tenant-{i}")).unwrap();
+            assert!(definition_cache_len() <= DEFINITION_CACHE_ENTRIES);
+        }
+        assert_eq!(definition_cache_len(), DEFINITION_CACHE_ENTRIES, "full, not growing");
+
+        // definition 0 was evicted: it comes back as a new entry without a
+        // verdict, so its next admission runs the gate again
+        let again = effective_definition(&first).unwrap();
+        assert!(!Arc::ptr_eq(&entry, &again), "evicted, then parsed afresh");
+        assert!(!again.soundness_checked(), "no verdict survives eviction");
+        admit(&variant(0), "tenant-0-again").unwrap();
+        assert!(again.soundness_checked(), "evicted ⇒ re-checked");
+
+        // and the gate still bites after all that churn
+        let deadlock = WorkflowDefinition::builder("tenant-deadlock", "designer")
+            .simple_activity("A", "alice", &["x"])
+            .simple_activity("B", "alice", &["y"])
+            .simple_activity("C", "bob", &["z"])
+            .activity(Activity {
+                id: "J".into(),
+                participant: "bob".into(),
+                join: JoinKind::All,
+                requests: vec![],
+                responses: vec![],
+            })
+            .flow_if("A", "B", Condition::field_equals("A", "x", "b"))
+            .flow_if("A", "C", Condition::field_not_equals("A", "x", "b"))
+            .flow("B", "J")
+            .flow("C", "J")
+            .flow_end("J")
+            .build()
+            .unwrap();
+        for attempt in 0..2 {
+            let err = admit(&deadlock, &format!("tenant-dl-{attempt}")).unwrap_err();
+            assert!(matches!(err, WfError::Unsound(_)), "attempt {attempt}: {err}");
+        }
     }
 
     #[test]

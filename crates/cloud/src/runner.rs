@@ -245,8 +245,9 @@ impl<'a> InstanceRun<'a> {
         let respond =
             self.respond.ok_or_else(|| WfError::Config("InstanceRun needs .respond(..)".into()))?;
 
-        let (def, _) = dra4wfms_core::amendment::effective_definition(initial)?;
-        def.validate()?;
+        // structurally valid by construction (see `EffectiveDefinition`)
+        let definition = dra4wfms_core::amendment::effective_definition(initial)?;
+        let def = &definition.def;
         let pid = initial.process_id()?;
         if def.tfc.is_some() && self.tfc.is_none() {
             return Err(WfError::Policy(
@@ -297,14 +298,15 @@ impl<'a> InstanceRun<'a> {
 
             // re-fold amendments: a designer may have amended the definition
             // mid-run, and routing must follow the rules now in force
-            let (def_now, _) = dra4wfms_core::amendment::effective_definition(&merged)?;
+            let definition_now = dra4wfms_core::amendment::effective_definition(&merged)?;
+            let def_now = &definition_now.def;
             let act = def_now.activity(&activity)?.clone();
             let aea = agents
                 .get(&act.participant)
                 .ok_or_else(|| WfError::UnknownIdentity(act.participant.clone()))?;
 
             // AND-join: wait for the remaining branches
-            if act.join == JoinKind::All && !join_ready(&merged, &def_now, &activity)? {
+            if act.join == JoinKind::All && !join_ready(&merged, def_now, &activity)? {
                 inbox.entry(activity.clone()).or_default().push(merged);
                 continue;
             }
@@ -436,7 +438,7 @@ impl<'a> InstanceRun<'a> {
 
     /// Merge branch documents: a single arrival keeps its seal and trust
     /// mark; a true merge builds a new document that needs a full
-    /// verification.
+    /// verification. Either way the result shares the inputs' nodes.
     pub(crate) fn merge_inputs(inputs: &[SealedDocument]) -> WfResult<SealedDocument> {
         if inputs.len() == 1 {
             return Ok(inputs[0].clone());
@@ -663,6 +665,36 @@ mod tests {
         // designer + 9 participant sigs + 9 TFC sigs
         let report = Verifier::new(&dir).run(&out.document).unwrap().report;
         assert_eq!(report.signatures_verified, 19);
+    }
+
+    #[test]
+    fn merged_branches_carry_no_trust_and_get_a_full_verification() {
+        // B1 and B2 each extend A's document; the AND-join input is a new
+        // document with the CERs interleaved, which no mark has ever pinned
+        let creds = people();
+        let dir = Directory::from_credentials(&creds);
+        let agents = agents(&creds, &dir);
+        let initial =
+            DraDocument::new_initial_with_pid(&fig9a(), &SecurityPolicy::public(), &creds[0], "m")
+                .unwrap();
+        let respond = fig9a_responder();
+        let hop = |input: SealedDocument, activity: &str, who: &str| {
+            let received = agents[who].receive(input, activity).unwrap();
+            agents[who].complete(&received, &respond(&received)).unwrap().document
+        };
+        let after_a = hop(SealedDocument::new(initial), "A", "p_a");
+        let b1 = hop(after_a.clone(), "B1", "p_b1");
+        let b2 = hop(after_a, "B2", "p_b2");
+        assert!(b1.trust().is_some() && b2.trust().is_some());
+
+        let single = InstanceRun::merge_inputs(std::slice::from_ref(&b1)).unwrap();
+        assert_eq!(single.trust(), b1.trust(), "a single arrival keeps its mark");
+
+        let merged = InstanceRun::merge_inputs(&[b1, b2]).unwrap();
+        assert!(merged.trust().is_none(), "no mark survives a merge");
+        let received = agents["p_c"].receive(merged, "C").unwrap();
+        assert_eq!(received.reused_cers, 0);
+        assert_eq!(received.report.signatures_verified, 4, "designer + A + B1 + B2");
     }
 
     #[test]

@@ -249,12 +249,13 @@ impl<'a> Scheduler<'a> {
         let respond =
             run.respond.ok_or_else(|| WfError::Config("InstanceRun needs .respond(..)".into()))?;
 
-        let (def, _) = dra4wfms_core::amendment::effective_definition(run.initial)?;
-        def.validate()?;
+        // structurally valid by construction (see `EffectiveDefinition`)
+        let definition = dra4wfms_core::amendment::effective_definition(run.initial)?;
         // unsound models never enter the run loop: a deadlocking join or an
         // orphaning cancellation would strand the instance mid-flight, long
         // after the designer could cheaply fix the definition
-        dra4wfms_core::soundness::require_sound(&def)?;
+        definition.require_sound()?;
+        let def = &definition.def;
         let pid = run.initial.process_id()?;
         if def.tfc.is_some() && run.tfc.is_none() {
             return Err(WfError::Policy(
@@ -515,7 +516,8 @@ fn dispatch_one<'a>(
 
     // re-fold amendments: a designer may have amended the definition
     // mid-run, and routing must follow the rules now in force
-    let (def_now, _) = dra4wfms_core::amendment::effective_definition(&merged)?;
+    let definition_now = dra4wfms_core::amendment::effective_definition(&merged)?;
+    let def_now = &definition_now.def;
     let act_def = def_now.activity(&act.activity)?.clone();
     let aea = inst
         .agents
@@ -523,7 +525,7 @@ fn dispatch_one<'a>(
         .ok_or_else(|| WfError::UnknownIdentity(act_def.participant.clone()))?;
 
     // AND-join: park the merged prefix until the remaining branches notify
-    if act_def.join == JoinKind::All && !join_ready(&merged, &def_now, &act.activity)? {
+    if act_def.join == JoinKind::All && !join_ready(&merged, def_now, &act.activity)? {
         inst.inbox.entry(act.activity.clone()).or_default().push(merged);
         stats.deferred += 1;
         return Ok(());
@@ -626,7 +628,7 @@ fn dispatch_one<'a>(
     // every pending piece of region work — inbox entries, parked OR-joins
     // and already-announced bus activations alike
     let reader = DocFieldReader::public(document.document());
-    for region in dra4wfms_core::flow::fired_cancellations(&def_now, &act.activity, &reader)? {
+    for region in dra4wfms_core::flow::fired_cancellations(def_now, &act.activity, &reader)? {
         for member in &region.region {
             if inst.inbox.remove(member).is_some() {
                 stats.cancelled += 1;
@@ -688,6 +690,71 @@ mod tests {
         assert!(bus.pop_owned(|pid| pid == "mine").is_none());
         assert_eq!(bus.len(), 1, "the foreign activation survives untouched");
         assert_eq!(bus.pop().unwrap().process_id, "theirs");
+    }
+
+    #[test]
+    fn and_split_branches_receive_the_same_nodes() {
+        use crate::netsim::NetworkSim;
+
+        let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c"]
+            .iter()
+            .map(|n| Credentials::from_seed(*n, &format!("split-{n}")))
+            .collect();
+        let dir = Directory::from_credentials(&creds);
+        let def = WorkflowDefinition::builder("split", "designer")
+            .simple_activity("A", "p_a", &["x"])
+            .simple_activity("B1", "p_b1", &["y"])
+            .simple_activity("B2", "p_b2", &["z"])
+            .activity(Activity {
+                id: "C".into(),
+                participant: "p_c".into(),
+                join: JoinKind::All,
+                requests: vec![],
+                responses: vec!["w".into()],
+            })
+            .flow("A", "B1")
+            .flow("A", "B2")
+            .flow("B1", "C")
+            .flow("B2", "C")
+            .flow_end("C")
+            .build()
+            .unwrap();
+        let initial =
+            DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "split")
+                .unwrap();
+        let agents: HashMap<String, Arc<Aea>> = creds
+            .iter()
+            .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
+            .collect();
+        let respond = |r: &ReceivedActivity| {
+            vec![(
+                r.definition.def.activity(&r.activity).unwrap().responses[0].clone(),
+                "v".to_string(),
+            )]
+        };
+        let sys = CloudSystem::new(dir, 2, Arc::new(NetworkSim::lan()));
+
+        let mut sched = Scheduler::new(&sys);
+        let pid = sched
+            .admit_instance(InstanceRun::new(&sys, &initial).agents(&agents).respond(&respond))
+            .unwrap();
+        // one dispatch: A executes and routes to both branches
+        let wakeup = sys.activation_bus().pop().unwrap();
+        let inst = sched.instances.get_mut(&pid).unwrap();
+        dispatch_one(&sys, inst, &wakeup, &mut sched.stats).unwrap();
+
+        let (b1, b2) = (&inst.inbox["B1"][0], &inst.inbox["B2"][0]);
+        let same = |a: &dra_xml::Element, b: &dra_xml::Element| {
+            a.children.len() == b.children.len()
+                && a.shared_children().zip(b.shared_children()).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        assert!(same(&b1.document().root, &b2.document().root), "sections shared, not copied");
+        assert!(same(b1.results().unwrap(), b2.results().unwrap()), "CERs shared, not copied");
+        assert!(Arc::ptr_eq(&b1.wire(), &b2.wire()), "one serialization for both branches");
+
+        // and the instance still runs to completion from there
+        let results = sched.run_to_completion();
+        assert_eq!(results[0].1.as_ref().unwrap().steps, 4);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! * [`Aea::complete`] / [`Aea::complete_via_tfc`] — encrypt + sign
 //!   (+ route) (the β column).
 
+use crate::amendment::EffectiveDefinition;
 use crate::document::{preds_to_attr, CerKey, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
@@ -23,14 +24,14 @@ use crate::fields::{build_plain_result_element, build_result_element};
 use crate::flow::{evaluate_route_after, join_ready, merge_documents, DocFieldReader, Route};
 use crate::identity::{Credentials, Directory};
 use crate::ingest::Inbound;
-use crate::model::{FieldRef, JoinKind, WorkflowDefinition};
-use crate::policy::SecurityPolicy;
+use crate::model::{FieldRef, JoinKind};
 use crate::sealed::{SealedDocument, TrustMark};
 use crate::verify::{VerificationReport, Verifier};
 use dra_obs::{stage, Tracer};
 use dra_xml::canon::canonicalize;
 use dra_xml::sig::sign_detached;
 use dra_xml::Element;
+use std::sync::Arc;
 
 /// An Activity Execution Agent bound to one participant's credentials.
 pub struct Aea {
@@ -52,12 +53,12 @@ pub struct Aea {
 /// activity execution, with the request fields the participant may see.
 #[derive(Debug)]
 pub struct ReceivedActivity {
-    /// The verified document.
+    /// The verified document; its nodes are shared with the document that
+    /// was received, not copied.
     pub doc: DraDocument,
-    /// Parsed workflow definition.
-    pub def: WorkflowDefinition,
-    /// Parsed security policy.
-    pub policy: SecurityPolicy,
+    /// The workflow definition and security policy in force (amendments
+    /// folded in), shared with every other holder of the same content.
+    pub definition: Arc<EffectiveDefinition>,
     /// The activity to execute.
     pub activity: String,
     /// Its iteration number (0-based; >0 inside loops).
@@ -171,7 +172,8 @@ impl Aea {
         let doc = sealed.into_document();
         // dynamic flow control: fold any (already verified) amendments into
         // the effective definition and policy
-        let (def, policy) = crate::amendment::effective_definition(&doc)?;
+        let definition = crate::amendment::effective_definition(&doc)?;
+        let def = &definition.def;
 
         let act = def.activity(activity)?.clone();
         if act.participant != self.creds.name {
@@ -180,7 +182,7 @@ impl Aea {
                 actual: self.creds.name.clone(),
             });
         }
-        if act.join == JoinKind::All && !join_ready(&doc, &def, activity)? {
+        if act.join == JoinKind::All && !join_ready(&doc, def, activity)? {
             return Err(WfError::Flow(format!(
                 "AND-join '{activity}' is not ready: not all incoming branches have arrived"
             )));
@@ -195,7 +197,7 @@ impl Aea {
         span_verify.attr("signatures_verified", report.signatures_verified);
         span_verify.attr("reused_cers", reused_cers);
         span_verify.end();
-        let preds = doc.compute_preds(&def, activity)?;
+        let preds = doc.compute_preds(def, activity)?;
 
         // decrypt the request fields
         let mut span_decrypt = self
@@ -226,8 +228,7 @@ impl Aea {
         self.crash_point(site::AEA_AFTER_VERIFY)?;
         Ok(ReceivedActivity {
             doc,
-            def,
-            policy,
+            definition,
             activity: activity.to_string(),
             iter,
             preds,
@@ -252,7 +253,7 @@ impl Aea {
         received: &ReceivedActivity,
         responses: &[(String, String)],
     ) -> WfResult<()> {
-        let act = received.def.activity(&received.activity)?;
+        let act = received.definition.def.activity(&received.activity)?;
         for (name, _) in responses {
             if !act.responses.contains(name) {
                 return Err(WfError::Flow(format!(
@@ -288,12 +289,14 @@ impl Aea {
         let result = build_result_element(
             &received.activity,
             responses,
-            &received.policy,
+            &received.definition.policy,
             &self.directory,
             &self.creds.name,
             &reader,
         )?;
 
+        // shares every node with `received.doc`; push_cer below copies only
+        // the ActivityResults child vector
         let mut document = received.doc.clone();
         let key = CerKey::new(received.activity.clone(), received.iter);
         let mut span_sign = self
@@ -316,8 +319,12 @@ impl Aea {
         span_sign.attr("model", "basic");
         span_sign.end();
 
-        let route =
-            evaluate_route_after(&received.def, &received.activity, received.iter, &reader)?;
+        let route = evaluate_route_after(
+            &received.definition.def,
+            &received.activity,
+            received.iter,
+            &reader,
+        )?;
         self.crash_point(site::AEA_AFTER_SIGN)?;
         // The prefix pinned at receive time is untouched by push_cer, so the
         // mark stays valid: the next hop re-verifies exactly this new CER.
@@ -338,6 +345,7 @@ impl Aea {
     ) -> WfResult<IntermediateActivity> {
         Self::check_responses(received, responses)?;
         let tfc_name = received
+            .definition
             .def
             .tfc
             .as_deref()
@@ -400,6 +408,8 @@ impl Aea {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::WorkflowDefinition;
+    use crate::policy::SecurityPolicy;
 
     fn setup() -> (WorkflowDefinition, SecurityPolicy, Credentials, Vec<Credentials>, Directory) {
         let designer = Credentials::from_seed("designer", "d");

@@ -12,7 +12,7 @@
 //! and every AEA/TFC computes the **effective definition** by folding the
 //! amendment CERs into the base definition before routing.
 
-use crate::document::{CerKey, DraDocument, PredRef};
+use crate::document::{CerKey, CerView, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::identity::Credentials;
 use crate::model::{
@@ -20,8 +20,10 @@ use crate::model::{
     WorkflowDefinition,
 };
 use crate::policy::{FieldRule, SecurityPolicy};
+use dra_xml::canon_digest;
 use dra_xml::sig::sign_detached;
 use dra_xml::Element;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Pseudo-activity id prefix marking amendment CERs.
 pub const AMEND_PREFIX: &str = "__amend";
@@ -192,28 +194,122 @@ pub fn is_amendment_key(key: &CerKey) -> bool {
     key.activity.starts_with(AMEND_PREFIX)
 }
 
+/// The definition and policy in force at some point of a document: the
+/// embedded base pair, or that pair with a sequence of amendment deltas
+/// folded in. Always structurally valid (`validate()` passed when it was
+/// built). Immutable and shared: every document carrying the same
+/// definition content — across hops, instances and portals — reads one
+/// parse, one validation and one soundness verdict.
+#[derive(Debug)]
+pub struct EffectiveDefinition {
+    /// The workflow definition in force.
+    pub def: WorkflowDefinition,
+    /// The security policy in force.
+    pub policy: SecurityPolicy,
+    /// Content key: a digest over the canonical bytes this pair was parsed
+    /// and folded from.
+    key: [u8; 32],
+    /// The design-time soundness verdict, computed on first demand.
+    sound: OnceLock<WfResult<()>>,
+}
+
+/// How many distinct definitions stay parsed. A deployment runs a handful
+/// of workflow types at a time; an evicted one is simply parsed, validated
+/// and soundness-checked again on its next use.
+pub const DEFINITION_CACHE_ENTRIES: usize = 64;
+
+/// Most-recently-used first; a linear scan over at most
+/// [`DEFINITION_CACHE_ENTRIES`] 32-byte keys.
+static DEFINITIONS: Mutex<Vec<Arc<EffectiveDefinition>>> = Mutex::new(Vec::new());
+
+/// Number of definitions currently held parsed (≤ [`DEFINITION_CACHE_ENTRIES`]).
+pub fn definition_cache_len() -> usize {
+    DEFINITIONS.lock().unwrap_or_else(|e| e.into_inner()).len()
+}
+
+impl EffectiveDefinition {
+    /// The entry for content `key`, built by `build` unless it is already
+    /// held. Building happens under the lock: a miss is rare (once per
+    /// definition content) and this way two threads racing on one key
+    /// cannot both parse it.
+    fn cached(
+        key: [u8; 32],
+        build: impl FnOnce() -> WfResult<(WorkflowDefinition, SecurityPolicy)>,
+    ) -> WfResult<Arc<EffectiveDefinition>> {
+        // the vector is only ever touched once an entry is complete, so a
+        // poisoned lock still guards valid data
+        let mut held = DEFINITIONS.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(at) = held.iter().position(|e| e.key == key) {
+            held[..=at].rotate_right(1);
+            return Ok(Arc::clone(&held[0]));
+        }
+        let (def, policy) = build()?;
+        let built = Arc::new(EffectiveDefinition { def, policy, key, sound: OnceLock::new() });
+        held.truncate(DEFINITION_CACHE_ENTRIES - 1);
+        held.insert(0, Arc::clone(&built));
+        Ok(built)
+    }
+
+    /// The base definition and policy embedded in `doc`, parsed and
+    /// validated — once per content, keyed by the memoised digests of the
+    /// `WorkflowDefinition` and `SecurityDefinition` elements.
+    pub fn base(doc: &DraDocument) -> WfResult<Arc<EffectiveDefinition>> {
+        let (def_el, pol_el) = doc.definition_elements()?;
+        let mut h = dra_crypto::Sha256::new();
+        h.update(b"dra4wfms/definition");
+        h.update(&canon_digest(def_el));
+        h.update(&canon_digest(pol_el));
+        EffectiveDefinition::cached(h.finalize(), || {
+            let def = WorkflowDefinition::from_xml(def_el)?;
+            def.validate()?;
+            Ok((def, SecurityPolicy::from_xml(pol_el)?))
+        })
+    }
+
+    /// This pair with the `<Delta>` of one amendment CER folded in — again
+    /// once per content, so the copy is made only where an amendment is
+    /// actually folded and only the first time.
+    pub fn amended(&self, cer: &CerView<'_>) -> WfResult<Arc<EffectiveDefinition>> {
+        let delta_el = cer
+            .result()
+            .ok_or_else(|| WfError::Malformed(format!("amendment {} lacks Result", cer.key)))?
+            .find_child("Delta")
+            .ok_or_else(|| WfError::Malformed(format!("amendment {} lacks Delta", cer.key)))?;
+        let mut h = dra_crypto::Sha256::new();
+        h.update(&self.key);
+        h.update(&canon_digest(delta_el));
+        EffectiveDefinition::cached(h.finalize(), || {
+            DefinitionDelta::from_xml(delta_el)?.apply(&self.def, &self.policy)
+        })
+    }
+
+    /// The design-time soundness gate ([`crate::soundness::require_sound`])
+    /// for this definition: the reachability analysis runs once per entry,
+    /// later callers read its verdict. An evicted definition comes back as
+    /// a fresh entry with no verdict, so it is checked again, never waved
+    /// through.
+    pub fn require_sound(&self) -> WfResult<()> {
+        self.sound.get_or_init(|| crate::soundness::require_sound(&self.def).map(|_| ())).clone()
+    }
+
+    /// Whether [`EffectiveDefinition::require_sound`] has already run on
+    /// this entry.
+    pub fn soundness_checked(&self) -> bool {
+        self.sound.get().is_some()
+    }
+}
+
 /// Fold all amendment CERs of `doc` into its base definition and policy,
 /// returning the effective pair. Amendment payloads are **not** verified
 /// here — run a [`crate::verify::Verifier`] first.
-pub fn effective_definition(doc: &DraDocument) -> WfResult<(WorkflowDefinition, SecurityPolicy)> {
-    let mut def = doc.workflow_definition()?;
-    let mut policy = doc.security_policy()?;
+pub fn effective_definition(doc: &DraDocument) -> WfResult<Arc<EffectiveDefinition>> {
+    let mut effective = EffectiveDefinition::base(doc)?;
     for cer in doc.cers()? {
-        if !is_amendment_key(&cer.key) {
-            continue;
+        if is_amendment_key(&cer.key) {
+            effective = effective.amended(&cer)?;
         }
-        let result = cer
-            .result()
-            .ok_or_else(|| WfError::Malformed(format!("amendment {} lacks Result", cer.key)))?;
-        let delta_el = result
-            .find_child("Delta")
-            .ok_or_else(|| WfError::Malformed(format!("amendment {} lacks Delta", cer.key)))?;
-        let delta = DefinitionDelta::from_xml(delta_el)?;
-        let (d, p) = delta.apply(&def, &policy)?;
-        def = d;
-        policy = p;
     }
-    Ok((def, policy))
+    Ok(effective)
 }
 
 /// Append a signed amendment CER to `doc`. Only the workflow designer (the
@@ -225,16 +321,16 @@ pub fn amend_document(
     designer: &Credentials,
     delta: &DefinitionDelta,
 ) -> WfResult<DraDocument> {
-    let base = doc.workflow_definition()?;
-    if designer.name != base.designer {
+    let base = EffectiveDefinition::base(doc)?;
+    if designer.name != base.def.designer {
         return Err(WfError::NotParticipant {
-            expected: base.designer.clone(),
+            expected: base.def.designer.clone(),
             actual: designer.name.clone(),
         });
     }
     // the amended definition must be valid
-    let (cur_def, cur_pol) = effective_definition(doc)?;
-    delta.apply(&cur_def, &cur_pol)?;
+    let current = effective_definition(doc)?;
+    delta.apply(&current.def, &current.policy)?;
 
     // preds: the latest CER in document order, or Def for a fresh document
     let cers = doc.cers()?;
@@ -465,9 +561,9 @@ mod tests {
         };
         let twice = amend_document(&once, &designer, &second).unwrap();
         Verifier::new(&dir).run(&twice).unwrap();
-        let (eff, _) = effective_definition(&twice).unwrap();
-        assert!(eff.activity("audit").is_ok());
-        assert!(eff.activity("archive").is_ok());
+        let eff = effective_definition(&twice).unwrap();
+        assert!(eff.def.activity("audit").is_ok());
+        assert!(eff.def.activity("archive").is_ok());
         assert_eq!(twice.latest_iter(AMEND_PREFIX).unwrap(), Some(1), "amendment iters count up");
     }
 }

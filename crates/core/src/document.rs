@@ -36,6 +36,7 @@ use crate::policy::SecurityPolicy;
 use dra_xml::canon::canonicalize_all;
 use dra_xml::sig::{sign_detached, SIGNATURE};
 use dra_xml::{parse, Element};
+use std::sync::Arc;
 
 /// Schema tag written into every document header.
 pub const SCHEMA: &str = "dra4wfms-1.0";
@@ -257,9 +258,11 @@ impl DraDocument {
         dra_xml::writer::to_string(&self.root)
     }
 
-    /// Document size in bytes — the Σ column of Tables 1 and 2.
+    /// Document size in bytes — the Σ column of Tables 1 and 2 — measured
+    /// without serializing (a [`crate::sealed::SealedDocument`] answers from
+    /// its memoized wire instead).
     pub fn size_bytes(&self) -> usize {
-        self.to_xml_string().len()
+        dra_xml::writer::wire_len(&self.root)
     }
 
     /// The `<Header>` element.
@@ -283,22 +286,29 @@ impl DraDocument {
             .ok_or_else(|| WfError::Malformed("missing ApplicationDefinition".into()))
     }
 
-    /// Parse the embedded workflow definition.
-    pub fn workflow_definition(&self) -> WfResult<WorkflowDefinition> {
-        let el = self
-            .app_definition()?
+    /// The `<WorkflowDefinition>` and `<SecurityDefinition>` elements.
+    pub fn definition_elements(&self) -> WfResult<(&Element, &Element)> {
+        let app = self.app_definition()?;
+        let def = app
             .find_child("WorkflowDefinition")
             .ok_or_else(|| WfError::Malformed("missing WorkflowDefinition".into()))?;
-        WorkflowDefinition::from_xml(el)
-    }
-
-    /// Parse the embedded security policy.
-    pub fn security_policy(&self) -> WfResult<SecurityPolicy> {
-        let el = self
-            .app_definition()?
+        let pol = app
             .find_child("SecurityDefinition")
             .ok_or_else(|| WfError::Malformed("missing SecurityDefinition".into()))?;
-        SecurityPolicy::from_xml(el)
+        Ok((def, pol))
+    }
+
+    /// Parse the embedded workflow definition into an owned, unvalidated
+    /// value. Hot paths read the shared, validated parse instead — see
+    /// [`crate::amendment::EffectiveDefinition::base`].
+    pub fn workflow_definition(&self) -> WfResult<WorkflowDefinition> {
+        WorkflowDefinition::from_xml(self.definition_elements()?.0)
+    }
+
+    /// Parse the embedded security policy (owned; see
+    /// [`DraDocument::workflow_definition`]).
+    pub fn security_policy(&self) -> WfResult<SecurityPolicy> {
+        SecurityPolicy::from_xml(self.definition_elements()?.1)
     }
 
     /// The designer's signature element (the cascade root, "Def").
@@ -310,15 +320,8 @@ impl DraDocument {
 
     /// The canonical bytes the designer's signature covers.
     pub fn definition_bytes(&self) -> WfResult<Vec<u8>> {
-        let header = self.header()?;
-        let app = self.app_definition()?;
-        let def = app
-            .find_child("WorkflowDefinition")
-            .ok_or_else(|| WfError::Malformed("missing WorkflowDefinition".into()))?;
-        let pol = app
-            .find_child("SecurityDefinition")
-            .ok_or_else(|| WfError::Malformed("missing SecurityDefinition".into()))?;
-        Ok(canonicalize_all([header, def, pol]))
+        let (def, pol) = self.definition_elements()?;
+        Ok(canonicalize_all([self.header()?, def, pol]))
     }
 
     /// The `<ActivityResults>` element.
@@ -357,8 +360,10 @@ impl DraDocument {
     }
 
     /// Mutable access to the CER element with the given key (latest match
-    /// wins, as loop iterations append). Drops the canon memos along the
-    /// path so later canonicalization sees the mutation.
+    /// wins, as loop iterations append). Copy-on-write: a CER node shared
+    /// with another document is copied first (its children stay shared),
+    /// and the canon memos along the path are dropped so later
+    /// canonicalization sees the mutation.
     pub fn find_cer_element_mut(&mut self, key: &CerKey) -> WfResult<Option<&mut Element>> {
         let results = self
             .root
@@ -371,6 +376,7 @@ impl DraDocument {
                     && e.get_attr("activity") == Some(key.activity.as_str())
                     && e.get_attr("iter") == Some(iter_s.as_str()) =>
             {
+                let e = Arc::make_mut(e);
                 e.invalidate_canon();
                 Some(e)
             }

@@ -6,33 +6,53 @@
 //! (AEA → portal → AEA, AEA → TFC) move the sealed form, so a hop that
 //! already holds the parsed tree never re-serializes + re-parses it, and a
 //! verifier presented with a trust mark re-checks only the CERs appended
-//! since the mark was issued.
+//! since the mark was issued. The tree itself is shared, not copied
+//! (`dra_xml::node`): a hand-off clones three child pointers, and a hop
+//! that appends or rewrites one CER copies only the `ActivityResults`
+//! child vector.
 //!
-//! The trust transfer is sound because the mark pins a SHA-256 digest of
-//! the canonical bytes of the verified prefix — `[Header,
-//! ApplicationDefinition, CER₀ … CER₍ₖ₋₁₎]`. A document whose current
-//! prefix hashes to the same value is byte-identical (up to canonical
-//! form) to the one that passed full verification, so those k CERs'
-//! signatures need not be checked again. Any mutation of the prefix — a
-//! tampered result, a stripped amendment, a TFC finalization of a
+//! ## The chained prefix digest
+//!
+//! The mark pins the verified prefix `[Header, ApplicationDefinition,
+//! CER₀ … CER₍ₖ₋₁₎]` with a hash chain over the per-node digests:
+//!
+//! ```text
+//! d₀   = H(tag ‖ H(canon Header) ‖ H(canon ApplicationDefinition))
+//! dᵢ₊₁ = H(dᵢ ‖ H(canon CERᵢ))
+//! ```
+//!
+//! `dₖ` commits to the canonical bytes of every pinned node, in order (a
+//! collision in the chain is a SHA-256 collision), so a document whose
+//! current prefix chains to the same value is byte-identical, up to
+//! canonical form, to the one that passed full verification, and those k
+//! CERs' signatures need not be checked again. Any mutation of the prefix
+//! — a tampered result, a stripped amendment, a TFC finalization of a
 //! previously intermediate CER — changes the digest, and verification
 //! falls back to the full pass (and fails loudly if the change was
 //! malicious). See [`crate::verify::Verifier::with_mark`].
+//!
+//! **What is memoised, and what it trusts.** `H(canon node)` is read from
+//! the node's own memo (`dra_xml::canon_digest`), which sits next to the
+//! canonical-bytes memo and is dropped with it by every `&mut` accessor —
+//! the chain trusts exactly the bytes a flat hash over the memoised
+//! canonical prefix would. One walk of the chain yields the digest at the
+//! mark (the check) and at the end (the new mark), so an incremental
+//! verification hashes the canonical bytes of the CERs it has not seen
+//! plus 64 bytes per pinned one, independent of document size. A mutated
+//! clone cannot leak into its sibling: mutation copies the node first and
+//! the copy starts without a memo.
+//!
+//! **What a receiver of raw bytes still pays.** A tree parsed from the
+//! wire (`ingest_wire`, `refetch`, `retrieve_*`) has no memos: whoever
+//! receives bytes canonicalises and hashes every node once — the cost the
+//! paper's design has. Only in-process hand-offs of an already hashed tree
+//! ride the memos.
 
 use crate::document::DraDocument;
 use crate::error::WfResult;
-use dra_xml::canon::CanonArena;
-use std::cell::RefCell;
+use dra_crypto::Sha256;
+use dra_xml::canon_digest;
 use std::sync::{Arc, OnceLock};
-
-thread_local! {
-    /// Reusable canonicalization buffer for [`prefix_digest`]. Incremental
-    /// verification recomputes the prefix digest on every hop; routing it
-    /// through a thread-local arena means the per-hop cost settles at zero
-    /// heap allocation once the buffer has grown to the largest prefix seen
-    /// on this thread.
-    static PREFIX_ARENA: RefCell<CanonArena> = RefCell::new(CanonArena::new());
-}
 
 /// Evidence that a prefix of a document has already been fully verified.
 ///
@@ -45,7 +65,7 @@ pub struct TrustMark {
     pub process_id: String,
     /// Number of CERs covered by [`TrustMark::prefix_digest`].
     pub verified_cers: usize,
-    /// SHA-256 over the canonical bytes of
+    /// The chained digest `dₖ` (see the module docs) over
     /// `[Header, ApplicationDefinition, CER₀ … CER₍ₖ₋₁₎]`.
     pub prefix_digest: [u8; 32],
     /// Cumulative signature checks spent establishing this mark (designer +
@@ -53,14 +73,38 @@ pub struct TrustMark {
     pub signatures_verified: usize,
 }
 
-/// Compute the canonical prefix digest a [`TrustMark`] pins: the first
-/// `cer_count` CERs plus header and application definition.
+/// Domain tag of `d₀`; versions the chain construction.
+const PREFIX_TAG: &[u8] = b"dra4wfms/prefix-chain/1";
+
+/// One walk of the prefix chain: the digests after `at` CERs (`None` when
+/// the document has fewer) and after all of them.
+pub(crate) fn prefix_chain(doc: &DraDocument, at: usize) -> WfResult<(Option<[u8; 32]>, [u8; 32])> {
+    let mut h = Sha256::new();
+    h.update(PREFIX_TAG);
+    h.update(&canon_digest(doc.header()?));
+    h.update(&canon_digest(doc.app_definition()?));
+    let mut d = h.finalize();
+    let mut d_at = (at == 0).then_some(d);
+    let mut cers = 0;
+    for cer in doc.results()?.find_children("CER") {
+        let mut h = Sha256::new();
+        h.update(&d);
+        h.update(&canon_digest(cer));
+        d = h.finalize();
+        cers += 1;
+        if cers == at {
+            d_at = Some(d);
+        }
+    }
+    Ok((d_at, d))
+}
+
+/// Compute the chained prefix digest a [`TrustMark`] pins: header and
+/// application definition plus the first `cer_count` CERs (all of them
+/// when the document has fewer).
 pub fn prefix_digest(doc: &DraDocument, cer_count: usize) -> WfResult<[u8; 32]> {
-    let header = doc.header()?;
-    let app = doc.app_definition()?;
-    let mut parts: Vec<&dra_xml::Element> = vec![header, app];
-    parts.extend(doc.results()?.find_children("CER").take(cer_count));
-    Ok(PREFIX_ARENA.with(|arena| dra_crypto::sha256(arena.borrow_mut().canonicalize_all(parts))))
+    let (at, end) = prefix_chain(doc, cer_count)?;
+    Ok(at.unwrap_or(end))
 }
 
 /// A parsed document plus its memoized wire form and verification trust.

@@ -18,6 +18,7 @@
 //! [`TfcServer::receive`] is the TFC's share of the α column and
 //! [`TfcServer::finalize`] is the γ column.
 
+use crate::amendment::EffectiveDefinition;
 use crate::document::{CerKey, DraDocument};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
@@ -25,8 +26,6 @@ use crate::fields::{build_result_element, plain_fields};
 use crate::flow::{evaluate_route_after, DocFieldReader, Route};
 use crate::identity::{Credentials, Directory};
 use crate::ingest::Inbound;
-use crate::model::WorkflowDefinition;
-use crate::policy::SecurityPolicy;
 use crate::sealed::{prefix_digest, SealedDocument, TrustMark};
 use crate::verify::{tfc_attest_bytes, Verifier};
 use dra_obs::{stage, Tracer};
@@ -73,12 +72,12 @@ pub struct TfcServer {
 /// A verified, unsealed intermediate document awaiting finalization.
 #[derive(Debug)]
 pub struct TfcReceived {
-    /// The intermediate document.
+    /// The intermediate document; its nodes are shared with the document
+    /// that was received, not copied.
     pub doc: DraDocument,
-    /// Parsed definition.
-    pub def: WorkflowDefinition,
-    /// Parsed policy.
-    pub policy: SecurityPolicy,
+    /// The workflow definition and security policy in force (amendments
+    /// folded in), shared with every other holder of the same content.
+    pub definition: Arc<EffectiveDefinition>,
     /// The intermediate CER being finalized.
     pub key: CerKey,
     /// Its executing participant.
@@ -93,6 +92,9 @@ pub struct TfcReceived {
     /// mark must stop just short of it — the next hop then re-checks
     /// exactly the finalized CER (participant signature + attestation).
     pub trust: TrustMark,
+    /// SHA-256 of the intermediate document's wire bytes as received — the
+    /// redo-log key, taken from the seal's memoized serialization.
+    redo_key: [u8; 32],
 }
 
 /// A finalized document ready to forward.
@@ -176,13 +178,15 @@ impl TfcServer {
     pub fn receive(&self, inbound: impl Into<Inbound>) -> WfResult<TfcReceived> {
         let mut span_verify = self.tracer.span(stage::VERIFY).actor(&self.creds.name);
         let sealed = inbound.into().into_sealed()?;
-        let tfc_name = {
-            let base_def = sealed.workflow_definition()?;
-            base_def.tfc.ok_or_else(|| WfError::Policy("definition names no TFC server".into()))?
-        };
+        let base = EffectiveDefinition::base(&sealed)?;
+        let tfc_name = base
+            .def
+            .tfc
+            .as_deref()
+            .ok_or_else(|| WfError::Policy("definition names no TFC server".into()))?;
         if tfc_name != self.creds.name {
             return Err(WfError::NotParticipant {
-                expected: tfc_name,
+                expected: tfc_name.to_string(),
                 actual: self.creds.name.clone(),
             });
         }
@@ -193,6 +197,7 @@ impl TfcServer {
                 "document does not end with an intermediate (TFC-bound) CER".into(),
             ));
         }
+        let redo_key = dra_crypto::sha256(sealed.wire().as_bytes());
         let doc = sealed.into_document();
         // The onward mark stops short of the intermediate CER, which
         // finalization is about to mutate in place.
@@ -224,12 +229,12 @@ impl TfcServer {
 
         // dynamic flow control: route and re-encrypt under the effective
         // definition and policy
-        let (def, policy) = crate::amendment::effective_definition(&doc)?;
+        let definition = crate::amendment::effective_definition(&doc)?;
         span_verify.set_process(&report.process_id);
         span_verify.set_activity(&key.activity, key.iter);
         span_verify.attr("signatures_verified", report.signatures_verified);
         span_verify.end();
-        Ok(TfcReceived { doc, def, policy, key, participant, responses, report, trust })
+        Ok(TfcReceived { doc, definition, key, participant, responses, report, trust, redo_key })
     }
 
     /// Re-encrypt per policy, embed the timestamp, attest and route (the γ
@@ -241,7 +246,7 @@ impl TfcServer {
     /// reuses the logged timestamp — and, when the first pass got as far as
     /// recording its output, re-emits those exact bytes.
     pub fn finalize(&self, received: &TfcReceived) -> WfResult<TfcProcessed> {
-        let redo_key = dra_crypto::sha256(received.doc.to_xml_string().as_bytes());
+        let redo_key = received.redo_key;
 
         // redo fast path: this intermediate document was fully finalized
         // before a crash cut off the forwarding — re-emit identical bytes.
@@ -286,7 +291,7 @@ impl TfcServer {
         let result = build_result_element(
             &received.key.activity,
             &received.responses,
-            &received.policy,
+            &received.definition.policy,
             &self.directory,
             &received.participant,
             &reader,
@@ -295,6 +300,8 @@ impl TfcServer {
             .attr("time", timestamp.to_string())
             .attr("by", self.creds.name.clone());
 
+        // shares every node with `received.doc`; rewriting the intermediate
+        // CER copies the ActivityResults child vector and that one CER node
         let mut document = received.doc.clone();
         {
             let cer_el = document
@@ -318,7 +325,7 @@ impl TfcServer {
         span_reenc.end();
 
         let route = evaluate_route_after(
-            &received.def,
+            &received.definition.def,
             &received.key.activity,
             received.key.iter,
             &reader,
@@ -368,7 +375,8 @@ impl TfcServer {
 mod tests {
     use super::*;
     use crate::aea::Aea;
-    use crate::model::{Condition, JoinKind};
+    use crate::model::{Condition, JoinKind, WorkflowDefinition};
+    use crate::policy::SecurityPolicy;
     use crate::verify::Verifier;
 
     /// The Fig. 4 workflow: Peter inputs X (readable only by Amy and the

@@ -5,13 +5,14 @@
 //! are valid", §2.1), and what a portal server performs before storing a
 //! document into the pool.
 
+use crate::amendment::EffectiveDefinition;
 use crate::document::{CerKey, CerView, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::identity::Directory;
-use crate::model::WorkflowDefinition;
-use crate::sealed::{prefix_digest, TrustMark};
+use crate::sealed::{prefix_chain, prefix_digest, TrustMark};
 use dra_xml::canon::canonicalize_all;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dra_xml::Element;
 
@@ -83,10 +84,12 @@ enum VerifyScope {
 fn plan_verification(
     doc: &DraDocument,
     directory: &Directory,
-    def: &WorkflowDefinition,
+    base: &Arc<EffectiveDefinition>,
     scope: VerifyScope,
 ) -> WfResult<(Vec<SigTask>, VerificationReport)> {
     use dra_xml::sig::parse_signature;
+
+    let def = &base.def;
 
     let skip_cers = match scope {
         VerifyScope::Full => 0,
@@ -116,9 +119,9 @@ fn plan_verification(
         });
     }
 
-    // the effective definition/policy, updated as amendments are planned
-    let mut eff_def = def.clone();
-    let mut eff_pol = doc.security_policy()?;
+    // the definition in force, replaced (never edited: it is shared) as
+    // amendments are planned
+    let mut effective = Arc::clone(base);
 
     let cers = doc.cers()?;
     // Pred lookup map, built once: resolving predecessors through
@@ -136,12 +139,13 @@ fn plan_verification(
         // (3) participant assignment — amendments are executed by the
         // workflow designer; regular activities by their assigned
         // participant under the definition in force at that point
+        let eff_def = &effective.def;
         let expected = if crate::amendment::is_amendment_key(&cer.key) {
-            eff_def.designer.clone()
+            &eff_def.designer
         } else {
-            eff_def.activity(&cer.key.activity)?.participant.clone()
+            &eff_def.activity(&cer.key.activity)?.participant
         };
-        if expected != cer.participant {
+        if *expected != cer.participant {
             return Err(WfError::Verify(format!(
                 "CER {}: executed by '{}' but definition assigns '{}'",
                 cer.key, cer.participant, expected
@@ -215,15 +219,7 @@ fn plan_verification(
 
         // fold verified amendments into the effective definition
         if crate::amendment::is_amendment_key(&cer.key) {
-            let result_el = result
-                .ok_or_else(|| WfError::Malformed(format!("amendment {} lacks Result", cer.key)))?;
-            let delta_el = result_el
-                .find_child("Delta")
-                .ok_or_else(|| WfError::Malformed(format!("amendment {} lacks Delta", cer.key)))?;
-            let delta = crate::amendment::DefinitionDelta::from_xml(delta_el)?;
-            let (d, p) = delta.apply(&eff_def, &eff_pol)?;
-            eff_def = d;
-            eff_pol = p;
+            effective = effective.amended(cer)?;
         }
 
         let is_intermediate = sealed.is_some() && result.is_none();
@@ -316,8 +312,6 @@ fn plan_verification(
 ///   multi-scalar batch equation, falling back to per-signature checks on
 ///   batch failure so the culprit and error variant match the sequential
 ///   path exactly (default on).
-/// * [`with_def`](Verifier::with_def) — reuse an already parsed/validated
-///   definition instead of re-extracting it from the document.
 /// * [`with_mark`](Verifier::with_mark) — incremental mode: skip the CERs a
 ///   [`TrustMark`] pins (when its prefix digest still matches) and issue a
 ///   fresh mark covering the whole document.
@@ -326,7 +320,6 @@ pub struct Verifier<'a> {
     directory: &'a Directory,
     threads: usize,
     batched: bool,
-    def: Option<&'a WorkflowDefinition>,
     mark: Option<&'a TrustMark>,
     incremental: bool,
 }
@@ -353,7 +346,7 @@ impl<'a> Verifier<'a> {
     /// A verifier resolving signers against `directory`: single-threaded,
     /// batched, full (non-incremental) scope.
     pub fn new(directory: &'a Directory) -> Verifier<'a> {
-        Verifier { directory, threads: 1, batched: true, def: None, mark: None, incremental: false }
+        Verifier { directory, threads: 1, batched: true, mark: None, incremental: false }
     }
 
     /// Use up to `n` worker threads for the planned signature checks
@@ -369,13 +362,6 @@ impl<'a> Verifier<'a> {
     /// report the same culprit with the same error variant.
     pub fn batched(mut self, on: bool) -> Verifier<'a> {
         self.batched = on;
-        self
-    }
-
-    /// Supply an already parsed **and validated** workflow definition,
-    /// skipping re-extraction from the document.
-    pub fn with_def(mut self, def: &'a WorkflowDefinition) -> Verifier<'a> {
-        self.def = Some(def);
         self
     }
 
@@ -402,53 +388,41 @@ impl<'a> Verifier<'a> {
 
     /// Verify `doc`, returning the unified outcome.
     pub fn run(&self, doc: &DraDocument) -> WfResult<VerifyOutcome> {
-        let owned_def;
-        let def = match self.def {
-            Some(d) => d,
-            None => {
-                owned_def = doc.workflow_definition()?;
-                owned_def.validate()?;
-                &owned_def
-            }
-        };
+        // check 1: parsed and validated once per definition content
+        let base = EffectiveDefinition::base(doc)?;
 
-        let usable_prefix = match self.mark {
-            Some(m) => {
-                let total = doc.cers()?.len();
-                if m.process_id == doc.process_id()?
-                    && m.verified_cers <= total
-                    && prefix_digest(doc, m.verified_cers)? == m.prefix_digest
-                {
-                    Some(m.verified_cers)
-                } else {
-                    None
-                }
+        // incremental mode walks the prefix chain once, for both the
+        // digest at the mark (is the pinned prefix still byte-identical?)
+        // and the digest at the end (the fresh mark)
+        let chain = self
+            .incremental
+            .then(|| prefix_chain(doc, self.mark.map_or(0, |m| m.verified_cers)))
+            .transpose()?;
+        let usable_prefix = match (self.mark, &chain) {
+            (Some(m), Some((Some(at_mark), _)))
+                if *at_mark == m.prefix_digest && m.process_id == doc.process_id()? =>
+            {
+                Some(m.verified_cers)
             }
-            None => None,
+            _ => None,
         };
         let (scope, fell_back) = match usable_prefix {
             Some(n) => (VerifyScope::TrustedPrefix(n), false),
             None => (VerifyScope::Full, self.mark.is_some()),
         };
 
-        let (tasks, report) = plan_verification(doc, self.directory, def, scope)?;
+        let (tasks, report) = plan_verification(doc, self.directory, &base, scope)?;
         run_tasks(&tasks, self.threads, self.batched)?;
 
-        let reused_cers = match scope {
-            VerifyScope::TrustedPrefix(n) => n,
-            VerifyScope::Full => 0,
-        };
-        let mark = if self.incremental {
-            // Cumulative count carries over only when the mark was used.
-            let prior = match (usable_prefix, self.mark) {
-                (Some(_), Some(m)) => m.signatures_verified,
-                _ => 0,
-            };
-            Some(trust_mark_for(doc, &report, prior)?)
-        } else {
-            None
-        };
-        Ok(VerifyOutcome { report, mark, reused_cers, fell_back })
+        let mark = chain.map(|(_, at_end)| TrustMark {
+            process_id: report.process_id.clone(),
+            verified_cers: report.cers.len(),
+            prefix_digest: at_end,
+            // the cumulative count carries over only when the mark was used
+            signatures_verified: report.signatures_verified
+                + usable_prefix.and(self.mark).map_or(0, |m| m.signatures_verified),
+        });
+        Ok(VerifyOutcome { report, mark, reused_cers: usable_prefix.unwrap_or(0), fell_back })
     }
 
     /// Verify a batch of independent documents (the portal-server bulk

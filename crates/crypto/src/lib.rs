@@ -44,7 +44,7 @@ pub mod x25519;
 pub use chacha20::ChaCha20;
 pub use ed25519::{verify_batch, BatchEntry, Keypair, PublicKey, SecretKey, Signature};
 pub use sealed::{open, seal, secretbox_open, secretbox_seal, SealError};
-pub use sha2::{sha256, sha512, Sha256, Sha512};
+pub use sha2::{sha256, sha256_bytes, sha256_bytes_reset, sha512, Sha256, Sha512};
 pub use x25519::{x25519, X25519PublicKey, X25519Secret};
 
 /// Fill `buf` with cryptographically secure random bytes from the thread RNG.

@@ -116,6 +116,24 @@ const H512: [u64; 8] = [
     0x5be0cd19137e2179,
 ];
 
+thread_local! {
+    /// Message bytes absorbed by SHA-256 on this thread — like
+    /// [`crate::ed25519::ec_ops`], a deterministic, machine-independent cost
+    /// measure for benches.
+    static SHA256_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Message bytes absorbed by [`Sha256::update`] on the current thread so
+/// far (padding excluded). Byte-deterministic for a fixed workload.
+pub fn sha256_bytes() -> u64 {
+    SHA256_BYTES.with(std::cell::Cell::get)
+}
+
+/// Reset the current thread's SHA-256 byte counter to zero.
+pub fn sha256_bytes_reset() {
+    SHA256_BYTES.with(|c| c.set(0));
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -139,6 +157,11 @@ impl Sha256 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
+        SHA256_BYTES.with(|c| c.set(c.get() + data.len() as u64));
+        self.absorb(data);
+    }
+
+    fn absorb(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -169,9 +192,9 @@ impl Sha256 {
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         // padding: 0x80, zeros, 8-byte big-endian bit length
-        self.update(&[0x80]);
+        self.absorb(&[0x80]);
         while self.buf_len != 56 {
-            self.update(&[0]);
+            self.absorb(&[0]);
         }
         // manual length append (bypass total_len accounting)
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
@@ -368,6 +391,17 @@ mod tests {
             hex::encode(&sha256(b"")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
+    }
+
+    #[test]
+    fn byte_counter_counts_message_bytes_not_padding() {
+        sha256_bytes_reset();
+        sha256(b"abc");
+        let mut h = Sha256::new();
+        h.update(&[0u8; 100]);
+        h.update(&[0u8; 28]);
+        h.finalize();
+        assert_eq!(sha256_bytes(), 3 + 128);
     }
 
     #[test]

@@ -13,28 +13,32 @@
 //! preserves text verbatim, canonical bytes are stable across round trips.
 
 use crate::escape::{escape_attr_into, escape_text_into};
-use crate::node::{Element, Node};
+use crate::node::{Canon, Element, Node};
 use std::sync::Arc;
 
 /// Canonical byte serialization of one element subtree.
 pub fn canonicalize(el: &Element) -> Vec<u8> {
-    canonicalize_shared(el).as_ref().clone()
+    canonicalize_shared(el).bytes().to_vec()
 }
 
 /// Canonical bytes of one subtree, memoized on the element. The first call
 /// walks the tree; later calls on the unmutated element return the shared
-/// buffer in O(1). Mutating the element through any `&mut` accessor drops
+/// memo in O(1). Mutating the element through any `&mut` accessor drops
 /// the memo (see [`Element::invalidate_canon`]).
-pub fn canonicalize_shared(el: &Element) -> Arc<Vec<u8>> {
-    if let Some(cached) = el.canon_cached() {
-        return Arc::clone(cached);
-    }
-    let mut out = Vec::new();
-    write_canon(el, &mut out);
-    count_alloc(out.len() as u64);
-    let bytes = Arc::new(out);
-    el.canon_store(Arc::clone(&bytes));
-    bytes
+pub fn canonicalize_shared(el: &Element) -> Arc<Canon> {
+    Arc::clone(el.canon_or_init(|| {
+        let mut out = Vec::new();
+        write_canon(el, &mut out);
+        count_alloc(out.len() as u64);
+        Canon::new(out)
+    }))
+}
+
+/// SHA-256 of the canonical bytes of one subtree, memoized on the element
+/// next to the bytes: an unmutated node is hashed once, however many trees
+/// share it and however often it is asked.
+pub fn canon_digest(el: &Element) -> [u8; 32] {
+    canonicalize_shared(el).digest()
 }
 
 /// Canonical bytes of a sequence of subtrees, length-prefix framed so that
@@ -42,26 +46,18 @@ pub fn canonicalize_shared(el: &Element) -> Arc<Vec<u8>> {
 /// Each part comes from the per-element memo when available.
 pub fn canonicalize_all<'a>(els: impl IntoIterator<Item = &'a Element>) -> Vec<u8> {
     let mut out = Vec::new();
-    canonicalize_all_into(els, &mut out);
+    for el in els {
+        let part = canonicalize_shared(el);
+        out.extend_from_slice(&(part.bytes().len() as u64).to_be_bytes());
+        out.extend_from_slice(part.bytes());
+    }
     count_alloc(out.len() as u64);
     out
 }
 
-/// The buffer-reuse form of [`canonicalize_all`]: append the framed
-/// canonical bytes to `out` instead of allocating a fresh vector. Pairs
-/// with [`CanonArena`] for the steady-state zero-allocation path.
-pub fn canonicalize_all_into<'a>(els: impl IntoIterator<Item = &'a Element>, out: &mut Vec<u8>) {
-    for el in els {
-        let part = canonicalize_shared(el);
-        out.extend_from_slice(&(part.len() as u64).to_be_bytes());
-        out.extend_from_slice(&part);
-    }
-}
-
 thread_local! {
     /// Bytes of canonical output that required a fresh heap allocation on
-    /// this thread — the deterministic cost measure the scaling bench
-    /// tracks to show the arena path flattening the incremental slope.
+    /// this thread — a deterministic cost measure for benches.
     static CANON_ALLOC: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -70,8 +66,7 @@ fn count_alloc(bytes: u64) {
 }
 
 /// Canonicalization bytes freshly allocated by the current thread so far
-/// (memo builds, [`canonicalize_all`] result vectors, and arena *growth* —
-/// an arena reuse that fits in existing capacity counts zero).
+/// (memo builds and [`canonicalize_all`] result vectors).
 pub fn canon_alloc_bytes() -> u64 {
     CANON_ALLOC.with(std::cell::Cell::get)
 }
@@ -81,57 +76,11 @@ pub fn canon_alloc_reset() {
     CANON_ALLOC.with(|c| c.set(0));
 }
 
-/// A reusable canonicalization buffer.
-///
-/// Incremental verification canonicalizes the same growing prefix on every
-/// hop — with [`canonicalize_all`] that is a fresh `Vec` allocation of the
-/// whole prefix each time, even though every element's bytes come straight
-/// out of the memo. An arena keeps one buffer alive across calls: the
-/// buffer is cleared (capacity retained) and refilled, so the steady state
-/// allocates nothing and the per-hop cost is a pure memcpy of memoized
-/// parts.
-#[derive(Debug, Default)]
-pub struct CanonArena {
-    buf: Vec<u8>,
-}
-
-impl CanonArena {
-    /// An arena with no buffer yet; the first use sizes it.
-    pub fn new() -> CanonArena {
-        CanonArena::default()
-    }
-
-    /// An arena pre-sized to `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> CanonArena {
-        CanonArena { buf: Vec::with_capacity(capacity) }
-    }
-
-    /// Framed canonical bytes of `els` (same framing as
-    /// [`canonicalize_all`]), borrowed from the arena's buffer. The buffer
-    /// is reused across calls; only growth beyond the high-water mark
-    /// allocates.
-    pub fn canonicalize_all<'a>(&mut self, els: impl IntoIterator<Item = &'a Element>) -> &[u8] {
-        let before = self.buf.capacity();
-        self.buf.clear();
-        canonicalize_all_into(els, &mut self.buf);
-        let grown = self.buf.capacity().saturating_sub(before);
-        if grown > 0 {
-            count_alloc(grown as u64);
-        }
-        &self.buf
-    }
-
-    /// Current buffer capacity (the arena's high-water mark).
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-}
-
 fn write_canon(el: &Element, out: &mut Vec<u8>) {
     // A child whose canonical form is already memoized contributes a
     // memcpy instead of a recursive walk.
     if let Some(cached) = el.canon_cached() {
-        out.extend_from_slice(cached);
+        out.extend_from_slice(cached.bytes());
         return;
     }
     out.push(b'<');
@@ -209,48 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_allocating_path() {
-        let els =
-            [Element::new("a").text("bc"), Element::new("b").attr("k", "v"), Element::new("c")];
-        let mut arena = CanonArena::new();
-        assert_eq!(arena.canonicalize_all(els.iter()), canonicalize_all(els.iter()).as_slice());
-        // and again, reusing the buffer
-        assert_eq!(arena.canonicalize_all(els.iter()), canonicalize_all(els.iter()).as_slice());
-        assert!(arena.canonicalize_all(std::iter::empty()).is_empty());
-    }
-
-    #[test]
-    fn arena_reuse_allocates_nothing_in_steady_state() {
-        let els: Vec<Element> =
-            (0..8).map(|i| Element::new(format!("e{i}")).text("payload")).collect();
-        let mut arena = CanonArena::new();
-        let _ = arena.canonicalize_all(els.iter()); // warm: memos + buffer
-        let cap = arena.capacity();
-        canon_alloc_reset();
-        for _ in 0..10 {
-            let _ = arena.canonicalize_all(els.iter());
-        }
-        assert_eq!(canon_alloc_bytes(), 0, "warm arena reuse must not allocate");
-        assert_eq!(arena.capacity(), cap, "capacity is the high-water mark");
-
-        // the allocating path keeps paying per call
-        canon_alloc_reset();
-        let bytes = canonicalize_all(els.iter());
-        assert!(canon_alloc_bytes() >= bytes.len() as u64);
-    }
-
-    #[test]
-    fn arena_sees_mutations() {
-        let mut e = Element::new("e").attr("a", "1");
-        let mut arena = CanonArena::new();
-        let before = arena.canonicalize_all([&e]).to_vec();
-        e.set_attr("a", "2");
-        let after = arena.canonicalize_all([&e]).to_vec();
-        assert_ne!(before, after, "memo invalidation must reach the arena path");
-        assert_eq!(after, canonicalize_all([&e]));
-    }
-
-    #[test]
     fn memo_is_reused_until_mutation() {
         let mut e = Element::new("e").attr("a", "1").child(Element::new("c").text("x"));
         let first = canonicalize_shared(&e);
@@ -260,11 +167,49 @@ mod tests {
         e.set_attr("a", "2");
         let third = canonicalize_shared(&e);
         assert!(!Arc::ptr_eq(&first, &third), "mutation must drop the memo");
-        assert_ne!(*first, *third);
+        assert_ne!(first.bytes(), third.bytes());
+        assert_ne!(first.digest(), third.digest());
         assert_eq!(
-            *third,
+            third.bytes(),
             canonicalize(&Element::new("e").attr("a", "2").child(Element::new("c").text("x")))
         );
+    }
+
+    #[test]
+    fn digest_is_sha256_of_the_canonical_bytes_and_hashed_once() {
+        let e = Element::new("e").attr("a", "1").child(Element::new("c").text("x"));
+        assert_eq!(canon_digest(&e), dra_crypto::sha256(&canonicalize(&e)));
+        dra_crypto::sha256_bytes_reset();
+        let again = canon_digest(&e.clone());
+        assert_eq!(dra_crypto::sha256_bytes(), 0, "a clone reads the memoized digest");
+        assert_eq!(again, canon_digest(&e));
+    }
+
+    #[test]
+    fn copy_on_write_leaves_the_shared_sibling_untouched() {
+        let original = Element::new("doc")
+            .child(Element::new("keep").text("k"))
+            .child(Element::new("edit").text("e"));
+        let before = canonicalize_shared(&original);
+        let keep_digest = canon_digest(original.find_child("keep").unwrap());
+
+        let mut copy = original.clone();
+        let shared = |a: &Element, b: &Element, i: usize| {
+            Arc::ptr_eq(a.shared_children().nth(i).unwrap(), b.shared_children().nth(i).unwrap())
+        };
+        assert!(shared(&original, &copy, 0) && shared(&original, &copy, 1), "clone shares nodes");
+
+        copy.find_child_mut("edit").unwrap().set_attr("tampered", "yes");
+        assert!(shared(&original, &copy, 0), "the untouched child stays shared");
+        assert!(!shared(&original, &copy, 1), "the touched child was copied, not mutated");
+        assert_ne!(canon_digest(&copy), before.digest());
+
+        // the sibling: same bytes, same memo, same digest as before
+        assert!(Arc::ptr_eq(&before, &canonicalize_shared(&original)));
+        assert!(original.find_child("edit").unwrap().get_attr("tampered").is_none());
+        dra_crypto::sha256_bytes_reset();
+        assert_eq!(canon_digest(copy.find_child("keep").unwrap()), keep_digest);
+        assert_eq!(dra_crypto::sha256_bytes(), 0, "the shared node's digest memo survived");
     }
 
     #[test]
@@ -329,6 +274,14 @@ mod tests {
         expect.extend_from_slice(&direct);
         expect.extend_from_slice(b"</p>");
         assert_eq!(via_parent, expect);
+    }
+
+    #[test]
+    fn builders_drop_a_stale_memo() {
+        let e = Element::new("e");
+        let empty = canonicalize(&e);
+        assert_ne!(canonicalize(&e.clone().text("t")), empty);
+        assert_ne!(canonicalize(&e.clone().child(Element::new("c"))), empty);
     }
 
     // Strategy for random small element trees.

@@ -40,6 +40,21 @@ fn escape_into(s: &str, out: &mut Vec<u8>, attr: bool) {
     out.extend_from_slice(&bytes[start..]);
 }
 
+/// Byte length of [`escape_text`]`(s)` / [`escape_attr`]`(s)` without
+/// building the string.
+pub(crate) fn escaped_len(s: &str, attr: bool) -> usize {
+    s.bytes()
+        .map(|b| match b {
+            b'&' => 5,
+            b'<' | b'>' => 4,
+            b'"' if attr => 6,
+            b'\n' | b'\r' if attr => 5,
+            b'\t' if attr => 4,
+            _ => 1,
+        })
+        .sum()
+}
+
 /// Escape attribute values (double-quote delimited): text escapes plus `"`,
 /// and control characters as numeric references so round-trips are exact.
 pub fn escape_attr(s: &str) -> String {

@@ -5,7 +5,7 @@
 //! XML DSig API and Apache Santuario. Mature equivalents do not exist in the
 //! Rust ecosystem, so this crate implements the needed subset from scratch:
 //!
-//! * [`node`] — an XML element tree with attributes and text
+//! * [`node`] — an XML element tree of shared, memoizing nodes
 //! * [`escape`] — XML escaping/unescaping
 //! * [`writer`] — compact and pretty serialization
 //! * [`parser`] — a parser for the subset this system emits
@@ -28,8 +28,8 @@ pub mod parser;
 pub mod sig;
 pub mod writer;
 
-pub use canon::{canon_alloc_bytes, canon_alloc_reset, CanonArena};
+pub use canon::{canon_alloc_bytes, canon_alloc_reset, canon_digest};
 pub use enc::{decrypt_element, encrypt_element, EncryptError, Recipient};
-pub use node::{Element, Node};
+pub use node::{Canon, Element, Node};
 pub use parser::{parse, ParseError};
 pub use sig::{sign_detached, verify_detached, SignatureBlock};

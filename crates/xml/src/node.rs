@@ -1,26 +1,67 @@
-//! The XML element tree.
+//! The XML element tree: immutable, shared nodes with a per-node memo.
+//!
+//! Child elements are held as `Arc<Element>`, so cloning an element — and
+//! with it a whole document — copies one child vector of pointers, not the
+//! subtree. A document handed from hop to hop is therefore *shared*: the
+//! AEA that appends one CER, the portal that admits the result and the
+//! inbox that parks it for the next participant all point at the same
+//! Header, ApplicationDefinition and old CER nodes.
+//!
+//! **What is memoised.** Each element lazily memoises its canonical bytes
+//! (see [`crate::canon`]) and, next to them in the same allocation, the
+//! SHA-256 of those bytes ([`Canon`]). Both are pure functions of the
+//! subtree, so every holder of a shared node may use them.
+//!
+//! **What invalidates it.** Every `&mut` accessor drops the memo of the
+//! element it is called on; the ones that hand out a child
+//! ([`Element::find_child_mut`]) first make that child unique with
+//! `Arc::make_mut` and drop its memo too. Code that mutates
+//! `attrs`/`children` through the public fields must call
+//! [`Element::invalidate_canon`] afterwards.
+//!
+//! **Why a mutated clone cannot leak into its sibling.** There is no way
+//! to reach `&mut Element` behind a shared `Arc`: `Arc::make_mut` copies
+//! the node (its child *pointers*, not the children) when anyone else
+//! holds it, and the copy's memo is dropped before the caller sees it. The
+//! sibling keeps the original node, bytes, digest and all.
 
 use std::sync::{Arc, OnceLock};
 
 /// A node in an element's child list: a nested element or a text run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Node {
-    /// A nested element.
-    Element(Element),
+    /// A nested element, shared between every tree that contains it.
+    Element(Arc<Element>),
     /// A text run (unescaped form).
     Text(String),
 }
 
+/// The canonical bytes of one subtree plus, computed on first use, their
+/// SHA-256 — the memo an [`Element`] carries.
+pub struct Canon {
+    bytes: Vec<u8>,
+    digest: OnceLock<[u8; 32]>,
+}
+
+impl Canon {
+    pub(crate) fn new(bytes: Vec<u8>) -> Canon {
+        Canon { bytes, digest: OnceLock::new() }
+    }
+
+    /// The canonical bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// SHA-256 of the canonical bytes; hashed once, then read.
+    pub fn digest(&self) -> [u8; 32] {
+        *self.digest.get_or_init(|| dra_crypto::sha256(&self.bytes))
+    }
+}
+
 /// An XML element: name, attributes (in insertion order) and children.
 ///
-/// Each element memoizes its canonical serialization (see
-/// [`crate::canon`]) the first time it is computed, so repeated
-/// canonicalization of the same subtree — the dominant cost of cascade
-/// signature verification — is a cheap `Arc` clone instead of a tree walk.
-/// Every `&mut` accessor on this type drops the memo; code that mutates
-/// `attrs`/`children` through the public fields directly must call
-/// [`Element::invalidate_canon`] afterwards (all in-tree callers either do
-/// so or reach the fields through an invalidating accessor).
+/// See the module docs for what the memo holds and what drops it.
 #[derive(Clone, Default)]
 pub struct Element {
     /// Tag name.
@@ -29,8 +70,8 @@ pub struct Element {
     pub attrs: Vec<(String, String)>,
     /// Child nodes in document order.
     pub children: Vec<Node>,
-    /// Memoized canonical bytes of this subtree.
-    canon: OnceLock<Arc<Vec<u8>>>,
+    /// Memoized canonical bytes (and their digest) of this subtree.
+    canon: OnceLock<Arc<Canon>>,
 }
 
 impl PartialEq for Element {
@@ -63,21 +104,21 @@ impl Element {
         }
     }
 
-    /// Drop this element's memoized canonical bytes. Required after
-    /// mutating `attrs` or `children` directly through the public fields;
-    /// the invalidating accessors below call it automatically.
+    /// Drop this element's memoized canonical bytes and digest. Required
+    /// after mutating `attrs` or `children` directly through the public
+    /// fields; the invalidating accessors below call it automatically.
     pub fn invalidate_canon(&mut self) {
         self.canon.take();
     }
 
-    /// The memoized canonical bytes, if previously computed.
-    pub(crate) fn canon_cached(&self) -> Option<&Arc<Vec<u8>>> {
+    /// The memo, if previously computed.
+    pub(crate) fn canon_cached(&self) -> Option<&Arc<Canon>> {
         self.canon.get()
     }
 
-    /// Memoize canonical bytes (first writer wins; later calls are no-ops).
-    pub(crate) fn canon_store(&self, bytes: Arc<Vec<u8>>) {
-        let _ = self.canon.set(bytes);
+    /// The memo, computing it with `build` on first use.
+    pub(crate) fn canon_or_init(&self, build: impl FnOnce() -> Canon) -> &Arc<Canon> {
+        self.canon.get_or_init(|| Arc::new(build()))
     }
 
     /// Builder: add or replace an attribute.
@@ -88,12 +129,13 @@ impl Element {
 
     /// Builder: append a child element.
     pub fn child(mut self, el: Element) -> Element {
-        self.children.push(Node::Element(el));
+        self.push_child(el);
         self
     }
 
     /// Builder: append a text node.
     pub fn text(mut self, s: impl Into<String>) -> Element {
+        self.invalidate_canon();
         self.children.push(Node::Text(s.into()));
         self
     }
@@ -113,7 +155,7 @@ impl Element {
     /// Append a child element in place.
     pub fn push_child(&mut self, el: Element) {
         self.invalidate_canon();
-        self.children.push(Node::Element(el));
+        self.children.push(Node::Element(Arc::new(el)));
     }
 
     /// Get an attribute value.
@@ -126,13 +168,16 @@ impl Element {
         self.child_elements().find(|e| e.name == name)
     }
 
-    /// Mutable variant of [`Element::find_child`]. Conservatively drops the
-    /// canon memo of both this element and the found child, since the
-    /// caller may mutate either through the returned reference.
+    /// Mutable variant of [`Element::find_child`]. The found child is made
+    /// unique first (a node shared with another tree is copied, children
+    /// still shared), and the canon memo of both this element and the
+    /// child is dropped, since the caller may mutate either through the
+    /// returned reference.
     pub fn find_child_mut(&mut self, name: &str) -> Option<&mut Element> {
         self.invalidate_canon();
         self.children.iter_mut().find_map(|n| match n {
             Node::Element(e) if e.name == name => {
+                let e = Arc::make_mut(e);
                 e.invalidate_canon();
                 Some(e)
             }
@@ -147,9 +192,16 @@ impl Element {
 
     /// All child elements (skipping text nodes).
     pub fn child_elements(&self) -> impl Iterator<Item = &Element> {
+        self.shared_children().map(Arc::as_ref)
+    }
+
+    /// All child elements as the shared pointers the tree holds — what to
+    /// `Arc::clone` to graft a subtree without copying it, or to
+    /// `Arc::ptr_eq` to see whether two trees hold the same node.
+    pub fn shared_children(&self) -> impl Iterator<Item = &Arc<Element>> {
         self.children.iter().filter_map(|n| match n {
             Node::Element(e) => Some(e),
-            _ => None,
+            Node::Text(_) => None,
         })
     }
 
@@ -238,6 +290,15 @@ mod tests {
         assert_eq!(e.remove_children("a"), 2);
         assert_eq!(e.find_children("a").count(), 0);
         assert!(e.find_child("b").is_some(), "others untouched");
+    }
+
+    #[test]
+    fn memo_digest_does_not_grow_the_element() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<Element>(),
+            size_of::<(String, Vec<(String, String)>, Vec<Node>, OnceLock<Arc<Vec<u8>>>)>()
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use crate::escape::unescape;
 use crate::node::{Element, Node};
+use std::sync::Arc;
 
 /// Parse failure with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,7 +182,7 @@ impl<'a> Parser<'a> {
                 self.skip_until(b"-->", "comment")?;
             } else if self.peek() == Some(b'<') {
                 let child = self.parse_element()?;
-                el.children.push(Node::Element(child));
+                el.children.push(Node::Element(Arc::new(child)));
             } else if self.peek().is_some() {
                 let start = self.pos;
                 while self.peek().is_some_and(|c| c != b'<') {

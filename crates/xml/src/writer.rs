@@ -1,7 +1,7 @@
 //! Serialization of element trees: compact (wire format) and pretty
 //! (debugging / examples).
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr, escape_text, escaped_len};
 use crate::node::{Element, Node};
 
 /// Serialize compactly with no added whitespace. This is the wire format in
@@ -44,6 +44,25 @@ fn write_el(el: &Element, out: &mut String) {
     out.push_str("</");
     out.push_str(&el.name);
     out.push('>');
+}
+
+/// `to_string(el).len()` by a walk that builds nothing — the size probe
+/// for a tree nobody has serialized yet.
+pub fn wire_len(el: &Element) -> usize {
+    let attrs: usize =
+        el.attrs.iter().map(|(k, v)| 1 + k.len() + 2 + escaped_len(v, true) + 1).sum();
+    if el.children.is_empty() {
+        return 1 + el.name.len() + attrs + 2;
+    }
+    let children: usize = el
+        .children
+        .iter()
+        .map(|child| match child {
+            Node::Element(e) => wire_len(e),
+            Node::Text(t) => escaped_len(t, false),
+        })
+        .sum();
+    1 + el.name.len() + attrs + 1 + children + 2 + el.name.len() + 1
 }
 
 /// Pretty-print with 2-space indentation. Text-bearing elements are kept on
@@ -115,6 +134,17 @@ mod tests {
     fn attributes_and_text() {
         let e = Element::new("a").attr("k", "v<>").text("x & y");
         assert_eq!(to_string(&e), "<a k=\"v&lt;&gt;\">x &amp; y</a>");
+    }
+
+    #[test]
+    fn wire_len_matches_the_serialized_length() {
+        let e = Element::new("r")
+            .attr("k", "v<>&\"\n\r\t'")
+            .child(Element::new("empty").attr("a", "1"))
+            .child(Element::new("c").text("x & <y> \"q\"\n"))
+            .text("tail & more");
+        assert_eq!(wire_len(&e), to_string(&e).len());
+        assert_eq!(wire_len(&Element::new("a")), "<a/>".len());
     }
 
     #[test]

@@ -94,8 +94,8 @@ fn main() -> WfResult<()> {
     let respond = |received: &ReceivedActivity| -> Vec<(String, String)> {
         println!(
             "  [{}] {} executes {}#{} ({} visible field(s))",
-            received.def.name,
-            received.def.activity(&received.activity).unwrap().participant,
+            received.definition.def.name,
+            received.definition.def.activity(&received.activity).unwrap().participant,
             received.activity,
             received.iter,
             received.visible.len()

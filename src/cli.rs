@@ -276,7 +276,7 @@ fn cmd_execute(opts: &Opts) -> Result<String, CliError> {
         })
         .collect::<Result<_, _>>()?;
 
-    if received.def.tfc.is_some() {
+    if received.definition.def.tfc.is_some() {
         // advanced model: seal the result to the TFC and write the
         // intermediate document, to be processed with `dra tfc`
         let inter = aea.complete_via_tfc(&received, &responses).map_err(|e| err(e.to_string()))?;
@@ -382,9 +382,9 @@ fn cmd_dot(opts: &Opts) -> Result<String, CliError> {
     if let Some(doc_path) = opts.opt("doc") {
         let xml = std::fs::read_to_string(doc_path).map_err(|e| err(format!("{doc_path}: {e}")))?;
         let doc = DraDocument::parse(&xml).map_err(|e| err(e.to_string()))?;
-        let (def, _) =
+        let definition =
             crate::core::amendment::effective_definition(&doc).map_err(|e| err(e.to_string()))?;
-        return Ok(def.to_dot());
+        return Ok(definition.def.to_dot());
     }
     Err(err("dot requires --workflow <dsl-file> or --doc <xml-file>"))
 }

@@ -1,7 +1,8 @@
 //! Integration: the incremental verification pipeline.
 //!
-//! A [`TrustMark`] pins an already-verified prefix of a document by the
-//! SHA-256 of its canonical bytes. These tests pin the core contract:
+//! A [`TrustMark`] pins an already-verified prefix of a document by a
+//! SHA-256 chain over its nodes' canonical bytes. These tests pin the core
+//! contract:
 //!
 //! * with a mark covering j CERs and k CERs appended since, incremental
 //!   verification performs **exactly k** signature checks;
@@ -11,10 +12,20 @@
 //!   pass without changing the verdict;
 //! * acceptance is **equivalent** to the full verifier: a property test
 //!   over random runs, stale marks and random tampering asserts both
-//!   verifiers accept/reject exactly the same documents.
+//!   verifiers accept/reject exactly the same documents;
+//! * the chained prefix digest is a function of content alone — warm
+//!   memos, a cold re-parse and a clone agree for every prefix length — and
+//!   every `&mut` accessor that touches a prefix node moves it;
+//! * tampering with a copy that *shares its nodes* with an untampered
+//!   sibling is detected on the copy and leaves the sibling's bytes, memo
+//!   and verdict untouched (copy-on-write).
 
+use dra4wfms::core::sealed::prefix_digest;
 use dra4wfms::prelude::*;
+use dra4wfms::xml::canon::canonicalize_shared;
+use dra4wfms::xml::{Element, Node};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Deterministic cast for linear chains.
 fn cast(n: usize) -> (Vec<Credentials>, Directory) {
@@ -91,10 +102,7 @@ fn k_new_cers_cost_exactly_k_signature_checks() {
         // the fresh mark pins the whole document
         let fresh = outcome.mark.expect("incremental mode issues a mark");
         assert_eq!(fresh.verified_cers, n);
-        assert_eq!(
-            fresh.prefix_digest,
-            dra4wfms::core::sealed::prefix_digest(final_doc, n).unwrap()
-        );
+        assert_eq!(fresh.prefix_digest, prefix_digest(final_doc, n).unwrap());
     }
 }
 
@@ -130,6 +138,109 @@ fn tampered_prefix_detected_despite_stale_mark() {
     let sealed = SealedDocument::with_trust(tampered, mark);
     let aea = Aea::new(Credentials::from_seed("p0", "iv-p0"), dir.clone());
     assert!(aea.receive(sealed, "S0").is_err());
+}
+
+/// The `<CER>` nodes of a document, as the shared pointers the tree holds.
+fn cer_nodes(doc: &DraDocument) -> Vec<&Arc<Element>> {
+    doc.results().unwrap().shared_children().collect()
+}
+
+/// Rewrite the recorded value of step `step` in place, through the tree.
+fn tamper_in_place(doc: &mut DraDocument, step: usize) {
+    let cer = doc.find_cer_element_mut(&CerKey::new(format!("S{step}"), 0)).unwrap().unwrap();
+    let field = cer.find_child_mut("Result").unwrap().find_child_mut("Field").unwrap();
+    field.children = vec![Node::Text("evil".into())];
+    field.invalidate_canon();
+}
+
+#[test]
+fn tampered_copy_sharing_nodes_leaves_the_sibling_untouched() {
+    let n = 5;
+    let values: Vec<String> = (0..n).map(|i| format!("value-{i}")).collect();
+    let (snapshots, dir) = run_chain(n, &values);
+    let sibling = snapshots[n].clone();
+    let stale = mark_for(&snapshots[3], &dir);
+    let whole = mark_for(&sibling, &dir);
+    let wire_before = sibling.to_xml_string();
+    let memo_before = canonicalize_shared(cer_nodes(&sibling)[1]);
+    let digests_before: Vec<_> = (0..=n).map(|k| prefix_digest(&sibling, k).unwrap()).collect();
+
+    // Mallory's copy starts out as the very same nodes …
+    let mut tampered = sibling.clone();
+    assert!(cer_nodes(&tampered).iter().zip(cer_nodes(&sibling)).all(|(a, b)| Arc::ptr_eq(a, b)));
+    // … and the rewrite, inside the marked prefix, copies what it touches
+    tamper_in_place(&mut tampered, 1);
+    let shared: Vec<bool> = cer_nodes(&tampered)
+        .iter()
+        .zip(cer_nodes(&sibling))
+        .map(|(a, b)| Arc::ptr_eq(a, b))
+        .collect();
+    assert_eq!(shared, [true, false, true, true, true], "only the touched CER was copied");
+
+    // tampered prefix, stale mark and whole-document mark alike: detected
+    for mark in [&stale, &whole] {
+        let err = Verifier::new(&dir).with_mark(mark).run(&tampered).unwrap_err();
+        assert!(matches!(err, WfError::Verify(_)), "tamper detected: {err}");
+    }
+    let aea = Aea::new(Credentials::from_seed("p0", "iv-p0"), dir.clone());
+    assert!(aea.receive(SealedDocument::with_trust(tampered, whole.clone()), "S0").is_err());
+
+    // the sibling: same bytes, same memo, same digests, same verdict
+    assert_eq!(sibling.to_xml_string(), wire_before);
+    assert!(Arc::ptr_eq(&memo_before, &canonicalize_shared(cer_nodes(&sibling)[1])));
+    for (k, before) in digests_before.iter().enumerate() {
+        assert_eq!(prefix_digest(&sibling, k).unwrap(), *before);
+    }
+    let outcome = Verifier::new(&dir).with_mark(&stale).run(&sibling).unwrap();
+    assert!(!outcome.fell_back);
+    assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (3, 2));
+    let outcome = Verifier::new(&dir).with_mark(&whole).run(&sibling).unwrap();
+    assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (n, 0));
+}
+
+#[test]
+fn every_mut_accessor_on_a_prefix_node_moves_the_digest() {
+    let n = 3;
+    let values: Vec<String> = (0..n).map(|i| format!("value-{i}")).collect();
+    let (snapshots, _) = run_chain(n, &values);
+    let clean = &snapshots[n];
+    let before = prefix_digest(clean, n).unwrap();
+    let key = CerKey::new("S1", 0);
+    type Edit = fn(&mut DraDocument, &CerKey);
+    let edits: [(&str, Edit); 6] = [
+        ("set_attr", |d, k| {
+            d.find_cer_element_mut(k).unwrap().unwrap().set_attr("participant", "mallory")
+        }),
+        ("push_child", |d, k| {
+            d.find_cer_element_mut(k).unwrap().unwrap().push_child(Element::new("Extra"))
+        }),
+        ("remove_children", |d, k| {
+            assert_eq!(d.find_cer_element_mut(k).unwrap().unwrap().remove_children("Signature"), 1)
+        }),
+        ("find_child_mut", |d, _| {
+            d.root.find_child_mut("Header").unwrap().set_attr("x", "1");
+        }),
+        ("find_cer_element_mut", |d, k| {
+            // reached through the accessor, then edited behind it
+            let cer = d.find_cer_element_mut(k).unwrap().unwrap();
+            cer.find_child_mut("Result").unwrap().set_attr("x", "1");
+        }),
+        ("field write + invalidate_canon", |d, k| {
+            let cer = d.find_cer_element_mut(k).unwrap().unwrap();
+            cer.attrs.retain(|(name, _)| name != "preds");
+            cer.invalidate_canon();
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut doc = clean.clone();
+        assert_eq!(prefix_digest(&doc, n).unwrap(), before, "warm memos read");
+        edit(&mut doc, &key);
+        assert_ne!(prefix_digest(&doc, n).unwrap(), before, "{what} must move the digest");
+        // and the digest it moves to is the content's, not a stale memo's
+        let reparsed = DraDocument::parse(&doc.to_xml_string()).unwrap();
+        assert_eq!(prefix_digest(&doc, n).unwrap(), prefix_digest(&reparsed, n).unwrap(), "{what}");
+        assert_eq!(prefix_digest(clean, n).unwrap(), before, "{what} leaked into the sibling");
+    }
 }
 
 #[test]
@@ -203,6 +314,35 @@ fn advanced_model_hop_rechecks_participant_and_attestation_only() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The chained prefix digest depends on content alone: a tree built hop
+    /// by hop (warm memos on shared nodes), the same document re-parsed from
+    /// its wire (cold) and a clone agree for every prefix length, distinct
+    /// lengths give distinct digests, and a length past the end means "all".
+    #[test]
+    fn prop_prefix_digest_is_a_function_of_content(
+        len in 1usize..7,
+        seed in any::<u32>(),
+    ) {
+        let values: Vec<String> = (0..len).map(|i| format!("v{seed}-{i}")).collect();
+        let (snapshots, _) = run_chain(len, &values);
+        let warm = &snapshots[len];
+        let cold = DraDocument::parse(&warm.to_xml_string()).unwrap();
+        let clone = warm.clone();
+        let mut seen = std::collections::BTreeSet::new();
+        for (k, snapshot) in snapshots.iter().enumerate() {
+            let d = prefix_digest(warm, k).unwrap();
+            prop_assert_eq!(d, prefix_digest(&cold, k).unwrap(), "cold re-parse, k={}", k);
+            prop_assert_eq!(d, prefix_digest(&clone, k).unwrap(), "clone, k={}", k);
+            // the k-CER prefix of the final document is the k-CER snapshot
+            prop_assert_eq!(d, prefix_digest(snapshot, k).unwrap(), "snapshot, k={}", k);
+            prop_assert!(seen.insert(d), "prefix lengths must not collide");
+        }
+        prop_assert_eq!(
+            prefix_digest(warm, len + 3).unwrap(),
+            prefix_digest(warm, len).unwrap()
+        );
+    }
 
     /// Equivalence: on random linear runs — with a mark of random staleness
     /// and an optional tamper at a random step — the incremental verifier

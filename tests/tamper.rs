@@ -202,6 +202,47 @@ fn stale_trust_mark_does_not_launder_prefix_tamper() {
 }
 
 #[test]
+fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
+    // The in-process variant of the laundering attempt: the tampered copy
+    // is a clone of the genuine tree — same nodes, same memoized canonical
+    // bytes and digests — edited through the tree API. Copy-on-write must
+    // expose the edit to the verifier and keep it out of the genuine
+    // sibling, which a portal still admits on the same mark.
+    let (def, dir, creds) = setup();
+    let genuine = run(&def, &dir, &creds);
+    let report = Verifier::new(&dir).run(&genuine).unwrap().report;
+    let mark = trust_mark_for(&genuine, &report, 0).unwrap();
+    let wire_before = genuine.to_xml_string();
+
+    let mut tampered = genuine.clone();
+    let cer = tampered.find_cer_element_mut(&CerKey::new("request", 0)).unwrap().unwrap();
+    let amount = cer.find_child_mut("Result").unwrap().find_child_mut("Field").unwrap();
+    assert_eq!(amount.text_content(), "100");
+    amount.children = vec![dra4wfms::xml::Node::Text("1000000".into())];
+    amount.invalidate_canon();
+    assert_ne!(tampered.to_xml_string(), wire_before);
+
+    let sys = dra4wfms::cloud::CloudSystem::new(
+        dir.clone(),
+        1,
+        std::sync::Arc::new(dra4wfms::cloud::NetworkSim::lan()),
+    );
+    let route = Route { targets: vec![], ends: true };
+    let laundered = SealedDocument::with_trust(tampered, mark.clone());
+    assert!(Verifier::new(&dir).with_mark(laundered.trust()).run(&laundered).is_err());
+    assert!(sys.store_sealed(0, &laundered, &route).is_err());
+    assert_eq!(sys.total_stored(), 0);
+
+    // the sibling never saw the edit: same bytes, and the mark still holds
+    assert_eq!(genuine.to_xml_string(), wire_before);
+    let sealed = SealedDocument::with_trust(genuine, mark);
+    let outcome = Verifier::new(&dir).with_mark(sealed.trust()).run(&sealed).unwrap();
+    assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (2, 0));
+    sys.store_sealed(0, &sealed, &route).unwrap();
+    assert_eq!(sys.total_stored(), 1);
+}
+
+#[test]
 fn trust_cache_does_not_launder_tampered_bytes() {
     // The portal's trust cache is keyed by the digest of the exact wire
     // bytes — tampering changes the digest, so the cache cannot vouch for
