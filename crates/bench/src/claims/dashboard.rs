@@ -146,9 +146,9 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
     let completed = fx.fleet(&sys, pids("dash-", n), None);
 
     // the monitoring aggregation's scan cost, isolated as a counter delta
-    let (rows_before, regions_before) = sys.pool.scan_counters();
+    let (rows_before, regions_before) = sys.active_pool().scan_counters();
     let statuses = sys.statistics_by_status(4);
-    let (rows_after, regions_after) = sys.pool.scan_counters();
+    let (rows_after, regions_after) = sys.active_pool().scan_counters();
     let complete_statuses = statuses.get("complete").copied().unwrap_or(0);
 
     // incremental views vs a fresh full recompute: map and byte identity
@@ -177,15 +177,15 @@ fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
     let completed = fx.fleet(&sys, pids(&format!("tam{seed}-"), n), None);
 
     // forge FORGED_PER_TAMPER_CELL distinct non-latest rows, seed-picked
-    let candidates = non_latest_doc_keys(&sys.pool);
+    let candidates = non_latest_doc_keys(sys.active_pool());
     let mut forged: Vec<String> = Vec::new();
     let mut idx = seed as usize;
     while forged.len() < FORGED_PER_TAMPER_CELL && forged.len() < candidates.len() {
         idx = (idx.wrapping_mul(31).wrapping_add(17)) % candidates.len();
         let key = &candidates[idx];
         if !forged.contains(key) {
-            let xml = sys.pool.get_str(key, "doc", "xml").expect("doc cell");
-            sys.pool.put(key, "doc", "xml", forge(&xml));
+            let xml = sys.active_pool().get_str(key, "doc", "xml").expect("doc cell");
+            sys.active_pool().put(key, "doc", "xml", forge(&xml));
             forged.push(key.clone());
         }
     }

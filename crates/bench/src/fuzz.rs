@@ -13,7 +13,7 @@
 //! 2. executed through **both operational models** (basic AEA cascade and
 //!    advanced TFC finalization) under an honest channel, a hostile
 //!    [`FaultProfile`] and a seeded [`CrashPlan`], via the event-driven
-//!    [`Scheduler`](dra_cloud::Scheduler) (`InstanceRun::run`);
+//!    [`Scheduler`] (`InstanceRun::run`);
 //! 3. differential-checked: every run's final document verifies and
 //!    reconciles against its span trace, fault and crash runs converge to
 //!    the byte-identical document and pool digest of the honest run, and
@@ -428,7 +428,7 @@ pub fn run_generated(
     let snap = metrics.snapshot();
     Ok(RunArtifacts {
         wire: out.document.wire().as_ref().clone(),
-        pool_fp: sys.pool.fingerprint("doc/"),
+        pool_fp: sys.active_pool().fingerprint("doc/"),
         steps: out.steps,
         events: tracer.events(),
         document: out.document.document().clone(),

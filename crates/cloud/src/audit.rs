@@ -359,10 +359,10 @@ mod tests {
         let monitor = HealthMonitor::new(MonitorConfig::default());
         // forge one stored row in place: case-flip a byte of a-01's version 0
         let key = "doc/a-01/000000";
-        let xml = sys.pool.get_str(key, FAM_DOC, QUAL_XML).unwrap();
+        let xml = sys.active_pool().get_str(key, FAM_DOC, QUAL_XML).unwrap();
         let forged = crate::federation::tamper_bytes(&xml);
         assert_ne!(forged, xml);
-        sys.pool.put(key, FAM_DOC, QUAL_XML, forged);
+        sys.active_pool().put(key, FAM_DOC, QUAL_XML, forged);
 
         let auditor = PoolAuditor::new(AuditConfig { batch: 16, period_us: 100, threads: 2 });
         let caught = auditor.run_pass(&sys, Some(&monitor), 7);

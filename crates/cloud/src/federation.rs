@@ -37,7 +37,6 @@
 use crate::crash::splitmix64;
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
 use dra4wfms_core::error::{WfError, WfResult};
-use dra_docpool::{HTable, Journal};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -176,48 +175,16 @@ impl TamperPlan {
     }
 }
 
-/// Thresholds of the federation controller, as a chainable builder
-/// (mirrors [`crate::monitor::MonitorConfig`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FederationPolicy {
-    /// How many unreachable touches confirm a cloud outage. Below the
-    /// threshold an admission into the dead cloud surfaces as a retriable
-    /// crash (the delivery layer and hop supervisor both absorb those);
-    /// at the threshold the cloud is marked down and admissions fail over.
-    pub outage_confirmations: u64,
-    /// Quarantine a portal after this many `retry_storm` alerts name it —
-    /// a portal that keeps costing whole retry budgets is sick even when
-    /// it never serves a provably bad byte.
-    pub storm_quarantine_alerts: u64,
-}
+/// How many unreachable touches confirm a cloud outage. Below the
+/// threshold an admission into the dead cloud surfaces as a retriable
+/// crash (the delivery layer and hop supervisor both absorb those); at the
+/// threshold the cloud is marked down and admissions fail over.
+pub const OUTAGE_CONFIRMATIONS: u64 = 2;
 
-impl Default for FederationPolicy {
-    fn default() -> FederationPolicy {
-        FederationPolicy { outage_confirmations: 2, storm_quarantine_alerts: 2 }
-    }
-}
-
-impl FederationPolicy {
-    /// The default thresholds (identical to [`Default`]).
-    #[must_use]
-    pub fn new() -> FederationPolicy {
-        FederationPolicy::default()
-    }
-
-    /// Override the outage-confirmation touch count.
-    #[must_use]
-    pub fn with_outage_confirmations(mut self, touches: u64) -> FederationPolicy {
-        self.outage_confirmations = touches.max(1);
-        self
-    }
-
-    /// Override the retry-storm quarantine threshold.
-    #[must_use]
-    pub fn with_storm_quarantine_alerts(mut self, alerts: u64) -> FederationPolicy {
-        self.storm_quarantine_alerts = alerts.max(1);
-        self
-    }
-}
+/// Quarantine a portal after this many `retry_storm` alerts name it — a
+/// portal that keeps costing whole retry budgets is sick even when it never
+/// serves a provably bad byte.
+pub const STORM_QUARANTINE_ALERTS: u64 = 2;
 
 /// Snapshot of the controller's counters (exported as `federation.*`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -262,20 +229,18 @@ struct FedState {
 /// a single-cloud one.
 pub struct FederationController {
     topology: Topology,
-    policy: FederationPolicy,
     monitor: Mutex<Option<Arc<HealthMonitor>>>,
     state: Mutex<FedState>,
 }
 
 impl FederationController {
-    /// A controller for `topology` under `policy`. Cloud 0 starts active;
-    /// nothing is down or quarantined.
-    pub fn new(topology: Topology, policy: FederationPolicy) -> FederationController {
+    /// A controller for `topology`. Cloud 0 starts active; nothing is down
+    /// or quarantined.
+    pub fn new(topology: Topology) -> FederationController {
         let clouds = topology.clouds.len();
         let portals = topology.total_portals();
         FederationController {
             topology,
-            policy,
             monitor: Mutex::new(None),
             state: Mutex::new(FedState {
                 active_cloud: 0,
@@ -298,12 +263,6 @@ impl FederationController {
     #[must_use]
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The thresholds this controller applies.
-    #[must_use]
-    pub fn policy(&self) -> FederationPolicy {
-        self.policy
     }
 
     /// Wire the health monitor whose alert stream drives quarantines. The
@@ -365,11 +324,11 @@ impl FederationController {
     }
 
     /// Drain fresh monitor alerts and act on them: `retry_storm` alerts
-    /// naming `portal:N` accumulate per portal and quarantine it at the
-    /// policy threshold; `audit_divergence` alerts quarantine every portal
-    /// of the named cloud at once — a stored-row forgery indicts the whole
-    /// member, not one front door. Called by the scheduler between
-    /// dispatches and by every admission resolution.
+    /// naming `portal:N` accumulate per portal and quarantine it at
+    /// [`STORM_QUARANTINE_ALERTS`]; `audit_divergence` alerts quarantine
+    /// every portal of the named cloud at once — a stored-row forgery
+    /// indicts the whole member, not one front door. Called by the
+    /// scheduler between dispatches and by every admission resolution.
     pub fn pump(&self) {
         let monitor = self.monitor.lock().unwrap_or_else(PoisonError::into_inner).clone();
         let Some(monitor) = monitor else { return };
@@ -388,7 +347,7 @@ impl FederationController {
                     }
                     let hits = st.storm_alerts.entry(idx).or_insert(0);
                     *hits += 1;
-                    if *hits >= self.policy.storm_quarantine_alerts {
+                    if *hits >= STORM_QUARANTINE_ALERTS {
                         Self::quarantine_locked(&mut st, &self.topology, idx);
                     }
                 }
@@ -441,7 +400,7 @@ impl FederationController {
                 continue;
             }
             st.unreachable_touches[target] += 1;
-            if st.unreachable_touches[target] >= self.policy.outage_confirmations {
+            if st.unreachable_touches[target] >= OUTAGE_CONFIRMATIONS {
                 Self::mark_down_locked(&mut st, &self.topology, target);
             } else {
                 let name = &self.topology.clouds[target].name;
@@ -543,7 +502,7 @@ impl FederationController {
             if let Some(plan) = st.outage {
                 if plan.fires(cloud, now_us) {
                     st.unreachable_touches[cloud] += 1;
-                    if st.unreachable_touches[cloud] >= self.policy.outage_confirmations {
+                    if st.unreachable_touches[cloud] >= OUTAGE_CONFIRMATIONS {
                         Self::mark_down_locked(&mut st, &self.topology, cloud);
                     }
                     continue;
@@ -609,23 +568,6 @@ impl FederationController {
     }
 }
 
-/// One member cloud's storage: its document pool and write-ahead journal.
-pub(crate) struct FedReplica {
-    /// The cloud's stable name.
-    pub(crate) name: String,
-    /// The cloud's document pool.
-    pub(crate) pool: Arc<HTable>,
-    /// The cloud's write-ahead journal (admissions commit here before ack).
-    pub(crate) journal: Arc<Journal>,
-}
-
-/// A [`CloudSystem`](crate::portal::CloudSystem)'s federation half: the
-/// control plane plus one storage replica per member cloud.
-pub(crate) struct Federation {
-    pub(crate) controller: Arc<FederationController>,
-    pub(crate) replicas: Vec<FedReplica>,
-}
-
 /// Deterministically corrupt one byte of served wire bytes: the first
 /// ASCII letter at or after the midpoint has its case flipped, keeping the
 /// copy valid UTF-8. One byte is the minimal tamper — if the integrity
@@ -689,7 +631,7 @@ mod tests {
 
     #[test]
     fn outage_confirms_after_threshold_and_fails_over() {
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         c.set_outage(OutagePlan::at(0, 1_000));
         // before the outage instant: portal 0 resolves to itself
         assert_eq!(c.resolve_admission(0, 500).unwrap(), 0);
@@ -713,7 +655,7 @@ mod tests {
     fn dead_active_cloud_blocks_admissions_through_healthy_front_portals() {
         // the front portal lives in cloud 1, but the *primary commit* goes
         // to the active cloud 0 — a dead primary must run the same dance
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         c.set_outage(OutagePlan::at(0, 1_000));
         assert_eq!(c.resolve_admission(2, 500).unwrap(), 2, "healthy before the instant");
         assert!(matches!(c.resolve_admission(2, 2_000), Err(WfError::Crash(_))));
@@ -725,7 +667,7 @@ mod tests {
 
     #[test]
     fn replication_touches_confirm_a_peer_outage_without_erroring() {
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         c.set_outage(OutagePlan::at(1, 1_000));
         assert_eq!(c.replica_targets(500), vec![1], "reachable before the instant");
         assert!(c.replica_targets(1_500).is_empty(), "first touch: skipped, noted");
@@ -740,7 +682,7 @@ mod tests {
 
     #[test]
     fn tamper_quarantines_and_freezes_admissions() {
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         c.set_tamper(TamperPlan::once(1, 2));
         assert!(!c.tamper_fires(1), "first serve is honest");
         assert!(c.tamper_fires(1), "second serve corrupted");
@@ -761,7 +703,7 @@ mod tests {
 
     #[test]
     fn quarantining_every_active_portal_fails_over() {
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         c.on_tamper(0, "p", "d0", 1);
         assert_eq!(c.active_cloud(), 0, "one healthy portal left in cloud 0");
         c.on_tamper(1, "p", "d1", 2);
@@ -777,7 +719,7 @@ mod tests {
     #[test]
     fn storm_alerts_quarantine_through_the_pump() {
         use crate::monitor::MonitorConfig;
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         let monitor = HealthMonitor::new(MonitorConfig::default());
         c.set_monitor(&monitor);
         let storm = |n: u64| Alert {
@@ -805,7 +747,7 @@ mod tests {
     #[test]
     fn audit_divergence_quarantines_the_whole_cloud_through_the_pump() {
         use crate::monitor::MonitorConfig;
-        let c = FederationController::new(two_clouds(), FederationPolicy::default());
+        let c = FederationController::new(two_clouds());
         let monitor = HealthMonitor::new(MonitorConfig::default());
         c.set_monitor(&monitor);
         monitor.raise(Alert {

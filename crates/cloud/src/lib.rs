@@ -22,14 +22,16 @@
 //!   time, bounded redelivery, and per-run [`DeliveryStats`]: runs complete
 //!   *through* the faulty channel, and a fault can cost time but never
 //!   safety,
-//! * [`portal`] — portal servers over the [`dra_docpool`] pool: store /
-//!   retrieve / search (TO-DO lists) / notify / monitor / MapReduce
-//!   statistics; idempotent by wire digest, so duplicated copies never grow
-//!   the pool,
-//! * [`runner`] — an end-to-end scenario driver ([`InstanceRun`]) that
-//!   pushes whole process instances through AEAs, the TFC and the portals
-//!   (including AND-split branching and AND-join merging), optionally over
-//!   a fault-injecting delivery channel,
+//! * [`portal`] — stateless portal servers over one [`dra_docpool`] pool
+//!   and write-ahead journal per member cloud (a single cloud is a topology
+//!   of one): store / retrieve / search (TO-DO lists) / notify / monitor /
+//!   MapReduce statistics; idempotent by wire digest, so duplicated copies
+//!   never grow the pool; verification is narrowed only by the trust mark
+//!   a document carries, never by portal memory,
+//! * [`runner`] — the end-to-end scenario builder ([`InstanceRun`]): one
+//!   hop through an AEA, the TFC and a portal, optionally over a
+//!   fault-injecting delivery channel, and pool-anchored recovery of a
+//!   crashed hop's inputs,
 //! * [`monitor`] — an online [`HealthMonitor`] sink over the live span
 //!   stream: typed deterministic alerts (stuck instance, retry storm,
 //!   crash loop, SLO breach) in virtual time, fed back into the runner so
@@ -39,9 +41,9 @@
 //!   [`Scheduler`] drains them in deterministic virtual-time order to
 //!   dispatch hops — so `notify` wakes the next participant at O(1), and
 //!   whole fleets of instances interleave over shared portals, delivery,
-//!   leases and the monitor ([`InstanceRun`] is a single-instance facade
-//!   over it),
-//! * [`federation`] — multi-cloud deployments: a [`Topology`] groups
+//!   leases and the monitor ([`InstanceRun::run`] is a single-instance
+//!   facade over it; there is no other run loop),
+//! * [`federation`] — the multi-cloud control plane: a [`Topology`] groups
 //!   portals into named clouds with replicated pools/journals, and a
 //!   [`FederationController`] consumes [`HealthMonitor`] alerts (including
 //!   the typed `portal_tampered` integrity alert) to quarantine portals
@@ -67,20 +69,17 @@ pub mod obs;
 pub mod portal;
 pub mod runner;
 pub mod sched;
-pub mod trustcache;
 
 pub use audit::{AuditConfig, PoolAuditor};
 pub use crash::{CrashPlan, CrashPoint};
 pub use delivery::{Delivery, DeliveryPolicy, DeliveryStats};
 pub use faults::{FaultCounts, FaultProfile, FaultyNetwork};
 pub use federation::{
-    CloudSpec, FederationController, FederationPolicy, FederationStats, OutagePlan, TamperPlan,
-    Topology,
+    CloudSpec, FederationController, FederationStats, OutagePlan, TamperPlan, Topology,
 };
 pub use monitor::{alerts_to_jsonl, Alert, AlertKind, HealthMonitor, MonitorConfig};
 pub use netsim::NetworkSim;
 pub use obs::{check_metric_invariants, tracer_for};
 pub use portal::{CloudSystem, PortalStats, StoreAck, TodoEntry};
-pub use runner::{InstanceRun, Responder, RunOutcome, SupervisorPolicy};
+pub use runner::{InstanceRun, Responder, RunOutcome, LEASE_US, MAX_TAKEOVERS};
 pub use sched::{Activation, ActivationBus, SchedStats, Scheduler};
-pub use trustcache::TrustCache;

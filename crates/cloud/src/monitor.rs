@@ -41,30 +41,25 @@ use dra_obs::{json_escape, stage, MetricsRegistry, TraceEvent, TraceSink, OUTCOM
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Thresholds for the monitor's detectors, as a chainable builder.
+/// Thresholds for the monitor's detectors.
 ///
 /// The defaults are the values the repo's goldens were recorded under
 /// (15 ms progress deadline, 4-attempt storm window, 4-takeover budget);
-/// callers that need different trigger points — the federation controller,
-/// threshold-sensitive tests — override per field:
-///
-/// ```
-/// # use dra_cloud::MonitorConfig;
-/// let cfg = MonitorConfig::new().with_retry_storm_attempts(2);
-/// assert_eq!(cfg.retry_storm_attempts, 2);
-/// assert_eq!(cfg.progress_deadline_us, MonitorConfig::new().progress_deadline_us);
-/// ```
+/// callers that need different trigger points — threshold-sensitive tests —
+/// override per field with struct-update syntax
+/// (`MonitorConfig { retry_storm_attempts: 2, ..MonitorConfig::default() }`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MonitorConfig {
     /// An instance with no closed span for this long (virtual µs) is
-    /// declared stuck. Deliberately shorter than the default supervisor
-    /// lease (20 000 µs) so observation beats pessimistic waiting.
+    /// declared stuck. Deliberately shorter than the supervisor lease
+    /// ([`crate::runner::LEASE_US`]) so observation beats pessimistic
+    /// waiting.
     pub progress_deadline_us: u64,
     /// A delivery that burned at least this many attempts is a retry
     /// storm (the delivery default budget is 8).
     pub retry_storm_attempts: u64,
     /// Crash takeovers at or above this count are a crash loop (matches
-    /// `SupervisorPolicy::max_takeovers`' default).
+    /// [`crate::runner::MAX_TAKEOVERS`]).
     pub crash_loop_takeovers: u64,
 }
 
@@ -75,35 +70,6 @@ impl Default for MonitorConfig {
             retry_storm_attempts: 4,
             crash_loop_takeovers: 4,
         }
-    }
-}
-
-impl MonitorConfig {
-    /// The default thresholds (identical to [`Default`]).
-    #[must_use]
-    pub fn new() -> MonitorConfig {
-        MonitorConfig::default()
-    }
-
-    /// Override the progress deadline (virtual µs).
-    #[must_use]
-    pub fn with_progress_deadline_us(mut self, us: u64) -> MonitorConfig {
-        self.progress_deadline_us = us;
-        self
-    }
-
-    /// Override the retry-storm attempt threshold.
-    #[must_use]
-    pub fn with_retry_storm_attempts(mut self, attempts: u64) -> MonitorConfig {
-        self.retry_storm_attempts = attempts;
-        self
-    }
-
-    /// Override the crash-loop takeover budget.
-    #[must_use]
-    pub fn with_crash_loop_takeovers(mut self, takeovers: u64) -> MonitorConfig {
-        self.crash_loop_takeovers = takeovers;
-        self
     }
 }
 
@@ -528,26 +494,6 @@ mod tests {
         let rendered = alerts_to_jsonl(&m.alerts());
         assert_eq!(rendered, "{\"at_us\":10,\"process\":\"p\",\"kind\":\"slo_breach\",\"elapsed_us\":10,\"slo_us\":1}\n");
         assert_eq!(rendered, alerts_to_jsonl(&m.alerts()));
-    }
-
-    #[test]
-    fn config_builder_overrides_one_field_at_a_time() {
-        let cfg = MonitorConfig::new()
-            .with_progress_deadline_us(9_000)
-            .with_retry_storm_attempts(2)
-            .with_crash_loop_takeovers(1);
-        assert_eq!(cfg.progress_deadline_us, 9_000);
-        assert_eq!(cfg.retry_storm_attempts, 2);
-        assert_eq!(cfg.crash_loop_takeovers, 1);
-        // defaults match the golden-recorded thresholds exactly
-        assert_eq!(
-            MonitorConfig::new(),
-            MonitorConfig {
-                progress_deadline_us: 15_000,
-                retry_storm_attempts: 4,
-                crash_loop_takeovers: 4
-            }
-        );
     }
 
     #[test]

@@ -7,12 +7,9 @@
 //! deployment (the scalability story of the paper).
 
 use crate::crash::{CrashPlan, CrashPoint};
-use crate::federation::{
-    tamper_bytes, FedReplica, Federation, FederationController, FederationPolicy, Topology,
-};
+use crate::federation::{tamper_bytes, FederationController, Topology};
 use crate::netsim::NetworkSim;
 use crate::sched::{Activation, ActivationBus};
-use crate::trustcache::TrustCache;
 use dra4wfms_core::monitor::ProcessStatus;
 use dra4wfms_core::prelude::*;
 use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, Scan, TableConfig};
@@ -60,7 +57,7 @@ pub struct PortalStats {
     /// Verification passes performed (full or incremental).
     pub verifications: AtomicUsize,
     /// Individual signature checks executed across those passes — the cost
-    /// the trust cache exists to shrink.
+    /// a document's [`TrustMark`] exists to shrink.
     pub signature_checks: AtomicUsize,
     /// Verification passes that reused a verified prefix instead of
     /// re-checking every CER.
@@ -75,24 +72,49 @@ pub struct PortalStats {
     pub notifications: AtomicUsize,
 }
 
+/// One member cloud's storage: its document pool (HBase in the paper) and
+/// the write-ahead journal its admissions commit through.
+struct CloudStore {
+    /// Stable cloud name (used in alerts, metrics and outage plans).
+    name: String,
+    pool: Arc<HTable>,
+    journal: Arc<Journal>,
+}
+
+impl CloudStore {
+    fn new(name: &str, pool: HTable) -> CloudStore {
+        CloudStore {
+            name: name.to_string(),
+            pool: Arc::new(pool),
+            journal: Arc::new(Journal::new()),
+        }
+    }
+}
+
+fn empty_pool() -> HTable {
+    HTable::new(TableConfig { max_versions: 4, max_region_rows: 1024 })
+}
+
 /// The DRA4WfMS cloud system: a pool of documents behind `n` portal servers.
 pub struct CloudSystem {
-    /// The pool of DRA4WfMS documents (HBase in the paper).
-    pub pool: Arc<HTable>,
     /// Deployment PKI.
     pub directory: Directory,
     /// Per-portal statistics, index = portal id.
     pub portals: Vec<PortalStats>,
     /// Simulated network accounting for user↔portal transfers.
     pub network: Arc<NetworkSim>,
-    /// LRU cache `wire digest → trust mark` shared by the portals: a
-    /// document whose exact bytes (or byte-identical prefix) were already
-    /// verified here is not re-verified from scratch.
-    pub trust_cache: TrustCache,
-    /// Write-ahead journal shared by the portals: every admission appends
-    /// its full put batch before touching the pool, so a portal crash
-    /// between two rows is repaired by [`CloudSystem::recover_portals`].
-    pub journal: Arc<Journal>,
+    /// The member clouds' storage, in declaration order; never empty. Every
+    /// admission appends its full put batch to the active cloud's journal
+    /// before touching that cloud's pool, so a portal crash between two rows
+    /// is repaired by [`CloudSystem::recover_portals`]. A single-cloud
+    /// deployment ([`CloudSystem::new`]) is a topology of one.
+    clouds: Vec<CloudStore>,
+    /// The control plane that owns quarantine/failover state, present only
+    /// on deployments built with [`CloudSystem::federated`]. Without one,
+    /// cloud 0 is always active, portals are never re-routed and serves are
+    /// not probed — a controller would quarantine portals on retry storms
+    /// and audit alerts, and a lone cloud has nowhere to fail over to.
+    controller: Option<Arc<FederationController>>,
     /// Typed notification bus: every TO-DO row written by admission (or
     /// repaired by journal replay) also publishes an [`Activation`] here,
     /// which a [`crate::sched::Scheduler`] drains to dispatch the next hop
@@ -103,13 +125,6 @@ pub struct CloudSystem {
     /// Span recorder for portal admissions; disabled (free) unless
     /// [`CloudSystem::with_tracer`] is used.
     tracer: Tracer,
-    /// Multi-cloud half, present only on deployments built with
-    /// [`CloudSystem::federated`]: one storage replica per member cloud
-    /// plus the controller that owns quarantine/failover state. When
-    /// absent (`CloudSystem::new`), every path below behaves exactly as a
-    /// single-cloud deployment — `pool`/`journal` above then *are* the
-    /// deployment.
-    federation: Option<Federation>,
     /// Incrementally maintained fleet views, fed by the journal-commit and
     /// activation-bus hooks below. Dashboards read these in O(view size);
     /// the differential check [`CloudSystem::views_match_scan`] proves them
@@ -118,112 +133,101 @@ pub struct CloudSystem {
 }
 
 impl CloudSystem {
-    /// Create a deployment with `portals` portal servers.
-    pub fn new(directory: Directory, portals: usize, network: Arc<NetworkSim>) -> CloudSystem {
+    fn assemble(
+        directory: Directory,
+        portals: usize,
+        network: Arc<NetworkSim>,
+        clouds: Vec<CloudStore>,
+        controller: Option<Arc<FederationController>>,
+    ) -> CloudSystem {
         CloudSystem {
-            pool: Arc::new(HTable::new(TableConfig { max_versions: 4, max_region_rows: 1024 })),
             directory,
-            portals: (0..portals.max(1)).map(|_| PortalStats::default()).collect(),
+            portals: (0..portals).map(|_| PortalStats::default()).collect(),
             network,
-            trust_cache: TrustCache::new(256),
-            journal: Arc::new(Journal::new()),
+            clouds,
+            controller,
             bus: Arc::new(ActivationBus::new()),
             crash_plan: CrashPlan::none(),
             tracer: Tracer::disabled(),
-            federation: None,
             views: Arc::new(FleetViews::new()),
         }
     }
 
+    /// A single-cloud deployment over `pool`: a topology of one cloud named
+    /// `cloud0`, no controller.
+    fn single_cloud(
+        directory: Directory,
+        portals: usize,
+        network: Arc<NetworkSim>,
+        pool: HTable,
+    ) -> CloudSystem {
+        let clouds = vec![CloudStore::new("cloud0", pool)];
+        Self::assemble(directory, portals.max(1), network, clouds, None)
+    }
+
+    /// Create a deployment with `portals` portal servers.
+    pub fn new(directory: Directory, portals: usize, network: Arc<NetworkSim>) -> CloudSystem {
+        Self::single_cloud(directory, portals, network, empty_pool())
+    }
+
     /// Create a **federated** deployment from a [`Topology`]: one pool +
     /// write-ahead journal per named cloud, portal indices spread across
-    /// the clouds in declaration order, default [`FederationPolicy`]
-    /// thresholds. Cloud 0 starts active; its pool/journal double as the
-    /// system's `pool`/`journal` fields for single-cloud-shaped callers.
+    /// the clouds in declaration order, and a [`FederationController`]
+    /// owning quarantine and failover. Cloud 0 starts active.
     pub fn federated(
         directory: Directory,
         topology: Topology,
         network: Arc<NetworkSim>,
     ) -> WfResult<CloudSystem> {
-        Self::federated_with(directory, topology, FederationPolicy::default(), network)
-    }
-
-    /// [`CloudSystem::federated`] with explicit controller thresholds.
-    pub fn federated_with(
-        directory: Directory,
-        topology: Topology,
-        policy: FederationPolicy,
-        network: Arc<NetworkSim>,
-    ) -> WfResult<CloudSystem> {
         topology.validate()?;
-        let replicas: Vec<FedReplica> = topology
-            .clouds
-            .iter()
-            .map(|c| FedReplica {
-                name: c.name.clone(),
-                pool: Arc::new(HTable::new(TableConfig { max_versions: 4, max_region_rows: 1024 })),
-                journal: Arc::new(Journal::new()),
-            })
-            .collect();
+        let clouds =
+            topology.clouds.iter().map(|c| CloudStore::new(&c.name, empty_pool())).collect();
         let total = topology.total_portals();
-        let controller = Arc::new(FederationController::new(topology, policy));
-        Ok(CloudSystem {
-            pool: Arc::clone(&replicas[0].pool),
-            directory,
-            portals: (0..total).map(|_| PortalStats::default()).collect(),
-            network,
-            trust_cache: TrustCache::new(256),
-            journal: Arc::clone(&replicas[0].journal),
-            bus: Arc::new(ActivationBus::new()),
-            crash_plan: CrashPlan::none(),
-            tracer: Tracer::disabled(),
-            federation: Some(Federation { controller, replicas }),
-            views: Arc::new(FleetViews::new()),
-        })
+        let controller = Arc::new(FederationController::new(topology));
+        Ok(Self::assemble(directory, total, network, clouds, Some(controller)))
     }
 
     /// The federation's control plane, when this deployment is federated.
     pub fn federation_controller(&self) -> Option<&Arc<FederationController>> {
-        self.federation.as_ref().map(|f| &f.controller)
+        self.controller.as_ref()
     }
 
     /// Give the federation controller a chance to consume fresh health
-    /// alerts (retry storms quarantine their portal at the policy
-    /// threshold). No-op on single-cloud deployments; the scheduler calls
-    /// this between dispatches.
+    /// alerts (retry storms quarantine their portal at the threshold).
+    /// No-op on single-cloud deployments; the scheduler calls this between
+    /// dispatches.
     pub fn federation_poll(&self) {
-        if let Some(fed) = &self.federation {
-            fed.controller.pump();
+        if let Some(controller) = &self.controller {
+            controller.pump();
         }
     }
 
     /// Remap a requested portal to an eligible one — skip quarantined
     /// portals and down clouds — without counters or errors (the admission
     /// itself re-resolves authoritatively). Identity on single-cloud
-    /// deployments, so the legacy/scheduler parity goldens are untouched.
+    /// deployments.
     pub fn route_portal(&self, requested: usize) -> usize {
-        match &self.federation {
-            Some(fed) => fed.controller.route(requested),
+        match &self.controller {
+            Some(controller) => controller.route(requested),
             None => requested,
         }
     }
 
-    /// The pool serving reads right now: the active cloud's replica on a
-    /// federated deployment, `self.pool` otherwise.
+    /// The pool serving reads right now: the active cloud's.
     pub fn active_pool(&self) -> &Arc<HTable> {
-        self.active_store().0
+        &self.active_cloud().pool
     }
 
-    /// The active cloud's (pool, journal) — the primary an admission
-    /// journals/commits on before replicating to peers.
-    fn active_store(&self) -> (&Arc<HTable>, &Arc<Journal>) {
-        match &self.federation {
-            Some(fed) => {
-                let active = fed.controller.active_cloud();
-                (&fed.replicas[active].pool, &fed.replicas[active].journal)
-            }
-            None => (&self.pool, &self.journal),
-        }
+    /// Index of the active cloud: the controller's choice, cloud 0 without
+    /// one.
+    fn active_index(&self) -> usize {
+        self.controller.as_ref().map_or(0, |c| c.active_cloud())
+    }
+
+    /// The cloud an admission journals/commits on before replicating to
+    /// peers.
+    fn active_cloud(&self) -> &CloudStore {
+        &self.clouds[self.active_index()]
     }
 
     /// The deployment's activation bus (portals publish, schedulers drain).
@@ -278,20 +282,17 @@ impl CloudSystem {
     /// Record `portal:admit` spans (and the journal's commit/replay spans)
     /// into `tracer`.
     pub fn with_tracer(mut self, tracer: Tracer) -> CloudSystem {
-        self.journal.set_tracer(tracer.clone());
-        if let Some(fed) = &self.federation {
-            // replica journals share the primary's tracer (replicas[0] is
-            // self.journal, already set — set_tracer is idempotent)
-            for replica in &fed.replicas {
-                replica.journal.set_tracer(tracer.clone());
-            }
+        for cloud in &self.clouds {
+            cloud.journal.set_tracer(tracer.clone());
         }
         self.tracer = tracer;
         self
     }
 
-    /// Fold the deployment's counters — portal stats, trust-cache hit/miss,
-    /// journal replays — into one [`MetricsRegistry`] under stable names.
+    /// Fold the deployment's counters — portal stats, journal records and
+    /// replays and pool inventory summed across clouds, the controller's
+    /// `federation.*` family when there is one — into one
+    /// [`MetricsRegistry`] under stable names.
     pub fn export_metrics(&self, metrics: &MetricsRegistry) {
         let sum = |f: fn(&PortalStats) -> &AtomicUsize| -> u64 {
             self.portals.iter().map(|p| f(p).load(Ordering::Relaxed) as u64).sum()
@@ -306,46 +307,30 @@ impl CloudSystem {
         metrics.set_counter("portal.notifications", sum(|p| &p.notifications));
         metrics.set_counter("sched.activations", self.bus.emitted());
         metrics.set_gauge("sched.bus_depth", self.bus.len() as i64);
-        metrics.set_counter("trust_cache.hits", self.trust_cache.hits() as u64);
-        metrics.set_counter("trust_cache.misses", self.trust_cache.misses() as u64);
-        match &self.federation {
-            None => {
-                metrics.set_counter("journal.records", self.journal.len() as u64);
-                metrics.set_counter("journal.replayed_records", self.journal.replayed_records());
-            }
-            Some(fed) => {
-                // journals exist per cloud: export deployment-wide sums
-                let records: u64 = fed.replicas.iter().map(|r| r.journal.len() as u64).sum();
-                let replayed: u64 = fed.replicas.iter().map(|r| r.journal.replayed_records()).sum();
-                metrics.set_counter("journal.records", records);
-                metrics.set_counter("journal.replayed_records", replayed);
-                let stats = fed.controller.stats();
-                metrics.set_counter("federation.replicas_acked", stats.replicas_acked);
-                metrics.set_counter("federation.quarantines", stats.quarantines);
-                metrics.set_counter("federation.failovers", stats.failovers);
-                metrics.set_counter("federation.outages", stats.outages);
-                metrics.set_counter("federation.reroutes", stats.reroutes);
-                metrics.set_counter("federation.tampered_serves", stats.tampered_serves);
-                metrics.set_gauge("federation.active_cloud", stats.active_cloud as i64);
-                metrics.set_gauge("federation.clouds", fed.replicas.len() as i64);
-            }
+        let records: u64 = self.clouds.iter().map(|c| c.journal.len() as u64).sum();
+        metrics.set_counter("journal.records", records);
+        metrics.set_counter("journal.replayed_records", self.journal_replays());
+        if let Some(controller) = &self.controller {
+            let stats = controller.stats();
+            metrics.set_counter("federation.replicas_acked", stats.replicas_acked);
+            metrics.set_counter("federation.quarantines", stats.quarantines);
+            metrics.set_counter("federation.failovers", stats.failovers);
+            metrics.set_counter("federation.outages", stats.outages);
+            metrics.set_counter("federation.reroutes", stats.reroutes);
+            metrics.set_counter("federation.tampered_serves", stats.tampered_serves);
+            metrics.set_gauge("federation.active_cloud", stats.active_cloud as i64);
+            metrics.set_gauge("federation.clouds", self.clouds.len() as i64);
         }
         // pool inventory and scan-API accounting: how many rows the
         // deployment holds vs how many monitoring queries actually touched
-        let (rows, scanned_rows, scanned_regions) = match &self.federation {
-            None => {
-                let (sr, sg) = self.pool.scan_counters();
-                (self.pool.row_count(), sr, sg)
-            }
-            Some(fed) => fed.replicas.iter().fold((0, 0, 0), |(rows, sr, sg), r| {
-                let (a, b) = r.pool.scan_counters();
-                (rows + r.pool.row_count(), sr + a, sg + b)
-            }),
-        };
+        let (rows, scanned_rows, scanned_regions) =
+            self.clouds.iter().fold((0, 0, 0), |(rows, sr, sg), c| {
+                let (a, b) = c.pool.scan_counters();
+                (rows + c.pool.row_count(), sr + a, sg + b)
+            });
         metrics.set_counter("pool.rows", rows as u64);
         metrics.set_counter("pool.scanned_rows", scanned_rows as u64);
         metrics.set_counter("pool.scanned_regions", scanned_regions as u64);
-        metrics.set_gauge("trust_cache.entries", self.trust_cache.len() as i64);
     }
 
     /// Portal restart: replay every journaled-but-uncommitted admission
@@ -368,35 +353,24 @@ impl CloudSystem {
                 .unwrap_or(0);
             self.notify(0, participant, pid, activity, seq);
         };
-        match &self.federation {
-            None => {
-                let replayed = self.journal.replay_into_with(&self.pool, observer);
-                self.views.record_commit("cloud0", self.journal.len() as u64);
+        // every cloud replays its own journal into its own pool: a replica
+        // torn between journal-append and commit is repaired exactly like a
+        // torn primary. Re-emitted activations that turn out to be
+        // duplicates are skipped harmlessly by the scheduler.
+        self.clouds
+            .iter()
+            .map(|c| {
+                let replayed = c.journal.replay_into_with(&c.pool, observer);
+                self.views.record_commit(&c.name, c.journal.len() as u64);
                 replayed
-            }
-            // every cloud replays its own journal into its own pool: a
-            // replica torn between journal-append and commit is repaired
-            // exactly like a torn primary. Re-emitted activations that turn
-            // out to be duplicates are skipped harmlessly by the scheduler.
-            Some(fed) => fed
-                .replicas
-                .iter()
-                .map(|r| {
-                    let replayed = r.journal.replay_into_with(&r.pool, observer);
-                    self.views.record_commit(&r.name, r.journal.len() as u64);
-                    replayed
-                })
-                .sum(),
-        }
+            })
+            .sum()
     }
 
-    /// Total journal records replayed by portal recoveries so far (summed
-    /// across clouds on a federated deployment).
+    /// Total journal records replayed by portal recoveries so far, summed
+    /// across clouds.
     pub fn journal_replays(&self) -> u64 {
-        match &self.federation {
-            None => self.journal.replayed_records(),
-            Some(fed) => fed.replicas.iter().map(|r| r.journal.replayed_records()).sum(),
-        }
+        self.clouds.iter().map(|c| c.journal.replayed_records()).sum()
     }
 
     /// Look up the sequence number some exact wire bytes were stored under
@@ -436,8 +410,7 @@ impl CloudSystem {
     /// Sealed-form variant of [`CloudSystem::store_document`] — the
     /// zero-copy fast path. The received wire bytes are stored as-is (no
     /// re-serialization), and verification is incremental whenever the
-    /// document carries a [`TrustMark`] or the portal's trust cache
-    /// remembers these exact bytes.
+    /// document carries a [`TrustMark`] whose prefix digest still matches.
     ///
     /// Idempotent: re-presenting bytes already stored returns the original
     /// sequence number without growing the pool.
@@ -485,14 +458,15 @@ impl CloudSystem {
         // choice: it runs the outage dance for the target cloud (touches of
         // an unconfirmed-dead cloud surface as retriable crashes), then
         // re-routes past quarantined portals and down clouds. Single-cloud:
-        // plain modulo, as ever.
-        let portal_idx = match &self.federation {
-            Some(fed) => {
-                fed.controller.resolve_admission(portal, self.network.virtual_time_us())?
+        // plain modulo.
+        let portal_idx = match &self.controller {
+            Some(controller) => {
+                controller.resolve_admission(portal, self.network.virtual_time_us())?
             }
             None => portal % self.portals.len(),
         };
-        let (pool, journal) = self.active_store();
+        let active = self.active_cloud();
+        let (pool, journal) = (&active.pool, &active.journal);
         let stats = &self.portals[portal_idx];
         let mut span = self.tracer.span(stage::PORTAL_ADMIT).actor(&format!("portal:{portal_idx}"));
         if span.enabled() {
@@ -505,7 +479,7 @@ impl CloudSystem {
 
         // idempotency: bytes we have already stored are acked, not
         // re-stored — a duplicated or retransmitted copy costs nothing but
-        // the transfer. Keyed by the same digest the trust cache uses.
+        // the transfer.
         if let Some(seq) = pool
             .get_str(&Self::seen_key(&digest), FAM_META, "seq")
             .and_then(|s| s.parse::<usize>().ok())
@@ -539,17 +513,12 @@ impl CloudSystem {
         // document never enters the pool. A trust mark only ever *narrows*
         // the work: its prefix digest must match byte-identically, and any
         // mismatch falls back to the full signature pass.
-        let mark = match sealed.trust() {
-            Some(m) => Some(m.clone()),
-            None => self.trust_cache.get(&digest),
-        };
-        let outcome = Verifier::new(&self.directory).with_mark(mark.as_ref()).run(sealed)?;
+        let outcome = Verifier::new(&self.directory).with_mark(sealed.trust()).run(sealed)?;
         stats.verifications.fetch_add(1, Ordering::Relaxed);
         stats.signature_checks.fetch_add(outcome.report.signatures_verified, Ordering::Relaxed);
         if outcome.reused_cers > 0 {
             stats.incremental_verifications.fetch_add(1, Ordering::Relaxed);
         }
-        self.trust_cache.put(digest, outcome.mark.expect("incremental mode issues a mark"));
         let report = outcome.report;
 
         let pid = report.process_id.clone();
@@ -611,16 +580,16 @@ impl CloudSystem {
             self.apply_op_to_views(op);
         }
         self.views.record_admission(portal_idx as u64);
-        self.views.record_commit(&self.active_cloud_name(), journal.len() as u64);
+        self.views.record_commit(&active.name, journal.len() as u64);
         // Replication: the admission is durable on the active cloud; now
         // charge and journal-commit the identical batch on every reachable
         // peer cloud before acking. Each replica obeys the same WAL
         // discipline, so a replica torn between append and commit (the
         // `ReplicaBeforeCommit` injection point) is repaired by its own
         // journal's replay in [`CloudSystem::recover_portals`].
-        if let Some(fed) = &self.federation {
-            for cloud in fed.controller.replica_targets(self.network.virtual_time_us()) {
-                let replica = &fed.replicas[cloud];
+        if let Some(controller) = &self.controller {
+            for cloud in controller.replica_targets(self.network.virtual_time_us()) {
+                let replica = &self.clouds[cloud];
                 self.network.transfer(wire.len());
                 let rec = replica.journal.append(ops.clone());
                 self.crash_plan.check(CrashPoint::ReplicaBeforeCommit)?;
@@ -629,7 +598,7 @@ impl CloudSystem {
                 }
                 replica.journal.commit_through(rec);
                 self.views.record_commit(&replica.name, replica.journal.len() as u64);
-                fed.controller.ack_replica();
+                controller.ack_replica();
             }
         }
         // notify after commit: an activation must never outrun its TO-DO
@@ -656,42 +625,24 @@ impl CloudSystem {
     /// `portal_tampered` alert, quarantines the serving portal and
     /// re-serves from the next eligible one.
     pub fn retrieve_latest(&self, portal: usize, process_id: &str) -> Option<String> {
-        match &self.federation {
-            None => {
-                let stats = &self.portals[portal % self.portals.len()];
-                let rows =
-                    self.pool.query(&Scan::prefix(&format!("doc/{process_id}/")).family(FAM_DOC));
-                let xml = rows.rows.last()?.1.get_str(FAM_DOC, QUAL_XML)?;
-                self.network.transfer(xml.len());
-                stats.retrieved.fetch_add(1, Ordering::Relaxed);
-                Some(xml)
-            }
-            Some(fed) => self.retrieve_latest_federated(fed, portal, process_id),
-        }
-    }
-
-    fn retrieve_latest_federated(
-        &self,
-        fed: &Federation,
-        portal: usize,
-        process_id: &str,
-    ) -> Option<String> {
+        let Some(controller) = &self.controller else {
+            let xml = Self::latest_xml(self.active_pool(), process_id)?;
+            return Some(self.serve(portal % self.portals.len(), xml));
+        };
         // bounded by the portal count: every failed probe quarantines its
         // serving portal, so the candidate set strictly shrinks
         for _ in 0..self.portals.len() {
-            let serving = fed.controller.resolve_serve(portal)?;
-            let cloud = fed.controller.topology().cloud_of(serving);
-            let pool = &fed.replicas[cloud].pool;
-            let rows = pool.query(&Scan::prefix(&format!("doc/{process_id}/")).family(FAM_DOC));
-            let stored = rows.rows.last()?.1.get_str(FAM_DOC, QUAL_XML)?;
+            let serving = controller.resolve_serve(portal)?;
+            let pool = &self.clouds[controller.topology().cloud_of(serving)].pool;
+            let stored = Self::latest_xml(pool, process_id)?;
             // the tamper injector corrupts the *served copy*, never the pool
             let served =
-                if fed.controller.tamper_fires(serving) { tamper_bytes(&stored) } else { stored };
+                if controller.tamper_fires(serving) { tamper_bytes(&stored) } else { stored };
             let digest = dra_crypto::sha256(served.as_bytes());
             let known = pool.get_str(&Self::seen_key(&digest), FAM_META, "seq").is_some()
                 || Self::full_verify_serves(&self.directory, &served);
             if !known {
-                fed.controller.on_tamper(
+                controller.on_tamper(
                     serving,
                     process_id,
                     &dra_crypto::hex::encode(&digest),
@@ -699,11 +650,24 @@ impl CloudSystem {
                 );
                 continue;
             }
-            self.network.transfer(served.len());
-            self.portals[serving].retrieved.fetch_add(1, Ordering::Relaxed);
-            return Some(served);
+            return Some(self.serve(serving, served));
         }
         None
+    }
+
+    /// The latest stored version of a process in `pool`: the last row of
+    /// `doc/<pid>/`.
+    fn latest_xml(pool: &HTable, process_id: &str) -> Option<String> {
+        let rows = pool.query(&Scan::prefix(&format!("doc/{process_id}/")).family(FAM_DOC));
+        rows.rows.last()?.1.get_str(FAM_DOC, QUAL_XML)
+    }
+
+    /// Hand `xml` to the user through portal `portal_idx`: charge the
+    /// transfer, count the serve.
+    fn serve(&self, portal_idx: usize, xml: String) -> String {
+        self.network.transfer(xml.len());
+        self.portals[portal_idx].retrieved.fetch_add(1, Ordering::Relaxed);
+        xml
     }
 
     /// Integrity fallback for a serve whose digest has no `seen/` row: the
@@ -714,25 +678,6 @@ impl CloudSystem {
         SealedDocument::from_wire(served)
             .and_then(|sealed| Verifier::new(directory).run(&sealed).map(|_| ()))
             .is_ok()
-    }
-
-    /// Retrieve the latest stored document in sealed form: the stored bytes
-    /// become the seal's serialization and, when the trust cache remembers
-    /// verifying these exact bytes, the mark rides along so the receiving
-    /// AEA verifies incrementally instead of from scratch.
-    pub fn retrieve_latest_sealed(
-        &self,
-        portal: usize,
-        process_id: &str,
-    ) -> WfResult<Option<SealedDocument>> {
-        let Some(xml) = self.retrieve_latest(portal, process_id) else {
-            return Ok(None);
-        };
-        let mut sealed = SealedDocument::from_wire(&xml)?;
-        if let Some(mark) = self.trust_cache.get(&dra_crypto::sha256(xml.as_bytes())) {
-            sealed.set_trust(mark);
-        }
-        Ok(Some(sealed))
     }
 
     /// Retrieve a specific stored version (from the active cloud's pool).
@@ -757,40 +702,28 @@ impl CloudSystem {
             .collect()
     }
 
-    /// Remove a consumed TO-DO entry (after the activity executed). On a
-    /// federated deployment the consumption propagates to every replica —
-    /// a failover must not resurrect work a participant already finished.
+    /// Remove a consumed TO-DO entry (after the activity executed); returns
+    /// whether the active cloud held it. The consumption propagates to
+    /// every replica — a failover must not resurrect work a participant
+    /// already finished.
     pub fn consume_todo(&self, participant: &str, process_id: &str, activity: &str) -> bool {
         let key = Self::todo_key(participant, process_id, activity);
-        match &self.federation {
-            None => self.pool.delete_row(&key),
-            Some(fed) => {
-                let active = fed.controller.active_cloud();
-                let on_active = fed.replicas[active].pool.delete_row(&key);
-                for (i, replica) in fed.replicas.iter().enumerate() {
-                    if i != active {
-                        replica.pool.delete_row(&key);
-                    }
-                }
-                on_active
-            }
+        let active = self.active_index();
+        let mut on_active = false;
+        for (i, cloud) in self.clouds.iter().enumerate() {
+            on_active |= cloud.pool.delete_row(&key) && i == active;
         }
+        on_active
     }
 
     /// Monitoring: the status of one process instance, derived from its
     /// latest stored document.
     pub fn process_status(&self, process_id: &str) -> WfResult<Option<ProcessStatus>> {
-        let Some(xml) = self.retrieve_version_latest_xml(process_id) else {
+        let Some(xml) = Self::latest_xml(self.active_pool(), process_id) else {
             return Ok(None);
         };
         let doc = DraDocument::parse(&xml)?;
         Ok(Some(ProcessStatus::from_document(&doc)?))
-    }
-
-    fn retrieve_version_latest_xml(&self, process_id: &str) -> Option<String> {
-        let rows =
-            self.active_pool().query(&Scan::prefix(&format!("doc/{process_id}/")).family(FAM_DOC));
-        rows.rows.last()?.1.get_str(FAM_DOC, QUAL_XML)
     }
 
     /// MapReduce statistics over every stored process: instance counts per
@@ -824,7 +757,7 @@ impl CloudSystem {
                 // load the latest stored document of this process
                 let pid = key.trim_start_matches("meta/");
                 let _ = row;
-                let Some(xml) = self.retrieve_version_latest_xml(pid) else {
+                let Some(xml) = Self::latest_xml(self.active_pool(), pid) else {
                     return vec![];
                 };
                 let Ok(doc) = DraDocument::parse(&xml) else { return vec![] };
@@ -877,14 +810,6 @@ impl CloudSystem {
     /// from the incremental views, no pool scan involved.
     pub fn fleet_dashboard_json(&self) -> String {
         self.views.dashboard_json()
-    }
-
-    /// The name of the cloud currently serving as primary.
-    fn active_cloud_name(&self) -> String {
-        match &self.federation {
-            None => "cloud0".to_string(),
-            Some(fed) => fed.replicas[fed.controller.active_cloud()].name.clone(),
-        }
     }
 
     /// Fold one applied pool mutation into the fleet views. Both the live
@@ -973,18 +898,13 @@ impl CloudSystem {
     }
 
     /// The pools the continuous auditor samples, as `(cloud name, cloud
-    /// index, pool)` per member cloud; single-cloud deployments expose their
-    /// one pool as `("cloud0", 0, …)`.
+    /// index, pool)` per member cloud.
     pub fn audit_pools(&self) -> Vec<(String, usize, Arc<HTable>)> {
-        match &self.federation {
-            None => vec![("cloud0".to_string(), 0, Arc::clone(&self.pool))],
-            Some(fed) => fed
-                .replicas
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (r.name.clone(), i, Arc::clone(&r.pool)))
-                .collect(),
-        }
+        self.clouds
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.name.clone(), i, Arc::clone(&c.pool)))
+            .collect()
     }
 
     /// Total documents stored across portals.
@@ -1080,12 +1000,7 @@ impl CloudSystem {
     /// fingerprint)` in declaration order. Single-cloud deployments report
     /// one entry named `cloud0`.
     pub fn cloud_digests(&self) -> Vec<(String, u64)> {
-        match &self.federation {
-            None => vec![("cloud0".to_string(), self.pool.fingerprint("doc/"))],
-            Some(fed) => {
-                fed.replicas.iter().map(|r| (r.name.clone(), r.pool.fingerprint("doc/"))).collect()
-            }
-        }
+        self.clouds.iter().map(|c| (c.name.clone(), c.pool.fingerprint("doc/"))).collect()
     }
 
     /// Export every cloud's write-ahead journal as `(name, bytes)` — the
@@ -1094,25 +1009,20 @@ impl CloudSystem {
     /// torn final record. Single-cloud deployments export one entry named
     /// `cloud0`.
     pub fn journal_snapshots(&self) -> Vec<(String, Vec<u8>)> {
-        match &self.federation {
-            None => vec![("cloud0".to_string(), self.journal.export())],
-            Some(fed) => {
-                fed.replicas.iter().map(|r| (r.name.clone(), r.journal.export())).collect()
-            }
-        }
+        self.clouds.iter().map(|c| (c.name.clone(), c.journal.export())).collect()
     }
 
     /// Do all clouds that are still up hold byte-identical document rows?
     /// (Down clouds are excluded: a confirmed-dead replica legitimately
     /// stops at the admission where it died.) Trivially true single-cloud.
     pub fn replicas_consistent(&self) -> bool {
-        let Some(fed) = &self.federation else { return true };
-        let mut live = fed
-            .replicas
+        let down = |i: usize| self.controller.as_ref().is_some_and(|c| c.cloud_down(i));
+        let mut live = self
+            .clouds
             .iter()
             .enumerate()
-            .filter(|(i, _)| !fed.controller.cloud_down(*i))
-            .map(|(_, r)| r.pool.fingerprint("doc/"));
+            .filter(|(i, _)| !down(*i))
+            .map(|(_, c)| c.pool.fingerprint("doc/"));
         let Some(first) = live.next() else { return true };
         live.all(|fp| fp == first)
     }
@@ -1126,21 +1036,9 @@ impl CloudSystem {
         network: Arc<NetworkSim>,
         snapshot: &[u8],
     ) -> WfResult<CloudSystem> {
-        let pool = dra_docpool::HTable::import_snapshot(snapshot)
+        let pool = HTable::import_snapshot(snapshot)
             .map_err(|e| WfError::Malformed(format!("pool snapshot: {e}")))?;
-        let sys = CloudSystem {
-            pool: Arc::new(pool),
-            directory,
-            portals: (0..portals.max(1)).map(|_| PortalStats::default()).collect(),
-            network,
-            trust_cache: TrustCache::new(256),
-            journal: Arc::new(Journal::new()),
-            bus: Arc::new(ActivationBus::new()),
-            crash_plan: CrashPlan::none(),
-            tracer: Tracer::disabled(),
-            federation: None,
-            views: Arc::new(FleetViews::new()),
-        };
+        let sys = Self::single_cloud(directory, portals, network, pool);
         sys.seed_views_from_pool();
         Ok(sys)
     }
@@ -1418,7 +1316,11 @@ mod tests {
         let first = sys.store_sealed(0, &sealed, &route).unwrap();
         let second = sys.store_sealed(1, &sealed, &route).unwrap();
         assert_eq!(first, second, "duplicate acks the original sequence number");
-        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/p-dup/")), 1, "pool holds one version");
+        assert_eq!(
+            sys.active_pool().query_count(&Scan::prefix("doc/p-dup/")),
+            1,
+            "pool holds one version"
+        );
         assert_eq!(sys.total_stored(), 1);
         assert_eq!(sys.total_duplicates_suppressed(), 1);
     }
@@ -1442,7 +1344,7 @@ mod tests {
         // a tampered copy is rejected, stored nothing
         let tampered = wire.replace("alice", "mallory");
         assert!(sys.ingest_wire(0, &tampered, &route, None).is_err());
-        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/p-iw/")), 1);
+        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/p-iw/")), 1);
     }
 
     #[test]
@@ -1478,7 +1380,7 @@ mod tests {
         assert!(matches!(err, WfError::Crash(_)));
         assert!(sys.retrieve_latest(0, "p-cr").is_none(), "document row missing");
         assert_eq!(sys.stored_seq_for(&wire), Some(0), "seen row landed");
-        assert_eq!(sys.journal.uncommitted(), 1);
+        assert_eq!(sys.clouds[0].journal.uncommitted(), 1);
 
         // portal restart: journal replay completes the admission
         assert_eq!(sys.recover_portals(), 1);
@@ -1491,7 +1393,7 @@ mod tests {
         let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
         assert!(ack.duplicate);
         assert_eq!(ack.seq, 0);
-        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/p-cr/")), 1);
+        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/p-cr/")), 1);
     }
 
     #[test]

@@ -15,15 +15,15 @@
 //!     .respond(&responder)
 //!     .max_steps(100)
 //!     .network(&delivery)       // optional: hops cross a faulty channel
-//!     .supervisor(SupervisorPolicy::default()) // crash takeover tuning
 //!     .run()?;
 //! ```
 //!
 //! ## Lease-based hop takeover
 //!
-//! Every dispatched hop implicitly carries a virtual-time lease. When a
-//! crash fault kills the executing agent (or the TFC, or the portal on the
-//! direct path), the runner — acting as supervisor — waits out the lease,
+//! Every dispatched hop implicitly carries a virtual-time lease
+//! ([`LEASE_US`]). When a crash fault kills the executing agent (or the
+//! TFC, or the portal on the direct path), the scheduler — acting as
+//! supervisor, at most [`MAX_TAKEOVERS`] times per hop — waits out the lease,
 //! restarts the portals (journal replay), re-fetches the hop's input
 //! documents from the pool (*document-anchored recovery*: the pool copy,
 //! not the dead agent's memory, is the truth) and re-dispatches the hop to
@@ -37,30 +37,21 @@ use crate::portal::CloudSystem;
 use dra4wfms_core::flow::merge_documents;
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry, Tracer};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Scripted participant behaviour: given the opened activity (with its
 /// visible fields), produce the response fields.
 pub type Responder = dyn Fn(&ReceivedActivity) -> Vec<(String, String)> + Sync;
 
-/// Crash-takeover tuning of the runner's supervisor role.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SupervisorPolicy {
-    /// Virtual-time lease granted to each dispatched hop; on a crash the
-    /// supervisor charges this much waiting for the lease to expire before
-    /// taking the hop over.
-    pub lease_us: u64,
-    /// How many takeovers the supervisor will perform per hop before
-    /// giving up and surfacing the crash.
-    pub max_takeovers: usize,
-}
+/// Virtual-time lease granted to each dispatched hop; on a crash the
+/// supervisor charges this much waiting for the lease to expire before
+/// taking the hop over.
+pub const LEASE_US: u64 = 20_000;
 
-impl Default for SupervisorPolicy {
-    fn default() -> SupervisorPolicy {
-        SupervisorPolicy { lease_us: 20_000, max_takeovers: 4 }
-    }
-}
+/// How many takeovers the supervisor will perform per hop before giving up
+/// and surfacing the crash.
+pub const MAX_TAKEOVERS: usize = 4;
 
 /// The result of driving one process instance to completion.
 #[derive(Debug)]
@@ -95,7 +86,6 @@ pub struct InstanceRun<'a> {
     pub(crate) respond: Option<&'a Responder>,
     pub(crate) max_steps: usize,
     pub(crate) delivery: Option<&'a Delivery>,
-    pub(crate) supervisor: SupervisorPolicy,
     pub(crate) tracer: Tracer,
     pub(crate) metrics: Option<&'a MetricsRegistry>,
     pub(crate) monitor: Option<Arc<HealthMonitor>>,
@@ -113,7 +103,6 @@ impl<'a> InstanceRun<'a> {
             respond: None,
             max_steps: 1_000,
             delivery: None,
-            supervisor: SupervisorPolicy::default(),
             tracer: Tracer::disabled(),
             metrics: None,
             monitor: None,
@@ -153,12 +142,6 @@ impl<'a> InstanceRun<'a> {
         self
     }
 
-    /// Tune the crash-takeover supervisor (lease length, takeover budget).
-    pub fn supervisor(mut self, policy: SupervisorPolicy) -> InstanceRun<'a> {
-        self.supervisor = policy;
-        self
-    }
-
     /// Record a structured trace of the run: one `hop` span per dispatch
     /// attempt (outcome `crash` when the supervisor takes the hop over)
     /// plus an `execute` span around each scripted response. The same
@@ -190,7 +173,7 @@ impl<'a> InstanceRun<'a> {
     }
 
     /// Export end-of-run counters into `metrics`: `run.steps`, the
-    /// `delivery.*` family, the portal / trust-cache / journal family via
+    /// `delivery.*` family, the portal / journal / pool family via
     /// [`CloudSystem::export_metrics`], `tfc.redo_reuses` (advanced model)
     /// and a `hop.duration_us` histogram in virtual time.
     pub fn metrics(mut self, metrics: &'a MetricsRegistry) -> InstanceRun<'a> {
@@ -214,12 +197,10 @@ impl<'a> InstanceRun<'a> {
 
     /// Drive the instance to completion.
     ///
-    /// Since the event-driven core landed this is a thin facade over
-    /// [`crate::sched::Scheduler`]: the instance is admitted (which stores
-    /// the initial document and emits the boot activation), and the
-    /// deployment's activation bus is drained to completion. Same builder
-    /// API, byte-identical outcomes — the parity suite pins
-    /// [`InstanceRun::run_legacy`] against this path.
+    /// A thin facade over [`crate::sched::Scheduler`]: the instance is
+    /// admitted (which stores the initial document and emits the boot
+    /// activation), and the deployment's activation bus is drained to
+    /// completion.
     pub fn run(self) -> WfResult<RunOutcome> {
         let system = self.system;
         let mut sched = crate::sched::Scheduler::new(system);
@@ -228,212 +209,6 @@ impl<'a> InstanceRun<'a> {
         results.into_iter().find_map(|(p, r)| (p == pid).then_some(r)).unwrap_or_else(|| {
             Err(WfError::Flow(format!("scheduler lost track of instance '{pid}'")))
         })
-    }
-
-    /// The original single-instance driver loop, frozen as the reference
-    /// implementation for the scheduler parity suite: an in-memory
-    /// queue/inbox walk that single-steps exactly one instance. Byte-for-
-    /// byte equivalent to [`InstanceRun::run`] on pool contents and
-    /// `run.*`/`portal.*` metrics — only the `sched.*` dispatch accounting
-    /// differs (this path never pops the bus; it drains its own wake-ups
-    /// at the end instead).
-    pub fn run_legacy(self) -> WfResult<RunOutcome> {
-        let system = self.system;
-        let initial = self.initial;
-        let agents =
-            self.agents.ok_or_else(|| WfError::Config("InstanceRun needs .agents(..)".into()))?;
-        let respond =
-            self.respond.ok_or_else(|| WfError::Config("InstanceRun needs .respond(..)".into()))?;
-
-        // structurally valid by construction (see `EffectiveDefinition`)
-        let definition = dra4wfms_core::amendment::effective_definition(initial)?;
-        let def = &definition.def;
-        let pid = initial.process_id()?;
-        if def.tfc.is_some() && self.tfc.is_none() {
-            return Err(WfError::Policy(
-                "definition uses the advanced model but no TFC server was provided".into(),
-            ));
-        }
-        if let Some(mon) = &self.monitor {
-            self.tracer.add_sink(Arc::clone(mon) as Arc<dyn dra_obs::TraceSink>);
-            mon.instance_started(&pid, self.slo_us, self.tracer.now_us());
-        }
-
-        // the initial document enters the pool; the start activity is
-        // notified
-        let sealed_initial = SealedDocument::new(initial.clone());
-        self.store(
-            system.portal_for(&pid, 0),
-            &sealed_initial,
-            &Route { targets: vec![def.start.clone()], ends: false },
-        )?;
-
-        // inbox: per-activity branch documents awaiting execution/merge.
-        // Hops hand off the sealed form — bytes plus trust mark — so a
-        // single-branch arrival is verified incrementally instead of
-        // re-parsed from XML.
-        let mut inbox: HashMap<String, Vec<SealedDocument>> = HashMap::new();
-        inbox.entry(def.start.clone()).or_default().push(sealed_initial.clone());
-        let mut queue: VecDeque<String> = VecDeque::from([def.start.clone()]);
-
-        let mut steps = 0usize;
-        let mut signature_checks = 0usize;
-        let mut last_doc = sealed_initial;
-        let mut leases_expired = 0u64;
-        let mut crashes_supervised = 0u64;
-        let mut early_takeovers = 0u64;
-        let replays_at_start = system.journal_replays();
-
-        while let Some(activity) = queue.pop_front() {
-            let Some(arrived) = inbox.remove(&activity) else { continue };
-            if steps >= self.max_steps {
-                return Err(WfError::Flow(format!(
-                    "run exceeded {} steps (runaway loop?)",
-                    self.max_steps
-                )));
-            }
-
-            let mut inputs = arrived;
-            let mut merged = Self::merge_inputs(&inputs)?;
-
-            // re-fold amendments: a designer may have amended the definition
-            // mid-run, and routing must follow the rules now in force
-            let definition_now = dra4wfms_core::amendment::effective_definition(&merged)?;
-            let def_now = &definition_now.def;
-            let act = def_now.activity(&activity)?.clone();
-            let aea = agents
-                .get(&act.participant)
-                .ok_or_else(|| WfError::UnknownIdentity(act.participant.clone()))?;
-
-            // AND-join: wait for the remaining branches
-            if act.join == JoinKind::All && !join_ready(&merged, def_now, &activity)? {
-                inbox.entry(activity.clone()).or_default().push(merged);
-                continue;
-            }
-
-            // dispatch the hop under a virtual-time lease; a crash fault
-            // surfaces here as WfError::Crash, and the supervisor takes the
-            // hop over instead of failing the run
-            let use_tfc = def_now.tfc.is_some();
-            let mut takeovers_left = self.supervisor.max_takeovers;
-            let (document, route, hop_checks, _hop_iter) = loop {
-                let hop_start = self.tracer.now_us();
-                let mut hop_span =
-                    self.tracer.span(stage::HOP).actor(&act.participant).process(&pid);
-                let portal = system.portal_for(&pid, steps + 1);
-                match self.execute_hop(aea, &activity, &merged, respond, use_tfc, portal) {
-                    Ok(done) => {
-                        hop_span.set_activity(&activity, done.3);
-                        hop_span.attr("signature_checks", done.2);
-                        hop_span.end();
-                        if let Some(m) = self.metrics {
-                            m.observe(
-                                "hop.duration_us",
-                                self.tracer.now_us().saturating_sub(hop_start),
-                            );
-                        }
-                        break done;
-                    }
-                    Err(WfError::Crash(site)) if takeovers_left > 0 => {
-                        hop_span.set_activity(&activity, 0);
-                        hop_span.attr("site", &site);
-                        hop_span.end_with(dra_obs::OUTCOME_CRASH);
-                        takeovers_left -= 1;
-                        leases_expired += 1;
-                        crashes_supervised += 1;
-                        // the dead agent's lease runs out in virtual time —
-                        // unless a monitor is watching, in which case the
-                        // supervisor moves the moment the instance is
-                        // *observed* stuck (observability driving
-                        // robustness: act earlier, never differently)
-                        let wait_us = match &self.monitor {
-                            Some(mon) => {
-                                let until_stuck = mon.time_until_stuck(&pid, self.tracer.now_us());
-                                until_stuck.min(self.supervisor.lease_us)
-                            }
-                            None => self.supervisor.lease_us,
-                        };
-                        system.network.advance(wait_us);
-                        if let Some(mon) = &self.monitor {
-                            mon.tick(self.tracer.now_us());
-                            if wait_us < self.supervisor.lease_us {
-                                early_takeovers += 1;
-                            }
-                        }
-                        // ... crashed portals restart (journal replay
-                        // completes any half-done admission) ...
-                        system.recover_portals();
-                        // ... and the hop is re-anchored on the documents in
-                        // the pool, not the dead agent's memory
-                        inputs = self.refetch(&pid, inputs);
-                        merged = Self::merge_inputs(&inputs)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            steps += 1;
-            signature_checks += hop_checks;
-            system.consume_todo(&act.participant, &pid, &activity);
-
-            for target in &route.targets {
-                inbox.entry(target.clone()).or_default().push(document.clone());
-                if !queue.contains(target) {
-                    queue.push_back(target.clone());
-                }
-            }
-            last_doc = document;
-        }
-
-        // late reordered copies are ingested before stats are read, so the
-        // same seed + profile always reports the same numbers
-        let mut delivery = self.delivery.map(|d| {
-            d.flush(system);
-            d.stats()
-        });
-        // this path never pops the bus — drop the wake-ups the admissions
-        // emitted so they cannot leak into a later scheduler on the same
-        // deployment (and so `sched.bus_depth` reads honestly at export)
-        system.activation_bus().drain_process(&pid);
-        // fold in crash/recovery accounting: the delivery layer counted the
-        // crashes it absorbed on its own paths, the supervisor counted the
-        // ones that reached the takeover loop — disjoint events
-        let replays = system.journal_replays() - replays_at_start;
-        if delivery.is_none() && (crashes_supervised > 0 || replays > 0) {
-            delivery = Some(DeliveryStats::default());
-        }
-        if let Some(stats) = delivery.as_mut() {
-            stats.crashes_injected += crashes_supervised;
-            stats.leases_expired = leases_expired;
-            stats.journal_replays = replays;
-        }
-
-        if let Some(mon) = &self.monitor {
-            mon.instance_finished(&pid, self.tracer.now_us());
-        }
-
-        if let Some(m) = self.metrics {
-            if let Some(stats) = delivery.as_ref() {
-                stats.export_metrics(m);
-            }
-            system.export_metrics(m);
-            // additive, not overwriting: bench cells run many instances
-            // against one shared registry (and one shared monitor), and the
-            // alert-accounting invariants compare *cumulative* alert counts
-            // against these — so they must accumulate too
-            m.incr("run.steps", steps as u64);
-            m.incr("run.signature_checks", signature_checks as u64);
-            m.incr("run.takeovers", crashes_supervised);
-            m.incr("run.timeouts", leases_expired);
-            m.incr("run.early_takeovers", early_takeovers);
-            if let Some(tfc) = self.tfc {
-                m.set_counter("tfc.redo_reuses", tfc.redo_reuses());
-            }
-            if let Some(mon) = &self.monitor {
-                mon.export_metrics(m);
-            }
-        }
-
-        Ok(RunOutcome { document: last_doc, steps, process_id: pid, signature_checks, delivery })
     }
 
     /// Merge branch documents: a single arrival keeps its seal and trust
@@ -503,11 +278,12 @@ impl<'a> InstanceRun<'a> {
     }
 
     /// Document-anchored recovery: swap each input for the copy the pool
-    /// holds for these exact bytes (found via the wire-digest row), with
-    /// the deployment's trust mark re-attached. An input the pool has no
-    /// completed admission for is kept as-is — the runner stored every
-    /// input before dispatching the hop, so this only happens when replay
-    /// has not repaired a torn admission yet.
+    /// holds for these exact bytes (found via the wire-digest row), carrying
+    /// over the input's own trust mark — the bytes are the ones it pins, and
+    /// an input without a mark gets the full signature pass. An input the
+    /// pool has no completed admission for is kept as-is — the runner stored
+    /// every input before dispatching the hop, so this only happens when
+    /// replay has not repaired a torn admission yet.
     pub(crate) fn refetch(&self, pid: &str, inputs: Vec<SealedDocument>) -> Vec<SealedDocument> {
         inputs
             .into_iter()
@@ -521,9 +297,8 @@ impl<'a> InstanceRun<'a> {
                 let Ok(mut fresh) = SealedDocument::from_wire(&xml) else {
                     return sealed;
                 };
-                if let Some(mark) = self.system.trust_cache.get(&dra_crypto::sha256(xml.as_bytes()))
-                {
-                    fresh.set_trust(mark);
+                if let Some(mark) = sealed.trust() {
+                    fresh.set_trust(mark.clone());
                 }
                 fresh
             })
@@ -626,7 +401,7 @@ mod tests {
         let report = Verifier::new(&dir).run(&out.document).unwrap().report;
         assert_eq!(report.signatures_verified, 10, "designer + 9 CERs");
         // and the pool has every intermediate version
-        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/fig9a-run/")), 10);
+        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/fig9a-run/")), 10);
     }
 
     #[test]
@@ -740,46 +515,56 @@ mod tests {
 
     #[test]
     fn aea_crash_recovered_by_lease_takeover() {
-        let creds = people();
-        let dir = Directory::from_credentials(&creds);
-        let plan = crate::crash::CrashPlan::once(crate::crash::CrashPoint::AeaBeforeSign, 3);
-        let network = Arc::new(NetworkSim::lan());
-        let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
-            .with_crash_plan(Arc::clone(&plan));
-        let initial = DraDocument::new_initial_with_pid(
-            &fig9a(),
-            &SecurityPolicy::public(),
-            &creds[0],
-            "crash-run",
-        )
-        .unwrap();
-        // every AEA shares the crash schedule; exactly one dies, once
-        let ags: HashMap<String, Arc<Aea>> = creds
-            .iter()
-            .map(|c| {
-                let aea = Aea::new(c.clone(), dir.clone()).with_crash_hook(plan.hook());
-                (c.name.clone(), Arc::new(aea))
-            })
-            .collect();
-        let responder = fig9a_responder();
-        let t0 = network.virtual_time_us();
-        let out = InstanceRun::new(&sys, &initial)
-            .agents(&ags)
-            .respond(&responder)
-            .max_steps(100)
-            .run()
+        // nth 3 kills a mid-run hop whose input carries its sender's mark;
+        // nth 1 kills the first hop, whose input — the initial document —
+        // carries none, so the taken-over hop does the full signature pass
+        // from the pool's bytes
+        for nth in [3, 1] {
+            let creds = people();
+            let dir = Directory::from_credentials(&creds);
+            let plan = crate::crash::CrashPlan::once(crate::crash::CrashPoint::AeaBeforeSign, nth);
+            let network = Arc::new(NetworkSim::lan());
+            let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
+                .with_crash_plan(Arc::clone(&plan));
+            let initial = DraDocument::new_initial_with_pid(
+                &fig9a(),
+                &SecurityPolicy::public(),
+                &creds[0],
+                "crash-run",
+            )
             .unwrap();
-        assert_eq!(out.steps, 9, "the run completes despite the crash");
-        let stats = out.delivery.expect("crash accounting surfaces stats");
-        assert_eq!(stats.crashes_injected, 1);
-        assert_eq!(stats.leases_expired, 1);
-        assert!(
-            network.virtual_time_us() - t0 >= SupervisorPolicy::default().lease_us,
-            "the takeover waited out the lease"
-        );
-        // no version lost, none duplicated
-        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/crash-run/")), 10);
-        Verifier::new(&dir).run(&out.document).unwrap();
+            // every AEA shares the crash schedule; exactly one dies, once
+            let ags: HashMap<String, Arc<Aea>> = creds
+                .iter()
+                .map(|c| {
+                    let aea = Aea::new(c.clone(), dir.clone()).with_crash_hook(plan.hook());
+                    (c.name.clone(), Arc::new(aea))
+                })
+                .collect();
+            let responder = fig9a_responder();
+            let t0 = network.virtual_time_us();
+            let out = InstanceRun::new(&sys, &initial)
+                .agents(&ags)
+                .respond(&responder)
+                .max_steps(100)
+                .run()
+                .unwrap();
+            assert_eq!(out.steps, 9, "nth {nth}: the run completes despite the crash");
+            assert_eq!(
+                out.signature_checks, 19,
+                "nth {nth}: the taken-over hop verifies what a crash-free hop does"
+            );
+            let stats = out.delivery.expect("crash accounting surfaces stats");
+            assert_eq!(stats.crashes_injected, 1);
+            assert_eq!(stats.leases_expired, 1);
+            assert!(
+                network.virtual_time_us() - t0 >= LEASE_US,
+                "nth {nth}: the takeover waited out the lease"
+            );
+            // no version lost, none duplicated
+            assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/crash-run/")), 10);
+            Verifier::new(&dir).run(&out.document).unwrap();
+        }
     }
 
     #[test]
@@ -815,7 +600,7 @@ mod tests {
         assert_eq!(stats.sends, 10, "initial + 9 stores");
         assert!(stats.attempts >= stats.sends);
         // the pool holds exactly the 10 versions despite duplicated copies
-        assert_eq!(sys.pool.query_count(&Scan::prefix("doc/faulty-run/")), 10);
+        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/faulty-run/")), 10);
         // the final document still verifies end to end
         Verifier::new(&dir).run(&out.document).unwrap();
     }

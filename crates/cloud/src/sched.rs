@@ -1,20 +1,19 @@
 //! Event-driven execution core: portal notifications drive the run loop.
 //!
 //! The paper's Fig. 7 scalability story is portals + the sharded pool
-//! absorbing load a centralized engine cannot — yet the original
-//! [`InstanceRun::run`] *was* a centralized engine: one in-memory queue
-//! single-stepping one instance. This module inverts that control flow:
+//! absorbing load a centralized engine cannot, so no in-memory queue
+//! single-steps an instance here. Control flows from the pool outward:
 //!
-//! * every TO-DO row a portal writes ([`CloudSystem::admit`]) also emits a
-//!   typed [`Activation`] onto the deployment's [`ActivationBus`] — the
+//! * every TO-DO row a portal admission writes also emits a typed
+//!   [`Activation`] onto the deployment's [`ActivationBus`] — the
 //!   paper's "the DRA4WfMS cloud system can inform the subsequent
 //!   participant(s)" made operational instead of inert index rows;
 //! * a [`Scheduler`] drains activations in deterministic virtual-time
 //!   order, performs join-readiness and amendment re-folding, and
-//!   dispatches hops to AEAs under the same lease-based crash supervision
-//!   the per-instance loop used — so `notify` fires the next participant at
-//!   O(1) with zero idle polling, and any number of instances interleave
-//!   naturally over shared portals, delivery, leases and the monitor.
+//!   dispatches hops to AEAs under lease-based crash supervision — so
+//!   `notify` fires the next participant at O(1) with zero idle polling,
+//!   and any number of instances interleave naturally over shared portals,
+//!   delivery, leases and the monitor.
 //!
 //! ## Determinism
 //!
@@ -24,8 +23,7 @@
 //! pool and trace, fleet or single instance alike. Duplicate activations
 //! (a retransmitted copy re-notifying, journal replay re-emitting a
 //! repaired admission's TO-DO rows) are harmless by construction: they pop,
-//! find the inbox already drained, and are counted as `sched.skipped` —
-//! the same idempotency the legacy queue got from its membership check.
+//! find the inbox already drained, and are counted as `sched.skipped`.
 //!
 //! ## Fairness
 //!
@@ -37,7 +35,7 @@
 
 use crate::delivery::DeliveryStats;
 use crate::portal::CloudSystem;
-use crate::runner::{InstanceRun, RunOutcome};
+use crate::runner::{InstanceRun, RunOutcome, LEASE_US, MAX_TAKEOVERS};
 use dra4wfms_core::flow::join_ready;
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry};
@@ -160,8 +158,7 @@ impl ActivationBus {
 pub struct SchedStats {
     /// Activations that dispatched a hop.
     pub dispatched: u64,
-    /// Activations that found nothing to do (duplicate notifications; the
-    /// legacy queue's membership-dedup, observable).
+    /// Activations that found nothing to do (duplicate notifications).
     pub skipped: u64,
     /// Activations parked on an AND-join awaiting sibling branches.
     pub deferred: u64,
@@ -182,7 +179,7 @@ pub struct SchedStats {
 }
 
 /// Per-admitted-instance execution state: the builder's configuration plus
-/// the inbox/progress the legacy loop kept on its stack.
+/// the instance's inbox and progress.
 struct Instance<'a> {
     run: InstanceRun<'a>,
     agents: &'a HashMap<String, Arc<Aea>>,
@@ -234,10 +231,10 @@ impl<'a> Scheduler<'a> {
         self.stats
     }
 
-    /// Admit one configured instance: validate exactly as the legacy loop
-    /// did, hook up the monitor, store the initial document (which notifies
-    /// the start activity's participant — the activation that boots the
-    /// instance), and register the inbox. Returns the process id.
+    /// Admit one configured instance: validate the configuration and the
+    /// definition, hook up the monitor, store the initial document (which
+    /// notifies the start activity's participant — the activation that
+    /// boots the instance), and register the inbox. Returns the process id.
     pub fn admit_instance(&mut self, run: InstanceRun<'a>) -> WfResult<String> {
         if !std::ptr::eq(run.system, self.system) {
             return Err(WfError::Config(
@@ -315,8 +312,8 @@ impl<'a> Scheduler<'a> {
 
     /// Drain the bus to empty, then finalize every admitted instance in
     /// admission order: flush delivery, fold crash/recovery accounting,
-    /// export metrics (identically to the legacy loop, plus the `sched.*`
-    /// family) and build each [`RunOutcome`].
+    /// export metrics (the `run.*` family per instance, the `sched.*`
+    /// family once per registry) and build each [`RunOutcome`].
     pub fn run_to_completion(&mut self) -> Vec<(String, WfResult<RunOutcome>)> {
         let bus = self.system.activation_bus();
         loop {
@@ -477,7 +474,7 @@ impl<'a> Scheduler<'a> {
 
 /// Process one activation against its instance: skip duplicates, defer
 /// not-ready joins, otherwise dispatch the hop under lease-based crash
-/// supervision — the body the legacy loop ran per queue entry, lifted out.
+/// supervision.
 fn dispatch_one<'a>(
     system: &'a CloudSystem,
     inst: &mut Instance<'a>,
@@ -550,14 +547,14 @@ fn dispatch_one<'a>(
     // dispatch the hop under a virtual-time lease; a crash fault surfaces
     // as WfError::Crash and the supervisor takes the hop over. The
     // sched:dispatch span deliberately carries the process id as an
-    // attribute, not as span coordinates — the monitor must keep seeing
-    // exactly the spans the legacy loop produced, no more.
+    // attribute, not as span coordinates — the monitor reads every
+    // process-scoped span as progress, and a dispatch is not progress.
     let mut dspan = inst.run.tracer.span(stage::SCHED_DISPATCH).actor(&act_def.participant);
     dspan.attr("process", &inst.pid);
     dspan.attr("activity", &act.activity);
     dspan.attr("seq", act.seq);
     let use_tfc = def_now.tfc.is_some();
-    let mut takeovers_left = inst.run.supervisor.max_takeovers;
+    let mut takeovers_left = MAX_TAKEOVERS;
     let (document, route, hop_checks, _hop_iter) = loop {
         let hop_start = inst.run.tracer.now_us();
         let mut hop_span =
@@ -593,14 +590,14 @@ fn dispatch_one<'a>(
                 let wait_us = match &inst.run.monitor {
                     Some(mon) => {
                         let until_stuck = mon.time_until_stuck(&inst.pid, inst.run.tracer.now_us());
-                        until_stuck.min(inst.run.supervisor.lease_us)
+                        until_stuck.min(LEASE_US)
                     }
-                    None => inst.run.supervisor.lease_us,
+                    None => LEASE_US,
                 };
                 system.network.advance(wait_us);
                 if let Some(mon) = &inst.run.monitor {
                     mon.tick(inst.run.tracer.now_us());
-                    if wait_us < inst.run.supervisor.lease_us {
+                    if wait_us < LEASE_US {
                         inst.early_takeovers += 1;
                     }
                 }

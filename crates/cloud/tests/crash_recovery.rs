@@ -46,7 +46,7 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
     // the doomed agent executes the hop and signs; its send goes into the
     // network but the agent dies before seeing an ack — we hold the copy
     let doomed = Aea::new(creds[1].clone(), dir.clone());
-    let input = sys.retrieve_latest_sealed(0, "race-1").unwrap().unwrap();
+    let input = SealedDocument::from_wire(&sys.retrieve_latest(0, "race-1").unwrap()).unwrap();
     let received = doomed.receive(input, "submit").unwrap();
     let responses = vec![("amount".to_string(), "100".to_string())];
     let in_flight = doomed.complete(&received, &responses).unwrap();
@@ -56,7 +56,7 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
     // the pool's latest document — deterministic signing makes the result
     // byte-identical to what the dead agent produced
     let recovered = Aea::new(creds[1].clone(), dir.clone());
-    let input = sys.retrieve_latest_sealed(1, "race-1").unwrap().unwrap();
+    let input = SealedDocument::from_wire(&sys.retrieve_latest(1, "race-1").unwrap()).unwrap();
     let received = recovered.receive(input, "submit").unwrap();
     let takeover = recovered.complete(&received, &responses).unwrap();
     assert_eq!(
@@ -77,7 +77,7 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
     assert!(late.duplicate, "delayed copy recognised by wire digest");
     assert_eq!(late.seq, ack.seq);
     assert_eq!(
-        sys.pool.query_count(&Scan::prefix("doc/race-1/")),
+        sys.active_pool().query_count(&Scan::prefix("doc/race-1/")),
         2,
         "initial + one CER, no phantom"
     );
@@ -117,7 +117,7 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
     // first execution reaches the TFC, which timestamps and finalizes —
     // then the result is lost with the crashing sender
     let alice = Aea::new(creds[1].clone(), dir.clone());
-    let input = sys.retrieve_latest_sealed(0, "race-2").unwrap().unwrap();
+    let input = SealedDocument::from_wire(&sys.retrieve_latest(0, "race-2").unwrap()).unwrap();
     let received = alice.receive(input, "submit").unwrap();
     let responses = vec![("amount".to_string(), "7".to_string())];
     let inter1 = alice.complete_via_tfc(&received, &responses).unwrap();
@@ -129,7 +129,7 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
     // the TFC-bound intermediate byte-identical, so the redo log replays
     // the recorded result instead of double-timestamping
     let recovered = Aea::new(creds[1].clone(), dir.clone());
-    let input = sys.retrieve_latest_sealed(1, "race-2").unwrap().unwrap();
+    let input = SealedDocument::from_wire(&sys.retrieve_latest(1, "race-2").unwrap()).unwrap();
     let received = recovered.receive(input, "submit").unwrap();
     let inter2 = recovered.complete_via_tfc(&received, &responses).unwrap();
     assert_eq!(
@@ -159,5 +159,5 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
         .ingest_wire(1, &final1.document.wire(), &final1.route, final1.document.trust())
         .unwrap();
     assert!(late.duplicate);
-    assert_eq!(sys.pool.query_count(&Scan::prefix("doc/race-2/")), 2);
+    assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/race-2/")), 2);
 }

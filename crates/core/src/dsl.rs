@@ -1,7 +1,7 @@
 //! A compact textual process-definition language.
 //!
 //! The paper builds on the WfMC's XML Process Definition Language (XPDL
-//! [20]); authoring raw XML by hand is painful, so this module provides a
+//! \[20\]); authoring raw XML by hand is painful, so this module provides a
 //! human-writable DSL that compiles to [`WorkflowDefinition`]:
 //!
 //! ```text

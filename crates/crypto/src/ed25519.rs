@@ -315,7 +315,7 @@ fn recode_signed(s: &[u8; 32], c: usize) -> Vec<i32> {
     digits
 }
 
-/// Σ scalars[i]·points[i] via a signed-digit Pippenger bucket method: all
+/// Σ `scalars[i]·points[i]` via a signed-digit Pippenger bucket method: all
 /// points share one run of doublings per window, so the per-point cost is a
 /// handful of additions instead of a full double-and-add ladder. This is
 /// what makes batch signature verification cheaper than checking each

@@ -7,7 +7,7 @@
 //! * [`hmac`] — HMAC (RFC 2104) over SHA-256
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439)
 //! * [`ed25519`] — Ed25519 digital signatures (RFC 8032)
-//! * [`x25519`] — X25519 Diffie–Hellman (RFC 7748)
+//! * [`mod@x25519`] — X25519 Diffie–Hellman (RFC 7748)
 //! * [`sealed`] — hybrid public-key encryption ("sealed boxes") and
 //!   symmetric authenticated encryption ("secret boxes") built from
 //!   X25519 + ChaCha20 + HMAC-SHA256 (encrypt-then-MAC)

@@ -44,7 +44,7 @@ impl DistributedWfms {
     }
 
     /// Start a process on the least-loaded engine (the paper's load
-    /// balancing [14]); returns (pid, engine index).
+    /// balancing \[14\]); returns (pid, engine index).
     pub fn start_process(&self, def: &WorkflowDefinition) -> Result<(u64, usize), EngineError> {
         let idx = self.least_loaded();
         let pid = self.engines[idx].start_process(def)?;

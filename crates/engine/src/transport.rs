@@ -2,7 +2,7 @@
 //!
 //! The paper concedes that eavesdropping and in-flight alteration "can
 //! easily be solved by applying common methods used to secure electronic
-//! transactions with secure sockets, such as the SSL protocol — [but] such
+//! transactions with secure sockets, such as the SSL protocol — \[but\] such
 //! methods still cannot guarantee the nonrepudiation requirement" (§1).
 //!
 //! This module makes that argument concrete: a channel established with an

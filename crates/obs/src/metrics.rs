@@ -5,7 +5,7 @@
 //! counters, trust-cache hit/miss, TFC redo reuses, journal replay counts —
 //! each with its own struct and its own accessor. The
 //! [`MetricsRegistry`] absorbs them all under stable dotted names
-//! (`delivery.sends`, `portal.stored`, `trust_cache.hits`, …), and a
+//! (`delivery.sends`, `portal.stored`, `journal.records`, …), and a
 //! [`MetricsSnapshot`] renders them as one `BTreeMap`-ordered, byte-
 //! deterministic JSON document.
 

@@ -90,7 +90,7 @@ fn main() -> WfResult<()> {
     .expect("scope");
     let wall = started.elapsed();
 
-    let pool_stats = system.pool.stats();
+    let pool_stats = system.active_pool().stats();
     println!(
         "completed {} instances ({} activity executions) in {:.2?} — {:.1} exec/s",
         instances,

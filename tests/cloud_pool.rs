@@ -79,7 +79,7 @@ fn concurrent_instances_share_the_pool() {
         let pid = format!("t-{i:03}");
         let status = sys.process_status(&pid).unwrap().unwrap();
         assert_eq!(status.steps(), 2, "{pid}");
-        assert_eq!(sys.pool.query_count(&Scan::prefix(&format!("doc/{pid}/"))), 3);
+        assert_eq!(sys.active_pool().query_count(&Scan::prefix(&format!("doc/{pid}/"))), 3);
         // the stored final document verifies
         let xml = sys.retrieve_latest(0, &pid).unwrap();
         Verifier::new(&dir).run(&DraDocument::parse(&xml).unwrap()).unwrap();
@@ -128,7 +128,7 @@ fn pool_survives_region_splits_under_document_load() {
                 .unwrap();
         sys.store_document(0, &initial.to_xml_string(), &Route::default()).unwrap();
     }
-    let stats = sys.pool.stats();
+    let stats = sys.active_pool().stats();
     assert!(stats.regions > 1, "split under load: {stats:?}");
     assert_eq!(stats.rows, 3 * 700, "doc row + meta row + seen (dedup) row per instance");
     // random access still works post-split

@@ -5,7 +5,9 @@
 //! * a **healthy** federated deployment replicates every admission to
 //!   every peer cloud and holds exactly the document rows a single-cloud
 //!   run holds (byte-identical pool digest);
-//! * a **cloud outage** is confirmed after the policy's touch count,
+//! * a federated **topology of one** cloud is indistinguishable from the
+//!   single-cloud deployment — pool, journals and counters alike;
+//! * a **cloud outage** is confirmed after the controller's touch count,
 //!   admissions fail over to the surviving cloud, every instance still
 //!   completes, and the surviving pool digest equals the healthy baseline;
 //! * a **tampered portal** is caught by the serve-side integrity probe,
@@ -174,6 +176,61 @@ fn healthy_federation_replicates_and_matches_single_cloud() {
     let journals = sys.journal_snapshots();
     assert_eq!(journals.len(), 2);
     assert!(journals.iter().all(|(_, bytes)| !bytes.is_empty()));
+}
+
+/// A federated topology of one cloud *is* the single-cloud deployment: the
+/// same pool digest, per-cloud digests, journal sizes and `run.*` /
+/// `portal.*` counters on Fig. 9A (basic) and Fig. 9B (through the TFC).
+/// Only the controller differs, and with one healthy cloud it never acts.
+#[test]
+fn topology_of_one_matches_single_cloud() {
+    let run_on = |federated: bool, advanced: bool| {
+        let (mut creds, _) = cast();
+        creds.push(Credentials::from_seed("TFC", "fed-TFC"));
+        let dir = Directory::from_credentials(&creds);
+        let network = Arc::new(NetworkSim::lan());
+        let sys = if federated {
+            let one = Topology::new().cloud("cloud0", 3);
+            CloudSystem::federated(dir.clone(), one, network).unwrap()
+        } else {
+            CloudSystem::new(dir.clone(), 3, network)
+        };
+        let mut def = fig9_def();
+        let mut pol = SecurityPolicy::public();
+        if advanced {
+            def.tfc = Some("TFC".into());
+            pol = pol.with_tfc_access("TFC", &def);
+        }
+        let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "one-0").unwrap();
+        let agents: HashMap<String, Arc<Aea>> = creds
+            .iter()
+            .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
+            .collect();
+        let tfc_creds = creds.last().expect("TFC pushed above").clone();
+        let tfc = TfcServer::with_clock(tfc_creds, dir.clone(), Arc::new(|| 1_000));
+        let metrics = MetricsRegistry::new();
+        let mut run = InstanceRun::new(&sys, &initial)
+            .agents(&agents)
+            .respond(&respond)
+            .max_steps(100)
+            .metrics(&metrics);
+        if advanced {
+            run = run.tfc(&tfc);
+        }
+        assert_eq!(run.run().unwrap().steps, 9);
+
+        assert_eq!(sys.federation_controller().is_some(), federated);
+        let mut counters = metrics.snapshot().counters;
+        counters.retain(|k, _| k.starts_with("run.") || k.starts_with("portal."));
+        let journal_sizes: Vec<(String, usize)> =
+            sys.journal_snapshots().into_iter().map(|(name, bytes)| (name, bytes.len())).collect();
+        (sys.pool_digest(), sys.cloud_digests(), journal_sizes, counters)
+    };
+    for advanced in [false, true] {
+        let one = run_on(true, advanced);
+        assert_eq!(one.1.len(), 1, "one cloud, one digest");
+        assert_eq!(one, run_on(false, advanced), "advanced={advanced}");
+    }
 }
 
 #[test]

@@ -312,10 +312,10 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
         Some(&metrics),
     );
 
-    let key = mid_version_key(&sys.pool, "view-1");
+    let key = mid_version_key(sys.active_pool(), "view-1");
     let honest_latest = sys.retrieve_latest(0, "view-1").expect("latest version serves");
-    let xml = sys.pool.get_str(&key, "doc", "xml").expect("target row holds xml");
-    sys.pool.put(&key, "doc", "xml", forge(&xml));
+    let xml = sys.active_pool().get_str(&key, "doc", "xml").expect("target row holds xml");
+    sys.active_pool().put(&key, "doc", "xml", forge(&xml));
 
     // the serve path reads only the latest version — it stays blind
     assert_eq!(sys.retrieve_latest(0, "view-1").unwrap(), honest_latest);

@@ -10,8 +10,7 @@
 use dra4wfms::cloud::monitor::AlertKind;
 use dra4wfms::cloud::{
     check_metric_invariants, tracer_for, CloudSystem, CrashPlan, CrashPoint, Delivery,
-    DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
-    SupervisorPolicy,
+    DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim, LEASE_US,
 };
 use dra4wfms::obs::MetricsRegistry;
 use dra4wfms::prelude::*;
@@ -129,8 +128,7 @@ fn stuck_hop_is_detected_and_taken_over_early() {
     // observation beat the lease: the takeover waited out only the
     // progress deadline, not the full lease
     let waited = s.network.virtual_time_us() - t0;
-    let lease = SupervisorPolicy::default().lease_us;
-    assert!(waited < lease, "advanced {waited} µs, a full lease is {lease} µs");
+    assert!(waited < LEASE_US, "advanced {waited} µs, a full lease is {LEASE_US} µs");
 
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("run.early_takeovers"), 1);

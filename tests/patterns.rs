@@ -3,7 +3,7 @@
 //! multi-instance activities with static and runtime cardinality,
 //! cancellation regions that withdraw queued work, and design-time
 //! soundness rejection at both admission gates (`Scheduler::admit_instance`
-//! and the portal store path used by the legacy runner).
+//! and the portal's own store path, `CloudSystem::store_document`).
 
 use dra4wfms::cloud::{check_metric_invariants, CloudSystem, InstanceRun, NetworkSim, Scheduler};
 use dra4wfms::obs::{MetricsRegistry, MetricsSnapshot};
@@ -326,16 +326,12 @@ fn unsound_definition_rejected_at_scheduler_admission() {
 
 #[test]
 fn unsound_definition_rejected_at_portal_store() {
-    // the legacy runner bypasses `admit_instance`, so the rejection must
-    // come from the portal's own store-time gate
+    // a document that reaches a portal without passing `admit_instance`
+    // (an upload, a hop's result) is rejected by the portal's own
+    // store-time gate, before any row is written
     let def = fuzz::canned_deadlock();
     let (creds, dir) = fuzz::cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::clone(&network));
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-        .collect();
+    let sys = CloudSystem::new(dir, 1, Arc::new(NetworkSim::lan()));
     let initial = DraDocument::new_initial_with_pid(
         &def,
         &SecurityPolicy::public(),
@@ -343,15 +339,11 @@ fn unsound_definition_rejected_at_portal_store() {
         "p-unsound-l",
     )
     .unwrap();
-    let respond = |r: &ReceivedActivity| vec![("x".to_string(), format!("v-{}", r.activity))];
-    let err = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(20)
-        .run_legacy()
-        .unwrap_err();
+    let route = Route { targets: vec![def.start.clone()], ends: false };
+    let err = sys.store_document(0, &initial.to_xml_string(), &route).unwrap_err();
     match err {
         WfError::Unsound(_) => {}
         other => panic!("expected WfError::Unsound, got {other}"),
     }
+    assert!(sys.retrieve_latest(0, "p-unsound-l").is_none(), "nothing was stored");
 }

@@ -1,11 +1,25 @@
-//! Scheduler-vs-legacy parity: the event-driven core ([`InstanceRun::run`],
-//! a facade over `cloud::sched::Scheduler`) must be byte-for-byte
-//! indistinguishable from the frozen per-instance loop
-//! ([`InstanceRun::run_legacy`]) — identical pool snapshot hashes and equal
-//! `run.*` / `portal.*` metrics — on Fig. 9A (basic) and Fig. 9B (advanced)
-//! under a lossless channel, hostile faults, and seeded crash-fault
-//! takeover. Only the `sched.*` dispatch accounting may differ: the legacy
-//! path never pops the bus.
+//! Scheduler parity: [`InstanceRun::run`] (a facade over
+//! `cloud::sched::Scheduler`) must stay byte-for-byte what the original
+//! per-instance driver loop produced before it was deleted — the pool
+//! snapshot hash, the `run.*` / `portal.*` counters and the step count of
+//! Fig. 9A (basic) and Fig. 9B (advanced) under a lossless channel,
+//! hostile faults, and seeded crash-fault takeover are frozen in
+//! `tests/golden/scheduler_parity.txt`, recorded from that loop. The
+//! `portal.verifications` / `portal.signature_checks` rows pin that every
+//! admission still runs the verifier and checks as many signatures.
+//!
+//! Two lines are not that loop's: `run.signature_checks` of the two crash
+//! cells (18 → 19 on Fig. 9A, 42 → 44 on Fig. 9B, the crash-free cells'
+//! values). The commit that deleted the loop also deleted the portal's
+//! in-memory trust cache, whose mark covered the sender's own CER; a
+//! taken-over hop now verifies under its input's own mark, exactly as the
+//! crashed attempt did.
+//!
+//! Regenerate (only after an intentional change of pool bytes or counters):
+//!
+//! ```text
+//! REGEN_GOLDEN=1 cargo test --test scheduler_parity
+//! ```
 
 use dra4wfms::cloud::{
     CloudSystem, CrashPlan, CrashPoint, Delivery, DeliveryPolicy, FaultProfile, InstanceRun,
@@ -13,14 +27,9 @@ use dra4wfms::cloud::{
 };
 use dra4wfms::obs::MetricsRegistry;
 use dra4wfms::prelude::*;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    Legacy,
-    Sched,
-}
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Scenario {
@@ -75,14 +84,21 @@ fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
     }
 }
 
-/// Drive one fresh deployment end to end through the chosen path and
-/// scenario; return the pool snapshot hash, the comparable metric families
-/// and the reported step count.
-fn run_once(
-    path: Path,
-    advanced: bool,
-    scenario: Scenario,
-) -> (String, BTreeMap<String, u64>, usize) {
+/// The six golden cells, in file order.
+const CELLS: [(&str, bool, Scenario); 6] = [
+    ("fig9a lossless", false, Scenario::Lossless),
+    ("fig9b lossless", true, Scenario::Lossless),
+    ("fig9a hostile", false, Scenario::HostileFaults),
+    ("fig9b hostile", true, Scenario::HostileFaults),
+    ("fig9a crash", false, Scenario::SeededCrash),
+    ("fig9b crash", true, Scenario::SeededCrash),
+];
+
+/// Drive one fresh deployment end to end through the scenario and render
+/// what the golden pins under the `## label` header: the pool snapshot
+/// hash, the reported step count and the `run.*` / `portal.*` counters,
+/// one `key = value` line each.
+fn run_cell(label: &str, advanced: bool, scenario: Scenario) -> String {
     let (creds, dir) = cast();
     let def = fig9_def(advanced);
     let pol = if advanced {
@@ -134,73 +150,95 @@ fn run_once(
     if let Some(d) = &delivery {
         run = run.network(d);
     }
-    let out = match path {
-        Path::Legacy => run.run_legacy(),
-        Path::Sched => run.run(),
-    }
-    .expect("the run completes on both paths");
+    let out = run.run().expect("the run completes");
+    assert_eq!(out.steps, 9, "{label}: fig9 takes its loop exactly once");
 
+    let counters = metrics.snapshot().counters;
+    assert!(counters["portal.notifications"] > 0, "{label}: notifications were actually published");
     let digest = dra4wfms::crypto::sha256(&sys.snapshot_pool());
-    let comparable: BTreeMap<String, u64> = metrics
-        .snapshot()
-        .counters
-        .into_iter()
-        .filter(|(k, _)| k.starts_with("run.") || k.starts_with("portal."))
-        .collect();
-    (dra4wfms::crypto::hex::encode(&digest), comparable, out.steps)
+    let mut cell = format!("{label}\n");
+    writeln!(cell, "pool_snapshot_sha256 = {}", dra4wfms::crypto::hex::encode(&digest)).unwrap();
+    writeln!(cell, "steps = {}", out.steps).unwrap();
+    for (key, value) in &counters {
+        if key.starts_with("run.") || key.starts_with("portal.") {
+            writeln!(cell, "{key} = {value}").unwrap();
+        }
+    }
+    cell
 }
 
-fn assert_parity(advanced: bool, scenario: Scenario, label: &str) {
-    let (legacy_hash, legacy_metrics, legacy_steps) = run_once(Path::Legacy, advanced, scenario);
-    let (sched_hash, sched_metrics, sched_steps) = run_once(Path::Sched, advanced, scenario);
-    assert_eq!(legacy_hash, sched_hash, "{label}: pool snapshot sha256 diverged");
-    assert_eq!(legacy_metrics, sched_metrics, "{label}: run.*/portal.* metrics diverged");
-    assert_eq!(legacy_steps, sched_steps, "{label}: step counts diverged");
-    assert_eq!(legacy_steps, 9, "{label}: fig9 takes its loop exactly once");
-    assert!(
-        legacy_metrics["portal.notifications"] > 0,
-        "{label}: notifications were actually published"
+/// The golden file, read once per test process — or, under
+/// `REGEN_GOLDEN`, rewritten once from all six cells before any test
+/// compares against it.
+fn golden() -> &'static str {
+    static GOLDEN: OnceLock<String> = OnceLock::new();
+    GOLDEN.get_or_init(|| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/scheduler_parity.txt");
+        if std::env::var_os("REGEN_GOLDEN").is_some() {
+            let rendered: String =
+                CELLS.iter().map(|(l, a, s)| format!("## {}", run_cell(l, *a, *s))).collect();
+            std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+            return rendered;
+        }
+        std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {path:?} (REGEN_GOLDEN=1 to create): {e}"))
+    })
+}
+
+fn assert_parity(label: &str) {
+    let (_, advanced, scenario) = *CELLS.iter().find(|c| c.0 == label).expect("a golden cell");
+    let pinned = golden()
+        .split("## ")
+        .find(|section| section.strip_prefix(label).is_some_and(|rest| rest.starts_with('\n')))
+        .unwrap_or_else(|| panic!("no '{label}' section in the golden (REGEN_GOLDEN=1)"));
+    assert_eq!(
+        run_cell(label, advanced, scenario),
+        pinned,
+        "{label}: pool bytes, run.*/portal.* counters or step count diverged from the golden \
+         recorded from the original driver loop; regenerate with REGEN_GOLDEN=1 only after an \
+         intentional change"
     );
 }
 
 #[test]
 fn fig9a_lossless_parity() {
-    assert_parity(false, Scenario::Lossless, "fig9a lossless");
+    assert_parity("fig9a lossless");
 }
 
 #[test]
 fn fig9b_lossless_parity() {
-    assert_parity(true, Scenario::Lossless, "fig9b lossless");
+    assert_parity("fig9b lossless");
 }
 
 #[test]
 fn fig9a_hostile_faults_parity() {
-    assert_parity(false, Scenario::HostileFaults, "fig9a hostile");
+    assert_parity("fig9a hostile");
 }
 
 #[test]
 fn fig9b_hostile_faults_parity() {
-    assert_parity(true, Scenario::HostileFaults, "fig9b hostile");
+    assert_parity("fig9b hostile");
 }
 
 #[test]
 fn fig9a_seeded_crash_parity() {
-    assert_parity(false, Scenario::SeededCrash, "fig9a crash");
+    assert_parity("fig9a crash");
 }
 
 #[test]
 fn fig9b_seeded_crash_parity() {
-    assert_parity(true, Scenario::SeededCrash, "fig9b crash");
+    assert_parity("fig9b crash");
 }
 
 /// A three-instance fleet driven concurrently by one scheduler stores, for
-/// every instance, exactly the document bytes the frozen legacy loop
-/// stores when driving the instances one by one — interleaving reorders
+/// every instance, exactly the document bytes that driving the instances
+/// one by one with [`InstanceRun::run`] stores — interleaving reorders
 /// pool *cell timestamps* (a global monotonic counter), never document
 /// content. And the concurrent fleet itself is byte-deterministic: two
 /// identical fleets produce identical pool snapshots, timestamps included.
 #[test]
-fn small_fleet_matches_sequential_legacy_runs() {
+fn small_fleet_matches_sequential_runs() {
     let run_fleet = |concurrent: bool| -> (String, Vec<String>) {
         let (creds, dir) = cast();
         let def = fig9_def(false);
@@ -242,7 +280,7 @@ fn small_fleet_matches_sequential_legacy_runs() {
                     .agents(&agents)
                     .respond(&respond)
                     .max_steps(100)
-                    .run_legacy()
+                    .run()
                     .unwrap();
                 assert_eq!(out.steps, 9);
             }

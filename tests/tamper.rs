@@ -243,10 +243,10 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
 }
 
 #[test]
-fn trust_cache_does_not_launder_tampered_bytes() {
-    // The portal's trust cache is keyed by the digest of the exact wire
-    // bytes — tampering changes the digest, so the cache cannot vouch for
-    // the rewritten document and the full pass exposes it.
+fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
+    // The portal's `seen/` row is keyed by the digest of the exact wire
+    // bytes — tampering changes the digest, so nothing vouches for the
+    // rewritten document and the full pass exposes it.
     let (def, dir, creds) = setup();
     let doc = run(&def, &dir, &creds);
     let xml = doc.to_xml_string();
@@ -257,7 +257,7 @@ fn trust_cache_does_not_launder_tampered_bytes() {
     );
     let route = Route { targets: vec![], ends: true };
 
-    // genuine store: full pass (designer + 2 CERs) primes the cache
+    // genuine store: full pass (designer + 2 CERs) writes the seen row
     sys.store_document(0, &xml, &route).unwrap();
     let stats = &sys.portals[0];
     let after_first = stats.signature_checks.load(std::sync::atomic::Ordering::Relaxed);
@@ -272,8 +272,8 @@ fn trust_cache_does_not_launder_tampered_bytes() {
         "identical bytes must not be re-verified"
     );
 
-    // tampered bytes: different digest, no dedup hit, no cache vouching —
-    // the full pass fails loudly
+    // tampered bytes: different digest, no dedup hit, no vouching — the
+    // full pass fails loudly
     let t = xml.replace(">100<", ">1000000<");
     assert_ne!(t, xml);
     assert!(sys.store_document(0, &t, &route).is_err());
