@@ -25,6 +25,12 @@ fn bench_crypto(c: &mut Criterion) {
         });
     }
 
+    // the two fixed-base paths: seed expansion + [a]B, and [k]B mapped to u
+    g.bench_function("ed25519_keypair_from_seed", |b| b.iter(|| Keypair::from_seed([1u8; 32])));
+    g.bench_function("x25519_public_key", |b| {
+        b.iter(|| X25519Secret::from_bytes([2u8; 32]).public_key())
+    });
+
     let kp = Keypair::from_seed([1u8; 32]);
     let msg = vec![0x42u8; 1024];
     g.bench_function("ed25519_sign_1k", |b| b.iter(|| kp.sign(&msg)));

@@ -224,6 +224,22 @@ pub(super) fn run() -> ClaimOutput {
     // weighs.
     let inc_hash_bytes = incremental_hash_bytes(CELLS[CELLS.len() - 1]);
     let cells: Vec<Row> = CELLS.iter().map(|&n| measure_cell(n, inc_hash_bytes[n - 1])).collect();
+    println!("  EC ops per signature over the seeded cells, sequential vs batched:");
+    // `verify_batch` checks a set too small to batch one signature at a
+    // time, so there the two columns are equal; wherever it does batch, the
+    // batch equation has to be the cheaper one
+    let mut batch_never_costs_more = true;
+    for cell in &cells {
+        let (sigs, seq, bat) = (cell.int("sigs"), cell.int("seq_ec_ops"), cell.int("batch_ec_ops"));
+        batch_never_costs_more &= bat <= seq;
+        println!(
+            "    {:>2} signatures: {:>6.1} vs {:>6.1}{}",
+            sigs,
+            seq as f64 / sigs as f64,
+            bat as f64 / sigs as f64,
+            if bat == seq { "  (below the crossover: checked one by one)" } else { "" }
+        );
+    }
     let (inc8, inc64) = (inc_hash_bytes[7], inc_hash_bytes[63]);
     println!(
         "  incremental verify hashes {inc8} B at n=8, {inc64} B at n=64 — {} B per pinned CER",
@@ -234,6 +250,7 @@ pub(super) fn run() -> ClaimOutput {
     metrics.incr("scaling.sweep_rows", records.len() as u64);
     metrics.incr("scaling.counter_cells", cells.len() as u64);
     out.invariants("run", &metrics);
+    out.verdict("batched never does more group operations than sequential", batch_never_costs_more);
 
     let slope_ratio = late_slope / early_slope;
     let pass = a64 / a8 > 3.0

@@ -512,13 +512,14 @@ fn run_tasks(tasks: &[SigTask], threads: usize, batched: bool) -> WfResult<()> {
     Ok(())
 }
 
-/// Verify one contiguous run of tasks. Batched mode checks the aggregate
-/// equation over the whole chunk first — one shared multi-scalar
-/// multiplication instead of `len` double-scalar ones — and on failure
-/// falls back to per-signature checks, so the reported culprit and error
-/// variant are identical to the sequential path.
+/// Verify one contiguous run of tasks. Batched mode hands the whole chunk
+/// to [`dra_crypto::verify_batch`] first — one shared multi-scalar
+/// multiplication instead of `len` double-scalar ones, or plain
+/// per-signature checks when it judges the chunk too small to batch — and
+/// on failure falls back to per-signature checks, so the reported culprit
+/// and error variant are identical to the sequential path.
 fn run_chunk(tasks: &[SigTask], batched: bool) -> WfResult<()> {
-    if batched && tasks.len() >= 2 {
+    if batched {
         let entries: Vec<dra_crypto::BatchEntry<'_>> =
             tasks.iter().map(|t| (t.bytes.as_slice(), t.signature, t.signer)).collect();
         if dra_crypto::verify_batch(&entries) {

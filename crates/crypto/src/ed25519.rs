@@ -9,6 +9,28 @@
 //! Point arithmetic uses extended twisted-Edwards coordinates with the
 //! complete a = −1 formulas; scalar arithmetic mod the group order L uses a
 //! byte-oriented schoolbook reduction (in the style of TweetNaCl's `modL`).
+//!
+//! One group-arithmetic kernel serves every caller in the crate:
+//!
+//! * [`Point::basepoint_mul`] — fixed base: a radix-16 signed-digit walk
+//!   over a once-built table of `j·16^i·B`, 65 additions and no doubling.
+//!   Key derivation, the `R = [r]B` of signing and X25519 public keys (via
+//!   the birational map) all go through it. The table entry is picked by a
+//!   masked scan, so the walk has no secret-indexed load and no
+//!   secret-dependent branch of its own ([`Fe::sub`] below it still
+//!   branches on its borrow).
+//! * [`Point::double_scalar_mul_basepoint`] — `[a]A + [b]B` in one pass of
+//!   shared doublings (width-5 NAF over eight odd multiples of `A` built per
+//!   call, width-8 NAF over a static table of 64 odd multiples of `B`);
+//!   variable time, for verification, where every input is public. About
+//!   330 point operations against 768 for two separate ladders.
+//! * [`multiscalar_mul`] — Pippenger buckets for batch verification.
+//!
+//! [`Point::scalar_mul`], the bit-by-bit double-and-add, remains as the one
+//! generic variable-base routine and as the oracle the tests hold the three
+//! above against; no signing, verifying or key-derivation path calls it.
+//! A [`SecretKey`] expands its seed once, at construction, so a signature is
+//! two SHA-512 passes over the message plus one table walk.
 
 use crate::field::Fe;
 use crate::sha2::Sha512;
@@ -36,18 +58,43 @@ pub struct Point {
 }
 
 /// The curve constant d = −121665/121666.
-fn d() -> Fe {
-    use std::sync::OnceLock;
-    static CELL: OnceLock<Fe> = OnceLock::new();
-    *CELL.get_or_init(|| Fe::from_u64(121665).neg().mul(&Fe::from_u64(121666).invert()))
-}
+const D: Fe = Fe([
+    0x75eb_4dca_1359_78a3,
+    0x0070_0a4d_4141_d8ab,
+    0x8cc7_4079_7779_e898,
+    0x5203_6cee_2b6f_fe73,
+]);
 
 /// 2·d, used by the addition formulas.
-fn d2() -> Fe {
-    use std::sync::OnceLock;
-    static CELL: OnceLock<Fe> = OnceLock::new();
-    *CELL.get_or_init(|| d().add(&d()))
-}
+const D2: Fe = Fe([
+    0xebd6_9b94_26b2_f159,
+    0x00e0_149a_8283_b156,
+    0x198e_80f2_eef3_d130,
+    0x2406_d9dc_56df_fce7,
+]);
+
+/// The standard basepoint B (y = 4/5, x positive).
+const BASEPOINT: Point = Point {
+    x: Fe([
+        0xc956_2d60_8f25_d51a,
+        0x692c_c760_9525_a7b2,
+        0xc0a4_e231_fdd6_dc5c,
+        0x2169_36d3_cd6e_53fe,
+    ]),
+    y: Fe([
+        0x6666_6666_6666_6658,
+        0x6666_6666_6666_6666,
+        0x6666_6666_6666_6666,
+        0x6666_6666_6666_6666,
+    ]),
+    z: Fe::ONE,
+    t: Fe([
+        0x6dde_8ab3_a5b7_dda3,
+        0x20f0_9f80_7751_52f5,
+        0x66ea_4e8e_64ab_e37d,
+        0x6787_5f0f_d78b_7665,
+    ]),
+};
 
 impl Point {
     /// The identity element (0, 1).
@@ -55,16 +102,10 @@ impl Point {
         Point { x: Fe::ZERO, y: Fe::ONE, z: Fe::ONE, t: Fe::ZERO }
     }
 
-    /// The standard basepoint B (y = 4/5, x positive), decoded from its
-    /// well-known compressed form `0x58 0x66…66`.
-    pub fn basepoint() -> Point {
-        use std::sync::OnceLock;
-        static CELL: OnceLock<Point> = OnceLock::new();
-        *CELL.get_or_init(|| {
-            let mut enc = [0x66u8; 32];
-            enc[0] = 0x58;
-            Point::decompress(&enc).expect("basepoint encoding is valid")
-        })
+    /// The standard basepoint B (y = 4/5, x positive) — the point whose
+    /// compressed form is the well-known `0x58 0x66…66`.
+    pub const fn basepoint() -> Point {
+        BASEPOINT
     }
 
     /// Point addition (complete formulas for a = −1 twisted Edwards;
@@ -73,7 +114,7 @@ impl Point {
         count_ec_op();
         let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
         let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let c = self.t.mul(&d2()).mul(&other.t);
+        let c = self.t.mul(&D2).mul(&other.t);
         let dd = self.z.mul(&other.z);
         let dd = dd.add(&dd);
         let e = b.sub(&a);
@@ -123,7 +164,11 @@ impl Point {
     }
 
     /// Scalar multiplication, MSB-first double-and-add over a 32-byte
-    /// little-endian scalar.
+    /// little-endian scalar: 256 doublings plus one addition per set bit,
+    /// branching on every bit. The generic variable-base routine and the
+    /// oracle the faster entry points are tested against; signing,
+    /// verification and key derivation use [`Point::basepoint_mul`] and
+    /// [`Point::double_scalar_mul_basepoint`] instead.
     pub fn scalar_mul(&self, scalar: &[u8; 32]) -> Point {
         let mut acc = Point::identity();
         for byte in scalar.iter().rev() {
@@ -135,6 +180,48 @@ impl Point {
             }
         }
         acc
+    }
+
+    /// `[scalar]B` for the basepoint B, any 256-bit `scalar`: one signed
+    /// radix-16 digit per row of the fixed-base table, 65 additions and no
+    /// doubling, whatever the scalar. Each row entry is picked by a masked
+    /// scan over the whole row, so the scalar shows in no branch and no
+    /// address of this walk.
+    pub fn basepoint_mul(scalar: &[u8; 32]) -> Point {
+        let mut acc = Point::identity();
+        for (row, &digit) in basepoint_table().iter().zip(&recode_signed(scalar, 4)) {
+            acc = acc.add_cached(&select(row, digit));
+        }
+        acc
+    }
+
+    /// `[a]A + [b]B` for the basepoint B in one pass of shared doublings:
+    /// a width-5 NAF of `a` over eight odd multiples of `A` (built here),
+    /// a width-8 NAF of `b` over the static odd multiples of B. Variable
+    /// time — which digits are zero decides which additions happen — so it
+    /// is for public inputs only (signature verification).
+    pub fn double_scalar_mul_basepoint(a: &[u8; 32], point: &Point, b: &[u8; 32]) -> Point {
+        let (a_naf, b_naf) = (naf(a, 5), naf(b, 8));
+        let a_table: [CachedPoint; 8] = odd_multiples(point);
+        let b_table = basepoint_odd_multiples();
+        let mut acc = Point::identity();
+        let top = (0..a_naf.len()).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0);
+        for i in (0..=top.unwrap_or(0)).rev() {
+            acc = acc.double();
+            acc = acc.add_odd_multiple(&a_table, a_naf[i]);
+            acc = acc.add_odd_multiple(b_table, b_naf[i]);
+        }
+        acc
+    }
+
+    /// Add `digit·P` given `table[j] = (2j+1)·P`; `digit` is zero or odd.
+    fn add_odd_multiple(&self, table: &[CachedPoint], digit: i8) -> Point {
+        let entry = &table[usize::from(digit.unsigned_abs() / 2)];
+        match digit.cmp(&0) {
+            std::cmp::Ordering::Greater => self.add_cached(entry),
+            std::cmp::Ordering::Less => self.add_cached(&entry.neg()),
+            std::cmp::Ordering::Equal => *self,
+        }
     }
 
     /// Compress to the 32-byte encoding: y with the sign of x in bit 255.
@@ -156,7 +243,7 @@ impl Point {
                                      // x^2 = (y^2 - 1) / (d*y^2 + 1)
         let y2 = y.square();
         let u = y2.sub(&Fe::ONE);
-        let v = d().mul(&y2).add(&Fe::ONE);
+        let v = D.mul(&y2).add(&Fe::ONE);
         // candidate root: x = u * v^3 * (u * v^7)^((p-5)/8)
         let v3 = v.square().mul(&v);
         let v7 = v3.square().mul(&v);
@@ -202,6 +289,14 @@ impl Point {
         })
     }
 
+    /// The u-coordinate of this point on the birationally equivalent
+    /// Montgomery curve, `u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y)`, as X25519
+    /// encodes it. The identity (Z = Y) maps to 0, as the ladder's point at
+    /// infinity does.
+    pub(crate) fn to_montgomery_u(self) -> [u8; 32] {
+        self.z.add(&self.y).mul(&self.z.sub(&self.y).invert()).to_bytes()
+    }
+
     /// Affine equality check.
     pub fn eq_affine(&self, other: &Point) -> bool {
         // x1/z1 == x2/z2  <=>  x1*z2 == x2*z1, same for y.
@@ -229,12 +324,7 @@ struct CachedPoint {
 
 impl CachedPoint {
     fn from_point(p: &Point) -> CachedPoint {
-        CachedPoint {
-            y_plus_x: p.y.add(&p.x),
-            y_minus_x: p.y.sub(&p.x),
-            z: p.z,
-            t2d: p.t.mul(&d2()),
-        }
+        CachedPoint { y_plus_x: p.y.add(&p.x), y_minus_x: p.y.sub(&p.x), z: p.z, t2d: p.t.mul(&D2) }
     }
 
     /// Negation swaps `y+x`/`y−x` and flips `t·2d`.
@@ -246,6 +336,96 @@ impl CachedPoint {
             t2d: self.t2d.neg(),
         }
     }
+
+    /// The identity (0, 1) in Niels form.
+    const IDENTITY: CachedPoint =
+        CachedPoint { y_plus_x: Fe::ONE, y_minus_x: Fe::ONE, z: Fe::ONE, t2d: Fe::ZERO };
+
+    /// Masked move: become `other` where `mask` is all-ones.
+    fn cmov(&mut self, other: &CachedPoint, mask: u64) {
+        self.y_plus_x.cmov(&other.y_plus_x, mask);
+        self.y_minus_x.cmov(&other.y_minus_x, mask);
+        self.z.cmov(&other.z, mask);
+        self.t2d.cmov(&other.t2d, mask);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Precomputed multiples of the basepoint
+// ---------------------------------------------------------------------------
+
+/// One row of the fixed-base table: `j·16^i·B` for j = 1…8.
+type BaseRow = [CachedPoint; 8];
+
+/// Run a once-per-process table build without charging it to the calling
+/// thread's [`ec_ops`]: the count stays a function of the work asked for,
+/// not of which thread happened to touch a table first.
+fn uncounted<T>(build: impl FnOnce() -> T) -> T {
+    let before = ec_ops();
+    let built = build();
+    EC_OPS.with(|c| c.set(before));
+    built
+}
+
+/// The fixed-base table behind [`Point::basepoint_mul`]: row `i` holds
+/// `j·16^i·B` for j = 1…8, one row per signed radix-16 digit of a 256-bit
+/// scalar (64 digits plus the carry window) — 65 KB, built at first use.
+fn basepoint_table() -> &'static [BaseRow] {
+    static TABLE: std::sync::OnceLock<Vec<BaseRow>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        uncounted(|| {
+            let mut base = BASEPOINT; // 16^i·B
+            (0..=256 / 4)
+                .map(|_| {
+                    let step = CachedPoint::from_point(&base);
+                    let mut multiple = Point::identity();
+                    let row: BaseRow = core::array::from_fn(|_| {
+                        multiple = multiple.add_cached(&step);
+                        CachedPoint::from_point(&multiple)
+                    });
+                    base = multiple.double(); // 2·(8·16^i·B)
+                    row
+                })
+                .collect()
+        })
+    })
+}
+
+/// `digit·16^i·B` out of row `i`, for a signed radix-16 `digit` in
+/// [−8, 8]. Every entry of the row is read and masked in or out, then the
+/// result is negated under a mask, so neither the magnitude nor the sign of
+/// the digit picks a branch or an address.
+fn select(row: &BaseRow, digit: i32) -> CachedPoint {
+    let sign = digit >> 31; // 0 or −1
+    let magnitude = ((digit ^ sign) - sign) as u64;
+    let mut out = CachedPoint::IDENTITY;
+    for (j, entry) in (1u64..).zip(row) {
+        // all-ones iff magnitude == j: only then does x − 1 borrow into bit 63
+        let hit = ((magnitude ^ j).wrapping_sub(1) >> 63).wrapping_neg();
+        out.cmov(entry, hit);
+    }
+    let negated = out.neg();
+    out.cmov(&negated, sign as u64);
+    out
+}
+
+/// `P, 3P, 5P, …, (2N−1)P` in Niels form.
+fn odd_multiples<const N: usize>(p: &Point) -> [CachedPoint; N] {
+    let p2 = CachedPoint::from_point(&p.double());
+    let mut multiple = *p;
+    core::array::from_fn(|i| {
+        if i > 0 {
+            multiple = multiple.add_cached(&p2);
+        }
+        CachedPoint::from_point(&multiple)
+    })
+}
+
+/// The 64 odd multiples `B, 3B, …, 127B` a width-8 NAF indexes — 8 KB,
+/// built at first use.
+fn basepoint_odd_multiples() -> &'static [CachedPoint; 64] {
+    static TABLE: std::sync::OnceLock<[CachedPoint; 64]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| uncounted(|| odd_multiples(&BASEPOINT)))
 }
 
 // ---------------------------------------------------------------------------
@@ -298,20 +478,39 @@ fn scalar_bits(s: &[u8; 32], pos: usize, width: usize) -> u32 {
 fn recode_signed(s: &[u8; 32], c: usize) -> Vec<i32> {
     let windows = 256usize.div_ceil(c) + 1;
     let half = 1i32 << (c - 1);
-    let full = 1i32 << c;
     let mut digits = vec![0i32; windows];
     let mut carry = 0i32;
     for (w, d) in digits.iter_mut().enumerate() {
-        let mut v = carry + scalar_bits(s, w * c, c) as i32;
-        if v >= half {
-            v -= full;
-            carry = 1;
-        } else {
-            carry = 0;
-        }
-        *d = v;
+        let v = carry + scalar_bits(s, w * c, c) as i32;
+        // v in [0, 2^c]: borrow 2^c from the next window iff v ≥ 2^(c−1),
+        // without branching on v — the fixed-base walk recodes secrets
+        carry = (v + half) >> c;
+        *d = v - (carry << c);
     }
     debug_assert_eq!(carry, 0, "a 256-bit scalar fits in the extra window");
+    digits
+}
+
+/// Width-`w` non-adjacent form of a 256-bit scalar, least-significant
+/// first (2 ≤ w ≤ 8): every nonzero digit is odd with |d| < 2^(w−1) and is
+/// followed by at least w−1 zeros, so a scalar has about 256/(w+1) nonzero
+/// digits. The 257th slot takes the carry out of bit 255. Variable time.
+fn naf(s: &[u8; 32], w: usize) -> [i8; 257] {
+    let mut digits = [0i8; 257];
+    let (mut pos, mut carry) = (0usize, 0i32);
+    while pos < digits.len() {
+        let window = carry + scalar_bits(s, pos, w) as i32;
+        if window & 1 == 0 {
+            // bit `pos` and the carry cancel or are both zero; the carry
+            // (unchanged) moves on to the next bit
+            pos += 1;
+            continue;
+        }
+        carry = window >> (w - 1); // 1 iff window ≥ 2^(w−1): take window − 2^w
+        digits[pos] = (window - (carry << w)) as i8;
+        pos += w;
+    }
+    debug_assert_eq!(carry, 0, "the last window is too short to carry out");
     digits
 }
 
@@ -470,10 +669,16 @@ fn scalar_is_canonical(s: &[u8; 32]) -> bool {
 // Keys and signatures
 // ---------------------------------------------------------------------------
 
-/// An Ed25519 secret key (the 32-byte seed of RFC 8032).
+/// An Ed25519 secret key: the 32-byte seed of RFC 8032 together with what
+/// every signature needs from it — the clamped scalar `a` and the nonce
+/// prefix (the two halves of SHA-512(seed)) and the public key `[a]B` —
+/// expanded once, at construction.
 #[derive(Clone)]
 pub struct SecretKey {
     seed: [u8; 32],
+    a: [u8; 32],
+    prefix: [u8; 32],
+    public: PublicKey,
 }
 
 /// An Ed25519 public key.
@@ -507,14 +712,20 @@ fn clamp(mut a: [u8; 32]) -> [u8; 32] {
 }
 
 impl SecretKey {
-    /// Construct from a 32-byte seed.
+    /// Construct from a 32-byte seed: one SHA-512 and one fixed-base
+    /// multiplication, paid here so that [`SecretKey::sign`] and
+    /// [`SecretKey::public_key`] pay neither.
     pub fn from_seed(seed: [u8; 32]) -> SecretKey {
-        SecretKey { seed }
+        let h = crate::sha2::sha512(&seed);
+        let a = clamp(h[..32].try_into().expect("split"));
+        let prefix = h[32..].try_into().expect("split");
+        let public = PublicKey(Point::basepoint_mul(&a).compress());
+        SecretKey { seed, a, prefix, public }
     }
 
     /// Generate a fresh random secret key.
     pub fn generate() -> SecretKey {
-        SecretKey { seed: crate::random_array32() }
+        SecretKey::from_seed(crate::random_array32())
     }
 
     /// Expose the seed (for serialization into key stores).
@@ -522,41 +733,27 @@ impl SecretKey {
         &self.seed
     }
 
-    /// Expand the seed into (clamped scalar a, prefix).
-    fn expand(&self) -> ([u8; 32], [u8; 32]) {
-        let h = crate::sha2::sha512(&self.seed);
-        let mut a = [0u8; 32];
-        a.copy_from_slice(&h[..32]);
-        let mut prefix = [0u8; 32];
-        prefix.copy_from_slice(&h[32..]);
-        (clamp(a), prefix)
-    }
-
-    /// Derive the matching public key.
+    /// The matching public key.
     pub fn public_key(&self) -> PublicKey {
-        let (a, _) = self.expand();
-        PublicKey(Point::basepoint().scalar_mul(&a).compress())
+        self.public
     }
 
-    /// Sign a message.
+    /// Sign a message: the nonce hash, `R = [r]B`, the challenge hash.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let (a, prefix) = self.expand();
-        let public = self.public_key();
-
         let mut h = Sha512::new();
-        h.update(&prefix);
+        h.update(&self.prefix);
         h.update(message);
         let r = scalar_reduce(&h.finalize());
 
-        let r_point = Point::basepoint().scalar_mul(&r).compress();
+        let r_point = Point::basepoint_mul(&r).compress();
 
         let mut h = Sha512::new();
         h.update(&r_point);
-        h.update(&public.0);
+        h.update(&self.public.0);
         h.update(message);
         let k = scalar_reduce(&h.finalize());
 
-        let s = scalar_muladd(&k, &a, &r);
+        let s = scalar_muladd(&k, &self.a, &r);
 
         let mut sig = [0u8; 64];
         sig[..32].copy_from_slice(&r_point);
@@ -610,7 +807,28 @@ impl PublicKey {
         h.update(message);
         let k = scalar_reduce(&h.finalize());
 
-        // Check [S]B == R + [k]A.
+        // Check [S]B == R + [k]A, as [S]B + [k](−A) == R.
+        Point::double_scalar_mul_basepoint(&k, &a.neg(), &s).eq_affine(&r)
+    }
+
+    /// The verification this crate shipped before the interleaved kernel:
+    /// two independent bit-by-bit ladders, `[S]B` against `R + [k]A`. Kept
+    /// as the oracle [`PublicKey::verify`]'s verdicts are held against.
+    #[cfg(test)]
+    fn verify_two_ladders(&self, message: &[u8], signature: &Signature) -> bool {
+        let r_enc: [u8; 32] = signature.0[..32].try_into().expect("split");
+        let s: [u8; 32] = signature.0[32..].try_into().expect("split");
+        if !scalar_is_canonical(&s) {
+            return false;
+        }
+        let (Some(a), Some(r)) = (Point::decompress(&self.0), Point::decompress(&r_enc)) else {
+            return false;
+        };
+        let mut h = Sha512::new();
+        h.update(&r_enc);
+        h.update(&self.0);
+        h.update(message);
+        let k = scalar_reduce(&h.finalize());
         let lhs = Point::basepoint().scalar_mul(&s);
         let rhs = r.add(&a.scalar_mul(&k));
         lhs.eq_affine(&rhs)
@@ -629,6 +847,14 @@ impl PublicKey {
 /// One batch-verification input: message, signature, and the public key the
 /// signature must verify under.
 pub type BatchEntry<'a> = (&'a [u8], Signature, PublicKey);
+
+/// Smallest batch the aggregate equation is used for. A sequential check is
+/// one interleaved double-scalar pass, about 333 point operations per
+/// signature; the Pippenger pass over `2n+1` points has a fixed cost that
+/// only amortizes from three signatures on. `claim scaling`'s counts, point
+/// operations sequential vs batched: 2 signatures 666 vs 808, 3 signatures
+/// 990 vs 936, 5 signatures 1 662 vs 1 341.
+const BATCH_MIN: usize = 3;
 
 /// Verify a batch of independent Ed25519 signatures with one shared
 /// multi-scalar multiplication.
@@ -652,17 +878,14 @@ pub type BatchEntry<'a> = (&'a [u8], Signature, PublicKey);
 /// individually valid the aggregate holds identically, and a `false` here
 /// means at least one entry is invalid — re-check entries individually to
 /// identify the culprit (that is what `dra4wfms-core`'s verifier does on
-/// fallback). An empty batch is vacuously valid; a singleton delegates to
-/// the per-signature check.
+/// fallback). An empty batch is vacuously valid, and a batch of fewer than
+/// `BATCH_MIN` entries is checked one signature at a time: this is the one
+/// place that decides what is too small to batch.
 #[must_use]
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> bool {
     let n = entries.len();
-    if n == 0 {
-        return true;
-    }
-    if n == 1 {
-        let (msg, sig, pk) = &entries[0];
-        return pk.verify(msg, sig);
+    if n < BATCH_MIN {
+        return entries.iter().all(|(msg, sig, pk)| pk.verify(msg, sig));
     }
 
     // Decode every entry, rejecting exactly what the single verifier
@@ -754,6 +977,7 @@ impl Signature {
 mod tests {
     use super::*;
     use crate::hex;
+    use proptest::prelude::*;
 
     /// RFC 8032 §7.1 TEST 1 (empty message).
     #[test]
@@ -830,18 +1054,23 @@ mod tests {
         assert!(!kp2.public.verify(b"message", &sig));
     }
 
-    #[test]
-    fn non_canonical_s_rejected() {
-        let kp = Keypair::from_seed([5u8; 32]);
-        let sig = kp.sign(b"m");
-        // Forge S' = S + L (same value mod L, non-canonical encoding).
-        let mut s: [u8; 32] = sig.0[32..].try_into().unwrap();
+    /// `s + L` over 256 bits: the same residue mod L, non-canonically encoded.
+    fn plus_l(mut s: [u8; 32]) -> [u8; 32] {
         let mut carry = 0u16;
         for i in 0..32 {
             let v = s[i] as u16 + L[i] as u16 + carry;
             s[i] = v as u8;
             carry = v >> 8;
         }
+        s
+    }
+
+    #[test]
+    fn non_canonical_s_rejected() {
+        let kp = Keypair::from_seed([5u8; 32]);
+        let sig = kp.sign(b"m");
+        // Forge S' = S + L (same value mod L, non-canonical encoding).
+        let s = plus_l(sig.0[32..].try_into().unwrap());
         let mut forged = sig.0;
         forged[32..].copy_from_slice(&s);
         assert!(!kp.public.verify(b"m", &Signature(forged)));
@@ -970,6 +1199,288 @@ mod tests {
         let a = Keypair::from_seed([6u8; 32]);
         let b = Keypair::from_seed([7u8; 32]);
         assert_ne!(a.public, b.public);
+    }
+
+    // --- curve constants: each equals the derivation it used to be ---
+
+    #[test]
+    fn curve_constants_match_their_derivations() {
+        let d = Fe::from_u64(121665).neg().mul(&Fe::from_u64(121666).invert());
+        assert_eq!(D, d, "d = −121665/121666");
+        assert_eq!(D2, d.add(&d), "2d");
+        let mut enc = [0x66u8; 32];
+        enc[0] = 0x58;
+        let b = Point::decompress(&enc).expect("basepoint encoding is valid");
+        assert_eq!((b.x, b.y, b.z, b.t), (BASEPOINT.x, BASEPOINT.y, BASEPOINT.z, BASEPOINT.t));
+        assert_eq!(Point::basepoint().compress(), enc);
+    }
+
+    // --- the kernel against its oracle, the bit-by-bit ladder ---
+
+    const ZERO: [u8; 32] = [0u8; 32];
+    const ONES: [u8; 32] = [0xffu8; 32];
+    /// A point of order 8, compressed.
+    const ORDER8: &str = "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05";
+
+    /// L − 1, L and 2^255 − 1: the scalars around the group order and the
+    /// top of the clamped range.
+    fn edge_scalars() -> Vec<[u8; 32]> {
+        let mut l_minus_1 = L;
+        l_minus_1[0] -= 1;
+        let mut top = ONES;
+        top[31] = 0x7f;
+        vec![ZERO, scalar(1), l_minus_1, L, top, ONES, clamp(ZERO), clamp(ONES)]
+    }
+
+    /// The identity and a point each of order 2, 4 and 8.
+    fn small_order_points() -> [Point; 4] {
+        let order8 = Point::decompress(&hex::decode_array(ORDER8).unwrap()).expect("on the curve");
+        let (order4, order2) = (order8.double(), order8.double().double());
+        assert!(!order2.is_identity() && order2.double().is_identity());
+        [Point::identity(), order2, order4, order8]
+    }
+
+    /// The small-order points, and each of them shifted by a prime-order
+    /// point (mixed order).
+    fn edge_points() -> Vec<Point> {
+        let small = small_order_points();
+        let shifted = small.map(|t| t.add(&Point::basepoint().scalar_mul(&scalar(0xdead_beef))));
+        small.into_iter().chain(shifted).collect()
+    }
+
+    fn arb_scalar() -> impl Strategy<Value = [u8; 32]> {
+        proptest::array::uniform32(any::<u8>())
+    }
+
+    #[test]
+    fn basepoint_mul_matches_ladder_on_edge_scalars() {
+        for s in edge_scalars() {
+            let expect = Point::basepoint().scalar_mul(&s);
+            assert!(Point::basepoint_mul(&s).eq_affine(&expect), "s = {}", hex::encode(&s));
+        }
+        assert!(Point::basepoint_mul(&L).is_identity());
+    }
+
+    #[test]
+    fn basepoint_mul_costs_the_same_for_every_scalar() {
+        for s in edge_scalars() {
+            ec_ops_reset();
+            let _ = Point::basepoint_mul(&s);
+            assert_eq!(ec_ops(), 65, "one addition per table row, s = {}", hex::encode(&s));
+        }
+    }
+
+    #[test]
+    fn double_scalar_mul_matches_ladders_on_edge_cases() {
+        let b = Point::basepoint();
+        for p in edge_points() {
+            for a in edge_scalars() {
+                for s in [ZERO, L, ONES, scalar(0x1234_5678_9abc_def1)] {
+                    let expect = p.scalar_mul(&a).add(&b.scalar_mul(&s));
+                    let got = Point::double_scalar_mul_basepoint(&a, &p, &s);
+                    assert!(
+                        got.eq_affine(&expect),
+                        "a = {} b = {}",
+                        hex::encode(&a),
+                        hex::encode(&s)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn naf_digits_are_odd_sparse_and_sum_to_the_scalar() {
+        for w in [5usize, 8] {
+            for s in edge_scalars() {
+                let digits = naf(&s, w);
+                // Σ dᵢ·2^i, accumulated from the top in a signed 320-bit
+                // little-endian value: v ← 2v + d
+                let mut v = [0i64; 5];
+                for (i, &d) in digits.iter().enumerate().rev() {
+                    if d != 0 {
+                        assert!(d & 1 == 1 && i16::from(d).abs() < 1 << (w - 1), "w={w} d={d}");
+                        let next = &digits[i + 1..(i + w).min(digits.len())];
+                        assert!(next.iter().all(|&z| z == 0), "w={w}: zeros follow a digit");
+                    }
+                    let mut carry = i64::from(d);
+                    for limb in v.iter_mut() {
+                        let t = i128::from(*limb as u64) * 2 + i128::from(carry);
+                        *limb = t as u64 as i64;
+                        carry = (t >> 64) as i64;
+                    }
+                }
+                let bytes: Vec<u8> = v.iter().flat_map(|l| l.to_le_bytes()).collect();
+                assert_eq!(&bytes[..32], &s, "w={w}");
+                assert!(bytes[32..].iter().all(|&b| b == 0), "w={w}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_basepoint_mul_matches_ladder(s in arb_scalar()) {
+            let expect = Point::basepoint().scalar_mul(&s);
+            prop_assert!(Point::basepoint_mul(&s).eq_affine(&expect));
+            let clamped = clamp(s);
+            let expect = Point::basepoint().scalar_mul(&clamped);
+            prop_assert!(Point::basepoint_mul(&clamped).eq_affine(&expect));
+        }
+
+        #[test]
+        fn prop_double_scalar_mul_matches_ladders(
+            a in arb_scalar(),
+            b in arb_scalar(),
+            p in arb_scalar(),
+            torsion in 0usize..4,
+        ) {
+            // a random prime-order point, plus a small-order one (0: none)
+            let point = Point::basepoint_mul(&p).add(&small_order_points()[torsion]);
+            let expect = point.scalar_mul(&a).add(&Point::basepoint().scalar_mul(&b));
+            prop_assert!(Point::double_scalar_mul_basepoint(&a, &point, &b).eq_affine(&expect));
+        }
+    }
+
+    // --- no verdict changed: the new verify against the two-ladder one ---
+
+    /// Both verifiers on one input; returns the (common) verdict.
+    fn same_verdict(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        let (new, old) = (pk.verify(msg, sig), pk.verify_two_ladders(msg, sig));
+        assert_eq!(
+            new,
+            old,
+            "verdicts differ: key {} sig {} msg {}",
+            hex::encode(&pk.0),
+            hex::encode(&sig.0),
+            hex::encode(msg)
+        );
+        new
+    }
+
+    #[test]
+    fn verdicts_equal_on_every_single_bit_flip() {
+        let kp = Keypair::from_seed([0x5e; 32]);
+        let msg = b"CER S3: result".to_vec();
+        let sig = kp.sign(&msg);
+        assert!(same_verdict(&kp.public, &msg, &sig));
+        // R (bits 0..256) and s (bits 256..512)
+        for bit in 0..512 {
+            let mut forged = sig;
+            forged.0[bit / 8] ^= 1 << (bit % 8);
+            assert!(!same_verdict(&kp.public, &msg, &forged), "signature bit {bit}");
+        }
+        for bit in 0..256 {
+            let mut key = kp.public;
+            key.0[bit / 8] ^= 1 << (bit % 8);
+            assert!(!same_verdict(&key, &msg, &sig), "key bit {bit}");
+        }
+        for bit in 0..msg.len() * 8 {
+            let mut other = msg.clone();
+            other[bit / 8] ^= 1 << (bit % 8);
+            assert!(!same_verdict(&kp.public, &other, &sig), "message bit {bit}");
+        }
+    }
+
+    #[test]
+    fn verdicts_equal_on_out_of_range_scalars_and_odd_encodings() {
+        let kp = Keypair::from_seed([0x6f; 32]);
+        let msg = b"m";
+        let sig = kp.sign(msg);
+        let with_s = |s: [u8; 32]| {
+            let mut forged = sig;
+            forged.0[32..].copy_from_slice(&s);
+            forged
+        };
+        let with_r = |r: [u8; 32]| {
+            let mut forged = sig;
+            forged.0[..32].copy_from_slice(&r);
+            forged
+        };
+        // s = L, s = s + L (same residue, non-canonical), s = 2^256 − 1
+        let s: [u8; 32] = sig.0[32..].try_into().unwrap();
+        for s in [L, plus_l(s), ONES] {
+            assert!(!same_verdict(&kp.public, msg, &with_s(s)));
+        }
+
+        // y ≥ p: p + 1 decodes as y = 1 (the identity), p as y = 0 (order 4)
+        let mut p_plus_1 = ONES;
+        p_plus_1[0] = 0xee;
+        p_plus_1[31] = 0x7f;
+        let mut p_enc = p_plus_1;
+        p_enc[0] = 0xed;
+        // small order, canonically encoded: identity, order 2, order 4, order 8
+        let mut identity = ZERO;
+        identity[0] = 1;
+        let mut order2 = ONES;
+        order2[0] = 0xec;
+        order2[31] = 0x7f;
+        let order8: [u8; 32] = hex::decode_array(ORDER8).unwrap();
+        // not a point at all: y = 2
+        let mut non_point = ZERO;
+        non_point[0] = 2;
+        let odd = [p_plus_1, p_enc, identity, order2, ZERO, order8, non_point];
+
+        // each as A (and the honest key), against the honest signature and
+        // against every (R, s) with R odd and s zero or honest
+        for a in odd.iter().chain([&kp.public.0]) {
+            same_verdict(&PublicKey(*a), msg, &sig);
+            for r in odd {
+                for s in [ZERO, s] {
+                    let mut forged = with_r(r);
+                    forged.0[32..].copy_from_slice(&s);
+                    same_verdict(&PublicKey(*a), msg, &forged);
+                }
+            }
+        }
+        // and some of those are accepted, by both: under A = identity the
+        // equation is [s]B == R whatever the message, in either encoding
+        let mut forged = [0u8; 64];
+        forged[..32].copy_from_slice(&identity);
+        assert!(same_verdict(&PublicKey(identity), b"anything", &Signature(forged)));
+        assert!(same_verdict(&PublicKey(p_plus_1), b"anything", &Signature(forged)));
+        let r = Point::basepoint_mul(&scalar(7)).compress();
+        forged[..32].copy_from_slice(&r);
+        forged[32] = 7;
+        assert!(same_verdict(&PublicKey(p_plus_1), b"anything else", &Signature(forged)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_verdicts_equal_on_random_keys_and_corruption(
+            seed in arb_scalar(),
+            msg in proptest::collection::vec(any::<u8>(), 0..48),
+            flip in 0usize..(96 * 8 * 2),
+        ) {
+            let kp = Keypair::from_seed(seed);
+            let sig = kp.sign(&msg);
+            prop_assert!(same_verdict(&kp.public, &msg, &sig));
+            // half of the cases: one bit of (R ‖ s ‖ A) flipped
+            let (mut sig, mut key) = (sig, kp.public);
+            if flip < 96 * 8 {
+                match flip / 8 {
+                    byte @ 0..64 => sig.0[byte] ^= 1 << (flip % 8),
+                    byte => key.0[byte - 64] ^= 1 << (flip % 8),
+                }
+                prop_assert!(!same_verdict(&key, &msg, &sig));
+            }
+        }
+    }
+
+    // --- secrets stay out of Debug ---
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let secret = SecretKey::from_seed([0x3c; 32]);
+        let shown = format!("{secret:?} {secret:#?}");
+        for field in [&secret.seed, &secret.a, &secret.prefix] {
+            assert!(!shown.contains(&hex::encode(field)));
+            assert!(!shown.contains(&format!("{field:?}")));
+        }
+        assert!(!shown.contains(|c: char| c.is_ascii_digit()), "not even one byte: {shown}");
     }
 
     // --- multi-scalar multiplication ---
@@ -1127,13 +1638,7 @@ mod tests {
     #[test]
     fn batch_rejects_non_canonical_s() {
         let (msgs, mut sigs, keys) = batch_of(3);
-        let mut s: [u8; 32] = sigs[1].0[32..].try_into().unwrap();
-        let mut carry = 0u16;
-        for i in 0..32 {
-            let v = s[i] as u16 + L[i] as u16 + carry;
-            s[i] = v as u8;
-            carry = v >> 8;
-        }
+        let s = plus_l(sigs[1].0[32..].try_into().unwrap());
         sigs[1].0[32..].copy_from_slice(&s);
         assert!(!verify_batch(&entries(&msgs, &sigs, &keys)));
     }

@@ -3,8 +3,11 @@
 //! Elements are kept fully reduced (`< p`) as four little-endian 64-bit
 //! limbs. Multiplication uses schoolbook 4×4 with `u128` intermediates and
 //! reduces via the identity `2^256 ≡ 38 (mod p)`. Simplicity and testability
-//! are prioritized over raw limb-level speed; the curve layers above are the
-//! hot path and remain comfortably fast for the paper's workloads.
+//! are prioritized over raw limb-level speed: the curve layer above
+//! ([`crate::ed25519`]) cuts the *number* of field operations per signature
+//! (fixed-base table, interleaved double-scalar verify), and what is left of
+//! a hop's crypto cost is the ~9 multiplications inside each point operation
+//! — this representation is the next thing to size against the profile.
 
 /// p = 2^255 − 19, as little-endian limbs.
 pub const P: [u64; 4] =
@@ -316,20 +319,24 @@ impl Fe {
         self.0[0] & 1 == 1
     }
 
-    /// sqrt(−1) mod p, computed once as 2^((p−1)/4).
-    pub fn sqrt_m1() -> Fe {
-        use std::sync::OnceLock;
-        static CELL: OnceLock<Fe> = OnceLock::new();
-        *CELL.get_or_init(|| {
-            // (p-1)/4 = 2^253 - 5
-            const EXP: [u64; 4] = [
-                0xffff_ffff_ffff_fffb,
-                0xffff_ffff_ffff_ffff,
-                0xffff_ffff_ffff_ffff,
-                0x1fff_ffff_ffff_ffff,
-            ];
-            Fe::from_u64(2).pow(&EXP)
-        })
+    /// sqrt(−1) mod p, i.e. 2^((p−1)/4) (the unit tests re-derive it).
+    pub const fn sqrt_m1() -> Fe {
+        Fe([
+            0xc4ee_1b27_4a0e_a0b0,
+            0x2f43_1806_ad2f_e478,
+            0x2b4d_0099_3dfb_d7a7,
+            0x2b83_2480_4fc1_df0b,
+        ])
+    }
+
+    /// Overwrite `self` with `other` where `mask` is all-ones and keep it
+    /// where `mask` is zero — the masked move the fixed-base table scan is
+    /// built from, so which entry was taken shows in no branch or address.
+    #[inline]
+    pub(crate) fn cmov(&mut self, other: &Fe, mask: u64) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a ^= mask & (*a ^ *b);
+        }
     }
 }
 
@@ -401,6 +408,29 @@ mod tests {
     fn sqrt_m1_squares_to_minus_one() {
         let i = Fe::sqrt_m1();
         assert_eq!(i.square(), Fe::ZERO.sub(&Fe::ONE));
+    }
+
+    /// The constant is what it used to be computed as: 2^((p−1)/4).
+    #[test]
+    fn sqrt_m1_constant_matches_its_derivation() {
+        // (p-1)/4 = 2^253 - 5
+        const EXP: [u64; 4] = [
+            0xffff_ffff_ffff_fffb,
+            0xffff_ffff_ffff_ffff,
+            0xffff_ffff_ffff_ffff,
+            0x1fff_ffff_ffff_ffff,
+        ];
+        assert_eq!(Fe::sqrt_m1(), Fe::from_u64(2).pow(&EXP));
+    }
+
+    #[test]
+    fn cmov_takes_all_or_nothing() {
+        let (a, b) = (fe(5), Fe::ZERO.sub(&fe(7)));
+        let mut r = a;
+        r.cmov(&b, 0);
+        assert_eq!(r, a);
+        r.cmov(&b, u64::MAX);
+        assert_eq!(r, b);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! key is wrapped to each recipient's X25519 public key with [`seal`]. The
 //! advanced operational model also seals fresh execution results to the TFC
 //! server's public key (the paper's `{{R}}Pub(TFC)`).
+//!
+//! Cost in curve work: sealing is one fixed-base multiplication (the
+//! ephemeral public key) plus one Montgomery ladder (the shared secret);
+//! opening is the one ladder — the recipient's own public key, which the key
+//! derivation binds, is held by its [`X25519Secret`].
 
 use crate::chacha20::ChaCha20;
 use crate::ct::ct_eq;

@@ -3,12 +3,24 @@
 //! Provides the key-agreement half of the hybrid "sealed box" construction
 //! used for element-wise encryption of DRA4WfMS documents: content keys are
 //! wrapped to recipient public keys via an ephemeral X25519 exchange.
+//!
+//! Two scalar multiplications live here. The shared secret is a
+//! variable-base Montgomery ladder ([`x25519`]). The public key is a
+//! multiplication of the fixed point u = 9, which is the Ed25519 basepoint
+//! under the birational map `u = (1 + y)/(1 − y)`: it is computed on the
+//! Edwards side with [`Point::basepoint_mul`] — 65 table additions instead
+//! of a 255-step ladder, the same 32 bytes — once, when the secret is
+//! constructed.
 
+use crate::ed25519::Point;
 use crate::field::Fe;
 
-/// An X25519 secret scalar.
+/// An X25519 secret scalar together with its public key.
 #[derive(Clone)]
-pub struct X25519Secret([u8; 32]);
+pub struct X25519Secret {
+    bytes: [u8; 32],
+    public: X25519PublicKey,
+}
 
 /// An X25519 public key (a u-coordinate).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -28,31 +40,32 @@ fn clamp(mut k: [u8; 32]) -> [u8; 32] {
 }
 
 impl X25519Secret {
-    /// Construct from raw bytes (clamped on use).
-    pub fn from_bytes(b: [u8; 32]) -> X25519Secret {
-        X25519Secret(b)
+    /// Construct from raw bytes (clamped on use); derives the public key.
+    pub fn from_bytes(bytes: [u8; 32]) -> X25519Secret {
+        // [k]B on the Edwards curve, mapped across. (A clamped k is a
+        // multiple of 8 below 2^255 < 8L, so [k]B is never the identity.)
+        let u = Point::basepoint_mul(&clamp(bytes)).to_montgomery_u();
+        X25519Secret { bytes, public: X25519PublicKey(u) }
     }
 
     /// Generate a random secret.
     pub fn generate() -> X25519Secret {
-        X25519Secret(crate::random_array32())
+        X25519Secret::from_bytes(crate::random_array32())
     }
 
     /// Raw bytes (for key stores).
     pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
+        &self.bytes
     }
 
-    /// Derive the public key: X25519(k, 9).
+    /// The public key X25519(k, 9).
     pub fn public_key(&self) -> X25519PublicKey {
-        let mut basepoint = [0u8; 32];
-        basepoint[0] = 9;
-        X25519PublicKey(x25519(&self.0, &basepoint))
+        self.public
     }
 
     /// Diffie–Hellman: compute the shared secret with a peer public key.
     pub fn diffie_hellman(&self, peer: &X25519PublicKey) -> [u8; 32] {
-        x25519(&self.0, &peer.0)
+        x25519(&self.bytes, &peer.0)
     }
 }
 
@@ -102,6 +115,7 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 mod tests {
     use super::*;
     use crate::hex;
+    use proptest::prelude::*;
 
     /// RFC 7748 §5.2 test vector 1.
     #[test]
@@ -182,6 +196,43 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// u = 9, the Montgomery basepoint.
+    const NINE: [u8; 32] = {
+        let mut u = [0u8; 32];
+        u[0] = 9;
+        u
+    };
+
+    /// The public key comes off the Edwards fixed-base table; the ladder on
+    /// u = 9 is what it has to equal.
+    #[test]
+    fn edwards_route_public_key_matches_ladder_on_edge_secrets() {
+        for k in [[0u8; 32], [0xff; 32], [1; 32], [0x80; 32]] {
+            assert_eq!(X25519Secret::from_bytes(k).public_key().0, x25519(&k, &NINE), "{k:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_edwards_route_public_key_matches_ladder(
+            k in proptest::array::uniform32(any::<u8>()),
+        ) {
+            prop_assert_eq!(X25519Secret::from_bytes(k).public_key().0, x25519(&k, &NINE));
+        }
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let secret = X25519Secret::from_bytes([0x3c; 32]);
+        let shown = format!("{secret:?} {secret:#?}");
+        assert!(!shown.contains(&hex::encode(&secret.bytes)));
+        assert!(!shown.contains(&hex::encode(&secret.public.0)));
+        let beyond_the_type_name = shown.replace("X25519Secret", "");
+        assert!(!beyond_the_type_name.contains(|c: char| c.is_ascii_digit()), "{shown}");
     }
 
     #[test]

@@ -48,6 +48,9 @@ fn arb_value() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[ -~]{1,16}").unwrap()
 }
 
+// Workflow lengths 1…6: a full pass plans `len + 1` signature checks and a
+// marked pass `len − mark_at`, so the chunks `verify_batch` is handed fall on
+// both sides of the size below which it checks signatures one by one.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -55,7 +58,7 @@ proptest! {
     /// report, and the batched pass never falls back.
     #[test]
     fn batched_accepts_what_sequential_accepts(
-        len in 2usize..6,
+        len in 1usize..7,
         values in proptest::collection::vec(arb_value(), 6),
     ) {
         let (doc, dir) = run_linear(len, &values[..len]);
@@ -69,7 +72,7 @@ proptest! {
     /// the sequential pass.
     #[test]
     fn batched_pinpoints_the_same_culprit(
-        len in 2usize..6,
+        len in 1usize..7,
         culprit in 0usize..6,
         values in proptest::collection::vec("[a-z]{4,12}", 6),
     ) {
@@ -96,7 +99,7 @@ proptest! {
     /// incremental + sequential, at every mark staleness.
     #[test]
     fn batched_incremental_matches_sequential_incremental(
-        len in 2usize..6,
+        len in 1usize..7,
         mark_at in 0usize..6,
         values in proptest::collection::vec(arb_value(), 6),
     ) {
