@@ -9,8 +9,8 @@
 //!
 //! Sweeps a fixed 64-seed corpus. The results are fully deterministic
 //! (virtual time only, no wall clock): `BENCH_fuzz.json` must come out
-//! byte-identical on every run and is held against
-//! `perf/BENCH_fuzz.baseline.json` at 0% tolerance, so any drift in hop
+//! byte-identical on every run and to the baseline
+//! `perf/BENCH_fuzz.baseline.json`, so any drift in hop
 //! counts, soundness-state counts or detection totals fails.
 
 use super::{ClaimOutput, Row, Rows};

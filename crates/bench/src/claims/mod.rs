@@ -6,15 +6,14 @@
 //! side files, named verdicts, metric-invariant results). Everything
 //! around that function is written once, here:
 //!
-//! * the row format's writer, reader and regression gate ([`rows`]);
+//! * the row format's writer ([`rows`]);
 //! * the Fig. 9 actors and instruments the cloud claims share
 //!   ([`fixture`]);
 //! * the driver ([`reproduce`]): a deterministic claim runs **twice**,
 //!   each run on a fresh thread (so thread-local cost counters and memos
 //!   start cold, as in a fresh process), every output of the two runs must
-//!   be byte-identical, the rows are held against
-//!   `perf/BENCH_<name>.baseline.json` under `perf/perf_tolerances.json`
-//!   and must equal it byte for byte, every verdict must hold and no
+//!   be byte-identical, the rows must be byte-identical to the baseline
+//!   `perf/BENCH_<name>.baseline.json`, every verdict must hold and no
 //!   metric invariant may be violated;
 //! * the command line ([`main`]): `claim <name>`, `claim all`, `claim list`.
 //!
@@ -46,7 +45,6 @@ pub use rows::{Row, Rows, Value};
 
 use dra_cloud::{alerts_to_jsonl, check_metric_invariants, Alert};
 use dra_obs::MetricsRegistry;
-use rows::Tolerances;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -171,7 +169,7 @@ fn isolated(run: fn() -> ClaimOutput) -> Result<ClaimOutput, String> {
 }
 
 /// Drive one claim end to end, printing as it goes: outputs land in
-/// `out_dir`, baselines and tolerances are read from `perf_dir`. Returns
+/// `out_dir`, baselines are read from `perf_dir`. Returns
 /// what failed; empty means the claim is reproduced.
 pub fn reproduce(claim: &Claim, out_dir: &Path, perf_dir: &Path) -> Vec<String> {
     let runs = if claim.deterministic { 2 } else { 1 };
@@ -236,34 +234,38 @@ pub fn reproduce(claim: &Claim, out_dir: &Path, perf_dir: &Path) -> Vec<String> 
 }
 
 /// Hold `rows` against the claim's checked-in baseline, if it has one:
-/// first the gate (names what regressed, vanished or is new), then the
-/// bytes (a deterministic output that differs from its baseline at all
-/// means the baseline is stale).
+/// every number is virtual time or a deterministic counter, so the output
+/// must be byte-identical to the baseline, and the baseline must hold at
+/// least one row. A mismatch names the first lines that differ.
 fn gate(claim: &Claim, rows: &Rows, perf_dir: &Path) -> Vec<String> {
     let file = format!("BENCH_{}.baseline.json", claim.name);
-    let Ok(baseline_text) = std::fs::read_to_string(perf_dir.join(&file)) else {
+    let Ok(baseline) = std::fs::read_to_string(perf_dir.join(&file)) else {
         println!("gate: no {file}, nothing to hold");
         return vec![];
     };
-    let tolerances = std::fs::read_to_string(perf_dir.join("perf_tolerances.json"))
-        .ok()
-        .and_then(|text| Tolerances::parse(&text));
-    let (baseline, tol) = match (Rows::read(&baseline_text), tolerances) {
-        (Ok(baseline), Some(tol)) => (baseline, tol),
-        (Err(e), _) => return vec![format!("gate: {file} is malformed: {e}")],
-        (_, None) => return vec!["gate: perf_tolerances.json is missing or malformed".into()],
-    };
-    let (violations, held) = rows::gate(&baseline, rows, &tol);
-    println!("gate: {held} values of {file}, default tolerance +{}%", tol.default_pct);
-    let mut failures: Vec<String> =
-        violations.iter().map(|v| format!("gate: {}: {}", v.key, v.detail)).collect();
-    if held == 0 {
-        failures.push(format!("gate: {file} holds no values"));
+    let mut failures = Vec::new();
+    if !baseline.lines().any(|line| line.trim_start().starts_with("{\"")) {
+        failures.push(format!("gate: {file} holds no rows"));
     }
-    if failures.is_empty() && rows.write() != baseline_text {
+    let written = rows.write();
+    if written == baseline {
+        println!("gate: byte-identical to {file}");
+    } else {
+        let (old, new): (Vec<&str>, Vec<&str>) =
+            (baseline.lines().collect(), written.lines().collect());
+        fn line<'a>(side: &[&'a str], n: usize) -> &'a str {
+            side.get(n).copied().unwrap_or("(no line)")
+        }
+        let differing: String = (0..old.len().max(new.len()))
+            .filter(|&n| old.get(n) != new.get(n))
+            .take(3)
+            .map(|n| {
+                format!("\n  line {}: baseline {} / new {}", n + 1, line(&old, n), line(&new, n))
+            })
+            .collect();
         failures.push(format!(
-            "gate: output drifted from {file} within tolerance — the baseline is stale; \
-             if the change is intended, copy BENCH_{}.json over it",
+            "gate: output differs from {file}; if the change is intended, copy BENCH_{}.json \
+             over it{differing}",
             claim.name
         ));
     }
@@ -331,8 +333,8 @@ mod tests {
     }
 
     /// Run the toy claim in a scratch directory holding `baseline` (when
-    /// given) and the real tolerance file; returns what failed and the
-    /// `BENCH_toy.json` the run left behind.
+    /// given); returns what failed and the `BENCH_toy.json` the run left
+    /// behind.
     fn run_toy(
         test: &str,
         baseline: Option<&str>,
@@ -340,11 +342,6 @@ mod tests {
     ) -> (Vec<String>, Option<String>) {
         let dir = std::env::temp_dir().join(format!("dra-claims-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::copy(
-            Path::new(PERF).join("perf_tolerances.json"),
-            dir.join("perf_tolerances.json"),
-        )
-        .unwrap();
         if let Some(text) = baseline {
             std::fs::write(dir.join("BENCH_toy.baseline.json"), text).unwrap();
         }
@@ -391,25 +388,39 @@ mod tests {
     }
 
     #[test]
-    fn stale_baselines_fail_the_gate() {
-        let run = |test: &str, baseline: &str| run_toy(test, Some(baseline), steady).0;
+    fn a_baseline_that_is_not_the_output_fails_and_names_the_line() {
+        let gated = |test: &str, baseline: &str| {
+            let failures = run_toy(test, Some(baseline), steady).0;
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("copy BENCH_toy.json over it"), "{failures:?}");
+            failures[0].clone()
+        };
+        let row = BASELINE.lines().nth(1).unwrap();
+        // one stale digit, either way, and a stale digest
+        for (test, old, new) in [("up", "9", "5"), ("down", "9", "19"), ("digest", "ab12", "ab13")]
+        {
+            let stale = row.replace(old, new);
+            let failure = gated(test, &BASELINE.replace(old, new));
+            assert!(
+                failure.contains(&format!("line 2: baseline {stale} / new {row}")),
+                "{failure}"
+            );
+        }
         // a key the baseline lacks, a key only the baseline has
-        let missing = run("missing", &BASELINE.replace("\"hops\": 9, ", ""));
-        assert!(
-            missing.iter().any(|f| f.contains("toy/hops: present in the new output")),
-            "{missing:?}"
-        );
-        let extra = run("extra", &BASELINE.replace("\"hops\": 9", "\"hops\": 9, \"old\": 1"));
-        assert!(extra.iter().any(|f| f.contains("toy/old: present in the baseline")), "{extra:?}");
-        // one flipped digit: up is a regression, down (within any
-        // tolerance) is still a stale baseline, and so is a digest
-        let regressed = run("regressed", &BASELINE.replace("\"hops\": 9", "\"hops\": 5"));
-        assert!(regressed.iter().any(|f| f.contains("toy/hops: regressed")), "{regressed:?}");
-        let improved = run("improved", &BASELINE.replace("\"hops\": 9", "\"hops\": 19"));
-        assert!(improved.iter().any(|f| f.contains("baseline is stale")), "{improved:?}");
-        let digest = run("digest", &BASELINE.replace("ab12", "ab13"));
-        assert!(digest.iter().any(|f| f.contains("toy/sha: changed")), "{digest:?}");
-        assert_eq!(run("empty", "[\n]\n").len(), 3, "two unknown values and an empty baseline");
+        let missing = gated("missing", &BASELINE.replace("\"hops\": 9, ", ""));
+        assert!(missing.contains("line 2: baseline   {\"cell\": \"toy\", \"sha\""), "{missing}");
+        let extra = gated("extra", &BASELINE.replace("\"hops\": 9", "\"hops\": 9, \"old\": 1"));
+        assert!(extra.contains("\"old\": 1, \"sha\": \"ab12\"} / new "), "{extra}");
+        // a row the baseline lacks shifts every later line
+        let short = gated("short", &BASELINE.replace("[\n", "[\n  {\"cell\": \"gone\"},\n"));
+        assert!(short.contains("line 2: baseline   {\"cell\": \"gone\"}, / new "), "{short}");
+        assert!(short.contains("line 4: baseline ] / new (no line)"), "{short}");
+
+        // an empty baseline holds nothing, and says so
+        let empty = run_toy("empty", Some("[\n]\n"), steady).0;
+        assert_eq!(empty.len(), 2, "{empty:?}");
+        assert!(empty[0].contains("holds no rows"), "{empty:?}");
+        assert!(empty[1].contains(&format!("line 2: baseline ] / new {row}")), "{empty:?}");
     }
 
     #[test]
@@ -431,24 +442,18 @@ mod tests {
         assert_eq!(names.len(), CLAIMS.len(), "claim names are unique");
 
         // every checked-in baseline belongs to exactly one deterministic
-        // claim, and reads back to the bytes it was written from
+        // claim
         let mut baselines = 0;
         for entry in std::fs::read_dir(PERF).unwrap() {
             let file = entry.unwrap().file_name().into_string().unwrap();
             let Some(name) =
                 file.strip_prefix("BENCH_").and_then(|f| f.strip_suffix(".baseline.json"))
             else {
-                assert_eq!(
-                    file, "perf_tolerances.json",
-                    "perf/ holds baselines and tolerances only"
-                );
-                continue;
+                panic!("perf/ holds baselines only, found {file}");
             };
             let owners: Vec<&Claim> = CLAIMS.iter().filter(|c| c.name == name).collect();
             assert_eq!(owners.len(), 1, "{file} belongs to one claim");
             assert!(owners[0].deterministic, "{file}: only deterministic claims are gated");
-            let text = std::fs::read_to_string(Path::new(PERF).join(&file)).unwrap();
-            assert_eq!(Rows::read(&text).unwrap().write(), text, "{file} round-trips");
             baselines += 1;
         }
         assert_eq!(baselines, 6);

@@ -1,20 +1,15 @@
-//! The claim row format and the perf regression gate over it.
+//! The claim row format.
 //!
 //! Every `BENCH_*.json` a claim produces is a list of *rows*: ordered
 //! scalar fields (by convention led by a `"cell"` name), optionally
 //! followed by a `"stages"` list of sub-rows. This module is the only
-//! writer ([`Rows::write`]) and the only reader ([`Rows::read`]) of that
-//! format — one row per line, fixed key order, no JSON dependency — in both
-//! layouts the checked-in baselines use: a bare array of rows, and an
-//! object with header fields and a `"cells"` array.
-//!
-//! The gate holds a fresh document against a checked-in baseline under
-//! explicit tolerances. Claim numbers are *virtual time* and deterministic
-//! counters, so a "regression" is a code change that made a stage
-//! genuinely cost more (extra hops, extra retries, longer waits), not
-//! scheduler noise — which is why the gate can afford to be strict.
+//! writer of that format ([`Rows::write`]) — one row per line, fixed key
+//! order, no JSON dependency — in both layouts the checked-in baselines
+//! use: a bare array of rows, and an object with header fields and a
+//! `"cells"` array. Nothing reads it back: claim numbers are virtual time
+//! and deterministic counters, so the harness holds an output against its
+//! baseline byte for byte.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One scalar field value.
@@ -28,18 +23,6 @@ pub enum Value {
     Bool(bool),
     /// A string (names, digests, `"ok"`-style verdict words).
     Str(String),
-}
-
-impl Value {
-    /// The numeric reading the gate compares, if the value has one.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(n) => Some(*n as f64),
-            Value::Fixed(x, _) => Some(*x),
-            Value::Bool(_) | Value::Str(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -245,408 +228,48 @@ impl Rows {
         out.push_str(&close);
         out
     }
-
-    /// Parse a document [`Rows::write`] produced. Strict: anything that is
-    /// not exactly that shape is an error, never a silently shorter index.
-    pub fn read(text: &str) -> Result<Rows, String> {
-        let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-        let mut next = move || lines.next().ok_or_else(|| "unexpected end of document".to_string());
-        let at = |n: usize, e: String| format!("line {n}: {e}");
-
-        let layout = match next()?.1.trim() {
-            "[" => Layout::Array,
-            "{" => {
-                let mut header = Fields::new();
-                loop {
-                    let (n, line) = next()?;
-                    if line.trim() == "\"cells\": [" {
-                        break Layout::Object {
-                            header,
-                            indent: line.len() - line.trim_start().len(),
-                        };
-                    }
-                    let wrapped = format!("{{{}}}", line.trim().trim_end_matches(','));
-                    header.extend(parse_fields(&wrapped).map_err(|e| at(n, e))?.0);
-                }
-            }
-            other => return Err(format!("line 1: expected '[' or '{{', found '{other}'")),
-        };
-
-        let mut rows = Vec::new();
-        loop {
-            let (n, line) = next()?;
-            if line.trim() == "]" {
-                break;
-            }
-            let (fields, opens_stages) = parse_fields(line).map_err(|e| at(n, e))?;
-            let stages = if opens_stages {
-                let mut stages = Vec::new();
-                loop {
-                    let (n, line) = next()?;
-                    if line.trim().starts_with("]}") {
-                        break;
-                    }
-                    let (fields, nested) = parse_fields(line).map_err(|e| at(n, e))?;
-                    if nested {
-                        return Err(at(n, "a stage cannot have stages".into()));
-                    }
-                    stages.push(Row { fields, stages: None });
-                }
-                Some(stages)
-            } else {
-                None
-            };
-            rows.push(Row { fields, stages });
-        }
-        if matches!(layout, Layout::Object { .. }) && next()?.1.trim() != "}" {
-            return Err("expected the closing '}'".into());
-        }
-        Ok(Rows { layout, rows })
-    }
-}
-
-/// Parse `{"k": v, "k": v…` up to the closing `}` — or up to `"stages": [`,
-/// in which case the second return is `true` and the stage lines follow.
-fn parse_fields(line: &str) -> Result<(Fields, bool), String> {
-    let mut rest = line.trim().strip_prefix('{').ok_or("expected '{'")?;
-    let mut fields = Fields::new();
-    loop {
-        let (key, after) = parse_string(rest.trim_start())?;
-        rest = after.trim_start().strip_prefix(':').ok_or("expected ':'")?.trim_start();
-        if key == "stages" && rest.starts_with('[') {
-            return Ok((fields, true));
-        }
-        let (value, after) = parse_value(rest)?;
-        fields.push((key, value));
-        rest = after.trim_start();
-        match rest.strip_prefix(',') {
-            Some(more) => rest = more,
-            None if rest.starts_with('}') => return Ok((fields, false)),
-            None => return Err(format!("expected ',' or '}}' before '{rest}'")),
-        }
-    }
-}
-
-fn parse_string(s: &str) -> Result<(String, &str), String> {
-    let mut chars = s.strip_prefix('"').ok_or("expected '\"'")?.char_indices();
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &s[i + 2..])),
-            '\\' => match chars.next() {
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, c)) => out.push(c),
-                None => break,
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_value(s: &str) -> Result<(Value, &str), String> {
-    if s.starts_with('"') {
-        return parse_string(s).map(|(v, rest)| (Value::Str(v), rest));
-    }
-    for (word, value) in [("true", true), ("false", false)] {
-        if let Some(rest) = s.strip_prefix(word) {
-            return Ok((Value::Bool(value), rest));
-        }
-    }
-    let end = s.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(s.len());
-    let (num, rest) = s.split_at(end);
-    let value = match num.split_once('.') {
-        Some((_, frac)) => num.parse().map(|x| Value::Fixed(x, frac.len())).ok(),
-        None => num.parse().map(Value::Int).ok(),
-    };
-    value.map(|v| (v, rest)).ok_or_else(|| format!("expected a value, found '{s}'"))
-}
-
-/// Per-stage tolerance table: how much a gated number may grow (percent)
-/// before the gate fails.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Tolerances {
-    /// Applied to any stage with no explicit entry.
-    pub default_pct: f64,
-    /// Stage-specific overrides (tighter for hot stages and exact
-    /// counters, looser for noisy composites).
-    pub stages: BTreeMap<String, f64>,
-}
-
-impl Tolerances {
-    /// The allowed growth for `stage`, percent.
-    #[must_use]
-    pub fn for_stage(&self, stage: &str) -> f64 {
-        self.stages.get(stage).copied().unwrap_or(self.default_pct)
-    }
-
-    /// Parse a tolerance file: `{"default_pct": N, "stages": {"hop": N, …}}`,
-    /// one entry per line. Returns `None` when no `default_pct` is present
-    /// (malformed file — better to fail the gate than to silently wave
-    /// regressions through).
-    #[must_use]
-    pub fn parse(text: &str) -> Option<Tolerances> {
-        let mut default_pct = None;
-        let mut stages = BTreeMap::new();
-        for line in text.lines() {
-            let wrapped = format!("{{{}}}", line.trim().trim_end_matches(','));
-            let Ok((fields, _)) = parse_fields(&wrapped) else { continue };
-            for (name, value) in fields {
-                match value.as_f64() {
-                    Some(pct) if name == "default_pct" => default_pct = Some(pct),
-                    Some(pct) => {
-                        stages.insert(name, pct);
-                    }
-                    None => {}
-                }
-            }
-        }
-        Some(Tolerances { default_pct: default_pct?, stages })
-    }
-}
-
-/// One gate violation, human-readable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Violation {
-    /// `cell/key` or `cell/stage/key` the violation is in.
-    pub key: String,
-    /// What went wrong.
-    pub detail: String,
-}
-
-/// Every gated value of a document: `path → (tolerance name, value)`.
-/// Header fields sit under their own key, cell fields under `cell/key`
-/// (tolerance looked up by key), stage fields under `cell/stage/key`
-/// (tolerance looked up by stage). Rows without a `"cell"` are numbered.
-fn index(doc: &Rows) -> BTreeMap<String, (String, &Value)> {
-    let id = |row: &Row, key: &str, n: usize| match row.get(key) {
-        Some(Value::Str(s)) => s.clone(),
-        _ => format!("#{n}"),
-    };
-    let mut out = BTreeMap::new();
-    if let Layout::Object { header, .. } = &doc.layout {
-        out.extend(header.iter().map(|(k, v)| (k.clone(), (k.clone(), v))));
-    }
-    for (i, row) in doc.rows.iter().enumerate() {
-        let cell = id(row, "cell", i);
-        for (k, v) in row.fields.iter().filter(|(k, _)| k != "cell") {
-            out.insert(format!("{cell}/{k}"), (k.clone(), v));
-        }
-        for (j, stage_row) in row.stages.iter().flatten().enumerate() {
-            let stage = id(stage_row, "stage", j);
-            for (k, v) in stage_row.fields.iter().filter(|(k, _)| k != "stage") {
-                out.insert(format!("{cell}/{stage}/{k}"), (stage.clone(), v));
-            }
-        }
-    }
-    out
-}
-
-/// Compare `new` against `baseline` under `tol`. Violations: a baseline
-/// value that disappeared (instrumentation silently lost), a value the
-/// baseline has never seen (the baseline is stale — regenerate it
-/// deliberately), a number that grew beyond its tolerance, or a word or
-/// digest that changed at all. Returns the violations and the number of
-/// baseline values held.
-#[must_use]
-pub fn gate(baseline: &Rows, new: &Rows, tol: &Tolerances) -> (Vec<Violation>, usize) {
-    let (base, fresh) = (index(baseline), index(new));
-    let mut violations = Vec::new();
-    let mut violate = |key: &str, detail: String| {
-        violations.push(Violation { key: key.to_string(), detail });
-    };
-    for (key, (stage, base_value)) in &base {
-        let Some((_, new_value)) = fresh.get(key) else {
-            violate(key, "present in the baseline but missing from the new output".into());
-            continue;
-        };
-        match (base_value.as_f64(), new_value.as_f64()) {
-            (Some(b), Some(n)) => {
-                let pct = tol.for_stage(stage);
-                let allowed = (b * (1.0 + pct / 100.0)).floor();
-                if n > allowed {
-                    violate(key, format!("regressed: {b} → {n} (allowed ≤ {allowed} at +{pct}%)"));
-                }
-            }
-            _ if base_value != new_value => {
-                violate(key, format!("changed: {base_value} → {new_value}"));
-            }
-            _ => {}
-        }
-    }
-    for key in fresh.keys().filter(|k| !base.contains_key(*k)) {
-        violate(key, "present in the new output but missing from the baseline".into());
-    }
-    (violations, base.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const PROFILE: &str = r#"{
-"claim": "C10",
-"seed": 7,
-"cells": [
-{"cell": "basic/lossless", "steps": 9, "stages": [
-{"stage": "deliver", "count": 10, "p50_us": 100, "p95_us": 200, "p99_us": 210},
-{"stage": "hop", "count": 9, "p50_us": 1000, "p95_us": 2000, "p99_us": 2100}
-]},
-{"cell": "tfc/hostile", "steps": 9, "stages": [
-{"stage": "hop", "count": 9, "p50_us": 1500, "p95_us": 3000, "p99_us": 3100}
-]}
-]
-}
-"#;
-
-    const TOLERANCES: &str = r#"{
-  "default_pct": 25,
-  "stages": {
-    "hop": 10
-  }
-}"#;
-
-    const SCALING: &str = r#"[
-  {"cell": "n=1", "sigs": 2, "seq_ec_ops": 1000, "batch_ec_ops": 700, "canon_bytes": 512, "inc_hash_bytes": 600},
-  {"cell": "n=8", "sigs": 9, "seq_ec_ops": 4500, "batch_ec_ops": 1500, "canon_bytes": 2048, "inc_hash_bytes": 600}
-]
-"#;
-
-    fn read(text: &str) -> Rows {
-        Rows::read(text).expect("well-formed test document")
-    }
-
-    fn violations(base: &str, new: &str, tol: &Tolerances) -> Vec<Violation> {
-        gate(&read(base), &read(new), tol).0
-    }
-
-    fn exact() -> Tolerances {
-        Tolerances { default_pct: 0.0, stages: BTreeMap::new() }
-    }
-
     #[test]
-    fn writer_reader_round_trip_on_both_layouts() {
-        for text in [PROFILE, SCALING] {
-            assert_eq!(read(text).write(), text, "read → write reproduces the bytes");
-        }
-        let built = Rows::object(
-            Row::new().with("claim", "C9").fields,
-            2,
-            vec![
-                Row::new()
-                    .with("cell", "a \"quoted\\\" name\n")
-                    .with("crash", true)
-                    .with("inflation", Value::Fixed(1.5, 4))
-                    .with("depth", -3i64),
-                Row::new().with("cell", "b").stages(vec![Row::new().with("stage", "hop")]),
-            ],
+    fn writes_both_layouts_one_row_per_line() {
+        let rows = vec![
+            Row::new()
+                .with("cell", "a \"quoted\\\" name\n")
+                .with("crash", true)
+                .with("inflation", Value::Fixed(1.5, 4))
+                .with("depth", -3i64),
+            Row::new().with("cell", "b").stages(vec![
+                Row::new().with("stage", "deliver").with("p50_us", 100u64),
+                Row::new().with("stage", "hop").with("p50_us", 1000u64),
+            ]),
+        ];
+        let first = r#"{"cell": "a \"quoted\\\" name\n", "crash": true, "inflation": 1.5000, "depth": -3},"#;
+        assert_eq!(
+            Rows::array(rows.clone()).write(),
+            format!(
+                "[\n  {first}\n  {{\"cell\": \"b\", \"stages\": [\n  \
+                 {{\"stage\": \"deliver\", \"p50_us\": 100}},\n  \
+                 {{\"stage\": \"hop\", \"p50_us\": 1000}}\n  ]}}\n]\n"
+            )
         );
-        assert_eq!(read(&built.write()), built, "write → read reproduces the rows");
-        assert!(built.write().contains("\"inflation\": 1.5000"));
+        let header = Row::new().with("claim", "C9").with("seed", 7u64).fields;
+        let object = Rows::object(header, 2, rows).write();
+        assert!(object
+            .starts_with("{\n  \"claim\": \"C9\",\n  \"seed\": 7,\n  \"cells\": [\n    {\"cell\""));
+        assert!(object.ends_with("    ]}\n  ]\n}\n"), "{object}");
+        assert_eq!(object.lines().count(), 4 + 5 + 2, "header, rows and stages, closers");
     }
 
     #[test]
-    fn reader_rejects_what_the_writer_never_produces() {
-        assert!(Rows::read("").is_err());
-        assert!(Rows::read("[\n  {\"cell\": \"a\"}\n").is_err(), "no closing bracket");
-        assert!(Rows::read("[\n  {\"cell\": }\n]\n").is_err(), "missing value");
-        assert!(Rows::read("(\n)\n").is_err());
-    }
-
-    #[test]
-    fn indexes_cells_stages_and_header() {
-        let doc = read(PROFILE);
-        let idx = index(&doc);
-        let at = |path: &str| (idx[path].0.as_str(), idx[path].1);
-        assert_eq!(at("basic/lossless/deliver/p95_us"), ("deliver", &Value::Int(200)));
-        assert_eq!(at("tfc/hostile/hop/p95_us"), ("hop", &Value::Int(3000)));
-        assert_eq!(at("basic/lossless/steps"), ("steps", &Value::Int(9)));
-        assert_eq!(at("seed"), ("seed", &Value::Int(7)));
-        assert_eq!(index(&read(SCALING)).len(), 10, "2 cells × 5 counters");
-    }
-
-    #[test]
-    fn scaling_gate_catches_ec_op_regressions() {
-        assert_eq!(violations(SCALING, SCALING, &exact()), vec![]);
-        let worse = SCALING.replace("\"batch_ec_ops\": 1500", "\"batch_ec_ops\": 1501");
-        let found = violations(SCALING, &worse, &exact());
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, "n=8/batch_ec_ops");
-    }
-
-    #[test]
-    fn parses_tolerances_with_overrides() {
-        let tol = Tolerances::parse(TOLERANCES).unwrap();
-        assert!((tol.default_pct - 25.0).abs() < f64::EPSILON);
-        assert!((tol.for_stage("hop") - 10.0).abs() < f64::EPSILON);
-        assert!((tol.for_stage("deliver") - 25.0).abs() < f64::EPSILON);
-        assert_eq!(Tolerances::parse("{}"), None, "missing default_pct is malformed");
-    }
-
-    #[test]
-    fn identical_profiles_pass() {
-        let tol = Tolerances::parse(TOLERANCES).unwrap();
-        let (found, held) = gate(&read(PROFILE), &read(PROFILE), &tol);
-        assert_eq!(found, vec![]);
-        assert_eq!(held, 2 + 2 + 3 * 4, "header, cell and stage values");
-    }
-
-    #[test]
-    fn regression_beyond_tolerance_fails() {
-        let tol = Tolerances::parse(TOLERANCES).unwrap();
-        // hop tolerance is 10%: 2000 → 2200 is the limit, 2201 must fail
-        let ok = PROFILE.replace("\"p95_us\": 2000", "\"p95_us\": 2200");
-        assert_eq!(violations(PROFILE, &ok, &tol), vec![]);
-        let bad = PROFILE.replace("\"p95_us\": 2000", "\"p95_us\": 2201");
-        let found = violations(PROFILE, &bad, &tol);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, "basic/lossless/hop/p95_us");
-        assert!(found[0].detail.contains("2201"));
-    }
-
-    #[test]
-    fn within_default_tolerance_passes() {
-        let tol = Tolerances::parse(TOLERANCES).unwrap();
-        // deliver has no override: 25% of 200 → up to 250 passes
-        let grown = PROFILE.replace("\"p95_us\": 200,", "\"p95_us\": 250,");
-        assert_eq!(violations(PROFILE, &grown, &tol), vec![]);
-        let too_big = PROFILE.replace("\"p95_us\": 200,", "\"p95_us\": 251,");
-        assert_eq!(violations(PROFILE, &too_big, &tol).len(), 1);
-    }
-
-    #[test]
-    fn missing_stage_fails() {
-        let tol = Tolerances::parse(TOLERANCES).unwrap();
-        let gone = PROFILE.replace(
-            "{\"stage\": \"deliver\", \"count\": 10, \"p50_us\": 100, \"p95_us\": 200, \"p99_us\": 210},\n",
-            "",
-        );
-        let found = violations(PROFILE, &gone, &tol);
-        assert_eq!(found.len(), 4, "every value of the lost stage");
-        assert!(found.iter().all(|v| v.detail.contains("missing from the new output")));
-    }
-
-    #[test]
-    fn keys_missing_from_or_extra_to_the_baseline_fail() {
-        // a dropped counter (instrumentation lost) …
-        let dropped = SCALING.replace(" \"batch_ec_ops\": 1500,", "");
-        let found = violations(SCALING, &dropped, &exact());
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, "n=8/batch_ec_ops");
-        // … and a counter the baseline never saw: the stale-baseline hole
-        // that let four new fleet columns go ungated
-        let found = violations(&dropped, SCALING, &exact());
-        assert_eq!(found.len(), 1);
-        assert!(found[0].detail.contains("missing from the baseline"));
-    }
-
-    #[test]
-    fn changed_words_fail() {
-        let base = "[\n  {\"cell\": \"a\", \"sha\": \"00ff\", \"ok\": true}\n]\n";
-        assert_eq!(violations(base, base, &exact()), vec![]);
-        let found = violations(base, &base.replace("00ff", "00fe"), &exact());
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, "a/sha");
-        assert_eq!(violations(base, &base.replace("true", "false"), &exact()).len(), 1);
+    fn rows_read_back_what_a_claim_wrote_and_set_keeps_the_position() {
+        let row = Row::new().with("cell", "n=8").with("sigs", 9u64).with("ok", "yes");
+        assert_eq!((row.int("sigs"), row.text("ok")), (9, "yes"));
+        assert_eq!(row.get("missing"), None);
+        let row = row.set("sigs", 10u64);
+        assert_eq!(row.fields[1], ("sigs".to_string(), Value::Int(10)));
     }
 }

@@ -49,7 +49,7 @@ pub(super) fn run() -> ClaimOutput {
         metrics.incr("tfc.docs_finalized", total as u64);
         let counter = AtomicUsize::new(0);
         let started = Instant::now();
-        crossbeam_scope(threads, &|_| loop {
+        on_threads(threads, &|_| loop {
             let i = counter.fetch_add(1, Ordering::Relaxed);
             if i >= total {
                 break;
@@ -67,9 +67,8 @@ pub(super) fn run() -> ClaimOutput {
     out
 }
 
-/// Tiny scoped-thread helper (keeps the dependency surface inside dra-bench
-/// minimal — std threads with scope).
-fn crossbeam_scope(threads: usize, f: &(dyn Fn(usize) + Sync)) {
+/// Run `f(t)` on `threads` scoped threads and join them all.
+fn on_threads(threads: usize, f: &(dyn Fn(usize) + Sync)) {
     std::thread::scope(|s| {
         for t in 0..threads {
             s.spawn(move || f(t));

@@ -25,9 +25,9 @@
 //! [`FederationController`]: crate::federation::FederationController
 
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
-use crate::portal::{CloudSystem, FAM_DOC, FAM_META, QUAL_XML};
+use crate::portal::CloudSystem;
+use crate::schema::{self, Name, RowKey, DOC_ROWS, SEQ, STATUS, XML};
 use dra4wfms_core::prelude::*;
-use dra_docpool::Scan;
 use dra_obs::{MetricsRegistry, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, PoisonError};
@@ -115,18 +115,16 @@ impl PoolAuditor {
         let mut caught = 0usize;
 
         for (cloud_name, cloud_idx, pool) in sys.audit_pools() {
-            let cursor = st.cursors.get(&cloud_name).cloned().unwrap_or_else(|| "doc/".to_string());
-            let scan = Scan::prefix("doc/")
-                .family(FAM_DOC)
-                .starting_at(&cursor)
+            let cursor = st.cursors.get(&cloud_name).map_or(DOC_ROWS, String::as_str);
+            let scan = schema::all_docs()
+                .starting_at(cursor)
                 .limit(self.config.batch)
                 .threads(self.config.threads);
             let result = pool.query(&scan);
             if result.rows.is_empty() {
                 // the cursor ran off the end of the doc/ range: sweep done
-                if cursor != "doc/" {
+                if st.cursors.remove(&cloud_name).is_some() {
                     st.sweeps += 1;
-                    st.cursors.insert(cloud_name.clone(), "doc/".to_string());
                 }
                 continue;
             }
@@ -134,41 +132,25 @@ impl PoolAuditor {
             // Parse every sampled version; a missing cell, unparseable
             // bytes or a digest with no `seen/` admission row are already
             // suspicious, but the signature pass is the authority.
-            let mut keys: Vec<String> = Vec::new();
+            let mut keys: Vec<&String> = Vec::new();
             let mut docs: Vec<DraDocument> = Vec::new();
+            let mut divergent: Vec<&String> = Vec::new();
             for (key, snap) in &result.rows {
                 st.sampled.insert((cloud_name.clone(), key.clone()));
-                let Some(xml) = snap.get_str(FAM_DOC, QUAL_XML) else {
-                    caught += usize::from(Self::flag(
-                        &mut st,
-                        monitor,
-                        now_us,
-                        &cloud_name,
-                        cloud_idx,
-                        key,
-                    ));
+                let Some(xml) = XML.of(snap) else {
+                    divergent.push(key);
                     continue;
                 };
-                let digest = dra_crypto::sha256(xml.as_bytes());
-                let seen_key = format!("seen/{}", dra_crypto::hex::encode(&digest));
-                if pool.get_str(&seen_key, FAM_META, "seq").is_none() {
+                let seen = RowKey::Seen(dra_crypto::sha256(xml.as_bytes()));
+                if SEQ.get(&pool, seen).is_none() {
                     st.seen_misses += 1;
                 }
                 match DraDocument::parse(&xml) {
                     Ok(doc) => {
-                        keys.push(key.clone());
+                        keys.push(key);
                         docs.push(doc);
                     }
-                    Err(_) => {
-                        caught += usize::from(Self::flag(
-                            &mut st,
-                            monitor,
-                            now_us,
-                            &cloud_name,
-                            cloud_idx,
-                            key,
-                        ));
-                    }
+                    Err(_) => divergent.push(key),
                 }
             }
 
@@ -177,24 +159,21 @@ impl PoolAuditor {
                 .threads(self.config.threads)
                 .batched(true)
                 .run_many(&docs);
-            for ((key, doc), outcome) in keys.iter().zip(&docs).zip(outcomes) {
+            for ((key, doc), outcome) in keys.into_iter().zip(&docs).zip(outcomes) {
                 // a stored row must also live under the process it proves
-                let pid_matches = doc
-                    .process_id()
-                    .map(|pid| key.starts_with(&format!("doc/{pid}/")))
-                    .unwrap_or(false);
+                let pid_matches = matches!(
+                    (RowKey::parse(key), doc.process_id()),
+                    (Some(RowKey::Doc { pid, .. }), Ok(proved)) if pid.as_str() == proved
+                );
                 if outcome.is_ok() && pid_matches {
                     st.verified += 1;
                 } else {
-                    caught += usize::from(Self::flag(
-                        &mut st,
-                        monitor,
-                        now_us,
-                        &cloud_name,
-                        cloud_idx,
-                        key,
-                    ));
+                    divergent.push(key);
                 }
+            }
+            for key in divergent {
+                caught +=
+                    usize::from(Self::flag(&mut st, monitor, now_us, &cloud_name, cloud_idx, key));
             }
 
             // resume strictly after the last sampled key next pass
@@ -217,21 +196,20 @@ impl PoolAuditor {
         trace: &[TraceEvent],
         now_us: u64,
     ) -> bool {
+        // a name no row key can hold has no rows to reconcile
+        let Ok(pid) = Name::new(process_id) else { return true };
         for (cloud_name, cloud_idx, pool) in sys.audit_pools() {
-            let status = pool.get_str(&format!("meta/{process_id}"), FAM_META, "status");
-            if status.as_deref() != Some("complete") {
+            if STATUS.get(&pool, RowKey::Meta(pid)).as_deref() != Some("complete") {
                 continue;
             }
-            let rows = pool.query(&Scan::prefix(&format!("doc/{process_id}/")).family(FAM_DOC));
-            let Some((key, snap)) = rows.rows.last() else { continue };
+            let Some((key, xml)) = schema::latest_doc(&pool, pid) else { continue };
             let mut st = self.lock();
             st.reconciles += 1;
-            let ok = snap
-                .get_str(FAM_DOC, QUAL_XML)
+            let ok = xml
                 .and_then(|xml| DraDocument::parse(&xml).ok())
                 .is_some_and(|doc| reconcile(trace, &doc).is_ok());
             if !ok {
-                Self::flag(&mut st, monitor, now_us, &cloud_name, cloud_idx, key);
+                Self::flag(&mut st, monitor, now_us, &cloud_name, cloud_idx, &key);
                 return false;
             }
         }
@@ -278,14 +256,13 @@ impl PoolAuditor {
             return false;
         }
         if let Some(monitor) = monitor {
-            let pid = key
-                .strip_prefix("doc/")
-                .and_then(|rest| rest.split('/').next())
-                .unwrap_or(key)
-                .to_string();
+            let pid = match RowKey::parse(key) {
+                Some(RowKey::Doc { pid, .. }) => pid.as_str(),
+                _ => key,
+            };
             monitor.raise(Alert {
                 at_us: now_us,
-                process_id: pid,
+                process_id: pid.to_string(),
                 kind: AlertKind::AuditDivergence { cloud: cloud_idx as u64, key: key.to_string() },
             });
         }
@@ -359,10 +336,10 @@ mod tests {
         let monitor = HealthMonitor::new(MonitorConfig::default());
         // forge one stored row in place: case-flip a byte of a-01's version 0
         let key = "doc/a-01/000000";
-        let xml = sys.active_pool().get_str(key, FAM_DOC, QUAL_XML).unwrap();
+        let xml = sys.active_pool().get_str(key, "doc", "xml").unwrap();
         let forged = crate::federation::tamper_bytes(&xml);
         assert_ne!(forged, xml);
-        sys.active_pool().put(key, FAM_DOC, QUAL_XML, forged);
+        sys.active_pool().put(key, "doc", "xml", forged);
 
         let auditor = PoolAuditor::new(AuditConfig { batch: 16, period_us: 100, threads: 2 });
         let caught = auditor.run_pass(&sys, Some(&monitor), 7);

@@ -243,6 +243,50 @@ impl Delivery {
         &self.policy
     }
 
+    /// The hand-off skeleton both paths share: the `deliver` span, the
+    /// attempt and retry counters, the backoff after an unacked attempt and
+    /// the undeliverable error. `attempt` puts one copy of the wire bytes on
+    /// the channel, handles whatever arrives and returns the receiver's
+    /// ack if one came; its error ends the hand-off at once.
+    fn with_retries<T>(
+        &self,
+        sealed: &SealedDocument,
+        target: std::fmt::Arguments<'_>,
+        what: std::fmt::Arguments<'_>,
+        mut attempt: impl FnMut(&Arc<String>) -> WfResult<Option<T>>,
+    ) -> WfResult<T> {
+        let mut span = self.tracer.span(stage::DELIVER).actor("delivery");
+        if span.enabled() {
+            if let Ok(pid) = sealed.document().process_id() {
+                span.set_process(&pid);
+            }
+            span.attr("target", target);
+        }
+        let wire = sealed.wire();
+        self.account_ideal(wire.len());
+        let mut backoff = self.policy.base_backoff_us;
+        for n in 1..=self.policy.max_attempts {
+            self.attempts.fetch_add(1, Ordering::Relaxed);
+            if n > 1 {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(ack) = attempt(&wire)? {
+                self.delivered.fetch_add(1, Ordering::Relaxed);
+                span.attr("attempts", n);
+                span.end();
+                return Ok(ack);
+            }
+            self.wait_before_retry(&mut backoff);
+        }
+        span.attr("attempts", self.policy.max_attempts);
+        span.end_with("undeliverable");
+        Err(WfError::Delivery(format!(
+            "{what} undeliverable after {} attempts ({} bytes)",
+            self.policy.max_attempts,
+            wire.len()
+        )))
+    }
+
     /// Deliver a sealed document to portal `portal` through the faulty
     /// channel, retrying with exponential backoff until the portal acks or
     /// the attempt budget is exhausted.
@@ -255,23 +299,9 @@ impl Delivery {
     ) -> WfResult<StoreAck> {
         // reordered copies of *earlier* sends arrive before this one
         self.drain_pending(system);
-        let mut span = self.tracer.span(stage::DELIVER).actor("delivery");
-        if span.enabled() {
-            if let Ok(pid) = sealed.document().process_id() {
-                span.set_process(&pid);
-            }
-            span.attr("target", format!("portal:{portal}"));
-        }
-        let wire = sealed.wire();
-        self.account_ideal(wire.len());
-        let mut backoff = self.policy.base_backoff_us;
-        for attempt in 1..=self.policy.max_attempts {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            if attempt > 1 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
+        let attempt = |wire: &Arc<String>| {
             let mut ack: Option<StoreAck> = None;
-            for arrival in self.network.send(&wire) {
+            for arrival in self.network.send(wire) {
                 if arrival.late {
                     self.enqueue_pending(Pending {
                         payload: arrival.payload.unwrap_or_else(|| wire.as_ref().clone()),
@@ -283,48 +313,16 @@ impl Delivery {
                 }
                 self.network.sim().advance(arrival.delay_us);
                 let corrupted = arrival.payload.is_some();
-                let payload = arrival.payload.as_deref().unwrap_or(&wire);
-                match system.ingest_wire(portal, payload, route, sealed.trust()) {
-                    Ok(a) => {
-                        if a.duplicate {
-                            self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        ack.get_or_insert(a);
-                    }
-                    // the portal died mid-admission: restart it (journal
-                    // replay completes the half-done store), treat the
-                    // attempt as unacked and let backoff + retry run — the
-                    // retry finds the replayed seen row and acks a duplicate
-                    Err(WfError::Crash(_)) => {
-                        self.crashes.fetch_add(1, Ordering::Relaxed);
-                        system.recover_portals();
-                    }
-                    // a corrupted copy failing verification is the fault
-                    // model working — retry with the original bytes
-                    Err(_) if corrupted => {
-                        self.corruptions_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // an *intact* copy the portal rejects is an application
-                    // error (bad document, policy violation) — retrying the
-                    // same bytes can never succeed
-                    Err(e) => return Err(e),
+                let payload = arrival.payload.as_deref().unwrap_or(wire);
+                let trust = sealed.trust();
+                if let Some(a) = self.to_portal(system, portal, payload, route, trust, corrupted)? {
+                    ack.get_or_insert(a);
                 }
             }
-            if let Some(ack) = ack {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-                span.attr("attempts", attempt);
-                span.end();
-                return Ok(ack);
-            }
-            self.wait_before_retry(&mut backoff);
-        }
-        span.attr("attempts", self.policy.max_attempts);
-        span.end_with("undeliverable");
-        Err(WfError::Delivery(format!(
-            "document for portal {portal} undeliverable after {} attempts ({} bytes)",
-            self.policy.max_attempts,
-            wire.len()
-        )))
+            Ok(ack)
+        };
+        let what = format_args!("document for portal {portal}");
+        self.with_retries(sealed, format_args!("portal:{portal}"), what, attempt)
     }
 
     /// Deliver a sealed document to an arbitrary receiver (the AEA → TFC
@@ -337,25 +335,11 @@ impl Delivery {
         sealed: &SealedDocument,
         mut ingest: impl FnMut(SealedDocument) -> WfResult<T>,
     ) -> WfResult<T> {
-        let mut span = self.tracer.span(stage::DELIVER).actor("delivery");
-        if span.enabled() {
-            if let Ok(pid) = sealed.document().process_id() {
-                span.set_process(&pid);
-            }
-            span.attr("target", "transfer");
-        }
-        let wire = sealed.wire();
-        self.account_ideal(wire.len());
-        let mut backoff = self.policy.base_backoff_us;
-        for attempt in 1..=self.policy.max_attempts {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            if attempt > 1 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
+        self.with_retries(sealed, format_args!("transfer"), format_args!("hand-off"), |wire| {
             let mut acked: Option<T> = None;
             // a point-to-point link has no shared redelivery queue: process
             // reordered copies after the on-time ones within this attempt
-            let mut arrivals = self.network.send(&wire);
+            let mut arrivals = self.network.send(wire);
             arrivals.sort_by_key(|a| a.late);
             for arrival in arrivals {
                 self.network.sim().advance(arrival.delay_us);
@@ -366,49 +350,19 @@ impl Delivery {
                 if arrival.late {
                     self.late_deliveries.fetch_add(1, Ordering::Relaxed);
                 }
-                match &arrival.payload {
-                    None => match ingest(sealed.clone()) {
-                        Ok(v) => acked = Some(v),
-                        // the receiver died mid-ingest (e.g. the TFC after
-                        // drawing its timestamp): unacked attempt, retry —
-                        // the restarted receiver's redo log re-emits the
-                        // same result instead of double-processing
-                        Err(WfError::Crash(_)) => {
-                            self.crashes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => return Err(e),
-                    },
-                    Some(corrupted) => {
-                        let outcome = SealedDocument::from_wire(corrupted).and_then(&mut ingest);
-                        match outcome {
-                            // a corrupted copy that still verifies is
-                            // canonically identical — accept it
-                            Ok(v) => acked = Some(v),
-                            Err(WfError::Crash(_)) => {
-                                self.crashes.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                self.corruptions_rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
+                let corrupted = arrival.payload.is_some();
+                let copy = match &arrival.payload {
+                    None => Ok(sealed.clone()),
+                    Some(bytes) => SealedDocument::from_wire(bytes),
+                };
+                // (a corrupted copy that still verifies is canonically
+                // identical — accept it; a receiver that died mid-ingest,
+                // e.g. the TFC after drawing its timestamp, re-emits the
+                // same result from its redo log on the retry)
+                acked = self.settle(copy.and_then(&mut ingest), corrupted, || ())?;
             }
-            if let Some(v) = acked {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-                span.attr("attempts", attempt);
-                span.end();
-                return Ok(v);
-            }
-            self.wait_before_retry(&mut backoff);
-        }
-        span.attr("attempts", self.policy.max_attempts);
-        span.end_with("undeliverable");
-        Err(WfError::Delivery(format!(
-            "hand-off undeliverable after {} attempts ({} bytes)",
-            self.policy.max_attempts,
-            wire.len()
-        )))
+            Ok(acked)
+        })
     }
 
     /// Ingest every copy still parked in the redelivery queue (call at the
@@ -473,27 +427,62 @@ impl Delivery {
             };
             let Some(p) = item else { return };
             self.late_deliveries.fetch_add(1, Ordering::Relaxed);
-            match system.ingest_wire(p.portal, &p.payload, &p.route, p.trust.as_ref()) {
-                Ok(ack) if ack.duplicate => {
-                    self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
-                }
-                // a late copy of a send that eventually succeeded via retry
-                // stores the same bytes → always a duplicate; a late copy of
-                // a send that never acked lands here as a fresh (valid)
-                // store, which is exactly redelivery
-                Ok(_) => {}
-                // portal crash on a late copy: restart it; the replayed
-                // admission makes the copy effectively stored
-                Err(WfError::Crash(_)) => {
-                    self.crashes.fetch_add(1, Ordering::Relaxed);
-                    system.recover_portals();
-                }
-                // late corrupted (or stale) copies are rejected by
-                // verification — the fault model working as intended
-                Err(_) => {
-                    self.corruptions_rejected.fetch_add(1, Ordering::Relaxed);
-                }
+            // a late copy of a send that eventually succeeded via retry
+            // stores the same bytes → always a duplicate; a late copy of a
+            // send that never acked lands here as a fresh (valid) store,
+            // which is exactly redelivery; a late corrupted or stale copy is
+            // rejected by verification, so every rejection counts as one
+            let _ = self.to_portal(system, p.portal, &p.payload, &p.route, p.trust.as_ref(), true);
+        }
+    }
+
+    /// Hand one arrived copy to its portal and [`settle`](Self::settle) the
+    /// outcome; a dead portal is restarted (journal replay completes the
+    /// half-done store, so the retry acks a duplicate).
+    fn to_portal(
+        &self,
+        system: &CloudSystem,
+        portal: usize,
+        payload: &str,
+        route: &Route,
+        trust: Option<&TrustMark>,
+        corrupted: bool,
+    ) -> WfResult<Option<StoreAck>> {
+        let arrived = system.ingest_wire(portal, payload, route, trust);
+        let ack = self.settle(arrived, corrupted, || {
+            system.recover_portals();
+        })?;
+        if ack.is_some_and(|a| a.duplicate) {
+            self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(ack)
+    }
+
+    /// What one arrived copy's ingestion means for its hand-off, counted:
+    /// the receiver's ack; or nothing, because the receiver died mid-ingest
+    /// (`restart` it, the attempt stays unacked and backoff + retry run) or
+    /// because a `corrupted` copy failed verification — the fault model
+    /// working, the retry sends the original bytes; or the error of an
+    /// *intact* copy: an application error (bad document, policy violation)
+    /// that retrying the same bytes can never cure.
+    fn settle<T>(
+        &self,
+        arrived: WfResult<T>,
+        corrupted: bool,
+        restart: impl FnOnce(),
+    ) -> WfResult<Option<T>> {
+        match arrived {
+            Ok(ack) => Ok(Some(ack)),
+            Err(WfError::Crash(_)) => {
+                self.crashes.fetch_add(1, Ordering::Relaxed);
+                restart();
+                Ok(None)
             }
+            Err(_) if corrupted => {
+                self.corruptions_rejected.fetch_add(1, Ordering::Relaxed);
+                Ok(None)
+            }
+            Err(e) => Err(e),
         }
     }
 }

@@ -54,6 +54,9 @@
 //!   them with the batched verifier, and raises a typed `audit_divergence`
 //!   alert the federation pump turns into quarantine — forged rows are
 //!   caught even when nobody ever serves them.
+//!
+//! The pool's row layout — key strings, column families, key parsers —
+//! is private to this crate and lives in one module, `schema`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,6 +72,7 @@ pub mod obs;
 pub mod portal;
 pub mod runner;
 pub mod sched;
+pub(crate) mod schema;
 
 pub use audit::{AuditConfig, PoolAuditor};
 pub use crash::{CrashPlan, CrashPoint};

@@ -10,18 +10,14 @@ use crate::crash::{CrashPlan, CrashPoint};
 use crate::federation::{tamper_bytes, FederationController, Topology};
 use crate::netsim::NetworkSim;
 use crate::sched::{Activation, ActivationBus};
+use crate::schema::{self, Name, RowKey, SEQ, STATUS, STEPS, WORKFLOW, XML};
 use dra4wfms_core::monitor::ProcessStatus;
 use dra4wfms_core::prelude::*;
-use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, Scan, TableConfig};
+use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, TableConfig};
 use dra_obs::{stage, MetricsRegistry, Tracer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Column family / qualifier layout of the pool.
-pub(crate) const FAM_DOC: &str = "doc";
-pub(crate) const QUAL_XML: &str = "xml";
-pub(crate) const FAM_META: &str = "meta";
 
 /// A portal's acknowledgement of a store request.
 ///
@@ -340,18 +336,15 @@ impl CloudSystem {
     /// died mid-admission).
     pub fn recover_portals(&self) -> usize {
         let observer = |op: &PutOp| {
-            // journal-replay hook: recovery feeds the views through the same
-            // per-op parser live admissions use, so a torn admission leaves
-            // the views exactly as consistent as the pool it repaired
-            self.apply_op_to_views(op);
-            let Some(rest) = op.key.strip_prefix("todo/") else { return };
-            let Some((participant, rest)) = rest.split_once('/') else { return };
-            let Some((pid, activity)) = rest.rsplit_once('/') else { return };
-            let seq = std::str::from_utf8(&op.value)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(0);
-            self.notify(0, participant, pid, activity, seq);
+            // journal-replay hook: recovery feeds the views through the fold
+            // live admissions use, so a torn admission leaves the views
+            // exactly as consistent as the pool it repaired
+            schema::fold_into_views(&self.views, [schema::applied(op)]);
+            let Some(RowKey::Todo { participant, pid, activity }) = RowKey::parse(&op.key) else {
+                return;
+            };
+            let seq = std::str::from_utf8(&op.value).ok().and_then(|s| s.parse().ok()).unwrap_or(0);
+            self.notify(0, participant.as_str(), pid.as_str(), activity.as_str(), seq);
         };
         // every cloud replays its own journal into its own pool: a replica
         // torn between journal-append and commit is repaired exactly like a
@@ -377,26 +370,8 @@ impl CloudSystem {
     /// (via the same digest row duplicate suppression uses). `None` when
     /// these bytes never completed admission.
     pub fn stored_seq_for(&self, wire: &str) -> Option<usize> {
-        let digest = dra_crypto::sha256(wire.as_bytes());
-        self.active_pool()
-            .get_str(&Self::seen_key(&digest), FAM_META, "seq")
-            .and_then(|s| s.parse().ok())
-    }
-
-    fn doc_key(process_id: &str, seq: usize) -> String {
-        format!("doc/{process_id}/{seq:06}")
-    }
-
-    fn todo_key(participant: &str, process_id: &str, activity: &str) -> String {
-        format!("todo/{participant}/{process_id}/{activity}")
-    }
-
-    fn meta_key(process_id: &str) -> String {
-        format!("meta/{process_id}")
-    }
-
-    fn seen_key(digest: &[u8; 32]) -> String {
-        format!("seen/{}", dra_crypto::hex::encode(digest))
+        let seen = RowKey::Seen(dra_crypto::sha256(wire.as_bytes()));
+        SEQ.get(self.active_pool(), seen)?.parse().ok()
     }
 
     /// Store a verified document through portal `portal`, then notify the
@@ -475,15 +450,12 @@ impl CloudSystem {
             }
         }
         let wire = sealed.wire();
-        let digest = dra_crypto::sha256(wire.as_bytes());
+        let seen = RowKey::Seen(dra_crypto::sha256(wire.as_bytes()));
 
         // idempotency: bytes we have already stored are acked, not
         // re-stored — a duplicated or retransmitted copy costs nothing but
         // the transfer.
-        if let Some(seq) = pool
-            .get_str(&Self::seen_key(&digest), FAM_META, "seq")
-            .and_then(|s| s.parse::<usize>().ok())
-        {
+        if let Some(seq) = SEQ.get(pool, seen).and_then(|s| s.parse::<usize>().ok()) {
             stats.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
             // re-notify: the retransmitted copy proves the sender believes
             // the hand-off is still pending. For every routed target whose
@@ -494,12 +466,10 @@ impl CloudSystem {
             if let Ok(pid) = sealed.document().process_id() {
                 for target in &route.targets {
                     let Ok(act) = definition.def.activity(target) else { continue };
-                    let participant = act.participant.clone();
-                    if pool
-                        .get_str(&Self::todo_key(&participant, &pid, target), FAM_META, "seq")
-                        .is_some()
-                    {
-                        self.notify(portal_idx, &participant, &pid, target, seq);
+                    // (names no key can hold have no TO-DO row to re-notify)
+                    let todo = RowKey::todo(&act.participant, &pid, target);
+                    if todo.is_ok_and(|todo| SEQ.get(pool, todo).is_some()) {
+                        self.notify(portal_idx, &act.participant, &pid, target, seq);
                     }
                 }
             }
@@ -521,11 +491,14 @@ impl CloudSystem {
         }
         let report = outcome.report;
 
-        let pid = report.process_id.clone();
+        // a process id no row key can hold is refused before any row is
+        // written: with a `/` in it, its rows would sit under another
+        // process's prefix and be served as that process's versions
+        let pid = Name::new(&report.process_id)?;
         // storage sequence = number of versions already stored for this
         // process (parallel AND-split branches have equal CER counts, so the
         // CER count alone would collide); counted without cloning snapshots
-        let seq = pool.query_count(&Scan::prefix(&format!("doc/{pid}/")));
+        let seq = schema::version_count(pool, pid);
         let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
         // design-time soundness gate: a definition that can deadlock, starve
         // an activity or orphan a join is rejected *here*, before any row is
@@ -545,22 +518,17 @@ impl CloudSystem {
         // in, so dynamically added activities resolve), and one TO-DO entry
         // per routed target's participant.
         let mut ops = vec![
-            PutOp::new(Self::seen_key(&digest), FAM_META, "seq", seq.to_string()),
-            PutOp::new(Self::doc_key(&pid, seq), FAM_DOC, QUAL_XML, wire.as_ref().clone()),
-            PutOp::new(Self::meta_key(&pid), FAM_META, "status", status),
-            PutOp::new(Self::meta_key(&pid), FAM_META, "steps", report.cers.len().to_string()),
-            PutOp::new(Self::meta_key(&pid), FAM_META, "workflow", def.name.clone()),
+            SEQ.put(seen, seq.to_string()),
+            XML.put(RowKey::Doc { pid, seq }, wire.as_ref().clone()),
+            STATUS.put(RowKey::Meta(pid), status),
+            STEPS.put(RowKey::Meta(pid), report.cers.len().to_string()),
+            WORKFLOW.put(RowKey::Meta(pid), def.name.clone()),
         ];
-        let mut notified: Vec<(String, String)> = Vec::with_capacity(route.targets.len());
+        let mut notified: Vec<(&str, &str)> = Vec::with_capacity(route.targets.len());
         for target in &route.targets {
-            let participant = def.activity(target)?.participant.clone();
-            ops.push(PutOp::new(
-                Self::todo_key(&participant, &pid, target),
-                FAM_META,
-                "seq",
-                seq.to_string(),
-            ));
-            notified.push((participant, target.clone()));
+            let participant = &def.activity(target)?.participant;
+            ops.push(SEQ.put(RowKey::todo(participant, pid.as_str(), target)?, seq.to_string()));
+            notified.push((participant, target));
         }
 
         // WAL discipline: log the intent, apply, commit. The seen row goes
@@ -576,9 +544,7 @@ impl CloudSystem {
         // journal-commit hook: the admission is durable — fold its ops into
         // the fleet views through the same parser crash replay uses, and
         // advance the active cloud's commit watermark
-        for op in &ops {
-            self.apply_op_to_views(op);
-        }
+        schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
         self.views.record_admission(portal_idx as u64);
         self.views.record_commit(&active.name, journal.len() as u64);
         // Replication: the admission is durable on the active cloud; now
@@ -604,8 +570,8 @@ impl CloudSystem {
         // notify after commit: an activation must never outrun its TO-DO
         // row. The crash window above never reaches this point — replay
         // re-emits the repaired admission's notifications instead.
-        for (participant, target) in &notified {
-            self.notify(portal_idx, participant, &pid, target, seq);
+        for (participant, target) in notified {
+            self.notify(portal_idx, participant, pid.as_str(), target, seq);
         }
         stats.stored.fetch_add(1, Ordering::Relaxed);
         span.attr("seq", seq);
@@ -625,8 +591,9 @@ impl CloudSystem {
     /// `portal_tampered` alert, quarantines the serving portal and
     /// re-serves from the next eligible one.
     pub fn retrieve_latest(&self, portal: usize, process_id: &str) -> Option<String> {
+        let pid = Name::new(process_id).ok()?;
         let Some(controller) = &self.controller else {
-            let xml = Self::latest_xml(self.active_pool(), process_id)?;
+            let xml = schema::latest_doc(self.active_pool(), pid)?.1?;
             return Some(self.serve(portal % self.portals.len(), xml));
         };
         // bounded by the portal count: every failed probe quarantines its
@@ -634,12 +601,12 @@ impl CloudSystem {
         for _ in 0..self.portals.len() {
             let serving = controller.resolve_serve(portal)?;
             let pool = &self.clouds[controller.topology().cloud_of(serving)].pool;
-            let stored = Self::latest_xml(pool, process_id)?;
+            let stored = schema::latest_doc(pool, pid)?.1?;
             // the tamper injector corrupts the *served copy*, never the pool
             let served =
                 if controller.tamper_fires(serving) { tamper_bytes(&stored) } else { stored };
             let digest = dra_crypto::sha256(served.as_bytes());
-            let known = pool.get_str(&Self::seen_key(&digest), FAM_META, "seq").is_some()
+            let known = SEQ.get(pool, RowKey::Seen(digest)).is_some()
                 || Self::full_verify_serves(&self.directory, &served);
             if !known {
                 controller.on_tamper(
@@ -653,13 +620,6 @@ impl CloudSystem {
             return Some(self.serve(serving, served));
         }
         None
-    }
-
-    /// The latest stored version of a process in `pool`: the last row of
-    /// `doc/<pid>/`.
-    fn latest_xml(pool: &HTable, process_id: &str) -> Option<String> {
-        let rows = pool.query(&Scan::prefix(&format!("doc/{process_id}/")).family(FAM_DOC));
-        rows.rows.last()?.1.get_str(FAM_DOC, QUAL_XML)
     }
 
     /// Hand `xml` to the user through portal `portal_idx`: charge the
@@ -682,22 +642,23 @@ impl CloudSystem {
 
     /// Retrieve a specific stored version (from the active cloud's pool).
     pub fn retrieve_version(&self, process_id: &str, seq: usize) -> Option<String> {
-        self.active_pool().get_str(&Self::doc_key(process_id, seq), FAM_DOC, QUAL_XML)
+        let pid = Name::new(process_id).ok()?;
+        XML.get(self.active_pool(), RowKey::Doc { pid, seq })
     }
 
     /// The TO-DO list of a participant ("a list of links of DRA4WfMS
     /// documents where s/he is one of the participants of the subsequent
     /// activities", §4.2).
     pub fn search_todo(&self, participant: &str) -> Vec<TodoEntry> {
-        let prefix = format!("todo/{participant}/");
-        self.active_pool()
-            .query(&Scan::prefix(&prefix).family(FAM_META))
-            .rows
-            .into_iter()
-            .filter_map(|(key, _)| {
-                let rest = key.strip_prefix(&prefix)?;
-                let (pid, activity) = rest.rsplit_once('/')?;
-                Some(TodoEntry { process_id: pid.to_string(), activity: activity.to_string() })
+        let Ok(participant) = Name::new(participant) else { return vec![] };
+        let rows = self.active_pool().query(&schema::todos_of(participant)).rows;
+        rows.iter()
+            .filter_map(|(key, _)| match RowKey::parse(key)? {
+                RowKey::Todo { pid, activity, .. } => Some(TodoEntry {
+                    process_id: pid.as_str().to_string(),
+                    activity: activity.as_str().to_string(),
+                }),
+                _ => None,
             })
             .collect()
     }
@@ -707,7 +668,8 @@ impl CloudSystem {
     /// every replica — a failover must not resurrect work a participant
     /// already finished.
     pub fn consume_todo(&self, participant: &str, process_id: &str, activity: &str) -> bool {
-        let key = Self::todo_key(participant, process_id, activity);
+        let Ok(key) = RowKey::todo(participant, process_id, activity) else { return false };
+        let key = key.to_string();
         let active = self.active_index();
         let mut on_active = false;
         for (i, cloud) in self.clouds.iter().enumerate() {
@@ -719,9 +681,9 @@ impl CloudSystem {
     /// Monitoring: the status of one process instance, derived from its
     /// latest stored document.
     pub fn process_status(&self, process_id: &str) -> WfResult<Option<ProcessStatus>> {
-        let Some(xml) = Self::latest_xml(self.active_pool(), process_id) else {
-            return Ok(None);
-        };
+        let pid = Name::new(process_id).ok();
+        let latest = pid.and_then(|pid| schema::latest_doc(self.active_pool(), pid)?.1);
+        let Some(xml) = latest else { return Ok(None) };
         let doc = DraDocument::parse(&xml)?;
         Ok(Some(ProcessStatus::from_document(&doc)?))
     }
@@ -733,12 +695,9 @@ impl CloudSystem {
     pub fn statistics_by_status(&self, threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
             self.active_pool(),
-            &Scan::prefix("meta/").family(FAM_META).threads(threads),
+            &schema::all_meta().threads(threads),
             threads,
-            |_, row| match row.get_str(FAM_META, "status") {
-                Some(s) => vec![(s, 1usize)],
-                None => vec![],
-            },
+            |_, row| STATUS.of(row).map(|s| (s, 1usize)).into_iter().collect(),
             |_, vs| vs.len(),
         )
     }
@@ -749,15 +708,15 @@ impl CloudSystem {
     /// §2.2 says monitoring must provide. Returns
     /// `activity -> (executions, mean gap ms)`.
     pub fn activity_latency_stats(&self, threads: usize) -> BTreeMap<String, (usize, f64)> {
-        let sums = map_reduce_scan(
+        map_reduce_scan(
             self.active_pool(),
-            &Scan::prefix("meta/").family(FAM_META).threads(threads),
+            &schema::all_meta().threads(threads),
             threads,
-            |key, row| {
+            |key, _| {
                 // load the latest stored document of this process
-                let pid = key.trim_start_matches("meta/");
-                let _ = row;
-                let Some(xml) = Self::latest_xml(self.active_pool(), pid) else {
+                let Some(RowKey::Meta(pid)) = RowKey::parse(key) else { return vec![] };
+                let Some(xml) = schema::latest_doc(self.active_pool(), pid).and_then(|d| d.1)
+                else {
                     return vec![];
                 };
                 let Ok(doc) = DraDocument::parse(&xml) else { return vec![] };
@@ -779,20 +738,18 @@ impl CloudSystem {
                 let mean = gaps.iter().sum::<u64>() as f64 / n as f64;
                 (n, mean)
             },
-        );
-        sums
+        )
     }
 
     /// MapReduce: total executed steps per workflow name.
     pub fn steps_per_workflow(&self, threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
             self.active_pool(),
-            &Scan::prefix("meta/").family(FAM_META).threads(threads),
+            &schema::all_meta().threads(threads),
             threads,
             |_, row| {
-                let wf = row.get_str(FAM_META, "workflow");
-                let steps = row.get_str(FAM_META, "steps").and_then(|s| s.parse::<usize>().ok());
-                match (wf, steps) {
+                let steps = STEPS.of(row).and_then(|s| s.parse::<usize>().ok());
+                match (WORKFLOW.of(row), steps) {
                     (Some(w), Some(n)) => vec![(w, n)],
                     _ => vec![],
                 }
@@ -812,68 +769,22 @@ impl CloudSystem {
         self.views.dashboard_json()
     }
 
-    /// Fold one applied pool mutation into the fleet views. Both the live
-    /// admission path (post-commit) and crash recovery (journal replay) go
-    /// through here, so the views stay exactly as consistent as the pool.
-    fn apply_op_to_views(&self, op: &PutOp) {
-        if let Some(rest) = op.key.strip_prefix("doc/") {
-            if let Some((pid, seq)) = rest.rsplit_once('/') {
-                if let Ok(seq) = seq.parse::<u64>() {
-                    self.views.record_doc(pid, seq);
-                }
-            }
-        } else if let Some(pid) = op.key.strip_prefix("meta/") {
-            if op.qualifier == "status" {
-                self.views.record_status(pid, &String::from_utf8_lossy(&op.value));
-            }
-        }
-    }
-
-    /// Rebuild the pool-derived views from the pool itself (cold restart:
-    /// the views are memory, the pool is truth). One bounded scan per view.
-    fn seed_views_from_pool(&self) {
-        let pool = self.active_pool();
-        for (key, row) in pool.query(&Scan::prefix("meta/").family(FAM_META)).rows {
-            if let (Some(pid), Some(status)) =
-                (key.strip_prefix("meta/"), row.get_str(FAM_META, "status"))
-            {
-                self.views.record_status(pid, &status);
-            }
-        }
-        // key-only walk of the document rows: project a family doc rows
-        // don't carry, so no XML bytes are cloned
-        for (key, _) in pool.query(&Scan::prefix("doc/").family(FAM_META)).rows {
-            if let Some((pid, seq)) = key.strip_prefix("doc/").and_then(|r| r.rsplit_once('/')) {
-                if let Ok(seq) = seq.parse::<u64>() {
-                    self.views.record_doc(pid, seq);
-                }
-            }
-        }
-    }
-
-    /// Full MapReduce recompute of the pool-derived views over the scan API.
+    /// Full MapReduce recompute of the pool-derived views over the scan API
+    /// — the oracle the incremental fold is held against, so it shares the
+    /// key codec with it and nothing else.
     fn recompute_views_from_pool(
         &self,
         threads: usize,
     ) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
-        let pool = self.active_pool();
-        let status = map_reduce_scan(
-            pool,
-            &Scan::prefix("meta/").family(FAM_META).threads(threads),
-            threads,
-            |_, row| row.get_str(FAM_META, "status").map(|s| (s, 1u64)).into_iter().collect(),
-            |_, vs| vs.iter().sum::<u64>(),
-        );
+        let status = self.statistics_by_status(threads);
+        let status = status.into_iter().map(|(status, n)| (status, n as u64)).collect();
         let progress = map_reduce_scan(
-            pool,
-            &Scan::prefix("doc/").family(FAM_META).threads(threads),
+            self.active_pool(),
+            &schema::doc_keys().threads(threads),
             threads,
-            |key, _| {
-                key.strip_prefix("doc/")
-                    .and_then(|rest| rest.rsplit_once('/'))
-                    .and_then(|(pid, seq)| seq.parse::<u64>().ok().map(|s| (pid.to_string(), s)))
-                    .into_iter()
-                    .collect()
+            |key, _| match RowKey::parse(key) {
+                Some(RowKey::Doc { pid, seq }) => vec![(pid.as_str().to_string(), seq as u64)],
+                _ => vec![],
             },
             |_, seqs| seqs.iter().copied().max().unwrap_or(0) + 1,
         );
@@ -932,28 +843,28 @@ impl CloudSystem {
                 "initial documents must not contain execution results".into(),
             ));
         }
-        let pid = report.process_id;
-        self.active_pool().put(&format!("initial/{pid}"), FAM_DOC, QUAL_XML, xml.to_string());
-        Ok(pid)
+        XML.write(self.active_pool(), RowKey::Initial(Name::new(&report.process_id)?), xml);
+        Ok(report.process_id)
     }
 
     /// List uploaded initial documents not yet started.
     pub fn pending_initials(&self) -> Vec<String> {
-        self.active_pool()
-            .query(&Scan::prefix("initial/").family(FAM_DOC))
-            .rows
-            .into_iter()
-            .filter_map(|(k, _)| k.strip_prefix("initial/").map(str::to_string))
+        let rows = self.active_pool().query(&schema::initials()).rows;
+        rows.iter()
+            .filter_map(|(key, _)| match RowKey::parse(key)? {
+                RowKey::Initial(pid) => Some(pid.as_str().to_string()),
+                _ => None,
+            })
             .collect()
     }
 
     /// Start a previously uploaded process: move the initial document into
     /// the document store and notify the start activity's participant.
     pub fn start_uploaded(&self, portal: usize, process_id: &str) -> WfResult<()> {
-        let xml =
-            self.active_pool()
-                .get_str(&format!("initial/{process_id}"), FAM_DOC, QUAL_XML)
-                .ok_or_else(|| WfError::Malformed(format!("no pending initial '{process_id}'")))?;
+        let initial = RowKey::Initial(Name::new(process_id)?);
+        let xml = XML
+            .get(self.active_pool(), initial)
+            .ok_or_else(|| WfError::Malformed(format!("no pending initial '{process_id}'")))?;
         let doc = DraDocument::parse(&xml)?;
         let definition = dra4wfms_core::amendment::effective_definition(&doc)?;
         self.store_document(
@@ -961,7 +872,7 @@ impl CloudSystem {
             &xml,
             &Route { targets: vec![definition.def.start.clone()], ends: false },
         )?;
-        self.active_pool().delete_row(&format!("initial/{process_id}"));
+        self.active_pool().delete_row(&initial.to_string());
         Ok(())
     }
 
@@ -979,19 +890,14 @@ impl CloudSystem {
     /// under exactly the same sequence numbers.
     pub fn pool_digest(&self) -> String {
         // the typed scan returns rows in key order already
-        let rows: Vec<(String, String)> = self
-            .active_pool()
-            .query(&Scan::prefix("doc/").family(FAM_DOC))
-            .rows
-            .into_iter()
-            .filter_map(|(k, row)| row.get_str(FAM_DOC, QUAL_XML).map(|v| (k, v)))
-            .collect();
         let mut buf = String::new();
-        for (k, v) in rows {
-            buf.push_str(&k);
-            buf.push('\0');
-            buf.push_str(&v);
-            buf.push('\0');
+        for (key, row) in self.active_pool().query(&schema::all_docs()).rows {
+            if let Some(xml) = XML.of(&row) {
+                buf.push_str(&key);
+                buf.push('\0');
+                buf.push_str(&xml);
+                buf.push('\0');
+            }
         }
         dra_crypto::hex::encode(&dra_crypto::sha256(buf.as_bytes()))
     }
@@ -1000,7 +906,7 @@ impl CloudSystem {
     /// fingerprint)` in declaration order. Single-cloud deployments report
     /// one entry named `cloud0`.
     pub fn cloud_digests(&self) -> Vec<(String, u64)> {
-        self.clouds.iter().map(|c| (c.name.clone(), c.pool.fingerprint("doc/"))).collect()
+        self.clouds.iter().map(|c| (c.name.clone(), c.pool.fingerprint(schema::DOC_ROWS))).collect()
     }
 
     /// Export every cloud's write-ahead journal as `(name, bytes)` — the
@@ -1022,7 +928,7 @@ impl CloudSystem {
             .iter()
             .enumerate()
             .filter(|(i, _)| !down(*i))
-            .map(|(_, c)| c.pool.fingerprint("doc/"));
+            .map(|(_, c)| c.pool.fingerprint(schema::DOC_ROWS));
         let Some(first) = live.next() else { return true };
         live.all(|fp| fp == first)
     }
@@ -1039,7 +945,7 @@ impl CloudSystem {
         let pool = HTable::import_snapshot(snapshot)
             .map_err(|e| WfError::Malformed(format!("pool snapshot: {e}")))?;
         let sys = Self::single_cloud(directory, portals, network, pool);
-        sys.seed_views_from_pool();
+        schema::seed_views(&sys.views, sys.active_pool());
         Ok(sys)
     }
 }
@@ -1062,6 +968,10 @@ mod tests {
         let dir = Directory::from_credentials([&designer, &alice, &bob]);
         let sys = CloudSystem::new(dir, 2, Arc::new(NetworkSim::lan()));
         (sys, def, SecurityPolicy::public(), designer, alice)
+    }
+
+    fn versions(sys: &CloudSystem, pid: &str) -> usize {
+        schema::version_count(sys.active_pool(), Name::new(pid).unwrap())
     }
 
     #[test]
@@ -1245,6 +1155,73 @@ mod tests {
     }
 
     #[test]
+    fn cold_restore_seeds_the_views_the_live_fold_built() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (sys, def, pol, designer, alice) = setup();
+        let aea = Aea::new(alice, sys.directory.clone());
+        let mut rng = StdRng::seed_from_u64(16);
+        for i in 0..24 {
+            let pid = format!("s-{i:02}");
+            let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, &pid).unwrap();
+            let submit = Route { targets: vec!["submit".into()], ends: false };
+            sys.store_document(i, &doc.to_xml_string(), &submit).unwrap();
+            // a random share of the instances takes a hop, some of them the last
+            if rng.gen_range(0..3u32) > 0 {
+                let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
+                let done = aea.complete(&recv, &[("amount".into(), i.to_string())]).unwrap();
+                let ends = rng.gen_range(0..2u32) == 0;
+                let targets = if ends { vec![] } else { vec!["approve".into()] };
+                let xml = done.document.to_xml_string();
+                sys.store_document(i, &xml, &Route { targets, ends }).unwrap();
+            }
+        }
+        let restored = CloudSystem::restore(
+            sys.directory.clone(),
+            2,
+            Arc::new(NetworkSim::lan()),
+            &sys.snapshot_pool(),
+        )
+        .unwrap();
+        let live = sys.fleet_views();
+        assert!(live.status_counts().len() == 2 && live.progress().values().any(|&n| n == 2));
+        assert_eq!(restored.fleet_views().pool_view_json(), live.pool_view_json());
+        restored.views_match_scan(2).expect("seeded views ≡ scan");
+        assert_eq!(restored.recompute_pool_view_json(2), live.pool_view_json());
+    }
+
+    #[test]
+    fn a_process_id_cannot_reach_into_another_process_rows() {
+        let (sys, def, pol, designer, _) = setup();
+        let route = Route { targets: vec!["submit".into()], ends: false };
+        let wire = |pid: &str| {
+            DraDocument::new_initial_with_pid(&def, &pol, &designer, pid).unwrap().to_xml_string()
+        };
+        sys.store_document(0, &wire("P"), &route).unwrap();
+        let rows = sys.active_pool().row_count();
+
+        // `P/zzz` would store under `doc/P/zzz/…`, inside `P`'s own prefix
+        let err = sys.store_document(0, &wire("P/zzz"), &route).unwrap_err();
+        assert!(matches!(err, WfError::Malformed(_)), "{err}");
+        let err = sys.upload_initial(0, &wire("P/zzz")).unwrap_err();
+        assert!(matches!(err, WfError::Malformed(_)), "{err}");
+        assert_eq!(sys.active_pool().row_count(), rows, "no row written for it");
+
+        assert_eq!(sys.retrieve_latest(0, "P").unwrap(), wire("P"));
+        assert_eq!(sys.process_status("P").unwrap().unwrap().process_id, "P");
+        assert_eq!(versions(&sys, "P"), 1, "P's next seq counts P's rows only");
+        assert!(sys.retrieve_latest(0, "P/zzz").is_none());
+    }
+
+    #[test]
+    fn deeply_nested_wire_bytes_are_a_parse_error_not_a_stack_overflow() {
+        let (sys, ..) = setup();
+        // the parser runs before any signature check, on whatever arrived
+        let err = sys.ingest_wire(0, &"<a>".repeat(10_000), &Route::default(), None).unwrap_err();
+        assert!(matches!(err, WfError::Parse(_)), "{err}");
+        assert_eq!(sys.active_pool().row_count(), 0, "pool untouched");
+    }
+
+    #[test]
     fn upload_and_start_lifecycle() {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "up-1").unwrap();
@@ -1316,11 +1293,7 @@ mod tests {
         let first = sys.store_sealed(0, &sealed, &route).unwrap();
         let second = sys.store_sealed(1, &sealed, &route).unwrap();
         assert_eq!(first, second, "duplicate acks the original sequence number");
-        assert_eq!(
-            sys.active_pool().query_count(&Scan::prefix("doc/p-dup/")),
-            1,
-            "pool holds one version"
-        );
+        assert_eq!(versions(&sys, "p-dup"), 1, "pool holds one version");
         assert_eq!(sys.total_stored(), 1);
         assert_eq!(sys.total_duplicates_suppressed(), 1);
     }
@@ -1344,7 +1317,7 @@ mod tests {
         // a tampered copy is rejected, stored nothing
         let tampered = wire.replace("alice", "mallory");
         assert!(sys.ingest_wire(0, &tampered, &route, None).is_err());
-        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/p-iw/")), 1);
+        assert_eq!(versions(&sys, "p-iw"), 1);
     }
 
     #[test]
@@ -1393,7 +1366,7 @@ mod tests {
         let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
         assert!(ack.duplicate);
         assert_eq!(ack.seq, 0);
-        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/p-cr/")), 1);
+        assert_eq!(versions(&sys, "p-cr"), 1);
     }
 
     #[test]

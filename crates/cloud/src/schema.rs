@@ -1,0 +1,317 @@
+//! The pool's row layout (§4.2) — its one owner. Every key string, column
+//! family and key parser of the deployment lives in this file:
+//!
+//! | row key                                | columns                                      |
+//! |----------------------------------------|----------------------------------------------|
+//! | `doc/<pid>/<seq:06>`                   | `doc:xml` — one stored version               |
+//! | `meta/<pid>`                           | `meta:status`, `meta:steps`, `meta:workflow` |
+//! | `todo/<participant>/<pid>/<activity>`  | `meta:seq` — the version that routed it      |
+//! | `seen/<sha-256 of the wire bytes>`     | `meta:seq` — the version those bytes became  |
+//! | `initial/<pid>`                        | `doc:xml` — uploaded, not yet started        |
+//!
+//! Keys are assembled from [`Name`]s only, so no row of one process, or
+//! participant, lies under the key prefix of another's.
+
+use dra4wfms_core::prelude::{WfError, WfResult};
+use dra_crypto::hex;
+use dra_docpool::{FleetViews, HTable, PutOp, RowSnapshot, Scan};
+use std::fmt;
+
+/// A process id, participant or activity name fit to be one key segment:
+/// not empty, no `/`, no control character.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Name<'a>(&'a str);
+
+impl<'a> Name<'a> {
+    pub(crate) fn new(name: &'a str) -> WfResult<Name<'a>> {
+        if name.is_empty() || name.chars().any(|c| c == '/' || c.is_control()) {
+            return Err(WfError::Malformed(format!(
+                "'{}' cannot name a pool row: empty, or holds '/' or a control character",
+                name.escape_debug()
+            )));
+        }
+        Ok(Name(name))
+    }
+
+    pub(crate) fn as_str(self) -> &'a str {
+        self.0
+    }
+}
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+/// A row key of the pool, typed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RowKey<'a> {
+    Doc {
+        pid: Name<'a>,
+        seq: usize,
+    },
+    Meta(Name<'a>),
+    Todo {
+        participant: Name<'a>,
+        pid: Name<'a>,
+        activity: Name<'a>,
+    },
+    /// Keyed by the SHA-256 of the admitted wire bytes.
+    Seen([u8; 32]),
+    Initial(Name<'a>),
+}
+
+/// The prefix of every `doc/` row: where a sweep over stored versions starts
+/// and what a content fingerprint of them covers.
+pub(crate) const DOC_ROWS: &str = "doc/";
+
+impl fmt::Display for RowKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowKey::Doc { pid, seq } => write!(f, "{DOC_ROWS}{pid}/{seq:06}"),
+            RowKey::Meta(pid) => write!(f, "meta/{pid}"),
+            RowKey::Todo { participant, pid, activity } => {
+                write!(f, "todo/{participant}/{pid}/{activity}")
+            }
+            RowKey::Seen(digest) => write!(f, "seen/{}", hex::encode(digest)),
+            RowKey::Initial(pid) => write!(f, "initial/{pid}"),
+        }
+    }
+}
+
+impl<'a> RowKey<'a> {
+    /// The TO-DO row of `activity` of process `pid`, waiting for
+    /// `participant`.
+    pub(crate) fn todo(participant: &'a str, pid: &'a str, activity: &'a str) -> WfResult<Self> {
+        Ok(RowKey::Todo {
+            participant: Name::new(participant)?,
+            pid: Name::new(pid)?,
+            activity: Name::new(activity)?,
+        })
+    }
+
+    /// The inverse of `Display`; `None` for anything `Display` cannot
+    /// have written.
+    pub(crate) fn parse(key: &'a str) -> Option<RowKey<'a>> {
+        let mut parts = key.split('/');
+        let family = parts.next()?;
+        let mut name = || Name::new(parts.next()?).ok();
+        let parsed = match family {
+            "doc" => RowKey::Doc { pid: name()?, seq: name()?.0.parse().ok()? },
+            "meta" => RowKey::Meta(name()?),
+            "todo" => RowKey::Todo { participant: name()?, pid: name()?, activity: name()? },
+            "seen" => RowKey::Seen(hex::decode_array(name()?.0)?),
+            "initial" => RowKey::Initial(name()?),
+            _ => return None,
+        };
+        parts.next().is_none().then_some(parsed)
+    }
+}
+
+/// One column of the layout.
+#[derive(Clone, Copy)]
+pub(crate) struct Column {
+    family: &'static str,
+    qualifier: &'static str,
+}
+
+/// `doc:xml` of `doc/` and `initial/` rows: the wire bytes.
+pub(crate) const XML: Column = Column { family: "doc", qualifier: "xml" };
+/// `meta:seq` of `seen/` and `todo/` rows.
+pub(crate) const SEQ: Column = Column { family: "meta", qualifier: "seq" };
+/// `meta:status` of a `meta/` row: `running` or `complete`.
+pub(crate) const STATUS: Column = Column { family: "meta", qualifier: "status" };
+/// `meta:steps` of a `meta/` row: CERs in the latest version.
+pub(crate) const STEPS: Column = Column { family: "meta", qualifier: "steps" };
+/// `meta:workflow` of a `meta/` row: the definition's name.
+pub(crate) const WORKFLOW: Column = Column { family: "meta", qualifier: "workflow" };
+
+impl Column {
+    /// The journaled write of this column of row `key`.
+    pub(crate) fn put(self, key: RowKey<'_>, value: impl Into<String>) -> PutOp {
+        PutOp::new(key.to_string(), self.family, self.qualifier, value.into())
+    }
+
+    /// Write this column of row `key` straight into `pool`, unjournaled.
+    pub(crate) fn write(self, pool: &HTable, key: RowKey<'_>, value: &str) {
+        pool.put(&key.to_string(), self.family, self.qualifier, value.to_string());
+    }
+
+    /// This column of row `key` in `pool`.
+    pub(crate) fn get(self, pool: &HTable, key: RowKey<'_>) -> Option<String> {
+        pool.get_str(&key.to_string(), self.family, self.qualifier)
+    }
+
+    /// This column of a scanned row.
+    pub(crate) fn of(self, row: &RowSnapshot) -> Option<String> {
+        row.get_str(self.family, self.qualifier)
+    }
+}
+
+/// Every stored version of every process, bytes included.
+pub(crate) fn all_docs() -> Scan {
+    Scan::prefix(DOC_ROWS).family(XML.family)
+}
+
+/// The same rows, keys only: projecting a family `doc/` rows do not carry
+/// means no XML bytes are cloned.
+pub(crate) fn doc_keys() -> Scan {
+    Scan::prefix(DOC_ROWS).family(STATUS.family)
+}
+
+/// Every process's `meta/` row.
+pub(crate) fn all_meta() -> Scan {
+    Scan::prefix("meta/").family(STATUS.family)
+}
+
+/// A participant's TO-DO rows.
+pub(crate) fn todos_of(participant: Name<'_>) -> Scan {
+    Scan::prefix(&format!("todo/{participant}/")).family(SEQ.family)
+}
+
+/// The uploaded initial documents not yet started.
+pub(crate) fn initials() -> Scan {
+    Scan::prefix("initial/").family(XML.family)
+}
+
+fn versions_of(pid: Name<'_>) -> Scan {
+    Scan::prefix(&format!("{DOC_ROWS}{pid}/"))
+}
+
+/// How many versions of `pid` the pool holds — the next admission's `seq`.
+pub(crate) fn version_count(pool: &HTable, pid: Name<'_>) -> usize {
+    pool.query_count(&versions_of(pid))
+}
+
+/// The latest stored version of `pid`: its row key and, unless the cell is
+/// missing, its bytes.
+pub(crate) fn latest_doc(pool: &HTable, pid: Name<'_>) -> Option<(String, Option<String>)> {
+    let (key, row) = pool.query(&versions_of(pid).family(XML.family)).rows.pop()?;
+    let xml = XML.of(&row);
+    Some((key, xml))
+}
+
+/// An applied cell as the views see it: `(row key, qualifier, value)`.
+pub(crate) type AppliedCell<'a> = (&'a str, &'a str, &'a [u8]);
+
+/// A journaled put, as an applied cell.
+pub(crate) fn applied(op: &PutOp) -> AppliedCell<'_> {
+    (&op.key, &op.qualifier, &op.value)
+}
+
+/// The one fold "applied cell → fleet views": a stored version advances
+/// its process's progress, a `meta:status` cell sets its status, any other
+/// cell leaves the views alone. Live commits, journal replay and cold-start
+/// seeding all come through here, so the views are exactly as consistent
+/// as the pool; `CloudSystem::views_match_scan` checks the result against an
+/// independent MapReduce recompute.
+pub(crate) fn fold_into_views<'a>(
+    views: &FleetViews,
+    cells: impl IntoIterator<Item = AppliedCell<'a>>,
+) {
+    for (key, qualifier, value) in cells {
+        match RowKey::parse(key) {
+            Some(RowKey::Doc { pid, seq }) => views.record_doc(pid.0, seq as u64),
+            Some(RowKey::Meta(pid)) if qualifier == STATUS.qualifier => {
+                views.record_status(pid.0, &String::from_utf8_lossy(value));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Cold restart: the views are memory, the pool is truth — feed the fold
+/// from one bounded scan per view.
+pub(crate) fn seed_views(views: &FleetViews, pool: &HTable) {
+    let (meta, docs) = (pool.query(&all_meta()).rows, pool.query(&doc_keys()).rows);
+    let statuses = meta.iter().filter_map(|(key, row)| {
+        Some((key.as_str(), STATUS.qualifier, row.get(STATUS.family, STATUS.qualifier)?.as_ref()))
+    });
+    let versions = docs.iter().map(|(key, _)| (key.as_str(), XML.qualifier, &[][..]));
+    fold_into_views(views, statuses.chain(versions));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn names_reject_what_would_break_a_key() {
+        for bad in ["", "P/zzz", "/", "a\nb", "tab\there", "nul\0"] {
+            assert!(matches!(Name::new(bad), Err(WfError::Malformed(_))), "{bad:?}");
+        }
+        for good in ["P", "fig9a-run", "tfc:notary", "ünï cödé", "a b", "000001"] {
+            assert_eq!(Name::new(good).unwrap().as_str(), good);
+        }
+    }
+
+    #[test]
+    fn parse_rejects_what_display_never_writes() {
+        for key in [
+            "",
+            "doc",
+            "doc/",
+            "doc/p",
+            "doc/p/x",
+            "doc/p/000001/extra",
+            "doc//000001",
+            "meta/",
+            "meta/p/q",
+            "todo/alice/p",
+            "seen/abcd",
+            "nope/p",
+        ] {
+            assert_eq!(RowKey::parse(key), None, "{key:?}");
+        }
+        let p = Name::new("p").unwrap();
+        assert_eq!(RowKey::parse("doc/p/000012"), Some(RowKey::Doc { pid: p, seq: 12 }));
+        assert_eq!(RowKey::Doc { pid: p, seq: 12 }.to_string(), "doc/p/000012");
+    }
+
+    fn keys_of<'a>(
+        pid: Name<'a>,
+        other: Name<'a>,
+        seq: usize,
+        digest: [u8; 32],
+    ) -> [RowKey<'a>; 5] {
+        [
+            RowKey::Doc { pid, seq },
+            RowKey::Meta(pid),
+            RowKey::Todo { participant: other, pid, activity: other },
+            RowKey::Seen(digest),
+            RowKey::Initial(pid),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_codec_round_trips_and_keys_are_prefix_free(
+            a in "[ -.0-~]{1,12}",
+            b in "[ -.0-~]{1,12}",
+            seq in 0usize..2_000_000,
+            digest in proptest::array::uniform32(any::<u8>()),
+        ) {
+            let (pa, pb) = (Name::new(&a).unwrap(), Name::new(&b).unwrap());
+            for key in keys_of(pa, pb, seq, digest) {
+                let written = key.to_string();
+                prop_assert_eq!(RowKey::parse(&written), Some(key));
+            }
+            if a != b {
+                let foreign = versions_of(pb).family(XML.family);
+                for key in keys_of(pa, pb, seq, digest) {
+                    prop_assert!(!key.to_string().starts_with(&format!("{DOC_ROWS}{b}/")));
+                }
+                // and the scan that serves `b` sees none of `a`'s rows
+                let pool = HTable::default();
+                for key in keys_of(pa, pb, seq, digest) {
+                    pool.put(&key.to_string(), XML.family, XML.qualifier, "x");
+                }
+                prop_assert!(pool.query(&foreign).rows.is_empty());
+            }
+        }
+    }
+}

@@ -282,12 +282,11 @@ impl HTable {
                 // one window at a time (the default): walk it on this
                 // thread, as the sequential scans this API replaced did
                 [window] => vec![select(window)],
-                _ => crossbeam::thread::scope(|s| {
+                _ => std::thread::scope(|s| {
                     let handles: Vec<_> =
-                        chunk.iter().map(|window| s.spawn(move |_| select(window))).collect();
+                        chunk.iter().map(|window| s.spawn(move || select(window))).collect();
                     handles.into_iter().map(|h| h.join().expect("scan worker")).collect()
-                })
-                .expect("scan scope"),
+                }),
             };
             for (rows, ex, m) in results {
                 examined += ex;
@@ -609,17 +608,16 @@ mod tests {
         let t = Arc::new(HTable::new(TableConfig { max_versions: 1, max_region_rows: 64 }));
         let threads = 8;
         let per = 250;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..threads {
                 let t = Arc::clone(&t);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per {
                         t.put(&format!("w{w}-i{i:04}"), "f", "q", format!("{w}/{i}"));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(t.row_count(), threads * per);
         let stats = t.stats();
         assert!(stats.regions > 1, "splits under concurrency: {stats:?}");

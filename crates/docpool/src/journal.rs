@@ -263,7 +263,9 @@ fn parse_record(body: &mut Bytes) -> Result<Vec<PutOp>, PersistError> {
     };
 
     let nops = take_u32(body)?;
-    let mut ops = Vec::with_capacity(nops);
+    // the count is input: reserve for no more ops than the bytes left could
+    // encode (four length prefixes each), whatever it claims
+    let mut ops = Vec::with_capacity(nops.min(body.remaining() / 16));
     for _ in 0..nops {
         let key = take_str(body)?;
         let family = take_str(body)?;
@@ -356,6 +358,16 @@ mod tests {
         // cutting into the header is real corruption
         assert!(Journal::import(&full[..4]).is_err());
         assert!(Journal::import(b"NOTAWAL0\0\0\0\0\0\0\0\0").is_err());
+    }
+
+    #[test]
+    fn hostile_op_count_is_truncation_not_an_allocation() {
+        // a complete 4-byte record whose body claims u32::MAX ops
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u64.to_be_bytes());
+        bytes.extend_from_slice(&4u32.to_be_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert!(matches!(Journal::import(&bytes), Err(PersistError::Truncated)));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   `views ≡ scan` proof obligation
 //!
 //! Concurrency is reader-writer per region via `parking_lot`, with region
-//! fan-out via `crossbeam` scoped threads — the document pool is the
+//! fan-out via `std::thread::scope` — the document pool is the
 //! scalability substrate for the cloud experiments (claims C4/C5 in
 //! DESIGN.md).
 

@@ -3,7 +3,7 @@
 //! "The MapReduce computing model supported in the HBase system can apply
 //! some statistical analyses to workflow processes or instances stored in
 //! the DRA4WfMS cloud system" (§4.2). This module runs one mapper task per
-//! region a [`Scan`] visits in parallel (crossbeam scoped threads), shuffles
+//! region a [`Scan`] visits in parallel (scoped threads), shuffles
 //! by key, and reduces key groups in parallel.
 
 use crate::cluster::HTable;
@@ -44,12 +44,12 @@ where
 
     let mut emitted: Vec<Vec<(K, V)>> = Vec::new();
     for chunk in splits.chunks(threads) {
-        let results = crossbeam::thread::scope(|s| {
+        let results = std::thread::scope(|s| {
             let handles: Vec<_> = chunk
                 .iter()
                 .map(|split| {
                     let map = &map;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut out = Vec::new();
                         for (key, row) in split {
                             out.extend(map(key, row));
@@ -59,8 +59,7 @@ where
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("mapper panicked")).collect::<Vec<_>>()
-        })
-        .expect("map scope");
+        });
         emitted.extend(results);
     }
 
@@ -91,7 +90,7 @@ where
         return BTreeMap::new();
     }
     let chunk_size = entries.len().div_ceil(threads);
-    let reduced: Vec<Vec<(K, O)>> = crossbeam::thread::scope(|s| {
+    let reduced: Vec<Vec<(K, O)>> = std::thread::scope(|s| {
         let handles: Vec<_> = entries
             .into_iter()
             .fold(Vec::new(), |mut acc: Vec<Vec<(K, Vec<V>)>>, item| {
@@ -104,7 +103,7 @@ where
             .into_iter()
             .map(|chunk| {
                 let reduce = &reduce;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     chunk
                         .into_iter()
                         .map(|(k, vs)| {
@@ -116,8 +115,7 @@ where
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("reducer panicked")).collect()
-    })
-    .expect("reduce scope");
+    });
 
     reduced.into_iter().flatten().collect()
 }

@@ -137,8 +137,10 @@ impl HTable {
                 let qualifier = get_str(&mut buf)?;
                 let versions = get_u32(&mut buf)? as usize;
                 // versions are stored newest-first; insert oldest-first so
-                // the restored order matches
-                let mut cells = Vec::with_capacity(versions);
+                // the restored order matches. The count is input: reserve for
+                // no more versions than the bytes left could encode (a
+                // timestamp and a length each), whatever it claims
+                let mut cells = Vec::with_capacity(versions.min(buf.remaining() / 12));
                 for _ in 0..versions {
                     let ts = get_u64(&mut buf)?;
                     let len = get_u32(&mut buf)? as usize;
@@ -222,6 +224,22 @@ mod tests {
         let mut snap = sample_table().export_snapshot();
         snap.extend_from_slice(b"junk");
         assert!(matches!(HTable::import_snapshot(&snap), Err(PersistError::TrailingGarbage)));
+    }
+
+    #[test]
+    fn hostile_version_count_is_truncation_not_an_allocation() {
+        // header, one row "k", one column f:q claiming u32::MAX versions
+        let mut snap = BytesMut::new();
+        snap.put_slice(MAGIC);
+        for n in [1, 16] {
+            snap.put_u32(n); // max_versions, max_region_rows
+        }
+        snap.put_u64(1); // rows
+        snap.put_slice(b"\0\0\0\x01k");
+        snap.put_u32(1); // columns
+        snap.put_slice(b"\0\0\0\x01f\0\0\0\x01q");
+        snap.put_u32(u32::MAX); // versions
+        assert!(matches!(HTable::import_snapshot(&snap), Err(PersistError::Truncated)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! prefix), an optional family projection, an optional match limit — and
 //! [`crate::HTable::query`] / [`crate::HTable::query_where`] decide *how*:
 //! regions wholly outside the window are pruned without being touched, the
-//! surviving regions are walked in parallel on a crossbeam scope, and the
+//! surviving regions are walked in parallel on scoped threads, and the
 //! per-region results are concatenated in region (= key) order so the output
 //! is byte-deterministic regardless of thread count.
 //!

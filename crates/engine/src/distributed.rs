@@ -172,10 +172,10 @@ mod tests {
         let d = Arc::new(DistributedWfms::new(4));
         let defs = def();
         let pids: Vec<u64> = (0..16).map(|_| d.start_process(&defs).unwrap().0).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (i, &pid) in pids.iter().enumerate() {
                 let d = Arc::clone(&d);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     d.execute_at(i % 4, pid, "a1", "alice", &[("x".into(), "1".into())]).unwrap();
                     d.execute_at((i + 1) % 4, pid, "a2", "bob", &[("y".into(), "2".into())])
                         .unwrap();
@@ -183,8 +183,7 @@ mod tests {
                         .unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
         for pid in pids {
             assert_eq!(d.get_instance(pid).unwrap().results.len(), 3);
         }

@@ -24,6 +24,12 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest element nesting [`parse`] accepts. The parser recurses once per
+/// level and runs on wire bytes nobody has verified yet, so the bound is what
+/// keeps hostile input from overflowing the stack; the documents this system
+/// writes stay below 16 levels.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
@@ -34,7 +40,7 @@ struct Parser<'a> {
 pub fn parse(input: &str) -> Result<Element, ParseError> {
     let mut p = Parser { input: input.as_bytes(), pos: 0 };
     p.skip_prolog()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_misc();
     if p.pos != p.input.len() {
         return Err(p.err("trailing content after root element"));
@@ -126,7 +132,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element, ParseError> {
+    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
+        }
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let mut el = Element::new(name);
@@ -181,7 +190,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with(b"<!--") {
                 self.skip_until(b"-->", "comment")?;
             } else if self.peek() == Some(b'<') {
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 el.children.push(Node::Element(Arc::new(child)));
             } else if self.peek().is_some() {
                 let start = self.pos;
@@ -259,6 +268,17 @@ mod tests {
         let e = parse("<a  k=\"1\"   j=\"2\" />").unwrap();
         assert_eq!(e.get_attr("k"), Some("1"));
         assert_eq!(e.get_attr("j"), Some("2"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, 3 * MAX_DEPTH, "the first element past the bound");
+        // deep enough to overflow the stack of an unbounded recursion
+        let e = parse(&"<a>".repeat(100_000)).unwrap_err();
+        assert_eq!(e.offset, 3 * MAX_DEPTH);
     }
 
     #[test]

@@ -61,14 +61,14 @@ fn main() -> WfResult<()> {
     println!("running {instances} instances across {threads} worker threads…");
     let started = Instant::now();
     let designer = creds[0].clone();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..threads {
             let system = Arc::clone(&system);
             let agents = Arc::clone(&agents);
             let def = def.clone();
             let policy = policy.clone();
             let designer = designer.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in (w..instances).step_by(threads) {
                     let initial = DraDocument::new_initial_with_pid(
                         &def,
@@ -86,8 +86,7 @@ fn main() -> WfResult<()> {
                 }
             });
         }
-    })
-    .expect("scope");
+    });
     let wall = started.elapsed();
 
     let pool_stats = system.active_pool().stats();

@@ -44,14 +44,14 @@ fn concurrent_instances_share_the_pool() {
     let ags = Arc::new(agents(&creds, &dir));
     let designer = creds[0].clone();
     let n = 32;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..4 {
             let sys = Arc::clone(&sys);
             let ags = Arc::clone(&ags);
             let def = def.clone();
             let pol = pol.clone();
             let designer = designer.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in (w..n).step_by(4) {
                     let initial = DraDocument::new_initial_with_pid(
                         &def,
@@ -69,8 +69,7 @@ fn concurrent_instances_share_the_pool() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // every instance completed, each with 3 stored versions
     let stats = sys.statistics_by_status(4);
