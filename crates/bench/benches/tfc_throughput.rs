@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dra4wfms_core::prelude::*;
-use dra_bench::fig9::{cast, fig9b_intermediate_documents};
+use dra_bench::fig9::{cast, walk};
 use std::sync::Arc;
 
 fn bench_tfc(c: &mut Criterion) {
-    let inters = fig9b_intermediate_documents();
+    let inters: Vec<String> = walk(true).into_iter().filter_map(|s| s.intermediate).collect();
     let (creds, dir) = cast();
     let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
     let tfc = TfcServer::with_clock(tfc_creds, dir, Arc::new(|| 1));

@@ -1,7 +1,8 @@
 //! # The claim harness
 //!
-//! Every quantitative claim this repository reproduces — the paper's
-//! C1–C6 and our C7–C15 extensions — is one entry of [`CLAIMS`]: a
+//! Every quantitative claim this repository reproduces — the paper's two
+//! tables, its C1–C6 and our C7–C15 extensions — is one entry of
+//! [`CLAIMS`]: a
 //! function that builds its cells and returns a [`ClaimOutput`] (rows,
 //! side files, named verdicts, metric-invariant results). Everything
 //! around that function is written once, here:
@@ -13,8 +14,8 @@
 //!   each run on a fresh thread (so thread-local cost counters and memos
 //!   start cold, as in a fresh process), every output of the two runs must
 //!   be byte-identical, the rows must be byte-identical to the baseline
-//!   `perf/BENCH_<name>.baseline.json`, every verdict must hold and no
-//!   metric invariant may be violated;
+//!   `perf/BENCH_<name>.baseline.json` (which must exist), every verdict
+//!   must hold and no metric invariant may be violated;
 //! * the command line ([`main`]): `claim <name>`, `claim all`, `claim list`.
 //!
 //! A wall-clock claim (`deterministic: false`) runs once and writes no
@@ -38,6 +39,7 @@ mod pool;
 mod profile;
 mod scalability;
 mod scaling;
+mod tables;
 mod tamper;
 mod tfc;
 
@@ -63,7 +65,9 @@ pub struct Claim {
 }
 
 /// Every claim, in EXPERIMENTS.md order.
-pub const CLAIMS: [Claim; 14] = [
+pub const CLAIMS: [Claim; 16] = [
+    Claim { name: "table1", id: "T1", deterministic: true, run: tables::table1 },
+    Claim { name: "table2", id: "T2", deterministic: true, run: tables::table2 },
     Claim { name: "scaling", id: "C1/C12", deterministic: true, run: scaling::run },
     Claim { name: "tfc", id: "C2", deterministic: false, run: tfc::run },
     Claim { name: "tamper", id: "C3", deterministic: false, run: tamper::run },
@@ -233,15 +237,17 @@ pub fn reproduce(claim: &Claim, out_dir: &Path, perf_dir: &Path) -> Vec<String> 
     failures
 }
 
-/// Hold `rows` against the claim's checked-in baseline, if it has one:
-/// every number is virtual time or a deterministic counter, so the output
-/// must be byte-identical to the baseline, and the baseline must hold at
-/// least one row. A mismatch names the first lines that differ.
+/// Hold `rows` against the claim's checked-in baseline: every number is
+/// virtual time or a deterministic counter, so the baseline must exist, hold
+/// at least one row and be byte-identical to the output. A mismatch names
+/// the first lines that differ.
 fn gate(claim: &Claim, rows: &Rows, perf_dir: &Path) -> Vec<String> {
     let file = format!("BENCH_{}.baseline.json", claim.name);
     let Ok(baseline) = std::fs::read_to_string(perf_dir.join(&file)) else {
-        println!("gate: no {file}, nothing to hold");
-        return vec![];
+        return vec![format!(
+            "gate: no {file}; to record one, copy BENCH_{}.json to perf/{file}",
+            claim.name
+        )];
     };
     let mut failures = Vec::new();
     if !baseline.lines().any(|line| line.trim_start().starts_with("{\"")) {
@@ -357,8 +363,12 @@ mod tests {
         let (failures, written) = run_toy("steady", Some(BASELINE), steady);
         assert_eq!(failures, Vec::<String>::new());
         assert_eq!(written.as_deref(), Some(BASELINE));
-        // no baseline: nothing to hold, still reproduced
-        assert_eq!(run_toy("ungated", None, steady).0, Vec::<String>::new());
+        // a deterministic claim nobody recorded a baseline for is not held
+        // to anything, so it is not reproduced
+        let (failures, written) = run_toy("ungated", None, steady);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("gate: no BENCH_toy.baseline.json"), "{failures:?}");
+        assert_eq!(written.as_deref(), Some(BASELINE), "the output to record is still written");
     }
 
     #[test]
@@ -442,7 +452,7 @@ mod tests {
         assert_eq!(names.len(), CLAIMS.len(), "claim names are unique");
 
         // every checked-in baseline belongs to exactly one deterministic
-        // claim
+        // claim, and every deterministic claim has one
         let mut baselines = 0;
         for entry in std::fs::read_dir(PERF).unwrap() {
             let file = entry.unwrap().file_name().into_string().unwrap();
@@ -456,6 +466,6 @@ mod tests {
             assert!(owners[0].deterministic, "{file}: only deterministic claims are gated");
             baselines += 1;
         }
-        assert_eq!(baselines, 6);
+        assert_eq!(baselines, CLAIMS.iter().filter(|c| c.deterministic).count());
     }
 }

@@ -8,7 +8,7 @@
 //! many concurrent AEAs.
 
 use super::ClaimOutput;
-use crate::fig9::{cast, fig9b_intermediate_documents, run_fig9_trace};
+use crate::fig9::{cast, walk};
 use dra4wfms_core::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,12 +19,11 @@ pub(super) fn run() -> ClaimOutput {
     let max_threads: usize = 8;
 
     // (a) per-step cost split, from the Table 2 trace
-    let trace = run_fig9_trace(true);
-    let aea: Duration = trace[1..].iter().map(|r| r.alpha_aea + r.beta).sum();
-    let tfc: Duration = trace[1..]
-        .iter()
-        .map(|r| r.alpha_tfc.unwrap_or_default() + r.gamma.unwrap_or_default())
-        .sum();
+    let steps = walk(true);
+    let trace = steps[1..].iter().map(|s| &s.record);
+    let aea: Duration = trace.clone().map(|r| r.alpha_aea + r.beta).sum();
+    let tfc: Duration =
+        trace.map(|r| r.alpha_tfc.unwrap_or_default() + r.gamma.unwrap_or_default()).sum();
     println!(
         "per-run cost split (Fig. 9B trace): AEA {:.4}s, TFC {:.4}s (ratio {:.2})",
         aea.as_secs_f64(),
@@ -33,7 +32,7 @@ pub(super) fn run() -> ClaimOutput {
     );
 
     // (b) TFC throughput scaling
-    let inters = fig9b_intermediate_documents();
+    let inters: Vec<String> = steps.into_iter().filter_map(|s| s.intermediate).collect();
     let (creds, dir) = cast();
     let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
     let server = Arc::new(TfcServer::with_clock(tfc_creds, dir, Arc::new(|| 1_700_000_000_000)));

@@ -94,22 +94,25 @@ pub fn policy(def: &WorkflowDefinition, advanced: bool) -> SecurityPolicy {
     }
 }
 
+/// One document of the Fig. 9 walk: what was measured producing it, and
+/// the bytes themselves.
+pub struct Step {
+    /// The measurements.
+    pub record: StepRecord,
+    /// The produced document, as routed on.
+    pub document: String,
+    /// The intermediate (TFC-bound) document, advanced model.
+    pub intermediate: Option<String>,
+}
+
+/// The Fig. 9 actors: one AEA per participant and, in the advanced model,
+/// the TFC on a fixed clock.
 struct Harness {
     agents: HashMap<String, Aea>,
     tfc: Option<TfcServer>,
 }
 
 impl Harness {
-    fn new(dir: &Directory, creds: &[Credentials], advanced: bool) -> Harness {
-        let agents =
-            creds.iter().map(|c| (c.name.clone(), Aea::new(c.clone(), dir.clone()))).collect();
-        let tfc = advanced.then(|| {
-            let tfc_creds = creds.iter().find(|c| c.name == "TFC").expect("TFC creds");
-            TfcServer::with_clock(tfc_creds.clone(), dir.clone(), Arc::new(|| 1_700_000_000_000))
-        });
-        Harness { agents, tfc }
-    }
-
     /// Execute one activity (basic or advanced), timing each phase.
     fn step(
         &self,
@@ -117,9 +120,10 @@ impl Harness {
         participant: &str,
         activity: &str,
         inputs: &[&str],
-        responses: &[(String, String)],
-    ) -> (StepRecord, String) {
+        (field, value): (&str, &str),
+    ) -> Step {
         let aea = &self.agents[participant];
+        let responses = [(field.to_string(), value.to_string())];
 
         let t0 = Instant::now();
         let received = if inputs.len() == 1 {
@@ -129,35 +133,18 @@ impl Harness {
         }
         .unwrap_or_else(|e| panic!("receive {label}: {e}"));
         let alpha_aea = t0.elapsed();
-        let sigs_verified = received.report.signatures_verified;
 
-        match &self.tfc {
+        let t1 = Instant::now();
+        let (beta, tfc_times, intermediate, produced) = match &self.tfc {
             None => {
-                let t1 = Instant::now();
                 let done = aea
-                    .complete(&received, responses)
+                    .complete(&received, &responses)
                     .unwrap_or_else(|e| panic!("complete {label}: {e}"));
-                let beta = t1.elapsed();
-                let xml = done.document.to_xml_string();
-                (
-                    StepRecord {
-                        label: label.to_string(),
-                        cers: done.document.cers().unwrap().len(),
-                        sigs_verified,
-                        alpha_aea,
-                        beta,
-                        alpha_tfc: None,
-                        gamma: None,
-                        size_intermediate: None,
-                        size: xml.len(),
-                    },
-                    xml,
-                )
+                (t1.elapsed(), None, None, done.document)
             }
             Some(tfc) => {
-                let t1 = Instant::now();
                 let inter = aea
-                    .complete_via_tfc(&received, responses)
+                    .complete_via_tfc(&received, &responses)
                     .unwrap_or_else(|e| panic!("complete_via_tfc {label}: {e}"));
                 let beta = t1.elapsed();
                 let inter_xml = inter.document.to_xml_string();
@@ -170,43 +157,45 @@ impl Harness {
                 let t3 = Instant::now();
                 let finalized =
                     tfc.finalize(&tfc_recv).unwrap_or_else(|e| panic!("tfc finalize {label}: {e}"));
-                let gamma = t3.elapsed();
-                let xml = finalized.document.to_xml_string();
-                (
-                    StepRecord {
-                        label: label.to_string(),
-                        cers: finalized.document.cers().unwrap().len(),
-                        sigs_verified,
-                        alpha_aea,
-                        beta,
-                        alpha_tfc: Some(alpha_tfc),
-                        gamma: Some(gamma),
-                        size_intermediate: Some(inter_xml.len()),
-                        size: xml.len(),
-                    },
-                    xml,
-                )
+                (beta, Some((alpha_tfc, t3.elapsed())), Some(inter_xml), finalized.document)
             }
-        }
+        };
+        let document = produced.to_xml_string();
+        let record = StepRecord {
+            label: label.to_string(),
+            cers: produced.cers().unwrap().len(),
+            sigs_verified: received.report.signatures_verified,
+            alpha_aea,
+            beta,
+            alpha_tfc: tfc_times.map(|t| t.0),
+            gamma: tfc_times.map(|t| t.1),
+            size_intermediate: intermediate.as_ref().map(String::len),
+            size: document.len(),
+        };
+        Step { record, document, intermediate }
     }
 }
 
-fn resp(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-    pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
-}
-
-/// Execute the exact Fig. 9 trace of the paper's experiments (loop taken
-/// once): A, B1, B2, C(insufficient), A, B1, B2, C(accept), D — returning
-/// one record per document produced, with the initial document first.
-pub fn run_fig9_trace(advanced: bool) -> Vec<StepRecord> {
+/// Walk the exact Fig. 9 script of the paper's experiments (loop taken
+/// once): A, B1, B2, C(insufficient), A, B1, B2, C(accept), D — one
+/// [`Step`] per document produced, the initial document first. Every
+/// consumer of the script (the two tables, the TFC workloads, the document
+/// dump) reads this one walk.
+pub fn walk(advanced: bool) -> Vec<Step> {
     let (creds, dir) = cast();
     let def = definition(advanced);
     let pol = policy(&def, advanced);
     let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "fig9-bench")
         .expect("initial document");
-    let harness = Harness::new(&dir, &creds, advanced);
+    let agents = creds.iter().map(|c| (c.name.clone(), Aea::new(c.clone(), dir.clone()))).collect();
+    let tfc = advanced.then(|| {
+        let tfc_creds = creds.iter().find(|c| c.name == "TFC").expect("TFC creds");
+        TfcServer::with_clock(tfc_creds.clone(), dir.clone(), Arc::new(|| 1_700_000_000_000))
+    });
+    let harness = Harness { agents, tfc };
 
-    let mut records = vec![StepRecord {
+    let document = initial.to_xml_string();
+    let record = StepRecord {
         label: "Initial".into(),
         cers: 0,
         sigs_verified: 0,
@@ -215,79 +204,32 @@ pub fn run_fig9_trace(advanced: bool) -> Vec<StepRecord> {
         alpha_tfc: None,
         gamma: None,
         size_intermediate: None,
-        size: initial.size_bytes(),
-    }];
-
-    let x0 = initial.to_xml_string();
-    let (r, a0) =
-        harness.step("X_A(0)", "p_a", "A", &[&x0], &resp(&[("attachment", "contract-draft.pdf")]));
-    records.push(r);
-    let (r, b1_0) =
-        harness.step("X_B1(0)", "p_b1", "B1", &[&a0], &resp(&[("review1", "figures look right")]));
-    records.push(r);
-    let (r, b2_0) =
-        harness.step("X_B2(0)", "p_b2", "B2", &[&a0], &resp(&[("review2", "terms acceptable")]));
-    records.push(r);
-    let (r, c0) =
-        harness.step("X_C(0)", "p_c", "C", &[&b1_0, &b2_0], &resp(&[("decision", "insufficient")]));
-    records.push(r);
-    let (r, a1) =
-        harness.step("X_A(1)", "p_a", "A", &[&c0], &resp(&[("attachment", "contract-final.pdf")]));
-    records.push(r);
-    let (r, b1_1) = harness.step("X_B1(1)", "p_b1", "B1", &[&a1], &resp(&[("review1", "ok now")]));
-    records.push(r);
-    let (r, b2_1) = harness.step("X_B2(1)", "p_b2", "B2", &[&a1], &resp(&[("review2", "ok now")]));
-    records.push(r);
-    let (r, c1) =
-        harness.step("X_C(1)", "p_c", "C", &[&b1_1, &b2_1], &resp(&[("decision", "accept")]));
-    records.push(r);
-    let (r, _d0) =
-        harness.step("X_D(0)", "p_d", "D", &[&c1], &resp(&[("ack", "purchase confirmed")]));
-    records.push(r);
-    records
+        size: document.len(),
+    };
+    let mut steps = vec![Step { record, document, intermediate: None }];
+    // each hop reads the documents at `inputs` (indices into `steps`)
+    let mut hop = |activity: &str, iter: u32, inputs: &[usize], field: &str, value: &str| {
+        let label = format!("X_{activity}({iter})");
+        let participant = &def.activity(activity).expect("a Fig. 9 activity").participant;
+        let inputs: Vec<&str> = inputs.iter().map(|&i| steps[i].document.as_str()).collect();
+        let step = harness.step(&label, participant, activity, &inputs, (field, value));
+        steps.push(step);
+    };
+    hop("A", 0, &[0], "attachment", "contract-draft.pdf");
+    hop("B1", 0, &[1], "review1", "figures look right");
+    hop("B2", 0, &[1], "review2", "terms acceptable");
+    hop("C", 0, &[2, 3], "decision", "insufficient");
+    hop("A", 1, &[4], "attachment", "contract-final.pdf");
+    hop("B1", 1, &[5], "review1", "ok now");
+    hop("B2", 1, &[5], "review2", "ok now");
+    hop("C", 1, &[6, 7], "decision", "accept");
+    hop("D", 0, &[8], "ack", "purchase confirmed");
+    steps
 }
 
-/// Produce the intermediate documents of a full Fig. 9B run (one per step)
-/// — workload for TFC throughput benches.
-pub fn fig9b_intermediate_documents() -> Vec<String> {
-    let (creds, dir) = cast();
-    let def = definition(true);
-    let pol = policy(&def, true);
-    let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "fig9-tfc")
-        .expect("initial document");
-    let harness = Harness::new(&dir, &creds, true);
-    let tfc = harness.tfc.as_ref().expect("advanced");
-
-    let mut inters = Vec::new();
-    let mut advance = |participant: &str,
-                       activity: &str,
-                       inputs: &[&str],
-                       responses: &[(String, String)]|
-     -> String {
-        let aea = &harness.agents[participant];
-        let received = if inputs.len() == 1 {
-            aea.receive(inputs[0], activity)
-        } else {
-            aea.receive_merged(inputs, activity)
-        }
-        .expect("receive");
-        let inter = aea.complete_via_tfc(&received, responses).expect("complete");
-        let inter_xml = inter.document.to_xml_string();
-        inters.push(inter_xml.clone());
-        tfc.process(&inter_xml).expect("tfc").document.to_xml_string()
-    };
-
-    let x0 = initial.to_xml_string();
-    let a0 = advance("p_a", "A", &[&x0], &resp(&[("attachment", "v0")]));
-    let b1 = advance("p_b1", "B1", &[&a0], &resp(&[("review1", "r")]));
-    let b2 = advance("p_b2", "B2", &[&a0], &resp(&[("review2", "r")]));
-    let c0 = advance("p_c", "C", &[&b1, &b2], &resp(&[("decision", "insufficient")]));
-    let a1 = advance("p_a", "A", &[&c0], &resp(&[("attachment", "v1")]));
-    let b1 = advance("p_b1", "B1", &[&a1], &resp(&[("review1", "r")]));
-    let b2 = advance("p_b2", "B2", &[&a1], &resp(&[("review2", "r")]));
-    let c1 = advance("p_c", "C", &[&b1, &b2], &resp(&[("decision", "accept")]));
-    let _ = advance("p_d", "D", &[&c1], &resp(&[("ack", "done")]));
-    inters
+/// The measurements of one [`walk`], without the documents.
+pub fn run_fig9_trace(advanced: bool) -> Vec<StepRecord> {
+    walk(advanced).into_iter().map(|step| step.record).collect()
 }
 
 #[cfg(test)]
@@ -327,7 +269,7 @@ mod tests {
 
     #[test]
     fn intermediate_documents_produced() {
-        let inters = fig9b_intermediate_documents();
+        let inters: Vec<String> = walk(true).into_iter().filter_map(|s| s.intermediate).collect();
         assert_eq!(inters.len(), 9);
         // each ends with an intermediate CER the TFC can process
         let (creds, dir) = cast();

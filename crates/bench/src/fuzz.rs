@@ -30,8 +30,8 @@
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::soundness::{check_soundness, SoundnessError};
 use dra_cloud::{
-    check_metric_invariants, tracer_for, CloudSystem, CrashPlan, CrashPoint, Delivery,
-    DeliveryPolicy, FaultProfile, InstanceRun, NetworkSim, Scheduler,
+    check_metric_invariants, tracer_for, AuditConfig, CloudSystem, CrashPlan, CrashPoint, Delivery,
+    DeliveryPolicy, FaultProfile, InstanceRun, NetworkSim, PoolAuditor, Scheduler,
 };
 use dra_obs::{MetricsRegistry, TraceEvent};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -426,6 +426,12 @@ pub fn run_generated(
         .run(out.document.document())
         .map_err(|e| format!("final document fails verification: {e}"))?;
     let snap = metrics.snapshot();
+    // whatever the channel and the crashes did, every stored version is an
+    // honest one: one auditor pass over the whole pool finds nothing
+    let auditor = PoolAuditor::new(AuditConfig { batch: usize::MAX, ..AuditConfig::default() });
+    if auditor.run_pass(&sys, None, 0) > 0 {
+        return Err(format!("auditor indicts honest rows: {:?}", auditor.divergent_rows()));
+    }
     Ok(RunArtifacts {
         wire: out.document.wire().as_ref().clone(),
         pool_fp: sys.active_pool().fingerprint("doc/"),

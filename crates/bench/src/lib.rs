@@ -1,12 +1,12 @@
 //! # dra-bench — workloads and harnesses for the paper's evaluation
 //!
-//! Shared by the table-regeneration binaries, the `claim` binary
-//! (`src/bin/*.rs`; every claim and the harness around them live in
-//! [`claims`]) and the Criterion benches (`benches/*.rs`). The central
-//! piece of the paper's own tables is
-//! [`fig9::run_fig9_trace`], which executes the exact step sequence of the
-//! paper's experiments (Fig. 9A/9B: sequence, AND-split/join, one loop
-//! iteration) while timing each phase at the same boundaries as Tables 1–2:
+//! Shared by the `claim` binary (`src/bin/claim.rs`; every claim, the
+//! paper's two tables included, and the harness around them live in
+//! [`claims`]), the document dump and the Criterion benches
+//! (`benches/*.rs`). The central piece of the paper's own tables is
+//! [`fig9::walk`], which executes the exact step sequence of the paper's
+//! experiments (Fig. 9A/9B: sequence, AND-split/join, one loop iteration)
+//! while timing each phase at the same boundaries as Tables 1–2:
 //!
 //! * **α** — time for the AEA (and TFC in the advanced model) to decrypt
 //!   cipher data and verify digital signatures on receive,

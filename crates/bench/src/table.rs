@@ -8,63 +8,29 @@ fn secs(d: Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
 }
 
-/// Render Table 1 (basic operational model): α, β, Σ per step.
-pub fn render_table1(records: &[StepRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("TABLE 1. EXECUTION TIMES FOR THE WORKFLOW OF FIG. 9A (basic model)\n");
-    out.push_str(&format!(
-        "{:<10} {:>6} {:>6} {:>10} {:>10} {:>10}\n",
-        "Document", "#sigs", "#CERs", "alpha(s)", "beta(s)", "size(B)"
-    ));
+/// Render a trace under `title` in the layout of the paper's tables: one
+/// row per document with #sigs, #CERs, α, β and Σ. A trace of the advanced
+/// model (Table 2) also gets the γ column and, before each hop's final
+/// document, a row for its intermediate (AEA → TFC) document marked `~` —
+/// the paper lists both; α of a final row is AEA + TFC.
+pub fn render_table(title: &str, records: &[StepRecord]) -> String {
+    let advanced = records.iter().any(|r| r.gamma.is_some());
+    let row = |doc: &str, sigs: &str, cers: &str, a: &str, b: &str, g: &str, size: &str| {
+        let gamma = if advanced { format!(" {g:>10}") } else { String::new() };
+        format!("{doc:<14} {sigs:>6} {cers:>6} {a:>10} {b:>10}{gamma} {size:>10}\n")
+    };
+    let mut out = format!("{title}\n");
+    out += &row("Document", "#sigs", "#CERs", "alpha(s)", "beta(s)", "gamma(s)", "size(B)");
     for r in records {
-        out.push_str(&format!(
-            "{:<10} {:>6} {:>6} {:>10} {:>10} {:>10}\n",
-            r.label,
-            r.sigs_verified,
-            r.cers,
-            secs(r.alpha_aea),
-            secs(r.beta),
-            r.size
-        ));
-    }
-    out
-}
-
-/// Render Table 2 (advanced operational model): α (AEA+TFC), β, γ, Σ per
-/// step, with the intermediate document size as its own row (as in the
-/// paper, which lists both documents of each hop).
-pub fn render_table2(records: &[StepRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("TABLE 2. EXECUTION TIMES FOR THE WORKFLOW OF FIG. 9B (advanced model)\n");
-    out.push_str(&format!(
-        "{:<14} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-        "Document", "#sigs", "#CERs", "alpha(s)", "beta(s)", "gamma(s)", "size(B)"
-    ));
-    for r in records {
+        let (sigs, cers) = (r.sigs_verified.to_string(), r.cers.to_string());
         if let Some(inter) = r.size_intermediate {
-            // the intermediate (AEA → TFC) document row
-            out.push_str(&format!(
-                "{:<14} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-                format!("{}~", r.label),
-                r.sigs_verified,
-                r.cers.saturating_sub(0),
-                secs(r.alpha_aea),
-                secs(r.beta),
-                "-",
-                inter
-            ));
+            let label = format!("{}~", r.label);
+            let (alpha, size) = (secs(r.alpha_aea), inter.to_string());
+            out += &row(&label, &sigs, &cers, &alpha, &secs(r.beta), "-", &size);
         }
-        let alpha_total = r.alpha_aea + r.alpha_tfc.unwrap_or(Duration::ZERO);
-        out.push_str(&format!(
-            "{:<14} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}\n",
-            r.label,
-            r.sigs_verified,
-            r.cers,
-            secs(alpha_total),
-            secs(r.beta),
-            r.gamma.map(secs).unwrap_or_else(|| "-".into()),
-            r.size
-        ));
+        let alpha = secs(r.alpha_aea + r.alpha_tfc.unwrap_or_default());
+        let gamma = r.gamma.map_or("-".into(), secs);
+        out += &row(&r.label, &sigs, &cers, &alpha, &secs(r.beta), &gamma, &r.size.to_string());
     }
     out
 }
@@ -114,10 +80,16 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let t = render_table1(&[rec("Initial", 0), rec("X_A(0)", 3)]);
+        let t = render_table("T", &[rec("Initial", 0), rec("X_A(0)", 3)]);
         assert!(t.contains("Initial"));
         assert!(t.contains("X_A(0)"));
         assert!(t.contains("1000"));
+        assert!(!t.contains("gamma") && !t.contains('~'), "basic model: no TFC columns\n{t}");
+
+        let mut advanced = rec("X_A(0)", 3);
+        (advanced.gamma, advanced.size_intermediate) = (Some(Duration::from_millis(2)), Some(900));
+        let t = render_table("T", &[rec("Initial", 0), advanced]);
+        assert!(t.contains("gamma(s)") && t.contains("X_A(0)~") && t.contains("900"), "{t}");
     }
 
     #[test]

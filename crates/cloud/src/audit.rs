@@ -1,13 +1,14 @@
 //! Continuous nonrepudiation auditor over the pool of stored documents.
 //!
-//! The serve-side integrity probe (PR 7) only inspects documents a user
-//! actually asks for — a forged row that is *never served* sits in the pool
+//! The serve-side integrity probe only inspects documents a user actually
+//! asks for — a forged row that is *never served* sits in the pool
 //! unchallenged. This module closes that gap: a [`PoolAuditor`] runs a
 //! background pass in virtual time that samples stored `doc/` rows through
 //! the typed scan API (bounded batches, family projection — never a full
-//! table read), spot-checks every sampled version with the batched
-//! [`Verifier`], and optionally reconciles completed processes against
-//! their span trace via [`reconcile`].
+//! table read), holds every sampled version to the store's verdict
+//! (`store::CloudStore::honest`, the one the serve probe uses), spot-checks
+//! the survivors with the batched [`Verifier`], and optionally reconciles
+//! completed processes against their span trace via [`reconcile`].
 //!
 //! A row that fails any check raises a typed
 //! [`AlertKind::AuditDivergence`] into the [`HealthMonitor`]; on federated
@@ -26,7 +27,8 @@
 
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
 use crate::portal::CloudSystem;
-use crate::schema::{self, Name, RowKey, DOC_ROWS, SEQ, STATUS, XML};
+use crate::schema::{Name, RowKey, STATUS};
+use crate::store::Clause;
 use dra4wfms_core::prelude::*;
 use dra_obs::{MetricsRegistry, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -97,8 +99,9 @@ impl PoolAuditor {
 
     /// Run one audit pass at virtual instant `now_us`: per member cloud,
     /// sample the next [`AuditConfig::batch`] `doc/` rows after the cloud's
-    /// cursor (projection-scanned, never a full table read), verify every
-    /// sampled version with the batched [`Verifier`], and raise a typed
+    /// cursor (projection-scanned, never a full table read), judge every
+    /// sampled version and verify the honest ones with the batched
+    /// [`Verifier`], and raise a typed
     /// [`AlertKind::AuditDivergence`] into `monitor` for each newly caught
     /// row. A cloud whose cursor runs off the end of its `doc/` range
     /// completes a sweep and wraps. Returns the number of *new* divergent
@@ -114,43 +117,38 @@ impl PoolAuditor {
         st.next_due_us = now_us + self.config.period_us;
         let mut caught = 0usize;
 
-        for (cloud_name, cloud_idx, pool) in sys.audit_pools() {
-            let cursor = st.cursors.get(&cloud_name).map_or(DOC_ROWS, String::as_str);
-            let scan = schema::all_docs()
-                .starting_at(cursor)
-                .limit(self.config.batch)
-                .threads(self.config.threads);
-            let result = pool.query(&scan);
-            if result.rows.is_empty() {
+        for (cloud_idx, cloud) in sys.clouds.iter().enumerate() {
+            let cursor = st.cursors.get(&cloud.name).map(String::as_str);
+            let sample = cloud.sample(cursor, self.config.batch, self.config.threads);
+            let Some(last) = sample.last() else {
                 // the cursor ran off the end of the doc/ range: sweep done
-                if st.cursors.remove(&cloud_name).is_some() {
+                if st.cursors.remove(&cloud.name).is_some() {
                     st.sweeps += 1;
                 }
                 continue;
-            }
+            };
+            // resume strictly after the last sampled key next pass
+            st.cursors.insert(cloud.name.clone(), format!("{}\u{0}", last.key));
 
-            // Parse every sampled version; a missing cell, unparseable
-            // bytes or a digest with no `seen/` admission row are already
-            // suspicious, but the signature pass is the authority.
+            // The store's verdict binds each row to its admission and its
+            // process; the signature pass below stays the authority on the
+            // content, so a forged `seen/` row vouches for nothing.
             let mut keys: Vec<&String> = Vec::new();
             let mut docs: Vec<DraDocument> = Vec::new();
             let mut divergent: Vec<&String> = Vec::new();
-            for (key, snap) in &result.rows {
-                st.sampled.insert((cloud_name.clone(), key.clone()));
-                let Some(xml) = XML.of(snap) else {
-                    divergent.push(key);
-                    continue;
-                };
-                let seen = RowKey::Seen(dra_crypto::sha256(xml.as_bytes()));
-                if SEQ.get(&pool, seen).is_none() {
-                    st.seen_misses += 1;
-                }
-                match DraDocument::parse(&xml) {
+            for stored in &sample {
+                st.sampled.insert((cloud.name.clone(), stored.key.clone()));
+                match cloud.honest(stored, &sys.directory) {
                     Ok(doc) => {
-                        keys.push(key);
+                        keys.push(&stored.key);
                         docs.push(doc);
                     }
-                    Err(_) => divergent.push(key),
+                    Err(divergence) => {
+                        if matches!(divergence.clause, Clause::Rejected(_)) {
+                            st.seen_misses += 1;
+                        }
+                        divergent.push(&stored.key);
+                    }
                 }
             }
 
@@ -159,26 +157,16 @@ impl PoolAuditor {
                 .threads(self.config.threads)
                 .batched(true)
                 .run_many(&docs);
-            for ((key, doc), outcome) in keys.into_iter().zip(&docs).zip(outcomes) {
-                // a stored row must also live under the process it proves
-                let pid_matches = matches!(
-                    (RowKey::parse(key), doc.process_id()),
-                    (Some(RowKey::Doc { pid, .. }), Ok(proved)) if pid.as_str() == proved
-                );
-                if outcome.is_ok() && pid_matches {
-                    st.verified += 1;
-                } else {
-                    divergent.push(key);
+            for (key, outcome) in keys.into_iter().zip(outcomes) {
+                match outcome {
+                    Ok(_) => st.verified += 1,
+                    Err(_) => divergent.push(key),
                 }
             }
             for key in divergent {
                 caught +=
-                    usize::from(Self::flag(&mut st, monitor, now_us, &cloud_name, cloud_idx, key));
+                    usize::from(Self::flag(&mut st, monitor, now_us, &cloud.name, cloud_idx, key));
             }
-
-            // resume strictly after the last sampled key next pass
-            let last = &result.rows[result.rows.len() - 1].0;
-            st.cursors.insert(cloud_name.clone(), format!("{last}\u{0}"));
         }
         caught
     }
@@ -198,18 +186,16 @@ impl PoolAuditor {
     ) -> bool {
         // a name no row key can hold has no rows to reconcile
         let Ok(pid) = Name::new(process_id) else { return true };
-        for (cloud_name, cloud_idx, pool) in sys.audit_pools() {
-            if STATUS.get(&pool, RowKey::Meta(pid)).as_deref() != Some("complete") {
+        for (cloud_idx, cloud) in sys.clouds.iter().enumerate() {
+            if STATUS.get(cloud.pool(), RowKey::Meta(pid)).as_deref() != Some("complete") {
                 continue;
             }
-            let Some((key, xml)) = schema::latest_doc(&pool, pid) else { continue };
+            let Some(stored) = cloud.latest(pid) else { continue };
             let mut st = self.lock();
             st.reconciles += 1;
-            let ok = xml
-                .and_then(|xml| DraDocument::parse(&xml).ok())
-                .is_some_and(|doc| reconcile(trace, &doc).is_ok());
-            if !ok {
-                Self::flag(&mut st, monitor, now_us, &cloud_name, cloud_idx, &key);
+            let honest = cloud.honest(&stored, &sys.directory);
+            if !honest.is_ok_and(|doc| reconcile(trace, &doc).is_ok()) {
+                Self::flag(&mut st, monitor, now_us, &cloud.name, cloud_idx, &stored.key);
                 return false;
             }
         }
@@ -234,12 +220,6 @@ impl PoolAuditor {
     #[must_use]
     pub fn divergent_rows(&self) -> Vec<(String, String)> {
         self.lock().divergent.iter().cloned().collect()
-    }
-
-    /// Distinct rows sampled so far.
-    #[must_use]
-    pub fn sampled_rows(&self) -> usize {
-        self.lock().sampled.len()
     }
 
     /// Record a newly divergent row (idempotent per `(cloud, key)`); raise

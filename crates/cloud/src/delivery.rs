@@ -29,8 +29,7 @@ use dra_obs::{stage, MetricsRegistry, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Retry/backoff/queue configuration of a [`Delivery`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -165,25 +164,26 @@ struct Pending {
     trust: Option<TrustMark>,
 }
 
+/// What a [`Delivery`] mutates, under one lock (never held across a call
+/// into the network or a receiver).
+struct State {
+    /// Jitter randomness, seeded independently of the fault stream so
+    /// retry timing never perturbs the fault schedule.
+    jitter_rng: StdRng,
+    pending: VecDeque<Pending>,
+    /// The counters of [`Delivery::stats`], kept in the struct it returns;
+    /// the fields derived from the network stay zero here.
+    stats: DeliveryStats,
+    /// Payload bytes of every logical send: with `stats.sends`, what the
+    /// same hops would have cost on a lossless channel.
+    ideal_bytes: u64,
+}
+
 /// A fault-tolerant delivery channel over a [`FaultyNetwork`].
 pub struct Delivery {
     network: FaultyNetwork,
     policy: DeliveryPolicy,
-    /// Jitter randomness, seeded independently of the fault stream so
-    /// retry timing never perturbs the fault schedule.
-    jitter_rng: Mutex<StdRng>,
-    pending: Mutex<VecDeque<Pending>>,
-    sends: AtomicU64,
-    delivered: AtomicU64,
-    attempts: AtomicU64,
-    retries: AtomicU64,
-    duplicates_suppressed: AtomicU64,
-    corruptions_rejected: AtomicU64,
-    late_deliveries: AtomicU64,
-    queue_overflow_dropped: AtomicU64,
-    crashes: AtomicU64,
-    ideal_messages: AtomicU64,
-    ideal_bytes: AtomicU64,
+    state: Mutex<State>,
     tracer: Tracer,
 }
 
@@ -199,25 +199,14 @@ impl Delivery {
     ) -> WfResult<Delivery> {
         policy.validate()?;
         let network = FaultyNetwork::new(sim, profile, seed)?;
-        Ok(Delivery {
-            network,
-            policy,
+        let state = State {
             // distinct, fixed offset: decouples jitter from fault decisions
-            jitter_rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15)),
-            pending: Mutex::new(VecDeque::new()),
-            sends: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            attempts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            duplicates_suppressed: AtomicU64::new(0),
-            corruptions_rejected: AtomicU64::new(0),
-            late_deliveries: AtomicU64::new(0),
-            queue_overflow_dropped: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-            ideal_messages: AtomicU64::new(0),
-            ideal_bytes: AtomicU64::new(0),
-            tracer: Tracer::disabled(),
-        })
+            jitter_rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
+            pending: VecDeque::new(),
+            stats: DeliveryStats::default(),
+            ideal_bytes: 0,
+        };
+        Ok(Delivery { network, policy, state: Mutex::new(state), tracer: Tracer::disabled() })
     }
 
     /// Record a `deliver` span per logical hand-off into `tracer`.
@@ -263,15 +252,19 @@ impl Delivery {
             span.attr("target", target);
         }
         let wire = sealed.wire();
-        self.account_ideal(wire.len());
+        {
+            let mut state = self.state();
+            state.stats.sends += 1;
+            state.ideal_bytes += wire.len() as u64;
+        }
         let mut backoff = self.policy.base_backoff_us;
         for n in 1..=self.policy.max_attempts {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            if n > 1 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
+            self.count(|stats| {
+                stats.attempts += 1;
+                stats.retries += u64::from(n > 1);
+            });
             if let Some(ack) = attempt(&wire)? {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
+                self.count(|stats| stats.delivered += 1);
                 span.attr("attempts", n);
                 span.end();
                 return Ok(ack);
@@ -344,11 +337,11 @@ impl Delivery {
             for arrival in arrivals {
                 self.network.sim().advance(arrival.delay_us);
                 if acked.is_some() {
-                    self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
+                    self.count(|stats| stats.duplicates_suppressed += 1);
                     continue;
                 }
                 if arrival.late {
-                    self.late_deliveries.fetch_add(1, Ordering::Relaxed);
+                    self.count(|stats| stats.late_deliveries += 1);
                 }
                 let corrupted = arrival.payload.is_some();
                 let copy = match &arrival.payload {
@@ -371,62 +364,48 @@ impl Delivery {
         self.drain_pending(system);
     }
 
-    /// Snapshot the accumulated statistics.
+    /// Snapshot the accumulated statistics: the counters kept here plus
+    /// what the network underneath knows (the runner folds in the leases
+    /// and replays it supervised).
     pub fn stats(&self) -> DeliveryStats {
         let sim = self.network.sim();
+        let state = self.state();
         DeliveryStats {
-            sends: self.sends.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            attempts: self.attempts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            duplicates_suppressed: self.duplicates_suppressed.load(Ordering::Relaxed),
-            corruptions_rejected: self.corruptions_rejected.load(Ordering::Relaxed),
-            late_deliveries: self.late_deliveries.load(Ordering::Relaxed),
-            queue_overflow_dropped: self.queue_overflow_dropped.load(Ordering::Relaxed),
-            crashes_injected: self.crashes.load(Ordering::Relaxed),
-            leases_expired: 0,
-            journal_replays: 0,
             faults: self.network.counts(),
             virtual_time_us: sim.virtual_time_us(),
-            ideal_time_us: sim.ideal_time_us(
-                self.ideal_messages.load(Ordering::Relaxed),
-                self.ideal_bytes.load(Ordering::Relaxed),
-            ),
+            ideal_time_us: sim.ideal_time_us(state.stats.sends, state.ideal_bytes),
+            ..state.stats
         }
     }
 
-    fn account_ideal(&self, len: usize) {
-        self.sends.fetch_add(1, Ordering::Relaxed);
-        self.ideal_messages.fetch_add(1, Ordering::Relaxed);
-        self.ideal_bytes.fetch_add(len as u64, Ordering::Relaxed);
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn count(&self, bump: impl FnOnce(&mut DeliveryStats)) {
+        bump(&mut self.state().stats);
     }
 
     fn wait_before_retry(&self, backoff: &mut u64) {
-        let jitter = {
-            let mut rng = self.jitter_rng.lock().unwrap_or_else(|e| e.into_inner());
-            (*backoff as f64 * self.policy.jitter * rng.gen::<f64>()) as u64
-        };
+        let draw = self.state().jitter_rng.gen::<f64>();
+        let jitter = (*backoff as f64 * self.policy.jitter * draw) as u64;
         self.network.sim().advance(self.policy.ack_timeout_us + *backoff + jitter);
         *backoff = (*backoff * 2).min(self.policy.max_backoff_us);
     }
 
     fn enqueue_pending(&self, pending: Pending) {
-        let mut queue = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        if queue.len() >= self.policy.redelivery_capacity {
-            self.queue_overflow_dropped.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.state();
+        if state.pending.len() >= self.policy.redelivery_capacity {
+            state.stats.queue_overflow_dropped += 1;
             return;
         }
-        queue.push_back(pending);
+        state.pending.push_back(pending);
     }
 
     fn drain_pending(&self, system: &CloudSystem) {
         loop {
-            let item = {
-                let mut queue = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-                queue.pop_front()
-            };
-            let Some(p) = item else { return };
-            self.late_deliveries.fetch_add(1, Ordering::Relaxed);
+            let Some(p) = self.state().pending.pop_front() else { return };
+            self.count(|stats| stats.late_deliveries += 1);
             // a late copy of a send that eventually succeeded via retry
             // stores the same bytes → always a duplicate; a late copy of a
             // send that never acked lands here as a fresh (valid) store,
@@ -453,7 +432,7 @@ impl Delivery {
             system.recover_portals();
         })?;
         if ack.is_some_and(|a| a.duplicate) {
-            self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
+            self.count(|stats| stats.duplicates_suppressed += 1);
         }
         Ok(ack)
     }
@@ -474,12 +453,12 @@ impl Delivery {
         match arrived {
             Ok(ack) => Ok(Some(ack)),
             Err(WfError::Crash(_)) => {
-                self.crashes.fetch_add(1, Ordering::Relaxed);
+                self.count(|stats| stats.crashes_injected += 1);
                 restart();
                 Ok(None)
             }
             Err(_) if corrupted => {
-                self.corruptions_rejected.fetch_add(1, Ordering::Relaxed);
+                self.count(|stats| stats.corruptions_rejected += 1);
                 Ok(None)
             }
             Err(e) => Err(e),

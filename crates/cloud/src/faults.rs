@@ -24,7 +24,6 @@ use crate::netsim::NetworkSim;
 use dra4wfms_core::error::{WfError, WfResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Per-copy fault probabilities and magnitudes for a [`FaultyNetwork`].
@@ -131,12 +130,9 @@ pub struct FaultCounts {
 pub struct FaultyNetwork {
     sim: Arc<NetworkSim>,
     profile: FaultProfile,
-    rng: Mutex<StdRng>,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    corrupted: AtomicU64,
-    reordered: AtomicU64,
-    delayed_us: AtomicU64,
+    /// The fault stream and what it has injected so far, under one lock: a
+    /// send draws and counts in one step.
+    injector: Mutex<(StdRng, FaultCounts)>,
 }
 
 impl FaultyNetwork {
@@ -148,16 +144,8 @@ impl FaultyNetwork {
     /// probabilities in `[0, 1)`.
     pub fn new(sim: Arc<NetworkSim>, profile: FaultProfile, seed: u64) -> WfResult<FaultyNetwork> {
         profile.validate()?;
-        Ok(FaultyNetwork {
-            sim,
-            profile,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            corrupted: AtomicU64::new(0),
-            reordered: AtomicU64::new(0),
-            delayed_us: AtomicU64::new(0),
-        })
+        let injector = Mutex::new((StdRng::seed_from_u64(seed), FaultCounts::default()));
+        Ok(FaultyNetwork { sim, profile, injector })
     }
 
     /// The underlying accounting network.
@@ -177,9 +165,10 @@ impl FaultyNetwork {
     /// delayed or deferred. Every physical copy, delivered or not, is
     /// charged to the underlying [`NetworkSim`].
     pub fn send(&self, wire: &str) -> Vec<Arrival> {
-        let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
+        let mut injector = self.injector.lock().unwrap_or_else(|e| e.into_inner());
+        let (rng, counts) = &mut *injector;
         let copies = if rng.gen::<f64>() < self.profile.duplicate {
-            self.duplicated.fetch_add(1, Ordering::Relaxed);
+            counts.duplicated += 1;
             2
         } else {
             1
@@ -190,25 +179,25 @@ impl FaultyNetwork {
             // when it never arrives
             self.sim.transfer(wire.len());
             if rng.gen::<f64>() < self.profile.drop {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
+                counts.dropped += 1;
                 continue;
             }
             let payload = if rng.gen::<f64>() < self.profile.corrupt {
-                self.corrupted.fetch_add(1, Ordering::Relaxed);
-                Some(corrupt_one_byte(wire, &mut rng))
+                counts.corrupted += 1;
+                Some(corrupt_one_byte(wire, rng))
             } else {
                 None
             };
             let delay_us = if self.profile.delay_max_us > 0 {
                 let d = rng.gen_range(0..=self.profile.delay_max_us);
-                self.delayed_us.fetch_add(d, Ordering::Relaxed);
+                counts.delayed_us += d;
                 d
             } else {
                 0
             };
             let late = rng.gen::<f64>() < self.profile.reorder;
             if late {
-                self.reordered.fetch_add(1, Ordering::Relaxed);
+                counts.reordered += 1;
             }
             arrivals.push(Arrival { payload, delay_us, late });
         }
@@ -217,13 +206,7 @@ impl FaultyNetwork {
 
     /// Faults injected so far.
     pub fn counts(&self) -> FaultCounts {
-        FaultCounts {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            delayed_us: self.delayed_us.load(Ordering::Relaxed),
-        }
+        self.injector.lock().unwrap_or_else(|e| e.into_inner()).1
     }
 }
 

@@ -56,7 +56,9 @@
 //!   caught even when nobody ever serves them.
 //!
 //! The pool's row layout — key strings, column families, key parsers —
-//! is private to this crate and lives in one module, `schema`.
+//! is private to this crate and lives in one module, `schema`; committing
+//! a batch, reading a stored version and judging one live in another,
+//! `store`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,6 +75,7 @@ pub mod portal;
 pub mod runner;
 pub mod sched;
 pub(crate) mod schema;
+pub(crate) mod store;
 
 pub use audit::{AuditConfig, PoolAuditor};
 pub use crash::{CrashPlan, CrashPoint};

@@ -10,10 +10,11 @@ use crate::crash::{CrashPlan, CrashPoint};
 use crate::federation::{tamper_bytes, FederationController, Topology};
 use crate::netsim::NetworkSim;
 use crate::sched::{Activation, ActivationBus};
-use crate::schema::{self, Name, RowKey, SEQ, STATUS, STEPS, WORKFLOW, XML};
+use crate::schema::{self, Name, RowKey, SEQ, STATUS, STEPS, WORKFLOW};
+use crate::store::{CloudStore, Stored};
 use dra4wfms_core::monitor::ProcessStatus;
 use dra4wfms_core::prelude::*;
-use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, TableConfig};
+use dra_docpool::{map_reduce_scan, FleetViews, HTable, PutOp};
 use dra_obs::{stage, MetricsRegistry, Tracer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,29 +69,6 @@ pub struct PortalStats {
     pub notifications: AtomicUsize,
 }
 
-/// One member cloud's storage: its document pool (HBase in the paper) and
-/// the write-ahead journal its admissions commit through.
-struct CloudStore {
-    /// Stable cloud name (used in alerts, metrics and outage plans).
-    name: String,
-    pool: Arc<HTable>,
-    journal: Arc<Journal>,
-}
-
-impl CloudStore {
-    fn new(name: &str, pool: HTable) -> CloudStore {
-        CloudStore {
-            name: name.to_string(),
-            pool: Arc::new(pool),
-            journal: Arc::new(Journal::new()),
-        }
-    }
-}
-
-fn empty_pool() -> HTable {
-    HTable::new(TableConfig { max_versions: 4, max_region_rows: 1024 })
-}
-
 /// The DRA4WfMS cloud system: a pool of documents behind `n` portal servers.
 pub struct CloudSystem {
     /// Deployment PKI.
@@ -100,11 +78,11 @@ pub struct CloudSystem {
     /// Simulated network accounting for user↔portal transfers.
     pub network: Arc<NetworkSim>,
     /// The member clouds' storage, in declaration order; never empty. Every
-    /// admission appends its full put batch to the active cloud's journal
-    /// before touching that cloud's pool, so a portal crash between two rows
-    /// is repaired by [`CloudSystem::recover_portals`]. A single-cloud
-    /// deployment ([`CloudSystem::new`]) is a topology of one.
-    clouds: Vec<CloudStore>,
+    /// admission commits its full put batch through the active cloud's
+    /// journal, so a portal crash between two rows is repaired by
+    /// [`CloudSystem::recover_portals`]. A single-cloud deployment
+    /// ([`CloudSystem::new`]) is a topology of one.
+    pub(crate) clouds: Vec<CloudStore>,
     /// The control plane that owns quarantine/failover state, present only
     /// on deployments built with [`CloudSystem::federated`]. Without one,
     /// cloud 0 is always active, portals are never re-routed and serves are
@@ -149,21 +127,10 @@ impl CloudSystem {
         }
     }
 
-    /// A single-cloud deployment over `pool`: a topology of one cloud named
-    /// `cloud0`, no controller.
-    fn single_cloud(
-        directory: Directory,
-        portals: usize,
-        network: Arc<NetworkSim>,
-        pool: HTable,
-    ) -> CloudSystem {
-        let clouds = vec![CloudStore::new("cloud0", pool)];
-        Self::assemble(directory, portals.max(1), network, clouds, None)
-    }
-
-    /// Create a deployment with `portals` portal servers.
+    /// Create a deployment with `portals` portal servers: a topology of one
+    /// cloud named `cloud0`, no controller.
     pub fn new(directory: Directory, portals: usize, network: Arc<NetworkSim>) -> CloudSystem {
-        Self::single_cloud(directory, portals, network, empty_pool())
+        Self::assemble(directory, portals.max(1), network, vec![CloudStore::new("cloud0")], None)
     }
 
     /// Create a **federated** deployment from a [`Topology`]: one pool +
@@ -176,8 +143,7 @@ impl CloudSystem {
         network: Arc<NetworkSim>,
     ) -> WfResult<CloudSystem> {
         topology.validate()?;
-        let clouds =
-            topology.clouds.iter().map(|c| CloudStore::new(&c.name, empty_pool())).collect();
+        let clouds = topology.clouds.iter().map(|c| CloudStore::new(&c.name)).collect();
         let total = topology.total_portals();
         let controller = Arc::new(FederationController::new(topology));
         Ok(Self::assemble(directory, total, network, clouds, Some(controller)))
@@ -211,7 +177,7 @@ impl CloudSystem {
 
     /// The pool serving reads right now: the active cloud's.
     pub fn active_pool(&self) -> &Arc<HTable> {
-        &self.active_cloud().pool
+        self.active_cloud().pool()
     }
 
     /// Index of the active cloud: the controller's choice, cloud 0 without
@@ -220,8 +186,8 @@ impl CloudSystem {
         self.controller.as_ref().map_or(0, |c| c.active_cloud())
     }
 
-    /// The cloud an admission journals/commits on before replicating to
-    /// peers.
+    /// The cloud an admission commits on before replicating to peers, and
+    /// the one unrouted reads are served from.
     fn active_cloud(&self) -> &CloudStore {
         &self.clouds[self.active_index()]
     }
@@ -279,7 +245,7 @@ impl CloudSystem {
     /// into `tracer`.
     pub fn with_tracer(mut self, tracer: Tracer) -> CloudSystem {
         for cloud in &self.clouds {
-            cloud.journal.set_tracer(tracer.clone());
+            cloud.set_tracer(tracer.clone());
         }
         self.tracer = tracer;
         self
@@ -303,8 +269,7 @@ impl CloudSystem {
         metrics.set_counter("portal.notifications", sum(|p| &p.notifications));
         metrics.set_counter("sched.activations", self.bus.emitted());
         metrics.set_gauge("sched.bus_depth", self.bus.len() as i64);
-        let records: u64 = self.clouds.iter().map(|c| c.journal.len() as u64).sum();
-        metrics.set_counter("journal.records", records);
+        metrics.set_counter("journal.records", self.clouds.iter().map(|c| c.journal_len()).sum());
         metrics.set_counter("journal.replayed_records", self.journal_replays());
         if let Some(controller) = &self.controller {
             let stats = controller.stats();
@@ -321,8 +286,8 @@ impl CloudSystem {
         // deployment holds vs how many monitoring queries actually touched
         let (rows, scanned_rows, scanned_regions) =
             self.clouds.iter().fold((0, 0, 0), |(rows, sr, sg), c| {
-                let (a, b) = c.pool.scan_counters();
-                (rows + c.pool.row_count(), sr + a, sg + b)
+                let (a, b) = c.pool().scan_counters();
+                (rows + c.pool().row_count(), sr + a, sg + b)
             });
         metrics.set_counter("pool.rows", rows as u64);
         metrics.set_counter("pool.scanned_rows", scanned_rows as u64);
@@ -336,9 +301,9 @@ impl CloudSystem {
     /// died mid-admission).
     pub fn recover_portals(&self) -> usize {
         let observer = |op: &PutOp| {
-            // journal-replay hook: recovery feeds the views through the fold
-            // live admissions use, so a torn admission leaves the views
-            // exactly as consistent as the pool it repaired
+            // recovery feeds the views through the fold live admissions
+            // use, so a torn admission leaves the views exactly as
+            // consistent as the pool it repaired
             schema::fold_into_views(&self.views, [schema::applied(op)]);
             let Some(RowKey::Todo { participant, pid, activity }) = RowKey::parse(&op.key) else {
                 return;
@@ -352,26 +317,30 @@ impl CloudSystem {
         // duplicates are skipped harmlessly by the scheduler.
         self.clouds
             .iter()
-            .map(|c| {
-                let replayed = c.journal.replay_into_with(&c.pool, observer);
-                self.views.record_commit(&c.name, c.journal.len() as u64);
+            .map(|cloud| {
+                let replayed = cloud.replay(observer);
+                self.committed(cloud);
                 replayed
             })
             .sum()
     }
 
+    /// Advance `cloud`'s commit watermark in the fleet views.
+    fn committed(&self, cloud: &CloudStore) {
+        self.views.record_commit(&cloud.name, cloud.journal_len());
+    }
+
     /// Total journal records replayed by portal recoveries so far, summed
     /// across clouds.
     pub fn journal_replays(&self) -> u64 {
-        self.clouds.iter().map(|c| c.journal.replayed_records()).sum()
+        self.clouds.iter().map(CloudStore::journal_replays).sum()
     }
 
     /// Look up the sequence number some exact wire bytes were stored under
     /// (via the same digest row duplicate suppression uses). `None` when
     /// these bytes never completed admission.
     pub fn stored_seq_for(&self, wire: &str) -> Option<usize> {
-        let seen = RowKey::Seen(dra_crypto::sha256(wire.as_bytes()));
-        SEQ.get(self.active_pool(), seen)?.parse().ok()
+        self.active_cloud().seq_of(&dra_crypto::sha256(wire.as_bytes()))
     }
 
     /// Store a verified document through portal `portal`, then notify the
@@ -441,7 +410,6 @@ impl CloudSystem {
             None => portal % self.portals.len(),
         };
         let active = self.active_cloud();
-        let (pool, journal) = (&active.pool, &active.journal);
         let stats = &self.portals[portal_idx];
         let mut span = self.tracer.span(stage::PORTAL_ADMIT).actor(&format!("portal:{portal_idx}"));
         if span.enabled() {
@@ -450,12 +418,12 @@ impl CloudSystem {
             }
         }
         let wire = sealed.wire();
-        let seen = RowKey::Seen(dra_crypto::sha256(wire.as_bytes()));
+        let digest = dra_crypto::sha256(wire.as_bytes());
 
         // idempotency: bytes we have already stored are acked, not
         // re-stored — a duplicated or retransmitted copy costs nothing but
         // the transfer.
-        if let Some(seq) = SEQ.get(pool, seen).and_then(|s| s.parse::<usize>().ok()) {
+        if let Some(seq) = active.seq_of(&digest) {
             stats.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
             // re-notify: the retransmitted copy proves the sender believes
             // the hand-off is still pending. For every routed target whose
@@ -468,7 +436,7 @@ impl CloudSystem {
                     let Ok(act) = definition.def.activity(target) else { continue };
                     // (names no key can hold have no TO-DO row to re-notify)
                     let todo = RowKey::todo(&act.participant, &pid, target);
-                    if todo.is_ok_and(|todo| SEQ.get(pool, todo).is_some()) {
+                    if todo.is_ok_and(|todo| active.todo_pending(todo)) {
                         self.notify(portal_idx, &act.participant, &pid, target, seq);
                     }
                 }
@@ -495,10 +463,7 @@ impl CloudSystem {
         // written: with a `/` in it, its rows would sit under another
         // process's prefix and be served as that process's versions
         let pid = Name::new(&report.process_id)?;
-        // storage sequence = number of versions already stored for this
-        // process (parallel AND-split branches have equal CER counts, so the
-        // CER count alone would collide); counted without cloning snapshots
-        let seq = schema::version_count(pool, pid);
+        let seq = active.next_seq(pid);
         let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
         // design-time soundness gate: a definition that can deadlock, starve
         // an activity or orphan a join is rejected *here*, before any row is
@@ -511,19 +476,14 @@ impl CloudSystem {
         let def = &definition.def;
         let status = if route.is_final() { "complete" } else { "running" };
 
-        // Assemble the full admission as one journaled batch: the digest →
-        // seq binding for duplicate suppression (a pool row, not portal
-        // memory, so it survives snapshot/restore and is shared by every
-        // portal), the document row, monitoring meta rows (amendments folded
-        // in, so dynamically added activities resolve), and one TO-DO entry
-        // per routed target's participant.
-        let mut ops = vec![
-            SEQ.put(seen, seq.to_string()),
-            XML.put(RowKey::Doc { pid, seq }, wire.as_ref().clone()),
-            STATUS.put(RowKey::Meta(pid), status),
-            STEPS.put(RowKey::Meta(pid), report.cers.len().to_string()),
-            WORKFLOW.put(RowKey::Meta(pid), def.name.clone()),
-        ];
+        // The full admission as one journaled batch: the version's two rows
+        // (`seen/` first), the monitoring meta row (amendments folded in, so
+        // dynamically added activities resolve), and one TO-DO entry per
+        // routed target's participant.
+        let mut ops = Vec::from(CloudStore::version_rows(pid, seq, digest, &wire));
+        ops.push(STATUS.put(RowKey::Meta(pid), status));
+        ops.push(STEPS.put(RowKey::Meta(pid), report.cers.len().to_string()));
+        ops.push(WORKFLOW.put(RowKey::Meta(pid), def.name.clone()));
         let mut notified: Vec<(&str, &str)> = Vec::with_capacity(route.targets.len());
         for target in &route.targets {
             let participant = &def.activity(target)?.participant;
@@ -531,39 +491,25 @@ impl CloudSystem {
             notified.push((participant, target));
         }
 
-        // WAL discipline: log the intent, apply, commit. The seen row goes
-        // first — the worst-case crash window is then "pool claims stored,
-        // document row missing", exactly what replay repairs.
-        let record = journal.append(ops.clone());
-        ops[0].apply(pool);
-        self.crash_plan.check(CrashPoint::PortalBetweenSeenAndStore)?;
-        for op in &ops[1..] {
-            op.apply(pool);
-        }
-        journal.commit_through(record);
-        // journal-commit hook: the admission is durable — fold its ops into
-        // the fleet views through the same parser crash replay uses, and
-        // advance the active cloud's commit watermark
+        // the admission becomes durable on the active cloud (the `seen/`
+        // row lands before the crash point) and is folded into the fleet
+        // views through the same fold crash replay uses
+        let crash = |point| move || self.crash_plan.check(point);
+        active.commit(&ops, 1, crash(CrashPoint::PortalBetweenSeenAndStore))?;
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
         self.views.record_admission(portal_idx as u64);
-        self.views.record_commit(&active.name, journal.len() as u64);
-        // Replication: the admission is durable on the active cloud; now
-        // charge and journal-commit the identical batch on every reachable
-        // peer cloud before acking. Each replica obeys the same WAL
-        // discipline, so a replica torn between append and commit (the
-        // `ReplicaBeforeCommit` injection point) is repaired by its own
-        // journal's replay in [`CloudSystem::recover_portals`].
+        self.committed(active);
+        // Replication: charge and commit the identical batch on every
+        // reachable peer cloud before acking. A replica torn between append
+        // and commit (the `ReplicaBeforeCommit` injection point) is repaired
+        // by its own journal's replay in [`CloudSystem::recover_portals`];
+        // the views were fed by the primary's commit already.
         if let Some(controller) = &self.controller {
             for cloud in controller.replica_targets(self.network.virtual_time_us()) {
                 let replica = &self.clouds[cloud];
                 self.network.transfer(wire.len());
-                let rec = replica.journal.append(ops.clone());
-                self.crash_plan.check(CrashPoint::ReplicaBeforeCommit)?;
-                for op in &ops {
-                    op.apply(&replica.pool);
-                }
-                replica.journal.commit_through(rec);
-                self.views.record_commit(&replica.name, replica.journal.len() as u64);
+                replica.commit(&ops, 0, crash(CrashPoint::ReplicaBeforeCommit))?;
+                self.committed(replica);
                 controller.ack_replica();
             }
         }
@@ -584,40 +530,38 @@ impl CloudSystem {
     /// Retrieve the latest stored document of a process (step 2 of Fig. 7).
     ///
     /// On a federated deployment the serve is resolved to an eligible
-    /// portal and integrity-probed before it leaves: the served bytes'
-    /// wire digest must match a `seen/` row of the serving cloud (every
-    /// honestly admitted version has one); an unknown digest falls back to
-    /// a full signature pass, and a failure raises the typed
-    /// `portal_tampered` alert, quarantines the serving portal and
-    /// re-serves from the next eligible one.
+    /// portal and integrity-probed before it leaves: what is about to be
+    /// served must be an honest version of the serving cloud's row it was
+    /// read from (`store::CloudStore::honest`: the `seen/` row of its
+    /// bytes names that version and it proves this process; bytes no
+    /// `seen/` row names go through the full signature pass). A failure
+    /// raises the typed `portal_tampered` alert, quarantines the serving
+    /// portal and re-serves from the next eligible one.
     pub fn retrieve_latest(&self, portal: usize, process_id: &str) -> Option<String> {
         let pid = Name::new(process_id).ok()?;
         let Some(controller) = &self.controller else {
-            let xml = schema::latest_doc(self.active_pool(), pid)?.1?;
+            let xml = self.active_cloud().latest(pid)?.xml?;
             return Some(self.serve(portal % self.portals.len(), xml));
         };
         // bounded by the portal count: every failed probe quarantines its
         // serving portal, so the candidate set strictly shrinks
         for _ in 0..self.portals.len() {
             let serving = controller.resolve_serve(portal)?;
-            let pool = &self.clouds[controller.topology().cloud_of(serving)].pool;
-            let stored = schema::latest_doc(pool, pid)?.1?;
+            let cloud = &self.clouds[controller.topology().cloud_of(serving)];
+            let Stored { key, xml } = cloud.latest(pid)?;
             // the tamper injector corrupts the *served copy*, never the pool
+            let tamper = controller.tamper_fires(serving);
             let served =
-                if controller.tamper_fires(serving) { tamper_bytes(&stored) } else { stored };
-            let digest = dra_crypto::sha256(served.as_bytes());
-            let known = SEQ.get(pool, RowKey::Seen(digest)).is_some()
-                || Self::full_verify_serves(&self.directory, &served);
-            if !known {
-                controller.on_tamper(
+                Stored { key, xml: xml.map(|x| if tamper { tamper_bytes(&x) } else { x }) };
+            match cloud.honest(&served, &self.directory) {
+                Ok(_) => return served.xml.map(|xml| self.serve(serving, xml)),
+                Err(divergence) => controller.on_tamper(
                     serving,
                     process_id,
-                    &dra_crypto::hex::encode(&digest),
+                    &dra_crypto::hex::encode(&divergence.digest),
                     self.network.virtual_time_us(),
-                );
-                continue;
+                ),
             }
-            return Some(self.serve(serving, served));
         }
         None
     }
@@ -630,37 +574,17 @@ impl CloudSystem {
         xml
     }
 
-    /// Integrity fallback for a serve whose digest has no `seen/` row: the
-    /// full signature pass decides. Tampered bytes cannot pass — every
-    /// content byte is covered by a signature — so `false` here means the
-    /// serving portal is compromised.
-    fn full_verify_serves(directory: &Directory, served: &str) -> bool {
-        SealedDocument::from_wire(served)
-            .and_then(|sealed| Verifier::new(directory).run(&sealed).map(|_| ()))
-            .is_ok()
-    }
-
     /// Retrieve a specific stored version (from the active cloud's pool).
     pub fn retrieve_version(&self, process_id: &str, seq: usize) -> Option<String> {
-        let pid = Name::new(process_id).ok()?;
-        XML.get(self.active_pool(), RowKey::Doc { pid, seq })
+        self.active_cloud().version(Name::new(process_id).ok()?, seq)
     }
 
     /// The TO-DO list of a participant ("a list of links of DRA4WfMS
     /// documents where s/he is one of the participants of the subsequent
     /// activities", §4.2).
     pub fn search_todo(&self, participant: &str) -> Vec<TodoEntry> {
-        let Ok(participant) = Name::new(participant) else { return vec![] };
-        let rows = self.active_pool().query(&schema::todos_of(participant)).rows;
-        rows.iter()
-            .filter_map(|(key, _)| match RowKey::parse(key)? {
-                RowKey::Todo { pid, activity, .. } => Some(TodoEntry {
-                    process_id: pid.as_str().to_string(),
-                    activity: activity.as_str().to_string(),
-                }),
-                _ => None,
-            })
-            .collect()
+        Name::new(participant)
+            .map_or(vec![], |participant| self.active_cloud().todos_of(participant))
     }
 
     /// Remove a consumed TO-DO entry (after the activity executed); returns
@@ -668,23 +592,24 @@ impl CloudSystem {
     /// every replica — a failover must not resurrect work a participant
     /// already finished.
     pub fn consume_todo(&self, participant: &str, process_id: &str, activity: &str) -> bool {
-        let Ok(key) = RowKey::todo(participant, process_id, activity) else { return false };
-        let key = key.to_string();
+        let Ok(todo) = RowKey::todo(participant, process_id, activity) else { return false };
         let active = self.active_index();
         let mut on_active = false;
         for (i, cloud) in self.clouds.iter().enumerate() {
-            on_active |= cloud.pool.delete_row(&key) && i == active;
+            on_active |= cloud.remove(todo) && i == active;
         }
         on_active
     }
 
     /// Monitoring: the status of one process instance, derived from its
-    /// latest stored document.
+    /// latest stored document — which must be an honest version of that
+    /// process ([`WfError::Verify`] otherwise, never some other status).
     pub fn process_status(&self, process_id: &str) -> WfResult<Option<ProcessStatus>> {
-        let pid = Name::new(process_id).ok();
-        let latest = pid.and_then(|pid| schema::latest_doc(self.active_pool(), pid)?.1);
-        let Some(xml) = latest else { return Ok(None) };
-        let doc = DraDocument::parse(&xml)?;
+        let active = self.active_cloud();
+        let Some(stored) = Name::new(process_id).ok().and_then(|pid| active.latest(pid)) else {
+            return Ok(None);
+        };
+        let doc = active.honest(&stored, &self.directory)?;
         Ok(Some(ProcessStatus::from_document(&doc)?))
     }
 
@@ -694,7 +619,7 @@ impl CloudSystem {
     /// prefix scan with family projection — document rows are never touched.
     pub fn statistics_by_status(&self, threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
-            self.active_pool(),
+            self.active_cloud().pool(),
             &schema::all_meta().threads(threads),
             threads,
             |_, row| STATUS.of(row).map(|s| (s, 1usize)).into_iter().collect(),
@@ -708,15 +633,15 @@ impl CloudSystem {
     /// §2.2 says monitoring must provide. Returns
     /// `activity -> (executions, mean gap ms)`.
     pub fn activity_latency_stats(&self, threads: usize) -> BTreeMap<String, (usize, f64)> {
+        let active = self.active_cloud();
         map_reduce_scan(
-            self.active_pool(),
+            active.pool(),
             &schema::all_meta().threads(threads),
             threads,
             |key, _| {
                 // load the latest stored document of this process
                 let Some(RowKey::Meta(pid)) = RowKey::parse(key) else { return vec![] };
-                let Some(xml) = schema::latest_doc(self.active_pool(), pid).and_then(|d| d.1)
-                else {
+                let Some(xml) = active.latest(pid).and_then(|stored| stored.xml) else {
                     return vec![];
                 };
                 let Ok(doc) = DraDocument::parse(&xml) else { return vec![] };
@@ -744,7 +669,7 @@ impl CloudSystem {
     /// MapReduce: total executed steps per workflow name.
     pub fn steps_per_workflow(&self, threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
-            self.active_pool(),
+            self.active_cloud().pool(),
             &schema::all_meta().threads(threads),
             threads,
             |_, row| {
@@ -778,17 +703,7 @@ impl CloudSystem {
     ) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
         let status = self.statistics_by_status(threads);
         let status = status.into_iter().map(|(status, n)| (status, n as u64)).collect();
-        let progress = map_reduce_scan(
-            self.active_pool(),
-            &schema::doc_keys().threads(threads),
-            threads,
-            |key, _| match RowKey::parse(key) {
-                Some(RowKey::Doc { pid, seq }) => vec![(pid.as_str().to_string(), seq as u64)],
-                _ => vec![],
-            },
-            |_, seqs| seqs.iter().copied().max().unwrap_or(0) + 1,
-        );
-        (status, progress)
+        (status, self.active_cloud().progress_by_scan(threads))
     }
 
     /// The differential check `views ≡ scan`: recompute the pool-derived
@@ -814,7 +729,7 @@ impl CloudSystem {
         self.clouds
             .iter()
             .enumerate()
-            .map(|(i, c)| (c.name.clone(), i, Arc::clone(&c.pool)))
+            .map(|(i, c)| (c.name.clone(), i, Arc::clone(c.pool())))
             .collect()
     }
 
@@ -843,27 +758,21 @@ impl CloudSystem {
                 "initial documents must not contain execution results".into(),
             ));
         }
-        XML.write(self.active_pool(), RowKey::Initial(Name::new(&report.process_id)?), xml);
+        self.active_cloud().put_initial(Name::new(&report.process_id)?, xml);
         Ok(report.process_id)
     }
 
     /// List uploaded initial documents not yet started.
     pub fn pending_initials(&self) -> Vec<String> {
-        let rows = self.active_pool().query(&schema::initials()).rows;
-        rows.iter()
-            .filter_map(|(key, _)| match RowKey::parse(key)? {
-                RowKey::Initial(pid) => Some(pid.as_str().to_string()),
-                _ => None,
-            })
-            .collect()
+        self.active_cloud().pending_initials()
     }
 
     /// Start a previously uploaded process: move the initial document into
     /// the document store and notify the start activity's participant.
     pub fn start_uploaded(&self, portal: usize, process_id: &str) -> WfResult<()> {
-        let initial = RowKey::Initial(Name::new(process_id)?);
-        let xml = XML
-            .get(self.active_pool(), initial)
+        let (active, pid) = (self.active_cloud(), Name::new(process_id)?);
+        let xml = active
+            .initial(pid)
             .ok_or_else(|| WfError::Malformed(format!("no pending initial '{process_id}'")))?;
         let doc = DraDocument::parse(&xml)?;
         let definition = dra4wfms_core::amendment::effective_definition(&doc)?;
@@ -872,7 +781,7 @@ impl CloudSystem {
             &xml,
             &Route { targets: vec![definition.def.start.clone()], ends: false },
         )?;
-        self.active_pool().delete_row(&initial.to_string());
+        active.remove(RowKey::Initial(pid));
         Ok(())
     }
 
@@ -880,7 +789,7 @@ impl CloudSystem {
     /// in the paper's stack). On a federated deployment this snapshots the
     /// active cloud's pool — the surviving truth.
     pub fn snapshot_pool(&self) -> Vec<u8> {
-        self.active_pool().export_snapshot()
+        self.active_cloud().snapshot()
     }
 
     /// SHA-256 digest over every stored document row (`doc/…`) of the
@@ -889,24 +798,14 @@ impl CloudSystem {
     /// deployments with equal digests hold exactly the same documents
     /// under exactly the same sequence numbers.
     pub fn pool_digest(&self) -> String {
-        // the typed scan returns rows in key order already
-        let mut buf = String::new();
-        for (key, row) in self.active_pool().query(&schema::all_docs()).rows {
-            if let Some(xml) = XML.of(&row) {
-                buf.push_str(&key);
-                buf.push('\0');
-                buf.push_str(&xml);
-                buf.push('\0');
-            }
-        }
-        dra_crypto::hex::encode(&dra_crypto::sha256(buf.as_bytes()))
+        self.active_cloud().doc_digest()
     }
 
     /// Per-cloud content fingerprints of the document rows: `(cloud name,
     /// fingerprint)` in declaration order. Single-cloud deployments report
     /// one entry named `cloud0`.
     pub fn cloud_digests(&self) -> Vec<(String, u64)> {
-        self.clouds.iter().map(|c| (c.name.clone(), c.pool.fingerprint(schema::DOC_ROWS))).collect()
+        self.clouds.iter().map(|c| (c.name.clone(), c.fingerprint())).collect()
     }
 
     /// Export every cloud's write-ahead journal as `(name, bytes)` — the
@@ -915,7 +814,7 @@ impl CloudSystem {
     /// torn final record. Single-cloud deployments export one entry named
     /// `cloud0`.
     pub fn journal_snapshots(&self) -> Vec<(String, Vec<u8>)> {
-        self.clouds.iter().map(|c| (c.name.clone(), c.journal.export())).collect()
+        self.clouds.iter().map(|c| (c.name.clone(), c.journal_export())).collect()
     }
 
     /// Do all clouds that are still up hold byte-identical document rows?
@@ -923,12 +822,8 @@ impl CloudSystem {
     /// stops at the admission where it died.) Trivially true single-cloud.
     pub fn replicas_consistent(&self) -> bool {
         let down = |i: usize| self.controller.as_ref().is_some_and(|c| c.cloud_down(i));
-        let mut live = self
-            .clouds
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !down(*i))
-            .map(|(_, c)| c.pool.fingerprint(schema::DOC_ROWS));
+        let mut live =
+            self.clouds.iter().enumerate().filter(|(i, _)| !down(*i)).map(|(_, c)| c.fingerprint());
         let Some(first) = live.next() else { return true };
         live.all(|fp| fp == first)
     }
@@ -942,10 +837,9 @@ impl CloudSystem {
         network: Arc<NetworkSim>,
         snapshot: &[u8],
     ) -> WfResult<CloudSystem> {
-        let pool = HTable::import_snapshot(snapshot)
-            .map_err(|e| WfError::Malformed(format!("pool snapshot: {e}")))?;
-        let sys = Self::single_cloud(directory, portals, network, pool);
-        schema::seed_views(&sys.views, sys.active_pool());
+        let cloud = CloudStore::from_snapshot("cloud0", snapshot)?;
+        let sys = Self::assemble(directory, portals.max(1), network, vec![cloud], None);
+        sys.active_cloud().seed_views(&sys.views);
         Ok(sys)
     }
 }
@@ -971,7 +865,7 @@ mod tests {
     }
 
     fn versions(sys: &CloudSystem, pid: &str) -> usize {
-        schema::version_count(sys.active_pool(), Name::new(pid).unwrap())
+        sys.active_cloud().next_seq(Name::new(pid).unwrap())
     }
 
     #[test]
@@ -1353,7 +1247,8 @@ mod tests {
         assert!(matches!(err, WfError::Crash(_)));
         assert!(sys.retrieve_latest(0, "p-cr").is_none(), "document row missing");
         assert_eq!(sys.stored_seq_for(&wire), Some(0), "seen row landed");
-        assert_eq!(sys.clouds[0].journal.uncommitted(), 1);
+        let journal = dra_docpool::Journal::import(&sys.journal_snapshots()[0].1).unwrap();
+        assert_eq!(journal.uncommitted(), 1);
 
         // portal restart: journal replay completes the admission
         assert_eq!(sys.recover_portals(), 1);

@@ -175,21 +175,9 @@ pub(crate) fn initials() -> Scan {
     Scan::prefix("initial/").family(XML.family)
 }
 
-fn versions_of(pid: Name<'_>) -> Scan {
-    Scan::prefix(&format!("{DOC_ROWS}{pid}/"))
-}
-
-/// How many versions of `pid` the pool holds — the next admission's `seq`.
-pub(crate) fn version_count(pool: &HTable, pid: Name<'_>) -> usize {
-    pool.query_count(&versions_of(pid))
-}
-
-/// The latest stored version of `pid`: its row key and, unless the cell is
-/// missing, its bytes.
-pub(crate) fn latest_doc(pool: &HTable, pid: Name<'_>) -> Option<(String, Option<String>)> {
-    let (key, row) = pool.query(&versions_of(pid).family(XML.family)).rows.pop()?;
-    let xml = XML.of(&row);
-    Some((key, xml))
+/// The stored versions of `pid`, bytes included.
+pub(crate) fn versions_of(pid: Name<'_>) -> Scan {
+    Scan::prefix(&format!("{DOC_ROWS}{pid}/")).family(XML.family)
 }
 
 /// An applied cell as the views see it: `(row key, qualifier, value)`.
@@ -301,7 +289,7 @@ mod tests {
                 prop_assert_eq!(RowKey::parse(&written), Some(key));
             }
             if a != b {
-                let foreign = versions_of(pb).family(XML.family);
+                let foreign = versions_of(pb);
                 for key in keys_of(pa, pb, seq, digest) {
                     prop_assert!(!key.to_string().starts_with(&format!("{DOC_ROWS}{b}/")));
                 }

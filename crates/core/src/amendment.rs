@@ -15,10 +15,7 @@
 use crate::document::{CerKey, CerView, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::identity::Credentials;
-use crate::model::{
-    condition_from_xml, condition_to_xml, Activity, FieldRef, JoinKind, Target, Transition,
-    WorkflowDefinition,
-};
+use crate::model::{required_attr, Activity, Target, Transition, WorkflowDefinition};
 use crate::policy::{FieldRule, SecurityPolicy};
 use dra_xml::canon_digest;
 use dra_xml::sig::sign_detached;
@@ -80,42 +77,14 @@ impl DefinitionDelta {
     pub fn to_xml(&self) -> Element {
         let mut root = Element::new("Delta");
         for a in &self.add_activities {
-            let mut el = Element::new("AddActivity")
-                .attr("id", a.id.clone())
-                .attr("participant", a.participant.clone());
-            if a.join == JoinKind::All {
-                el.set_attr("join", "all");
-            }
-            for r in &a.requests {
-                el.push_child(
-                    Element::new("Request")
-                        .attr("activity", r.activity.clone())
-                        .attr("field", r.field.clone()),
-                );
-            }
-            for f in &a.responses {
-                el.push_child(Element::new("Response").attr("field", f.clone()));
-            }
-            root.push_child(el);
+            root.push_child(a.to_xml("AddActivity"));
         }
         for t in &self.add_transitions {
-            let mut el = Element::new("AddTransition").attr("from", t.from.clone());
-            match &t.to {
-                Target::Activity(a) => el.set_attr("to", a.clone()),
-                Target::End => el.set_attr("to", "#end"),
-            }
-            if let Some(c) = &t.condition {
-                el.push_child(condition_to_xml(c));
-            }
-            root.push_child(el);
+            root.push_child(t.to_xml("AddTransition"));
         }
         for (from, to) in &self.retire_transitions {
-            let mut el = Element::new("RetireTransition").attr("from", from.clone());
-            match to {
-                Target::Activity(a) => el.set_attr("to", a.clone()),
-                Target::End => el.set_attr("to", "#end"),
-            }
-            root.push_child(el);
+            let retired = Transition { from: from.clone(), to: to.clone(), condition: None };
+            root.push_child(retired.to_xml("RetireTransition"));
         }
         for r in &self.add_policy_rules {
             let mut el = Element::new("AddRule")
@@ -134,54 +103,22 @@ impl DefinitionDelta {
         }
         let mut delta = DefinitionDelta::default();
         for a in el.find_children("AddActivity") {
-            let mut act = Activity {
-                id: a.get_attr("id").unwrap_or_default().to_string(),
-                participant: a.get_attr("participant").unwrap_or_default().to_string(),
-                join: if a.get_attr("join") == Some("all") { JoinKind::All } else { JoinKind::Any },
-                requests: Vec::new(),
-                responses: Vec::new(),
-            };
-            for r in a.find_children("Request") {
-                act.requests.push(FieldRef::new(
-                    r.get_attr("activity").unwrap_or_default(),
-                    r.get_attr("field").unwrap_or_default(),
-                ));
-            }
-            for f in a.find_children("Response") {
-                act.responses.push(f.get_attr("field").unwrap_or_default().to_string());
-            }
-            delta.add_activities.push(act);
+            delta.add_activities.push(Activity::from_xml(a)?);
         }
-        let parse_target = |s: &str| {
-            if s == "#end" {
-                Target::End
-            } else {
-                Target::Activity(s.to_string())
-            }
-        };
         for t in el.find_children("AddTransition") {
-            delta.add_transitions.push(Transition {
-                from: t.get_attr("from").unwrap_or_default().to_string(),
-                to: parse_target(t.get_attr("to").unwrap_or_default()),
-                condition: match t.find_child("Condition") {
-                    Some(c) => Some(condition_from_xml(c)?),
-                    None => None,
-                },
-            });
+            delta.add_transitions.push(Transition::from_xml(t)?);
         }
         for t in el.find_children("RetireTransition") {
-            delta.retire_transitions.push((
-                t.get_attr("from").unwrap_or_default().to_string(),
-                parse_target(t.get_attr("to").unwrap_or_default()),
-            ));
+            let retired = Transition::from_xml(t)?;
+            delta.retire_transitions.push((retired.from, retired.to));
         }
         for r in el.find_children("AddRule") {
             let readers_el = r
                 .find_child("Readers")
                 .ok_or_else(|| WfError::Malformed("AddRule missing Readers".into()))?;
             delta.add_policy_rules.push(FieldRule {
-                activity: r.get_attr("activity").unwrap_or_default().to_string(),
-                field: r.get_attr("field").unwrap_or_default().to_string(),
+                activity: required_attr(r, "activity")?,
+                field: required_attr(r, "field")?,
                 readers: crate::policy::readers_from_xml_pub(readers_el)?,
             });
         }
@@ -361,6 +298,7 @@ mod tests {
     use super::*;
     use crate::aea::Aea;
     use crate::identity::Directory;
+    use crate::model::{Condition, FieldRef, JoinKind};
     use crate::policy::Readers;
     use crate::verify::Verifier;
 
@@ -417,6 +355,141 @@ mod tests {
         assert_eq!(parsed, d);
         assert!(!d.is_empty());
         assert!(DefinitionDelta::default().is_empty());
+    }
+
+    mod codec {
+        use super::*;
+        use proptest::prelude::*;
+
+        const NAME: &str = "[A-Za-z][A-Za-z0-9_<&\"' -]{0,6}";
+
+        fn arb_activity() -> impl Strategy<Value = Activity> {
+            let requests = proptest::collection::vec((NAME, NAME), 0..3);
+            let responses = proptest::collection::vec(NAME, 0..3);
+            (NAME, NAME, 0usize..3, requests, responses).prop_map(
+                |(id, participant, join, requests, responses)| Activity {
+                    id,
+                    participant,
+                    join: [JoinKind::Any, JoinKind::All, JoinKind::Or][join],
+                    requests: requests.into_iter().map(|(a, f)| FieldRef::new(a, f)).collect(),
+                    responses,
+                },
+            )
+        }
+
+        fn arb_target() -> impl Strategy<Value = Target> {
+            (any::<bool>(), NAME)
+                .prop_map(|(end, to)| if end { Target::End } else { Target::Activity(to) })
+        }
+
+        fn arb_transition() -> impl Strategy<Value = Transition> {
+            let condition = (0u8..3, NAME, NAME, "[ -~]{0,8}").prop_map(|(kind, a, f, v)| {
+                (kind > 0).then_some(Condition {
+                    activity: a,
+                    field: f,
+                    equals: v,
+                    negate: kind > 1,
+                })
+            });
+            (NAME, arb_target(), condition).prop_map(|(from, to, condition)| Transition {
+                from,
+                to,
+                condition,
+            })
+        }
+
+        fn arb_delta() -> impl Strategy<Value = DefinitionDelta> {
+            let rules = proptest::collection::vec((NAME, NAME), 0..2);
+            (
+                proptest::collection::vec(arb_activity(), 0..3),
+                proptest::collection::vec(arb_transition(), 0..4),
+                proptest::collection::vec((NAME, arb_target()), 0..3),
+                rules,
+            )
+                .prop_map(
+                    |(add_activities, add_transitions, retire_transitions, rules)| {
+                        DefinitionDelta {
+                            add_activities,
+                            add_transitions,
+                            retire_transitions,
+                            add_policy_rules: rules
+                                .into_iter()
+                                .map(|(activity, field)| FieldRule {
+                                    activity,
+                                    field,
+                                    readers: Readers::Everyone,
+                                })
+                                .collect(),
+                        }
+                    },
+                )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// What the designer signs is what every AEA folds in: all three
+            /// join kinds, conditions and `#end` targets survive the element
+            /// form and the wire form.
+            #[test]
+            fn prop_delta_round_trips(d in arb_delta()) {
+                prop_assert_eq!(&DefinitionDelta::from_xml(&d.to_xml()).unwrap(), &d);
+                let wire = dra_xml::writer::to_string(&d.to_xml());
+                let parsed = dra_xml::parse(&wire).unwrap();
+                prop_assert_eq!(&DefinitionDelta::from_xml(&parsed).unwrap(), &d);
+            }
+        }
+
+        #[test]
+        fn an_or_join_added_by_amendment_stays_an_or_join() {
+            let mut d = audit_delta();
+            d.add_activities[0].join = JoinKind::Or;
+            let parsed = DefinitionDelta::from_xml(&d.to_xml()).unwrap();
+            assert_eq!(parsed.add_activities[0].join, JoinKind::Or);
+        }
+
+        #[test]
+        fn every_missing_attribute_is_malformed_in_delta_and_definition() {
+            let malformed = |xml: &str| {
+                let el = dra_xml::parse(xml).unwrap();
+                let delta = DefinitionDelta::from_xml(&el);
+                assert!(matches!(delta, Err(WfError::Malformed(_))), "{xml}: {delta:?}");
+                // the same children under a definition's element names
+                let def = xml
+                    .replace(
+                        "<Delta>",
+                        "<WorkflowDefinition name=\"n\" designer=\"d\" start=\"s\">",
+                    )
+                    .replace("</Delta>", "</WorkflowDefinition>")
+                    .replace("<Add", "<")
+                    .replace("</Add", "</");
+                let def = WorkflowDefinition::from_xml(&dra_xml::parse(&def).unwrap());
+                assert!(matches!(def, Err(WfError::Malformed(_))), "{xml}: {def:?}");
+            };
+            malformed("<Delta><AddActivity/><AddTransition/></Delta>");
+            for activity in [
+                "<AddActivity participant=\"p\"/>",
+                "<AddActivity id=\"a\"/>",
+                "<AddActivity id=\"a\" participant=\"p\"><Request field=\"f\"/></AddActivity>",
+                "<AddActivity id=\"a\" participant=\"p\"><Request activity=\"x\"/></AddActivity>",
+                "<AddActivity id=\"a\" participant=\"p\"><Response/></AddActivity>",
+                "<AddTransition to=\"#end\"/>",
+                "<AddTransition from=\"a\"/>",
+                "<AddTransition from=\"a\" to=\"b\"><Condition field=\"f\" equals=\"v\"/></AddTransition>",
+            ] {
+                malformed(&format!("<Delta>{activity}</Delta>"));
+            }
+            for delta_only in [
+                "<RetireTransition to=\"b\"/>",
+                "<RetireTransition from=\"a\"/>",
+                "<AddRule field=\"f\"><Readers/></AddRule>",
+                "<AddRule activity=\"a\"><Readers/></AddRule>",
+            ] {
+                let el = dra_xml::parse(&format!("<Delta>{delta_only}</Delta>")).unwrap();
+                let delta = DefinitionDelta::from_xml(&el);
+                assert!(matches!(delta, Err(WfError::Malformed(_))), "{delta_only}: {delta:?}");
+            }
+        }
     }
 
     #[test]

@@ -456,36 +456,10 @@ impl WorkflowDefinition {
             root.set_attr("tfc", tfc.clone());
         }
         for a in &self.activities {
-            let mut el = Element::new("Activity")
-                .attr("id", a.id.clone())
-                .attr("participant", a.participant.clone());
-            match a.join {
-                JoinKind::Any => {}
-                JoinKind::All => el.set_attr("join", "all"),
-                JoinKind::Or => el.set_attr("join", "or"),
-            }
-            for r in &a.requests {
-                el.push_child(
-                    Element::new("Request")
-                        .attr("activity", r.activity.clone())
-                        .attr("field", r.field.clone()),
-                );
-            }
-            for f in &a.responses {
-                el.push_child(Element::new("Response").attr("field", f.clone()));
-            }
-            root.push_child(el);
+            root.push_child(a.to_xml("Activity"));
         }
         for t in &self.transitions {
-            let mut el = Element::new("Transition").attr("from", t.from.clone());
-            match &t.to {
-                Target::Activity(a) => el.set_attr("to", a.clone()),
-                Target::End => el.set_attr("to", "#end"),
-            }
-            if let Some(c) = &t.condition {
-                el.push_child(condition_to_xml(c));
-            }
-            root.push_child(el);
+            root.push_child(t.to_xml("Transition"));
         }
         for m in &self.multi {
             let mut el = Element::new("Multi").attr("activity", m.activity.clone());
@@ -519,15 +493,10 @@ impl WorkflowDefinition {
                 el.name
             )));
         }
-        let attr = |k: &str| -> WfResult<String> {
-            el.get_attr(k)
-                .map(str::to_string)
-                .ok_or_else(|| WfError::Malformed(format!("WorkflowDefinition missing @{k}")))
-        };
         let mut def = WorkflowDefinition {
-            name: attr("name")?,
-            designer: attr("designer")?,
-            start: attr("start")?,
+            name: required_attr(el, "name")?,
+            designer: required_attr(el, "designer")?,
+            start: required_attr(el, "start")?,
             activities: Vec::new(),
             transitions: Vec::new(),
             multi: Vec::new(),
@@ -535,53 +504,12 @@ impl WorkflowDefinition {
             tfc: el.get_attr("tfc").map(str::to_string),
         };
         for a in el.find_children("Activity") {
-            let id = a
-                .get_attr("id")
-                .ok_or_else(|| WfError::Malformed("Activity missing @id".into()))?;
-            let participant = a
-                .get_attr("participant")
-                .ok_or_else(|| WfError::Malformed("Activity missing @participant".into()))?;
-            let mut act = Activity {
-                id: id.to_string(),
-                participant: participant.to_string(),
-                join: match a.get_attr("join") {
-                    Some("all") => JoinKind::All,
-                    Some("or") => JoinKind::Or,
-                    _ => JoinKind::Any,
-                },
-                requests: Vec::new(),
-                responses: Vec::new(),
-            };
-            for r in a.find_children("Request") {
-                act.requests.push(FieldRef::new(
-                    r.get_attr("activity").unwrap_or_default(),
-                    r.get_attr("field").unwrap_or_default(),
-                ));
-            }
-            for r in a.find_children("Response") {
-                act.responses.push(r.get_attr("field").unwrap_or_default().to_string());
-            }
-            def.activities.push(act);
+            def.activities.push(Activity::from_xml(a)?);
         }
         for t in el.find_children("Transition") {
-            let from = t
-                .get_attr("from")
-                .ok_or_else(|| WfError::Malformed("Transition missing @from".into()))?;
-            let to_attr = t
-                .get_attr("to")
-                .ok_or_else(|| WfError::Malformed("Transition missing @to".into()))?;
-            let to =
-                if to_attr == "#end" { Target::End } else { Target::Activity(to_attr.to_string()) };
-            let condition = match t.find_child("Condition") {
-                Some(c) => Some(condition_from_xml(c)?),
-                None => None,
-            };
-            def.transitions.push(Transition { from: from.to_string(), to, condition });
+            def.transitions.push(Transition::from_xml(t)?);
         }
         for m in el.find_children("Multi") {
-            let activity = m
-                .get_attr("activity")
-                .ok_or_else(|| WfError::Malformed("Multi missing @activity".into()))?;
             let cardinality = if let Some(count) = m.get_attr("count") {
                 let k: u32 = count.parse().map_err(|_| {
                     WfError::Malformed(format!("Multi @count '{count}' is not an integer"))
@@ -591,36 +519,104 @@ impl WorkflowDefinition {
                 let from = m.get_attr("fromActivity").ok_or_else(|| {
                     WfError::Malformed("Multi missing @count/@fromActivity".into())
                 })?;
-                let field = m
-                    .get_attr("fromField")
-                    .ok_or_else(|| WfError::Malformed("Multi missing @fromField".into()))?;
-                Cardinality::Runtime(FieldRef::new(from, field))
+                Cardinality::Runtime(FieldRef::new(from, required_attr(m, "fromField")?))
             };
-            def.multi.push(MultiInstance { activity: activity.to_string(), cardinality });
+            def.multi.push(MultiInstance { activity: required_attr(m, "activity")?, cardinality });
         }
         for c in el.find_children("Cancel") {
-            let trigger = c
-                .get_attr("trigger")
-                .ok_or_else(|| WfError::Malformed("Cancel missing @trigger".into()))?;
-            let region = c
-                .find_children("Region")
-                .map(|r| {
-                    r.get_attr("activity")
-                        .map(str::to_string)
-                        .ok_or_else(|| WfError::Malformed("Region missing @activity".into()))
-                })
-                .collect::<WfResult<Vec<_>>>()?;
-            let condition = match c.find_child("Condition") {
-                Some(cond) => Some(condition_from_xml(cond)?),
-                None => None,
-            };
             def.cancellations.push(CancelRegion {
-                trigger: trigger.to_string(),
-                condition,
-                region,
+                trigger: required_attr(c, "trigger")?,
+                condition: optional_condition(c)?,
+                region: c
+                    .find_children("Region")
+                    .map(|r| required_attr(r, "activity"))
+                    .collect::<WfResult<Vec<_>>>()?,
             });
         }
         Ok(def)
+    }
+}
+
+/// Attribute `key` of `el`, or a typed [`WfError::Malformed`] naming both.
+pub(crate) fn required_attr(el: &Element, key: &str) -> WfResult<String> {
+    el.get_attr(key)
+        .map(str::to_string)
+        .ok_or_else(|| WfError::Malformed(format!("{} missing @{key}", el.name)))
+}
+
+fn optional_condition(el: &Element) -> WfResult<Option<Condition>> {
+    el.find_child("Condition").map(condition_from_xml).transpose()
+}
+
+// The codec of an activity and of a transition, parameterised only by the
+// element name: `<Activity>`/`<Transition>` inside a definition,
+// `<AddActivity>`/`<AddTransition>`/`<RetireTransition>` inside an
+// amendment delta. An amendment is signed and executed as what this reads
+// back, so there is one reader.
+
+impl Activity {
+    pub(crate) fn to_xml(&self, element: &str) -> Element {
+        let mut el = Element::new(element)
+            .attr("id", self.id.clone())
+            .attr("participant", self.participant.clone());
+        match self.join {
+            JoinKind::Any => {}
+            JoinKind::All => el.set_attr("join", "all"),
+            JoinKind::Or => el.set_attr("join", "or"),
+        }
+        for r in &self.requests {
+            el.push_child(
+                Element::new("Request")
+                    .attr("activity", r.activity.clone())
+                    .attr("field", r.field.clone()),
+            );
+        }
+        for f in &self.responses {
+            el.push_child(Element::new("Response").attr("field", f.clone()));
+        }
+        el
+    }
+
+    pub(crate) fn from_xml(el: &Element) -> WfResult<Activity> {
+        let field_ref =
+            |r| Ok(FieldRef::new(required_attr(r, "activity")?, required_attr(r, "field")?));
+        Ok(Activity {
+            id: required_attr(el, "id")?,
+            participant: required_attr(el, "participant")?,
+            join: match el.get_attr("join") {
+                Some("all") => JoinKind::All,
+                Some("or") => JoinKind::Or,
+                _ => JoinKind::Any,
+            },
+            requests: el.find_children("Request").map(field_ref).collect::<WfResult<_>>()?,
+            responses: el
+                .find_children("Response")
+                .map(|r| required_attr(r, "field"))
+                .collect::<WfResult<_>>()?,
+        })
+    }
+}
+
+impl Transition {
+    pub(crate) fn to_xml(&self, element: &str) -> Element {
+        let mut el = Element::new(element).attr("from", self.from.clone());
+        match &self.to {
+            Target::Activity(a) => el.set_attr("to", a.clone()),
+            Target::End => el.set_attr("to", "#end"),
+        }
+        if let Some(c) = &self.condition {
+            el.push_child(condition_to_xml(c));
+        }
+        el
+    }
+
+    pub(crate) fn from_xml(el: &Element) -> WfResult<Transition> {
+        let to = required_attr(el, "to")?;
+        Ok(Transition {
+            from: required_attr(el, "from")?,
+            to: if to == "#end" { Target::End } else { Target::Activity(to) },
+            condition: optional_condition(el)?,
+        })
     }
 }
 
@@ -691,15 +687,10 @@ pub fn condition_to_xml(c: &Condition) -> Element {
 
 /// Parse a [`Condition`] from XML.
 pub fn condition_from_xml(el: &Element) -> WfResult<Condition> {
-    let attr = |k: &str| -> WfResult<String> {
-        el.get_attr(k)
-            .map(str::to_string)
-            .ok_or_else(|| WfError::Malformed(format!("Condition missing @{k}")))
-    };
     Ok(Condition {
-        activity: attr("activity")?,
-        field: attr("field")?,
-        equals: attr("equals")?,
+        activity: required_attr(el, "activity")?,
+        field: required_attr(el, "field")?,
+        equals: required_attr(el, "equals")?,
         negate: el.get_attr("negate") == Some("true"),
     })
 }

@@ -14,6 +14,10 @@
 //!   raises the typed `portal_tampered` alert, is quarantined with zero
 //!   admissions afterwards, and the honest bytes are re-served from the
 //!   next eligible portal;
+//! * a **rollback** or a **cross-process substitution** — a cloud's
+//!   superuser overwriting the latest row with another validly signed
+//!   document — is caught by the same probe with the same reaction, and
+//!   monitoring errors instead of reporting the substituted process;
 //! * a **torn replication** (replica dies between journal append and
 //!   commit) is repaired by the replica's own journal replay, and the
 //!   journal's torn-tail import machinery applies per cloud;
@@ -22,9 +26,9 @@
 //!   single-cloud baseline — degradation costs time, never safety.
 
 use dra4wfms::cloud::{
-    alerts_to_jsonl, check_metric_invariants, CloudSystem, CrashPlan, CrashPoint, Delivery,
-    DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
-    OutagePlan, Scheduler, TamperPlan, Topology,
+    alerts_to_jsonl, check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint,
+    Delivery, DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
+    OutagePlan, PoolAuditor, Scheduler, TamperPlan, Topology,
 };
 use dra4wfms::obs::MetricsRegistry;
 use dra4wfms::prelude::*;
@@ -145,6 +149,14 @@ fn two_cloud_topology() -> Topology {
     Topology::new().cloud("east", 2).cloud("west", 2)
 }
 
+/// One auditor pass over every stored version of every cloud; returns the
+/// rows it indicts.
+fn audit_everything(sys: &CloudSystem) -> Vec<(String, String)> {
+    let auditor = PoolAuditor::new(AuditConfig { batch: usize::MAX, ..AuditConfig::default() });
+    auditor.run_pass(sys, None, 0);
+    auditor.divergent_rows()
+}
+
 #[test]
 fn healthy_federation_replicates_and_matches_single_cloud() {
     let (creds, dir) = cast();
@@ -259,6 +271,7 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
     // the surviving cloud holds exactly the healthy run's documents
     assert_eq!(sys.pool_digest(), healthy_digest(2), "failover changed document bytes");
     assert!(sys.replicas_consistent(), "down clouds are excluded from consistency");
+    assert_eq!(audit_everything(&sys), vec![], "a failover forges nothing");
 
     sys.export_metrics(&metrics);
     check_metric_invariants(&metrics.snapshot()).unwrap();
@@ -306,6 +319,52 @@ fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     drive(&sys, &creds, &dir, &initials(&creds, 2..3), None, None, None);
     assert!(ctrl.zero_admissions_after_quarantine());
     assert_eq!(sys.pool_digest(), healthy_digest(3));
+}
+
+/// East's superuser overwrites fed-0's latest row with another document
+/// that is validly signed and was honestly admitted somewhere: fed-0's own
+/// version 2 (a rollback) or fed-1's final document (a substitution).
+/// Flipped bytes these are not — the serve probe has to hold the row to
+/// *its* admission and *its* process.
+#[test]
+fn rollback_and_substitution_are_caught_like_flipped_bytes() {
+    for (source, seq) in [("fed-0", 2), ("fed-1", 9)] {
+        let (creds, dir) = cast();
+        let sys =
+            CloudSystem::federated(dir.clone(), two_cloud_topology(), Arc::new(NetworkSim::lan()))
+                .unwrap();
+        drive(&sys, &creds, &dir, &initials(&creds, 0..2), None, None, None);
+        let ctrl = Arc::clone(sys.federation_controller().unwrap());
+        let monitor = HealthMonitor::new(MonitorConfig::default());
+        ctrl.set_monitor(&monitor);
+
+        let honest = sys.retrieve_version("fed-0", 9).unwrap();
+        let planted = sys.retrieve_version(source, seq).unwrap();
+        let (_, _, east) = sys.audit_pools().swap_remove(0);
+        east.put("doc/fed-0/000009", "doc", "xml", planted);
+
+        // monitoring reads the active cloud: a typed error, never the
+        // status of whatever document sits in the row
+        let err = sys.process_status("fed-0").unwrap_err();
+        assert!(matches!(&err, WfError::Verify(m) if m.contains("doc/fed-0/000009")), "{err}");
+        // the auditor indicts the row whether or not anybody asks for it
+        assert_eq!(audit_everything(&sys), vec![("east".into(), "doc/fed-0/000009".into())]);
+
+        let served = sys.retrieve_latest(0, "fed-0").expect("the peer re-serves");
+        assert_eq!(served, honest, "{source}/{seq}: the honest bytes, from west");
+        assert!(ctrl.is_quarantined(0) && ctrl.is_quarantined(1), "both east portals served it");
+        let stats = ctrl.stats();
+        assert_eq!((stats.tampered_serves, stats.quarantines, stats.failovers), (0, 2, 1));
+        let alerts = monitor.alerts();
+        assert_eq!(alerts.len(), 2, "one portal_tampered alert per indicted portal");
+        let jsonl = alerts_to_jsonl(&alerts);
+        assert!(jsonl.contains("\"portal_tampered\""), "got: {jsonl}");
+
+        // west is active now and was never touched
+        let status = sys.process_status("fed-0").unwrap().unwrap();
+        assert_eq!((status.process_id.as_str(), status.steps()), ("fed-0", 9));
+        assert_eq!(sys.retrieve_latest(2, "fed-1"), sys.retrieve_version("fed-1", 9));
+    }
 }
 
 #[test]
@@ -400,6 +459,7 @@ proptest! {
 
         let final_digest = sys.pool_digest();
         prop_assert_eq!(final_digest.as_str(), healthy_digest(3));
+        prop_assert_eq!(audit_everything(&sys), vec![], "degradation forges nothing");
         prop_assert!(ctrl.zero_admissions_after_quarantine());
         prop_assert!(sys.replicas_consistent());
         let stats = ctrl.stats();

@@ -15,7 +15,10 @@
 //! * a **forged stored row** that no serve path ever touches — the serve
 //!   side stays blind to it — is caught by the [`PoolAuditor`]'s batched
 //!   spot-check with the exact key, exactly one typed alert, and zero
-//!   false positives across repeated sweeps;
+//!   false positives across repeated sweeps — and so is a **rollback** of
+//!   such a row to an earlier, validly signed version of its own process;
+//! * every honest cell above — hostile channel, crash takeover, torn store,
+//!   federation — audits clean: a full sweep indicts no row;
 //! * on a federated deployment the same forgery, pumped through the
 //!   [`FederationController`], quarantines every portal of the tampered
 //!   cloud and fails admissions over to the honest peer.
@@ -226,6 +229,9 @@ proptest! {
         prop_assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
 
         assert_views_identical(&sys);
+        let auditor = PoolAuditor::new(AuditConfig::default());
+        full_sweep(&auditor, &sys, None, &mut 0u64);
+        prop_assert_eq!(auditor.divergent_rows(), vec![], "faults and crashes forge nothing");
         let counts = sys.fleet_views().status_counts();
         prop_assert_eq!(counts.get("complete").copied().unwrap_or(0), n as u64);
         for i in 0..n {
@@ -281,6 +287,9 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
     let counts = sys.fleet_views().status_counts();
     assert_eq!(counts["complete"], 2);
     assert_eq!(counts["running"], 1);
+    let auditor = PoolAuditor::new(AuditConfig::default());
+    full_sweep(&auditor, &sys, None, &mut 0u64);
+    assert_eq!(auditor.divergent_rows(), vec![], "a repaired torn store audits clean");
 
     // cold restart mid-fleet: reseeded views carry the same bytes
     let restored =
@@ -291,10 +300,11 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
     assert_eq!(restored.fleet_views().progress()["view-7"], 1);
 }
 
-/// Forge a stored mid-sequence row that no serve path ever reads: the
-/// serve side stays blind, the auditor's batched spot-check catches the
-/// exact key with exactly one typed alert and zero false positives, and
-/// the metric invariants hold with the forgery declared.
+/// Forge a stored mid-sequence row that no serve path ever reads, and roll
+/// another one back to the version before it: the serve side stays blind,
+/// the auditor catches the exact keys with exactly one typed alert each
+/// and zero false positives, and the metric invariants hold with the
+/// forgeries declared.
 #[test]
 fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     let (creds, dir) = cast();
@@ -316,6 +326,12 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     let honest_latest = sys.retrieve_latest(0, "view-1").expect("latest version serves");
     let xml = sys.active_pool().get_str(&key, "doc", "xml").expect("target row holds xml");
     sys.active_pool().put(&key, "doc", "xml", forge(&xml));
+    // view-2's version 1 becomes its version 0 again: every byte validly
+    // signed, nothing for the signature pass to find
+    let rolled_back = mid_version_key(sys.active_pool(), "view-2");
+    assert_eq!(rolled_back, "doc/view-2/000001");
+    let earlier = sys.retrieve_version("view-2", 0).unwrap();
+    sys.active_pool().put(&rolled_back, "doc", "xml", earlier);
 
     // the serve path reads only the latest version — it stays blind
     assert_eq!(sys.retrieve_latest(0, "view-1").unwrap(), honest_latest);
@@ -331,12 +347,15 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
 
     assert_eq!(
         auditor.divergent_rows(),
-        vec![("cloud0".to_string(), key.clone())],
-        "exactly the forged row, nothing else"
+        vec![("cloud0".to_string(), key.clone()), ("cloud0".to_string(), rolled_back)],
+        "exactly the forged rows, nothing else"
     );
     let alerts = monitor.alerts();
-    assert_eq!(alerts.len(), 1, "one forged row, one alert, ever");
-    assert_eq!(alerts[0].process_id, "view-1");
+    assert_eq!(alerts.len(), 2, "one alert per forged row, ever");
+    assert_eq!(
+        (alerts[0].process_id.as_str(), alerts[1].process_id.as_str()),
+        ("view-1", "view-2")
+    );
     match &alerts[0].kind {
         AlertKind::AuditDivergence { cloud, key: alert_key } => {
             assert_eq!(*cloud, 0);
@@ -345,13 +364,13 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
         other => panic!("expected an audit_divergence alert, got {other:?}"),
     }
 
-    metrics.set_counter("audit.tampered_rows", 1);
+    metrics.set_counter("audit.tampered_rows", 2);
     sys.export_metrics(&metrics);
     auditor.export_metrics(&metrics);
     monitor.export_metrics(&metrics);
     let snapshot = metrics.snapshot();
-    assert_eq!(snapshot.counter("audit.divergences"), 1);
-    assert_eq!(snapshot.counter("alerts.audit_divergence"), 1);
+    assert_eq!(snapshot.counter("audit.divergences"), 2);
+    assert_eq!(snapshot.counter("alerts.audit_divergence"), 2);
     check_metric_invariants(&snapshot).expect("a declared forgery satisfies the invariants");
 }
 
