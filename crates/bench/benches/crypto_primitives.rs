@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dra_crypto::ed25519::Keypair;
+use dra_crypto::field::Fe;
 use dra_crypto::sealed;
 use dra_crypto::sha2::{sha256, sha512};
 use dra_crypto::x25519::X25519Secret;
@@ -24,6 +25,39 @@ fn bench_crypto(c: &mut Criterion) {
             b.iter(|| ChaCha20::process(&key, &nonce, 1, d))
         });
     }
+
+    // the sizes a hop hashes: a whole wire document under SHA-256 (the
+    // `seen/` digest), a signed message under SHA-512
+    let data = vec![0xabu8; 16 * 1024];
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("sha256_16k", |b| b.iter(|| sha256(&data)));
+    g.throughput(Throughput::Bytes(1024));
+    g.bench_function("sha512_1k", |b| b.iter(|| sha512(&data[..1024])));
+    g.finish();
+
+    // the rest are times per call: a second group of the same name, so that
+    // no byte throughput carries over into their rows
+    let mut g = c.benchmark_group("crypto");
+    g.sample_size(30);
+
+    // the field under every point operation: a dependent chain, so the
+    // number is a latency, as it is inside a ladder
+    let (x, y) = (Fe::from_bytes(&[0x5a; 32]), Fe::from_bytes(&[0xc3; 32]));
+    g.bench_function("fe_mul", |b| {
+        let mut acc = x;
+        b.iter(|| {
+            acc = acc.mul(&y);
+            acc
+        })
+    });
+    g.bench_function("fe_square", |b| {
+        let mut acc = x;
+        b.iter(|| {
+            acc = acc.square();
+            acc
+        })
+    });
+    g.bench_function("fe_invert", |b| b.iter(|| criterion::black_box(x).invert()));
 
     // the two fixed-base paths: seed expansion + [a]B, and [k]B mapped to u
     g.bench_function("ed25519_keypair_from_seed", |b| b.iter(|| Keypair::from_seed([1u8; 32])));

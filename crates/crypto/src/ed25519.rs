@@ -17,8 +17,7 @@
 //!   Key derivation, the `R = [r]B` of signing and X25519 public keys (via
 //!   the birational map) all go through it. The table entry is picked by a
 //!   masked scan, so the walk has no secret-indexed load and no
-//!   secret-dependent branch of its own ([`Fe::sub`] below it still
-//!   branches on its borrow).
+//!   secret-dependent branch.
 //! * [`Point::double_scalar_mul_basepoint`] — `[a]A + [b]B` in one pass of
 //!   shared doublings (width-5 NAF over eight odd multiples of `A` built per
 //!   call, width-8 NAF over a static table of 64 odd multiples of `B`);
@@ -31,6 +30,29 @@
 //! above against; no signing, verifying or key-derivation path calls it.
 //! A [`SecretKey`] expands its seed once, at construction, so a signature is
 //! two SHA-512 passes over the message plus one table walk.
+//!
+//! **What runs in constant time, and what does not.** The field below
+//! ([`crate::field`]) has no data-dependent branch or address in any
+//! operation, so the two routines that handle secret scalars — the
+//! fixed-base walk here and the X25519 ladder with its masked swap — execute
+//! the same instructions on the same addresses whatever the scalar. Still
+//! variable-time, each on public inputs only:
+//!
+//! * [`Point::double_scalar_mul_basepoint`], [`multiscalar_mul`] and with
+//!   them [`PublicKey::verify`] and [`verify_batch`]: which NAF digits and
+//!   buckets are zero decides which additions happen. Their inputs are
+//!   signatures, public keys and message hashes.
+//! * The [`Point::decompress_cached`] memo: a hash-map lookup keyed by an
+//!   encoding that arrived on the wire.
+//! * [`Fe`] equality, `is_zero` and `is_negative`: canonicalising is
+//!   branch-free, but the bytes are compared with an early exit and the
+//!   caller branches on the answer — curve membership, the sign of x, a
+//!   verdict; all of public points.
+//!
+//! [`Point::scalar_mul`] branches on every scalar bit, which is why no
+//! production path hands it anything. None of this has been audited, and
+//! no claim is made about what a compiler or a CPU does to straight-line
+//! code.
 
 use crate::field::Fe;
 use crate::sha2::Sha512;
@@ -58,7 +80,7 @@ pub struct Point {
 }
 
 /// The curve constant d = −121665/121666.
-const D: Fe = Fe([
+const D: Fe = Fe::from_words([
     0x75eb_4dca_1359_78a3,
     0x0070_0a4d_4141_d8ab,
     0x8cc7_4079_7779_e898,
@@ -66,7 +88,7 @@ const D: Fe = Fe([
 ]);
 
 /// 2·d, used by the addition formulas.
-const D2: Fe = Fe([
+const D2: Fe = Fe::from_words([
     0xebd6_9b94_26b2_f159,
     0x00e0_149a_8283_b156,
     0x198e_80f2_eef3_d130,
@@ -75,20 +97,20 @@ const D2: Fe = Fe([
 
 /// The standard basepoint B (y = 4/5, x positive).
 const BASEPOINT: Point = Point {
-    x: Fe([
+    x: Fe::from_words([
         0xc956_2d60_8f25_d51a,
         0x692c_c760_9525_a7b2,
         0xc0a4_e231_fdd6_dc5c,
         0x2169_36d3_cd6e_53fe,
     ]),
-    y: Fe([
+    y: Fe::from_words([
         0x6666_6666_6666_6658,
         0x6666_6666_6666_6666,
         0x6666_6666_6666_6666,
         0x6666_6666_6666_6666,
     ]),
     z: Fe::ONE,
-    t: Fe([
+    t: Fe::from_words([
         0x6dde_8ab3_a5b7_dda3,
         0x20f0_9f80_7751_52f5,
         0x66ea_4e8e_64ab_e37d,
@@ -369,7 +391,7 @@ fn uncounted<T>(build: impl FnOnce() -> T) -> T {
 
 /// The fixed-base table behind [`Point::basepoint_mul`]: row `i` holds
 /// `j·16^i·B` for j = 1…8, one row per signed radix-16 digit of a 256-bit
-/// scalar (64 digits plus the carry window) — 65 KB, built at first use.
+/// scalar (64 digits plus the carry window) — 81 KB, built at first use.
 fn basepoint_table() -> &'static [BaseRow] {
     static TABLE: std::sync::OnceLock<Vec<BaseRow>> = std::sync::OnceLock::new();
     TABLE.get_or_init(|| {
@@ -421,7 +443,7 @@ fn odd_multiples<const N: usize>(p: &Point) -> [CachedPoint; N] {
     })
 }
 
-/// The 64 odd multiples `B, 3B, …, 127B` a width-8 NAF indexes — 8 KB,
+/// The 64 odd multiples `B, 3B, …, 127B` a width-8 NAF indexes — 10 KB,
 /// built at first use.
 fn basepoint_odd_multiples() -> &'static [CachedPoint; 64] {
     static TABLE: std::sync::OnceLock<[CachedPoint; 64]> = std::sync::OnceLock::new();
@@ -853,7 +875,9 @@ pub type BatchEntry<'a> = (&'a [u8], Signature, PublicKey);
 /// signature; the Pippenger pass over `2n+1` points has a fixed cost that
 /// only amortizes from three signatures on. `claim scaling`'s counts, point
 /// operations sequential vs batched: 2 signatures 666 vs 808, 3 signatures
-/// 990 vs 936, 5 signatures 1 662 vs 1 341.
+/// 990 vs 936, 5 signatures 1 662 vs 1 341. The crossover is sized in group
+/// operations, not in time: a faster field makes both sides cheaper by the
+/// same factor and does not move it.
 const BATCH_MIN: usize = 3;
 
 /// Verify a batch of independent Ed25519 signatures with one shared

@@ -1,244 +1,225 @@
 //! Arithmetic in GF(2^255 − 19), the base field of curve25519.
 //!
-//! Elements are kept fully reduced (`< p`) as four little-endian 64-bit
-//! limbs. Multiplication uses schoolbook 4×4 with `u128` intermediates and
-//! reduces via the identity `2^256 ≡ 38 (mod p)`. Simplicity and testability
-//! are prioritized over raw limb-level speed: the curve layer above
-//! ([`crate::ed25519`]) cuts the *number* of field operations per signature
-//! (fixed-base table, interleaved double-scalar verify), and what is left of
-//! a hop's crypto cost is the ~9 multiplications inside each point operation
-//! — this representation is the next thing to size against the profile.
+//! **Representation.** An element is five limbs of nominally 51 bits in
+//! `u64`, value `Σ lᵢ·2^(51·i)` — the layout of ref10's `fe51` and of
+//! curve25519-dalek's 64-bit backend. A limb may run past 2^51 and the value
+//! past p: one element has many limb patterns, and nothing on the hot path
+//! looks for the canonical one. A product is 25 widening multiplies into
+//! five `u128` column sums (the columns that wrap past 2^255 come in
+//! through `2^255 ≡ 19`, folded into one operand beforehand), a square is
+//! 15, and one carry pass brings the columns back to limbs. There is no
+//! trial subtraction of p and no data-dependent branch in any operation.
+//!
+//! **The bound contract.** Call an element *reduced* when every limb is
+//! below 2^52.
+//!
+//! * [`Fe::mul`], [`Fe::square`], [`Fe::mul_small`], [`Fe::sub`] and
+//!   [`Fe::neg`] take limbs below 2^54 and return a reduced element (in
+//!   fact below 2^51 + 2^18); [`Fe::from_bytes`] and the constants are
+//!   reduced too.
+//! * [`Fe::add`] is five plain additions and carries nothing: the bounds of
+//!   its operands add. A sum of up to four reduced elements may therefore
+//!   go into a product; the deepest chain any caller builds is three
+//!   (`2·Z₁Z₂ + C` in the point addition).
+//! * `mul` and `square` `debug_assert!` the input bound, and an overflowing
+//!   limb sum traps wherever overflow checks are on, so the debug test run —
+//!   and CI's overflow-checked release run — is the bound checker.
+//!
+//! **Canonicalisation** happens in [`Fe::to_bytes`] and nowhere else:
+//! equality, [`Fe::is_zero`] and [`Fe::is_negative`] go through it, because
+//! comparing limbs would tell `x` from `x + p`.
+//!
+//! The 4 × 64 fully reduced field this replaced is compiled for tests only
+//! (`field/oracle.rs`), as the reference every operation here is held
+//! against.
 
-/// p = 2^255 − 19, as little-endian limbs.
-pub const P: [u64; 4] =
-    [0xffff_ffff_ffff_ffed, 0xffff_ffff_ffff_ffff, 0xffff_ffff_ffff_ffff, 0x7fff_ffff_ffff_ffff];
+#[cfg(test)]
+mod oracle;
 
-/// An element of GF(2^255 − 19), always fully reduced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Fe(pub(crate) [u64; 4]);
+/// The low 51 bits of a limb.
+const MASK: u64 = (1 << 51) - 1;
 
-#[inline(always)]
-fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = a as u128 + b as u128 + carry as u128;
-    (t as u64, (t >> 64) as u64)
-}
+/// 16·p limb by limb: what [`Fe::sub`] adds before subtracting, so that no
+/// limb of a subtrahend inside the contract (< 2^54) can borrow.
+const P16: [u64; 5] = [
+    16 * ((1 << 51) - 19),
+    16 * ((1 << 51) - 1),
+    16 * ((1 << 51) - 1),
+    16 * ((1 << 51) - 1),
+    16 * ((1 << 51) - 1),
+];
 
-#[inline(always)]
-fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
-    let t = (a as u128).wrapping_sub(b as u128 + borrow as u128);
-    (t as u64, ((t >> 64) as u64) & 1)
-}
+/// An element of GF(2^255 − 19) on five 51-bit limbs, not necessarily
+/// canonical (the module documentation states the bound contract).
+#[derive(Clone, Copy, Debug)]
+pub struct Fe([u64; 5]);
 
-/// `a >= b` over 4 little-endian limbs.
-#[inline]
-fn geq(a: &[u64; 4], b: &[u64; 4]) -> bool {
-    // trial-subtract; no final borrow ⇔ a ≥ b
-    let mut borrow = 0;
-    for i in 0..4 {
-        let (_, b_) = sbb(a[i], b[i], borrow);
-        borrow = b_;
+/// Equality of field elements, not of limb patterns.
+impl PartialEq for Fe {
+    fn eq(&self, other: &Fe) -> bool {
+        self.to_bytes() == other.to_bytes()
     }
-    borrow == 0
 }
 
-/// Subtract p if the value is ≥ p (one pass, branchless — the limbs of a
-/// freshly reduced product are uniform enough that a data-dependent branch
-/// here mispredicts constantly).
-#[inline]
-fn cond_sub_p(v: &mut [u64; 4]) {
-    let mut borrow = 0;
-    let mut r = [0u64; 4];
-    for i in 0..4 {
-        let (d, b) = sbb(v[i], P[i], borrow);
-        r[i] = d;
-        borrow = b;
-    }
-    // keep the subtraction iff it did not underflow
-    let keep = borrow.wrapping_sub(1); // all-ones when borrow == 0
-    for i in 0..4 {
-        v[i] = (r[i] & keep) | (v[i] & !keep);
-    }
-}
+impl Eq for Fe {}
 
-/// Multiply-accumulate: `acc + b·c + carry`, returning `(low, high)`.
+/// Widening multiply.
 #[inline(always)]
-fn mac(acc: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
-    let t = acc as u128 + (b as u128) * (c as u128) + carry as u128;
-    (t as u64, (t >> 64) as u64)
+fn m(a: u64, b: u64) -> u128 {
+    u128::from(a) * u128::from(b)
 }
 
 impl Fe {
     /// The additive identity.
-    pub const ZERO: Fe = Fe([0, 0, 0, 0]);
+    pub const ZERO: Fe = Fe([0, 0, 0, 0, 0]);
     /// The multiplicative identity.
-    pub const ONE: Fe = Fe([1, 0, 0, 0]);
+    pub const ONE: Fe = Fe([1, 0, 0, 0, 0]);
 
     /// Build from a small integer.
     pub fn from_u64(v: u64) -> Fe {
-        Fe([v, 0, 0, 0])
+        Fe([v & MASK, v >> 51, 0, 0, 0])
+    }
+
+    /// Split four little-endian 64-bit words into limbs, dropping bit 255.
+    /// A value in [p, 2^255) keeps its limbs; it reduces in `to_bytes`.
+    pub(crate) const fn from_words(w: [u64; 4]) -> Fe {
+        Fe([
+            w[0] & MASK,
+            (w[0] >> 51 | w[1] << 13) & MASK,
+            (w[1] >> 38 | w[2] << 26) & MASK,
+            (w[2] >> 25 | w[3] << 39) & MASK,
+            (w[3] >> 12) & MASK,
+        ])
     }
 
     /// Decode 32 little-endian bytes; the top bit is ignored (masked) as in
-    /// RFC 7748/8032, then the value is reduced mod p.
-    #[allow(clippy::needless_range_loop)] // index i addresses both arrays
+    /// RFC 7748/8032, and an encoding of p or more stands for its residue.
     pub fn from_bytes(bytes: &[u8; 32]) -> Fe {
-        let mut limbs = [0u64; 4];
-        for i in 0..4 {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&bytes[8 * i..8 * i + 8]);
-            limbs[i] = u64::from_le_bytes(w);
-        }
-        limbs[3] &= 0x7fff_ffff_ffff_ffff;
-        let mut fe = Fe(limbs);
-        cond_sub_p(&mut fe.0);
-        fe
+        let (words, _) = bytes.as_chunks::<8>();
+        Fe::from_words(core::array::from_fn(|i| u64::from_le_bytes(words[i])))
     }
 
-    /// Encode as 32 canonical little-endian bytes.
-    #[allow(clippy::needless_range_loop)] // index i addresses both arrays
+    /// Encode as 32 canonical little-endian bytes: the one place an element
+    /// is brought below p.
     pub fn to_bytes(self) -> [u8; 32] {
-        let mut out = [0u8; 32];
+        // limbs < 2^51 + 2^18, so the value is below 2p
+        let mut l = Fe::carried(self.0).0;
+        // q = ⌊(value + 19) / 2^255⌋, which is 1 iff value ≥ p
+        let mut q = (l[0] + 19) >> 51;
+        for limb in &l[1..] {
+            q = (limb + q) >> 51;
+        }
+        // value − q·p = value + 19·q − q·2^255: add, carry, drop bit 255
+        l[0] += 19 * q;
         for i in 0..4 {
-            out[8 * i..8 * i + 8].copy_from_slice(&self.0[i].to_le_bytes());
+            l[i + 1] += l[i] >> 51;
+            l[i] &= MASK;
+        }
+        l[4] &= MASK;
+        let words = [
+            l[0] | l[1] << 51,
+            l[1] >> 13 | l[2] << 38,
+            l[2] >> 26 | l[3] << 25,
+            l[3] >> 39 | l[4] << 12,
+        ];
+        let mut out = [0u8; 32];
+        for (chunk, w) in out.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&w.to_le_bytes());
         }
         out
     }
 
-    /// Field addition.
-    #[allow(clippy::needless_range_loop)] // index i addresses two arrays
-    pub fn add(&self, other: &Fe) -> Fe {
-        let mut r = [0u64; 4];
-        let mut carry = 0;
-        for i in 0..4 {
-            let (v, c) = adc(self.0[i], other.0[i], carry);
-            r[i] = v;
-            carry = c;
-        }
-        debug_assert_eq!(carry, 0, "a+b < 2p < 2^256 so no carry-out");
-        cond_sub_p(&mut r);
-        Fe(r)
+    /// One carry pass over `u64` limbs: every limb hands its bits above 51
+    /// to the next, the last to the first through `2^255 ≡ 19`. Any limbs
+    /// in, limbs below 2^51 + 2^18 out.
+    #[inline(always)]
+    fn carried(l: [u64; 5]) -> Fe {
+        Fe([
+            (l[0] & MASK) + (l[4] >> 51) * 19,
+            (l[1] & MASK) + (l[0] >> 51),
+            (l[2] & MASK) + (l[1] >> 51),
+            (l[3] & MASK) + (l[2] >> 51),
+            (l[4] & MASK) + (l[3] >> 51),
+        ])
     }
 
-    /// Field subtraction.
-    #[allow(clippy::needless_range_loop)] // index i addresses two arrays
-    pub fn sub(&self, other: &Fe) -> Fe {
-        let mut r = [0u64; 4];
-        let mut borrow = 0;
+    /// The carry pass over the column sums of a product. With both factors
+    /// inside the contract a column is below 2^114.3 and the last one, which
+    /// has no wrapped term, below 2^110.4: every carry fits a `u64`, and so
+    /// does 19 times the last.
+    #[inline(always)]
+    fn carried_wide(mut c: [u128; 5]) -> Fe {
+        let mut l = [0u64; 5];
         for i in 0..4 {
-            let (v, b) = sbb(self.0[i], other.0[i], borrow);
-            r[i] = v;
-            borrow = b;
+            c[i + 1] += u128::from((c[i] >> 51) as u64);
+            l[i] = c[i] as u64 & MASK;
         }
-        if borrow != 0 {
-            // wrapped: add p back (r currently holds a - b + 2^256 mod 2^256)
-            let mut carry = 0;
-            for i in 0..4 {
-                let (v, c) = adc(r[i], P[i], carry);
-                r[i] = v;
-                carry = c;
-            }
-        }
-        Fe(r)
+        l[4] = c[4] as u64 & MASK;
+        l[0] += (c[4] >> 51) as u64 * 19;
+        l[1] += l[0] >> 51;
+        l[0] &= MASK;
+        Fe(l)
+    }
+
+    /// True when every limb is inside the input contract of the products.
+    fn in_contract(&self) -> bool {
+        self.0.iter().all(|&l| l < 1 << 54)
+    }
+
+    /// Field addition: limb by limb, no carry (the operands' bounds add).
+    #[inline]
+    pub fn add(&self, other: &Fe) -> Fe {
+        Fe(core::array::from_fn(|i| self.0[i] + other.0[i]))
+    }
+
+    /// Field subtraction, as `self + 16p − other`: no borrow, no branch.
+    #[inline]
+    pub fn sub(&self, other: &Fe) -> Fe {
+        Fe::carried(core::array::from_fn(|i| self.0[i] + P16[i] - other.0[i]))
     }
 
     /// Field negation.
+    #[inline]
     pub fn neg(&self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
-    /// Field multiplication: 4×4 schoolbook, hand-unrolled into explicit
-    /// multiply-accumulate chains so the compiler emits straight-line
-    /// widening multiplies instead of an indexed carry loop.
+    /// Field multiplication: 25 widening multiplies into five column sums.
+    /// Column k collects `aᵢ·bⱼ` for i + j = k, and for i + j = k + 5 scaled
+    /// by 19 — folded into `b` first, where it still fits a `u64`.
     pub fn mul(&self, other: &Fe) -> Fe {
-        let a = &self.0;
-        let b = &other.0;
-        let (r0, c) = mac(0, a[0], b[0], 0);
-        let (r1, c) = mac(0, a[0], b[1], c);
-        let (r2, c) = mac(0, a[0], b[2], c);
-        let (r3, r4) = mac(0, a[0], b[3], c);
-
-        let (r1, c) = mac(r1, a[1], b[0], 0);
-        let (r2, c) = mac(r2, a[1], b[1], c);
-        let (r3, c) = mac(r3, a[1], b[2], c);
-        let (r4, r5) = mac(r4, a[1], b[3], c);
-
-        let (r2, c) = mac(r2, a[2], b[0], 0);
-        let (r3, c) = mac(r3, a[2], b[1], c);
-        let (r4, c) = mac(r4, a[2], b[2], c);
-        let (r5, r6) = mac(r5, a[2], b[3], c);
-
-        let (r3, c) = mac(r3, a[3], b[0], 0);
-        let (r4, c) = mac(r4, a[3], b[1], c);
-        let (r5, c) = mac(r5, a[3], b[2], c);
-        let (r6, r7) = mac(r6, a[3], b[3], c);
-        Self::reduce_wide([r0, r1, r2, r3, r4, r5, r6, r7])
+        debug_assert!(self.in_contract() && other.in_contract(), "a limb ≥ 2^54 into mul");
+        let (a, b) = (&self.0, &other.0);
+        let (b1, b2, b3, b4) = (b[1] * 19, b[2] * 19, b[3] * 19, b[4] * 19);
+        Fe::carried_wide([
+            m(a[0], b[0]) + m(a[4], b1) + m(a[3], b2) + m(a[2], b3) + m(a[1], b4),
+            m(a[1], b[0]) + m(a[0], b[1]) + m(a[4], b2) + m(a[3], b3) + m(a[2], b4),
+            m(a[2], b[0]) + m(a[1], b[1]) + m(a[0], b[2]) + m(a[4], b3) + m(a[3], b4),
+            m(a[3], b[0]) + m(a[2], b[1]) + m(a[1], b[2]) + m(a[0], b[3]) + m(a[4], b4),
+            m(a[4], b[0]) + m(a[3], b[1]) + m(a[2], b[2]) + m(a[1], b[3]) + m(a[0], b[4]),
+        ])
     }
 
-    /// Field squaring: the six cross products are computed once and
-    /// doubled by a shift, so a square costs 10 widening multiplies to
-    /// `mul`'s 16 — squares dominate the doubling-heavy point ladders and
-    /// the decompression exponentiation.
+    /// Field squaring: each cross product is computed once and doubled, so
+    /// a square costs 15 widening multiplies to `mul`'s 25 — squares
+    /// dominate the doubling-heavy point ladders and the decompression
+    /// exponentiation.
     pub fn square(&self) -> Fe {
+        debug_assert!(self.in_contract(), "a limb ≥ 2^54 into square");
         let a = &self.0;
-        // cross products a_i·a_j (i < j) into limbs 1..=6
-        let (t1, c) = mac(0, a[0], a[1], 0);
-        let (t2, c) = mac(0, a[0], a[2], c);
-        let (t3, t4) = mac(0, a[0], a[3], c);
-        let (t3, c) = mac(t3, a[1], a[2], 0);
-        let (t4, t5) = mac(t4, a[1], a[3], c);
-        let (t5, t6) = mac(t5, a[2], a[3], 0);
-        // double them: the wide value is < 2^511, so the top bit is free
-        let t7 = t6 >> 63;
-        let t6 = (t6 << 1) | (t5 >> 63);
-        let t5 = (t5 << 1) | (t4 >> 63);
-        let t4 = (t4 << 1) | (t3 >> 63);
-        let t3 = (t3 << 1) | (t2 >> 63);
-        let t2 = (t2 << 1) | (t1 >> 63);
-        let t1 = t1 << 1;
-        // add the diagonal a_i² at limbs (2i, 2i+1)
-        let d0 = a[0] as u128 * a[0] as u128;
-        let d1 = a[1] as u128 * a[1] as u128;
-        let d2 = a[2] as u128 * a[2] as u128;
-        let d3 = a[3] as u128 * a[3] as u128;
-        let r0 = d0 as u64;
-        let (r1, c) = adc(t1, (d0 >> 64) as u64, 0);
-        let (r2, c) = adc(t2, d1 as u64, c);
-        let (r3, c) = adc(t3, (d1 >> 64) as u64, c);
-        let (r4, c) = adc(t4, d2 as u64, c);
-        let (r5, c) = adc(t5, (d2 >> 64) as u64, c);
-        let (r6, c) = adc(t6, d3 as u64, c);
-        let (r7, c) = adc(t7, (d3 >> 64) as u64, c);
-        debug_assert_eq!(c, 0, "a² < 2^512 leaves no carry-out");
-        Self::reduce_wide([r0, r1, r2, r3, r4, r5, r6, r7])
+        let (a3, a4) = (a[3] * 19, a[4] * 19);
+        Fe::carried_wide([
+            m(a[0], a[0]) + 2 * (m(a[1], a4) + m(a[2], a3)),
+            m(a[3], a3) + 2 * (m(a[0], a[1]) + m(a[2], a4)),
+            m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3)),
+            m(a[4], a4) + 2 * (m(a[0], a[3]) + m(a[1], a[2])),
+            m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3])),
+        ])
     }
 
-    /// Reduce an 8-limb (512-bit) product modulo p using 2^256 ≡ 38.
-    fn reduce_wide(t: [u64; 8]) -> Fe {
-        // r = lo + hi*38, 5 limbs
-        let mut r = [0u64; 4];
-        let mut carry: u128 = 0;
-        for i in 0..4 {
-            let v = t[i] as u128 + t[4 + i] as u128 * 38 + carry;
-            r[i] = v as u64;
-            carry = v >> 64;
-        }
-        // fold the overflow (≤ ~2^70 · ε) back in, possibly twice
-        while carry != 0 {
-            let mut c = carry * 38;
-            for limb in r.iter_mut() {
-                let v = *limb as u128 + c;
-                *limb = v as u64;
-                c = v >> 64;
-                if c == 0 {
-                    break;
-                }
-            }
-            carry = c;
-        }
-        cond_sub_p(&mut r);
-        cond_sub_p(&mut r);
-        debug_assert!(!geq(&r, &P));
-        Fe(r)
+    /// Multiplication by a one-word constant: five widening multiplies.
+    pub fn mul_small(&self, k: u32) -> Fe {
+        Fe::carried_wide(self.0.map(|l| m(l, u64::from(k))))
     }
 
     /// Exponentiation by a 256-bit little-endian exponent (square & multiply,
@@ -310,18 +291,18 @@ impl Fe {
 
     /// True if the element is zero.
     pub fn is_zero(&self) -> bool {
-        self.0 == [0, 0, 0, 0]
+        self.to_bytes() == [0u8; 32]
     }
 
     /// Parity of the canonical representative (bit 0), the "sign" used in
     /// point compression.
     pub fn is_negative(&self) -> bool {
-        self.0[0] & 1 == 1
+        self.to_bytes()[0] & 1 == 1
     }
 
     /// sqrt(−1) mod p, i.e. 2^((p−1)/4) (the unit tests re-derive it).
     pub const fn sqrt_m1() -> Fe {
-        Fe([
+        Fe::from_words([
             0xc4ee_1b27_4a0e_a0b0,
             0x2f43_1806_ad2f_e478,
             0x2b4d_0099_3dfb_d7a7,
@@ -337,6 +318,16 @@ impl Fe {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a ^= mask & (*a ^ *b);
         }
+    }
+
+    /// Exchange `self` and `other` where `mask` is all-ones, leave both
+    /// where it is zero: the Montgomery ladder's conditional swap, with the
+    /// scalar bit in no branch.
+    #[inline]
+    pub(crate) fn cswap(&mut self, other: &mut Fe, mask: u64) {
+        let (a, b) = (*self, *other);
+        self.cmov(&b, mask);
+        other.cmov(&a, mask);
     }
 }
 
@@ -363,19 +354,26 @@ mod tests {
         assert_eq!(Fe::ZERO.neg(), Fe::ZERO);
     }
 
+    /// p as 32 little-endian bytes.
+    fn p_bytes() -> [u8; 32] {
+        let mut bytes = [0u8; 32];
+        for (chunk, w) in bytes.chunks_exact_mut(8).zip(oracle::P) {
+            chunk.copy_from_slice(&w.to_le_bytes());
+        }
+        bytes
+    }
+
     #[test]
     fn p_reduces_to_zero() {
-        let mut bytes = [0u8; 32];
-        for i in 0..4 {
-            bytes[8 * i..8 * i + 8].copy_from_slice(&P[i].to_le_bytes());
-        }
-        assert_eq!(Fe::from_bytes(&bytes), Fe::ZERO);
+        assert_eq!(Fe::from_bytes(&p_bytes()), Fe::ZERO);
     }
 
     #[test]
     fn p_minus_one_is_canonical() {
         let m1 = Fe::ZERO.sub(&Fe::ONE);
-        assert_eq!(m1.0[0], P[0] - 1);
+        let mut expect = p_bytes();
+        expect[0] -= 1;
+        assert_eq!(m1.to_bytes(), expect);
         assert_eq!(m1.add(&Fe::ONE), Fe::ZERO);
     }
 
@@ -490,6 +488,200 @@ mod tests {
         #[test]
         fn prop_roundtrip(a in arb_fe()) {
             prop_assert_eq!(Fe::from_bytes(&a.to_bytes()), a);
+        }
+    }
+
+    // --- the 5 × 51 field against its oracle, the 4 × 64 field it replaced ---
+
+    use oracle::Fe4;
+
+    /// The old field's element for `x`, from the limbs themselves:
+    /// Σ lᵢ·2^(51·i) by Horner in the old arithmetic. Shares no code with
+    /// `to_bytes`, and takes any limbs.
+    fn old(x: &Fe) -> Fe4 {
+        let radix = Fe4::from_u64(1 << 51);
+        x.0.iter().rev().fold(Fe4::ZERO, |acc, &l| acc.mul(&radix).add(&Fe4::from_u64(l)))
+    }
+
+    /// Both results encode to the same canonical bytes.
+    fn same(new: Fe, old: Fe4) -> bool {
+        new.to_bytes() == old.to_bytes()
+    }
+
+    /// `from_bytes(bytes)` with `excess[i]` added above bit 51 of limb i: with
+    /// every excess below 8 the limbs fill the whole input contract (< 2^54).
+    fn lazy(bytes: &[u8; 32], excess: [u64; 5]) -> Fe {
+        let x = Fe::from_bytes(bytes);
+        Fe(core::array::from_fn(|i| x.0[i] + (excess[i] << 51)))
+    }
+
+    fn arb_lazy() -> impl Strategy<Value = Fe> {
+        let excess = (0u64..8, 0u64..8, 0u64..8, 0u64..8, 0u64..8);
+        (proptest::array::uniform32(any::<u8>()), excess)
+            .prop_map(|(bytes, (e0, e1, e2, e3, e4))| lazy(&bytes, [e0, e1, e2, e3, e4]))
+    }
+
+    /// 2^255 − 1 and the encodings of p and p + 1, each with bit 255 clear
+    /// and set: the non-canonical classes a decoder must reduce.
+    fn edge_encodings() -> Vec<[u8; 32]> {
+        let mut top = [0xffu8; 32];
+        top[31] = 0x7f;
+        let mut p_plus_1 = p_bytes();
+        p_plus_1[0] += 1;
+        let clear = [p_bytes(), p_plus_1, top];
+        let set = clear.map(|mut enc| {
+            enc[31] |= 0x80;
+            enc
+        });
+        [clear, set].concat()
+    }
+
+    /// 0, 1, 2 and p − 1; the edge encodings decoded; and the limb patterns at
+    /// the rims of the contract: all limbs 2^51 − 1 (the value 2^255 − 1),
+    /// 2^52 − 1 (the most a reduced element may hold) and 2^54 − 1 (the most
+    /// a product may be handed).
+    fn edges() -> Vec<Fe> {
+        let values = [fe(0), fe(1), fe(2), Fe::ZERO.sub(&Fe::ONE)];
+        let rims = [51, 52, 54].map(|bits| Fe([(1 << bits) - 1; 5]));
+        let decoded = edge_encodings().into_iter().map(|enc| Fe::from_bytes(&enc));
+        values.into_iter().chain(rims).chain(decoded).collect()
+    }
+
+    /// Every one-operand operation on `a`, new against old.
+    fn check_unary(a: &Fe) {
+        let a4 = old(a);
+        assert!(same(*a, a4), "to_bytes of {a:?}");
+        assert!(same(a.neg(), a4.neg()), "neg {a:?}");
+        assert!(same(a.square(), a4.square()), "square {a:?}");
+        assert!(same(a.mul_small(121665), a4.mul(&Fe4::from_u64(121665))), "mul_small {a:?}");
+        assert_eq!(a.is_zero(), a4.is_zero(), "is_zero {a:?}");
+        assert_eq!(a.is_negative(), a4.is_negative(), "is_negative {a:?}");
+    }
+
+    /// The two addition chains on `a`, new against old.
+    fn check_chains(a: &Fe) {
+        let a4 = old(a);
+        assert!(same(a.invert(), a4.invert()), "invert {a:?}");
+        assert!(same(a.pow_p58(), a4.pow_p58()), "pow_p58 {a:?}");
+    }
+
+    /// Every two-operand operation on `(a, b)`, new against old.
+    fn check_binary(a: &Fe, b: &Fe) {
+        let (a4, b4) = (old(a), old(b));
+        assert!(same(a.add(b), a4.add(&b4)), "add {a:?} {b:?}");
+        assert!(same(a.sub(b), a4.sub(&b4)), "sub {a:?} {b:?}");
+        assert!(same(a.mul(b), a4.mul(&b4)), "mul {a:?} {b:?}");
+        assert_eq!(a == b, a4 == b4, "eq {a:?} {b:?}");
+        for mask in [0, u64::MAX] {
+            let (mut r, mut r4) = (*a, a4);
+            r.cmov(b, mask);
+            r4.cmov(&b4, mask);
+            assert!(same(r, r4), "cmov {a:?} {b:?} {mask:#x}");
+        }
+    }
+
+    #[test]
+    fn edges_match_the_old_field() {
+        for a in edges() {
+            check_unary(&a);
+            check_chains(&a);
+            for b in edges() {
+                check_binary(&a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn edge_encodings_decode_and_reduce_as_in_the_old_field() {
+        for enc in edge_encodings() {
+            let (new, old) = (Fe::from_bytes(&enc), Fe4::from_bytes(&enc));
+            assert!(same(new, old), "{enc:?}");
+            assert_eq!(Fe::from_bytes(&new.to_bytes()).to_bytes(), new.to_bytes(), "{enc:?}");
+        }
+        // p ≡ 0, p + 1 ≡ 1, 2^255 − 1 ≡ 18, whatever bit 255 says
+        for (enc, value) in edge_encodings().iter().zip([0, 1, 18, 0, 1, 18]) {
+            assert_eq!(Fe::from_bytes(enc), fe(value));
+        }
+    }
+
+    /// `x` and `x + k·p`, the multiple added limb by limb, are one element:
+    /// equal, equally zero, of equal sign, encoded to the same bytes < p.
+    #[test]
+    fn limb_patterns_of_one_element_compare_equal() {
+        let p = [(1 << 51) - 19, MASK, MASK, MASK, MASK];
+        let any = Fe::from_bytes(&[0xa7; 32]);
+        for x in [fe(0), fe(1), fe(18), fe(19), Fe::ZERO.sub(&Fe::ONE), any] {
+            for k in [1u64, 2, 7] {
+                let shifted = Fe(core::array::from_fn(|i| x.0[i] + k * p[i]));
+                assert_ne!(shifted.0, x.0);
+                assert_eq!(shifted, x, "k = {k}");
+                assert_eq!(shifted.to_bytes(), x.to_bytes(), "k = {k}");
+                assert_eq!(shifted.is_zero(), x.is_zero(), "k = {k}");
+                assert_eq!(shifted.is_negative(), x.is_negative(), "k = {k}");
+            }
+        }
+        assert!(Fe(p).is_zero());
+        assert!(Fe(P16).is_zero());
+    }
+
+    /// What the operations promise each other. Products, `sub` and `neg`
+    /// return reduced limbs from operands anywhere in the contract; the
+    /// deepest sum a caller hands a product (`2·Z₁Z₂ + C`, three reduced
+    /// terms, in the point addition) and one more level on top stay inside
+    /// it, and are multiplied, squared and subtracted correctly from there.
+    #[test]
+    fn lazy_chains_stay_inside_the_contract() {
+        let reduced = |x: &Fe| x.0.iter().all(|&l| l < 1 << 52);
+        let rim = Fe([(1 << 54) - 1; 5]);
+        let outputs =
+            [rim.mul(&rim), rim.square(), rim.mul_small(u32::MAX), rim.sub(&rim), rim.neg()];
+        assert!(outputs.iter().all(reduced), "{outputs:?}");
+        let widest = Fe([(1 << 52) - 1; 5]); // the most a reduced element may hold
+        for (zz, c, r) in [(widest, widest, widest), (rim.square(), rim.neg(), rim.mul(&widest))] {
+            let g = zz.add(&zz).add(&c);
+            let deeper = g.add(&r);
+            assert!(g.in_contract() && deeper.in_contract());
+            for x in [g, deeper] {
+                check_unary(&x);
+                check_binary(&x, &deeper);
+                check_binary(&r, &x);
+            }
+        }
+    }
+
+    #[test]
+    fn cswap_takes_all_or_nothing() {
+        let (a, b) = (fe(5), Fe::ZERO.sub(&fe(7)));
+        let (mut x, mut y) = (a, b);
+        x.cswap(&mut y, 0);
+        assert_eq!((x.0, y.0), (a.0, b.0));
+        x.cswap(&mut y, u64::MAX);
+        assert_eq!((x.0, y.0), (b.0, a.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_decoding_matches_the_old_field(bytes in proptest::array::uniform32(any::<u8>())) {
+            let (new, old) = (Fe::from_bytes(&bytes), Fe4::from_bytes(&bytes));
+            prop_assert!(same(new, old));
+            prop_assert_eq!(Fe::from_bytes(&new.to_bytes()), new);
+        }
+
+        #[test]
+        fn prop_unary_operations_match_the_old_field(a in arb_lazy()) {
+            check_unary(&a);
+        }
+
+        #[test]
+        fn prop_addition_chains_match_the_old_field(a in arb_lazy()) {
+            check_chains(&a);
+        }
+
+        #[test]
+        fn prop_binary_operations_match_the_old_field(a in arb_lazy(), b in arb_lazy()) {
+            check_binary(&a, &b);
         }
     }
 }

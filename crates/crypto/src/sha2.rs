@@ -116,6 +116,9 @@ const H512: [u64; 8] = [
     0x5be0cd19137e2179,
 ];
 
+#[cfg(test)]
+mod oracle;
+
 thread_local! {
     /// Message bytes absorbed by SHA-256 on this thread — like
     /// [`crate::ed25519::ec_ops`], a deterministic, machine-independent cost
@@ -138,6 +141,8 @@ pub fn sha256_bytes_reset() {
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
+    /// The tail of the input that does not fill a block yet; `buf_len < 64`
+    /// between calls.
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
@@ -155,13 +160,10 @@ impl Sha256 {
         Sha256 { state: H256, buf: [0; 64], buf_len: 0, total_len: 0 }
     }
 
-    /// Absorb `data`.
+    /// Absorb `data`: whole blocks are compressed where they lie in `data`,
+    /// only a tail shorter than a block is copied.
     pub fn update(&mut self, data: &[u8]) {
         SHA256_BYTES.with(|c| c.set(c.get() + data.len() as u64));
-        self.absorb(data);
-    }
-
-    fn absorb(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -169,84 +171,98 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress256(&mut self.state, &self.buf);
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let (blocks, tail) = data.as_chunks::<64>();
+        for block in blocks {
+            compress256(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finish and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // padding: 0x80, zeros, 8-byte big-endian bit length
-        self.absorb(&[0x80]);
-        while self.buf_len != 56 {
-            self.absorb(&[0]);
+        // padding, in place: 0x80, zeros, the bit length big-endian in the
+        // last 8 bytes of a block — this one if they are still free
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress256(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        // manual length append (bypass total_len accounting)
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress256(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        for (chunk, w) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K256[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The SHA-256 compression function, on a block read where it lies: 64
+/// unrolled rounds over a 16-word message schedule that is rewritten in
+/// place (`w[i]` lands on `w[i − 16]`, the one word no later round needs).
+fn compress256(state: &mut [u32; 8], block: &[u8; 64]) {
+    let (words, _) = block.as_chunks::<4>();
+    let mut w: [u32; 16] = core::array::from_fn(|i| u32::from_be_bytes(words[i]));
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // rounds 0…15 read the block's own words, later ones extend the schedule
+    macro_rules! loaded {
+        ($i:expr) => {
+            w[$i]
+        };
+    }
+    macro_rules! scheduled {
+        ($i:expr) => {{
+            let (w15, w2) = (w[($i + 1) & 15], w[($i + 14) & 15]);
+            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+            w[$i & 15] =
+                w[$i & 15].wrapping_add(s0).wrapping_add(w[($i + 9) & 15]).wrapping_add(s1);
+            w[$i & 15]
+        }};
+    }
+    // one round, with the working variables passed in rotated order so the
+    // 8-way register shuffle of the textbook loop disappears
+    macro_rules! round {
+        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr, $w:ident) => {
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ (!$e & $g);
+            let t1 =
+                $h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K256[$i]).wrapping_add($w!($i));
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0).wrapping_add(maj);
+        };
+    }
+    macro_rules! rounds8 {
+        ($i:expr, $w:ident) => {
+            round!(a b c d e f g h, $i, $w);
+            round!(h a b c d e f g, $i + 1, $w);
+            round!(g h a b c d e f, $i + 2, $w);
+            round!(f g h a b c d e, $i + 3, $w);
+            round!(e f g h a b c d, $i + 4, $w);
+            round!(d e f g h a b c, $i + 5, $w);
+            round!(c d e f g h a b, $i + 6, $w);
+            round!(b c d e f g h a, $i + 7, $w);
+        };
+    }
+    rounds8!(0, loaded);
+    rounds8!(8, loaded);
+    rounds8!(16, scheduled);
+    rounds8!(24, scheduled);
+    rounds8!(32, scheduled);
+    rounds8!(40, scheduled);
+    rounds8!(48, scheduled);
+    rounds8!(56, scheduled);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -254,6 +270,8 @@ impl Sha256 {
 #[derive(Clone)]
 pub struct Sha512 {
     state: [u64; 8],
+    /// The tail of the input that does not fill a block yet; `buf_len < 128`
+    /// between calls.
     buf: [u8; 128],
     buf_len: usize,
     total_len: u128,
@@ -271,7 +289,8 @@ impl Sha512 {
         Sha512 { state: H512, buf: [0; 128], buf_len: 0, total_len: 0 }
     }
 
-    /// Absorb `data`.
+    /// Absorb `data`: whole blocks are compressed where they lie in `data`,
+    /// only a tail shorter than a block is copied.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u128);
         let mut data = data;
@@ -280,89 +299,95 @@ impl Sha512 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 128 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 128 {
+                return;
             }
+            compress512(&mut self.state, &self.buf);
         }
-        while data.len() >= 128 {
-            let (block, rest) = data.split_at(128);
-            let mut b = [0u8; 128];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let (blocks, tail) = data.as_chunks::<128>();
+        for block in blocks {
+            compress512(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finish and return the 64-byte digest.
     pub fn finalize(mut self) -> [u8; 64] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        // padding as for SHA-256, with a 16-byte length
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            compress512(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[112..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress512(&mut self.state, &self.buf);
         let mut out = [0u8; 64];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
+        for (chunk, w) in out.chunks_exact_mut(8).zip(self.state) {
+            chunk.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 128]) {
-        let mut w = [0u64; 80];
-        for i in 0..16 {
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&block[8 * i..8 * i + 8]);
-            w[i] = u64::from_be_bytes(bytes);
-        }
-        for i in 16..80 {
-            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
-            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        // one round, with the working variables passed in rotated order so
-        // the 8-way register shuffle of the textbook loop disappears
-        macro_rules! round {
-            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr) => {
-                let s1 = $e.rotate_right(14) ^ $e.rotate_right(18) ^ $e.rotate_right(41);
-                let ch = ($e & $f) ^ (!$e & $g);
-                let t1 =
-                    $h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K512[$i]).wrapping_add(w[$i]);
-                let s0 = $a.rotate_right(28) ^ $a.rotate_right(34) ^ $a.rotate_right(39);
-                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
-                $d = $d.wrapping_add(t1);
-                $h = t1.wrapping_add(s0).wrapping_add(maj);
-            };
-        }
-        let mut i = 0;
-        while i < 80 {
-            round!(a b c d e f g h, i);
-            round!(h a b c d e f g, i + 1);
-            round!(g h a b c d e f, i + 2);
-            round!(f g h a b c d e, i + 3);
-            round!(e f g h a b c d, i + 4);
-            round!(d e f g h a b c, i + 5);
-            round!(c d e f g h a b, i + 6);
-            round!(b c d e f g h a, i + 7);
-            i += 8;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The SHA-512 compression function: [`compress256`]'s structure on 64-bit
+/// words, 80 rounds.
+fn compress512(state: &mut [u64; 8], block: &[u8; 128]) {
+    let (words, _) = block.as_chunks::<8>();
+    let mut w: [u64; 16] = core::array::from_fn(|i| u64::from_be_bytes(words[i]));
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    macro_rules! loaded {
+        ($i:expr) => {
+            w[$i]
+        };
+    }
+    macro_rules! scheduled {
+        ($i:expr) => {{
+            let (w15, w2) = (w[($i + 1) & 15], w[($i + 14) & 15]);
+            let s0 = w15.rotate_right(1) ^ w15.rotate_right(8) ^ (w15 >> 7);
+            let s1 = w2.rotate_right(19) ^ w2.rotate_right(61) ^ (w2 >> 6);
+            w[$i & 15] =
+                w[$i & 15].wrapping_add(s0).wrapping_add(w[($i + 9) & 15]).wrapping_add(s1);
+            w[$i & 15]
+        }};
+    }
+    macro_rules! round {
+        ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr, $w:ident) => {
+            let s1 = $e.rotate_right(14) ^ $e.rotate_right(18) ^ $e.rotate_right(41);
+            let ch = ($e & $f) ^ (!$e & $g);
+            let t1 =
+                $h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K512[$i]).wrapping_add($w!($i));
+            let s0 = $a.rotate_right(28) ^ $a.rotate_right(34) ^ $a.rotate_right(39);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0).wrapping_add(maj);
+        };
+    }
+    macro_rules! rounds8 {
+        ($i:expr, $w:ident) => {
+            round!(a b c d e f g h, $i, $w);
+            round!(h a b c d e f g, $i + 1, $w);
+            round!(g h a b c d e f, $i + 2, $w);
+            round!(f g h a b c d e, $i + 3, $w);
+            round!(e f g h a b c d, $i + 4, $w);
+            round!(d e f g h a b c, $i + 5, $w);
+            round!(c d e f g h a b, $i + 6, $w);
+            round!(b c d e f g h a, $i + 7, $w);
+        };
+    }
+    rounds8!(0, loaded);
+    rounds8!(8, loaded);
+    rounds8!(16, scheduled);
+    rounds8!(24, scheduled);
+    rounds8!(32, scheduled);
+    rounds8!(40, scheduled);
+    rounds8!(48, scheduled);
+    rounds8!(56, scheduled);
+    rounds8!(64, scheduled);
+    rounds8!(72, scheduled);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -474,6 +499,74 @@ mod tests {
             h.update(std::slice::from_ref(b));
         }
         assert_eq!(h.finalize(), sha256(data));
+    }
+
+    // --- the rewritten compression and padding against the old ones ---
+
+    /// A message with no period a block could hide behind.
+    fn message(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + i / 7 + 5) as u8).collect()
+    }
+
+    /// Every length from empty to past two SHA-512 blocks: each padding
+    /// branch of both hashes (55/56/63/64/65 and 111/112/127/128/129).
+    #[test]
+    fn every_length_to_300_matches_the_old_compress() {
+        for len in 0..=300 {
+            let msg = message(len);
+            assert_eq!(sha256(&msg), oracle::sha256(&msg), "SHA-256, {len} bytes");
+            assert_eq!(sha512(&msg), oracle::sha512(&msg), "SHA-512, {len} bytes");
+        }
+    }
+
+    /// One message cut at every `update` boundary: the buffered tail, the
+    /// top-up to a full block and the blocks taken in place all meet.
+    #[test]
+    fn every_split_of_200_bytes_matches_the_old_compress() {
+        let msg = message(200);
+        let (expect256, expect512) = (oracle::sha256(&msg), oracle::sha512(&msg));
+        for cut in 0..=msg.len() {
+            let (head, tail) = msg.split_at(cut);
+            let mut h = Sha256::new();
+            h.update(head);
+            h.update(tail);
+            assert_eq!(h.finalize(), expect256, "SHA-256 cut at {cut}");
+            let mut h = Sha512::new();
+            h.update(head);
+            h.update(tail);
+            assert_eq!(h.finalize(), expect512, "SHA-512 cut at {cut}");
+        }
+        // and in three pieces, so a top-up can itself leave a tail
+        for (first, second) in [(1, 62), (1, 63), (1, 64), (63, 1), (63, 66), (100, 28)] {
+            let mut h = Sha256::new();
+            let mut h512 = Sha512::new();
+            for piece in [&msg[..first], &msg[first..first + second], &msg[first + second..]] {
+                h.update(piece);
+                h512.update(piece);
+            }
+            assert_eq!(h.finalize(), expect256, "SHA-256 pieces {first}+{second}");
+            assert_eq!(h512.finalize(), expect512, "SHA-512 pieces {first}+{second}");
+        }
+    }
+
+    /// The counter counts what it counted before the rewrite: the bytes
+    /// handed to `Sha256::update`, whatever their split — not padding, not
+    /// SHA-512 input, not a hasher that is never finalized.
+    #[test]
+    fn byte_counter_after_a_fixed_script_of_updates() {
+        sha256_bytes_reset();
+        let msg = message(300);
+        let mut h = Sha256::new();
+        for piece in [&msg[..0], &msg[..1], &msg[1..64], &msg[64..129], &msg[129..300]] {
+            h.update(piece);
+        }
+        h.finalize();
+        sha256(&msg[..55]);
+        sha256(&msg[..56]);
+        sha256(b"");
+        sha512(&msg);
+        Sha256::new().update(&msg[..7]);
+        assert_eq!(sha256_bytes(), 300 + 55 + 56 + 7);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! wrapped to recipient public keys via an ephemeral X25519 exchange.
 //!
 //! Two scalar multiplications live here. The shared secret is a
-//! variable-base Montgomery ladder ([`x25519`]). The public key is a
+//! variable-base Montgomery ladder ([`x25519`]) that exchanges its two
+//! working points under a mask, so the scalar — the recipient's long-term
+//! key in every `open`, the ephemeral key in every `seal` — picks no branch
+//! and no address. The public key is a
 //! multiplication of the fixed point u = 9, which is the Ed25519 basepoint
 //! under the birational map `u = (1 + y)/(1 − y)`: it is computed on the
 //! Edwards side with [`Point::basepoint_mul`] — 65 table additions instead
@@ -78,16 +81,15 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let mut z2 = Fe::ZERO;
     let mut x3 = x1;
     let mut z3 = Fe::ONE;
-    let mut swap = 0u8;
-    let a24 = Fe::from_u64(121665);
+    // all-ones while (x2, z2) and (x3, z3) stand exchanged: the scalar's
+    // bits reach the ladder as masks, never as a branch or an index
+    let mut swap = 0u64;
 
     for t in (0..255).rev() {
-        let k_t = (k[t / 8] >> (t % 8)) & 1;
+        let k_t = u64::from((k[t / 8] >> (t % 8)) & 1).wrapping_neg();
         swap ^= k_t;
-        if swap == 1 {
-            core::mem::swap(&mut x2, &mut x3);
-            core::mem::swap(&mut z2, &mut z3);
-        }
+        x2.cswap(&mut x3, swap);
+        z2.cswap(&mut z3, swap);
         swap = k_t;
 
         let a = x2.add(&z2);
@@ -102,12 +104,10 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         x3 = da.add(&cb).square();
         z3 = x1.mul(&da.sub(&cb).square());
         x2 = aa.mul(&bb);
-        z2 = e.mul(&aa.add(&a24.mul(&e)));
+        z2 = e.mul(&aa.add(&e.mul_small(121665)));
     }
-    if swap == 1 {
-        core::mem::swap(&mut x2, &mut x3);
-        core::mem::swap(&mut z2, &mut z3);
-    }
+    x2.cswap(&mut x3, swap);
+    z2.cswap(&mut z3, swap);
     x2.mul(&z2.invert()).to_bytes()
 }
 
@@ -162,17 +162,24 @@ mod tests {
         );
     }
 
-    /// RFC 7748 §5.2 iteration test: applying the function iteratively,
-    /// after 1 iteration the result is the published constant.
+    /// RFC 7748 §5.2 iteration test: start from k = u = 9 and feed the
+    /// function its own output (the old k becomes the next u); the results
+    /// after 1 and after 1 000 iterations are published.
     #[test]
-    fn rfc7748_one_iteration() {
-        let mut k = [0u8; 32];
-        k[0] = 9;
-        let u = k;
-        let out = x25519(&k, &u);
+    fn rfc7748_iterated() {
+        let (mut k, mut u) = (NINE, NINE);
+        for i in 1..=1000 {
+            (k, u) = (x25519(&k, &u), k);
+            if i == 1 {
+                assert_eq!(
+                    hex::encode(&k),
+                    "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
+                );
+            }
+        }
         assert_eq!(
-            hex::encode(&out),
-            "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"
+            hex::encode(&k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
         );
     }
 
