@@ -2,9 +2,10 @@
 //! typed scan API answers fleet queries touching strictly fewer rows than
 //! a full table read, the incrementally maintained fleet views are
 //! byte-identical to a fresh MapReduce recompute in every cell, and the
-//! continuous nonrepudiation auditor catches 100% of seeded stored-row
-//! forgeries with zero false positives on honest cells — on federated
-//! deployments pumping the divergence alert straight into quarantine.
+//! continuous nonrepudiation auditor accounts for 100% of seeded stored-row
+//! forgeries — each is indicted, or tainted by a forged row below it in its
+//! own process — with no honest row indicted, on federated deployments
+//! pumping the divergence alert straight into quarantine.
 //!
 //! Three cell families:
 //!
@@ -14,8 +15,12 @@
 //!   equality of the rendered pool view), and a full auditor sweep that
 //!   must stay silent;
 //! * `tamper-S` (seeded) — a small fleet, then 3 stored **non-latest**
-//!   rows forged in place via `pool.put` (rows nobody ever serves); a full
-//!   auditor sweep must flag exactly the forged keys;
+//!   rows forged in place (rows below the latest, which nobody reads
+//!   directly; one byte of what the hop appended is flipped); a full auditor sweep must indict forged rows
+//!   only and leave no forged row unaccounted for. A stored version is the
+//!   version below it plus its hop's bytes, so a forged row fails the rows
+//!   above it that keep the flipped byte: those are `tainted`, not alerts,
+//!   and a second forged row among them is not `detected` on its own;
 //! * `federated-quarantine` — a 2-cloud fleet with one forged row on the
 //!   active cloud: the auditor's typed alert, pumped through the
 //!   `FederationController`, quarantines every portal of the indicted
@@ -29,8 +34,9 @@
 
 use super::fixture::{Fig9, SEEDS};
 use super::{held, ClaimOutput, Row, Rows};
+use dra_cloud::federation::{flip_tail, forge_stored_row};
 use dra_cloud::{AuditConfig, CloudSystem, FaultProfile, PoolAuditor, Topology};
-use dra_docpool::Scan;
+use dra_docpool::{HTable, Scan};
 
 const AUDIT_BATCH: usize = 32;
 const AUDIT_PERIOD_US: u64 = 10_000;
@@ -61,25 +67,9 @@ fn full_audit_sweep(fx: &Fig9, sys: &CloudSystem, threads: usize) -> PoolAuditor
     auditor
 }
 
-/// In-place forgery of one stored row: ASCII case-flip of the first
-/// alphabetic byte past the midpoint (same byte-budget as the federation
-/// sweep's serve tamper, but applied to the *pool*, not the serve path).
-fn forge(xml: &str) -> String {
-    let bytes = xml.as_bytes();
-    let mid = bytes.len() / 2;
-    let mut out = bytes.to_vec();
-    for i in (mid..bytes.len()).chain(0..mid) {
-        if out[i].is_ascii_alphabetic() {
-            out[i] ^= 0x20;
-            break;
-        }
-    }
-    String::from_utf8(out).expect("case flip preserves utf8")
-}
-
 /// The stored `doc/` keys that are *not* the latest version of their
 /// process — rows the serve path never touches, in key order.
-fn non_latest_doc_keys(pool: &dra_docpool::HTable) -> Vec<String> {
+fn non_latest_doc_keys(pool: &HTable) -> Vec<String> {
     let rows = pool.query(&Scan::prefix("doc/").family("doc"));
     let keys: Vec<String> = rows.rows.into_iter().map(|(k, _)| k).collect();
     keys.iter()
@@ -100,36 +90,45 @@ fn cell(name: &str, instances: usize, completed: usize) -> Row {
     Row::new().with("cell", name).with("instances", instances).with("completed", completed)
 }
 
-/// Close a cell: export every layer's books — declaring `tampered_rows`
-/// forged rows, so the honest-silence invariant knows what to expect —
-/// and read the audit counters back into the cell's row. Scan cost,
-/// false positives and federation counters start at zero for the caller
-/// to [`Row::set`].
+/// Close a cell: export every layer's books — declaring the `forged` rows,
+/// so the honest-silence invariant knows what to expect — and read the
+/// audit back into the cell's row: forged rows indicted (`detected`), rows
+/// failing above an indicted one (`tainted`), forged rows the auditor
+/// neither indicted nor tainted (`unaccounted`), and indicted rows nobody
+/// forged (`false_positives`). Scan cost and federation counters start at
+/// zero for the caller to [`Row::set`].
 fn close(
     cell: Row,
     fx: &Fig9,
     sys: &CloudSystem,
     auditor: &PoolAuditor,
-    tampered_rows: u64,
+    forged: &[String],
     views_identical: bool,
     out: &mut ClaimOutput,
 ) -> Row {
     sys.export_metrics(&fx.metrics);
     auditor.export_metrics(&fx.metrics);
     fx.monitor.export_metrics(&fx.metrics);
-    if tampered_rows > 0 {
-        fx.metrics.set_counter("audit.tampered_rows", tampered_rows);
+    if !forged.is_empty() {
+        fx.metrics.set_counter("audit.tampered_rows", forged.len() as u64);
     }
     let snap = fx.metrics.snapshot();
     let (invariants_ok, _) = out.close_cell(cell.text("cell"), fx);
+    let (indicted, tainted) = (auditor.divergent_rows(), auditor.tainted_rows());
+    let forged_among = |rows: &[(String, String)]| {
+        forged.iter().filter(|key| rows.iter().any(|(_, row)| row == *key)).count()
+    };
+    let detected = forged_among(&indicted);
     cell.with("pool_rows", snap.counter("pool.rows"))
         .with("agg_scanned_rows", 0u64)
         .with("agg_scanned_regions", 0u64)
         .with("audit_passes", snap.counter("audit.passes"))
         .with("audit_sampled", snap.counter("audit.sampled"))
-        .with("tampered_rows", tampered_rows)
-        .with("detected", snap.counter("audit.divergences"))
-        .with("false_positives", 0u64)
+        .with("tampered_rows", forged.len())
+        .with("detected", detected)
+        .with("tainted", tainted.len())
+        .with("unaccounted", forged.len() - detected - forged_among(&tainted))
+        .with("false_positives", indicted.len() - detected)
         .with("audit_alerts", snap.counter("alerts.audit_divergence"))
         .with("quarantines", 0u64)
         .with("failovers", 0u64)
@@ -158,18 +157,15 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
 
     let auditor = full_audit_sweep(&fx, &sys, 4);
     let cell = cell(&format!("fleet-{n:04}"), n, completed);
-    let row = close(cell, &fx, &sys, &auditor, 0, views_identical, out);
-    // nothing was forged: whatever the auditor flags is a false positive
-    let false_positives = row.int("detected");
-    let row = row
+    // nothing was forged: whatever the auditor indicts is a false positive
+    let row = close(cell, &fx, &sys, &auditor, &[], views_identical, out)
         .set("agg_scanned_rows", rows_after - rows_before)
-        .set("agg_scanned_regions", regions_after - regions_before)
-        .set("false_positives", false_positives);
+        .set("agg_scanned_regions", regions_after - regions_before);
     (row, sys.fleet_dashboard_json())
 }
 
 /// Seeded tamper cell: forge stored non-latest rows, then prove the sweep
-/// flags exactly those keys.
+/// indicts none but those and accounts for every one of them.
 fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
     let fx = Fig9::new(false);
     let sys = fx.cloud(2);
@@ -184,20 +180,17 @@ fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
         idx = (idx.wrapping_mul(31).wrapping_add(17)) % candidates.len();
         let key = &candidates[idx];
         if !forged.contains(key) {
-            let xml = sys.active_pool().get_str(key, "doc", "xml").expect("doc cell");
-            sys.active_pool().put(key, "doc", "xml", forge(&xml));
+            // one byte of what the row's hop appended has its case flipped:
+            // the federation sweep's serve tamper, applied to the pool
+            forge_stored_row(sys.active_pool(), key, flip_tail);
             forged.push(key.clone());
         }
     }
 
     let auditor = full_audit_sweep(&fx, &sys, 2);
-    let caught = auditor.divergent_rows();
-    let detected = caught.iter().filter(|(_, key)| forged.contains(key)).count();
     let cell = cell(&format!("tamper-{seed}"), n, completed);
     let views_identical = sys.views_match_scan(2).is_ok();
-    close(cell, &fx, &sys, &auditor, forged.len() as u64, views_identical, out)
-        .set("detected", detected)
-        .set("false_positives", caught.len() - detected)
+    close(cell, &fx, &sys, &auditor, &forged, views_identical, out)
 }
 
 /// Federated cell: one forged row on the active cloud; the pumped alert
@@ -213,8 +206,7 @@ fn run_federated_cell(out: &mut ClaimOutput) -> Row {
     let pools = sys.audit_pools();
     let (_, _, active_pool) = &pools[ctrl.stats().active_cloud];
     let key = non_latest_doc_keys(active_pool).first().cloned().expect("non-latest row");
-    let xml = active_pool.get_str(&key, "doc", "xml").expect("doc cell");
-    active_pool.put(&key, "doc", "xml", forge(&xml));
+    forge_stored_row(active_pool, &key, flip_tail);
 
     let auditor = full_audit_sweep(&fx, &sys, 2);
     // the scheduler normally polls between dispatches; the background
@@ -223,12 +215,9 @@ fn run_federated_cell(out: &mut ClaimOutput) -> Row {
 
     let cell = cell("federated-quarantine", n, completed);
     let views_identical = sys.views_match_scan(2).is_ok();
-    let row = close(cell, &fx, &sys, &auditor, 1, views_identical, out);
+    let row = close(cell, &fx, &sys, &auditor, &[key], views_identical, out);
     let stats = ctrl.stats();
-    let false_positives = row.int("detected").saturating_sub(1);
-    row.set("false_positives", false_positives)
-        .set("quarantines", stats.quarantines)
-        .set("failovers", stats.failovers)
+    row.set("quarantines", stats.quarantines).set("failovers", stats.failovers)
 }
 
 pub(super) fn run() -> ClaimOutput {
@@ -262,16 +251,18 @@ pub(super) fn run() -> ClaimOutput {
         "incremental views byte-identical to full recompute everywhere",
         cells.iter().all(|c| c.text("views_identical") == "yes"),
     );
+    let nothing_honest_indicted = |c: &Row| c.int("false_positives") == 0;
     out.verdict(
         "auditor silent on every honest cell",
-        cells.iter().filter(honest).all(|c| c.int("detected") == 0 && c.int("audit_alerts") == 0),
+        cells.iter().filter(honest).all(|c| {
+            nothing_honest_indicted(c) && c.int("tainted") == 0 && c.int("audit_alerts") == 0
+        }),
     );
     out.verdict(
-        "every seeded forgery caught, zero false positives",
-        cells
-            .iter()
-            .filter(|c| !honest(c))
-            .all(|c| c.int("detected") == c.int("tampered_rows") && c.int("false_positives") == 0),
+        "every seeded forgery indicted or tainted, no honest row indicted",
+        cells.iter().filter(|c| !honest(c)).all(|c| {
+            c.int("detected") > 0 && c.int("unaccounted") == 0 && nothing_honest_indicted(c)
+        }),
     );
     out.verdict(
         "audit alert pumped into whole-cloud quarantine + failover",

@@ -43,6 +43,16 @@ fn run_cell(n: usize, out: &mut ClaimOutput) -> Row {
     // prefix scan feeds MapReduce, never a full table read
     let statuses = sys.statistics_by_status(4);
     sys.export_metrics(&fx.metrics);
+    // the storage sheet: bytes kept for every version of every instance,
+    // against the bytes of the documents the instances ended as
+    let doc_bytes = sys.stored_doc_bytes();
+    let final_doc_bytes: usize = sys
+        .fleet_views()
+        .progress()
+        .iter()
+        .filter_map(|(pid, versions)| sys.retrieve_version(pid, *versions as usize - 1))
+        .map(|last| last.len())
+        .sum();
     let snap = fx.metrics.snapshot();
     let cell = format!("fleet-{n:04}");
     out.close_cell(&cell, &fx);
@@ -65,6 +75,8 @@ fn run_cell(n: usize, out: &mut ClaimOutput) -> Row {
         .with("pool_rows", snap.counter("pool.rows"))
         .with("scanned_rows", snap.counter("pool.scanned_rows"))
         .with("scanned_regions", snap.counter("pool.scanned_regions"))
+        .with("doc_bytes", doc_bytes)
+        .with("final_doc_bytes", final_doc_bytes)
         // the "hop" stage carries the percentiles the gate holds at +10%
         .stages(vec![Row::new()
             .with("stage", "hop")
@@ -106,6 +118,12 @@ pub(super) fn run() -> ClaimOutput {
         all(&|c| {
             c.int("portal_min_stored") > 0
                 && c.int("portal_max_stored") < 2 * c.int("portal_min_stored")
+        }),
+    );
+    out.verdict(
+        "every stored history costs under 1.5 × the documents it ends in",
+        all(&|c| {
+            c.int("final_doc_bytes") > 0 && 2 * c.int("doc_bytes") < 3 * c.int("final_doc_bytes")
         }),
     );
     out.verdict(

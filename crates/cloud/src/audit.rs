@@ -10,13 +10,21 @@
 //! the survivors with the batched [`Verifier`], and optionally reconciles
 //! completed processes against their span trace via [`reconcile`].
 //!
-//! A row that fails any check raises a typed
-//! [`AlertKind::AuditDivergence`] into the [`HealthMonitor`]; on federated
-//! deployments the [`FederationController`] pump consumes the alert and
-//! quarantines every portal of the indicted cloud. Divergences are
-//! deduplicated per `(cloud, key)` so repeated sweeps over the same forged
-//! row raise exactly one alert — `audit.divergences` counts *rows caught*,
-//! not passes that saw them.
+//! A stored version is the version below it plus what its hop appended
+//! (`store`), so one forged row fails every later row of its process that
+//! keeps the forged bytes. The auditor attributes: a failing row whose row
+//! below is sound — or that has none — is **indicted**, it is where the
+//! chain breaks; a failing row above a failing row is **tainted**, it
+//! inherits the break. Nothing stored serves this: the row below is judged
+//! again when a row fails.
+//!
+//! An indicted row raises a typed [`AlertKind::AuditDivergence`] into the
+//! [`HealthMonitor`]; on federated deployments the
+//! [`FederationController`] pump consumes the alert and quarantines every
+//! portal of the indicted cloud. Rows are charged once per `(cloud, key)`,
+//! so repeated sweeps over the same forged row raise exactly one alert —
+//! `audit.divergences` counts *broken links*, `audit.tainted` the rows that
+//! fail because of them, neither counts passes.
 //!
 //! Everything is deterministic: cursors advance in key order, sampling is
 //! a bounded prefix scan, and the virtual clock decides when a pass is
@@ -28,7 +36,7 @@
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
 use crate::portal::CloudSystem;
 use crate::schema::{Name, RowKey, STATUS};
-use crate::store::Clause;
+use crate::store::{Clause, CloudStore, Stored};
 use dra4wfms_core::prelude::*;
 use dra_obs::{MetricsRegistry, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,8 +66,10 @@ struct AuditState {
     /// Distinct `(cloud, key)` pairs ever sampled — `audit.sampled` counts
     /// rows, not visits, so it stays ≤ the pool's row count across sweeps.
     sampled: BTreeSet<(String, String)>,
-    /// Distinct `(cloud, key)` pairs that failed a check — alert once each.
+    /// Distinct `(cloud, key)` pairs indicted — alert once each.
     divergent: BTreeSet<(String, String)>,
+    /// Distinct `(cloud, key)` pairs that fail above a failing row.
+    tainted: BTreeSet<(String, String)>,
     passes: u64,
     sweeps: u64,
     verified: u64,
@@ -102,10 +112,10 @@ impl PoolAuditor {
     /// cursor (projection-scanned, never a full table read), judge every
     /// sampled version and verify the honest ones with the batched
     /// [`Verifier`], and raise a typed
-    /// [`AlertKind::AuditDivergence`] into `monitor` for each newly caught
+    /// [`AlertKind::AuditDivergence`] into `monitor` for each newly indicted
     /// row. A cloud whose cursor runs off the end of its `doc/` range
-    /// completes a sweep and wraps. Returns the number of *new* divergent
-    /// rows this pass caught.
+    /// completes a sweep and wraps. Returns the number of rows this pass
+    /// newly indicted.
     pub fn run_pass(
         &self,
         sys: &CloudSystem,
@@ -164,8 +174,7 @@ impl PoolAuditor {
                 }
             }
             for key in divergent {
-                caught +=
-                    usize::from(Self::flag(&mut st, monitor, now_us, &cloud.name, cloud_idx, key));
+                caught += usize::from(Self::flag(&mut st, monitor, now_us, sys, cloud_idx, key));
             }
         }
         caught
@@ -195,7 +204,7 @@ impl PoolAuditor {
             st.reconciles += 1;
             let honest = cloud.honest(&stored, &sys.directory);
             if !honest.is_ok_and(|doc| reconcile(trace, &doc).is_ok()) {
-                Self::flag(&mut st, monitor, now_us, &cloud.name, cloud_idx, &stored.key);
+                Self::flag(&mut st, monitor, now_us, sys, cloud_idx, &stored.key);
                 return false;
             }
         }
@@ -204,7 +213,7 @@ impl PoolAuditor {
 
     /// Export `audit.*` counters: passes, completed sweeps, distinct rows
     /// sampled, versions verified, `seen/`-probe misses, reconciliations
-    /// run, and distinct divergent rows caught.
+    /// run, distinct rows indicted and distinct rows tainted.
     pub fn export_metrics(&self, metrics: &MetricsRegistry) {
         let st = self.lock();
         metrics.set_counter("audit.passes", st.passes);
@@ -214,27 +223,62 @@ impl PoolAuditor {
         metrics.set_counter("audit.seen_misses", st.seen_misses);
         metrics.set_counter("audit.reconciles", st.reconciles);
         metrics.set_counter("audit.divergences", st.divergent.len() as u64);
+        metrics.set_counter("audit.tainted", st.tainted.len() as u64);
     }
 
-    /// The distinct divergent rows caught so far, as `(cloud, key)` pairs.
+    /// The distinct rows indicted so far, as `(cloud, key)` pairs.
     #[must_use]
     pub fn divergent_rows(&self) -> Vec<(String, String)> {
         self.lock().divergent.iter().cloned().collect()
     }
 
-    /// Record a newly divergent row (idempotent per `(cloud, key)`); raise
-    /// the typed alert only on first detection.
+    /// The distinct rows found failing above a failing row so far, as
+    /// `(cloud, key)` pairs.
+    #[must_use]
+    pub fn tainted_rows(&self) -> Vec<(String, String)> {
+        self.lock().tainted.iter().cloned().collect()
+    }
+
+    /// Does `stored` pass what a sweep holds a row to — the store's verdict
+    /// and the signature pass?
+    fn sound(cloud: &CloudStore, stored: &Stored, directory: &Directory) -> bool {
+        let honest = cloud.honest(stored, directory);
+        honest.is_ok_and(|doc| Verifier::new(directory).run(&doc).is_ok())
+    }
+
+    /// Does the row directly below `key` fail? An absent one does not: the
+    /// row above it is then where the chain breaks.
+    fn below_fails(cloud: &CloudStore, key: &str, directory: &Directory) -> bool {
+        let below = match RowKey::parse(key) {
+            Some(RowKey::Doc { pid, seq }) if seq > 0 => RowKey::Doc { pid, seq: seq - 1 },
+            _ => return false,
+        };
+        let below = below.to_string();
+        let found = cloud.sample(Some(&below), 1, 1);
+        found.first().is_some_and(|row| row.key == below && !Self::sound(cloud, row, directory))
+    }
+
+    /// Charge a failing row, once per `(cloud, key)`: tainted when the row
+    /// below it fails too, else indicted — with the typed alert. Whether it
+    /// was newly indicted.
     fn flag(
         st: &mut AuditState,
         monitor: Option<&HealthMonitor>,
         now_us: u64,
-        cloud_name: &str,
+        sys: &CloudSystem,
         cloud_idx: usize,
         key: &str,
     ) -> bool {
-        if !st.divergent.insert((cloud_name.to_string(), key.to_string())) {
+        let cloud = &sys.clouds[cloud_idx];
+        let row = (cloud.name.clone(), key.to_string());
+        if st.divergent.contains(&row) || st.tainted.contains(&row) {
             return false;
         }
+        if Self::below_fails(cloud, key, &sys.directory) {
+            st.tainted.insert(row);
+            return false;
+        }
+        st.divergent.insert(row);
         if let Some(monitor) = monitor {
             let pid = match RowKey::parse(key) {
                 Some(RowKey::Doc { pid, .. }) => pid.as_str(),
@@ -316,10 +360,7 @@ mod tests {
         let monitor = HealthMonitor::new(MonitorConfig::default());
         // forge one stored row in place: case-flip a byte of a-01's version 0
         let key = "doc/a-01/000000";
-        let xml = sys.active_pool().get_str(key, "doc", "xml").unwrap();
-        let forged = crate::federation::tamper_bytes(&xml);
-        assert_ne!(forged, xml);
-        sys.active_pool().put(key, "doc", "xml", forged);
+        crate::federation::forge_stored_row(sys.active_pool(), key, crate::federation::flip_tail);
 
         let auditor = PoolAuditor::new(AuditConfig { batch: 16, period_us: 100, threads: 2 });
         let caught = auditor.run_pass(&sys, Some(&monitor), 7);

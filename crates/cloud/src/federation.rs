@@ -36,7 +36,9 @@
 
 use crate::crash::splitmix64;
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
+use crate::schema::{Delta, RowKey, XML};
 use dra4wfms_core::error::{WfError, WfResult};
+use dra_docpool::HTable;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -568,10 +570,12 @@ impl FederationController {
     }
 }
 
-/// Deterministically corrupt one byte of served wire bytes: the first
-/// ASCII letter at or after the midpoint has its case flipped, keeping the
-/// copy valid UTF-8. One byte is the minimal tamper — if the integrity
-/// probe catches that, it catches anything larger.
+/// Deterministically corrupt one byte of `xml`: the first ASCII letter at
+/// or after the midpoint has its case flipped, keeping the copy valid
+/// UTF-8. One byte is the minimal tamper — if a check catches that, it
+/// catches anything larger. The one forgery of this workspace: the serve
+/// tamper injector flips the served copy with it, and the tests and claims
+/// that forge a *stored* row flip its tail with it ([`flip_tail`]).
 #[must_use]
 pub(crate) fn tamper_bytes(xml: &str) -> String {
     let bytes = xml.as_bytes();
@@ -587,6 +591,38 @@ pub(crate) fn tamper_bytes(xml: &str) -> String {
         }
         None => xml.to_string(),
     }
+}
+
+/// Test support: rewrite the stored row `key` of a member cloud's `pool` in
+/// place, as a superuser of that cloud could — no journal record, no
+/// `seen/` row, no replica. A `doc/` row holds how many bytes of the version
+/// below it the version keeps and the tail that follows them (`store`);
+/// `forge` is given the two and returns what the row is to hold instead:
+/// [`flip_tail`] flips a byte the hop appended, `|_, _| (0, doc)` plants a
+/// whole document, `|_, _| (below.len(), String::new())` rolls the row back
+/// to the version below. The cell format stays `schema`'s.
+///
+/// # Panics
+///
+/// When the row holds no such cell.
+pub fn forge_stored_row(
+    pool: &HTable,
+    key: &str,
+    forge: impl FnOnce(usize, &str) -> (usize, String),
+) {
+    let row = RowKey::parse(key).expect("a pool row key");
+    let cell = XML.get(pool, row).expect("the row holds a cell");
+    let Delta { keep, tail } = Delta::parse(cell.as_bytes()).expect("the cell is a delta");
+    let (keep, tail) = forge(keep, tail);
+    XML.write(pool, row, &Delta { keep, tail: &tail }.cell());
+}
+
+/// The forgery tests and claims apply most, for [`forge_stored_row`]: one
+/// byte of the tail flipped — the serve tamper's flip, the first ASCII letter
+/// at or after the midpoint changing case — and `keep` as it was.
+#[must_use]
+pub fn flip_tail(keep: usize, tail: &str) -> (usize, String) {
+    (keep, tamper_bytes(tail))
 }
 
 #[cfg(test)]

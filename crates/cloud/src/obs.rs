@@ -72,6 +72,12 @@ pub fn tracer_for(network: &Arc<NetworkSim>) -> Tracer {
 /// * `audit.divergences ≤ audit.tampered_rows` unconditionally — the
 ///   auditor only ever catches rows an injector actually forged: anything
 ///   beyond that count is a false positive;
+/// * `audit.tainted == 0` while `audit.divergences == 0` — a tainted row
+///   fails because a row below it was indicted; taint without an
+///   indictment is an attribution that lost its cause. (Tainted rows are
+///   not divergences: one forged row taints every later version of its
+///   process that keeps the forged bytes, so they are bounded by the pool,
+///   not by `audit.tampered_rows`.)
 /// * `audit.sampled ≤ pool.rows` — the auditor counts *distinct* rows, so
 ///   any number of sweeps can never claim more coverage than the pool
 ///   holds;
@@ -155,6 +161,13 @@ pub fn check_metric_invariants(snapshot: &MetricsSnapshot) -> Result<(), String>
         return Err(format!(
             "audit.divergences ({audit_divergences}) > audit.tampered_rows ({tampered_rows}): \
              the auditor flagged more rows than were ever forged"
+        ));
+    }
+    let tainted = snapshot.counter("audit.tainted");
+    if tainted > 0 && audit_divergences == 0 {
+        return Err(format!(
+            "audit.tainted ({tainted}) > 0 with no divergence: \
+             rows fail above a broken link that nobody was indicted for"
         ));
     }
     let sampled = snapshot.counter("audit.sampled");
@@ -315,6 +328,18 @@ mod tests {
         let err = check_metric_invariants(&metrics.snapshot()).unwrap_err();
         assert!(err.contains("more rows than were ever forged"), "got: {err}");
         metrics.set_counter("audit.tampered_rows", 2);
+        check_metric_invariants(&metrics.snapshot()).unwrap();
+    }
+
+    #[test]
+    fn invariants_catch_taint_without_an_indicted_row() {
+        let metrics = MetricsRegistry::new();
+        metrics.set_counter("audit.tampered_rows", 1);
+        metrics.set_counter("audit.tainted", 5);
+        let err = check_metric_invariants(&metrics.snapshot()).unwrap_err();
+        assert!(err.contains("nobody was indicted"), "got: {err}");
+        // one broken link may taint any number of rows above it
+        metrics.set_counter("audit.divergences", 1);
         check_metric_invariants(&metrics.snapshot()).unwrap();
     }
 

@@ -480,7 +480,7 @@ impl CloudSystem {
         // (`seen/` first), the monitoring meta row (amendments folded in, so
         // dynamically added activities resolve), and one TO-DO entry per
         // routed target's participant.
-        let mut ops = Vec::from(CloudStore::version_rows(pid, seq, digest, &wire));
+        let mut ops = Vec::from(active.version_rows(pid, seq, digest, &wire));
         ops.push(STATUS.put(RowKey::Meta(pid), status));
         ops.push(STEPS.put(RowKey::Meta(pid), report.cers.len().to_string()));
         ops.push(WORKFLOW.put(RowKey::Meta(pid), def.name.clone()));
@@ -496,6 +496,7 @@ impl CloudSystem {
         // views through the same fold crash replay uses
         let crash = |point| move || self.crash_plan.check(point);
         active.commit(&ops, 1, crash(CrashPoint::PortalBetweenSeenAndStore))?;
+        active.advance(pid, seq, Arc::clone(&wire), route.is_final());
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
         self.views.record_admission(portal_idx as u64);
         self.committed(active);
@@ -540,7 +541,7 @@ impl CloudSystem {
     pub fn retrieve_latest(&self, portal: usize, process_id: &str) -> Option<String> {
         let pid = Name::new(process_id).ok()?;
         let Some(controller) = &self.controller else {
-            let xml = self.active_cloud().latest(pid)?.xml?;
+            let xml = self.active_cloud().latest(pid)?.xml.ok()?;
             return Some(self.serve(portal % self.portals.len(), xml));
         };
         // bounded by the portal count: every failed probe quarantines its
@@ -554,7 +555,7 @@ impl CloudSystem {
             let served =
                 Stored { key, xml: xml.map(|x| if tamper { tamper_bytes(&x) } else { x }) };
             match cloud.honest(&served, &self.directory) {
-                Ok(_) => return served.xml.map(|xml| self.serve(serving, xml)),
+                Ok(_) => return served.xml.ok().map(|xml| self.serve(serving, xml)),
                 Err(divergence) => controller.on_tamper(
                     serving,
                     process_id,
@@ -641,7 +642,7 @@ impl CloudSystem {
             |key, _| {
                 // load the latest stored document of this process
                 let Some(RowKey::Meta(pid)) = RowKey::parse(key) else { return vec![] };
-                let Some(xml) = active.latest(pid).and_then(|stored| stored.xml) else {
+                let Some(xml) = active.latest(pid).and_then(|stored| stored.xml.ok()) else {
                     return vec![];
                 };
                 let Ok(doc) = DraDocument::parse(&xml) else { return vec![] };
@@ -799,6 +800,12 @@ impl CloudSystem {
     /// under exactly the same sequence numbers.
     pub fn pool_digest(&self) -> String {
         self.active_cloud().doc_digest()
+    }
+
+    /// Bytes the active cloud's `doc/` rows hold: what keeping every version
+    /// of every process costs, each row holding what its hop appended.
+    pub fn stored_doc_bytes(&self) -> u64 {
+        self.active_cloud().doc_bytes()
     }
 
     /// Per-cloud content fingerprints of the document rows: `(cloud name,

@@ -3,7 +3,7 @@
 //!
 //! | row key                                | columns                                      |
 //! |----------------------------------------|----------------------------------------------|
-//! | `doc/<pid>/<seq:06>`                   | `doc:xml` — one stored version               |
+//! | `doc/<pid>/<seq:06>`                   | `doc:xml` — one stored version, as a [`Delta`] |
 //! | `meta/<pid>`                           | `meta:status`, `meta:steps`, `meta:workflow` |
 //! | `todo/<participant>/<pid>/<activity>`  | `meta:seq` — the version that routed it      |
 //! | `seen/<sha-256 of the wire bytes>`     | `meta:seq` — the version those bytes became  |
@@ -11,6 +11,10 @@
 //!
 //! Keys are assembled from [`Name`]s only, so no row of one process, or
 //! participant, lies under the key prefix of another's.
+//!
+//! A `doc/` row does not hold the bytes of its version but what the hop
+//! appended: a [`Delta`] against the version one `seq` below it. An
+//! `initial/` row is no version and holds the uploaded wire as it arrived.
 
 use dra4wfms_core::prelude::{WfError, WfResult};
 use dra_crypto::hex;
@@ -116,7 +120,8 @@ pub(crate) struct Column {
     qualifier: &'static str,
 }
 
-/// `doc:xml` of `doc/` and `initial/` rows: the wire bytes.
+/// `doc:xml`: the [`Delta`] cell of a `doc/` row, the wire bytes of an
+/// `initial/` row.
 pub(crate) const XML: Column = Column { family: "doc", qualifier: "xml" };
 /// `meta:seq` of `seen/` and `todo/` rows.
 pub(crate) const SEQ: Column = Column { family: "meta", qualifier: "seq" };
@@ -146,6 +151,53 @@ impl Column {
     /// This column of a scanned row.
     pub(crate) fn of(self, row: &RowSnapshot) -> Option<String> {
         row.get_str(self.family, self.qualifier)
+    }
+
+    /// This column of a scanned row, as the bytes the row shares with the
+    /// pool: nothing is copied.
+    pub(crate) fn bytes_of(self, row: &RowSnapshot) -> Option<&[u8]> {
+        row.get(self.family, self.qualifier).map(|cell| &cell[..])
+    }
+}
+
+/// What a `doc/<pid>/<seq>` row stores of its version: the version is the
+/// first `keep` bytes of the version one `seq` below, followed by `tail`.
+/// `keep` is 0 at seq 0, and wherever a row is a full copy. One rule covers
+/// an appended CER, the TFC replacing the newest CER, and AND-split siblings
+/// that share only a prefix; header and definition are stored once per
+/// instance. No parser offset and no CER list is involved.
+///
+/// The cell is `keep` in decimal, a line feed, then the tail. `keep` is
+/// written one way only (digits, no sign, no leading zero), so a delta has
+/// one cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Delta<'a> {
+    pub keep: usize,
+    pub tail: &'a str,
+}
+
+impl<'a> Delta<'a> {
+    /// The cell of this delta.
+    pub(crate) fn cell(self) -> String {
+        format!("{}\n{}", self.keep, self.tail)
+    }
+
+    /// The inverse of [`Delta::cell`]; `None` for anything it cannot have
+    /// written. The header is looked for where a `usize` can end, not
+    /// through the whole tail.
+    pub(crate) fn parse(cell: &'a [u8]) -> Option<Delta<'a>> {
+        const LONGEST_KEEP: usize = 20;
+        let end = cell.iter().take(LONGEST_KEEP + 1).position(|&b| b == b'\n')?;
+        let (keep, tail) = (&cell[..end], &cell[end + 1..]);
+        let written_once = match keep {
+            [] | [b'0', _, ..] => false,
+            digits => digits.iter().all(u8::is_ascii_digit),
+        };
+        if !written_once {
+            return None;
+        }
+        let keep = std::str::from_utf8(keep).ok()?.parse().ok()?;
+        Some(Delta { keep, tail: std::str::from_utf8(tail).ok()? })
     }
 }
 
@@ -178,6 +230,13 @@ pub(crate) fn initials() -> Scan {
 /// The stored versions of `pid`, bytes included.
 pub(crate) fn versions_of(pid: Name<'_>) -> Scan {
     Scan::prefix(&format!("{DOC_ROWS}{pid}/")).family(XML.family)
+}
+
+/// The stored versions of `pid` below `seq`, bytes included: what version
+/// `seq` is folded from.
+pub(crate) fn versions_below(pid: Name<'_>, seq: usize) -> Scan {
+    let end = RowKey::Doc { pid, seq }.to_string();
+    Scan::range(format!("{DOC_ROWS}{pid}/"), Some(end)).family(XML.family)
 }
 
 /// An applied cell as the views see it: `(row key, qualifier, value)`.
@@ -256,6 +315,32 @@ mod tests {
         let p = Name::new("p").unwrap();
         assert_eq!(RowKey::parse("doc/p/000012"), Some(RowKey::Doc { pid: p, seq: 12 }));
         assert_eq!(RowKey::Doc { pid: p, seq: 12 }.to_string(), "doc/p/000012");
+    }
+
+    #[test]
+    fn a_delta_has_one_cell_and_parse_reads_nothing_else() {
+        let delta = Delta { keep: 1_204, tail: "<CER>é</CER>\n</Doc>" };
+        assert_eq!(delta.cell(), "1204\n<CER>é</CER>\n</Doc>");
+        assert_eq!(Delta::parse(delta.cell().as_bytes()), Some(delta));
+        assert_eq!(Delta::parse(b"0\n"), Some(Delta { keep: 0, tail: "" }));
+        let longest = format!("{}\nx", usize::MAX);
+        assert_eq!(Delta::parse(longest.as_bytes()).map(|d| d.keep), Some(usize::MAX));
+        for cell in [
+            &b""[..],
+            b"<Doc/>",
+            b"\n<Doc/>",
+            b"12",
+            b"-1\nx",
+            b"+1\nx",
+            b"01\nx",
+            b"1 \nx",
+            b"0x10\nx",
+            b"99999999999999999999\nx",
+            b"000000000000000000001\nx",
+            b"7\n\xff",
+        ] {
+            assert_eq!(Delta::parse(cell), None, "{:?}", String::from_utf8_lossy(cell));
+        }
     }
 
     fn keys_of<'a>(

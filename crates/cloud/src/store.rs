@@ -4,53 +4,90 @@
 //!
 //! [`CloudStore`] is the only code of this crate that holds a journal,
 //! applies a journaled put, or reads or writes a `doc/`, `seen/`, `todo/`
-//! or `initial/` row (the layout is `schema`'s). Three things are written
+//! or `initial/` row (the layout is `schema`'s). Four things are written
 //! here once:
 //!
 //! * **the commit path** — [`CloudStore::commit`] is the WAL discipline
 //!   (append → apply → crash point → apply → commit) for the primary and
 //!   for every replica, and [`CloudStore::replay`] is its recovery twin;
-//! * **the read path** — a stored version is a [`Stored`]: its `doc/` row,
-//!   written together with the `seen/` row of its bytes
-//!   ([`CloudStore::version_rows`]) and judged together with it;
-//! * **the verdict** — bytes stored at `doc/<pid>/<seq>` are honest iff the
+//! * **the write of a version** — a `doc/` row costs what the hop appended,
+//!   not the document: [`CloudStore::version_rows`] stores version k as a
+//!   `schema::Delta` against version k−1 — the bytes of k−1 it keeps, then
+//!   the tail. The version below comes from the **tip**, `pid → (seq, wire)`
+//!   of the last version this cloud committed as primary, holding the `Arc`
+//!   the sealed document already holds. The tip is derived, the pool is the
+//!   truth: any commit that writes a version of a process drops its tip,
+//!   [`CloudStore::advance`] installs the new one only after the commit
+//!   returned and not at all once the route is final, and a miss (restart,
+//!   restore, failover to this cloud, a replayed crash) folds the pool's
+//!   rows. While the tip is there [`CloudStore::next_seq`] scans nothing;
+//! * **the read path** — a stored version is a [`Stored`]: its `doc/` row
+//!   with the bytes of that version, reassembled by a `Fold` over the rows
+//!   below it. One prefix query, a buffer reserved once, every tail copied
+//!   once; [`CloudStore::sample`] and [`CloudStore::doc_digest`] carry the
+//!   buffer from one row of a process to the next instead of refolding. A
+//!   read costs the bytes of the version read;
+//! * **the verdict** — the bytes of `doc/<pid>/<seq>` are honest iff the
 //!   `seen/` row of their digest names that same `<seq>` *and* the document
 //!   they parse to proves `<pid>`. A digest no `seen/` row names is decided
-//!   by the full signature pass, and the process must still match. Anything
-//!   else is a [`Divergence`] naming the row, the digest and the clause.
+//!   by the full signature pass, and the process must still match. A cell
+//!   that is no delta against the version below is [`Clause::BrokenLink`].
+//!   Anything else is a [`Divergence`] naming the row, the digest and the
+//!   clause.
 //!
-//! What the verdict does **not** stop: a superuser who rewrites the `seen/`
-//! row together with the `doc/` row can still roll a process back to one of
-//! its own earlier, validly signed versions. Closing that needs the stored
-//! versions chained to each other (ROADMAP item 5); until then the peer
-//! clouds' replicas are the evidence against it.
+//! **The verdict under a chain.** A row is judged by the bytes it
+//! reassembles to, so whoever edits one row edits every later version of
+//! that process on that cloud that keeps the edited bytes: the rows above
+//! stop matching their own `seen/` rows and fail the signature pass. That
+//! is the point — the pool's layout now argues the way the documents in it
+//! do — and it is why the serve probe of a federated deployment trips on a
+//! forged *history* row, not only on a forged latest one. The auditor
+//! attributes: it indicts a failing row whose row below is sound (or that is
+//! seq 0) and counts the failing rows above it as tainted, one alert per
+//! broken link (`audit`). Nothing on disk serves the attribution.
+//!
+//! **What the verdict catches of a rollback, and what it does not.** A
+//! superuser rewrites `doc/p/k` to reproduce version k−1, every byte of it
+//! validly signed. If the `seen/` row of those bytes is left alone it names
+//! k−1, and row k is [`Clause::BoundElsewhere`]; if it is repointed to k, row
+//! k passes and row k−1 is bound elsewhere instead. Both held before rows
+//! were chained. What the chain adds is the case where that `seen/` row is
+//! *removed*, so that k−1 and k both pass on their signatures as genuine
+//! bytes nobody admitted: row k+1 was cut against the real version k, and
+//! its `keep` lands past the end of the shorter k−1 — the row above no
+//! longer applies, and is indicted. What the chain cannot add is a row above
+//! the last one: the final version of a *finished* process, rolled back with
+//! its `seen/` row removed, passes every check of its own cloud. The peer
+//! clouds' replicas remain the evidence against it.
 //!
 //! TO-DO consumption and the `initial/` upload and removal are the three
 //! mutations that bypass the journal: each is a single-row write, which the
 //! pool applies atomically on its own.
 
 use crate::portal::TodoEntry;
-use crate::schema::{self, Name, RowKey, DOC_ROWS, SEQ, XML};
+use crate::schema::{self, Delta, Name, RowKey, DOC_ROWS, SEQ, XML};
 use dra4wfms_core::prelude::*;
-use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, TableConfig};
+use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, RowSnapshot, TableConfig};
 use dra_obs::Tracer;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One stored version as the pool holds it: a `doc/` row.
 #[derive(Debug)]
 pub(crate) struct Stored {
     /// The row key, `doc/<pid>/<seq:06>` on an honest pool.
     pub key: String,
-    /// The row's `doc:xml` cell; `None` when the row lacks it.
-    pub xml: Option<String>,
+    /// The bytes of that version, or why the row yields none.
+    pub xml: Result<String, Clause>,
 }
 
 /// Why a [`Stored`] row is not an honest version.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Clause {
     /// The key is not `doc/<pid>/<seq>`, or the row has no `doc:xml` cell.
     NotAVersion,
+    /// The cell cannot be applied to the version below it.
+    BrokenLink(Link),
     /// The `seen/` row of these bytes names another version: a rollback, or
     /// a copy of some other row.
     BoundElsewhere(usize),
@@ -61,12 +98,25 @@ pub(crate) enum Clause {
     ForeignProcess(String),
 }
 
+/// How a `doc:xml` cell fails to be a delta against the version below.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// The cell is not `keep`, a line feed and a UTF-8 tail.
+    Unreadable,
+    /// `keep` lies past the end of the version below, or inside one of its
+    /// characters.
+    KeepOutOfRange,
+    /// The row keeps bytes of a version whose row is absent or did not
+    /// apply itself.
+    NoRowBelow,
+}
+
 /// The evidence of a failed [`CloudStore::honest`]: which row, which bytes,
 /// which clause of the verdict.
 #[derive(Debug)]
 pub(crate) struct Divergence {
     pub key: String,
-    /// SHA-256 of the bytes judged (of nothing, for a missing cell).
+    /// SHA-256 of the bytes judged (of nothing, for a row that yields none).
     pub digest: [u8; 32],
     pub clause: Clause,
 }
@@ -79,19 +129,101 @@ impl From<Divergence> for WfError {
     }
 }
 
+/// Reassembles versions from `doc/` rows met in key order. The bytes of the
+/// last version that applied are carried, so the next row of that process
+/// costs its tail; a row of another process, or one across a gap, finds
+/// nothing below it.
+#[derive(Default)]
+struct Fold {
+    /// Whose version `bytes` holds, and which; no row has applied while
+    /// `pid` is empty.
+    pid: String,
+    seq: usize,
+    bytes: String,
+}
+
+impl Fold {
+    /// A fold with room for whatever `rows` reassemble to: no version is
+    /// longer than the tails below and in it.
+    fn over(rows: &[(String, RowSnapshot)]) -> Fold {
+        let cells = rows.iter().filter_map(|(_, row)| XML.bytes_of(row)).map(<[u8]>::len);
+        Fold { bytes: String::with_capacity(cells.sum()), ..Fold::default() }
+    }
+
+    /// The bytes of the version stored in `row` under `key`. A row that
+    /// yields none leaves nothing below the row above it.
+    fn apply(&mut self, key: &str, row: &RowSnapshot) -> Result<&str, Clause> {
+        let (Some(RowKey::Doc { pid, seq }), Some(cell)) = (RowKey::parse(key), XML.bytes_of(row))
+        else {
+            return Err(Clause::NotAVersion);
+        };
+        let below = self.pid == pid.as_str() && self.seq.checked_add(1) == Some(seq);
+        let applied = match Delta::parse(cell) {
+            None => Err(Link::Unreadable),
+            Some(Delta { keep: 0, tail }) => Ok((0, tail)),
+            Some(_) if !below => Err(Link::NoRowBelow),
+            // false past the end, too
+            Some(Delta { keep, .. }) if !self.bytes.is_char_boundary(keep) => {
+                Err(Link::KeepOutOfRange)
+            }
+            Some(Delta { keep, tail }) => Ok((keep, tail)),
+        };
+        match applied {
+            Ok((keep, tail)) => {
+                self.bytes.truncate(keep);
+                self.bytes.push_str(tail);
+                if !below {
+                    self.pid.clear();
+                    self.pid.push_str(pid.as_str());
+                }
+                self.seq = seq;
+                Ok(&self.bytes)
+            }
+            Err(link) => {
+                self.pid.clear();
+                Err(Clause::BrokenLink(link))
+            }
+        }
+    }
+}
+
+/// The bytes of `wire` a delta against `below` keeps: their longest common
+/// prefix that ends between two characters.
+fn kept(below: &str, wire: &str) -> usize {
+    const STRIDE: usize = 128;
+    let (a, b) = (below.as_bytes(), wire.as_bytes());
+    let same = |(x, y): &(&[u8], &[u8])| x == y;
+    let strides = a.chunks_exact(STRIDE).zip(b.chunks_exact(STRIDE)).take_while(same).count();
+    let from = strides * STRIDE;
+    let mut keep = from + a[from..].iter().zip(&b[from..]).take_while(|(x, y)| x == y).count();
+    // equal bytes up to `keep`: a character boundary of one is one of both
+    while !wire.is_char_boundary(keep) {
+        keep -= 1;
+    }
+    keep
+}
+
 /// One member cloud's pool and journal.
 pub(crate) struct CloudStore {
     /// Stable cloud name (used in alerts, metrics and outage plans).
     pub name: String,
     pool: Arc<HTable>,
     journal: Journal,
+    /// `pid → (seq, wire)` of the last version committed here as primary,
+    /// while its process runs (see the module doc).
+    tips: Mutex<HashMap<String, (usize, Arc<String>)>>,
 }
 
 impl CloudStore {
     /// An empty cloud named `name`.
     pub(crate) fn new(name: &str) -> CloudStore {
         let pool = HTable::new(TableConfig { max_versions: 4, max_region_rows: 1024 });
-        CloudStore { name: name.to_string(), pool: Arc::new(pool), journal: Journal::new() }
+        CloudStore {
+            name: name.to_string(),
+            pool: Arc::new(pool),
+            journal: Journal::new(),
+            tips: Mutex::default(),
+        }
     }
 
     /// A cloud restarted cold from [`CloudStore::snapshot`] bytes.
@@ -117,13 +249,20 @@ impl CloudStore {
     /// The WAL discipline: log the intent, apply the first
     /// `applied_before_check` rows, pass the crash point `check`, apply the
     /// rest, commit. A `check` that fails leaves the record uncommitted for
-    /// [`CloudStore::replay`].
+    /// [`CloudStore::replay`]. Either way the tip of a process the batch
+    /// writes a version of is dropped: it is no longer the version below the
+    /// next one.
     pub(crate) fn commit(
         &self,
         ops: &[PutOp],
         applied_before_check: usize,
         check: impl FnOnce() -> WfResult<()>,
     ) -> WfResult<()> {
+        for op in ops.iter().filter(|op| op.key.starts_with(DOC_ROWS)) {
+            if let Some(RowKey::Doc { pid, .. }) = RowKey::parse(&op.key) {
+                self.tips().remove(pid.as_str());
+            }
+        }
         let record = self.journal.append(ops.to_vec());
         let (before, after) = ops.split_at(applied_before_check);
         before.iter().for_each(|op| op.apply(&self.pool));
@@ -155,22 +294,68 @@ impl CloudStore {
         self.journal.export()
     }
 
-    // -- stored versions -----------------------------------------------------
+    // -- stored versions: the write ------------------------------------------
+
+    fn tips(&self) -> std::sync::MutexGuard<'_, HashMap<String, (usize, Arc<String>)>> {
+        self.tips.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The latest version of `pid`: from memory while this cloud has been
+    /// committing the process, else folded from the pool's rows and kept.
+    /// A latest row that yields no bytes is a tip of none, so the version
+    /// above it is cut against nothing: a full copy.
+    fn tip(&self, pid: Name<'_>) -> Option<(usize, Arc<String>)> {
+        if let Some(tip) = self.tips().get(pid.as_str()) {
+            return Some(tip.clone());
+        }
+        let Stored { key, xml } = self.latest(pid)?;
+        let RowKey::Doc { seq, .. } = RowKey::parse(&key)? else { return None };
+        let tip = (seq, Arc::new(xml.unwrap_or_default()));
+        self.tips().insert(pid.as_str().to_string(), tip.clone());
+        Some(tip)
+    }
+
+    /// The next admission's `seq`: one past the latest version stored for
+    /// `pid` (parallel AND-split branches have equal CER counts, so the CER
+    /// count alone would collide).
+    pub(crate) fn next_seq(&self, pid: Name<'_>) -> usize {
+        self.tip(pid).map_or(0, |(seq, _)| seq.saturating_add(1))
+    }
 
     /// The two rows a version is, leading an admission's batch: the `seen/`
-    /// row binding the wire bytes' `digest` to `seq` (a pool row, not portal
+    /// row binding the whole wire's `digest` to `seq` (a pool row, not portal
     /// memory, so duplicate suppression survives snapshot/restore and is
-    /// shared by every portal), then the `doc/` row. The primary applies
-    /// the first before its crash point: the worst window is "pool claims
-    /// stored, document row missing", exactly what replay repairs.
+    /// shared by every portal), then the `doc/` row: what `wire` adds to the
+    /// version below it. The primary applies the first before its crash
+    /// point: the worst window is "pool claims stored, document row
+    /// missing", exactly what replay repairs.
     pub(crate) fn version_rows(
+        &self,
         pid: Name<'_>,
         seq: usize,
         digest: [u8; 32],
         wire: &str,
     ) -> [PutOp; 2] {
-        [SEQ.put(RowKey::Seen(digest), seq.to_string()), XML.put(RowKey::Doc { pid, seq }, wire)]
+        // seq 0 is cut against nothing
+        let keep = match seq.checked_sub(1).and_then(|_| self.tip(pid)) {
+            Some((below, below_wire)) if below.checked_add(1) == Some(seq) => {
+                kept(&below_wire, wire)
+            }
+            _ => 0,
+        };
+        let cell = Delta { keep, tail: &wire[keep..] }.cell();
+        [SEQ.put(RowKey::Seen(digest), seq.to_string()), XML.put(RowKey::Doc { pid, seq }, cell)]
     }
+
+    /// `wire` was committed as version `seq` of `pid`: it is what the next
+    /// version is cut against, unless the route ended there.
+    pub(crate) fn advance(&self, pid: Name<'_>, seq: usize, wire: Arc<String>, ended: bool) {
+        if !ended {
+            self.tips().insert(pid.as_str().to_string(), (seq, wire));
+        }
+    }
+
+    // -- stored versions: the reads ------------------------------------------
 
     /// The version the wire bytes of SHA-256 `digest` were admitted as, if
     /// they were: what their `seen/` row names.
@@ -178,31 +363,53 @@ impl CloudStore {
         SEQ.get(&self.pool, RowKey::Seen(*digest))?.parse().ok()
     }
 
-    /// The next admission's `seq`: the number of versions stored for `pid`
-    /// (parallel AND-split branches have equal CER counts, so the CER count
-    /// alone would collide); counted without cloning snapshots.
-    pub(crate) fn next_seq(&self, pid: Name<'_>) -> usize {
-        self.pool.query_count(&schema::versions_of(pid))
+    /// The row of `pid` that `rows` (its rows from seq 0 on) end with.
+    fn last_of(rows: Vec<(String, RowSnapshot)>) -> Option<Stored> {
+        let mut fold = Fold::over(&rows);
+        let mut last = Err(Clause::NotAVersion);
+        for (key, row) in &rows {
+            last = fold.apply(key, row).map(|_| ());
+        }
+        let (key, _) = rows.into_iter().next_back()?;
+        Some(Stored { key, xml: last.map(|()| fold.bytes) })
     }
 
     /// The latest stored version of `pid`.
     pub(crate) fn latest(&self, pid: Name<'_>) -> Option<Stored> {
-        let (key, row) = self.pool.query(&schema::versions_of(pid)).rows.pop()?;
-        Some(Stored { xml: XML.of(&row), key })
+        Self::last_of(self.pool.query(&schema::versions_of(pid)).rows)
     }
 
     /// The bytes of version `seq` of `pid`.
     pub(crate) fn version(&self, pid: Name<'_>, seq: usize) -> Option<String> {
-        XML.get(&self.pool, RowKey::Doc { pid, seq })
+        let through = schema::versions_below(pid, seq.checked_add(1)?);
+        let stored = Self::last_of(self.pool.query(&through).rows)?;
+        if stored.key != (RowKey::Doc { pid, seq }).to_string() {
+            return None;
+        }
+        stored.xml.ok()
     }
 
     /// Up to `batch` stored versions in key order, from `cursor` on (from
-    /// the first one without a cursor) — a bounded, projected scan.
+    /// the first one without a cursor) — a bounded, projected scan, plus the
+    /// rows below the first one's when the cursor stands inside a process.
     pub(crate) fn sample(&self, cursor: Option<&str>, batch: usize, threads: usize) -> Vec<Stored> {
         let from = cursor.unwrap_or(DOC_ROWS);
         let scan = schema::all_docs().starting_at(from).limit(batch).threads(threads);
         let rows = self.pool.query(&scan).rows;
-        rows.into_iter().map(|(key, row)| Stored { xml: XML.of(&row), key }).collect()
+        let mut fold = Fold::default();
+        match rows.first().and_then(|(key, _)| RowKey::parse(key)) {
+            Some(RowKey::Doc { pid, seq }) if seq > 0 => {
+                for (key, row) in &self.pool.query(&schema::versions_below(pid, seq)).rows {
+                    let _ = fold.apply(key, row);
+                }
+            }
+            _ => {}
+        }
+        let stored = |(key, row): (String, RowSnapshot)| {
+            let xml = fold.apply(&key, &row).map(str::to_owned);
+            Stored { key, xml }
+        };
+        rows.into_iter().map(stored).collect()
     }
 
     /// The verdict of the module doc: the document `stored` holds, or the
@@ -216,7 +423,8 @@ impl CloudStore {
         let digest = dra_crypto::sha256(xml.unwrap_or_default().as_bytes());
         let fails = |clause| Divergence { key: stored.key.clone(), digest, clause };
         let rejected = |e| fails(Clause::Rejected(Box::new(e)));
-        let (Some(RowKey::Doc { pid, seq }), Some(xml)) = (RowKey::parse(&stored.key), xml) else {
+        let xml = xml.map_err(|clause| fails(clause.clone()))?;
+        let Some(RowKey::Doc { pid, seq }) = RowKey::parse(&stored.key) else {
             return Err(fails(Clause::NotAVersion));
         };
         let vouched = match self.seq_of(&digest) {
@@ -251,19 +459,25 @@ impl CloudStore {
         )
     }
 
-    /// SHA-256 over every `doc/` row, keys and bytes, in key order.
+    /// SHA-256 over every `doc/` row, key and the bytes of its version, in
+    /// key order: the layout does not show in it.
     pub(crate) fn doc_digest(&self) -> String {
         // the typed scan returns rows in key order already
-        let mut buf = String::new();
-        for (key, row) in self.pool.query(&schema::all_docs()).rows {
-            if let Some(xml) = XML.of(&row) {
-                buf.push_str(&key);
-                buf.push('\0');
-                buf.push_str(&xml);
-                buf.push('\0');
+        let (mut fold, mut hash) = (Fold::default(), dra_crypto::Sha256::new());
+        for (key, row) in &self.pool.query(&schema::all_docs()).rows {
+            if let Ok(xml) = fold.apply(key, row) {
+                for part in [key.as_bytes(), b"\0", xml.as_bytes(), b"\0"] {
+                    hash.update(part);
+                }
             }
         }
-        dra_crypto::hex::encode(&dra_crypto::sha256(buf.as_bytes()))
+        dra_crypto::hex::encode(&hash.finalize())
+    }
+
+    /// Bytes the `doc/` rows hold: what the stored versions cost.
+    pub(crate) fn doc_bytes(&self) -> u64 {
+        let rows = self.pool.query(&schema::all_docs()).rows;
+        rows.iter().filter_map(|(_, row)| XML.bytes_of(row)).map(|cell| cell.len() as u64).sum()
     }
 
     /// Fast content fingerprint of the `doc/` rows.
@@ -336,10 +550,18 @@ mod tests {
     use crate::netsim::NetworkSim;
     use crate::portal::CloudSystem;
 
+    impl CloudStore {
+        /// Processes with a tip in memory.
+        fn tips_held(&self) -> usize {
+            self.tips().len()
+        }
+    }
+
     fn batch() -> Vec<PutOp> {
         let p = Name::new("p").unwrap();
-        let mut ops =
-            CloudStore::version_rows(p, 0, dra_crypto::sha256(b"<doc/>"), "<doc/>").to_vec();
+        let version =
+            CloudStore::new("c").version_rows(p, 0, dra_crypto::sha256(b"<doc/>"), "<doc/>");
+        let mut ops = version.to_vec();
         ops.push(crate::schema::STATUS.put(RowKey::Meta(p), "running"));
         ops.push(SEQ.put(RowKey::todo("alice", "p", "submit").unwrap(), "0"));
         ops
@@ -399,7 +621,10 @@ mod tests {
         let cloud = &sys.clouds[0];
         let (p, q) = (Name::new("p").unwrap(), Name::new("q").unwrap());
         let clause = |stored: &Stored| cloud.honest(stored, &dir).unwrap_err().clause;
-        let at = |key: &str, xml: Option<String>| Stored { key: key.to_string(), xml };
+        let at = |key: &str, xml: Option<String>| Stored {
+            key: key.to_string(),
+            xml: xml.ok_or(Clause::NotAVersion),
+        };
 
         let latest = cloud.latest(p).unwrap();
         assert_eq!(latest.key, "doc/p/000001");
@@ -411,10 +636,11 @@ mod tests {
         let foreign = clause(&at("doc/p/000001", cloud.version(q, 1)));
         assert_eq!(foreign, Clause::ForeignProcess("q".into()));
         // flipped bytes: no seen/ row names them, the signature pass decides
-        let flipped = crate::federation::tamper_bytes(latest.xml.as_deref().unwrap());
+        let bytes = latest.xml.clone().unwrap();
+        let flipped = crate::federation::tamper_bytes(&bytes);
         assert!(matches!(clause(&at(&latest.key, Some(flipped))), Clause::Rejected(_)));
         assert_eq!(clause(&at(&latest.key, None)), Clause::NotAVersion);
-        assert_eq!(clause(&at("doc/p", latest.xml.clone())), Clause::NotAVersion);
+        assert_eq!(clause(&at("doc/p", Some(bytes))), Clause::NotAVersion);
 
         // genuine bytes that were never admitted pass on their signatures,
         // under their own process only
@@ -425,5 +651,150 @@ mod tests {
 
         let err = WfError::from(cloud.honest(&at(&latest.key, None), &dir).unwrap_err());
         assert!(matches!(&err, WfError::Verify(m) if m.contains("doc/p/000001")), "{err}");
+    }
+    /// A deployment that ran process `pö` through `submit` and `approve`:
+    /// three stored versions, the last one final. The workflow's name puts
+    /// a two-byte character into every version.
+    fn three_versions() -> (CloudSystem, Vec<Arc<String>>) {
+        let creds = ["designer", "alice", "bob"].map(|n| Credentials::from_seed(n, n));
+        let def = WorkflowDefinition::builder("pö", "designer")
+            .simple_activity("submit", "alice", &["amount"])
+            .simple_activity("approve", "bob", &["decision"])
+            .flow("submit", "approve")
+            .flow_end("approve")
+            .build()
+            .unwrap();
+        let dir = Directory::from_credentials(&creds);
+        let sys = CloudSystem::new(dir.clone(), 1, Arc::new(NetworkSim::lan()));
+        let initial =
+            DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "p");
+        let mut sealed = SealedDocument::new(initial.unwrap());
+        let mut route = Route { targets: vec!["submit".into()], ends: false };
+        let mut wires = vec![];
+        for (who, activity, field) in [(1, "submit", "amount"), (2, "approve", "decision")] {
+            sys.store_sealed(0, &sealed, &route).unwrap();
+            wires.push(sealed.wire());
+            assert_eq!(sys.clouds[0].tips_held(), 1, "a running process has a tip");
+            let aea = Aea::new(creds[who].clone(), dir.clone());
+            let received = aea.receive(sealed, activity).unwrap();
+            let done = aea.complete(&received, &[(field.into(), "1".into())]).unwrap();
+            (sealed, route) = (done.document, done.route);
+        }
+        assert!(route.is_final());
+        sys.store_sealed(0, &sealed, &route).unwrap();
+        wires.push(sealed.wire());
+        (sys, wires)
+    }
+
+    #[test]
+    fn the_tip_spares_the_scan_and_goes_with_the_process() {
+        let (sys, wires) = three_versions();
+        let (cloud, p) = (&sys.clouds[0], Name::new("p").unwrap());
+        assert_eq!(cloud.tips_held(), 0, "dropped with the final route");
+        let regions = || cloud.pool.scan_counters().1;
+
+        // a miss folds the pool's rows, once; then the tip answers
+        let scans = regions();
+        assert_eq!(cloud.next_seq(p), 3);
+        assert_eq!((regions(), cloud.tips_held()), (scans + 1, 1));
+        assert_eq!(cloud.next_seq(p), 3);
+        let [_, doc] = cloud.version_rows(p, 3, [0; 32], &format!("{}<more/>", wires[2]));
+        assert_eq!(regions(), scans + 1, "no scan while the tip is there");
+        assert_eq!(doc.value.as_ref(), format!("{}\n<more/>", wires[2].len()).as_bytes());
+
+        // a read is one prefix query and yields exactly the admitted bytes
+        let scans = regions();
+        assert_eq!(cloud.latest(p).unwrap().xml.as_ref(), Ok(&*wires[2]));
+        assert_eq!(regions(), scans + 1);
+        for (seq, wire) in wires.iter().enumerate() {
+            assert_eq!(cloud.version(p, seq).as_ref(), Some(&**wire));
+        }
+        assert_eq!(cloud.version(p, 3), None);
+
+        // a commit that dies mid-batch takes the tip with it
+        let crash = || Err(WfError::Crash("torn".into()));
+        assert!(cloud
+            .commit(&[XML.put(RowKey::Doc { pid: p, seq: 3 }, "0\n<x/>")], 0, crash)
+            .is_err());
+        assert_eq!(cloud.tips_held(), 0);
+        assert_eq!(cloud.next_seq(p), 3, "the row never landed");
+        assert_eq!(cloud.replay(|_| ()), 1);
+        assert_eq!(cloud.tips_held(), 1, "(rebuilt by the miss above …");
+        cloud.commit(&[XML.put(RowKey::Doc { pid: p, seq: 3 }, "0\n<x/>")], 0, || Ok(())).unwrap();
+        assert_eq!((cloud.tips_held(), cloud.next_seq(p)), (0, 4), "… and dropped by any commit)");
+    }
+
+    /// Row 1 of `p` holding `cell`: what rows 1 and 2 then fail with. Every
+    /// reader runs over the damaged pool; none may panic.
+    fn with_row_1(cell: Option<&str>) -> (Clause, Clause) {
+        let (sys, _) = three_versions();
+        let (cloud, p) = (&sys.clouds[0], Name::new("p").unwrap());
+        let row_1 = RowKey::Doc { pid: p, seq: 1 };
+        match cell {
+            Some(cell) => XML.write(&cloud.pool, row_1, cell),
+            None => assert!(cloud.remove(row_1)),
+        }
+        let sample = cloud.sample(None, usize::MAX, 1);
+        assert_eq!(sample.len(), 2 + usize::from(cell.is_some()));
+        let clause = |seq: usize| {
+            let key = RowKey::Doc { pid: p, seq }.to_string();
+            let stored = sample.iter().find(|stored| stored.key == key).unwrap();
+            cloud.honest(stored, &sys.directory).unwrap_err().clause
+        };
+        let clauses = (if cell.is_some() { clause(1) } else { Clause::NotAVersion }, clause(2));
+
+        // the other readers: typed answers, the same verdict, no panic
+        let latest = cloud.latest(p).unwrap();
+        assert_eq!(cloud.honest(&latest, &sys.directory).unwrap_err().clause, clauses.1);
+        assert_eq!(cloud.version(p, 2), latest.xml.ok());
+        assert!(cloud.version(p, 0).is_some(), "the row below the damage still reads");
+        assert!(matches!(sys.process_status("p"), Err(WfError::Verify(_))));
+        assert_eq!(sys.retrieve_latest(0, "p"), cloud.version(p, 2));
+        assert_eq!(cloud.doc_digest().len(), 64);
+        // and the next version of such a process would be a full copy
+        assert_eq!(cloud.next_seq(p), 3);
+        if cloud.version(p, 2).is_none() {
+            let [_, doc] = cloud.version_rows(p, 3, [0; 32], "<x/>");
+            assert_eq!(doc.value.as_ref(), b"0\n<x/>");
+        }
+        clauses
+    }
+
+    #[test]
+    fn a_cell_that_does_not_apply_is_a_broken_link_never_a_panic() {
+        let (sys, wires) = three_versions();
+        let cell =
+            XML.get(sys.clouds[0].pool(), RowKey::Doc { pid: Name::new("p").unwrap(), seq: 1 });
+        let Delta { keep, tail } = Delta::parse(cell.as_ref().unwrap().as_bytes()).unwrap();
+        assert!(keep > 0 && keep < wires[0].len() && wires[1].ends_with(tail));
+        let broken = |link| Clause::BrokenLink(link);
+        let dangling = broken(Link::NoRowBelow);
+
+        // `keep` missing, negative, too large for a usize
+        for header in ["", "-1\n", "99999999999999999999\n"] {
+            let clauses = with_row_1(Some(&format!("{header}{tail}")));
+            assert_eq!(clauses, (broken(Link::Unreadable), dangling.clone()), "{header:?}");
+        }
+        // one past the version below, and far past it: nothing is allocated
+        for keep in [wires[0].len() + 1, usize::MAX] {
+            let clauses = with_row_1(Some(&Delta { keep, tail }.cell()));
+            assert_eq!(clauses, (broken(Link::KeepOutOfRange), dangling.clone()), "{keep}");
+        }
+        // inside the two bytes of the `ö` every version carries
+        let inside = wires[0].find('ö').unwrap() + 1;
+        assert!(!wires[0].is_char_boundary(inside));
+        let clauses = with_row_1(Some(&Delta { keep: inside, tail }.cell()));
+        assert_eq!(clauses, (broken(Link::KeepOutOfRange), dangling.clone()));
+        // the middle row deleted: the row above it keeps bytes of nothing
+        assert_eq!(with_row_1(None), (Clause::NotAVersion, dangling));
+        // a tail that applies and reassembles to no document
+        let (row_1, row_2) = with_row_1(Some(&Delta { keep, tail: "<oops" }.cell()));
+        assert!(matches!(row_1, Clause::Rejected(e) if matches!(*e, WfError::Parse(_))));
+        assert_eq!(row_2, broken(Link::KeepOutOfRange), "cut against the longer, real row 1");
+        // `keep` = 0 needs no row below: a full copy is the same version
+        let (cloud, row_1) = (&sys.clouds[0], RowKey::Doc { pid: Name::new("p").unwrap(), seq: 1 });
+        XML.write(cloud.pool(), row_1, &Delta { keep: 0, tail: &wires[1] }.cell());
+        let rows = cloud.sample(None, usize::MAX, 1);
+        assert!(rows.iter().all(|row| cloud.honest(row, &sys.directory).is_ok()));
     }
 }

@@ -12,8 +12,11 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decode a hex string (case-insensitive). Returns `None` on odd length or
-/// non-hex characters.
+/// Decode a hex string, strictly: exactly what [`encode`] writes. Returns
+/// `None` on odd length or any character outside `0-9a-f` — uppercase
+/// included, so bytes have one hex form and a signature or a signer key
+/// cannot be re-encoded into a byte-different document that still verifies
+/// (`b64::decode` is strict for the same reason).
 pub fn decode(s: &str) -> Option<Vec<u8>> {
     let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
@@ -23,7 +26,6 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
         match c {
             b'0'..=b'9' => Some(c - b'0'),
             b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
             _ => None,
         }
     };
@@ -34,8 +36,8 @@ pub fn decode(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Decode a hex string into a fixed-size array. `None` if the length does
-/// not match or the string is not valid hex.
+/// Decode a hex string into a fixed-size array, as strictly as [`decode`].
+/// `None` if the length does not match or the string is not lowercase hex.
 pub fn decode_array<const N: usize>(s: &str) -> Option<[u8; N]> {
     let v = decode(s)?;
     if v.len() != N {
@@ -63,8 +65,12 @@ mod tests {
     }
 
     #[test]
-    fn uppercase_accepted() {
-        assert_eq!(decode("DEADBEEF").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
+    fn uppercase_rejected() {
+        assert_eq!(decode("deadbeef").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
+        for twin in ["DEADBEEF", "deadbeeF", "Deadbeef"] {
+            assert!(decode(twin).is_none(), "{twin}: bytes have one hex form");
+            assert!(decode_array::<4>(twin).is_none(), "{twin}");
+        }
     }
 
     #[test]

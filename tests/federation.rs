@@ -25,6 +25,7 @@
 //!   `FaultProfile` never change the final pool sha256 versus the healthy
 //!   single-cloud baseline — degradation costs time, never safety.
 
+use dra4wfms::cloud::federation::forge_stored_row;
 use dra4wfms::cloud::{
     alerts_to_jsonl, check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint,
     Delivery, DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -341,7 +342,7 @@ fn rollback_and_substitution_are_caught_like_flipped_bytes() {
         let honest = sys.retrieve_version("fed-0", 9).unwrap();
         let planted = sys.retrieve_version(source, seq).unwrap();
         let (_, _, east) = sys.audit_pools().swap_remove(0);
-        east.put("doc/fed-0/000009", "doc", "xml", planted);
+        forge_stored_row(&east, "doc/fed-0/000009", |_, _| (0, planted));
 
         // monitoring reads the active cloud: a typed error, never the
         // status of whatever document sits in the row

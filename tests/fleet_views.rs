@@ -12,17 +12,20 @@
 //!   document row) never desynchronises the views, journal replay repairs
 //!   the pool and the views together, and a cold restart reseeds the views
 //!   from the pool snapshot mid-fleet;
-//! * a **forged stored row** that no serve path ever touches — the serve
-//!   side stays blind to it — is caught by the [`PoolAuditor`]'s batched
-//!   spot-check with the exact key, exactly one typed alert, and zero
-//!   false positives across repeated sweeps — and so is a **rollback** of
-//!   such a row to an earlier, validly signed version of its own process;
+//! * a **forged stored row** below the latest one — a lone cloud serves
+//!   unprobed, and what it serves now carries the forgery, which the AEA's
+//!   own verification rejects — is indicted by the [`PoolAuditor`] with the
+//!   exact key and exactly one typed alert across repeated sweeps; the rows
+//!   above it, which keep the forged bytes, are tainted, not indicted — and
+//!   so it goes for a **rollback** of such a row to the version below it;
 //! * every honest cell above — hostile channel, crash takeover, torn store,
 //!   federation — audits clean: a full sweep indicts no row;
-//! * on a federated deployment the same forgery, pumped through the
-//!   [`FederationController`], quarantines every portal of the tampered
-//!   cloud and fails admissions over to the honest peer.
+//! * on a federated deployment the same forgery trips the serve probe, and
+//!   the auditor's alert, pumped through the [`FederationController`],
+//!   quarantines every portal of the tampered cloud and fails admissions
+//!   over to the honest peer.
 
+use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
     check_metric_invariants, AlertKind, AuditConfig, CloudSystem, CrashPlan, CrashPoint, Delivery,
     DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -142,18 +145,9 @@ fn assert_views_identical(sys: &CloudSystem) {
     assert_eq!(incremental, sys.recompute_pool_view_json(4), "byte identity, 4 threads");
 }
 
-/// Flip the case of one ASCII letter deep inside stored XML — a minimal
-/// storage-layer corruption that breaks the signature cascade without
-/// touching the row's key or shape.
-fn forge(xml: &str) -> String {
-    let mut bytes = xml.as_bytes().to_vec();
-    let mid = bytes.len() / 2;
-    let idx = (mid..bytes.len())
-        .chain(0..mid)
-        .find(|&i| bytes[i].is_ascii_alphabetic())
-        .expect("xml contains a letter");
-    bytes[idx] ^= 0x20;
-    String::from_utf8(bytes).expect("an ASCII case flip preserves utf8")
+/// The keys of `pid`'s versions `seqs`, as rows of cloud `cloud`.
+fn rows_of(cloud: &str, pid: &str, seqs: std::ops::RangeInclusive<usize>) -> Vec<(String, String)> {
+    seqs.map(|seq| (cloud.to_string(), format!("doc/{pid}/{seq:06}"))).collect()
 }
 
 /// A stored version of `pid` that is *not* the latest — the serve path
@@ -300,11 +294,12 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
     assert_eq!(restored.fleet_views().progress()["view-7"], 1);
 }
 
-/// Forge a stored mid-sequence row that no serve path ever reads, and roll
-/// another one back to the version before it: the serve side stays blind,
-/// the auditor catches the exact keys with exactly one typed alert each
-/// and zero false positives, and the metric invariants hold with the
-/// forgeries declared.
+/// Forge a stored mid-sequence row, and roll another one back to the
+/// version below it. A lone cloud serves unprobed: every later version keeps
+/// what the forged row appended, so what is served now carries the forgery —
+/// and the receiving AEA's verification rejects it. The auditor indicts the
+/// exact keys with exactly one typed alert each, counts the rows above them
+/// as tainted, and the metric invariants hold with the forgeries declared.
 #[test]
 fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     let (creds, dir) = cast();
@@ -323,18 +318,27 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     );
 
     let key = mid_version_key(sys.active_pool(), "view-1");
+    assert_eq!(key, "doc/view-1/000001");
     let honest_latest = sys.retrieve_latest(0, "view-1").expect("latest version serves");
-    let xml = sys.active_pool().get_str(&key, "doc", "xml").expect("target row holds xml");
-    sys.active_pool().put(&key, "doc", "xml", forge(&xml));
+    // the case of one ASCII letter of what row 1's hop appended: a minimal
+    // storage-layer corruption, the row's key and shape untouched
+    forge_stored_row(sys.active_pool(), &key, flip_tail);
     // view-2's version 1 becomes its version 0 again: every byte validly
     // signed, nothing for the signature pass to find
     let rolled_back = mid_version_key(sys.active_pool(), "view-2");
     assert_eq!(rolled_back, "doc/view-2/000001");
     let earlier = sys.retrieve_version("view-2", 0).unwrap();
-    sys.active_pool().put(&rolled_back, "doc", "xml", earlier);
+    forge_stored_row(sys.active_pool(), &rolled_back, |_, _| (earlier.len(), String::new()));
+    assert_eq!(sys.retrieve_version("view-2", 1).as_ref(), Some(&earlier));
 
-    // the serve path reads only the latest version — it stays blind
-    assert_eq!(sys.retrieve_latest(0, "view-1").unwrap(), honest_latest);
+    // nothing probes a lone cloud's serve: the latest version comes back
+    // with the byte row 1 had flipped, and it is the participant's own
+    // verification that refuses to work on it
+    let served = sys.retrieve_latest(0, "view-1").expect("served unprobed");
+    assert_ne!(served, honest_latest, "every later version keeps what row 1 appended");
+    let p_d = Aea::new(creds[5].clone(), dir.clone());
+    let err = p_d.receive(served, "D").unwrap_err();
+    assert!(matches!(err, WfError::Verify(_) | WfError::Malformed(_) | WfError::Parse(_)), "{err}");
     assert!(monitor.alerts().is_empty(), "no alert before the auditor runs");
     // and the forgery is invisible to the views: same keys, same statuses
     assert_views_identical(&sys);
@@ -342,16 +346,21 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     let auditor = PoolAuditor::new(AuditConfig { batch: 4, period_us: 1_000, threads: 2 });
     let mut clock = 0u64;
     full_sweep(&auditor, &sys, Some(&monitor), &mut clock);
-    // a second full sweep re-samples the same forged row without re-alerting
+    // a second full sweep re-samples the same rows without re-alerting
     full_sweep(&auditor, &sys, Some(&monitor), &mut clock);
 
     assert_eq!(
         auditor.divergent_rows(),
         vec![("cloud0".to_string(), key.clone()), ("cloud0".to_string(), rolled_back)],
-        "exactly the forged rows, nothing else"
+        "exactly the rewritten rows, nothing else"
     );
+    // the rows above them fail too — view-1's keep the flipped byte, view-2's
+    // were cut against a version the rollback made shorter — and are
+    // charged to the broken link below them, not alerted
+    let above = [rows_of("cloud0", "view-1", 2..=9), rows_of("cloud0", "view-2", 2..=9)].concat();
+    assert_eq!(auditor.tainted_rows(), above);
     let alerts = monitor.alerts();
-    assert_eq!(alerts.len(), 2, "one alert per forged row, ever");
+    assert_eq!(alerts.len(), 2, "one alert per broken link, ever");
     assert_eq!(
         (alerts[0].process_id.as_str(), alerts[1].process_id.as_str()),
         ("view-1", "view-2")
@@ -370,17 +379,15 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     monitor.export_metrics(&metrics);
     let snapshot = metrics.snapshot();
     assert_eq!(snapshot.counter("audit.divergences"), 2);
+    assert_eq!(snapshot.counter("audit.tainted"), 16);
     assert_eq!(snapshot.counter("alerts.audit_divergence"), 2);
     check_metric_invariants(&snapshot).expect("a declared forgery satisfies the invariants");
 }
 
-/// The same forgery on a federated deployment: the audit alert, pumped
-/// through the federation controller, quarantines every portal of the
-/// tampered cloud and fails admissions over to the honest peer — while
-/// the views, which track keys and statuses rather than bytes, stay
-/// identical to the recompute throughout.
-#[test]
-fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
+/// A two-cloud deployment that ran two instances, with one row below
+/// view-0's latest forged on the active cloud only — its replica on the
+/// honest peer keeps the true bytes.
+fn forged_federation() -> (CloudSystem, Arc<HealthMonitor>, MetricsRegistry, String) {
     let (creds, dir) = cast();
     let network = Arc::new(NetworkSim::lan());
     let sys = CloudSystem::federated(
@@ -390,8 +397,7 @@ fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
     )
     .unwrap();
     let monitor = HealthMonitor::new(MonitorConfig::default());
-    let ctrl = Arc::clone(sys.federation_controller().unwrap());
-    ctrl.set_monitor(&monitor);
+    sys.federation_controller().unwrap().set_monitor(&monitor);
     let metrics = MetricsRegistry::new();
     drive(
         &sys,
@@ -403,18 +409,29 @@ fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
         Some(&monitor),
         Some(&metrics),
     );
-
-    // forge one non-latest row on the active cloud only — its replica on
-    // the honest peer keeps the true bytes
     let (east_name, _, east_pool) = sys.audit_pools().into_iter().next().unwrap();
     assert_eq!(east_name, "east");
     let key = mid_version_key(&east_pool, "view-0");
-    let xml = east_pool.get_str(&key, "doc", "xml").unwrap();
-    east_pool.put(&key, "doc", "xml", forge(&xml));
+    forge_stored_row(&east_pool, &key, flip_tail);
+    (sys, monitor, metrics, key)
+}
 
+/// The same forgery on a federated deployment. Nobody has to wait for the
+/// auditor: the latest version keeps the forged bytes, so the serve probe
+/// trips on the first read, quarantines the serving portals and re-serves
+/// from the peer. And unread, the audit alert, pumped through the
+/// federation controller, quarantines every portal of the tampered cloud
+/// and fails admissions over to the honest peer — while the views, which
+/// track keys and statuses rather than bytes, stay identical to the
+/// recompute throughout.
+#[test]
+fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
+    let (sys, monitor, metrics, key) = forged_federation();
+    let ctrl = Arc::clone(sys.federation_controller().unwrap());
     let auditor = PoolAuditor::new(AuditConfig::default());
     full_sweep(&auditor, &sys, Some(&monitor), &mut 0u64);
     assert_eq!(auditor.divergent_rows(), vec![("east".to_string(), key)]);
+    assert_eq!(auditor.tainted_rows(), rows_of("east", "view-0", 2..=9));
 
     sys.federation_poll();
     let stats = ctrl.stats();
@@ -428,4 +445,15 @@ fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
     auditor.export_metrics(&metrics);
     monitor.export_metrics(&metrics);
     check_metric_invariants(&metrics.snapshot()).unwrap();
+
+    // a second deployment, same forgery, no auditor: the first read trips
+    let (sys, monitor, _, _) = forged_federation();
+    let ctrl = Arc::clone(sys.federation_controller().unwrap());
+    let served = sys.retrieve_latest(0, "view-0").expect("the peer re-serves");
+    assert!(ctrl.is_quarantined(0) && ctrl.is_quarantined(1), "both east portals served it");
+    assert_eq!(ctrl.stats().active_cloud, 1, "east has no portal left: west is active");
+    assert_eq!(Some(served), sys.retrieve_version("view-0", 9), "west's bytes");
+    let alerts = monitor.alerts();
+    assert_eq!(alerts.len(), 2, "one portal_tampered alert per indicted portal");
+    assert!(alerts.iter().all(|a| matches!(a.kind, AlertKind::PortalTampered { .. })));
 }

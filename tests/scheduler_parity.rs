@@ -8,6 +8,12 @@
 //! `portal.verifications` / `portal.signature_checks` rows pin that every
 //! admission still runs the verifier and checks as many signatures.
 //!
+//! `pool_snapshot_sha256` is over the pool's rows as laid out, so a layout
+//! change moves it; `pool_digest` is over the bytes every stored version
+//! reads as and was recorded with full-copy rows, before a `doc/` row held
+//! only what its hop appended: it pins that each stored version still is,
+//! byte for byte, what was admitted.
+//!
 //! Two lines are not that loop's: `run.signature_checks` of the two crash
 //! cells (18 → 19 on Fig. 9A, 42 → 44 on Fig. 9B, the crash-free cells'
 //! values). The commit that deleted the loop also deleted the portal's
@@ -96,8 +102,8 @@ const CELLS: [(&str, bool, Scenario); 6] = [
 
 /// Drive one fresh deployment end to end through the scenario and render
 /// what the golden pins under the `## label` header: the pool snapshot
-/// hash, the reported step count and the `run.*` / `portal.*` counters,
-/// one `key = value` line each.
+/// hash, the layout-independent pool digest, the reported step count and
+/// the `run.*` / `portal.*` counters, one `key = value` line each.
 fn run_cell(label: &str, advanced: bool, scenario: Scenario) -> String {
     let (creds, dir) = cast();
     let def = fig9_def(advanced);
@@ -158,6 +164,7 @@ fn run_cell(label: &str, advanced: bool, scenario: Scenario) -> String {
     let digest = dra4wfms::crypto::sha256(&sys.snapshot_pool());
     let mut cell = format!("{label}\n");
     writeln!(cell, "pool_snapshot_sha256 = {}", dra4wfms::crypto::hex::encode(&digest)).unwrap();
+    writeln!(cell, "pool_digest = {}", sys.pool_digest()).unwrap();
     writeln!(cell, "steps = {}", out.steps).unwrap();
     for (key, value) in &counters {
         if key.starts_with("run.") || key.starts_with("portal.") {

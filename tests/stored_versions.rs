@@ -1,0 +1,445 @@
+//! A `doc/` row holds what its hop appended, not the document — and every
+//! stored version still reads back as, byte for byte, the wire that was
+//! admitted as it.
+//!
+//! The property, over definitions from the differential fuzzer's generator
+//! (sequences, AND-splits, choices, OR-joins, multi-instance, cancellation)
+//! plus a loop (Fig. 9) and a designer's amendment, each under the basic
+//! model and under the TFC: after the run, for every `k`,
+//! `retrieve_version(pid, k)` is the wire admitted as `k` —
+//!
+//! * on the cloud that committed it, where each delta was cut against the
+//!   in-memory tip;
+//! * on every replica, and after a snapshot and a cold restore (each member
+//!   cloud's pool is restored into a deployment of its own and read there);
+//! * after a portal died between the `seen/` row and the document row, and
+//!   after a replica died between journal append and commit, once
+//!   `recover_portals` replayed the journals;
+//! * after a failover, where the new active cloud has no tip and cuts its
+//!   first delta of every running process against the fold of its own rows.
+//!
+//! The oracle does not go through the layout under test: the `seen/` row of
+//! an admission is keyed by the SHA-256 of the *whole* wire as it arrived,
+//! so a version that reads back under a digest whose `seen/` row names its
+//! own `seq` is the admitted wire.
+
+use dra4wfms::cloud::{
+    CloudSystem, CrashPlan, CrashPoint, Delivery, InstanceRun, NetworkSim, OutagePlan, Responder,
+    Topology,
+};
+use dra4wfms::docpool::Scan;
+use dra4wfms::prelude::*;
+use dra_bench::fuzz;
+use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+const PID: &str = "stored-0";
+
+/// What is run: an initial document and the script that answers it.
+struct Subject {
+    initial: DraDocument,
+    respond: Box<Responder>,
+}
+
+/// The fuzzer's cast: a designer, `p0..p3` and a TFC.
+fn subject(pick: u64, creds: &[Credentials], tfc: bool) -> Subject {
+    let (mut def, delta, respond): (_, _, Box<Responder>) = match pick % 6 {
+        // Fig. 9: an AND-split, its join, and a loop taken once
+        0 => {
+            let def = WorkflowDefinition::builder("loop", "designer")
+                .simple_activity("A", "p0", &["attachment"])
+                .simple_activity("B1", "p1", &["review1"])
+                .simple_activity("B2", "p2", &["review2"])
+                .activity(Activity {
+                    id: "C".into(),
+                    participant: "p3".into(),
+                    join: JoinKind::All,
+                    requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
+                    responses: vec!["decision".into()],
+                })
+                .simple_activity("D", "p0", &["ack"])
+                .flow("A", "B1")
+                .flow("A", "B2")
+                .flow("B1", "C")
+                .flow("B2", "C")
+                .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
+                .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
+                .flow_end("D")
+                .build()
+                .unwrap();
+            let respond = |r: &ReceivedActivity| {
+                let again = if r.iter == 0 { "insufficient" } else { "accept — früh genug" };
+                let (field, value) = match r.activity.as_str() {
+                    "A" => ("attachment", "contract.pdf"),
+                    "B1" => ("review1", "ok"),
+                    "B2" => ("review2", "ok"),
+                    "C" => ("decision", again),
+                    _ => ("ack", "done"),
+                };
+                vec![(field.to_string(), value.to_string())]
+            };
+            (def, None, Box::new(respond))
+        }
+        // a designer's amendment, folded in before anything executes
+        1 => {
+            let def = WorkflowDefinition::builder("amendable", "designer")
+                .simple_activity("s1", "p0", &["x"])
+                .simple_activity("s2", "p1", &["y"])
+                .flow("s1", "s2")
+                .flow_end("s2")
+                .build()
+                .unwrap();
+            let extra = Activity {
+                id: "extra".into(),
+                participant: "p2".into(),
+                join: JoinKind::Any,
+                requests: vec![FieldRef::new("s1", "x")],
+                responses: vec!["z".into()],
+            };
+            let to = |to| Transition { from: "s2".into(), to, condition: None };
+            let delta = DefinitionDelta {
+                add_activities: vec![extra],
+                add_transitions: vec![
+                    to(Target::Activity("extra".into())),
+                    Transition { from: "extra".into(), to: Target::End, condition: None },
+                ],
+                retire_transitions: vec![("s2".into(), Target::End)],
+                add_policy_rules: vec![],
+            };
+            let respond = |r: &ReceivedActivity| {
+                let field = match r.activity.as_str() {
+                    "s1" => "x",
+                    "s2" => "y",
+                    _ => "z",
+                };
+                vec![(field.to_string(), "1".to_string())]
+            };
+            (def, Some(delta), Box::new(respond))
+        }
+        _ => {
+            let generated = fuzz::generate(pick);
+            let script = generated.script;
+            let respond =
+                move |r: &ReceivedActivity| script.get(&r.activity).cloned().unwrap_or_default();
+            (generated.def, None, Box::new(respond))
+        }
+    };
+    let mut policy = SecurityPolicy::public();
+    if tfc {
+        def.tfc = Some("TFC".into());
+        policy = policy.with_tfc_access("TFC", &def);
+    }
+    let mut initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], PID).unwrap();
+    if let Some(delta) = delta {
+        initial = amend_document(&initial, &creds[0], &delta).unwrap();
+    }
+    Subject { initial, respond }
+}
+
+/// Where the instance runs and what goes wrong there.
+#[derive(Clone, Copy, Debug)]
+enum Deployment {
+    Lone,
+    /// A portal dies between the `seen/` row and the document row.
+    TornStore,
+    Federated,
+    /// A replica dies between journal append and commit.
+    TornReplica,
+    /// The active cloud goes dark mid-run.
+    Failover,
+}
+
+const DEPLOYMENTS: [Deployment; 5] = [
+    Deployment::Lone,
+    Deployment::TornStore,
+    Deployment::Federated,
+    Deployment::TornReplica,
+    Deployment::Failover,
+];
+
+/// Every version of `PID` that `sys` serves reads back under a digest whose
+/// `seen/` row names that version, and there is one per `doc/` row. Returns
+/// how many there are.
+fn assert_versions_read_back(sys: &CloudSystem, whose: &str) -> usize {
+    let rows = sys.active_pool().query_count(&Scan::prefix(&format!("doc/{PID}/")));
+    for seq in 0..rows {
+        let version = sys
+            .retrieve_version(PID, seq)
+            .unwrap_or_else(|| panic!("{whose}: version {seq} of {rows} does not read back"));
+        assert_eq!(sys.stored_seq_for(&version), Some(seq), "{whose}: version {seq}");
+    }
+    assert_eq!(sys.retrieve_version(PID, rows), None, "{whose}: no version past the last row");
+    // (a cloud that died before the first admission holds none)
+    let latest = rows.checked_sub(1).and_then(|last| sys.retrieve_version(PID, last));
+    assert_eq!(sys.retrieve_latest(0, PID), latest, "{whose}");
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_stored_version_reads_back_as_the_wire_admitted(
+        pick in 0u64..6_000,
+        tfc in any::<bool>(),
+        deployment in 0usize..DEPLOYMENTS.len(),
+        nth in 1u64..5,
+    ) {
+        let deployment = DEPLOYMENTS[deployment];
+        let (creds, dir) = fuzz::cast();
+        let subject = subject(pick, &creds, tfc);
+        let network = Arc::new(NetworkSim::lan());
+        let plan = match deployment {
+            Deployment::TornStore => CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, nth),
+            Deployment::TornReplica => CrashPlan::once(CrashPoint::ReplicaBeforeCommit, nth),
+            _ => CrashPlan::none(),
+        };
+        let sys = match deployment {
+            Deployment::Lone | Deployment::TornStore => {
+                CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
+            }
+            _ => {
+                let topology = Topology::new().cloud("east", 2).cloud("west", 2);
+                CloudSystem::federated(dir.clone(), topology, Arc::clone(&network)).unwrap()
+            }
+        }
+        .with_crash_plan(Arc::clone(&plan));
+        if let Deployment::Failover = deployment {
+            // a hop or two in (a hop is ~240 virtual µs on this network)
+            sys.federation_controller().unwrap().set_outage(OutagePlan::at(0, 100 * nth));
+        }
+
+        let agents: HashMap<String, Arc<Aea>> = creds
+            .iter()
+            .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
+            .collect();
+        let server = TfcServer::with_clock(creds[5].clone(), dir.clone(), Arc::new(|| 1_000));
+        let delivery = Delivery::lossless(Arc::clone(&network));
+        let mut run = InstanceRun::new(&sys, &subject.initial)
+            .agents(&agents)
+            .respond(&*subject.respond)
+            .max_steps(300)
+            .network(&delivery);
+        if tfc {
+            run = run.tfc(&server);
+        }
+        let out = run.run().unwrap_or_else(|e| panic!("{deployment:?}, pick {pick}: {e}"));
+        // whatever died did die, and was restarted by the run
+        let torn = matches!(deployment, Deployment::TornStore | Deployment::TornReplica);
+        prop_assert_eq!(plan.crashes_injected(), u64::from(torn));
+        prop_assert_eq!(sys.journal_replays(), u64::from(torn));
+        prop_assert_eq!(sys.recover_portals(), 0, "nothing is left to replay");
+
+        let versions = assert_versions_read_back(&sys, "the active cloud");
+        prop_assert!(versions > out.steps, "the initial document and one version per hop");
+        prop_assert_eq!(sys.retrieve_latest(0, PID), Some(out.document.wire().to_string()));
+        if let Deployment::Failover = deployment {
+            let stats = sys.federation_controller().unwrap().stats();
+            prop_assert_eq!((stats.outages, stats.active_cloud), (1, 1), "west took over");
+        } else {
+            prop_assert!(sys.replicas_consistent());
+        }
+
+        // every member cloud's pool, snapshotted and restored cold: the
+        // replicas, and the dead cloud's rows up to where it died
+        for (name, _, pool) in sys.audit_pools() {
+            let snapshot = pool.export_snapshot();
+            let restored =
+                CloudSystem::restore(dir.clone(), 2, Arc::new(NetworkSim::lan()), &snapshot)
+                    .unwrap();
+            let restored_versions = assert_versions_read_back(&restored, &name);
+            let died = matches!(deployment, Deployment::Failover) && name == "east";
+            prop_assert!(restored_versions == versions || died, "{}", name);
+        }
+    }
+}
+
+// -- what the layout costs ---------------------------------------------------
+
+use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
+use dra4wfms::cloud::{check_metric_invariants, AuditConfig, PoolAuditor};
+use dra4wfms::docpool::HTable;
+use dra_bench::claims::fixture::Fig9;
+
+/// Σ bytes of the `doc/` rows against the bytes of the final version. With
+/// full-copy rows an n-version instance stored about n/2 times its final
+/// document (asserted below, as what the versions sum to); a row now holds what its
+/// hop appended, so the whole history of a chain costs its last version and
+/// the closing tags once per row: ≤ 1.25 ×. Fig. 9A's bound is 1.4 ×: the two
+/// AND-split siblings share a prefix, not each other's CER, so each of the
+/// two AND-join versions stores both branches a second time — 4 small CERs
+/// of 13, which a delta against the previous version cannot avoid and a
+/// search over all earlier versions would barely (measured: 23.0 → 21.3 KB
+/// per `fleet_basic` instance).
+#[test]
+fn a_stored_history_costs_about_its_final_version() {
+    let fx = Fig9::new(false);
+    let sys = fx.cloud(2);
+    assert_eq!(fx.fleet(&sys, std::iter::once("size-0".to_string()), None), 1);
+    let full_copies = |sys: &CloudSystem, pid: &str, versions: usize| -> u64 {
+        (0..versions).map(|k| sys.retrieve_version(pid, k).expect("stored").len() as u64).sum()
+    };
+    let last = sys.retrieve_version("size-0", 9).expect("nine hops, ten versions");
+    let (stored, last) = (sys.stored_doc_bytes(), last.len() as u64);
+    assert!(stored * 5 <= last * 7, "fig. 9A: {stored} bytes stored for a {last}-byte document");
+    assert!(full_copies(&sys, "size-0", 10) > 4 * last, "full copies cost n/2 documents");
+
+    const STEPS: usize = 48;
+    let (creds, dir) = dra_bench::chain::chain_cast(STEPS);
+    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
+    let agents: HashMap<String, Arc<Aea>> = creds
+        .iter()
+        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
+        .collect();
+    let def = dra_bench::chain::chain_definition(STEPS);
+    let initial =
+        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "size-1")
+            .unwrap();
+    let respond = |_: &ReceivedActivity| vec![("payload".to_string(), "x".repeat(64))];
+    let run = InstanceRun::new(&sys, &initial).agents(&agents).respond(&respond).max_steps(STEPS);
+    assert_eq!(run.run().unwrap().steps, STEPS);
+    let last = sys.retrieve_version("size-1", STEPS).expect("one version per step and the initial");
+    let (stored, last) = (sys.stored_doc_bytes(), last.len() as u64);
+    assert!(stored * 4 <= last * 5, "chain: {stored} bytes stored for a {last}-byte document");
+    assert!(full_copies(&sys, "size-1", STEPS + 1) > 20 * last, "full copies cost n/2 documents");
+}
+
+// -- who is charged with a broken chain ----------------------------------------
+
+/// One auditor over `sys`, swept twice in small batches (so attribution
+/// crosses batch borders, and the second sweep has the chance to re-alert).
+fn sweep_twice(fx: &Fig9, sys: &CloudSystem) -> PoolAuditor {
+    let auditor = PoolAuditor::new(AuditConfig { batch: 3, period_us: 100, threads: 1 });
+    let rows = sys.active_pool().query_count(&Scan::prefix("doc/"));
+    for pass in 0..2 * (rows / 3 + 2) {
+        auditor.run_pass(sys, Some(&fx.monitor), pass as u64 * 100);
+    }
+    auditor
+}
+
+fn rows_of(pid: &str, seqs: impl IntoIterator<Item = usize>) -> Vec<(String, String)> {
+    seqs.into_iter().map(|seq| ("cloud0".to_string(), format!("doc/{pid}/{seq:06}"))).collect()
+}
+
+fn key(pid: &str, seq: usize) -> String {
+    format!("doc/{pid}/{seq:06}")
+}
+
+/// A byte of what the hop appended, flipped: every later version keeps it.
+fn flip_kept(pool: &HTable, key: &str) {
+    forge_stored_row(pool, key, flip_tail);
+}
+
+/// A byte of the closing tags, flipped: the next version writes its own.
+fn flip_unkept(pool: &HTable, key: &str) {
+    forge_stored_row(pool, key, |keep, tail| {
+        let forged = tail.replace("</DRA4WfMS>", "</DRA4WfMs>");
+        assert_ne!(forged, tail);
+        (keep, forged)
+    });
+}
+
+/// One alert per broken link. Four ten-version processes, forged four ways:
+///
+/// * `one` — row 4, a kept byte: row 4 is indicted, rows 5–9 keep the forged
+///   byte and are tainted;
+/// * `tags` — row 4, a byte of the closing tags: row 4 is indicted, and no
+///   row above keeps that byte, so all stay honest;
+/// * `pair` — rows 4 and 5, kept bytes: row 4 is indicted; row 5 fails
+///   already for what it keeps of row 4, so its own flip is not told apart
+///   and it is tainted with rows 6–9;
+/// * `gap` — row 3 in its closing tags and row 5 in a kept byte, honest row
+///   4 between: both are indicted, each stands on a sound row; rows 6–9 are
+///   tainted.
+///
+/// A second sweep re-alerts nothing, and the books balance with the six
+/// forgeries declared: five divergences, never more than were forged.
+#[test]
+fn a_broken_link_is_indicted_once_and_the_rows_above_it_are_tainted() {
+    let fx = Fig9::new(false);
+    let sys = fx.cloud(2);
+    let pids = ["one", "tags", "pair", "gap"];
+    assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string()), None), 4);
+    let pool = sys.active_pool();
+    flip_kept(pool, &key("one", 4));
+    flip_unkept(pool, &key("tags", 4));
+    flip_kept(pool, &key("pair", 4));
+    flip_kept(pool, &key("pair", 5));
+    flip_unkept(pool, &key("gap", 3));
+    flip_kept(pool, &key("gap", 5));
+
+    let auditor = sweep_twice(&fx, &sys);
+    let indicted =
+        [rows_of("gap", [3, 5]), rows_of("one", [4]), rows_of("pair", [4]), rows_of("tags", [4])];
+    assert_eq!(auditor.divergent_rows(), indicted.concat());
+    let tainted = [rows_of("gap", 6..=9), rows_of("one", 5..=9), rows_of("pair", 5..=9)];
+    assert_eq!(auditor.tainted_rows(), tainted.concat());
+    let alerted: Vec<String> = fx.monitor.alerts().iter().map(|a| a.process_id.clone()).collect();
+    assert_eq!(alerted.len(), 5, "one alert per indicted row, none per tainted row or sweep");
+
+    fx.metrics.set_counter("audit.tampered_rows", 6);
+    sys.export_metrics(&fx.metrics);
+    auditor.export_metrics(&fx.metrics);
+    fx.monitor.export_metrics(&fx.metrics);
+    let snapshot = fx.metrics.snapshot();
+    assert_eq!(snapshot.counter("audit.divergences"), 5);
+    assert_eq!(snapshot.counter("audit.tainted"), 14);
+    check_metric_invariants(&snapshot).expect("divergences ≤ declared forgeries");
+}
+
+/// Rolling a stored version back. `doc/p/k` is rewritten to reproduce
+/// version k−1, every byte of it validly signed, with the `seen/` row of
+/// those bytes …
+///
+/// * `kept` — left alone: it names k−1, so row k is bound elsewhere and
+///   indicted, and the rows above it are tainted;
+/// * `moved` — repointed to k: row k now passes, but row k−1 is bound
+///   elsewhere and indicted — and so is row k+1, cut against the real
+///   version k and landing past the end of the shorter k−1;
+/// * `gone` — removed: rows k−1 and k both pass on their signatures as
+///   genuine bytes nobody admitted, and it is row k+1 alone that no longer
+///   applies and is indicted.
+///
+/// What the chain added is the row above. What it cannot add is a row above
+/// the last one: `tip`, the final version of a finished process rolled back
+/// with its `seen/` row removed, passes every check of its own cloud — the
+/// process reads as one step short. The peer clouds' replicas are the
+/// evidence against that.
+#[test]
+fn a_rollback_is_caught_by_the_row_above_it() {
+    let fx = Fig9::new(false);
+    let sys = fx.cloud(2);
+    let pids = ["kept", "moved", "gone", "tip"];
+    assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string()), None), 4);
+    let pool = sys.active_pool();
+    let seen_row = |bytes: &str| {
+        let digest = dra4wfms::crypto::sha256(bytes.as_bytes());
+        format!("seen/{}", dra4wfms::crypto::hex::encode(&digest))
+    };
+    let roll_back = |pid: &str, k: usize| {
+        let below = sys.retrieve_version(pid, k - 1).unwrap();
+        forge_stored_row(pool, &key(pid, k), |_, _| (below.len(), String::new()));
+        assert_eq!(
+            sys.retrieve_version(pid, k).as_ref(),
+            Some(&below),
+            "row {k} reads as {}",
+            k - 1
+        );
+        seen_row(&below)
+    };
+    roll_back("kept", 5);
+    pool.put(&roll_back("moved", 5), "meta", "seq", "5");
+    assert!(pool.delete_row(&roll_back("gone", 5)));
+    assert!(pool.delete_row(&roll_back("tip", 9)));
+
+    let auditor = sweep_twice(&fx, &sys);
+    let indicted = [rows_of("gone", [6]), rows_of("kept", [5]), rows_of("moved", [4, 6])];
+    assert_eq!(auditor.divergent_rows(), indicted.concat());
+    let tainted = [rows_of("gone", 7..=9), rows_of("kept", 6..=9), rows_of("moved", 7..=9)];
+    assert_eq!(auditor.tainted_rows(), tainted.concat());
+    // the rolled-back tip: nothing on this cloud contradicts it
+    let status = sys.process_status("tip").unwrap().unwrap();
+    assert_eq!(status.steps(), 8, "one step short, and honest as far as this cloud can tell");
+    assert!(sys.process_status("kept").is_err() && sys.process_status("gone").is_err());
+}

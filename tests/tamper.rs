@@ -280,6 +280,93 @@ fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
     assert_eq!(sys.total_stored(), 1, "only the genuine copy was admitted, once");
 }
 
+/// Upper-case one hex letter of the newest `<Signature>` of `wire` — of its
+/// `signer` attribute or of its text. The newest signature is covered by no
+/// other, so nothing signed changes; a decoder that reads `A` as `a` sees
+/// the same document in different bytes.
+fn reencode_newest_signature(wire: &str, signer_attr: bool) -> String {
+    let open = wire.rfind("<Signature ").expect("a signature");
+    let text = open + wire[open..].find('>').expect("the tag closes") + 1;
+    let from = if signer_attr { open + wire[open..].find("signer=\"").unwrap() + 8 } else { text };
+    let letter =
+        from + wire[from..].find(|c: char| ('a'..='f').contains(&c)).expect("a hex letter");
+    assert!(signer_attr == (letter < text) && letter < text + 128, "inside the field meant");
+    let mut twin = wire.to_string();
+    twin.replace_range(letter..=letter, &wire[letter..=letter].to_ascii_uppercase());
+    twin
+}
+
+/// A twin that only re-encodes the hex of the newest signature — the one
+/// piece of a document no signature covers — would verify, would pass for an
+/// honest stored version, and would be admitted as a *new* version, because
+/// the `seen/` idempotency key is the digest of the bytes: one retransmitter
+/// could make the pool store and re-notify the same step once per
+/// re-encoding. Hex has one form, so the twin is a malformed signature at the
+/// verifier, rejected by the stored-row verdict and refused at admission —
+/// under the basic model, where the newest signature is the participant's,
+/// and under the advanced one, where it is the TFC's attestation.
+///
+/// Nothing else *inside* the newest CER has a twin. Its `covers` label is
+/// under no signature either, but the verifier compares it to the CER key
+/// byte for byte, so there is no second spelling; the attestation's
+/// `Timestamp` and every other attribute and text of the CER lie inside the
+/// canonical bytes a signature covers, and base64 (`TfcSealed`,
+/// `CipherValue`, `KeyWrap`) has been decoded strictly all along. What is
+/// left is the wire form *around* the signed subtrees — white space between
+/// two CERs, `<a/>` for `<a></a>` — which canonicalisation forgives by
+/// design; refusing a wire that is not its own serialisation is ROADMAP
+/// item 1's, with the canonicalisation laws.
+#[test]
+fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
+    use dra4wfms::cloud::{federation::forge_stored_row, CloudSystem, NetworkSim};
+    let (def, dir, creds) = setup();
+    let basic = run(&def, &dir, &creds).to_xml_string();
+
+    let mut tfc_creds = creds.clone();
+    tfc_creds.push(Credentials::from_seed("TFC", "tamper-TFC"));
+    let tfc_dir = Directory::from_credentials(&tfc_creds);
+    let mut tfc_def = def.clone();
+    tfc_def.tfc = Some("TFC".into());
+    let policy = SecurityPolicy::public().with_tfc_access("TFC", &tfc_def);
+    let initial =
+        DraDocument::new_initial_with_pid(&tfc_def, &policy, &tfc_creds[0], "tp").unwrap();
+    let alice = Aea::new(tfc_creds[1].clone(), tfc_dir.clone());
+    let received = alice.receive(initial, "request").unwrap();
+    let fields = [("amount".into(), "100".into()), ("iban".into(), "DE02...".into())];
+    let sent = alice.complete_via_tfc(&received, &fields).unwrap();
+    let tfc = TfcServer::new(tfc_creds[3].clone(), tfc_dir.clone());
+    let advanced = tfc.process(sent.document).unwrap().document.to_xml_string();
+    assert!(advanced[advanced.rfind("<Signature ").unwrap()..].contains("covers=\"tfc:"));
+
+    for (wire, dir) in [(basic, &dir), (advanced, &tfc_dir)] {
+        let sys = CloudSystem::new(dir.clone(), 1, std::sync::Arc::new(NetworkSim::lan()));
+        let route = Route { targets: vec!["approve".into()], ends: false };
+        assert_eq!(sys.store_document(0, &wire, &route).unwrap(), 0);
+        for signer_attr in [false, true] {
+            let twin = reencode_newest_signature(&wire, signer_attr);
+            assert_ne!(twin, wire);
+            assert!(twin.eq_ignore_ascii_case(&wire) && twin.len() == wire.len());
+
+            // the verifier
+            let malformed = |err: &WfError| matches!(err, WfError::Verify(m) if m.contains("malformed Signature"));
+            let err = Verifier::new(dir).run(&DraDocument::parse(&twin).unwrap()).unwrap_err();
+            assert!(malformed(&err), "{err}");
+            // admission: an error, not version 1 of the process
+            let err = sys.store_document(0, &twin, &route).unwrap_err();
+            assert!(malformed(&err), "{err}");
+            assert_eq!(sys.stored_seq_for(&twin), None);
+            assert!(sys.retrieve_version("tp", 1).is_none(), "no new row");
+            // the stored-row verdict, over the row overwritten with the twin
+            forge_stored_row(sys.active_pool(), "doc/tp/000000", |_, _| (0, twin.clone()));
+            assert_eq!(sys.retrieve_version("tp", 0), Some(twin));
+            let err = sys.process_status("tp").unwrap_err();
+            assert!(matches!(&err, WfError::Verify(m) if m.contains("Rejected")), "{err}");
+            forge_stored_row(sys.active_pool(), "doc/tp/000000", |_, _| (0, wire.clone()));
+            sys.process_status("tp").unwrap().expect("the genuine bytes are back");
+        }
+    }
+}
+
 /// The contrast: the identical rewrite in the engine baseline is silent.
 #[test]
 fn engine_baseline_same_tamper_is_silent() {
