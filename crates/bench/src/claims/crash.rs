@@ -22,8 +22,8 @@
 //! takeover counters by `check_metric_invariants`, and the crash-free
 //! baselines must stay alert-silent.
 
-use super::fixture::{Fig9, SEEDS};
 use super::{held, ClaimOutput, Row, Rows};
+use crate::rig::{Rig, SEEDS};
 use dra4wfms_core::prelude::*;
 use dra_cloud::{CrashPlan, CrashPoint, FaultProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,14 +43,11 @@ fn run_cell(
     seed: u64,
     out: &mut ClaimOutput,
 ) -> Row {
-    let mut fx = Fig9::crashing(advanced, &plan);
-    if advanced {
-        // fresh deterministic clock per cell: crash-free and crashed runs
-        // draw the same timestamps (the redo log guarantees one draw per hop)
-        let draws = AtomicU64::new(0);
-        let clock = Arc::new(move || 1_000 + draws.fetch_add(1, Ordering::Relaxed));
-        fx.tfc = Some(fx.tfc_server(clock));
-    }
+    // fresh deterministic clock per cell: crash-free and crashed runs
+    // draw the same timestamps (the redo log guarantees one draw per hop)
+    let draws = AtomicU64::new(0);
+    let clock = Arc::new(move || 1_000 + draws.fetch_add(1, Ordering::Relaxed));
+    let fx = Rig::fig9(advanced).crashing(&plan).tfc_clock(clock);
     let sys = fx.cloud(3);
     let delivery = fx.channel(FaultProfile::lossless(), 0);
 

@@ -32,8 +32,8 @@
 //! `BENCH_dashboard_alerts.jsonl` must all come out byte-identical on
 //! every run.
 
-use super::fixture::{Fig9, SEEDS};
 use super::{held, ClaimOutput, Row, Rows};
+use crate::rig::{Rig, SEEDS};
 use dra_cloud::federation::{flip_tail, forge_stored_row};
 use dra_cloud::{AuditConfig, CloudSystem, FaultProfile, PoolAuditor, Topology};
 use dra_docpool::{HTable, Scan};
@@ -48,7 +48,7 @@ fn pids(prefix: &str, n: usize) -> impl Iterator<Item = String> + '_ {
 
 /// Drive the auditor through one complete sweep of every member cloud in
 /// virtual time: enough periodic passes to wrap the largest `doc/` range.
-fn full_audit_sweep(fx: &Fig9, sys: &CloudSystem, threads: usize) -> PoolAuditor {
+fn full_audit_sweep(fx: &Rig, sys: &CloudSystem, threads: usize) -> PoolAuditor {
     let auditor =
         PoolAuditor::new(AuditConfig { batch: AUDIT_BATCH, period_us: AUDIT_PERIOD_US, threads });
     let doc_rows = sys
@@ -68,20 +68,14 @@ fn full_audit_sweep(fx: &Fig9, sys: &CloudSystem, threads: usize) -> PoolAuditor
 }
 
 /// The stored `doc/` keys that are *not* the latest version of their
-/// process — rows the serve path never touches, in key order.
+/// process — rows the serve path never touches, in key order: a version is
+/// not the latest exactly when the next key is its own process's.
 fn non_latest_doc_keys(pool: &HTable) -> Vec<String> {
-    let rows = pool.query(&Scan::prefix("doc/").family("doc"));
-    let keys: Vec<String> = rows.rows.into_iter().map(|(k, _)| k).collect();
-    keys.iter()
-        .filter(|k| {
-            let pid_prefix = match k.rfind('/') {
-                Some(i) => &k[..=i],
-                None => return false,
-            };
-            // not the last key of its pid group
-            keys.iter().filter(|o| o.starts_with(pid_prefix)).max() != Some(k)
-        })
-        .cloned()
+    let rows = pool.query(&Scan::prefix("doc/").family("doc")).rows;
+    let process = |key: &str| key.rfind('/').map(|slash| key[..=slash].to_string());
+    rows.windows(2)
+        .filter(|pair| process(&pair[0].0) == process(&pair[1].0))
+        .map(|pair| pair[0].0.clone())
         .collect()
 }
 
@@ -99,7 +93,7 @@ fn cell(name: &str, instances: usize, completed: usize) -> Row {
 /// zero for the caller to [`Row::set`].
 fn close(
     cell: Row,
-    fx: &Fig9,
+    fx: &Rig,
     sys: &CloudSystem,
     auditor: &PoolAuditor,
     forged: &[String],
@@ -140,7 +134,7 @@ fn close(
 /// byte identity, and a silent full auditor sweep. Also returns the
 /// incrementally maintained dashboard.
 fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(4);
     let completed = fx.fleet(&sys, pids("dash-", n), None);
 
@@ -167,7 +161,7 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
 /// Seeded tamper cell: forge stored non-latest rows, then prove the sweep
 /// indicts none but those and accounts for every one of them.
 fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     let n = 6;
     let completed = fx.fleet(&sys, pids(&format!("tam{seed}-"), n), None);
@@ -196,7 +190,7 @@ fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
 /// Federated cell: one forged row on the active cloud; the pumped alert
 /// must quarantine that whole cloud and fail the deployment over.
 fn run_federated_cell(out: &mut ClaimOutput) -> Row {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let (sys, ctrl) = fx.federated(Topology::new().cloud("east", 2).cloud("west", 2));
     let delivery = fx.channel(FaultProfile::lossless(), 1);
     let n = 4;

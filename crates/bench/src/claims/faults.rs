@@ -15,8 +15,8 @@
 //! invariants are checked per cell: lossless cells must stay alert-silent,
 //! and the books must balance everywhere.
 
-use super::fixture::{Fig9, SEEDS};
 use super::{held, ClaimOutput, Row, Rows, Value};
+use crate::rig::{Rig, SEEDS};
 use dra4wfms_core::prelude::*;
 use dra_cloud::{DeliveryPolicy, DeliveryStats, FaultProfile};
 
@@ -30,7 +30,7 @@ fn run_cell(
     seed: u64,
     out: &mut ClaimOutput,
 ) -> (Row, DeliveryStats) {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(3);
     let delivery = fx.channel(profile, seed);
 

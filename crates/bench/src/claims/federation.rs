@@ -17,8 +17,8 @@
 //! `BENCH_federation_alerts.jsonl` must come out byte-identical on every
 //! run, and the rows are held against `perf/BENCH_federation.baseline.json`.
 
-use super::fixture::{Fig9, SEEDS};
 use super::{held, ClaimOutput, Row, Rows};
+use crate::rig::{Rig, SEEDS};
 use dra_cloud::{FaultProfile, OutagePlan, TamperPlan, Topology};
 
 /// Instances admitted before the serve audit (the audit gives an armed
@@ -51,7 +51,7 @@ fn run_cell(
     target: &str,
     out: &mut ClaimOutput,
 ) -> (Row, bool) {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let total_portals = topology.total_portals();
     let (sys, ctrl) = fx.federated(topology);
     match scenario {
@@ -120,7 +120,7 @@ fn run_cell(
 /// The healthy single-cloud pool digest over the same `TOTAL` instances:
 /// the byte-identity target every federated cell is held against.
 fn single_cloud_target() -> String {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(4);
     assert_eq!(fx.fleet(&sys, pids(0..TOTAL), None), TOTAL, "the baseline completes");
     sys.pool_digest()

@@ -9,8 +9,8 @@
 //! second), so the rows are deterministic and held against
 //! `perf/BENCH_fleet.baseline.json`; wall-clock goes to stdout only.
 
-use super::fixture::Fig9;
 use super::{ClaimOutput, Row, Rows};
+use crate::rig::Rig;
 use std::sync::atomic::Ordering;
 
 const PORTALS: usize = 8;
@@ -18,7 +18,7 @@ const PORTALS: usize = 8;
 /// Admit `n` Fig. 9A instances into one scheduler over a fresh deployment
 /// and drain the bus to completion.
 fn run_cell(n: usize, out: &mut ClaimOutput) -> Row {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(PORTALS);
     let wall_start = std::time::Instant::now();
     let vt_start = fx.network.virtual_time_us();

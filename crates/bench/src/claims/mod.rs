@@ -8,8 +8,8 @@
 //! around that function is written once, here:
 //!
 //! * the row format's writer ([`rows`]);
-//! * the Fig. 9 actors and instruments the cloud claims share
-//!   ([`fixture`]);
+//! * the actors and instruments a cell hangs its deployment on
+//!   ([`crate::rig`]);
 //! * the driver ([`reproduce`]): a deterministic claim runs **twice**,
 //!   each run on a fresh thread (so thread-local cost counters and memos
 //!   start cold, as in a fresh process), every output of the two runs must
@@ -24,7 +24,6 @@
 //! To accept an intended change of a gated number, copy the fresh
 //! `BENCH_<name>.json` over its baseline in `perf/` in the same commit.
 
-pub mod fixture;
 pub mod rows;
 
 mod crash;
@@ -70,10 +69,10 @@ pub const CLAIMS: [Claim; 16] = [
     Claim { name: "table2", id: "T2", deterministic: true, run: tables::table2 },
     Claim { name: "scaling", id: "C1/C12", deterministic: true, run: scaling::run },
     Claim { name: "tfc", id: "C2", deterministic: false, run: tfc::run },
-    Claim { name: "tamper", id: "C3", deterministic: false, run: tamper::run },
+    Claim { name: "tamper", id: "C3", deterministic: true, run: tamper::run },
     Claim { name: "scalability", id: "C4", deterministic: false, run: scalability::run },
     Claim { name: "pool", id: "C5", deterministic: false, run: pool::run },
-    Claim { name: "dos", id: "C6", deterministic: false, run: dos::run },
+    Claim { name: "dos", id: "C6", deterministic: true, run: dos::run },
     Claim { name: "faults", id: "C7", deterministic: true, run: faults::run },
     Claim { name: "crash", id: "C8", deterministic: true, run: crash::run },
     Claim { name: "obs", id: "C9", deterministic: true, run: obs::run },
@@ -132,7 +131,7 @@ impl ClaimOutput {
 
     /// Close a cell run on `fx`: check its books and keep the alerts its
     /// monitor raised. Returns `(invariants held, alerts raised)`.
-    pub fn close_cell(&mut self, cell: &str, fx: &fixture::Fig9) -> (bool, usize) {
+    pub fn close_cell(&mut self, cell: &str, fx: &crate::rig::Rig) -> (bool, usize) {
         let alerts = fx.monitor.alerts();
         let raised = alerts.len();
         self.alerts.extend(alerts);
@@ -153,6 +152,24 @@ pub fn held(invariants_ok: bool) -> &'static str {
     } else {
         "violated"
     }
+}
+
+/// Run `work(i)` for every `i < total` on `threads` scoped threads pulling
+/// indices off one counter: the shared-nothing workload of the wall-clock
+/// claims.
+fn on_threads(threads: usize, total: usize, work: &(dyn Fn(usize) + Sync)) {
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= total {
+                    break;
+                }
+                work(i);
+            });
+        }
+    });
 }
 
 /// Run `run` on a fresh thread with the main thread's stack size; a panic

@@ -12,9 +12,8 @@
 //! percent of a ~30 ms workload is inside this box's noise, and the measured
 //! home of that number is `obs.trace_overhead_pct` of `crates/e2e`.
 
-use super::fixture::{Fig9, SEEDS};
 use super::{ClaimOutput, Row, Rows, Value};
-use crate::chain::run_chain_incremental_traced;
+use crate::rig::{Handoff, Rig, SEEDS};
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::reconcile::reconcile;
 use dra_cloud::{CrashPlan, CrashPoint, FaultProfile};
@@ -37,7 +36,7 @@ fn run_cell(
     } else {
         CrashPlan::none()
     };
-    let fx = Fig9::crashing(advanced, &plan);
+    let fx = Rig::fig9(advanced).crashing(&plan);
     let sys = fx.cloud(3);
     let delivery = match hostile {
         true => fx.channel(FaultProfile::hostile(), seed),
@@ -77,11 +76,12 @@ fn run_cell(
 fn chain_secs(n: usize, reps: usize) -> (f64, f64) {
     let mut best = [f64::INFINITY; 2];
     for _ in 0..reps {
-        for (slot, tracer) in [Tracer::disabled(), Tracer::sequential()].iter().enumerate() {
+        for (slot, tracer) in [Tracer::disabled(), Tracer::sequential()].into_iter().enumerate() {
+            let rig = Rig::chain(n, true, |_| "x".into()).traced(tracer);
             let t0 = Instant::now();
-            let records = run_chain_incremental_traced(n, true, "x", tracer);
+            let steps = rig.walk("chain-run", Handoff::Sealed, true).count();
             let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(records.len(), n);
+            assert_eq!(steps, n);
             best[slot] = best[slot].min(dt);
         }
     }

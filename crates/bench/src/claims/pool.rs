@@ -5,15 +5,14 @@
 //! Loads N finished-workflow documents into the pool, then measures mixed
 //! random access and MapReduce statistics at several thread counts.
 
-use super::ClaimOutput;
-use crate::chain::finished_chain_document;
+use super::{on_threads, ClaimOutput};
+use crate::rig::Rig;
 use dra_docpool::{map_reduce_scan, HTable, Scan, TableConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 pub(super) fn run() -> ClaimOutput {
     let n: usize = 20_000;
-    let (xml, _) = finished_chain_document(4, false);
+    let xml = Rig::chain(4, false, |i| format!("data-{i}")).walked("chain-doc").to_xml_string();
     println!("document template: {} bytes; loading {n} documents…", xml.len());
 
     let table = HTable::new(TableConfig { max_versions: 2, max_region_rows: 2048 });
@@ -49,31 +48,18 @@ pub(super) fn run() -> ClaimOutput {
     for threads in [1usize, 2, 4, 8] {
         let ops = 40_000usize;
         metrics.incr("pool.random_ops", ops as u64);
-        let counter = AtomicUsize::new(0);
         let t = Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let table = &table;
-                let counter = &counter;
-                s.spawn(move || {
-                    let mut x = w as u64 * 2654435761 + 1;
-                    loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= ops {
-                            break;
-                        }
-                        // xorshift
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        let pid = format!("proc-{:07}", (x as usize) % n);
-                        if i.is_multiple_of(5) {
-                            let _ = table.query(&Scan::prefix(&format!("doc/{pid}/")));
-                        } else {
-                            let _ = table.get(&format!("meta/{pid}"), "meta", "status");
-                        }
-                    }
-                });
+        on_threads(threads, ops, &|i| {
+            // xorshift of the op number: a pid anywhere in the table
+            let mut x = i as u64 * 2654435761 + 1;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pid = format!("proc-{:07}", (x as usize) % n);
+            if i.is_multiple_of(5) {
+                let _ = table.query(&Scan::prefix(&format!("doc/{pid}/")));
+            } else {
+                let _ = table.get(&format!("meta/{pid}"), "meta", "status");
             }
         });
         let access = t.elapsed();

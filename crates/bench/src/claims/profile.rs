@@ -8,8 +8,8 @@
 //! Everything written here is virtual-time integer arithmetic — no wall
 //! clock.
 
-use super::fixture::Fig9;
 use super::{ClaimOutput, Row, Rows};
+use crate::rig::Rig;
 use dra4wfms_core::prelude::*;
 use dra_cloud::FaultProfile;
 use dra_obs::LatencyProfile;
@@ -25,7 +25,7 @@ fn run_cell(
     hostile: bool,
     out: &mut ClaimOutput,
 ) -> Row {
-    let fx = Fig9::new(advanced);
+    let fx = Rig::fig9(advanced);
     let sys = fx.cloud(3);
     let delivery = match hostile {
         true => fx.channel(FaultProfile::hostile(), SEED),

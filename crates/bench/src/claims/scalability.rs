@@ -10,96 +10,34 @@
 //! * DRA4WfMS: every hop is an independent AEA receive+complete, with the
 //!   final document stored into the (sharded) pool.
 
-use super::ClaimOutput;
-use dra4wfms_core::prelude::*;
+use super::{on_threads, ClaimOutput};
+use crate::rig::{Handoff, Rig};
 use dra_engine::DistributedWfms;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-fn def3() -> WorkflowDefinition {
-    WorkflowDefinition::builder("cross-ent", "designer")
-        .simple_activity("a0", "org0", &["f"])
-        .simple_activity("a1", "org1", &["f"])
-        .simple_activity("a2", "org2", &["f"])
-        .flow("a0", "a1")
-        .flow("a1", "a2")
-        .flow_end("a2")
-        .build()
-        .unwrap()
-}
-
-fn engine_run(instances: usize, threads: usize) -> (f64, usize) {
-    let def = def3();
-    let d = Arc::new(DistributedWfms::new(3));
-    let pids: Vec<u64> = (0..instances).map(|_| d.start_process(&def).unwrap().0).collect();
-    let counter = AtomicUsize::new(0);
+/// Executions per second and instance migrations of the engine baseline.
+fn engine_run(rig: &Rig, instances: usize, threads: usize) -> (f64, usize) {
+    let d = DistributedWfms::new(3);
+    let pids: Vec<u64> = (0..instances).map(|_| d.start_process(&rig.def).unwrap().0).collect();
     let started = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let d = Arc::clone(&d);
-            let pids = &pids;
-            let counter = &counter;
-            s.spawn(move || loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= pids.len() {
-                    break;
-                }
-                let pid = pids[i];
-                for (hop, org) in ["org0", "org1", "org2"].iter().enumerate() {
-                    d.execute_at(hop, pid, &format!("a{hop}"), org, &[("f".into(), "v".into())])
-                        .unwrap();
-                }
-            });
+    on_threads(threads, instances, &|i| {
+        for hop in 0..3 {
+            let fields = [("payload".into(), "v".into())];
+            d.execute_at(hop, pids[i], &format!("S{hop}"), &format!("p{hop}"), &fields).unwrap();
         }
     });
     let wall = started.elapsed().as_secs_f64();
     (instances as f64 * 3.0 / wall, d.migrations.load(Ordering::Relaxed))
 }
 
-fn dra_run(instances: usize, threads: usize) -> f64 {
-    let creds: Vec<Credentials> = ["designer", "org0", "org1", "org2"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("c4-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    let def = def3();
-    let pol = SecurityPolicy::public();
-    let agents: Vec<Aea> = creds[1..].iter().map(|c| Aea::new(c.clone(), dir.clone())).collect();
-    // pre-create the initial documents (start cost is the designer's, not the hops')
-    let initials: Vec<String> = (0..instances)
-        .map(|i| {
-            DraDocument::new_initial_with_pid(&def, &pol, &creds[0], &format!("c4-{i}"))
-                .unwrap()
-                .to_xml_string()
-        })
-        .collect();
-    let counter = AtomicUsize::new(0);
+/// Executions per second of the same workload as routed documents.
+fn dra_run(rig: &Rig, instances: usize, threads: usize) -> f64 {
     let started = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let agents = &agents;
-            let initials = &initials;
-            let counter = &counter;
-            s.spawn(move || loop {
-                let i = counter.fetch_add(1, Ordering::Relaxed);
-                if i >= initials.len() {
-                    break;
-                }
-                let mut xml = initials[i].clone();
-                for (hop, aea) in agents.iter().enumerate() {
-                    let recv = aea.receive(&xml, &format!("a{hop}")).unwrap();
-                    xml = aea
-                        .complete(&recv, &[("f".into(), "v".into())])
-                        .unwrap()
-                        .document
-                        .to_xml_string();
-                }
-            });
-        }
+    on_threads(threads, instances, &|i| {
+        assert_eq!(rig.walk(&format!("c4-{i}"), Handoff::Wire, true).count(), 3);
     });
-    let wall = started.elapsed().as_secs_f64();
-    instances as f64 * 3.0 / wall
+    instances as f64 * 3.0 / started.elapsed().as_secs_f64()
 }
 
 pub(super) fn run() -> ClaimOutput {
@@ -113,9 +51,11 @@ pub(super) fn run() -> ClaimOutput {
         "threads", "engine exec/s", "migrations", "DRA4WfMS exec/s"
     );
     let metrics = dra_obs::MetricsRegistry::new();
+    // untraced: a shared span buffer would be the one lock of the workload
+    let rig = Rig::chain(3, false, |_| "v".into()).traced(dra_obs::Tracer::disabled());
     for threads in [1usize, 2, 4, 8] {
-        let (engine_tput, migrations) = engine_run(instances, threads);
-        let dra_tput = dra_run(instances, threads);
+        let (engine_tput, migrations) = engine_run(&rig, instances, threads);
+        let dra_tput = dra_run(&rig, instances, threads);
         metrics.incr("scalability.instances", instances as u64);
         metrics.incr("scalability.hops", (instances * 3) as u64);
         metrics.incr("scalability.engine_migrations", migrations as u64);

@@ -25,14 +25,12 @@
 //! behind the gate are what a regression actually trips.
 
 use super::{ClaimOutput, Row, Rows};
-use crate::chain::{
-    chain_cast, chain_definition, receive_alpha_best_of, run_chain, run_chain_incremental,
-    run_chain_with,
-};
+use crate::rig::{ChainRecord, Handoff, Rig};
 use dra4wfms_core::prelude::*;
 use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
 use dra_crypto::{sha256_bytes, sha256_bytes_reset, verify_batch, BatchEntry, Keypair};
 use dra_xml::{canon_alloc_bytes, canon_alloc_reset, Element};
+use std::time::{Duration, Instant};
 
 /// Chain lengths for the deterministic counter cells.
 const CELLS: [usize; 8] = [1, 2, 4, 8, 16, 32, 48, 64];
@@ -68,27 +66,33 @@ fn synthetic_parts(n: usize) -> Vec<Element> {
 /// seeded, hence byte-deterministic. What is left to hash is the new CER's
 /// canonical bytes plus the chain itself — 64 bytes per pinned CER.
 fn incremental_hash_bytes(max: usize) -> Vec<u64> {
-    let (creds, dir) = chain_cast(max);
-    let def = chain_definition(max);
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "scaling")
-            .expect("initial");
-    let mut sealed = SealedDocument::new(initial);
-    (0..max)
-        .map(|i| {
-            let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-            let received = aea.receive(sealed.clone(), &format!("S{i}")).expect("receive");
-            sealed = aea
-                .complete(&received, &[("payload".into(), format!("value-{i:04}"))])
-                .expect("complete")
-                .document;
-            sha256_bytes_reset();
-            let outcome =
-                Verifier::new(&dir).with_mark(sealed.trust()).run(&sealed).expect("verifies");
-            assert_eq!(outcome.reused_cers, i, "the mark pins all but the new CER");
-            sha256_bytes()
-        })
-        .collect()
+    let rig = Rig::chain(max, false, |i| format!("value-{i:04}"));
+    let hashed = |step: ChainRecord| {
+        let sealed = step.document;
+        sha256_bytes_reset();
+        let outcome =
+            Verifier::new(&rig.dir).with_mark(sealed.trust()).run(&sealed).expect("verifies");
+        assert_eq!(outcome.reused_cers, step.step, "the mark pins all but the new CER");
+        sha256_bytes()
+    };
+    rig.walk("scaling", Handoff::Sealed, true).map(hashed).collect()
+}
+
+/// Best-of-`reps` full receive α at the last hop of `rig`'s chain: the chain
+/// is walked once, then the final hand-off is re-received `reps` times and
+/// the minimum taken — one-shot per-hop timings are at the mercy of
+/// scheduler jitter, the minimum is not.
+fn receive_alpha_best_of(rig: &Rig, batched: bool, reps: usize) -> Duration {
+    let last = rig.def.activities.last().expect("a chain has activities");
+    let handed = rig.walk("chain-run", Handoff::Wire, true).nth(rig.def.activities.len() - 2);
+    let xml = handed.expect("a chain of two or more").document.to_xml_string();
+    let aea = rig.agent(&last.participant).with_batched(batched);
+    let timed = |_| {
+        let t = Instant::now();
+        aea.receive(&xml, &last.id).expect("receive");
+        t.elapsed()
+    };
+    (0..reps.max(1)).map(timed).min().expect("at least one rep")
 }
 
 /// One deterministic measurement cell.
@@ -140,11 +144,12 @@ pub(super) fn run() -> ClaimOutput {
         "{:>6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "step", "#sigs", "alpha(ms)", "batch-α(ms)", "inc-α(ms)", "beta(ms)", "size(B)"
     );
-    let payload = "x".repeat(64);
+    let rig = Rig::chain(64, true, |_| "x".repeat(64));
+    let walk = |handoff, batched| rig.walk("chain-run", handoff, batched).collect::<Vec<_>>();
     // one long chain gives every intermediate point of the sweep
-    let records = run_chain(64, true, &payload);
-    let batched = run_chain_with(64, true, &payload, true);
-    let incremental = run_chain_incremental(64, true, &payload);
+    let records = walk(Handoff::Wire, false);
+    let batched = walk(Handoff::Wire, true);
+    let incremental = walk(Handoff::Sealed, true);
     for ((r, b), inc) in records
         .iter()
         .zip(batched.iter())
@@ -191,8 +196,8 @@ pub(super) fn run() -> ClaimOutput {
     // one-shot per-hop α is at the mercy of scheduler jitter on a shared
     // box; the headline comparison re-receives the final hand-off and
     // takes the best of several reps for both modes
-    let (seq_best, _) = receive_alpha_best_of(64, true, &payload, false, 5);
-    let (bat_best, _) = receive_alpha_best_of(64, true, &payload, true, 5);
+    let seq_best = receive_alpha_best_of(&rig, false, 5);
+    let bat_best = receive_alpha_best_of(&rig, true, 5);
     println!("\nbatched verification at n=64:");
     println!(
         "  full α {:.3} ms sequential vs {:.3} ms batched — {:.1}× speedup (single hop)",

@@ -7,11 +7,9 @@
 //! scaling across worker threads — a single TFC deployment keeps up with
 //! many concurrent AEAs.
 
-use super::ClaimOutput;
-use crate::fig9::{cast, walk};
-use dra4wfms_core::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use super::{on_threads, ClaimOutput};
+use crate::fig9::walk;
+use crate::rig::Rig;
 use std::time::{Duration, Instant};
 
 pub(super) fn run() -> ClaimOutput {
@@ -33,9 +31,9 @@ pub(super) fn run() -> ClaimOutput {
 
     // (b) TFC throughput scaling
     let inters: Vec<String> = steps.into_iter().filter_map(|s| s.intermediate).collect();
-    let (creds, dir) = cast();
-    let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-    let server = Arc::new(TfcServer::with_clock(tfc_creds, dir, Arc::new(|| 1_700_000_000_000)));
+    // untraced: a shared span buffer would be the one lock of the workload
+    let rig = Rig::fig9(true).traced(dra_obs::Tracer::disabled());
+    let server = rig.tfc.as_ref().expect("Fig. 9B has a TFC");
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("\nTFC throughput (documents finalized per second, shared server,");
@@ -46,15 +44,9 @@ pub(super) fn run() -> ClaimOutput {
     for threads in (0..).map(|i| 1usize << i).take_while(|&t| t <= max_threads) {
         let total = docs_per_thread * threads;
         metrics.incr("tfc.docs_finalized", total as u64);
-        let counter = AtomicUsize::new(0);
         let started = Instant::now();
-        on_threads(threads, &|_| loop {
-            let i = counter.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            let xml = &inters[i % inters.len()];
-            server.process(xml).expect("tfc process");
+        on_threads(threads, total, &|i| {
+            server.process(&inters[i % inters.len()]).expect("tfc process");
         });
         let wall = started.elapsed();
         println!("{:>8} {:>12} {:>14.1}", threads, total, total as f64 / wall.as_secs_f64());
@@ -64,13 +56,4 @@ pub(super) fn run() -> ClaimOutput {
     let mut out = ClaimOutput::default();
     out.invariants("run", &metrics);
     out
-}
-
-/// Run `f(t)` on `threads` scoped threads and join them all.
-fn on_threads(threads: usize, f: &(dyn Fn(usize) + Sync)) {
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            s.spawn(move || f(t));
-        }
-    });
 }

@@ -1,8 +1,6 @@
 //! The paper's experimental workflow (Fig. 9) and its measured trace.
 
-use dra4wfms_core::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::rig::{fig9_confidential, Rig};
 use std::time::{Duration, Instant};
 
 /// One measured step of the Fig. 9 trace (one activity execution). The
@@ -30,70 +28,6 @@ pub struct StepRecord {
     pub size: usize,
 }
 
-/// The deterministic cast of Fig. 9.
-pub fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("fig9-bench-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-/// The Fig. 9 workflow definition (9A when `advanced` is false, 9B when
-/// true).
-pub fn definition(advanced: bool) -> WorkflowDefinition {
-    let b = WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .activity(Activity {
-            id: "B1".into(),
-            participant: "p_b1".into(),
-            join: JoinKind::Any,
-            requests: vec![FieldRef::new("A", "attachment")],
-            responses: vec!["review1".into()],
-        })
-        .activity(Activity {
-            id: "B2".into(),
-            participant: "p_b2".into(),
-            join: JoinKind::Any,
-            requests: vec![FieldRef::new("A", "attachment")],
-            responses: vec!["review2".into()],
-        })
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D");
-    if advanced { b.with_tfc("TFC") } else { b }.build().expect("fig9 definition")
-}
-
-/// Element-wise encryption policy used in the measurements: the attachment
-/// and the reviews are confidential, the decision is shared with every
-/// participant (it steers the loop).
-pub fn policy(def: &WorkflowDefinition, advanced: bool) -> SecurityPolicy {
-    let p = SecurityPolicy::builder()
-        .restrict("A", "attachment", &["p_b1", "p_b2", "p_c"])
-        .restrict("B1", "review1", &["p_c"])
-        .restrict("B2", "review2", &["p_c"])
-        .restrict("C", "decision", &["p_a", "p_b1", "p_b2", "p_c", "p_d"])
-        .build();
-    if advanced {
-        p.with_tfc_access("TFC", def)
-    } else {
-        p
-    }
-}
-
 /// One document of the Fig. 9 walk: what was measured producing it, and
 /// the bytes themselves.
 pub struct Step {
@@ -105,16 +39,9 @@ pub struct Step {
     pub intermediate: Option<String>,
 }
 
-/// The Fig. 9 actors: one AEA per participant and, in the advanced model,
-/// the TFC on a fixed clock.
-struct Harness {
-    agents: HashMap<String, Aea>,
-    tfc: Option<TfcServer>,
-}
-
-impl Harness {
+impl Rig {
     /// Execute one activity (basic or advanced), timing each phase.
-    fn step(
+    fn timed_step(
         &self,
         label: &str,
         participant: &str,
@@ -182,19 +109,8 @@ impl Harness {
 /// consumer of the script (the two tables, the TFC workloads, the document
 /// dump) reads this one walk.
 pub fn walk(advanced: bool) -> Vec<Step> {
-    let (creds, dir) = cast();
-    let def = definition(advanced);
-    let pol = policy(&def, advanced);
-    let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "fig9-bench")
-        .expect("initial document");
-    let agents = creds.iter().map(|c| (c.name.clone(), Aea::new(c.clone(), dir.clone()))).collect();
-    let tfc = advanced.then(|| {
-        let tfc_creds = creds.iter().find(|c| c.name == "TFC").expect("TFC creds");
-        TfcServer::with_clock(tfc_creds.clone(), dir.clone(), Arc::new(|| 1_700_000_000_000))
-    });
-    let harness = Harness { agents, tfc };
-
-    let document = initial.to_xml_string();
+    let rig = Rig::fig9(advanced).with_policy(fig9_confidential());
+    let document = rig.initial("fig9-bench").to_xml_string();
     let record = StepRecord {
         label: "Initial".into(),
         cers: 0,
@@ -210,9 +126,9 @@ pub fn walk(advanced: bool) -> Vec<Step> {
     // each hop reads the documents at `inputs` (indices into `steps`)
     let mut hop = |activity: &str, iter: u32, inputs: &[usize], field: &str, value: &str| {
         let label = format!("X_{activity}({iter})");
-        let participant = &def.activity(activity).expect("a Fig. 9 activity").participant;
+        let participant = &rig.def.activity(activity).expect("a Fig. 9 activity").participant;
         let inputs: Vec<&str> = inputs.iter().map(|&i| steps[i].document.as_str()).collect();
-        let step = harness.step(&label, participant, activity, &inputs, (field, value));
+        let step = rig.timed_step(&label, participant, activity, &inputs, (field, value));
         steps.push(step);
     };
     hop("A", 0, &[0], "attachment", "contract-draft.pdf");
@@ -272,9 +188,8 @@ mod tests {
         let inters: Vec<String> = walk(true).into_iter().filter_map(|s| s.intermediate).collect();
         assert_eq!(inters.len(), 9);
         // each ends with an intermediate CER the TFC can process
-        let (creds, dir) = cast();
-        let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-        let tfc = TfcServer::with_clock(tfc_creds, dir, Arc::new(|| 7));
+        let rig = Rig::fig9(true);
+        let tfc = rig.tfc.as_ref().unwrap();
         for xml in &inters {
             tfc.process(xml).expect("every intermediate processable");
         }

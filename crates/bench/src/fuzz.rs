@@ -27,19 +27,20 @@
 //! Everything is virtual-time and seed-deterministic: the same seed always
 //! produces the same definition, the same runs and the same report bytes.
 
+use crate::rig::{cast, Rig};
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::soundness::{check_soundness, SoundnessError};
 use dra_cloud::{
-    check_metric_invariants, tracer_for, AuditConfig, CloudSystem, CrashPlan, CrashPoint, Delivery,
-    DeliveryPolicy, FaultProfile, InstanceRun, NetworkSim, PoolAuditor, Scheduler,
+    check_metric_invariants, AuditConfig, CrashPlan, CrashPoint, FaultProfile, PoolAuditor,
+    Scheduler,
 };
-use dra_obs::{MetricsRegistry, TraceEvent};
+use dra_obs::TraceEvent;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-/// Non-designer participants the generator round-robins activities over.
-pub const CAST: usize = 4;
+/// The cast shared by every generated workflow: a designer, the
+/// participants the generator round-robins activities over, and a TFC.
+pub const CAST: [&str; 6] = ["designer", "p0", "p1", "p2", "p3", "TFC"];
 
 /// A generated workflow plus the deterministic script that drives it.
 pub struct GeneratedWorkflow {
@@ -51,16 +52,15 @@ pub struct GeneratedWorkflow {
     pub script: BTreeMap<String, Vec<(String, String)>>,
 }
 
-/// The deterministic cast shared by every generated workflow: a designer,
-/// `CAST` participants and a TFC.
-pub fn cast() -> (Vec<Credentials>, Directory) {
-    let mut creds = vec![Credentials::from_seed("designer", "fuzz-designer")];
-    for i in 0..CAST {
-        creds.push(Credentials::from_seed(format!("p{i}"), &format!("fuzz-p{i}")));
+impl GeneratedWorkflow {
+    /// A hand-written definition over the fuzzer's cast with its script,
+    /// `activity → [(field, value)]`: what the pattern tests run.
+    pub fn scripted(def: WorkflowDefinition, script: &[(&str, &[(&str, &str)])]) -> Self {
+        let owned = |(field, value): &(&str, &str)| (field.to_string(), value.to_string());
+        let script =
+            script.iter().map(|(a, rs)| (a.to_string(), rs.iter().map(owned).collect())).collect();
+        GeneratedWorkflow { seed: 0, def, script }
     }
-    creds.push(Credentials::from_seed("TFC", "fuzz-TFC"));
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
 }
 
 fn aid(n: &mut usize) -> String {
@@ -72,7 +72,7 @@ fn aid(n: &mut usize) -> String {
 fn participant(id: &str) -> String {
     // stable assignment from the activity number, independent of segment mix
     let n: usize = id[1..].parse().unwrap_or(0);
-    format!("p{}", n % CAST)
+    CAST[1 + n % (CAST.len() - 2)].to_string()
 }
 
 /// Generate one pattern-rich workflow from `seed`. The composition is
@@ -351,81 +351,25 @@ pub fn run_generated(
     advanced: bool,
     variant: Variant,
 ) -> Result<RunArtifacts, String> {
-    let (creds, dir) = cast();
-    let def = if advanced {
-        let mut d = gw.def.clone();
-        d.tfc = Some("TFC".into());
-        d
-    } else {
-        gw.def.clone()
+    let plan = match variant {
+        Variant::Crash => CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + gw.seed % 4),
+        _ => CrashPlan::none(),
     };
-    let network = Arc::new(NetworkSim::lan());
-    let tracer = tracer_for(&network);
-    let metrics = MetricsRegistry::new();
-    let plan = if variant == Variant::Crash {
-        CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + gw.seed % 4)
-    } else {
-        CrashPlan::none()
+    let rig = Rig::generated(gw, advanced).crashing(&plan);
+    let sys = rig.cloud(3);
+    let delivery = match variant {
+        Variant::Hostile => rig.channel(FaultProfile::hostile(), gw.seed),
+        _ => rig.channel(FaultProfile::lossless(), 0),
     };
-    let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
-        .with_crash_plan(Arc::clone(&plan))
-        .with_tracer(tracer.clone());
-    let delivery = if variant == Variant::Hostile {
-        Delivery::new(
-            Arc::clone(&network),
-            FaultProfile::hostile(),
-            DeliveryPolicy::default(),
-            gw.seed,
-        )
-        .map_err(|e| format!("delivery: {e}"))?
-    } else {
-        Delivery::lossless(Arc::clone(&network))
-    }
-    .with_tracer(tracer.clone());
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| {
-            let aea = Aea::new(c.clone(), dir.clone())
-                .with_crash_hook(plan.hook())
-                .with_tracer(tracer.clone());
-            (c.name.clone(), Arc::new(aea))
-        })
-        .collect();
-    let tfc = advanced.then(|| {
-        let tfc_creds = creds.iter().find(|c| c.name == "TFC").expect("TFC creds").clone();
-        TfcServer::with_clock(tfc_creds, dir.clone(), Arc::new(|| 1_000))
-            .with_crash_hook(plan.hook())
-            .with_tracer(tracer.clone())
-    });
-    let policy = if advanced {
-        SecurityPolicy::public().with_tfc_access("TFC", &def)
-    } else {
-        SecurityPolicy::public()
-    };
-    let initial = DraDocument::new_initial_with_pid(
-        &def,
-        &policy,
-        &creds[0],
-        &format!("fuzz-{:04}", gw.seed),
-    )
-    .map_err(|e| format!("initial: {e}"))?;
-    let script = gw.script.clone();
-    let respond = move |r: &ReceivedActivity| script.get(&r.activity).cloned().unwrap_or_default();
-    let mut run = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(300)
-        .network(&delivery)
-        .tracer(tracer.clone())
-        .metrics(&metrics);
-    if let Some(server) = tfc.as_ref() {
-        run = run.tfc(server);
-    }
-    let out = run.run().map_err(|e| format!("run ({variant:?}, advanced={advanced}): {e}"))?;
-    Verifier::new(&dir)
+    let initial = rig.initial(&format!("fuzz-{:04}", gw.seed));
+    let out = rig
+        .run(&sys, &initial, Some(&delivery))
+        .run()
+        .map_err(|e| format!("run ({variant:?}, advanced={advanced}): {e}"))?;
+    Verifier::new(&rig.dir)
         .run(out.document.document())
         .map_err(|e| format!("final document fails verification: {e}"))?;
-    let snap = metrics.snapshot();
+    let snap = rig.metrics.snapshot();
     // whatever the channel and the crashes did, every stored version is an
     // honest one: one auditor pass over the whole pool finds nothing
     let auditor = PoolAuditor::new(AuditConfig { batch: usize::MAX, ..AuditConfig::default() });
@@ -436,7 +380,7 @@ pub fn run_generated(
         wire: out.document.wire().as_ref().clone(),
         pool_fp: sys.active_pool().fingerprint("doc/"),
         steps: out.steps,
-        events: tracer.events(),
+        events: rig.tracer.events(),
         document: out.document.document().clone(),
         invariants: check_metric_invariants(&snap),
         or_join_waits: snap.counter("sched.or_join_waits"),
@@ -504,32 +448,25 @@ pub fn canned_deadlock() -> WorkflowDefinition {
         .expect("structurally valid")
 }
 
+/// What scheduler admission answers an instance of `def` with: the error,
+/// or `None` when it was admitted.
+pub fn admission_error(def: &WorkflowDefinition) -> Option<WfError> {
+    let rig = Rig::new(cast("fuzz", &CAST), def.clone(), SecurityPolicy::public(), |_| vec![]);
+    let sys = rig.cloud(1);
+    let initial = rig.initial("unsound-twin");
+    Scheduler::new(&sys).admit_instance(rig.run(&sys, &initial, None)).err()
+}
+
 /// Assert that `def` is rejected both statically and at scheduler
 /// admission (typed as [`WfError::Unsound`]).
 fn unsound_twin_rejected(def: &WorkflowDefinition) -> Result<bool, String> {
     if check_soundness(def).is_ok() {
         return Err(format!("unsound twin of '{}' passed the static analysis", def.name));
     }
-    let (creds, dir) = cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::clone(&network));
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-        .collect();
-    let initial = DraDocument::new_initial_with_pid(
-        def,
-        &SecurityPolicy::public(),
-        &creds[0],
-        "unsound-twin",
-    )
-    .map_err(|e| format!("unsound twin initial: {e}"))?;
-    let respond = |_: &ReceivedActivity| Vec::new();
-    let mut sched = Scheduler::new(&sys);
-    match sched.admit_instance(InstanceRun::new(&sys, &initial).agents(&agents).respond(&respond)) {
-        Err(WfError::Unsound(_)) => Ok(true),
-        Err(e) => Err(format!("unsound twin rejected with the wrong error: {e}")),
-        Ok(_) => Err("unsound twin was admitted".into()),
+    match admission_error(def) {
+        Some(WfError::Unsound(_)) => Ok(true),
+        Some(e) => Err(format!("unsound twin rejected with the wrong error: {e}")),
+        None => Err("unsound twin was admitted".into()),
     }
 }
 
@@ -574,7 +511,7 @@ pub fn fuzz_seed(seed: u64) -> Result<SeedReport, String> {
 
     // forgery battery against the honest basic-model run
     let base = &honest[0];
-    let (_, dir) = cast();
+    let dir = Directory::from_credentials(&cast("fuzz", &CAST));
     let mut tried = 0u64;
     let mut caught = 0u64;
 

@@ -2,9 +2,9 @@
 //!
 //! Shared by the `claim` binary (`src/bin/claim.rs`; every claim, the
 //! paper's two tables included, and the harness around them live in
-//! [`claims`]), the document dump and the Criterion benches
-//! (`benches/*.rs`). The central piece of the paper's own tables is
-//! [`fig9::walk`], which executes the exact step sequence of the paper's
+//! [`claims`]) and the document dump; every deployment either of them, the
+//! fuzzer or an integration test runs on is built by [`rig`]. The central
+//! piece of the paper's own tables is [`fig9::walk`], which executes the exact step sequence of the paper's
 //! experiments (Fig. 9A/9B: sequence, AND-split/join, one loop iteration)
 //! while timing each phase at the same boundaries as Tables 1–2:
 //!
@@ -17,10 +17,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod claims;
 pub mod fig9;
 pub mod fuzz;
+pub mod rig;
 pub mod table;
 
 pub use fig9::{run_fig9_trace, StepRecord};

@@ -3,25 +3,22 @@
 //! byte-identical.
 
 use dra4wfms_core::prelude::*;
-use dra_cloud::{CloudSystem, NetworkSim};
+use dra_bench::rig::{cast, Rig};
 use dra_docpool::Scan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn two_step() -> (Vec<Credentials>, Directory, WorkflowDefinition) {
-    let creds: Vec<Credentials> = ["designer", "alice", "bob", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("crash-it-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    let def = WorkflowDefinition::builder("race", "designer")
+/// Two activities in a row, through the TFC when `advanced`; the hops are
+/// made by hand below, so the script is never asked.
+fn two_step(advanced: bool) -> Rig {
+    let b = WorkflowDefinition::builder("race", "designer")
         .simple_activity("submit", "alice", &["amount"])
         .simple_activity("approve", "bob", &["decision"])
         .flow("submit", "approve")
-        .flow_end("approve")
-        .build()
-        .unwrap();
-    (creds, dir, def)
+        .flow_end("approve");
+    let def = if advanced { b.with_tfc("TFC") } else { b }.build().unwrap();
+    let creds = cast("crash-it", &["designer", "alice", "bob", "TFC"]);
+    Rig::new(creds, def, SecurityPolicy::public(), |_| vec![])
 }
 
 /// Satellite scenario: the executing agent signs and sends, then dies — its
@@ -31,21 +28,18 @@ fn two_step() -> (Vec<Credentials>, Directory, WorkflowDefinition) {
 /// digest: exactly one stored version, `StoreAck { duplicate: true }`.
 #[test]
 fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
-    let (creds, dir, def) = two_step();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "race-1")
-            .unwrap();
+    let rig = two_step(false);
+    let sys = rig.cloud(2);
     sys.store_document(
         0,
-        &initial.to_xml_string(),
+        &rig.initial("race-1").to_xml_string(),
         &Route { targets: vec!["submit".into()], ends: false },
     )
     .unwrap();
 
     // the doomed agent executes the hop and signs; its send goes into the
     // network but the agent dies before seeing an ack — we hold the copy
-    let doomed = Aea::new(creds[1].clone(), dir.clone());
+    let doomed = rig.agent("alice");
     let input = SealedDocument::from_wire(&sys.retrieve_latest(0, "race-1").unwrap()).unwrap();
     let received = doomed.receive(input, "submit").unwrap();
     let responses = vec![("amount".to_string(), "100".to_string())];
@@ -55,7 +49,7 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
     // lease expires; a recovered agent takes the hop over, re-anchored on
     // the pool's latest document — deterministic signing makes the result
     // byte-identical to what the dead agent produced
-    let recovered = Aea::new(creds[1].clone(), dir.clone());
+    let recovered = rig.agent("alice");
     let input = SealedDocument::from_wire(&sys.retrieve_latest(1, "race-1").unwrap()).unwrap();
     let received = recovered.receive(input, "submit").unwrap();
     let takeover = recovered.complete(&received, &responses).unwrap();
@@ -93,30 +87,21 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
 /// delayed original still dedups at the portal.
 #[test]
 fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
-    let (creds, dir, mut def) = two_step();
-    def.tfc = Some("TFC".into());
-    let policy = SecurityPolicy::public().with_tfc_access("TFC", &def);
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], "race-2").unwrap();
+    let draws = Arc::new(AtomicU64::new(0));
+    let clock_draws = Arc::clone(&draws);
+    let rig = two_step(true)
+        .tfc_clock(Arc::new(move || 5_000 + clock_draws.fetch_add(1, Ordering::Relaxed)));
+    let (sys, tfc) = (rig.cloud(2), rig.tfc.as_ref().unwrap());
     sys.store_document(
         0,
-        &initial.to_xml_string(),
+        &rig.initial("race-2").to_xml_string(),
         &Route { targets: vec!["submit".into()], ends: false },
     )
     .unwrap();
 
-    let draws = Arc::new(AtomicU64::new(0));
-    let clock_draws = Arc::clone(&draws);
-    let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-    let tfc = TfcServer::with_clock(
-        tfc_creds,
-        dir.clone(),
-        Arc::new(move || 5_000 + clock_draws.fetch_add(1, Ordering::Relaxed)),
-    );
-
     // first execution reaches the TFC, which timestamps and finalizes —
     // then the result is lost with the crashing sender
-    let alice = Aea::new(creds[1].clone(), dir.clone());
+    let alice = rig.agent("alice");
     let input = SealedDocument::from_wire(&sys.retrieve_latest(0, "race-2").unwrap()).unwrap();
     let received = alice.receive(input, "submit").unwrap();
     let responses = vec![("amount".to_string(), "7".to_string())];
@@ -128,7 +113,7 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
     // takeover: a recovered agent re-executes; deterministic sealing makes
     // the TFC-bound intermediate byte-identical, so the redo log replays
     // the recorded result instead of double-timestamping
-    let recovered = Aea::new(creds[1].clone(), dir.clone());
+    let recovered = rig.agent("alice");
     let input = SealedDocument::from_wire(&sys.retrieve_latest(1, "race-2").unwrap()).unwrap();
     let received = recovered.receive(input, "submit").unwrap();
     let inter2 = recovered.complete_via_tfc(&received, &responses).unwrap();

@@ -117,7 +117,7 @@ pub mod prelude {
     pub use crate::sealed::{prefix_digest, SealedDocument, TrustMark};
     pub use crate::soundness::{check_soundness, require_sound, SoundnessError, SoundnessReport};
     pub use crate::tfc::{TfcProcessed, TfcServer};
-    pub use crate::verify::{trust_mark_for, VerificationReport, Verifier, VerifyOutcome};
+    pub use crate::verify::{VerificationReport, Verifier, VerifyOutcome};
 }
 
 pub use prelude::*;

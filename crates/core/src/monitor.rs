@@ -8,8 +8,6 @@
 
 use crate::document::{CerKey, DraDocument};
 use crate::error::WfResult;
-use crate::identity::Directory;
-use crate::model::{Target, WorkflowDefinition};
 use std::collections::BTreeMap;
 
 /// One executed activity iteration, as seen by a monitor.
@@ -52,16 +50,6 @@ impl ProcessStatus {
             })
             .collect();
         Ok(ProcessStatus { process_id: doc.process_id()?, workflow: def.name, executed })
-    }
-
-    /// Extract the status of a document **after** verifying every embedded
-    /// signature against `directory` — the convenience the
-    /// [`ProcessStatus::from_document`] caveat asks for. Any tampered CER
-    /// (forged participant, altered result, edited timestamp) fails
-    /// verification, so the returned status is backed by the full cascade.
-    pub fn verified_status(doc: &DraDocument, directory: &Directory) -> WfResult<ProcessStatus> {
-        crate::verify::Verifier::new(directory).run(doc)?;
-        Self::from_document(doc)
     }
 
     /// Number of executed activity iterations.
@@ -135,33 +123,6 @@ pub struct SloReport {
     pub elapsed_ms: Option<u64>,
     /// True only when witnessed latency exceeds the SLO.
     pub breached: bool,
-}
-
-/// Activities of `def` that have never executed in `doc` (coarse progress
-/// indicator for dashboards).
-pub fn unexecuted_activities(doc: &DraDocument, def: &WorkflowDefinition) -> WfResult<Vec<String>> {
-    let mut out = Vec::new();
-    for a in &def.activities {
-        if doc.latest_iter(&a.id)?.is_none() {
-            out.push(a.id.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// True when some executed activity has a fired transition to End and no
-/// activity is pending — a heuristic completeness check usable without keys
-/// (conditions that cannot be evaluated are treated as unknown and ignored).
-pub fn appears_complete(doc: &DraDocument, def: &WorkflowDefinition) -> WfResult<bool> {
-    // A document is definitely not complete if nothing executed.
-    let cers = doc.cers()?;
-    let Some(last) = cers.last() else { return Ok(false) };
-    // If the last executed activity has an unconditional transition to End,
-    // the process is complete.
-    Ok(def
-        .outgoing(&last.key.activity)
-        .iter()
-        .any(|t| t.condition.is_none() && matches!(t.to, Target::End)))
 }
 
 #[cfg(test)]
@@ -257,28 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn unexecuted() {
-        let (doc, def) = fixture_doc();
-        assert_eq!(unexecuted_activities(&doc, &def).unwrap(), vec!["B"]);
-    }
-
-    #[test]
-    fn completeness_heuristic() {
-        let (mut doc, def) = fixture_doc();
-        assert!(!appears_complete(&doc, &def).unwrap());
-        doc.push_cer(
-            Element::new("CER")
-                .attr("activity", "B")
-                .attr("iter", "0")
-                .attr("participant", "q")
-                .attr("preds", "A#1")
-                .child(Element::new("Result")),
-        )
-        .unwrap();
-        assert!(appears_complete(&doc, &def).unwrap());
-    }
-
-    #[test]
     fn audit_trail_mentions_everything() {
         let (doc, _) = fixture_doc();
         let s = ProcessStatus::from_document(&doc).unwrap();
@@ -287,41 +226,6 @@ mod tests {
         assert!(trail.contains("A#0"));
         assert!(trail.contains("A#1"));
         assert!(trail.contains("t=250ms"));
-    }
-
-    #[test]
-    fn verified_status_rejects_tampered_cer() {
-        use crate::aea::Aea;
-        let designer = Credentials::from_seed("designer", "d");
-        let peter = Credentials::from_seed("peter", "p");
-        let def = WorkflowDefinition::builder("audited", "designer")
-            .simple_activity("A", "peter", &["note"])
-            .flow_end("A")
-            .build()
-            .unwrap();
-        let dir = Directory::from_credentials([&designer, &peter]);
-        let initial =
-            DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "pid-v")
-                .unwrap();
-        let aea = Aea::new(peter, dir.clone());
-        let recv = aea.receive(initial.to_xml_string(), "A").unwrap();
-        let done = aea.complete(&recv, &[("note".into(), "genuine".into())]).unwrap();
-
-        // the honest document passes and reports the execution
-        let honest = DraDocument::parse(&done.document.to_xml_string()).unwrap();
-        let status = ProcessStatus::verified_status(&honest, &dir).unwrap();
-        assert_eq!(status.steps(), 1);
-        assert_eq!(status.executed[0].participant, "peter");
-
-        // a CER with a forged participant must be rejected, even though the
-        // unverified extractor happily reports it
-        let forged = done
-            .document
-            .to_xml_string()
-            .replace("participant=\"peter\"", "participant=\"mallory\"");
-        let doc = DraDocument::parse(&forged).unwrap();
-        assert_eq!(ProcessStatus::from_document(&doc).unwrap().executed[0].participant, "mallory");
-        assert!(ProcessStatus::verified_status(&doc, &dir).is_err());
     }
 
     #[test]
@@ -339,6 +243,5 @@ mod tests {
         assert_eq!(s.steps(), 0);
         assert!(s.last().is_none());
         assert_eq!(s.elapsed_millis(), None);
-        assert!(!appears_complete(&doc, &def).unwrap());
     }
 }

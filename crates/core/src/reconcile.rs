@@ -180,8 +180,7 @@ pub struct ReconcileReport {
 /// `document` proves. See the module docs for the exact guarantees.
 ///
 /// The document is the oracle: callers that need the oracle itself to be
-/// trustworthy should verify it first
-/// ([`ProcessStatus::verified_status`] bundles that).
+/// trustworthy should verify it first ([`crate::verify::Verifier`]).
 pub fn reconcile(
     trace: &[TraceEvent],
     document: &DraDocument,

@@ -56,8 +56,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Evidence that a prefix of a document has already been fully verified.
 ///
-/// Issued by [`crate::verify::Verifier::with_mark`] (and by the full
-/// verifiers via [`crate::verify::trust_mark_for`]); consumed on the next
+/// Issued by [`crate::verify::Verifier::with_mark`]; consumed on the next
 /// hop to skip re-verification of the pinned prefix.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrustMark {

@@ -9,7 +9,7 @@ use crate::amendment::EffectiveDefinition;
 use crate::document::{CerKey, CerView, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::identity::Directory;
-use crate::sealed::{prefix_chain, prefix_digest, TrustMark};
+use crate::sealed::{prefix_chain, TrustMark};
 use dra_xml::canon::canonicalize_all;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -451,23 +451,6 @@ impl<'a> Verifier<'a> {
         });
         out.into_iter().map(|slot| slot.expect("every slot filled")).collect()
     }
-}
-
-/// Issue a [`TrustMark`] pinning the whole current document, given a report
-/// from a verification pass that just succeeded on it. `prior_signatures`
-/// is the signature-check count already spent on the pinned prefix by
-/// earlier passes (0 after a full verification).
-pub fn trust_mark_for(
-    doc: &DraDocument,
-    report: &VerificationReport,
-    prior_signatures: usize,
-) -> WfResult<TrustMark> {
-    Ok(TrustMark {
-        process_id: report.process_id.clone(),
-        verified_cers: report.cers.len(),
-        prefix_digest: prefix_digest(doc, report.cers.len())?,
-        signatures_verified: prior_signatures + report.signatures_verified,
-    })
 }
 
 /// Execute planned signature checks: batched when requested (aggregate

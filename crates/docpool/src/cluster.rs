@@ -2,7 +2,7 @@
 //! routing, automatic region splits, scans and statistics.
 
 use crate::region::{KeyRange, Region};
-use crate::row::{RowPredicate, RowSnapshot};
+use crate::row::RowSnapshot;
 use crate::scan::{Scan, ScanResult, ScanStats};
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -12,8 +12,8 @@ use std::sync::Arc;
 /// One region a scan window intersects, with its clamped `[lo, hi)` bounds.
 type ScanWindow = (Arc<Region>, String, Option<String>);
 
-/// A region worker's scan output: `(rows, examined, matched)`.
-type RegionScanOut = (Vec<(String, RowSnapshot)>, usize, usize);
+/// A region worker's scan output: `(rows, examined)`.
+type RegionScanOut = (Vec<(String, RowSnapshot)>, usize);
 
 /// Tuning knobs of a table.
 #[derive(Clone, Debug)]
@@ -72,32 +72,6 @@ impl HTable {
         HTable {
             config,
             regions: RwLock::new(vec![Arc::new(Region::new(KeyRange::all()))]),
-            clock: AtomicU64::new(1),
-            splits: AtomicUsize::new(0),
-            scanned_rows: AtomicUsize::new(0),
-            scanned_regions: AtomicUsize::new(0),
-        }
-    }
-
-    /// Create a table pre-split into `n` regions at the given split keys
-    /// (HBase-style pre-splitting for bulk loads).
-    pub fn pre_split(config: TableConfig, split_keys: &[&str]) -> HTable {
-        let mut keys: Vec<&str> = split_keys.to_vec();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut regions = Vec::with_capacity(keys.len() + 1);
-        let mut start = String::new();
-        for k in &keys {
-            regions.push(Arc::new(Region::new(KeyRange {
-                start: start.clone(),
-                end: Some(k.to_string()),
-            })));
-            start = k.to_string();
-        }
-        regions.push(Arc::new(Region::new(KeyRange { start, end: None })));
-        HTable {
-            config,
-            regions: RwLock::new(regions),
             clock: AtomicU64::new(1),
             splits: AtomicUsize::new(0),
             scanned_rows: AtomicUsize::new(0),
@@ -260,22 +234,20 @@ impl HTable {
 
     /// Execute a scan per region in parallel (chunks of `scan.threads`),
     /// returning one row vector per visited region in region order. The
-    /// shared engine behind [`HTable::query`], [`HTable::query_where`],
-    /// [`HTable::query_count`] and `map_reduce_scan`.
+    /// shared engine behind [`HTable::query`], [`HTable::query_count`] and
+    /// `map_reduce_scan`.
     pub(crate) fn query_partitions(
         &self,
         scan: &Scan,
-        predicate: Option<RowPredicate<'_>>,
         count_only: bool,
     ) -> (Vec<Vec<(String, RowSnapshot)>>, ScanStats) {
         let (live, total) = self.scan_windows(scan);
         let visited = live.len();
         let mut parts = Vec::with_capacity(visited);
         let mut examined = 0usize;
-        let mut matched = 0usize;
         let select = |(region, lo, hi): &ScanWindow| {
             let families = scan.families.as_deref();
-            region.scan_select(lo, hi.as_deref(), families, predicate, scan.limit, count_only)
+            region.scan_select(lo, hi.as_deref(), families, scan.limit, count_only)
         };
         for chunk in live.chunks(scan.threads.max(1)) {
             let results: Vec<RegionScanOut> = match chunk {
@@ -288,9 +260,8 @@ impl HTable {
                     handles.into_iter().map(|h| h.join().expect("scan worker")).collect()
                 }),
             };
-            for (rows, ex, m) in results {
+            for (rows, ex) in results {
                 examined += ex;
-                matched += m;
                 parts.push(rows);
             }
         }
@@ -298,7 +269,7 @@ impl HTable {
         self.scanned_regions.fetch_add(visited, Ordering::Relaxed);
         let stats = ScanStats {
             rows_examined: examined,
-            rows_returned: matched,
+            rows_returned: examined,
             regions_visited: visited,
             regions_pruned: total - visited,
         };
@@ -309,18 +280,7 @@ impl HTable {
     /// in parallel, and return the matching rows in key order together with
     /// the work accounting. Deterministic for any thread count.
     pub fn query(&self, scan: &Scan) -> ScanResult {
-        self.query_with(scan, None)
-    }
-
-    /// Run a [`Scan`] with a predicate pushed down to the regions: rows are
-    /// tested live under the region read lock and non-matches are never
-    /// snapshot-cloned.
-    pub fn query_where(&self, scan: &Scan, predicate: RowPredicate<'_>) -> ScanResult {
-        self.query_with(scan, Some(predicate))
-    }
-
-    fn query_with(&self, scan: &Scan, predicate: Option<RowPredicate<'_>>) -> ScanResult {
-        let (parts, mut stats) = self.query_partitions(scan, predicate, false);
+        let (parts, mut stats) = self.query_partitions(scan, false);
         let mut rows: Vec<(String, RowSnapshot)> = parts.into_iter().flatten().collect();
         if scan.limit > 0 && rows.len() > scan.limit {
             rows.truncate(scan.limit);
@@ -331,7 +291,7 @@ impl HTable {
 
     /// Count the rows a [`Scan`] matches without cloning any snapshots.
     pub fn query_count(&self, scan: &Scan) -> usize {
-        let (_, stats) = self.query_partitions(scan, None, true);
+        let (_, stats) = self.query_partitions(scan, true);
         match scan.limit {
             0 => stats.rows_returned,
             l => stats.rows_returned.min(l),
@@ -390,7 +350,7 @@ impl HTable {
         // directly, outside the scan counters
         let mut h = FNV_OFFSET;
         for (region, lo, hi) in self.scan_windows(&Scan::prefix(prefix)).0 {
-            for (key, row) in region.scan_select(&lo, hi.as_deref(), None, None, 0, false).0 {
+            for (key, row) in region.scan_select(&lo, hi.as_deref(), None, 0, false).0 {
                 h = mix(h, key.as_bytes());
                 for (family, qualifier, cell) in row.columns() {
                     h = mix(h, family.as_bytes());
@@ -471,24 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_split_routing() {
-        let t = HTable::pre_split(TableConfig::default(), &["g", "p"]);
-        assert_eq!(t.stats().regions, 3);
-        t.put("alpha", "f", "q", "1");
-        t.put("kilo", "f", "q", "2");
-        t.put("zulu", "f", "q", "3");
-        assert_eq!(t.get_str("alpha", "f", "q").unwrap(), "1");
-        assert_eq!(t.get_str("kilo", "f", "q").unwrap(), "2");
-        assert_eq!(t.get_str("zulu", "f", "q").unwrap(), "3");
-        assert_eq!(t.query_count(&Scan::all()), 3);
-    }
-
-    #[test]
     fn scan_window_spans_regions() {
-        let t = HTable::pre_split(TableConfig::default(), &["m"]);
+        let t = HTable::new(TableConfig { max_region_rows: 2, ..TableConfig::default() });
         for k in ["a", "b", "n", "z"] {
             t.put(k, "f", "q", k);
         }
+        assert!(t.stats().regions > 1);
         let hits = t.query(&Scan::range("b", Some("z".to_string())));
         let keys: Vec<&str> = hits.rows.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["b", "n"]);
@@ -505,20 +453,8 @@ mod tests {
         assert!(hits.iter().all(|(k, _)| k.starts_with("proc-1/")));
     }
 
-    #[test]
-    fn query_where_applies_predicate() {
-        let t = HTable::default();
-        t.put("a", "meta", "status", "open");
-        t.put("b", "meta", "status", "closed");
-        t.put("c", "meta", "status", "open");
-        let open = t.query_where(&Scan::all(), &|_, r| {
-            r.get_str("meta", "status").as_deref() == Some("open")
-        });
-        assert_eq!(open.rows.len(), 2);
-    }
-
     fn seeded_table() -> HTable {
-        let t = HTable::pre_split(TableConfig::default(), &["g", "p"]);
+        let t = HTable::new(TableConfig { max_region_rows: 8, ..TableConfig::default() });
         for i in 0..30 {
             let key = format!("doc/p{:02}/000000", i % 10);
             t.put(&key, "doc", "xml", format!("<v{i}/>"));
@@ -557,17 +493,6 @@ mod tests {
         let sorted = keys.clone();
         keys.sort();
         assert_eq!(keys, sorted, "key order preserved");
-    }
-
-    #[test]
-    fn query_where_pushes_predicate_down() {
-        let t = seeded_table();
-        let res = t.query_where(&Scan::prefix("meta/").family("meta"), &|_, row| {
-            row.get_str("meta", "status").as_deref() == Some("running")
-        });
-        assert_eq!(res.rows.len(), 4);
-        assert_eq!(res.stats.rows_examined, 10, "all meta rows examined");
-        assert_eq!(res.stats.rows_returned, 4, "only matches returned");
     }
 
     #[test]

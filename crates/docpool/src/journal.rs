@@ -13,7 +13,7 @@
 //! 2. apply the puts to the pool in any order, crashes allowed anywhere,
 //! 3. [`Journal::commit_through`] the record once every put landed.
 //!
-//! Recovery ([`Journal::replay_into`]) re-applies every record past the
+//! Recovery ([`Journal::replay_into_with`]) re-applies every record past the
 //! committed watermark. Replay is idempotent — each put lands via
 //! [`HTable::put_idempotent`], so rows the dying portal already wrote are
 //! left untouched instead of growing phantom versions.
@@ -148,7 +148,7 @@ impl Journal {
         state.records.len() - state.committed
     }
 
-    /// Total records replayed by [`Journal::replay_into`] over this
+    /// Total records replayed by [`Journal::replay_into_with`] over this
     /// journal's lifetime.
     pub fn replayed_records(&self) -> u64 {
         self.replayed.load(Ordering::Relaxed)
@@ -156,15 +156,11 @@ impl Journal {
 
     /// Recovery: idempotently re-apply every uncommitted record, in append
     /// order, then advance the watermark. Returns how many records were
-    /// replayed (0 when the last writer committed cleanly).
-    pub fn replay_into(&self, table: &HTable) -> usize {
-        self.replay_into_with(table, |_| {})
-    }
-
-    /// [`Journal::replay_into`] with a per-op observer, called for every
-    /// replayed [`PutOp`] after it lands. Recovery paths use this to re-derive
-    /// side effects that only the dying writer knew about — e.g. a portal
-    /// re-emitting scheduler activations for replayed `todo/` rows.
+    /// replayed (0 when the last writer committed cleanly). `observe` is
+    /// called for every replayed [`PutOp`] after it lands: recovery paths use
+    /// it to re-derive side effects that only the dying writer knew about —
+    /// e.g. a portal re-emitting scheduler activations for replayed `todo/`
+    /// rows.
     pub fn replay_into_with(&self, table: &HTable, mut observe: impl FnMut(&PutOp)) -> usize {
         let mut span = self.tracer().span(stage::JOURNAL_REPLAY).actor("journal");
         let pending = {
@@ -304,12 +300,12 @@ mod tests {
         journal.append(batch(1)); // intent logged, never applied — the crash
         assert_eq!(journal.uncommitted(), 1);
 
-        assert_eq!(journal.replay_into(&table), 1);
+        assert_eq!(journal.replay_into_with(&table, |_| {}), 1);
         assert_eq!(table.get_str("doc/p/000001", "doc", "xml").unwrap(), "<doc v=\"1\"/>");
         assert_eq!(journal.uncommitted(), 0);
         assert_eq!(journal.replayed_records(), 1);
         // a second recovery finds nothing to do
-        assert_eq!(journal.replay_into(&table), 0);
+        assert_eq!(journal.replay_into_with(&table, |_| {}), 0);
     }
 
     #[test]
@@ -321,7 +317,7 @@ mod tests {
         // the portal died after applying only the first op
         ops[0].apply(&table);
 
-        journal.replay_into(&table);
+        journal.replay_into_with(&table, |_| {});
         // the half-applied row did not grow a second version
         let row = table.get_row("seen/0").unwrap();
         assert_eq!(row.versions("meta", "seq").len(), 1);
@@ -339,7 +335,7 @@ mod tests {
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.uncommitted(), 1);
         let table = HTable::new(TableConfig::default());
-        assert_eq!(restored.replay_into(&table), 1);
+        assert_eq!(restored.replay_into_with(&table, |_| {}), 1);
         assert!(table.get("doc/p/000000", "doc", "xml").is_none(), "committed not replayed");
         assert!(table.get("doc/p/000001", "doc", "xml").is_some());
     }

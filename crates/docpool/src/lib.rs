@@ -42,6 +42,6 @@ pub use cluster::{HTable, PoolStats, TableConfig};
 pub use journal::{Journal, PutOp};
 pub use mapreduce::map_reduce_scan;
 pub use persist::PersistError;
-pub use row::{Cell, Row, RowPredicate, RowSnapshot};
+pub use row::{Cell, Row, RowSnapshot};
 pub use scan::{Scan, ScanResult, ScanStats};
 pub use views::FleetViews;

@@ -40,7 +40,7 @@ where
     R: Fn(&K, Vec<V>) -> O + Sync,
 {
     let threads = threads.max(1);
-    let (splits, _stats) = table.query_partitions(scan, None, false);
+    let (splits, _stats) = table.query_partitions(scan, false);
 
     let mut emitted: Vec<Vec<(K, V)>> = Vec::new();
     for chunk in splits.chunks(threads) {
@@ -120,21 +120,6 @@ where
     reduced.into_iter().flatten().collect()
 }
 
-/// Convenience: count every row of `table` per key emitted by `classify`.
-pub fn count_by<K, F>(table: &HTable, threads: usize, classify: F) -> BTreeMap<K, usize>
-where
-    K: Ord + Send,
-    F: Fn(&str, &RowSnapshot) -> Option<K> + Sync,
-{
-    map_reduce_scan(
-        table,
-        &Scan::all().threads(threads),
-        threads,
-        |k, r| classify(k, r).map(|key| (key, 1usize)).into_iter().collect(),
-        |_, vs| vs.len(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,14 +133,6 @@ mod tests {
             t.put(&format!("proc-{i:04}"), "meta", "steps", format!("{}", i % 7));
         }
         t
-    }
-
-    #[test]
-    fn count_by_status() {
-        let t = table_with_statuses();
-        let counts = count_by(&t, 4, |_, row| row.get_str("meta", "status"));
-        assert_eq!(counts["done"], 67, "0,3,...,198 inclusive");
-        assert_eq!(counts["running"], 133);
     }
 
     #[test]
@@ -183,16 +160,8 @@ mod tests {
     #[test]
     fn empty_table_yields_empty_result() {
         let t = HTable::default();
-        let counts = count_by(&t, 4, |_, row| row.get_str("meta", "status"));
-        assert!(counts.is_empty());
-    }
-
-    #[test]
-    fn single_thread_matches_parallel() {
-        let t = table_with_statuses();
-        let a = count_by(&t, 1, |_, row| row.get_str("meta", "status"));
-        let b = count_by(&t, 8, |_, row| row.get_str("meta", "status"));
-        assert_eq!(a, b, "determinism across thread counts");
+        let map = |k: &str, _: &RowSnapshot| vec![(k.to_string(), 1usize)];
+        assert!(map_reduce_scan(&t, &Scan::all(), 4, map, |_, vs| vs.len()).is_empty());
     }
 
     #[test]
@@ -237,13 +206,8 @@ mod tests {
             )
         };
         assert_eq!(job(1), job(8));
-    }
-
-    #[test]
-    fn mapper_sees_every_row_once() {
-        let t = table_with_statuses();
-        let counts = count_by(&t, 4, |key, _| Some(key.to_string()));
-        assert_eq!(counts.len(), 200);
-        assert!(counts.values().all(|&c| c == 1));
+        // and the mapper saw every row once
+        assert_eq!(job(4).len(), 200);
+        assert!(job(4).values().all(|&c| c == 1));
     }
 }

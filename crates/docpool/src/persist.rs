@@ -9,7 +9,6 @@
 use crate::cluster::{HTable, TableConfig};
 use crate::row::Cell;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"DRAPOOL1";
 
@@ -157,17 +156,6 @@ impl HTable {
         }
         Ok(table)
     }
-
-    /// Save a snapshot to a file.
-    pub fn save_to_file(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        std::fs::write(path, self.export_snapshot()).map_err(|e| PersistError::Io(e.to_string()))
-    }
-
-    /// Load a table from a snapshot file.
-    pub fn load_from_file(path: impl AsRef<Path>) -> Result<HTable, PersistError> {
-        let data = std::fs::read(path).map_err(|e| PersistError::Io(e.to_string()))?;
-        HTable::import_snapshot(&data)
-    }
 }
 
 #[cfg(test)]
@@ -252,16 +240,6 @@ mod tests {
         let t = HTable::default();
         let restored = HTable::import_snapshot(&t.export_snapshot()).unwrap();
         assert_eq!(restored.row_count(), 0);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let t = sample_table();
-        let path = std::env::temp_dir().join(format!("dra-pool-{}.snap", std::process::id()));
-        t.save_to_file(&path).unwrap();
-        let restored = HTable::load_from_file(&path).unwrap();
-        assert_eq!(restored.row_count(), t.row_count());
-        std::fs::remove_file(&path).ok();
     }
 
     mod prop {

@@ -5,7 +5,7 @@
 //! region whose `[start, end)` range contains the row key and splits regions
 //! that grow past a threshold.
 
-use crate::row::{Row, RowPredicate, RowSnapshot};
+use crate::row::{Row, RowSnapshot};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -107,33 +107,30 @@ impl Region {
         self.rows.read().len()
     }
 
-    /// The scan-API primitive: walk `[from, to)` in key order, evaluate the
-    /// predicate against the **live** row under the read lock (pushdown —
-    /// non-matching rows are never snapshot-cloned), and project only the
-    /// requested column families into the snapshots that are returned.
+    /// The scan-API primitive: walk `[from, to)` in key order and project
+    /// only the requested column families into the snapshots that are
+    /// returned.
     ///
     /// * `families: None` keeps every family; `Some(list)` clones only those.
     /// * `limit: 0` means unbounded; otherwise the walk stops after `limit`
-    ///   matches (the examined count still reflects rows looked at).
+    ///   rows (the examined count still reflects rows looked at).
     /// * `count_only` suppresses snapshot construction entirely — callers
     ///   that only need cardinality pay no clone cost.
     ///
-    /// Returns `(rows, examined, matched)`; with `count_only` the row vec is
-    /// empty but `matched` still counts predicate hits.
+    /// Returns `(rows, examined)`; with `count_only` the row vec is empty
+    /// but `examined` still counts the rows walked.
     pub fn scan_select(
         &self,
         from: &str,
         to: Option<&str>,
         families: Option<&[String]>,
-        predicate: Option<RowPredicate<'_>>,
         limit: usize,
         count_only: bool,
-    ) -> (Vec<(String, RowSnapshot)>, usize, usize) {
+    ) -> (Vec<(String, RowSnapshot)>, usize) {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let rows = self.rows.read();
         let mut out = Vec::new();
         let mut examined = 0usize;
-        let mut matched = 0usize;
         for (key, row) in rows.range(from.to_string()..) {
             if let Some(t) = to {
                 if key.as_str() >= t {
@@ -141,12 +138,6 @@ impl Region {
                 }
             }
             examined += 1;
-            if let Some(pred) = predicate {
-                if !pred(key, row) {
-                    continue;
-                }
-            }
-            matched += 1;
             if !count_only {
                 let snap = match families {
                     Some(fams) => row.snapshot_projected(fams),
@@ -154,11 +145,11 @@ impl Region {
                 };
                 out.push((key.clone(), snap));
             }
-            if limit > 0 && matched >= limit {
+            if limit > 0 && examined >= limit {
                 break;
             }
         }
-        (out, examined, matched)
+        (out, examined)
     }
 
     /// Snapshot every row (for MapReduce mappers).
@@ -237,14 +228,14 @@ mod tests {
         for k in ["d", "a", "c", "b"] {
             r.put(k, "f", "q", b(k), 1, 1);
         }
-        let (hits, _, _) = r.scan_select("b", Some("d"), None, None, 0, false);
+        let (hits, _) = r.scan_select("b", Some("d"), None, 0, false);
         let keys: Vec<&str> = hits.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["b", "c"]);
         assert_eq!(r.snapshot_all().len(), 4);
     }
 
     #[test]
-    fn scan_select_pushdown_projection_and_limit() {
+    fn scan_select_projection_and_limit() {
         let r = Region::new(KeyRange::all());
         for i in 0..6 {
             r.put(&format!("k{i}"), "doc", "xml", b("<x/>"), 1, 1);
@@ -252,24 +243,20 @@ mod tests {
             r.put(&format!("k{i}"), "meta", "status", b(status), 1, 1);
         }
         let fams = vec!["meta".to_string()];
-        let pred: RowPredicate<'_> =
-            &|_, row| row.get_str("meta", "status").as_deref() == Some("running");
-        let (rows, examined, matched) = r.scan_select("", None, Some(&fams), Some(pred), 0, false);
-        assert_eq!((examined, matched, rows.len()), (6, 3, 3));
+        let (rows, examined) = r.scan_select("", None, Some(&fams), 0, false);
+        assert_eq!((examined, rows.len()), (6, 6));
         assert!(
             rows.iter().all(|(_, s)| s.get("doc", "xml").is_none()),
             "doc family projected out"
         );
-        assert!(rows
-            .iter()
-            .all(|(_, s)| s.get_str("meta", "status").as_deref() == Some("running")));
+        assert!(rows.iter().all(|(_, s)| s.get_str("meta", "status").is_some()));
 
-        let (rows2, _, matched2) = r.scan_select("", None, None, Some(pred), 2, false);
-        assert_eq!((rows2.len(), matched2), (2, 2), "limit stops the walk early");
+        let (rows2, examined2) = r.scan_select("", None, None, 2, false);
+        assert_eq!((rows2.len(), examined2), (2, 2), "limit stops the walk early");
 
-        let (rows3, examined3, matched3) = r.scan_select("", None, None, None, 0, true);
+        let (rows3, examined3) = r.scan_select("", None, None, 0, true);
         assert!(rows3.is_empty(), "count_only builds no snapshots");
-        assert_eq!((examined3, matched3), (6, 6));
+        assert_eq!(examined3, 6);
     }
 
     #[test]
@@ -301,7 +288,7 @@ mod tests {
         let r = Region::new(KeyRange::all());
         r.put("k", "f", "q", b("v"), 1, 1);
         r.get("k", "f", "q");
-        r.scan_select("", None, None, None, 0, true);
+        r.scan_select("", None, None, 0, true);
         assert_eq!(r.ops.load(Ordering::Relaxed), 3);
     }
 }

@@ -19,10 +19,6 @@ pub struct Row {
     pub(crate) families: BTreeMap<String, BTreeMap<String, Vec<Cell>>>,
 }
 
-/// A predicate pushed down to the regions: evaluated per `(key, row)` under
-/// the region read lock, before any snapshot is cloned.
-pub type RowPredicate<'a> = &'a (dyn Fn(&str, &Row) -> bool + Sync);
-
 impl Row {
     /// Insert a cell version, keeping at most `max_versions` (newest first).
     pub fn put(

@@ -3,7 +3,7 @@
 //!
 //! A [`Scan`] describes *what* to read — a `[from, to)` key window (or a key
 //! prefix), an optional family projection, an optional match limit — and
-//! [`crate::HTable::query`] / [`crate::HTable::query_where`] decide *how*:
+//! [`crate::HTable::query`] decides *how*:
 //! regions wholly outside the window are pruned without being touched, the
 //! surviving regions are walked in parallel on scoped threads, and the
 //! per-region results are concatenated in region (= key) order so the output

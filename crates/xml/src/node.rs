@@ -205,15 +205,6 @@ impl Element {
         })
     }
 
-    /// Walk a path of child element names.
-    pub fn find_path(&self, path: &[&str]) -> Option<&Element> {
-        let mut cur = self;
-        for name in path {
-            cur = cur.find_child(name)?;
-        }
-        Some(cur)
-    }
-
     /// Concatenated text content of direct text children.
     pub fn text_content(&self) -> String {
         let mut out = String::new();
@@ -269,13 +260,6 @@ mod tests {
         assert_eq!(e.find_child("a").unwrap().text_content(), "alpha");
         assert_eq!(e.find_children("a").count(), 2);
         assert!(e.find_child("zzz").is_none());
-    }
-
-    #[test]
-    fn find_path() {
-        let e = Element::new("x").child(Element::new("y").child(Element::new("z").text("deep")));
-        assert_eq!(e.find_path(&["y", "z"]).unwrap().text_content(), "deep");
-        assert!(e.find_path(&["y", "w"]).is_none());
     }
 
     #[test]

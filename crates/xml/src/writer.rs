@@ -13,13 +13,6 @@ pub fn to_string(el: &Element) -> String {
     out
 }
 
-/// Serialize with an XML declaration prepended (for files on disk).
-pub fn to_document_string(el: &Element) -> String {
-    let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-    write_el(el, &mut out);
-    out
-}
-
 fn write_el(el: &Element, out: &mut String) {
     out.push('<');
     out.push_str(&el.name);
@@ -151,13 +144,6 @@ mod tests {
     fn nesting() {
         let e = Element::new("r").child(Element::new("c").text("t"));
         assert_eq!(to_string(&e), "<r><c>t</c></r>");
-    }
-
-    #[test]
-    fn document_string_has_declaration() {
-        let s = to_document_string(&Element::new("doc"));
-        assert!(s.starts_with("<?xml"));
-        assert!(s.ends_with("<doc/>"));
     }
 
     #[test]

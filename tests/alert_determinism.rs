@@ -11,110 +11,23 @@
 //! REGEN_GOLDEN=1 cargo test --test alert_determinism
 //! ```
 
-use dra4wfms::cloud::{
-    alerts_to_jsonl, tracer_for, CloudSystem, CrashPlan, CrashPoint, HealthMonitor, InstanceRun,
-    MonitorConfig, NetworkSim,
-};
+mod common;
+
+use common::check_golden;
+use dra4wfms::cloud::{alerts_to_jsonl, CrashPlan, CrashPoint};
 use dra4wfms::core::document::CerKey;
 use dra4wfms::core::reconcile::ReconcileError;
-use dra4wfms::prelude::*;
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::Arc;
-
-fn fig9a_def() -> WorkflowDefinition {
-    WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D")
-        .build()
-        .unwrap()
-}
 
 /// The golden workload: one Fig. 9A instance with a single injected crash
 /// (stuck-hop → early takeover) and an unmeetable 1 µs SLO, so the alert
 /// stream exercises `stuck_instance` *and* `slo_breach` deterministically.
 fn monitored_alerts() -> String {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("golden-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    let network = Arc::new(NetworkSim::lan());
-    let tracer = tracer_for(&network);
-    let plan = CrashPlan::once(CrashPoint::AeaBeforeSign, 3);
-    let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
-        .with_crash_plan(Arc::clone(&plan))
-        .with_tracer(tracer.clone());
-    let monitor = HealthMonitor::new(MonitorConfig::default());
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| {
-            let aea = Aea::new(c.clone(), dir.clone())
-                .with_crash_hook(plan.hook())
-                .with_tracer(tracer.clone());
-            (c.name.clone(), Arc::new(aea))
-        })
-        .collect();
-    let initial = DraDocument::new_initial_with_pid(
-        &fig9a_def(),
-        &SecurityPolicy::public(),
-        &creds[0],
-        "golden-run",
-    )
-    .unwrap();
-    let respond = |received: &ReceivedActivity| match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".to_string(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.to_string(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        _ => vec![],
-    };
-    let out = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(100)
-        .tracer(tracer.clone())
-        .monitor(&monitor)
-        .slo_us(1)
-        .run()
-        .unwrap();
+    let rig = common::golden_rig().crashing(&CrashPlan::once(CrashPoint::AeaBeforeSign, 3));
+    let sys = rig.cloud(3);
+    let initial = rig.initial("golden-run");
+    let out = rig.run(&sys, &initial, None).slo_us(1).run().unwrap();
     assert_eq!(out.steps, 9);
-    alerts_to_jsonl(&monitor.alerts())
-}
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, rendered).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path:?} (REGEN_GOLDEN=1 to create): {e}"));
-    assert_eq!(
-        rendered, golden,
-        "{name} diverged from its golden — alert bytes must stay deterministic; \
-         regenerate with REGEN_GOLDEN=1 only after an intentional format change"
-    );
+    alerts_to_jsonl(&rig.monitor.alerts())
 }
 
 #[test]

@@ -2,27 +2,22 @@
 //! stack — the runner, the TFC, the portals, monitoring and MapReduce
 //! statistics.
 
-use dra4wfms::cloud::{CloudSystem, InstanceRun, NetworkSim};
 use dra4wfms::prelude::*;
-use std::collections::HashMap;
+use dra_bench::rig::{cast, Rig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "alice", "bob", "carol", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("acr-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn base_def(advanced: bool) -> WorkflowDefinition {
+/// A two-step workflow, to be amended before anything executes, and the
+/// cast and script that play the amended one.
+fn rig(advanced: bool) -> Rig {
     let b = WorkflowDefinition::builder("amendable", "designer")
         .simple_activity("s1", "alice", &["x"])
         .simple_activity("s2", "bob", &["y"])
         .flow("s1", "s2")
         .flow_end("s2");
-    if advanced { b.with_tfc("TFC") } else { b }.build().unwrap()
+    let def = if advanced { b.with_tfc("TFC") } else { b }.build().unwrap();
+    let creds = cast("acr", &["designer", "alice", "bob", "carol", "TFC"]);
+    Rig::new(creds, def, SecurityPolicy::public(), respond)
 }
 
 fn extension() -> DefinitionDelta {
@@ -52,32 +47,18 @@ fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
     }
 }
 
-fn agents(creds: &[Credentials], dir: &Directory) -> HashMap<String, Arc<Aea>> {
-    creds.iter().map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone())))).collect()
-}
-
 #[test]
 fn pre_amended_document_runs_through_the_cloud_basic() {
-    let (creds, dir) = cast();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let def = base_def(false);
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "acr-1")
-            .unwrap();
+    let rig = rig(false);
+    let sys = rig.cloud(2);
     // amendment lands before anything executes
-    let amended = amend_document(&initial, &creds[0], &extension()).unwrap();
-    let ags = agents(&creds, &dir);
-    let out = InstanceRun::new(&sys, &amended)
-        .agents(&ags)
-        .respond(&respond)
-        .max_steps(20)
-        .run()
-        .unwrap();
+    let amended = amend_document(&rig.initial("acr-1"), &rig.creds[0], &extension()).unwrap();
+    let out = rig.run(&sys, &amended, None).run().unwrap();
     assert_eq!(out.steps, 3, "s1, s2, extra");
     let keys: Vec<String> =
         out.document.cers().unwrap().iter().map(|c| c.key.to_string()).collect();
     assert_eq!(keys, vec!["__amend#0", "s1#0", "s2#0", "extra#0"]);
-    Verifier::new(&dir).run(&out.document).unwrap();
+    Verifier::new(&rig.dir).run(&out.document).unwrap();
     // the post-amendment executions all sign over the amendment
     for cer in out.document.cers().unwrap().iter().skip(1) {
         let scope = nonrepudiation_scope(&out.document, &PredRef::Cer(cer.key.clone())).unwrap();
@@ -91,31 +72,15 @@ fn pre_amended_document_runs_through_the_cloud_basic() {
 
 #[test]
 fn pre_amended_document_runs_through_the_cloud_advanced() {
-    let (creds, dir) = cast();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let def = base_def(true);
-    let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-    let tick = std::sync::atomic::AtomicU64::new(0);
-    let tfc = TfcServer::with_clock(
-        tfc_creds,
-        dir.clone(),
-        Arc::new(move || 500 + 10 * tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed)),
-    );
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "acr-2")
-            .unwrap();
-    let amended = amend_document(&initial, &creds[0], &extension()).unwrap();
-    let ags = agents(&creds, &dir);
-    let out = InstanceRun::new(&sys, &amended)
-        .agents(&ags)
-        .tfc(&tfc)
-        .respond(&respond)
-        .max_steps(20)
-        .run()
-        .unwrap();
+    let tick = AtomicU64::new(0);
+    let rig =
+        rig(true).tfc_clock(Arc::new(move || 500 + 10 * tick.fetch_add(1, Ordering::Relaxed)));
+    let sys = rig.cloud(2);
+    let amended = amend_document(&rig.initial("acr-2"), &rig.creds[0], &extension()).unwrap();
+    let out = rig.run(&sys, &amended, None).run().unwrap();
     assert_eq!(out.steps, 3);
     // designer + amendment + 3 participants + 3 TFC attestations
-    let report = Verifier::new(&dir).run(&out.document).unwrap().report;
+    let report = Verifier::new(&rig.dir).run(&out.document).unwrap().report;
     assert_eq!(report.signatures_verified, 8);
 
     // monitoring statistics over the pool see the timestamp gaps
@@ -129,13 +94,9 @@ fn pre_amended_document_runs_through_the_cloud_advanced() {
 
 #[test]
 fn tampered_amendment_rejected_by_portal() {
-    let (creds, dir) = cast();
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::new(NetworkSim::lan()));
-    let def = base_def(false);
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "acr-3")
-            .unwrap();
-    let amended = amend_document(&initial, &creds[0], &extension()).unwrap();
+    let rig = rig(false);
+    let sys = rig.cloud(1);
+    let amended = amend_document(&rig.initial("acr-3"), &rig.creds[0], &extension()).unwrap();
     let forged = amended.to_xml_string().replace("participant=\"carol\"", "participant=\"bob\"");
     assert_ne!(forged, amended.to_xml_string());
     assert!(sys.store_document(0, &forged, &Route::default()).is_err());

@@ -6,42 +6,14 @@
 //! as the sequential pass would).
 
 use dra4wfms::prelude::*;
+use dra_bench::rig::Rig;
 use proptest::prelude::*;
-
-/// Deterministic cast shared by the generated workflows.
-fn cast(n: usize) -> (Vec<Credentials>, Directory) {
-    let mut creds = vec![Credentials::from_seed("designer", "bv-designer")];
-    for i in 0..n {
-        creds.push(Credentials::from_seed(format!("p{i}"), &format!("bv-p{i}")));
-    }
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
 
 /// Execute a linear `len`-step workflow with the given response values.
 fn run_linear(len: usize, values: &[String]) -> (DraDocument, Directory) {
-    let (creds, dir) = cast(len);
-    let mut b = WorkflowDefinition::builder("bv", "designer");
-    for i in 0..len {
-        b = b.simple_activity(format!("S{i}"), format!("p{i}"), &["f"]);
-    }
-    for i in 0..len - 1 {
-        b = b.flow(format!("S{i}"), format!("S{}", i + 1));
-    }
-    let def = b.flow_end(format!("S{}", len - 1)).build().unwrap();
-    let mut doc =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "bv-pid")
-            .unwrap();
-    for i in 0..len {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-        let recv = aea.receive(doc.to_xml_string(), &format!("S{i}")).unwrap();
-        doc = aea
-            .complete(&recv, &[("f".into(), values[i].clone())])
-            .unwrap()
-            .document
-            .into_document();
-    }
-    (doc, dir)
+    let values = values.to_vec();
+    let rig = Rig::chain(len, false, move |i| values[i].clone());
+    (rig.walked("bv-pid").into_document(), rig.dir.clone())
 }
 
 fn arb_value() -> impl Strategy<Value = String> {
@@ -105,8 +77,7 @@ proptest! {
     ) {
         let mark_at = mark_at.min(len);
         let (doc, dir) = run_linear(len, &values[..len]);
-        let report = Verifier::new(&dir).run(&doc).unwrap().report;
-        let mut mark = trust_mark_for(&doc, &report, 0).unwrap();
+        let mut mark = Verifier::new(&dir).with_mark(None).run(&doc).unwrap().mark.unwrap();
         mark.verified_cers = mark_at;
         mark.prefix_digest = dra4wfms::core::sealed::prefix_digest(&doc, mark_at).unwrap();
 
@@ -126,8 +97,7 @@ proptest! {
 fn empty_task_batch_verifies() {
     let values: Vec<String> = (0..3).map(|i| format!("v{i}")).collect();
     let (doc, dir) = run_linear(3, &values);
-    let report = Verifier::new(&dir).run(&doc).unwrap().report;
-    let mark = trust_mark_for(&doc, &report, 0).unwrap();
+    let mark = Verifier::new(&dir).with_mark(None).run(&doc).unwrap().mark.unwrap();
     let outcome = Verifier::new(&dir).batched(true).with_mark(&mark).run(&doc).unwrap();
     assert_eq!(outcome.report.signatures_verified, 0);
     assert_eq!(outcome.reused_cers, 3);
@@ -137,24 +107,17 @@ fn empty_task_batch_verifies() {
 /// (the designer's); batched and sequential must agree on it.
 #[test]
 fn singleton_task_batch_verifies() {
-    let (creds, dir) = cast(1);
-    let def = WorkflowDefinition::builder("bv1", "designer")
-        .simple_activity("S0", "p0", &["f"])
-        .flow_end("S0")
-        .build()
-        .unwrap();
-    let doc =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "bv1-pid")
-            .unwrap();
-    let b = Verifier::new(&dir).batched(true).run(&doc).unwrap().report;
-    let s = Verifier::new(&dir).batched(false).run(&doc).unwrap().report;
+    let rig = Rig::chain(1, false, |_| String::new());
+    let (doc, dir) = (rig.initial("bv1-pid"), &rig.dir);
+    let b = Verifier::new(dir).batched(true).run(&doc).unwrap().report;
+    let s = Verifier::new(dir).batched(false).run(&doc).unwrap().report;
     assert_eq!(b, s);
     assert_eq!(b.signatures_verified, 1);
 
     // tampered singleton: same rejection either way
     let tampered = doc.to_xml_string().replace("S0", "S0x");
     if let Ok(parsed) = DraDocument::parse(&tampered) {
-        assert!(Verifier::new(&dir).batched(true).run(&parsed).is_err());
-        assert!(Verifier::new(&dir).batched(false).run(&parsed).is_err());
+        assert!(Verifier::new(dir).batched(true).run(&parsed).is_err());
+        assert!(Verifier::new(dir).batched(false).run(&parsed).is_err());
     }
 }

@@ -2,17 +2,12 @@
 //! servers into the document pool, TO-DO notification, monitoring,
 //! MapReduce statistics (claims C5 of DESIGN.md).
 
-use dra4wfms::cloud::{CloudSystem, InstanceRun, NetworkSim};
 use dra4wfms::docpool::Scan;
 use dra4wfms::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
+use dra_bench::rig::{cast, Rig};
 
-fn setup() -> (WorkflowDefinition, SecurityPolicy, Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "alice", "bob"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("cp-{n}")))
-        .collect();
+/// A two-step ticket workflow whose severity only `bob` may read.
+fn setup() -> Rig {
     let def = WorkflowDefinition::builder("ticket", "designer")
         .simple_activity("open", "alice", &["sev"])
         .simple_activity("close", "bob", &["fix"])
@@ -21,12 +16,7 @@ fn setup() -> (WorkflowDefinition, SecurityPolicy, Vec<Credentials>, Directory) 
         .build()
         .unwrap();
     let pol = SecurityPolicy::builder().restrict("open", "sev", &["bob"]).build();
-    let dir = Directory::from_credentials(&creds);
-    (def, pol, creds, dir)
-}
-
-fn agents(creds: &[Credentials], dir: &Directory) -> HashMap<String, Arc<Aea>> {
-    creds.iter().map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone())))).collect()
+    Rig::new(cast("cp", &["designer", "alice", "bob"]), def, pol, respond)
 }
 
 fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
@@ -39,33 +29,16 @@ fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
 
 #[test]
 fn concurrent_instances_share_the_pool() {
-    let (def, pol, creds, dir) = setup();
-    let sys = Arc::new(CloudSystem::new(dir.clone(), 4, Arc::new(NetworkSim::lan())));
-    let ags = Arc::new(agents(&creds, &dir));
-    let designer = creds[0].clone();
+    let rig = setup();
+    let sys = rig.cloud(4);
     let n = 32;
     std::thread::scope(|s| {
         for w in 0..4 {
-            let sys = Arc::clone(&sys);
-            let ags = Arc::clone(&ags);
-            let def = def.clone();
-            let pol = pol.clone();
-            let designer = designer.clone();
+            let (rig, sys) = (&rig, &sys);
             s.spawn(move || {
                 for i in (w..n).step_by(4) {
-                    let initial = DraDocument::new_initial_with_pid(
-                        &def,
-                        &pol,
-                        &designer,
-                        &format!("t-{i:03}"),
-                    )
-                    .unwrap();
-                    InstanceRun::new(&sys, &initial)
-                        .agents(&ags)
-                        .respond(&respond)
-                        .max_steps(20)
-                        .run()
-                        .unwrap();
+                    let initial = rig.initial(&format!("t-{i:03}"));
+                    rig.run(sys, &initial, None).run().unwrap();
                 }
             });
         }
@@ -81,7 +54,7 @@ fn concurrent_instances_share_the_pool() {
         assert_eq!(sys.active_pool().query_count(&Scan::prefix(&format!("doc/{pid}/"))), 3);
         // the stored final document verifies
         let xml = sys.retrieve_latest(0, &pid).unwrap();
-        Verifier::new(&dir).run(&DraDocument::parse(&xml).unwrap()).unwrap();
+        Verifier::new(&rig.dir).run(&DraDocument::parse(&xml).unwrap()).unwrap();
     }
     let steps = sys.steps_per_workflow(4);
     assert_eq!(steps["ticket"], 2 * n);
@@ -89,9 +62,9 @@ fn concurrent_instances_share_the_pool() {
 
 #[test]
 fn todo_lifecycle_across_portal() {
-    let (def, pol, creds, dir) = setup();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "todo-1").unwrap();
+    let rig = setup();
+    let sys = rig.cloud(2);
+    let initial = rig.initial("todo-1");
 
     // manual Fig. 7 loop: store initial -> alice's TO-DO -> execute -> bob
     sys.store_document(
@@ -102,7 +75,7 @@ fn todo_lifecycle_across_portal() {
     .unwrap();
     assert_eq!(sys.search_todo("alice").len(), 1);
 
-    let alice = Aea::new(creds[1].clone(), dir.clone());
+    let alice = &rig.agents["alice"];
     let xml = sys.retrieve_latest(0, "todo-1").unwrap();
     let recv = alice.receive(&xml, "open").unwrap();
     let done = alice.complete(&recv, &[("sev".into(), "low".into())]).unwrap();
@@ -118,13 +91,11 @@ fn todo_lifecycle_across_portal() {
 
 #[test]
 fn pool_survives_region_splits_under_document_load() {
-    let (def, pol, creds, dir) = setup();
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::new(NetworkSim::lan()));
+    let rig = setup();
+    let sys = rig.cloud(1);
     // push enough instances to force region splits (max_region_rows = 1024)
     for i in 0..700 {
-        let initial =
-            DraDocument::new_initial_with_pid(&def, &pol, &creds[0], &format!("bulk-{i:05}"))
-                .unwrap();
+        let initial = rig.initial(&format!("bulk-{i:05}"));
         sys.store_document(0, &initial.to_xml_string(), &Route::default()).unwrap();
     }
     let stats = sys.active_pool().stats();

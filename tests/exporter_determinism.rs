@@ -10,97 +10,19 @@
 //! REGEN_GOLDEN=1 cargo test --test exporter_determinism
 //! ```
 
-use dra4wfms::cloud::{tracer_for, CloudSystem, InstanceRun, NetworkSim};
-use dra4wfms::obs::{events_to_chrome, events_to_jsonl, TraceEvent};
-use dra4wfms::prelude::*;
-use std::collections::HashMap;
-use std::path::Path;
-use std::sync::Arc;
+mod common;
 
-fn fig9a_def() -> WorkflowDefinition {
-    WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D")
-        .build()
-        .unwrap()
-}
+use common::check_golden;
+use dra4wfms::obs::{events_to_chrome, events_to_jsonl, TraceEvent};
 
 /// The canonical golden workload: one instrumented Fig. 9A instance on the
-/// direct (lossless) path, everything seeded.
+/// direct (lossless) path with no monitor attached, everything seeded.
 fn golden_trace() -> Vec<TraceEvent> {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("golden-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    let network = Arc::new(NetworkSim::lan());
-    let tracer = tracer_for(&network);
-    let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network)).with_tracer(tracer.clone());
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| {
-            let aea = Aea::new(c.clone(), dir.clone()).with_tracer(tracer.clone());
-            (c.name.clone(), Arc::new(aea))
-        })
-        .collect();
-    let initial = DraDocument::new_initial_with_pid(
-        &fig9a_def(),
-        &SecurityPolicy::public(),
-        &creds[0],
-        "golden-run",
-    )
-    .unwrap();
-    let respond = |received: &ReceivedActivity| match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".to_string(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.to_string(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        _ => vec![],
-    };
-    let out = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(100)
-        .tracer(tracer.clone())
-        .run()
-        .unwrap();
-    assert_eq!(out.steps, 9);
-    tracer.events()
-}
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, rendered).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path:?} (REGEN_GOLDEN=1 to create): {e}"));
-    assert_eq!(
-        rendered, golden,
-        "{name} diverged from its golden — exporter bytes must stay deterministic; \
-         regenerate with REGEN_GOLDEN=1 only after an intentional format change"
-    );
+    let rig = common::golden_rig().unmonitored();
+    let sys = rig.cloud(3);
+    let initial = rig.initial("golden-run");
+    assert_eq!(rig.run(&sys, &initial, None).run().unwrap().steps, 9);
+    rig.tracer.events()
 }
 
 #[test]

@@ -11,91 +11,26 @@
 //!   stored — at worst the run fails with a delivery error, with nothing
 //!   admitted to the pool.
 
-use dra4wfms::cloud::{
-    CloudSystem, Delivery, DeliveryPolicy, DeliveryStats, FaultProfile, InstanceRun, NetworkSim,
-};
+use dra4wfms::cloud::{CloudSystem, DeliveryPolicy, DeliveryStats, FaultProfile};
 use dra4wfms::prelude::*;
+use dra_bench::rig::Rig;
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
 
-/// AND-split / AND-join workflow with a loop, as in the paper's Fig. 9A.
-/// Public policy: signatures are deterministic, so independent runs of the
-/// same instance produce byte-identical documents — the basis of every
+/// Run a Fig. 9A instance over `profile` (None = direct path). Public
+/// policy: signatures are deterministic, so independent runs of the same
+/// instance produce byte-identical documents — the basis of every
 /// byte-equality assertion below. (Encrypted fields use random nonces and
-/// would differ between runs by design.)
-fn split_def() -> WorkflowDefinition {
-    WorkflowDefinition::builder("faulty", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D")
-        .build()
-        .unwrap()
-}
-
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("fd-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn agents(creds: &[Credentials], dir: &Directory) -> HashMap<String, Arc<Aea>> {
-    creds.iter().map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone())))).collect()
-}
-
-fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
-    match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".into(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.into(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        other => panic!("unexpected {other}"),
-    }
-}
-
-/// Run the Fig. 9A-style instance over `profile` (None = direct path).
-/// Returns the system, the final document, and the delivery stats.
+/// would differ between runs by design.) Returns the system, the final
+/// document, and the delivery stats.
 fn run(
     pid: &str,
     profile: Option<(FaultProfile, DeliveryPolicy, u64)>,
 ) -> (CloudSystem, SealedDocument, Option<DeliveryStats>) {
-    let (creds, dir) = cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network));
-    let initial =
-        DraDocument::new_initial_with_pid(&split_def(), &SecurityPolicy::public(), &creds[0], pid)
-            .unwrap();
-    let ags = agents(&creds, &dir);
-    let delivery = profile
-        .map(|(p, policy, seed)| Delivery::new(Arc::clone(&network), p, policy, seed).unwrap());
-    let mut builder =
-        InstanceRun::new(&sys, &initial).agents(&ags).respond(&respond).max_steps(100);
-    if let Some(d) = delivery.as_ref() {
-        builder = builder.network(d);
-    }
-    let out = builder.run().unwrap();
+    let rig = Rig::fig9(false);
+    let sys = rig.cloud(3);
+    let initial = rig.initial(pid);
+    let delivery = profile.map(|(p, policy, seed)| rig.channel_under(p, policy, seed));
+    let out = rig.run(&sys, &initial, delivery.as_ref()).run().unwrap();
     assert_eq!(out.steps, 9, "A,B1,B2,C ×2 + D");
     (sys, out.document, out.delivery)
 }
@@ -121,7 +56,7 @@ fn lossy_run_matches_lossless_byte_for_byte() {
     assert_eq!(clean_versions, lossy_versions, "every stored version byte-identical");
 
     // every stored version still verifies in full
-    let (_, dir) = cast();
+    let dir = Rig::fig9(false).dir;
     for xml in &lossy_versions {
         Verifier::new(&dir).run(&DraDocument::parse(xml).unwrap()).unwrap();
     }
@@ -152,25 +87,11 @@ fn corrupted_copies_are_rejected_and_never_stored() {
     // every copy is corrupted in flight: the portal must reject each one,
     // the sender exhausts its budget, and nothing enters the pool
     let profile = FaultProfile { corrupt: 1.0 - 1e-12, ..FaultProfile::lossless() };
-    let (creds, dir) = cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::clone(&network));
-    let initial = DraDocument::new_initial_with_pid(
-        &split_def(),
-        &SecurityPolicy::public(),
-        &creds[0],
-        "corrupt",
-    )
-    .unwrap();
-    let delivery =
-        Delivery::new(Arc::clone(&network), profile, DeliveryPolicy::default(), 3).unwrap();
-    let ags = agents(&creds, &dir);
-    let err = InstanceRun::new(&sys, &initial)
-        .agents(&ags)
-        .respond(&respond)
-        .network(&delivery)
-        .run()
-        .unwrap_err();
+    let rig = Rig::fig9(false);
+    let sys = rig.cloud(1);
+    let initial = rig.initial("corrupt");
+    let delivery = rig.channel(profile, 3);
+    let err = rig.run(&sys, &initial, Some(&delivery)).run().unwrap_err();
     assert!(matches!(err, WfError::Delivery(_)), "budget exhausted: {err}");
 
     // never safety: no corrupted bytes were admitted
@@ -189,8 +110,7 @@ fn heavy_duplication_never_grows_the_pool() {
     assert!(stats.faults.duplicated >= 10, "every send duplicated");
     assert!(stats.duplicates_suppressed >= 10, "portal suppressed the extra copies");
     assert_eq!(stored_versions(&sys, "dup").len(), 10, "no phantom versions");
-    let (_, dir) = cast();
-    Verifier::new(&dir).run(&doc).unwrap();
+    Verifier::new(&Rig::fig9(false).dir).run(&doc).unwrap();
 }
 
 #[test]

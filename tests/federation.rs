@@ -28,104 +28,18 @@
 use dra4wfms::cloud::federation::forge_stored_row;
 use dra4wfms::cloud::{
     alerts_to_jsonl, check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint,
-    Delivery, DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
-    OutagePlan, PoolAuditor, Scheduler, TamperPlan, Topology,
+    Delivery, FaultProfile, OutagePlan, PoolAuditor, TamperPlan, Topology,
 };
-use dra4wfms::obs::MetricsRegistry;
 use dra4wfms::prelude::*;
+use dra_bench::rig::Rig;
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-fn fig9_def() -> WorkflowDefinition {
-    WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D")
-        .build()
-        .unwrap()
-}
-
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("fed-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
-    match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".into(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.into(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        other => panic!("unexpected {other}"),
-    }
-}
-
-fn initials(creds: &[Credentials], ids: std::ops::Range<usize>) -> Vec<DraDocument> {
-    let def = fig9_def();
-    let pol = SecurityPolicy::public();
-    ids.map(|i| {
-        DraDocument::new_initial_with_pid(&def, &pol, &creds[0], &format!("fed-{i}")).unwrap()
-    })
-    .collect()
-}
-
-/// Drive the given instances through the event-driven scheduler, asserting
+/// Drive instances `fed-<id>` through the event-driven scheduler, asserting
 /// every one completes in exactly 9 steps (Fig. 9A takes its loop once).
-fn drive(
-    sys: &CloudSystem,
-    creds: &[Credentials],
-    dir: &Directory,
-    docs: &[DraDocument],
-    delivery: Option<&Delivery>,
-    monitor: Option<&Arc<HealthMonitor>>,
-    metrics: Option<&MetricsRegistry>,
-) {
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-        .collect();
-    let mut sched = Scheduler::new(sys);
-    for doc in docs {
-        let mut run = InstanceRun::new(sys, doc).agents(&agents).respond(&respond).max_steps(100);
-        if let Some(d) = delivery {
-            run = run.network(d);
-        }
-        if let Some(m) = monitor {
-            run = run.monitor(m);
-        }
-        if let Some(m) = metrics {
-            run = run.metrics(m);
-        }
-        sched.admit_instance(run).unwrap();
-    }
-    for (pid, result) in sched.run_to_completion() {
-        let out = result.unwrap_or_else(|e| panic!("{pid} failed to complete: {e}"));
-        assert_eq!(out.steps, 9, "{pid}");
-    }
+fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: Option<&Delivery>) {
+    let n = ids.len();
+    assert_eq!(rig.fleet(sys, ids.map(|i| format!("fed-{i}")), delivery), n, "all complete");
 }
 
 /// The healthy single-cloud baseline digest over `fed-0 .. fed-n`:
@@ -139,9 +53,9 @@ fn healthy_digest(n: usize) -> &'static str {
         other => panic!("no baseline for {other} instances"),
     };
     cell.get_or_init(|| {
-        let (creds, dir) = cast();
-        let sys = CloudSystem::new(dir.clone(), 4, Arc::new(NetworkSim::lan()));
-        drive(&sys, &creds, &dir, &initials(&creds, 0..n), None, None, None);
+        let rig = Rig::fig9(false);
+        let sys = rig.cloud(4);
+        drive(&rig, &sys, 0..n, None);
         sys.pool_digest()
     })
 }
@@ -160,12 +74,10 @@ fn audit_everything(sys: &CloudSystem) -> Vec<(String, String)> {
 
 #[test]
 fn healthy_federation_replicates_and_matches_single_cloud() {
-    let (creds, dir) = cast();
-    let sys =
-        CloudSystem::federated(dir.clone(), two_cloud_topology(), Arc::new(NetworkSim::lan()))
-            .unwrap();
-    let metrics = MetricsRegistry::new();
-    drive(&sys, &creds, &dir, &initials(&creds, 0..2), None, None, Some(&metrics));
+    let rig = Rig::fig9(false);
+    let (sys, ctrl) = rig.federated(two_cloud_topology());
+    let metrics = &rig.metrics;
+    drive(&rig, &sys, 0..2, None);
 
     assert_eq!(sys.pool_digest(), healthy_digest(2), "replication changed document bytes");
     assert!(sys.replicas_consistent(), "east and west must hold identical doc rows");
@@ -173,14 +85,13 @@ fn healthy_federation_replicates_and_matches_single_cloud() {
     assert_eq!(digests.len(), 2);
     assert_eq!(digests[0].1, digests[1].1);
 
-    let ctrl = sys.federation_controller().unwrap();
     let stats = ctrl.stats();
     assert_eq!(stats.replicas_acked, sys.total_stored() as u64, "one peer ack per admission");
     assert_eq!(stats.quarantines + stats.failovers + stats.outages, 0);
     assert_eq!(stats.tampered_serves, 0);
     assert_eq!(stats.active_cloud, 0);
 
-    sys.export_metrics(&metrics);
+    sys.export_metrics(metrics);
     let snapshot = metrics.snapshot();
     assert_eq!(snapshot.counter("federation.replicas_acked"), stats.replicas_acked);
     check_metric_invariants(&snapshot).unwrap();
@@ -198,42 +109,16 @@ fn healthy_federation_replicates_and_matches_single_cloud() {
 #[test]
 fn topology_of_one_matches_single_cloud() {
     let run_on = |federated: bool, advanced: bool| {
-        let (mut creds, _) = cast();
-        creds.push(Credentials::from_seed("TFC", "fed-TFC"));
-        let dir = Directory::from_credentials(&creds);
-        let network = Arc::new(NetworkSim::lan());
-        let sys = if federated {
-            let one = Topology::new().cloud("cloud0", 3);
-            CloudSystem::federated(dir.clone(), one, network).unwrap()
-        } else {
-            CloudSystem::new(dir.clone(), 3, network)
+        let rig = Rig::fig9(advanced);
+        let sys = match federated {
+            true => rig.federated(Topology::new().cloud("cloud0", 3)).0,
+            false => rig.cloud(3),
         };
-        let mut def = fig9_def();
-        let mut pol = SecurityPolicy::public();
-        if advanced {
-            def.tfc = Some("TFC".into());
-            pol = pol.with_tfc_access("TFC", &def);
-        }
-        let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "one-0").unwrap();
-        let agents: HashMap<String, Arc<Aea>> = creds
-            .iter()
-            .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-            .collect();
-        let tfc_creds = creds.last().expect("TFC pushed above").clone();
-        let tfc = TfcServer::with_clock(tfc_creds, dir.clone(), Arc::new(|| 1_000));
-        let metrics = MetricsRegistry::new();
-        let mut run = InstanceRun::new(&sys, &initial)
-            .agents(&agents)
-            .respond(&respond)
-            .max_steps(100)
-            .metrics(&metrics);
-        if advanced {
-            run = run.tfc(&tfc);
-        }
-        assert_eq!(run.run().unwrap().steps, 9);
+        let initial = rig.initial("one-0");
+        assert_eq!(rig.run(&sys, &initial, None).run().unwrap().steps, 9);
 
         assert_eq!(sys.federation_controller().is_some(), federated);
-        let mut counters = metrics.snapshot().counters;
+        let mut counters = rig.metrics.snapshot().counters;
         counters.retain(|k, _| k.starts_with("run.") || k.starts_with("portal."));
         let journal_sizes: Vec<(String, usize)> =
             sys.journal_snapshots().into_iter().map(|(name, bytes)| (name, bytes.len())).collect();
@@ -248,20 +133,14 @@ fn topology_of_one_matches_single_cloud() {
 
 #[test]
 fn cloud_outage_fails_over_and_preserves_the_pool() {
-    let (creds, dir) = cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys =
-        CloudSystem::federated(dir.clone(), two_cloud_topology(), Arc::clone(&network)).unwrap();
+    let rig = Rig::fig9(false);
+    let (sys, ctrl) = rig.federated(two_cloud_topology());
     // east (the active cloud) is dead from virtual microsecond 5 — before
     // the first admission ever lands
-    sys.federation_controller().unwrap().set_outage(OutagePlan::at(0, 5));
-    let delivery =
-        Delivery::new(Arc::clone(&network), FaultProfile::lossless(), DeliveryPolicy::default(), 7)
-            .unwrap();
-    let metrics = MetricsRegistry::new();
-    drive(&sys, &creds, &dir, &initials(&creds, 0..2), Some(&delivery), None, Some(&metrics));
+    ctrl.set_outage(OutagePlan::at(0, 5));
+    let delivery = rig.channel(FaultProfile::lossless(), 7);
+    drive(&rig, &sys, 0..2, Some(&delivery));
 
-    let ctrl = sys.federation_controller().unwrap();
     assert_eq!(ctrl.active_cloud(), 1, "admissions failed over to west");
     assert!(ctrl.cloud_down(0));
     let stats = ctrl.stats();
@@ -274,22 +153,17 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
     assert!(sys.replicas_consistent(), "down clouds are excluded from consistency");
     assert_eq!(audit_everything(&sys), vec![], "a failover forges nothing");
 
-    sys.export_metrics(&metrics);
-    check_metric_invariants(&metrics.snapshot()).unwrap();
+    sys.export_metrics(&rig.metrics);
+    check_metric_invariants(&rig.metrics.snapshot()).unwrap();
 }
 
 #[test]
 fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
-    let (creds, dir) = cast();
-    let sys =
-        CloudSystem::federated(dir.clone(), two_cloud_topology(), Arc::new(NetworkSim::lan()))
-            .unwrap();
-    drive(&sys, &creds, &dir, &initials(&creds, 0..2), None, None, None);
+    let rig = Rig::fig9(false);
+    let (sys, ctrl) = rig.federated(two_cloud_topology());
+    drive(&rig, &sys, 0..2, None);
     let before = sys.pool_digest();
 
-    let ctrl = Arc::clone(sys.federation_controller().unwrap());
-    let monitor = HealthMonitor::new(MonitorConfig::default());
-    ctrl.set_monitor(&monitor);
     // portal 1 serves corrupted bytes on its very next serve
     ctrl.set_tamper(TamperPlan::once(1, 1));
 
@@ -306,7 +180,7 @@ fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     assert_eq!(stats.tampered_serves, 1);
     assert_eq!(stats.quarantines, 1);
     assert!(ctrl.zero_admissions_after_quarantine());
-    let jsonl = alerts_to_jsonl(&monitor.alerts());
+    let jsonl = alerts_to_jsonl(&rig.monitor.alerts());
     assert!(jsonl.contains("\"portal_tampered\""), "got: {jsonl}");
     assert!(jsonl.contains("\"portal\":1"), "got: {jsonl}");
 
@@ -317,7 +191,7 @@ fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     // the quarantined portal takes no further work: new admissions route
     // around it and its admission counter stays frozen
     assert_ne!(sys.route_portal(1), 1);
-    drive(&sys, &creds, &dir, &initials(&creds, 2..3), None, None, None);
+    drive(&rig, &sys, 2..3, None);
     assert!(ctrl.zero_admissions_after_quarantine());
     assert_eq!(sys.pool_digest(), healthy_digest(3));
 }
@@ -330,14 +204,9 @@ fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
 #[test]
 fn rollback_and_substitution_are_caught_like_flipped_bytes() {
     for (source, seq) in [("fed-0", 2), ("fed-1", 9)] {
-        let (creds, dir) = cast();
-        let sys =
-            CloudSystem::federated(dir.clone(), two_cloud_topology(), Arc::new(NetworkSim::lan()))
-                .unwrap();
-        drive(&sys, &creds, &dir, &initials(&creds, 0..2), None, None, None);
-        let ctrl = Arc::clone(sys.federation_controller().unwrap());
-        let monitor = HealthMonitor::new(MonitorConfig::default());
-        ctrl.set_monitor(&monitor);
+        let rig = Rig::fig9(false);
+        let (sys, ctrl) = rig.federated(two_cloud_topology());
+        drive(&rig, &sys, 0..2, None);
 
         let honest = sys.retrieve_version("fed-0", 9).unwrap();
         let planted = sys.retrieve_version(source, seq).unwrap();
@@ -356,7 +225,7 @@ fn rollback_and_substitution_are_caught_like_flipped_bytes() {
         assert!(ctrl.is_quarantined(0) && ctrl.is_quarantined(1), "both east portals served it");
         let stats = ctrl.stats();
         assert_eq!((stats.tampered_serves, stats.quarantines, stats.failovers), (0, 2, 1));
-        let alerts = monitor.alerts();
+        let alerts = rig.monitor.alerts();
         assert_eq!(alerts.len(), 2, "one portal_tampered alert per indicted portal");
         let jsonl = alerts_to_jsonl(&alerts);
         assert!(jsonl.contains("\"portal_tampered\""), "got: {jsonl}");
@@ -370,15 +239,9 @@ fn rollback_and_substitution_are_caught_like_flipped_bytes() {
 
 #[test]
 fn torn_replication_is_repaired_by_replica_journal_replay() {
-    let (creds, dir) = cast();
-    let def = fig9_def();
-    let sys =
-        CloudSystem::federated(dir.clone(), two_cloud_topology(), Arc::new(NetworkSim::lan()))
-            .unwrap()
-            .with_crash_plan(CrashPlan::once(CrashPoint::ReplicaBeforeCommit, 1));
-    let doc = DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "t-1")
-        .unwrap();
-    let wire = doc.to_xml_string();
+    let rig = Rig::fig9(false).crashing(&CrashPlan::once(CrashPoint::ReplicaBeforeCommit, 1));
+    let (sys, _) = rig.federated(two_cloud_topology());
+    let wire = rig.initial("t-1").to_xml_string();
     let route = Route { targets: vec!["A".into()], ends: false };
 
     // the replica (west) dies after journalling the admission, before
@@ -424,26 +287,13 @@ proptest! {
         tamper_portal in 0usize..4,
         tamper_nth in 1u64..3,
     ) {
-        let (creds, dir) = cast();
-        let network = Arc::new(NetworkSim::lan());
-        let sys = CloudSystem::federated(
-            dir.clone(),
-            two_cloud_topology(),
-            Arc::clone(&network),
-        ).unwrap();
-        let ctrl = Arc::clone(sys.federation_controller().unwrap());
-        let monitor = HealthMonitor::new(MonitorConfig::default());
-        ctrl.set_monitor(&monitor);
+        let rig = Rig::fig9(false);
+        let (sys, ctrl) = rig.federated(two_cloud_topology());
         ctrl.set_outage(OutagePlan::at(0, outage_from));
         ctrl.set_tamper(TamperPlan::once(tamper_portal, tamper_nth));
-        let delivery = Delivery::new(
-            Arc::clone(&network),
-            FaultProfile::hostile(),
-            DeliveryPolicy::default(),
-            fault_seed,
-        ).unwrap();
+        let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
-        drive(&sys, &creds, &dir, &initials(&creds, 0..2), Some(&delivery), Some(&monitor), None);
+        drive(&rig, &sys, 0..2, Some(&delivery));
 
         // audit pass: serve every instance through every portal, so an
         // armed tamper plan gets its chance to fire mid-sweep
@@ -456,7 +306,7 @@ proptest! {
         }
 
         // second wave after any quarantine: frozen portals stay frozen
-        drive(&sys, &creds, &dir, &initials(&creds, 2..3), Some(&delivery), Some(&monitor), None);
+        drive(&rig, &sys, 2..3, Some(&delivery));
 
         let final_digest = sys.pool_digest();
         prop_assert_eq!(final_digest.as_str(), healthy_digest(3));

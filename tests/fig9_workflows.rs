@@ -1,93 +1,25 @@
 //! Integration: the paper's experimental workflows (Fig. 9A/9B) end to end,
 //! checking the structural properties behind Tables 1 and 2.
 
-use dra4wfms::cloud::{CloudSystem, InstanceRun, NetworkSim};
 use dra4wfms::core::monitor::ProcessStatus;
 use dra4wfms::prelude::*;
-use std::collections::HashMap;
+use dra_bench::rig::{fig9_confidential, Rig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn fig9_def(advanced: bool) -> WorkflowDefinition {
-    let b = WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D");
-    if advanced { b.with_tfc("TFC") } else { b }.build().unwrap()
-}
-
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("fig9-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn agents(creds: &[Credentials], dir: &Directory) -> HashMap<String, Arc<Aea>> {
-    creds.iter().map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone())))).collect()
-}
-
-fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
-    match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".into(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.into(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        other => panic!("unexpected {other}"),
-    }
-}
-
-/// Encrypt the attachment to the reviewers and C (element-wise encryption,
-/// as in the paper's experiments).
-fn policy(def: &WorkflowDefinition, advanced: bool) -> SecurityPolicy {
-    let p = SecurityPolicy::builder()
-        .restrict("A", "attachment", &["p_b1", "p_b2", "p_c"])
-        .restrict("C", "decision", &["p_a", "p_b1", "p_b2", "p_c", "p_d"])
-        .build();
-    if advanced {
-        p.with_tfc_access("TFC", def)
-    } else {
-        p
-    }
+/// Fig. 9 under the element-wise encryption of the paper's experiments. C
+/// routes on its own decision: C can read it (it is in the audience).
+fn fig9(advanced: bool) -> Rig {
+    Rig::fig9(advanced).with_policy(fig9_confidential())
 }
 
 #[test]
 fn fig9a_basic_model_structure_matches_table1() {
-    let (creds, dir) = cast();
-    let def = fig9_def(false);
-    let pol = policy(&def, false);
-    // C routes on its own decision: C can read it (it is in the audience).
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "t1").unwrap();
+    let rig = fig9(false);
+    let sys = rig.cloud(2);
+    let initial = rig.initial("t1");
     let initial_size = initial.size_bytes();
-
-    let ags = agents(&creds, &dir);
-    let out = InstanceRun::new(&sys, &initial)
-        .agents(&ags)
-        .respond(&respond)
-        .max_steps(100)
-        .run()
-        .unwrap();
+    let out = rig.run(&sys, &initial, None).run().unwrap();
     assert_eq!(out.steps, 9, "A,B1,B2,C ×2 + D (loop taken once), as in Table 1");
 
     // Σ grows monotonically with the number of CERs (Table 1's key shape).
@@ -104,33 +36,18 @@ fn fig9a_basic_model_structure_matches_table1() {
     assert!(*sizes.last().unwrap() > 4 * initial_size / 2, "final ≫ initial");
 
     // number of signatures to verify grows linearly with CERs
-    let report = Verifier::new(&dir).run(&out.document).unwrap().report;
+    let report = Verifier::new(&rig.dir).run(&out.document).unwrap().report;
     assert_eq!(report.cers.len(), 9);
     assert_eq!(report.signatures_verified, 10);
 }
 
 #[test]
 fn fig9b_advanced_model_structure_matches_table2() {
-    let (creds, dir) = cast();
-    let def = fig9_def(true);
-    let pol = policy(&def, true);
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-    let ticks = std::sync::atomic::AtomicU64::new(0);
-    let tfc = TfcServer::with_clock(
-        tfc_creds,
-        dir.clone(),
-        Arc::new(move || 1000 + ticks.fetch_add(1, std::sync::atomic::Ordering::Relaxed)),
-    );
-    let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "t2").unwrap();
-    let ags = agents(&creds, &dir);
-    let out = InstanceRun::new(&sys, &initial)
-        .agents(&ags)
-        .tfc(&tfc)
-        .respond(&respond)
-        .max_steps(100)
-        .run()
-        .unwrap();
+    let ticks = AtomicU64::new(0);
+    let rig = fig9(true).tfc_clock(Arc::new(move || 1000 + ticks.fetch_add(1, Ordering::Relaxed)));
+    let sys = rig.cloud(2);
+    let initial = rig.initial("t2");
+    let out = rig.run(&sys, &initial, None).run().unwrap();
     assert_eq!(out.steps, 9);
 
     // every CER has: TfcSealed + Result + Timestamp + participant & TFC sigs
@@ -146,24 +63,15 @@ fn fig9b_advanced_model_structure_matches_table2() {
     assert_eq!(times.len(), 9);
 
     // designer + 9 participant + 9 TFC signatures
-    let report = Verifier::new(&dir).run(&out.document).unwrap().report;
+    let report = Verifier::new(&rig.dir).run(&out.document).unwrap().report;
     assert_eq!(report.signatures_verified, 19);
 
     // the advanced-model document is larger than the basic one (extra sealed
     // blobs, timestamps and attestations — Table 2 vs Table 1 sizes)
-    let (creds_b, dir_b) = cast();
-    let def_b = fig9_def(false);
-    let sys_b = CloudSystem::new(dir_b.clone(), 2, Arc::new(NetworkSim::lan()));
-    let initial_b =
-        DraDocument::new_initial_with_pid(&def_b, &policy(&def_b, false), &creds_b[0], "t2b")
-            .unwrap();
-    let ags_b = agents(&creds_b, &dir_b);
-    let out_b = InstanceRun::new(&sys_b, &initial_b)
-        .agents(&ags_b)
-        .respond(&respond)
-        .max_steps(100)
-        .run()
-        .unwrap();
+    let rig_b = fig9(false);
+    let sys_b = rig_b.cloud(2);
+    let initial_b = rig_b.initial("t2b");
+    let out_b = rig_b.run(&sys_b, &initial_b, None).run().unwrap();
     assert!(
         out.document.size_bytes() > out_b.document.size_bytes(),
         "advanced {} > basic {}",
@@ -174,18 +82,10 @@ fn fig9b_advanced_model_structure_matches_table2() {
 
 #[test]
 fn loop_iterations_are_distinct_cers() {
-    let (creds, dir) = cast();
-    let def = fig9_def(false);
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::new(NetworkSim::lan()));
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &policy(&def, false), &creds[0], "t3").unwrap();
-    let ags = agents(&creds, &dir);
-    let out = InstanceRun::new(&sys, &initial)
-        .agents(&ags)
-        .respond(&respond)
-        .max_steps(100)
-        .run()
-        .unwrap();
+    let rig = fig9(false);
+    let sys = rig.cloud(1);
+    let initial = rig.initial("t3");
+    let out = rig.run(&sys, &initial, None).run().unwrap();
     // X''_Ai(k) notation: the same activity appears once per iteration
     let keys: Vec<String> =
         out.document.cers().unwrap().iter().map(|c| c.key.to_string()).collect();
@@ -202,11 +102,8 @@ fn loop_iterations_are_distinct_cers() {
 
 #[test]
 fn and_join_requires_both_branches() {
-    let (creds, dir) = cast();
-    let def = fig9_def(false);
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &policy(&def, false), &creds[0], "t4").unwrap();
-    let ags = agents(&creds, &dir);
+    let rig = fig9(false);
+    let (initial, ags) = (rig.initial("t4"), &rig.agents);
     // A executes, then only B1 — C must refuse
     let recv = ags["p_a"].receive(initial.to_xml_string(), "A").unwrap();
     let a_done = ags["p_a"].complete(&recv, &[("attachment".into(), "f".into())]).unwrap();

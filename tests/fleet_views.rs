@@ -28,110 +28,23 @@
 use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
     check_metric_invariants, AlertKind, AuditConfig, CloudSystem, CrashPlan, CrashPoint, Delivery,
-    DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
-    PoolAuditor, Scheduler, Topology,
+    FaultProfile, HealthMonitor, PoolAuditor, Topology,
 };
 use dra4wfms::docpool::{HTable, Scan};
-use dra4wfms::obs::MetricsRegistry;
 use dra4wfms::prelude::*;
+use dra_bench::rig::Rig;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-fn fig9_def() -> WorkflowDefinition {
-    WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D")
-        .build()
-        .unwrap()
+/// Drive instances `view-<id>` through the event-driven scheduler,
+/// asserting each completes in exactly 9 steps.
+fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: Option<&Delivery>) {
+    let n = ids.len();
+    assert_eq!(rig.fleet(sys, ids.map(|i| format!("view-{i}")), delivery), n, "all complete");
 }
 
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("view-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
-    match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".into(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.into(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        other => panic!("unexpected {other}"),
-    }
-}
-
-fn initials(creds: &[Credentials], ids: std::ops::Range<usize>) -> Vec<DraDocument> {
-    let def = fig9_def();
-    let pol = SecurityPolicy::public();
-    ids.map(|i| {
-        DraDocument::new_initial_with_pid(&def, &pol, &creds[0], &format!("view-{i}")).unwrap()
-    })
-    .collect()
-}
-
-/// Drive the given instances through the event-driven scheduler (crash
-/// hooks armed on every AEA), asserting each completes in exactly 9 steps.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    sys: &CloudSystem,
-    creds: &[Credentials],
-    dir: &Directory,
-    docs: &[DraDocument],
-    plan: &Arc<CrashPlan>,
-    delivery: Option<&Delivery>,
-    monitor: Option<&Arc<HealthMonitor>>,
-    metrics: Option<&MetricsRegistry>,
-) {
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| {
-            let aea = Aea::new(c.clone(), dir.clone()).with_crash_hook(plan.hook());
-            (c.name.clone(), Arc::new(aea))
-        })
-        .collect();
-    let mut sched = Scheduler::new(sys);
-    for doc in docs {
-        let mut run = InstanceRun::new(sys, doc).agents(&agents).respond(&respond).max_steps(100);
-        if let Some(d) = delivery {
-            run = run.network(d);
-        }
-        if let Some(m) = monitor {
-            run = run.monitor(m);
-        }
-        if let Some(m) = metrics {
-            run = run.metrics(m);
-        }
-        sched.admit_instance(run).unwrap();
-    }
-    for (pid, result) in sched.run_to_completion() {
-        let out = result.unwrap_or_else(|e| panic!("{pid} failed to complete: {e}"));
-        assert_eq!(out.steps, 9, "{pid}");
-    }
+fn two_clouds() -> Topology {
+    Topology::new().cloud("east", 2).cloud("west", 2)
 }
 
 /// Every face of the `views ≡ scan` differential at once: the cell-by-cell
@@ -197,29 +110,12 @@ proptest! {
         n in 1usize..4,
         federated in any::<bool>(),
     ) {
-        let (creds, dir) = cast();
-        let network = Arc::new(NetworkSim::lan());
         let plan = CrashPlan::once(CrashPoint::AeaBeforeSign, crash_nth);
-        let sys = if federated {
-            CloudSystem::federated(
-                dir.clone(),
-                Topology::new().cloud("east", 2).cloud("west", 2),
-                Arc::clone(&network),
-            )
-            .unwrap()
-        } else {
-            CloudSystem::new(dir.clone(), 4, Arc::clone(&network))
-        }
-        .with_crash_plan(Arc::clone(&plan));
-        let delivery = Delivery::new(
-            Arc::clone(&network),
-            FaultProfile::hostile(),
-            DeliveryPolicy::default(),
-            fault_seed,
-        )
-        .unwrap();
+        let rig = Rig::fig9(false).crashing(&plan).unmonitored();
+        let sys = if federated { rig.federated(two_clouds()).0 } else { rig.cloud(4) };
+        let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
-        drive(&sys, &creds, &dir, &initials(&creds, 0..n), &plan, Some(&delivery), None, None);
+        drive(&rig, &sys, 0..n, Some(&delivery));
         prop_assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
 
         assert_views_identical(&sys);
@@ -238,9 +134,9 @@ proptest! {
         if !federated {
             // cold restart: the views are memory, the pool is truth
             let restored = CloudSystem::restore(
-                dir.clone(),
+                rig.dir.clone(),
                 4,
-                Arc::new(NetworkSim::lan()),
+                Arc::clone(&rig.network),
                 &sys.snapshot_pool(),
             )
             .unwrap();
@@ -260,12 +156,11 @@ proptest! {
 /// deployment; a cold restart mid-fleet reseeds identical views.
 #[test]
 fn torn_store_recovery_keeps_views_and_fleet_consistent() {
-    let (creds, dir) = cast();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()))
-        .with_crash_plan(CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 1));
+    let rig = Rig::fig9(false).crashing(&CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 1));
+    let sys = rig.cloud(2);
 
     // the very first admission tears mid-store
-    let torn = &initials(&creds, 7..8)[0];
+    let torn = rig.initial("view-7");
     let route = Route { targets: vec!["A".into()], ends: false };
     assert!(sys.store_document(0, &torn.to_xml_string(), &route).is_err());
     assert_views_identical(&sys);
@@ -276,7 +171,7 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
 
     // the fleet continues on the recovered deployment (the crash plan is
     // spent, so these run clean)
-    drive(&sys, &creds, &dir, &initials(&creds, 0..2), &CrashPlan::none(), None, None, None);
+    drive(&rig, &sys, 0..2, None);
     assert_views_identical(&sys);
     let counts = sys.fleet_views().status_counts();
     assert_eq!(counts["complete"], 2);
@@ -287,7 +182,7 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
 
     // cold restart mid-fleet: reseeded views carry the same bytes
     let restored =
-        CloudSystem::restore(dir.clone(), 2, Arc::new(NetworkSim::lan()), &sys.snapshot_pool())
+        CloudSystem::restore(rig.dir.clone(), 2, Arc::clone(&rig.network), &sys.snapshot_pool())
             .unwrap();
     assert_views_identical(&restored);
     assert_eq!(restored.fleet_views().pool_view_json(), sys.fleet_views().pool_view_json());
@@ -302,20 +197,10 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
 /// as tainted, and the metric invariants hold with the forgeries declared.
 #[test]
 fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
-    let (creds, dir) = cast();
-    let monitor = HealthMonitor::new(MonitorConfig::default());
-    let metrics = MetricsRegistry::new();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    drive(
-        &sys,
-        &creds,
-        &dir,
-        &initials(&creds, 0..3),
-        &CrashPlan::none(),
-        None,
-        Some(&monitor),
-        Some(&metrics),
-    );
+    let rig = Rig::fig9(false);
+    let (monitor, metrics) = (&rig.monitor, &rig.metrics);
+    let sys = rig.cloud(2);
+    drive(&rig, &sys, 0..3, None);
 
     let key = mid_version_key(sys.active_pool(), "view-1");
     assert_eq!(key, "doc/view-1/000001");
@@ -336,8 +221,7 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     // verification that refuses to work on it
     let served = sys.retrieve_latest(0, "view-1").expect("served unprobed");
     assert_ne!(served, honest_latest, "every later version keeps what row 1 appended");
-    let p_d = Aea::new(creds[5].clone(), dir.clone());
-    let err = p_d.receive(served, "D").unwrap_err();
+    let err = rig.agents["p_d"].receive(served, "D").unwrap_err();
     assert!(matches!(err, WfError::Verify(_) | WfError::Malformed(_) | WfError::Parse(_)), "{err}");
     assert!(monitor.alerts().is_empty(), "no alert before the auditor runs");
     // and the forgery is invisible to the views: same keys, same statuses
@@ -345,9 +229,9 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
 
     let auditor = PoolAuditor::new(AuditConfig { batch: 4, period_us: 1_000, threads: 2 });
     let mut clock = 0u64;
-    full_sweep(&auditor, &sys, Some(&monitor), &mut clock);
+    full_sweep(&auditor, &sys, Some(monitor), &mut clock);
     // a second full sweep re-samples the same rows without re-alerting
-    full_sweep(&auditor, &sys, Some(&monitor), &mut clock);
+    full_sweep(&auditor, &sys, Some(monitor), &mut clock);
 
     assert_eq!(
         auditor.divergent_rows(),
@@ -374,9 +258,9 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     }
 
     metrics.set_counter("audit.tampered_rows", 2);
-    sys.export_metrics(&metrics);
-    auditor.export_metrics(&metrics);
-    monitor.export_metrics(&metrics);
+    sys.export_metrics(metrics);
+    auditor.export_metrics(metrics);
+    monitor.export_metrics(metrics);
     let snapshot = metrics.snapshot();
     assert_eq!(snapshot.counter("audit.divergences"), 2);
     assert_eq!(snapshot.counter("audit.tainted"), 16);
@@ -387,33 +271,15 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
 /// A two-cloud deployment that ran two instances, with one row below
 /// view-0's latest forged on the active cloud only — its replica on the
 /// honest peer keeps the true bytes.
-fn forged_federation() -> (CloudSystem, Arc<HealthMonitor>, MetricsRegistry, String) {
-    let (creds, dir) = cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys = CloudSystem::federated(
-        dir.clone(),
-        Topology::new().cloud("east", 2).cloud("west", 2),
-        Arc::clone(&network),
-    )
-    .unwrap();
-    let monitor = HealthMonitor::new(MonitorConfig::default());
-    sys.federation_controller().unwrap().set_monitor(&monitor);
-    let metrics = MetricsRegistry::new();
-    drive(
-        &sys,
-        &creds,
-        &dir,
-        &initials(&creds, 0..2),
-        &CrashPlan::none(),
-        None,
-        Some(&monitor),
-        Some(&metrics),
-    );
+fn forged_federation() -> (CloudSystem, Rig, String) {
+    let rig = Rig::fig9(false);
+    let (sys, _) = rig.federated(two_clouds());
+    drive(&rig, &sys, 0..2, None);
     let (east_name, _, east_pool) = sys.audit_pools().into_iter().next().unwrap();
     assert_eq!(east_name, "east");
     let key = mid_version_key(&east_pool, "view-0");
     forge_stored_row(&east_pool, &key, flip_tail);
-    (sys, monitor, metrics, key)
+    (sys, rig, key)
 }
 
 /// The same forgery on a federated deployment. Nobody has to wait for the
@@ -426,10 +292,11 @@ fn forged_federation() -> (CloudSystem, Arc<HealthMonitor>, MetricsRegistry, Str
 /// recompute throughout.
 #[test]
 fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
-    let (sys, monitor, metrics, key) = forged_federation();
+    let (sys, rig, key) = forged_federation();
+    let (monitor, metrics) = (&rig.monitor, &rig.metrics);
     let ctrl = Arc::clone(sys.federation_controller().unwrap());
     let auditor = PoolAuditor::new(AuditConfig::default());
-    full_sweep(&auditor, &sys, Some(&monitor), &mut 0u64);
+    full_sweep(&auditor, &sys, Some(monitor), &mut 0u64);
     assert_eq!(auditor.divergent_rows(), vec![("east".to_string(), key)]);
     assert_eq!(auditor.tainted_rows(), rows_of("east", "view-0", 2..=9));
 
@@ -441,19 +308,19 @@ fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
     assert_views_identical(&sys);
 
     metrics.set_counter("audit.tampered_rows", 1);
-    sys.export_metrics(&metrics);
-    auditor.export_metrics(&metrics);
-    monitor.export_metrics(&metrics);
+    sys.export_metrics(metrics);
+    auditor.export_metrics(metrics);
+    monitor.export_metrics(metrics);
     check_metric_invariants(&metrics.snapshot()).unwrap();
 
     // a second deployment, same forgery, no auditor: the first read trips
-    let (sys, monitor, _, _) = forged_federation();
+    let (sys, rig, _) = forged_federation();
     let ctrl = Arc::clone(sys.federation_controller().unwrap());
     let served = sys.retrieve_latest(0, "view-0").expect("the peer re-serves");
     assert!(ctrl.is_quarantined(0) && ctrl.is_quarantined(1), "both east portals served it");
     assert_eq!(ctrl.stats().active_cloud, 1, "east has no portal left: west is active");
     assert_eq!(Some(served), sys.retrieve_version("view-0", 9), "west's bytes");
-    let alerts = monitor.alerts();
+    let alerts = rig.monitor.alerts();
     assert_eq!(alerts.len(), 2, "one portal_tampered alert per indicted portal");
     assert!(alerts.iter().all(|a| matches!(a.kind, AlertKind::PortalTampered { .. })));
 }

@@ -24,56 +24,27 @@ use dra4wfms::core::sealed::prefix_digest;
 use dra4wfms::prelude::*;
 use dra4wfms::xml::canon::canonicalize_shared;
 use dra4wfms::xml::{Element, Node};
+use dra_bench::rig::{cast, Handoff, Rig};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Deterministic cast for linear chains.
-fn cast(n: usize) -> (Vec<Credentials>, Directory) {
-    let mut creds = vec![Credentials::from_seed("designer", "iv-designer")];
-    for i in 0..n {
-        creds.push(Credentials::from_seed(format!("p{i}"), &format!("iv-p{i}")));
-    }
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn linear_def(n: usize) -> WorkflowDefinition {
-    let mut b = WorkflowDefinition::builder("inc", "designer");
-    for i in 0..n {
-        b = b.simple_activity(format!("S{i}"), format!("p{i}"), &["f"]);
-    }
-    for i in 0..n - 1 {
-        b = b.flow(format!("S{i}"), format!("S{}", i + 1));
-    }
-    b.flow_end(format!("S{}", n - 1)).build().unwrap()
-}
 
 /// Execute an `n`-step public-policy chain, returning the document snapshot
 /// after every step (`snapshots[j]` has j CERs) plus the directory.
 fn run_chain(n: usize, values: &[String]) -> (Vec<DraDocument>, Directory) {
-    let (creds, dir) = cast(n);
-    let def = linear_def(n);
-    let mut doc =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "iv-pid")
-            .unwrap();
-    let mut snapshots = vec![doc.clone()];
-    for i in 0..n {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-        let recv = aea.receive(doc, &format!("S{i}")).unwrap();
-        doc = aea
-            .complete(&recv, &[("f".into(), values[i].clone())])
-            .unwrap()
-            .document
-            .into_document();
-        snapshots.push(doc.clone());
-    }
-    (snapshots, dir)
+    let values = values.to_vec();
+    let rig = Rig::chain(n, false, move |i| values[i].clone());
+    let steps = rig.walk("iv-pid", Handoff::Sealed, true).map(|step| step.document.into_document());
+    (std::iter::once(rig.initial("iv-pid")).chain(steps).collect(), rig.dir.clone())
 }
 
 /// A mark a hop would legitimately hold after fully verifying `doc`.
 fn mark_for(doc: &DraDocument, dir: &Directory) -> TrustMark {
-    let report = Verifier::new(dir).run(doc).unwrap().report;
-    trust_mark_for(doc, &report, 0).unwrap()
+    Verifier::new(dir)
+        .with_mark(None)
+        .run(doc)
+        .unwrap()
+        .mark
+        .expect("incremental mode issues a mark")
 }
 
 #[test]
@@ -136,7 +107,7 @@ fn tampered_prefix_detected_despite_stale_mark() {
     // the same attack against a sealed, trust-marked hand-off: the receiving
     // AEA must reject it even though the seal claims a verified prefix
     let sealed = SealedDocument::with_trust(tampered, mark);
-    let aea = Aea::new(Credentials::from_seed("p0", "iv-p0"), dir.clone());
+    let aea = Aea::new(Credentials::from_seed("p0", "chain-p0"), dir.clone());
     assert!(aea.receive(sealed, "S0").is_err());
 }
 
@@ -182,7 +153,7 @@ fn tampered_copy_sharing_nodes_leaves_the_sibling_untouched() {
         let err = Verifier::new(&dir).with_mark(mark).run(&tampered).unwrap_err();
         assert!(matches!(err, WfError::Verify(_)), "tamper detected: {err}");
     }
-    let aea = Aea::new(Credentials::from_seed("p0", "iv-p0"), dir.clone());
+    let aea = Aea::new(Credentials::from_seed("p0", "chain-p0"), dir.clone());
     assert!(aea.receive(SealedDocument::with_trust(tampered, whole.clone()), "S0").is_err());
 
     // the sibling: same bytes, same memo, same digests, same verdict
@@ -277,10 +248,6 @@ fn advanced_model_hop_rechecks_participant_and_attestation_only() {
     // Two activities through a TFC: at each hand-off the finalized CER is
     // the only unverified part, costing exactly 2 checks (participant
     // signature + TFC attestation).
-    let designer = Credentials::from_seed("designer", "adv-d");
-    let peter = Credentials::from_seed("peter", "adv-p");
-    let amy = Credentials::from_seed("amy", "adv-a");
-    let tfc_creds = Credentials::from_seed("TFC", "adv-t");
     let def = WorkflowDefinition::builder("adv", "designer")
         .simple_activity("A", "peter", &["x"])
         .simple_activity("B", "amy", &["y"])
@@ -289,13 +256,15 @@ fn advanced_model_hop_rechecks_participant_and_attestation_only() {
         .with_tfc("TFC")
         .build()
         .unwrap();
-    let policy = SecurityPolicy::public().with_tfc_access("TFC", &def);
-    let dir = Directory::from_credentials([&designer, &peter, &amy, &tfc_creds]);
-    let tfc = TfcServer::with_clock(tfc_creds, dir.clone(), std::sync::Arc::new(|| 42));
-
-    let initial = DraDocument::new_initial_with_pid(&def, &policy, &designer, "adv-pid").unwrap();
-    let aea_peter = Aea::new(peter, dir.clone());
-    let recv = aea_peter.receive(SealedDocument::new(initial), "A").unwrap();
+    let rig = Rig::new(
+        cast("adv", &["designer", "peter", "amy", "TFC"]),
+        def,
+        SecurityPolicy::public(),
+        |_| vec![],
+    );
+    let (tfc, aea_peter, aea_amy) =
+        (rig.tfc.as_ref().unwrap(), &rig.agents["peter"], &rig.agents["amy"]);
+    let recv = aea_peter.receive(SealedDocument::new(rig.initial("adv-pid")), "A").unwrap();
     assert_eq!(recv.report.signatures_verified, 1, "designer only");
 
     let inter = aea_peter.complete_via_tfc(&recv, &[("x".into(), "1".into())]).unwrap();
@@ -306,7 +275,6 @@ fn advanced_model_hop_rechecks_participant_and_attestation_only() {
 
     // next hop: the finalized CER costs participant + attestation, nothing
     // else — the mark stops just short of the CER the TFC mutated
-    let aea_amy = Aea::new(amy, dir.clone());
     let recv = aea_amy.receive(finalized.document, "B").unwrap();
     assert_eq!(recv.report.signatures_verified, 2, "participant + TFC attestation");
     assert_eq!(recv.reused_cers, 0, "the one existing CER was finalized in place");

@@ -2,42 +2,13 @@
 //! executed documents — not structural mocks.
 
 use dra4wfms::prelude::*;
+use dra_bench::rig::Rig;
 use std::collections::BTreeSet;
-
-fn cast(n: usize) -> (Vec<Credentials>, Directory) {
-    let mut creds = vec![Credentials::from_seed("designer", "nr-designer")];
-    for i in 0..n {
-        creds.push(Credentials::from_seed(format!("p{i}"), &format!("nr-p{i}")));
-    }
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
 
 /// A linear chain of n activities, executed fully; returns the document.
 fn run_chain(n: usize) -> (DraDocument, Directory) {
-    let (creds, dir) = cast(n);
-    let mut b = WorkflowDefinition::builder("chain", "designer");
-    for i in 0..n {
-        b = b.simple_activity(format!("S{i}"), format!("p{i}"), &["v"]);
-    }
-    for i in 0..n - 1 {
-        b = b.flow(format!("S{i}"), format!("S{}", i + 1));
-    }
-    let def = b.flow_end(format!("S{}", n - 1)).build().unwrap();
-
-    let mut doc =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "nr")
-            .unwrap();
-    for i in 0..n {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-        let recv = aea.receive(doc.to_xml_string(), &format!("S{i}")).unwrap();
-        doc = aea
-            .complete(&recv, &[("v".into(), format!("value-{i}"))])
-            .unwrap()
-            .document
-            .into_document();
-    }
-    (doc, dir)
+    let rig = Rig::chain(n, false, |i| format!("value-{i}"));
+    (rig.walked("nr").into_document(), rig.dir.clone())
 }
 
 #[test]

@@ -3,31 +3,11 @@
 //! documents and on document batches (the portal bulk path).
 
 use dra4wfms::prelude::*;
+use dra_bench::rig::Rig;
 
 fn chain(n: usize) -> (DraDocument, Directory) {
-    let mut creds = vec![Credentials::from_seed("designer", "pv-designer")];
-    for i in 0..n {
-        creds.push(Credentials::from_seed(format!("p{i}"), &format!("pv-p{i}")));
-    }
-    let dir = Directory::from_credentials(&creds);
-    let mut b = WorkflowDefinition::builder("pv", "designer");
-    for i in 0..n {
-        b = b.simple_activity(format!("S{i}"), format!("p{i}"), &["v"]);
-    }
-    for i in 0..n - 1 {
-        b = b.flow(format!("S{i}"), format!("S{}", i + 1));
-    }
-    let def = b.flow_end(format!("S{}", n - 1)).build().unwrap();
-    let mut doc =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "pv")
-            .unwrap();
-    for i in 0..n {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-        let recv = aea.receive(doc.to_xml_string(), &format!("S{i}")).unwrap();
-        doc =
-            aea.complete(&recv, &[("v".into(), format!("x{i}"))]).unwrap().document.into_document();
-    }
-    (doc, dir)
+    let rig = Rig::chain(n, false, |i| format!("x{i}"));
+    (rig.walked("pv").into_document(), rig.dir.clone())
 }
 
 #[test]

@@ -5,12 +5,11 @@
 //! soundness rejection at both admission gates (`Scheduler::admit_instance`
 //! and the portal's own store path, `CloudSystem::store_document`).
 
-use dra4wfms::cloud::{check_metric_invariants, CloudSystem, InstanceRun, NetworkSim, Scheduler};
-use dra4wfms::obs::{MetricsRegistry, MetricsSnapshot};
+use dra4wfms::cloud::check_metric_invariants;
+use dra4wfms::obs::MetricsSnapshot;
 use dra4wfms::prelude::*;
-use dra_bench::fuzz;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use dra_bench::fuzz::{self, GeneratedWorkflow};
+use dra_bench::rig::Rig;
 
 /// Drive `def` end to end through the scheduler with the fuzz cast
 /// (`designer`, `p0`–`p3`, `TFC`) and a fixed script; return the final
@@ -20,42 +19,11 @@ fn run_def(
     script: &[(&str, &[(&str, &str)])],
     pid: &str,
 ) -> (DraDocument, MetricsSnapshot) {
-    let (creds, dir) = fuzz::cast();
-    let network = Arc::new(NetworkSim::lan());
-    let metrics = MetricsRegistry::new();
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::clone(&network));
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-        .collect();
-    let owned: BTreeMap<String, Vec<(String, String)>> = script
-        .iter()
-        .map(|(a, rs)| {
-            (a.to_string(), rs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect())
-        })
-        .collect();
-    let policy = if def.tfc.is_some() {
-        SecurityPolicy::public().with_tfc_access("TFC", &def)
-    } else {
-        SecurityPolicy::public()
-    };
-    let initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], pid).unwrap();
-    let respond = move |r: &ReceivedActivity| owned.get(&r.activity).cloned().unwrap_or_default();
-    let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-    let tfc = def
-        .tfc
-        .is_some()
-        .then(|| TfcServer::with_clock(tfc_creds, dir.clone(), Arc::new(|| 1_000)));
-    let mut run = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(200)
-        .metrics(&metrics);
-    if let Some(server) = tfc.as_ref() {
-        run = run.tfc(server);
-    }
-    let out = run.run().unwrap();
-    let snap = metrics.snapshot();
+    let rig = Rig::generated(&GeneratedWorkflow::scripted(def, script), false);
+    let sys = rig.cloud(2);
+    let initial = rig.initial(pid);
+    let out = rig.run(&sys, &initial, None).run().unwrap();
+    let snap = rig.metrics.snapshot();
     check_metric_invariants(&snap).unwrap();
     (out.document.document().clone(), snap)
 }
@@ -300,22 +268,7 @@ fn cancellation_guard_false_leaves_the_region_alone() {
 
 #[test]
 fn unsound_definition_rejected_at_scheduler_admission() {
-    let def = fuzz::canned_deadlock();
-    let (creds, dir) = fuzz::cast();
-    let network = Arc::new(NetworkSim::lan());
-    let sys = CloudSystem::new(dir.clone(), 1, Arc::clone(&network));
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-        .collect();
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "p-unsound")
-            .unwrap();
-    let respond = |_: &ReceivedActivity| Vec::new();
-    let mut sched = Scheduler::new(&sys);
-    let err = sched
-        .admit_instance(InstanceRun::new(&sys, &initial).agents(&agents).respond(&respond))
-        .unwrap_err();
+    let err = fuzz::admission_error(&fuzz::canned_deadlock()).expect("not admitted");
     match err {
         WfError::Unsound(diag) => {
             assert!(diag.contains("J"), "diagnostic should name the stuck join: {diag}")
@@ -329,16 +282,9 @@ fn unsound_definition_rejected_at_portal_store() {
     // a document that reaches a portal without passing `admit_instance`
     // (an upload, a hop's result) is rejected by the portal's own
     // store-time gate, before any row is written
-    let def = fuzz::canned_deadlock();
-    let (creds, dir) = fuzz::cast();
-    let sys = CloudSystem::new(dir, 1, Arc::new(NetworkSim::lan()));
-    let initial = DraDocument::new_initial_with_pid(
-        &def,
-        &SecurityPolicy::public(),
-        &creds[0],
-        "p-unsound-l",
-    )
-    .unwrap();
+    let rig = Rig::generated(&GeneratedWorkflow::scripted(fuzz::canned_deadlock(), &[]), false);
+    let sys = rig.cloud(1);
+    let (def, initial) = (&rig.def, rig.initial("p-unsound-l"));
     let route = Route { targets: vec![def.start.clone()], ends: false };
     let err = sys.store_document(0, &initial.to_xml_string(), &route).unwrap_err();
     match err {

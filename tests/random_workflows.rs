@@ -9,17 +9,8 @@
 
 use dra4wfms::prelude::*;
 use dra_bench::fuzz;
+use dra_bench::rig::Rig;
 use proptest::prelude::*;
-
-/// Deterministic cast shared by the generated workflows.
-fn cast(n: usize) -> (Vec<Credentials>, Directory) {
-    let mut creds = vec![Credentials::from_seed("designer", "rw-designer")];
-    for i in 0..n {
-        creds.push(Credentials::from_seed(format!("p{i}"), &format!("rw-p{i}")));
-    }
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
 
 /// Run a linear workflow of `len` steps where step i's field audience is
 /// restricted iff `restrict[i]`, with `values[i]` as responses.
@@ -28,37 +19,15 @@ fn run_linear(
     restrict: &[bool],
     values: &[String],
 ) -> (DraDocument, Directory, SecurityPolicy) {
-    let (creds, dir) = cast(len);
-    let mut b = WorkflowDefinition::builder("gen", "designer");
-    for i in 0..len {
-        b = b.simple_activity(format!("S{i}"), format!("p{i}"), &["f"]);
-    }
-    for i in 0..len - 1 {
-        b = b.flow(format!("S{i}"), format!("S{}", i + 1));
-    }
-    let def = b.flow_end(format!("S{}", len - 1)).build().unwrap();
-
     let mut pb = SecurityPolicy::builder();
-    for (i, r) in restrict.iter().enumerate() {
-        if *r {
-            // audience: the next participant (or the previous one for the last)
-            let reader = if i + 1 < len { format!("p{}", i + 1) } else { "p0".to_string() };
-            pb = pb.restrict(format!("S{i}"), "f", &[&reader]);
-        }
+    for (i, _) in restrict.iter().enumerate().filter(|(_, restricted)| **restricted) {
+        // audience: the next participant (or the previous one for the last)
+        let reader = if i + 1 < len { format!("p{}", i + 1) } else { "p0".to_string() };
+        pb = pb.restrict(format!("S{i}"), "payload", &[&reader]);
     }
-    let pol = pb.build();
-
-    let mut doc = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "rw-pid").unwrap();
-    for i in 0..len {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-        let recv = aea.receive(doc.to_xml_string(), &format!("S{i}")).unwrap();
-        doc = aea
-            .complete(&recv, &[("f".into(), values[i].clone())])
-            .unwrap()
-            .document
-            .into_document();
-    }
-    (doc, dir, pol)
+    let values = values.to_vec();
+    let rig = Rig::chain(len, false, move |i| values[i].clone()).with_policy(pb.build());
+    (rig.walked("rw-pid").into_document(), rig.dir.clone(), rig.policy.clone())
 }
 
 fn arb_value() -> impl Strategy<Value = String> {
@@ -144,7 +113,7 @@ proptest! {
             let got = read_field_from_result(
                 result,
                 &cer.key.activity,
-                "f",
+                "payload",
                 "outsider",
                 Some(&outsider),
             );

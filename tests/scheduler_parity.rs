@@ -27,13 +27,8 @@
 //! REGEN_GOLDEN=1 cargo test --test scheduler_parity
 //! ```
 
-use dra4wfms::cloud::{
-    CloudSystem, CrashPlan, CrashPoint, Delivery, DeliveryPolicy, FaultProfile, InstanceRun,
-    NetworkSim,
-};
-use dra4wfms::obs::MetricsRegistry;
-use dra4wfms::prelude::*;
-use std::collections::HashMap;
+use dra4wfms::cloud::{CrashPlan, CrashPoint, FaultProfile};
+use dra_bench::rig::{fig9_definition, Rig};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -44,50 +39,13 @@ enum Scenario {
     SeededCrash,
 }
 
-fn fig9_def(advanced: bool) -> WorkflowDefinition {
-    let b = WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D");
-    if advanced { b.with_tfc("TFC") } else { b }.build().unwrap()
-}
-
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("parity-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
-    match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".into(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.into(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        other => panic!("unexpected {other}"),
-    }
+/// What the golden was recorded on: a Fig. 9 whose reviewers request
+/// nothing, a cast seeded `parity-*`, a TFC stamping 1 000 ms, and no
+/// monitor attached (a crashed hop waits out its full lease).
+fn parity_rig(advanced: bool) -> Rig {
+    let mut def = fig9_definition(advanced);
+    def.activities.iter_mut().filter(|a| a.id.starts_with('B')).for_each(|a| a.requests.clear());
+    Rig::fig9_as("parity", def).tfc_clock(Arc::new(|| 1_000)).unmonitored()
 }
 
 /// The six golden cells, in file order.
@@ -105,61 +63,21 @@ const CELLS: [(&str, bool, Scenario); 6] = [
 /// hash, the layout-independent pool digest, the reported step count and
 /// the `run.*` / `portal.*` counters, one `key = value` line each.
 fn run_cell(label: &str, advanced: bool, scenario: Scenario) -> String {
-    let (creds, dir) = cast();
-    let def = fig9_def(advanced);
-    let pol = if advanced {
-        SecurityPolicy::public().with_tfc_access("TFC", &def)
-    } else {
-        SecurityPolicy::public()
-    };
-    let network = Arc::new(NetworkSim::lan());
     let plan = match scenario {
         // one AEA dies mid-sign on the 3rd trigger; the supervisor takes
         // the hop over after the lease
         Scenario::SeededCrash => CrashPlan::once(CrashPoint::AeaBeforeSign, 3),
         _ => CrashPlan::none(),
     };
-    let sys =
-        CloudSystem::new(dir.clone(), 3, Arc::clone(&network)).with_crash_plan(Arc::clone(&plan));
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| {
-            let aea = Aea::new(c.clone(), dir.clone()).with_crash_hook(plan.hook());
-            (c.name.clone(), Arc::new(aea))
-        })
-        .collect();
-    let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-    let tfc = TfcServer::with_clock(tfc_creds, dir.clone(), Arc::new(move || 1_000));
-    let delivery = match scenario {
-        Scenario::HostileFaults => Some(
-            Delivery::new(
-                Arc::clone(&network),
-                FaultProfile::hostile(),
-                DeliveryPolicy::default(),
-                42,
-            )
-            .unwrap(),
-        ),
-        _ => None,
-    };
-    let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], "parity-run").unwrap();
-
-    let metrics = MetricsRegistry::new();
-    let mut run = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(100)
-        .metrics(&metrics);
-    if advanced {
-        run = run.tfc(&tfc);
-    }
-    if let Some(d) = &delivery {
-        run = run.network(d);
-    }
-    let out = run.run().expect("the run completes");
+    let rig = parity_rig(advanced).crashing(&plan);
+    let sys = rig.cloud(3);
+    let delivery =
+        (scenario == Scenario::HostileFaults).then(|| rig.channel(FaultProfile::hostile(), 42));
+    let initial = rig.initial("parity-run");
+    let out = rig.run(&sys, &initial, delivery.as_ref()).run().expect("the run completes");
     assert_eq!(out.steps, 9, "{label}: fig9 takes its loop exactly once");
 
-    let counters = metrics.snapshot().counters;
+    let counters = rig.metrics.snapshot().counters;
     assert!(counters["portal.notifications"] > 0, "{label}: notifications were actually published");
     let digest = dra4wfms::crypto::sha256(&sys.snapshot_pool());
     let mut cell = format!("{label}\n");
@@ -247,49 +165,15 @@ fn fig9b_seeded_crash_parity() {
 #[test]
 fn small_fleet_matches_sequential_runs() {
     let run_fleet = |concurrent: bool| -> (String, Vec<String>) {
-        let (creds, dir) = cast();
-        let def = fig9_def(false);
-        let network = Arc::new(NetworkSim::lan());
-        let sys = CloudSystem::new(dir.clone(), 4, Arc::clone(&network));
-        let agents: HashMap<String, Arc<Aea>> = creds
-            .iter()
-            .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-            .collect();
-        let initials: Vec<DraDocument> = (0..3)
-            .map(|i| {
-                DraDocument::new_initial_with_pid(
-                    &def,
-                    &SecurityPolicy::public(),
-                    &creds[0],
-                    &format!("fleet-{i}"),
-                )
-                .unwrap()
-            })
-            .collect();
+        let rig = parity_rig(false);
+        let sys = rig.cloud(4);
+        let pids = (0..3).map(|i| format!("fleet-{i}"));
         if concurrent {
-            let mut sched = dra4wfms::cloud::Scheduler::new(&sys);
-            for initial in &initials {
-                sched
-                    .admit_instance(
-                        InstanceRun::new(&sys, initial)
-                            .agents(&agents)
-                            .respond(&respond)
-                            .max_steps(100),
-                    )
-                    .unwrap();
-            }
-            for (pid, result) in sched.run_to_completion() {
-                assert_eq!(result.unwrap().steps, 9, "{pid}");
-            }
+            assert_eq!(rig.fleet(&sys, pids, None), 3);
         } else {
-            for initial in &initials {
-                let out = InstanceRun::new(&sys, initial)
-                    .agents(&agents)
-                    .respond(&respond)
-                    .max_steps(100)
-                    .run()
-                    .unwrap();
-                assert_eq!(out.steps, 9);
+            for pid in pids {
+                let initial = rig.initial(&pid);
+                assert_eq!(rig.run(&sys, &initial, None).run().unwrap().steps, 9);
             }
         }
         let pool_hash =

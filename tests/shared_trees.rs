@@ -7,6 +7,7 @@
 
 use dra4wfms::prelude::*;
 use dra4wfms::xml::Element;
+use dra_bench::rig::{cast, Handoff, Rig};
 use std::sync::Arc;
 
 /// The element children of `el`, as the shared pointers the tree holds.
@@ -19,16 +20,8 @@ fn shared(before: &[&Arc<Element>], after: &[&Arc<Element>]) -> Vec<bool> {
     before.iter().zip(after).map(|(a, b)| Arc::ptr_eq(a, b)).collect()
 }
 
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p0", "p1", "p2", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("shared-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn chain(tfc: bool) -> WorkflowDefinition {
+/// Three activities in a row, through the TFC when `tfc`.
+fn rig(tfc: bool) -> Rig {
     let b = WorkflowDefinition::builder("shared", "designer")
         .simple_activity("S0", "p0", &["f"])
         .simple_activity("S1", "p1", &["f"])
@@ -36,46 +29,38 @@ fn chain(tfc: bool) -> WorkflowDefinition {
         .flow("S0", "S1")
         .flow("S1", "S2")
         .flow_end("S2");
-    if tfc { b.with_tfc("TFC") } else { b }.build().unwrap()
+    let def = if tfc { b.with_tfc("TFC") } else { b }.build().unwrap();
+    let creds = cast("shared", &["designer", "p0", "p1", "p2", "TFC"]);
+    Rig::new(creds, def, SecurityPolicy::public(), |r| vec![("f".into(), format!("v{}", r.iter))])
 }
 
 #[test]
 fn basic_hop_appends_one_cer_and_shares_the_rest() {
-    let (creds, dir) = cast();
-    let def = chain(false);
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "sh-basic")
-            .unwrap();
-    let mut sealed = SealedDocument::new(initial);
-    for i in 0..3 {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
-        let received = aea.receive(sealed.clone(), &format!("S{i}")).unwrap();
-        let done = aea.complete(&received, &[("f".into(), format!("v{i}"))]).unwrap();
-
+    let rig = rig(false);
+    let mut steps = rig.walk("sh-basic", Handoff::Sealed, true);
+    let mut sealed = steps.next().unwrap().document;
+    for (i, step) in (1..).zip(steps) {
         // Header and ApplicationDefinition are the received nodes; the
         // ActivityResults node is new (its child vector grew by one)
-        let (before, after) = (&sealed.document().root, &done.document.document().root);
+        let (before, after) = (&sealed.document().root, &step.document.document().root);
         assert_eq!(shared(&nodes(before), &nodes(after)), [true, true, false], "hop {i}");
         // every CER that was there is the same node, and one was appended
         let (cers_before, cers_after) =
-            (nodes(sealed.results().unwrap()), nodes(done.document.results().unwrap()));
+            (nodes(sealed.results().unwrap()), nodes(step.document.results().unwrap()));
         assert_eq!(cers_after.len(), i + 1);
         assert_eq!(shared(&cers_before, &cers_after), vec![true; i], "hop {i}");
-        sealed = done.document;
+        sealed = step.document;
     }
-    Verifier::new(&dir).run(&sealed).unwrap();
+    Verifier::new(&rig.dir).run(&sealed).unwrap();
 }
 
 #[test]
 fn tfc_finalize_rewrites_one_cer_and_shares_the_rest() {
-    let (creds, dir) = cast();
-    let def = chain(true);
-    let policy = SecurityPolicy::public().with_tfc_access("TFC", &def);
-    let tfc = TfcServer::with_clock(creds[4].clone(), dir.clone(), Arc::new(|| 7));
-    let initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], "sh-tfc").unwrap();
-    let mut sealed = SealedDocument::new(initial);
+    let rig = rig(true);
+    let tfc = rig.tfc.as_ref().unwrap();
+    let mut sealed = SealedDocument::new(rig.initial("sh-tfc"));
     for i in 0..3 {
-        let aea = Aea::new(creds[i + 1].clone(), dir.clone());
+        let aea = &rig.agents[&format!("p{i}")];
         let received = aea.receive(sealed, &format!("S{i}")).unwrap();
         let inter = aea.complete_via_tfc(&received, &[("f".into(), format!("v{i}"))]).unwrap();
         let processed = tfc.receive(inter.document.clone()).unwrap();
@@ -99,5 +84,5 @@ fn tfc_finalize_rewrites_one_cer_and_shares_the_rest() {
         assert_eq!(shared(&cer_before, &cer_after), [true, true], "hop {i}");
         sealed = finalized.document;
     }
-    Verifier::new(&dir).run(&sealed).unwrap();
+    Verifier::new(&rig.dir).run(&sealed).unwrap();
 }

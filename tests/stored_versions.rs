@@ -23,51 +23,34 @@
 //! so a version that reads back under a digest whose `seen/` row names its
 //! own `seq` is the admitted wire.
 
+use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
-    CloudSystem, CrashPlan, CrashPoint, Delivery, InstanceRun, NetworkSim, OutagePlan, Responder,
-    Topology,
+    check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint, FaultProfile,
+    OutagePlan, PoolAuditor, Topology,
 };
-use dra4wfms::docpool::Scan;
+use dra4wfms::docpool::{HTable, Scan};
 use dra4wfms::prelude::*;
 use dra_bench::fuzz;
+use dra_bench::rig::{cast, fig9_definition, Responses, Rig};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const PID: &str = "stored-0";
 
-/// What is run: an initial document and the script that answers it.
-struct Subject {
-    initial: DraDocument,
-    respond: Box<Responder>,
-}
-
-/// The fuzzer's cast: a designer, `p0..p3` and a TFC.
-fn subject(pick: u64, creds: &[Credentials], tfc: bool) -> Subject {
-    let (mut def, delta, respond): (_, _, Box<Responder>) = match pick % 6 {
+/// What is run — a rig for the definition and the script that answers it,
+/// played by the fuzzer's cast (a designer, `p0..p3` and a TFC) — and the
+/// initial document.
+fn subject(pick: u64, tfc: bool) -> (Rig, DraDocument) {
+    type Script = Box<dyn Fn(&ReceivedActivity) -> Responses + Send + Sync>;
+    let (mut def, delta, respond): (_, _, Script) = match pick % 6 {
         // Fig. 9: an AND-split, its join, and a loop taken once
         0 => {
-            let def = WorkflowDefinition::builder("loop", "designer")
-                .simple_activity("A", "p0", &["attachment"])
-                .simple_activity("B1", "p1", &["review1"])
-                .simple_activity("B2", "p2", &["review2"])
-                .activity(Activity {
-                    id: "C".into(),
-                    participant: "p3".into(),
-                    join: JoinKind::All,
-                    requests: vec![FieldRef::new("B1", "review1"), FieldRef::new("B2", "review2")],
-                    responses: vec!["decision".into()],
-                })
-                .simple_activity("D", "p0", &["ack"])
-                .flow("A", "B1")
-                .flow("A", "B2")
-                .flow("B1", "C")
-                .flow("B2", "C")
-                .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-                .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-                .flow_end("D")
-                .build()
-                .unwrap();
+            let mut def = fig9_definition(false);
+            for (activity, participant) in
+                def.activities.iter_mut().zip(["p0", "p1", "p2", "p3", "p0"])
+            {
+                activity.participant = participant.into();
+            }
             let respond = |r: &ReceivedActivity| {
                 let again = if r.iter == 0 { "insufficient" } else { "accept — früh genug" };
                 let (field, value) = match r.activity.as_str() {
@@ -125,16 +108,15 @@ fn subject(pick: u64, creds: &[Credentials], tfc: bool) -> Subject {
             (generated.def, None, Box::new(respond))
         }
     };
-    let mut policy = SecurityPolicy::public();
     if tfc {
         def.tfc = Some("TFC".into());
-        policy = policy.with_tfc_access("TFC", &def);
     }
-    let mut initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], PID).unwrap();
+    let rig = Rig::new(cast("fuzz", &fuzz::CAST), def, SecurityPolicy::public(), respond);
+    let mut initial = rig.initial(PID);
     if let Some(delta) = delta {
-        initial = amend_document(&initial, &creds[0], &delta).unwrap();
+        initial = amend_document(&initial, &rig.creds[0], &delta).unwrap();
     }
-    Subject { initial, respond }
+    (rig, initial)
 }
 
 /// Where the instance runs and what goes wrong there.
@@ -187,44 +169,27 @@ proptest! {
         nth in 1u64..5,
     ) {
         let deployment = DEPLOYMENTS[deployment];
-        let (creds, dir) = fuzz::cast();
-        let subject = subject(pick, &creds, tfc);
-        let network = Arc::new(NetworkSim::lan());
         let plan = match deployment {
             Deployment::TornStore => CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, nth),
             Deployment::TornReplica => CrashPlan::once(CrashPoint::ReplicaBeforeCommit, nth),
             _ => CrashPlan::none(),
         };
+        let (rig, initial) = subject(pick, tfc);
+        let rig = rig.crashing(&plan);
         let sys = match deployment {
-            Deployment::Lone | Deployment::TornStore => {
-                CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
-            }
-            _ => {
-                let topology = Topology::new().cloud("east", 2).cloud("west", 2);
-                CloudSystem::federated(dir.clone(), topology, Arc::clone(&network)).unwrap()
-            }
-        }
-        .with_crash_plan(Arc::clone(&plan));
+            Deployment::Lone | Deployment::TornStore => rig.cloud(3),
+            _ => rig.federated(Topology::new().cloud("east", 2).cloud("west", 2)).0,
+        };
         if let Deployment::Failover = deployment {
             // a hop or two in (a hop is ~240 virtual µs on this network)
             sys.federation_controller().unwrap().set_outage(OutagePlan::at(0, 100 * nth));
         }
 
-        let agents: HashMap<String, Arc<Aea>> = creds
-            .iter()
-            .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-            .collect();
-        let server = TfcServer::with_clock(creds[5].clone(), dir.clone(), Arc::new(|| 1_000));
-        let delivery = Delivery::lossless(Arc::clone(&network));
-        let mut run = InstanceRun::new(&sys, &subject.initial)
-            .agents(&agents)
-            .respond(&*subject.respond)
-            .max_steps(300)
-            .network(&delivery);
-        if tfc {
-            run = run.tfc(&server);
-        }
-        let out = run.run().unwrap_or_else(|e| panic!("{deployment:?}, pick {pick}: {e}"));
+        let delivery = rig.channel(FaultProfile::lossless(), 0);
+        let out = rig
+            .run(&sys, &initial, Some(&delivery))
+            .run()
+            .unwrap_or_else(|e| panic!("{deployment:?}, pick {pick}: {e}"));
         // whatever died did die, and was restarted by the run
         let torn = matches!(deployment, Deployment::TornStore | Deployment::TornReplica);
         prop_assert_eq!(plan.crashes_injected(), u64::from(torn));
@@ -246,7 +211,7 @@ proptest! {
         for (name, _, pool) in sys.audit_pools() {
             let snapshot = pool.export_snapshot();
             let restored =
-                CloudSystem::restore(dir.clone(), 2, Arc::new(NetworkSim::lan()), &snapshot)
+                CloudSystem::restore(rig.dir.clone(), 2, Arc::clone(&rig.network), &snapshot)
                     .unwrap();
             let restored_versions = assert_versions_read_back(&restored, &name);
             let died = matches!(deployment, Deployment::Failover) && name == "east";
@@ -256,11 +221,6 @@ proptest! {
 }
 
 // -- what the layout costs ---------------------------------------------------
-
-use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
-use dra4wfms::cloud::{check_metric_invariants, AuditConfig, PoolAuditor};
-use dra4wfms::docpool::HTable;
-use dra_bench::claims::fixture::Fig9;
 
 /// Σ bytes of the `doc/` rows against the bytes of the final version. With
 /// full-copy rows an n-version instance stored about n/2 times its final
@@ -274,7 +234,7 @@ use dra_bench::claims::fixture::Fig9;
 /// per `fleet_basic` instance).
 #[test]
 fn a_stored_history_costs_about_its_final_version() {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     assert_eq!(fx.fleet(&sys, std::iter::once("size-0".to_string()), None), 1);
     let full_copies = |sys: &CloudSystem, pid: &str, versions: usize| -> u64 {
@@ -286,19 +246,9 @@ fn a_stored_history_costs_about_its_final_version() {
     assert!(full_copies(&sys, "size-0", 10) > 4 * last, "full copies cost n/2 documents");
 
     const STEPS: usize = 48;
-    let (creds, dir) = dra_bench::chain::chain_cast(STEPS);
-    let sys = CloudSystem::new(dir.clone(), 2, Arc::new(NetworkSim::lan()));
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| (c.name.clone(), Arc::new(Aea::new(c.clone(), dir.clone()))))
-        .collect();
-    let def = dra_bench::chain::chain_definition(STEPS);
-    let initial =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "size-1")
-            .unwrap();
-    let respond = |_: &ReceivedActivity| vec![("payload".to_string(), "x".repeat(64))];
-    let run = InstanceRun::new(&sys, &initial).agents(&agents).respond(&respond).max_steps(STEPS);
-    assert_eq!(run.run().unwrap().steps, STEPS);
+    let chain = Rig::chain(STEPS, false, |_| "x".repeat(64));
+    let sys = chain.cloud(2);
+    assert_eq!(chain.fleet(&sys, std::iter::once("size-1".to_string()), None), 1);
     let last = sys.retrieve_version("size-1", STEPS).expect("one version per step and the initial");
     let (stored, last) = (sys.stored_doc_bytes(), last.len() as u64);
     assert!(stored * 4 <= last * 5, "chain: {stored} bytes stored for a {last}-byte document");
@@ -309,7 +259,7 @@ fn a_stored_history_costs_about_its_final_version() {
 
 /// One auditor over `sys`, swept twice in small batches (so attribution
 /// crosses batch borders, and the second sweep has the chance to re-alert).
-fn sweep_twice(fx: &Fig9, sys: &CloudSystem) -> PoolAuditor {
+fn sweep_twice(fx: &Rig, sys: &CloudSystem) -> PoolAuditor {
     let auditor = PoolAuditor::new(AuditConfig { batch: 3, period_us: 100, threads: 1 });
     let rows = sys.active_pool().query_count(&Scan::prefix("doc/"));
     for pass in 0..2 * (rows / 3 + 2) {
@@ -357,7 +307,7 @@ fn flip_unkept(pool: &HTable, key: &str) {
 /// forgeries declared: five divergences, never more than were forged.
 #[test]
 fn a_broken_link_is_indicted_once_and_the_rows_above_it_are_tainted() {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     let pids = ["one", "tags", "pair", "gap"];
     assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string()), None), 4);
@@ -408,7 +358,7 @@ fn a_broken_link_is_indicted_once_and_the_rows_above_it_are_tainted() {
 /// evidence against that.
 #[test]
 fn a_rollback_is_caught_by_the_row_above_it() {
-    let fx = Fig9::new(false);
+    let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     let pids = ["kept", "moved", "gone", "tip"];
     assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string()), None), 4);

@@ -4,12 +4,10 @@
 
 use dra4wfms::engine::WorkflowEngine;
 use dra4wfms::prelude::*;
+use dra_bench::rig::{cast, Rig};
 
-fn setup() -> (WorkflowDefinition, Directory, Vec<Credentials>) {
-    let creds: Vec<Credentials> = ["designer", "alice", "bob"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("tamper-{n}")))
-        .collect();
+/// A two-step transfer, `alice` requesting and `bob` approving.
+fn setup() -> Rig {
     let def = WorkflowDefinition::builder("transfer", "designer")
         .simple_activity("request", "alice", &["amount", "iban"])
         .activity(Activity {
@@ -23,22 +21,16 @@ fn setup() -> (WorkflowDefinition, Directory, Vec<Credentials>) {
         .flow_end("approve")
         .build()
         .unwrap();
-    let dir = Directory::from_credentials(&creds);
-    (def, dir, creds)
+    let respond = |r: &ReceivedActivity| match r.activity.as_str() {
+        "request" => vec![("amount".into(), "100".into()), ("iban".into(), "DE02...".into())],
+        _ => vec![("approval".into(), "granted".into())],
+    };
+    Rig::new(cast("tamper", &["designer", "alice", "bob"]), def, SecurityPolicy::public(), respond)
 }
 
 /// Run the two-step workflow, returning the final genuine document.
-fn run(def: &WorkflowDefinition, dir: &Directory, creds: &[Credentials]) -> DraDocument {
-    let initial =
-        DraDocument::new_initial_with_pid(def, &SecurityPolicy::public(), &creds[0], "tp").unwrap();
-    let alice = Aea::new(creds[1].clone(), dir.clone());
-    let recv = alice.receive(initial.to_xml_string(), "request").unwrap();
-    let done = alice
-        .complete(&recv, &[("amount".into(), "100".into()), ("iban".into(), "DE02...".into())])
-        .unwrap();
-    let bob = Aea::new(creds[2].clone(), dir.clone());
-    let recv = bob.receive(done.document.to_xml_string(), "approve").unwrap();
-    bob.complete(&recv, &[("approval".into(), "granted".into())]).unwrap().document.into_document()
+fn run(rig: &Rig) -> DraDocument {
+    rig.walked("tp").into_document()
 }
 
 fn assert_detected(xml: &str, dir: &Directory, what: &str) {
@@ -55,59 +47,59 @@ fn assert_detected(xml: &str, dir: &Directory, what: &str) {
 
 #[test]
 fn field_value_rewrite_detected() {
-    let (def, dir, creds) = setup();
-    let doc = run(&def, &dir, &creds);
+    let rig = setup();
+    let (doc, dir) = (run(&rig), &rig.dir);
     let xml = doc.to_xml_string();
     let t = xml.replace(">100<", ">1000000<");
     assert_ne!(t, xml);
-    assert_detected(&t, &dir, "field value rewrite");
+    assert_detected(&t, dir, "field value rewrite");
 }
 
 #[test]
 fn payee_rewrite_detected() {
-    let (def, dir, creds) = setup();
-    let xml = run(&def, &dir, &creds).to_xml_string();
+    let rig = setup();
+    let (xml, dir) = (run(&rig).to_xml_string(), &rig.dir);
     let t = xml.replace("DE02...", "MALLORY1");
     assert_ne!(t, xml);
-    assert_detected(&t, &dir, "payee rewrite");
+    assert_detected(&t, dir, "payee rewrite");
 }
 
 #[test]
 fn participant_swap_detected() {
-    let (def, dir, creds) = setup();
-    let xml = run(&def, &dir, &creds).to_xml_string();
+    let rig = setup();
+    let (xml, dir) = (run(&rig).to_xml_string(), &rig.dir);
     // claim bob executed alice's activity
     let t = xml.replacen("participant=\"alice\"", "participant=\"bob\"", 1);
     assert_ne!(t, xml);
-    assert_detected(&t, &dir, "participant swap");
+    assert_detected(&t, dir, "participant swap");
 }
 
 #[test]
 fn definition_rewrite_detected() {
-    let (def, dir, creds) = setup();
-    let xml = run(&def, &dir, &creds).to_xml_string();
+    let rig = setup();
+    let (xml, dir) = (run(&rig).to_xml_string(), &rig.dir);
     // reassign the approve activity inside the signed definition
     let t = xml.replace("participant=\"bob\"", "participant=\"alice\"");
     assert_ne!(t, xml);
-    assert_detected(&t, &dir, "workflow definition rewrite");
+    assert_detected(&t, dir, "workflow definition rewrite");
 }
 
 #[test]
 fn middle_cer_removal_detected() {
-    let (def, dir, creds) = setup();
-    let doc = run(&def, &dir, &creds);
+    let rig = setup();
+    let (doc, dir) = (run(&rig), &rig.dir);
     // strip alice's CER, keep bob's (which signs it)
     let mut stripped = doc.clone();
     let results = stripped.root.find_child_mut("ActivityResults").unwrap();
     let removed = results.children.remove(0);
     drop(removed);
-    assert_detected(&stripped.to_xml_string(), &dir, "CER removal");
+    assert_detected(&stripped.to_xml_string(), dir, "CER removal");
 }
 
 #[test]
 fn signature_transplant_detected() {
-    let (def, dir, creds) = setup();
-    let doc = run(&def, &dir, &creds);
+    let rig = setup();
+    let (doc, dir) = (run(&rig), &rig.dir);
     // replace alice's signature with bob's (both valid signatures, wrong place)
     let xml = doc.to_xml_string();
     let cers = doc.cers().unwrap();
@@ -115,33 +107,30 @@ fn signature_transplant_detected() {
     let bob_sig = dra4wfms::xml::writer::to_string(cers[1].participant_signature().unwrap());
     let t = xml.replace(&alice_sig, &bob_sig);
     assert_ne!(t, xml);
-    assert_detected(&t, &dir, "signature transplant");
+    assert_detected(&t, dir, "signature transplant");
 }
 
 #[test]
 fn cross_instance_replay_detected() {
-    let (def, dir, creds) = setup();
-    let doc = run(&def, &dir, &creds);
+    let rig = setup();
+    let (doc, dir) = (run(&rig), &rig.dir);
     // graft the executed CERs onto a fresh instance with a different pid
-    let mut fresh =
-        DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "other-pid")
-            .unwrap();
+    let mut fresh = rig.initial("other-pid");
     for cer in doc.cers().unwrap() {
         fresh.push_cer(cer.element.clone()).unwrap();
     }
-    assert_detected(&fresh.to_xml_string(), &dir, "cross-instance replay");
+    assert_detected(&fresh.to_xml_string(), dir, "cross-instance replay");
 }
 
 #[test]
 fn encrypted_field_swap_detected() {
     // encrypt the amount, then swap the whole EncryptedData blob with one
     // from another instance (ciphertext splice)
-    let (def, dir, creds) = setup();
     let pol = SecurityPolicy::builder().restrict("request", "amount", &["bob"]).build();
+    let rig = setup().with_policy(pol);
+    let (alice, dir) = (&rig.agents["alice"], &rig.dir);
     let make = |pid: &str, amount: &str| {
-        let initial = DraDocument::new_initial_with_pid(&def, &pol, &creds[0], pid).unwrap();
-        let alice = Aea::new(creds[1].clone(), dir.clone());
-        let recv = alice.receive(initial.to_xml_string(), "request").unwrap();
+        let recv = alice.receive(rig.initial(pid).to_xml_string(), "request").unwrap();
         alice
             .complete(&recv, &[("amount".into(), amount.into()), ("iban".into(), "X".into())])
             .unwrap()
@@ -166,7 +155,7 @@ fn encrypted_field_swap_detected() {
     };
     let spliced = doc_a.to_xml_string().replace(&enc_a, &enc_b);
     assert_ne!(spliced, doc_a.to_xml_string());
-    assert_detected(&spliced, &dir, "ciphertext splice");
+    assert_detected(&spliced, dir, "ciphertext splice");
 }
 
 #[test]
@@ -174,10 +163,9 @@ fn stale_trust_mark_does_not_launder_prefix_tamper() {
     // Mallory holds a mark honestly issued over the genuine document and
     // attaches it to a tampered copy, hoping the verified-prefix fast path
     // skips the signature that would expose the rewrite.
-    let (def, dir, creds) = setup();
-    let doc = run(&def, &dir, &creds);
-    let report = Verifier::new(&dir).run(&doc).unwrap().report;
-    let mark = trust_mark_for(&doc, &report, 0).unwrap();
+    let rig = setup();
+    let (doc, dir) = (run(&rig), &rig.dir);
+    let mark = Verifier::new(dir).with_mark(None).run(&doc).unwrap().mark.unwrap();
 
     let tampered_xml = doc.to_xml_string().replace(">100<", ">1000000<");
     assert_ne!(tampered_xml, doc.to_xml_string());
@@ -186,16 +174,12 @@ fn stale_trust_mark_does_not_launder_prefix_tamper() {
     // the prefix digest no longer matches, so the full pass runs and fails
     let sealed = SealedDocument::with_trust(tampered, mark);
     assert!(
-        Verifier::new(&dir).with_mark(sealed.trust()).run(&sealed).is_err(),
+        Verifier::new(dir).with_mark(sealed.trust()).run(&sealed).is_err(),
         "stale mark must not make a tampered prefix verify"
     );
 
     // the same laundering attempt against a portal is rejected at the door
-    let sys = dra4wfms::cloud::CloudSystem::new(
-        dir.clone(),
-        1,
-        std::sync::Arc::new(dra4wfms::cloud::NetworkSim::lan()),
-    );
+    let sys = rig.cloud(1);
     let route = Route { targets: vec![], ends: true };
     assert!(sys.store_sealed(0, &sealed, &route).is_err());
     assert_eq!(sys.total_stored(), 0);
@@ -208,10 +192,9 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
     // bytes and digests — edited through the tree API. Copy-on-write must
     // expose the edit to the verifier and keep it out of the genuine
     // sibling, which a portal still admits on the same mark.
-    let (def, dir, creds) = setup();
-    let genuine = run(&def, &dir, &creds);
-    let report = Verifier::new(&dir).run(&genuine).unwrap().report;
-    let mark = trust_mark_for(&genuine, &report, 0).unwrap();
+    let rig = setup();
+    let (genuine, dir) = (run(&rig), &rig.dir);
+    let mark = Verifier::new(dir).with_mark(None).run(&genuine).unwrap().mark.unwrap();
     let wire_before = genuine.to_xml_string();
 
     let mut tampered = genuine.clone();
@@ -222,21 +205,17 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
     amount.invalidate_canon();
     assert_ne!(tampered.to_xml_string(), wire_before);
 
-    let sys = dra4wfms::cloud::CloudSystem::new(
-        dir.clone(),
-        1,
-        std::sync::Arc::new(dra4wfms::cloud::NetworkSim::lan()),
-    );
+    let sys = rig.cloud(1);
     let route = Route { targets: vec![], ends: true };
     let laundered = SealedDocument::with_trust(tampered, mark.clone());
-    assert!(Verifier::new(&dir).with_mark(laundered.trust()).run(&laundered).is_err());
+    assert!(Verifier::new(dir).with_mark(laundered.trust()).run(&laundered).is_err());
     assert!(sys.store_sealed(0, &laundered, &route).is_err());
     assert_eq!(sys.total_stored(), 0);
 
     // the sibling never saw the edit: same bytes, and the mark still holds
     assert_eq!(genuine.to_xml_string(), wire_before);
     let sealed = SealedDocument::with_trust(genuine, mark);
-    let outcome = Verifier::new(&dir).with_mark(sealed.trust()).run(&sealed).unwrap();
+    let outcome = Verifier::new(dir).with_mark(sealed.trust()).run(&sealed).unwrap();
     assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (2, 0));
     sys.store_sealed(0, &sealed, &route).unwrap();
     assert_eq!(sys.total_stored(), 1);
@@ -247,14 +226,9 @@ fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
     // The portal's `seen/` row is keyed by the digest of the exact wire
     // bytes — tampering changes the digest, so nothing vouches for the
     // rewritten document and the full pass exposes it.
-    let (def, dir, creds) = setup();
-    let doc = run(&def, &dir, &creds);
-    let xml = doc.to_xml_string();
-    let sys = dra4wfms::cloud::CloudSystem::new(
-        dir.clone(),
-        1,
-        std::sync::Arc::new(dra4wfms::cloud::NetworkSim::lan()),
-    );
+    let rig = setup();
+    let xml = run(&rig).to_xml_string();
+    let sys = rig.cloud(1);
     let route = Route { targets: vec![], ends: true };
 
     // genuine store: full pass (designer + 2 CERs) writes the seen row
@@ -318,28 +292,23 @@ fn reencode_newest_signature(wire: &str, signer_attr: bool) -> String {
 /// item 1's, with the canonicalisation laws.
 #[test]
 fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
-    use dra4wfms::cloud::{federation::forge_stored_row, CloudSystem, NetworkSim};
-    let (def, dir, creds) = setup();
-    let basic = run(&def, &dir, &creds).to_xml_string();
+    use dra4wfms::cloud::federation::forge_stored_row;
+    let rig = setup();
+    let basic = run(&rig).to_xml_string();
 
-    let mut tfc_creds = creds.clone();
-    tfc_creds.push(Credentials::from_seed("TFC", "tamper-TFC"));
-    let tfc_dir = Directory::from_credentials(&tfc_creds);
-    let mut tfc_def = def.clone();
+    let mut tfc_def = rig.def.clone();
     tfc_def.tfc = Some("TFC".into());
-    let policy = SecurityPolicy::public().with_tfc_access("TFC", &tfc_def);
-    let initial =
-        DraDocument::new_initial_with_pid(&tfc_def, &policy, &tfc_creds[0], "tp").unwrap();
-    let alice = Aea::new(tfc_creds[1].clone(), tfc_dir.clone());
-    let received = alice.receive(initial, "request").unwrap();
+    let tfc_creds = cast("tamper", &["designer", "alice", "bob", "TFC"]);
+    let tfc_rig = Rig::new(tfc_creds, tfc_def, SecurityPolicy::public(), |_| vec![]);
+    let received = tfc_rig.agents["alice"].receive(tfc_rig.initial("tp"), "request").unwrap();
     let fields = [("amount".into(), "100".into()), ("iban".into(), "DE02...".into())];
-    let sent = alice.complete_via_tfc(&received, &fields).unwrap();
-    let tfc = TfcServer::new(tfc_creds[3].clone(), tfc_dir.clone());
+    let sent = tfc_rig.agents["alice"].complete_via_tfc(&received, &fields).unwrap();
+    let tfc = tfc_rig.tfc.as_ref().unwrap();
     let advanced = tfc.process(sent.document).unwrap().document.to_xml_string();
     assert!(advanced[advanced.rfind("<Signature ").unwrap()..].contains("covers=\"tfc:"));
 
-    for (wire, dir) in [(basic, &dir), (advanced, &tfc_dir)] {
-        let sys = CloudSystem::new(dir.clone(), 1, std::sync::Arc::new(NetworkSim::lan()));
+    for (wire, rig) in [(basic, &rig), (advanced, &tfc_rig)] {
+        let (sys, dir) = (rig.cloud(1), &rig.dir);
         let route = Route { targets: vec!["approve".into()], ends: false };
         assert_eq!(sys.store_document(0, &wire, &route).unwrap(), 0);
         for signer_attr in [false, true] {
@@ -370,9 +339,8 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
 /// The contrast: the identical rewrite in the engine baseline is silent.
 #[test]
 fn engine_baseline_same_tamper_is_silent() {
-    let (def, _, _) = setup();
     let engine = WorkflowEngine::new("e");
-    let pid = engine.start_process(&def).unwrap();
+    let pid = engine.start_process(&setup().def).unwrap();
     engine
         .execute_activity(
             pid,

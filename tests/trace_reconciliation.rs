@@ -9,60 +9,11 @@
 //! reordered, dropped or forged hop must fail with a diagnostic naming the
 //! exact divergence.
 
-use dra4wfms::cloud::{
-    tracer_for, CloudSystem, CrashPlan, CrashPoint, Delivery, DeliveryPolicy, FaultProfile,
-    InstanceRun, NetworkSim,
-};
+use dra4wfms::cloud::{CrashPlan, CrashPoint, FaultProfile};
 use dra4wfms::obs::{stage, TraceEvent, Tracer, OUTCOME_OK};
 use dra4wfms::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
-
-fn fig9_def(advanced: bool) -> WorkflowDefinition {
-    let b = WorkflowDefinition::builder("fig9", "designer")
-        .simple_activity("A", "p_a", &["attachment"])
-        .simple_activity("B1", "p_b1", &["review1"])
-        .simple_activity("B2", "p_b2", &["review2"])
-        .activity(Activity {
-            id: "C".into(),
-            participant: "p_c".into(),
-            join: JoinKind::All,
-            requests: vec![],
-            responses: vec!["decision".into()],
-        })
-        .simple_activity("D", "p_d", &["ack"])
-        .flow("A", "B1")
-        .flow("A", "B2")
-        .flow("B1", "C")
-        .flow("B2", "C")
-        .flow_if("C", "A", Condition::field_equals("C", "decision", "insufficient"))
-        .flow_if("C", "D", Condition::field_not_equals("C", "decision", "insufficient"))
-        .flow_end("D");
-    if advanced { b.with_tfc("TFC") } else { b }.build().unwrap()
-}
-
-fn cast() -> (Vec<Credentials>, Directory) {
-    let creds: Vec<Credentials> = ["designer", "p_a", "p_b1", "p_b2", "p_c", "p_d", "TFC"]
-        .iter()
-        .map(|n| Credentials::from_seed(*n, &format!("recon-{n}")))
-        .collect();
-    let dir = Directory::from_credentials(&creds);
-    (creds, dir)
-}
-
-fn respond(received: &ReceivedActivity) -> Vec<(String, String)> {
-    match received.activity.as_str() {
-        "A" => vec![("attachment".into(), "contract.pdf".into())],
-        "B1" => vec![("review1".into(), "ok".into())],
-        "B2" => vec![("review2".into(), "ok".into())],
-        "C" => vec![(
-            "decision".into(),
-            if received.iter == 0 { "insufficient" } else { "accept" }.into(),
-        )],
-        "D" => vec![("ack".into(), "done".into())],
-        _ => vec![],
-    }
-}
+use dra_bench::fuzz::{self, GeneratedWorkflow};
+use dra_bench::rig::Rig;
 
 /// Drive one fully instrumented Fig. 9 instance and return the recorded
 /// trace plus the final document.
@@ -72,66 +23,24 @@ fn instrumented_run(
     crash: bool,
     seed: u64,
 ) -> (Vec<TraceEvent>, DraDocument) {
-    let (creds, dir) = cast();
-    let def = fig9_def(advanced);
-    let network = Arc::new(NetworkSim::lan());
-    let tracer = tracer_for(&network);
     let plan = if crash {
         CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + seed % 9)
     } else {
         CrashPlan::none()
     };
-    let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
-        .with_crash_plan(Arc::clone(&plan))
-        .with_tracer(tracer.clone());
-    let delivery = if hostile {
-        Delivery::new(
-            Arc::clone(&network),
-            FaultProfile::hostile(),
-            DeliveryPolicy::default(),
-            seed,
-        )
-        .unwrap()
-    } else {
-        Delivery::lossless(Arc::clone(&network))
-    }
-    .with_tracer(tracer.clone());
-    let agents: HashMap<String, Arc<Aea>> = creds
-        .iter()
-        .map(|c| {
-            let aea = Aea::new(c.clone(), dir.clone())
-                .with_crash_hook(plan.hook())
-                .with_tracer(tracer.clone());
-            (c.name.clone(), Arc::new(aea))
-        })
-        .collect();
-    let tfc = advanced.then(|| {
-        let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
-        TfcServer::with_clock(tfc_creds, dir.clone(), Arc::new(|| 1_000))
-            .with_crash_hook(plan.hook())
-            .with_tracer(tracer.clone())
-    });
-    let policy = if advanced {
-        SecurityPolicy::public().with_tfc_access("TFC", &def)
-    } else {
-        SecurityPolicy::public()
+    let rig = Rig::fig9(advanced).crashing(&plan);
+    let sys = rig.cloud(3);
+    let delivery = match hostile {
+        true => rig.channel(FaultProfile::hostile(), seed),
+        false => rig.channel(FaultProfile::lossless(), 0),
     };
-    let initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], "recon-run").unwrap();
-    let mut run = InstanceRun::new(&sys, &initial)
-        .agents(&agents)
-        .respond(&respond)
-        .max_steps(100)
-        .network(&delivery)
-        .tracer(tracer.clone());
-    if let Some(server) = tfc.as_ref() {
-        run = run.tfc(server);
-    }
-    let out = run.run().unwrap();
+    let initial = rig.initial("recon-run");
+    let out = rig.run(&sys, &initial, Some(&delivery)).run().unwrap();
     assert_eq!(out.steps, 9);
     if crash {
         assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
     }
-    (tracer.events(), out.document.document().clone())
+    (rig.tracer.events(), out.document.document().clone())
 }
 
 /// Indices of the successful hop events — the ones the oracle matches
@@ -275,17 +184,8 @@ fn pattern_run(
     def: WorkflowDefinition,
     script: &[(&str, &[(&str, &str)])],
 ) -> (Vec<TraceEvent>, DraDocument) {
-    let gw = dra_bench::fuzz::GeneratedWorkflow {
-        seed: 0,
-        def,
-        script: script
-            .iter()
-            .map(|(a, rs)| {
-                (a.to_string(), rs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect())
-            })
-            .collect(),
-    };
-    let art = dra_bench::fuzz::run_generated(&gw, false, dra_bench::fuzz::Variant::Honest).unwrap();
+    let gw = GeneratedWorkflow::scripted(def, script);
+    let art = fuzz::run_generated(&gw, false, fuzz::Variant::Honest).unwrap();
     reconcile(&art.events, &art.document).expect("honest pattern run reconciles");
     (art.events, art.document)
 }
