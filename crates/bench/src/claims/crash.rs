@@ -25,7 +25,7 @@
 use super::{held, ClaimOutput, Row, Rows};
 use crate::rig::{Rig, SEEDS};
 use dra4wfms_core::prelude::*;
-use dra_cloud::{CrashPlan, CrashPoint, FaultProfile};
+use dra_cloud::{CrashPlan, CrashPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,22 +49,21 @@ fn run_cell(
     let clock = Arc::new(move || 1_000 + draws.fetch_add(1, Ordering::Relaxed));
     let fx = Rig::fig9(advanced).crashing(&plan).tfc_clock(clock);
     let sys = fx.cloud(3);
-    let delivery = fx.channel(FaultProfile::lossless(), 0);
 
     let mut completed = 0usize;
     let mut leases_expired = 0u64;
     for i in 0..INSTANCES {
         let initial = fx.initial(&format!("crash-{i:02}"));
-        if let Ok(run) = fx.run(&sys, &initial, Some(&delivery)).run() {
+        if let Ok(run) = fx.run(&sys, &initial).run() {
             if run.steps == 9 {
                 Verifier::new(&fx.dir).run(&run.document).expect("final document verifies");
                 completed += 1;
             }
-            leases_expired += run.delivery.map(|s| s.leases_expired).unwrap_or(0);
+            leases_expired += run.delivery.leases_expired;
         }
     }
 
-    let stats = delivery.stats();
+    let stats = sys.channel().stats();
     let (point, nth) = match plan.scheduled() {
         Some((p, n)) => (p.site().to_string(), n),
         None => ("none".to_string(), 0),

@@ -38,7 +38,7 @@ fn run_cell(
     let mut finals = String::new();
     for i in 0..INSTANCES {
         let initial = fx.initial(&format!("faults-{i:02}"));
-        if let Ok(run) = fx.run(&sys, &initial, Some(&delivery)).run() {
+        if let Ok(run) = fx.run(&sys, &initial).network(&delivery).run() {
             assert_eq!(run.steps, 9, "Fig. 9 with the loop taken once");
             Verifier::new(&fx.dir).run(&run.document).expect("final document verifies");
             finals.push_str(&run.document.wire());

@@ -44,7 +44,7 @@ fn run_cell(
     };
 
     let initial = fx.initial("obs-fig9");
-    let run = fx.run(&sys, &initial, Some(&delivery)).run().expect("instrumented run completes");
+    let run = fx.run(&sys, &initial).network(&delivery).run().expect("instrumented run completes");
     Verifier::new(&fx.dir).run(run.document.document()).expect("final document verifies");
 
     let events = fx.tracer.events();

@@ -35,7 +35,8 @@ fn run_cell(
     // per-cell pid: the alert stream names the cell it came from
     let initial = fx.initial(&format!("profile-{mode}-{channel}"));
     let run = fx
-        .run(&sys, &initial, Some(&delivery))
+        .run(&sys, &initial)
+        .network(&delivery)
         // a 25 ms end-to-end SLO: comfortable on a lossless channel,
         // deterministically blown by the hostile one (backoff is charged
         // in virtual time) — so the sweep demonstrates SloBreach too

@@ -363,7 +363,8 @@ pub fn run_generated(
     };
     let initial = rig.initial(&format!("fuzz-{:04}", gw.seed));
     let out = rig
-        .run(&sys, &initial, Some(&delivery))
+        .run(&sys, &initial)
+        .network(&delivery)
         .run()
         .map_err(|e| format!("run ({variant:?}, advanced={advanced}): {e}"))?;
     Verifier::new(&rig.dir)
@@ -454,7 +455,7 @@ pub fn admission_error(def: &WorkflowDefinition) -> Option<WfError> {
     let rig = Rig::new(cast("fuzz", &CAST), def.clone(), SecurityPolicy::public(), |_| vec![]);
     let sys = rig.cloud(1);
     let initial = rig.initial("unsound-twin");
-    Scheduler::new(&sys).admit_instance(rig.run(&sys, &initial, None)).err()
+    Scheduler::new(&sys).admit_instance(rig.run(&sys, &initial)).err()
 }
 
 /// Assert that `def` is rejected both statically and at scheduler

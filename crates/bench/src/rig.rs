@@ -391,15 +391,10 @@ impl Rig {
             .expect("initial document")
     }
 
-    /// A run of `initial` on `sys` — over `delivery` when given, on the
-    /// direct path otherwise — with the cast, the script, the TFC (if any)
-    /// and every instrument wired in.
-    pub fn run<'a>(
-        &'a self,
-        sys: &'a CloudSystem,
-        initial: &'a DraDocument,
-        delivery: Option<&'a Delivery>,
-    ) -> InstanceRun<'a> {
+    /// A run of `initial` on `sys` with the cast, the script, the TFC (if
+    /// any) and every instrument wired in; it hands off over `sys`'s own
+    /// lossless channel unless the cell chains `.network(..)`.
+    pub fn run<'a>(&'a self, sys: &'a CloudSystem, initial: &'a DraDocument) -> InstanceRun<'a> {
         let mut run = InstanceRun::new(sys, initial)
             .agents(&self.agents)
             .respond(&*self.respond)
@@ -412,25 +407,28 @@ impl Rig {
         if let Some(tfc) = &self.tfc {
             run = run.tfc(tfc);
         }
-        if let Some(delivery) = delivery {
-            run = run.network(delivery);
-        }
         run
     }
 
     /// Admit one instance per pid into one scheduler over `sys` and drain
     /// the bus; returns how many ran to completion (in the scenario's step
     /// count, where it fixes one).
-    pub fn fleet(
+    pub fn fleet(&self, sys: &CloudSystem, pids: impl Iterator<Item = String>) -> usize {
+        self.fleet_over(sys, pids, sys.channel())
+    }
+
+    /// [`Rig::fleet`] with every hand-off over `delivery`.
+    pub fn fleet_over(
         &self,
         sys: &CloudSystem,
         pids: impl Iterator<Item = String>,
-        delivery: Option<&Delivery>,
+        delivery: &Delivery,
     ) -> usize {
         let initials: Vec<DraDocument> = pids.map(|pid| self.initial(&pid)).collect();
         let mut sched = Scheduler::new(sys);
         for initial in &initials {
-            sched.admit_instance(self.run(sys, initial, delivery)).expect("admission succeeds");
+            let run = self.run(sys, initial).network(delivery);
+            sched.admit_instance(run).expect("admission succeeds");
         }
         let results = sched.run_to_completion();
         let complete = |steps: usize| self.steps.is_none_or(|expected| steps == expected);

@@ -324,7 +324,7 @@ mod tests {
                 DraDocument::new_initial_with_pid(&def, &pol, &designer, &format!("a-{i:02}"))
                     .unwrap();
             let route = Route { targets: vec!["submit".into()], ends: false };
-            sys.store_document(i % 2, &doc.to_xml_string(), &route).unwrap();
+            sys.ingest_wire(i % 2, &doc.to_xml_string(), &route, None).unwrap();
         }
         sys
     }

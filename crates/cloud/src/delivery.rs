@@ -10,8 +10,8 @@
 //!   exponentially growing, jittered backoff — all in virtual time, so
 //!   benchmarks stay deterministic and fast;
 //! * a **duplicated** copy reaches the portal twice; the portal's
-//!   wire-digest idempotency (see [`CloudSystem::ingest_wire`]) suppresses
-//!   the second store, so the pool never grows a phantom version;
+//!   wire-digest idempotency (see [`StoreAck`]) suppresses the second
+//!   store, so the pool never grows a phantom version;
 //! * a **corrupted** copy fails the portal's verification fallback and is
 //!   counted, never stored — the sender retries with the original bytes;
 //! * a **reordered** copy is parked in a bounded redelivery queue and
@@ -23,7 +23,7 @@
 
 use crate::faults::{FaultCounts, FaultProfile, FaultyNetwork};
 use crate::netsim::NetworkSim;
-use crate::portal::{CloudSystem, StoreAck};
+use crate::portal::{parse_arrived, CloudSystem, StoreAck};
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry, Tracer};
 use rand::rngs::StdRng;
@@ -103,8 +103,8 @@ pub struct DeliveryStats {
     /// Reordered copies dropped because the redelivery queue was full.
     pub queue_overflow_dropped: u64,
     /// Crash faults injected during the run (by a [`crate::CrashPlan`]);
-    /// the delivery layer observes portal and TFC crashes, the runner folds
-    /// in AEA crashes it supervised.
+    /// the delivery layer counts the portal crashes it repaired, the runner
+    /// folds in the AEA and TFC crashes it supervised.
     pub crashes_injected: u64,
     /// Hop leases that expired and triggered a supervisor takeover
     /// (runner-supervised; 0 for bare delivery use).
@@ -156,12 +156,23 @@ impl DeliveryStats {
     }
 }
 
-/// A reordered portal-bound copy waiting in the redelivery queue.
+/// A reordered portal-bound copy waiting in the redelivery queue, as it
+/// [`arrived`].
 struct Pending {
-    payload: String,
+    copy: WfResult<SealedDocument>,
     portal: usize,
     route: Route,
-    trust: Option<TrustMark>,
+}
+
+/// What one physical copy reads as at its receiver. An intact copy *is* the
+/// sender's sealed document — tree, wire bytes and mark shared, nothing
+/// parsed again; a corrupted one is parsed from its own bytes and handed the
+/// sender's mark.
+fn arrived(sealed: &SealedDocument, payload: Option<&str>) -> WfResult<SealedDocument> {
+    match payload {
+        None => Ok(sealed.clone()),
+        Some(bytes) => parse_arrived(bytes, sealed.trust()),
+    }
 }
 
 /// What a [`Delivery`] mutates, under one lock (never held across a call
@@ -236,7 +247,8 @@ impl Delivery {
     /// attempt and retry counters, the backoff after an unacked attempt and
     /// the undeliverable error. `attempt` puts one copy of the wire bytes on
     /// the channel, handles whatever arrives and returns the receiver's
-    /// ack if one came; its error ends the hand-off at once.
+    /// ack if one came; its error is the receiver's refusal and ends the
+    /// hand-off at once.
     fn with_retries<T>(
         &self,
         sealed: &SealedDocument,
@@ -263,11 +275,15 @@ impl Delivery {
                 stats.attempts += 1;
                 stats.retries += u64::from(n > 1);
             });
-            if let Some(ack) = attempt(&wire)? {
+            // the receiver answered: with its ack, or with a refusal that
+            // retrying the same bytes can never cure
+            if let Some(answer) = attempt(&wire).transpose() {
                 self.count(|stats| stats.delivered += 1);
-                span.attr("attempts", n);
-                span.end();
-                return Ok(ack);
+                if answer.is_ok() {
+                    span.attr("attempts", n);
+                    span.end();
+                }
+                return answer;
             }
             self.wait_before_retry(&mut backoff);
         }
@@ -291,24 +307,18 @@ impl Delivery {
         route: &Route,
     ) -> WfResult<StoreAck> {
         // reordered copies of *earlier* sends arrive before this one
-        self.drain_pending(system);
+        self.flush(system);
         let attempt = |wire: &Arc<String>| {
             let mut ack: Option<StoreAck> = None;
             for arrival in self.network.send(wire) {
+                let copy = arrived(sealed, arrival.payload.as_deref());
                 if arrival.late {
-                    self.enqueue_pending(Pending {
-                        payload: arrival.payload.unwrap_or_else(|| wire.as_ref().clone()),
-                        portal,
-                        route: route.clone(),
-                        trust: sealed.trust().cloned(),
-                    });
+                    self.enqueue_pending(Pending { copy, portal, route: route.clone() });
                     continue;
                 }
                 self.network.sim().advance(arrival.delay_us);
                 let corrupted = arrival.payload.is_some();
-                let payload = arrival.payload.as_deref().unwrap_or(wire);
-                let trust = sealed.trust();
-                if let Some(a) = self.to_portal(system, portal, payload, route, trust, corrupted)? {
+                if let Some(a) = self.to_portal(system, portal, copy, route, corrupted)? {
                     ack.get_or_insert(a);
                 }
             }
@@ -344,24 +354,13 @@ impl Delivery {
                     self.count(|stats| stats.late_deliveries += 1);
                 }
                 let corrupted = arrival.payload.is_some();
-                let copy = match &arrival.payload {
-                    None => Ok(sealed.clone()),
-                    Some(bytes) => SealedDocument::from_wire(bytes),
-                };
+                let copy = arrived(sealed, arrival.payload.as_deref());
                 // (a corrupted copy that still verifies is canonically
-                // identical — accept it; a receiver that died mid-ingest,
-                // e.g. the TFC after drawing its timestamp, re-emits the
-                // same result from its redo log on the retry)
+                // identical — accept it)
                 acked = self.settle(copy.and_then(&mut ingest), corrupted, || ())?;
             }
             Ok(acked)
         })
-    }
-
-    /// Ingest every copy still parked in the redelivery queue (call at the
-    /// end of a run so late duplicates are accounted before reading stats).
-    pub fn flush(&self, system: &CloudSystem) {
-        self.drain_pending(system);
     }
 
     /// Snapshot the accumulated statistics: the counters kept here plus
@@ -402,7 +401,9 @@ impl Delivery {
         state.pending.push_back(pending);
     }
 
-    fn drain_pending(&self, system: &CloudSystem) {
+    /// Ingest every copy still parked in the redelivery queue (also at the
+    /// end of a run, so late duplicates are accounted before reading stats).
+    pub fn flush(&self, system: &CloudSystem) {
         loop {
             let Some(p) = self.state().pending.pop_front() else { return };
             self.count(|stats| stats.late_deliveries += 1);
@@ -411,7 +412,7 @@ impl Delivery {
             // send that never acked lands here as a fresh (valid) store,
             // which is exactly redelivery; a late corrupted or stale copy is
             // rejected by verification, so every rejection counts as one
-            let _ = self.to_portal(system, p.portal, &p.payload, &p.route, p.trust.as_ref(), true);
+            let _ = self.to_portal(system, p.portal, p.copy, &p.route, true);
         }
     }
 
@@ -422,13 +423,12 @@ impl Delivery {
         &self,
         system: &CloudSystem,
         portal: usize,
-        payload: &str,
+        copy: WfResult<SealedDocument>,
         route: &Route,
-        trust: Option<&TrustMark>,
         corrupted: bool,
     ) -> WfResult<Option<StoreAck>> {
-        let arrived = system.ingest_wire(portal, payload, route, trust);
-        let ack = self.settle(arrived, corrupted, || {
+        let admitted = copy.and_then(|copy| system.admit(portal, &copy, route));
+        let ack = self.settle(admitted, corrupted, || {
             system.recover_portals();
         })?;
         if ack.is_some_and(|a| a.duplicate) {
@@ -496,5 +496,43 @@ mod tests {
             DeliveryStats { virtual_time_us: 500, ideal_time_us: 500, ..Default::default() };
         assert!((stats.inflation() - 1.0).abs() < 1e-9);
         assert!((DeliveryStats::default().inflation() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_intact_copy_is_the_senders_document_and_a_corrupted_one_is_parsed_and_rejected() {
+        let designer = Credentials::from_seed("designer", "d");
+        let def = WorkflowDefinition::builder("wf", "designer")
+            .simple_activity("a", "designer", &["x"])
+            .flow_end("a")
+            .build()
+            .unwrap();
+        let dir = Directory::from_credentials([&designer]);
+        let doc =
+            DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "p")
+                .unwrap();
+        let mark = Verifier::new(&dir).with_mark(None).run(&doc).unwrap().mark.unwrap();
+        let sealed = SealedDocument::with_trust(doc, mark);
+
+        let profile = FaultProfile { corrupt: 0.5, ..FaultProfile::lossless() };
+        let policy = DeliveryPolicy { max_attempts: 32, ..DeliveryPolicy::default() };
+        let delivery = Delivery::new(Arc::new(NetworkSim::lan()), profile, policy, 5).unwrap();
+        let (mut intact, mut garbled) = (0u64, 0u64);
+        for _ in 0..32 {
+            let receive = |copy: SealedDocument| {
+                assert_eq!(copy.trust(), sealed.trust(), "either way, the sender's mark");
+                if Arc::ptr_eq(&copy.wire(), &sealed.wire()) {
+                    intact += 1;
+                } else {
+                    garbled += 1;
+                    assert_ne!(copy.wire(), sealed.wire(), "parsed from its own bytes");
+                }
+                Verifier::new(&dir).with_mark(copy.trust()).run(&copy).map(|_| ())
+            };
+            delivery.transfer(&sealed, receive).unwrap();
+        }
+        let stats = delivery.stats();
+        assert_eq!((intact, stats.delivered), (32, 32), "only intact copies were accepted");
+        assert!(garbled > 0 && garbled <= stats.faults.corrupted, "some did not even parse");
+        assert_eq!(stats.corruptions_rejected, stats.faults.corrupted, "each one rejected");
     }
 }

@@ -162,7 +162,10 @@ struct InstanceState {
     crashes: u64,
     crash_alerted: bool,
     slo_us: Option<u64>,
-    finished: bool,
+    /// Between `instance_started` and `instance_finished`. Spans alone never
+    /// set it: a process whose admission was refused leaves spans behind but
+    /// nobody who will finish it.
+    watched: bool,
 }
 
 #[derive(Default)]
@@ -200,14 +203,14 @@ impl HealthMonitor {
         st.started_us = now_us;
         st.last_progress_us = st.last_progress_us.max(now_us);
         st.slo_us = slo_us;
-        st.finished = false;
+        st.watched = true;
     }
 
     /// Declare an instance done; checks the SLO and stops stuck tracking.
     pub fn instance_finished(&self, process_id: &str, now_us: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(st) = inner.instances.get_mut(process_id) else { return };
-        st.finished = true;
+        st.watched = false;
         let elapsed_us = now_us.saturating_sub(st.started_us);
         if let Some(slo_us) = st.slo_us {
             if elapsed_us > slo_us {
@@ -221,7 +224,7 @@ impl HealthMonitor {
     }
 
     /// Progress-deadline sweep: raise [`AlertKind::StuckInstance`] (once
-    /// per stall — re-armed by the next progress) for every unfinished
+    /// per stall — re-armed by the next progress) for every watched
     /// instance idle past the deadline. Call whenever virtual time has
     /// advanced without spans closing.
     pub fn tick(&self, now_us: u64) {
@@ -230,7 +233,7 @@ impl HealthMonitor {
         let mut fired: Vec<Alert> = Vec::new();
         for (pid, st) in &mut inner.instances {
             let idle_us = now_us.saturating_sub(st.last_progress_us);
-            if !st.finished && !st.stuck_flagged && idle_us > deadline_us {
+            if st.watched && !st.stuck_flagged && idle_us > deadline_us {
                 st.stuck_flagged = true;
                 fired.push(Alert {
                     at_us: now_us,

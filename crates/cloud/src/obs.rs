@@ -87,10 +87,10 @@ pub fn tracer_for(network: &Arc<NetworkSim>) -> Tracer {
 ///   at least backed by a recorded divergent row.
 ///
 /// Counters a run never touched read as zero, so the checks degrade
-/// gracefully on direct-path (no-delivery) and single-cloud runs (the
-/// `federation.*` counters — `replicas_acked`, `quarantines`, `failovers`,
-/// `outages`, `reroutes`, `tampered_serves` — only exist on federated
-/// deployments). Returns a description of the first violated invariant.
+/// gracefully on single-cloud runs (the `federation.*` counters —
+/// `replicas_acked`, `quarantines`, `failovers`, `outages`, `reroutes`,
+/// `tampered_serves` — only exist on federated deployments). Returns a
+/// description of the first violated invariant.
 pub fn check_metric_invariants(snapshot: &MetricsSnapshot) -> Result<(), String> {
     let sends = snapshot.counter("delivery.sends");
     let delivered = snapshot.counter("delivery.delivered");

@@ -7,6 +7,7 @@
 //! deployment (the scalability story of the paper).
 
 use crate::crash::{CrashPlan, CrashPoint};
+use crate::delivery::Delivery;
 use crate::federation::{tamper_bytes, FederationController, Topology};
 use crate::netsim::NetworkSim;
 use crate::sched::{Activation, ActivationBus};
@@ -77,6 +78,8 @@ pub struct CloudSystem {
     pub portals: Vec<PortalStats>,
     /// Simulated network accounting for user↔portal transfers.
     pub network: Arc<NetworkSim>,
+    /// See [`CloudSystem::channel`].
+    channel: Delivery,
     /// The member clouds' storage, in declaration order; never empty. Every
     /// admission commits its full put batch through the active cloud's
     /// journal, so a portal crash between two rows is repaired by
@@ -117,6 +120,7 @@ impl CloudSystem {
         CloudSystem {
             directory,
             portals: (0..portals).map(|_| PortalStats::default()).collect(),
+            channel: Delivery::lossless(Arc::clone(&network)),
             network,
             clouds,
             controller,
@@ -192,6 +196,13 @@ impl CloudSystem {
         &self.clouds[self.active_index()]
     }
 
+    /// The channel a run hands off over unless it names another
+    /// ([`crate::runner::InstanceRun::network`]): lossless, over `network`,
+    /// recording into the deployment's tracer.
+    pub fn channel(&self) -> &Delivery {
+        &self.channel
+    }
+
     /// The deployment's activation bus (portals publish, schedulers drain).
     pub fn activation_bus(&self) -> &Arc<ActivationBus> {
         &self.bus
@@ -241,12 +252,13 @@ impl CloudSystem {
         self
     }
 
-    /// Record `portal:admit` spans (and the journal's commit/replay spans)
-    /// into `tracer`.
+    /// Record `portal:admit` spans, the journal's commit/replay spans and
+    /// the default channel's `deliver` spans into `tracer`.
     pub fn with_tracer(mut self, tracer: Tracer) -> CloudSystem {
         for cloud in &self.clouds {
             cloud.set_tracer(tracer.clone());
         }
+        self.channel = self.channel.with_tracer(tracer.clone());
         self.tracer = tracer;
         self
     }
@@ -343,41 +355,19 @@ impl CloudSystem {
         self.active_cloud().seq_of(&dra_crypto::sha256(wire.as_bytes()))
     }
 
-    /// Store a verified document through portal `portal`, then notify the
-    /// participants of `route`'s target activities (steps 4–6 of Fig. 7).
-    ///
-    /// Returns the sequence number the document was stored under.
-    pub fn store_document(&self, portal: usize, xml: &str, route: &Route) -> WfResult<usize> {
-        self.store_sealed(portal, &SealedDocument::from_wire(xml)?, route)
-    }
-
-    /// Sealed-form variant of [`CloudSystem::store_document`] — the
-    /// zero-copy fast path. The received wire bytes are stored as-is (no
-    /// re-serialization), and verification is incremental whenever the
-    /// document carries a [`TrustMark`] whose prefix digest still matches.
-    ///
-    /// Idempotent: re-presenting bytes already stored returns the original
-    /// sequence number without growing the pool.
-    pub fn store_sealed(
-        &self,
-        portal: usize,
-        sealed: &SealedDocument,
-        route: &Route,
-    ) -> WfResult<usize> {
-        self.network.transfer(sealed.size_bytes());
-        Ok(self.admit(portal, sealed, route)?.seq)
-    }
-
-    /// Ingest wire bytes as they arrived off the network, **without**
-    /// charging the network simulation — the delivery layer already charged
-    /// every physical copy it put on the channel, including dropped and
-    /// duplicated ones ([`crate::faults::FaultyNetwork::send`]).
+    /// The one byte-level admission entry — the deployment's trust boundary:
+    /// parse `wire` as it arrived and run the admission pipeline on it.
+    /// Charges nothing: whoever put the bytes on a channel was charged for
+    /// every physical copy ([`crate::faults::FaultyNetwork::send`]).
     ///
     /// `trust` is the mark the *sender* holds for the bytes it transmitted.
     /// Attaching it to whatever arrived is safe because the mark pins a
     /// prefix digest: a corrupted copy no longer digest-matches, so
     /// verification falls back to the full signature pass and rejects it —
     /// corrupted bytes can never ride the original's trust into the pool.
+    ///
+    /// Idempotent: re-presenting bytes already stored acks the original
+    /// sequence number with `duplicate = true` and grows nothing.
     pub fn ingest_wire(
         &self,
         portal: usize,
@@ -385,19 +375,19 @@ impl CloudSystem {
         route: &Route,
         trust: Option<&TrustMark>,
     ) -> WfResult<StoreAck> {
-        let mut sealed = SealedDocument::from_wire(wire)?;
-        if let Some(mark) = trust {
-            sealed.set_trust(mark.clone());
-        }
-        self.admit(portal, &sealed, route)
+        self.admit(portal, &parse_arrived(wire, trust)?, route)
     }
 
-    /// The portal's admission pipeline: duplicate suppression by wire
-    /// digest, verification (incremental when trusted), storage, TO-DO
-    /// notification. Shared by the direct path ([`CloudSystem::store_sealed`],
-    /// which also charges the network) and the delivery path
-    /// ([`CloudSystem::ingest_wire`], which does not).
-    fn admit(&self, portal: usize, sealed: &SealedDocument, route: &Route) -> WfResult<StoreAck> {
+    /// The portal's admission pipeline (steps 4–6 of Fig. 7): duplicate
+    /// suppression by wire digest, verification (incremental when the
+    /// document's [`TrustMark`] still pins its prefix), storage of the wire
+    /// bytes as they are, TO-DO notification.
+    pub(crate) fn admit(
+        &self,
+        portal: usize,
+        sealed: &SealedDocument,
+        route: &Route,
+    ) -> WfResult<StoreAck> {
         // On a federated deployment the controller owns the final portal
         // choice: it runs the outage dance for the target cloud (touches of
         // an unconfirmed-dead cloud surface as retriable crashes), then
@@ -777,11 +767,8 @@ impl CloudSystem {
             .ok_or_else(|| WfError::Malformed(format!("no pending initial '{process_id}'")))?;
         let doc = DraDocument::parse(&xml)?;
         let definition = dra4wfms_core::amendment::effective_definition(&doc)?;
-        self.store_document(
-            portal,
-            &xml,
-            &Route { targets: vec![definition.def.start.clone()], ends: false },
-        )?;
+        let route = Route { targets: vec![definition.def.start.clone()], ends: false };
+        self.ingest_wire(portal, &xml, &route, None)?;
         active.remove(RowKey::Initial(pid));
         Ok(())
     }
@@ -851,6 +838,16 @@ impl CloudSystem {
     }
 }
 
+/// Wire bytes as they arrived, parsed, carrying the mark their sender holds
+/// (why that is safe: [`CloudSystem::ingest_wire`]).
+pub(crate) fn parse_arrived(wire: &str, trust: Option<&TrustMark>) -> WfResult<SealedDocument> {
+    let mut sealed = SealedDocument::from_wire(wire)?;
+    if let Some(mark) = trust {
+        sealed.set_trust(mark.clone());
+    }
+    Ok(sealed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,8 +877,8 @@ mod tests {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-1").unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        let seq = sys.store_document(0, &doc.to_xml_string(), &route).unwrap();
-        assert_eq!(seq, 0);
+        let ack = sys.ingest_wire(0, &doc.to_xml_string(), &route, None).unwrap();
+        assert_eq!(ack, StoreAck { seq: 0, duplicate: false });
         let xml = sys.retrieve_latest(0, "p-1").unwrap();
         assert_eq!(xml, doc.to_xml_string());
         assert_eq!(sys.retrieve_version("p-1", 0).unwrap(), xml);
@@ -905,7 +902,7 @@ mod tests {
         let admit = |def: &WorkflowDefinition, pid: &str| {
             let doc = DraDocument::new_initial_with_pid(def, &pol, &designer, pid).unwrap();
             let route = Route { targets: vec![def.start.clone()], ends: false };
-            sys.store_document(0, &doc.to_xml_string(), &route).map(|_| doc)
+            sys.ingest_wire(0, &doc.to_xml_string(), &route, None).map(|_| doc)
         };
 
         let first = admit(&variant(0), "tenant-0").unwrap();
@@ -958,7 +955,7 @@ mod tests {
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-2").unwrap();
         let tampered = doc.to_xml_string().replace("alice", "mallory");
         let route = Route::default();
-        assert!(sys.store_document(0, &tampered, &route).is_err());
+        assert!(sys.ingest_wire(0, &tampered, &route, None).is_err());
         assert!(sys.retrieve_latest(0, "p-2").is_none());
         assert_eq!(sys.total_stored(), 0);
     }
@@ -967,10 +964,11 @@ mod tests {
     fn todo_notification_cycle() {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-3").unwrap();
-        sys.store_document(
+        sys.ingest_wire(
             0,
             &doc.to_xml_string(),
             &Route { targets: vec!["submit".into()], ends: false },
+            None,
         )
         .unwrap();
         // alice is notified
@@ -995,7 +993,7 @@ mod tests {
             } else {
                 Route { targets: vec!["submit".into()], ends: false }
             };
-            sys.store_document(i, &doc.to_xml_string(), &route).unwrap();
+            sys.ingest_wire(i, &doc.to_xml_string(), &route, None).unwrap();
         }
         let stats = sys.statistics_by_status(4);
         assert_eq!(stats["complete"], 3);
@@ -1018,7 +1016,7 @@ mod tests {
             } else {
                 Route { targets: vec!["submit".into()], ends: false }
             };
-            sys.store_document(i, &doc.to_xml_string(), &route).unwrap();
+            sys.ingest_wire(i, &doc.to_xml_string(), &route, None).unwrap();
         }
         let counts = sys.fleet_views().status_counts();
         assert_eq!(counts["complete"], 3);
@@ -1036,7 +1034,7 @@ mod tests {
         let sys = sys.with_crash_plan(CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 1));
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "v-cr").unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        assert!(sys.store_document(0, &doc.to_xml_string(), &route).is_err());
+        assert!(sys.ingest_wire(0, &doc.to_xml_string(), &route, None).is_err());
         // torn admission: neither the pool nor the views saw the meta rows
         sys.views_match_scan(2).expect("views ≡ scan in the crash window");
         sys.recover_portals();
@@ -1065,7 +1063,7 @@ mod tests {
             let pid = format!("s-{i:02}");
             let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, &pid).unwrap();
             let submit = Route { targets: vec!["submit".into()], ends: false };
-            sys.store_document(i, &doc.to_xml_string(), &submit).unwrap();
+            sys.ingest_wire(i, &doc.to_xml_string(), &submit, None).unwrap();
             // a random share of the instances takes a hop, some of them the last
             if rng.gen_range(0..3u32) > 0 {
                 let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
@@ -1073,7 +1071,7 @@ mod tests {
                 let ends = rng.gen_range(0..2u32) == 0;
                 let targets = if ends { vec![] } else { vec!["approve".into()] };
                 let xml = done.document.to_xml_string();
-                sys.store_document(i, &xml, &Route { targets, ends }).unwrap();
+                sys.ingest_wire(i, &xml, &Route { targets, ends }, None).unwrap();
             }
         }
         let restored = CloudSystem::restore(
@@ -1097,11 +1095,11 @@ mod tests {
         let wire = |pid: &str| {
             DraDocument::new_initial_with_pid(&def, &pol, &designer, pid).unwrap().to_xml_string()
         };
-        sys.store_document(0, &wire("P"), &route).unwrap();
+        sys.ingest_wire(0, &wire("P"), &route, None).unwrap();
         let rows = sys.active_pool().row_count();
 
         // `P/zzz` would store under `doc/P/zzz/…`, inside `P`'s own prefix
-        let err = sys.store_document(0, &wire("P/zzz"), &route).unwrap_err();
+        let err = sys.ingest_wire(0, &wire("P/zzz"), &route, None).unwrap_err();
         assert!(matches!(err, WfError::Malformed(_)), "{err}");
         let err = sys.upload_initial(0, &wire("P/zzz")).unwrap_err();
         assert!(matches!(err, WfError::Malformed(_)), "{err}");
@@ -1160,10 +1158,11 @@ mod tests {
     fn cold_restart_from_snapshot() {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-r").unwrap();
-        sys.store_document(
+        sys.ingest_wire(
             0,
             &doc.to_xml_string(),
             &Route { targets: vec!["submit".into()], ends: false },
+            None,
         )
         .unwrap();
         let snapshot = sys.snapshot_pool();
@@ -1186,34 +1185,21 @@ mod tests {
     }
 
     #[test]
-    fn storing_the_same_bytes_twice_is_idempotent() {
-        let (sys, def, pol, designer, _) = setup();
-        let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-dup").unwrap();
-        let route = Route { targets: vec!["submit".into()], ends: false };
-        let sealed = SealedDocument::from_wire(&doc.to_xml_string()).unwrap();
-        let first = sys.store_sealed(0, &sealed, &route).unwrap();
-        let second = sys.store_sealed(1, &sealed, &route).unwrap();
-        assert_eq!(first, second, "duplicate acks the original sequence number");
-        assert_eq!(versions(&sys, "p-dup"), 1, "pool holds one version");
-        assert_eq!(sys.total_stored(), 1);
-        assert_eq!(sys.total_duplicates_suppressed(), 1);
-    }
-
-    #[test]
     fn ingest_wire_dedup_and_rejection() {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-iw").unwrap();
         let wire = doc.to_xml_string();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        let bytes_before = sys.network.bytes();
 
         let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
         assert!(!ack.duplicate);
-        let again = sys.ingest_wire(0, &wire, &route, None).unwrap();
-        assert!(again.duplicate);
-        assert_eq!(again.seq, ack.seq);
-        // the delivery layer charges the channel; ingest must not
-        assert_eq!(sys.network.bytes(), bytes_before);
+        let again = sys.ingest_wire(1, &wire, &route, None).unwrap();
+        assert_eq!(again, StoreAck { seq: ack.seq, duplicate: true }, "whichever the portal");
+        assert_eq!((sys.total_stored(), sys.total_duplicates_suppressed()), (1, 1));
+        // admission charges nothing (the channel charged each copy); a serve does
+        assert_eq!(sys.network.bytes(), 0);
+        sys.retrieve_latest(1, "p-iw").unwrap();
+        assert_eq!((sys.network.bytes(), sys.network.messages()), (wire.len() as u64, 1));
 
         // a tampered copy is rejected, stored nothing
         let tampered = wire.replace("alice", "mallory");
@@ -1225,9 +1211,8 @@ mod tests {
     fn duplicate_suppression_survives_restart() {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-sr").unwrap();
-        let sealed = SealedDocument::from_wire(&doc.to_xml_string()).unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        let seq = sys.store_sealed(0, &sealed, &route).unwrap();
+        let seq = sys.ingest_wire(0, &doc.to_xml_string(), &route, None).unwrap().seq;
         let snapshot = sys.snapshot_pool();
 
         let restored =
@@ -1250,7 +1235,7 @@ mod tests {
 
         // the portal dies after the seen row, before the document row: the
         // dangerous window where the pool claims "stored" with nothing stored
-        let err = sys.store_document(0, &wire, &route).unwrap_err();
+        let err = sys.ingest_wire(0, &wire, &route, None).unwrap_err();
         assert!(matches!(err, WfError::Crash(_)));
         assert!(sys.retrieve_latest(0, "p-cr").is_none(), "document row missing");
         assert_eq!(sys.stored_seq_for(&wire), Some(0), "seen row landed");
@@ -1269,16 +1254,5 @@ mod tests {
         assert!(ack.duplicate);
         assert_eq!(ack.seq, 0);
         assert_eq!(versions(&sys, "p-cr"), 1);
-    }
-
-    #[test]
-    fn network_accounting_tracks_transfers() {
-        let (sys, def, pol, designer, _) = setup();
-        let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-n").unwrap();
-        let before = sys.network.bytes();
-        sys.store_document(0, &doc.to_xml_string(), &Route::default()).unwrap();
-        sys.retrieve_latest(1, "p-n").unwrap();
-        assert_eq!(sys.network.bytes(), before + 2 * doc.to_xml_string().len() as u64);
-        assert_eq!(sys.network.messages(), 2);
     }
 }

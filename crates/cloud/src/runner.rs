@@ -14,22 +14,27 @@
 //!     .tfc(&tfc)                // advanced model only
 //!     .respond(&responder)
 //!     .max_steps(100)
-//!     .network(&delivery)       // optional: hops cross a faulty channel
+//!     .network(&delivery)       // hops cross this channel, not the system's lossless one
 //!     .run()?;
 //! ```
 //!
-//! ## Lease-based hop takeover
+//! ## Who repairs what
 //!
-//! Every dispatched hop implicitly carries a virtual-time lease
-//! ([`LEASE_US`]). When a crash fault kills the executing agent (or the
-//! TFC, or the portal on the direct path), the scheduler — acting as
-//! supervisor, at most [`MAX_TAKEOVERS`] times per hop — waits out the lease,
-//! restarts the portals (journal replay), re-fetches the hop's input
-//! documents from the pool (*document-anchored recovery*: the pool copy,
-//! not the dead agent's memory, is the truth) and re-dispatches the hop to
-//! a recovered agent. Deterministic signing + sealing make the re-executed
-//! result byte-identical, so if the dead agent's send did land, the
-//! portal's wire-digest idempotency suppresses the duplicate.
+//! Every hand-off — AEA → portal, AEA → TFC — crosses a [`Delivery`], so
+//! each component that can die has one recovery owner:
+//!
+//! * a **portal** that dies mid-store is restarted (journal replay) and the
+//!   send retried by the channel, on every run; the scheduler never sees it;
+//! * an **AEA**, or the **TFC** dying in `finalize` (which runs outside the
+//!   channel), surfaces as [`WfError::Crash`] from the hop. Every dispatched
+//!   hop carries a virtual-time lease ([`LEASE_US`]): the scheduler — as
+//!   supervisor, at most [`MAX_TAKEOVERS`] times per hop — waits it out,
+//!   re-fetches the hop's inputs from the pool (*document-anchored
+//!   recovery*: the pool copy, not the dead agent's memory, is the truth)
+//!   and re-dispatches to a recovered agent. Deterministic signing, sealing
+//!   and the TFC's redo log make the re-executed result byte-identical, so
+//!   if the dead agent's send did land, the portal's wire-digest
+//!   idempotency suppresses the duplicate.
 
 use crate::delivery::{Delivery, DeliveryStats};
 use crate::monitor::HealthMonitor;
@@ -66,17 +71,19 @@ pub struct RunOutcome {
     /// with trust-marked hand-offs this grows O(n) in the number of steps
     /// instead of the O(n²) of re-verifying every cascade from scratch.
     pub signature_checks: usize,
-    /// Delivery accounting when the run crossed a fault-injecting channel
-    /// ([`InstanceRun::network`]); `None` on the direct path.
-    pub delivery: Option<DeliveryStats>,
+    /// Delivery accounting of the channel the run handed off over, read at
+    /// the end of the run (cumulative over the channel's life), with this
+    /// instance's supervised crashes, expired leases and journal replays
+    /// folded in.
+    pub delivery: DeliveryStats,
 }
 
 /// Builder for driving one process instance end to end.
 ///
 /// Required: [`InstanceRun::agents`] and [`InstanceRun::respond`] — the run
 /// fails with [`WfError::Config`] without them. Everything else has
-/// defaults: no TFC (basic model), 1 000 step bound, direct (lossless)
-/// hand-offs.
+/// defaults: no TFC (basic model), 1 000 step bound, hand-offs over the
+/// system's own lossless channel.
 #[must_use = "the builder does nothing until .run()"]
 pub struct InstanceRun<'a> {
     pub(crate) system: &'a CloudSystem,
@@ -85,7 +92,7 @@ pub struct InstanceRun<'a> {
     pub(crate) tfc: Option<&'a TfcServer>,
     pub(crate) respond: Option<&'a Responder>,
     pub(crate) max_steps: usize,
-    pub(crate) delivery: Option<&'a Delivery>,
+    pub(crate) delivery: &'a Delivery,
     pub(crate) tracer: Tracer,
     pub(crate) metrics: Option<&'a MetricsRegistry>,
     pub(crate) monitor: Option<Arc<HealthMonitor>>,
@@ -102,7 +109,7 @@ impl<'a> InstanceRun<'a> {
             tfc: None,
             respond: None,
             max_steps: 1_000,
-            delivery: None,
+            delivery: system.channel(),
             tracer: Tracer::disabled(),
             metrics: None,
             monitor: None,
@@ -134,11 +141,11 @@ impl<'a> InstanceRun<'a> {
         self
     }
 
-    /// Route every document hand-off (AEA → portal, AEA → TFC) through a
-    /// fault-injecting [`Delivery`] channel instead of the direct path. The
-    /// outcome's [`RunOutcome::delivery`] then carries the per-run stats.
+    /// Route every document hand-off (AEA → portal, AEA → TFC) through
+    /// `delivery` — typically a fault-injecting channel — instead of the
+    /// system's lossless one.
     pub fn network(mut self, delivery: &'a Delivery) -> InstanceRun<'a> {
-        self.delivery = Some(delivery);
+        self.delivery = delivery;
         self
     }
 
@@ -179,20 +186,6 @@ impl<'a> InstanceRun<'a> {
     pub fn metrics(mut self, metrics: &'a MetricsRegistry) -> InstanceRun<'a> {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// Store a document through the configured channel: direct (charging
-    /// the network once) or via retry/backoff delivery over the faulty one.
-    pub(crate) fn store(
-        &self,
-        portal: usize,
-        sealed: &SealedDocument,
-        route: &Route,
-    ) -> WfResult<()> {
-        match self.delivery {
-            Some(d) => d.deliver(self.system, portal, sealed, route).map(|_| ()),
-            None => self.system.store_sealed(portal, sealed, route).map(|_| ()),
-        }
     }
 
     /// Drive the instance to completion.
@@ -236,7 +229,6 @@ impl<'a> InstanceRun<'a> {
         use_tfc: bool,
         portal: usize,
     ) -> WfResult<(SealedDocument, Route, usize, u32)> {
-        let system = self.system;
         let received = aea.receive(merged.clone(), activity)?;
         let mut checks = received.report.signatures_verified;
         let iter = received.iter;
@@ -254,14 +246,7 @@ impl<'a> InstanceRun<'a> {
         let (document, route) = match self.tfc {
             Some(server) if use_tfc => {
                 let inter = aea.complete_via_tfc(&received, &responses)?;
-                let processed = match self.delivery {
-                    // the AEA → TFC hop crosses the same faulty channel
-                    Some(d) => d.transfer(&inter.document, |s| server.receive(s))?,
-                    None => {
-                        system.network.transfer(inter.document.size_bytes());
-                        server.receive(inter.document)?
-                    }
-                };
+                let processed = self.delivery.transfer(&inter.document, |s| server.receive(s))?;
                 checks += processed.report.signatures_verified;
                 let finalized = server.finalize(&processed)?;
                 (finalized.document, finalized.route)
@@ -273,7 +258,7 @@ impl<'a> InstanceRun<'a> {
         };
 
         // store + notify (portal chosen by hash of (process, step))
-        self.store(portal, &document, &route)?;
+        self.delivery.deliver(self.system, portal, &document, &route)?;
         Ok((document, route, checks, iter))
     }
 
@@ -281,9 +266,8 @@ impl<'a> InstanceRun<'a> {
     /// holds for these exact bytes (found via the wire-digest row), carrying
     /// over the input's own trust mark — the bytes are the ones it pins, and
     /// an input without a mark gets the full signature pass. An input the
-    /// pool has no completed admission for is kept as-is — the runner stored
-    /// every input before dispatching the hop, so this only happens when
-    /// replay has not repaired a torn admission yet.
+    /// pool has no completed admission for is kept as-is (none should be:
+    /// every input was acked by a portal before its hop was dispatched).
     pub(crate) fn refetch(&self, pid: &str, inputs: Vec<SealedDocument>) -> Vec<SealedDocument> {
         inputs
             .into_iter()
@@ -309,7 +293,6 @@ impl<'a> InstanceRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultProfile;
     use crate::netsim::NetworkSim;
     use dra4wfms_core::monitor::ProcessStatus;
     use dra4wfms_core::verify::Verifier;
@@ -390,7 +373,8 @@ mod tests {
             .unwrap();
         // Loop taken once: A,B1,B2,C (reject) + A,B1,B2,C (accept) + D = 9
         assert_eq!(out.steps, 9);
-        assert!(out.delivery.is_none(), "no delivery channel configured");
+        let sent = out.delivery;
+        assert_eq!((sent.sends, sent.delivered, sent.retries), (10, 10, 0), "initial + 9 stores");
         let cers = out.document.cers().unwrap();
         assert_eq!(cers.len(), 9);
         let status = ProcessStatus::from_document(&out.document).unwrap();
@@ -554,9 +538,8 @@ mod tests {
                 out.signature_checks, 19,
                 "nth {nth}: the taken-over hop verifies what a crash-free hop does"
             );
-            let stats = out.delivery.expect("crash accounting surfaces stats");
-            assert_eq!(stats.crashes_injected, 1);
-            assert_eq!(stats.leases_expired, 1);
+            assert_eq!(out.delivery.crashes_injected, 1);
+            assert_eq!(out.delivery.leases_expired, 1);
             assert!(
                 network.virtual_time_us() - t0 >= LEASE_US,
                 "nth {nth}: the takeover waited out the lease"
@@ -565,44 +548,6 @@ mod tests {
             assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/crash-run/")), 10);
             Verifier::new(&dir).run(&out.document).unwrap();
         }
-    }
-
-    #[test]
-    fn fig9a_completes_over_a_lossy_channel() {
-        let creds = people();
-        let dir = Directory::from_credentials(&creds);
-        let network = Arc::new(NetworkSim::lan());
-        let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network));
-        let initial = DraDocument::new_initial_with_pid(
-            &fig9a(),
-            &SecurityPolicy::public(),
-            &creds[0],
-            "faulty-run",
-        )
-        .unwrap();
-        let delivery = Delivery::new(
-            Arc::clone(&network),
-            FaultProfile::lossy(0.2),
-            crate::delivery::DeliveryPolicy::default(),
-            7,
-        )
-        .unwrap();
-        let responder = fig9a_responder();
-        let out = InstanceRun::new(&sys, &initial)
-            .agents(&agents(&creds, &dir))
-            .respond(&responder)
-            .max_steps(100)
-            .network(&delivery)
-            .run()
-            .unwrap();
-        assert_eq!(out.steps, 9);
-        let stats = out.delivery.expect("delivery stats requested");
-        assert_eq!(stats.sends, 10, "initial + 9 stores");
-        assert!(stats.attempts >= stats.sends);
-        // the pool holds exactly the 10 versions despite duplicated copies
-        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/faulty-run/")), 10);
-        // the final document still verifies end to end
-        Verifier::new(&dir).run(&out.document).unwrap();
     }
 
     #[test]

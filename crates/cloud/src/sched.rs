@@ -33,7 +33,6 @@
 //! another — the bus is the only ready-list, and it is strictly FIFO in
 //! virtual time.
 
-use crate::delivery::DeliveryStats;
 use crate::portal::CloudSystem;
 use crate::runner::{InstanceRun, RunOutcome, LEASE_US, MAX_TAKEOVERS};
 use dra4wfms_core::flow::join_ready;
@@ -88,12 +87,6 @@ impl ActivationBus {
         self.emitted.fetch_add(1, Ordering::Relaxed);
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         q.ready.insert((activation.at_us, seq), activation);
-    }
-
-    /// Pop the oldest pending activation (scheduler-side).
-    pub fn pop(&self) -> Option<Activation> {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.ready.pop_first().map(|(_, a)| a)
     }
 
     /// Pop the oldest pending activation whose process satisfies `owned`,
@@ -173,9 +166,6 @@ pub struct SchedStats {
     /// a withdrawal that failed to actually withdraw. Must stay zero; the
     /// metric invariants treat any other value as a scheduler bug.
     pub cancelled_dispatches: u64,
-    /// Activations popped for processes this scheduler never admitted
-    /// (dropped; defensive — `pop_owned` filters them out before the pop).
-    pub foreign: u64,
 }
 
 /// Per-admitted-instance execution state: the builder's configuration plus
@@ -232,9 +222,9 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Admit one configured instance: validate the configuration and the
-    /// definition, hook up the monitor, store the initial document (which
-    /// notifies the start activity's participant — the activation that
-    /// boots the instance), and register the inbox. Returns the process id.
+    /// definition, store the initial document (which notifies the start
+    /// activity's participant — the activation that boots the instance),
+    /// hook up the monitor and register the inbox. Returns the process id.
     pub fn admit_instance(&mut self, run: InstanceRun<'a>) -> WfResult<String> {
         if !std::ptr::eq(run.system, self.system) {
             return Err(WfError::Config(
@@ -264,22 +254,28 @@ impl<'a> Scheduler<'a> {
         }
         if let Some(mon) = &run.monitor {
             run.tracer.add_sink(Arc::clone(mon) as Arc<dyn dra_obs::TraceSink>);
-            mon.instance_started(&pid, run.slo_us, run.tracer.now_us());
+        }
+
+        // the initial document enters the pool; admission emits the
+        // activation that wakes the start activity's participant
+        let started_us = run.tracer.now_us();
+        let sealed_initial = SealedDocument::new(run.initial.clone());
+        run.delivery.deliver(
+            self.system,
+            self.system.route_portal(self.system.portal_for(&pid, 0)),
+            &sealed_initial,
+            &Route { targets: vec![def.start.clone()], ends: false },
+        )?;
+        // only an instance the pool holds is watched: a refused admission
+        // must not leave the monitor waiting on progress nobody will make
+        if let Some(mon) = &run.monitor {
+            mon.instance_started(&pid, run.slo_us, started_us);
             // on a federated deployment, the monitor's alert stream drives
             // the controller's quarantines — wire it up automatically
             if let Some(fed) = self.system.federation_controller() {
                 fed.set_monitor(mon);
             }
         }
-
-        // the initial document enters the pool; admission emits the
-        // activation that wakes the start activity's participant
-        let sealed_initial = SealedDocument::new(run.initial.clone());
-        run.store(
-            self.system.route_portal(self.system.portal_for(&pid, 0)),
-            &sealed_initial,
-            &Route { targets: vec![def.start.clone()], ends: false },
-        )?;
         let replays_at_start = self.system.journal_replays();
 
         let mut inbox: HashMap<String, Vec<SealedDocument>> = HashMap::new();
@@ -321,10 +317,7 @@ impl<'a> Scheduler<'a> {
             // concurrently over one deployment share the bus, and a wake-up
             // taken by the wrong scheduler would strand the instance it woke
             while let Some(act) = bus.pop_owned(|pid| self.instances.contains_key(pid)) {
-                let Some(inst) = self.instances.get_mut(&act.process_id) else {
-                    self.stats.foreign += 1;
-                    continue;
-                };
+                let Some(inst) = self.instances.get_mut(&act.process_id) else { continue };
                 if inst.failed.is_some() {
                     self.stats.skipped += 1;
                     continue;
@@ -393,24 +386,16 @@ impl<'a> Scheduler<'a> {
             // late reordered copies are ingested before stats are read, so
             // the same seed + profile always reports the same numbers; any
             // re-notification they triggered is stale by now
-            let mut delivery = inst.run.delivery.map(|d| {
-                d.flush(system);
-                d.stats()
-            });
+            inst.run.delivery.flush(system);
+            let mut delivery = inst.run.delivery.stats();
             self.stats.skipped += bus.drain_process(&pid) as u64;
 
             // fold in crash/recovery accounting: the delivery layer counted
             // the crashes it absorbed on its own paths, the supervisor
             // counted the ones that reached the takeover loop — disjoint
-            let replays = system.journal_replays() - inst.replays_at_start;
-            if delivery.is_none() && (inst.crashes_supervised > 0 || replays > 0) {
-                delivery = Some(DeliveryStats::default());
-            }
-            if let Some(stats) = delivery.as_mut() {
-                stats.crashes_injected += inst.crashes_supervised;
-                stats.leases_expired = inst.leases_expired;
-                stats.journal_replays = replays;
-            }
+            delivery.crashes_injected += inst.crashes_supervised;
+            delivery.leases_expired = inst.leases_expired;
+            delivery.journal_replays = system.journal_replays() - inst.replays_at_start;
 
             if !inst.finished {
                 if let Some(mon) = &inst.run.monitor {
@@ -419,9 +404,7 @@ impl<'a> Scheduler<'a> {
             }
 
             if let Some(m) = inst.run.metrics {
-                if let Some(stats) = delivery.as_ref() {
-                    stats.export_metrics(m);
-                }
+                delivery.export_metrics(m);
                 system.export_metrics(m);
                 // additive, not overwriting: bench cells run many instances
                 // against one shared registry (and one shared monitor), and
@@ -462,7 +445,6 @@ impl<'a> Scheduler<'a> {
             m.incr("sched.or_join_waits", self.stats.or_join_waits);
             m.incr("sched.cancelled", self.stats.cancelled);
             m.incr("sched.cancelled_dispatches", self.stats.cancelled_dispatches);
-            m.incr("sched.foreign", self.stats.foreign);
             // re-read the bus gauge now that every instance drained
             m.set_gauge("sched.bus_depth", bus.len() as i64);
             m.set_gauge("sched.or_join_parked", or_join_parked as i64);
@@ -544,11 +526,13 @@ fn dispatch_one<'a>(
         }
     }
 
-    // dispatch the hop under a virtual-time lease; a crash fault surfaces
-    // as WfError::Crash and the supervisor takes the hop over. The
-    // sched:dispatch span deliberately carries the process id as an
-    // attribute, not as span coordinates — the monitor reads every
-    // process-scoped span as progress, and a dispatch is not progress.
+    // dispatch the hop under a virtual-time lease; an AEA that dies, or the
+    // TFC dying in `finalize`, surfaces as WfError::Crash and the supervisor
+    // takes the hop over (a dead portal never gets here: the channel
+    // restarted it and sent again). The sched:dispatch span deliberately
+    // carries the process id as an attribute, not as span coordinates — the
+    // monitor reads every process-scoped span as progress, and a dispatch is
+    // not progress.
     let mut dspan = inst.run.tracer.span(stage::SCHED_DISPATCH).actor(&act_def.participant);
     dspan.attr("process", &inst.pid);
     dspan.attr("activity", &act.activity);
@@ -601,8 +585,10 @@ fn dispatch_one<'a>(
                         inst.early_takeovers += 1;
                     }
                 }
-                // crashed portals restart (journal replay completes any
-                // half-done admission, re-emitting its notifications) ...
+                // the supervisor restarts the portals along with the agent:
+                // nothing is left for them to replay (the channel repaired a
+                // torn store before its hand-off returned), the restart is
+                // the empty `journal:replay` span a takeover shows in a trace
                 system.recover_portals();
                 // ... and the hop is re-anchored on the documents in the
                 // pool, not the dead agent's memory
@@ -671,7 +657,8 @@ mod tests {
         bus.emit(act("p3", "C", 5));
         assert_eq!(bus.len(), 3);
         assert_eq!(bus.emitted(), 3);
-        let order: Vec<String> = std::iter::from_fn(|| bus.pop()).map(|a| a.process_id).collect();
+        let order: Vec<String> =
+            std::iter::from_fn(|| bus.pop_owned(|_| true)).map(|a| a.process_id).collect();
         assert_eq!(order, vec!["p3", "p1", "p2"], "time first, then emission seq");
         assert!(bus.is_empty());
     }
@@ -686,7 +673,7 @@ mod tests {
         assert_eq!(bus.pop_owned(|pid| pid == "mine").unwrap().activity, "C");
         assert!(bus.pop_owned(|pid| pid == "mine").is_none());
         assert_eq!(bus.len(), 1, "the foreign activation survives untouched");
-        assert_eq!(bus.pop().unwrap().process_id, "theirs");
+        assert_eq!(bus.pop_owned(|_| true).unwrap().process_id, "theirs");
     }
 
     #[test]
@@ -736,7 +723,7 @@ mod tests {
             .admit_instance(InstanceRun::new(&sys, &initial).agents(&agents).respond(&respond))
             .unwrap();
         // one dispatch: A executes and routes to both branches
-        let wakeup = sys.activation_bus().pop().unwrap();
+        let wakeup = sys.activation_bus().pop_owned(|_| true).unwrap();
         let inst = sched.instances.get_mut(&pid).unwrap();
         dispatch_one(&sys, inst, &wakeup, &mut sched.stats).unwrap();
 
@@ -762,7 +749,7 @@ mod tests {
         bus.emit(act("drop", "B", 3));
         assert_eq!(bus.drain_process("drop"), 2);
         assert_eq!(bus.len(), 1);
-        assert_eq!(bus.pop().unwrap().process_id, "keep");
+        assert_eq!(bus.pop_owned(|_| true).unwrap().process_id, "keep");
         assert_eq!(bus.emitted(), 3, "emitted counter is lifetime, not depth");
     }
 }

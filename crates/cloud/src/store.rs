@@ -613,10 +613,10 @@ mod tests {
         let submit = Route { targets: vec!["submit".into()], ends: false };
         for pid in ["p", "q"] {
             let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, pid).unwrap();
-            sys.store_document(0, &doc.to_xml_string(), &submit).unwrap();
+            sys.ingest_wire(0, &doc.to_xml_string(), &submit, None).unwrap();
             let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
             let done = aea.complete(&recv, &[("amount".into(), "1".into())]).unwrap();
-            sys.store_document(0, &done.document.to_xml_string(), &done.route).unwrap();
+            sys.ingest_wire(0, &done.document.to_xml_string(), &done.route, None).unwrap();
         }
         let cloud = &sys.clouds[0];
         let (p, q) = (Name::new("p").unwrap(), Name::new("q").unwrap());
@@ -672,7 +672,7 @@ mod tests {
         let mut route = Route { targets: vec!["submit".into()], ends: false };
         let mut wires = vec![];
         for (who, activity, field) in [(1, "submit", "amount"), (2, "approve", "decision")] {
-            sys.store_sealed(0, &sealed, &route).unwrap();
+            sys.admit(0, &sealed, &route).unwrap();
             wires.push(sealed.wire());
             assert_eq!(sys.clouds[0].tips_held(), 1, "a running process has a tip");
             let aea = Aea::new(creds[who].clone(), dir.clone());
@@ -681,7 +681,7 @@ mod tests {
             (sealed, route) = (done.document, done.route);
         }
         assert!(route.is_final());
-        sys.store_sealed(0, &sealed, &route).unwrap();
+        sys.admit(0, &sealed, &route).unwrap();
         wires.push(sealed.wire());
         (sys, wires)
     }

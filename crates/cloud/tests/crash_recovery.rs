@@ -1,9 +1,10 @@
 //! Crash-fault recovery, end to end: the takeover copy racing the dead
-//! agent's delayed send, and the TFC redo log making re-executed hops
-//! byte-identical.
+//! agent's delayed send, the TFC redo log making re-executed hops
+//! byte-identical, and the channel — not the scheduler — repairing a portal.
 
 use dra4wfms_core::prelude::*;
 use dra_bench::rig::{cast, Rig};
+use dra_cloud::{CrashPlan, CrashPoint};
 use dra_docpool::Scan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,10 +31,11 @@ fn two_step(advanced: bool) -> Rig {
 fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
     let rig = two_step(false);
     let sys = rig.cloud(2);
-    sys.store_document(
+    sys.ingest_wire(
         0,
         &rig.initial("race-1").to_xml_string(),
         &Route { targets: vec!["submit".into()], ends: false },
+        None,
     )
     .unwrap();
 
@@ -92,10 +94,11 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
     let rig = two_step(true)
         .tfc_clock(Arc::new(move || 5_000 + clock_draws.fetch_add(1, Ordering::Relaxed)));
     let (sys, tfc) = (rig.cloud(2), rig.tfc.as_ref().unwrap());
-    sys.store_document(
+    sys.ingest_wire(
         0,
         &rig.initial("race-2").to_xml_string(),
         &Route { targets: vec!["submit".into()], ends: false },
+        None,
     )
     .unwrap();
 
@@ -145,4 +148,25 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
         .unwrap();
     assert!(late.duplicate);
     assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/race-2/")), 2);
+}
+
+/// A portal that dies mid-store has one recovery owner on every run, the
+/// one that names no channel included: the channel restarts it (journal
+/// replay) and retries; no lease is waited out.
+#[test]
+fn a_dead_portal_is_restarted_by_the_channel_not_waited_out_by_the_scheduler() {
+    let run = |plan: Arc<CrashPlan>| {
+        let rig = Rig::fig9(false).crashing(&plan).unmonitored();
+        let sys = rig.cloud(3);
+        let out = rig.run(&sys, &rig.initial("portal-dies")).run().unwrap();
+        assert_eq!(out.steps, 9);
+        (out.delivery, sys.pool_digest())
+    };
+    let (clean, clean_digest) = run(CrashPlan::none());
+    let (stats, digest) = run(CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 2));
+    assert_eq!((clean.crashes_injected, clean.retries), (0, 0));
+    assert_eq!((stats.crashes_injected, stats.journal_replays), (1, 1));
+    assert_eq!(stats.retries, 1, "the channel sent the same bytes again");
+    assert_eq!(stats.leases_expired, 0, "the scheduler never saw the crash");
+    assert_eq!(digest, clean_digest, "same pool as the crash-free run");
 }

@@ -25,7 +25,7 @@ fn monitored_alerts() -> String {
     let rig = common::golden_rig().crashing(&CrashPlan::once(CrashPoint::AeaBeforeSign, 3));
     let sys = rig.cloud(3);
     let initial = rig.initial("golden-run");
-    let out = rig.run(&sys, &initial, None).slo_us(1).run().unwrap();
+    let out = rig.run(&sys, &initial).slo_us(1).run().unwrap();
     assert_eq!(out.steps, 9);
     alerts_to_jsonl(&rig.monitor.alerts())
 }

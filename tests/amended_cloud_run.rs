@@ -53,7 +53,7 @@ fn pre_amended_document_runs_through_the_cloud_basic() {
     let sys = rig.cloud(2);
     // amendment lands before anything executes
     let amended = amend_document(&rig.initial("acr-1"), &rig.creds[0], &extension()).unwrap();
-    let out = rig.run(&sys, &amended, None).run().unwrap();
+    let out = rig.run(&sys, &amended).run().unwrap();
     assert_eq!(out.steps, 3, "s1, s2, extra");
     let keys: Vec<String> =
         out.document.cers().unwrap().iter().map(|c| c.key.to_string()).collect();
@@ -77,7 +77,7 @@ fn pre_amended_document_runs_through_the_cloud_advanced() {
         rig(true).tfc_clock(Arc::new(move || 500 + 10 * tick.fetch_add(1, Ordering::Relaxed)));
     let sys = rig.cloud(2);
     let amended = amend_document(&rig.initial("acr-2"), &rig.creds[0], &extension()).unwrap();
-    let out = rig.run(&sys, &amended, None).run().unwrap();
+    let out = rig.run(&sys, &amended).run().unwrap();
     assert_eq!(out.steps, 3);
     // designer + amendment + 3 participants + 3 TFC attestations
     let report = Verifier::new(&rig.dir).run(&out.document).unwrap().report;
@@ -99,6 +99,6 @@ fn tampered_amendment_rejected_by_portal() {
     let amended = amend_document(&rig.initial("acr-3"), &rig.creds[0], &extension()).unwrap();
     let forged = amended.to_xml_string().replace("participant=\"carol\"", "participant=\"bob\"");
     assert_ne!(forged, amended.to_xml_string());
-    assert!(sys.store_document(0, &forged, &Route::default()).is_err());
+    assert!(sys.ingest_wire(0, &forged, &Route::default(), None).is_err());
     assert_eq!(sys.total_stored(), 0);
 }

@@ -38,7 +38,7 @@ fn concurrent_instances_share_the_pool() {
             s.spawn(move || {
                 for i in (w..n).step_by(4) {
                     let initial = rig.initial(&format!("t-{i:03}"));
-                    rig.run(sys, &initial, None).run().unwrap();
+                    rig.run(sys, &initial).run().unwrap();
                 }
             });
         }
@@ -67,10 +67,11 @@ fn todo_lifecycle_across_portal() {
     let initial = rig.initial("todo-1");
 
     // manual Fig. 7 loop: store initial -> alice's TO-DO -> execute -> bob
-    sys.store_document(
+    sys.ingest_wire(
         0,
         &initial.to_xml_string(),
         &Route { targets: vec!["open".into()], ends: false },
+        None,
     )
     .unwrap();
     assert_eq!(sys.search_todo("alice").len(), 1);
@@ -79,7 +80,7 @@ fn todo_lifecycle_across_portal() {
     let xml = sys.retrieve_latest(0, "todo-1").unwrap();
     let recv = alice.receive(&xml, "open").unwrap();
     let done = alice.complete(&recv, &[("sev".into(), "low".into())]).unwrap();
-    sys.store_document(1, &done.document.to_xml_string(), &done.route).unwrap();
+    sys.ingest_wire(1, &done.document.to_xml_string(), &done.route, None).unwrap();
     sys.consume_todo("alice", "todo-1", "open");
 
     assert!(sys.search_todo("alice").is_empty());
@@ -96,7 +97,7 @@ fn pool_survives_region_splits_under_document_load() {
     // push enough instances to force region splits (max_region_rows = 1024)
     for i in 0..700 {
         let initial = rig.initial(&format!("bulk-{i:05}"));
-        sys.store_document(0, &initial.to_xml_string(), &Route::default()).unwrap();
+        sys.ingest_wire(0, &initial.to_xml_string(), &Route::default(), None).unwrap();
     }
     let stats = sys.active_pool().stats();
     assert!(stats.regions > 1, "split under load: {stats:?}");

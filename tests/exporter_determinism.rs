@@ -15,13 +15,14 @@ mod common;
 use common::check_golden;
 use dra4wfms::obs::{events_to_chrome, events_to_jsonl, TraceEvent};
 
-/// The canonical golden workload: one instrumented Fig. 9A instance on the
-/// direct (lossless) path with no monitor attached, everything seeded.
+/// The canonical golden workload: one instrumented Fig. 9A instance over the
+/// system's own lossless channel (one `deliver` span per hand-off: the
+/// initial store and nine hops) with no monitor attached, everything seeded.
 fn golden_trace() -> Vec<TraceEvent> {
     let rig = common::golden_rig().unmonitored();
     let sys = rig.cloud(3);
     let initial = rig.initial("golden-run");
-    assert_eq!(rig.run(&sys, &initial, None).run().unwrap().steps, 9);
+    assert_eq!(rig.run(&sys, &initial).run().unwrap().steps, 9);
     rig.tracer.events()
 }
 

@@ -37,9 +37,14 @@ use std::sync::OnceLock;
 
 /// Drive instances `fed-<id>` through the event-driven scheduler, asserting
 /// every one completes in exactly 9 steps (Fig. 9A takes its loop once).
-fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: Option<&Delivery>) {
+fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>) {
+    drive_over(rig, sys, ids, sys.channel());
+}
+
+/// [`drive`] with every hand-off over `delivery`.
+fn drive_over(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: &Delivery) {
     let n = ids.len();
-    assert_eq!(rig.fleet(sys, ids.map(|i| format!("fed-{i}")), delivery), n, "all complete");
+    assert_eq!(rig.fleet_over(sys, ids.map(|i| format!("fed-{i}")), delivery), n, "all complete");
 }
 
 /// The healthy single-cloud baseline digest over `fed-0 .. fed-n`:
@@ -55,7 +60,7 @@ fn healthy_digest(n: usize) -> &'static str {
     cell.get_or_init(|| {
         let rig = Rig::fig9(false);
         let sys = rig.cloud(4);
-        drive(&rig, &sys, 0..n, None);
+        drive(&rig, &sys, 0..n);
         sys.pool_digest()
     })
 }
@@ -77,7 +82,7 @@ fn healthy_federation_replicates_and_matches_single_cloud() {
     let rig = Rig::fig9(false);
     let (sys, ctrl) = rig.federated(two_cloud_topology());
     let metrics = &rig.metrics;
-    drive(&rig, &sys, 0..2, None);
+    drive(&rig, &sys, 0..2);
 
     assert_eq!(sys.pool_digest(), healthy_digest(2), "replication changed document bytes");
     assert!(sys.replicas_consistent(), "east and west must hold identical doc rows");
@@ -115,7 +120,7 @@ fn topology_of_one_matches_single_cloud() {
             false => rig.cloud(3),
         };
         let initial = rig.initial("one-0");
-        assert_eq!(rig.run(&sys, &initial, None).run().unwrap().steps, 9);
+        assert_eq!(rig.run(&sys, &initial).run().unwrap().steps, 9);
 
         assert_eq!(sys.federation_controller().is_some(), federated);
         let mut counters = rig.metrics.snapshot().counters;
@@ -138,8 +143,7 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
     // east (the active cloud) is dead from virtual microsecond 5 — before
     // the first admission ever lands
     ctrl.set_outage(OutagePlan::at(0, 5));
-    let delivery = rig.channel(FaultProfile::lossless(), 7);
-    drive(&rig, &sys, 0..2, Some(&delivery));
+    drive(&rig, &sys, 0..2);
 
     assert_eq!(ctrl.active_cloud(), 1, "admissions failed over to west");
     assert!(ctrl.cloud_down(0));
@@ -161,7 +165,7 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
 fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     let rig = Rig::fig9(false);
     let (sys, ctrl) = rig.federated(two_cloud_topology());
-    drive(&rig, &sys, 0..2, None);
+    drive(&rig, &sys, 0..2);
     let before = sys.pool_digest();
 
     // portal 1 serves corrupted bytes on its very next serve
@@ -191,7 +195,7 @@ fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     // the quarantined portal takes no further work: new admissions route
     // around it and its admission counter stays frozen
     assert_ne!(sys.route_portal(1), 1);
-    drive(&rig, &sys, 2..3, None);
+    drive(&rig, &sys, 2..3);
     assert!(ctrl.zero_admissions_after_quarantine());
     assert_eq!(sys.pool_digest(), healthy_digest(3));
 }
@@ -206,7 +210,7 @@ fn rollback_and_substitution_are_caught_like_flipped_bytes() {
     for (source, seq) in [("fed-0", 2), ("fed-1", 9)] {
         let rig = Rig::fig9(false);
         let (sys, ctrl) = rig.federated(two_cloud_topology());
-        drive(&rig, &sys, 0..2, None);
+        drive(&rig, &sys, 0..2);
 
         let honest = sys.retrieve_version("fed-0", 9).unwrap();
         let planted = sys.retrieve_version(source, seq).unwrap();
@@ -246,7 +250,7 @@ fn torn_replication_is_repaired_by_replica_journal_replay() {
 
     // the replica (west) dies after journalling the admission, before
     // committing it: the primary is durable, the replica is torn
-    let err = sys.store_document(0, &wire, &route).unwrap_err();
+    let err = sys.ingest_wire(0, &wire, &route, None).unwrap_err();
     assert!(matches!(err, WfError::Crash(_)), "got: {err:?}");
     assert_eq!(sys.retrieve_version("t-1", 0).unwrap(), wire, "primary committed");
     assert!(!sys.replicas_consistent(), "west is missing the admission");
@@ -293,7 +297,7 @@ proptest! {
         ctrl.set_tamper(TamperPlan::once(tamper_portal, tamper_nth));
         let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
-        drive(&rig, &sys, 0..2, Some(&delivery));
+        drive_over(&rig, &sys, 0..2, &delivery);
 
         // audit pass: serve every instance through every portal, so an
         // armed tamper plan gets its chance to fire mid-sweep
@@ -306,7 +310,7 @@ proptest! {
         }
 
         // second wave after any quarantine: frozen portals stay frozen
-        drive(&rig, &sys, 2..3, Some(&delivery));
+        drive_over(&rig, &sys, 2..3, &delivery);
 
         let final_digest = sys.pool_digest();
         prop_assert_eq!(final_digest.as_str(), healthy_digest(3));

@@ -13,14 +13,26 @@ fn fig9(advanced: bool) -> Rig {
     Rig::fig9(advanced).with_policy(fig9_confidential())
 }
 
+/// Every hand-off of a run crosses a channel — the system's own lossless one
+/// when the run names none — and so shows in the run's registry.
+fn assert_handoffs(rig: &Rig, expected: u64, why: &str) {
+    let snap = rig.metrics.snapshot();
+    assert_eq!(snap.counter("delivery.sends"), expected, "{why}");
+    assert_eq!(snap.counter("delivery.delivered"), expected, "each acked");
+    assert_eq!(snap.counter("delivery.retries"), 0, "at the first attempt");
+    let (spent, ideal) = ("delivery.virtual_time_us", "delivery.ideal_time_us");
+    assert_eq!(snap.counter(spent), snap.counter(ideal), "each copy charged exactly once");
+}
+
 #[test]
 fn fig9a_basic_model_structure_matches_table1() {
     let rig = fig9(false);
     let sys = rig.cloud(2);
     let initial = rig.initial("t1");
     let initial_size = initial.size_bytes();
-    let out = rig.run(&sys, &initial, None).run().unwrap();
+    let out = rig.run(&sys, &initial).run().unwrap();
     assert_eq!(out.steps, 9, "A,B1,B2,C ×2 + D (loop taken once), as in Table 1");
+    assert_handoffs(&rig, 10, "the initial store + one store per hop");
 
     // Σ grows monotonically with the number of CERs (Table 1's key shape).
     let mut sizes = vec![initial_size];
@@ -47,8 +59,9 @@ fn fig9b_advanced_model_structure_matches_table2() {
     let rig = fig9(true).tfc_clock(Arc::new(move || 1000 + ticks.fetch_add(1, Ordering::Relaxed)));
     let sys = rig.cloud(2);
     let initial = rig.initial("t2");
-    let out = rig.run(&sys, &initial, None).run().unwrap();
+    let out = rig.run(&sys, &initial).run().unwrap();
     assert_eq!(out.steps, 9);
+    assert_handoffs(&rig, 19, "as Fig. 9A, plus one AEA → TFC send per hop");
 
     // every CER has: TfcSealed + Result + Timestamp + participant & TFC sigs
     for cer in out.document.cers().unwrap() {
@@ -71,7 +84,7 @@ fn fig9b_advanced_model_structure_matches_table2() {
     let rig_b = fig9(false);
     let sys_b = rig_b.cloud(2);
     let initial_b = rig_b.initial("t2b");
-    let out_b = rig_b.run(&sys_b, &initial_b, None).run().unwrap();
+    let out_b = rig_b.run(&sys_b, &initial_b).run().unwrap();
     assert!(
         out.document.size_bytes() > out_b.document.size_bytes(),
         "advanced {} > basic {}",
@@ -85,7 +98,7 @@ fn loop_iterations_are_distinct_cers() {
     let rig = fig9(false);
     let sys = rig.cloud(1);
     let initial = rig.initial("t3");
-    let out = rig.run(&sys, &initial, None).run().unwrap();
+    let out = rig.run(&sys, &initial).run().unwrap();
     // X''_Ai(k) notation: the same activity appears once per iteration
     let keys: Vec<String> =
         out.document.cers().unwrap().iter().map(|c| c.key.to_string()).collect();

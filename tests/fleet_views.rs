@@ -38,9 +38,14 @@ use std::sync::Arc;
 
 /// Drive instances `view-<id>` through the event-driven scheduler,
 /// asserting each completes in exactly 9 steps.
-fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: Option<&Delivery>) {
+fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>) {
+    drive_over(rig, sys, ids, sys.channel());
+}
+
+/// [`drive`] with every hand-off over `delivery`.
+fn drive_over(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: &Delivery) {
     let n = ids.len();
-    assert_eq!(rig.fleet(sys, ids.map(|i| format!("view-{i}")), delivery), n, "all complete");
+    assert_eq!(rig.fleet_over(sys, ids.map(|i| format!("view-{i}")), delivery), n, "all complete");
 }
 
 fn two_clouds() -> Topology {
@@ -115,7 +120,7 @@ proptest! {
         let sys = if federated { rig.federated(two_clouds()).0 } else { rig.cloud(4) };
         let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
-        drive(&rig, &sys, 0..n, Some(&delivery));
+        drive_over(&rig, &sys, 0..n, &delivery);
         prop_assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
 
         assert_views_identical(&sys);
@@ -162,7 +167,7 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
     // the very first admission tears mid-store
     let torn = rig.initial("view-7");
     let route = Route { targets: vec!["A".into()], ends: false };
-    assert!(sys.store_document(0, &torn.to_xml_string(), &route).is_err());
+    assert!(sys.ingest_wire(0, &torn.to_xml_string(), &route, None).is_err());
     assert_views_identical(&sys);
 
     assert_eq!(sys.recover_portals(), 1, "journal replay repairs the torn admission");
@@ -171,7 +176,7 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
 
     // the fleet continues on the recovered deployment (the crash plan is
     // spent, so these run clean)
-    drive(&rig, &sys, 0..2, None);
+    drive(&rig, &sys, 0..2);
     assert_views_identical(&sys);
     let counts = sys.fleet_views().status_counts();
     assert_eq!(counts["complete"], 2);
@@ -200,7 +205,7 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     let rig = Rig::fig9(false);
     let (monitor, metrics) = (&rig.monitor, &rig.metrics);
     let sys = rig.cloud(2);
-    drive(&rig, &sys, 0..3, None);
+    drive(&rig, &sys, 0..3);
 
     let key = mid_version_key(sys.active_pool(), "view-1");
     assert_eq!(key, "doc/view-1/000001");
@@ -274,7 +279,7 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
 fn forged_federation() -> (CloudSystem, Rig, String) {
     let rig = Rig::fig9(false);
     let (sys, _) = rig.federated(two_clouds());
-    drive(&rig, &sys, 0..2, None);
+    drive(&rig, &sys, 0..2);
     let (east_name, _, east_pool) = sys.audit_pools().into_iter().next().unwrap();
     assert_eq!(east_name, "east");
     let key = mid_version_key(&east_pool, "view-0");

@@ -9,8 +9,10 @@
 
 use dra4wfms::cloud::monitor::AlertKind;
 use dra4wfms::cloud::{
-    check_metric_invariants, CrashPlan, CrashPoint, FaultProfile, MonitorConfig, LEASE_US,
+    check_metric_invariants, CrashPlan, CrashPoint, FaultProfile, MonitorConfig, Scheduler,
+    LEASE_US,
 };
+use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 
 /// A Fig. 9A cell whose `crash_at`-th signing AEA dies, if any.
@@ -29,7 +31,7 @@ fn stuck_hop_is_detected_and_taken_over_early() {
     let sys = rig.cloud(3);
     let doc = rig.initial("stuck-run");
     let t0 = rig.network.virtual_time_us();
-    let out = rig.run(&sys, &doc, None).run().unwrap();
+    let out = rig.run(&sys, &doc).run().unwrap();
     assert_eq!(out.steps, 9, "the run completes despite the crash");
 
     let alerts = rig.monitor.alerts();
@@ -59,9 +61,9 @@ fn retry_storm_is_detected_on_a_hostile_channel() {
     let sys = rig.cloud(3);
     let delivery = rig.channel(FaultProfile::hostile(), 7);
     let doc = rig.initial("storm-run");
-    let out = rig.run(&sys, &doc, Some(&delivery)).run().unwrap();
+    let out = rig.run(&sys, &doc).network(&delivery).run().unwrap();
     assert_eq!(out.steps, 9);
-    let stats = out.delivery.unwrap();
+    let stats = out.delivery;
     assert!(stats.retries > 0, "the hostile channel must actually force retries");
 
     let alerts = rig.monitor.alerts();
@@ -83,7 +85,7 @@ fn crash_loop_is_detected_when_takeovers_hit_the_budget() {
     let rig = scenario(Some(5)).monitored(policy);
     let sys = rig.cloud(3);
     let doc = rig.initial("loop-run");
-    assert_eq!(rig.run(&sys, &doc, None).run().unwrap().steps, 9);
+    assert_eq!(rig.run(&sys, &doc).run().unwrap().steps, 9);
 
     let alerts = rig.monitor.alerts();
     let loops: Vec<_> =
@@ -99,7 +101,7 @@ fn slo_breach_fires_only_when_the_budget_is_blown() {
         let rig = scenario(None);
         let sys = rig.cloud(3);
         let doc = rig.initial("slo-run");
-        rig.run(&sys, &doc, None).slo_us(slo_us).run().unwrap();
+        rig.run(&sys, &doc).slo_us(slo_us).run().unwrap();
         let breaches = rig
             .monitor
             .alerts()
@@ -114,12 +116,43 @@ fn slo_breach_fires_only_when_the_budget_is_blown() {
 fn lossless_no_crash_baseline_raises_zero_alerts() {
     let rig = scenario(None);
     let sys = rig.cloud(3);
-    let delivery = rig.channel(FaultProfile::lossless(), 0);
     let doc = rig.initial("baseline-run");
-    let out = rig.run(&sys, &doc, Some(&delivery)).run().unwrap();
+    let out = rig.run(&sys, &doc).run().unwrap();
     assert_eq!(out.steps, 9);
     assert_eq!(rig.monitor.alerts(), vec![], "a healthy run must be silent");
     let snap = rig.metrics.snapshot();
     assert_eq!(snap.counter("alerts.total"), 0);
     check_metric_invariants(&snap).unwrap();
+}
+
+#[test]
+fn a_refused_admission_leaves_nothing_for_the_monitor_to_wait_on() {
+    let rig = scenario(None);
+    let sys = rig.cloud(3);
+    let initials = ["ok-0", "no/such-row", "ok-1", "lost"].map(|pid| rig.initial(pid));
+    let mut sched = Scheduler::new(&sys);
+    sched.admit_instance(rig.run(&sys, &initials[0])).unwrap();
+    // a process id no row key can hold is refused inside the admission
+    let refused = sched.admit_instance(rig.run(&sys, &initials[1])).unwrap_err();
+    assert!(matches!(refused, WfError::Malformed(_)), "{refused}");
+    sched.admit_instance(rig.run(&sys, &initials[2])).unwrap();
+    let results = sched.run_to_completion();
+    assert_eq!(results.len(), 2, "the refused one was never admitted");
+    assert!(results.iter().all(|(_, out)| out.as_ref().is_ok_and(|out| out.steps == 9)));
+
+    // long after, nobody is waiting on the one that never started
+    let deadline_us = rig.monitor.config().progress_deadline_us;
+    rig.monitor.tick(rig.network.virtual_time_us() + deadline_us + 1);
+    assert_eq!(rig.monitor.alerts(), vec![], "a fault-free fleet stays silent");
+    check_metric_invariants(&rig.metrics.snapshot()).unwrap();
+
+    // nor on an initial document that stayed undeliverable: every copy
+    // garbled is a retry storm, and its `deliver` span names the process
+    let garbling = FaultProfile { corrupt: 1.0 - 1e-12, ..FaultProfile::lossless() };
+    let garbling = rig.channel(garbling, 3);
+    let lost = sched.admit_instance(rig.run(&sys, &initials[3]).network(&garbling)).unwrap_err();
+    assert!(matches!(lost, WfError::Delivery(_)), "{lost}");
+    rig.monitor.tick(rig.network.virtual_time_us() + deadline_us + 1);
+    let alerts = rig.monitor.alerts();
+    assert!(alerts.iter().all(|a| matches!(a.kind, AlertKind::RetryStorm { .. })), "{alerts:?}");
 }

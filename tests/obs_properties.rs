@@ -27,7 +27,7 @@ proptest! {
         let sys = rig.cloud(2);
         let delivery = rig.channel(FaultProfile::hostile(), seed);
         let initial = rig.initial("obs-gen");
-        let out = rig.run(&sys, &initial, Some(&delivery)).run();
+        let out = rig.run(&sys, &initial).network(&delivery).run();
         // the hostile profile stays inside the retry budget for every seed
         // exercised here; a genuine delivery exhaustion would surface as Err
         let out = out.unwrap();

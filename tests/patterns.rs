@@ -3,7 +3,7 @@
 //! multi-instance activities with static and runtime cardinality,
 //! cancellation regions that withdraw queued work, and design-time
 //! soundness rejection at both admission gates (`Scheduler::admit_instance`
-//! and the portal's own store path, `CloudSystem::store_document`).
+//! and the portal's own store path, `CloudSystem::ingest_wire`).
 
 use dra4wfms::cloud::check_metric_invariants;
 use dra4wfms::obs::MetricsSnapshot;
@@ -22,7 +22,7 @@ fn run_def(
     let rig = Rig::generated(&GeneratedWorkflow::scripted(def, script), false);
     let sys = rig.cloud(2);
     let initial = rig.initial(pid);
-    let out = rig.run(&sys, &initial, None).run().unwrap();
+    let out = rig.run(&sys, &initial).run().unwrap();
     let snap = rig.metrics.snapshot();
     check_metric_invariants(&snap).unwrap();
     (out.document.document().clone(), snap)
@@ -286,7 +286,7 @@ fn unsound_definition_rejected_at_portal_store() {
     let sys = rig.cloud(1);
     let (def, initial) = (&rig.def, rig.initial("p-unsound-l"));
     let route = Route { targets: vec![def.start.clone()], ends: false };
-    let err = sys.store_document(0, &initial.to_xml_string(), &route).unwrap_err();
+    let err = sys.ingest_wire(0, &initial.to_xml_string(), &route, None).unwrap_err();
     match err {
         WfError::Unsound(_) => {}
         other => panic!("expected WfError::Unsound, got {other}"),

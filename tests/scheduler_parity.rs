@@ -71,10 +71,10 @@ fn run_cell(label: &str, advanced: bool, scenario: Scenario) -> String {
     };
     let rig = parity_rig(advanced).crashing(&plan);
     let sys = rig.cloud(3);
-    let delivery =
-        (scenario == Scenario::HostileFaults).then(|| rig.channel(FaultProfile::hostile(), 42));
+    let hostile = rig.channel(FaultProfile::hostile(), 42);
+    let channel = if scenario == Scenario::HostileFaults { &hostile } else { sys.channel() };
     let initial = rig.initial("parity-run");
-    let out = rig.run(&sys, &initial, delivery.as_ref()).run().expect("the run completes");
+    let out = rig.run(&sys, &initial).network(channel).run().expect("the run completes");
     assert_eq!(out.steps, 9, "{label}: fig9 takes its loop exactly once");
 
     let counters = rig.metrics.snapshot().counters;
@@ -169,11 +169,11 @@ fn small_fleet_matches_sequential_runs() {
         let sys = rig.cloud(4);
         let pids = (0..3).map(|i| format!("fleet-{i}"));
         if concurrent {
-            assert_eq!(rig.fleet(&sys, pids, None), 3);
+            assert_eq!(rig.fleet(&sys, pids), 3);
         } else {
             for pid in pids {
                 let initial = rig.initial(&pid);
-                assert_eq!(rig.run(&sys, &initial, None).run().unwrap().steps, 9);
+                assert_eq!(rig.run(&sys, &initial).run().unwrap().steps, 9);
             }
         }
         let pool_hash =

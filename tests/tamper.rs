@@ -181,7 +181,7 @@ fn stale_trust_mark_does_not_launder_prefix_tamper() {
     // the same laundering attempt against a portal is rejected at the door
     let sys = rig.cloud(1);
     let route = Route { targets: vec![], ends: true };
-    assert!(sys.store_sealed(0, &sealed, &route).is_err());
+    assert!(sys.ingest_wire(0, &sealed.wire(), &route, sealed.trust()).is_err());
     assert_eq!(sys.total_stored(), 0);
 }
 
@@ -209,7 +209,7 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
     let route = Route { targets: vec![], ends: true };
     let laundered = SealedDocument::with_trust(tampered, mark.clone());
     assert!(Verifier::new(dir).with_mark(laundered.trust()).run(&laundered).is_err());
-    assert!(sys.store_sealed(0, &laundered, &route).is_err());
+    assert!(sys.ingest_wire(0, &laundered.wire(), &route, laundered.trust()).is_err());
     assert_eq!(sys.total_stored(), 0);
 
     // the sibling never saw the edit: same bytes, and the mark still holds
@@ -217,7 +217,7 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
     let sealed = SealedDocument::with_trust(genuine, mark);
     let outcome = Verifier::new(dir).with_mark(sealed.trust()).run(&sealed).unwrap();
     assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (2, 0));
-    sys.store_sealed(0, &sealed, &route).unwrap();
+    sys.ingest_wire(0, &sealed.wire(), &route, sealed.trust()).unwrap();
     assert_eq!(sys.total_stored(), 1);
 }
 
@@ -232,14 +232,14 @@ fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
     let route = Route { targets: vec![], ends: true };
 
     // genuine store: full pass (designer + 2 CERs) writes the seen row
-    sys.store_document(0, &xml, &route).unwrap();
+    sys.ingest_wire(0, &xml, &route, None).unwrap();
     let stats = &sys.portals[0];
     let after_first = stats.signature_checks.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(after_first, 3);
 
     // byte-identical re-store: recognized as a duplicate by wire digest —
     // zero signature checks, and no second version enters the pool
-    sys.store_document(0, &xml, &route).unwrap();
+    sys.ingest_wire(0, &xml, &route, None).unwrap();
     assert_eq!(
         stats.signature_checks.load(std::sync::atomic::Ordering::Relaxed),
         after_first,
@@ -250,7 +250,7 @@ fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
     // full pass fails loudly
     let t = xml.replace(">100<", ">1000000<");
     assert_ne!(t, xml);
-    assert!(sys.store_document(0, &t, &route).is_err());
+    assert!(sys.ingest_wire(0, &t, &route, None).is_err());
     assert_eq!(sys.total_stored(), 1, "only the genuine copy was admitted, once");
 }
 
@@ -310,7 +310,7 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
     for (wire, rig) in [(basic, &rig), (advanced, &tfc_rig)] {
         let (sys, dir) = (rig.cloud(1), &rig.dir);
         let route = Route { targets: vec!["approve".into()], ends: false };
-        assert_eq!(sys.store_document(0, &wire, &route).unwrap(), 0);
+        assert_eq!(sys.ingest_wire(0, &wire, &route, None).unwrap().seq, 0);
         for signer_attr in [false, true] {
             let twin = reencode_newest_signature(&wire, signer_attr);
             assert_ne!(twin, wire);
@@ -321,7 +321,7 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
             let err = Verifier::new(dir).run(&DraDocument::parse(&twin).unwrap()).unwrap_err();
             assert!(malformed(&err), "{err}");
             // admission: an error, not version 1 of the process
-            let err = sys.store_document(0, &twin, &route).unwrap_err();
+            let err = sys.ingest_wire(0, &twin, &route, None).unwrap_err();
             assert!(malformed(&err), "{err}");
             assert_eq!(sys.stored_seq_for(&twin), None);
             assert!(sys.retrieve_version("tp", 1).is_none(), "no new row");

@@ -35,7 +35,7 @@ fn instrumented_run(
         false => rig.channel(FaultProfile::lossless(), 0),
     };
     let initial = rig.initial("recon-run");
-    let out = rig.run(&sys, &initial, Some(&delivery)).run().unwrap();
+    let out = rig.run(&sys, &initial).network(&delivery).run().unwrap();
     assert_eq!(out.steps, 9);
     if crash {
         assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
