@@ -136,7 +136,7 @@ fn close(
 fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
     let fx = Rig::fig9(false);
     let sys = fx.cloud(4);
-    let completed = fx.fleet(&sys, pids("dash-", n));
+    let completed = fx.fleet(&sys, pids("dash-", n), sys.channel());
 
     // the monitoring aggregation's scan cost, isolated as a counter delta
     let (rows_before, regions_before) = sys.active_pool().scan_counters();
@@ -164,7 +164,7 @@ fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
     let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     let n = 6;
-    let completed = fx.fleet(&sys, pids(&format!("tam{seed}-"), n));
+    let completed = fx.fleet(&sys, pids(&format!("tam{seed}-"), n), sys.channel());
 
     // forge FORGED_PER_TAMPER_CELL distinct non-latest rows, seed-picked
     let candidates = non_latest_doc_keys(sys.active_pool());
@@ -194,7 +194,7 @@ fn run_federated_cell(out: &mut ClaimOutput) -> Row {
     let (sys, ctrl) = fx.federated(Topology::new().cloud("east", 2).cloud("west", 2));
     let delivery = fx.channel(FaultProfile::lossless(), 1);
     let n = 4;
-    let completed = fx.fleet_over(&sys, pids("fedq-", n), &delivery);
+    let completed = fx.fleet(&sys, pids("fedq-", n), &delivery);
 
     // forge one non-latest row on the active cloud's pool
     let pools = sys.audit_pools();

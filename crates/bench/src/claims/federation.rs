@@ -68,7 +68,7 @@ fn run_cell(
     // errors, which the delivery retry layer absorbs without losing hops
     let delivery = fx.channel(FaultProfile::lossless(), seed);
 
-    let mut completed = fx.fleet_over(&sys, pids(0..WAVE1), &delivery);
+    let mut completed = fx.fleet(&sys, pids(0..WAVE1), &delivery);
 
     // audit pass: serve every instance through every portal, so an armed
     // tamper plan fires mid-sweep and the honest bytes get re-served
@@ -84,7 +84,7 @@ fn run_cell(
 
     // second wave after any quarantine: the fleet keeps completing and
     // quarantined portals take none of it
-    completed += fx.fleet_over(&sys, pids(WAVE1..TOTAL), &delivery);
+    completed += fx.fleet(&sys, pids(WAVE1..TOTAL), &delivery);
 
     sys.export_metrics(&fx.metrics);
     let dstats = delivery.stats();
@@ -122,7 +122,7 @@ fn run_cell(
 fn single_cloud_target() -> String {
     let fx = Rig::fig9(false);
     let sys = fx.cloud(4);
-    assert_eq!(fx.fleet(&sys, pids(0..TOTAL)), TOTAL, "the baseline completes");
+    assert_eq!(fx.fleet(&sys, pids(0..TOTAL), sys.channel()), TOTAL, "the baseline completes");
     sys.pool_digest()
 }
 

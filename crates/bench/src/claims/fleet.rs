@@ -22,7 +22,7 @@ fn run_cell(n: usize, out: &mut ClaimOutput) -> Row {
     let sys = fx.cloud(PORTALS);
     let wall_start = std::time::Instant::now();
     let vt_start = fx.network.virtual_time_us();
-    let completed = fx.fleet(&sys, (0..n).map(|i| format!("fleet-{i:04}")));
+    let completed = fx.fleet(&sys, (0..n).map(|i| format!("fleet-{i:04}")), sys.channel());
     let virtual_us = fx.network.virtual_time_us() - vt_start;
     let wall = wall_start.elapsed();
 

@@ -410,15 +410,11 @@ impl Rig {
         run
     }
 
-    /// Admit one instance per pid into one scheduler over `sys` and drain
-    /// the bus; returns how many ran to completion (in the scenario's step
-    /// count, where it fixes one).
-    pub fn fleet(&self, sys: &CloudSystem, pids: impl Iterator<Item = String>) -> usize {
-        self.fleet_over(sys, pids, sys.channel())
-    }
-
-    /// [`Rig::fleet`] with every hand-off over `delivery`.
-    pub fn fleet_over(
+    /// Admit one instance per pid into one scheduler over `sys`, every
+    /// hand-off over `delivery` (`sys.channel()` unless the cell has its own),
+    /// and drain the bus; returns how many ran to completion (in the
+    /// scenario's step count, where it fixes one).
+    pub fn fleet(
         &self,
         sys: &CloudSystem,
         pids: impl Iterator<Item = String>,

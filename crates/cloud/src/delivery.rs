@@ -86,8 +86,8 @@ impl DeliveryPolicy {
 pub struct DeliveryStats {
     /// Logical hand-offs attempted (hops).
     pub sends: u64,
-    /// Logical hand-offs that ended with a receiver ack (≤ `sends`; the gap
-    /// is hops still in flight or given up as undeliverable).
+    /// Logical hand-offs the receiver answered, with an ack or a refusal
+    /// (≤ `sends`; the gap is hops in flight or given up as undeliverable).
     pub delivered: u64,
     /// Physical send attempts across all hops (≥ `sends`).
     pub attempts: u64,
@@ -534,5 +534,13 @@ mod tests {
         assert_eq!((intact, stats.delivered), (32, 32), "only intact copies were accepted");
         assert!(garbled > 0 && garbled <= stats.faults.corrupted, "some did not even parse");
         assert_eq!(stats.corruptions_rejected, stats.faults.corrupted, "each one rejected");
+
+        // a receiver that refuses an intact copy has answered: the error
+        // comes back at once and the hand-off is not left open
+        let lossless = Delivery::lossless(Arc::new(NetworkSim::lan()));
+        let refusal = |_| Err::<(), _>(WfError::Malformed("refused".into()));
+        assert!(matches!(lossless.transfer(&sealed, refusal), Err(WfError::Malformed(_))));
+        let stats = lossless.stats();
+        assert_eq!((stats.sends, stats.delivered, stats.attempts), (1, 1, 1));
     }
 }

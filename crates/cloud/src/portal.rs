@@ -961,6 +961,31 @@ mod tests {
     }
 
     #[test]
+    fn stale_mark_on_the_senders_own_copy_is_rejected_by_admit() {
+        // what `Delivery::arrived` hands over for an intact copy: the sender's
+        // in-memory `SealedDocument`, tree and mark, no byte re-parse between
+        let (sys, def, pol, designer, alice) = setup();
+        let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-lm").unwrap();
+        let aea = Aea::new(alice, sys.directory.clone());
+        let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
+        let done = aea.complete(&recv, &[("amount".into(), "100".into())]).unwrap();
+        let genuine = done.document.into_document();
+        let mark =
+            Verifier::new(&sys.directory).with_mark(None).run(&genuine).unwrap().mark.unwrap();
+
+        // a tampered tree under the genuine document's mark
+        let tampered =
+            DraDocument::parse(&genuine.to_xml_string().replace(">100<", ">1000000<")).unwrap();
+        let route = Route { targets: vec!["approve".into()], ends: false };
+        let laundered = SealedDocument::with_trust(tampered, mark.clone());
+        assert!(sys.admit(0, &laundered, &route).is_err());
+        assert_eq!(sys.total_stored(), 0);
+        // the mark itself is good: the genuine tree enters on it
+        sys.admit(0, &SealedDocument::with_trust(genuine, mark), &route).unwrap();
+        assert_eq!(sys.total_stored(), 1);
+    }
+
+    #[test]
     fn todo_notification_cycle() {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-3").unwrap();

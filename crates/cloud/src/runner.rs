@@ -293,6 +293,7 @@ impl<'a> InstanceRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultProfile;
     use crate::netsim::NetworkSim;
     use dra4wfms_core::monitor::ProcessStatus;
     use dra4wfms_core::verify::Verifier;
@@ -548,6 +549,44 @@ mod tests {
             assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/crash-run/")), 10);
             Verifier::new(&dir).run(&out.document).unwrap();
         }
+    }
+
+    #[test]
+    fn fig9a_completes_over_a_lossy_channel() {
+        let creds = people();
+        let dir = Directory::from_credentials(&creds);
+        let network = Arc::new(NetworkSim::lan());
+        let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network));
+        let initial = DraDocument::new_initial_with_pid(
+            &fig9a(),
+            &SecurityPolicy::public(),
+            &creds[0],
+            "faulty-run",
+        )
+        .unwrap();
+        let delivery = Delivery::new(
+            Arc::clone(&network),
+            FaultProfile::lossy(0.2),
+            crate::delivery::DeliveryPolicy::default(),
+            7,
+        )
+        .unwrap();
+        let responder = fig9a_responder();
+        let out = InstanceRun::new(&sys, &initial)
+            .agents(&agents(&creds, &dir))
+            .respond(&responder)
+            .max_steps(100)
+            .network(&delivery)
+            .run()
+            .unwrap();
+        assert_eq!(out.steps, 9);
+        let stats = out.delivery;
+        assert_eq!(stats.sends, 10, "initial + 9 stores");
+        assert!(stats.attempts >= stats.sends);
+        // the pool holds exactly the 10 versions despite duplicated copies
+        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/faulty-run/")), 10);
+        // the final document still verifies end to end
+        Verifier::new(&dir).run(&out.document).unwrap();
     }
 
     #[test]

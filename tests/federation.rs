@@ -37,14 +37,9 @@ use std::sync::OnceLock;
 
 /// Drive instances `fed-<id>` through the event-driven scheduler, asserting
 /// every one completes in exactly 9 steps (Fig. 9A takes its loop once).
-fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>) {
-    drive_over(rig, sys, ids, sys.channel());
-}
-
-/// [`drive`] with every hand-off over `delivery`.
-fn drive_over(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: &Delivery) {
+fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: &Delivery) {
     let n = ids.len();
-    assert_eq!(rig.fleet_over(sys, ids.map(|i| format!("fed-{i}")), delivery), n, "all complete");
+    assert_eq!(rig.fleet(sys, ids.map(|i| format!("fed-{i}")), delivery), n, "all complete");
 }
 
 /// The healthy single-cloud baseline digest over `fed-0 .. fed-n`:
@@ -60,7 +55,7 @@ fn healthy_digest(n: usize) -> &'static str {
     cell.get_or_init(|| {
         let rig = Rig::fig9(false);
         let sys = rig.cloud(4);
-        drive(&rig, &sys, 0..n);
+        drive(&rig, &sys, 0..n, sys.channel());
         sys.pool_digest()
     })
 }
@@ -82,7 +77,7 @@ fn healthy_federation_replicates_and_matches_single_cloud() {
     let rig = Rig::fig9(false);
     let (sys, ctrl) = rig.federated(two_cloud_topology());
     let metrics = &rig.metrics;
-    drive(&rig, &sys, 0..2);
+    drive(&rig, &sys, 0..2, sys.channel());
 
     assert_eq!(sys.pool_digest(), healthy_digest(2), "replication changed document bytes");
     assert!(sys.replicas_consistent(), "east and west must hold identical doc rows");
@@ -143,7 +138,7 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
     // east (the active cloud) is dead from virtual microsecond 5 — before
     // the first admission ever lands
     ctrl.set_outage(OutagePlan::at(0, 5));
-    drive(&rig, &sys, 0..2);
+    drive(&rig, &sys, 0..2, sys.channel());
 
     assert_eq!(ctrl.active_cloud(), 1, "admissions failed over to west");
     assert!(ctrl.cloud_down(0));
@@ -165,7 +160,7 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
 fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     let rig = Rig::fig9(false);
     let (sys, ctrl) = rig.federated(two_cloud_topology());
-    drive(&rig, &sys, 0..2);
+    drive(&rig, &sys, 0..2, sys.channel());
     let before = sys.pool_digest();
 
     // portal 1 serves corrupted bytes on its very next serve
@@ -195,7 +190,7 @@ fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     // the quarantined portal takes no further work: new admissions route
     // around it and its admission counter stays frozen
     assert_ne!(sys.route_portal(1), 1);
-    drive(&rig, &sys, 2..3);
+    drive(&rig, &sys, 2..3, sys.channel());
     assert!(ctrl.zero_admissions_after_quarantine());
     assert_eq!(sys.pool_digest(), healthy_digest(3));
 }
@@ -210,7 +205,7 @@ fn rollback_and_substitution_are_caught_like_flipped_bytes() {
     for (source, seq) in [("fed-0", 2), ("fed-1", 9)] {
         let rig = Rig::fig9(false);
         let (sys, ctrl) = rig.federated(two_cloud_topology());
-        drive(&rig, &sys, 0..2);
+        drive(&rig, &sys, 0..2, sys.channel());
 
         let honest = sys.retrieve_version("fed-0", 9).unwrap();
         let planted = sys.retrieve_version(source, seq).unwrap();
@@ -297,7 +292,7 @@ proptest! {
         ctrl.set_tamper(TamperPlan::once(tamper_portal, tamper_nth));
         let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
-        drive_over(&rig, &sys, 0..2, &delivery);
+        drive(&rig, &sys, 0..2, &delivery);
 
         // audit pass: serve every instance through every portal, so an
         // armed tamper plan gets its chance to fire mid-sweep
@@ -310,7 +305,7 @@ proptest! {
         }
 
         // second wave after any quarantine: frozen portals stay frozen
-        drive_over(&rig, &sys, 2..3, &delivery);
+        drive(&rig, &sys, 2..3, &delivery);
 
         let final_digest = sys.pool_digest();
         prop_assert_eq!(final_digest.as_str(), healthy_digest(3));

@@ -18,7 +18,7 @@ fn fig9(advanced: bool) -> Rig {
 fn assert_handoffs(rig: &Rig, expected: u64, why: &str) {
     let snap = rig.metrics.snapshot();
     assert_eq!(snap.counter("delivery.sends"), expected, "{why}");
-    assert_eq!(snap.counter("delivery.delivered"), expected, "each acked");
+    assert_eq!(snap.counter("delivery.delivered"), expected, "each answered");
     assert_eq!(snap.counter("delivery.retries"), 0, "at the first attempt");
     let (spent, ideal) = ("delivery.virtual_time_us", "delivery.ideal_time_us");
     assert_eq!(snap.counter(spent), snap.counter(ideal), "each copy charged exactly once");

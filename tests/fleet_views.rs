@@ -38,14 +38,9 @@ use std::sync::Arc;
 
 /// Drive instances `view-<id>` through the event-driven scheduler,
 /// asserting each completes in exactly 9 steps.
-fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>) {
-    drive_over(rig, sys, ids, sys.channel());
-}
-
-/// [`drive`] with every hand-off over `delivery`.
-fn drive_over(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: &Delivery) {
+fn drive(rig: &Rig, sys: &CloudSystem, ids: std::ops::Range<usize>, delivery: &Delivery) {
     let n = ids.len();
-    assert_eq!(rig.fleet_over(sys, ids.map(|i| format!("view-{i}")), delivery), n, "all complete");
+    assert_eq!(rig.fleet(sys, ids.map(|i| format!("view-{i}")), delivery), n, "all complete");
 }
 
 fn two_clouds() -> Topology {
@@ -120,7 +115,7 @@ proptest! {
         let sys = if federated { rig.federated(two_clouds()).0 } else { rig.cloud(4) };
         let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
-        drive_over(&rig, &sys, 0..n, &delivery);
+        drive(&rig, &sys, 0..n, &delivery);
         prop_assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
 
         assert_views_identical(&sys);
@@ -176,7 +171,7 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
 
     // the fleet continues on the recovered deployment (the crash plan is
     // spent, so these run clean)
-    drive(&rig, &sys, 0..2);
+    drive(&rig, &sys, 0..2, sys.channel());
     assert_views_identical(&sys);
     let counts = sys.fleet_views().status_counts();
     assert_eq!(counts["complete"], 2);
@@ -205,7 +200,7 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     let rig = Rig::fig9(false);
     let (monitor, metrics) = (&rig.monitor, &rig.metrics);
     let sys = rig.cloud(2);
-    drive(&rig, &sys, 0..3);
+    drive(&rig, &sys, 0..3, sys.channel());
 
     let key = mid_version_key(sys.active_pool(), "view-1");
     assert_eq!(key, "doc/view-1/000001");
@@ -279,7 +274,7 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
 fn forged_federation() -> (CloudSystem, Rig, String) {
     let rig = Rig::fig9(false);
     let (sys, _) = rig.federated(two_clouds());
-    drive(&rig, &sys, 0..2);
+    drive(&rig, &sys, 0..2, sys.channel());
     let (east_name, _, east_pool) = sys.audit_pools().into_iter().next().unwrap();
     assert_eq!(east_name, "east");
     let key = mid_version_key(&east_pool, "view-0");

@@ -169,7 +169,7 @@ fn small_fleet_matches_sequential_runs() {
         let sys = rig.cloud(4);
         let pids = (0..3).map(|i| format!("fleet-{i}"));
         if concurrent {
-            assert_eq!(rig.fleet(&sys, pids), 3);
+            assert_eq!(rig.fleet(&sys, pids, sys.channel()), 3);
         } else {
             for pid in pids {
                 let initial = rig.initial(&pid);

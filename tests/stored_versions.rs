@@ -235,7 +235,7 @@ proptest! {
 fn a_stored_history_costs_about_its_final_version() {
     let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
-    assert_eq!(fx.fleet(&sys, std::iter::once("size-0".to_string())), 1);
+    assert_eq!(fx.fleet(&sys, std::iter::once("size-0".to_string()), sys.channel()), 1);
     let full_copies = |sys: &CloudSystem, pid: &str, versions: usize| -> u64 {
         (0..versions).map(|k| sys.retrieve_version(pid, k).expect("stored").len() as u64).sum()
     };
@@ -247,7 +247,7 @@ fn a_stored_history_costs_about_its_final_version() {
     const STEPS: usize = 48;
     let chain = Rig::chain(STEPS, false, |_| "x".repeat(64));
     let sys = chain.cloud(2);
-    assert_eq!(chain.fleet(&sys, std::iter::once("size-1".to_string())), 1);
+    assert_eq!(chain.fleet(&sys, std::iter::once("size-1".to_string()), sys.channel()), 1);
     let last = sys.retrieve_version("size-1", STEPS).expect("one version per step and the initial");
     let (stored, last) = (sys.stored_doc_bytes(), last.len() as u64);
     assert!(stored * 4 <= last * 5, "chain: {stored} bytes stored for a {last}-byte document");
@@ -309,7 +309,7 @@ fn a_broken_link_is_indicted_once_and_the_rows_above_it_are_tainted() {
     let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     let pids = ["one", "tags", "pair", "gap"];
-    assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string())), 4);
+    assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string()), sys.channel()), 4);
     let pool = sys.active_pool();
     flip_kept(pool, &key("one", 4));
     flip_unkept(pool, &key("tags", 4));
@@ -360,7 +360,7 @@ fn a_rollback_is_caught_by_the_row_above_it() {
     let fx = Rig::fig9(false);
     let sys = fx.cloud(2);
     let pids = ["kept", "moved", "gone", "tip"];
-    assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string())), 4);
+    assert_eq!(fx.fleet(&sys, pids.iter().map(|p| p.to_string()), sys.channel()), 4);
     let pool = sys.active_pool();
     let seen_row = |bytes: &str| {
         let digest = dra4wfms::crypto::sha256(bytes.as_bytes());
