@@ -12,8 +12,9 @@
 //! Wall-clock numbers go to stdout only. `BENCH_scaling.json` instead
 //! records *deterministic* cost counters — elliptic-curve group operations
 //! and canonicalization allocation bytes over a seeded synthetic workload,
-//! and the SHA-256 bytes one incremental verification absorbs on a seeded
-//! unencrypted chain — so the file is byte-identical across runs and
+//! and, on a seeded unencrypted chain, the SHA-256 bytes one incremental
+//! verification absorbs, the wire bytes a hop formats and the SHA-256 bytes
+//! its admission absorbs — so the file is byte-identical across runs and
 //! machines and can sit behind the perf gate
 //! (`perf/BENCH_scaling.baseline.json`). The live
 //! chain run cannot serve that purpose: ephemeral encryption keys and CER
@@ -29,7 +30,9 @@ use crate::rig::{ChainRecord, Handoff, Rig};
 use dra4wfms_core::prelude::*;
 use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
 use dra_crypto::{sha256_bytes, sha256_bytes_reset, verify_batch, BatchEntry, Keypair};
-use dra_xml::{canon_alloc_bytes, canon_alloc_reset, Element};
+use dra_xml::{
+    canon_alloc_bytes, canon_alloc_reset, wire_written_bytes, wire_written_bytes_reset, Element,
+};
 use std::time::{Duration, Instant};
 
 /// Chain lengths for the deterministic counter cells.
@@ -59,23 +62,44 @@ fn synthetic_parts(n: usize) -> Vec<Element> {
         .collect()
 }
 
-/// SHA-256 bytes absorbed by one incremental verification at every chain
-/// length `1..=max` (index `n - 1`), as a hop sees it: the document was
-/// built in-process, so every node but the newest CER carries its digest
-/// memo, and the travelling mark pins all but that CER. Unencrypted and
-/// seeded, hence byte-deterministic. What is left to hash is the new CER's
-/// canonical bytes plus the chain itself — 64 bytes per pinned CER.
-fn incremental_hash_bytes(max: usize) -> Vec<u64> {
+/// What a hop costs in bytes at every chain length `1..=max` (index
+/// `n - 1`), as a hop sees it: the document was built in-process, so every
+/// node but the newest CER carries its memos, and the travelling mark pins
+/// all but that CER. Unencrypted and seeded, hence byte-deterministic.
+struct HopBytes {
+    /// SHA-256 bytes one incremental verification absorbs: the new CER's
+    /// canonical bytes plus the chain itself — 64 bytes per pinned CER.
+    inc_hash: u64,
+    /// Wire bytes the step's AEA formatted (not copied from a memo) to
+    /// produce its document: the new CER and the tags around the sections.
+    wire_written: u64,
+    /// Everything SHA-256 absorbs while the document is delivered into a
+    /// one-portal cloud that admitted the steps before it: the verification
+    /// above and what the `seen/` key still has to hash.
+    admit_hash: u64,
+}
+
+fn hop_bytes(max: usize) -> Vec<HopBytes> {
     let rig = Rig::chain(max, false, |i| format!("value-{i:04}"));
-    let hashed = |step: ChainRecord| {
-        let sealed = step.document;
+    let sys = rig.cloud(1);
+    let mut walk = rig.walk("scaling", Handoff::Sealed, true);
+    let hop = || {
+        wire_written_bytes_reset();
+        let ChainRecord { step, document: sealed, .. } = walk.next()?;
+        let wire_written = wire_written_bytes();
         sha256_bytes_reset();
         let outcome =
             Verifier::new(&rig.dir).with_mark(sealed.trust()).run(&sealed).expect("verifies");
-        assert_eq!(outcome.reused_cers, step.step, "the mark pins all but the new CER");
-        sha256_bytes()
+        assert_eq!(outcome.reused_cers, step, "the mark pins all but the new CER");
+        let inc_hash = sha256_bytes();
+        let next = rig.def.activities.get(step + 1).map(|a| a.id.clone());
+        let route = Route { ends: next.is_none(), targets: next.into_iter().collect() };
+        sha256_bytes_reset();
+        let ack = sys.channel().deliver(&sys, 0, &sealed, &route).expect("admitted");
+        assert_eq!((ack.seq, ack.duplicate), (step, false), "every step is one version");
+        Some(HopBytes { inc_hash, wire_written, admit_hash: sha256_bytes() })
     };
-    rig.walk("scaling", Handoff::Sealed, true).map(hashed).collect()
+    std::iter::from_fn(hop).collect()
 }
 
 /// Best-of-`reps` full receive α at the last hop of `rig`'s chain: the chain
@@ -96,7 +120,7 @@ fn receive_alpha_best_of(rig: &Rig, batched: bool, reps: usize) -> Duration {
 }
 
 /// One deterministic measurement cell.
-fn measure_cell(n: usize, inc_hash_bytes: u64) -> Row {
+fn measure_cell(n: usize, hop: &HopBytes) -> Row {
     // n CER signatures + the designer's definition signature
     let sigs = n + 1;
     let keys: Vec<Keypair> = (0..sigs).map(|i| seeded_keypair(n, i)).collect();
@@ -135,7 +159,9 @@ fn measure_cell(n: usize, inc_hash_bytes: u64) -> Row {
         .with("seq_ec_ops", seq_ec_ops)
         .with("batch_ec_ops", batch_ec_ops)
         .with("canon_bytes", canon_bytes)
-        .with("inc_hash_bytes", inc_hash_bytes)
+        .with("inc_hash_bytes", hop.inc_hash)
+        .with("wire_written_bytes", hop.wire_written)
+        .with("admit_hash_bytes", hop.admit_hash)
 }
 
 pub(super) fn run() -> ClaimOutput {
@@ -227,8 +253,8 @@ pub(super) fn run() -> ClaimOutput {
     // with a much flatter slope, and an incremental verification hashes
     // the one new CER plus 64 bytes per pinned one, whatever the document
     // weighs.
-    let inc_hash_bytes = incremental_hash_bytes(CELLS[CELLS.len() - 1]);
-    let cells: Vec<Row> = CELLS.iter().map(|&n| measure_cell(n, inc_hash_bytes[n - 1])).collect();
+    let hops = hop_bytes(CELLS[CELLS.len() - 1]);
+    let cells: Vec<Row> = CELLS.iter().map(|&n| measure_cell(n, &hops[n - 1])).collect();
     println!("  EC ops per signature over the seeded cells, sequential vs batched:");
     // `verify_batch` checks a set too small to batch one signature at a
     // time, so there the two columns are equal; wherever it does batch, the
@@ -245,10 +271,16 @@ pub(super) fn run() -> ClaimOutput {
             if bat == seq { "  (below the crossover: checked one by one)" } else { "" }
         );
     }
-    let (inc8, inc64) = (inc_hash_bytes[7], inc_hash_bytes[63]);
+    let (inc8, inc64) = (hops[7].inc_hash, hops[63].inc_hash);
     println!(
         "  incremental verify hashes {inc8} B at n=8, {inc64} B at n=64 — {} B per pinned CER",
         (inc64 - inc8) / 56
+    );
+    let (w8, w64) = (hops[7].wire_written, hops[63].wire_written);
+    let (h8, h64) = (hops[7].admit_hash, hops[63].admit_hash);
+    println!(
+        "  a hop formats {w8} B of wire at n=8, {w64} B at n=64; its admission hashes {h8} B, {h64} B — {} B per pinned CER",
+        (h64 - h8) / 56
     );
     let mut out = ClaimOutput::default();
     let metrics = dra_obs::MetricsRegistry::new();

@@ -402,13 +402,18 @@ impl CloudSystem {
         let active = self.active_cloud();
         let stats = &self.portals[portal_idx];
         let mut span = self.tracer.span(stage::PORTAL_ADMIT).actor(&format!("portal:{portal_idx}"));
-        if span.enabled() {
-            if let Ok(pid) = sealed.document().process_id() {
-                span.set_process(&pid);
-            }
+        // claimed, not proved: verification is further down
+        let claimed = sealed.document().process_id().ok();
+        if let Some(pid) = &claimed {
+            span.set_process(pid);
         }
         let wire = sealed.wire();
-        let digest = dra_crypto::sha256(wire.as_bytes());
+        // one measurement of the wire against the last version of the process
+        // it claims: the digest for the `seen/` key, the bytes kept for the
+        // `doc/` row. No tip answers to a claim nothing was committed under.
+        let mut cut = active.cut(claimed.as_deref().unwrap_or_default(), &wire);
+        let digest = cut.digest;
+        debug_assert_eq!(digest, dra_crypto::sha256(wire.as_bytes()), "resumed ≠ cold digest");
 
         // idempotency: bytes we have already stored are acked, not
         // re-stored — a duplicated or retransmitted copy costs nothing but
@@ -421,13 +426,13 @@ impl CloudSystem {
             // a duplicate wake-up is skipped harmlessly by the scheduler,
             // a lost one would strand the instance.
             let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
-            if let Ok(pid) = sealed.document().process_id() {
+            if let Some(pid) = &claimed {
                 for target in &route.targets {
                     let Ok(act) = definition.def.activity(target) else { continue };
                     // (names no key can hold have no TO-DO row to re-notify)
-                    let todo = RowKey::todo(&act.participant, &pid, target);
+                    let todo = RowKey::todo(&act.participant, pid, target);
                     if todo.is_ok_and(|todo| active.todo_pending(todo)) {
-                        self.notify(portal_idx, &act.participant, &pid, target, seq);
+                        self.notify(portal_idx, &act.participant, pid, target, seq);
                     }
                 }
             }
@@ -453,7 +458,7 @@ impl CloudSystem {
         // written: with a `/` in it, its rows would sit under another
         // process's prefix and be served as that process's versions
         let pid = Name::new(&report.process_id)?;
-        let seq = active.next_seq(pid);
+        let seq = active.next_seq(pid, &mut cut, &wire);
         let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
         // design-time soundness gate: a definition that can deadlock, starve
         // an activity or orphan a join is rejected *here*, before any row is
@@ -470,7 +475,7 @@ impl CloudSystem {
         // (`seen/` first), the monitoring meta row (amendments folded in, so
         // dynamically added activities resolve), and one TO-DO entry per
         // routed target's participant.
-        let mut ops = Vec::from(active.version_rows(pid, seq, digest, &wire));
+        let mut ops = Vec::from(active.version_rows(pid, seq, &cut, &wire));
         ops.push(STATUS.put(RowKey::Meta(pid), status));
         ops.push(STEPS.put(RowKey::Meta(pid), report.cers.len().to_string()));
         ops.push(WORKFLOW.put(RowKey::Meta(pid), def.name.clone()));
@@ -486,7 +491,7 @@ impl CloudSystem {
         // views through the same fold crash replay uses
         let crash = |point| move || self.crash_plan.check(point);
         active.commit(&ops, 1, crash(CrashPoint::PortalBetweenSeenAndStore))?;
-        active.advance(pid, seq, Arc::clone(&wire), route.is_final());
+        active.advance(pid, seq, Arc::clone(&wire), cut, route.is_final());
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
         self.views.record_admission(portal_idx as u64);
         self.committed(active);
@@ -869,7 +874,7 @@ mod tests {
     }
 
     fn versions(sys: &CloudSystem, pid: &str) -> usize {
-        sys.active_cloud().next_seq(Name::new(pid).unwrap())
+        (0..).take_while(|&seq| sys.retrieve_version(pid, seq).is_some()).count()
     }
 
     #[test]

@@ -585,13 +585,10 @@ fn dispatch_one<'a>(
                         inst.early_takeovers += 1;
                     }
                 }
-                // the supervisor restarts the portals along with the agent:
-                // nothing is left for them to replay (the channel repaired a
-                // torn store before its hand-off returned), the restart is
-                // the empty `journal:replay` span a takeover shows in a trace
-                system.recover_portals();
-                // ... and the hop is re-anchored on the documents in the
-                // pool, not the dead agent's memory
+                // the hop is re-anchored on the documents in the pool, not
+                // the dead agent's memory (the portals have nothing to
+                // replay: the channel repaired a torn store before its
+                // hand-off returned)
                 inputs = inst.run.refetch(&inst.pid, inputs);
                 merged = InstanceRun::merge_inputs(&inputs)?;
             }

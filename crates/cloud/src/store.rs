@@ -20,7 +20,15 @@
 //!   [`CloudStore::advance`] installs the new one only after the commit
 //!   returned and not at all once the route is final, and a miss (restart,
 //!   restore, failover to this cloud, a replayed crash) folds the pool's
-//!   rows. While the tip is there [`CloudStore::next_seq`] scans nothing;
+//!   rows. While the tip is there [`CloudStore::next_seq`] scans nothing.
+//!   [`CloudStore::cut`] measures an arriving wire against it once: the bytes
+//!   kept and, in the same pass, the `seen/` key. The tip holds the SHA-256
+//!   state after `wire[..at]`, where its append ended; a wire whose first
+//!   `keep ≥ at` bytes this store just compared equal has that state after
+//!   its own first `at` bytes, so absorbing the rest yields SHA-256(wire) by
+//!   definition — of bytes read here, nothing sent. Otherwise (`keep < at`:
+//!   seq 0, an AND-split sibling; no tip in memory; a claimed process with
+//!   none) the wire is hashed whole. The state dies with the tip, unstored;
 //! * **the read path** — a stored version is a [`Stored`]: its `doc/` row
 //!   with the bytes of that version, reassembled by a `Fold` over the rows
 //!   below it. One prefix query, a buffer reserved once, every tail copied
@@ -67,6 +75,7 @@
 use crate::portal::TodoEntry;
 use crate::schema::{self, Delta, Name, RowKey, DOC_ROWS, SEQ, XML};
 use dra4wfms_core::prelude::*;
+use dra_crypto::Sha256;
 use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, RowSnapshot, TableConfig};
 use dra_obs::Tracer;
 use std::collections::{BTreeMap, HashMap};
@@ -203,15 +212,68 @@ fn kept(below: &str, wire: &str) -> usize {
     keep
 }
 
+/// The last version of a process this cloud committed as primary: what the
+/// next one is cut against.
+#[derive(Clone)]
+struct Tip {
+    seq: usize,
+    wire: Arc<String>,
+    /// Where this version's append ended: its length less the suffix it
+    /// shares with the version below it — the closing tags, which the next
+    /// append pushes out. 0 for a tip folded from the pool.
+    at: usize,
+    /// SHA-256 after `wire[..at]`: what the digest of a wire that keeps
+    /// those bytes resumes from.
+    state: Sha256,
+}
+
+/// An arriving wire measured against the [`Tip`] of the process it claims —
+/// once per admission: duplicate suppression reads the digest, the `doc/`
+/// row the bytes kept, the next tip the state to resume from.
+pub(crate) struct Cut {
+    /// SHA-256 of the wire.
+    pub digest: [u8; 32],
+    /// The `seq` of the tip and the bytes of it the wire keeps; `None` when
+    /// no tip was there to measure against.
+    below: Option<(usize, usize)>,
+    /// The [`Tip::at`] and [`Tip::state`] of this wire, were it committed.
+    at: usize,
+    state: Sha256,
+}
+
+impl Cut {
+    fn of(tip: Option<&Tip>, wire: &str) -> Cut {
+        let bytes = wire.as_bytes();
+        let (below, mut hash, from, at) = match tip {
+            Some(tip) => {
+                let keep = kept(&tip.wire, wire);
+                let ends = tip.wire.as_bytes()[keep..].iter().rev().zip(bytes[keep..].iter().rev());
+                let at = bytes.len() - ends.take_while(|(x, y)| x == y).count();
+                // `wire[..keep]` was just compared: up to there the tip's
+                // state is this wire's
+                let resumed = tip.at <= keep;
+                let (hash, from) =
+                    if resumed { (tip.state.clone(), tip.at) } else { (Sha256::new(), 0) };
+                (Some((tip.seq, keep)), hash, from, at)
+            }
+            None => (None, Sha256::new(), 0, 0),
+        };
+        hash.update(&bytes[from..at]);
+        let state = hash.clone();
+        hash.update(&bytes[at..]);
+        Cut { digest: hash.finalize(), below, at, state }
+    }
+}
+
 /// One member cloud's pool and journal.
 pub(crate) struct CloudStore {
     /// Stable cloud name (used in alerts, metrics and outage plans).
     pub name: String,
     pool: Arc<HTable>,
     journal: Journal,
-    /// `pid → (seq, wire)` of the last version committed here as primary,
-    /// while its process runs (see the module doc).
-    tips: Mutex<HashMap<String, (usize, Arc<String>)>>,
+    /// `pid →` the last version committed here as primary, while its process
+    /// runs (see the module doc).
+    tips: Mutex<HashMap<String, Tip>>,
 }
 
 impl CloudStore {
@@ -296,7 +358,7 @@ impl CloudStore {
 
     // -- stored versions: the write ------------------------------------------
 
-    fn tips(&self) -> std::sync::MutexGuard<'_, HashMap<String, (usize, Arc<String>)>> {
+    fn tips(&self) -> std::sync::MutexGuard<'_, HashMap<String, Tip>> {
         self.tips.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -304,54 +366,80 @@ impl CloudStore {
     /// committing the process, else folded from the pool's rows and kept.
     /// A latest row that yields no bytes is a tip of none, so the version
     /// above it is cut against nothing: a full copy.
-    fn tip(&self, pid: Name<'_>) -> Option<(usize, Arc<String>)> {
+    fn tip(&self, pid: Name<'_>) -> Option<Tip> {
         if let Some(tip) = self.tips().get(pid.as_str()) {
             return Some(tip.clone());
         }
         let Stored { key, xml } = self.latest(pid)?;
         let RowKey::Doc { seq, .. } = RowKey::parse(&key)? else { return None };
-        let tip = (seq, Arc::new(xml.unwrap_or_default()));
+        let tip = Tip { seq, wire: Arc::new(xml.unwrap_or_default()), at: 0, state: Sha256::new() };
         self.tips().insert(pid.as_str().to_string(), tip.clone());
         Some(tip)
     }
 
-    /// The next admission's `seq`: one past the latest version stored for
-    /// `pid` (parallel AND-split branches have equal CER counts, so the CER
-    /// count alone would collide).
-    pub(crate) fn next_seq(&self, pid: Name<'_>) -> usize {
-        self.tip(pid).map_or(0, |(seq, _)| seq.saturating_add(1))
+    /// Measure an arriving `wire` against the tip this cloud holds in memory
+    /// for the process it claims to be of. Nothing is read from the pool: a
+    /// wire that may yet be a duplicate or a forgery costs its bytes.
+    pub(crate) fn cut(&self, claimed: &str, wire: &str) -> Cut {
+        let tip = self.tips().get(claimed).cloned();
+        Cut::of(tip.as_ref(), wire)
+    }
+
+    /// The next admission's `seq`, for the wire `cut` measured, now proved to
+    /// be of `pid`: one past the latest version stored (parallel AND-split
+    /// branches have equal CER counts, so the CER count alone would
+    /// collide). A cut that met no tip in memory is taken again, against the
+    /// version the pool's rows fold to, if they hold one.
+    pub(crate) fn next_seq(&self, pid: Name<'_>, cut: &mut Cut, wire: &str) -> usize {
+        if cut.below.is_none() {
+            if let Some(tip) = self.tip(pid) {
+                *cut = Cut::of(Some(&tip), wire);
+            }
+        }
+        cut.below.map_or(0, |(below, _)| below.saturating_add(1))
     }
 
     /// The two rows a version is, leading an admission's batch: the `seen/`
-    /// row binding the whole wire's `digest` to `seq` (a pool row, not portal
+    /// row binding the whole wire's digest to `seq` (a pool row, not portal
     /// memory, so duplicate suppression survives snapshot/restore and is
     /// shared by every portal), then the `doc/` row: what `wire` adds to the
-    /// version below it. The primary applies the first before its crash
-    /// point: the worst window is "pool claims stored, document row
-    /// missing", exactly what replay repairs.
+    /// version below it, as `cut` measured it. The primary applies the first
+    /// before its crash point: the worst window is "pool claims stored,
+    /// document row missing", exactly what replay repairs.
     pub(crate) fn version_rows(
         &self,
         pid: Name<'_>,
         seq: usize,
-        digest: [u8; 32],
+        cut: &Cut,
         wire: &str,
     ) -> [PutOp; 2] {
-        // seq 0 is cut against nothing
-        let keep = match seq.checked_sub(1).and_then(|_| self.tip(pid)) {
-            Some((below, below_wire)) if below.checked_add(1) == Some(seq) => {
-                kept(&below_wire, wire)
-            }
+        // seq 0, or a version not one above what was measured against, is cut
+        // against nothing
+        let keep = match cut.below {
+            Some((below, keep)) if below.checked_add(1) == Some(seq) => keep,
             _ => 0,
         };
         let cell = Delta { keep, tail: &wire[keep..] }.cell();
-        [SEQ.put(RowKey::Seen(digest), seq.to_string()), XML.put(RowKey::Doc { pid, seq }, cell)]
+        [
+            SEQ.put(RowKey::Seen(cut.digest), seq.to_string()),
+            XML.put(RowKey::Doc { pid, seq }, cell),
+        ]
     }
 
-    /// `wire` was committed as version `seq` of `pid`: it is what the next
-    /// version is cut against, unless the route ended there.
-    pub(crate) fn advance(&self, pid: Name<'_>, seq: usize, wire: Arc<String>, ended: bool) {
+    /// `wire`, which `cut` measured, was committed as version `seq` of
+    /// `pid`: it is what the next version is cut against, unless the route
+    /// ended there.
+    pub(crate) fn advance(
+        &self,
+        pid: Name<'_>,
+        seq: usize,
+        wire: Arc<String>,
+        cut: Cut,
+        ended: bool,
+    ) {
         if !ended {
-            self.tips().insert(pid.as_str().to_string(), (seq, wire));
+            let tip = Tip { seq, wire, at: cut.at, state: cut.state };
+            self.tips().insert(pid.as_str().to_string(), tip);
         }
     }
 
@@ -463,7 +551,7 @@ impl CloudStore {
     /// key order: the layout does not show in it.
     pub(crate) fn doc_digest(&self) -> String {
         // the typed scan returns rows in key order already
-        let (mut fold, mut hash) = (Fold::default(), dra_crypto::Sha256::new());
+        let (mut fold, mut hash) = (Fold::default(), Sha256::new());
         for (key, row) in &self.pool.query(&schema::all_docs()).rows {
             if let Ok(xml) = fold.apply(key, row) {
                 for part in [key.as_bytes(), b"\0", xml.as_bytes(), b"\0"] {
@@ -549,18 +637,26 @@ mod tests {
     use super::*;
     use crate::netsim::NetworkSim;
     use crate::portal::CloudSystem;
+    use std::sync::atomic::Ordering;
 
     impl CloudStore {
         /// Processes with a tip in memory.
         fn tips_held(&self) -> usize {
             self.tips().len()
         }
+
+        /// What `wire` would be admitted with as the next version of `pid`:
+        /// its `seq` and its two rows.
+        fn rows_for(&self, pid: Name<'_>, wire: &str) -> (usize, [PutOp; 2]) {
+            let mut cut = self.cut(pid.as_str(), wire);
+            let seq = self.next_seq(pid, &mut cut, wire);
+            (seq, self.version_rows(pid, seq, &cut, wire))
+        }
     }
 
     fn batch() -> Vec<PutOp> {
         let p = Name::new("p").unwrap();
-        let version =
-            CloudStore::new("c").version_rows(p, 0, dra_crypto::sha256(b"<doc/>"), "<doc/>");
+        let (_, version) = CloudStore::new("c").rows_for(p, "<doc/>");
         let mut ops = version.to_vec();
         ops.push(crate::schema::STATUS.put(RowKey::Meta(p), "running"));
         ops.push(SEQ.put(RowKey::todo("alice", "p", "submit").unwrap(), "0"));
@@ -652,10 +748,10 @@ mod tests {
         let err = WfError::from(cloud.honest(&at(&latest.key, None), &dir).unwrap_err());
         assert!(matches!(&err, WfError::Verify(m) if m.contains("doc/p/000001")), "{err}");
     }
-    /// A deployment that ran process `pö` through `submit` and `approve`:
-    /// three stored versions, the last one final. The workflow's name puts
-    /// a two-byte character into every version.
-    fn three_versions() -> (CloudSystem, Vec<Arc<String>>) {
+    /// A deployment and the three hand-offs of process `p` through `submit`
+    /// and `approve` on it, the last one final. The workflow's name puts a
+    /// two-byte character into every version.
+    fn three_hops() -> (CloudSystem, Vec<(SealedDocument, Route)>) {
         let creds = ["designer", "alice", "bob"].map(|n| Credentials::from_seed(n, n));
         let def = WorkflowDefinition::builder("pö", "designer")
             .simple_activity("submit", "alice", &["amount"])
@@ -668,22 +764,138 @@ mod tests {
         let sys = CloudSystem::new(dir.clone(), 1, Arc::new(NetworkSim::lan()));
         let initial =
             DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "p");
-        let mut sealed = SealedDocument::new(initial.unwrap());
-        let mut route = Route { targets: vec!["submit".into()], ends: false };
-        let mut wires = vec![];
+        let submit = Route { targets: vec!["submit".into()], ends: false };
+        let mut hops = vec![(SealedDocument::new(initial.unwrap()), submit)];
         for (who, activity, field) in [(1, "submit", "amount"), (2, "approve", "decision")] {
-            sys.admit(0, &sealed, &route).unwrap();
-            wires.push(sealed.wire());
-            assert_eq!(sys.clouds[0].tips_held(), 1, "a running process has a tip");
             let aea = Aea::new(creds[who].clone(), dir.clone());
-            let received = aea.receive(sealed, activity).unwrap();
+            let received = aea.receive(hops.last().unwrap().0.clone(), activity).unwrap();
             let done = aea.complete(&received, &[(field.into(), "1".into())]).unwrap();
-            (sealed, route) = (done.document, done.route);
+            hops.push((done.document, done.route));
         }
-        assert!(route.is_final());
-        sys.admit(0, &sealed, &route).unwrap();
-        wires.push(sealed.wire());
-        (sys, wires)
+        assert!(hops[2].1.is_final());
+        (sys, hops)
+    }
+
+    /// [`three_hops`], admitted: three stored versions.
+    fn three_versions() -> (CloudSystem, Vec<Arc<String>>) {
+        let (sys, hops) = three_hops();
+        for (sealed, route) in &hops {
+            sys.admit(0, sealed, route).unwrap();
+            let held = usize::from(!route.is_final());
+            assert_eq!(sys.clouds[0].tips_held(), held, "a running process has a tip");
+        }
+        (sys, hops.iter().map(|(sealed, _)| sealed.wire()).collect())
+    }
+
+    #[test]
+    fn a_retransmitted_copy_is_acked_as_the_version_it_became() {
+        use crate::portal::StoreAck;
+        let (sys, hops) = three_hops();
+        let admit = |hop: usize| sys.admit(0, &hops[hop].0, &hops[hop].1).unwrap();
+        assert_eq!(admit(0), StoreAck { seq: 0, duplicate: false });
+        assert_eq!(admit(1), StoreAck { seq: 1, duplicate: false });
+        // the tip's own bytes again (hashed from its checkpoint on), then an
+        // older version's (hashed whole): neither moves the tip
+        // (a debug build hashes every wire once more, for `admit`'s oracle)
+        let hashed = |hop: usize, ack: StoreAck| {
+            dra_crypto::sha256_bytes_reset();
+            assert_eq!(admit(hop), ack);
+            let whole = hops[hop].0.wire().len() as u64;
+            (dra_crypto::sha256_bytes() - u64::from(cfg!(debug_assertions)) * whole, whole)
+        };
+        let (resumed, whole) = hashed(1, StoreAck { seq: 1, duplicate: true });
+        assert!(resumed < whole / 2, "{resumed} B of {whole}");
+        let (cold, whole) = hashed(0, StoreAck { seq: 0, duplicate: true });
+        assert!(cold >= whole, "{cold} B of {whole}");
+        assert_eq!(sys.clouds[0].tips()["p"].seq, 1);
+        assert_eq!(admit(2), StoreAck { seq: 2, duplicate: false });
+        assert_eq!(sys.portals[0].duplicates_suppressed.load(Ordering::Relaxed), 2);
+    }
+
+    /// Version `n` of a synthetic process: a header, `n` results of 100
+    /// bytes, the closing tags. The store reads bytes, not documents.
+    fn synthetic(n: usize) -> String {
+        let result = |i| format!("<c n=\"{i}\">{}</c>", "x".repeat(100));
+        let results = match n {
+            0 => "<r/>".to_string(),
+            _ => format!("<r>{}</r>", (0..n).map(result).collect::<String>()),
+        };
+        format!("<d><h>{}</h>{results}</d>", "h".repeat(100))
+    }
+
+    /// Admit `wire` as the next version of `p` the way `admit` does, less
+    /// the verification. Returns its `seq`, its digest as the cut computed
+    /// it and the bytes SHA-256 absorbed for it.
+    fn store(cloud: &CloudStore, wire: &str) -> (usize, [u8; 32], u64) {
+        let p = Name::new("p").unwrap();
+        dra_crypto::sha256_bytes_reset();
+        let mut cut = cloud.cut("p", wire);
+        let seq = cloud.next_seq(p, &mut cut, wire);
+        let (digest, hashed) = (cut.digest, dra_crypto::sha256_bytes());
+        cloud.commit(&cloud.version_rows(p, seq, &cut, wire), 1, || Ok(())).unwrap();
+        cloud.advance(p, seq, Arc::new(wire.to_string()), cut, false);
+        // the tip's checkpoint is the state after the bytes it says it covers
+        let tip = cloud.tips()["p"].clone();
+        assert_eq!(tip.state.finalize(), dra_crypto::sha256(&wire.as_bytes()[..tip.at]));
+        (seq, digest, hashed)
+    }
+
+    #[test]
+    fn a_digest_is_resumed_only_over_bytes_the_store_compared() {
+        let cloud = CloudStore::new("c");
+        for n in 0..6 {
+            let wire = synthetic(n);
+            let (seq, digest, hashed) = store(&cloud, &wire);
+            assert_eq!((seq, digest), (n, dra_crypto::sha256(wire.as_bytes())));
+            // the first versions find no checkpoint below their own append
+            // (none, then one inside tags the next version replaces); from
+            // then on a version costs its own result and the closing tags
+            let whole = wire.len() as u64;
+            assert!(if n < 3 { hashed == whole } else { hashed < 200 }, "{n}: {hashed} B");
+        }
+
+        // one byte before the checkpoint differs: nothing of it is used
+        let at = cloud.tips()["p"].at;
+        let mut forked = synthetic(6);
+        forked.replace_range(at - 1..at, "y");
+        let (seq, digest, hashed) = store(&cloud, &forked);
+        assert_eq!((seq, digest), (6, dra_crypto::sha256(forked.as_bytes())));
+        assert_eq!(hashed, forked.len() as u64, "hashed whole");
+        // … and what follows resumes from the fork's own checkpoint
+        let next = forked.replace("</r></d>", "<c>more</c></r></d>");
+        let (seq, digest, hashed) = store(&cloud, &next);
+        assert_eq!((seq, digest), (7, dra_crypto::sha256(next.as_bytes())));
+        assert!(hashed < 200, "{hashed} B");
+        assert_eq!(cloud.version(Name::new("p").unwrap(), 7).as_deref(), Some(next.as_str()));
+    }
+
+    #[test]
+    fn the_checkpoint_lives_and_dies_with_the_tip() {
+        let cloud = CloudStore::new("c");
+        for n in 0..4 {
+            store(&cloud, &synthetic(n));
+        }
+        assert!(cloud.tips()["p"].at > 0);
+
+        // any commit of the process drops the tip, checkpoint and all: the
+        // next version is measured against the pool's rows and hashed whole
+        let p = Name::new("p").unwrap();
+        cloud.commit(&[XML.put(RowKey::Doc { pid: p, seq: 4 }, "0\n<x/>")], 0, || Ok(())).unwrap();
+        assert_eq!(cloud.tips_held(), 0);
+        let wire = synthetic(5);
+        let (seq, digest, hashed) = store(&cloud, &wire);
+        assert_eq!((seq, digest), (5, dra_crypto::sha256(wire.as_bytes())));
+        assert_eq!(hashed, 2 * wire.len() as u64, "once with no tip, once against the folded one");
+
+        // a snapshot holds rows: a cloud restarted from it has neither
+        let restarted = CloudStore::from_snapshot("c", &cloud.snapshot()).unwrap();
+        assert_eq!(restarted.tips_held(), 0);
+        assert_eq!(restarted.cut("p", &wire).below, None);
+        let folded = restarted.tip(p).unwrap();
+        assert_eq!((folded.seq, folded.at), (5, 0), "a folded tip resumes from nothing");
+        let wire = synthetic(6);
+        let (seq, digest, _) = store(&restarted, &wire);
+        assert_eq!((seq, digest), (6, dra_crypto::sha256(wire.as_bytes())));
     }
 
     #[test]
@@ -695,11 +907,10 @@ mod tests {
 
         // a miss folds the pool's rows, once; then the tip answers
         let scans = regions();
-        assert_eq!(cloud.next_seq(p), 3);
+        assert_eq!(cloud.rows_for(p, "<x/>").0, 3);
         assert_eq!((regions(), cloud.tips_held()), (scans + 1, 1));
-        assert_eq!(cloud.next_seq(p), 3);
-        let [_, doc] = cloud.version_rows(p, 3, [0; 32], &format!("{}<more/>", wires[2]));
-        assert_eq!(regions(), scans + 1, "no scan while the tip is there");
+        let (seq, [_, doc]) = cloud.rows_for(p, &format!("{}<more/>", wires[2]));
+        assert_eq!((seq, regions()), (3, scans + 1), "no scan while the tip is there");
         assert_eq!(doc.value.as_ref(), format!("{}\n<more/>", wires[2].len()).as_bytes());
 
         // a read is one prefix query and yields exactly the admitted bytes
@@ -717,11 +928,12 @@ mod tests {
             .commit(&[XML.put(RowKey::Doc { pid: p, seq: 3 }, "0\n<x/>")], 0, crash)
             .is_err());
         assert_eq!(cloud.tips_held(), 0);
-        assert_eq!(cloud.next_seq(p), 3, "the row never landed");
+        assert_eq!(cloud.rows_for(p, "<x/>").0, 3, "the row never landed");
         assert_eq!(cloud.replay(|_| ()), 1);
         assert_eq!(cloud.tips_held(), 1, "(rebuilt by the miss above …");
         cloud.commit(&[XML.put(RowKey::Doc { pid: p, seq: 3 }, "0\n<x/>")], 0, || Ok(())).unwrap();
-        assert_eq!((cloud.tips_held(), cloud.next_seq(p)), (0, 4), "… and dropped by any commit)");
+        assert_eq!(cloud.tips_held(), 0, "… and dropped by any commit)");
+        assert_eq!(cloud.rows_for(p, "<x/>").0, 4);
     }
 
     /// Row 1 of `p` holding `cell`: what rows 1 and 2 then fail with. Every
@@ -752,9 +964,9 @@ mod tests {
         assert_eq!(sys.retrieve_latest(0, "p"), cloud.version(p, 2));
         assert_eq!(cloud.doc_digest().len(), 64);
         // and the next version of such a process would be a full copy
-        assert_eq!(cloud.next_seq(p), 3);
+        let (seq, [_, doc]) = cloud.rows_for(p, "<x/>");
+        assert_eq!(seq, 3);
         if cloud.version(p, 2).is_none() {
-            let [_, doc] = cloud.version_rows(p, 3, [0; 32], "<x/>");
             assert_eq!(doc.value.as_ref(), b"0\n<x/>");
         }
         clauses

@@ -286,6 +286,12 @@ impl Aea {
         Self::check_responses(received, responses)?;
         let reader = DocFieldReader::for_actor(&received.doc, &self.creds)
             .with_overlay(&received.activity, responses);
+        let span_seal = self
+            .tracer
+            .span(stage::SEAL)
+            .actor(&self.creds.name)
+            .process(&received.report.process_id)
+            .activity(&received.activity, received.iter);
         let result = build_result_element(
             &received.activity,
             responses,
@@ -294,6 +300,7 @@ impl Aea {
             &self.creds.name,
             &reader,
         )?;
+        span_seal.end();
 
         // shares every node with `received.doc`; push_cer below copies only
         // the ActivityResults child vector

@@ -254,7 +254,22 @@ impl DraDocument {
     }
 
     /// Serialize to the wire form (the bytes whose length is the paper's Σ).
+    ///
+    /// The units the prefix chain of [`crate::sealed`] pins — `Header`,
+    /// `ApplicationDefinition`, each child of `ActivityResults` — memoize
+    /// their wire bytes here, on nodes every later version of the document
+    /// shares: a hop that appended one CER formats that CER and copies the
+    /// rest. `ActivityResults` and the root get no memo, every hop replaces
+    /// them. (A debug build checks the result against a walk that reads no
+    /// memo, in [`dra_xml::writer::to_string`].)
     pub fn to_xml_string(&self) -> String {
+        for section in self.root.child_elements() {
+            if section.name == "ActivityResults" {
+                section.child_elements().for_each(|cer| _ = cer.wire());
+            } else {
+                _ = section.wire();
+            }
+        }
         dra_xml::writer::to_string(&self.root)
     }
 
@@ -572,6 +587,40 @@ mod tests {
         assert_eq!(doc.compute_preds(&def, "A").unwrap(), vec![PredRef::Cer(CerKey::new("B", 0))]);
         assert_eq!(doc.latest_iter("A").unwrap(), Some(0));
         assert_eq!(doc.latest_iter("ZZ").unwrap(), None);
+    }
+
+    #[test]
+    fn rewriting_one_cer_formats_that_cer_and_the_sibling_document_keeps_its_bytes() {
+        let (def, policy, designer) = fixture();
+        let mut doc = DraDocument::new_initial_with_pid(&def, &policy, &designer, "pid-5").unwrap();
+        for (activity, participant) in [("A", "peter"), ("B", "amy")] {
+            let cer = Element::new("CER")
+                .attr("activity", activity)
+                .attr("iter", "0")
+                .attr("participant", participant)
+                .attr("preds", "Def");
+            doc.push_cer(cer.child(Element::new("TfcSealed").text("c2VhbGVk"))).unwrap();
+        }
+        let before = doc.to_xml_string();
+        dra_xml::wire_written_bytes_reset();
+        assert_eq!(doc.clone().to_xml_string(), before);
+        let around = dra_xml::wire_written_bytes();
+        assert!(around < 64, "every unit copied: {around} B of root and section tags");
+
+        // what the TFC's finalisation does to an intermediate CER
+        let (mut copy, key) = (doc.clone(), CerKey::new("A", 0));
+        let cer = copy.find_cer_element_mut(&key).unwrap().unwrap();
+        cer.push_child(Element::new("Timestamp").attr("time", "7"));
+        dra_xml::wire_written_bytes_reset();
+        let after = copy.to_xml_string();
+        let rewritten = copy.find_cer(&key).unwrap().unwrap().element.wire().len() as u64;
+        assert_eq!(dra_xml::wire_written_bytes(), rewritten + around, "one CER, nothing else");
+        assert!(after.contains("<Timestamp time=\"7\"/></CER><CER activity=\"B\""));
+        assert_eq!(DraDocument::parse(&after).unwrap().to_xml_string(), after, "as a cold tree");
+
+        dra_xml::wire_written_bytes_reset();
+        assert_eq!(doc.to_xml_string(), before, "the sibling never sees the rewrite");
+        assert_eq!(dra_xml::wire_written_bytes(), around);
     }
 
     #[test]

@@ -40,13 +40,19 @@
 //! verification hashes the canonical bytes of the CERs it has not seen
 //! plus 64 bytes per pinned one, independent of document size. A mutated
 //! clone cannot leak into its sibling: mutation copies the node first and
-//! the copy starts without a memo.
+//! the copy starts without a memo. The wire is made the same way:
+//! [`DraDocument::to_xml_string`] memoises the wire bytes of the units the
+//! chain pins — same nodes, same memo, dropped by the same accessors — so
+//! [`SealedDocument::wire`] of a document that grew by one CER formats that
+//! CER and copies the rest. Only our own writer fills that memo.
 //!
 //! **What a receiver of raw bytes still pays.** A tree parsed from the
 //! wire (`ingest_wire`, `refetch`, `retrieve_*`) has no memos: whoever
-//! receives bytes canonicalises and hashes every node once — the cost the
-//! paper's design has. Only in-process hand-offs of an already hashed tree
-//! ride the memos.
+//! receives bytes canonicalises and hashes every node once, and formats
+//! every node once when it hands the tree on with a CER of its own (its
+//! seal of what arrived is the received string, [`SealedDocument::from_wire`])
+//! — the cost the paper's design has. Only in-process hand-offs of an
+//! already hashed, already formatted tree ride the memos.
 
 use crate::document::DraDocument;
 use crate::error::WfResult;

@@ -26,12 +26,14 @@ pub fn canonicalize(el: &Element) -> Vec<u8> {
 /// memo in O(1). Mutating the element through any `&mut` accessor drops
 /// the memo (see [`Element::invalidate_canon`]).
 pub fn canonicalize_shared(el: &Element) -> Arc<Canon> {
-    Arc::clone(el.canon_or_init(|| {
+    let memo = el.memo();
+    memo.bytes_or_init(|| {
         let mut out = Vec::new();
         write_canon(el, &mut out);
         count_alloc(out.len() as u64);
-        Canon::new(out)
-    }))
+        out
+    });
+    Arc::clone(memo)
 }
 
 /// SHA-256 of the canonical bytes of one subtree, memoized on the element
@@ -79,8 +81,8 @@ pub fn canon_alloc_reset() {
 fn write_canon(el: &Element, out: &mut Vec<u8>) {
     // A child whose canonical form is already memoized contributes a
     // memcpy instead of a recursive walk.
-    if let Some(cached) = el.canon_cached() {
-        out.extend_from_slice(cached.bytes());
+    if let Some(cached) = el.memo_cached().and_then(|memo| memo.bytes_cached()) {
+        out.extend_from_slice(cached);
         return;
     }
     out.push(b'<');
@@ -338,6 +340,22 @@ mod tests {
             let wire = to_string(&e);
             let reparsed = parse(&wire).unwrap();
             prop_assert_eq!(canonicalize(&e), canonicalize(&reparsed));
+        }
+
+        /// The wire memo is invisible: a tree serializes to the same bytes
+        /// with no memo, with a memo on every node below the root, and
+        /// after a parse round trip (whose tree has none).
+        #[test]
+        fn prop_wire_is_the_same_warm_cold_and_reparsed(e in arb_element()) {
+            fn warm(e: &Element) {
+                e.child_elements().for_each(warm);
+                e.wire();
+            }
+            let cold = to_string(&e);
+            e.child_elements().for_each(warm);
+            prop_assert_eq!(&to_string(&e), &cold);
+            prop_assert_eq!(e.wire(), cold.as_str());
+            prop_assert_eq!(to_string(&parse(&cold).unwrap()), cold);
         }
 
         /// Parsing the wire format reproduces an equivalent tree (text node

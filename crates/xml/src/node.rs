@@ -7,13 +7,16 @@
 //! inbox that parks it for the next participant all point at the same
 //! Header, ApplicationDefinition and old CER nodes.
 //!
-//! **What is memoised.** Each element lazily memoises its canonical bytes
-//! (see [`crate::canon`]) and, next to them in the same allocation, the
-//! SHA-256 of those bytes ([`Canon`]). Both are pure functions of the
-//! subtree, so every holder of a shared node may use them.
+//! **What is memoised.** Each element lazily memoises, in one allocation
+//! ([`Canon`]), its canonical bytes (see [`crate::canon`]), the SHA-256 of
+//! those bytes and its wire bytes ([`Element::wire`], what
+//! [`crate::writer`] formats it as). All three are pure functions of the
+//! subtree, so every holder of a shared node may use them — and each is
+//! filled only by this crate's own walk of the tree, never from bytes
+//! somebody sent.
 //!
-//! **What invalidates it.** Every `&mut` accessor drops the memo of the
-//! element it is called on; the ones that hand out a child
+//! **What invalidates it.** Every `&mut` accessor drops the memo — all of
+//! it — of the element it is called on; the ones that hand out a child
 //! ([`Element::find_child_mut`]) first make that child unique with
 //! `Arc::make_mut` and drop its memo too. Code that mutates
 //! `attrs`/`children` through the public fields must call
@@ -23,7 +26,9 @@
 //! to reach `&mut Element` behind a shared `Arc`: `Arc::make_mut` copies
 //! the node (its child *pointers*, not the children) when anyone else
 //! holds it, and the copy's memo is dropped before the caller sees it. The
-//! sibling keeps the original node, bytes, digest and all.
+//! sibling keeps the original node, bytes, digest and all. Clones that
+//! still share one memo have not been mutated since, so a part of it one
+//! of them fills late is true of all of them.
 
 use std::sync::{Arc, OnceLock};
 
@@ -36,26 +41,36 @@ pub enum Node {
     Text(String),
 }
 
-/// The canonical bytes of one subtree plus, computed on first use, their
-/// SHA-256 — the memo an [`Element`] carries.
+/// The memo an [`Element`] carries: the canonical bytes of its subtree,
+/// their SHA-256 and the subtree's wire bytes, each computed on first use.
+#[derive(Default)]
 pub struct Canon {
-    bytes: Vec<u8>,
+    bytes: OnceLock<Vec<u8>>,
     digest: OnceLock<[u8; 32]>,
+    wire: OnceLock<Box<str>>,
 }
 
 impl Canon {
-    pub(crate) fn new(bytes: Vec<u8>) -> Canon {
-        Canon { bytes, digest: OnceLock::new() }
-    }
-
     /// The canonical bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        // `canonicalize_shared`, the one way to a `Canon` from outside this
+        // crate, fills them before it hands the memo out
+        self.bytes.get().expect("a memo handed out holds its canonical bytes")
+    }
+
+    /// The canonical bytes, written by `build` on first use.
+    pub(crate) fn bytes_or_init(&self, build: impl FnOnce() -> Vec<u8>) -> &[u8] {
+        self.bytes.get_or_init(build)
+    }
+
+    /// The canonical bytes, if previously computed.
+    pub(crate) fn bytes_cached(&self) -> Option<&[u8]> {
+        self.bytes.get().map(Vec::as_slice)
     }
 
     /// SHA-256 of the canonical bytes; hashed once, then read.
     pub fn digest(&self) -> [u8; 32] {
-        *self.digest.get_or_init(|| dra_crypto::sha256(&self.bytes))
+        *self.digest.get_or_init(|| dra_crypto::sha256(self.bytes()))
     }
 }
 
@@ -70,7 +85,8 @@ pub struct Element {
     pub attrs: Vec<(String, String)>,
     /// Child nodes in document order.
     pub children: Vec<Node>,
-    /// Memoized canonical bytes (and their digest) of this subtree.
+    /// Memoized canonical bytes, their digest and the wire bytes of this
+    /// subtree.
     canon: OnceLock<Arc<Canon>>,
 }
 
@@ -104,21 +120,35 @@ impl Element {
         }
     }
 
-    /// Drop this element's memoized canonical bytes and digest. Required
-    /// after mutating `attrs` or `children` directly through the public
-    /// fields; the invalidating accessors below call it automatically.
+    /// Drop this element's memoized canonical bytes, digest and wire bytes.
+    /// Required after mutating `attrs` or `children` directly through the
+    /// public fields; the invalidating accessors below call it
+    /// automatically.
     pub fn invalidate_canon(&mut self) {
         self.canon.take();
     }
 
-    /// The memo, if previously computed.
-    pub(crate) fn canon_cached(&self) -> Option<&Arc<Canon>> {
+    /// The memo, if any part of it was computed.
+    pub(crate) fn memo_cached(&self) -> Option<&Arc<Canon>> {
         self.canon.get()
     }
 
-    /// The memo, computing it with `build` on first use.
-    pub(crate) fn canon_or_init(&self, build: impl FnOnce() -> Canon) -> &Arc<Canon> {
-        self.canon.get_or_init(|| Arc::new(build()))
+    /// The memo, empty on first use.
+    pub(crate) fn memo(&self) -> &Arc<Canon> {
+        self.canon.get_or_init(Arc::default)
+    }
+
+    /// The wire bytes of this subtree — what [`crate::writer::to_string`]
+    /// returns for it — formatted on first use and memoized on the element.
+    /// The writer copies them wherever it meets this node afterwards, in
+    /// whichever tree shares it.
+    pub fn wire(&self) -> &str {
+        self.memo().wire.get_or_init(|| crate::writer::format(self).into_boxed_str())
+    }
+
+    /// The memoized wire bytes, if previously computed.
+    pub(crate) fn wire_cached(&self) -> Option<&str> {
+        self.memo_cached()?.wire.get().map(AsRef::as_ref)
     }
 
     /// Builder: add or replace an attribute.

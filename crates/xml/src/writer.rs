@@ -7,13 +7,58 @@ use crate::node::{Element, Node};
 /// Serialize compactly with no added whitespace. This is the wire format in
 /// which DRA4WfMS documents are routed, and the format whose byte length the
 /// paper's Σ column measures.
+///
+/// A node whose wire bytes are memoized ([`Element::wire`]) is copied, not
+/// walked. A debug build formats the tree once more without any memo and
+/// requires the same bytes.
 pub fn to_string(el: &Element) -> String {
-    let mut out = String::new();
-    write_el(el, &mut out);
+    let out = format(el);
+    debug_assert_eq!(out, cold(el), "a wire memo differs from its node's serialization");
     out
 }
 
-fn write_el(el: &Element, out: &mut String) {
+/// The wire bytes of `el`, formatted from its name, attributes and children;
+/// whatever lies below a memoized node is copied from the memo.
+pub(crate) fn format(el: &Element) -> String {
+    let mut out = String::new();
+    let copied = write_el(el, &mut out, true);
+    WIRE_WRITTEN.with(|c| c.set(c.get() + (out.len() - copied) as u64));
+    out
+}
+
+/// The wire bytes of `el` by a walk that reads no memo and counts nothing.
+fn cold(el: &Element) -> String {
+    let mut out = String::new();
+    write_el(el, &mut out, false);
+    out
+}
+
+thread_local! {
+    /// Bytes of wire output this thread formatted rather than copied from a
+    /// memo — like [`crate::canon_alloc_bytes`], a deterministic cost
+    /// measure for benches.
+    static WIRE_WRITTEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Wire bytes the current thread's writer formatted so far: everything
+/// [`to_string`] and [`Element::wire`] produced except what they copied
+/// from a memo.
+pub fn wire_written_bytes() -> u64 {
+    WIRE_WRITTEN.with(std::cell::Cell::get)
+}
+
+/// Reset the current thread's [`wire_written_bytes`] counter.
+pub fn wire_written_bytes_reset() {
+    WIRE_WRITTEN.with(|c| c.set(0));
+}
+
+/// Append `el` to `out`; returns how many of the bytes were copied from
+/// memos, which only a `warm` walk reads.
+fn write_el(el: &Element, out: &mut String, warm: bool) -> usize {
+    if let Some(wire) = el.wire_cached().filter(|_| warm) {
+        out.push_str(wire);
+        return wire.len();
+    }
     out.push('<');
     out.push_str(&el.name);
     for (k, v) in &el.attrs {
@@ -25,18 +70,20 @@ fn write_el(el: &Element, out: &mut String) {
     }
     if el.children.is_empty() {
         out.push_str("/>");
-        return;
+        return 0;
     }
     out.push('>');
+    let mut copied = 0;
     for child in &el.children {
         match child {
-            Node::Element(e) => write_el(e, out),
+            Node::Element(e) => copied += write_el(e, out, warm),
             Node::Text(t) => out.push_str(&escape_text(t)),
         }
     }
     out.push_str("</");
     out.push_str(&el.name);
     out.push('>');
+    copied
 }
 
 /// `to_string(el).len()` by a walk that builds nothing — the size probe
@@ -138,6 +185,102 @@ mod tests {
             .text("tail & more");
         assert_eq!(wire_len(&e), to_string(&e).len());
         assert_eq!(wire_len(&Element::new("a")), "<a/>".len());
+    }
+
+    /// `e`, with the wire memo of each of its children filled.
+    fn warmed(e: Element) -> Element {
+        e.child_elements().for_each(|c| {
+            c.wire();
+        });
+        e
+    }
+
+    fn family() -> Element {
+        Element::new("doc")
+            .attr("z", "1")
+            .attr("a", "2")
+            .child(Element::new("keep").text("k & k"))
+            .child(Element::new("edit").child(Element::new("empty")))
+    }
+
+    #[test]
+    fn a_memoized_node_is_copied_and_only_the_rest_counts_as_written() {
+        let cold = to_string(&family());
+        let e = family();
+        wire_written_bytes_reset();
+        assert_eq!(to_string(&e), cold);
+        assert_eq!(wire_written_bytes(), cold.len() as u64, "no memo: every byte formatted");
+
+        let e = warmed(e);
+        let children: usize = e.child_elements().map(|c| c.wire().len()).sum();
+        assert_eq!(wire_written_bytes(), (cold.len() + children) as u64);
+        wire_written_bytes_reset();
+        assert_eq!(to_string(&e), cold);
+        assert_eq!(wire_written_bytes(), (cold.len() - children) as u64, "the root's own tags");
+        assert_eq!(e.wire(), cold);
+        wire_written_bytes_reset();
+        assert_eq!(to_string(&e.clone()), cold, "a clone shares the memo");
+        assert_eq!(wire_written_bytes(), 0);
+    }
+
+    #[test]
+    fn wire_memo_is_dropped_by_every_mut_accessor() {
+        let memoized = || {
+            let e = warmed(family());
+            e.wire();
+            e
+        };
+        let differs = |e: &Element, what: &str| {
+            let expect = to_string(&crate::parser::parse(&cold(e)).unwrap());
+            assert_ne!(expect, to_string(&family()), "{what}: the tree changed");
+            assert_eq!(to_string(e), expect, "{what}: a stale memo was served");
+            assert_eq!(e.wire(), expect, "{what}");
+        };
+
+        let mut e = memoized();
+        e.set_attr("b", "2");
+        differs(&e, "set_attr");
+
+        let mut e = memoized();
+        e.push_child(Element::new("d"));
+        differs(&e, "push_child");
+
+        let mut e = memoized();
+        e.remove_children("keep");
+        differs(&e, "remove_children");
+
+        let mut e = memoized();
+        e.find_child_mut("edit").unwrap().set_attr("k", "v");
+        differs(&e, "find_child_mut");
+
+        let mut e = memoized();
+        e.children.pop();
+        e.invalidate_canon();
+        differs(&e, "direct field mutation + invalidate_canon");
+
+        differs(&memoized().text("t"), "text");
+        differs(&memoized().child(Element::new("c")), "child");
+    }
+
+    #[test]
+    fn a_mutated_clone_keeps_its_wire_memo_from_its_sibling() {
+        let original = warmed(family());
+        let before = original.wire().to_string();
+        let mut copy = original.clone();
+        copy.find_child_mut("edit").unwrap().set_attr("tampered", "yes");
+        assert!(copy.wire().contains("tampered"));
+
+        // the sibling: same bytes, nothing formatted to get them
+        wire_written_bytes_reset();
+        assert_eq!(original.wire(), before);
+        assert_eq!(to_string(&original), before);
+        assert_eq!(wire_written_bytes(), 0);
+        // the untouched child is still the one node, memo and all
+        wire_written_bytes_reset();
+        copy.find_child("keep").unwrap().wire();
+        assert_eq!(wire_written_bytes(), 0);
+        // and the canonical half of the memo went with the wire half
+        assert_ne!(crate::canon_digest(&copy), crate::canon_digest(&original));
     }
 
     #[test]

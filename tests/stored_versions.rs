@@ -25,8 +25,8 @@
 
 use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
-    check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint, OutagePlan,
-    PoolAuditor, Topology,
+    check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint, FaultProfile,
+    OutagePlan, PoolAuditor, Topology,
 };
 use dra4wfms::docpool::{HTable, Scan};
 use dra4wfms::prelude::*;
@@ -36,6 +36,28 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 const PID: &str = "stored-0";
+
+/// The amendment of `subject(1, _)`: `s2` no longer ends the process, a
+/// third activity `extra` follows it.
+fn extension() -> DefinitionDelta {
+    let extra = Activity {
+        id: "extra".into(),
+        participant: "p2".into(),
+        join: JoinKind::Any,
+        requests: vec![FieldRef::new("s1", "x")],
+        responses: vec!["z".into()],
+    };
+    let to = |to| Transition { from: "s2".into(), to, condition: None };
+    DefinitionDelta {
+        add_activities: vec![extra],
+        add_transitions: vec![
+            to(Target::Activity("extra".into())),
+            Transition { from: "extra".into(), to: Target::End, condition: None },
+        ],
+        retire_transitions: vec![("s2".into(), Target::End)],
+        add_policy_rules: vec![],
+    }
+}
 
 /// What is run — a rig for the definition and the script that answers it,
 /// played by the fuzzer's cast (a designer, `p0..p3` and a TFC) — and the
@@ -73,23 +95,6 @@ fn subject(pick: u64, tfc: bool) -> (Rig, DraDocument) {
                 .flow_end("s2")
                 .build()
                 .unwrap();
-            let extra = Activity {
-                id: "extra".into(),
-                participant: "p2".into(),
-                join: JoinKind::Any,
-                requests: vec![FieldRef::new("s1", "x")],
-                responses: vec!["z".into()],
-            };
-            let to = |to| Transition { from: "s2".into(), to, condition: None };
-            let delta = DefinitionDelta {
-                add_activities: vec![extra],
-                add_transitions: vec![
-                    to(Target::Activity("extra".into())),
-                    Transition { from: "extra".into(), to: Target::End, condition: None },
-                ],
-                retire_transitions: vec![("s2".into(), Target::End)],
-                add_policy_rules: vec![],
-            };
             let respond = |r: &ReceivedActivity| {
                 let field = match r.activity.as_str() {
                     "s1" => "x",
@@ -98,7 +103,7 @@ fn subject(pick: u64, tfc: bool) -> (Rig, DraDocument) {
                 };
                 vec![(field.to_string(), "1".to_string())]
             };
-            (def, Some(delta), Box::new(respond))
+            (def, Some(extension()), Box::new(respond))
         }
         _ => {
             let generated = fuzz::generate(pick);
@@ -217,6 +222,105 @@ proptest! {
             prop_assert!(restored_versions == versions || died, "{}", name);
         }
     }
+}
+
+// -- the same bytes, the same books ------------------------------------------
+
+/// `assert_versions_read_back`, and on top of it: every version above the
+/// first is a delta — it keeps bytes of the version below it, at the least
+/// the header and the definition every version of a process starts with —
+/// whether it was cut against the tip in memory or against the pool's rows
+/// after a replay or a failover. Returns what the deployment counted:
+/// versions, documents stored, duplicates suppressed.
+fn books(sys: &CloudSystem, cell: &str) -> [usize; 3] {
+    let versions = assert_versions_read_back(sys, cell);
+    for seq in 1..versions {
+        let row = sys.active_pool().get_str(&key(PID, seq), "doc", "xml").expect("a doc/ row");
+        let keep: usize = row.split_once('\n').expect("keep, LF, tail").0.parse().expect("keep");
+        assert!(keep > 0, "{cell}: version {seq} is a full copy");
+    }
+    [versions, sys.total_stored(), sys.total_duplicates_suppressed()]
+}
+
+/// The digest a version is admitted under may be resumed from the store's
+/// tip, and the wire it is taken over may be assembled from per-node memos;
+/// neither shows. Six deployments where either could: an AND-split, its join
+/// and a loop (siblings break the prefix), the TFC rewriting the newest CER,
+/// a channel that duplicates, corrupts and reorders, a portal dying between
+/// the `seen/` row and the document row, a failover to a cloud with no tip,
+/// an amendment signed mid-run. In each, every stored version reads back
+/// under a digest whose `seen/` row names it, and the counters are the
+/// literals the commit before the memo and the checkpoint counted for the
+/// same seeds.
+#[test]
+fn resumed_digests_and_assembled_wires_leave_every_version_and_counter_as_they_were() {
+    let fig9 = |advanced: bool, plan: &Arc<CrashPlan>| {
+        let rig = Rig::fig9(advanced).crashing(plan);
+        let initial = rig.initial(PID);
+        (rig, initial)
+    };
+    let none = CrashPlan::none();
+
+    let (rig, initial) = fig9(false, &none);
+    let sys = rig.cloud(2);
+    rig.run(&sys, &initial).run().unwrap();
+    assert_eq!(books(&sys, "fig. 9A"), [10, 10, 0]);
+
+    let (rig, initial) = fig9(true, &none);
+    let sys = rig.cloud(2);
+    rig.run(&sys, &initial).run().unwrap();
+    assert_eq!(books(&sys, "fig. 9B via the TFC"), [10, 10, 0]);
+
+    let (rig, initial) = fig9(false, &none);
+    let sys = rig.cloud(2);
+    let faults =
+        FaultProfile { drop: 0.0, duplicate: 0.3, corrupt: 0.3, reorder: 0.3, delay_max_us: 0 };
+    let channel = rig.channel(faults, 7);
+    let lossy = rig.run(&sys, &initial).network(&channel).run().unwrap().delivery;
+    assert_eq!(books(&sys, "lossy channel"), [10, 10, 7]);
+    assert_eq!((lossy.duplicates_suppressed, lossy.corruptions_rejected), (7, 7));
+    assert!(lossy.faults.reordered > 0 && lossy.late_deliveries > 0, "{lossy:?}");
+
+    let plan = CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 2);
+    let (rig, initial) = fig9(false, &plan);
+    let sys = rig.cloud(2);
+    rig.run(&sys, &initial).run().unwrap();
+    assert_eq!((plan.crashes_injected(), sys.journal_replays()), (1, 1));
+    assert_eq!(books(&sys, "torn store"), [10, 9, 1]);
+
+    let (rig, initial) = fig9(false, &none);
+    let (sys, controller) = rig.federated(Topology::new().cloud("east", 2).cloud("west", 2));
+    controller.set_outage(OutagePlan::at(0, 700));
+    rig.run(&sys, &initial).run().unwrap();
+    assert_eq!((controller.stats().outages, controller.stats().active_cloud), (1, 1));
+    assert_eq!(books(&sys, "failover"), [10, 10, 0]);
+
+    // s1 runs, the designer amends what s1 left, s2 and the added activity
+    // run under the amendment — by hand: the runner amends nothing mid-run
+    let (rig, _) = subject(1, false);
+    let sys = rig.cloud(1);
+    let deliver = |sealed: &SealedDocument, route: &Route| {
+        sys.channel().deliver(&sys, 0, sealed, route).unwrap();
+    };
+    let mut sealed = SealedDocument::new(rig.initial(PID));
+    let mut route = Route { targets: vec!["s1".into()], ends: false };
+    for (activity, participant, field) in
+        [("s1", "p0", "x"), ("s2", "p1", "y"), ("extra", "p2", "z")]
+    {
+        deliver(&sealed, &route);
+        if activity == "s2" {
+            let amended = amend_document(sealed.document(), &rig.creds[0], &extension());
+            sealed = SealedDocument::new(amended.unwrap());
+            deliver(&sealed, &route);
+        }
+        let aea = rig.agent(participant);
+        let received = aea.receive(sealed, activity).unwrap();
+        let done = aea.complete(&received, &[(field.into(), "1".into())]).unwrap();
+        (sealed, route) = (done.document, done.route);
+    }
+    assert!(route.is_final());
+    deliver(&sealed, &route);
+    assert_eq!(books(&sys, "amended mid-run"), [5, 5, 0]);
 }
 
 // -- what the layout costs ---------------------------------------------------
