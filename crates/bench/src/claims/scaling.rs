@@ -14,9 +14,10 @@
 //! and canonicalization allocation bytes over a seeded synthetic workload,
 //! and, on a seeded unencrypted chain, the SHA-256 bytes one incremental
 //! verification absorbs, the wire bytes a hop formats and the SHA-256 bytes
-//! its admission absorbs — so the file is byte-identical across runs and
-//! machines and can sit behind the perf gate
-//! (`perf/BENCH_scaling.baseline.json`). The live
+//! its admission and (routed via the TFC) `TfcServer::receive` absorb, plus
+//! the signatures the Fig. 9 AND-join checks at each turn of the loop — so
+//! the file is byte-identical across runs and machines and can sit behind
+//! the perf gate (`perf/BENCH_scaling.baseline.json`). The live
 //! chain run cannot serve that purpose: ephemeral encryption keys and CER
 //! timestamps randomize the scalars, which changes the MSM digit patterns
 //! and therefore the op counts.
@@ -26,7 +27,7 @@
 //! behind the gate are what a regression actually trips.
 
 use super::{ClaimOutput, Row, Rows};
-use crate::rig::{ChainRecord, Handoff, Rig};
+use crate::rig::{cast, fig9_respond, ChainRecord, Handoff, Rig};
 use dra4wfms_core::prelude::*;
 use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
 use dra_crypto::{sha256_bytes, sha256_bytes_reset, verify_batch, BatchEntry, Keypair};
@@ -77,9 +78,65 @@ struct HopBytes {
     /// one-portal cloud that admitted the steps before it: the verification
     /// above and what the `seen/` key still has to hash.
     admit_hash: u64,
+    /// Everything SHA-256 absorbs in one `TfcServer::receive` of the step's
+    /// intermediate document on the same chain routed via the TFC: the
+    /// verification above and opening the sealed result — the redo key and
+    /// the onward mark's digest come out of that verification.
+    tfc_hash: u64,
+}
+
+/// SHA-256 bytes per `TfcServer::receive` along a chain of `max` steps
+/// routed via the TFC (index `n - 1`), each intermediate document handed
+/// over sealed, as the runner does.
+fn tfc_hash_bytes(max: usize) -> Vec<u64> {
+    let payload = |i: usize| format!("value-{i:04}");
+    let chain = Rig::chain(max, false, payload);
+    let mut creds = chain.creds;
+    creds.extend(cast("chain", &["TFC"]));
+    let mut def = chain.def;
+    def.tfc = Some("TFC".into());
+    let rig = Rig::new(creds, def, SecurityPolicy::public(), |_| Vec::new());
+    let tfc = rig.tfc.as_ref().expect("the definition names a TFC");
+    let mut sealed = SealedDocument::new(rig.initial("scaling-tfc"));
+    let hop = |(step, activity): (usize, &Activity)| {
+        let aea = &rig.agents[&activity.participant];
+        let received = aea.receive(sealed.clone(), &activity.id).expect("receive");
+        let responses = [("payload".to_string(), payload(step))];
+        let inter = aea.complete_via_tfc(&received, &responses).expect("complete");
+        sha256_bytes_reset();
+        let got = tfc.receive(inter.document).expect("the TFC admits it");
+        let hashed = sha256_bytes();
+        sealed = tfc.finalize(&got).expect("finalize").document;
+        hashed
+    };
+    rig.def.activities.iter().enumerate().map(hop).collect()
+}
+
+/// Signatures the AND-join `C` of Fig. 9 checks at each of three turns of
+/// the loop (`C` sends the process back twice), read off the `verify` spans
+/// of its AEA in a scheduler-driven run: the branches' new CERs, or the
+/// whole cascade.
+fn join_sig_checks(advanced: bool) -> Vec<usize> {
+    let respond = |r: &ReceivedActivity| {
+        let mut answer = fig9_respond(r);
+        if r.activity == "C" && r.iter < 2 {
+            answer[0].1 = "insufficient".into();
+        }
+        answer
+    };
+    let fig9 = Rig::fig9(advanced);
+    let rig = Rig::new(fig9.creds, fig9.def, SecurityPolicy::public(), respond);
+    let sys = rig.cloud(1);
+    rig.run(&sys, &rig.initial("scaling-join")).run().expect("three turns of the loop");
+    let events = rig.tracer.events();
+    let joins = events.iter().filter(|e| e.stage == dra_obs::stage::VERIFY && e.actor == "p_c");
+    joins
+        .map(|e| e.attr("signatures_verified").and_then(|n| n.parse().ok()).expect("a count"))
+        .collect()
 }
 
 fn hop_bytes(max: usize) -> Vec<HopBytes> {
+    let tfc_hash = tfc_hash_bytes(max);
     let rig = Rig::chain(max, false, |i| format!("value-{i:04}"));
     let sys = rig.cloud(1);
     let mut walk = rig.walk("scaling", Handoff::Sealed, true);
@@ -97,7 +154,12 @@ fn hop_bytes(max: usize) -> Vec<HopBytes> {
         sha256_bytes_reset();
         let ack = sys.channel().deliver(&sys, 0, &sealed, &route).expect("admitted");
         assert_eq!((ack.seq, ack.duplicate), (step, false), "every step is one version");
-        Some(HopBytes { inc_hash, wire_written, admit_hash: sha256_bytes() })
+        Some(HopBytes {
+            inc_hash,
+            wire_written,
+            admit_hash: sha256_bytes(),
+            tfc_hash: tfc_hash[step],
+        })
     };
     std::iter::from_fn(hop).collect()
 }
@@ -162,6 +224,7 @@ fn measure_cell(n: usize, hop: &HopBytes) -> Row {
         .with("inc_hash_bytes", hop.inc_hash)
         .with("wire_written_bytes", hop.wire_written)
         .with("admit_hash_bytes", hop.admit_hash)
+        .with("tfc_hash_bytes", hop.tfc_hash)
 }
 
 pub(super) fn run() -> ClaimOutput {
@@ -282,6 +345,17 @@ pub(super) fn run() -> ClaimOutput {
         "  a hop formats {w8} B of wire at n=8, {w64} B at n=64; its admission hashes {h8} B, {h64} B — {} B per pinned CER",
         (h64 - h8) / 56
     );
+    let (t8, t64) = (hops[7].tfc_hash, hops[63].tfc_hash);
+    println!(
+        "  the TFC's receive hashes {t8} B at n=8, {t64} B at n=64 — {} B per pinned CER",
+        (t64 - t8) / 56
+    );
+    let join_rows = [("join fig9a", false), ("join fig9b", true)].map(|(name, advanced)| {
+        let checks = join_sig_checks(advanced);
+        println!("  {name}: the AND-join checks {checks:?} signatures at loop 0/1/2");
+        let with_turn = |row: Row, turn| row.with(&format!("loop{turn}_sig_checks"), checks[turn]);
+        (0..checks.len()).fold(Row::new().with("cell", name), with_turn)
+    });
     let mut out = ClaimOutput::default();
     let metrics = dra_obs::MetricsRegistry::new();
     metrics.incr("scaling.sweep_rows", records.len() as u64);
@@ -295,8 +369,9 @@ pub(super) fn run() -> ClaimOutput {
         && (0.7..1.4).contains(&slope_ratio)
         && i64_ / i8_ < a64 / a8
         && bat_best < seq_best
-        && (inc64 - inc8) / 56 <= 64;
+        && (inc64 - inc8) / 56 <= 64
+        && (t64 - t8) / 56 <= 64;
     println!("\nC1 shape: {}", if pass { "REPRODUCED" } else { "NOT REPRODUCED" });
-    out.set_rows(Rows::array(cells));
+    out.set_rows(Rows::array(cells.into_iter().chain(join_rows).collect()));
     out
 }

@@ -205,14 +205,22 @@ impl<'a> InstanceRun<'a> {
     }
 
     /// Merge branch documents: a single arrival keeps its seal and trust
-    /// mark; a true merge builds a new document that needs a full
-    /// verification. Either way the result shares the inputs' nodes.
-    pub(crate) fn merge_inputs(inputs: &[SealedDocument]) -> WfResult<SealedDocument> {
+    /// mark; a true merge rides the **first arrival's** mark, whose prefix
+    /// [`merge_documents`] keeps as a prefix of the merge, so the join checks
+    /// the CERs past it — the branches' new ones. The mark is a claim, not a
+    /// credential: the verifier recomputes the chained digest over the merge
+    /// and runs the full pass on a mismatch, as it does without a mark.
+    /// Either way the result shares the inputs' nodes.
+    pub fn merge_inputs(inputs: &[SealedDocument]) -> WfResult<SealedDocument> {
         if inputs.len() == 1 {
             return Ok(inputs[0].clone());
         }
         let docs: Vec<DraDocument> = inputs.iter().map(|s| s.document().clone()).collect();
-        Ok(SealedDocument::new(merge_documents(&docs)?))
+        let mut merged = SealedDocument::new(merge_documents(&docs)?);
+        if let Some(mark) = inputs[0].trust() {
+            merged.set_trust(mark.clone());
+        }
+        Ok(merged)
     }
 
     /// Execute one hop end to end: open the activity, respond, complete
@@ -269,24 +277,16 @@ impl<'a> InstanceRun<'a> {
     /// pool has no completed admission for is kept as-is (none should be:
     /// every input was acked by a portal before its hop was dispatched).
     pub(crate) fn refetch(&self, pid: &str, inputs: Vec<SealedDocument>) -> Vec<SealedDocument> {
-        inputs
-            .into_iter()
-            .map(|sealed| {
-                let Some(seq) = self.system.stored_seq_for(&sealed.wire()) else {
-                    return sealed;
-                };
-                let Some(xml) = self.system.retrieve_version(pid, seq) else {
-                    return sealed;
-                };
-                let Ok(mut fresh) = SealedDocument::from_wire(&xml) else {
-                    return sealed;
-                };
-                if let Some(mark) = sealed.trust() {
-                    fresh.set_trust(mark.clone());
-                }
-                fresh
-            })
-            .collect()
+        let pooled = |sealed: &SealedDocument| {
+            let seq = self.system.stored_seq_for(&sealed.wire())?;
+            let mut fresh =
+                SealedDocument::from_wire(&self.system.retrieve_version(pid, seq)?).ok()?;
+            if let Some(mark) = sealed.trust() {
+                fresh.set_trust(mark.clone());
+            }
+            Some(fresh)
+        };
+        inputs.into_iter().map(|sealed| pooled(&sealed).unwrap_or(sealed)).collect()
     }
 }
 
@@ -428,9 +428,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_branches_carry_no_trust_and_get_a_full_verification() {
-        // B1 and B2 each extend A's document; the AND-join input is a new
-        // document with the CERs interleaved, which no mark has ever pinned
+    fn merged_branches_ride_the_first_arrivals_mark() {
+        // B1 and B2 each extend A's document; the AND-join input is B1's
+        // document with B2's CER appended, so B1's mark still pins a prefix
+        // of it and the join checks the two CERs past that prefix
         let creds = people();
         let dir = Directory::from_credentials(&creds);
         let agents = agents(&creds, &dir);
@@ -445,13 +446,22 @@ mod tests {
         let after_a = hop(SealedDocument::new(initial), "A", "p_a");
         let b1 = hop(after_a.clone(), "B1", "p_b1");
         let b2 = hop(after_a, "B2", "p_b2");
-        assert!(b1.trust().is_some() && b2.trust().is_some());
+        let pinned = b1.trust().expect("a completed hop carries its mark").verified_cers;
+        assert_eq!(pinned, 1, "B1's AEA verified A's CER");
 
         let single = InstanceRun::merge_inputs(std::slice::from_ref(&b1)).unwrap();
         assert_eq!(single.trust(), b1.trust(), "a single arrival keeps its mark");
 
-        let merged = InstanceRun::merge_inputs(&[b1, b2]).unwrap();
-        assert!(merged.trust().is_none(), "no mark survives a merge");
+        let merged = InstanceRun::merge_inputs(&[b1.clone(), b2.clone()]).unwrap();
+        assert_eq!(merged.trust(), b1.trust(), "the merge rides the first arrival's mark");
+        let received = agents["p_c"].receive(merged, "C").unwrap();
+        assert_eq!(received.reused_cers, pinned);
+        assert_eq!(received.report.signatures_verified, 2, "B1 + B2, the branches' new CERs");
+
+        // no mark on the first arrival: the full pass, as before
+        let unmarked = SealedDocument::new(b1.document().clone());
+        let merged = InstanceRun::merge_inputs(&[unmarked, b2]).unwrap();
+        assert!(merged.trust().is_none(), "the second arrival's mark pins no prefix of the merge");
         let received = agents["p_c"].receive(merged, "C").unwrap();
         assert_eq!(received.reused_cers, 0);
         assert_eq!(received.report.signatures_verified, 4, "designer + A + B1 + B2");
@@ -536,7 +546,7 @@ mod tests {
                 .unwrap();
             assert_eq!(out.steps, 9, "nth {nth}: the run completes despite the crash");
             assert_eq!(
-                out.signature_checks, 19,
+                out.signature_checks, 11,
                 "nth {nth}: the taken-over hop verifies what a crash-free hop does"
             );
             assert_eq!(out.delivery.crashes_injected, 1);

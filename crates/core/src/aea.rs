@@ -27,11 +27,12 @@ use crate::ingest::Inbound;
 use crate::model::{FieldRef, JoinKind};
 use crate::sealed::{SealedDocument, TrustMark};
 use crate::verify::{VerificationReport, Verifier};
+use dra_crypto::x25519::X25519PublicKey;
 use dra_obs::{stage, Tracer};
 use dra_xml::canon::canonicalize;
 use dra_xml::sig::sign_detached;
 use dra_xml::Element;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An Activity Execution Agent bound to one participant's credentials.
 pub struct Aea {
@@ -47,6 +48,11 @@ pub struct Aea {
     /// [`crate::verify::Verifier::batched`]. Off reproduces the paper's
     /// per-signature baseline for measurements.
     batched: bool,
+    /// The static Diffie-Hellman secret with the TFC that seeds
+    /// [`Aea::complete_via_tfc`]'s deterministic seal, next to the TFC key it
+    /// was derived against: one ladder per AEA, not per hop, and a directory
+    /// entry that changes re-derives.
+    tfc_seed: Mutex<Option<(X25519PublicKey, [u8; 32])>>,
 }
 
 /// The outcome of [`Aea::receive`]: a verified document opened for one
@@ -105,7 +111,14 @@ pub struct IntermediateActivity {
 impl Aea {
     /// Create an AEA for a participant.
     pub fn new(creds: Credentials, directory: Directory) -> Aea {
-        Aea { creds, directory, crash_hook: None, tracer: Tracer::disabled(), batched: true }
+        Aea {
+            creds,
+            directory,
+            crash_hook: None,
+            tracer: Tracer::disabled(),
+            batched: true,
+            tfc_seed: Mutex::new(None),
+        }
     }
 
     /// Record `verify` / `decrypt` / `seal` / `sign` spans into `tracer`.
@@ -135,6 +148,16 @@ impl Aea {
         match &self.crash_hook {
             Some(hook) => hook(site),
             None => Ok(()),
+        }
+    }
+
+    /// `creds.enc` × `tfc`, derived on first use and whenever `tfc` is not
+    /// the key the memo was derived against.
+    fn tfc_seed(&self, tfc: &X25519PublicKey) -> [u8; 32] {
+        let mut memo = self.tfc_seed.lock().unwrap_or_else(|e| e.into_inner());
+        match *memo {
+            Some((key, seed)) if key == *tfc => seed,
+            _ => memo.insert((*tfc, self.creds.enc.diffie_hellman(tfc))).1,
         }
     }
 
@@ -372,7 +395,7 @@ impl Aea {
             .actor(&self.creds.name)
             .process(&received.report.process_id)
             .activity(&received.activity, received.iter);
-        let seal_seed = self.creds.enc.diffie_hellman(&tfc_id.enc);
+        let seal_seed = self.tfc_seed(&tfc_id.enc);
         let seal_context = format!("{}/{key}", received.report.process_id);
         let sealed = dra_crypto::sealed::seal_deterministic(
             &tfc_id.enc,

@@ -19,7 +19,7 @@
 //! [`TfcServer::finalize`] is the γ column.
 
 use crate::amendment::EffectiveDefinition;
-use crate::document::{CerKey, DraDocument};
+use crate::document::{CerKey, CerView, DraDocument};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_result_element, plain_fields};
@@ -40,14 +40,16 @@ use std::time::{SystemTime, UNIX_EPOCH};
 /// Clock abstraction so tests and benches can pin timestamps.
 pub type Clock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// One redo-log entry, keyed by the digest of the intermediate document
-/// being finalized. The timestamp intent is logged *before* the finalize
-/// work; the finished wire is recorded after. A TFC that crashes in between
-/// re-finalizes with the logged timestamp instead of drawing a fresh one —
-/// no double-timestamp, byte-identical output.
+/// One redo-log entry, keyed by the chained digest of the intermediate
+/// document being finalized ([`TfcReceived`]'s `redo_key`). The timestamp
+/// intent is logged *before* the finalize work; the finalized CER and the
+/// route are recorded after — the one node finalization made, not the
+/// document around it, which every resend brings along. A TFC that crashes
+/// in between re-finalizes with the logged timestamp instead of drawing a
+/// fresh one — no double-timestamp, byte-identical output.
 struct RedoEntry {
     timestamp: u64,
-    finalized: Option<(String, Route)>,
+    finalized: Option<(Element, Route)>,
 }
 
 /// A TFC server instance.
@@ -60,8 +62,8 @@ pub struct TfcServer {
     /// Crash-fault injection seam; `None` outside fault experiments.
     crash_hook: Option<CrashHook>,
     /// Redo log: stable storage next to the TFC's keys. A production
-    /// deployment would truncate it at checkpoints; entries here are bounded
-    /// by the documents finalized over the server's lifetime.
+    /// deployment would truncate it at checkpoints; here it holds one
+    /// finalized CER per document finalized over the server's lifetime.
     redo: Mutex<HashMap<[u8; 32], RedoEntry>>,
     redo_reuses: AtomicU64,
     /// Span recorder; disabled (free) unless [`TfcServer::with_tracer`] is
@@ -92,8 +94,12 @@ pub struct TfcReceived {
     /// mark must stop just short of it — the next hop then re-checks
     /// exactly the finalized CER (participant signature + attestation).
     pub trust: TrustMark,
-    /// SHA-256 of the intermediate document's wire bytes as received — the
-    /// redo-log key, taken from the seal's memoized serialization.
+    /// The redo-log key: the chained prefix digest over the *whole*
+    /// intermediate document (see [`crate::sealed`]), which the verification
+    /// pass computed for its fresh mark. It commits to every canonical byte
+    /// of the header, the definition and each CER, so two arrivals share a
+    /// log entry exactly when they are the same document up to formatting
+    /// around the signed subtrees.
     redo_key: [u8; 32],
 }
 
@@ -197,26 +203,39 @@ impl TfcServer {
                 "document does not end with an intermediate (TFC-bound) CER".into(),
             ));
         }
-        let redo_key = dra_crypto::sha256(sealed.wire().as_bytes());
-        let doc = sealed.into_document();
-        // The onward mark stops short of the intermediate CER, which
-        // finalization is about to mutate in place.
-        let fresh = outcome.mark.expect("incremental mode issues a mark");
-        let trust = TrustMark {
-            process_id: report.process_id.clone(),
-            verified_cers: report.cers.len() - 1,
-            prefix_digest: prefix_digest(&doc, report.cers.len() - 1)?,
-            signatures_verified: fresh.signatures_verified,
-        };
+        // The verifier walked the prefix chain to its end for the fresh
+        // mark: that digest names this intermediate document in the redo log.
+        let fresh = outcome
+            .mark
+            .ok_or_else(|| WfError::Malformed("incremental verification issued no mark".into()))?;
+        let redo_key = fresh.prefix_digest;
 
-        let (key, participant, sealed_hex) = {
-            let cers = doc.cers()?;
-            let last = cers.last().expect("ends_with_intermediate implies a CER");
-            let sealed = last
+        let (key, participant, sealed_hex, pinned) = {
+            let cers = sealed.cers()?;
+            let (last, before) = cers
+                .split_last()
+                .ok_or_else(|| WfError::Malformed("intermediate document has no CER".into()))?;
+            let blob = last
                 .tfc_sealed()
                 .ok_or_else(|| WfError::Malformed("intermediate CER lacks TfcSealed".into()))?;
-            (last.key.clone(), last.participant.clone(), sealed.text_content())
+            (last.key.clone(), last.participant.clone(), blob.text_content(), before.len())
         };
+        // The onward mark stops short of the intermediate CER, which
+        // finalization is about to replace — where the executing AEA's mark
+        // stops too, so its digest, if the verifier just found it to hold,
+        // is this one's.
+        let trust = TrustMark {
+            process_id: report.process_id.clone(),
+            verified_cers: pinned,
+            prefix_digest: match sealed.trust() {
+                Some(sent) if !outcome.fell_back && sent.verified_cers == pinned => {
+                    sent.prefix_digest
+                }
+                _ => prefix_digest(&sealed, pinned)?,
+            },
+            signatures_verified: fresh.signatures_verified,
+        };
+        let doc = sealed.into_document();
         let sealed_bytes = dra_crypto::b64::decode(&sealed_hex)
             .ok_or_else(|| WfError::Malformed("bad TfcSealed base64".into()))?;
         let plaintext = dra_crypto::sealed::open(&self.creds.enc, &sealed_bytes)
@@ -241,39 +260,45 @@ impl TfcServer {
     /// phase in Table 2).
     ///
     /// Crash-consistent via the redo log: the timestamp intent is logged
-    /// before any mutation, the finished wire after. Re-finalizing the same
+    /// before any work, the finalized CER after. Re-finalizing the same
     /// intermediate document (a recovered hop re-sending after a TFC crash)
     /// reuses the logged timestamp — and, when the first pass got as far as
-    /// recording its output, re-emits those exact bytes.
+    /// recording its CER, puts that CER back into the document the resend
+    /// brought, so a byte-identical resend is answered with the bytes the
+    /// first pass emitted.
     pub fn finalize(&self, received: &TfcReceived) -> WfResult<TfcProcessed> {
-        let redo_key = received.redo_key;
-
-        // redo fast path: this intermediate document was fully finalized
-        // before a crash cut off the forwarding — re-emit identical bytes.
-        if let Some((wire, route, timestamp)) = self.redo_finalized(&redo_key) {
-            self.redo_reuses.fetch_add(1, Ordering::Relaxed);
-            self.span_timestamp(received, timestamp, "finalized");
-            let mut document = SealedDocument::from_wire(&wire)?;
-            document.set_trust(received.trust.clone());
-            return Ok(TfcProcessed { document, route, key: received.key.clone(), timestamp });
-        }
-
-        // draw the timestamp — or reuse the intent a crashed finalize
-        // already logged for this document, so it is never stamped twice
-        let (timestamp, reused) = {
+        // draw the timestamp — or reuse what a crashed finalize already
+        // logged for this document, so it is never stamped twice
+        let (timestamp, reused, finalized) = {
             let mut redo = self.redo.lock().unwrap_or_else(|e| e.into_inner());
-            match redo.entry(redo_key) {
+            match redo.entry(received.redo_key) {
                 Entry::Occupied(e) => {
                     self.redo_reuses.fetch_add(1, Ordering::Relaxed);
-                    (e.get().timestamp, "intent")
+                    let RedoEntry { timestamp, finalized } = e.get();
+                    let reused = if finalized.is_some() { "finalized" } else { "intent" };
+                    (*timestamp, reused, finalized.clone())
                 }
-                Entry::Vacant(v) => (
-                    v.insert(RedoEntry { timestamp: (self.clock)(), finalized: None }).timestamp,
-                    "fresh",
-                ),
+                Entry::Vacant(v) => {
+                    let fresh = RedoEntry { timestamp: (self.clock)(), finalized: None };
+                    (v.insert(fresh).timestamp, "fresh", None)
+                }
             }
         };
         self.span_timestamp(received, timestamp, reused);
+        let emit = |cer: Element, route: Route| -> WfResult<TfcProcessed> {
+            // shares every node with `received.doc`; replacing the
+            // intermediate CER copies the ActivityResults child vector
+            let mut document = received.doc.clone();
+            *document
+                .find_cer_element_mut(&received.key)?
+                .ok_or_else(|| WfError::Malformed("intermediate CER vanished".into()))? = cer;
+            let document = SealedDocument::with_trust(document, received.trust.clone());
+            Ok(TfcProcessed { document, route, key: received.key.clone(), timestamp })
+        };
+        // fully finalized before a crash cut off the forwarding
+        if let Some((cer, route)) = finalized {
+            return emit(cer, route);
+        }
         self.crash_point(site::TFC_AFTER_TIMESTAMP)?;
 
         let mut span_reenc = self
@@ -300,27 +325,21 @@ impl TfcServer {
             .attr("time", timestamp.to_string())
             .attr("by", self.creds.name.clone());
 
-        // shares every node with `received.doc`; rewriting the intermediate
-        // CER copies the ActivityResults child vector and that one CER node
-        let mut document = received.doc.clone();
-        {
-            let cer_el = document
-                .find_cer_element_mut(&received.key)?
-                .ok_or_else(|| WfError::Malformed("intermediate CER vanished".into()))?;
-            // insert Result and Timestamp before signing the attestation
-            cer_el.push_child(result);
-            cer_el.push_child(ts_el);
-        }
-        // sign the attestation over [Header, TfcSealed, participant sig,
-        // Result, Timestamp]
-        let attest = {
-            let cer = document
-                .find_cer(&received.key)?
-                .ok_or_else(|| WfError::Malformed("CER lookup failed".into()))?;
-            tfc_attest_bytes(document.header()?, &cer)?
-        };
-        let sig = sign_detached(&self.creds.sign, &attest, &format!("tfc:{}", received.key));
-        document.find_cer_element_mut(&received.key)?.expect("checked above").push_child(sig);
+        // the finalized CER: the intermediate one (children shared) plus
+        // Result and Timestamp, then the attestation signed over [Header,
+        // TfcSealed, participant sig, Result, Timestamp]
+        let intermediate = received
+            .doc
+            .cers()?
+            .into_iter()
+            .rfind(|c| c.key == received.key)
+            .ok_or_else(|| WfError::Malformed("intermediate CER vanished".into()))?;
+        let mut cer = intermediate.element.clone();
+        cer.push_child(result);
+        cer.push_child(ts_el);
+        let attest =
+            tfc_attest_bytes(received.doc.header()?, &CerView { element: &cer, ..intermediate })?;
+        cer.push_child(sign_detached(&self.creds.sign, &attest, &format!("tfc:{}", received.key)));
         span_reenc.attr("fields", received.responses.len());
         span_reenc.end();
 
@@ -330,14 +349,13 @@ impl TfcServer {
             received.key.iter,
             &reader,
         )?;
-        let document = SealedDocument::with_trust(document, received.trust.clone());
         {
             let mut redo = self.redo.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = redo.get_mut(&redo_key) {
-                entry.finalized = Some((document.wire().as_ref().clone(), route.clone()));
+            if let Some(entry) = redo.get_mut(&received.redo_key) {
+                entry.finalized = Some((cer.clone(), route.clone()));
             }
         }
-        Ok(TfcProcessed { document, route, key: received.key.clone(), timestamp })
+        emit(cer, route)
     }
 
     /// Witness a timestamp in the trace. Emitted on every finalize path
@@ -354,13 +372,6 @@ impl TfcServer {
         span.attr("ts_ms", timestamp);
         span.attr("reused", reused);
         span.end();
-    }
-
-    fn redo_finalized(&self, redo_key: &[u8; 32]) -> Option<(String, Route, u64)> {
-        let redo = self.redo.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = redo.get(redo_key)?;
-        let (wire, route) = entry.finalized.as_ref()?;
-        Some((wire.clone(), route.clone(), entry.timestamp))
     }
 
     /// Convenience: receive + finalize in one call. Accepts the same forms
@@ -601,12 +612,92 @@ mod tests {
         let wire = done.document.to_xml_string();
         assert_eq!(wire.matches("<Timestamp").count(), 1, "no double-timestamp");
 
-        // a third pass hits the finalized fast path: byte-identical output
-        let received = tfc.receive(inter.document.to_xml_string()).unwrap();
-        let again = tfc.finalize(&received).unwrap();
-        assert_eq!(again.document.wire(), done.document.wire());
-        assert_eq!(again.route.targets, done.route.targets);
-        assert_eq!(tfc.redo_reuses(), 2);
+        // a resend after the completed finalize — as the wire, or as the
+        // sender's own tree — is answered from the logged CER: same
+        // timestamp, same route, byte-identical output, no clock consulted
+        for (pass, resend) in
+            [Inbound::from(inter.document.to_xml_string()), inter.document.clone().into()]
+                .into_iter()
+                .enumerate()
+        {
+            let again = tfc.finalize(&tfc.receive(resend).unwrap()).unwrap();
+            assert_eq!(again.document.wire(), done.document.wire());
+            assert_eq!((again.timestamp, &again.route.targets), (100, &done.route.targets));
+            assert_eq!(again.document.trust(), done.document.trust());
+            assert_eq!(tfc.redo_reuses(), 2 + pass as u64);
+        }
+        assert_eq!(counter.load(Ordering::SeqCst), 101);
+
+        // what the log retains for the hop is the finalized CER, not the
+        // document around it
+        let redo = tfc.redo.lock().unwrap();
+        assert_eq!(redo.len(), 1, "every pass found the one entry");
+        let (cer, route) = redo.values().next().unwrap().finalized.as_ref().unwrap();
+        assert_eq!(route.targets, done.route.targets);
+        assert_eq!(cer, done.document.cers().unwrap().last().unwrap().element);
+        assert!(dra_xml::writer::to_string(cer).len() < wire.len(), "a CER, not the wire");
+    }
+
+    #[test]
+    fn redo_entry_is_shared_by_reformatted_resends_and_by_nothing_else() {
+        let f = fig4();
+        let initial =
+            DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid-key").unwrap();
+        let counter = Arc::new(AtomicU64::new(7));
+        let c = Arc::clone(&counter);
+        let tfc = TfcServer::with_clock(
+            f.tfc.clone(),
+            f.dir.clone(),
+            Arc::new(move || c.fetch_add(1, Ordering::SeqCst)),
+        );
+        let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
+        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "true".into())]).unwrap();
+        let done = tfc.process(inter.document.clone()).unwrap();
+
+        // white space between two sections changes the wire and its
+        // SHA-256, not one canonical byte of a signed subtree: same entry
+        let wire = inter.document.to_xml_string();
+        let spaced = wire.replacen("<ActivityResults>", "\n <ActivityResults>", 1);
+        assert_ne!(spaced, wire);
+        let again = tfc.process(spaced).unwrap();
+        assert_eq!((again.timestamp, tfc.redo_reuses()), (done.timestamp, 1));
+
+        // a different result is a different document: its own timestamp
+        let other = aea_peter.complete_via_tfc(&recv, &[("X".into(), "false".into())]).unwrap();
+        assert_eq!(tfc.process(other.document).unwrap().timestamp, done.timestamp + 1);
+        assert_eq!(tfc.redo_reuses(), 1);
+    }
+
+    #[test]
+    fn cold_and_warm_aea_seal_to_the_tfc_identically() {
+        // crash takeover depends on it: the recovered agent (cold) must emit
+        // the bytes the dead one (warm) did, or the portal sees two versions
+        let f = fig4();
+        let initial =
+            DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid-seed").unwrap();
+        let responses = [("X".to_string(), "true".to_string())];
+        let mut warm = Aea::new(f.peter.clone(), f.dir.clone());
+        let recv = warm.receive(initial.to_xml_string(), "A1").unwrap();
+        let first = warm.complete_via_tfc(&recv, &responses).unwrap().document;
+        let second = warm.complete_via_tfc(&recv, &responses).unwrap().document;
+        let cold = Aea::new(f.peter.clone(), f.dir.clone());
+        let third = cold.complete_via_tfc(&recv, &responses).unwrap().document;
+        assert_eq!(first.wire(), second.wire());
+        assert_eq!(first.wire(), third.wire());
+
+        // the TFC's directory entry changes: the warm AEA derives afresh and
+        // seals what a cold one does, to the key now listed
+        let rekeyed = Credentials::from_seed("TFC", "tf-rotated");
+        warm.directory.register(rekeyed.identity());
+        let cold = Aea::new(f.peter.clone(), warm.directory.clone());
+        let after = warm.complete_via_tfc(&recv, &responses).unwrap().document;
+        assert_ne!(after.wire(), first.wire());
+        assert_eq!(after.wire(), cold.complete_via_tfc(&recv, &responses).unwrap().document.wire());
+        let sealed = after.cers().unwrap().last().unwrap().tfc_sealed().unwrap().text_content();
+        let boxed = dra_crypto::b64::decode(&sealed).unwrap();
+        assert!(dra_crypto::sealed::open(&rekeyed.enc, &boxed).is_ok());
+        assert!(dra_crypto::sealed::open(&f.tfc.enc, &boxed).is_err());
     }
 
     #[test]

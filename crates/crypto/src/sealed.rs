@@ -12,6 +12,17 @@
 //! ephemeral public key) plus one Montgomery ladder (the shared secret);
 //! opening is the one ladder — the recipient's own public key, which the key
 //! derivation binds, is held by its [`X25519Secret`].
+//!
+//! **One ephemeral key, several recipients.** [`seal_with_ephemeral`] lets a
+//! caller wrap the same short secret to n recipients under one ephemeral
+//! key (`dra_xml::enc` does, per encrypted element): one fixed-base
+//! multiplication and n ladders instead of n of each. Nothing but the
+//! ephemeral *public* key is shared between the boxes: the shared secret
+//! `e·Rᵢ` differs per recipient, the key derivation binds the ephemeral and
+//! the recipient's public key, and nonce and tag are per box — the
+//! randomness-reuse setting multi-recipient ElGamal/ECIES is proven in
+//! (Kurosawa 2002; Bellare, Boldyreva, Staddon 2003). The caller's side of
+//! the contract: draw the ephemeral key for one set of boxes and drop it.
 
 use crate::chacha20::ChaCha20;
 use crate::ct::ct_eq;
@@ -69,8 +80,9 @@ pub fn seal(recipient: &X25519PublicKey, plaintext: &[u8]) -> Vec<u8> {
     seal_with_ephemeral(&eph, recipient, plaintext)
 }
 
-/// Deterministic variant of [`seal`] taking the ephemeral secret explicitly
-/// (exposed for tests and reproducible benchmarks).
+/// [`seal`] under an ephemeral secret the caller holds: for wrapping one
+/// secret to several recipients (see the module docs), tests and
+/// reproducible benchmarks. The nonce is still drawn fresh per box.
 pub fn seal_with_ephemeral(
     eph: &X25519Secret,
     recipient: &X25519PublicKey,

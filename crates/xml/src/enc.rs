@@ -16,6 +16,19 @@
 //! requirement that "an XML element … can be encrypted by different public
 //! keys of users or groups … so as to have only a limited number of users
 //! able to read the data" (§2.3.1) with a single ciphertext.
+//!
+//! **One ephemeral key per element.** The key wraps of one element share
+//! one ephemeral X25519 key (their first 32 bytes): n readers cost one
+//! fixed-base multiplication and n ladders instead of n of each. This is
+//! the randomness reuse of multi-recipient ElGamal/ECIES (Kurosawa 2002;
+//! Bellare, Boldyreva, Staddon 2003): reader i's wrap key is derived from
+//! `e·Rᵢ` *and* from both public keys (`dra_crypto::sealed` binds `e·B` and
+//! `Rᵢ` in its KDF context), so the wrap keys of two readers are distinct
+//! and a reader who learns `e·Rᵢ` learns nothing about `e·Rⱼ` short of
+//! solving Diffie-Hellman; every wrap carries its own nonce and tag; and
+//! all of them protect the same content key, which every reader is meant to
+//! hold anyway. The ephemeral key never outlives the call, so two elements
+//! never share one.
 
 use crate::canon::canonicalize;
 use crate::node::Element;
@@ -85,8 +98,9 @@ pub fn encrypt_element(el: &Element, recipients: &[Recipient]) -> Element {
         .attr("alg", ALG)
         .attr("name", el.name.clone())
         .child(Element::new("CipherValue").text(b64::encode(&ciphertext)));
+    let ephemeral = X25519Secret::generate();
     for r in recipients {
-        let wrapped = sealed::seal(&r.key, &content_key);
+        let wrapped = sealed::seal_with_ephemeral(&ephemeral, &r.key, &content_key);
         out.push_child(
             Element::new("KeyWrap").attr("recipient", r.id.clone()).text(b64::encode(&wrapped)),
         );
@@ -173,6 +187,39 @@ mod tests {
         assert_eq!(recipients_of(&enc), vec!["amy", "bob"]);
         assert_eq!(decrypt_element(&enc, "amy", &sec_a).unwrap(), payload());
         assert_eq!(decrypt_element(&enc, "bob", &sec_b).unwrap(), payload());
+    }
+
+    #[test]
+    fn key_wraps_of_one_element_share_one_ephemeral_key() {
+        let readers: Vec<_> = (1..=3).map(keys).collect();
+        let recipients: Vec<Recipient> = readers
+            .iter()
+            .enumerate()
+            .map(|(i, (_, p))| Recipient::new(format!("r{i}"), *p))
+            .collect();
+        let ephemerals = |enc: &Element| -> Vec<Vec<u8>> {
+            enc.find_children("KeyWrap")
+                .map(|k| b64::decode(&k.text_content()).unwrap()[..32].to_vec())
+                .collect()
+        };
+        let enc = encrypt_element(&payload(), &recipients);
+        let eph = ephemerals(&enc);
+        assert_eq!(eph.len(), 3);
+        assert!(eph.iter().all(|e| *e == eph[0]), "one ephemeral key per element");
+        let other = encrypt_element(&payload(), &recipients);
+        assert_ne!(ephemerals(&other)[0], eph[0], "and a fresh one for the next element");
+        // the wraps themselves differ: per-reader keys, per-wrap nonces
+        let wraps: Vec<String> = enc.find_children("KeyWrap").map(|k| k.text_content()).collect();
+        assert!(wraps[0] != wraps[1] && wraps[1] != wraps[2] && wraps[0] != wraps[2]);
+        for (i, (secret, _)) in readers.iter().enumerate() {
+            assert_eq!(decrypt_element(&enc, &format!("r{i}"), secret).unwrap(), payload());
+        }
+        // a non-reader cannot open, under its own name or a reader's
+        let (outsider, _) = keys(9);
+        assert_eq!(decrypt_element(&enc, "r9", &outsider), Err(EncryptError::NotARecipient));
+        assert_eq!(decrypt_element(&enc, "r0", &outsider), Err(EncryptError::Crypto));
+        // nor does one reader's key open another reader's wrap
+        assert_eq!(decrypt_element(&enc, "r1", &readers[0].0), Err(EncryptError::Crypto));
     }
 
     #[test]

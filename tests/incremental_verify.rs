@@ -18,8 +18,11 @@
 //!   every `&mut` accessor that touches a prefix node moves it;
 //! * tampering with a copy that *shares its nodes* with an untampered
 //!   sibling is detected on the copy and leaves the sibling's bytes, memo
-//!   and verdict untouched (copy-on-write).
+//!   and verdict untouched (copy-on-write);
+//! * an AND-join input rides the first arrival's mark: the marked pass
+//!   agrees with a cold one and checks exactly the branches' new CERs.
 
+use dra4wfms::cloud::InstanceRun;
 use dra4wfms::core::sealed::prefix_digest;
 use dra4wfms::prelude::*;
 use dra4wfms::xml::canon::canonicalize_shared;
@@ -280,8 +283,90 @@ fn advanced_model_hop_rechecks_participant_and_attestation_only() {
     assert_eq!(recv.reused_cers, 0, "the one existing CER was finalized in place");
 }
 
+/// `A → AND-split (B0 … B{ways-1}) → AND-join C → back to A`, every hop via
+/// the TFC when `advanced`; the script never leaves the loop.
+fn looping_join(ways: usize, advanced: bool) -> Rig {
+    let branch = |i: usize| format!("B{i}");
+    let mut names = vec!["designer".to_string(), "p_a".into(), "p_c".into(), "TFC".into()];
+    let mut b = WorkflowDefinition::builder("join", "designer")
+        .simple_activity("A", "p_a", &["out"])
+        .activity(Activity {
+            id: "C".into(),
+            participant: "p_c".into(),
+            join: JoinKind::All,
+            requests: vec![],
+            responses: vec!["out".into()],
+        })
+        .flow_if("C", "A", Condition::field_equals("C", "out", "again"))
+        .flow_end("C");
+    for i in 0..ways {
+        names.push(format!("p_b{i}"));
+        b = b.simple_activity(branch(i), format!("p_b{i}"), &["out"]);
+        b = b.flow("A", branch(i)).flow(branch(i), "C");
+    }
+    let def = if advanced { b.with_tfc("TFC") } else { b }.build().unwrap();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    Rig::new(cast("join", &names), def, SecurityPolicy::public(), |_| {
+        vec![("out".into(), "again".into())]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// An AND-join input under the first arrival's mark, for 2- and 3-way
+    /// joins over three turns of a loop, basic and via the TFC, the
+    /// branches arriving in any rotation, merged at once or one at a time
+    /// (a join parked until its last branch): the marked pass accepts what
+    /// a cold pass accepts, reports the same CERs, and checks exactly the
+    /// CERs past the mark — the branches' new ones, and their attestations.
+    #[test]
+    fn prop_join_input_under_the_first_arrivals_mark(
+        ways in 2usize..4,
+        advanced in any::<bool>(),
+        rotate in 0usize..3,
+        at_once in any::<bool>(),
+    ) {
+        let rig = looping_join(ways, advanced);
+        let hop = |input: SealedDocument, activity: &str| {
+            let who = &rig.def.activity(activity).unwrap().participant;
+            let received = rig.agents[who].receive(input, activity).unwrap();
+            let responses = [("out".to_string(), "again".to_string())];
+            let checks = (received.reused_cers, received.report.signatures_verified);
+            let document = match &rig.tfc {
+                Some(tfc) => {
+                    let inter = rig.agents[who].complete_via_tfc(&received, &responses).unwrap();
+                    tfc.finalize(&tfc.receive(inter.document).unwrap()).unwrap().document
+                }
+                None => rig.agents[who].complete(&received, &responses).unwrap().document,
+            };
+            (document, checks, received.report.cers)
+        };
+        let per_cer = if advanced { 2 } else { 1 };
+        let mut current = SealedDocument::new(rig.initial("join-pid"));
+        for turn in 0..3 {
+            let after_a = hop(current, "A").0;
+            let mut arrivals: Vec<SealedDocument> =
+                (0..ways).map(|i| hop(after_a.clone(), &format!("B{i}")).0).collect();
+            arrivals.rotate_left(rotate % ways);
+            let pinned = arrivals[0].trust().unwrap().verified_cers;
+            prop_assert_eq!(pinned, turn * (ways + 2) + 1, "all but the branch's own CER");
+            let merged = if at_once {
+                InstanceRun::merge_inputs(&arrivals).unwrap()
+            } else {
+                let (first, rest) = arrivals.split_first().unwrap();
+                rest.iter().fold(first.clone(), |parked, next| {
+                    InstanceRun::merge_inputs(&[parked, next.clone()]).unwrap()
+                })
+            };
+            let cold = Verifier::new(&rig.dir).run(&merged).unwrap().report;
+            prop_assert_eq!(cold.signatures_verified, 1 + per_cer * cold.cers.len());
+            let (joined, (reused, checked), cers) = hop(merged, "C");
+            prop_assert_eq!(cers, cold.cers);
+            prop_assert_eq!((reused, checked), (pinned, per_cer * ways));
+            current = joined;
+        }
+    }
 
     /// The chained prefix digest depends on content alone: a tree built hop
     /// by hop (warm memos on shared nodes), the same document re-parsed from

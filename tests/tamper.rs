@@ -2,9 +2,10 @@
 //! DRA4WfMS document is detected, while the identical rewrite in the
 //! engine-based baseline passes silently.
 
+use dra4wfms::cloud::InstanceRun;
 use dra4wfms::engine::WorkflowEngine;
 use dra4wfms::prelude::*;
-use dra_bench::rig::{cast, Rig};
+use dra_bench::rig::{cast, fig9_respond, Rig};
 
 /// A two-step transfer, `alice` requesting and `bob` approving.
 fn setup() -> Rig {
@@ -219,6 +220,65 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
     assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (2, 0));
     sys.ingest_wire(0, &sealed.wire(), &route, sealed.trust()).unwrap();
     assert_eq!(sys.total_stored(), 1);
+}
+
+/// Fig. 9A up to the AND-join: the documents of branches B1 and B2, each
+/// under the mark its AEA issued (pinning A's CER).
+fn branches(rig: &Rig, pid: &str) -> (SealedDocument, SealedDocument) {
+    let hop = |input: SealedDocument, activity: &str, who: &str| {
+        let received = rig.agents[who].receive(input, activity).unwrap();
+        rig.agents[who].complete(&received, &fig9_respond(&received)).unwrap().document
+    };
+    let after_a = hop(SealedDocument::new(rig.initial(pid)), "A", "p_a");
+    (hop(after_a.clone(), "B1", "p_b1"), hop(after_a, "B2", "p_b2"))
+}
+
+/// `branch` with `from` rewritten to `to` in its bytes, still under the
+/// mark issued for the genuine ones — what a cloud in the middle can do.
+fn rewritten(branch: &SealedDocument, from: &str, to: &str) -> SealedDocument {
+    let wire = branch.to_xml_string().replace(from, to);
+    assert_ne!(wire, *branch.wire());
+    let doc = DraDocument::parse(&wire).unwrap();
+    SealedDocument::with_trust(doc, branch.trust().unwrap().clone())
+}
+
+#[test]
+fn the_first_arrivals_mark_launders_nothing_through_a_join() {
+    let rig = Rig::fig9(false);
+    let (b1, b2) = branches(&rig, "join");
+    let join = |inputs: &[SealedDocument]| {
+        let merged = InstanceRun::merge_inputs(inputs).unwrap();
+        let cold = Verifier::new(&rig.dir).run(&merged).map(|o| o.report.cers);
+        let marked = rig.agents["p_c"].receive(merged, "C");
+        assert_eq!(cold.is_ok(), marked.is_ok(), "the marked pass judges as the cold one");
+        marked.inspect(|r| assert_eq!(r.report.cers, cold.unwrap()))
+    };
+    // genuine: the mark pins A's CER, the join checks B1's and B2's
+    let ok = join(&[b1.clone(), b2.clone()]).unwrap();
+    assert_eq!((ok.reused_cers, ok.report.signatures_verified), (1, 2));
+
+    // a rewrite inside the prefix the first arrival's mark pins: the digest
+    // moves, the full pass runs and A's signature fails
+    let bad_prefix = rewritten(&b1, "contract.pdf", "nothing.pdf");
+    assert!(matches!(join(&[bad_prefix, b2.clone()]), Err(WfError::Verify(_))));
+    // a rewrite of the second branch's new CER, past any mark: checked
+    let bad_new = rewritten(&b2, ">ok<", ">no<");
+    assert!(matches!(join(&[b1.clone(), bad_new]), Err(WfError::Verify(_))));
+
+    // a second branch whose copy of the shared CER differs: the union keeps
+    // the first arrival's copy, the rewritten one never reaches the join —
+    // and, arriving first, it is the pinned prefix of the case above
+    let bad_shared = rewritten(&b2, "contract.pdf", "nothing.pdf");
+    let got = join(&[b1.clone(), bad_shared.clone()]).unwrap();
+    assert_eq!((got.reused_cers, got.report.signatures_verified), (1, 2));
+    assert!(!got.doc.to_xml_string().contains("nothing.pdf"));
+    assert!(matches!(join(&[bad_shared, b1.clone()]), Err(WfError::Verify(_))));
+
+    // a mark issued for another process pins nothing here: full pass
+    let (other, _) = branches(&rig, "another");
+    let foreign = SealedDocument::with_trust(b1.document().clone(), other.trust().unwrap().clone());
+    let full = join(&[foreign, b2]).unwrap();
+    assert_eq!((full.reused_cers, full.report.signatures_verified), (0, 4));
 }
 
 #[test]
