@@ -1,5 +1,5 @@
 //! Claim C8: crash-fault recovery — under every single-crash schedule at
-//! every injection point (AEA after-verify / before-sign / after-sign, TFC
+//! every crash site (AEA after-verify / before-sign / after-sign, TFC
 //! between timestamp and re-encrypt, portal between seen-row and document
 //! row), every Fig. 9 instance still completes and the final document pool
 //! is **byte-identical** to the crash-free run: no CER lost, none appended
@@ -12,8 +12,8 @@
 //! so the wire-digest idempotency suppresses any copy the dead agent did
 //! land).
 //!
-//! The sweep is fully deterministic (virtual time only, seeded crash
-//! schedules): `BENCH_crash.json` and the alert stream
+//! The sweep is fully deterministic (virtual time only, one seeded
+//! [`FaultPlan`] per cell): `BENCH_crash.json` and the alert stream
 //! `BENCH_crash_alerts.jsonl` must come out byte-identical on every run.
 //!
 //! Every cell runs under a live [`HealthMonitor`](dra_cloud::HealthMonitor):
@@ -22,32 +22,48 @@
 //! takeover counters by `check_metric_invariants`, and the crash-free
 //! baselines must stay alert-silent.
 
-use super::{held, ClaimOutput, Row, Rows};
+use super::{draw, held, ClaimOutput, Row, Rows};
 use crate::rig::{Rig, SEEDS};
+use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::prelude::*;
-use dra_cloud::{CrashPlan, CrashPoint};
+use dra_cloud::FaultPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const INSTANCES: usize = 4;
 /// The scheduled crash visit is drawn from the seed in `[1, MAX_NTH]`;
-/// every injection point is visited ≥ 36 times per cell, so the schedule
-/// always fires exactly once.
+/// every crash site is visited ≥ 36 times per cell, so the plan always
+/// fires exactly once.
 const MAX_NTH: u64 = 12;
+/// The single-cloud crash sites, in sweep order (the basic model, with no
+/// TFC, skips the TFC's).
+const SITES: [&str; 5] = [
+    site::AEA_AFTER_VERIFY,
+    site::AEA_BEFORE_SIGN,
+    site::AEA_AFTER_SIGN,
+    site::TFC_AFTER_TIMESTAMP,
+    site::PORTAL_BETWEEN_SEEN_AND_STORE,
+];
 
-/// Run `INSTANCES` Fig. 9 instances on a fresh deployment under `plan`.
+/// Run `INSTANCES` Fig. 9 instances on a fresh deployment, crashing at
+/// `crash`'s `(site, nth visit)` when there is one.
 fn run_cell(
     mode: &str,
     advanced: bool,
-    plan: Arc<CrashPlan>,
+    crash: Option<(&str, u64)>,
     seed: u64,
     out: &mut ClaimOutput,
 ) -> Row {
+    let (point, nth) = crash.unwrap_or(("none", 0));
+    let plan = match crash {
+        Some((site, nth)) => FaultPlan::once(site, nth),
+        None => FaultPlan::none(),
+    };
     // fresh deterministic clock per cell: crash-free and crashed runs
     // draw the same timestamps (the redo log guarantees one draw per hop)
     let draws = AtomicU64::new(0);
     let clock = Arc::new(move || 1_000 + draws.fetch_add(1, Ordering::Relaxed));
-    let fx = Rig::fig9(advanced).crashing(&plan).tfc_clock(clock);
+    let fx = Rig::fig9(advanced).with_faults(&plan).tfc_clock(clock);
     let sys = fx.cloud(3);
 
     let mut completed = 0usize;
@@ -64,10 +80,6 @@ fn run_cell(
     }
 
     let stats = sys.channel().stats();
-    let (point, nth) = match plan.scheduled() {
-        Some((p, n)) => (p.site().to_string(), n),
-        None => ("none".to_string(), 0),
-    };
     let (invariants_ok, alerts) = out.close_cell(&format!("{mode}/{point}/{seed}"), &fx);
     Row::new()
         .with("mode", mode)
@@ -76,7 +88,7 @@ fn run_cell(
         .with("nth", nth)
         .with("instances", INSTANCES)
         .with("completed", completed)
-        .with("crashes_injected", plan.crashes_injected())
+        .with("crashes_injected", plan.fired())
         .with("leases_expired", leases_expired)
         .with("journal_replays", sys.journal_replays())
         .with("sends", stats.sends)
@@ -97,18 +109,17 @@ pub(super) fn run() -> ClaimOutput {
     for (mode, advanced) in [("basic", false), ("tfc", true)] {
         // crash-free baseline fixes the byte-identity target for this mode
         // … and the monitor must stay completely silent on it
-        let baseline = run_cell(mode, advanced, CrashPlan::none(), 0, &mut out);
+        let baseline = run_cell(mode, advanced, None, 0, &mut out);
         baselines_ok &= complete(&baseline)
             && baseline.int("crashes_injected") == 0
             && baseline.int("alerts") == 0;
         let target = baseline.get("pool_sha256").cloned();
         rows.push(baseline);
 
-        let points: &[CrashPoint] = if advanced { &CrashPoint::ALL } else { &CrashPoint::BASIC };
-        for &point in points {
+        for site in SITES.into_iter().filter(|&s| advanced || s != site::TFC_AFTER_TIMESTAMP) {
             for seed in SEEDS {
-                let plan = CrashPlan::seeded(point, seed, MAX_NTH);
-                let cell = run_cell(mode, advanced, plan, seed, &mut out);
+                let crash = Some((site, draw(seed, MAX_NTH)));
+                let cell = run_cell(mode, advanced, crash, seed, &mut out);
                 recovered &= complete(&cell)
                     && cell.int("crashes_injected") == 1
                     && cell.get("pool_sha256") == target.as_ref();

@@ -18,7 +18,8 @@
 use super::{held, ClaimOutput, Row, Rows, Value};
 use crate::rig::{Rig, SEEDS};
 use dra4wfms_core::prelude::*;
-use dra_cloud::{DeliveryPolicy, DeliveryStats, FaultProfile};
+use dra_cloud::delivery::MAX_ATTEMPTS;
+use dra_cloud::{DeliveryStats, FaultProfile};
 
 const INSTANCES: usize = 8;
 
@@ -94,7 +95,7 @@ pub(super) fn run() -> ClaimOutput {
     // bounded retry overhead and identical outcomes across seeds
     let of =
         |profile: &'static str| cells.iter().filter(move |(c, _)| c.text("profile") == profile);
-    let max_attempts = DeliveryPolicy::default().max_attempts as u64;
+    let max_attempts = MAX_ATTEMPTS as u64;
     out.verdict(
         "hostile (15% drop, 15% dup, 10% corrupt, 10% reorder): all 8 instances complete per seed",
         of("hostile").all(|(c, _)| c.int("completed") == INSTANCES as i64),

@@ -12,22 +12,24 @@
 //! `portal_tampered` alert), quarantine with frozen admission counters,
 //! and health-driven failover of the active cloud.
 //!
-//! The sweep is fully deterministic (virtual time only, seeded outage /
-//! tamper schedules): `BENCH_federation.json` and the sweep's alert stream
-//! `BENCH_federation_alerts.jsonl` must come out byte-identical on every
-//! run, and the rows are held against `perf/BENCH_federation.baseline.json`.
+//! The sweep is fully deterministic (virtual time only, one seeded
+//! [`FaultPlan`] per cell): `BENCH_federation.json` and the sweep's alert
+//! stream `BENCH_federation_alerts.jsonl` must come out byte-identical on
+//! every run, and the rows are held against
+//! `perf/BENCH_federation.baseline.json`.
 
-use super::{held, ClaimOutput, Row, Rows};
+use super::{draw, held, ClaimOutput, Row, Rows};
 use crate::rig::{Rig, SEEDS};
-use dra_cloud::{FaultProfile, OutagePlan, TamperPlan, Topology};
+use dra4wfms_core::faultpoint::site;
+use dra_cloud::{FaultPlan, FaultProfile, Topology, Trigger};
 
-/// Instances admitted before the serve audit (the audit gives an armed
-/// tamper plan its chance to fire) plus one wave after any quarantine —
+/// Instances admitted before the serve audit (the audit gives a scripted
+/// tamper its chance to fire) plus one wave after any quarantine —
 /// frozen portals must stay frozen while the fleet keeps moving.
 const WAVE1: usize = 3;
 const WAVE2: usize = 1;
 const TOTAL: usize = WAVE1 + WAVE2;
-/// Seeded outages fire at `1 + seed % MAX_OUTAGE_US` virtual µs: a full
+/// Seeded outages start at `draw(seed, MAX_OUTAGE_US)` virtual µs: a full
 /// sweep runs ~21k virtual µs, so every draw lands inside the run —
 /// early draws kill the active cloud before its first admission, late
 /// draws mid-fleet.
@@ -51,27 +53,30 @@ fn run_cell(
     target: &str,
     out: &mut ClaimOutput,
 ) -> (Row, bool) {
-    let fx = Rig::fig9(false);
     let total_portals = topology.total_portals();
-    let (sys, ctrl) = fx.federated(topology);
-    match scenario {
-        "healthy" => {}
+    let plan = match scenario {
+        "healthy" => FaultPlan::none(),
         // the outage always hits cloud 0 — the initially active cloud, so
         // a confirmed outage forces a real failover of the primary
-        "outage" => ctrl.set_outage(OutagePlan::seeded(0, seed, MAX_OUTAGE_US)),
+        "outage" => FaultPlan::of([(
+            site::cloud(&topology.clouds[0].name),
+            Trigger::From(draw(seed, MAX_OUTAGE_US)),
+        )]),
         "tampered" => {
-            ctrl.set_tamper(TamperPlan::seeded(seed as usize % total_portals, seed, MAX_TAMPER_NTH))
+            FaultPlan::once(&site::serve(seed as usize % total_portals), draw(seed, MAX_TAMPER_NTH))
         }
         other => panic!("unknown scenario {other}"),
-    }
+    };
+    let fx = Rig::fig9(false).with_faults(&plan);
+    let (sys, ctrl) = fx.federated(topology);
     // lossless channel: the outage dance surfaces as retriable Crash
     // errors, which the delivery retry layer absorbs without losing hops
     let delivery = fx.channel(FaultProfile::lossless(), seed);
 
     let mut completed = fx.fleet(&sys, pids(0..WAVE1), &delivery);
 
-    // audit pass: serve every instance through every portal, so an armed
-    // tamper plan fires mid-sweep and the honest bytes get re-served
+    // audit pass: serve every instance through every portal, so a scripted
+    // tamper fires mid-sweep and the honest bytes get re-served
     let mut audits_ok = true;
     for pid in pids(0..WAVE1) {
         let latest = sys.retrieve_version(&pid, 9);

@@ -14,9 +14,10 @@
 
 use super::{ClaimOutput, Row, Rows, Value};
 use crate::rig::{Handoff, Rig, SEEDS};
+use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::reconcile::reconcile;
-use dra_cloud::{CrashPlan, CrashPoint, FaultProfile};
+use dra_cloud::{FaultPlan, FaultProfile};
 use dra_obs::{events_to_chrome, events_to_jsonl, TraceEvent, Tracer};
 use std::time::Instant;
 
@@ -32,11 +33,11 @@ fn run_cell(
     // a single-crash schedule that always fires: the nth AEA signing visit,
     // n drawn from the seed within the 9 hops of one Fig. 9 instance
     let plan = if crash {
-        CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + seed % 9)
+        FaultPlan::once(site::AEA_BEFORE_SIGN, 1 + seed % 9)
     } else {
-        CrashPlan::none()
+        FaultPlan::none()
     };
-    let fx = Rig::fig9(advanced).crashing(&plan);
+    let fx = Rig::fig9(advanced).with_faults(&plan);
     let sys = fx.cloud(3);
     let delivery = match hostile {
         true => fx.channel(FaultProfile::hostile(), seed),
@@ -62,7 +63,7 @@ fn run_cell(
         .with("events", events.len())
         .with("hops_matched", report.as_ref().map(|r| r.hops_matched).unwrap_or(0))
         .with("crashed_attempts", report.as_ref().map(|r| r.crashed_attempts).unwrap_or(0))
-        .with("crashes_injected", plan.crashes_injected())
+        .with("crashes_injected", plan.fired())
         .with("reconciled", report.is_ok())
         .with("invariants_ok", out.close_cell(&cell, &fx).0);
     (row, events)

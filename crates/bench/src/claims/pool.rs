@@ -67,7 +67,7 @@ pub(super) fn run() -> ClaimOutput {
         let t = Instant::now();
         let counts = map_reduce_scan(
             &table,
-            &Scan::prefix("meta/").family("meta").threads(threads),
+            &Scan::prefix("meta/").family("meta"),
             threads,
             |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
             |_, vs| vs.len(),

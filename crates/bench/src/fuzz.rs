@@ -12,7 +12,7 @@
 //!    soundness bug);
 //! 2. executed through **both operational models** (basic AEA cascade and
 //!    advanced TFC finalization) under an honest channel, a hostile
-//!    [`FaultProfile`] and a seeded [`CrashPlan`], via the event-driven
+//!    [`FaultProfile`] and a seeded [`FaultPlan`], via the event-driven
 //!    [`Scheduler`] (`InstanceRun::run`);
 //! 3. differential-checked: every run's final document verifies and
 //!    reconciles against its span trace, fault and crash runs converge to
@@ -28,11 +28,11 @@
 //! produces the same definition, the same runs and the same report bytes.
 
 use crate::rig::{cast, Rig};
+use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::soundness::{check_soundness, SoundnessError};
 use dra_cloud::{
-    check_metric_invariants, AuditConfig, CrashPlan, CrashPoint, FaultProfile, PoolAuditor,
-    Scheduler,
+    check_metric_invariants, AuditConfig, FaultPlan, FaultProfile, PoolAuditor, Scheduler,
 };
 use dra_obs::TraceEvent;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -352,10 +352,10 @@ pub fn run_generated(
     variant: Variant,
 ) -> Result<RunArtifacts, String> {
     let plan = match variant {
-        Variant::Crash => CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + gw.seed % 4),
-        _ => CrashPlan::none(),
+        Variant::Crash => FaultPlan::once(site::AEA_BEFORE_SIGN, 1 + gw.seed % 4),
+        _ => FaultPlan::none(),
     };
-    let rig = Rig::generated(gw, advanced).crashing(&plan);
+    let rig = Rig::generated(gw, advanced).with_faults(&plan);
     let sys = rig.cloud(3);
     let delivery = match variant {
         Variant::Hostile => rig.channel(FaultProfile::hostile(), gw.seed),

@@ -5,7 +5,7 @@
 //! [`WorkflowDefinition`], a [`SecurityPolicy`] and the script that answers
 //! each activity — and owns the rest: the virtual network and the tracer
 //! stamping spans in its time, the metrics registry, the health monitor,
-//! the crash schedule, one traced AEA per participant and, when the
+//! the fault plan, one traced AEA per participant and, when the
 //! definition names one, the TFC on a fixed clock. Deployments
 //! ([`Rig::cloud`], [`Rig::federated`]), channels ([`Rig::channel`]),
 //! initial documents ([`Rig::initial`]) and runs ([`Rig::run`],
@@ -26,9 +26,8 @@ use crate::fuzz::GeneratedWorkflow;
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::tfc::Clock;
 use dra_cloud::{
-    tracer_for, CloudSystem, CrashPlan, Delivery, DeliveryPolicy, FaultProfile,
-    FederationController, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim, Scheduler,
-    Topology,
+    tracer_for, CloudSystem, Delivery, FaultPlan, FaultProfile, FederationController,
+    HealthMonitor, InstanceRun, MonitorConfig, NetworkSim, Scheduler, Topology,
 };
 use dra_obs::{MetricsRegistry, Tracer};
 use std::collections::HashMap;
@@ -163,8 +162,8 @@ pub struct Rig {
     /// Watches every run and federation of the cell unless the rig is
     /// [`Rig::unmonitored`]; per-pid state keeps a cell's instances apart.
     pub monitor: Arc<HealthMonitor>,
-    /// The crash schedule every actor and deployment of the cell consults.
-    pub plan: Arc<CrashPlan>,
+    /// The fault plan every actor and deployment of the cell consults.
+    pub plan: Arc<FaultPlan>,
     /// One AEA per participant.
     pub agents: HashMap<String, Arc<Aea>>,
     /// The TFC, when the definition names one.
@@ -196,7 +195,7 @@ impl Rig {
             network,
             metrics: MetricsRegistry::new(),
             monitor: HealthMonitor::new(MonitorConfig::default()),
-            plan: CrashPlan::none(),
+            plan: FaultPlan::none(),
             agents: HashMap::new(),
             tfc: None,
             respond: Box::new(respond),
@@ -271,7 +270,7 @@ impl Rig {
             .unmonitored()
     }
 
-    /// (Re)build the actors from the cast, the schedule, the tracer and the
+    /// (Re)build the actors from the cast, the fault plan, the tracer and the
     /// clock: one AEA per participant, the TFC if the definition names one.
     fn hire(&mut self) {
         self.agents =
@@ -298,9 +297,8 @@ impl Rig {
             .with_tracer(self.tracer.clone())
     }
 
-    /// Actors and deployments consulting `plan` at every crash injection
-    /// point.
-    pub fn crashing(mut self, plan: &Arc<CrashPlan>) -> Rig {
+    /// Actors and deployments consulting `plan` at every fault site.
+    pub fn with_faults(mut self, plan: &Arc<FaultPlan>) -> Rig {
         self.plan = Arc::clone(plan);
         self.hire();
         self
@@ -345,19 +343,19 @@ impl Rig {
     }
 
     /// A traced `portals`-portal single-cloud deployment on this cell's
-    /// network, under the cell's crash schedule.
+    /// network, under the cell's fault plan.
     pub fn cloud(&self, portals: usize) -> CloudSystem {
         CloudSystem::new(self.dir.clone(), portals, Arc::clone(&self.network))
-            .with_crash_plan(Arc::clone(&self.plan))
+            .with_faults(Arc::clone(&self.plan))
             .with_tracer(self.tracer.clone())
     }
 
     /// A federated deployment on this cell's network, under the cell's
-    /// crash schedule, its controller listening to the cell's monitor.
+    /// fault plan, its controller listening to the cell's monitor.
     pub fn federated(&self, topology: Topology) -> (CloudSystem, Arc<FederationController>) {
         let sys = CloudSystem::federated(self.dir.clone(), topology, Arc::clone(&self.network))
             .expect("valid topology")
-            .with_crash_plan(Arc::clone(&self.plan));
+            .with_faults(Arc::clone(&self.plan));
         let ctrl = Arc::clone(sys.federation_controller().expect("federated"));
         if self.watched {
             ctrl.set_monitor(&self.monitor);
@@ -366,25 +364,15 @@ impl Rig {
     }
 
     /// A traced delivery channel over this cell's network injecting
-    /// `profile` faults under the default retry policy.
+    /// `profile` faults from the stream `seed` starts.
     pub fn channel(&self, profile: FaultProfile, seed: u64) -> Delivery {
-        self.channel_under(profile, DeliveryPolicy::default(), seed)
-    }
-
-    /// [`Rig::channel`] under a retry `policy` of the cell's own.
-    pub fn channel_under(
-        &self,
-        profile: FaultProfile,
-        policy: DeliveryPolicy,
-        seed: u64,
-    ) -> Delivery {
-        Delivery::new(Arc::clone(&self.network), profile, policy, seed)
+        Delivery::new(Arc::clone(&self.network), profile, seed)
             .expect("valid profile")
             .with_tracer(self.tracer.clone())
     }
 
     /// The designer's initial document for process `pid`. Cells keep pids
-    /// independent of fault, crash and outage seeds: stored bytes must vary
+    /// independent of fault seeds and fault plans: stored bytes must vary
     /// with the workflow only, never with the schedule.
     pub fn initial(&self, pid: &str) -> DraDocument {
         DraDocument::new_initial_with_pid(&self.def, &self.policy, &self.creds[0], pid)

@@ -49,7 +49,7 @@ pub struct AuditConfig {
     pub batch: usize,
     /// Virtual-time interval between passes ([`PoolAuditor::due`]).
     pub period_us: u64,
-    /// Worker threads for the scan and the batched signature checks.
+    /// Worker threads for the batched signature checks.
     pub threads: usize,
 }
 
@@ -129,7 +129,7 @@ impl PoolAuditor {
 
         for (cloud_idx, cloud) in sys.clouds.iter().enumerate() {
             let cursor = st.cursors.get(&cloud.name).map(String::as_str);
-            let sample = cloud.sample(cursor, self.config.batch, self.config.threads);
+            let sample = cloud.sample(cursor, self.config.batch);
             let Some(last) = sample.last() else {
                 // the cursor ran off the end of the doc/ range: sweep done
                 if st.cursors.remove(&cloud.name).is_some() {
@@ -254,7 +254,7 @@ impl PoolAuditor {
             _ => return false,
         };
         let below = below.to_string();
-        let found = cloud.sample(Some(&below), 1, 1);
+        let found = cloud.sample(Some(&below), 1);
         found.first().is_some_and(|row| row.key == below && !Self::sound(cloud, row, directory))
     }
 

@@ -3,8 +3,10 @@
 //! queue for reordered copies.
 //!
 //! The delivery layer sits between the scenario runner and the receivers
-//! (portals, the TFC server) and drives every hop *through* the
-//! [`FaultyNetwork`] instead of around it:
+//! (portals, the TFC server) and is the channel itself: every physical copy
+//! it puts on the [`NetworkSim`] is subjected to its [`FaultProfile`], drawn
+//! from one seeded stream per channel (same seed + profile ⇒ the same fault
+//! schedule and the same [`DeliveryStats`]):
 //!
 //! * a **dropped** copy times out and is retransmitted after an
 //!   exponentially growing, jittered backoff — all in virtual time, so
@@ -21,7 +23,7 @@
 //! but never safety: every path into the pool still runs the full
 //! verification pipeline.
 
-use crate::faults::{FaultCounts, FaultProfile, FaultyNetwork};
+use crate::faults::FaultProfile;
 use crate::netsim::NetworkSim;
 use crate::portal::{parse_arrived, CloudSystem, StoreAck};
 use dra4wfms_core::prelude::*;
@@ -31,54 +33,36 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Retry/backoff/queue configuration of a [`Delivery`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeliveryPolicy {
-    /// Maximum send attempts per hop (first try + retries), ≥ 1.
-    pub max_attempts: usize,
-    /// Backoff before the first retry, in virtual microseconds; doubles
-    /// after every failed attempt.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling in virtual microseconds.
-    pub max_backoff_us: u64,
-    /// Jitter fraction: each backoff is stretched by a uniformly random
-    /// factor in `[0, jitter]` to decorrelate retry storms.
-    pub jitter: f64,
-    /// Virtual time charged waiting for an ack that never comes, per
-    /// failed attempt.
-    pub ack_timeout_us: u64,
-    /// Capacity of the redelivery queue holding reordered copies; overflow
-    /// copies are dropped (and counted) rather than buffered unboundedly.
-    pub redelivery_capacity: usize,
-}
+/// Send attempts per hand-off (first try + retries).
+pub const MAX_ATTEMPTS: usize = 8;
+/// Backoff before the first retry, in virtual microseconds; doubles after
+/// every failed attempt, up to [`MAX_BACKOFF_US`].
+const BASE_BACKOFF_US: u64 = 1_000;
+/// Backoff ceiling in virtual microseconds.
+const MAX_BACKOFF_US: u64 = 64_000;
+/// Jitter fraction: each backoff is stretched by a uniformly random factor
+/// in `[0, JITTER]` to decorrelate retry storms.
+const JITTER: f64 = 0.2;
+/// Virtual time charged waiting for an ack that never comes, per failed
+/// attempt.
+const ACK_TIMEOUT_US: u64 = 2_000;
+/// Capacity of the redelivery queue holding reordered copies; overflow
+/// copies are dropped (and counted) rather than buffered unboundedly.
+const REDELIVERY_CAPACITY: usize = 32;
 
-impl Default for DeliveryPolicy {
-    fn default() -> DeliveryPolicy {
-        DeliveryPolicy {
-            max_attempts: 8,
-            base_backoff_us: 1_000,
-            max_backoff_us: 64_000,
-            jitter: 0.2,
-            ack_timeout_us: 2_000,
-            redelivery_capacity: 32,
-        }
-    }
-}
-
-impl DeliveryPolicy {
-    /// Check the policy is usable.
-    pub fn validate(&self) -> WfResult<()> {
-        if self.max_attempts == 0 {
-            return Err(WfError::Config("delivery needs at least one attempt".into()));
-        }
-        if !(0.0..=1.0).contains(&self.jitter) || self.jitter.is_nan() {
-            return Err(WfError::Config(format!(
-                "jitter must be a fraction in [0, 1], got {}",
-                self.jitter
-            )));
-        }
-        Ok(())
-    }
+/// Snapshot of the faults a channel has injected so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultCounts {
+    /// Physical copies that vanished in flight.
+    pub dropped: u64,
+    /// Extra physical copies emitted by duplication.
+    pub duplicated: u64,
+    /// Copies delivered with a corrupted wire byte.
+    pub corrupted: u64,
+    /// Copies deferred into the redelivery queue.
+    pub reordered: u64,
+    /// Total fault-injected delay across all copies, in microseconds.
+    pub delayed_us: u64,
 }
 
 /// Per-run delivery accounting: what the faults cost.
@@ -102,7 +86,7 @@ pub struct DeliveryStats {
     pub late_deliveries: u64,
     /// Reordered copies dropped because the redelivery queue was full.
     pub queue_overflow_dropped: u64,
-    /// Crash faults injected during the run (by a [`crate::CrashPlan`]);
+    /// Crash faults injected during the run (by a [`crate::FaultPlan`]);
     /// the delivery layer counts the portal crashes it repaired, the runner
     /// folds in the AEA and TFC crashes it supervised.
     pub crashes_injected: u64,
@@ -112,7 +96,7 @@ pub struct DeliveryStats {
     /// Journal records replayed by portal recoveries
     /// (runner/[`CloudSystem::recover_portals`]-supplied).
     pub journal_replays: u64,
-    /// Faults injected by the channel underneath.
+    /// Faults the channel injected.
     pub faults: FaultCounts,
     /// Virtual time actually spent, in microseconds (transfers + injected
     /// delays + timeouts + backoff).
@@ -175,25 +159,44 @@ fn arrived(sealed: &SealedDocument, payload: Option<&str>) -> WfResult<SealedDoc
     }
 }
 
+/// One physical copy of a sent message that reaches the receiver.
+struct Arrival {
+    /// Corrupted wire bytes, or `None` when the copy arrived intact (the
+    /// receiver then uses the original bytes without cloning them).
+    payload: Option<String>,
+    /// Fault-injected extra virtual delay for this copy, in microseconds.
+    delay_us: u64,
+    /// True when the copy was reordered: it must not be processed now but
+    /// deferred into the redelivery queue, arriving after later sends.
+    late: bool,
+}
+
 /// What a [`Delivery`] mutates, under one lock (never held across a call
-/// into the network or a receiver).
+/// into a receiver).
 struct State {
+    /// The fault stream: every duplicate, drop, corruption, delay and
+    /// reorder decision, in send order.
+    fault_rng: StdRng,
     /// Jitter randomness, seeded independently of the fault stream so
     /// retry timing never perturbs the fault schedule.
     jitter_rng: StdRng,
     pending: VecDeque<Pending>,
     /// The counters of [`Delivery::stats`], kept in the struct it returns;
-    /// the fields derived from the network stay zero here.
+    /// the fields derived from the network's clock stay zero here.
     stats: DeliveryStats,
     /// Payload bytes of every logical send: with `stats.sends`, what the
     /// same hops would have cost on a lossless channel.
     ideal_bytes: u64,
 }
 
-/// A fault-tolerant delivery channel over a [`FaultyNetwork`].
+/// A fault-injecting, fault-tolerant delivery channel over a [`NetworkSim`].
+///
+/// Every physical copy — delivered, dropped or duplicated — is accounted on
+/// the network (it left the sender and consumed the wire), so virtual time
+/// reflects the *actual* traffic including waste.
 pub struct Delivery {
-    network: FaultyNetwork,
-    policy: DeliveryPolicy,
+    sim: Arc<NetworkSim>,
+    profile: FaultProfile,
     state: Mutex<State>,
     tracer: Tracer,
 }
@@ -202,22 +205,22 @@ impl Delivery {
     /// Build a delivery channel injecting `profile` faults over `sim`,
     /// seeded by `seed` (same seed + profile ⇒ identical fault schedule
     /// and [`DeliveryStats`]).
-    pub fn new(
-        sim: Arc<NetworkSim>,
-        profile: FaultProfile,
-        policy: DeliveryPolicy,
-        seed: u64,
-    ) -> WfResult<Delivery> {
-        policy.validate()?;
-        let network = FaultyNetwork::new(sim, profile, seed)?;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WfError::Config`] when the profile's rates are not
+    /// probabilities in `[0, 1)`.
+    pub fn new(sim: Arc<NetworkSim>, profile: FaultProfile, seed: u64) -> WfResult<Delivery> {
+        profile.validate()?;
         let state = State {
+            fault_rng: StdRng::seed_from_u64(seed),
             // distinct, fixed offset: decouples jitter from fault decisions
             jitter_rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             pending: VecDeque::new(),
             stats: DeliveryStats::default(),
             ideal_bytes: 0,
         };
-        Ok(Delivery { network, policy, state: Mutex::new(state), tracer: Tracer::disabled() })
+        Ok(Delivery { sim, profile, state: Mutex::new(state), tracer: Tracer::disabled() })
     }
 
     /// Record a `deliver` span per logical hand-off into `tracer`.
@@ -226,21 +229,56 @@ impl Delivery {
         self
     }
 
-    /// A perfect channel with the default policy — useful as a drop-in
-    /// where the call site wants delivery accounting without faults.
+    /// A perfect channel — useful as a drop-in where the call site wants
+    /// delivery accounting without faults.
     pub fn lossless(sim: Arc<NetworkSim>) -> Delivery {
-        Delivery::new(sim, FaultProfile::lossless(), DeliveryPolicy::default(), 0)
-            .expect("lossless profile and default policy are always valid")
+        Delivery::new(sim, FaultProfile::lossless(), 0).expect("the lossless profile is valid")
     }
 
-    /// The fault-injecting channel underneath.
-    pub fn network(&self) -> &FaultyNetwork {
-        &self.network
-    }
-
-    /// The retry policy in force.
-    pub fn policy(&self) -> &DeliveryPolicy {
-        &self.policy
+    /// Put one logical message of `wire` bytes on the channel: the physical
+    /// copies that reach the receiver — possibly none (dropped), possibly two
+    /// (duplicated), each possibly corrupted, delayed or deferred. Every
+    /// copy, delivered or not, is charged to the network.
+    fn send(&self, wire: &str) -> Vec<Arrival> {
+        let profile = &self.profile;
+        let mut state = self.state();
+        let State { fault_rng: rng, stats, .. } = &mut *state;
+        let counts = &mut stats.faults;
+        let copies = if rng.gen::<f64>() < profile.duplicate {
+            counts.duplicated += 1;
+            2
+        } else {
+            1
+        };
+        let mut arrivals = Vec::with_capacity(copies);
+        for _ in 0..copies {
+            // the copy left the sender: it consumes wire and latency even
+            // when it never arrives
+            self.sim.transfer(wire.len());
+            if rng.gen::<f64>() < profile.drop {
+                counts.dropped += 1;
+                continue;
+            }
+            let payload = if rng.gen::<f64>() < profile.corrupt {
+                counts.corrupted += 1;
+                Some(corrupt_one_byte(wire, rng))
+            } else {
+                None
+            };
+            let delay_us = if profile.delay_max_us > 0 {
+                let d = rng.gen_range(0..=profile.delay_max_us);
+                counts.delayed_us += d;
+                d
+            } else {
+                0
+            };
+            let late = rng.gen::<f64>() < profile.reorder;
+            if late {
+                counts.reordered += 1;
+            }
+            arrivals.push(Arrival { payload, delay_us, late });
+        }
+        arrivals
     }
 
     /// The hand-off skeleton both paths share: the `deliver` span, the
@@ -269,8 +307,8 @@ impl Delivery {
             state.stats.sends += 1;
             state.ideal_bytes += wire.len() as u64;
         }
-        let mut backoff = self.policy.base_backoff_us;
-        for n in 1..=self.policy.max_attempts {
+        let mut backoff = BASE_BACKOFF_US;
+        for n in 1..=MAX_ATTEMPTS {
             self.count(|stats| {
                 stats.attempts += 1;
                 stats.retries += u64::from(n > 1);
@@ -287,11 +325,10 @@ impl Delivery {
             }
             self.wait_before_retry(&mut backoff);
         }
-        span.attr("attempts", self.policy.max_attempts);
+        span.attr("attempts", MAX_ATTEMPTS);
         span.end_with("undeliverable");
         Err(WfError::Delivery(format!(
-            "{what} undeliverable after {} attempts ({} bytes)",
-            self.policy.max_attempts,
+            "{what} undeliverable after {MAX_ATTEMPTS} attempts ({} bytes)",
             wire.len()
         )))
     }
@@ -310,13 +347,13 @@ impl Delivery {
         self.flush(system);
         let attempt = |wire: &Arc<String>| {
             let mut ack: Option<StoreAck> = None;
-            for arrival in self.network.send(wire) {
+            for arrival in self.send(wire) {
                 let copy = arrived(sealed, arrival.payload.as_deref());
                 if arrival.late {
                     self.enqueue_pending(Pending { copy, portal, route: route.clone() });
                     continue;
                 }
-                self.network.sim().advance(arrival.delay_us);
+                self.sim.advance(arrival.delay_us);
                 let corrupted = arrival.payload.is_some();
                 if let Some(a) = self.to_portal(system, portal, copy, route, corrupted)? {
                     ack.get_or_insert(a);
@@ -342,10 +379,10 @@ impl Delivery {
             let mut acked: Option<T> = None;
             // a point-to-point link has no shared redelivery queue: process
             // reordered copies after the on-time ones within this attempt
-            let mut arrivals = self.network.send(wire);
+            let mut arrivals = self.send(wire);
             arrivals.sort_by_key(|a| a.late);
             for arrival in arrivals {
-                self.network.sim().advance(arrival.delay_us);
+                self.sim.advance(arrival.delay_us);
                 if acked.is_some() {
                     self.count(|stats| stats.duplicates_suppressed += 1);
                     continue;
@@ -364,15 +401,13 @@ impl Delivery {
     }
 
     /// Snapshot the accumulated statistics: the counters kept here plus
-    /// what the network underneath knows (the runner folds in the leases
-    /// and replays it supervised).
+    /// the network's clock (the runner folds in the leases and replays it
+    /// supervised).
     pub fn stats(&self) -> DeliveryStats {
-        let sim = self.network.sim();
         let state = self.state();
         DeliveryStats {
-            faults: self.network.counts(),
-            virtual_time_us: sim.virtual_time_us(),
-            ideal_time_us: sim.ideal_time_us(state.stats.sends, state.ideal_bytes),
+            virtual_time_us: self.sim.virtual_time_us(),
+            ideal_time_us: self.sim.ideal_time_us(state.stats.sends, state.ideal_bytes),
             ..state.stats
         }
     }
@@ -387,14 +422,14 @@ impl Delivery {
 
     fn wait_before_retry(&self, backoff: &mut u64) {
         let draw = self.state().jitter_rng.gen::<f64>();
-        let jitter = (*backoff as f64 * self.policy.jitter * draw) as u64;
-        self.network.sim().advance(self.policy.ack_timeout_us + *backoff + jitter);
-        *backoff = (*backoff * 2).min(self.policy.max_backoff_us);
+        let jitter = (*backoff as f64 * JITTER * draw) as u64;
+        self.sim.advance(ACK_TIMEOUT_US + *backoff + jitter);
+        *backoff = (*backoff * 2).min(MAX_BACKOFF_US);
     }
 
     fn enqueue_pending(&self, pending: Pending) {
         let mut state = self.state();
-        if state.pending.len() >= self.policy.redelivery_capacity {
+        if state.pending.len() >= REDELIVERY_CAPACITY {
             state.stats.queue_overflow_dropped += 1;
             return;
         }
@@ -466,28 +501,117 @@ impl Delivery {
     }
 }
 
+/// Replace one byte of `wire` with a different printable ASCII byte at a
+/// position chosen to hold a single-byte UTF-8 character, keeping the copy
+/// a valid (if tampered) `String`. One byte is the minimal corruption — if
+/// the verification pipeline catches that, it catches anything larger.
+fn corrupt_one_byte(wire: &str, rng: &mut StdRng) -> String {
+    let mut bytes = wire.as_bytes().to_vec();
+    if bytes.is_empty() {
+        return String::new();
+    }
+    let start = rng.gen_range(0..bytes.len());
+    // scan forward (wrapping) to the nearest ASCII byte so the mutation
+    // cannot split a multi-byte character
+    let idx = (0..bytes.len())
+        .map(|off| (start + off) % bytes.len())
+        .find(|&i| bytes[i].is_ascii())
+        .unwrap_or(start);
+    let replacement = loop {
+        let candidate = b'!' + (rng.gen_range(0..94u8)); // printable ASCII 0x21..=0x7e
+        if candidate != bytes[idx] {
+            break candidate;
+        }
+    };
+    bytes[idx] = replacement;
+    String::from_utf8(bytes).expect("ASCII-for-ASCII substitution preserves UTF-8")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn default_policy_is_valid() {
-        DeliveryPolicy::default().validate().unwrap();
+    fn channel(profile: FaultProfile, seed: u64) -> Delivery {
+        Delivery::new(Arc::new(NetworkSim::lan()), profile, seed).unwrap()
     }
 
     #[test]
-    fn bad_policies_rejected() {
+    fn lossless_profile_delivers_everything_intact() {
+        let n = channel(FaultProfile::lossless(), 1);
+        for _ in 0..100 {
+            let arrivals = n.send("<doc>payload</doc>");
+            assert_eq!(arrivals.len(), 1);
+            assert!(arrivals[0].payload.is_none());
+            assert_eq!(arrivals[0].delay_us, 0);
+            assert!(!arrivals[0].late);
+        }
+        assert_eq!(n.stats().faults, FaultCounts::default());
+        assert_eq!(n.sim.messages(), 100);
+    }
+
+    #[test]
+    fn same_seed_replays_the_same_fault_schedule() {
+        let a = channel(FaultProfile::hostile(), 42);
+        let b = channel(FaultProfile::hostile(), 42);
+        for _ in 0..200 {
+            let xa = a.send("0123456789abcdef");
+            let xb = b.send("0123456789abcdef");
+            assert_eq!(xa.len(), xb.len());
+            for (pa, pb) in xa.iter().zip(&xb) {
+                assert_eq!(pa.payload, pb.payload);
+                assert_eq!(pa.delay_us, pb.delay_us);
+                assert_eq!(pa.late, pb.late);
+            }
+        }
+        assert_eq!(a.stats().faults, b.stats().faults);
+    }
+
+    #[test]
+    fn fault_rates_manifest_roughly_as_configured() {
+        let n = channel(FaultProfile { drop: 0.3, ..FaultProfile::lossless() }, 7);
+        let mut delivered = 0;
+        for _ in 0..1000 {
+            delivered += n.send("x".repeat(64).as_str()).len();
+        }
+        let dropped = n.stats().faults.dropped;
+        assert_eq!(delivered as u64 + dropped, 1000);
+        assert!((200..400).contains(&dropped), "≈30% of 1000, got {dropped}");
+    }
+
+    #[test]
+    fn corruption_changes_exactly_one_byte() {
+        let n =
+            channel(FaultProfile { corrupt: 1.0 - f64::EPSILON, ..FaultProfile::lossless() }, 3);
+        let wire = "<Element attr=\"value\">text content</Element>";
+        for _ in 0..50 {
+            let arrivals = n.send(wire);
+            let corrupted = arrivals[0].payload.as_ref().expect("always corrupted");
+            assert_eq!(corrupted.len(), wire.len());
+            let diffs = corrupted.bytes().zip(wire.bytes()).filter(|(a, b)| a != b).count();
+            assert_eq!(diffs, 1, "exactly one byte flipped");
+        }
+    }
+
+    #[test]
+    fn invalid_rates_rejected() {
         let sim = Arc::new(NetworkSim::lan());
-        let zero_attempts = DeliveryPolicy { max_attempts: 0, ..DeliveryPolicy::default() };
-        assert!(matches!(
-            Delivery::new(Arc::clone(&sim), FaultProfile::lossless(), zero_attempts, 0),
-            Err(WfError::Config(_))
-        ));
-        let bad_jitter = DeliveryPolicy { jitter: 1.5, ..DeliveryPolicy::default() };
-        assert!(matches!(
-            Delivery::new(sim, FaultProfile::lossless(), bad_jitter, 0),
-            Err(WfError::Config(_))
-        ));
+        for bad in [
+            FaultProfile { drop: 1.0, ..FaultProfile::lossless() },
+            FaultProfile { duplicate: -0.1, ..FaultProfile::lossless() },
+            FaultProfile { corrupt: f64::NAN, ..FaultProfile::lossless() },
+        ] {
+            assert!(matches!(Delivery::new(Arc::clone(&sim), bad, 0), Err(WfError::Config(_))));
+        }
+    }
+
+    #[test]
+    fn dropped_copies_still_consume_the_wire() {
+        let n = channel(FaultProfile { drop: 0.5, ..FaultProfile::lossless() }, 11);
+        for _ in 0..100 {
+            n.send("0123456789");
+        }
+        assert_eq!(n.sim.messages(), 100, "every copy is charged, delivered or not");
+        assert_eq!(n.sim.bytes(), 1000);
     }
 
     #[test]
@@ -514,8 +638,7 @@ mod tests {
         let sealed = SealedDocument::with_trust(doc, mark);
 
         let profile = FaultProfile { corrupt: 0.5, ..FaultProfile::lossless() };
-        let policy = DeliveryPolicy { max_attempts: 32, ..DeliveryPolicy::default() };
-        let delivery = Delivery::new(Arc::new(NetworkSim::lan()), profile, policy, 5).unwrap();
+        let delivery = channel(profile, 5);
         let (mut intact, mut garbled) = (0u64, 0u64);
         for _ in 0..32 {
             let receive = |copy: SealedDocument| {

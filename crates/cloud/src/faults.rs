@@ -1,32 +1,33 @@
-//! Seeded, deterministic fault injection for the simulated network.
+//! What goes wrong, and where: the channel's fault rates and the one
+//! script of site faults.
 //!
 //! The paper's engine-less claim rests on documents surviving hostile,
-//! unreliable networks between enterprises — yet a plain [`NetworkSim`]
-//! only *counts* traffic and assumes every hand-off arrives intact.
-//! [`FaultyNetwork`] closes that gap: every logical send is subjected to a
-//! configurable [`FaultProfile`] that can **drop**, **duplicate**,
-//! **delay**, **reorder** and **bit-corrupt** the in-flight wire bytes.
+//! unreliable multi-cloud deployments. Two things decide what goes wrong:
 //!
-//! Two properties make the injector a usable testbed rather than a chaos
-//! monkey:
+//! * a [`FaultProfile`] — per-copy rates at which a
+//!   [`Delivery`](crate::delivery::Delivery) channel **drops**,
+//!   **duplicates**, **delays**, **reorders** and **bit-corrupts** the wire
+//!   bytes it carries, drawn from the channel's own seeded stream;
+//! * a [`FaultPlan`] — a script of `(site, trigger)` entries over the named
+//!   sites of [`dra4wfms_core::faultpoint::site`]: an AEA, the TFC or a
+//!   portal dies on the nth visit of a site, a portal corrupts its nth serve,
+//!   a cloud is unreachable from a virtual instant on. Actors consult it
+//!   through a [`CrashHook`], a deployment through
+//!   [`CloudSystem::with_faults`](crate::CloudSystem::with_faults).
 //!
-//! * **Determinism** — all fault decisions come from one seeded xoshiro
-//!   stream, so the same seed + profile replays the exact same fault
-//!   schedule (and therefore the same [`DeliveryStats`]).
-//! * **Faults cost time, never safety** — a dropped or reordered copy is
-//!   retried by the delivery layer, a duplicated copy is suppressed by the
-//!   portal's wire-digest idempotency, and a corrupted copy fails the
-//!   portal's full-verification fallback before it can reach the pool.
-//!
-//! [`DeliveryStats`]: crate::delivery::DeliveryStats
+//! Both are deterministic: the same seed and profile replay the same channel
+//! faults, the same plan strikes the same visits, so a recovery run is
+//! exactly reproducible — the property `claim faults`, `claim crash` and
+//! `claim federation` sweep. A fault costs time, never safety.
 
-use crate::netsim::NetworkSim;
 use dra4wfms_core::error::{WfError, WfResult};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use dra4wfms_core::faultpoint::CrashHook;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Per-copy fault probabilities and magnitudes for a [`FaultyNetwork`].
+/// Per-copy fault probabilities and magnitudes for a
+/// [`Delivery`](crate::delivery::Delivery) channel.
 ///
 /// All rates are probabilities in `[0, 1)` applied independently per
 /// physical copy (`drop`, `corrupt`, `reorder`) or per logical send
@@ -94,234 +95,163 @@ impl FaultProfile {
     }
 }
 
-/// One physical copy of a sent message that reaches the receiver.
-#[derive(Clone, Debug)]
-pub struct Arrival {
-    /// Corrupted wire bytes, or `None` when the copy arrived intact (the
-    /// receiver then uses the original bytes without cloning them).
-    pub payload: Option<String>,
-    /// Fault-injected extra virtual delay for this copy, in microseconds.
-    pub delay_us: u64,
-    /// True when the copy was reordered: it must not be processed now but
-    /// deferred into the redelivery queue, arriving after later sends.
-    pub late: bool,
+/// When a [`FaultPlan`] entry strikes its site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Trigger {
+    /// On the nth visit of the site (1-based), and on no other: a crash or a
+    /// tampered serve. The recovered component revisits the site during
+    /// takeover and gets through, like a machine that stays up after its
+    /// reboot.
+    Visit(u64),
+    /// On every visit from this virtual instant (µs) on: an outage, the
+    /// disaster-recovery case. A site visited without a clock (an actor's
+    /// [`CrashHook`]) is visited at instant 0.
+    From(u64),
 }
 
-/// Snapshot of the faults a [`FaultyNetwork`] has injected so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Physical copies that vanished in flight.
-    pub dropped: u64,
-    /// Extra physical copies emitted by duplication.
-    pub duplicated: u64,
-    /// Copies delivered with a corrupted wire byte.
-    pub corrupted: u64,
-    /// Copies deferred into the redelivery queue.
-    pub reordered: u64,
-    /// Total fault-injected delay across all copies, in microseconds.
-    pub delayed_us: u64,
-}
-
-/// A [`NetworkSim`] wrapped in a seeded, deterministic fault injector.
-///
-/// Every physical copy — delivered, dropped or duplicated — is accounted on
-/// the underlying [`NetworkSim`] (it left the sender and consumed the
-/// wire), so virtual time reflects the *actual* traffic including waste.
-pub struct FaultyNetwork {
-    sim: Arc<NetworkSim>,
-    profile: FaultProfile,
-    /// The fault stream and what it has injected so far, under one lock: a
-    /// send draws and counts in one step.
-    injector: Mutex<(StdRng, FaultCounts)>,
-}
-
-impl FaultyNetwork {
-    /// Wrap `sim` with fault injection per `profile`, seeded by `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WfError::Config`] when the profile's rates are not
-    /// probabilities in `[0, 1)`.
-    pub fn new(sim: Arc<NetworkSim>, profile: FaultProfile, seed: u64) -> WfResult<FaultyNetwork> {
-        profile.validate()?;
-        let injector = Mutex::new((StdRng::seed_from_u64(seed), FaultCounts::default()));
-        Ok(FaultyNetwork { sim, profile, injector })
-    }
-
-    /// The underlying accounting network.
-    pub fn sim(&self) -> &Arc<NetworkSim> {
-        &self.sim
-    }
-
-    /// The active fault profile.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
-    /// Send one logical message of `wire` bytes through the faulty channel.
-    ///
-    /// Returns the physical copies that reach the receiver — possibly none
-    /// (dropped), possibly two (duplicated), each possibly corrupted,
-    /// delayed or deferred. Every physical copy, delivered or not, is
-    /// charged to the underlying [`NetworkSim`].
-    pub fn send(&self, wire: &str) -> Vec<Arrival> {
-        let mut injector = self.injector.lock().unwrap_or_else(|e| e.into_inner());
-        let (rng, counts) = &mut *injector;
-        let copies = if rng.gen::<f64>() < self.profile.duplicate {
-            counts.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        let mut arrivals = Vec::with_capacity(copies);
-        for _ in 0..copies {
-            // the copy left the sender: it consumes wire and latency even
-            // when it never arrives
-            self.sim.transfer(wire.len());
-            if rng.gen::<f64>() < self.profile.drop {
-                counts.dropped += 1;
-                continue;
-            }
-            let payload = if rng.gen::<f64>() < self.profile.corrupt {
-                counts.corrupted += 1;
-                Some(corrupt_one_byte(wire, rng))
-            } else {
-                None
-            };
-            let delay_us = if self.profile.delay_max_us > 0 {
-                let d = rng.gen_range(0..=self.profile.delay_max_us);
-                counts.delayed_us += d;
-                d
-            } else {
-                0
-            };
-            let late = rng.gen::<f64>() < self.profile.reorder;
-            if late {
-                counts.reordered += 1;
-            }
-            arrivals.push(Arrival { payload, delay_us, late });
+/// The trigger as error text puts it: `visit 3`, `outage since 700us`.
+impl fmt::Display for Trigger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Trigger::Visit(nth) => write!(f, "visit {nth}"),
+            Trigger::From(from_us) => write!(f, "outage since {from_us}us"),
         }
-        arrivals
-    }
-
-    /// Faults injected so far.
-    pub fn counts(&self) -> FaultCounts {
-        self.injector.lock().unwrap_or_else(|e| e.into_inner()).1
     }
 }
 
-/// Replace one byte of `wire` with a different printable ASCII byte at a
-/// position chosen to hold a single-byte UTF-8 character, keeping the copy
-/// a valid (if tampered) `String`. One byte is the minimal corruption — if
-/// the verification pipeline catches that, it catches anything larger.
-fn corrupt_one_byte(wire: &str, rng: &mut StdRng) -> String {
-    let mut bytes = wire.as_bytes().to_vec();
-    if bytes.is_empty() {
-        return String::new();
+struct Entry {
+    site: String,
+    trigger: Trigger,
+    visits: AtomicU64,
+}
+
+/// A deterministic script of site faults: `(site, trigger)` entries, asked
+/// by site name. One plan serves a whole cell — its actors through
+/// [`FaultPlan::hook`], its deployment through
+/// [`CloudSystem::with_faults`](crate::CloudSystem::with_faults) — so a
+/// crash and a tamper can share a run. A site the plan does not name passes.
+pub struct FaultPlan {
+    entries: Vec<Entry>,
+    fired: AtomicU64,
+}
+
+impl FaultPlan {
+    /// A plan of `entries`; visits are counted per entry.
+    pub fn of(entries: impl IntoIterator<Item = (String, Trigger)>) -> Arc<FaultPlan> {
+        let entries = entries
+            .into_iter()
+            .map(|(site, trigger)| Entry { site, trigger, visits: AtomicU64::new(0) })
+            .collect();
+        Arc::new(FaultPlan { entries, fired: AtomicU64::new(0) })
     }
-    let start = rng.gen_range(0..bytes.len());
-    // scan forward (wrapping) to the nearest ASCII byte so the mutation
-    // cannot split a multi-byte character
-    let idx = (0..bytes.len())
-        .map(|off| (start + off) % bytes.len())
-        .find(|&i| bytes[i].is_ascii())
-        .unwrap_or(start);
-    let replacement = loop {
-        let candidate = b'!' + (rng.gen_range(0..94u8)); // printable ASCII 0x21..=0x7e
-        if candidate != bytes[idx] {
-            break candidate;
+
+    /// A plan that never strikes.
+    pub fn none() -> Arc<FaultPlan> {
+        Self::of([])
+    }
+
+    /// Strike `site` on its `nth` visit (1-based), once.
+    pub fn once(site: &str, nth: u64) -> Arc<FaultPlan> {
+        Self::of([(site.to_string(), Trigger::Visit(nth))])
+    }
+
+    /// Visit `site` at virtual instant `now_us`: the trigger of the entry
+    /// that strikes this visit, if one does.
+    pub fn visit(&self, site: &str, now_us: u64) -> Option<Trigger> {
+        let mut struck = None;
+        for entry in self.entries.iter().filter(|e| e.site == site) {
+            let strikes = match entry.trigger {
+                Trigger::Visit(nth) => {
+                    let strikes = entry.visits.fetch_add(1, Ordering::Relaxed) + 1 == nth;
+                    self.fired.fetch_add(u64::from(strikes), Ordering::Relaxed);
+                    strikes
+                }
+                Trigger::From(from_us) => now_us >= from_us,
+            };
+            if strikes {
+                struck.get_or_insert(entry.trigger);
+            }
         }
-    };
-    bytes[idx] = replacement;
-    String::from_utf8(bytes).expect("ASCII-for-ASCII substitution preserves UTF-8")
+        struck
+    }
+
+    /// How many [`Trigger::Visit`] entries have struck so far.
+    pub fn fired(&self) -> u64 {
+        self.fired.load(Ordering::Relaxed)
+    }
+
+    /// Visit a crash site: [`WfError::Crash`] naming the site and the
+    /// trigger (`"aea:before-sign (visit 3)"`) when this visit strikes.
+    pub fn check(&self, site: &str) -> WfResult<()> {
+        match self.visit(site, 0) {
+            Some(trigger) => Err(WfError::Crash(format!("{site} ({trigger})"))),
+            None => Ok(()),
+        }
+    }
+
+    /// The plan as the [`CrashHook`] seam core components take.
+    pub fn hook(self: &Arc<Self>) -> CrashHook {
+        let plan = Arc::clone(self);
+        Arc::new(move |site| plan.check(site))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn net(profile: FaultProfile, seed: u64) -> FaultyNetwork {
-        FaultyNetwork::new(Arc::new(NetworkSim::lan()), profile, seed).unwrap()
-    }
+    use dra4wfms_core::faultpoint::site;
 
     #[test]
-    fn lossless_profile_delivers_everything_intact() {
-        let n = net(FaultProfile::lossless(), 1);
-        for _ in 0..100 {
-            let arrivals = n.send("<doc>payload</doc>");
-            assert_eq!(arrivals.len(), 1);
-            assert!(arrivals[0].payload.is_none());
-            assert_eq!(arrivals[0].delay_us, 0);
-            assert!(!arrivals[0].late);
+    fn a_visit_entry_fires_once_at_its_nth_visit_of_its_own_site() {
+        let plan = FaultPlan::once(site::AEA_BEFORE_SIGN, 3);
+        for _ in 0..5 {
+            assert_eq!(plan.visit(site::AEA_AFTER_VERIFY, 0), None, "another site");
         }
-        assert_eq!(n.counts(), FaultCounts::default());
-        assert_eq!(n.sim().messages(), 100);
+        assert_eq!(plan.visit(site::AEA_BEFORE_SIGN, 0), None);
+        assert_eq!(plan.visit(site::AEA_BEFORE_SIGN, 0), None);
+        assert_eq!(plan.visit(site::AEA_BEFORE_SIGN, 0), Some(Trigger::Visit(3)));
+        assert_eq!(plan.fired(), 1);
+        // spent: the recovered component revisits the site and survives
+        for _ in 0..5 {
+            assert_eq!(plan.visit(site::AEA_BEFORE_SIGN, 0), None);
+        }
+        assert_eq!(plan.fired(), 1);
     }
 
     #[test]
-    fn same_seed_replays_the_same_fault_schedule() {
-        let a = net(FaultProfile::hostile(), 42);
-        let b = net(FaultProfile::hostile(), 42);
-        for _ in 0..200 {
-            let xa = a.send("0123456789abcdef");
-            let xb = b.send("0123456789abcdef");
-            assert_eq!(xa.len(), xb.len());
-            for (pa, pb) in xa.iter().zip(&xb) {
-                assert_eq!(pa.payload, pb.payload);
-                assert_eq!(pa.delay_us, pb.delay_us);
-                assert_eq!(pa.late, pb.late);
+    fn a_from_entry_fires_at_and_after_its_instant_not_before() {
+        let east = site::cloud("east");
+        let plan = FaultPlan::of([(east.clone(), Trigger::From(1_000))]);
+        assert_eq!(plan.visit(&east, 999), None);
+        assert_eq!(plan.visit(&east, 1_000), Some(Trigger::From(1_000)));
+        assert_eq!(plan.visit(&east, 5_000), Some(Trigger::From(1_000)), "every visit on");
+        assert_eq!(plan.visit(&site::cloud("west"), 5_000), None);
+        assert_eq!(plan.fired(), 0, "an outage is not a one-shot fault");
+    }
+
+    #[test]
+    fn a_site_the_plan_does_not_name_passes() {
+        let plan = FaultPlan::of([
+            (site::serve(1), Trigger::Visit(1)),
+            (site::cloud("east"), Trigger::From(0)),
+        ]);
+        let hook = plan.hook();
+        assert!(hook("unknown:site").is_ok());
+        assert_eq!(plan.visit(&site::serve(2), 0), None, "another portal's serve");
+        assert!(FaultPlan::none().check(site::PORTAL_BETWEEN_SEEN_AND_STORE).is_ok());
+        assert_eq!(plan.fired(), 0);
+    }
+
+    #[test]
+    fn crash_and_outage_text_is_unchanged() {
+        let plan = FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 1);
+        let hook = plan.hook();
+        match hook(site::PORTAL_BETWEEN_SEEN_AND_STORE) {
+            Err(WfError::Crash(text)) => {
+                assert_eq!(text, "portal:between-seen-and-store (visit 1)")
             }
+            other => panic!("expected a crash, got {other:?}"),
         }
-        assert_eq!(a.counts(), b.counts());
-    }
-
-    #[test]
-    fn fault_rates_manifest_roughly_as_configured() {
-        let n = net(FaultProfile { drop: 0.3, ..FaultProfile::lossless() }, 7);
-        let mut delivered = 0;
-        for _ in 0..1000 {
-            delivered += n.send("x".repeat(64).as_str()).len();
-        }
-        let dropped = n.counts().dropped;
-        assert_eq!(delivered as u64 + dropped, 1000);
-        assert!((200..400).contains(&dropped), "≈30% of 1000, got {dropped}");
-    }
-
-    #[test]
-    fn corruption_changes_exactly_one_byte() {
-        let n = net(FaultProfile { corrupt: 1.0 - f64::EPSILON, ..FaultProfile::lossless() }, 3);
-        let wire = "<Element attr=\"value\">text content</Element>";
-        for _ in 0..50 {
-            let arrivals = n.send(wire);
-            let corrupted = arrivals[0].payload.as_ref().expect("always corrupted");
-            assert_eq!(corrupted.len(), wire.len());
-            let diffs = corrupted.bytes().zip(wire.bytes()).filter(|(a, b)| a != b).count();
-            assert_eq!(diffs, 1, "exactly one byte flipped");
-        }
-    }
-
-    #[test]
-    fn invalid_rates_rejected() {
-        let sim = Arc::new(NetworkSim::lan());
-        for bad in [
-            FaultProfile { drop: 1.0, ..FaultProfile::lossless() },
-            FaultProfile { duplicate: -0.1, ..FaultProfile::lossless() },
-            FaultProfile { corrupt: f64::NAN, ..FaultProfile::lossless() },
-        ] {
-            assert!(matches!(
-                FaultyNetwork::new(Arc::clone(&sim), bad, 0),
-                Err(WfError::Config(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn dropped_copies_still_consume_the_wire() {
-        let n = net(FaultProfile { drop: 0.5, ..FaultProfile::lossless() }, 11);
-        for _ in 0..100 {
-            n.send("0123456789");
-        }
-        assert_eq!(n.sim().messages(), 100, "every copy is charged, delivered or not");
-        assert_eq!(n.sim().bytes(), 1000);
+        assert_eq!(Trigger::From(700).to_string(), "outage since 700us");
     }
 }

@@ -27,17 +27,22 @@
 //! safety — every instance completes and the surviving pool's document
 //! rows are byte-identical to a healthy single-cloud run.
 //!
-//! Faults are seeded and deterministic, like every other injector in this
-//! repo: an [`OutagePlan`] kills a named cloud from a virtual instant
-//! onward, a [`TamperPlan`] corrupts the nth serve of a chosen portal.
+//! Faults come from the deployment's one [`FaultPlan`], like every other
+//! injected fault in this repo: a [`Trigger::From`] entry at
+//! [`site::cloud`] makes a named cloud unreachable from a virtual instant
+//! on, a [`Trigger::Visit`] entry at [`site::serve`] corrupts the nth serve
+//! of a portal.
 //!
+//! [`Trigger::From`]: crate::faults::Trigger::From
+//! [`Trigger::Visit`]: crate::faults::Trigger::Visit
 //! [`HealthMonitor`]: crate::monitor::HealthMonitor
 //! [`AlertKind::PortalTampered`]: crate::monitor::AlertKind::PortalTampered
 
-use crate::crash::splitmix64;
+use crate::faults::FaultPlan;
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
 use crate::schema::{Delta, RowKey, XML};
 use dra4wfms_core::error::{WfError, WfResult};
+use dra4wfms_core::faultpoint::site;
 use dra_docpool::HTable;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -46,7 +51,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// One named cloud in a federated deployment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CloudSpec {
-    /// Stable cloud name (used in alerts, metrics and outage plans).
+    /// Stable cloud name (used in alerts, metrics and [`site::cloud`]).
     pub name: String,
     /// How many portal servers front this cloud.
     pub portals: usize,
@@ -120,63 +125,6 @@ impl Topology {
     }
 }
 
-/// Seeded cloud-outage schedule: the cloud is unreachable from `from_us`
-/// (virtual time) onward — a permanent loss, the disaster-recovery case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OutagePlan {
-    /// Index of the cloud that goes dark.
-    pub cloud: usize,
-    /// First virtual instant (µs) at which it is unreachable.
-    pub from_us: u64,
-}
-
-impl OutagePlan {
-    /// Kill cloud `cloud` from `from_us` onward.
-    #[must_use]
-    pub fn at(cloud: usize, from_us: u64) -> OutagePlan {
-        OutagePlan { cloud, from_us }
-    }
-
-    /// Seeded schedule: the outage instant is drawn from `seed` in
-    /// `[1, max_us]`. Same seed + cloud + bound ⇒ same schedule.
-    #[must_use]
-    pub fn seeded(cloud: usize, seed: u64, max_us: u64) -> OutagePlan {
-        OutagePlan { cloud, from_us: 1 + splitmix64(seed) % max_us.max(1) }
-    }
-
-    /// Is the cloud unreachable at `now_us` under this plan?
-    #[must_use]
-    pub fn fires(&self, cloud: usize, now_us: u64) -> bool {
-        self.cloud == cloud && now_us >= self.from_us
-    }
-}
-
-/// Seeded tampered-portal schedule: the `nth_serve`-th document served by
-/// `portal` (1-based, counted per portal) has one byte corrupted in
-/// flight — the compromised-portal case the integrity probe must catch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TamperPlan {
-    /// The compromised portal's global index.
-    pub portal: usize,
-    /// Which of its serves is corrupted (1-based).
-    pub nth_serve: u64,
-}
-
-impl TamperPlan {
-    /// Corrupt the `nth_serve`-th serve of `portal`, once.
-    #[must_use]
-    pub fn once(portal: usize, nth_serve: u64) -> TamperPlan {
-        TamperPlan { portal, nth_serve: nth_serve.max(1) }
-    }
-
-    /// Seeded schedule: the serve to corrupt is drawn from `seed` in
-    /// `[1, max_nth]`.
-    #[must_use]
-    pub fn seeded(portal: usize, seed: u64, max_nth: u64) -> TamperPlan {
-        TamperPlan { portal, nth_serve: 1 + splitmix64(seed) % max_nth.max(1) }
-    }
-}
-
 /// How many unreachable touches confirm a cloud outage. Below the
 /// threshold an admission into the dead cloud surfaces as a retriable
 /// crash (the delivery layer and hop supervisor both absorb those); at the
@@ -201,7 +149,7 @@ pub struct FederationStats {
     pub outages: u64,
     /// Admissions re-routed away from their hashed portal.
     pub reroutes: u64,
-    /// Serves on which the tamper injector corrupted the bytes.
+    /// Serves whose bytes the fault plan corrupted.
     pub tampered_serves: u64,
     /// The currently active cloud index.
     pub active_cloud: usize,
@@ -216,9 +164,6 @@ struct FedState {
     alert_cursor: usize,
     admissions: Vec<u64>,
     admissions_at_quarantine: Vec<Option<u64>>,
-    serves: Vec<u64>,
-    outage: Option<OutagePlan>,
-    tamper: Option<TamperPlan>,
     stats: FederationStats,
 }
 
@@ -226,9 +171,9 @@ struct FedState {
 /// the health monitor's alert stream, and resolves every admission and
 /// serve to an eligible portal.
 ///
-/// All decisions are pure functions of (virtual time, seeded fault plans,
-/// the deterministic alert stream), so a federated run is as replayable as
-/// a single-cloud one.
+/// All decisions are pure functions of (virtual time, the deployment's
+/// [`FaultPlan`], the deterministic alert stream), so a federated run is as
+/// replayable as a single-cloud one.
 pub struct FederationController {
     topology: Topology,
     monitor: Mutex<Option<Arc<HealthMonitor>>>,
@@ -253,9 +198,6 @@ impl FederationController {
                 alert_cursor: 0,
                 admissions: vec![0; portals],
                 admissions_at_quarantine: vec![None; portals],
-                serves: vec![0; portals],
-                outage: None,
-                tamper: None,
                 stats: FederationStats::default(),
             }),
         }
@@ -272,16 +214,6 @@ impl FederationController {
     /// on a federated system.
     pub fn set_monitor(&self, monitor: &Arc<HealthMonitor>) {
         *self.monitor.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(monitor));
-    }
-
-    /// Arm a seeded cloud-outage schedule.
-    pub fn set_outage(&self, plan: OutagePlan) {
-        self.lock().outage = Some(plan);
-    }
-
-    /// Arm a seeded tampered-portal schedule.
-    pub fn set_tamper(&self, plan: TamperPlan) {
-        self.lock().tamper = Some(plan);
     }
 
     /// The cloud currently taking admissions and serving reads.
@@ -368,17 +300,23 @@ impl FederationController {
     }
 
     /// Resolve an admission requested at portal `requested`: pump alerts,
-    /// run the outage dance for the target cloud, then re-route past
-    /// quarantined portals and down clouds. Returns the portal that will
-    /// actually execute the admission.
+    /// run the outage dance for the target cloud — whose reachability
+    /// `faults` decides at [`site::cloud`] — then re-route past quarantined
+    /// portals and down clouds. Returns the portal that will actually
+    /// execute the admission.
     ///
     /// # Errors
     ///
-    /// * [`WfError::Crash`] while an armed outage is still unconfirmed —
+    /// * [`WfError::Crash`] while a scripted outage is still unconfirmed —
     ///   retriable; the delivery layer and the hop supervisor both absorb
     ///   it, and the retry confirms the outage.
     /// * [`WfError::Policy`] when no eligible portal remains anywhere.
-    pub fn resolve_admission(&self, requested: usize, now_us: u64) -> WfResult<usize> {
+    pub fn resolve_admission(
+        &self,
+        requested: usize,
+        now_us: u64,
+        faults: &FaultPlan,
+    ) -> WfResult<usize> {
         self.pump();
         let mut st = self.lock();
         let n = st.admissions.len();
@@ -397,19 +335,13 @@ impl FederationController {
             if st.down[target] {
                 continue;
             }
-            let Some(plan) = st.outage else { break };
-            if !plan.fires(target, now_us) {
-                continue;
-            }
+            let site = site::cloud(&self.topology.clouds[target].name);
+            let Some(trigger) = faults.visit(&site, now_us) else { continue };
             st.unreachable_touches[target] += 1;
             if st.unreachable_touches[target] >= OUTAGE_CONFIRMATIONS {
                 Self::mark_down_locked(&mut st, &self.topology, target);
             } else {
-                let name = &self.topology.clouds[target].name;
-                return Err(WfError::Crash(format!(
-                    "cloud:{name} unreachable (outage since {}us)",
-                    plan.from_us
-                )));
+                return Err(WfError::Crash(format!("{site} unreachable ({trigger})")));
             }
         }
 
@@ -438,26 +370,8 @@ impl FederationController {
     #[must_use]
     pub fn resolve_serve(&self, requested: usize) -> Option<usize> {
         let st = self.lock();
-        let n = st.serves.len();
+        let n = st.quarantined.len();
         Self::next_eligible_locked(&st, &self.topology, requested % n)
-    }
-
-    /// Count one serve by `portal` and report whether the armed tamper
-    /// plan corrupts this one.
-    pub fn tamper_fires(&self, portal: usize) -> bool {
-        let mut st = self.lock();
-        if portal >= st.serves.len() {
-            return false;
-        }
-        st.serves[portal] += 1;
-        let fired = match st.tamper {
-            Some(plan) => plan.portal == portal && st.serves[portal] == plan.nth_serve,
-            None => false,
-        };
-        if fired {
-            st.stats.tampered_serves += 1;
-        }
-        fired
     }
 
     /// React to a failed integrity probe: raise a typed
@@ -475,9 +389,6 @@ impl FederationController {
                     digest: digest_hex.to_string(),
                 },
             });
-            // the controller's own alert must not re-trigger the pump path
-            let mut st = self.lock();
-            st.alert_cursor += 1;
         }
         let mut st = self.lock();
         Self::quarantine_locked(&mut st, &self.topology, portal);
@@ -488,27 +399,31 @@ impl FederationController {
         self.lock().stats.replicas_acked += 1;
     }
 
+    /// Count one serve the fault plan corrupted.
+    pub(crate) fn tampered_serve(&self) {
+        self.lock().stats.tampered_serves += 1;
+    }
+
     /// The peer clouds an admission must replicate to right now: every
-    /// cloud except the active one that is not confirmed down. A
-    /// plan-dead-but-unconfirmed peer is *touched* (the failed replication
-    /// attempt counts toward confirmation) but not returned — replication
-    /// is ack-on-commit, so an unreachable replica is skipped, noted, and
-    /// confirmed down once the touch threshold is reached.
-    pub(crate) fn replica_targets(&self, now_us: u64) -> Vec<usize> {
+    /// cloud except the active one that is not confirmed down. A peer
+    /// `faults` makes unreachable but that is not yet confirmed down is
+    /// *touched* (the failed replication attempt counts toward confirmation)
+    /// but not returned — replication is ack-on-commit, so an unreachable
+    /// replica is skipped, noted, and confirmed down once the touch threshold
+    /// is reached.
+    pub(crate) fn replica_targets(&self, now_us: u64, faults: &FaultPlan) -> Vec<usize> {
         let mut st = self.lock();
         let mut targets = Vec::new();
-        for cloud in 0..self.topology.clouds.len() {
+        for (cloud, spec) in self.topology.clouds.iter().enumerate() {
             if cloud == st.active_cloud || st.down[cloud] {
                 continue;
             }
-            if let Some(plan) = st.outage {
-                if plan.fires(cloud, now_us) {
-                    st.unreachable_touches[cloud] += 1;
-                    if st.unreachable_touches[cloud] >= OUTAGE_CONFIRMATIONS {
-                        Self::mark_down_locked(&mut st, &self.topology, cloud);
-                    }
-                    continue;
+            if faults.visit(&site::cloud(&spec.name), now_us).is_some() {
+                st.unreachable_touches[cloud] += 1;
+                if st.unreachable_touches[cloud] >= OUTAGE_CONFIRMATIONS {
+                    Self::mark_down_locked(&mut st, &self.topology, cloud);
                 }
+                continue;
             }
             targets.push(cloud);
         }
@@ -573,9 +488,9 @@ impl FederationController {
 /// Deterministically corrupt one byte of `xml`: the first ASCII letter at
 /// or after the midpoint has its case flipped, keeping the copy valid
 /// UTF-8. One byte is the minimal tamper — if a check catches that, it
-/// catches anything larger. The one forgery of this workspace: the serve
-/// tamper injector flips the served copy with it, and the tests and claims
-/// that forge a *stored* row flip its tail with it ([`flip_tail`]).
+/// catches anything larger. The one forgery of this workspace: a tampered
+/// serve flips the served copy with it, and the tests and claims that forge
+/// a *stored* row flip its tail with it ([`flip_tail`]).
 #[must_use]
 pub(crate) fn tamper_bytes(xml: &str) -> String {
     let bytes = xml.as_bytes();
@@ -628,9 +543,24 @@ pub fn flip_tail(keep: usize, tail: &str) -> (usize, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Trigger;
+    use crate::monitor::MonitorConfig;
 
     fn two_clouds() -> Topology {
         Topology::new().cloud("east", 2).cloud("west", 2)
+    }
+
+    /// `cloud` unreachable from `from_us` on.
+    fn outage(cloud: &str, from_us: u64) -> Arc<FaultPlan> {
+        FaultPlan::of([(site::cloud(cloud), Trigger::From(from_us))])
+    }
+
+    fn storm(at_us: u64, portal: &str) -> Alert {
+        Alert {
+            at_us,
+            process_id: "p".into(),
+            kind: AlertKind::RetryStorm { target: portal.into(), attempts: 8, threshold: 4 },
+        }
     }
 
     #[test]
@@ -654,28 +584,18 @@ mod tests {
     }
 
     #[test]
-    fn seeded_plans_are_deterministic() {
-        for seed in 0..20 {
-            assert_eq!(OutagePlan::seeded(1, seed, 30_000), OutagePlan::seeded(1, seed, 30_000));
-            assert_eq!(TamperPlan::seeded(2, seed, 8), TamperPlan::seeded(2, seed, 8));
-            let o = OutagePlan::seeded(1, seed, 30_000);
-            assert!((1..=30_000).contains(&o.from_us));
-            let t = TamperPlan::seeded(2, seed, 8);
-            assert!((1..=8).contains(&t.nth_serve));
-        }
-    }
-
-    #[test]
     fn outage_confirms_after_threshold_and_fails_over() {
         let c = FederationController::new(two_clouds());
-        c.set_outage(OutagePlan::at(0, 1_000));
+        let plan = outage("east", 1_000);
         // before the outage instant: portal 0 resolves to itself
-        assert_eq!(c.resolve_admission(0, 500).unwrap(), 0);
+        assert_eq!(c.resolve_admission(0, 500, &plan).unwrap(), 0);
         // first touch after the instant: retriable crash, not yet confirmed
-        assert!(matches!(c.resolve_admission(0, 2_000), Err(WfError::Crash(_))));
+        let err = c.resolve_admission(0, 2_000, &plan).unwrap_err();
+        let text = "cloud:east unreachable (outage since 1000us)";
+        assert!(matches!(&err, WfError::Crash(m) if m == text), "{err}");
         assert!(!c.cloud_down(0));
         // second touch: confirmed, failed over, rerouted to cloud 1
-        let resolved = c.resolve_admission(0, 2_100).unwrap();
+        let resolved = c.resolve_admission(0, 2_100, &plan).unwrap();
         assert_eq!(c.topology().cloud_of(resolved), 1);
         assert!(c.cloud_down(0));
         assert_eq!(c.active_cloud(), 1);
@@ -684,7 +604,7 @@ mod tests {
         assert_eq!(stats.failovers, 1);
         assert_eq!(stats.reroutes, 1);
         // replication never targets a down cloud
-        assert!(c.replica_targets(3_000).is_empty());
+        assert!(c.replica_targets(3_000, &plan).is_empty());
     }
 
     #[test]
@@ -692,10 +612,10 @@ mod tests {
         // the front portal lives in cloud 1, but the *primary commit* goes
         // to the active cloud 0 — a dead primary must run the same dance
         let c = FederationController::new(two_clouds());
-        c.set_outage(OutagePlan::at(0, 1_000));
-        assert_eq!(c.resolve_admission(2, 500).unwrap(), 2, "healthy before the instant");
-        assert!(matches!(c.resolve_admission(2, 2_000), Err(WfError::Crash(_))));
-        let resolved = c.resolve_admission(2, 2_100).unwrap();
+        let plan = outage("east", 1_000);
+        assert_eq!(c.resolve_admission(2, 500, &plan).unwrap(), 2, "healthy before the instant");
+        assert!(matches!(c.resolve_admission(2, 2_000, &plan), Err(WfError::Crash(_))));
+        let resolved = c.resolve_admission(2, 2_100, &plan).unwrap();
         assert_eq!(resolved, 2, "the front portal itself was always eligible");
         assert!(c.cloud_down(0));
         assert_eq!(c.active_cloud(), 1, "primary moved to the front's cloud");
@@ -704,11 +624,11 @@ mod tests {
     #[test]
     fn replication_touches_confirm_a_peer_outage_without_erroring() {
         let c = FederationController::new(two_clouds());
-        c.set_outage(OutagePlan::at(1, 1_000));
-        assert_eq!(c.replica_targets(500), vec![1], "reachable before the instant");
-        assert!(c.replica_targets(1_500).is_empty(), "first touch: skipped, noted");
+        let plan = outage("west", 1_000);
+        assert_eq!(c.replica_targets(500, &plan), vec![1], "reachable before the instant");
+        assert!(c.replica_targets(1_500, &plan).is_empty(), "first touch: skipped, noted");
         assert!(!c.cloud_down(1));
-        assert!(c.replica_targets(1_600).is_empty(), "second touch: confirmed");
+        assert!(c.replica_targets(1_600, &plan).is_empty(), "second touch: confirmed");
         assert!(c.cloud_down(1));
         let stats = c.stats();
         assert_eq!(stats.outages, 1);
@@ -719,20 +639,16 @@ mod tests {
     #[test]
     fn tamper_quarantines_and_freezes_admissions() {
         let c = FederationController::new(two_clouds());
-        c.set_tamper(TamperPlan::once(1, 2));
-        assert!(!c.tamper_fires(1), "first serve is honest");
-        assert!(c.tamper_fires(1), "second serve corrupted");
-        assert!(!c.tamper_fires(1), "fires once");
-        c.resolve_admission(1, 0).unwrap();
+        let none = FaultPlan::none();
+        c.resolve_admission(1, 0, &none).unwrap();
         c.on_tamper(1, "p", "abcd", 10);
         assert!(c.is_quarantined(1));
         assert!(c.zero_admissions_after_quarantine());
         // admissions hashed to the quarantined portal re-route
-        let resolved = c.resolve_admission(1, 20).unwrap();
+        let resolved = c.resolve_admission(1, 20, &none).unwrap();
         assert_ne!(resolved, 1);
         assert!(c.zero_admissions_after_quarantine());
         assert_eq!(c.stats().quarantines, 1);
-        assert_eq!(c.stats().tampered_serves, 1);
         // serving re-routes too
         assert_ne!(c.resolve_serve(1), Some(1));
     }
@@ -748,41 +664,46 @@ mod tests {
         // total degradation: every portal gone
         c.on_tamper(2, "p", "d2", 3);
         c.on_tamper(3, "p", "d3", 4);
-        assert!(matches!(c.resolve_admission(0, 5), Err(WfError::Policy(_))));
+        assert!(matches!(c.resolve_admission(0, 5, &FaultPlan::none()), Err(WfError::Policy(_))));
         assert_eq!(c.resolve_serve(0), None);
     }
 
     #[test]
     fn storm_alerts_quarantine_through_the_pump() {
-        use crate::monitor::MonitorConfig;
         let c = FederationController::new(two_clouds());
         let monitor = HealthMonitor::new(MonitorConfig::default());
         c.set_monitor(&monitor);
-        let storm = |n: u64| Alert {
-            at_us: n,
-            process_id: "p".into(),
-            kind: AlertKind::RetryStorm { target: "portal:3".into(), attempts: 8, threshold: 4 },
-        };
-        monitor.raise(storm(1));
+        monitor.raise(storm(1, "portal:3"));
         c.pump();
         assert!(!c.is_quarantined(3), "one storm is not a pattern");
-        monitor.raise(storm(2));
+        monitor.raise(storm(2, "portal:3"));
         c.pump();
         assert!(c.is_quarantined(3), "two storms are");
         assert_eq!(c.stats().quarantines, 1);
         // non-portal targets and junk are ignored
-        monitor.raise(Alert {
-            at_us: 3,
-            process_id: "p".into(),
-            kind: AlertKind::RetryStorm { target: "transfer".into(), attempts: 8, threshold: 4 },
-        });
+        monitor.raise(storm(3, "transfer"));
         c.pump();
         assert_eq!(c.stats().quarantines, 1);
     }
 
     #[test]
+    fn a_tamper_alert_leaves_the_unread_storm_before_it_to_the_pump() {
+        let c = FederationController::new(two_clouds());
+        let monitor = HealthMonitor::new(MonitorConfig::default());
+        c.set_monitor(&monitor);
+        monitor.raise(storm(1, "portal:3"));
+        c.pump();
+        // the second storm is still unread when portal 0's tamper alert
+        // lands behind it
+        monitor.raise(storm(2, "portal:3"));
+        c.on_tamper(0, "p", "abcd", 3);
+        c.pump();
+        assert!(c.is_quarantined(3), "the second storm was read, not skipped");
+        assert_eq!(c.stats().quarantines, 2);
+    }
+
+    #[test]
     fn audit_divergence_quarantines_the_whole_cloud_through_the_pump() {
-        use crate::monitor::MonitorConfig;
         let c = FederationController::new(two_clouds());
         let monitor = HealthMonitor::new(MonitorConfig::default());
         c.set_monitor(&monitor);

@@ -11,17 +11,17 @@
 //!
 //! * [`netsim`] — a simulated network that accounts for message count and
 //!   bytes so routing costs can be compared analytically (virtual time),
-//! * [`faults`] — a seeded, deterministic lossy channel over the simulated
-//!   network: drop / duplicate / reorder / delay / bit-corrupt per
-//!   configurable [`FaultProfile`],
-//! * [`crash`] — seeded crash-fault schedules ([`CrashPlan`]) that kill an
-//!   AEA, the TFC or a portal at named injection points; recovery is
-//!   journal replay + lease-based hop takeover, and the recovered run's
-//!   pool is byte-identical to the crash-free one,
-//! * [`delivery`] — retry with exponential backoff + jitter in virtual
-//!   time, bounded redelivery, and per-run [`DeliveryStats`]: runs complete
-//!   *through* the faulty channel, and a fault can cost time but never
-//!   safety,
+//! * [`faults`] — what goes wrong, and where: a channel's [`FaultProfile`]
+//!   (drop / duplicate / reorder / delay / bit-corrupt rates) and the one
+//!   [`FaultPlan`], a script of `(site, trigger)` entries that kills an AEA,
+//!   the TFC, a portal or a replica at a named site, corrupts a portal's
+//!   serve, or takes a cloud down; recovery is journal replay + lease-based
+//!   hop takeover, and the recovered run's pool is byte-identical to the
+//!   fault-free one,
+//! * [`delivery`] — the channel: one seeded fault stream per [`Delivery`],
+//!   retry with exponential backoff + jitter in virtual time, bounded
+//!   redelivery, and per-run [`DeliveryStats`]: runs complete *through* the
+//!   faulty channel, and a fault can cost time but never safety,
 //! * [`portal`] — stateless portal servers over one [`dra_docpool`] pool
 //!   and write-ahead journal per member cloud (a single cloud is a topology
 //!   of one): store / retrieve / search (TO-DO lists) / notify / monitor /
@@ -64,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod crash;
 pub mod delivery;
 pub mod faults;
 pub mod federation;
@@ -78,12 +77,9 @@ pub(crate) mod schema;
 pub(crate) mod store;
 
 pub use audit::{AuditConfig, PoolAuditor};
-pub use crash::{CrashPlan, CrashPoint};
-pub use delivery::{Delivery, DeliveryPolicy, DeliveryStats};
-pub use faults::{FaultCounts, FaultProfile, FaultyNetwork};
-pub use federation::{
-    CloudSpec, FederationController, FederationStats, OutagePlan, TamperPlan, Topology,
-};
+pub use delivery::{Delivery, DeliveryStats, FaultCounts};
+pub use faults::{FaultPlan, FaultProfile, Trigger};
+pub use federation::{CloudSpec, FederationController, FederationStats, Topology};
 pub use monitor::{alerts_to_jsonl, Alert, AlertKind, HealthMonitor, MonitorConfig};
 pub use netsim::NetworkSim;
 pub use obs::{check_metric_invariants, tracer_for};

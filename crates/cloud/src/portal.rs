@@ -6,13 +6,14 @@
 //! document pool — which is why any number of portals can serve the same
 //! deployment (the scalability story of the paper).
 
-use crate::crash::{CrashPlan, CrashPoint};
 use crate::delivery::Delivery;
+use crate::faults::FaultPlan;
 use crate::federation::{tamper_bytes, FederationController, Topology};
 use crate::netsim::NetworkSim;
 use crate::sched::{Activation, ActivationBus};
 use crate::schema::{self, Name, RowKey, SEQ, STATUS, STEPS, WORKFLOW};
 use crate::store::{CloudStore, Stored};
+use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::monitor::ProcessStatus;
 use dra4wfms_core::prelude::*;
 use dra_docpool::{map_reduce_scan, FleetViews, HTable, PutOp};
@@ -97,8 +98,9 @@ pub struct CloudSystem {
     /// which a [`crate::sched::Scheduler`] drains to dispatch the next hop
     /// — `notify` as an O(1) wake-up instead of an inert index row.
     bus: Arc<ActivationBus>,
-    /// The crash schedule portals consult mid-admission.
-    crash_plan: Arc<CrashPlan>,
+    /// The fault script portals consult mid-admission and mid-serve, and
+    /// the controller consults for each cloud's reachability.
+    faults: Arc<FaultPlan>,
     /// Span recorder for portal admissions; disabled (free) unless
     /// [`CloudSystem::with_tracer`] is used.
     tracer: Tracer,
@@ -125,7 +127,7 @@ impl CloudSystem {
             clouds,
             controller,
             bus: Arc::new(ActivationBus::new()),
-            crash_plan: CrashPlan::none(),
+            faults: FaultPlan::none(),
             tracer: Tracer::disabled(),
             views: Arc::new(FleetViews::new()),
         }
@@ -245,10 +247,12 @@ impl CloudSystem {
         });
     }
 
-    /// Arm a crash schedule: portals will consult `plan` at their injection
-    /// point during admission.
-    pub fn with_crash_plan(mut self, plan: Arc<CrashPlan>) -> CloudSystem {
-        self.crash_plan = plan;
+    /// Script this deployment's faults: portals consult `plan` at their
+    /// crash sites during admission and at [`site::serve`] when serving, and
+    /// the federation controller at [`site::cloud`] for each cloud's
+    /// reachability.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> CloudSystem {
+        self.faults = plan;
         self
     }
 
@@ -358,7 +362,7 @@ impl CloudSystem {
     /// The one byte-level admission entry — the deployment's trust boundary:
     /// parse `wire` as it arrived and run the admission pipeline on it.
     /// Charges nothing: whoever put the bytes on a channel was charged for
-    /// every physical copy ([`crate::faults::FaultyNetwork::send`]).
+    /// every physical copy ([`Delivery`]).
     ///
     /// `trust` is the mark the *sender* holds for the bytes it transmitted.
     /// Attaching it to whatever arrived is safe because the mark pins a
@@ -394,9 +398,11 @@ impl CloudSystem {
         // re-routes past quarantined portals and down clouds. Single-cloud:
         // plain modulo.
         let portal_idx = match &self.controller {
-            Some(controller) => {
-                controller.resolve_admission(portal, self.network.virtual_time_us())?
-            }
+            Some(controller) => controller.resolve_admission(
+                portal,
+                self.network.virtual_time_us(),
+                &self.faults,
+            )?,
             None => portal % self.portals.len(),
         };
         let active = self.active_cloud();
@@ -489,22 +495,23 @@ impl CloudSystem {
         // the admission becomes durable on the active cloud (the `seen/`
         // row lands before the crash point) and is folded into the fleet
         // views through the same fold crash replay uses
-        let crash = |point| move || self.crash_plan.check(point);
-        active.commit(&ops, 1, crash(CrashPoint::PortalBetweenSeenAndStore))?;
+        let crash = |site| move || self.faults.check(site);
+        active.commit(&ops, 1, crash(site::PORTAL_BETWEEN_SEEN_AND_STORE))?;
         active.advance(pid, seq, Arc::clone(&wire), cut, route.is_final());
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
         self.views.record_admission(portal_idx as u64);
         self.committed(active);
         // Replication: charge and commit the identical batch on every
         // reachable peer cloud before acking. A replica torn between append
-        // and commit (the `ReplicaBeforeCommit` injection point) is repaired
+        // and commit (the `PORTAL_REPLICA_BEFORE_COMMIT` site) is repaired
         // by its own journal's replay in [`CloudSystem::recover_portals`];
         // the views were fed by the primary's commit already.
         if let Some(controller) = &self.controller {
-            for cloud in controller.replica_targets(self.network.virtual_time_us()) {
+            let now_us = self.network.virtual_time_us();
+            for cloud in controller.replica_targets(now_us, &self.faults) {
                 let replica = &self.clouds[cloud];
                 self.network.transfer(wire.len());
-                replica.commit(&ops, 0, crash(CrashPoint::ReplicaBeforeCommit))?;
+                replica.commit(&ops, 0, crash(site::PORTAL_REPLICA_BEFORE_COMMIT))?;
                 self.committed(replica);
                 controller.ack_replica();
             }
@@ -545,8 +552,12 @@ impl CloudSystem {
             let serving = controller.resolve_serve(portal)?;
             let cloud = &self.clouds[controller.topology().cloud_of(serving)];
             let Stored { key, xml } = cloud.latest(pid)?;
-            // the tamper injector corrupts the *served copy*, never the pool
-            let tamper = controller.tamper_fires(serving);
+            // a tampered serve corrupts the *served copy*, never the pool
+            let now_us = self.network.virtual_time_us();
+            let tamper = self.faults.visit(&site::serve(serving), now_us).is_some();
+            if tamper {
+                controller.tampered_serve();
+            }
             let served =
                 Stored { key, xml: xml.map(|x| if tamper { tamper_bytes(&x) } else { x }) };
             match cloud.honest(&served, &self.directory) {
@@ -616,7 +627,7 @@ impl CloudSystem {
     pub fn statistics_by_status(&self, threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
             self.active_cloud().pool(),
-            &schema::all_meta().threads(threads),
+            &schema::all_meta(),
             threads,
             |_, row| STATUS.of(row).map(|s| (s, 1usize)).into_iter().collect(),
             |_, vs| vs.len(),
@@ -632,7 +643,7 @@ impl CloudSystem {
         let active = self.active_cloud();
         map_reduce_scan(
             active.pool(),
-            &schema::all_meta().threads(threads),
+            &schema::all_meta(),
             threads,
             |key, _| {
                 // load the latest stored document of this process
@@ -666,7 +677,7 @@ impl CloudSystem {
     pub fn steps_per_workflow(&self, threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
             self.active_cloud().pool(),
-            &schema::all_meta().threads(threads),
+            &schema::all_meta(),
             threads,
             |_, row| {
                 let steps = STEPS.of(row).and_then(|s| s.parse::<usize>().ok());
@@ -1061,7 +1072,7 @@ mod tests {
     #[test]
     fn views_survive_crash_replay_and_cold_restart() {
         let (sys, def, pol, designer, _) = setup();
-        let sys = sys.with_crash_plan(CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 1));
+        let sys = sys.with_faults(FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 1));
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "v-cr").unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
         assert!(sys.ingest_wire(0, &doc.to_xml_string(), &route, None).is_err());
@@ -1258,7 +1269,7 @@ mod tests {
     #[test]
     fn crash_between_seen_and_store_is_repaired_by_replay() {
         let (sys, def, pol, designer, _) = setup();
-        let sys = sys.with_crash_plan(CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 1));
+        let sys = sys.with_faults(FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 1));
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-cr").unwrap();
         let wire = doc.to_xml_string();
         let route = Route { targets: vec!["submit".into()], ends: false };

@@ -517,10 +517,11 @@ mod tests {
         for nth in [3, 1] {
             let creds = people();
             let dir = Directory::from_credentials(&creds);
-            let plan = crate::crash::CrashPlan::once(crate::crash::CrashPoint::AeaBeforeSign, nth);
+            let plan =
+                crate::FaultPlan::once(dra4wfms_core::faultpoint::site::AEA_BEFORE_SIGN, nth);
             let network = Arc::new(NetworkSim::lan());
             let sys = CloudSystem::new(dir.clone(), 3, Arc::clone(&network))
-                .with_crash_plan(Arc::clone(&plan));
+                .with_faults(Arc::clone(&plan));
             let initial = DraDocument::new_initial_with_pid(
                 &fig9a(),
                 &SecurityPolicy::public(),
@@ -528,7 +529,7 @@ mod tests {
                 "crash-run",
             )
             .unwrap();
-            // every AEA shares the crash schedule; exactly one dies, once
+            // every AEA shares the fault plan; exactly one dies, once
             let ags: HashMap<String, Arc<Aea>> = creds
                 .iter()
                 .map(|c| {
@@ -574,13 +575,7 @@ mod tests {
             "faulty-run",
         )
         .unwrap();
-        let delivery = Delivery::new(
-            Arc::clone(&network),
-            FaultProfile::lossy(0.2),
-            crate::delivery::DeliveryPolicy::default(),
-            7,
-        )
-        .unwrap();
+        let delivery = Delivery::new(Arc::clone(&network), FaultProfile::lossy(0.2), 7).unwrap();
         let responder = fig9a_responder();
         let out = InstanceRun::new(&sys, &initial)
             .agents(&agents(&creds, &dir))

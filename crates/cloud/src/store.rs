@@ -480,9 +480,9 @@ impl CloudStore {
     /// Up to `batch` stored versions in key order, from `cursor` on (from
     /// the first one without a cursor) — a bounded, projected scan, plus the
     /// rows below the first one's when the cursor stands inside a process.
-    pub(crate) fn sample(&self, cursor: Option<&str>, batch: usize, threads: usize) -> Vec<Stored> {
+    pub(crate) fn sample(&self, cursor: Option<&str>, batch: usize) -> Vec<Stored> {
         let from = cursor.unwrap_or(DOC_ROWS);
-        let scan = schema::all_docs().starting_at(from).limit(batch).threads(threads);
+        let scan = schema::all_docs().starting_at(from).limit(batch);
         let rows = self.pool.query(&scan).rows;
         let mut fold = Fold::default();
         match rows.first().and_then(|(key, _)| RowKey::parse(key)) {
@@ -537,7 +537,7 @@ impl CloudStore {
     pub(crate) fn progress_by_scan(&self, threads: usize) -> BTreeMap<String, u64> {
         map_reduce_scan(
             &self.pool,
-            &schema::doc_keys().threads(threads),
+            &schema::doc_keys(),
             threads,
             |key, _| match RowKey::parse(key) {
                 Some(RowKey::Doc { pid, seq }) => vec![(pid.as_str().to_string(), seq as u64)],
@@ -946,7 +946,7 @@ mod tests {
             Some(cell) => XML.write(&cloud.pool, row_1, cell),
             None => assert!(cloud.remove(row_1)),
         }
-        let sample = cloud.sample(None, usize::MAX, 1);
+        let sample = cloud.sample(None, usize::MAX);
         assert_eq!(sample.len(), 2 + usize::from(cell.is_some()));
         let clause = |seq: usize| {
             let key = RowKey::Doc { pid: p, seq }.to_string();
@@ -1006,7 +1006,7 @@ mod tests {
         // `keep` = 0 needs no row below: a full copy is the same version
         let (cloud, row_1) = (&sys.clouds[0], RowKey::Doc { pid: Name::new("p").unwrap(), seq: 1 });
         XML.write(cloud.pool(), row_1, &Delta { keep: 0, tail: &wires[1] }.cell());
-        let rows = cloud.sample(None, usize::MAX, 1);
+        let rows = cloud.sample(None, usize::MAX);
         assert!(rows.iter().all(|row| cloud.honest(row, &sys.directory).is_ok()));
     }
 }

@@ -2,9 +2,10 @@
 //! agent's delayed send, the TFC redo log making re-executed hops
 //! byte-identical, and the channel — not the scheduler — repairing a portal.
 
+use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::prelude::*;
 use dra_bench::rig::{cast, Rig};
-use dra_cloud::{CrashPlan, CrashPoint};
+use dra_cloud::FaultPlan;
 use dra_docpool::Scan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -155,15 +156,15 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
 /// replay) and retries; no lease is waited out.
 #[test]
 fn a_dead_portal_is_restarted_by_the_channel_not_waited_out_by_the_scheduler() {
-    let run = |plan: Arc<CrashPlan>| {
-        let rig = Rig::fig9(false).crashing(&plan).unmonitored();
+    let run = |plan: Arc<FaultPlan>| {
+        let rig = Rig::fig9(false).with_faults(&plan).unmonitored();
         let sys = rig.cloud(3);
         let out = rig.run(&sys, &rig.initial("portal-dies")).run().unwrap();
         assert_eq!(out.steps, 9);
         (out.delivery, sys.pool_digest())
     };
-    let (clean, clean_digest) = run(CrashPlan::none());
-    let (stats, digest) = run(CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 2));
+    let (clean, clean_digest) = run(FaultPlan::none());
+    let (stats, digest) = run(FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 2));
     assert_eq!((clean.crashes_injected, clean.retries), (0, 0));
     assert_eq!((stats.crashes_injected, stats.journal_replays), (1, 1));
     assert_eq!(stats.retries, 1, "the channel sent the same bytes again");

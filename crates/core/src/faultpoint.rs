@@ -1,16 +1,18 @@
-//! Named crash-injection points inside the AEA and TFC pipelines.
+//! The named sites where an injected fault can strike: one list for the
+//! whole deployment.
 //!
-//! Crash faults are scheduled by the cloud layer (it owns virtual time and
-//! the seeded schedule), but they must *fire* deep inside core components —
+//! Faults are scripted by the cloud layer (its `FaultPlan` owns virtual time
+//! and the script), but crashes must *fire* deep inside core components —
 //! between a verification and a signature, between a timestamp draw and the
 //! re-encrypt. Core cannot depend on the cloud crate, so the seam is a plain
 //! callback: components built with a [`CrashHook`] consult it at each named
 //! site and propagate the [`crate::error::WfError::Crash`] it returns. A
 //! component without a hook pays nothing.
 //!
-//! Site names are stable strings (not an enum) so the cloud layer can extend
-//! the set — e.g. with portal-side sites core never sees — without a lockstep
-//! core change.
+//! Site names are stable strings (not an enum): the plan is asked by name,
+//! and the cloud-side sites — a portal's store, a replica's commit, a
+//! portal's serve, a cloud's reachability — are named here too, so no site is
+//! named twice. Core itself visits only the AEA and TFC sites.
 
 use crate::error::WfResult;
 use std::sync::Arc;
@@ -36,14 +38,26 @@ pub mod site {
     /// re-encrypt/attest/forward: the classic double-timestamp hazard.
     pub const TFC_AFTER_TIMESTAMP: &str = "tfc:after-timestamp";
     /// Portal-side: between writing the seen-row and the document row — the
-    /// atomicity hazard the write-ahead journal closes. Defined here for a
-    /// single authoritative list; core itself never visits it.
+    /// atomicity hazard the write-ahead journal closes.
     pub const PORTAL_BETWEEN_SEEN_AND_STORE: &str = "portal:between-seen-and-store";
     /// Federation-side: after a replica cloud journalled an admission's ops
     /// but before it committed/applied them — the torn-replication hazard
-    /// each replica's own write-ahead journal closes. Defined here for the
-    /// same single-authoritative-list reason; core never visits it.
+    /// each replica's own write-ahead journal closes.
     pub const PORTAL_REPLICA_BEFORE_COMMIT: &str = "portal:replica-before-commit";
+
+    /// Federation-side, one site per portal: the global portal `portal`
+    /// serving a stored document. A fault here corrupts the served copy —
+    /// the compromised-portal case the serve probe must catch.
+    pub fn serve(portal: usize) -> String {
+        format!("portal:{portal}:serve")
+    }
+
+    /// Federation-side, one site per member cloud: an admission or a
+    /// replication reaching the cloud named `name`. A fault here makes it
+    /// unreachable — the outage the controller confirms and fails over.
+    pub fn cloud(name: &str) -> String {
+        format!("cloud:{name}")
+    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,6 @@ use std::sync::Arc;
 /// One region a scan window intersects, with its clamped `[lo, hi)` bounds.
 type ScanWindow = (Arc<Region>, String, Option<String>);
 
-/// A region worker's scan output: `(rows, examined)`.
-type RegionScanOut = (Vec<(String, RowSnapshot)>, usize);
-
 /// Tuning knobs of a table.
 #[derive(Clone, Debug)]
 pub struct TableConfig {
@@ -232,10 +229,9 @@ impl HTable {
         (live, total)
     }
 
-    /// Execute a scan per region in parallel (chunks of `scan.threads`),
-    /// returning one row vector per visited region in region order. The
-    /// shared engine behind [`HTable::query`], [`HTable::query_count`] and
-    /// `map_reduce_scan`.
+    /// Execute a scan region by region, returning one row vector per visited
+    /// region in region order. The shared engine behind [`HTable::query`],
+    /// [`HTable::query_count`] and `map_reduce_scan`.
     pub(crate) fn query_partitions(
         &self,
         scan: &Scan,
@@ -245,25 +241,12 @@ impl HTable {
         let visited = live.len();
         let mut parts = Vec::with_capacity(visited);
         let mut examined = 0usize;
-        let select = |(region, lo, hi): &ScanWindow| {
+        for (region, lo, hi) in &live {
             let families = scan.families.as_deref();
-            region.scan_select(lo, hi.as_deref(), families, scan.limit, count_only)
-        };
-        for chunk in live.chunks(scan.threads.max(1)) {
-            let results: Vec<RegionScanOut> = match chunk {
-                // one window at a time (the default): walk it on this
-                // thread, as the sequential scans this API replaced did
-                [window] => vec![select(window)],
-                _ => std::thread::scope(|s| {
-                    let handles: Vec<_> =
-                        chunk.iter().map(|window| s.spawn(move || select(window))).collect();
-                    handles.into_iter().map(|h| h.join().expect("scan worker")).collect()
-                }),
-            };
-            for (rows, ex) in results {
-                examined += ex;
-                parts.push(rows);
-            }
+            let (rows, ex) =
+                region.scan_select(lo, hi.as_deref(), families, scan.limit, count_only);
+            examined += ex;
+            parts.push(rows);
         }
         self.scanned_rows.fetch_add(examined, Ordering::Relaxed);
         self.scanned_regions.fetch_add(visited, Ordering::Relaxed);
@@ -276,9 +259,9 @@ impl HTable {
         (parts, stats)
     }
 
-    /// Run a [`Scan`]: prune regions outside the window, walk the survivors
-    /// in parallel, and return the matching rows in key order together with
-    /// the work accounting. Deterministic for any thread count.
+    /// Run a [`Scan`]: prune regions outside the window, walk the survivors,
+    /// and return the matching rows in key order together with the work
+    /// accounting.
     pub fn query(&self, scan: &Scan) -> ScanResult {
         let (parts, mut stats) = self.query_partitions(scan, false);
         let mut rows: Vec<(String, RowSnapshot)> = parts.into_iter().flatten().collect();
@@ -481,18 +464,6 @@ mod tests {
         assert!(res.rows.iter().all(|(k, _)| k.starts_with("meta/")));
         let full = t.row_count();
         assert!(res.stats.rows_examined < full, "scan beats full table read ({full} rows)");
-    }
-
-    #[test]
-    fn query_deterministic_across_thread_counts() {
-        let t = seeded_table();
-        let serial = t.query(&Scan::all().threads(1));
-        let parallel = t.query(&Scan::all().threads(4));
-        assert_eq!(serial.rows, parallel.rows, "thread count must not change results");
-        let mut keys: Vec<&String> = serial.rows.iter().map(|(k, _)| k).collect();
-        let sorted = keys.clone();
-        keys.sort();
-        assert_eq!(keys, sorted, "key order preserved");
     }
 
     #[test]

@@ -15,13 +15,12 @@
 //!   in parallel (the paper's "MapReduce computing model … can apply some
 //!   statistical analyses to workflow processes or instances stored in the
 //!   DRA4WfMS cloud system")
-//! * [`scan`] — typed bounded scans with family projection, predicate
-//!   pushdown and per-region parallel execution (the monitoring-query path
-//!   that replaces full-table reads)
+//! * [`scan`] — typed bounded scans with family projection and predicate
+//!   pushdown (the monitoring-query path that replaces full-table reads)
 //! * [`views`] — incrementally maintained fleet views with a differential
 //!   `views ≡ scan` proof obligation
 //!
-//! Concurrency is reader-writer per region via `parking_lot`, with region
+//! Concurrency is reader-writer per region via `parking_lot`, with MapReduce
 //! fan-out via `std::thread::scope` — the document pool is the
 //! scalability substrate for the cloud experiments (claims C4/C5 in
 //! DESIGN.md).

@@ -3,8 +3,8 @@
 //! "The MapReduce computing model supported in the HBase system can apply
 //! some statistical analyses to workflow processes or instances stored in
 //! the DRA4WfMS cloud system" (§4.2). This module runs one mapper task per
-//! region a [`Scan`] visits in parallel (scoped threads), shuffles
-//! by key, and reduces key groups in parallel.
+//! region a [`Scan`] visits, in parallel on scoped threads, shuffles by key,
+//! and reduces key groups in parallel.
 
 use crate::cluster::HTable;
 use crate::row::RowSnapshot;
@@ -19,12 +19,12 @@ use std::collections::BTreeMap;
 /// * `reduce` — called once per distinct key with all its values;
 /// * `threads` — maximum parallel mapper/reducer tasks (≥1).
 ///
-/// The scan's regions are walked in parallel (honouring projection, limit
-/// and the scan's own thread count), producing one input split per visited
-/// region (region parallelism, like HBase's `TableInputFormat` splits);
-/// mappers then run one task per split, and reducers run over contiguous
-/// chunks of the shuffled key space. Results are deterministic for any
-/// thread count. Rows touched are accounted in the table's scan counters.
+/// The scan's regions are walked (honouring projection and limit), producing
+/// one input split per visited region (region parallelism, like HBase's
+/// `TableInputFormat` splits); mappers then run one task per split, and
+/// reducers run over contiguous chunks of the shuffled key space. Results
+/// are deterministic for any thread count. Rows touched are accounted in the
+/// table's scan counters.
 pub fn map_reduce_scan<K, V, O, M, R>(
     table: &HTable,
     scan: &Scan,
@@ -140,7 +140,7 @@ mod tests {
         let t = table_with_statuses();
         let sums = map_reduce_scan(
             &t,
-            &Scan::all().threads(4),
+            &Scan::all(),
             4,
             |_, row| {
                 let status = row.get_str("meta", "status");
@@ -170,7 +170,7 @@ mod tests {
         // scan-backed job over a key window...
         let windowed = map_reduce_scan(
             &t,
-            &Scan::range("proc-0050", Some("proc-0100".to_string())).threads(4),
+            &Scan::range("proc-0050", Some("proc-0100".to_string())),
             4,
             |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
             |_, vs| vs.len(),
@@ -199,7 +199,7 @@ mod tests {
         let job = |threads: usize| {
             map_reduce_scan(
                 &t,
-                &Scan::all().threads(threads),
+                &Scan::all(),
                 threads,
                 |k, _| vec![(k.to_string(), 1usize)],
                 |_, vs| vs.len(),

@@ -14,15 +14,16 @@
 mod common;
 
 use common::check_golden;
-use dra4wfms::cloud::{alerts_to_jsonl, CrashPlan, CrashPoint};
+use dra4wfms::cloud::{alerts_to_jsonl, FaultPlan};
 use dra4wfms::core::document::CerKey;
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::core::reconcile::ReconcileError;
 
 /// The golden workload: one Fig. 9A instance with a single injected crash
 /// (stuck-hop → early takeover) and an unmeetable 1 µs SLO, so the alert
 /// stream exercises `stuck_instance` *and* `slo_breach` deterministically.
 fn monitored_alerts() -> String {
-    let rig = common::golden_rig().crashing(&CrashPlan::once(CrashPoint::AeaBeforeSign, 3));
+    let rig = common::golden_rig().with_faults(&FaultPlan::once(site::AEA_BEFORE_SIGN, 3));
     let sys = rig.cloud(3);
     let initial = rig.initial("golden-run");
     let out = rig.run(&sys, &initial).slo_us(1).run().unwrap();

@@ -11,7 +11,8 @@
 //!   stored — at worst the run fails with a delivery error, with nothing
 //!   admitted to the pool.
 
-use dra4wfms::cloud::{CloudSystem, DeliveryPolicy, DeliveryStats, FaultProfile};
+use dra4wfms::cloud::delivery::MAX_ATTEMPTS;
+use dra4wfms::cloud::{CloudSystem, DeliveryStats, FaultProfile};
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 use proptest::prelude::*;
@@ -25,12 +26,12 @@ use proptest::prelude::*;
 /// document, and the delivery stats.
 fn run(
     pid: &str,
-    profile: Option<(FaultProfile, DeliveryPolicy, u64)>,
+    profile: Option<(FaultProfile, u64)>,
 ) -> (CloudSystem, SealedDocument, DeliveryStats) {
     let rig = Rig::fig9(false);
     let sys = rig.cloud(3);
     let initial = rig.initial(pid);
-    let delivery = profile.map(|(p, policy, seed)| rig.channel_under(p, policy, seed));
+    let delivery = profile.map(|(p, seed)| rig.channel(p, seed));
     let channel = delivery.as_ref().unwrap_or(sys.channel());
     let out = rig.run(&sys, &initial).network(channel).run().unwrap();
     assert_eq!(out.steps, 9, "A,B1,B2,C ×2 + D");
@@ -45,8 +46,7 @@ fn stored_versions(sys: &CloudSystem, pid: &str) -> Vec<String> {
 #[test]
 fn lossy_run_matches_lossless_byte_for_byte() {
     let (clean_sys, clean_doc, _) = run("match", None);
-    let (lossy_sys, lossy_doc, stats) =
-        run("match", Some((FaultProfile::lossy(0.15), DeliveryPolicy::default(), 42)));
+    let (lossy_sys, lossy_doc, stats) = run("match", Some((FaultProfile::lossy(0.15), 42)));
 
     // identical final bytes and identical pool content, despite the faults
     assert_eq!(*clean_doc.wire(), *lossy_doc.wire(), "final document byte-identical");
@@ -69,15 +69,14 @@ fn lossy_run_matches_lossless_byte_for_byte() {
 
 #[test]
 fn same_seed_and_profile_reproduce_stats_and_bytes() {
-    let cfg = (FaultProfile::hostile(), DeliveryPolicy::default(), 7u64);
+    let cfg = (FaultProfile::hostile(), 7u64);
     let (_, doc_a, stats_a) = run("det", Some(cfg));
     let (_, doc_b, stats_b) = run("det", Some(cfg));
     assert_eq!(stats_a, stats_b, "same seed ⇒ same DeliveryStats");
     assert_eq!(*doc_a.wire(), *doc_b.wire(), "same seed ⇒ same final bytes");
 
     // a different seed draws a different fault schedule (same outcome)
-    let (_, doc_c, stats_c) =
-        run("det", Some((FaultProfile::hostile(), DeliveryPolicy::default(), 8)));
+    let (_, doc_c, stats_c) = run("det", Some((FaultProfile::hostile(), 8)));
     assert_eq!(*doc_a.wire(), *doc_c.wire(), "outcome is seed-independent");
     assert_ne!(stats_a, stats_c, "fault schedule is not");
 }
@@ -105,7 +104,7 @@ fn corrupted_copies_are_rejected_and_never_stored() {
 #[test]
 fn heavy_duplication_never_grows_the_pool() {
     let profile = FaultProfile { duplicate: 1.0 - 1e-12, ..FaultProfile::lossless() };
-    let (sys, doc, stats) = run("dup", Some((profile, DeliveryPolicy::default(), 11)));
+    let (sys, doc, stats) = run("dup", Some((profile, 11)));
     assert!(stats.faults.duplicated >= 10, "every send duplicated");
     assert!(stats.duplicates_suppressed >= 10, "portal suppressed the extra copies");
     assert_eq!(stored_versions(&sys, "dup").len(), 10, "no phantom versions");
@@ -134,18 +133,15 @@ proptest! {
             corrupt: corrupt_pct as f64 / 100.0,
             delay_max_us: delay,
         };
-        // a roomier budget than the default: the property quantifies over
-        // adversarial schedules, not over the default policy's tuning
-        let policy = DeliveryPolicy { max_attempts: 16, ..DeliveryPolicy::default() };
         let (clean_sys, clean_doc, _) = run("prop", None);
-        let (lossy_sys, lossy_doc, stats) = run("prop", Some((profile, policy, seed)));
+        let (lossy_sys, lossy_doc, stats) = run("prop", Some((profile, seed)));
 
         prop_assert_eq!(&*clean_doc.wire(), &*lossy_doc.wire());
         prop_assert_eq!(
             stored_versions(&clean_sys, "prop"),
             stored_versions(&lossy_sys, "prop")
         );
-        prop_assert!(stats.attempts <= stats.sends * 16, "bounded retry overhead");
+        prop_assert!(stats.attempts <= stats.sends * MAX_ATTEMPTS as u64, "bounded retry overhead");
         // time may inflate; the document pool may not
         prop_assert!(stats.inflation() >= 1.0);
     }

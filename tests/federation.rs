@@ -21,15 +21,18 @@
 //! * a **torn replication** (replica dies between journal append and
 //!   commit) is repaired by the replica's own journal replay, and the
 //!   journal's torn-tail import machinery applies per cloud;
-//! * a proptest: random outage/tamper schedules under a hostile
+//! * one `FaultPlan` holding a crash *and* a tamper fires each exactly
+//!   once in the same federated run;
+//! * a proptest: random outage/tamper plans under a hostile
 //!   `FaultProfile` never change the final pool sha256 versus the healthy
 //!   single-cloud baseline — degradation costs time, never safety.
 
 use dra4wfms::cloud::federation::forge_stored_row;
 use dra4wfms::cloud::{
-    alerts_to_jsonl, check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint,
-    Delivery, FaultProfile, OutagePlan, PoolAuditor, TamperPlan, Topology,
+    alerts_to_jsonl, check_metric_invariants, AuditConfig, CloudSystem, Delivery, FaultPlan,
+    FaultProfile, PoolAuditor, Topology, Trigger,
 };
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 use proptest::prelude::*;
@@ -131,13 +134,17 @@ fn topology_of_one_matches_single_cloud() {
     }
 }
 
+/// `cloud` unreachable from virtual instant `from_us` on.
+fn outage(cloud: &str, from_us: u64) -> (String, Trigger) {
+    (site::cloud(cloud), Trigger::From(from_us))
+}
+
 #[test]
 fn cloud_outage_fails_over_and_preserves_the_pool() {
-    let rig = Rig::fig9(false);
-    let (sys, ctrl) = rig.federated(two_cloud_topology());
     // east (the active cloud) is dead from virtual microsecond 5 — before
     // the first admission ever lands
-    ctrl.set_outage(OutagePlan::at(0, 5));
+    let rig = Rig::fig9(false).with_faults(&FaultPlan::of([outage("east", 5)]));
+    let (sys, ctrl) = rig.federated(two_cloud_topology());
     drive(&rig, &sys, 0..2, sys.channel());
 
     assert_eq!(ctrl.active_cloud(), 1, "admissions failed over to west");
@@ -158,13 +165,13 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
 
 #[test]
 fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
-    let rig = Rig::fig9(false);
+    // portal 1 serves corrupted bytes on its first serve, after the fleet
+    // ran (a run serves nothing)
+    let rig = Rig::fig9(false).with_faults(&FaultPlan::once(&site::serve(1), 1));
     let (sys, ctrl) = rig.federated(two_cloud_topology());
     drive(&rig, &sys, 0..2, sys.channel());
     let before = sys.pool_digest();
-
-    // portal 1 serves corrupted bytes on its very next serve
-    ctrl.set_tamper(TamperPlan::once(1, 1));
+    assert_eq!(ctrl.stats().tampered_serves, 0);
 
     let served = sys.retrieve_latest(1, "fed-0").expect("the serve survives the bad portal");
     assert_eq!(
@@ -238,7 +245,8 @@ fn rollback_and_substitution_are_caught_like_flipped_bytes() {
 
 #[test]
 fn torn_replication_is_repaired_by_replica_journal_replay() {
-    let rig = Rig::fig9(false).crashing(&CrashPlan::once(CrashPoint::ReplicaBeforeCommit, 1));
+    let plan = FaultPlan::once(site::PORTAL_REPLICA_BEFORE_COMMIT, 1);
+    let rig = Rig::fig9(false).with_faults(&plan);
     let (sys, _) = rig.federated(two_cloud_topology());
     let wire = rig.initial("t-1").to_xml_string();
     let route = Route { targets: vec!["A".into()], ends: false };
@@ -271,10 +279,36 @@ fn torn_replication_is_repaired_by_replica_journal_replay() {
     assert!(ack.duplicate);
 }
 
+/// One plan, two kinds of fault: an AEA dies on its third signing and
+/// portal 2 corrupts its first serve, in the same Fig. 9A run over two
+/// clouds. Each strikes exactly once, and the run still stores and serves
+/// the healthy bytes.
+#[test]
+fn one_plan_crashes_an_aea_and_tampers_a_serve_in_one_federated_run() {
+    let plan = FaultPlan::of([
+        (site::AEA_BEFORE_SIGN.to_string(), Trigger::Visit(3)),
+        (site::serve(2), Trigger::Visit(1)),
+    ]);
+    let rig = Rig::fig9(false).with_faults(&plan);
+    let (sys, ctrl) = rig.federated(two_cloud_topology());
+    drive(&rig, &sys, 0..2, sys.channel());
+    assert_eq!(plan.fired(), 1, "the crash struck; nothing was served yet");
+    assert_eq!(rig.metrics.snapshot().counter("run.takeovers"), 1, "one AEA died, once");
+
+    for portal in 0..4 {
+        let served = sys.retrieve_latest(portal, "fed-0").expect("a healthy portal serves");
+        assert_eq!(served, sys.retrieve_version("fed-0", 9).unwrap());
+    }
+    assert_eq!(plan.fired(), 2, "the tamper struck too");
+    assert_eq!(ctrl.stats().tampered_serves, 1);
+    assert!(ctrl.is_quarantined(2) && ctrl.zero_admissions_after_quarantine());
+    assert_eq!(sys.pool_digest(), healthy_digest(2), "neither fault changed a stored byte");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random outage/tamper schedules under a hostile fault profile:
+    /// Random outage/tamper plans under a hostile fault profile:
     /// every instance completes, quarantined portals take zero admissions
     /// afterwards, and the final pool digest is byte-identical to the
     /// healthy single-cloud baseline — a bad cloud costs time, never
@@ -286,16 +320,18 @@ proptest! {
         tamper_portal in 0usize..4,
         tamper_nth in 1u64..3,
     ) {
-        let rig = Rig::fig9(false);
+        let plan = FaultPlan::of([
+            outage("east", outage_from),
+            (site::serve(tamper_portal), Trigger::Visit(tamper_nth)),
+        ]);
+        let rig = Rig::fig9(false).with_faults(&plan);
         let (sys, ctrl) = rig.federated(two_cloud_topology());
-        ctrl.set_outage(OutagePlan::at(0, outage_from));
-        ctrl.set_tamper(TamperPlan::once(tamper_portal, tamper_nth));
         let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
         drive(&rig, &sys, 0..2, &delivery);
 
-        // audit pass: serve every instance through every portal, so an
-        // armed tamper plan gets its chance to fire mid-sweep
+        // audit pass: serve every instance through every portal, so a
+        // scripted tamper gets its chance to fire mid-sweep
         for pid in ["fed-0", "fed-1"] {
             for portal in 0..4 {
                 if let Some(served) = sys.retrieve_latest(portal, pid) {

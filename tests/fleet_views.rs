@@ -27,9 +27,10 @@
 
 use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
-    check_metric_invariants, AlertKind, AuditConfig, CloudSystem, CrashPlan, CrashPoint, Delivery,
+    check_metric_invariants, AlertKind, AuditConfig, CloudSystem, Delivery, FaultPlan,
     FaultProfile, HealthMonitor, PoolAuditor, Topology,
 };
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::docpool::{HTable, Scan};
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
@@ -110,13 +111,13 @@ proptest! {
         n in 1usize..4,
         federated in any::<bool>(),
     ) {
-        let plan = CrashPlan::once(CrashPoint::AeaBeforeSign, crash_nth);
-        let rig = Rig::fig9(false).crashing(&plan).unmonitored();
+        let plan = FaultPlan::once(site::AEA_BEFORE_SIGN, crash_nth);
+        let rig = Rig::fig9(false).with_faults(&plan).unmonitored();
         let sys = if federated { rig.federated(two_clouds()).0 } else { rig.cloud(4) };
         let delivery = rig.channel(FaultProfile::hostile(), fault_seed);
 
         drive(&rig, &sys, 0..n, &delivery);
-        prop_assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
+        prop_assert_eq!(plan.fired(), 1, "the scheduled crash fired");
 
         assert_views_identical(&sys);
         let auditor = PoolAuditor::new(AuditConfig::default());
@@ -156,7 +157,8 @@ proptest! {
 /// deployment; a cold restart mid-fleet reseeds identical views.
 #[test]
 fn torn_store_recovery_keeps_views_and_fleet_consistent() {
-    let rig = Rig::fig9(false).crashing(&CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 1));
+    let rig =
+        Rig::fig9(false).with_faults(&FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 1));
     let sys = rig.cloud(2);
 
     // the very first admission tears mid-store

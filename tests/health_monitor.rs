@@ -9,17 +9,16 @@
 
 use dra4wfms::cloud::monitor::AlertKind;
 use dra4wfms::cloud::{
-    check_metric_invariants, CrashPlan, CrashPoint, FaultProfile, MonitorConfig, Scheduler,
-    LEASE_US,
+    check_metric_invariants, FaultPlan, FaultProfile, MonitorConfig, Scheduler, LEASE_US,
 };
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 
 /// A Fig. 9A cell whose `crash_at`-th signing AEA dies, if any.
 fn scenario(crash_at: Option<u64>) -> Rig {
-    let plan =
-        crash_at.map_or(CrashPlan::none(), |n| CrashPlan::once(CrashPoint::AeaBeforeSign, n));
-    Rig::fig9(false).crashing(&plan)
+    let plan = crash_at.map_or(FaultPlan::none(), |n| FaultPlan::once(site::AEA_BEFORE_SIGN, n));
+    Rig::fig9(false).with_faults(&plan)
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! reconciles, and end-of-run metrics that satisfy the cross-layer
 //! accounting invariants (DESIGN §14).
 
-use dra4wfms::cloud::{check_metric_invariants, CrashPlan, CrashPoint, FaultProfile};
+use dra4wfms::cloud::{check_metric_invariants, FaultPlan, FaultProfile};
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 use proptest::prelude::*;
@@ -22,8 +23,8 @@ proptest! {
         crash_nth in 1u64..6,
         values in proptest::collection::vec("[ -~]{0,16}", 7),
     ) {
-        let plan = CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + crash_nth % len as u64);
-        let rig = Rig::chain(len, false, move |i| values[i].clone()).crashing(&plan).unmonitored();
+        let plan = FaultPlan::once(site::AEA_BEFORE_SIGN, 1 + crash_nth % len as u64);
+        let rig = Rig::chain(len, false, move |i| values[i].clone()).with_faults(&plan).unmonitored();
         let sys = rig.cloud(2);
         let delivery = rig.channel(FaultProfile::hostile(), seed);
         let initial = rig.initial("obs-gen");
@@ -32,7 +33,7 @@ proptest! {
         // exercised here; a genuine delivery exhaustion would surface as Err
         let out = out.unwrap();
         prop_assert_eq!(out.steps, len);
-        prop_assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
+        prop_assert_eq!(plan.fired(), 1, "the scheduled crash fired");
 
         // the trace reconciles against the signed document even though the
         // run crossed drops, duplicates, corruption and one crash takeover
@@ -58,7 +59,7 @@ proptest! {
         prop_assert_eq!(snapshot.counter("run.steps"), len as u64);
         prop_assert_eq!(
             snapshot.counter("delivery.crashes_injected"),
-            plan.crashes_injected()
+            plan.fired()
         );
     }
 }

@@ -27,7 +27,8 @@
 //! REGEN_GOLDEN=1 cargo test --test scheduler_parity
 //! ```
 
-use dra4wfms::cloud::{CrashPlan, CrashPoint, FaultProfile};
+use dra4wfms::cloud::{FaultPlan, FaultProfile};
+use dra4wfms::core::faultpoint::site;
 use dra_bench::rig::{fig9_definition, Rig};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -66,10 +67,10 @@ fn run_cell(label: &str, advanced: bool, scenario: Scenario) -> String {
     let plan = match scenario {
         // one AEA dies mid-sign on the 3rd trigger; the supervisor takes
         // the hop over after the lease
-        Scenario::SeededCrash => CrashPlan::once(CrashPoint::AeaBeforeSign, 3),
-        _ => CrashPlan::none(),
+        Scenario::SeededCrash => FaultPlan::once(site::AEA_BEFORE_SIGN, 3),
+        _ => FaultPlan::none(),
     };
-    let rig = parity_rig(advanced).crashing(&plan);
+    let rig = parity_rig(advanced).with_faults(&plan);
     let sys = rig.cloud(3);
     let hostile = rig.channel(FaultProfile::hostile(), 42);
     let channel = if scenario == Scenario::HostileFaults { &hostile } else { sys.channel() };

@@ -25,9 +25,10 @@
 
 use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
-    check_metric_invariants, AuditConfig, CloudSystem, CrashPlan, CrashPoint, FaultProfile,
-    OutagePlan, PoolAuditor, Topology,
+    check_metric_invariants, AuditConfig, CloudSystem, FaultPlan, FaultProfile, PoolAuditor,
+    Topology, Trigger,
 };
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::docpool::{HTable, Scan};
 use dra4wfms::prelude::*;
 use dra_bench::fuzz;
@@ -175,28 +176,25 @@ proptest! {
     ) {
         let deployment = DEPLOYMENTS[deployment];
         let plan = match deployment {
-            Deployment::TornStore => CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, nth),
-            Deployment::TornReplica => CrashPlan::once(CrashPoint::ReplicaBeforeCommit, nth),
-            _ => CrashPlan::none(),
+            Deployment::TornStore => FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, nth),
+            Deployment::TornReplica => FaultPlan::once(site::PORTAL_REPLICA_BEFORE_COMMIT, nth),
+            // a hop or two in (a hop is ~240 virtual µs on this network)
+            Deployment::Failover => FaultPlan::of([(site::cloud("east"), Trigger::From(100 * nth))]),
+            _ => FaultPlan::none(),
         };
         let (rig, initial) = subject(pick, tfc);
-        let rig = rig.crashing(&plan);
+        let rig = rig.with_faults(&plan);
         let sys = match deployment {
             Deployment::Lone | Deployment::TornStore => rig.cloud(3),
             _ => rig.federated(Topology::new().cloud("east", 2).cloud("west", 2)).0,
         };
-        if let Deployment::Failover = deployment {
-            // a hop or two in (a hop is ~240 virtual µs on this network)
-            sys.federation_controller().unwrap().set_outage(OutagePlan::at(0, 100 * nth));
-        }
-
         let out = rig
             .run(&sys, &initial)
             .run()
             .unwrap_or_else(|e| panic!("{deployment:?}, pick {pick}: {e}"));
         // whatever died did die, and was restarted by the run
         let torn = matches!(deployment, Deployment::TornStore | Deployment::TornReplica);
-        prop_assert_eq!(plan.crashes_injected(), u64::from(torn));
+        prop_assert_eq!(plan.fired(), u64::from(torn));
         prop_assert_eq!(sys.journal_replays(), u64::from(torn));
         prop_assert_eq!(sys.recover_portals(), 0, "nothing is left to replay");
 
@@ -254,12 +252,12 @@ fn books(sys: &CloudSystem, cell: &str) -> [usize; 3] {
 /// same seeds.
 #[test]
 fn resumed_digests_and_assembled_wires_leave_every_version_and_counter_as_they_were() {
-    let fig9 = |advanced: bool, plan: &Arc<CrashPlan>| {
-        let rig = Rig::fig9(advanced).crashing(plan);
+    let fig9 = |advanced: bool, plan: &Arc<FaultPlan>| {
+        let rig = Rig::fig9(advanced).with_faults(plan);
         let initial = rig.initial(PID);
         (rig, initial)
     };
-    let none = CrashPlan::none();
+    let none = FaultPlan::none();
 
     let (rig, initial) = fig9(false, &none);
     let sys = rig.cloud(2);
@@ -281,16 +279,15 @@ fn resumed_digests_and_assembled_wires_leave_every_version_and_counter_as_they_w
     assert_eq!((lossy.duplicates_suppressed, lossy.corruptions_rejected), (7, 7));
     assert!(lossy.faults.reordered > 0 && lossy.late_deliveries > 0, "{lossy:?}");
 
-    let plan = CrashPlan::once(CrashPoint::PortalBetweenSeenAndStore, 2);
+    let plan = FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 2);
     let (rig, initial) = fig9(false, &plan);
     let sys = rig.cloud(2);
     rig.run(&sys, &initial).run().unwrap();
-    assert_eq!((plan.crashes_injected(), sys.journal_replays()), (1, 1));
+    assert_eq!((plan.fired(), sys.journal_replays()), (1, 1));
     assert_eq!(books(&sys, "torn store"), [10, 9, 1]);
 
-    let (rig, initial) = fig9(false, &none);
+    let (rig, initial) = fig9(false, &FaultPlan::of([(site::cloud("east"), Trigger::From(700))]));
     let (sys, controller) = rig.federated(Topology::new().cloud("east", 2).cloud("west", 2));
-    controller.set_outage(OutagePlan::at(0, 700));
     rig.run(&sys, &initial).run().unwrap();
     assert_eq!((controller.stats().outages, controller.stats().active_cloud), (1, 1));
     assert_eq!(books(&sys, "failover"), [10, 10, 0]);

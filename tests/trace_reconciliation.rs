@@ -9,7 +9,8 @@
 //! reordered, dropped or forged hop must fail with a diagnostic naming the
 //! exact divergence.
 
-use dra4wfms::cloud::{CrashPlan, CrashPoint, FaultProfile};
+use dra4wfms::cloud::{FaultPlan, FaultProfile};
+use dra4wfms::core::faultpoint::site;
 use dra4wfms::obs::{stage, TraceEvent, Tracer, OUTCOME_OK};
 use dra4wfms::prelude::*;
 use dra_bench::fuzz::{self, GeneratedWorkflow};
@@ -24,11 +25,11 @@ fn instrumented_run(
     seed: u64,
 ) -> (Vec<TraceEvent>, DraDocument) {
     let plan = if crash {
-        CrashPlan::once(CrashPoint::AeaBeforeSign, 1 + seed % 9)
+        FaultPlan::once(site::AEA_BEFORE_SIGN, 1 + seed % 9)
     } else {
-        CrashPlan::none()
+        FaultPlan::none()
     };
-    let rig = Rig::fig9(advanced).crashing(&plan);
+    let rig = Rig::fig9(advanced).with_faults(&plan);
     let sys = rig.cloud(3);
     let delivery = match hostile {
         true => rig.channel(FaultProfile::hostile(), seed),
@@ -38,7 +39,7 @@ fn instrumented_run(
     let out = rig.run(&sys, &initial).network(&delivery).run().unwrap();
     assert_eq!(out.steps, 9);
     if crash {
-        assert_eq!(plan.crashes_injected(), 1, "the scheduled crash fired");
+        assert_eq!(plan.fired(), 1, "the scheduled crash fired");
     }
     (rig.tracer.events(), out.document.document().clone())
 }
