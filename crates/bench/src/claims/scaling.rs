@@ -15,7 +15,9 @@
 //! and, on a seeded unencrypted chain, the SHA-256 bytes one incremental
 //! verification absorbs, the wire bytes a hop formats and the SHA-256 bytes
 //! its admission and (routed via the TFC) `TfcServer::receive` absorb, plus
-//! the signatures the Fig. 9 AND-join checks at each turn of the loop — so
+//! the signatures the Fig. 9 AND-join checks at each turn of the loop, and
+//! the X25519 ladders and fixed-base multiplications an encrypted instance
+//! runs (Fig. 9A, 9B, a 16-step chain; counts, whatever keys it drew) — so
 //! the file is byte-identical across runs and machines and can sit behind
 //! the perf gate (`perf/BENCH_scaling.baseline.json`). The live
 //! chain run cannot serve that purpose: ephemeral encryption keys and CER
@@ -27,9 +29,10 @@
 //! behind the gate are what a regression actually trips.
 
 use super::{ClaimOutput, Row, Rows};
-use crate::rig::{cast, fig9_respond, ChainRecord, Handoff, Rig};
+use crate::rig::{cast, fig9_confidential, fig9_respond, ChainRecord, Handoff, Rig};
 use dra4wfms_core::prelude::*;
 use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
+use dra_crypto::x25519::{fixed_base, ladders};
 use dra_crypto::{sha256_bytes, sha256_bytes_reset, verify_batch, BatchEntry, Keypair};
 use dra_xml::{
     canon_alloc_bytes, canon_alloc_reset, wire_written_bytes, wire_written_bytes_reset, Element,
@@ -133,6 +136,21 @@ fn join_sig_checks(advanced: bool) -> Vec<usize> {
     joins
         .map(|e| e.attr("signatures_verified").and_then(|n| n.parse().ok()).expect("a count"))
         .collect()
+}
+
+/// X25519 ladders and fixed-base multiplications one instance of `rig`
+/// costs, counted on a second instance, once the first has filled every
+/// memo: the steady state a fleet runs in.
+fn key_agreement(cell: &str, rig: Rig) -> Row {
+    let count = |pid: &str| {
+        let before = (ladders(), fixed_base());
+        rig.run(&rig.cloud(1), &rig.initial(pid)).run().expect("the instance completes");
+        (ladders() - before.0, fixed_base() - before.1)
+    };
+    count("scaling-keys-warm");
+    let (ladders, fixed_base) = count("scaling-keys");
+    println!("  {cell}: {ladders} X25519 ladders, {fixed_base} fixed-base multiplications");
+    Row::new().with("cell", cell).with("ladders", ladders).with("fixed_base", fixed_base)
 }
 
 fn hop_bytes(max: usize) -> Vec<HopBytes> {
@@ -356,6 +374,12 @@ pub(super) fn run() -> ClaimOutput {
         let with_turn = |row: Row, turn| row.with(&format!("loop{turn}_sig_checks"), checks[turn]);
         (0..checks.len()).fold(Row::new().with("cell", name), with_turn)
     });
+    let confidential = |advanced| Rig::fig9(advanced).with_policy(fig9_confidential());
+    let key_rows = [
+        key_agreement("ladders fig9a", confidential(false)),
+        key_agreement("ladders fig9b", confidential(true)),
+        key_agreement("ladders chain16", Rig::chain(16, true, |i| format!("value-{i:04}"))),
+    ];
     let mut out = ClaimOutput::default();
     let metrics = dra_obs::MetricsRegistry::new();
     metrics.incr("scaling.sweep_rows", records.len() as u64);
@@ -372,6 +396,6 @@ pub(super) fn run() -> ClaimOutput {
         && (inc64 - inc8) / 56 <= 64
         && (t64 - t8) / 56 <= 64;
     println!("\nC1 shape: {}", if pass { "REPRODUCED" } else { "NOT REPRODUCED" });
-    out.set_rows(Rows::array(cells.into_iter().chain(join_rows).collect()));
+    out.set_rows(Rows::array(cells.into_iter().chain(join_rows).chain(key_rows).collect()));
     out
 }

@@ -14,9 +14,31 @@
 //! Edwards side with [`Point::basepoint_mul`] — 65 table additions instead
 //! of a 255-step ladder, the same 32 bytes — once, when the secret is
 //! constructed.
+//!
+//! Both are counted per thread ([`ladders`], [`fixed_base`]), like
+//! [`crate::ed25519::ec_ops`]: what a hop spends on key agreement is a count
+//! that repeats to the last digit, whatever the random keys it drew.
 
 use crate::ed25519::Point;
 use crate::field::Fe;
+use std::cell::Cell;
+
+thread_local! {
+    /// (ladders, fixed-base multiplications) run by this thread.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Variable-base multiplications ([`x25519`], one per shared secret) this
+/// thread has run so far.
+pub fn ladders() -> u64 {
+    COUNTS.with(|c| c.get().0)
+}
+
+/// Fixed-base multiplications (one per [`X25519Secret::from_bytes`]: the
+/// public key) this thread has run so far.
+pub fn fixed_base() -> u64 {
+    COUNTS.with(|c| c.get().1)
+}
 
 /// An X25519 secret scalar together with its public key.
 #[derive(Clone)]
@@ -47,6 +69,7 @@ impl X25519Secret {
     pub fn from_bytes(bytes: [u8; 32]) -> X25519Secret {
         // [k]B on the Edwards curve, mapped across. (A clamped k is a
         // multiple of 8 below 2^255 < 8L, so [k]B is never the identity.)
+        COUNTS.with(|c| c.set((c.get().0, c.get().1 + 1)));
         let u = Point::basepoint_mul(&clamp(bytes)).to_montgomery_u();
         X25519Secret { bytes, public: X25519PublicKey(u) }
     }
@@ -75,6 +98,7 @@ impl X25519Secret {
 /// The raw X25519 function: scalar multiplication on the Montgomery
 /// u-coordinate ladder. `scalar` is clamped per RFC 7748.
 pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+    COUNTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
     let k = clamp(*scalar);
     let x1 = Fe::from_bytes(u);
     let mut x2 = Fe::ONE;
@@ -240,6 +264,16 @@ mod tests {
         assert!(!shown.contains(&hex::encode(&secret.public.0)));
         let beyond_the_type_name = shown.replace("X25519Secret", "");
         assert!(!beyond_the_type_name.contains(|c: char| c.is_ascii_digit()), "{shown}");
+    }
+
+    #[test]
+    fn a_key_costs_one_fixed_base_and_a_shared_secret_one_ladder() {
+        let (l0, f0) = (ladders(), fixed_base());
+        let a = X25519Secret::from_bytes([3; 32]);
+        let b = X25519Secret::from_bytes([4; 32]);
+        assert_eq!(a.diffie_hellman(&b.public_key()), b.diffie_hellman(&a.public_key()));
+        let _ = a.public_key();
+        assert_eq!((ladders() - l0, fixed_base() - f0), (2, 2));
     }
 
     #[test]
