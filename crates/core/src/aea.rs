@@ -22,17 +22,16 @@ use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_plain_result_element, build_result_element};
 use crate::flow::{evaluate_route_after, join_ready, merge_documents, DocFieldReader, Route};
-use crate::identity::{Credentials, Directory};
+use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
 use crate::ingest::Inbound;
 use crate::model::{FieldRef, JoinKind};
 use crate::sealed::{SealedDocument, TrustMark};
 use crate::verify::{VerificationReport, Verifier};
-use dra_crypto::x25519::X25519PublicKey;
 use dra_obs::{stage, Tracer};
 use dra_xml::canon::canonicalize;
 use dra_xml::sig::sign_detached;
 use dra_xml::Element;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// An Activity Execution Agent bound to one participant's credentials.
 pub struct Aea {
@@ -48,11 +47,11 @@ pub struct Aea {
     /// [`crate::verify::Verifier::batched`]. Off reproduces the paper's
     /// per-signature baseline for measurements.
     batched: bool,
-    /// The static Diffie-Hellman secret with the TFC that seeds
-    /// [`Aea::complete_via_tfc`]'s deterministic seal, next to the TFC key it
-    /// was derived against: one ladder per AEA, not per hop, and a directory
-    /// entry that changes re-derives.
-    tfc_seed: Mutex<Option<(X25519PublicKey, [u8; 32])>>,
+    /// The static Diffie-Hellman secrets shared with peers. The one shared
+    /// with the TFC keys [`Aea::complete_via_tfc`]'s result and opens this
+    /// participant's copy of a field the TFC re-encrypted. One ladder per
+    /// peer key, not per hop.
+    peers: PeerSecrets,
 }
 
 /// The outcome of [`Aea::receive`]: a verified document opened for one
@@ -117,7 +116,7 @@ impl Aea {
             crash_hook: None,
             tracer: Tracer::disabled(),
             batched: true,
-            tfc_seed: Mutex::new(None),
+            peers: PeerSecrets::default(),
         }
     }
 
@@ -151,14 +150,10 @@ impl Aea {
         }
     }
 
-    /// `creds.enc` × `tfc`, derived on first use and whenever `tfc` is not
-    /// the key the memo was derived against.
-    fn tfc_seed(&self, tfc: &X25519PublicKey) -> [u8; 32] {
-        let mut memo = self.tfc_seed.lock().unwrap_or_else(|e| e.into_inner());
-        match *memo {
-            Some((key, seed)) if key == *tfc => seed,
-            _ => memo.insert((*tfc, self.creds.enc.diffie_hellman(tfc))).1,
-        }
+    /// This participant's keys: what it builds results with and reads
+    /// fields through.
+    pub fn keys(&self) -> ActorKeys<'_> {
+        ActorKeys { creds: &self.creds, directory: &self.directory, peers: &self.peers }
     }
 
     /// Receive a routed document and open `activity` for execution — the
@@ -232,7 +227,8 @@ impl Aea {
         let mut visible = Vec::new();
         let mut hidden = Vec::new();
         {
-            let reader = DocFieldReader::for_actor(&doc, &self.creds);
+            let keys = self.keys();
+            let reader = DocFieldReader::for_actor(&doc, &keys);
             use crate::fields::FieldReader;
             for req in &act.requests {
                 match reader.read_field(&req.activity, &req.field) {
@@ -307,7 +303,8 @@ impl Aea {
         responses: &[(String, String)],
     ) -> WfResult<CompletedActivity> {
         Self::check_responses(received, responses)?;
-        let reader = DocFieldReader::for_actor(&received.doc, &self.creds)
+        let keys = self.keys();
+        let reader = DocFieldReader::for_actor(&received.doc, &keys)
             .with_overlay(&received.activity, responses);
         let span_seal = self
             .tracer
@@ -319,7 +316,7 @@ impl Aea {
             &received.activity,
             responses,
             &received.definition.policy,
-            &self.directory,
+            &keys,
             &self.creds.name,
             &reader,
         )?;
@@ -363,8 +360,8 @@ impl Aea {
     }
 
     /// Complete the activity under the **advanced operational model** (§2.2):
-    /// seal the plaintext result to the TFC server's public key and embed the
-    /// cascade signature over the sealed blob. The TFC will re-encrypt per
+    /// seal the plaintext result for the TFC server and embed the cascade
+    /// signature over the sealed blob. The TFC will re-encrypt per
     /// policy, timestamp, attest and route.
     ///
     /// This is the β column of Table 2.
@@ -382,10 +379,11 @@ impl Aea {
             .ok_or_else(|| WfError::Policy("workflow definition names no TFC server".into()))?;
         let tfc_id = self.directory.get(tfc_name)?;
 
-        // {{R_Ai}}Pub(TFC): the plaintext result, sealed so only the TFC
-        // can decrypt it. Sealed deterministically from the static DH secret
-        // with the TFC, so a crashed agent re-executing the same hop emits
-        // byte-identical bytes — the idempotent-digest machinery then
+        // {{R_Ai}}Pub(TFC): the plaintext result, in a static box under the
+        // Diffie-Hellman secret this participant and the TFC share — only
+        // the two of them can open it, neither spends a ladder on it. Its
+        // nonce is synthetic, so a crashed agent re-executing the same hop
+        // emits byte-identical bytes — the idempotent-digest machinery then
         // recognises the dead agent's copy and the takeover copy as one.
         let plain = build_plain_result_element(responses);
         let key = CerKey::new(received.activity.clone(), received.iter);
@@ -395,13 +393,10 @@ impl Aea {
             .actor(&self.creds.name)
             .process(&received.report.process_id)
             .activity(&received.activity, received.iter);
-        let seal_seed = self.tfc_seed(&tfc_id.enc);
-        let seal_context = format!("{}/{key}", received.report.process_id);
-        let sealed = dra_crypto::sealed::seal_deterministic(
-            &tfc_id.enc,
+        let sealed = dra_crypto::sealed::seal_static_synthetic(
+            &self.keys().shared_with_key(&tfc_id.enc),
+            result_context(&received.report.process_id, &key).as_bytes(),
             &canonicalize(&plain),
-            &seal_seed,
-            seal_context.as_bytes(),
         );
         span_seal.attr("tfc", tfc_name);
         span_seal.end();
@@ -433,6 +428,11 @@ impl Aea {
         let document = SealedDocument::with_trust(document, received.trust.clone());
         Ok(IntermediateActivity { document, key })
     }
+}
+
+/// What the AEA→TFC result of activity `key` in process `pid` is bound to.
+pub(crate) fn result_context(pid: &str, key: &CerKey) -> String {
+    format!("TfcSealed/{pid}/{key}")
 }
 
 #[cfg(test)]

@@ -7,12 +7,17 @@
 //! participant. Conditional audiences are resolved at encryption time by
 //! whoever holds enough keys to evaluate the predicate — the executing AEA
 //! in the basic model, the TFC server in the advanced model.
+//!
+//! Whoever builds the result picks each reader's wrap ([`Recipient`]): its
+//! own copy is keyed from its own secret, the author's copy — when the TFC
+//! builds — from the secret TFC and author share, and every other reader's
+//! is sealed to its public key. So only the other readers cost a ladder.
 
 use crate::error::{WfError, WfResult};
-use crate::identity::{Credentials, Directory};
+use crate::identity::{ActorKeys, Identity};
 use crate::model::Condition;
 use crate::policy::{Readers, SecurityPolicy};
-use dra_xml::enc::{decrypt_element, is_encrypted, recipients_of, Recipient};
+use dra_xml::enc::{decrypt_element, is_encrypted, recipients_of, ReaderKeys, Recipient};
 use dra_xml::{encrypt_element, Element};
 
 /// Anything that can provide plaintext field values for condition
@@ -63,13 +68,14 @@ pub fn resolve_readers(readers: &Readers, reader: &dyn FieldReader) -> WfResult<
 }
 
 /// Build a `<Result>` element for `activity`, encrypting each response field
-/// per `policy`. `author` is always added to restricted audiences so a
-/// participant can re-read what they produced.
+/// per `policy`, as the holder of `keys` (the author's AEA, or the TFC).
+/// `author` is always added to restricted audiences so a participant can
+/// re-read what they produced.
 pub fn build_result_element(
     activity: &str,
     responses: &[(String, String)],
     policy: &SecurityPolicy,
-    directory: &Directory,
+    keys: &ActorKeys<'_>,
     author: &str,
     reader: &dyn FieldReader,
 ) -> WfResult<Element> {
@@ -87,9 +93,9 @@ pub fn build_result_element(
                 // group names expand to their members' keys
                 let mut recipients: Vec<Recipient> = Vec::new();
                 for n in &names {
-                    for id in directory.expand(n)? {
+                    for id in keys.directory.expand(n)? {
                         if !recipients.iter().any(|r| r.id == id.name) {
-                            recipients.push(Recipient::new(id.name.clone(), id.enc));
+                            recipients.push(recipient(keys, author, id));
                         }
                     }
                 }
@@ -100,6 +106,22 @@ pub fn build_result_element(
         }
     }
     Ok(result)
+}
+
+/// How `id`'s copy is wrapped when the holder of `keys` builds a result of
+/// `author`'s: from a secret both already hold where there is one (its own
+/// copy; the author's, when the TFC builds), to its public key otherwise.
+/// Readers other than these keep their ladder: a static secret with every
+/// reader would let one leaked builder key open all it ever sealed.
+fn recipient(keys: &ActorKeys<'_>, author: &str, id: &Identity) -> Recipient {
+    let builder = &keys.creds.name;
+    if id.name == *builder {
+        Recipient::keyed(&id.name, builder, *keys.creds.enc.as_bytes())
+    } else if id.name == author {
+        Recipient::keyed(&id.name, builder, keys.shared_with_key(&id.enc))
+    } else {
+        Recipient::new(&id.name, id.enc)
+    }
 }
 
 /// Build a `<Result>` element with every field in plaintext — used for the
@@ -122,7 +144,9 @@ pub fn plain_fields(result: &Element) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Read one field from a `<Result>` element as `reader_name`.
+/// Read one field from a `<Result>` element as `reader_name`, holding `keys`
+/// (its [`Credentials`](crate::identity::Credentials), or its
+/// [`ActorKeys`] to open a copy the TFC keyed for it as author).
 ///
 /// Returns `Ok(None)` if the field does not exist in this result.
 pub fn read_field_from_result(
@@ -130,7 +154,7 @@ pub fn read_field_from_result(
     activity: &str,
     field: &str,
     reader_name: &str,
-    creds: Option<&Credentials>,
+    keys: Option<&dyn ReaderKeys>,
 ) -> WfResult<Option<String>> {
     // plaintext?
     for f in result.find_children("Field") {
@@ -149,8 +173,8 @@ pub fn read_field_from_result(
             if !recipients_of(e).contains(&reader_name) {
                 return Err(not_readable());
             }
-            let creds = creds.ok_or_else(not_readable)?;
-            let inner = decrypt_element(e, reader_name, &creds.enc)
+            let keys = keys.ok_or_else(not_readable)?;
+            let inner = decrypt_element(e, reader_name, keys)
                 .map_err(|err| WfError::Crypto(err.to_string()))?;
             return Ok(Some(inner.text_content()));
         }
@@ -178,6 +202,7 @@ pub fn field_names(result: &Element) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identity::{Credentials, Directory, PeerSecrets};
     use crate::policy::SecurityPolicy;
     use std::collections::HashMap;
 
@@ -198,6 +223,20 @@ mod tests {
         (dir, peter, amy, tony)
     }
 
+    /// Build as `author`'s own AEA does in the basic model.
+    fn build_as(
+        author: &Credentials,
+        dir: &Directory,
+        activity: &str,
+        responses: &[(String, String)],
+        policy: &SecurityPolicy,
+        reader: &dyn FieldReader,
+    ) -> WfResult<Element> {
+        let peers = PeerSecrets::default();
+        let keys = ActorKeys { creds: author, directory: dir, peers: &peers };
+        build_result_element(activity, responses, policy, &keys, &author.name, reader)
+    }
+
     fn empty_reader() -> MapReader {
         MapReader(HashMap::new())
     }
@@ -205,12 +244,12 @@ mod tests {
     #[test]
     fn public_fields_are_plaintext() {
         let (dir, peter, ..) = setup();
-        let result = build_result_element(
+        let result = build_as(
+            &peter,
+            &dir,
             "A",
             &[("note".into(), "hello".into())],
             &SecurityPolicy::public(),
-            &dir,
-            &peter.name,
             &empty_reader(),
         )
         .unwrap();
@@ -224,15 +263,9 @@ mod tests {
     fn restricted_field_readable_by_audience_and_author() {
         let (dir, peter, amy, tony) = setup();
         let policy = SecurityPolicy::builder().restrict("A", "x", &["amy"]).build();
-        let result = build_result_element(
-            "A",
-            &[("x".into(), "42".into())],
-            &policy,
-            &dir,
-            &peter.name,
-            &empty_reader(),
-        )
-        .unwrap();
+        let result =
+            build_as(&peter, &dir, "A", &[("x".into(), "42".into())], &policy, &empty_reader())
+                .unwrap();
         // amy (audience) reads
         assert_eq!(
             read_field_from_result(&result, "A", "x", "amy", Some(&amy)).unwrap(),
@@ -253,15 +286,8 @@ mod tests {
     #[test]
     fn missing_field_is_none() {
         let (dir, peter, ..) = setup();
-        let result = build_result_element(
-            "A",
-            &[],
-            &SecurityPolicy::public(),
-            &dir,
-            &peter.name,
-            &empty_reader(),
-        )
-        .unwrap();
+        let result =
+            build_as(&peter, &dir, "A", &[], &SecurityPolicy::public(), &empty_reader()).unwrap();
         assert_eq!(read_field_from_result(&result, "A", "ghost", "x", None).unwrap(), None);
     }
 
@@ -279,12 +305,12 @@ mod tests {
             .build();
         let mut vals = HashMap::new();
         vals.insert(("A1".into(), "X".into()), "true".into());
-        let result = build_result_element(
+        let result = build_as(
+            &peter,
+            &dir,
             "A2",
             &[("Y".into(), "secret".into())],
             &policy,
-            &dir,
-            &peter.name,
             &MapReader(vals),
         )
         .unwrap();
@@ -309,12 +335,12 @@ mod tests {
             .build();
         let mut vals = HashMap::new();
         vals.insert(("A1".into(), "X".into()), "false".into());
-        let result = build_result_element(
+        let result = build_as(
+            &peter,
+            &dir,
             "A2",
             &[("Y".into(), "secret".into())],
             &policy,
-            &dir,
-            &peter.name,
             &MapReader(vals),
         )
         .unwrap();
@@ -349,15 +375,8 @@ mod tests {
                 &["mary"],
             )
             .build();
-        let err = build_result_element(
-            "A2",
-            &[("Y".into(), "v".into())],
-            &policy,
-            &dir,
-            &tony.name,
-            &Unreadable,
-        )
-        .unwrap_err();
+        let err = build_as(&tony, &dir, "A2", &[("Y".into(), "v".into())], &policy, &Unreadable)
+            .unwrap_err();
         assert!(matches!(err, WfError::FieldNotReadable { .. }));
     }
 
@@ -372,15 +391,9 @@ mod tests {
     fn unknown_recipient_errors() {
         let (dir, peter, ..) = setup();
         let policy = SecurityPolicy::builder().restrict("A", "x", &["ghost"]).build();
-        let err = build_result_element(
-            "A",
-            &[("x".into(), "1".into())],
-            &policy,
-            &dir,
-            &peter.name,
-            &empty_reader(),
-        )
-        .unwrap_err();
+        let err =
+            build_as(&peter, &dir, "A", &[("x".into(), "1".into())], &policy, &empty_reader())
+                .unwrap_err();
         assert!(matches!(err, WfError::UnknownIdentity(g) if g == "ghost"));
     }
 
@@ -393,15 +406,9 @@ mod tests {
         let mut dir = Directory::from_credentials([&peter, &amy, &tony, &outsider]);
         dir.register_group("reviewers", &["amy", "tony"]).unwrap();
         let policy = SecurityPolicy::builder().restrict("A", "x", &["reviewers"]).build();
-        let result = build_result_element(
-            "A",
-            &[("x".into(), "42".into())],
-            &policy,
-            &dir,
-            "peter",
-            &empty_reader(),
-        )
-        .unwrap();
+        let result =
+            build_as(&peter, &dir, "A", &[("x".into(), "42".into())], &policy, &empty_reader())
+                .unwrap();
         for (who, creds) in [("amy", &amy), ("tony", &tony)] {
             assert_eq!(
                 read_field_from_result(&result, "A", "x", who, Some(creds)).unwrap(),
@@ -424,12 +431,12 @@ mod tests {
     fn field_names_include_encrypted() {
         let (dir, peter, ..) = setup();
         let policy = SecurityPolicy::builder().restrict("A", "x", &["amy"]).build();
-        let result = build_result_element(
+        let result = build_as(
+            &peter,
+            &dir,
             "A",
             &[("x".into(), "1".into()), ("pub".into(), "2".into())],
             &policy,
-            &dir,
-            &peter.name,
             &empty_reader(),
         )
         .unwrap();

@@ -11,8 +11,9 @@
 use crate::document::DraDocument;
 use crate::error::{WfError, WfResult};
 use crate::fields::{eval_condition, read_field_from_result, FieldReader};
-use crate::identity::Credentials;
+use crate::identity::ActorKeys;
 use crate::model::{ActivityId, CancelRegion, Cardinality, JoinKind, Target, WorkflowDefinition};
+use dra_xml::enc::ReaderKeys;
 use std::collections::HashMap;
 
 /// Where a document goes after an activity completes.
@@ -213,22 +214,22 @@ pub struct DocFieldReader<'a> {
     doc: &'a DraDocument,
     /// Acting identity name.
     pub name: String,
-    creds: Option<&'a Credentials>,
+    keys: Option<&'a dyn ReaderKeys>,
     overlay: HashMap<(String, String), String>,
 }
 
 impl<'a> DocFieldReader<'a> {
     /// Reader without decryption capability (sees only plaintext fields).
     pub fn public(doc: &'a DraDocument) -> DocFieldReader<'a> {
-        DocFieldReader { doc, name: String::new(), creds: None, overlay: HashMap::new() }
+        DocFieldReader { doc, name: String::new(), keys: None, overlay: HashMap::new() }
     }
 
-    /// Reader with an actor's credentials.
-    pub fn for_actor(doc: &'a DraDocument, creds: &'a Credentials) -> DocFieldReader<'a> {
+    /// Reader with an actor's keys.
+    pub fn for_actor(doc: &'a DraDocument, keys: &'a ActorKeys<'_>) -> DocFieldReader<'a> {
         DocFieldReader {
             doc,
-            name: creds.name.clone(),
-            creds: Some(creds),
+            name: keys.creds.name.clone(),
+            keys: Some(keys),
             overlay: HashMap::new(),
         }
     }
@@ -258,7 +259,7 @@ impl FieldReader for DocFieldReader<'_> {
         let Some(result) = cer.result() else {
             return Ok(None); // intermediate CER: result still sealed to TFC
         };
-        read_field_from_result(result, activity, field, &self.name, self.creds)
+        read_field_from_result(result, activity, field, &self.name, self.keys)
     }
 }
 

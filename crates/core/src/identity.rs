@@ -13,7 +13,9 @@ use crate::error::{WfError, WfResult};
 use dra_crypto::ed25519::{Keypair, PublicKey};
 use dra_crypto::sha2::Sha256;
 use dra_crypto::x25519::{X25519PublicKey, X25519Secret};
-use std::collections::BTreeMap;
+use dra_xml::enc::ReaderKeys;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 
 /// The public identity of an actor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,6 +74,58 @@ impl Credentials {
     /// The public identity matching these credentials.
     pub fn identity(&self) -> Identity {
         Identity { name: self.name.clone(), sign: self.sign.public, enc: self.enc.public_key() }
+    }
+}
+
+/// Credentials alone open every key wrap but a copy keyed from a secret
+/// shared with another party; [`ActorKeys`] opens that too.
+impl ReaderKeys for Credentials {
+    fn secret(&self) -> &X25519Secret {
+        &self.enc
+    }
+}
+
+/// The static Diffie–Hellman secrets one actor shares with its peers, each
+/// derived on first use: one ladder per peer key over the actor's lifetime,
+/// not one per use. Keyed by the peer's public key, so a directory entry
+/// that changes derives afresh.
+#[derive(Default)]
+pub struct PeerSecrets(Mutex<HashMap<X25519PublicKey, [u8; 32]>>);
+
+impl PeerSecrets {
+    /// `own` × `peer`, derived on first use.
+    pub fn get(&self, own: &X25519Secret, peer: &X25519PublicKey) -> [u8; 32] {
+        let mut memo = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        *memo.entry(*peer).or_insert_with(|| own.diffie_hellman(peer))
+    }
+}
+
+/// One actor's keys as a builder and reader of key wraps: its credentials,
+/// the directory naming its peers, and the secrets it shares with them.
+pub struct ActorKeys<'a> {
+    /// The actor's own key material.
+    pub creds: &'a Credentials,
+    /// Where a peer's name resolves to its key.
+    pub directory: &'a Directory,
+    /// The memo of secrets shared with peers; it belongs to `creds`.
+    pub peers: &'a PeerSecrets,
+}
+
+impl ActorKeys<'_> {
+    /// The static secret this actor shares with the holder of `peer`.
+    pub fn shared_with_key(&self, peer: &X25519PublicKey) -> [u8; 32] {
+        self.peers.get(&self.creds.enc, peer)
+    }
+}
+
+impl ReaderKeys for ActorKeys<'_> {
+    fn secret(&self) -> &X25519Secret {
+        &self.creds.enc
+    }
+
+    fn shared_with(&self, peer: &str) -> Option<[u8; 32]> {
+        let id = self.directory.get(peer).ok()?;
+        Some(self.shared_with_key(&id.enc))
     }
 }
 

@@ -18,13 +18,14 @@
 //! [`TfcServer::receive`] is the TFC's share of the α column and
 //! [`TfcServer::finalize`] is the γ column.
 
+use crate::aea::result_context;
 use crate::amendment::EffectiveDefinition;
 use crate::document::{CerKey, CerView, DraDocument};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_result_element, plain_fields};
 use crate::flow::{evaluate_route_after, DocFieldReader, Route};
-use crate::identity::{Credentials, Directory};
+use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
 use crate::ingest::Inbound;
 use crate::sealed::{prefix_digest, SealedDocument, TrustMark};
 use crate::verify::{tfc_attest_bytes, Verifier};
@@ -66,6 +67,9 @@ pub struct TfcServer {
     /// finalized CER per document finalized over the server's lifetime.
     redo: Mutex<HashMap<[u8; 32], RedoEntry>>,
     redo_reuses: AtomicU64,
+    /// The static Diffie-Hellman secret shared with each participant: opens
+    /// its sealed results and keys its copy of what it produced.
+    peers: PeerSecrets,
     /// Span recorder; disabled (free) unless [`TfcServer::with_tracer`] is
     /// used.
     tracer: Tracer,
@@ -141,6 +145,7 @@ impl TfcServer {
             crash_hook: None,
             redo: Mutex::new(HashMap::new()),
             redo_reuses: AtomicU64::new(0),
+            peers: PeerSecrets::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -158,6 +163,12 @@ impl TfcServer {
     pub fn with_tracer(mut self, tracer: Tracer) -> TfcServer {
         self.tracer = tracer;
         self
+    }
+
+    /// The TFC's keys: what it re-encrypts results with and reads fields
+    /// through.
+    pub fn keys(&self) -> ActorKeys<'_> {
+        ActorKeys { creds: &self.creds, directory: &self.directory, peers: &self.peers }
     }
 
     fn crash_point(&self, site: &str) -> WfResult<()> {
@@ -238,8 +249,13 @@ impl TfcServer {
         let doc = sealed.into_document();
         let sealed_bytes = dra_crypto::b64::decode(&sealed_hex)
             .ok_or_else(|| WfError::Malformed("bad TfcSealed base64".into()))?;
-        let plaintext = dra_crypto::sealed::open(&self.creds.enc, &sealed_bytes)
-            .map_err(|e| WfError::Crypto(format!("unsealing result: {e}")))?;
+        let author = self.directory.get(&participant)?;
+        let plaintext = dra_crypto::sealed::open_static(
+            &self.keys().shared_with_key(&author.enc),
+            result_context(&report.process_id, &key).as_bytes(),
+            &sealed_bytes,
+        )
+        .map_err(|e| WfError::Crypto(format!("unsealing result: {e}")))?;
         let text = String::from_utf8(plaintext)
             .map_err(|_| WfError::Malformed("sealed result is not UTF-8".into()))?;
         let result_el =
@@ -308,7 +324,8 @@ impl TfcServer {
             .process(&received.report.process_id)
             .activity(&received.key.activity, received.key.iter);
 
-        let reader = DocFieldReader::for_actor(&received.doc, &self.creds)
+        let keys = self.keys();
+        let reader = DocFieldReader::for_actor(&received.doc, &keys)
             .with_overlay(&received.key.activity, &received.responses);
 
         // {R_Ai}ee per the security policy — the TFC resolves conditional
@@ -317,7 +334,7 @@ impl TfcServer {
             &received.key.activity,
             &received.responses,
             &received.definition.policy,
-            &self.directory,
+            &keys,
             &received.participant,
             &reader,
         )?;
@@ -694,10 +711,11 @@ mod tests {
         let after = warm.complete_via_tfc(&recv, &responses).unwrap().document;
         assert_ne!(after.wire(), first.wire());
         assert_eq!(after.wire(), cold.complete_via_tfc(&recv, &responses).unwrap().document.wire());
-        let sealed = after.cers().unwrap().last().unwrap().tfc_sealed().unwrap().text_content();
-        let boxed = dra_crypto::b64::decode(&sealed).unwrap();
-        assert!(dra_crypto::sealed::open(&rekeyed.enc, &boxed).is_ok());
-        assert!(dra_crypto::sealed::open(&f.tfc.enc, &boxed).is_err());
+        let tfc = |creds: &Credentials| {
+            TfcServer::with_clock(creds.clone(), warm.directory.clone(), fixed_clock(1))
+        };
+        assert!(tfc(&rekeyed).receive(after.clone()).is_ok());
+        assert!(matches!(tfc(&f.tfc).receive(after), Err(WfError::Crypto(_))));
     }
 
     #[test]

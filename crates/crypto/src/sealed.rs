@@ -1,17 +1,26 @@
-//! Hybrid authenticated encryption: sealed boxes (public-key) and secret
-//! boxes (symmetric), both ChaCha20 + HMAC-SHA256 encrypt-then-MAC.
+//! Hybrid authenticated encryption: sealed boxes (public-key), static boxes
+//! (under a secret both ends already hold) and secret boxes (symmetric), all
+//! ChaCha20 + HMAC-SHA256 encrypt-then-MAC.
 //!
 //! These are the concrete mechanisms behind the paper's element-wise
 //! encryption: a form field destined for participants {P1, P2} is encrypted
 //! once under a fresh content key with [`secretbox_seal`], and the content
-//! key is wrapped to each recipient's X25519 public key with [`seal`]. The
-//! advanced operational model also seals fresh execution results to the TFC
-//! server's public key (the paper's `{{R}}Pub(TFC)`).
+//! key is wrapped to each reader — with [`seal`] to its X25519 public key,
+//! or with [`seal_static`] when the reader already shares a secret with
+//! whoever builds the element. The advanced operational model also seals
+//! fresh execution results for the TFC server (the paper's `{{R}}Pub(TFC)`),
+//! with [`seal_static_synthetic`].
 //!
-//! Cost in curve work: sealing is one fixed-base multiplication (the
-//! ephemeral public key) plus one Montgomery ladder (the shared secret);
-//! opening is the one ladder — the recipient's own public key, which the key
-//! derivation binds, is held by its [`X25519Secret`].
+//! Cost in curve work: a sealed box is one fixed-base multiplication (the
+//! ephemeral public key) plus one Montgomery ladder (the shared secret) to
+//! seal, and the one ladder to open — the recipient's own public key, which
+//! the key derivation binds, is held by its [`X25519Secret`]. A static box
+//! costs none on either side: its secret is the opener's own key, or a
+//! static Diffie–Hellman secret the two parties derived once and memoise
+//! (one ladder per pair, not per box). The paper wrapped keys with RSA key
+//! transport, one cheap public-key operation per reader; a static box is
+//! what keeps a reader who built the element, or who already holds such a
+//! pairwise secret, from paying a ladder for it.
 //!
 //! **One ephemeral key, several recipients.** [`seal_with_ephemeral`] lets a
 //! caller wrap the same short secret to n recipients under one ephemeral
@@ -54,7 +63,7 @@ const NONCE_LEN: usize = 12;
 const TAG_LEN: usize = 32;
 /// Sealed-box framing overhead: ephemeral pubkey + nonce + tag.
 pub const SEAL_OVERHEAD: usize = 32 + NONCE_LEN + TAG_LEN;
-/// Secret-box framing overhead: nonce + tag.
+/// Secret-box and static-box framing overhead: nonce + tag.
 pub const SECRETBOX_OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
 /// Derive (cipher key, mac key) from shared-secret material and context.
@@ -88,69 +97,9 @@ pub fn seal_with_ephemeral(
     recipient: &X25519PublicKey,
     plaintext: &[u8],
 ) -> Vec<u8> {
-    let mut nonce = [0u8; NONCE_LEN];
-    crate::random_bytes(&mut nonce);
-    seal_with_parts(eph, nonce, recipient, plaintext)
-}
-
-/// Fully deterministic sealed box, synthetic-ephemeral (SIV-style): the
-/// ephemeral secret and nonce are derived by hashing sender-held `seed`
-/// material together with the recipient key, `context` and the plaintext.
-/// Sealing the same message twice reproduces identical bytes, so a crashed
-/// sender that re-executes converges to a byte-identical document — the
-/// property crash recovery relies on for duplicate suppression by wire
-/// digest.
-///
-/// `seed` must be secret to outsiders (e.g. a static Diffie-Hellman shared
-/// secret with the recipient); otherwise the synthetic ephemeral key is
-/// predictable. Note the determinism itself leaks plaintext *equality* to
-/// anyone comparing two ciphertexts — acceptable here, where re-sent
-/// documents are meant to be recognised as equal.
-pub fn seal_deterministic(
-    recipient: &X25519PublicKey,
-    plaintext: &[u8],
-    seed: &[u8; 32],
-    context: &[u8],
-) -> Vec<u8> {
-    let transcript = |domain: &[u8]| {
-        let mut h = Sha256::new();
-        h.update(domain);
-        h.update(seed);
-        h.update(&recipient.0);
-        h.update(&(context.len() as u64).to_be_bytes());
-        h.update(context);
-        h.update(plaintext);
-        h.finalize()
-    };
-    let eph = X25519Secret::from_bytes(transcript(b"dra4wfms.det.eph.v1"));
-    let nonce: [u8; NONCE_LEN] =
-        transcript(b"dra4wfms.det.nonce.v1")[..NONCE_LEN].try_into().expect("12 <= 32");
-    seal_with_parts(&eph, nonce, recipient, plaintext)
-}
-
-fn seal_with_parts(
-    eph: &X25519Secret,
-    nonce: [u8; NONCE_LEN],
-    recipient: &X25519PublicKey,
-    plaintext: &[u8],
-) -> Vec<u8> {
     let eph_pub = eph.public_key();
-    let shared = eph.diffie_hellman(recipient);
-    let mut context = Vec::with_capacity(64);
-    context.extend_from_slice(&eph_pub.0);
-    context.extend_from_slice(&recipient.0);
-    let (enc_key, mac_key) = derive_keys(&shared, &context);
-
-    let mut out = Vec::with_capacity(SEAL_OVERHEAD + plaintext.len());
-    out.extend_from_slice(&eph_pub.0);
-    out.extend_from_slice(&nonce);
-    let mut ct = plaintext.to_vec();
-    ChaCha20::new(&enc_key, &nonce, 1).apply(&mut ct);
-    out.extend_from_slice(&ct);
-
-    let tag = hmac_sha256(&mac_key, &out);
-    out.extend_from_slice(&tag);
-    out
+    let keys = derive_keys(&eph.diffie_hellman(recipient), &ecies_context(&eph_pub, recipient));
+    encrypt_then_mac(keys, &eph_pub.0, random_nonce(), plaintext)
 }
 
 /// Open a sealed box with the recipient's secret key.
@@ -158,45 +107,85 @@ pub fn open(recipient: &X25519Secret, boxed: &[u8]) -> Result<Vec<u8>, SealError
     if boxed.len() < SEAL_OVERHEAD {
         return Err(SealError::Truncated);
     }
-    let (body, tag) = boxed.split_at(boxed.len() - TAG_LEN);
-    let eph_pub_bytes: [u8; 32] = body[..32].try_into().expect("framing");
-    let eph_pub = X25519PublicKey(eph_pub_bytes);
-    let nonce: [u8; NONCE_LEN] = body[32..32 + NONCE_LEN].try_into().expect("framing");
-
+    let eph_pub = X25519PublicKey(boxed[..32].try_into().expect("framing"));
     let shared = recipient.diffie_hellman(&eph_pub);
-    let mut context = Vec::with_capacity(64);
-    context.extend_from_slice(&eph_pub.0);
-    context.extend_from_slice(&recipient.public_key().0);
-    let (enc_key, mac_key) = derive_keys(&shared, &context);
+    let keys = derive_keys(&shared, &ecies_context(&eph_pub, &recipient.public_key()));
+    check_then_decrypt(keys, boxed, 32)
+}
 
-    if !ct_eq(&hmac_sha256(&mac_key, body), tag) {
-        return Err(SealError::BadTag);
+fn ecies_context(eph_pub: &X25519PublicKey, recipient: &X25519PublicKey) -> [u8; 64] {
+    let mut context = [0u8; 64];
+    context[..32].copy_from_slice(&eph_pub.0);
+    context[32..].copy_from_slice(&recipient.0);
+    context
+}
+
+/// Encrypt `plaintext` under `secret`, 32 bytes the opener already holds —
+/// its own key, or a static Diffie–Hellman secret it shares with the sealer
+/// — so neither side does curve work. Cipher and MAC keys are derived from
+/// `secret`, `context` and a fresh nonce: one secret keys any number of
+/// boxes, each under keys of its own, and a box opens only under the
+/// context it was sealed with.
+///
+/// Layout: `nonce(12) || ciphertext || tag(32)`.
+pub fn seal_static(secret: &[u8; 32], context: &[u8], plaintext: &[u8]) -> Vec<u8> {
+    seal_static_with_nonce(secret, context, random_nonce(), plaintext)
+}
+
+/// [`seal_static`] under a synthetic nonce, a hash of `secret`, `context`
+/// and `plaintext` (SIV-style): sealing the same message twice reproduces
+/// identical bytes, so a crashed sender that re-executes converges to a
+/// byte-identical document — what crash recovery's duplicate suppression by
+/// wire digest relies on. The determinism leaks plaintext *equality* to
+/// anyone comparing two boxes, which is the point for a re-sent document.
+pub fn seal_static_synthetic(secret: &[u8; 32], context: &[u8], plaintext: &[u8]) -> Vec<u8> {
+    let mut h = Sha256::new();
+    h.update(b"dra4wfms.static.nonce.v1");
+    h.update(secret);
+    h.update(&(context.len() as u64).to_be_bytes());
+    h.update(context);
+    h.update(plaintext);
+    let nonce = h.finalize()[..NONCE_LEN].try_into().expect("12 <= 32");
+    seal_static_with_nonce(secret, context, nonce, plaintext)
+}
+
+fn seal_static_with_nonce(
+    secret: &[u8; 32],
+    context: &[u8],
+    nonce: [u8; NONCE_LEN],
+    plaintext: &[u8],
+) -> Vec<u8> {
+    encrypt_then_mac(static_keys(secret, context, &nonce), &[], nonce, plaintext)
+}
+
+/// Open a box of [`seal_static`] or [`seal_static_synthetic`].
+pub fn open_static(secret: &[u8; 32], context: &[u8], boxed: &[u8]) -> Result<Vec<u8>, SealError> {
+    if boxed.len() < SECRETBOX_OVERHEAD {
+        return Err(SealError::Truncated);
     }
-    let mut pt = body[32 + NONCE_LEN..].to_vec();
-    ChaCha20::new(&enc_key, &nonce, 1).apply(&mut pt);
-    Ok(pt)
+    let nonce: [u8; NONCE_LEN] = boxed[..NONCE_LEN].try_into().expect("framing");
+    check_then_decrypt(static_keys(secret, context, &nonce), boxed, 0)
+}
+
+fn static_keys(secret: &[u8; 32], context: &[u8], nonce: &[u8; NONCE_LEN]) -> ([u8; 32], [u8; 32]) {
+    let mut bound = Vec::with_capacity(14 + context.len() + NONCE_LEN);
+    bound.extend_from_slice(b"static");
+    bound.extend_from_slice(&(context.len() as u64).to_be_bytes());
+    bound.extend_from_slice(context);
+    bound.extend_from_slice(nonce);
+    derive_keys(secret, &bound)
 }
 
 /// Symmetric authenticated encryption under a shared 32-byte key.
 ///
 /// Layout: `nonce(12) || ciphertext || tag(32)`.
 pub fn secretbox_seal(key: &[u8; 32], plaintext: &[u8]) -> Vec<u8> {
-    let mut nonce = [0u8; NONCE_LEN];
-    crate::random_bytes(&mut nonce);
-    secretbox_seal_with_nonce(key, nonce, plaintext)
+    secretbox_seal_with_nonce(key, random_nonce(), plaintext)
 }
 
 /// Deterministic variant of [`secretbox_seal`].
 pub fn secretbox_seal_with_nonce(key: &[u8; 32], nonce: [u8; 12], plaintext: &[u8]) -> Vec<u8> {
-    let (enc_key, mac_key) = derive_keys(key, b"secretbox");
-    let mut out = Vec::with_capacity(SECRETBOX_OVERHEAD + plaintext.len());
-    out.extend_from_slice(&nonce);
-    let mut ct = plaintext.to_vec();
-    ChaCha20::new(&enc_key, &nonce, 1).apply(&mut ct);
-    out.extend_from_slice(&ct);
-    let tag = hmac_sha256(&mac_key, &out);
-    out.extend_from_slice(&tag);
-    out
+    encrypt_then_mac(derive_keys(key, b"secretbox"), &[], nonce, plaintext)
 }
 
 /// Open a secret box.
@@ -204,13 +193,47 @@ pub fn secretbox_open(key: &[u8; 32], boxed: &[u8]) -> Result<Vec<u8>, SealError
     if boxed.len() < SECRETBOX_OVERHEAD {
         return Err(SealError::Truncated);
     }
+    check_then_decrypt(derive_keys(key, b"secretbox"), boxed, 0)
+}
+
+fn random_nonce() -> [u8; NONCE_LEN] {
+    let mut nonce = [0u8; NONCE_LEN];
+    crate::random_bytes(&mut nonce);
+    nonce
+}
+
+/// `prefix || nonce || ChaCha20(plaintext) || HMAC(everything before)`.
+fn encrypt_then_mac(
+    (enc_key, mac_key): ([u8; 32], [u8; 32]),
+    prefix: &[u8],
+    nonce: [u8; NONCE_LEN],
+    plaintext: &[u8],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(prefix.len() + SECRETBOX_OVERHEAD + plaintext.len());
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(&nonce);
+    let body = out.len();
+    out.extend_from_slice(plaintext);
+    ChaCha20::new(&enc_key, &nonce, 1).apply(&mut out[body..]);
+    let tag = hmac_sha256(&mac_key, &out);
+    out.extend_from_slice(&tag);
+    out
+}
+
+/// The inverse of [`encrypt_then_mac`] for a `boxed` at least
+/// `prefix_len + SECRETBOX_OVERHEAD` long: the tag is checked first.
+fn check_then_decrypt(
+    (enc_key, mac_key): ([u8; 32], [u8; 32]),
+    boxed: &[u8],
+    prefix_len: usize,
+) -> Result<Vec<u8>, SealError> {
     let (body, tag) = boxed.split_at(boxed.len() - TAG_LEN);
-    let (enc_key, mac_key) = derive_keys(key, b"secretbox");
     if !ct_eq(&hmac_sha256(&mac_key, body), tag) {
         return Err(SealError::BadTag);
     }
-    let nonce: [u8; NONCE_LEN] = body[..NONCE_LEN].try_into().expect("framing");
-    let mut pt = body[NONCE_LEN..].to_vec();
+    let nonce: [u8; NONCE_LEN] =
+        body[prefix_len..prefix_len + NONCE_LEN].try_into().expect("framing");
+    let mut pt = body[prefix_len + NONCE_LEN..].to_vec();
     ChaCha20::new(&enc_key, &nonce, 1).apply(&mut pt);
     Ok(pt)
 }
@@ -304,21 +327,37 @@ mod tests {
     }
 
     #[test]
-    fn seal_deterministic_roundtrip_and_reproducible() {
-        let r = recipient();
+    fn static_boxes_open_under_their_secret_and_context_only() {
+        let (secret, context) = ([7u8; 32], b"pid/A:0".as_slice());
+        let boxed = seal_static(&secret, context, b"content key");
+        assert_eq!(boxed.len(), SECRETBOX_OVERHEAD + 11, "no ephemeral key");
+        assert_eq!(open_static(&secret, context, &boxed).unwrap(), b"content key");
+        assert_ne!(boxed, seal_static(&secret, context, b"content key"), "a fresh nonce");
+        assert_eq!(open_static(&[8u8; 32], context, &boxed), Err(SealError::BadTag));
+        assert_eq!(open_static(&secret, b"pid/A:1", &boxed), Err(SealError::BadTag));
+        for i in 0..boxed.len() {
+            let mut flipped = boxed.clone();
+            flipped[i] ^= 1;
+            assert_eq!(open_static(&secret, context, &flipped), Err(SealError::BadTag), "byte {i}");
+        }
+        assert_eq!(open_static(&secret, context, &boxed[..40]), Err(SealError::Truncated));
+    }
+
+    #[test]
+    fn synthetic_static_boxes_reproduce_and_cost_no_curve_work() {
         let seed = [7u8; 32];
-        let a = seal_deterministic(&r.public_key(), b"result payload", &seed, b"pid/A:0");
-        let b = seal_deterministic(&r.public_key(), b"result payload", &seed, b"pid/A:0");
+        let (l0, f0) = (crate::x25519::ladders(), crate::x25519::fixed_base());
+        let a = seal_static_synthetic(&seed, b"pid/A:0", b"result payload");
+        let b = seal_static_synthetic(&seed, b"pid/A:0", b"result payload");
         assert_eq!(a, b, "same inputs reproduce identical bytes");
-        assert_eq!(open(&r, &a).unwrap(), b"result payload");
+        assert_eq!(open_static(&seed, b"pid/A:0", &a).unwrap(), b"result payload");
+        assert_eq!((crate::x25519::ladders() - l0, crate::x25519::fixed_base() - f0), (0, 0));
         // any input change produces an unrelated box
-        let c = seal_deterministic(&r.public_key(), b"result payload", &seed, b"pid/A:1");
-        assert_ne!(a, c);
-        let d = seal_deterministic(&r.public_key(), b"other payload", &seed, b"pid/A:0");
-        assert_ne!(a, d);
-        assert_eq!(open(&r, &d).unwrap(), b"other payload");
-        let e = seal_deterministic(&r.public_key(), b"result payload", &[8u8; 32], b"pid/A:0");
-        assert_ne!(a, e);
+        let c = seal_static_synthetic(&seed, b"pid/A:1", b"result payload");
+        let d = seal_static_synthetic(&seed, b"pid/A:0", b"other payload");
+        let e = seal_static_synthetic(&[8u8; 32], b"pid/A:0", b"result payload");
+        assert!(a != c && a != d && a != e && a[..12] != d[..12], "nonce and body move");
+        assert_eq!(open_static(&seed, b"pid/A:0", &d).unwrap(), b"other payload");
     }
 
     #[test]

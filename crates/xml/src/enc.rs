@@ -7,25 +7,39 @@
 //!   <CipherValue>hex…</CipherValue>
 //!   <KeyWrap recipient="amy">hex…</KeyWrap>
 //!   <KeyWrap recipient="john">hex…</KeyWrap>
+//!   <KeyWrap recipient="peter" from="peter">hex…</KeyWrap>
 //! </EncryptedData>
 //! ```
 //!
 //! The subtree's canonical bytes are encrypted once under a fresh content
-//! key (secret box); the content key is wrapped to each authorized
-//! recipient's X25519 public key (sealed box). This realizes the paper's
-//! requirement that "an XML element … can be encrypted by different public
-//! keys of users or groups … so as to have only a limited number of users
-//! able to read the data" (§2.3.1) with a single ciphertext.
+//! key (secret box); the content key is wrapped once per authorized reader.
+//! This realizes the paper's requirement that "an XML element … can be
+//! encrypted by different public keys of users or groups … so as to have
+//! only a limited number of users able to read the data" (§2.3.1) with a
+//! single ciphertext.
 //!
-//! **One ephemeral key per element.** The key wraps of one element share
-//! one ephemeral X25519 key (their first 32 bytes): n readers cost one
-//! fixed-base multiplication and n ladders instead of n of each. This is
-//! the randomness reuse of multi-recipient ElGamal/ECIES (Kurosawa 2002;
-//! Bellare, Boldyreva, Staddon 2003): reader i's wrap key is derived from
-//! `e·Rᵢ` *and* from both public keys (`dra_crypto::sealed` binds `e·B` and
-//! `Rᵢ` in its KDF context), so the wrap keys of two readers are distinct
-//! and a reader who learns `e·Rᵢ` learns nothing about `e·Rⱼ` short of
-//! solving Diffie-Hellman; every wrap carries its own nonce and tag; and
+//! **What a wrap costs.** A wrap costs a ladder only when its reader is
+//! neither the party building the element nor one that party already
+//! shares a static secret with ([`WrapKey`]):
+//!
+//! * to a public key (no `from`): an ECIES sealed box, a ladder to write
+//!   and a ladder to read;
+//! * keyed from a secret builder and reader both hold (`from` names the
+//!   party the reader shares it with; the reader itself for its own copy):
+//!   a static box, no curve work on either side. The builder's own copy is
+//!   keyed from its own X25519 secret; the TFC keys the author's copy from
+//!   the static Diffie–Hellman secret they share, which each side memoises.
+//!
+//! **One ephemeral key per element.** The public-key wraps of one element
+//! share one ephemeral X25519 key (their first 32 bytes): n such readers
+//! cost one fixed-base multiplication and n ladders instead of n of each,
+//! and an element whose every reader holds a secret already draws none.
+//! This is the randomness reuse of multi-recipient ElGamal/ECIES (Kurosawa
+//! 2002; Bellare, Boldyreva, Staddon 2003): reader i's wrap key is derived
+//! from `e·Rᵢ` *and* from both public keys (`dra_crypto::sealed` binds `e·B`
+//! and `Rᵢ` in its KDF context), so the wrap keys of two readers are
+//! distinct and a reader who learns `e·Rᵢ` learns nothing about `e·Rⱼ` short
+//! of solving Diffie-Hellman; every wrap carries its own nonce and tag; and
 //! all of them protect the same content key, which every reader is meant to
 //! hold anyway. The ephemeral key never outlives the call, so two elements
 //! never share one.
@@ -41,20 +55,85 @@ use dra_crypto::x25519::{X25519PublicKey, X25519Secret};
 pub const ENCRYPTED_DATA: &str = "EncryptedData";
 const ALG: &str = "chacha20+hmac-sha256";
 
+/// How one reader's copy of the content key is wrapped.
+#[derive(Clone)]
+pub enum WrapKey {
+    /// An ECIES box to the reader's public key, under the element's one
+    /// ephemeral key: a ladder to write, a ladder to read.
+    Public(X25519PublicKey),
+    /// A static box under `secret`, 32 bytes builder and reader both hold:
+    /// the reader's own X25519 secret when `from` is the reader itself,
+    /// otherwise the static Diffie–Hellman secret it shares with `from`.
+    /// No curve work on either side.
+    Static {
+        /// The party the reader shares `secret` with (itself for its own
+        /// copy); written as the wrap's `from` attribute.
+        from: String,
+        /// The wrap's secret.
+        secret: [u8; 32],
+    },
+}
+
+impl std::fmt::Debug for WrapKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WrapKey::Public(key) => f.debug_tuple("Public").field(key).finish(),
+            WrapKey::Static { from, .. } => {
+                f.debug_struct("Static").field("from", from).finish_non_exhaustive()
+            }
+        }
+    }
+}
+
 /// An authorized reader of an encrypted element.
 #[derive(Clone, Debug)]
 pub struct Recipient {
     /// Logical identity (participant name) used to select the key wrap.
     pub id: String,
-    /// The recipient's encryption public key.
-    pub key: X25519PublicKey,
+    /// How the reader's copy of the content key is wrapped.
+    pub key: WrapKey,
 }
 
 impl Recipient {
-    /// Convenience constructor.
+    /// A reader the content key is sealed to by its public key.
     pub fn new(id: impl Into<String>, key: X25519PublicKey) -> Recipient {
-        Recipient { id: id.into(), key }
+        Recipient { id: id.into(), key: WrapKey::Public(key) }
     }
+
+    /// A reader whose copy is keyed from `secret`, which it shares with
+    /// `from` (see [`WrapKey::Static`]).
+    pub fn keyed(id: impl Into<String>, from: impl Into<String>, secret: [u8; 32]) -> Recipient {
+        Recipient { id: id.into(), key: WrapKey::Static { from: from.into(), secret } }
+    }
+}
+
+/// The keys a reader opens its key wrap with.
+pub trait ReaderKeys {
+    /// The reader's X25519 secret: opens a wrap sealed to its public key,
+    /// and is the secret of the copy it built for itself.
+    fn secret(&self) -> &X25519Secret;
+
+    /// The static secret the reader shares with `peer`, which opens a copy
+    /// `peer` keyed for it; `None` when it shares none.
+    fn shared_with(&self, _peer: &str) -> Option<[u8; 32]> {
+        None
+    }
+}
+
+impl ReaderKeys for X25519Secret {
+    fn secret(&self) -> &X25519Secret {
+        self
+    }
+}
+
+/// The context a static wrap is bound to: who keyed it, and for whom.
+fn wrap_context(from: &str, recipient: &str) -> Vec<u8> {
+    let mut context = Vec::with_capacity(15 + from.len() + recipient.len());
+    context.extend_from_slice(b"KeyWrap");
+    context.extend_from_slice(&(from.len() as u64).to_be_bytes());
+    context.extend_from_slice(from.as_bytes());
+    context.extend_from_slice(recipient.as_bytes());
+    context
 }
 
 /// Errors from decrypting an `<EncryptedData>` element.
@@ -98,12 +177,21 @@ pub fn encrypt_element(el: &Element, recipients: &[Recipient]) -> Element {
         .attr("alg", ALG)
         .attr("name", el.name.clone())
         .child(Element::new("CipherValue").text(b64::encode(&ciphertext)));
-    let ephemeral = X25519Secret::generate();
+    // drawn for the first public-key wrap, shared by the rest
+    let mut ephemeral = None;
     for r in recipients {
-        let wrapped = sealed::seal_with_ephemeral(&ephemeral, &r.key, &content_key);
-        out.push_child(
-            Element::new("KeyWrap").attr("recipient", r.id.clone()).text(b64::encode(&wrapped)),
-        );
+        let mut wrap = Element::new("KeyWrap").attr("recipient", r.id.clone());
+        let wrapped = match &r.key {
+            WrapKey::Public(key) => {
+                let eph = ephemeral.get_or_insert_with(X25519Secret::generate);
+                sealed::seal_with_ephemeral(eph, key, &content_key)
+            }
+            WrapKey::Static { from, secret } => {
+                wrap.set_attr("from", from.clone());
+                sealed::seal_static(secret, &wrap_context(from, &r.id), &content_key)
+            }
+        };
+        out.push_child(wrap.text(b64::encode(&wrapped)));
     }
     out
 }
@@ -118,11 +206,13 @@ pub fn recipients_of(el: &Element) -> Vec<&str> {
     el.find_children("KeyWrap").filter_map(|k| k.get_attr("recipient")).collect()
 }
 
-/// Decrypt an `<EncryptedData>` element as `recipient_id`, holding `secret`.
-pub fn decrypt_element(
+/// Decrypt an `<EncryptedData>` element as `recipient_id`, holding `keys`
+/// (an [`X25519Secret`] is enough for every wrap but one keyed from a
+/// secret shared with another party).
+pub fn decrypt_element<K: ReaderKeys + ?Sized>(
     el: &Element,
     recipient_id: &str,
-    secret: &X25519Secret,
+    keys: &K,
 ) -> Result<Element, EncryptError> {
     if el.name != ENCRYPTED_DATA {
         return Err(EncryptError::Malformed(format!(
@@ -144,8 +234,21 @@ pub fn decrypt_element(
     let wrapped = b64::decode(&wrap.text_content())
         .ok_or_else(|| EncryptError::Malformed("bad key wrap base64".into()))?;
 
-    let content_key_vec = sealed::open(secret, &wrapped).map_err(|_| EncryptError::Crypto)?;
-    let content_key: [u8; 32] = content_key_vec.try_into().map_err(|_| EncryptError::Crypto)?;
+    let content_key_vec = match wrap.get_attr("from") {
+        None => sealed::open(keys.secret(), &wrapped),
+        Some(from) => {
+            let secret = if from == recipient_id {
+                *keys.secret().as_bytes()
+            } else {
+                keys.shared_with(from).ok_or(EncryptError::Crypto)?
+            };
+            sealed::open_static(&secret, &wrap_context(from, recipient_id), &wrapped)
+        }
+    };
+    let content_key: [u8; 32] = content_key_vec
+        .map_err(|_| EncryptError::Crypto)?
+        .try_into()
+        .map_err(|_| EncryptError::Crypto)?;
     let plaintext =
         sealed::secretbox_open(&content_key, &ciphertext).map_err(|_| EncryptError::Crypto)?;
     let text = String::from_utf8(plaintext).map_err(|_| EncryptError::BadPlaintext)?;
@@ -220,6 +323,61 @@ mod tests {
         assert_eq!(decrypt_element(&enc, "r0", &outsider), Err(EncryptError::Crypto));
         // nor does one reader's key open another reader's wrap
         assert_eq!(decrypt_element(&enc, "r1", &readers[0].0), Err(EncryptError::Crypto));
+    }
+
+    /// A reader holding a secret it shares with one peer.
+    struct Paired<'a>(&'a X25519Secret, &'a str, [u8; 32]);
+
+    impl ReaderKeys for Paired<'_> {
+        fn secret(&self) -> &X25519Secret {
+            self.0
+        }
+        fn shared_with(&self, peer: &str) -> Option<[u8; 32]> {
+            (peer == self.1).then_some(self.2)
+        }
+    }
+
+    #[test]
+    fn keyed_wraps_cost_no_curve_work_and_open_only_for_their_reader() {
+        use dra_crypto::x25519::{fixed_base, ladders};
+        let (author, _) = keys(1);
+        let (tfc, _) = keys(2);
+        let pairwise = tfc.diffie_hellman(&author.public_key());
+        let readers = [
+            Recipient::keyed("tfc", "tfc", *tfc.as_bytes()),
+            Recipient::keyed("amy", "tfc", pairwise),
+        ];
+        let before = (ladders(), fixed_base());
+        let enc = encrypt_element(&payload(), &readers);
+        assert_eq!((ladders(), fixed_base()), before, "no ephemeral key, no ladder");
+        assert_eq!(recipients_of(&enc), vec!["tfc", "amy"]);
+        let froms: Vec<_> = enc.find_children("KeyWrap").map(|k| k.get_attr("from")).collect();
+        assert_eq!(froms, vec![Some("tfc"), Some("tfc")]);
+
+        // the builder opens its own copy with its X25519 secret alone, the
+        // author with the secret it shares with the builder
+        assert_eq!(decrypt_element(&enc, "tfc", &tfc).unwrap(), payload());
+        let amy = Paired(&author, "tfc", author.diffie_hellman(&tfc.public_key()));
+        assert_eq!(decrypt_element(&enc, "amy", &amy).unwrap(), payload());
+        assert_eq!((ladders() - before.0, fixed_base()), (1, before.1), "amy's one derivation");
+        // without it, or under another name, nobody opens anything
+        assert_eq!(decrypt_element(&enc, "amy", &author), Err(EncryptError::Crypto));
+        assert_eq!(decrypt_element(&enc, "tfc", &author), Err(EncryptError::Crypto));
+        assert_eq!(decrypt_element(&enc, "amy", &tfc), Err(EncryptError::Crypto));
+        let (outsider, _) = keys(3);
+        let posing = Paired(&outsider, "tfc", outsider.diffie_hellman(&tfc.public_key()));
+        for name in ["tfc", "amy"] {
+            assert_eq!(decrypt_element(&enc, name, &posing), Err(EncryptError::Crypto), "{name}");
+        }
+        assert_eq!(decrypt_element(&enc, "eve", &posing), Err(EncryptError::NotARecipient));
+
+        // a public-key reader next to them draws the element's one ephemeral key
+        let mixed = [readers[0].clone(), Recipient::new("bob", keys(4).1)];
+        let before = fixed_base();
+        let enc = encrypt_element(&payload(), &mixed);
+        assert_eq!(fixed_base() - before, 1);
+        assert_eq!(decrypt_element(&enc, "bob", &keys(4).0).unwrap(), payload());
+        assert_eq!(decrypt_element(&enc, "tfc", &tfc).unwrap(), payload());
     }
 
     #[test]
