@@ -43,7 +43,7 @@ fn pids(ids: std::ops::Range<usize>) -> impl Iterator<Item = String> {
 }
 
 /// Run `TOTAL` Fig. 9A instances over the federated `topology` under one
-/// fault `scenario`, audit every serve path, and fingerprint the pool.
+/// fault `scenario`, audit every serve path, and digest the pool.
 /// Returns the cell and whether it degraded gracefully.
 fn run_cell(
     cell: String,

@@ -330,8 +330,8 @@ pub struct RunArtifacts {
     pub document: DraDocument,
     /// Final document wire bytes.
     pub wire: String,
-    /// Content fingerprint of the pool's `doc/` rows.
-    pub pool_fp: u64,
+    /// The pool's digest ([`dra_cloud::CloudSystem::pool_digest`]).
+    pub pool_digest: String,
     /// Hops executed.
     pub steps: usize,
     /// Recorded span trace.
@@ -379,7 +379,7 @@ pub fn run_generated(
     }
     Ok(RunArtifacts {
         wire: out.document.wire().as_ref().clone(),
-        pool_fp: sys.active_pool().fingerprint("doc/"),
+        pool_digest: sys.pool_digest(),
         steps: out.steps,
         events: rig.tracer.events(),
         document: out.document.document().clone(),
@@ -501,7 +501,7 @@ pub fn fuzz_seed(seed: u64) -> Result<SeedReport, String> {
                      (advanced={advanced})"
                 ));
             }
-            if variant == Variant::Hostile && alt.pool_fp != base.pool_fp {
+            if variant == Variant::Hostile && alt.pool_digest != base.pool_digest {
                 return Err(format!(
                     "seed {seed}: hostile pool digest diverged (advanced={advanced})"
                 ));

@@ -27,7 +27,7 @@ use dra4wfms_core::prelude::*;
 use dra4wfms_core::tfc::Clock;
 use dra_cloud::{
     tracer_for, CloudSystem, Delivery, FaultPlan, FaultProfile, FederationController,
-    HealthMonitor, InstanceRun, MonitorConfig, NetworkSim, Scheduler, Topology,
+    HealthMonitor, InstanceRun, NetworkSim, Scheduler, Topology,
 };
 use dra_obs::{MetricsRegistry, Tracer};
 use std::collections::HashMap;
@@ -178,7 +178,7 @@ pub struct Rig {
 impl Rig {
     /// A rig for `def` under `policy`, played by `creds` (designer first)
     /// answering with `respond`: actors that never crash, a TFC stamping
-    /// 1 700 000 000 000 ms, a default-configured monitor attached.
+    /// 1 700 000 000 000 ms, a monitor attached.
     pub fn new(
         creds: Vec<Credentials>,
         def: WorkflowDefinition,
@@ -194,7 +194,7 @@ impl Rig {
             tracer: tracer_for(&network),
             network,
             metrics: MetricsRegistry::new(),
-            monitor: HealthMonitor::new(MonitorConfig::default()),
+            monitor: HealthMonitor::new(),
             plan: FaultPlan::none(),
             agents: HashMap::new(),
             tfc: None,
@@ -326,12 +326,6 @@ impl Rig {
             Some(tfc) => policy.with_tfc_access(tfc, &self.def),
             None => policy,
         };
-        self
-    }
-
-    /// A monitor configured with `config` instead of the default.
-    pub fn monitored(mut self, config: MonitorConfig) -> Rig {
-        self.monitor = HealthMonitor::new(config);
         self
     }
 

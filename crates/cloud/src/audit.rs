@@ -6,9 +6,8 @@
 //! background pass in virtual time that samples stored `doc/` rows through
 //! the typed scan API (bounded batches, family projection — never a full
 //! table read), holds every sampled version to the store's verdict
-//! (`store::CloudStore::honest`, the one the serve probe uses), spot-checks
-//! the survivors with the batched [`Verifier`], and optionally reconciles
-//! completed processes against their span trace via [`reconcile`].
+//! (`store::CloudStore::honest`, the one the serve probe uses) and
+//! spot-checks the survivors with the batched [`Verifier`].
 //!
 //! A stored version is the version below it plus what its hop appended
 //! (`store`), so one forged row fails every later row of its process that
@@ -35,10 +34,10 @@
 
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
 use crate::portal::CloudSystem;
-use crate::schema::{Name, RowKey, STATUS};
+use crate::schema::RowKey;
 use crate::store::{Clause, CloudStore, Stored};
 use dra4wfms_core::prelude::*;
-use dra_obs::{MetricsRegistry, TraceEvent};
+use dra_obs::MetricsRegistry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, PoisonError};
 
@@ -74,7 +73,6 @@ struct AuditState {
     sweeps: u64,
     verified: u64,
     seen_misses: u64,
-    reconciles: u64,
     next_due_us: u64,
 }
 
@@ -180,40 +178,9 @@ impl PoolAuditor {
         caught
     }
 
-    /// Spot-reconcile one *completed* process against its observed span
-    /// trace: the latest stored version must prove exactly the executions
-    /// the trace completed ([`reconcile`]). Running instances are skipped —
-    /// their traces legitimately lead the stored document. Returns `false`
-    /// (and raises [`AlertKind::AuditDivergence`]) when the oracle rejects.
-    pub fn spot_reconcile(
-        &self,
-        sys: &CloudSystem,
-        monitor: Option<&HealthMonitor>,
-        process_id: &str,
-        trace: &[TraceEvent],
-        now_us: u64,
-    ) -> bool {
-        // a name no row key can hold has no rows to reconcile
-        let Ok(pid) = Name::new(process_id) else { return true };
-        for (cloud_idx, cloud) in sys.clouds.iter().enumerate() {
-            if STATUS.get(cloud.pool(), RowKey::Meta(pid)).as_deref() != Some("complete") {
-                continue;
-            }
-            let Some(stored) = cloud.latest(pid) else { continue };
-            let mut st = self.lock();
-            st.reconciles += 1;
-            let honest = cloud.honest(&stored, &sys.directory);
-            if !honest.is_ok_and(|doc| reconcile(trace, &doc).is_ok()) {
-                Self::flag(&mut st, monitor, now_us, sys, cloud_idx, &stored.key);
-                return false;
-            }
-        }
-        true
-    }
-
     /// Export `audit.*` counters: passes, completed sweeps, distinct rows
-    /// sampled, versions verified, `seen/`-probe misses, reconciliations
-    /// run, distinct rows indicted and distinct rows tainted.
+    /// sampled, versions verified, `seen/`-probe misses, distinct rows
+    /// indicted and distinct rows tainted.
     pub fn export_metrics(&self, metrics: &MetricsRegistry) {
         let st = self.lock();
         metrics.set_counter("audit.passes", st.passes);
@@ -221,7 +188,6 @@ impl PoolAuditor {
         metrics.set_counter("audit.sampled", st.sampled.len() as u64);
         metrics.set_counter("audit.verified", st.verified);
         metrics.set_counter("audit.seen_misses", st.seen_misses);
-        metrics.set_counter("audit.reconciles", st.reconciles);
         metrics.set_counter("audit.divergences", st.divergent.len() as u64);
         metrics.set_counter("audit.tainted", st.tainted.len() as u64);
     }
@@ -301,7 +267,6 @@ impl PoolAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::MonitorConfig;
     use crate::netsim::NetworkSim;
     use std::sync::Arc;
 
@@ -357,7 +322,7 @@ mod tests {
     #[test]
     fn tampered_stored_row_is_caught_and_alerted_exactly_once() {
         let sys = setup(4);
-        let monitor = HealthMonitor::new(MonitorConfig::default());
+        let monitor = HealthMonitor::new();
         // forge one stored row in place: case-flip a byte of a-01's version 0
         let key = "doc/a-01/000000";
         crate::federation::forge_stored_row(sys.active_pool(), key, crate::federation::flip_tail);
@@ -386,16 +351,5 @@ mod tests {
         assert_eq!(snap.counter("audit.divergences"), 1);
         assert!(snap.counter("audit.seen_misses") >= 1, "forged digest has no seen/ row");
         assert_eq!(snap.counter("audit.sampled"), 4);
-    }
-
-    #[test]
-    fn spot_reconcile_accepts_empty_trace_only_for_unstarted_processes() {
-        let sys = setup(1);
-        let auditor = PoolAuditor::new(AuditConfig::default());
-        // a-00 is not complete: the spot check skips it and stays clean
-        assert!(auditor.spot_reconcile(&sys, None, "a-00", &[], 5));
-        let metrics = MetricsRegistry::new();
-        auditor.export_metrics(&metrics);
-        assert_eq!(metrics.snapshot().counter("audit.reconciles"), 0);
     }
 }

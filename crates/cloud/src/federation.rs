@@ -544,7 +544,6 @@ pub fn flip_tail(keep: usize, tail: &str) -> (usize, String) {
 mod tests {
     use super::*;
     use crate::faults::Trigger;
-    use crate::monitor::MonitorConfig;
 
     fn two_clouds() -> Topology {
         Topology::new().cloud("east", 2).cloud("west", 2)
@@ -671,7 +670,7 @@ mod tests {
     #[test]
     fn storm_alerts_quarantine_through_the_pump() {
         let c = FederationController::new(two_clouds());
-        let monitor = HealthMonitor::new(MonitorConfig::default());
+        let monitor = HealthMonitor::new();
         c.set_monitor(&monitor);
         monitor.raise(storm(1, "portal:3"));
         c.pump();
@@ -689,7 +688,7 @@ mod tests {
     #[test]
     fn a_tamper_alert_leaves_the_unread_storm_before_it_to_the_pump() {
         let c = FederationController::new(two_clouds());
-        let monitor = HealthMonitor::new(MonitorConfig::default());
+        let monitor = HealthMonitor::new();
         c.set_monitor(&monitor);
         monitor.raise(storm(1, "portal:3"));
         c.pump();
@@ -705,7 +704,7 @@ mod tests {
     #[test]
     fn audit_divergence_quarantines_the_whole_cloud_through_the_pump() {
         let c = FederationController::new(two_clouds());
-        let monitor = HealthMonitor::new(MonitorConfig::default());
+        let monitor = HealthMonitor::new();
         c.set_monitor(&monitor);
         monitor.raise(Alert {
             at_us: 9,

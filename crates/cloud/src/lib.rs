@@ -27,15 +27,20 @@
 //!   of one): store / retrieve / search (TO-DO lists) / notify / monitor /
 //!   MapReduce statistics; idempotent by wire digest, so duplicated copies
 //!   never grow the pool; verification is narrowed only by the trust mark
-//!   a document carries, never by portal memory,
+//!   a document carries, never by portal memory. Each fact is kept once: a
+//!   portal's admissions and notifications in its [`PortalStats`], a
+//!   cloud's commits in its journal, status and progress in the fleet
+//!   views, and replicas are compared by the SHA-256 of their stored
+//!   versions,
 //! * [`runner`] — the end-to-end scenario builder ([`InstanceRun`]): one
 //!   hop through an AEA, the TFC and a portal, optionally over a
 //!   fault-injecting delivery channel, and pool-anchored recovery of a
 //!   crashed hop's inputs,
 //! * [`monitor`] — an online [`HealthMonitor`] sink over the live span
 //!   stream: typed deterministic alerts (stuck instance, retry storm,
-//!   crash loop, SLO breach) in virtual time, fed back into the runner so
-//!   the supervisor can act on observation instead of only lease expiry,
+//!   crash loop, SLO breach) at fixed thresholds in virtual time, fed back
+//!   into the runner so the supervisor can act on observation instead of
+//!   only lease expiry,
 //! * [`sched`] — the event-driven execution core: portal admissions emit
 //!   typed [`Activation`]s onto a deployment-wide [`ActivationBus`], and a
 //!   [`Scheduler`] drains them in deterministic virtual-time order to
@@ -80,7 +85,7 @@ pub use audit::{AuditConfig, PoolAuditor};
 pub use delivery::{Delivery, DeliveryStats, FaultCounts};
 pub use faults::{FaultPlan, FaultProfile, Trigger};
 pub use federation::{CloudSpec, FederationController, FederationStats, Topology};
-pub use monitor::{alerts_to_jsonl, Alert, AlertKind, HealthMonitor, MonitorConfig};
+pub use monitor::{alerts_to_jsonl, Alert, AlertKind, HealthMonitor};
 pub use netsim::NetworkSim;
 pub use obs::{check_metric_invariants, tracer_for};
 pub use portal::{CloudSystem, PortalStats, StoreAck, TodoEntry};

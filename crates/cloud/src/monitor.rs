@@ -37,41 +37,23 @@
 //! [`alerts_to_jsonl`] is byte-identical run after run — CI exports twice
 //! and `cmp`s, the same contract traces have.
 
+use crate::runner::MAX_TAKEOVERS;
 use dra_obs::{json_escape, stage, MetricsRegistry, TraceEvent, TraceSink, OUTCOME_CRASH};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Thresholds for the monitor's detectors.
-///
-/// The defaults are the values the repo's goldens were recorded under
-/// (15 ms progress deadline, 4-attempt storm window, 4-takeover budget);
-/// callers that need different trigger points — threshold-sensitive tests —
-/// override per field with struct-update syntax
-/// (`MonitorConfig { retry_storm_attempts: 2, ..MonitorConfig::default() }`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MonitorConfig {
-    /// An instance with no closed span for this long (virtual µs) is
-    /// declared stuck. Deliberately shorter than the supervisor lease
-    /// ([`crate::runner::LEASE_US`]) so observation beats pessimistic
-    /// waiting.
-    pub progress_deadline_us: u64,
-    /// A delivery that burned at least this many attempts is a retry
-    /// storm (the delivery default budget is 8).
-    pub retry_storm_attempts: u64,
-    /// Crash takeovers at or above this count are a crash loop (matches
-    /// [`crate::runner::MAX_TAKEOVERS`]).
-    pub crash_loop_takeovers: u64,
-}
+/// An instance with no closed span for this long (virtual µs) is declared
+/// stuck. Deliberately shorter than the supervisor lease
+/// ([`crate::runner::LEASE_US`]) so observation beats pessimistic waiting.
+pub const PROGRESS_DEADLINE_US: u64 = 15_000;
 
-impl Default for MonitorConfig {
-    fn default() -> MonitorConfig {
-        MonitorConfig {
-            progress_deadline_us: 15_000,
-            retry_storm_attempts: 4,
-            crash_loop_takeovers: 4,
-        }
-    }
-}
+/// A delivery that burned at least this many attempts is a retry storm (the
+/// channel gives up after [`crate::delivery::MAX_ATTEMPTS`]).
+pub const RETRY_STORM_ATTEMPTS: u64 = 4;
+
+/// Crash takeovers of one instance at or above this count are a crash loop:
+/// the supervisor's whole budget.
+const CRASH_LOOP_TAKEOVERS: u64 = MAX_TAKEOVERS as u64;
 
 /// What the monitor saw, and when (virtual µs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,20 +161,13 @@ struct MonitorInner {
 /// `InstanceRun::monitor(..)` so the supervisor can act on `StuckInstance`
 /// observations.
 pub struct HealthMonitor {
-    config: MonitorConfig,
     inner: Mutex<MonitorInner>,
 }
 
 impl HealthMonitor {
-    /// A monitor with the given thresholds, ready to install as a sink.
-    pub fn new(config: MonitorConfig) -> Arc<HealthMonitor> {
-        Arc::new(HealthMonitor { config, inner: Mutex::new(MonitorInner::default()) })
-    }
-
-    /// The thresholds this monitor applies.
-    #[must_use]
-    pub fn config(&self) -> MonitorConfig {
-        self.config
+    /// A monitor with no instance under watch, ready to install as a sink.
+    pub fn new() -> Arc<HealthMonitor> {
+        Arc::new(HealthMonitor { inner: Mutex::new(MonitorInner::default()) })
     }
 
     /// Declare an instance under watch, optionally with an end-to-end SLO
@@ -229,7 +204,7 @@ impl HealthMonitor {
     /// advanced without spans closing.
     pub fn tick(&self, now_us: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let deadline_us = self.config.progress_deadline_us;
+        let deadline_us = PROGRESS_DEADLINE_US;
         let mut fired: Vec<Alert> = Vec::new();
         for (pid, st) in &mut inner.instances {
             let idle_us = now_us.saturating_sub(st.last_progress_us);
@@ -251,7 +226,7 @@ impl HealthMonitor {
     #[must_use]
     pub fn time_until_stuck(&self, process_id: &str, now_us: u64) -> u64 {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let horizon = self.config.progress_deadline_us + 1;
+        let horizon = PROGRESS_DEADLINE_US + 1;
         match inner.instances.get(process_id) {
             Some(st) => (st.last_progress_us + horizon).saturating_sub(now_us),
             None => horizon,
@@ -311,14 +286,14 @@ impl TraceSink for HealthMonitor {
         if event.stage == stage::HOP && event.outcome == OUTCOME_CRASH {
             // a crashed hop is not progress — it is evidence of the opposite
             st.crashes += 1;
-            if st.crashes >= self.config.crash_loop_takeovers && !st.crash_alerted {
+            if st.crashes >= CRASH_LOOP_TAKEOVERS && !st.crash_alerted {
                 st.crash_alerted = true;
                 fired.push(Alert {
                     at_us: event.end_us,
                     process_id: event.process_id.clone(),
                     kind: AlertKind::CrashLoop {
                         crashes: st.crashes,
-                        budget: self.config.crash_loop_takeovers,
+                        budget: CRASH_LOOP_TAKEOVERS,
                     },
                 });
             }
@@ -329,7 +304,7 @@ impl TraceSink for HealthMonitor {
 
         if event.stage == stage::DELIVER {
             let attempts = event.attr("attempts").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-            if attempts >= self.config.retry_storm_attempts {
+            if attempts >= RETRY_STORM_ATTEMPTS {
                 let target = event.attr("target").unwrap_or("").to_string();
                 fired.push(Alert {
                     at_us: event.end_us,
@@ -337,7 +312,7 @@ impl TraceSink for HealthMonitor {
                     kind: AlertKind::RetryStorm {
                         target,
                         attempts,
-                        threshold: self.config.retry_storm_attempts,
+                        threshold: RETRY_STORM_ATTEMPTS,
                     },
                 });
             }
@@ -396,7 +371,7 @@ mod tests {
     use dra_obs::Tracer;
 
     fn monitor() -> Arc<HealthMonitor> {
-        HealthMonitor::new(MonitorConfig::default())
+        HealthMonitor::new()
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub struct TodoEntry {
 /// Counters of one portal server.
 #[derive(Debug, Default)]
 pub struct PortalStats {
-    /// Documents stored through this portal.
+    /// Documents stored through this portal: counted once an admission is
+    /// durable on the primary cloud, before it is replicated.
     pub stored: AtomicUsize,
     /// Documents served to users.
     pub retrieved: AtomicUsize,
@@ -104,10 +105,10 @@ pub struct CloudSystem {
     /// Span recorder for portal admissions; disabled (free) unless
     /// [`CloudSystem::with_tracer`] is used.
     tracer: Tracer,
-    /// Incrementally maintained fleet views, fed by the journal-commit and
-    /// activation-bus hooks below. Dashboards read these in O(view size);
-    /// the differential check [`CloudSystem::views_match_scan`] proves them
-    /// equivalent to a fresh scan recompute.
+    /// Incrementally maintained fleet views — status and progress — fed by
+    /// the fold over applied mutations below. Dashboards read these in
+    /// O(view size); the differential check [`CloudSystem::views_match_scan`]
+    /// proves them equivalent to a fresh scan recompute.
     views: Arc<FleetViews>,
 }
 
@@ -236,8 +237,6 @@ impl CloudSystem {
         seq: usize,
     ) {
         self.portals[portal_idx % self.portals.len()].notifications.fetch_add(1, Ordering::Relaxed);
-        // activation-bus hook: the notification view moves with the counter
-        self.views.record_notification((portal_idx % self.portals.len()) as u64);
         self.bus.emit(Activation {
             participant: participant.to_string(),
             process_id: process_id.to_string(),
@@ -331,19 +330,7 @@ impl CloudSystem {
         // torn between journal-append and commit is repaired exactly like a
         // torn primary. Re-emitted activations that turn out to be
         // duplicates are skipped harmlessly by the scheduler.
-        self.clouds
-            .iter()
-            .map(|cloud| {
-                let replayed = cloud.replay(observer);
-                self.committed(cloud);
-                replayed
-            })
-            .sum()
-    }
-
-    /// Advance `cloud`'s commit watermark in the fleet views.
-    fn committed(&self, cloud: &CloudStore) {
-        self.views.record_commit(&cloud.name, cloud.journal_len());
+        self.clouds.iter().map(|cloud| cloud.replay(observer)).sum()
     }
 
     /// Total journal records replayed by portal recoveries so far, summed
@@ -493,14 +480,14 @@ impl CloudSystem {
         }
 
         // the admission becomes durable on the active cloud (the `seen/`
-        // row lands before the crash point) and is folded into the fleet
-        // views through the same fold crash replay uses
+        // row lands before the crash point), is folded into the fleet views
+        // through the same fold crash replay uses, and is counted as stored:
+        // a retry after a torn replica commit is a duplicate on this cloud
         let crash = |site| move || self.faults.check(site);
         active.commit(&ops, 1, crash(site::PORTAL_BETWEEN_SEEN_AND_STORE))?;
         active.advance(pid, seq, Arc::clone(&wire), cut, route.is_final());
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
-        self.views.record_admission(portal_idx as u64);
-        self.committed(active);
+        stats.stored.fetch_add(1, Ordering::Relaxed);
         // Replication: charge and commit the identical batch on every
         // reachable peer cloud before acking. A replica torn between append
         // and commit (the `PORTAL_REPLICA_BEFORE_COMMIT` site) is repaired
@@ -512,7 +499,6 @@ impl CloudSystem {
                 let replica = &self.clouds[cloud];
                 self.network.transfer(wire.len());
                 replica.commit(&ops, 0, crash(site::PORTAL_REPLICA_BEFORE_COMMIT))?;
-                self.committed(replica);
                 controller.ack_replica();
             }
         }
@@ -522,7 +508,6 @@ impl CloudSystem {
         for (participant, target) in notified {
             self.notify(portal_idx, participant, pid.as_str(), target, seq);
         }
-        stats.stored.fetch_add(1, Ordering::Relaxed);
         span.attr("seq", seq);
         span.attr("duplicate", false);
         span.attr("signatures", report.signatures_verified);
@@ -695,10 +680,16 @@ impl CloudSystem {
         &self.views
     }
 
-    /// The full fleet dashboard as byte-deterministic JSON — read entirely
-    /// from the incremental views, no pool scan involved.
+    /// The full fleet dashboard as byte-deterministic JSON — the
+    /// incremental views, each portal's stored and notification counts and
+    /// each cloud's journal length; no pool scan involved.
     pub fn fleet_dashboard_json(&self) -> String {
-        self.views.dashboard_json()
+        let count = |n: &AtomicUsize| n.load(Ordering::Relaxed) as u64;
+        let portals: Vec<(u64, u64)> =
+            self.portals.iter().map(|p| (count(&p.stored), count(&p.notifications))).collect();
+        let clouds: Vec<(&str, u64)> =
+            self.clouds.iter().map(|c| (c.name.as_str(), c.journal_len())).collect();
+        self.views.dashboard_json(&portals, &clouds)
     }
 
     /// Full MapReduce recompute of the pool-derived views over the scan API
@@ -750,45 +741,6 @@ impl CloudSystem {
         self.portals.iter().map(|p| p.duplicates_suppressed.load(Ordering::Relaxed)).sum()
     }
 
-    /// Upload a secured initial document ("the secured initial DRA4WfMS
-    /// documents can be prepared by the system or uploaded to the system by
-    /// the user", §3). The portal verifies the designer's signature before
-    /// accepting; returns the process id.
-    pub fn upload_initial(&self, portal: usize, xml: &str) -> WfResult<String> {
-        let stats = &self.portals[portal % self.portals.len()];
-        self.network.transfer(xml.len());
-        let doc = DraDocument::parse(xml)?;
-        let report = Verifier::new(&self.directory).run(&doc)?.report;
-        stats.verifications.fetch_add(1, Ordering::Relaxed);
-        if !report.cers.is_empty() {
-            return Err(WfError::Malformed(
-                "initial documents must not contain execution results".into(),
-            ));
-        }
-        self.active_cloud().put_initial(Name::new(&report.process_id)?, xml);
-        Ok(report.process_id)
-    }
-
-    /// List uploaded initial documents not yet started.
-    pub fn pending_initials(&self) -> Vec<String> {
-        self.active_cloud().pending_initials()
-    }
-
-    /// Start a previously uploaded process: move the initial document into
-    /// the document store and notify the start activity's participant.
-    pub fn start_uploaded(&self, portal: usize, process_id: &str) -> WfResult<()> {
-        let (active, pid) = (self.active_cloud(), Name::new(process_id)?);
-        let xml = active
-            .initial(pid)
-            .ok_or_else(|| WfError::Malformed(format!("no pending initial '{process_id}'")))?;
-        let doc = DraDocument::parse(&xml)?;
-        let definition = dra4wfms_core::amendment::effective_definition(&doc)?;
-        let route = Route { targets: vec![definition.def.start.clone()], ends: false };
-        self.ingest_wire(portal, &xml, &route, None)?;
-        active.remove(RowKey::Initial(pid));
-        Ok(())
-    }
-
     /// Snapshot the entire document pool (disaster recovery; the HDFS role
     /// in the paper's stack). On a federated deployment this snapshots the
     /// active cloud's pool — the surviving truth.
@@ -811,11 +763,11 @@ impl CloudSystem {
         self.active_cloud().doc_bytes()
     }
 
-    /// Per-cloud content fingerprints of the document rows: `(cloud name,
-    /// fingerprint)` in declaration order. Single-cloud deployments report
-    /// one entry named `cloud0`.
-    pub fn cloud_digests(&self) -> Vec<(String, u64)> {
-        self.clouds.iter().map(|c| (c.name.clone(), c.fingerprint())).collect()
+    /// Per-cloud [`CloudSystem::pool_digest`]s: `(cloud name, SHA-256 hex)`
+    /// in declaration order. Single-cloud deployments report one entry named
+    /// `cloud0`.
+    pub fn cloud_digests(&self) -> Vec<(String, String)> {
+        self.clouds.iter().map(|c| (c.name.clone(), c.doc_digest())).collect()
     }
 
     /// Export every cloud's write-ahead journal as `(name, bytes)` — the
@@ -827,15 +779,16 @@ impl CloudSystem {
         self.clouds.iter().map(|c| (c.name.clone(), c.journal_export())).collect()
     }
 
-    /// Do all clouds that are still up hold byte-identical document rows?
-    /// (Down clouds are excluded: a confirmed-dead replica legitimately
-    /// stops at the admission where it died.) Trivially true single-cloud.
+    /// Do all clouds that are still up hold the same stored versions — the
+    /// same [`CloudSystem::pool_digest`]? (Down clouds are excluded: a
+    /// confirmed-dead replica legitimately stops at the admission where it
+    /// died.) Trivially true single-cloud.
     pub fn replicas_consistent(&self) -> bool {
         let down = |i: usize| self.controller.as_ref().is_some_and(|c| c.cloud_down(i));
         let mut live =
-            self.clouds.iter().enumerate().filter(|(i, _)| !down(*i)).map(|(_, c)| c.fingerprint());
+            self.clouds.iter().enumerate().filter(|(i, _)| !down(*i)).map(|(_, c)| c.doc_digest());
         let Some(first) = live.next() else { return true };
-        live.all(|fp| fp == first)
+        live.all(|digest| digest == first)
     }
 
     /// Rebuild a cloud system from a pool snapshot — a cold restart of the
@@ -1142,8 +1095,6 @@ mod tests {
         // `P/zzz` would store under `doc/P/zzz/…`, inside `P`'s own prefix
         let err = sys.ingest_wire(0, &wire("P/zzz"), &route, None).unwrap_err();
         assert!(matches!(err, WfError::Malformed(_)), "{err}");
-        let err = sys.upload_initial(0, &wire("P/zzz")).unwrap_err();
-        assert!(matches!(err, WfError::Malformed(_)), "{err}");
         assert_eq!(sys.active_pool().row_count(), rows, "no row written for it");
 
         assert_eq!(sys.retrieve_latest(0, "P").unwrap(), wire("P"));
@@ -1159,40 +1110,6 @@ mod tests {
         let err = sys.ingest_wire(0, &"<a>".repeat(10_000), &Route::default(), None).unwrap_err();
         assert!(matches!(err, WfError::Parse(_)), "{err}");
         assert_eq!(sys.active_pool().row_count(), 0, "pool untouched");
-    }
-
-    #[test]
-    fn upload_and_start_lifecycle() {
-        let (sys, def, pol, designer, _) = setup();
-        let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "up-1").unwrap();
-        let pid = sys.upload_initial(0, &doc.to_xml_string()).unwrap();
-        assert_eq!(pid, "up-1");
-        assert_eq!(sys.pending_initials(), vec!["up-1"]);
-        // nobody is notified until the process is started
-        assert!(sys.search_todo("alice").is_empty());
-        sys.start_uploaded(0, "up-1").unwrap();
-        assert!(sys.pending_initials().is_empty());
-        assert_eq!(sys.search_todo("alice").len(), 1);
-        assert!(sys.retrieve_latest(0, "up-1").is_some());
-        // starting twice fails
-        assert!(sys.start_uploaded(0, "up-1").is_err());
-    }
-
-    #[test]
-    fn upload_rejects_non_initial_and_forged() {
-        let (sys, def, pol, designer, alice) = setup();
-        let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "up-2").unwrap();
-        // forged designer signature
-        let forged = doc.to_xml_string().replace("up-2", "up-3");
-        assert!(sys.upload_initial(0, &forged).is_err());
-        // a document with executed CERs is not an initial document
-        let aea = Aea::new(alice, sys.directory.clone());
-        let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
-        let done = aea.complete(&recv, &[("amount".into(), "1".into())]).unwrap();
-        assert!(matches!(
-            sys.upload_initial(0, &done.document.to_xml_string()),
-            Err(WfError::Malformed(_))
-        ));
     }
 
     #[test]

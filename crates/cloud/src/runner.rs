@@ -162,10 +162,10 @@ impl<'a> InstanceRun<'a> {
     /// Watch the run with an online [`HealthMonitor`] and let the
     /// supervisor act on its observations: a crashed hop is taken over as
     /// soon as the monitor declares the instance stuck
-    /// (`progress_deadline_us`) instead of pessimistically waiting out the
-    /// full lease. The runner registers the monitor as a sink on its
-    /// tracer (`add_sink` is idempotent, so sharing one monitor across
-    /// many runs of a deployment is fine).
+    /// ([`crate::monitor::PROGRESS_DEADLINE_US`]) instead of pessimistically
+    /// waiting out the full lease. The runner registers the monitor as a
+    /// sink on its tracer (`add_sink` is idempotent, so sharing one monitor
+    /// across many runs of a deployment is fine).
     pub fn monitor(mut self, monitor: &Arc<HealthMonitor>) -> InstanceRun<'a> {
         self.monitor = Some(Arc::clone(monitor));
         self

@@ -7,14 +7,12 @@
 //! | `meta/<pid>`                           | `meta:status`, `meta:steps`, `meta:workflow` |
 //! | `todo/<participant>/<pid>/<activity>`  | `meta:seq` — the version that routed it      |
 //! | `seen/<sha-256 of the wire bytes>`     | `meta:seq` — the version those bytes became  |
-//! | `initial/<pid>`                        | `doc:xml` — uploaded, not yet started        |
 //!
 //! Keys are assembled from [`Name`]s only, so no row of one process, or
 //! participant, lies under the key prefix of another's.
 //!
 //! A `doc/` row does not hold the bytes of its version but what the hop
-//! appended: a [`Delta`] against the version one `seq` below it. An
-//! `initial/` row is no version and holds the uploaded wire as it arrived.
+//! appended: a [`Delta`] against the version one `seq` below it.
 
 use dra4wfms_core::prelude::{WfError, WfResult};
 use dra_crypto::hex;
@@ -63,11 +61,10 @@ pub(crate) enum RowKey<'a> {
     },
     /// Keyed by the SHA-256 of the admitted wire bytes.
     Seen([u8; 32]),
-    Initial(Name<'a>),
 }
 
-/// The prefix of every `doc/` row: where a sweep over stored versions starts
-/// and what a content fingerprint of them covers.
+/// The prefix of every `doc/` row: where a sweep over stored versions
+/// starts.
 pub(crate) const DOC_ROWS: &str = "doc/";
 
 impl fmt::Display for RowKey<'_> {
@@ -79,7 +76,6 @@ impl fmt::Display for RowKey<'_> {
                 write!(f, "todo/{participant}/{pid}/{activity}")
             }
             RowKey::Seen(digest) => write!(f, "seen/{}", hex::encode(digest)),
-            RowKey::Initial(pid) => write!(f, "initial/{pid}"),
         }
     }
 }
@@ -106,7 +102,6 @@ impl<'a> RowKey<'a> {
             "meta" => RowKey::Meta(name()?),
             "todo" => RowKey::Todo { participant: name()?, pid: name()?, activity: name()? },
             "seen" => RowKey::Seen(hex::decode_array(name()?.0)?),
-            "initial" => RowKey::Initial(name()?),
             _ => return None,
         };
         parts.next().is_none().then_some(parsed)
@@ -120,8 +115,7 @@ pub(crate) struct Column {
     qualifier: &'static str,
 }
 
-/// `doc:xml`: the [`Delta`] cell of a `doc/` row, the wire bytes of an
-/// `initial/` row.
+/// `doc:xml`: the [`Delta`] cell of a `doc/` row.
 pub(crate) const XML: Column = Column { family: "doc", qualifier: "xml" };
 /// `meta:seq` of `seen/` and `todo/` rows.
 pub(crate) const SEQ: Column = Column { family: "meta", qualifier: "seq" };
@@ -222,11 +216,6 @@ pub(crate) fn todos_of(participant: Name<'_>) -> Scan {
     Scan::prefix(&format!("todo/{participant}/")).family(SEQ.family)
 }
 
-/// The uploaded initial documents not yet started.
-pub(crate) fn initials() -> Scan {
-    Scan::prefix("initial/").family(XML.family)
-}
-
 /// The stored versions of `pid`, bytes included.
 pub(crate) fn versions_of(pid: Name<'_>) -> Scan {
     Scan::prefix(&format!("{DOC_ROWS}{pid}/")).family(XML.family)
@@ -308,6 +297,7 @@ mod tests {
             "meta/p/q",
             "todo/alice/p",
             "seen/abcd",
+            "initial/p",
             "nope/p",
         ] {
             assert_eq!(RowKey::parse(key), None, "{key:?}");
@@ -348,13 +338,12 @@ mod tests {
         other: Name<'a>,
         seq: usize,
         digest: [u8; 32],
-    ) -> [RowKey<'a>; 5] {
+    ) -> [RowKey<'a>; 4] {
         [
             RowKey::Doc { pid, seq },
             RowKey::Meta(pid),
             RowKey::Todo { participant: other, pid, activity: other },
             RowKey::Seen(digest),
-            RowKey::Initial(pid),
         ]
     }
 

@@ -3,9 +3,8 @@
 //! answer to "is this stored row an honest version?".
 //!
 //! [`CloudStore`] is the only code of this crate that holds a journal,
-//! applies a journaled put, or reads or writes a `doc/`, `seen/`, `todo/`
-//! or `initial/` row (the layout is `schema`'s). Four things are written
-//! here once:
+//! applies a journaled put, or reads or writes a `doc/`, `seen/` or `todo/`
+//! row (the layout is `schema`'s). Four things are written here once:
 //!
 //! * **the commit path** — [`CloudStore::commit`] is the WAL discipline
 //!   (append → apply → crash point → apply → commit) for the primary and
@@ -68,9 +67,8 @@
 //! its `seen/` row removed, passes every check of its own cloud. The peer
 //! clouds' replicas remain the evidence against it.
 //!
-//! TO-DO consumption and the `initial/` upload and removal are the three
-//! mutations that bypass the journal: each is a single-row write, which the
-//! pool applies atomically on its own.
+//! TO-DO consumption is the one mutation that bypasses the journal: a
+//! single-row delete, which the pool applies atomically on its own.
 
 use crate::portal::TodoEntry;
 use crate::schema::{self, Delta, Name, RowKey, DOC_ROWS, SEQ, XML};
@@ -568,11 +566,6 @@ impl CloudStore {
         rows.iter().filter_map(|(_, row)| XML.bytes_of(row)).map(|cell| cell.len() as u64).sum()
     }
 
-    /// Fast content fingerprint of the `doc/` rows.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.pool.fingerprint(DOC_ROWS)
-    }
-
     /// The whole pool, serialized.
     pub(crate) fn snapshot(&self) -> Vec<u8> {
         self.pool.export_snapshot()
@@ -583,7 +576,7 @@ impl CloudStore {
         schema::seed_views(views, &self.pool);
     }
 
-    // -- TO-DO and initial rows ----------------------------------------------
+    // -- TO-DO rows ----------------------------------------------------------
 
     /// A participant's TO-DO list.
     pub(crate) fn todos_of(&self, participant: Name<'_>) -> Vec<TodoEntry> {
@@ -604,31 +597,10 @@ impl CloudStore {
         SEQ.get(&self.pool, todo).is_some()
     }
 
-    /// Remove a consumed TO-DO row or a started process's parked initial
-    /// document; whether this cloud held it. Unjournaled.
+    /// Remove a consumed TO-DO row; whether this cloud held it.
+    /// Unjournaled.
     pub(crate) fn remove(&self, row: RowKey<'_>) -> bool {
         self.pool.delete_row(&row.to_string())
-    }
-
-    /// Park an uploaded initial document. Unjournaled.
-    pub(crate) fn put_initial(&self, pid: Name<'_>, xml: &str) {
-        XML.write(&self.pool, RowKey::Initial(pid), xml);
-    }
-
-    /// The parked initial document of `pid`.
-    pub(crate) fn initial(&self, pid: Name<'_>) -> Option<String> {
-        XML.get(&self.pool, RowKey::Initial(pid))
-    }
-
-    /// The processes with a parked initial document.
-    pub(crate) fn pending_initials(&self) -> Vec<String> {
-        let rows = self.pool.query(&schema::initials()).rows;
-        rows.iter()
-            .filter_map(|(key, _)| match RowKey::parse(key)? {
-                RowKey::Initial(pid) => Some(pid.as_str().to_string()),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -665,9 +637,9 @@ mod tests {
 
     /// Commit `batch()` on a fresh cloud, dying at the crash point when
     /// `torn_at` says how many rows land first; then restart. Returns the
-    /// whole-pool fingerprint and the rows the caller learnt were applied:
-    /// from the commit returning `Ok`, or from the replay's observer.
-    fn commit_and_restart(torn_at: Option<usize>) -> (u64, Vec<PutOp>) {
+    /// pool's snapshot and the rows the caller learnt were applied: from the
+    /// commit returning `Ok`, or from the replay's observer.
+    fn commit_and_restart(torn_at: Option<usize>) -> (Vec<u8>, Vec<PutOp>) {
         let cloud = CloudStore::new("c");
         let crash = || match torn_at {
             Some(_) => Err(WfError::Crash("torn".into())),
@@ -680,7 +652,7 @@ mod tests {
         assert_eq!(replayed, usize::from(torn_at.is_some()));
         assert_eq!(cloud.replay(|_| panic!("nothing left to replay")), 0);
         assert_eq!(cloud.journal_len(), 1);
-        (cloud.pool.fingerprint(""), observed)
+        (cloud.snapshot(), observed)
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::region::{KeyRange, Region};
 use crate::row::RowSnapshot;
-use crate::scan::{Scan, ScanResult, ScanStats};
+use crate::scan::{Scan, ScanResult};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,8 +34,6 @@ pub struct PoolStats {
     pub regions: usize,
     /// Total rows.
     pub rows: usize,
-    /// Total operations served across regions.
-    pub ops: usize,
     /// Region splits performed.
     pub splits: usize,
 }
@@ -96,13 +94,13 @@ impl HTable {
     }
 
     /// The table configuration.
-    pub fn config(&self) -> &TableConfig {
+    pub(crate) fn config(&self) -> &TableConfig {
         &self.config
     }
 
     /// Store a cell with an explicit timestamp (snapshot restore). Advances
     /// the logical clock past `ts` so later puts stay newer.
-    pub fn put_with_timestamp(
+    pub(crate) fn put_with_timestamp(
         &self,
         key: &str,
         family: &str,
@@ -155,7 +153,7 @@ impl HTable {
     /// write happened. This is the journal-replay primitive: re-applying a
     /// batch after a mid-batch crash must not grow phantom versions on the
     /// rows the dying writer already reached.
-    pub fn put_idempotent(
+    pub(crate) fn put_idempotent(
         &self,
         key: &str,
         family: &str,
@@ -180,27 +178,15 @@ impl HTable {
         self.get(key, family, qualifier).map(|b| String::from_utf8_lossy(&b).into_owned())
     }
 
-    /// Snapshot a whole row.
-    pub fn get_row(&self, key: &str) -> Option<RowSnapshot> {
-        self.region_for(key).get_row(key)
-    }
-
     /// Delete a row; true if it existed.
     pub fn delete_row(&self, key: &str) -> bool {
         self.with_region(key, |r| r.delete_row(key)).0
     }
 
-    /// Delete a single cell.
-    pub fn delete_cell(&self, key: &str, family: &str, qualifier: &str) -> bool {
-        self.with_region(key, |r| r.delete_cell(key, family, qualifier)).0
-    }
-
-    /// Clamp a [`Scan`] window to the current region layout: returns the
-    /// regions the window intersects (with per-region `[lo, hi)` bounds) and
-    /// the total region count, so callers can report how many were pruned.
-    fn scan_windows(&self, scan: &Scan) -> (Vec<ScanWindow>, usize) {
+    /// Clamp a [`Scan`] window to the current region layout: the regions
+    /// the window intersects, with per-region `[lo, hi)` bounds.
+    fn scan_windows(&self, scan: &Scan) -> Vec<ScanWindow> {
         let regions: Vec<Arc<Region>> = self.regions.read().clone();
-        let total = regions.len();
         let mut live = Vec::new();
         for region in regions {
             if let Some(t) = &scan.to {
@@ -226,20 +212,20 @@ impl HTable {
             };
             live.push((region, lo, hi));
         }
-        (live, total)
+        live
     }
 
     /// Execute a scan region by region, returning one row vector per visited
-    /// region in region order. The shared engine behind [`HTable::query`],
-    /// [`HTable::query_count`] and `map_reduce_scan`.
+    /// region in region order, and the rows examined. The shared engine
+    /// behind [`HTable::query`], [`HTable::query_count`] and
+    /// `map_reduce_scan`.
     pub(crate) fn query_partitions(
         &self,
         scan: &Scan,
         count_only: bool,
-    ) -> (Vec<Vec<(String, RowSnapshot)>>, ScanStats) {
-        let (live, total) = self.scan_windows(scan);
-        let visited = live.len();
-        let mut parts = Vec::with_capacity(visited);
+    ) -> (Vec<Vec<(String, RowSnapshot)>>, usize) {
+        let live = self.scan_windows(scan);
+        let mut parts = Vec::with_capacity(live.len());
         let mut examined = 0usize;
         for (region, lo, hi) in &live {
             let families = scan.families.as_deref();
@@ -249,35 +235,27 @@ impl HTable {
             parts.push(rows);
         }
         self.scanned_rows.fetch_add(examined, Ordering::Relaxed);
-        self.scanned_regions.fetch_add(visited, Ordering::Relaxed);
-        let stats = ScanStats {
-            rows_examined: examined,
-            rows_returned: examined,
-            regions_visited: visited,
-            regions_pruned: total - visited,
-        };
-        (parts, stats)
+        self.scanned_regions.fetch_add(live.len(), Ordering::Relaxed);
+        (parts, examined)
     }
 
     /// Run a [`Scan`]: prune regions outside the window, walk the survivors,
-    /// and return the matching rows in key order together with the work
-    /// accounting.
+    /// and return the matching rows in key order.
     pub fn query(&self, scan: &Scan) -> ScanResult {
-        let (parts, mut stats) = self.query_partitions(scan, false);
+        let (parts, _) = self.query_partitions(scan, false);
         let mut rows: Vec<(String, RowSnapshot)> = parts.into_iter().flatten().collect();
         if scan.limit > 0 && rows.len() > scan.limit {
             rows.truncate(scan.limit);
         }
-        stats.rows_returned = rows.len();
-        ScanResult { rows, stats }
+        ScanResult { rows }
     }
 
     /// Count the rows a [`Scan`] matches without cloning any snapshots.
     pub fn query_count(&self, scan: &Scan) -> usize {
-        let (_, stats) = self.query_partitions(scan, true);
+        let (_, examined) = self.query_partitions(scan, true);
         match scan.limit {
-            0 => stats.rows_returned,
-            l => stats.rows_returned.min(l),
+            0 => examined,
+            l => examined.min(l),
         }
     }
 
@@ -299,50 +277,13 @@ impl HTable {
         PoolStats {
             regions: regions.len(),
             rows: regions.iter().map(|r| r.row_count()).sum(),
-            ops: regions.iter().map(|r| r.ops.load(Ordering::Relaxed)).sum(),
             splits: self.splits.load(Ordering::Relaxed),
         }
     }
 
-    /// Clone the current region list (for MapReduce fan-out).
-    pub fn regions(&self) -> Vec<Arc<Region>> {
+    /// Clone the current region list (for snapshot export).
+    pub(crate) fn regions(&self) -> Vec<Arc<Region>> {
         self.regions.read().clone()
-    }
-
-    /// Content fingerprint of every row under `prefix`: FNV-1a over the
-    /// row keys and latest cell values of all columns, in key order.
-    ///
-    /// Region boundaries and split schedules do not affect the result, so
-    /// two tables holding the same logical rows report the same value even
-    /// when their region layouts differ — a cheap divergence probe for
-    /// replicated pools (a cryptographic byte-identity proof is the
-    /// caller's job; this is the fast first look).
-    pub fn fingerprint(&self, prefix: &str) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            // terminator so ("ab","c") and ("a","bc") cannot collide
-            h ^= 0xff;
-            h.wrapping_mul(FNV_PRIME)
-        }
-        // a divergence probe, not a monitoring query: walks the regions
-        // directly, outside the scan counters
-        let mut h = FNV_OFFSET;
-        for (region, lo, hi) in self.scan_windows(&Scan::prefix(prefix)).0 {
-            for (key, row) in region.scan_select(&lo, hi.as_deref(), None, 0, false).0 {
-                h = mix(h, key.as_bytes());
-                for (family, qualifier, cell) in row.columns() {
-                    h = mix(h, family.as_bytes());
-                    h = mix(h, qualifier.as_bytes());
-                    h = mix(h, &cell.value);
-                }
-            }
-        }
-        h
     }
 }
 
@@ -364,13 +305,13 @@ mod tests {
         let t1 = t.put("k", "f", "q", "1");
         let t2 = t.put("k", "f", "q", "2");
         assert!(t2 > t1);
-        let row = t.get_row("k").unwrap();
-        assert_eq!(row.versions("f", "q").len(), 2);
-        assert_eq!(row.get_str("f", "q").unwrap(), "2");
+        assert_eq!(t.get_str("k", "f", "q").unwrap(), "2");
+        let rows = t.query(&Scan::prefix("k")).rows;
+        assert_eq!(rows[0].1.versions("f", "q").len(), 2);
     }
 
     #[test]
-    fn fingerprint_ignores_region_layout_but_sees_content() {
+    fn scans_ignore_region_layout_but_see_content() {
         let small = HTable::new(TableConfig { max_versions: 3, max_region_rows: 4 });
         let big = HTable::new(TableConfig { max_versions: 3, max_region_rows: 1_000 });
         for i in 0..50 {
@@ -378,13 +319,11 @@ mod tests {
             big.put(&format!("doc/p/{i:03}"), "doc", "xml", format!("<v{i}/>"));
         }
         assert!(small.stats().regions > big.stats().regions, "layouts actually differ");
-        assert_eq!(small.fingerprint("doc/"), big.fingerprint("doc/"));
-        assert_eq!(small.fingerprint(""), big.fingerprint(""));
-        // one diverged cell flips the fingerprint
+        let docs = Scan::prefix("doc/");
+        assert_eq!(small.query(&docs).rows, big.query(&docs).rows);
+        // one diverged cell shows
         big.put("doc/p/007", "doc", "xml", "<tampered/>");
-        assert_ne!(small.fingerprint("doc/"), big.fingerprint("doc/"));
-        // rows outside the prefix are invisible to it
-        assert_eq!(small.fingerprint("meta/"), HTable::default().fingerprint("meta/"));
+        assert_ne!(small.query(&docs).rows, big.query(&docs).rows);
     }
 
     #[test]
@@ -405,7 +344,7 @@ mod tests {
             );
         }
         // scans still see everything in order
-        let all = t.query(&Scan::all()).rows;
+        let all = t.query(&Scan::prefix("row-")).rows;
         assert_eq!(all.len(), 100);
         let keys: Vec<&String> = all.iter().map(|(k, _)| k).collect();
         let mut sorted = keys.clone();
@@ -457,13 +396,13 @@ mod tests {
     #[test]
     fn query_prunes_regions_and_projects_families() {
         let t = seeded_table();
+        let (rows, regions) = t.scan_counters();
         let res = t.query(&Scan::prefix("meta/").family("meta"));
         assert_eq!(res.rows.len(), 10);
-        assert_eq!(res.stats.rows_examined, 10, "only meta rows touched");
-        assert!(res.stats.regions_pruned >= 1, "doc-only regions skipped: {:?}", res.stats);
         assert!(res.rows.iter().all(|(k, _)| k.starts_with("meta/")));
-        let full = t.row_count();
-        assert!(res.stats.rows_examined < full, "scan beats full table read ({full} rows)");
+        let (rows, regions) = (t.scan_counters().0 - rows, t.scan_counters().1 - regions);
+        assert_eq!(rows, 10, "only meta rows touched, of {}", t.row_count());
+        assert!(regions < t.stats().regions, "doc-only regions skipped: {regions} visited");
     }
 
     #[test]
@@ -478,24 +417,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_counters_accumulate() {
-        let t = seeded_table();
-        let before = t.scan_counters();
-        let res = t.query(&Scan::prefix("doc/"));
-        let after = t.scan_counters();
-        assert_eq!(after.0 - before.0, res.stats.rows_examined);
-        assert_eq!(after.1 - before.1, res.stats.regions_visited);
-    }
-
-    #[test]
-    fn delete_row_and_cell() {
+    fn delete_row() {
         let t = HTable::default();
         t.put("k", "f", "q1", "1");
         t.put("k", "f", "q2", "2");
-        assert!(t.delete_cell("k", "f", "q1"));
-        assert!(t.get("k", "f", "q1").is_none());
-        assert!(t.get("k", "f", "q2").is_some());
         assert!(t.delete_row("k"));
+        assert!(t.get("k", "f", "q2").is_none());
+        assert!(!t.delete_row("k"));
         assert_eq!(t.row_count(), 0);
     }
 

@@ -5,18 +5,18 @@
 //! real-time read/write random accesses to very large datasets are required.
 //! A DRA4WfMS document is stored as a cell in a row of an HBase table"
 //! (§4.2). This crate reproduces the slice of that stack the system relies
-//! on, in-process and thread-parallel:
+//! on, in-process:
 //!
-//! * [`row`] — rows, column families, qualified cells with versions
-//! * [`region`] — a contiguous row-key range owned by one region server
-//! * [`cluster`] — the range-partitioned table: routing, automatic region
-//!   splits, scans, filters
+//! * [`cluster`] — the range-partitioned table of versioned rows: routing,
+//!   automatic region splits, point reads and writes
+//! * [`scan`] — typed bounded scans with family projection (the
+//!   monitoring-query path that replaces full-table reads)
 //! * [`mapreduce`] — a mini MapReduce framework running mappers per region
 //!   in parallel (the paper's "MapReduce computing model … can apply some
 //!   statistical analyses to workflow processes or instances stored in the
 //!   DRA4WfMS cloud system")
-//! * [`scan`] — typed bounded scans with family projection and predicate
-//!   pushdown (the monitoring-query path that replaces full-table reads)
+//! * [`journal`] and [`persist`] — the write-ahead journal multi-row updates
+//!   commit through, and the table's snapshot format
 //! * [`views`] — incrementally maintained fleet views with a differential
 //!   `views ≡ scan` proof obligation
 //!
@@ -32,8 +32,8 @@ pub mod cluster;
 pub mod journal;
 pub mod mapreduce;
 pub mod persist;
-pub mod region;
-pub mod row;
+mod region;
+mod row;
 pub mod scan;
 pub mod views;
 
@@ -41,6 +41,6 @@ pub use cluster::{HTable, PoolStats, TableConfig};
 pub use journal::{Journal, PutOp};
 pub use mapreduce::map_reduce_scan;
 pub use persist::PersistError;
-pub use row::{Cell, Row, RowSnapshot};
-pub use scan::{Scan, ScanResult, ScanStats};
+pub use row::RowSnapshot;
+pub use scan::{Scan, ScanResult};
 pub use views::FleetViews;

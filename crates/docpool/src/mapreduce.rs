@@ -4,27 +4,26 @@
 //! some statistical analyses to workflow processes or instances stored in
 //! the DRA4WfMS cloud system" (§4.2). This module runs one mapper task per
 //! region a [`Scan`] visits, in parallel on scoped threads, shuffles by key,
-//! and reduces key groups in parallel.
+//! and reduces the key groups in order on the calling thread.
 
 use crate::cluster::HTable;
 use crate::row::RowSnapshot;
 use crate::scan::Scan;
 use std::collections::BTreeMap;
 
-/// Run a MapReduce job over the rows a [`Scan`] selects — a key window for
-/// the monitoring paths that must never do a full table read, or
-/// [`Scan::all`] for whole-table statistics.
+/// Run a MapReduce job over the rows a [`Scan`] selects — a key window, so
+/// the monitoring paths never do a full table read.
 ///
 /// * `map` — called once per row, emits zero or more `(key, value)` pairs;
 /// * `reduce` — called once per distinct key with all its values;
-/// * `threads` — maximum parallel mapper/reducer tasks (≥1).
+/// * `threads` — maximum parallel mapper tasks (≥1).
 ///
 /// The scan's regions are walked (honouring projection and limit), producing
 /// one input split per visited region (region parallelism, like HBase's
-/// `TableInputFormat` splits); mappers then run one task per split, and
-/// reducers run over contiguous chunks of the shuffled key space. Results
-/// are deterministic for any thread count. Rows touched are accounted in the
-/// table's scan counters.
+/// `TableInputFormat` splits); mappers then run one task per split. The
+/// reducers the pool's statistics need are counts, sums and means, so they
+/// run inline, in key order. Results are deterministic for any thread count.
+/// Rows touched are accounted in the table's scan counters.
 pub fn map_reduce_scan<K, V, O, M, R>(
     table: &HTable,
     scan: &Scan,
@@ -35,16 +34,15 @@ pub fn map_reduce_scan<K, V, O, M, R>(
 where
     K: Ord + Send,
     V: Send,
-    O: Send,
     M: Fn(&str, &RowSnapshot) -> Vec<(K, V)> + Sync,
-    R: Fn(&K, Vec<V>) -> O + Sync,
+    R: Fn(&K, Vec<V>) -> O,
 {
     let threads = threads.max(1);
-    let (splits, _stats) = table.query_partitions(scan, false);
+    let (splits, _) = table.query_partitions(scan, false);
 
-    let mut emitted: Vec<Vec<(K, V)>> = Vec::new();
+    let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
     for chunk in splits.chunks(threads) {
-        let results = std::thread::scope(|s| {
+        let emitted = std::thread::scope(|s| {
             let handles: Vec<_> = chunk
                 .iter()
                 .map(|split| {
@@ -60,64 +58,18 @@ where
                 .collect();
             handles.into_iter().map(|h| h.join().expect("mapper panicked")).collect::<Vec<_>>()
         });
-        emitted.extend(results);
-    }
-
-    shuffle_and_reduce(emitted, threads, reduce)
-}
-
-/// Shuffle emitted pairs by key, then reduce key groups in parallel chunks.
-fn shuffle_and_reduce<K, V, O, R>(
-    emitted: Vec<Vec<(K, V)>>,
-    threads: usize,
-    reduce: R,
-) -> BTreeMap<K, O>
-where
-    K: Ord + Send,
-    V: Send,
-    O: Send,
-    R: Fn(&K, Vec<V>) -> O + Sync,
-{
-    let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for part in emitted {
-        for (k, v) in part {
+        for (k, v) in emitted.into_iter().flatten() {
             groups.entry(k).or_default().push(v);
         }
     }
 
-    let entries: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-    if entries.is_empty() {
-        return BTreeMap::new();
-    }
-    let chunk_size = entries.len().div_ceil(threads);
-    let reduced: Vec<Vec<(K, O)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = entries
-            .into_iter()
-            .fold(Vec::new(), |mut acc: Vec<Vec<(K, Vec<V>)>>, item| {
-                match acc.last_mut() {
-                    Some(last) if last.len() < chunk_size => last.push(item),
-                    _ => acc.push(vec![item]),
-                }
-                acc
-            })
-            .into_iter()
-            .map(|chunk| {
-                let reduce = &reduce;
-                s.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|(k, vs)| {
-                            let o = reduce(&k, vs);
-                            (k, o)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("reducer panicked")).collect()
-    });
-
-    reduced.into_iter().flatten().collect()
+    groups
+        .into_iter()
+        .map(|(k, vs)| {
+            let o = reduce(&k, vs);
+            (k, o)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -140,7 +92,7 @@ mod tests {
         let t = table_with_statuses();
         let sums = map_reduce_scan(
             &t,
-            &Scan::all(),
+            &Scan::prefix("proc-"),
             4,
             |_, row| {
                 let status = row.get_str("meta", "status");
@@ -161,7 +113,7 @@ mod tests {
     fn empty_table_yields_empty_result() {
         let t = HTable::default();
         let map = |k: &str, _: &RowSnapshot| vec![(k.to_string(), 1usize)];
-        assert!(map_reduce_scan(&t, &Scan::all(), 4, map, |_, vs| vs.len()).is_empty());
+        assert!(map_reduce_scan(&t, &Scan::prefix("proc-"), 4, map, |_, vs| vs.len()).is_empty());
     }
 
     #[test]
@@ -178,7 +130,7 @@ mod tests {
         // ...must agree with a full-table job that filters in the mapper
         let full = map_reduce_scan(
             &t,
-            &Scan::all(),
+            &Scan::prefix("proc-"),
             4,
             |key, row| {
                 if ("proc-0050".."proc-0100").contains(&key) {
@@ -199,7 +151,7 @@ mod tests {
         let job = |threads: usize| {
             map_reduce_scan(
                 &t,
-                &Scan::all(),
+                &Scan::prefix("proc-"),
                 threads,
                 |k, _| vec![(k.to_string(), 1usize)],
                 |_, vs| vs.len(),

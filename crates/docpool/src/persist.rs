@@ -92,7 +92,7 @@ impl HTable {
         buf.put_u32(self.config().max_region_rows as u32);
 
         let regions = self.regions();
-        let all: Vec<(String, crate::row::RowSnapshot)> =
+        let all: Vec<(String, crate::RowSnapshot)> =
             regions.iter().flat_map(|r| r.snapshot_all()).collect();
         buf.put_u64(all.len() as u64);
         for (key, row) in &all {
@@ -190,12 +190,9 @@ mod tests {
                 "{key}"
             );
         }
-        // versions preserved (capped at max_versions, newest first)
-        let orig = t.get_row("row-000").unwrap();
-        let rest = restored.get_row("row-000").unwrap();
-        assert_eq!(orig.versions("doc", "xml"), rest.versions("doc", "xml"));
-        assert_eq!(rest.versions("doc", "xml").len(), 3);
-        assert_eq!(rest.get_str("doc", "xml").unwrap(), "version 4");
+        // every version preserved, timestamps included
+        assert_eq!(restored.export_snapshot(), snap);
+        assert_eq!(restored.get_str("row-000", "doc", "xml").unwrap(), "version 4");
     }
 
     #[test]

@@ -9,11 +9,10 @@ use crate::row::{Row, RowSnapshot};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A half-open row-key range `[start, end)`; `None` end means unbounded.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KeyRange {
+pub(crate) struct KeyRange {
     /// Inclusive start key ("" = from the beginning).
     pub start: String,
     /// Exclusive end key; `None` = to the end of the keyspace.
@@ -22,12 +21,12 @@ pub struct KeyRange {
 
 impl KeyRange {
     /// The full keyspace.
-    pub fn all() -> KeyRange {
+    pub(crate) fn all() -> KeyRange {
         KeyRange { start: String::new(), end: None }
     }
 
     /// True when `key` falls inside this range.
-    pub fn contains(&self, key: &str) -> bool {
+    pub(crate) fn contains(&self, key: &str) -> bool {
         key >= self.start.as_str()
             && match &self.end {
                 Some(e) => key < e.as_str(),
@@ -37,22 +36,20 @@ impl KeyRange {
 }
 
 /// One region server's state.
-pub struct Region {
+pub(crate) struct Region {
     /// The key range this region owns.
     pub range: KeyRange,
-    pub(crate) rows: RwLock<BTreeMap<String, Row>>,
-    /// Operations served (for load statistics).
-    pub ops: AtomicUsize,
+    rows: RwLock<BTreeMap<String, Row>>,
 }
 
 impl Region {
     /// Create an empty region over `range`.
-    pub fn new(range: KeyRange) -> Region {
-        Region { range, rows: RwLock::new(BTreeMap::new()), ops: AtomicUsize::new(0) }
+    pub(crate) fn new(range: KeyRange) -> Region {
+        Region { range, rows: RwLock::new(BTreeMap::new()) }
     }
 
     /// Insert/overwrite a cell version.
-    pub fn put(
+    pub(crate) fn put(
         &self,
         key: &str,
         family: &str,
@@ -62,7 +59,6 @@ impl Region {
         max_versions: usize,
     ) {
         debug_assert!(self.range.contains(key));
-        self.ops.fetch_add(1, Ordering::Relaxed);
         self.rows.write().entry(key.to_string()).or_default().put(
             family,
             qualifier,
@@ -73,37 +69,17 @@ impl Region {
     }
 
     /// Latest value of a cell.
-    pub fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Bytes> {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Bytes> {
         self.rows.read().get(key).and_then(|r| r.get(family, qualifier)).map(|c| c.value.clone())
     }
 
-    /// Snapshot of one row.
-    pub fn get_row(&self, key: &str) -> Option<RowSnapshot> {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.rows.read().get(key).map(Row::snapshot)
-    }
-
     /// Delete an entire row; true if it existed.
-    pub fn delete_row(&self, key: &str) -> bool {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn delete_row(&self, key: &str) -> bool {
         self.rows.write().remove(key).is_some()
     }
 
-    /// Delete one column of a row.
-    pub fn delete_cell(&self, key: &str, family: &str, qualifier: &str) -> bool {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        let mut rows = self.rows.write();
-        let Some(row) = rows.get_mut(key) else { return false };
-        let removed = row.delete(family, qualifier);
-        if row.is_empty() {
-            rows.remove(key);
-        }
-        removed
-    }
-
     /// Number of rows held.
-    pub fn row_count(&self) -> usize {
+    pub(crate) fn row_count(&self) -> usize {
         self.rows.read().len()
     }
 
@@ -119,7 +95,7 @@ impl Region {
     ///
     /// Returns `(rows, examined)`; with `count_only` the row vec is empty
     /// but `examined` still counts the rows walked.
-    pub fn scan_select(
+    pub(crate) fn scan_select(
         &self,
         from: &str,
         to: Option<&str>,
@@ -127,7 +103,6 @@ impl Region {
         limit: usize,
         count_only: bool,
     ) -> (Vec<(String, RowSnapshot)>, usize) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
         let rows = self.rows.read();
         let mut out = Vec::new();
         let mut examined = 0usize;
@@ -153,14 +128,14 @@ impl Region {
     }
 
     /// Snapshot every row (for MapReduce mappers).
-    pub fn snapshot_all(&self) -> Vec<(String, RowSnapshot)> {
+    pub(crate) fn snapshot_all(&self) -> Vec<(String, RowSnapshot)> {
         let rows = self.rows.read();
         rows.iter().map(|(k, r)| (k.clone(), r.snapshot())).collect()
     }
 
     /// Split this region at its median key, returning the two halves.
     /// The caller (cluster) replaces this region with the pair.
-    pub fn split(&self) -> Option<(Region, Region)> {
+    pub(crate) fn split(&self) -> Option<(Region, Region)> {
         let rows = self.rows.read();
         if rows.len() < 2 {
             return None;
@@ -211,15 +186,6 @@ mod tests {
         assert!(r.delete_row("k1"));
         assert!(!r.delete_row("k1"));
         assert_eq!(r.row_count(), 0);
-    }
-
-    #[test]
-    fn delete_cell_prunes_empty_rows() {
-        let r = Region::new(KeyRange::all());
-        r.put("k", "f", "q", b("v"), 1, 1);
-        assert!(r.delete_cell("k", "f", "q"));
-        assert_eq!(r.row_count(), 0);
-        assert!(!r.delete_cell("k", "f", "q"));
     }
 
     #[test]
@@ -281,14 +247,5 @@ mod tests {
         let r = Region::new(KeyRange::all());
         r.put("only", "f", "q", b("v"), 1, 1);
         assert!(r.split().is_none());
-    }
-
-    #[test]
-    fn op_counter_increments() {
-        let r = Region::new(KeyRange::all());
-        r.put("k", "f", "q", b("v"), 1, 1);
-        r.get("k", "f", "q");
-        r.scan_select("", None, None, 0, true);
-        assert_eq!(r.ops.load(Ordering::Relaxed), 3);
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 /// One stored value with its version timestamp (a logical, monotonically
 /// increasing sequence number assigned by the table).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// The stored bytes.
     pub value: Bytes,
     /// Logical write timestamp (newer = larger).
@@ -15,13 +15,13 @@ pub struct Cell {
 
 /// A row: `family -> qualifier -> versions (newest first)`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Row {
-    pub(crate) families: BTreeMap<String, BTreeMap<String, Vec<Cell>>>,
+pub(crate) struct Row {
+    families: BTreeMap<String, BTreeMap<String, Vec<Cell>>>,
 }
 
 impl Row {
     /// Insert a cell version, keeping at most `max_versions` (newest first).
-    pub fn put(
+    pub(crate) fn put(
         &mut self,
         family: &str,
         qualifier: &str,
@@ -40,42 +40,12 @@ impl Row {
     }
 
     /// Latest value of a qualified column.
-    pub fn get(&self, family: &str, qualifier: &str) -> Option<&Cell> {
+    pub(crate) fn get(&self, family: &str, qualifier: &str) -> Option<&Cell> {
         self.families.get(family)?.get(qualifier)?.first()
     }
 
-    /// All versions of a qualified column, newest first.
-    pub fn versions(&self, family: &str, qualifier: &str) -> &[Cell] {
-        self.families.get(family).and_then(|f| f.get(qualifier)).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Latest value of a qualified column decoded as UTF-8 (lossless only
-    /// if it was UTF-8). The predicate-pushdown accessor: scan predicates
-    /// run against live [`Row`]s under the region read lock, *before* any
-    /// snapshot is cloned.
-    pub fn get_str(&self, family: &str, qualifier: &str) -> Option<String> {
-        self.get(family, qualifier).map(|c| String::from_utf8_lossy(&c.value).into_owned())
-    }
-
-    /// Delete a qualified column; returns true if something was removed.
-    pub fn delete(&mut self, family: &str, qualifier: &str) -> bool {
-        if let Some(f) = self.families.get_mut(family) {
-            let removed = f.remove(qualifier).is_some();
-            if f.is_empty() {
-                self.families.remove(family);
-            }
-            return removed;
-        }
-        false
-    }
-
-    /// True when the row holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
-    }
-
     /// Immutable snapshot for scans and MapReduce.
-    pub fn snapshot(&self) -> RowSnapshot {
+    pub(crate) fn snapshot(&self) -> RowSnapshot {
         RowSnapshot { families: self.families.clone() }
     }
 
@@ -83,7 +53,7 @@ impl Row {
     /// the scan API. Families the row does not hold are silently absent;
     /// an empty `families` list means "project nothing" and yields an
     /// empty snapshot (callers wanting everything use [`Row::snapshot`]).
-    pub fn snapshot_projected(&self, families: &[String]) -> RowSnapshot {
+    pub(crate) fn snapshot_projected(&self, families: &[String]) -> RowSnapshot {
         RowSnapshot {
             families: self
                 .families
@@ -92,22 +62,6 @@ impl Row {
                 .map(|(f, quals)| (f.clone(), quals.clone()))
                 .collect(),
         }
-    }
-
-    /// Approximate memory footprint in bytes (used by split heuristics).
-    pub fn approx_size(&self) -> usize {
-        self.families
-            .iter()
-            .map(|(f, quals)| {
-                f.len()
-                    + quals
-                        .iter()
-                        .map(|(q, cells)| {
-                            q.len() + cells.iter().map(|c| c.value.len() + 8).sum::<usize>()
-                        })
-                        .sum::<usize>()
-            })
-            .sum()
     }
 }
 
@@ -129,12 +83,12 @@ impl RowSnapshot {
     }
 
     /// All versions of a column, newest first.
-    pub fn versions(&self, family: &str, qualifier: &str) -> &[Cell] {
+    pub(crate) fn versions(&self, family: &str, qualifier: &str) -> &[Cell] {
         self.families.get(family).and_then(|f| f.get(qualifier)).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Iterate `(family, qualifier, latest cell)`.
-    pub fn columns(&self) -> impl Iterator<Item = (&str, &str, &Cell)> {
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&str, &str, &Cell)> {
         self.families.iter().flat_map(|(f, quals)| {
             quals
                 .iter()
@@ -166,24 +120,12 @@ mod tests {
         for t in 1..=5 {
             r.put("doc", "xml", b(&format!("v{t}")), t, 3);
         }
-        let vs = r.versions("doc", "xml");
+        let snap = r.snapshot();
+        let vs = snap.versions("doc", "xml");
         assert_eq!(vs.len(), 3, "capped at max_versions");
         assert_eq!(vs[0].value, b("v5"));
         assert_eq!(vs[2].value, b("v3"));
         assert_eq!(r.get("doc", "xml").unwrap().timestamp, 5);
-    }
-
-    #[test]
-    fn delete_column() {
-        let mut r = Row::default();
-        r.put("doc", "xml", b("x"), 1, 1);
-        r.put("meta", "status", b("open"), 2, 1);
-        assert!(r.delete("doc", "xml"));
-        assert!(!r.delete("doc", "xml"), "already gone");
-        assert!(r.get("doc", "xml").is_none());
-        assert!(!r.is_empty());
-        assert!(r.delete("meta", "status"));
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -206,13 +148,5 @@ mod tests {
         let cols: Vec<(String, String)> =
             snap.columns().map(|(f, q, _)| (f.to_string(), q.to_string())).collect();
         assert_eq!(cols, vec![("a".into(), "x".into()), ("b".into(), "y".into())]);
-    }
-
-    #[test]
-    fn approx_size_grows() {
-        let mut r = Row::default();
-        let s0 = r.approx_size();
-        r.put("f", "q", b("0123456789"), 1, 3);
-        assert!(r.approx_size() > s0 + 10);
     }
 }

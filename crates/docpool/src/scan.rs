@@ -11,8 +11,9 @@
 //!
 //! This is the monitoring-path replacement for full-table MapReduce reads:
 //! a dashboard query over `meta/` rows examines only the regions and rows
-//! that can hold `meta/` keys, and [`ScanStats`] reports exactly how many
-//! rows and regions were touched so benches can prove the saving.
+//! that can hold `meta/` keys, and the table's cumulative
+//! [`crate::HTable::scan_counters`] say how many rows and regions every scan
+//! touched, so benches can prove the saving.
 
 /// Declarative description of a pool scan.
 #[derive(Clone, Debug)]
@@ -27,11 +28,6 @@ impl Scan {
     /// Scan the half-open key window `[from, to)`; `None` end = unbounded.
     pub fn range(from: impl Into<String>, to: Option<String>) -> Scan {
         Scan { from: from.into(), to, families: None, limit: 0 }
-    }
-
-    /// Scan the whole keyspace.
-    pub fn all() -> Scan {
-        Scan::range("", None)
     }
 
     /// Scan every key starting with `prefix`.
@@ -66,27 +62,11 @@ impl Scan {
     }
 }
 
-/// How much work a scan actually did — the evidence that monitoring queries
-/// no longer read the whole table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Rows examined under region read locks (match or not).
-    pub rows_examined: usize,
-    /// Rows that matched and were returned (or counted, for count-only).
-    pub rows_returned: usize,
-    /// Regions whose key range intersected the window and were walked.
-    pub regions_visited: usize,
-    /// Regions skipped outright because their range missed the window.
-    pub regions_pruned: usize,
-}
-
-/// A scan's rows (key order) plus its work accounting.
+/// A scan's rows, in key order.
 #[derive(Clone, Debug)]
 pub struct ScanResult {
     /// Matching rows as `(key, snapshot)`, ascending by key.
     pub rows: Vec<(String, crate::RowSnapshot)>,
-    /// Work accounting for this scan.
-    pub stats: ScanStats,
 }
 
 /// Exclusive upper bound for "every key starting with `prefix`": the prefix

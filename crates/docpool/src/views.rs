@@ -1,18 +1,18 @@
 //! Incrementally maintained fleet views — materialized monitoring
 //! aggregates that replace full-table reads on dashboard paths.
 //!
-//! A [`FleetViews`] instance is fed by the cloud layer's journal-commit and
-//! activation-bus hooks: every applied pool mutation (admission, journal
-//! replay after a crash, replication commit) and every bus notification is
+//! A [`FleetViews`] instance is fed by the cloud layer's fold over applied
+//! pool mutations: every admission and every journal replay after a crash is
 //! reflected here at the moment it happens, so reading a dashboard is O(view
-//! size), not O(pool size).
+//! size), not O(pool size). What the views do not derive from the pool —
+//! per-portal and per-cloud counts — the dashboard's caller reads from where
+//! it is counted and hands to [`FleetViews::dashboard_json`].
 //!
 //! Every update is **idempotent**: statuses are keyed per process (a replay
-//! that re-applies a batch overwrites the same entry), document progress is
-//! max-merged, and commit watermarks are monotone. Re-feeding the same
-//! operation therefore cannot drift a view — which is exactly what makes the
-//! views crash-consistent: recovery replays the journal through the same
-//! hook that live admissions use.
+//! that re-applies a batch overwrites the same entry) and document progress
+//! is max-merged. Re-feeding the same operation therefore cannot drift a
+//! view — which is exactly what makes the views crash-consistent: recovery
+//! replays the journal through the same hook that live admissions use.
 //!
 //! The differential check (`views ≡ scan`) is the proof obligation: the
 //! pool-derived views (status counts, per-process progress) must stay
@@ -29,12 +29,6 @@ struct ViewState {
     process_status: BTreeMap<String, String>,
     /// pid → stored document versions (max seq + 1; max-merged).
     process_progress: BTreeMap<String, u64>,
-    /// portal index → admissions served.
-    portal_admissions: BTreeMap<u64, u64>,
-    /// portal index → activation-bus notifications published.
-    portal_notifications: BTreeMap<u64, u64>,
-    /// cloud name → committed journal watermark (monotone).
-    cloud_commits: BTreeMap<String, u64>,
 }
 
 /// Materialized monitoring aggregates, maintained incrementally.
@@ -63,23 +57,6 @@ impl FleetViews {
         *slot = (*slot).max(seq + 1);
     }
 
-    /// Count an admission served by a portal.
-    pub fn record_admission(&self, portal: u64) {
-        *self.state.lock().portal_admissions.entry(portal).or_insert(0) += 1;
-    }
-
-    /// Count an activation-bus notification published by a portal.
-    pub fn record_notification(&self, portal: u64) {
-        *self.state.lock().portal_notifications.entry(portal).or_insert(0) += 1;
-    }
-
-    /// Record a cloud's committed journal watermark (monotone max-merge).
-    pub fn record_commit(&self, cloud: &str, committed: u64) {
-        let mut st = self.state.lock();
-        let slot = st.cloud_commits.entry(cloud.to_string()).or_insert(0);
-        *slot = (*slot).max(committed);
-    }
-
     /// Per-status process counts, derived from the per-process status view.
     pub fn status_counts(&self) -> BTreeMap<String, u64> {
         let st = self.state.lock();
@@ -93,14 +70,6 @@ impl FleetViews {
     /// Stored document versions per process.
     pub fn progress(&self) -> BTreeMap<String, u64> {
         self.state.lock().process_progress.clone()
-    }
-
-    /// Per-cloud replication lag: the distance from each cloud's committed
-    /// watermark to the furthest-ahead cloud.
-    pub fn replication_lag(&self) -> BTreeMap<String, u64> {
-        let st = self.state.lock();
-        let head = st.cloud_commits.values().copied().max().unwrap_or(0);
-        st.cloud_commits.iter().map(|(c, &w)| (c.clone(), head - w)).collect()
     }
 
     /// The pool-derived sections of the dashboard (status counts and
@@ -135,39 +104,32 @@ impl FleetViews {
         out
     }
 
-    /// The full dashboard as byte-deterministic JSON: status counts,
-    /// per-portal admission/notification rates, per-cloud commit watermarks
-    /// with replication lag, and progress of the still-active instances.
-    pub fn dashboard_json(&self) -> String {
+    /// The full dashboard as byte-deterministic JSON: status counts, the
+    /// `(admissions, notifications)` of each portal in index order, each
+    /// cloud's committed journal watermark with its lag behind the
+    /// furthest-ahead cloud, and progress of the still-active instances.
+    /// A portal or cloud with nothing to count yet is left out.
+    pub fn dashboard_json(&self, portals: &[(u64, u64)], clouds: &[(&str, u64)]) -> String {
         let st = self.state.lock();
         let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
         for status in st.process_status.values() {
             *counts.entry(status.as_str()).or_insert(0) += 1;
         }
-        let head = st.cloud_commits.values().copied().max().unwrap_or(0);
+        let head = clouds.iter().map(|&(_, w)| w).max().unwrap_or(0);
         let docs_total: u64 = st.process_progress.values().sum();
 
         let mut out = String::from("{\n\"status\":{");
         push_map(&mut out, counts.iter().map(|(k, v)| (*k, *v)));
         out.push_str("},\n\"portals\":{");
-        let portals: Vec<u64> = st
-            .portal_admissions
-            .keys()
-            .chain(st.portal_notifications.keys())
-            .copied()
-            .collect::<std::collections::BTreeSet<u64>>()
-            .into_iter()
-            .collect();
-        for (i, p) in portals.iter().enumerate() {
+        let served = portals.iter().enumerate().filter(|(_, &portal)| portal != (0, 0));
+        for (i, (p, (adm, ntf))) in served.enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let adm = st.portal_admissions.get(p).copied().unwrap_or(0);
-            let ntf = st.portal_notifications.get(p).copied().unwrap_or(0);
             out.push_str(&format!("\"{p}\":{{\"admissions\":{adm},\"notifications\":{ntf}}}"));
         }
         out.push_str("},\n\"clouds\":{");
-        for (i, (cloud, &w)) in st.cloud_commits.iter().enumerate() {
+        for (i, (cloud, w)) in clouds.iter().filter(|&&(_, w)| w > 0).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -245,11 +207,9 @@ mod tests {
             v.record_status("p1", "running");
             v.record_doc("p1", 0);
             v.record_doc("p1", 1);
-            v.record_commit("east", 2);
         }
         assert_eq!(v.status_counts()["running"], 1);
         assert_eq!(v.progress()["p1"], 2);
-        assert_eq!(v.replication_lag()["east"], 0);
     }
 
     #[test]
@@ -261,19 +221,6 @@ mod tests {
         let counts = v.status_counts();
         assert_eq!(counts["running"], 1);
         assert_eq!(counts["complete"], 1);
-    }
-
-    #[test]
-    fn replication_lag_tracks_head() {
-        let v = FleetViews::new();
-        v.record_commit("east", 10);
-        v.record_commit("west", 7);
-        let lag = v.replication_lag();
-        assert_eq!(lag["east"], 0);
-        assert_eq!(lag["west"], 3);
-        // watermarks are monotone: a stale re-report cannot move them back
-        v.record_commit("west", 4);
-        assert_eq!(v.replication_lag()["west"], 3);
     }
 
     #[test]
@@ -298,18 +245,19 @@ mod tests {
         v.record_status("p2", "running");
         v.record_doc("p1", 1);
         v.record_doc("p2", 0);
-        v.record_admission(0);
-        v.record_admission(0);
-        v.record_notification(1);
-        v.record_commit("east", 3);
-        v.record_commit("west", 2);
-        let a = v.dashboard_json();
-        assert_eq!(a, v.dashboard_json(), "byte-deterministic re-render");
+        let portals = [(2, 0), (0, 1), (0, 0)];
+        let clouds = [("east", 3), ("west", 2), ("north", 0)];
+        let a = v.dashboard_json(&portals, &clouds);
+        assert_eq!(a, v.dashboard_json(&portals, &clouds), "byte-deterministic re-render");
         assert!(a.contains("\"status\":{\"complete\":1,\"running\":1}"));
-        assert!(a.contains("\"0\":{\"admissions\":2,\"notifications\":0}"));
-        assert!(a.contains("\"1\":{\"admissions\":0,\"notifications\":1}"));
-        assert!(a.contains("\"east\":{\"committed\":3,\"lag\":0}"));
-        assert!(a.contains("\"west\":{\"committed\":2,\"lag\":1}"));
+        assert!(a.contains(
+            "\"portals\":{\"0\":{\"admissions\":2,\"notifications\":0},\
+             \"1\":{\"admissions\":0,\"notifications\":1}},"
+        ));
+        assert!(a.contains(
+            "\"clouds\":{\"east\":{\"committed\":3,\"lag\":0},\
+             \"west\":{\"committed\":2,\"lag\":1}},"
+        ));
         assert!(a.contains("\"active\":{\"p2\":1}"), "only non-complete instances: {a}");
         assert!(a.contains("\"totals\":{\"processes\":2,\"docs\":3}"));
     }

@@ -98,8 +98,8 @@ fn main() -> WfResult<()> {
         (instances * 3) as f64 / wall.as_secs_f64()
     );
     println!(
-        "pool: {} rows in {} regions ({} splits), {} ops served",
-        pool_stats.rows, pool_stats.regions, pool_stats.splits, pool_stats.ops
+        "pool: {} rows in {} regions ({} splits)",
+        pool_stats.rows, pool_stats.regions, pool_stats.splits
     );
     println!(
         "network: {} messages, {:.1} MB",

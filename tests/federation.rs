@@ -20,7 +20,9 @@
 //!   monitoring errors instead of reporting the substituted process;
 //! * a **torn replication** (replica dies between journal append and
 //!   commit) is repaired by the replica's own journal replay, and the
-//!   journal's torn-tail import machinery applies per cloud;
+//!   journal's torn-tail import machinery applies per cloud; inside a run,
+//!   the torn admission is stored once and counted once, by its portal and
+//!   on the dashboard alike;
 //! * one `FaultPlan` holding a crash *and* a tamper fires each exactly
 //!   once in the same federated run;
 //! * a proptest: random outage/tamper plans under a hostile
@@ -33,9 +35,11 @@ use dra4wfms::cloud::{
     FaultProfile, PoolAuditor, Topology, Trigger,
 };
 use dra4wfms::core::faultpoint::site;
+use dra4wfms::docpool::Scan;
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 /// Drive instances `fed-<id>` through the event-driven scheduler, asserting
@@ -277,6 +281,31 @@ fn torn_replication_is_repaired_by_replica_journal_replay() {
     // the sender's retry is a clean duplicate on the primary
     let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
     assert!(ack.duplicate);
+}
+
+/// A replica commit torn in the middle of a fleet run: the channel restarts
+/// the portal, west's journal replay completes the commit, and the retry is
+/// a duplicate on east. The version was stored once, and is counted once:
+/// Σ `portal.stored` is east's `doc/` row count, and the dashboard shows
+/// each portal's own count as its admissions.
+#[test]
+fn a_torn_replica_commit_is_counted_once() {
+    let plan = FaultPlan::once(site::PORTAL_REPLICA_BEFORE_COMMIT, 3);
+    let rig = Rig::fig9(false).with_faults(&plan);
+    let (sys, _) = rig.federated(two_cloud_topology());
+    drive(&rig, &sys, 0..2, sys.channel());
+    assert_eq!(plan.fired(), 1, "a replica commit tore");
+    assert!(sys.replicas_consistent(), "the retry repaired west");
+    assert_eq!(sys.pool_digest(), healthy_digest(2));
+
+    let doc_rows = sys.active_pool().query_count(&Scan::prefix("doc/"));
+    assert_eq!(sys.total_stored(), doc_rows, "one count per stored version");
+    let dashboard = sys.fleet_dashboard_json();
+    for (i, portal) in sys.portals.iter().enumerate() {
+        let stored = portal.stored.load(Ordering::Relaxed);
+        let admissions = format!("\"{i}\":{{\"admissions\":{stored},");
+        assert!(stored == 0 || dashboard.contains(&admissions), "portal {i}: {dashboard}");
+    }
 }
 
 /// One plan, two kinds of fault: an AEA dies on its third signing and

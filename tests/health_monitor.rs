@@ -7,9 +7,9 @@
 //! nothing (the false-alarm half of the contract, also enforced fleet-wide
 //! by `check_metric_invariants`).
 
-use dra4wfms::cloud::monitor::AlertKind;
+use dra4wfms::cloud::monitor::{AlertKind, PROGRESS_DEADLINE_US, RETRY_STORM_ATTEMPTS};
 use dra4wfms::cloud::{
-    check_metric_invariants, FaultPlan, FaultProfile, MonitorConfig, Scheduler, LEASE_US,
+    check_metric_invariants, FaultPlan, FaultProfile, Scheduler, Trigger, LEASE_US, MAX_TAKEOVERS,
 };
 use dra4wfms::core::faultpoint::site;
 use dra4wfms::prelude::*;
@@ -20,6 +20,10 @@ fn scenario(crash_at: Option<u64>) -> Rig {
     let plan = crash_at.map_or(FaultPlan::none(), |n| FaultPlan::once(site::AEA_BEFORE_SIGN, n));
     Rig::fig9(false).with_faults(&plan)
 }
+
+/// The channel seed under which the hostile profile makes one hand-off of
+/// `storm-run` burn [`RETRY_STORM_ATTEMPTS`] attempts.
+const STORM_SEED: u64 = 6;
 
 #[test]
 fn stuck_hop_is_detected_and_taken_over_early() {
@@ -53,12 +57,9 @@ fn stuck_hop_is_detected_and_taken_over_early() {
 
 #[test]
 fn retry_storm_is_detected_on_a_hostile_channel() {
-    // storm threshold 2: any delivery that needed a retry counts, so a
-    // hostile channel is guaranteed to trip it
-    let policy = MonitorConfig { retry_storm_attempts: 2, ..MonitorConfig::default() };
-    let rig = scenario(None).monitored(policy);
+    let rig = scenario(None);
     let sys = rig.cloud(3);
-    let delivery = rig.channel(FaultProfile::hostile(), 7);
+    let delivery = rig.channel(FaultProfile::hostile(), STORM_SEED);
     let doc = rig.initial("storm-run");
     let out = rig.run(&sys, &doc).network(&delivery).run().unwrap();
     assert_eq!(out.steps, 9);
@@ -68,30 +69,35 @@ fn retry_storm_is_detected_on_a_hostile_channel() {
     let alerts = rig.monitor.alerts();
     let storms: Vec<_> =
         alerts.iter().filter(|a| matches!(a.kind, AlertKind::RetryStorm { .. })).collect();
-    assert!(!storms.is_empty(), "retried deliveries must surface as storms: {alerts:?}");
+    assert!(!storms.is_empty(), "a storm must surface: {alerts:?}");
     for a in &storms {
         let AlertKind::RetryStorm { attempts, threshold, .. } = &a.kind else { unreachable!() };
-        assert!(attempts >= threshold);
+        assert!(*attempts >= RETRY_STORM_ATTEMPTS && *threshold == RETRY_STORM_ATTEMPTS);
     }
     check_metric_invariants(&rig.metrics.snapshot()).unwrap();
 }
 
 #[test]
 fn crash_loop_is_detected_when_takeovers_hit_the_budget() {
-    // a budget of one: the single injected crash *is* the loop — the
-    // monitor must flag the instance the moment takeovers exhaust it
-    let policy = MonitorConfig { crash_loop_takeovers: 1, ..MonitorConfig::default() };
-    let rig = scenario(Some(5)).monitored(policy);
+    // the fifth signing dies, and so does each takeover of that hop until
+    // the supervisor's budget is spent: the monitor must flag the instance
+    // the moment takeovers exhaust it, and the last takeover gets through
+    let budget = MAX_TAKEOVERS as u64;
+    let crashes = (5..5 + budget).map(|n| (site::AEA_BEFORE_SIGN.to_string(), Trigger::Visit(n)));
+    let rig = Rig::fig9(false).with_faults(&FaultPlan::of(crashes));
     let sys = rig.cloud(3);
     let doc = rig.initial("loop-run");
     assert_eq!(rig.run(&sys, &doc).run().unwrap().steps, 9);
+    assert_eq!(rig.plan.fired(), budget);
 
     let alerts = rig.monitor.alerts();
     let loops: Vec<_> =
         alerts.iter().filter(|a| matches!(a.kind, AlertKind::CrashLoop { .. })).collect();
     assert_eq!(loops.len(), 1, "the exhausted budget fires exactly once: {alerts:?}");
-    assert_eq!(loops[0].kind, AlertKind::CrashLoop { crashes: 1, budget: 1 });
-    check_metric_invariants(&rig.metrics.snapshot()).unwrap();
+    assert_eq!(loops[0].kind, AlertKind::CrashLoop { crashes: budget, budget });
+    let snap = rig.metrics.snapshot();
+    assert_eq!(snap.counter("run.takeovers"), budget);
+    check_metric_invariants(&snap).unwrap();
 }
 
 #[test]
@@ -140,8 +146,7 @@ fn a_refused_admission_leaves_nothing_for_the_monitor_to_wait_on() {
     assert!(results.iter().all(|(_, out)| out.as_ref().is_ok_and(|out| out.steps == 9)));
 
     // long after, nobody is waiting on the one that never started
-    let deadline_us = rig.monitor.config().progress_deadline_us;
-    rig.monitor.tick(rig.network.virtual_time_us() + deadline_us + 1);
+    rig.monitor.tick(rig.network.virtual_time_us() + PROGRESS_DEADLINE_US + 1);
     assert_eq!(rig.monitor.alerts(), vec![], "a fault-free fleet stays silent");
     check_metric_invariants(&rig.metrics.snapshot()).unwrap();
 
@@ -151,7 +156,7 @@ fn a_refused_admission_leaves_nothing_for_the_monitor_to_wait_on() {
     let garbling = rig.channel(garbling, 3);
     let lost = sched.admit_instance(rig.run(&sys, &initials[3]).network(&garbling)).unwrap_err();
     assert!(matches!(lost, WfError::Delivery(_)), "{lost}");
-    rig.monitor.tick(rig.network.virtual_time_us() + deadline_us + 1);
+    rig.monitor.tick(rig.network.virtual_time_us() + PROGRESS_DEADLINE_US + 1);
     let alerts = rig.monitor.alerts();
     assert!(alerts.iter().all(|a| matches!(a.kind, AlertKind::RetryStorm { .. })), "{alerts:?}");
 }
