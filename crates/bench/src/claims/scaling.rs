@@ -74,8 +74,8 @@ struct HopBytes {
     /// SHA-256 bytes one incremental verification absorbs: the new CER's
     /// canonical bytes plus the chain itself — 64 bytes per pinned CER.
     inc_hash: u64,
-    /// Wire bytes the step's AEA formatted (not copied from a memo) to
-    /// produce its document: the new CER and the tags around the sections.
+    /// Bytes the step's AEA formatted (not copied from a memo): the new
+    /// CER, the predecessor's signature its cascade covers, section tags.
     wire_written: u64,
     /// Everything SHA-256 absorbs while the document is delivered into a
     /// one-portal cloud that admitted the steps before it: the verification

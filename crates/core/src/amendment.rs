@@ -458,7 +458,7 @@ mod tests {
                 let def = xml
                     .replace(
                         "<Delta>",
-                        "<WorkflowDefinition name=\"n\" designer=\"d\" start=\"s\">",
+                        "<WorkflowDefinition designer=\"d\" name=\"n\" start=\"s\">",
                     )
                     .replace("</Delta>", "</WorkflowDefinition>")
                     .replace("<Add", "<")
@@ -475,7 +475,7 @@ mod tests {
                 "<AddActivity id=\"a\" participant=\"p\"><Response/></AddActivity>",
                 "<AddTransition to=\"#end\"/>",
                 "<AddTransition from=\"a\"/>",
-                "<AddTransition from=\"a\" to=\"b\"><Condition field=\"f\" equals=\"v\"/></AddTransition>",
+                "<AddTransition from=\"a\" to=\"b\"><Condition equals=\"v\" field=\"f\"/></AddTransition>",
             ] {
                 malformed(&format!("<Delta>{activity}</Delta>"));
             }

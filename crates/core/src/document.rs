@@ -35,7 +35,7 @@ use crate::model::WorkflowDefinition;
 use crate::policy::SecurityPolicy;
 use dra_xml::canon::canonicalize_all;
 use dra_xml::sig::{sign_detached, SIGNATURE};
-use dra_xml::{parse, Element};
+use dra_xml::{parse, Element, Node};
 use std::sync::Arc;
 
 /// Schema tag written into every document header.
@@ -241,15 +241,21 @@ impl DraDocument {
         Ok(DraDocument { root })
     }
 
-    /// Parse a document from its wire form.
+    /// Parse a document from its wire form. The parts outside the signed
+    /// subtrees — the root, `ApplicationDefinition`, `ActivityResults` and
+    /// each `CER` — hold elements only: a text there (white space between
+    /// two CERs, say) would spell one signed document a second way, so it is
+    /// refused like any other form the writer does not write.
     pub fn parse(xml: &str) -> WfResult<DraDocument> {
         let root = parse(xml).map_err(|e| WfError::Parse(e.to_string()))?;
         let doc = DraDocument { root };
-        // structural sanity
-        doc.header()?;
         doc.process_id()?;
-        doc.app_definition()?;
-        doc.results()?;
+        let results = doc.results()?;
+        let element_only = [&doc.root, doc.app_definition()?, results];
+        let text = |el: &&Element| el.children.iter().any(|n| matches!(n, Node::Text(_)));
+        if let Some(el) = element_only.into_iter().chain(results.find_children("CER")).find(text) {
+            return Err(WfError::Parse(format!("text inside <{}>", el.name)));
+        }
         Ok(doc)
     }
 
@@ -257,11 +263,12 @@ impl DraDocument {
     ///
     /// The units the prefix chain of [`crate::sealed`] pins — `Header`,
     /// `ApplicationDefinition`, each child of `ActivityResults` — memoize
-    /// their wire bytes here, on nodes every later version of the document
-    /// shares: a hop that appended one CER formats that CER and copies the
-    /// rest. `ActivityResults` and the root get no memo, every hop replaces
-    /// them. (A debug build checks the result against a walk that reads no
-    /// memo, in [`dra_xml::writer::to_string`].)
+    /// their bytes here, on nodes every later version of the document
+    /// shares; it is the memo the chain's digests read. A hop that appended
+    /// one CER formats that CER and copies the rest. `ActivityResults` and
+    /// the root get no memo, every hop replaces them. (A debug build checks
+    /// the result against a walk that reads no memo, in
+    /// [`dra_xml::writer::to_string`].)
     pub fn to_xml_string(&self) -> String {
         for section in self.root.child_elements() {
             if section.name == "ActivityResults" {
@@ -386,7 +393,7 @@ impl DraDocument {
             .ok_or_else(|| WfError::Malformed("missing ActivityResults".into()))?;
         let iter_s = key.iter.to_string();
         Ok(results.children.iter_mut().rev().find_map(|n| match n {
-            dra_xml::Node::Element(e)
+            Node::Element(e)
                 if e.name == "CER"
                     && e.get_attr("activity") == Some(key.activity.as_str())
                     && e.get_attr("iter") == Some(iter_s.as_str()) =>
@@ -528,6 +535,10 @@ mod tests {
         // signature still verifies against re-canonicalized bytes
         let bytes = parsed.definition_bytes().unwrap();
         assert!(verify_detached(parsed.designer_signature().unwrap(), &bytes, None).is_ok());
+        // white space between two sections is a second spelling: refused
+        let twin = wire.replacen("<ActivityResults", "\n<ActivityResults", 1);
+        let err = DraDocument::parse(&twin).unwrap_err();
+        assert!(matches!(&err, WfError::Parse(m) if m.contains("<DRA4WfMS>")), "{err}");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! `dₖ` commits to the canonical bytes of every pinned node, in order (a
 //! collision in the chain is a SHA-256 collision), so a document whose
-//! current prefix chains to the same value is byte-identical, up to
-//! canonical form, to the one that passed full verification, and those k
+//! current prefix chains to the same value is byte-identical to the one
+//! that passed full verification, and those k
 //! CERs' signatures need not be checked again. Any mutation of the prefix
 //! — a tampered result, a stripped amendment, a TFC finalization of a
 //! previously intermediate CER — changes the digest, and verification
@@ -33,26 +33,28 @@
 //!
 //! **What is memoised, and what it trusts.** `H(canon node)` is read from
 //! the node's own memo (`dra_xml::canon_digest`), which sits next to the
-//! canonical-bytes memo and is dropped with it by every `&mut` accessor —
-//! the chain trusts exactly the bytes a flat hash over the memoised
-//! canonical prefix would. One walk of the chain yields the digest at the
-//! mark (the check) and at the end (the new mark), so an incremental
-//! verification hashes the canonical bytes of the CERs it has not seen
-//! plus 64 bytes per pinned one, independent of document size. A mutated
-//! clone cannot leak into its sibling: mutation copies the node first and
-//! the copy starts without a memo. The wire is made the same way:
-//! [`DraDocument::to_xml_string`] memoises the wire bytes of the units the
-//! chain pins — same nodes, same memo, dropped by the same accessors — so
-//! [`SealedDocument::wire`] of a document that grew by one CER formats that
-//! CER and copies the rest. Only our own writer fills that memo.
+//! node's bytes and is dropped with them by every `&mut` accessor — the
+//! chain trusts exactly the bytes a flat hash over the memoised prefix
+//! would. One walk of the chain yields the digest at the mark (the check)
+//! and at the end (the new mark), so an incremental verification hashes
+//! the canonical bytes of the CERs it has not seen plus 64 bytes per pinned
+//! one, independent of document size. A mutated clone cannot leak into its
+//! sibling: mutation copies the node first and the copy starts without a
+//! memo. Canonical bytes are wire bytes (`dra_xml::canon`), so the wire
+//! reads the same memo: [`DraDocument::to_xml_string`] fills it on the
+//! units the chain pins, and [`SealedDocument::wire`] of a document that
+//! grew by one CER formats that CER and copies the rest. Only our own
+//! writer fills that memo.
 //!
 //! **What a receiver of raw bytes still pays.** A tree parsed from the
 //! wire (`ingest_wire`, `refetch`, `retrieve_*`) has no memos: whoever
-//! receives bytes canonicalises and hashes every node once, and formats
-//! every node once when it hands the tree on with a CER of its own (its
-//! seal of what arrived is the received string, [`SealedDocument::from_wire`])
-//! — the cost the paper's design has. Only in-process hand-offs of an
-//! already hashed, already formatted tree ride the memos.
+//! receives bytes writes and hashes every node once, when it first
+//! verifies it. The parser accepts only the writer's form, so those bytes
+//! are the received ones, and a receiver that hands the tree on with a CER
+//! of its own copies them instead of formatting the nodes again (its seal
+//! of what arrived is the received string, [`SealedDocument::from_wire`]).
+//! That is the cost the paper's design has. Only in-process hand-offs of an
+//! already hashed tree skip the walk.
 
 use crate::document::DraDocument;
 use crate::error::WfResult;

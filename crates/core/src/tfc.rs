@@ -656,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn redo_entry_is_shared_by_reformatted_resends_and_by_nothing_else() {
+    fn a_reformatted_resend_is_refused_and_a_different_result_is_its_own_entry() {
         let f = fig4();
         let initial =
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid-key").unwrap();
@@ -672,12 +672,12 @@ mod tests {
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "true".into())]).unwrap();
         let done = tfc.process(inter.document.clone()).unwrap();
 
-        // white space between two sections changes the wire and its
-        // SHA-256, not one canonical byte of a signed subtree: same entry
+        // white space between two sections is a second spelling of one
+        // signed document: refused before it reaches the redo log
         let wire = inter.document.to_xml_string();
         let spaced = wire.replacen("<ActivityResults>", "\n <ActivityResults>", 1);
-        assert_ne!(spaced, wire);
-        let again = tfc.process(spaced).unwrap();
+        assert!(matches!(tfc.process(spaced), Err(WfError::Parse(_))));
+        let again = tfc.process(wire).unwrap();
         assert_eq!((again.timestamp, tfc.redo_reuses()), (done.timestamp, 1));
 
         // a different result is a different document: its own timestamp

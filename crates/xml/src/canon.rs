@@ -1,24 +1,24 @@
-//! Canonical serialization — the role W3C C14N plays for XML Signature.
+//! The bytes a signature covers — the role W3C C14N plays for XML Signature.
 //!
-//! Both signer and verifier must obtain identical bytes for the covered
-//! elements, even after the document has been parsed and re-serialized by a
-//! different implementation. The canonical form:
+//! C14N exists because a signer and a verifier do not share a writer. Here
+//! they do, so the canonical bytes of a subtree are its wire bytes, exactly
+//! what [`crate::writer::to_string`] writes:
 //!
-//! * attributes sorted lexicographically by name,
-//! * no self-closing tags (`<a></a>`, never `<a/>`),
-//! * text and attribute values escaped exactly as in [`crate::escape`],
-//! * no insignificant whitespace added.
+//! * attributes sorted by name (the node keeps them so),
+//! * `<a/>` for an element with no children,
+//! * text and attribute values escaped as [`crate::escape`] says,
+//! * no white space added.
 //!
-//! Since our writer never emits insignificant whitespace and the parser
-//! preserves text verbatim, canonical bytes are stable across round trips.
+//! [`crate::parser::parse`] accepts nothing else, so a document has one
+//! spelling: every accepted `w` re-serialises to `w`, and a signature covers
+//! the very bytes that travel.
 
-use crate::escape::{escape_attr_into, escape_text_into};
-use crate::node::{Canon, Element, Node};
+use crate::node::{Canon, Element};
 use std::sync::Arc;
 
 /// Canonical byte serialization of one element subtree.
 pub fn canonicalize(el: &Element) -> Vec<u8> {
-    canonicalize_shared(el).bytes().to_vec()
+    el.memo().bytes().to_vec()
 }
 
 /// Canonical bytes of one subtree, memoized on the element. The first call
@@ -26,32 +26,25 @@ pub fn canonicalize(el: &Element) -> Vec<u8> {
 /// memo in O(1). Mutating the element through any `&mut` accessor drops
 /// the memo (see [`Element::invalidate_canon`]).
 pub fn canonicalize_shared(el: &Element) -> Arc<Canon> {
-    let memo = el.memo();
-    memo.bytes_or_init(|| {
-        let mut out = Vec::new();
-        write_canon(el, &mut out);
-        count_alloc(out.len() as u64);
-        out
-    });
-    Arc::clone(memo)
+    Arc::clone(el.memo())
 }
 
 /// SHA-256 of the canonical bytes of one subtree, memoized on the element
 /// next to the bytes: an unmutated node is hashed once, however many trees
 /// share it and however often it is asked.
 pub fn canon_digest(el: &Element) -> [u8; 32] {
-    canonicalize_shared(el).digest()
+    el.memo().digest()
 }
 
 /// Canonical bytes of a sequence of subtrees, length-prefix framed so that
 /// the concatenation is injective (no boundary ambiguity between parts).
-/// Each part comes from the per-element memo when available.
+/// Each part comes from the per-element memo.
 pub fn canonicalize_all<'a>(els: impl IntoIterator<Item = &'a Element>) -> Vec<u8> {
     let mut out = Vec::new();
     for el in els {
-        let part = canonicalize_shared(el);
-        out.extend_from_slice(&(part.bytes().len() as u64).to_be_bytes());
-        out.extend_from_slice(part.bytes());
+        let part = el.memo().bytes();
+        out.extend_from_slice(&(part.len() as u64).to_be_bytes());
+        out.extend_from_slice(part);
     }
     count_alloc(out.len() as u64);
     out
@@ -63,7 +56,7 @@ thread_local! {
     static CANON_ALLOC: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-fn count_alloc(bytes: u64) {
+pub(crate) fn count_alloc(bytes: u64) {
     CANON_ALLOC.with(|c| c.set(c.get() + bytes));
 }
 
@@ -76,36 +69,6 @@ pub fn canon_alloc_bytes() -> u64 {
 /// Reset the current thread's canonicalization-allocation counter.
 pub fn canon_alloc_reset() {
     CANON_ALLOC.with(|c| c.set(0));
-}
-
-fn write_canon(el: &Element, out: &mut Vec<u8>) {
-    // A child whose canonical form is already memoized contributes a
-    // memcpy instead of a recursive walk.
-    if let Some(cached) = el.memo_cached().and_then(|memo| memo.bytes_cached()) {
-        out.extend_from_slice(cached);
-        return;
-    }
-    out.push(b'<');
-    out.extend_from_slice(el.name.as_bytes());
-    let mut attrs: Vec<&(String, String)> = el.attrs.iter().collect();
-    attrs.sort_by(|a, b| a.0.cmp(&b.0));
-    for (k, v) in attrs {
-        out.push(b' ');
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(b"=\"");
-        escape_attr_into(v, out);
-        out.push(b'"');
-    }
-    out.push(b'>');
-    for child in &el.children {
-        match child {
-            Node::Element(e) => write_canon(e, out),
-            Node::Text(t) => escape_text_into(t, out),
-        }
-    }
-    out.extend_from_slice(b"</");
-    out.extend_from_slice(el.name.as_bytes());
-    out.push(b'>');
 }
 
 #[cfg(test)]
@@ -124,8 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn no_self_closing() {
-        assert_eq!(canonicalize(&Element::new("a")), b"<a></a>");
+    fn an_empty_element_self_closes() {
+        assert_eq!(canonicalize(&Element::new("a")), b"<a/>");
+        assert_eq!(canonicalize(&Element::new("a").text("")), b"<a/>");
     }
 
     #[test]
@@ -306,13 +270,7 @@ mod tests {
     }
 
     fn arb_element() -> impl Strategy<Value = Element> {
-        let leaf = (arb_name(), arb_text()).prop_map(|(n, t)| {
-            if t.is_empty() {
-                Element::new(n)
-            } else {
-                Element::new(n).text(t)
-            }
-        });
+        let leaf = (arb_name(), arb_text()).prop_map(|(n, t)| Element::new(n).text(t));
         leaf.prop_recursive(3, 24, 4, |inner| {
             (
                 arb_name(),
@@ -342,11 +300,10 @@ mod tests {
             prop_assert_eq!(canonicalize(&e), canonicalize(&reparsed));
         }
 
-        /// The wire memo is invisible: a tree serializes to the same bytes
-        /// with no memo, with a memo on every node below the root, and
-        /// after a parse round trip (whose tree has none).
+        /// The memo is invisible: a tree serializes to the same bytes with
+        /// no memo and with a memo on every node below the root.
         #[test]
-        fn prop_wire_is_the_same_warm_cold_and_reparsed(e in arb_element()) {
+        fn prop_wire_is_the_same_warm_and_cold(e in arb_element()) {
             fn warm(e: &Element) {
                 e.child_elements().for_each(warm);
                 e.wire();
@@ -355,7 +312,20 @@ mod tests {
             e.child_elements().for_each(warm);
             prop_assert_eq!(&to_string(&e), &cold);
             prop_assert_eq!(e.wire(), cold.as_str());
-            prop_assert_eq!(to_string(&parse(&cold).unwrap()), cold);
+        }
+
+        /// One form: the canonical bytes are the wire bytes.
+        #[test]
+        fn prop_canonical_bytes_are_the_wire(e in arb_element()) {
+            prop_assert_eq!(canonicalize(&e), to_string(&e).into_bytes());
+        }
+
+        /// Whatever the builders make, the parser takes back, and writing
+        /// what it took back gives the same bytes.
+        #[test]
+        fn prop_write_parse_write_is_the_identity(e in arb_element()) {
+            let wire = to_string(&e);
+            prop_assert_eq!(to_string(&parse(&wire).unwrap()), wire);
         }
 
         /// Parsing the wire format reproduces an equivalent tree (text node

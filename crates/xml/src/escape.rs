@@ -1,140 +1,94 @@
-//! XML text and attribute escaping.
+//! XML escaping: the one spelling of each character the writer escapes.
+//!
+//! In text, `&`, `<` and `>` are written `&amp;`, `&lt;` and `&gt;`. In an
+//! attribute value, so are `"`, tab, line feed and carriage return:
+//! `&quot;`, `&#9;`, `&#10;` and `&#13;`, so a value's white space survives.
+//! Every other character is written as itself. The parser reads exactly these
+//! escapes back, where the writer writes them, and refuses every other
+//! reference and every raw character that has an escape.
 
-/// Escape text content: `&`, `<`, `>`.
-pub fn escape_text(s: &str) -> String {
-    let mut out = Vec::with_capacity(s.len());
-    escape_text_into(s, &mut out);
-    String::from_utf8(out).expect("escaping preserves UTF-8")
+/// How the writer spells byte `b` inside an attribute value (`attr`) or a
+/// text; `None` when it is written as itself.
+pub fn escape_of(b: u8, attr: bool) -> Option<&'static str> {
+    Some(match b {
+        b'&' => "&amp;",
+        b'<' => "&lt;",
+        b'>' => "&gt;",
+        b'"' if attr => "&quot;",
+        b'\t' if attr => "&#9;",
+        b'\n' if attr => "&#10;",
+        b'\r' if attr => "&#13;",
+        _ => return None,
+    })
 }
 
-/// [`escape_text`] writing straight into `out` — the allocation-free path
-/// used by canonicalization. Clean spans between escapes are copied with a
-/// single `extend_from_slice` instead of per-character pushes.
-pub fn escape_text_into(s: &str, out: &mut Vec<u8>) {
-    escape_into(s, out, false);
-}
-
-/// [`escape_attr`] writing straight into `out` (see [`escape_text_into`]).
-pub fn escape_attr_into(s: &str, out: &mut Vec<u8>) {
-    escape_into(s, out, true);
-}
-
-fn escape_into(s: &str, out: &mut Vec<u8>, attr: bool) {
+/// Append `s` to `out`, escaped for an attribute value (`attr`) or a text.
+/// Clean spans between escapes are copied whole.
+pub fn escape_into(s: &str, out: &mut Vec<u8>, attr: bool) {
     let bytes = s.as_bytes();
     let mut start = 0;
     for (i, &b) in bytes.iter().enumerate() {
-        let rep: &[u8] = match b {
-            b'&' => b"&amp;",
-            b'<' => b"&lt;",
-            b'>' => b"&gt;",
-            b'"' if attr => b"&quot;",
-            b'\n' if attr => b"&#10;",
-            b'\r' if attr => b"&#13;",
-            b'\t' if attr => b"&#9;",
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[start..i]);
-        out.extend_from_slice(rep);
-        start = i + 1;
+        if let Some(rep) = escape_of(b, attr) {
+            out.extend_from_slice(&bytes[start..i]);
+            out.extend_from_slice(rep.as_bytes());
+            start = i + 1;
+        }
     }
     out.extend_from_slice(&bytes[start..]);
 }
 
-/// Byte length of [`escape_text`]`(s)` / [`escape_attr`]`(s)` without
-/// building the string.
+/// Byte length of what [`escape_into`] appends, without building it.
 pub(crate) fn escaped_len(s: &str, attr: bool) -> usize {
-    s.bytes()
-        .map(|b| match b {
-            b'&' => 5,
-            b'<' | b'>' => 4,
-            b'"' if attr => 6,
-            b'\n' | b'\r' if attr => 5,
-            b'\t' if attr => 4,
-            _ => 1,
-        })
-        .sum()
+    s.bytes().map(|b| escape_of(b, attr).map_or(1, str::len)).sum()
 }
 
-/// Escape attribute values (double-quote delimited): text escapes plus `"`,
-/// and control characters as numeric references so round-trips are exact.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = Vec::with_capacity(s.len());
-    escape_attr_into(s, &mut out);
-    String::from_utf8(out).expect("escaping preserves UTF-8")
-}
-
-/// Unescape entity and numeric character references. Returns `None` on a
-/// malformed or unknown reference.
-pub fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        let rest = &s[i + 1..];
-        let semi = rest.find(';')?;
-        let entity = &rest[..semi];
-        match entity {
-            "amp" => out.push('&'),
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
-            _ if entity.starts_with("#x") || entity.starts_with("#X") => {
-                let code = u32::from_str_radix(&entity[2..], 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ if entity.starts_with('#') => {
-                let code: u32 = entity[1..].parse().ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-        // skip the consumed entity body and ';'
-        for _ in 0..=semi {
-            chars.next();
-        }
-    }
-    Some(out)
+/// The character whose escape `s` starts with, and the escape's length:
+/// the inverse of [`escape_of`], and nothing more.
+pub(crate) fn unescape_prefix(s: &[u8], attr: bool) -> Option<(char, usize)> {
+    b"&<>\"\t\n\r".iter().find_map(|&c| {
+        let rep = escape_of(c, attr)?;
+        s.starts_with(rep.as_bytes()).then_some((char::from(c), rep.len()))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn escaped(s: &str, attr: bool) -> String {
+        let mut out = Vec::new();
+        escape_into(s, &mut out, attr);
+        assert_eq!(out.len(), escaped_len(s, attr));
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn text_escaping() {
-        assert_eq!(escape_text("a<b & c>d"), "a&lt;b &amp; c&gt;d");
-        assert_eq!(escape_text("plain"), "plain");
+        assert_eq!(escaped("a<b & c>d", false), "a&lt;b &amp; c&gt;d");
+        assert_eq!(escaped("plain \"q\"\n", false), "plain \"q\"\n");
     }
 
     #[test]
     fn attr_escaping() {
-        assert_eq!(escape_attr("say \"hi\"\n"), "say &quot;hi&quot;&#10;");
+        assert_eq!(escaped("say \"hi\"\n\t\r'", true), "say &quot;hi&quot;&#10;&#9;&#13;'");
     }
 
     #[test]
-    fn unescape_entities() {
-        assert_eq!(unescape("a&lt;b &amp; c&gt;d").unwrap(), "a<b & c>d");
-        assert_eq!(unescape("&quot;&apos;").unwrap(), "\"'");
-        assert_eq!(unescape("&#65;&#x42;").unwrap(), "AB");
-    }
-
-    #[test]
-    fn unescape_rejects_malformed() {
-        assert!(unescape("&unknown;").is_none());
-        assert!(unescape("&amp").is_none(), "missing semicolon");
-        assert!(unescape("&#xZZ;").is_none());
-        assert!(unescape("&#1114112;").is_none(), "out of char range");
-    }
-
-    #[test]
-    fn roundtrip_text() {
-        for s in ["", "x", "<<<&&&>>>", "mixed <a> & \"b\" 'c'", "unicode: π ≤ ∞"] {
-            assert_eq!(unescape(&escape_text(s)).unwrap(), s);
-            assert_eq!(unescape(&escape_attr(s)).unwrap(), s);
+    fn unescape_prefix_inverts_escape_of_only() {
+        for attr in [false, true] {
+            for b in 0..=u8::MAX {
+                if let Some(rep) = escape_of(b, attr) {
+                    let tail = format!("{rep}rest");
+                    assert_eq!(
+                        unescape_prefix(tail.as_bytes(), attr),
+                        Some((char::from(b), rep.len()))
+                    );
+                }
+            }
+        }
+        assert_eq!(unescape_prefix(b"&quot;", false), None, "not an escape in text");
+        for other in ["&apos;", "&#65;", "&#x41;", "&#10", "&amp", "&unknown;"] {
+            assert_eq!(unescape_prefix(other.as_bytes(), true), None, "{other}");
         }
     }
 }

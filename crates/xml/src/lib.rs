@@ -5,20 +5,23 @@
 //! XML DSig API and Apache Santuario. Mature equivalents do not exist in the
 //! Rust ecosystem, so this crate implements the needed subset from scratch:
 //!
-//! * [`node`] — an XML element tree of shared, memoizing nodes
-//! * [`escape`] — XML escaping/unescaping
-//! * [`writer`] — compact and pretty serialization
-//! * [`parser`] — a parser for the subset this system emits
-//! * [`canon`] — canonical serialization (deterministic bytes to sign)
+//! * [`node`] — an XML element tree of shared nodes, one memo each
+//! * [`escape`] — the one escape of each character that has one
+//! * [`writer`] — the one serialization, and a pretty printer
+//! * [`parser`] — a parser that accepts exactly what the writer writes
+//! * [`canon`] — the bytes a signature covers: the writer's
 //! * [`enc`] — element-wise encryption with multi-recipient key wrapping
 //! * [`sig`] — detached element signatures in the XML-DSig style
 //!
-//! Canonicalization here plays the role of W3C C14N: both the signer and the
-//! verifier serialize the covered elements to an identical byte stream, so a
-//! signature survives parsing/re-serialization round trips.
+//! Canonicalization here plays the role of W3C C14N, which exists because
+//! signer and verifier do not share a writer. Here they do, so the wire form
+//! is the canonical form: the parser refuses any other spelling, every
+//! accepted document re-serializes to its own bytes, and a signature covers
+//! exactly what travels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod canon;
 pub mod enc;

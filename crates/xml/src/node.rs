@@ -7,28 +7,33 @@
 //! inbox that parks it for the next participant all point at the same
 //! Header, ApplicationDefinition and old CER nodes.
 //!
-//! **What is memoised.** Each element lazily memoises, in one allocation
-//! ([`Canon`]), its canonical bytes (see [`crate::canon`]), the SHA-256 of
-//! those bytes and its wire bytes ([`Element::wire`], what
-//! [`crate::writer`] formats it as). All three are pure functions of the
-//! subtree, so every holder of a shared node may use them — and each is
-//! filled only by this crate's own walk of the tree, never from bytes
-//! somebody sent.
+//! **One form.** An element keeps its attributes sorted by name
+//! ([`Element::set_attr`] inserts in place), and [`Element::text`] adds no
+//! empty text. So the one serialisation [`crate::writer`] emits needs no
+//! sort, and every tree the builders make is one [`crate::parser`] accepts
+//! back.
 //!
-//! **What invalidates it.** Every `&mut` accessor drops the memo — all of
-//! it — of the element it is called on; the ones that hand out a child
+//! **What is memoised.** Each element lazily memoises, in one allocation
+//! ([`Canon`]), the bytes of its subtree — the wire bytes, which are also the
+//! bytes a signature covers ([`crate::canon`]) — and their SHA-256. Both are
+//! pure functions of the subtree, so every holder of a shared node may use
+//! them, and the bytes are written only by this crate's own walk of the
+//! tree, never copied from bytes somebody sent.
+//!
+//! **What invalidates it.** Every `&mut` accessor drops the memo of the
+//! element it is called on; the ones that hand out a child
 //! ([`Element::find_child_mut`]) first make that child unique with
-//! `Arc::make_mut` and drop its memo too. Code that mutates
-//! `attrs`/`children` through the public fields must call
-//! [`Element::invalidate_canon`] afterwards.
+//! `Arc::make_mut` and drop its memo too. Code that mutates `children`
+//! through the public field must call [`Element::invalidate_canon`]
+//! afterwards.
 //!
 //! **Why a mutated clone cannot leak into its sibling.** There is no way
 //! to reach `&mut Element` behind a shared `Arc`: `Arc::make_mut` copies
 //! the node (its child *pointers*, not the children) when anyone else
 //! holds it, and the copy's memo is dropped before the caller sees it. The
 //! sibling keeps the original node, bytes, digest and all. Clones that
-//! still share one memo have not been mutated since, so a part of it one
-//! of them fills late is true of all of them.
+//! still share one memo have not been mutated since, so a digest one of
+//! them fills late is true of all of them.
 
 use std::sync::{Arc, OnceLock};
 
@@ -41,58 +46,43 @@ pub enum Node {
     Text(String),
 }
 
-/// The memo an [`Element`] carries: the canonical bytes of its subtree,
-/// their SHA-256 and the subtree's wire bytes, each computed on first use.
-#[derive(Default)]
+/// The memo an [`Element`] carries: the bytes of its subtree, written when
+/// the memo is made, and their SHA-256, hashed on first use.
 pub struct Canon {
-    bytes: OnceLock<Vec<u8>>,
+    bytes: Box<str>,
     digest: OnceLock<[u8; 32]>,
-    wire: OnceLock<Box<str>>,
 }
 
 impl Canon {
-    /// The canonical bytes.
+    /// The subtree's bytes: its wire form, and what a signature covers.
     pub fn bytes(&self) -> &[u8] {
-        // `canonicalize_shared`, the one way to a `Canon` from outside this
-        // crate, fills them before it hands the memo out
-        self.bytes.get().expect("a memo handed out holds its canonical bytes")
+        self.bytes.as_bytes()
     }
 
-    /// The canonical bytes, written by `build` on first use.
-    pub(crate) fn bytes_or_init(&self, build: impl FnOnce() -> Vec<u8>) -> &[u8] {
-        self.bytes.get_or_init(build)
-    }
-
-    /// The canonical bytes, if previously computed.
-    pub(crate) fn bytes_cached(&self) -> Option<&[u8]> {
-        self.bytes.get().map(Vec::as_slice)
-    }
-
-    /// SHA-256 of the canonical bytes; hashed once, then read.
+    /// SHA-256 of the bytes; hashed once, then read.
     pub fn digest(&self) -> [u8; 32] {
         *self.digest.get_or_init(|| dra_crypto::sha256(self.bytes()))
     }
 }
 
-/// An XML element: name, attributes (in insertion order) and children.
+/// An XML element: name, attributes (sorted by name) and children.
 ///
 /// See the module docs for what the memo holds and what drops it.
 #[derive(Clone, Default)]
 pub struct Element {
     /// Tag name.
     pub name: String,
-    /// Attributes in insertion order. Canonicalization sorts them.
-    pub attrs: Vec<(String, String)>,
+    /// Attributes, sorted by name, each name once.
+    pub(crate) attrs: Vec<(String, String)>,
     /// Child nodes in document order.
     pub children: Vec<Node>,
-    /// Memoized canonical bytes, their digest and the wire bytes of this
-    /// subtree.
-    canon: OnceLock<Arc<Canon>>,
+    /// The memoized bytes of this subtree and their digest.
+    memo: OnceLock<Arc<Canon>>,
 }
 
 impl PartialEq for Element {
     fn eq(&self, other: &Element) -> bool {
-        // The canon memo is derived state and must not affect equality.
+        // The memo is derived state and must not affect equality.
         self.name == other.name && self.attrs == other.attrs && self.children == other.children
     }
 }
@@ -112,43 +102,41 @@ impl std::fmt::Debug for Element {
 impl Element {
     /// Create an empty element.
     pub fn new(name: impl Into<String>) -> Element {
-        Element {
-            name: name.into(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-            canon: OnceLock::new(),
-        }
+        Element { name: name.into(), ..Element::default() }
     }
 
-    /// Drop this element's memoized canonical bytes, digest and wire bytes.
-    /// Required after mutating `attrs` or `children` directly through the
-    /// public fields; the invalidating accessors below call it
-    /// automatically.
+    /// Drop this element's memo. Required after mutating `children`
+    /// directly through the public field; the invalidating accessors below
+    /// call it automatically.
     pub fn invalidate_canon(&mut self) {
-        self.canon.take();
+        self.memo.take();
     }
 
-    /// The memo, if any part of it was computed.
+    /// The memo, if it was made.
     pub(crate) fn memo_cached(&self) -> Option<&Arc<Canon>> {
-        self.canon.get()
+        self.memo.get()
     }
 
-    /// The memo, empty on first use.
+    /// The memo, made on first use by one walk of [`crate::writer`], which
+    /// copies every memoized node below instead of walking it.
     pub(crate) fn memo(&self) -> &Arc<Canon> {
-        self.canon.get_or_init(Arc::default)
+        self.memo.get_or_init(|| {
+            let bytes = crate::writer::format(self);
+            crate::canon::count_alloc(bytes.len() as u64);
+            Arc::new(Canon { bytes: bytes.into_boxed_str(), digest: OnceLock::new() })
+        })
     }
 
-    /// The wire bytes of this subtree — what [`crate::writer::to_string`]
-    /// returns for it — formatted on first use and memoized on the element.
-    /// The writer copies them wherever it meets this node afterwards, in
-    /// whichever tree shares it.
+    /// The bytes of this subtree — what [`crate::writer::to_string`] returns
+    /// for it — memoized on the element. The writer copies them wherever it
+    /// meets this node afterwards, in whichever tree shares it.
     pub fn wire(&self) -> &str {
-        self.memo().wire.get_or_init(|| crate::writer::format(self).into_boxed_str())
+        &self.memo().bytes
     }
 
-    /// The memoized wire bytes, if previously computed.
-    pub(crate) fn wire_cached(&self) -> Option<&str> {
-        self.memo_cached()?.wire.get().map(AsRef::as_ref)
+    /// The attributes, sorted by name.
+    pub fn attrs(&self) -> &[(String, String)] {
+        &self.attrs
     }
 
     /// Builder: add or replace an attribute.
@@ -163,22 +151,23 @@ impl Element {
         self
     }
 
-    /// Builder: append a text node.
+    /// Builder: append a text node; an empty text adds none.
     pub fn text(mut self, s: impl Into<String>) -> Element {
-        self.invalidate_canon();
-        self.children.push(Node::Text(s.into()));
+        let s = s.into();
+        if !s.is_empty() {
+            self.invalidate_canon();
+            self.children.push(Node::Text(s));
+        }
         self
     }
 
-    /// Set or replace an attribute in place.
+    /// Set or replace an attribute in place, keeping the names sorted.
     pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.invalidate_canon();
-        let key = key.into();
-        let value = value.into();
-        if let Some(slot) = self.attrs.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-        } else {
-            self.attrs.push((key, value));
+        let (key, value) = (key.into(), value.into());
+        match self.attrs.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => self.attrs[i].1 = value,
+            Err(i) => self.attrs.insert(i, (key, value)),
         }
     }
 
@@ -188,7 +177,8 @@ impl Element {
         self.children.push(Node::Element(Arc::new(el)));
     }
 
-    /// Get an attribute value.
+    /// Get an attribute value. A scan: elements carry a handful of
+    /// attributes, where it beats a binary search.
     pub fn get_attr(&self, key: &str) -> Option<&str> {
         self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
@@ -282,6 +272,17 @@ mod tests {
         e.set_attr("id", "r2");
         assert_eq!(e.get_attr("id"), Some("r2"));
         assert_eq!(e.attrs.len(), 1, "replace, not duplicate");
+    }
+
+    #[test]
+    fn attrs_are_kept_sorted_and_empty_text_adds_nothing() {
+        let mut e = Element::new("e").attr("m", "1").attr("z", "2").attr("a", "3").text("");
+        e.set_attr("b", "4");
+        e.set_attr("m", "5");
+        let names: Vec<&str> = e.attrs().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["a", "b", "m", "z"]);
+        assert_eq!((e.get_attr("m"), e.get_attr("c")), (Some("5"), None));
+        assert!(e.children.is_empty());
     }
 
     #[test]

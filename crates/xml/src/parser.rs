@@ -1,9 +1,20 @@
-//! A recursive-descent parser for the XML subset this system writes:
-//! elements, attributes, text, entity references, comments, XML declaration
-//! and processing instructions (skipped). No DTDs, no namespaces-aware
-//! processing (prefixes are kept verbatim in names), no CDATA.
+//! The parser: it accepts exactly what [`crate::writer::to_string`] writes
+//! and refuses everything else, with a [`ParseError`] at the first byte the
+//! writer would not have written.
+//!
+//! So there is no declaration, comment, processing instruction, DTD or
+//! CDATA, and no white space around the root. Inside a tag, each attribute
+//! follows exactly one space, with none around `=` or before `>`, `/>` or
+//! the `>` of a close tag. Attribute names ascend strictly; one comparison
+//! per attribute also refuses a repeated name. An element with no children
+//! is `<a/>`, never `<a></a>`. Texts and values carry only the escapes
+//! [`crate::escape`] writes, and no raw character that has one. Every
+//! accepted `w` therefore satisfies `to_string(&parse(w)?) == w`: a document
+//! has one spelling, and a second one is refused before any signature is
+//! checked. Names are kept verbatim (prefixes included, no namespace
+//! processing).
 
-use crate::escape::unescape;
+use crate::escape::{escape_of, unescape_prefix};
 use crate::node::{Element, Node};
 use std::sync::Arc;
 
@@ -31,19 +42,16 @@ impl std::error::Error for ParseError {}
 pub const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
-/// Parse a complete document (one root element, optional declaration,
-/// comments and PIs around it).
+/// Parse a complete document: one root element, nothing around it.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0 };
-    p.skip_prolog()?;
-    let root = p.parse_element(1)?;
-    p.skip_misc();
-    if p.pos != p.input.len() {
-        return Err(p.err("trailing content after root element"));
+    let mut p = Parser { input, pos: 0 };
+    let root = p.element(1)?;
+    if p.pos != input.len() {
+        return Err(p.err("content after the root element"));
     }
     Ok(root)
 }
@@ -53,159 +61,109 @@ impl<'a> Parser<'a> {
         ParseError { offset: self.pos, message: msg.into() }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+    fn rest(&self) -> &'a [u8] {
+        &self.input.as_bytes()[self.pos..]
     }
 
-    fn starts_with(&self, s: &[u8]) -> bool {
-        self.input[self.pos..].starts_with(s)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    /// Step over `s` if the input continues with it.
+    fn eat(&mut self, s: &str) -> bool {
+        let found = self.rest().starts_with(s.as_bytes());
+        if found {
+            self.pos += s.len();
         }
+        found
     }
 
-    fn skip_until(&mut self, end: &[u8], what: &str) -> Result<(), ParseError> {
-        while self.pos < self.input.len() {
-            if self.starts_with(end) {
-                self.pos += end.len();
-                return Ok(());
-            }
-            self.pos += 1;
-        }
-        Err(self.err(format!("unterminated {what}")))
-    }
-
-    fn skip_prolog(&mut self) -> Result<(), ParseError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with(b"<?") {
-                self.skip_until(b"?>", "processing instruction")?;
-            } else if self.starts_with(b"<!--") {
-                self.skip_until(b"-->", "comment")?;
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with(b"<!--") {
-                if self.skip_until(b"-->", "comment").is_err() {
-                    return;
-                }
-            } else if self.starts_with(b"<?") {
-                if self.skip_until(b"?>", "pi").is_err() {
-                    return;
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, ParseError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            let ok = c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':');
-            if !ok {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected name"));
-        }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
+    fn expect(&mut self, s: &str) -> Result<(), ParseError> {
+        if self.eat(s) {
             Ok(())
         } else {
-            Err(self.err(format!("expected '{}'", c as char)))
+            Err(self.err(format!("expected '{s}'")))
         }
     }
 
-    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseError> {
+    fn name(&mut self) -> Result<&'a str, ParseError> {
+        let start = self.pos;
+        let in_name = |c: &&u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':');
+        self.pos += self.rest().iter().take_while(in_name).count();
+        if self.pos == start {
+            return Err(self.err("expected a name"));
+        }
+        Ok(&self.input[start..self.pos])
+    }
+
+    fn element(&mut self, depth: usize) -> Result<Element, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
         }
-        self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let mut el = Element::new(name);
+        self.expect("<")?;
+        let mut el = Element::new(self.name()?);
+        while self.eat(" ") {
+            let at = self.pos;
+            let key = self.name()?;
+            if el.attrs.last().is_some_and(|(prev, _)| prev.as_str() >= key) {
+                let message = format!("attribute '{key}' repeated or out of name order");
+                return Err(ParseError { offset: at, message });
+            }
+            self.expect("=\"")?;
+            let value = self.escaped(true)?;
+            self.expect("\"")?;
+            el.attrs.push((key.to_string(), value));
+        }
+        if self.eat("/>") {
+            return Ok(el);
+        }
+        self.expect(">")?;
         loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.pos += 1;
-                    self.expect(b'>')?;
-                    return Ok(el);
+            if self.rest().starts_with(b"</") {
+                if el.children.is_empty() {
+                    return Err(self.err(format!("<{0}></{0}> is written <{0}/>", el.name)));
                 }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
+                self.pos += 2;
+                if self.name()? != el.name {
+                    return Err(self.err(format!("mismatched close tag: expected </{}>", el.name)));
+                }
+                self.expect(">")?;
+                return Ok(el);
+            }
+            match self.rest().first() {
+                Some(b'<') => {
+                    let child = self.element(depth + 1)?;
+                    el.children.push(Node::Element(Arc::new(child)));
                 }
                 Some(_) => {
-                    let key = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect(b'=')?;
-                    self.skip_ws();
-                    self.expect(b'"')?;
-                    let start = self.pos;
-                    while self.peek().is_some_and(|c| c != b'"') {
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    self.expect(b'"')?;
-                    let value =
-                        unescape(&raw).ok_or_else(|| self.err("bad entity in attribute"))?;
-                    if el.get_attr(&key).is_some() {
-                        return Err(self.err(format!("duplicate attribute '{key}'")));
-                    }
-                    el.set_attr(key, value);
-                }
-                None => return Err(self.err("unexpected end of input in tag")),
-            }
-        }
-        // children
-        loop {
-            if self.starts_with(b"</") {
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != el.name {
-                    return Err(self.err(format!(
-                        "mismatched close tag: expected </{}>, found </{close}>",
-                        el.name
-                    )));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                return Ok(el);
-            } else if self.starts_with(b"<!--") {
-                self.skip_until(b"-->", "comment")?;
-            } else if self.peek() == Some(b'<') {
-                let child = self.parse_element(depth + 1)?;
-                el.children.push(Node::Element(Arc::new(child)));
-            } else if self.peek().is_some() {
-                let start = self.pos;
-                while self.peek().is_some_and(|c| c != b'<') {
-                    self.pos += 1;
-                }
-                let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                let text = unescape(&raw).ok_or_else(|| self.err("bad entity in text"))?;
-                if !text.is_empty() {
+                    let text = self.escaped(false)?;
                     el.children.push(Node::Text(text));
                 }
-            } else {
-                return Err(self.err(format!("unexpected end of input inside <{}>", el.name)));
+                None => {
+                    return Err(self.err(format!("unexpected end of input inside <{}>", el.name)))
+                }
             }
         }
+    }
+
+    /// An attribute value up to its closing `"` (`attr`), or a text up to
+    /// the next `<`, unescaped.
+    fn escaped(&mut self, attr: bool) -> Result<String, ParseError> {
+        let end = if attr { b'"' } else { b'<' };
+        let mut out = String::new();
+        let mut start = self.pos;
+        while let Some(&b) = self.rest().first().filter(|&&b| b != end) {
+            if b == b'&' {
+                let (c, len) = unescape_prefix(self.rest(), attr)
+                    .ok_or_else(|| self.err("not an escape the writer writes here"))?;
+                out.push_str(&self.input[start..self.pos]);
+                out.push(c);
+                self.pos += len;
+                start = self.pos;
+            } else if let Some(rep) = escape_of(b, attr) {
+                return Err(self.err(format!("a raw {:?} is written {rep}", char::from(b))));
+            } else {
+                self.pos += 1;
+            }
+        }
+        out.push_str(&self.input[start..self.pos]);
+        Ok(out)
     }
 }
 
@@ -236,12 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn declaration_and_comments_skipped() {
-        let e = parse("<?xml version=\"1.0\"?><!-- note --><r><!-- inner --><c/></r>").unwrap();
-        assert!(e.find_child("c").is_some());
-    }
-
-    #[test]
     fn mismatched_tags_rejected() {
         assert!(parse("<a><b></a></b>").is_err());
         assert!(parse("<a>").is_err());
@@ -251,6 +203,7 @@ mod tests {
     #[test]
     fn duplicate_attr_rejected() {
         assert!(parse(r#"<a k="1" k="2"/>"#).is_err());
+        assert!(parse(r#"<a j="1" k="2"/>"#).is_ok());
     }
 
     #[test]
@@ -264,15 +217,66 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_between_attrs() {
-        let e = parse("<a  k=\"1\"   j=\"2\" />").unwrap();
-        assert_eq!(e.get_attr("k"), Some("1"));
-        assert_eq!(e.get_attr("j"), Some("2"));
+    fn every_escape_the_writer_writes_reads_back() {
+        let all = "<a k=\"&quot;&#9;&#10;&#13;&amp;&lt;&gt;'\">&amp;&lt;&gt;\"'\t\n\r</a>";
+        let e = parse(all).unwrap();
+        assert_eq!(e.get_attr("k"), Some("\"\t\n\r&<>'"));
+        assert_eq!(e.text_content(), "&<>\"'\t\n\r");
+        assert_eq!(to_string(&e), all);
+    }
+
+    #[test]
+    fn only_the_writers_form_is_accepted() {
+        let refused = [
+            ("<?xml version=\"1.0\"?><r/>", 1),
+            ("<!-- note --><r/>", 1),
+            (" <r/>", 0),
+            ("<r/>\n", 4),
+            ("<r><!-- inner --><c/></r>", 4),
+            ("<a  k=\"1\"/>", 3),
+            ("<a k = \"1\"/>", 4),
+            ("<a k=\"1\" />", 9),
+            ("<a k=\"1\"/ >", 8),
+            ("<a>t</a >", 7),
+            ("<a></a>", 3),
+            ("<a k='1'/>", 4),
+            ("<a k=\"1\" j=\"2\"/>", 9),
+            ("<a k=\"1\" k=\"2\"/>", 9),
+            ("<a>&apos;</a>", 3),
+            ("<a>&#65;</a>", 3),
+            ("<a>&quot;</a>", 3),
+            ("<a k=\"&#65;\"/>", 6),
+            ("<a k=\"&#x41;\"/>", 6),
+            ("<a k=\"&apos;\"/>", 6),
+            ("<a>1 > 0</a>", 5),
+            ("<a>&amp</a>", 3),
+            ("<a k=\"\t\"/>", 6),
+            ("<a k=\"<\"/>", 6),
+        ];
+        for (input, offset) in refused {
+            let err = parse(input).expect_err(input);
+            assert_eq!(err.offset, offset, "{input:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn attributes_in_order_parse_in_linear_time() {
+        const N: usize = 40_000;
+        let tag = |names: &[String]| {
+            let attrs: String = names.iter().map(|k| format!(" {k}=\"v\"")).collect();
+            format!("<r{attrs}/>")
+        };
+        let mut names: Vec<String> = (0..N).map(|i| format!("a{i:05}")).collect();
+        assert_eq!(parse(&tag(&names)).unwrap().attrs().len(), N);
+        names.swap(N - 2, N - 1);
+        let err = parse(&tag(&names)).unwrap_err();
+        let last = "<r".len() + (N - 1) * " a00000=\"v\"".len() + 1;
+        assert_eq!((err.offset, err.message.contains("a39998")), (last, true), "{err}");
     }
 
     #[test]
     fn nesting_is_bounded() {
-        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        let nested = |n: usize| format!("{}<a/>{}", "<a>".repeat(n - 1), "</a>".repeat(n - 1));
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
         let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(e.offset, 3 * MAX_DEPTH, "the first element past the bound");
@@ -283,7 +287,7 @@ mod tests {
 
     #[test]
     fn error_offsets_reported() {
-        let err = parse("<a><b></c></a>").unwrap_err();
+        let err = parse("<a><b>t</c></a>").unwrap_err();
         assert!(err.offset > 0);
         assert!(err.message.contains("mismatched"));
     }
@@ -300,12 +304,15 @@ mod tests {
                 let _ = parse(&s);
             }
 
-            /// Same for inputs that look structurally XML-ish.
+            /// Same for inputs that look structurally XML-ish; and what
+            /// parses is what the writer writes.
             #[test]
             fn prop_never_panics_on_xmlish_input(
                 s in "[<>/a-z\\\"= &;#x0-9]{0,120}"
             ) {
-                let _ = parse(&s);
+                if let Ok(e) = parse(&s) {
+                    prop_assert_eq!(to_string(&e), s);
+                }
             }
 
             /// Truncating a valid document at any byte never panics and

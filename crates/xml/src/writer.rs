@@ -1,48 +1,63 @@
-//! Serialization of element trees: compact (wire format) and pretty
-//! (debugging / examples).
+//! Serialization of element trees: the one byte form, and a pretty printer
+//! for people.
+//!
+//! [`to_string`] writes an element as `<name`, then ` key="value"` per
+//! attribute in name order (the node keeps them so), then `/>` when it has no
+//! children, else `>`, the children and `</name>`. Text and values are
+//! escaped as [`crate::escape`] says, and no white space is added. These are
+//! the wire bytes, the bytes a signature covers ([`crate::canon`]) and the
+//! only bytes [`crate::parser::parse`] accepts.
 
-use crate::escape::{escape_attr, escape_text, escaped_len};
+use crate::escape::{escape_into, escaped_len};
 use crate::node::{Element, Node};
 
-/// Serialize compactly with no added whitespace. This is the wire format in
-/// which DRA4WfMS documents are routed, and the format whose byte length the
-/// paper's Σ column measures.
+/// Serialize with no added whitespace. This is the wire format in which
+/// DRA4WfMS documents are routed, the format whose byte length the paper's Σ
+/// column measures, and the canonical form signatures cover.
 ///
-/// A node whose wire bytes are memoized ([`Element::wire`]) is copied, not
+/// A node whose bytes are memoized ([`Element::wire`]) is copied, not
 /// walked. A debug build formats the tree once more without any memo and
 /// requires the same bytes.
 pub fn to_string(el: &Element) -> String {
     let out = format(el);
-    debug_assert_eq!(out, cold(el), "a wire memo differs from its node's serialization");
+    debug_assert_eq!(out, cold(el), "a memo differs from its node's serialization");
     out
 }
 
-/// The wire bytes of `el`, formatted from its name, attributes and children;
+/// The bytes of `el`, formatted from its name, attributes and children;
 /// whatever lies below a memoized node is copied from the memo.
 pub(crate) fn format(el: &Element) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     let copied = write_el(el, &mut out, true);
     WIRE_WRITTEN.with(|c| c.set(c.get() + (out.len() - copied) as u64));
-    out
+    utf8(out)
 }
 
-/// The wire bytes of `el` by a walk that reads no memo and counts nothing.
+/// The bytes of `el` by a walk that reads no memo and counts nothing.
 fn cold(el: &Element) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_el(el, &mut out, false);
-    out
+    utf8(out)
+}
+
+/// The walks write bytes, not `String` pushes, which ran at half the speed
+/// on freshly parsed trees. Every piece written is a `str` or an ASCII
+/// escape, so the lossy branch here is never taken; it keeps the library
+/// free of a panicking path.
+fn utf8(out: Vec<u8>) -> String {
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 thread_local! {
-    /// Bytes of wire output this thread formatted rather than copied from a
-    /// memo — like [`crate::canon_alloc_bytes`], a deterministic cost
-    /// measure for benches.
+    /// Bytes this thread's writer formatted rather than copied from a memo
+    /// — like [`crate::canon_alloc_bytes`], a deterministic cost measure for
+    /// benches.
     static WIRE_WRITTEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Wire bytes the current thread's writer formatted so far: everything
-/// [`to_string`] and [`Element::wire`] produced except what they copied
-/// from a memo.
+/// Bytes the current thread's writer formatted so far: everything
+/// [`to_string`] and every memo it or [`crate::canon`] made produced,
+/// except what they copied from a memo.
 pub fn wire_written_bytes() -> u64 {
     WIRE_WRITTEN.with(std::cell::Cell::get)
 }
@@ -52,45 +67,55 @@ pub fn wire_written_bytes_reset() {
     WIRE_WRITTEN.with(|c| c.set(0));
 }
 
+/// `<name` and its attributes, the start of every tag the writers write.
+fn open_tag(el: &Element, out: &mut Vec<u8>) {
+    out.push(b'<');
+    out.extend_from_slice(el.name.as_bytes());
+    for (k, v) in el.attrs() {
+        out.push(b' ');
+        out.extend_from_slice(k.as_bytes());
+        out.extend_from_slice(b"=\"");
+        escape_into(v, out, true);
+        out.push(b'"');
+    }
+}
+
 /// Append `el` to `out`; returns how many of the bytes were copied from
 /// memos, which only a `warm` walk reads.
-fn write_el(el: &Element, out: &mut String, warm: bool) -> usize {
-    if let Some(wire) = el.wire_cached().filter(|_| warm) {
-        out.push_str(wire);
-        return wire.len();
+fn write_el(el: &Element, out: &mut Vec<u8>, warm: bool) -> usize {
+    if let Some(memo) = el.memo_cached().filter(|_| warm) {
+        out.extend_from_slice(memo.bytes());
+        return memo.bytes().len();
     }
-    out.push('<');
-    out.push_str(&el.name);
-    for (k, v) in &el.attrs {
-        out.push(' ');
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_attr(v));
-        out.push('"');
-    }
+    open_tag(el, out);
     if el.children.is_empty() {
-        out.push_str("/>");
+        out.extend_from_slice(b"/>");
         return 0;
     }
-    out.push('>');
+    out.push(b'>');
     let mut copied = 0;
     for child in &el.children {
         match child {
             Node::Element(e) => copied += write_el(e, out, warm),
-            Node::Text(t) => out.push_str(&escape_text(t)),
+            Node::Text(t) => escape_into(t, out, false),
         }
     }
-    out.push_str("</");
-    out.push_str(&el.name);
-    out.push('>');
+    close_tag(el, out);
     copied
+}
+
+/// `</name>`.
+fn close_tag(el: &Element, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"</");
+    out.extend_from_slice(el.name.as_bytes());
+    out.push(b'>');
 }
 
 /// `to_string(el).len()` by a walk that builds nothing — the size probe
 /// for a tree nobody has serialized yet.
 pub fn wire_len(el: &Element) -> usize {
     let attrs: usize =
-        el.attrs.iter().map(|(k, v)| 1 + k.len() + 2 + escaped_len(v, true) + 1).sum();
+        el.attrs().iter().map(|(k, v)| 1 + k.len() + 2 + escaped_len(v, true) + 1).sum();
     if el.children.is_empty() {
         return 1 + el.name.len() + attrs + 2;
     }
@@ -108,57 +133,47 @@ pub fn wire_len(el: &Element) -> usize {
 /// Pretty-print with 2-space indentation. Text-bearing elements are kept on
 /// one line so content round-trips visually.
 pub fn to_pretty_string(el: &Element) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_pretty(el, 0, &mut out);
-    out
+    utf8(out)
 }
 
-fn write_pretty(el: &Element, depth: usize, out: &mut String) {
+fn write_pretty(el: &Element, depth: usize, out: &mut Vec<u8>) {
     let pad = "  ".repeat(depth);
-    out.push_str(&pad);
-    out.push('<');
-    out.push_str(&el.name);
-    for (k, v) in &el.attrs {
-        out.push(' ');
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_attr(v));
-        out.push('"');
-    }
+    out.extend_from_slice(pad.as_bytes());
+    open_tag(el, out);
     if el.children.is_empty() {
-        out.push_str("/>\n");
+        out.extend_from_slice(b"/>\n");
         return;
     }
     let only_text = el.children.iter().all(|n| matches!(n, Node::Text(_)));
     if only_text {
-        out.push('>');
+        out.push(b'>');
         for n in &el.children {
             if let Node::Text(t) = n {
-                out.push_str(&escape_text(t));
+                escape_into(t, out, false);
             }
         }
-        out.push_str("</");
-        out.push_str(&el.name);
-        out.push_str(">\n");
+        close_tag(el, out);
+        out.push(b'\n');
         return;
     }
-    out.push_str(">\n");
+    out.extend_from_slice(b">\n");
     for child in &el.children {
         match child {
             Node::Element(e) => write_pretty(e, depth + 1, out),
             Node::Text(t) => {
                 if !t.trim().is_empty() {
-                    out.push_str(&"  ".repeat(depth + 1));
-                    out.push_str(&escape_text(t));
-                    out.push('\n');
+                    out.extend_from_slice("  ".repeat(depth + 1).as_bytes());
+                    escape_into(t, out, false);
+                    out.push(b'\n');
                 }
             }
         }
     }
-    out.push_str(&pad);
-    out.push_str("</");
-    out.push_str(&el.name);
-    out.push_str(">\n");
+    out.extend_from_slice(pad.as_bytes());
+    close_tag(el, out);
+    out.push(b'\n');
 }
 
 #[cfg(test)]
@@ -279,7 +294,7 @@ mod tests {
         wire_written_bytes_reset();
         copy.find_child("keep").unwrap().wire();
         assert_eq!(wire_written_bytes(), 0);
-        // and the canonical half of the memo went with the wire half
+        // and the digest went with the bytes
         assert_ne!(crate::canon_digest(&copy), crate::canon_digest(&original));
     }
 

@@ -201,7 +201,7 @@ fn every_mut_accessor_on_a_prefix_node_moves_the_digest() {
         }),
         ("field write + invalidate_canon", |d, k| {
             let cer = d.find_cer_element_mut(k).unwrap().unwrap();
-            cer.attrs.retain(|(name, _)| name != "preds");
+            cer.children.reverse();
             cer.invalidate_canon();
         }),
     ];

@@ -345,11 +345,11 @@ fn reencode_newest_signature(wire: &str, signer_attr: bool) -> String {
 /// byte for byte, so there is no second spelling; the attestation's
 /// `Timestamp` and every other attribute and text of the CER lie inside the
 /// canonical bytes a signature covers, and base64 (`TfcSealed`,
-/// `CipherValue`, `KeyWrap`) has been decoded strictly all along. What is
-/// left is the wire form *around* the signed subtrees — white space between
-/// two CERs, `<a/>` for `<a></a>` — which canonicalisation forgives by
-/// design; refusing a wire that is not its own serialisation is ROADMAP
-/// item 1's, with the canonicalisation laws.
+/// `CipherValue`, `KeyWrap`) has been decoded strictly all along. The wire
+/// form itself has no twin either: the parser accepts only what the writer
+/// writes, so white space between two CERs, `<a></a>` for `<a/>`, another
+/// attribute order or another escape is refused before any signature is
+/// checked — `every_other_spelling_of_a_stored_wire_is_refused_at_parse`.
 #[test]
 fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
     use dra4wfms::cloud::federation::forge_stored_row;
@@ -392,6 +392,63 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
             assert!(matches!(&err, WfError::Verify(m) if m.contains("Rejected")), "{err}");
             forge_stored_row(sys.active_pool(), "doc/tp/000000", |_, _| (0, wire.clone()));
             sys.process_status("tp").unwrap().expect("the genuine bytes are back");
+        }
+    }
+}
+
+/// One signed document, one wire. Each twin below spells a stored Fig. 9A
+/// or 9B wire another way and changes no byte a signature covers, so a
+/// parser that forgave it would hand the verifier the same document and
+/// the pool a new SHA-256: a new version per retransmission. The parser
+/// accepts only the writer's form, so each twin is a `WfError::Parse` at
+/// admission, with no signature checked and nothing stored.
+#[test]
+fn every_other_spelling_of_a_stored_wire_is_refused_at_parse() {
+    use std::sync::atomic::Ordering::Relaxed;
+    // D acknowledges with an apostrophe, so a text holds one
+    let quoted = |r: &ReceivedActivity| match r.activity.as_str() {
+        "D" => vec![("ack".into(), "it's done".into())],
+        _ => fig9_respond(r),
+    };
+    for advanced in [false, true] {
+        let fig9 = Rig::fig9(advanced);
+        let rig = Rig::new(fig9.creds, fig9.def, SecurityPolicy::public(), quoted);
+        let pid = "twins";
+        let ran = rig.cloud(1);
+        rig.run(&ran, &rig.initial(pid)).run().unwrap();
+        let wire = ran.retrieve_latest(0, pid).unwrap();
+
+        let sys = rig.cloud(1);
+        let route = Route { targets: vec![], ends: true };
+        assert_eq!(sys.ingest_wire(0, &wire, &route, None).unwrap().seq, 0);
+        assert!(sys.ingest_wire(0, &wire, &route, None).unwrap().duplicate, "the one spelling");
+
+        let empty = wire.find("/>").unwrap();
+        let open = wire[..empty].rfind('<').unwrap() + 1;
+        let name = &wire[open..open + wire[open..].find([' ', '/']).unwrap()];
+        let cer = wire.find("<CER ").unwrap() + "<CER ".len();
+        let attrs: Vec<&str> = wire[cer..].split_inclusive("\" ").take(2).collect();
+        let twins = [
+            ("white space between two CERs", wire.replacen("</CER><CER", "</CER>\n<CER", 1)),
+            ("<a></a> for <a/>", format!("{}></{name}>{}", &wire[..empty], &wire[empty + 2..])),
+            (
+                "two attributes swapped",
+                wire.replacen(&attrs.concat(), &(attrs[1].to_owned() + attrs[0]), 1),
+            ),
+            ("&#65; for an A in a value", wire.replacen("activity=\"A\"", "activity=\"&#65;\"", 1)),
+            ("&apos; for a ' in a text", wire.replacen("it's", "it&apos;s", 1)),
+            ("a declaration", format!("<?xml version=\"1.0\"?>{wire}")),
+            ("a trailing newline", format!("{wire}\n")),
+        ];
+        let checks = || sys.portals[0].signature_checks.load(Relaxed);
+        for (what, twin) in twins {
+            assert_ne!(twin, wire, "{what}");
+            let before = checks();
+            let err = sys.ingest_wire(0, &twin, &route, None).unwrap_err();
+            assert!(matches!(err, WfError::Parse(_)), "{what}: {err}");
+            assert_eq!(sys.stored_seq_for(&twin), None, "{what}");
+            assert!(sys.retrieve_version(pid, 1).is_none(), "{what}: no new version");
+            assert_eq!(checks(), before, "{what}: refused before any signature");
         }
     }
 }
