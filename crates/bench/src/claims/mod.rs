@@ -471,6 +471,195 @@ mod tests {
         assert_eq!(matrix, names, "the CI matrix is `claim list`");
     }
 
+    fn read(path: &str) -> String {
+        let path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// The fields of every row line of a baseline, in order: a string
+    /// without its quotes, anything else as written. A `"stages"` sub-row
+    /// stands on a line of its own, so it is a row here too.
+    fn baseline_rows(baseline: &str) -> Vec<Vec<(String, String)>> {
+        fn string(s: &str) -> (String, &str) {
+            let mut out = String::new();
+            let mut chars = s.char_indices();
+            while let Some((i, c)) = chars.next() {
+                match c {
+                    '"' => return (out, &s[i + 1..]),
+                    '\\' => match chars.next() {
+                        Some((_, 'n')) => out.push('\n'),
+                        Some((_, escaped)) => out.push(escaped),
+                        None => break,
+                    },
+                    c => out.push(c),
+                }
+            }
+            panic!("unterminated string: {s:?}")
+        }
+        let lines = baseline.lines().filter_map(|line| line.trim_start().strip_prefix('{'));
+        let rows = lines.map(|mut rest| {
+            let mut fields = Vec::new();
+            while let Some((key, after)) = rest.strip_prefix('"').and_then(|r| r.split_once("\": "))
+            {
+                let (value, tail) = match after.strip_prefix('"') {
+                    Some(quoted) => string(quoted),
+                    None if after.starts_with('[') => break,
+                    None => {
+                        let (value, tail) =
+                            after.split_at(after.find([',', '}']).unwrap_or(after.len()));
+                        (value.to_string(), tail)
+                    }
+                };
+                fields.push((key.to_string(), value));
+                let Some(next) = tail.strip_prefix(", ") else { break };
+                rest = next;
+            }
+            fields
+        });
+        rows.filter(|fields| !fields.is_empty()).collect()
+    }
+
+    /// A cell with the thousands separators between its digits dropped.
+    fn ungrouped(cell: &str) -> String {
+        let chars: Vec<char> = cell.chars().collect();
+        let digit =
+            |i: Option<usize>| i.and_then(|i| chars.get(i)).is_some_and(char::is_ascii_digit);
+        let separator = |i: usize| {
+            matches!(chars[i], ',' | ' ' | '\u{a0}' | '\u{2009}' | '\u{202f}')
+                && digit(i.checked_sub(1))
+                && digit(Some(i + 1))
+        };
+        (0..chars.len()).filter(|&i| !separator(i)).map(|i| chars[i]).collect()
+    }
+
+    /// A table headed by `<!-- perf/BENCH_<name>.baseline.json: f1 f2 … -->`:
+    /// the marker's line, the baseline, its fields (`-` for a column no
+    /// baseline holds) and the table's data rows, cell by cell.
+    struct Marked {
+        line: usize,
+        baseline: String,
+        fields: Vec<String>,
+        rows: Vec<Vec<String>>,
+    }
+
+    fn marked_tables(markdown: &str) -> Vec<Marked> {
+        let lines: Vec<&str> = markdown.lines().collect();
+        let cells = |row: &str| -> Vec<String> {
+            let inner = row.trim().trim_start_matches('|').trim_end_matches('|');
+            inner.split('|').map(|cell| cell.trim().to_string()).collect()
+        };
+        let mut tables = Vec::new();
+        for (n, line) in lines.iter().enumerate() {
+            let Some(marker) =
+                line.trim().strip_prefix("<!-- ").and_then(|m| m.strip_suffix("-->"))
+            else {
+                continue;
+            };
+            let Some((baseline, fields)) = marker.split_once(':') else { continue };
+            if !baseline.starts_with("perf/BENCH_") {
+                continue;
+            }
+            let table: Vec<&str> =
+                lines[n + 1..].iter().take_while(|l| l.starts_with('|')).copied().collect();
+            let fields: Vec<String> = fields.split_whitespace().map(str::to_string).collect();
+            let marked = Marked {
+                line: n + 1,
+                baseline: baseline.to_string(),
+                rows: table.iter().skip(2).map(|row| cells(row)).collect(),
+                fields,
+            };
+            let header = table.first().map(|row| cells(row).len());
+            assert_eq!(
+                header,
+                Some(marked.fields.len()),
+                "EXPERIMENTS.md line {}: a marker names one field per column of the table below it",
+                marked.line
+            );
+            tables.push(marked);
+        }
+        tables
+    }
+
+    /// Every table EXPERIMENTS.md heads with a baseline marker is that
+    /// baseline: row for row, the baseline's rows that carry the marker's
+    /// fields, projected onto them. A `-` column (a wall-clock reading) is
+    /// not compared, and thousands separators are ignored. So a count is
+    /// typed once, in the baseline the claim is gated against.
+    #[test]
+    fn experiments_md_tables_are_their_baselines() {
+        let tables = marked_tables(&read("EXPERIMENTS.md"));
+        for name in ["table1", "table2"] {
+            let file = format!("perf/BENCH_{name}.baseline.json");
+            assert!(tables.iter().any(|t| t.baseline == file), "EXPERIMENTS.md marks {file}");
+        }
+        for table in &tables {
+            let at = format!("EXPERIMENTS.md line {} ({})", table.line, table.baseline);
+            let checked: Vec<usize> =
+                (0..table.fields.len()).filter(|&i| table.fields[i] != "-").collect();
+            let expected: Vec<Vec<String>> = baseline_rows(&read(&table.baseline))
+                .iter()
+                .filter_map(|row| {
+                    let value = |field: &String| {
+                        row.iter().find(|(k, _)| k == field).map(|(_, v)| v.clone())
+                    };
+                    checked.iter().map(|&i| value(&table.fields[i])).collect()
+                })
+                .collect();
+            assert!(!expected.is_empty(), "{at}: no baseline row carries {:?}", table.fields);
+            let found: Vec<Vec<String>> = table
+                .rows
+                .iter()
+                .map(|row| {
+                    assert_eq!(row.len(), table.fields.len(), "{at}: a row with a missing cell");
+                    checked.iter().map(|&i| ungrouped(&row[i])).collect()
+                })
+                .collect();
+            assert_eq!(found, expected, "{at}: the table is not the baseline's rows");
+        }
+    }
+
+    #[test]
+    fn the_marker_reader_reads_what_the_row_writer_writes() {
+        let rows = Rows::object(
+            Row::new().with("claim", "C0").fields,
+            2,
+            vec![
+                Row::new()
+                    .with("cell", "a \"b\"")
+                    .with("n", 1234u64)
+                    .stages(vec![Row::new().with("stage", "hop").with("n", 5u64)]),
+                Row::new().with("cell", "c").with("x", Value::Fixed(1.5, 2)).with("ok", true),
+            ],
+        );
+        let read = baseline_rows(&rows.write());
+        let pairs = |row: &[(&str, &str)]| -> Vec<(String, String)> {
+            row.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+        };
+        assert_eq!(
+            read,
+            vec![
+                pairs(&[("cell", "a \"b\""), ("n", "1234")]),
+                pairs(&[("stage", "hop"), ("n", "5")]),
+                pairs(&[("cell", "c"), ("x", "1.50"), ("ok", "true")]),
+            ]
+        );
+
+        let markdown = "x\n<!-- perf/BENCH_t.baseline.json: cell - n -->\n\
+                        | cell | α | n |\n|---|---|---|\n| a | 0.1 | 1,234 |\n| b | 0.2 | 5 678 |\n\ny\n";
+        let tables = marked_tables(markdown);
+        assert_eq!(tables.len(), 1);
+        assert_eq!(
+            (tables[0].line, tables[0].baseline.as_str()),
+            (2, "perf/BENCH_t.baseline.json")
+        );
+        assert_eq!(tables[0].fields, ["cell", "-", "n"]);
+        assert_eq!(tables[0].rows, [["a", "0.1", "1,234"], ["b", "0.2", "5 678"]]);
+        assert_eq!(
+            ["1,234", "5 678", "1 000 000", "join fig9a", "8 / 8", "a, b"].map(ungrouped),
+            ["1234", "5678", "1000000", "join fig9a", "8 / 8", "a, b"]
+        );
+    }
+
     #[test]
     fn claim_names_are_unique_and_own_their_baselines() {
         let mut names: Vec<&str> = CLAIMS.iter().map(|c| c.name).collect();

@@ -6,8 +6,7 @@
 //! document (in Table 2 each hop's intermediate document, marked `~`, before
 //! its final one) — are the rows, gated byte for byte. The α/β/γ timings are
 //! wall clock: printed (mean of [`RUNS`] walks after a warm-up) next to the
-//! paper's reference values and the shape checks EXPERIMENTS.md quotes, and
-//! deciding nothing.
+//! paper's reference values and their shape checks, and deciding nothing.
 
 use super::{ClaimOutput, Row, Rows};
 use crate::fig9::{run_fig9_trace, StepRecord};
@@ -113,72 +112,4 @@ pub(super) fn table2() -> ClaimOutput {
         run_fig9_trace(false).last().map_or(0, |r| r.size)
     );
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn read(path: &str) -> String {
-        let path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-    }
-
-    /// A count as EXPERIMENTS.md writes it, `11,282`, read back.
-    fn number(text: &str) -> usize {
-        text.replace(',', "").parse().unwrap_or_else(|_| panic!("not a count: {text:?}"))
-    }
-
-    /// `n` as EXPERIMENTS.md writes it.
-    fn grouped(n: usize) -> String {
-        let digits = n.to_string();
-        let mut out = String::new();
-        for (i, digit) in digits.chars().enumerate() {
-            if i > 0 && (digits.len() - i).is_multiple_of(3) {
-                out.push(',');
-            }
-            out.push(digit);
-        }
-        out
-    }
-
-    /// The `size_bytes` of every row of a baseline, in row order.
-    fn sizes(baseline: &str) -> Vec<usize> {
-        let cells = baseline.lines().filter_map(|line| line.split("\"size_bytes\": ").nth(1));
-        cells.map(|cell| number(cell.trim_end_matches([',', '}']))).collect()
-    }
-
-    /// The counts EXPERIMENTS.md quotes for Tables 1 and 2 are the gated
-    /// ones: Table 1's #sigs, #CERs and Σ row by row, Table 2's size range
-    /// and the two final sizes it compares.
-    #[test]
-    fn experiments_md_quotes_the_gated_table_counts() {
-        let experiments = read("EXPERIMENTS.md");
-        let section = |title: &str| {
-            let rest = experiments.split(title).nth(1).unwrap_or_else(|| panic!("{title}"));
-            rest.split("\n## ").next().unwrap_or_default()
-        };
-        let rows = section("## Table 1").lines().filter_map(|line| {
-            // | document | #sigs | #CERs | α | β | Σ |
-            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-            let ["", document, sigs, cers, _, _, size, ""] = cells[..] else { return None };
-            (document == "Initial" || document.starts_with("X_")).then(|| {
-                Row::new()
-                    .with("document", document)
-                    .with("sigs", number(sigs))
-                    .with("cers", number(cers))
-                    .with("size_bytes", number(size))
-            })
-        });
-        let basic = read("perf/BENCH_table1.baseline.json");
-        assert_eq!(Rows::array(rows.collect()).write(), basic, "EXPERIMENTS.md, Table 1");
-
-        let (basic, advanced) = (sizes(&basic), sizes(&read("perf/BENCH_table2.baseline.json")));
-        let table2 = section("## Table 2");
-        let (first, last) = (advanced[0], advanced[advanced.len() - 1]);
-        let range = format!("sizes {} → {} B", grouped(first), grouped(last));
-        assert!(table2.contains(&range), "EXPERIMENTS.md, Table 2 should say {range:?}");
-        let finals = format!("{} vs {} final", grouped(last), grouped(basic[basic.len() - 1]));
-        assert!(table2.contains(&finals), "EXPERIMENTS.md, Table 2 should say {finals:?}");
-    }
 }

@@ -212,6 +212,11 @@ impl Delivery {
     /// probabilities in `[0, 1)`.
     pub fn new(sim: Arc<NetworkSim>, profile: FaultProfile, seed: u64) -> WfResult<Delivery> {
         profile.validate()?;
+        Ok(Delivery::unchecked(sim, profile, seed))
+    }
+
+    /// [`Delivery::new`] for a profile already known to be valid.
+    fn unchecked(sim: Arc<NetworkSim>, profile: FaultProfile, seed: u64) -> Delivery {
         let state = State {
             fault_rng: StdRng::seed_from_u64(seed),
             // distinct, fixed offset: decouples jitter from fault decisions
@@ -220,7 +225,7 @@ impl Delivery {
             stats: DeliveryStats::default(),
             ideal_bytes: 0,
         };
-        Ok(Delivery { sim, profile, state: Mutex::new(state), tracer: Tracer::disabled() })
+        Delivery { sim, profile, state: Mutex::new(state), tracer: Tracer::disabled() }
     }
 
     /// Record a `deliver` span per logical hand-off into `tracer`.
@@ -232,7 +237,7 @@ impl Delivery {
     /// A perfect channel — useful as a drop-in where the call site wants
     /// delivery accounting without faults.
     pub fn lossless(sim: Arc<NetworkSim>) -> Delivery {
-        Delivery::new(sim, FaultProfile::lossless(), 0).expect("the lossless profile is valid")
+        Delivery::unchecked(sim, FaultProfile::lossless(), 0)
     }
 
     /// Put one logical message of `wire` bytes on the channel: the physical
@@ -524,7 +529,8 @@ fn corrupt_one_byte(wire: &str, rng: &mut StdRng) -> String {
         }
     };
     bytes[idx] = replacement;
-    String::from_utf8(bytes).expect("ASCII-for-ASCII substitution preserves UTF-8")
+    // ASCII for ASCII keeps UTF-8; a wire without ASCII (no XML wire) comes out lossy
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]

@@ -500,9 +500,9 @@ pub(crate) fn tamper_bytes(xml: &str) -> String {
         .find(|&i| bytes[i].is_ascii_alphabetic());
     match idx {
         Some(i) => {
-            let mut out = bytes.to_vec();
-            out[i] ^= 0x20; // ASCII case flip
-            String::from_utf8(out).expect("case flip preserves UTF-8")
+            // an ASCII letter is one whole character: the flip keeps UTF-8
+            let flipped = char::from(bytes[i] ^ 0x20);
+            format!("{}{flipped}{}", &xml[..i], &xml[i + 1..])
         }
         None => xml.to_string(),
     }
@@ -520,6 +520,7 @@ pub(crate) fn tamper_bytes(xml: &str) -> String {
 /// # Panics
 ///
 /// When the row holds no such cell.
+#[allow(clippy::expect_used)] // test support: forging a row that is not there is a broken test
 pub fn forge_stored_row(
     pool: &HTable,
     key: &str,

@@ -47,7 +47,7 @@ pub fn tfc_attest_bytes(header: &Element, cer: &CerView<'_>) -> WfResult<Vec<u8>
 
 /// One planned signature check: verify `signature` over `bytes` under
 /// `signer`. Tasks are independent once planned, which is what makes them
-/// both parallelizable and batch-schedulable (see [`Verifier::batched`]).
+/// batch-schedulable (see [`Verifier::batched`]).
 struct SigTask {
     label: String,
     signer: dra_crypto::ed25519::PublicKey,
@@ -276,8 +276,8 @@ fn plan_verification(
 }
 
 /// Unified verification entry point — a builder covering full, incremental
-/// (trust-marked), parallel and batched verification behind one
-/// configuration surface.
+/// (trust-marked) and batched verification, of one document or many,
+/// behind one configuration surface.
 ///
 /// ```
 /// # use dra4wfms_core::prelude::*;
@@ -287,7 +287,7 @@ fn plan_verification(
 /// #     .simple_activity("A", "designer", &["x"]).flow_end("A").build().unwrap();
 /// # let directory = Directory::from_credentials([&designer]);
 /// # let doc = DraDocument::new_initial(&def, &SecurityPolicy::public(), &designer).unwrap();
-/// let outcome = Verifier::new(&directory).threads(1).batched(true).run(&doc)?;
+/// let outcome = Verifier::new(&directory).batched(true).run(&doc)?;
 /// assert_eq!(outcome.report.signatures_verified, 1);
 /// # Ok::<(), dra4wfms_core::error::WfError>(())
 /// ```
@@ -306,8 +306,8 @@ fn plan_verification(
 /// legal as the final CER of an in-flight document.
 ///
 /// Knobs:
-/// * [`threads`](Verifier::threads) — worker threads for the signature
-///   checks (default 1).
+/// * [`threads`](Verifier::threads) — how many documents
+///   [`run_many`](Verifier::run_many) verifies at once (default 1).
 /// * [`batched`](Verifier::batched) — verify signatures with the shared
 ///   multi-scalar batch equation, falling back to per-signature checks on
 ///   batch failure so the culprit and error variant match the sequential
@@ -349,8 +349,9 @@ impl<'a> Verifier<'a> {
         Verifier { directory, threads: 1, batched: true, mark: None, incremental: false }
     }
 
-    /// Use up to `n` worker threads for the planned signature checks
-    /// (clamped to at least 1; values ≤ 1 mean sequential).
+    /// Let [`run_many`](Verifier::run_many) verify up to `n` documents at
+    /// once (clamped to at least 1). One document is always verified on one
+    /// thread.
     pub fn threads(mut self, n: usize) -> Verifier<'a> {
         self.threads = n.max(1);
         self
@@ -412,7 +413,7 @@ impl<'a> Verifier<'a> {
         };
 
         let (tasks, report) = plan_verification(doc, self.directory, &base, scope)?;
-        run_tasks(&tasks, self.threads, self.batched)?;
+        run_tasks(&tasks, self.batched)?;
 
         let mark = chain.map(|(_, at_end)| TrustMark {
             process_id: report.process_id.clone(),
@@ -425,18 +426,15 @@ impl<'a> Verifier<'a> {
         Ok(VerifyOutcome { report, mark, reused_cers: usable_prefix.unwrap_or(0), fell_back })
     }
 
-    /// Verify a batch of independent documents (the portal-server bulk
-    /// path), each under this verifier's configuration, with up to
+    /// Verify a batch of independent documents (the auditor's path), each
+    /// under this verifier's configuration on one thread, with up to
     /// [`threads`](Verifier::threads) documents in flight at once.
     /// Failures are reported per document; workers write disjoint result
     /// slots directly, no locking.
     pub fn run_many(&self, docs: &[DraDocument]) -> Vec<WfResult<VerifyOutcome>> {
         let threads = self.threads.min(docs.len().max(1));
-        // Parallelism moves across documents; each one is verified on a
-        // single thread.
-        let per_doc = Verifier { threads: 1, ..*self };
         if threads <= 1 {
-            return docs.iter().map(|d| per_doc.run(d)).collect();
+            return docs.iter().map(|d| self.run(d)).collect();
         }
         let chunk = docs.len().div_ceil(threads);
         let mut out: Vec<Option<WfResult<VerifyOutcome>>> = (0..docs.len()).map(|_| None).collect();
@@ -444,7 +442,7 @@ impl<'a> Verifier<'a> {
             for (doc_chunk, slot_chunk) in docs.chunks(chunk).zip(out.chunks_mut(chunk)) {
                 s.spawn(move || {
                     for (doc, slot) in doc_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        *slot = Some(per_doc.run(doc));
+                        *slot = Some(self.run(doc));
                     }
                 });
             }
@@ -453,55 +451,13 @@ impl<'a> Verifier<'a> {
     }
 }
 
-/// Execute planned signature checks: batched when requested (aggregate
-/// batch equation first, per-signature fallback on failure) and across
-/// `threads` workers when more than one.
-fn run_tasks(tasks: &[SigTask], threads: usize, batched: bool) -> WfResult<()> {
-    let threads = threads.max(1).min(tasks.len().max(1));
-    if threads <= 1 || tasks.len() <= 1 {
-        return run_chunk(tasks, batched);
-    }
-    // Workers claim contiguous chunks so a batched worker amortizes the
-    // shared multi-scalar multiplication over its whole claim; a poison
-    // flag stops sibling workers early once any chunk fails.
-    let stride = if batched { tasks.len().div_ceil(threads) } else { 1 };
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let poisoned = std::sync::atomic::AtomicBool::new(false);
-    let results: Vec<WfResult<()>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (next, poisoned) = (&next, &poisoned);
-                s.spawn(move || loop {
-                    if poisoned.load(std::sync::atomic::Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                    let start = next.fetch_add(stride, std::sync::atomic::Ordering::Relaxed);
-                    if start >= tasks.len() {
-                        return Ok(());
-                    }
-                    let chunk = &tasks[start..(start + stride).min(tasks.len())];
-                    if let Err(e) = run_chunk(chunk, batched) {
-                        poisoned.store(true, std::sync::atomic::Ordering::Relaxed);
-                        return Err(e);
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("verifier thread")).collect()
-    });
-    for r in results {
-        r?;
-    }
-    Ok(())
-}
-
-/// Verify one contiguous run of tasks. Batched mode hands the whole chunk
-/// to [`dra_crypto::verify_batch`] first — one shared multi-scalar
-/// multiplication instead of `len` double-scalar ones, or plain
-/// per-signature checks when it judges the chunk too small to batch — and
-/// on failure falls back to per-signature checks, so the reported culprit
-/// and error variant are identical to the sequential path.
-fn run_chunk(tasks: &[SigTask], batched: bool) -> WfResult<()> {
+/// Execute one document's planned signature checks on the calling thread.
+/// Batched mode hands them all to [`dra_crypto::verify_batch`] first — one
+/// shared multi-scalar multiplication instead of `len` double-scalar ones,
+/// or plain per-signature checks when it judges the set too small to batch —
+/// and on failure falls back to per-signature checks, so the reported
+/// culprit and error variant are identical to the sequential path.
+fn run_tasks(tasks: &[SigTask], batched: bool) -> WfResult<()> {
     if batched {
         let entries: Vec<dra_crypto::BatchEntry<'_>> =
             tasks.iter().map(|t| (t.bytes.as_slice(), t.signature, t.signer)).collect();

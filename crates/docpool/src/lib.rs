@@ -23,10 +23,11 @@
 //! Concurrency is reader-writer per region via `parking_lot`, with MapReduce
 //! fan-out via `std::thread::scope` — the document pool is the
 //! scalability substrate for the cloud experiments (claims C4/C5 in
-//! DESIGN.md).
+//! EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cluster;
 pub mod journal;

@@ -42,21 +42,14 @@ where
 
     let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
     for chunk in splits.chunks(threads) {
-        let emitted = std::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|split| {
-                    let map = &map;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for (key, row) in split {
-                            out.extend(map(key, row));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("mapper panicked")).collect::<Vec<_>>()
+        // one output per split, each filled by its own mapper; the scope
+        // re-raises a mapper's panic once every mapper has stopped
+        let mut emitted: Vec<Vec<(K, V)>> = chunk.iter().map(|_| Vec::new()).collect();
+        std::thread::scope(|s| {
+            for (split, out) in chunk.iter().zip(&mut emitted) {
+                let map = &map;
+                s.spawn(move || out.extend(split.iter().flat_map(|(key, row)| map(key, row))));
+            }
         });
         for (k, v) in emitted.into_iter().flatten() {
             groups.entry(k).or_default().push(v);

@@ -74,15 +74,13 @@ pub struct ScanResult {
 /// `None` means the prefix is unbounded above (empty or all-0xff).
 pub(crate) fn prefix_end(prefix: &str) -> Option<String> {
     let mut bytes = prefix.as_bytes().to_vec();
-    while let Some(&last) = bytes.last() {
-        if last == 0xff {
-            bytes.pop();
-        } else {
-            *bytes.last_mut().expect("non-empty") = last + 1;
-            // Safety of the unwrap: we only ever increment a byte that was
-            // part of a valid UTF-8 string and below 0xff; the result can be
-            // invalid UTF-8 only for multi-byte sequences, so fall back to
-            // lossy which still sorts correctly for ASCII key schemas.
+    while let Some(last) = bytes.pop() {
+        if last != 0xff {
+            bytes.push(last + 1);
+            // we only ever increment a byte that was part of a valid UTF-8
+            // string and below 0xff; the result can be invalid UTF-8 only
+            // for multi-byte sequences, so fall back to lossy which still
+            // sorts correctly for ASCII key schemas.
             return Some(String::from_utf8_lossy(&bytes).into_owned());
         }
     }

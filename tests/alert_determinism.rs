@@ -1,4 +1,4 @@
-//! Integration: alert streams are byte-deterministic (DESIGN §14), and
+//! Integration: alert streams are byte-deterministic (DESIGN §12), and
 //! every `ReconcileError` variant renders a stable, self-explaining
 //! message.
 //!

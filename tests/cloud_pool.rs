@@ -1,6 +1,6 @@
 //! Integration: the cloud deployment — concurrent instances through portal
 //! servers into the document pool, TO-DO notification, monitoring,
-//! MapReduce statistics (claims C5 of DESIGN.md).
+//! MapReduce statistics (claim C5 of EXPERIMENTS.md).
 
 use dra4wfms::docpool::Scan;
 use dra4wfms::prelude::*;

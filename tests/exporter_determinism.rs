@@ -1,4 +1,4 @@
-//! Integration: trace exporters are byte-deterministic (DESIGN §14).
+//! Integration: trace exporters are byte-deterministic (DESIGN §12).
 //!
 //! Spans are stamped in virtual time and documents sign deterministically,
 //! so a fixed workload must export byte-identical JSONL and Chrome-trace

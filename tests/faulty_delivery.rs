@@ -1,4 +1,4 @@
-//! Integration: fault-tolerant document delivery (claims C7 of DESIGN.md).
+//! Integration: fault-tolerant document delivery (claim C7 of EXPERIMENTS.md).
 //!
 //! The contract under test — "a fault can cost time, never safety":
 //!

@@ -1,6 +1,6 @@
 //! Integration: the online `HealthMonitor` detects every injected
 //! pathology — stuck hop, retry storm, crash loop, SLO breach — and stays
-//! silent on the lossless no-crash baseline (DESIGN §14).
+//! silent on the lossless no-crash baseline (DESIGN §12).
 //!
 //! Alerts are advisory; the acceptance bar here is detection: 100% of the
 //! injected scenarios raise their typed alert, and a clean run raises

@@ -2,7 +2,7 @@
 //! generated workflows driven through a hostile fault-injecting channel
 //! with a seeded crash schedule must still produce traces the document
 //! reconciles, and end-of-run metrics that satisfy the cross-layer
-//! accounting invariants (DESIGN §14).
+//! accounting invariants (DESIGN §12).
 
 use dra4wfms::cloud::{check_metric_invariants, FaultPlan, FaultProfile};
 use dra4wfms::core::faultpoint::site;

@@ -1,4 +1,4 @@
-//! Integration: the document-vs-trace differential oracle (DESIGN §14).
+//! Integration: the document-vs-trace differential oracle (DESIGN §12).
 //!
 //! The signed document is the only *authoritative* record of a run; the
 //! span trace is an untrusted witness. `reconcile` reconstructs the
