@@ -15,9 +15,10 @@
 //!    [`FaultProfile`] and a seeded [`FaultPlan`], via the event-driven
 //!    [`Scheduler`] (`InstanceRun::run`);
 //! 3. differential-checked: every run's final document verifies and
-//!    reconciles against its span trace, fault and crash runs converge to
-//!    the byte-identical document and pool digest of the honest run, and
-//!    the cross-layer metric invariants hold in every cell;
+//!    reconciles against its span trace, each honest run is a firing
+//!    sequence of the definition's net ([`conforms`]), fault and crash
+//!    runs converge to the byte-identical document and pool digest of the
+//!    honest run, and the cross-layer metric invariants hold in every cell;
 //! 4. attacked: seeded forgeries (signature bit-flips, phantom CERs,
 //!    reordered/forged/fabricated trace events) must every one be caught;
 //! 5. poisoned: an unsound twin of the definition (a synchronizing join
@@ -30,6 +31,7 @@
 use crate::rig::{cast, Rig};
 use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::prelude::*;
+use dra4wfms_core::semantics::{cancelled, route, Net};
 use dra4wfms_core::soundness::{check_soundness, SoundnessError};
 use dra_cloud::{
     check_metric_invariants, AuditConfig, FaultPlan, FaultProfile, PoolAuditor, Scheduler,
@@ -60,6 +62,39 @@ impl GeneratedWorkflow {
         let script =
             script.iter().map(|(a, rs)| (a.to_string(), rs.iter().map(owned).collect())).collect();
         GeneratedWorkflow { seed: 0, def, script }
+    }
+}
+
+/// The script as the run read it: every iteration of an activity answers
+/// the same values.
+impl FieldReader for GeneratedWorkflow {
+    fn read_field(&self, activity: &str, field: &str) -> WfResult<Option<String>> {
+        let answers = self.script.get(activity).into_iter().flatten();
+        Ok(answers.filter(|(f, _)| f == field).map(|(_, v)| v.clone()).next())
+    }
+}
+
+/// The conformance oracle: replay the successful hops of a run of `gw`, in
+/// trace order, through the definition's [`Net`], reading guards from the
+/// script. Each hop's activity must be enabled when it runs (a
+/// multi-instance activity's hops are one firing), and the replay must end
+/// at the empty marking.
+pub fn conforms(gw: &GeneratedWorkflow, events: &[TraceEvent]) -> Result<(), String> {
+    let net = Net::build(&gw.def);
+    let mut marking = net.initial();
+    for hop in ok_hop_indices(events).into_iter().map(|i| &events[i]) {
+        let (act, key) = (&hop.activity, format!("{}#{}", hop.activity, hop.iter));
+        if !net.enabled(&marking, act) {
+            return Err(format!("{key} ran while the net had it disabled"));
+        }
+        let step = route(&gw.def, act, Some(hop.iter), gw)
+            .and_then(|r| Ok((r, cancelled(&gw.def, act, gw)?)))
+            .map_err(|e| format!("{key}: {e}"))?;
+        marking = net.fire(&marking, act, &step.0, &step.1).map_err(|e| format!("{key}: {e}"))?;
+    }
+    match net.waiting(&marking) {
+        waiting if waiting.is_empty() => Ok(()),
+        waiting => Err(format!("the replay ends with work waiting at {waiting:?}")),
     }
 }
 
@@ -484,6 +519,8 @@ pub fn fuzz_seed(seed: u64) -> Result<SeedReport, String> {
             .map_err(|e| format!("seed {seed}: {e}"))?;
         reconcile(&base.events, &base.document)
             .map_err(|e| format!("seed {seed}: honest run fails reconciliation: {e}"))?;
+        conforms(&gw, &base.events)
+            .map_err(|e| format!("seed {seed}: honest run is no firing sequence: {e}"))?;
         base.invariants
             .as_ref()
             .map_err(|e| format!("seed {seed}: metric invariants violated: {e}"))?;
@@ -645,6 +682,49 @@ mod tests {
             let twin = poison(&gw.def).unwrap_or_else(canned_deadlock);
             assert!(check_soundness(&twin).is_err(), "seed {seed}: twin passed");
         }
+    }
+
+    #[test]
+    fn the_oracle_rejects_an_and_join_that_runs_before_a_branch() {
+        let def = WorkflowDefinition::builder("early-join", "designer")
+            .simple_activity("A", "p0", &["f"])
+            .simple_activity("B1", "p1", &["f"])
+            .simple_activity("B2", "p2", &["f"])
+            .activity(Activity {
+                id: "C".into(),
+                participant: "p3".into(),
+                join: JoinKind::All,
+                requests: vec![],
+                responses: vec!["f".into()],
+            })
+            .flow("A", "B1")
+            .flow("A", "B2")
+            .flow("B1", "C")
+            .flow("B2", "C")
+            .flow_end("C")
+            .build()
+            .unwrap();
+        let gw = GeneratedWorkflow::scripted(def, &[]);
+        let hops = |order: &[&str]| -> Vec<TraceEvent> {
+            let hop = |a: &&str| TraceEvent {
+                seq: 0,
+                start_us: 0,
+                end_us: 0,
+                stage: dra_obs::stage::HOP.into(),
+                actor: String::new(),
+                process_id: String::new(),
+                activity: a.to_string(),
+                iter: 0,
+                outcome: dra_obs::OUTCOME_OK.into(),
+                attrs: vec![],
+            };
+            order.iter().map(hop).collect()
+        };
+        conforms(&gw, &hops(&["A", "B1", "B2", "C"])).unwrap();
+        let err = conforms(&gw, &hops(&["A", "B1", "C", "B2"])).unwrap_err();
+        assert!(err.contains("C#0 ran while the net had it disabled"), "{err}");
+        let err = conforms(&gw, &hops(&["A", "B1"])).unwrap_err();
+        assert!(err.contains("waiting at [\"B2\", \"C\"]"), "{err}");
     }
 
     #[test]

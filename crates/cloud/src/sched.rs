@@ -35,8 +35,8 @@
 
 use crate::portal::CloudSystem;
 use crate::runner::{InstanceRun, RunOutcome, LEASE_US, MAX_TAKEOVERS};
-use dra4wfms_core::flow::join_ready;
 use dra4wfms_core::prelude::*;
+use dra4wfms_core::semantics::{and_join_missing, cancelled};
 use dra_obs::{stage, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -504,7 +504,7 @@ fn dispatch_one<'a>(
         .ok_or_else(|| WfError::UnknownIdentity(act_def.participant.clone()))?;
 
     // AND-join: park the merged prefix until the remaining branches notify
-    if act_def.join == JoinKind::All && !join_ready(&merged, def_now, &act.activity)? {
+    if and_join_missing(def_now, &act.activity, |a| merged.latest_iter(a))?.is_some() {
         inst.inbox.entry(act.activity.clone()).or_default().push(merged);
         stats.deferred += 1;
         return Ok(());
@@ -515,9 +515,9 @@ fn dispatch_one<'a>(
     // predecessor could still deliver another branch. Parked joins are
     // revisited by later duplicate activations and at bus-drain end.
     if act_def.join == JoinKind::Or {
-        let upstream = def_now.upstream_of(&act.activity);
-        let busy = inst.inbox.keys().any(|k| upstream.contains(k.as_str()))
-            || system.activation_bus().has_pending(&inst.pid, |a| upstream.contains(a));
+        let upstream = |a: &str| definition_now.net.reaches(a, &act.activity);
+        let busy = inst.inbox.keys().any(|k| upstream(k))
+            || system.activation_bus().has_pending(&inst.pid, upstream);
         if busy {
             inst.inbox.entry(act.activity.clone()).or_default().push(merged);
             inst.or_parked.insert(act.activity.clone());
@@ -608,7 +608,7 @@ fn dispatch_one<'a>(
     // every pending piece of region work — inbox entries, parked OR-joins
     // and already-announced bus activations alike
     let reader = DocFieldReader::public(document.document());
-    for region in dra4wfms_core::flow::fired_cancellations(def_now, &act.activity, &reader)? {
+    for region in cancelled(def_now, &act.activity, &reader)? {
         for member in &region.region {
             if inst.inbox.remove(member).is_some() {
                 stats.cancelled += 1;

@@ -21,11 +21,12 @@ use crate::document::{preds_to_attr, CerKey, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_plain_result_element, build_result_element};
-use crate::flow::{evaluate_route_after, join_ready, merge_documents, DocFieldReader, Route};
+use crate::flow::{merge_documents, DocFieldReader};
 use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
 use crate::ingest::Inbound;
-use crate::model::{FieldRef, JoinKind};
+use crate::model::FieldRef;
 use crate::sealed::{SealedDocument, TrustMark};
+use crate::semantics::{and_join_missing, route, Route};
 use crate::verify::{VerificationReport, Verifier};
 use dra_obs::{stage, Tracer};
 use dra_xml::canon::canonicalize;
@@ -185,7 +186,9 @@ impl Aea {
                     .into(),
             ));
         }
-        let trust = outcome.mark.expect("incremental mode issues a mark");
+        let trust = outcome
+            .mark
+            .ok_or_else(|| WfError::Verify("incremental verification issued no mark".into()))?;
         let reused_cers = outcome.reused_cers;
         let doc = sealed.into_document();
         // dynamic flow control: fold any (already verified) amendments into
@@ -200,7 +203,7 @@ impl Aea {
                 actual: self.creds.name.clone(),
             });
         }
-        if act.join == JoinKind::All && !join_ready(&doc, def, activity)? {
+        if and_join_missing(def, activity, |a| doc.latest_iter(a))?.is_some() {
             return Err(WfError::Flow(format!(
                 "AND-join '{activity}' is not ready: not all incoming branches have arrived"
             )));
@@ -346,12 +349,8 @@ impl Aea {
         span_sign.attr("model", "basic");
         span_sign.end();
 
-        let route = evaluate_route_after(
-            &received.definition.def,
-            &received.activity,
-            received.iter,
-            &reader,
-        )?;
+        let route =
+            route(&received.definition.def, &received.activity, Some(received.iter), &reader)?;
         self.crash_point(site::AEA_AFTER_SIGN)?;
         // The prefix pinned at receive time is untouched by push_cer, so the
         // mark stays valid: the next hop re-verifies exactly this new CER.
@@ -438,7 +437,7 @@ pub(crate) fn result_context(pid: &str, key: &CerKey) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::WorkflowDefinition;
+    use crate::model::{JoinKind, WorkflowDefinition};
     use crate::policy::SecurityPolicy;
 
     fn setup() -> (WorkflowDefinition, SecurityPolicy, Credentials, Vec<Credentials>, Directory) {

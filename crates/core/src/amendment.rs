@@ -17,6 +17,7 @@ use crate::error::{WfError, WfResult};
 use crate::identity::Credentials;
 use crate::model::{required_attr, Activity, Target, Transition, WorkflowDefinition};
 use crate::policy::{FieldRule, SecurityPolicy};
+use crate::semantics::Net;
 use dra_xml::canon_digest;
 use dra_xml::sig::sign_detached;
 use dra_xml::Element;
@@ -143,6 +144,9 @@ pub struct EffectiveDefinition {
     pub def: WorkflowDefinition,
     /// The security policy in force.
     pub policy: SecurityPolicy,
+    /// The definition's net: the firing rules and graph facts every actor
+    /// reads ([`crate::semantics`]).
+    pub net: Net,
     /// Content key: a digest over the canonical bytes this pair was parsed
     /// and folded from.
     key: [u8; 32],
@@ -181,7 +185,8 @@ impl EffectiveDefinition {
             return Ok(Arc::clone(&held[0]));
         }
         let (def, policy) = build()?;
-        let built = Arc::new(EffectiveDefinition { def, policy, key, sound: OnceLock::new() });
+        let net = Net::build(&def);
+        let built = Arc::new(EffectiveDefinition { def, policy, net, key, sound: OnceLock::new() });
         held.truncate(DEFINITION_CACHE_ENTRIES - 1);
         held.insert(0, Arc::clone(&built));
         Ok(built)
@@ -226,7 +231,8 @@ impl EffectiveDefinition {
     /// a fresh entry with no verdict, so it is checked again, never waved
     /// through.
     pub fn require_sound(&self) -> WfResult<()> {
-        self.sound.get_or_init(|| crate::soundness::require_sound(&self.def).map(|_| ())).clone()
+        let check = || crate::soundness::check_net(&self.def, &self.net).map(|_| ());
+        self.sound.get_or_init(|| check().map_err(WfError::from)).clone()
     }
 
     /// Whether [`EffectiveDefinition::require_sound`] has already run on

@@ -70,6 +70,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aea;
 pub mod amendment;
@@ -87,6 +88,7 @@ pub mod policy;
 pub mod reconcile;
 pub mod scope;
 pub mod sealed;
+pub mod semantics;
 pub mod soundness;
 pub mod tfc;
 pub mod verify;
@@ -100,10 +102,7 @@ pub mod prelude {
     pub use crate::error::{WfError, WfResult};
     pub use crate::faultpoint::CrashHook;
     pub use crate::fields::FieldReader;
-    pub use crate::flow::{
-        evaluate_route, evaluate_route_after, fired_cancellations, join_ready, merge_documents,
-        resolve_cardinality, DocFieldReader, Route,
-    };
+    pub use crate::flow::{merge_documents, DocFieldReader};
     pub use crate::identity::{Credentials, Directory, Identity};
     pub use crate::ingest::Inbound;
     pub use crate::model::{
@@ -115,6 +114,7 @@ pub mod prelude {
     pub use crate::reconcile::{reconcile, ReconcileError, ReconcileReport};
     pub use crate::scope::{all_scopes, nonrepudiation_scope};
     pub use crate::sealed::{prefix_digest, SealedDocument, TrustMark};
+    pub use crate::semantics::Route;
     pub use crate::soundness::{check_soundness, require_sound, SoundnessError, SoundnessReport};
     pub use crate::tfc::{TfcProcessed, TfcServer};
     pub use crate::verify::{VerificationReport, Verifier, VerifyOutcome};

@@ -10,7 +10,7 @@
 
 use crate::error::{WfError, WfResult};
 use dra_xml::Element;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Identifier of an activity within a workflow (e.g. `"A1"`).
 pub type ActivityId = String;
@@ -26,10 +26,9 @@ pub enum JoinKind {
     /// (AND-join). The branch documents are merged before execution.
     All,
     /// Synchronizing merge (OR-join): waits for every incoming branch that
-    /// *can still deliver*, then fires once with whatever arrived. The
-    /// structural readiness rule is evaluated by the scheduler: the join is
-    /// enabled when at least one branch has delivered and no activity that
-    /// can reach the join still has work pending.
+    /// *can still deliver*, then fires once with whatever arrived: enabled
+    /// when at least one branch has delivered and no activity that can
+    /// reach the join still has work pending ([`crate::semantics::Net`]).
     Or,
 }
 
@@ -234,54 +233,6 @@ impl WorkflowDefinition {
         self.multi.iter().find(|m| m.activity == id)
     }
 
-    /// All cancellation regions triggered by the completion of `id`.
-    pub fn cancellations_triggered_by(&self, id: &str) -> Vec<&CancelRegion> {
-        self.cancellations.iter().filter(|c| c.trigger == id).collect()
-    }
-
-    /// Whether `id` lies on a control-flow cycle (can reach itself).
-    pub fn on_cycle(&self, id: &str) -> bool {
-        let mut seen = BTreeSet::new();
-        let mut queue: VecDeque<&str> = VecDeque::new();
-        for t in self.outgoing(id) {
-            if let Target::Activity(a) = &t.to {
-                queue.push_back(a.as_str());
-            }
-        }
-        while let Some(cur) = queue.pop_front() {
-            if cur == id {
-                return true;
-            }
-            if !seen.insert(cur) {
-                continue;
-            }
-            for t in self.outgoing(cur) {
-                if let Target::Activity(a) = &t.to {
-                    queue.push_back(a.as_str());
-                }
-            }
-        }
-        false
-    }
-
-    /// All activities that can reach `id` through the control-flow graph
-    /// (transitive predecessors; excludes `id` itself unless it is on a
-    /// cycle through itself).
-    pub fn upstream_of(&self, id: &str) -> BTreeSet<ActivityId> {
-        let mut seen: BTreeSet<ActivityId> = BTreeSet::new();
-        let mut queue: VecDeque<String> =
-            self.incoming(id).into_iter().map(|a| a.to_string()).collect();
-        while let Some(cur) = queue.pop_front() {
-            if !seen.insert(cur.clone()) {
-                continue;
-            }
-            for prev in self.incoming(&cur) {
-                queue.push_back(prev.to_string());
-            }
-        }
-        seen
-    }
-
     /// Structural validation: unique ids, known references, reachability of
     /// every activity from the start, and at least one path to End.
     pub fn validate(&self) -> WfResult<()> {
@@ -315,20 +266,9 @@ impl WorkflowDefinition {
             return Err(WfError::Flow("no transition reaches End".into()));
         }
         // reachability from start
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::from([self.start.as_str()]);
-        while let Some(cur) = queue.pop_front() {
-            if !seen.insert(cur) {
-                continue;
-            }
-            for t in self.outgoing(cur) {
-                if let Target::Activity(a) = &t.to {
-                    queue.push_back(a.as_str());
-                }
-            }
-        }
+        let net = crate::semantics::Net::build(self);
         for a in &self.activities {
-            if !seen.contains(a.id.as_str()) {
+            if a.id != self.start && !net.reaches(&self.start, &a.id) {
                 return Err(WfError::Flow(format!(
                     "activity '{}' unreachable from start '{}'",
                     a.id, self.start
@@ -1118,25 +1058,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, WfError::Flow(m) if m.contains("its own trigger")));
-    }
-
-    #[test]
-    fn cycle_and_upstream_queries() {
-        let def = WorkflowDefinition::builder("loopy", "d")
-            .simple_activity("A", "p", &["x"])
-            .simple_activity("B", "q", &["y"])
-            .flow("A", "B")
-            .flow_if("B", "A", Condition::field_equals("B", "y", "again"))
-            .flow_end_if("B", Condition::field_not_equals("B", "y", "again"))
-            .build()
-            .unwrap();
-        assert!(def.on_cycle("A"));
-        assert!(def.on_cycle("B"));
-        let up = def.upstream_of("B");
-        assert!(up.contains("A") && up.contains("B"));
-        let lin = linear();
-        assert!(!lin.on_cycle("A1"));
-        assert_eq!(lin.upstream_of("A2").into_iter().collect::<Vec<_>>(), vec!["A1"]);
     }
 
     #[test]

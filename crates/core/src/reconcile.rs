@@ -5,11 +5,14 @@
 //! TFC-attested) and the **observed trace** (whatever the runtime's
 //! [`Tracer`](dra_obs::Tracer) recorded while work happened). The trace is
 //! not trusted; nothing signs it. [`reconcile`] rebuilds the execution
-//! timeline from the document alone — via [`ProcessStatus`]: CER cascade
-//! order, participants, TFC timestamps — and checks the trace against it:
+//! timeline from the document alone — CERs, the predecessors each signed
+//! over, participants, TFC timestamps — and checks the trace against it:
 //!
-//! * every proven execution has exactly one successful `hop` span, **in the
-//!   same order**;
+//! * every proven execution has exactly one successful `hop` span, and the
+//!   reverse;
+//! * each hop comes after the hops of the executions its CER signed over
+//!   (causal order: concurrent branches may run in any order, whatever
+//!   order the merged cascade lists them in);
 //! * each hop's recorded actor is the participant the document proves;
 //! * every TFC timestamp in the document was witnessed by a `tfc:timestamp`
 //!   span whose virtual-time window lies inside the successful hop that
@@ -17,13 +20,18 @@
 //!
 //! Crashed hop attempts (spans ended with the `"crash"` outcome) are
 //! expected noise — recovery re-runs the hop — and are ignored; only
-//! successful hops must line up one-to-one with the cascade.
+//! successful hops must match the cascade one-to-one.
 
-use crate::document::{CerKey, DraDocument};
-use crate::monitor::ProcessStatus;
+use crate::amendment::{is_amendment_key, EffectiveDefinition};
+use crate::document::{CerKey, CerView, DraDocument, PredRef};
+use crate::error::WfError;
+use crate::model::WorkflowDefinition;
+use crate::semantics::{and_join_missing, cancelled_before, or_join_early};
 use dra_obs::event::{TraceEvent, OUTCOME_OK};
 use dra_obs::stage;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A reconciliation failure: the observed trace is inconsistent with what
 /// the document proves. Each variant pins the exact divergence.
@@ -47,11 +55,12 @@ pub enum ReconcileError {
         /// The claimed iteration.
         iter: u32,
     },
-    /// Both records contain the execution, but at different positions.
+    /// A hop ran before the hop of an execution its CER signed over: the
+    /// trace breaks the causal order the document proves.
     OrderMismatch {
-        /// Index into the document's cascade.
+        /// Index into the successful-hop sequence.
         position: usize,
-        /// What the document proves ran at this position.
+        /// The signed-over execution, which the document proves ran first.
         document: CerKey,
         /// What the trace observed at this position.
         trace: CerKey,
@@ -185,68 +194,73 @@ pub fn reconcile(
     trace: &[TraceEvent],
     document: &DraDocument,
 ) -> Result<ReconcileReport, ReconcileError> {
-    let status = ProcessStatus::from_document(document)
-        .map_err(|e| ReconcileError::Document(e.to_string()))?;
-    let pid = &status.process_id;
+    let doc_err = |e: WfError| ReconcileError::Document(e.to_string());
+    let pid = document.process_id().map_err(doc_err)?;
+    let cers = document.cers().map_err(doc_err)?;
+    let base = EffectiveDefinition::base(document).map_err(doc_err)?;
 
     // The cascade itself must respect the definition's join and
     // cancellation semantics: forged instances can reorder or insert CERs
     // the honest scheduler could never have produced.
-    check_cascade_semantics(document)?;
+    check_cascade_semantics(document, &cers, &base)?;
 
     let hops: Vec<&TraceEvent> = trace
         .iter()
-        .filter(|e| e.stage == stage::HOP && e.process_id == *pid && e.outcome == OUTCOME_OK)
+        .filter(|e| e.stage == stage::HOP && e.process_id == pid && e.outcome == OUTCOME_OK)
         .collect();
     let crashed_attempts = trace
         .iter()
-        .filter(|e| e.stage == stage::HOP && e.process_id == *pid && e.outcome != OUTCOME_OK)
+        .filter(|e| e.stage == stage::HOP && e.process_id == pid && e.outcome != OUTCOME_OK)
         .count();
 
-    // Same executions, same order: the trace's successful hops must line up
-    // one-to-one with the document's cascade.
-    let steps = status.executed.len().max(hops.len());
-    for position in 0..steps {
-        match (status.executed.get(position), hops.get(position)) {
-            (Some(entry), Some(hop)) => {
-                if hop.activity != entry.key.activity || hop.iter != entry.key.iter {
-                    let witnessed_somewhere = hops
-                        .iter()
-                        .any(|h| h.activity == entry.key.activity && h.iter == entry.key.iter);
-                    if witnessed_somewhere {
-                        return Err(ReconcileError::OrderMismatch {
-                            position,
-                            document: entry.key.clone(),
-                            trace: CerKey::new(hop.activity.clone(), hop.iter),
-                        });
-                    }
-                    return Err(ReconcileError::MissingFromTrace {
-                        position,
-                        expected: entry.key.clone(),
-                    });
-                }
-                if hop.actor != entry.participant {
-                    return Err(ReconcileError::ParticipantMismatch {
-                        key: entry.key.clone(),
-                        document: entry.participant.clone(),
-                        trace: hop.actor.clone(),
-                    });
-                }
+    // One successful hop per proven execution, and the reverse: `hop_at[i]`
+    // is the position of CER `i`'s hop (the first CER of a key wins, as in
+    // document-order search).
+    let by_key: HashMap<&CerKey, usize> =
+        cers.iter().enumerate().rev().map(|(at, c)| (&c.key, at)).collect();
+    let (mut hop_at, mut cer_at) = (vec![None; cers.len()], Vec::with_capacity(hops.len()));
+    for (position, hop) in hops.iter().enumerate() {
+        match by_key.get(&CerKey::new(hop.activity.clone(), hop.iter)) {
+            Some(&at) if hop_at[at].is_none() => {
+                hop_at[at] = Some(position);
+                cer_at.push(at);
             }
-            (Some(entry), None) => {
-                return Err(ReconcileError::MissingFromTrace {
-                    position,
-                    expected: entry.key.clone(),
-                });
-            }
-            (None, Some(hop)) => {
+            _ => {
                 return Err(ReconcileError::UnprovenExecution {
                     position,
                     activity: hop.activity.clone(),
                     iter: hop.iter,
+                })
+            }
+        }
+    }
+    if let Some(position) = hop_at.iter().position(Option::is_none) {
+        return Err(ReconcileError::MissingFromTrace {
+            position,
+            expected: cers[position].key.clone(),
+        });
+    }
+    let hop_at: Vec<usize> = hop_at.into_iter().flatten().collect();
+
+    // Causal order: each hop comes after the hops of the executions it
+    // signed over, and is attributed to the participant who signed.
+    for (position, (&at, hop)) in cer_at.iter().zip(&hops).enumerate() {
+        let cer = &cers[at];
+        for pred in causal_preds(&cers, at, &base.def) {
+            if by_key.get(pred).is_some_and(|&p| hop_at[p] > position) {
+                return Err(ReconcileError::OrderMismatch {
+                    position,
+                    document: pred.clone(),
+                    trace: cer.key.clone(),
                 });
             }
-            (None, None) => unreachable!("position < max(len)"),
+        }
+        if hop.actor != cer.participant {
+            return Err(ReconcileError::ParticipantMismatch {
+                key: cer.key.clone(),
+                document: cer.participant.clone(),
+                trace: hop.actor.clone(),
+            });
         }
     }
 
@@ -254,141 +268,122 @@ pub fn reconcile(
     // must have been witnessed by a tfc:timestamp span inside the successful
     // hop that produced it.
     let mut timestamps_witnessed = 0;
-    for (entry, hop) in status.executed.iter().zip(&hops) {
-        let Some(doc_ts) = entry.timestamp else { continue };
+    for (cer, &position) in cers.iter().zip(&hop_at) {
+        let Some(doc_ts) = cer.timestamp_millis() else { continue };
+        let (key, hop) = (&cer.key, hops[position]);
         let witnesses: Vec<&TraceEvent> = trace
             .iter()
             .filter(|e| {
                 e.stage == stage::TFC_TIMESTAMP
-                    && e.process_id == *pid
-                    && e.activity == entry.key.activity
-                    && e.iter == entry.key.iter
+                    && e.process_id == pid
+                    && e.activity == key.activity
+                    && e.iter == key.iter
             })
             .collect();
         let matching: Vec<&&TraceEvent> = witnesses
             .iter()
             .filter(|e| e.attr("ts_ms").and_then(|v| v.parse::<u64>().ok()) == Some(doc_ts))
             .collect();
-        if matching.is_empty() {
+        let Some(last) = matching.last() else {
             return Err(match witnesses.last().and_then(|e| e.attr("ts_ms")?.parse().ok()) {
                 Some(trace_ts) => ReconcileError::TimestampMismatch {
-                    key: entry.key.clone(),
+                    key: key.clone(),
                     document: doc_ts,
                     trace: trace_ts,
                 },
-                None => ReconcileError::TimestampUnwitnessed {
-                    key: entry.key.clone(),
-                    timestamp: doc_ts,
-                },
+                None => {
+                    ReconcileError::TimestampUnwitnessed { key: key.clone(), timestamp: doc_ts }
+                }
             });
-        }
-        let in_bounds =
-            matching.iter().any(|e| e.start_us >= hop.start_us && e.end_us <= hop.end_us);
-        if !in_bounds {
-            let w = matching.last().expect("non-empty");
+        };
+        if !matching.iter().any(|e| e.start_us >= hop.start_us && e.end_us <= hop.end_us) {
             return Err(ReconcileError::TimestampOutsideHop {
-                key: entry.key.clone(),
-                witness_us: (w.start_us, w.end_us),
+                key: key.clone(),
+                witness_us: (last.start_us, last.end_us),
                 hop_us: (hop.start_us, hop.end_us),
             });
         }
         timestamps_witnessed += 1;
     }
 
-    Ok(ReconcileReport {
-        hops_matched: status.executed.len(),
-        timestamps_witnessed,
-        crashed_attempts,
-    })
+    Ok(ReconcileReport { hops_matched: cers.len(), timestamps_witnessed, crashed_attempts })
 }
 
-/// Document-side semantic checks over the cascade: no CER may follow a
-/// fired cancellation of its region, AND-joins must have every incoming
-/// branch delivered before they fire, and OR-joins must not leave a branch
-/// that delivers only after the merge. Amendments are folded in document
-/// order, exactly as verification does.
-fn check_cascade_semantics(document: &DraDocument) -> Result<(), ReconcileError> {
-    use crate::fields::eval_condition;
-    use crate::flow::DocFieldReader;
-    use crate::model::JoinKind;
+/// The executions CER `at` of the cascade signed over: the CERs its
+/// `preds` name. A CER that names only `Def` claims no predecessor; it is
+/// held to what an honest executor would have signed — the latest earlier
+/// CER of each control-flow predecessor — which only differs in a
+/// hand-built cascade.
+fn causal_preds<'c>(
+    cers: &'c [CerView<'_>],
+    at: usize,
+    def: &WorkflowDefinition,
+) -> Vec<&'c CerKey> {
+    let signed = cers[at].preds.iter().filter_map(|p| match p {
+        PredRef::Cer(key) => Some(key),
+        PredRef::Def => None,
+    });
+    let signed: Vec<&CerKey> = signed.collect();
+    if !signed.is_empty() {
+        return signed;
+    }
+    let latest = |a: &&String| {
+        cers[..at].iter().map(|c| &c.key).filter(|k| k.activity == **a).max_by_key(|k| k.iter)
+    };
+    def.incoming(&cers[at].key.activity).iter().filter_map(latest).collect()
+}
 
-    let doc_err = |e: crate::error::WfError| ReconcileError::Document(e.to_string());
-    let mut eff_def = document.workflow_definition().map_err(doc_err)?;
-    let mut eff_pol = document.security_policy().map_err(doc_err)?;
-    let cers = document.cers().map_err(doc_err)?;
+/// Document-side semantic checks over the cascade, by the rules of
+/// [`crate::semantics`]: no CER may follow a fired cancellation of its
+/// region, AND-joins must have every incoming branch delivered before they
+/// fire, and OR-joins must not leave a branch that delivers only after the
+/// merge. Amendments are folded in document order, exactly as verification
+/// does.
+fn check_cascade_semantics(
+    document: &DraDocument,
+    cers: &[CerView<'_>],
+    base: &Arc<EffectiveDefinition>,
+) -> Result<(), ReconcileError> {
+    use crate::flow::DocFieldReader;
+
+    let doc_err = |e: WfError| ReconcileError::Document(e.to_string());
+    let mut effective = Arc::clone(base);
     let reader = DocFieldReader::public(document);
 
     for (idx, cer) in cers.iter().enumerate() {
-        if crate::amendment::is_amendment_key(&cer.key) {
-            if let Some(delta_el) = cer.result().and_then(|r| r.find_child("Delta")) {
-                let delta =
-                    crate::amendment::DefinitionDelta::from_xml(delta_el).map_err(doc_err)?;
-                let (d, p) = delta.apply(&eff_def, &eff_pol).map_err(doc_err)?;
-                eff_def = d;
-                eff_pol = p;
-            }
+        if is_amendment_key(&cer.key) {
+            effective = effective.amended(cer).map_err(doc_err)?;
             continue;
         }
-        let Ok(act) = eff_def.activity(&cer.key.activity) else {
+        let eff_def = &effective.def;
+        let act = &cer.key.activity;
+        if eff_def.activity(act).is_err() {
             continue; // unknown activity is a verification failure, not ours
-        };
+        }
+        let (before, after) = (&cers[..idx], &cers[idx + 1..]);
+        let ran = |part: &[CerView<'_>], a: &str| part.iter().any(|c| c.key.activity == a);
 
-        // executed after its region was cancelled?
-        for region in &eff_def.cancellations {
-            if !region.region.contains(&cer.key.activity) {
-                continue;
-            }
-            let trigger_completed = cers[..idx].iter().any(|c| c.key.activity == region.trigger);
-            if !trigger_completed {
-                continue;
-            }
-            let fired = match &region.condition {
-                None => true,
-                // unreadable/unproduced guard fields cannot prove a firing
-                Some(cond) => eval_condition(cond, &reader).unwrap_or(false),
-            };
-            if fired {
-                return Err(ReconcileError::CancelledExecution {
-                    position: idx,
-                    key: cer.key.clone(),
-                    trigger: region.trigger.clone(),
-                });
-            }
+        if let Some(trigger) = cancelled_before(eff_def, act, |a| ran(before, a), &reader) {
+            return Err(ReconcileError::CancelledExecution {
+                position: idx,
+                key: cer.key.clone(),
+                trigger: trigger.clone(),
+            });
         }
 
-        // joins must have their branches
-        match act.join {
-            JoinKind::All => {
-                for inc in eff_def.incoming(&cer.key.activity) {
-                    let delivered = cers[..idx]
-                        .iter()
-                        .any(|c| c.key.activity == *inc && c.key.iter >= cer.key.iter);
-                    if !delivered {
-                        return Err(ReconcileError::JoinMissingBranch {
-                            position: idx,
-                            join: cer.key.clone(),
-                            branch: inc.clone(),
-                        });
-                    }
-                }
-            }
-            JoinKind::Or => {
-                // the synchronizing merge fires only once upstream is
-                // quiet: a branch CER appearing *after* the join proves
-                // the merge jumped the gun
-                for inc in eff_def.incoming(&cer.key.activity) {
-                    let before = cers[..idx].iter().any(|c| c.key.activity == *inc);
-                    let after = cers[idx + 1..].iter().any(|c| c.key.activity == *inc);
-                    if !before && after {
-                        return Err(ReconcileError::JoinMissingBranch {
-                            position: idx,
-                            join: cer.key.clone(),
-                            branch: inc.clone(),
-                        });
-                    }
-                }
-            }
-            JoinKind::Any => {}
+        let prefix =
+            |a: &str| Ok(before.iter().filter(|c| c.key.activity == a).map(|c| c.key.iter).max());
+        let missing = match and_join_missing(eff_def, act, prefix).map_err(doc_err)? {
+            Some(branch) => Some(branch),
+            None => or_join_early(eff_def, act, |a| ran(before, a), |a| ran(after, a))
+                .map_err(doc_err)?,
+        };
+        if let Some(branch) = missing {
+            return Err(ReconcileError::JoinMissingBranch {
+                position: idx,
+                join: cer.key.clone(),
+                branch: branch.clone(),
+            });
         }
     }
     Ok(())

@@ -3,38 +3,30 @@
 //! Builds a Petri-net-style reachability graph from the signed definition
 //! (tokens live on control-flow edges; activities are transitions) and
 //! rejects models that can deadlock, leave an activity dead, accumulate
-//! unbounded tokens on a join, or cancel a region another branch still
-//! depends on — *before* the process is admitted to the cloud, with a
+//! unbounded tokens on a join, deliver twice at once to an Any-join, or
+//! cancel a region another branch still depends on — *before* the process is admitted to the cloud, with a
 //! precise diagnostic naming the offending construct.
 //!
-//! The firing rules mirror the operational semantics exactly:
+//! The net and its firing rules are [`crate::semantics`]'s — the ones the
+//! AEA, the TFC, the scheduler and `reconcile` apply at run time. This
+//! module explores them: guard valuations are enumerated per firing (the
+//! guarded fields of a decision each take every constant compared against
+//! plus one fresh "other" value, so complementary guards (`== v` / `!= v`)
+//! never produce the impossible both-true or both-false worlds), and every
+//! reachable marking must lead to the empty one. A marking does not
+//! remember the values earlier firings chose, so two firings that read the
+//! same field are judged independently: correlated guards on concurrent
+//! branches can be rejected although no real run misbehaves.
 //!
-//! * **Any-join** — one token on any incoming edge enables the activity;
-//!   firing consumes that token (each delivery is a new iteration).
-//! * **All-join** — enabled only with a token on *every* incoming edge;
-//!   firing consumes one from each (the branch documents are merged).
-//! * **Or-join** (synchronizing merge) — enabled when at least one incoming
-//!   edge is marked and every unmarked incoming edge is *dead*: no token
-//!   anywhere in the marking can still reach it. Firing consumes one token
-//!   from each marked incoming edge.
-//! * **Routing** — all outgoing transitions whose condition holds fire
-//!   simultaneously. Condition valuations are enumerated per firing: the
-//!   guarded fields of a decision each take every constant compared against
-//!   plus one fresh "other" value, so complementary guards (`== v` / `!= v`)
-//!   stay mutually exclusive and never produce the impossible both-true or
-//!   both-false worlds.
-//! * **Cancellation** — when a trigger fires (under the same valuation),
-//!   every token on an incoming edge of a region member is removed: pending
-//!   work is withdrawn, completed work is untouched.
-//!
-//! Multi-instance activities expand in place (the extra instances are a
-//! self-loop of the same transition), so they do not change reachability —
-//! but they, OR-joins, and cancellation regions are barred from
-//! control-flow cycles, where iteration counts become ambiguous and the
-//! synchronizing merge turns into the classic vicious circle.
+//! Multi-instance activities expand in place, so they do not change
+//! reachability — but they, OR-joins, and cancellation regions are barred
+//! from control-flow cycles, where iteration counts become ambiguous and
+//! the synchronizing merge turns into the classic vicious circle.
 
 use crate::error::{WfError, WfResult};
-use crate::model::{ActivityId, Condition, JoinKind, Target, WorkflowDefinition};
+use crate::fields::FieldReader;
+use crate::model::{ActivityId, Condition, JoinKind, WorkflowDefinition};
+use crate::semantics::{cancelled, guards, route, Marking, Net};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Hard cap on distinct markings explored before the analysis gives up and
@@ -88,6 +80,12 @@ pub enum SoundnessError {
         /// The on-cycle trigger or member.
         member: ActivityId,
     },
+    /// A reachable marking delivers two documents to one Any-join at once:
+    /// both copies would execute as the same iteration.
+    ConcurrentDelivery {
+        /// The Any-join that would run twice.
+        activity: ActivityId,
+    },
     /// The reachability graph exceeded [`MAX_STATES`] distinct markings.
     StateSpaceExceeded {
         /// Markings explored before giving up.
@@ -127,6 +125,9 @@ impl std::fmt::Display for SoundnessError {
                     "cancellation region of '{trigger}' touches '{member}', which lies on a control-flow cycle"
                 )
             }
+            SoundnessError::ConcurrentDelivery { activity } => {
+                write!(f, "two documents reach Any-join '{activity}' at once; both would run as one iteration")
+            }
             SoundnessError::StateSpaceExceeded { states } => {
                 write!(f, "state space exceeded {states} markings; definition too wild to certify")
             }
@@ -156,115 +157,37 @@ pub struct SoundnessReport {
     pub terminals: usize,
 }
 
-/// One control-flow edge place. Index 0 is the virtual start edge.
-#[derive(Clone, Debug)]
-struct Place {
-    from: String,
-    to: ActivityId,
-}
-
-struct Net<'d> {
-    places: Vec<Place>,
-    /// in_edges[activity] = indices into `places`
-    in_edges: BTreeMap<&'d str, Vec<usize>>,
-    /// reach[a] = activities reachable from a (excluding a unless cyclic)
-    reach: BTreeMap<&'d str, BTreeSet<&'d str>>,
-}
-
-impl<'d> Net<'d> {
-    fn build(def: &'d WorkflowDefinition) -> Net<'d> {
-        let mut places = vec![Place { from: "#start".into(), to: def.start.clone() }];
-        for t in &def.transitions {
-            if let Target::Activity(a) = &t.to {
-                places.push(Place { from: t.from.clone(), to: a.clone() });
-            }
-        }
-        let mut in_edges: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for a in &def.activities {
-            let mut edges = Vec::new();
-            for (i, p) in places.iter().enumerate() {
-                if p.to == a.id {
-                    edges.push(i);
-                }
-            }
-            in_edges.insert(a.id.as_str(), edges);
-        }
-        let mut reach: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for a in &def.activities {
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            let mut queue: VecDeque<&str> = VecDeque::new();
-            for t in def.outgoing(&a.id) {
-                if let Target::Activity(n) = &t.to {
-                    queue.push_back(n.as_str());
-                }
-            }
-            while let Some(cur) = queue.pop_front() {
-                if !seen.insert(cur) {
-                    continue;
-                }
-                for t in def.outgoing(cur) {
-                    if let Target::Activity(n) = &t.to {
-                        queue.push_back(n.as_str());
-                    }
-                }
-            }
-            reach.insert(a.id.as_str(), seen);
-        }
-        Net { places, in_edges, reach }
-    }
-
-    /// Can any marked place still deliver a token to place `target`?
-    fn place_live(&self, marking: &[u8], target: usize) -> bool {
-        let dest_src = self.places[target].from.as_str();
-        for (i, &count) in marking.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            // A token on edge (u -> v) will fire v eventually (or not), and
-            // from v may travel to dest_src and fire it, producing a token
-            // on the target edge. Conservatively: live if v == dest_src or
-            // v can reach dest_src.
-            let v = self.places[i].to.as_str();
-            if v == dest_src || self.reach.get(v).is_some_and(|r| r.contains(dest_src)) {
-                return true;
-            }
-        }
-        false
-    }
-}
-
 /// The truth assignment of one decision: for every `(activity, field)`
-/// consulted by the firing activity's outgoing guards or cancellations, a
-/// concrete value index. `usize::MAX` encodes the fresh "other" value.
-type Valuation = BTreeMap<(String, String), String>;
+/// consulted by the firing activity's outgoing guards or cancellations, one
+/// of the constants it is compared against or the fresh value `"#other"`.
+struct World(BTreeMap<(String, String), String>);
+
+impl FieldReader for World {
+    fn read_field(&self, activity: &str, field: &str) -> WfResult<Option<String>> {
+        Ok(self.0.get(&(activity.to_string(), field.to_string())).cloned())
+    }
+}
 
 /// Enumerate consistent valuations over the given conditions: each guarded
 /// field takes every constant it is compared against plus `"#other"`.
-fn valuations(conds: &[&Condition]) -> Vec<Valuation> {
-    let mut domains: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
+fn valuations(conds: &[&Condition]) -> Vec<World> {
+    let mut domains: BTreeMap<(String, String), BTreeSet<&str>> = BTreeMap::new();
     for c in conds {
-        domains.entry((c.activity.clone(), c.field.clone())).or_default().insert(c.equals.clone());
+        domains.entry((c.activity.clone(), c.field.clone())).or_default().insert(&c.equals);
     }
-    let mut worlds: Vec<Valuation> = vec![BTreeMap::new()];
+    let mut worlds = vec![BTreeMap::new()];
     for (key, constants) in &domains {
         let mut next = Vec::new();
         for world in &worlds {
-            for value in constants.iter().chain(std::iter::once(&"#other".to_string())) {
+            for value in constants.iter().chain(std::iter::once(&"#other")) {
                 let mut w = world.clone();
-                w.insert(key.clone(), value.clone());
+                w.insert(key.clone(), value.to_string());
                 next.push(w);
             }
         }
         worlds = next;
     }
-    worlds
-}
-
-fn condition_holds(c: &Condition, world: &Valuation) -> bool {
-    match world.get(&(c.activity.clone(), c.field.clone())) {
-        Some(v) => c.matches(v),
-        None => true, // unconstrained field: treat as matching
-    }
+    worlds.into_iter().map(World).collect()
 }
 
 /// Run the full soundness analysis. `Ok` carries deterministic exploration
@@ -273,27 +196,24 @@ fn condition_holds(c: &Condition, world: &Valuation) -> bool {
 /// reachability search runs.
 pub fn check_soundness(def: &WorkflowDefinition) -> Result<SoundnessReport, SoundnessError> {
     def.validate().map_err(|e| SoundnessError::Invalid(e.to_string()))?;
+    check_net(def, &Net::build(def))
+}
 
+/// [`check_soundness`] of a definition already validated, over its net.
+pub(crate) fn check_net(
+    def: &WorkflowDefinition,
+    net: &Net,
+) -> Result<SoundnessReport, SoundnessError> {
     // -- structural rules ----------------------------------------------------
-    for m in &def.multi {
-        if def.on_cycle(&m.activity) {
-            return Err(SoundnessError::MultiInstanceOnCycle(m.activity.clone()));
-        }
+    if let Some(m) = def.multi.iter().find(|m| net.cyclic(&m.activity)) {
+        return Err(SoundnessError::MultiInstanceOnCycle(m.activity.clone()));
     }
-    for a in &def.activities {
-        if a.join == JoinKind::Or && def.on_cycle(&a.id) {
-            return Err(SoundnessError::OrJoinOnCycle(a.id.clone()));
-        }
+    if let Some(a) = def.activities.iter().find(|a| a.join == JoinKind::Or && net.cyclic(&a.id)) {
+        return Err(SoundnessError::OrJoinOnCycle(a.id.clone()));
     }
     for c in &def.cancellations {
-        if def.on_cycle(&c.trigger) {
-            return Err(SoundnessError::CancellationOnCycle {
-                trigger: c.trigger.clone(),
-                member: c.trigger.clone(),
-            });
-        }
-        for member in &c.region {
-            if def.on_cycle(member) {
+        for member in std::iter::once(&c.trigger).chain(&c.region) {
+            if net.cyclic(member) {
                 return Err(SoundnessError::CancellationOnCycle {
                     trigger: c.trigger.clone(),
                     member: member.clone(),
@@ -303,14 +223,13 @@ pub fn check_soundness(def: &WorkflowDefinition) -> Result<SoundnessReport, Soun
     }
     // cancelling a branch an AND-join outside the region still waits for
     for c in &def.cancellations {
-        let region: BTreeSet<&str> = c.region.iter().map(String::as_str).collect();
         for a in &def.activities {
-            if a.join != JoinKind::All || region.contains(a.id.as_str()) {
+            if a.join != JoinKind::All || c.region.contains(&a.id) {
                 continue;
             }
             let incoming = def.incoming(&a.id);
             let cancelled: Vec<&&String> =
-                incoming.iter().filter(|p| region.contains(p.as_str())).collect();
+                incoming.iter().filter(|p| c.region.contains(p)).collect();
             if !cancelled.is_empty() && cancelled.len() < incoming.len() {
                 return Err(SoundnessError::CancellationOrphans {
                     trigger: c.trigger.clone(),
@@ -321,15 +240,9 @@ pub fn check_soundness(def: &WorkflowDefinition) -> Result<SoundnessReport, Soun
         }
     }
 
-    // -- reachability --------------------------------------------------------
-    let net = Net::build(def);
-    let initial = {
-        let mut m = vec![0u8; net.places.len()];
-        m[0] = 1;
-        m
-    };
-    let mut visited: BTreeSet<Vec<u8>> = BTreeSet::new();
-    let mut queue: VecDeque<Vec<u8>> = VecDeque::from([initial]);
+    // -- reachability: a BFS over `Net::enabled` and `Net::fire` -------------
+    let mut visited: BTreeSet<Marking> = BTreeSet::new();
+    let mut queue: VecDeque<Marking> = VecDeque::from([net.initial()]);
     let mut fired: BTreeSet<&str> = BTreeSet::new();
     let mut terminals = 0usize;
 
@@ -342,120 +255,26 @@ pub fn check_soundness(def: &WorkflowDefinition) -> Result<SoundnessReport, Soun
         }
         let mut any_enabled = false;
         for act in &def.activities {
-            let in_edges = &net.in_edges[act.id.as_str()];
-            let marked: Vec<usize> = in_edges.iter().copied().filter(|&i| marking[i] > 0).collect();
-            if marked.is_empty() {
+            if !net.enabled(&marking, &act.id) {
                 continue;
             }
-            // Which in-edges does one firing consume from?
-            let consumptions: Vec<Vec<usize>> = match act.join {
-                JoinKind::Any => marked.iter().map(|&i| vec![i]).collect(),
-                JoinKind::All => {
-                    if marked.len() < in_edges.len() {
-                        continue; // some branch not delivered yet
-                    }
-                    vec![in_edges.clone()]
-                }
-                JoinKind::Or => {
-                    let empty_live =
-                        in_edges.iter().any(|&i| marking[i] == 0 && net.place_live(&marking, i));
-                    if empty_live {
-                        continue; // an unmarked branch can still deliver
-                    }
-                    vec![marked.clone()]
-                }
-            };
             any_enabled = true;
             fired.insert(act.id.as_str());
-
-            // All guards this firing decides: outgoing transitions + the
-            // cancellation regions it triggers, under one consistent world.
-            let route_conds: Vec<&Condition> =
-                def.outgoing(&act.id).iter().filter_map(|t| t.condition.as_ref()).collect();
-            let cancel_conds: Vec<&Condition> = def
-                .cancellations_triggered_by(&act.id)
-                .iter()
-                .filter_map(|c| c.condition.as_ref())
-                .collect();
-            let all_conds: Vec<&Condition> =
-                route_conds.iter().chain(cancel_conds.iter()).copied().collect();
-
-            for consume in &consumptions {
-                for world in valuations(&all_conds) {
-                    let mut produced: Vec<usize> = Vec::new();
-                    let mut enabled_any = false;
-                    for t in def.outgoing(&act.id) {
-                        let taken = match &t.condition {
-                            None => true,
-                            Some(c) => condition_holds(c, &world),
-                        };
-                        if !taken {
-                            continue;
-                        }
-                        enabled_any = true;
-                        if let Target::Activity(to) = &t.to {
-                            let idx = net
-                                .places
-                                .iter()
-                                .position(|p| p.from == act.id && &p.to == to)
-                                .expect("edge place exists");
-                            produced.push(idx);
-                        }
-                    }
-                    if !enabled_any && !def.outgoing(&act.id).is_empty() {
-                        // evaluate_route errors at runtime in this world:
-                        // the branch dies with pending work — treat the
-                        // world as a stuck terminal only if something else
-                        // is marked; the run fails either way, which the
-                        // fuzzer exercises. Skip producing successors.
-                        continue;
-                    }
-                    let mut next = marking.clone();
-                    for &i in consume {
-                        next[i] -= 1;
-                    }
-                    let mut overflow: Option<usize> = None;
-                    for &i in &produced {
-                        if next[i] >= MAX_TOKENS_PER_EDGE {
-                            overflow = Some(i);
-                            break;
-                        }
-                        next[i] += 1;
-                    }
-                    if let Some(i) = overflow {
-                        return Err(SoundnessError::Unbounded {
-                            from: net.places[i].from.clone(),
-                            to: net.places[i].to.clone(),
-                        });
-                    }
-                    // cancellation: withdraw pending work of fired regions
-                    for region in def.cancellations_triggered_by(&act.id) {
-                        let holds = match &region.condition {
-                            None => true,
-                            Some(c) => condition_holds(c, &world),
-                        };
-                        if !holds {
-                            continue;
-                        }
-                        for member in &region.region {
-                            for &i in &net.in_edges[member.as_str()] {
-                                next[i] = 0;
-                            }
-                        }
-                    }
-                    if !visited.contains(&next) {
-                        queue.push_back(next);
-                    }
+            // every guard this firing decides, under one consistent world
+            for world in valuations(&guards(def, &act.id)) {
+                // no transition enabled in this world: the run fails there
+                // (the fuzzer exercises it), so the world has no successor
+                let Ok(route) = route(def, &act.id, None, &world) else { continue };
+                let cancel = cancelled(def, &act.id, &world)
+                    .map_err(|e| SoundnessError::Invalid(e.to_string()))?;
+                let next = net.fire(&marking, &act.id, &route, &cancel)?;
+                if !visited.contains(&next) {
+                    queue.push_back(next);
                 }
             }
         }
         if !any_enabled {
-            let pending: Vec<ActivityId> = net
-                .in_edges
-                .iter()
-                .filter(|(_, edges)| edges.iter().any(|&i| marking[i] > 0))
-                .map(|(a, _)| a.to_string())
-                .collect();
+            let pending = net.waiting(&marking);
             if pending.is_empty() {
                 terminals += 1; // proper completion: no tokens left
             } else {
@@ -464,10 +283,8 @@ pub fn check_soundness(def: &WorkflowDefinition) -> Result<SoundnessReport, Soun
         }
     }
 
-    for a in &def.activities {
-        if !fired.contains(a.id.as_str()) {
-            return Err(SoundnessError::DeadActivity(a.id.clone()));
-        }
+    if let Some(a) = def.activities.iter().find(|a| !fired.contains(a.id.as_str())) {
+        return Err(SoundnessError::DeadActivity(a.id.clone()));
     }
 
     Ok(SoundnessReport { states_explored: visited.len(), activities_fired: fired.len(), terminals })
@@ -665,6 +482,94 @@ mod tests {
             .build()
             .unwrap();
         check_soundness(&def).unwrap();
+    }
+
+    #[test]
+    fn loop_fed_or_join_is_sound() {
+        // A -> {L, Y}; L -> J always and L -> M -> L while L says "again";
+        // J (or) -> K (all) <- Y. J waits until the loop has settled, so it
+        // fires once and K sees one token per in-edge.
+        let def = WorkflowDefinition::builder("loop-or", "d")
+            .simple_activity("A", "p", &[])
+            .simple_activity("L", "q", &["f"])
+            .simple_activity("M", "r", &[])
+            .simple_activity("Y", "s", &[])
+            .activity(act("J", "p", JoinKind::Or, &[]))
+            .activity(act("K", "q", JoinKind::All, &[]))
+            .flow("A", "L")
+            .flow("A", "Y")
+            .flow("L", "J")
+            .flow_if("L", "M", Condition::field_equals("L", "f", "again"))
+            .flow("M", "L")
+            .flow("J", "K")
+            .flow("Y", "K")
+            .flow_end("K")
+            .build()
+            .unwrap();
+        assert_eq!(check_soundness(&def).unwrap().activities_fired, 6);
+    }
+
+    #[test]
+    fn concurrent_delivery_to_an_any_join_rejected() {
+        // A -> B and A -> X -> B: two copies reach B, each would run B#0
+        let def = WorkflowDefinition::builder("twice", "d")
+            .simple_activity("A", "p", &[])
+            .simple_activity("B", "q", &[])
+            .simple_activity("X", "r", &[])
+            .flow("A", "B")
+            .flow("A", "X")
+            .flow("X", "B")
+            .flow_end("B")
+            .build()
+            .unwrap();
+        assert_eq!(
+            check_soundness(&def).unwrap_err(),
+            SoundnessError::ConcurrentDelivery { activity: "B".into() }
+        );
+    }
+
+    #[test]
+    fn self_edge_beside_an_and_split_rejected() {
+        // A -> A while A says "again", and A -> B always: a second pass of
+        // A sends B a second copy while the first still waits
+        let def = WorkflowDefinition::builder("self-edge", "d")
+            .simple_activity("A", "p", &["f"])
+            .simple_activity("B", "q", &[])
+            .flow_if("A", "A", Condition::field_equals("A", "f", "again"))
+            .flow("A", "B")
+            .flow_end("B")
+            .build()
+            .unwrap();
+        assert_eq!(
+            check_soundness(&def).unwrap_err(),
+            SoundnessError::ConcurrentDelivery { activity: "B".into() }
+        );
+    }
+
+    #[test]
+    fn correlated_guards_are_judged_independently() {
+        // A -> {B1, B2}; B1 -> D when A.m == x, B2 -> D when A.m != x, else
+        // End. Every real run delivers to D once, but each firing draws a
+        // fresh guard world, so the analysis pairs B1's `x` with B2's
+        // `#other` and sees two copies at D: a known false rejection.
+        let def = WorkflowDefinition::builder("correlated", "d")
+            .simple_activity("A", "p", &["m"])
+            .simple_activity("B1", "q", &[])
+            .simple_activity("B2", "r", &[])
+            .simple_activity("D", "s", &[])
+            .flow("A", "B1")
+            .flow("A", "B2")
+            .flow_if("B1", "D", Condition::field_equals("A", "m", "x"))
+            .flow_end_if("B1", Condition::field_not_equals("A", "m", "x"))
+            .flow_if("B2", "D", Condition::field_not_equals("A", "m", "x"))
+            .flow_end_if("B2", Condition::field_equals("A", "m", "x"))
+            .flow_end("D")
+            .build()
+            .unwrap();
+        assert_eq!(
+            check_soundness(&def).unwrap_err(),
+            SoundnessError::ConcurrentDelivery { activity: "D".into() }
+        );
     }
 
     #[test]

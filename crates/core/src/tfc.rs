@@ -24,10 +24,11 @@ use crate::document::{CerKey, CerView, DraDocument};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_result_element, plain_fields};
-use crate::flow::{evaluate_route_after, DocFieldReader, Route};
+use crate::flow::DocFieldReader;
 use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
 use crate::ingest::Inbound;
 use crate::sealed::{prefix_digest, SealedDocument, TrustMark};
+use crate::semantics::{route, Route};
 use crate::verify::{tfc_attest_bytes, Verifier};
 use dra_obs::{stage, Tracer};
 use dra_xml::sig::sign_detached;
@@ -360,10 +361,10 @@ impl TfcServer {
         span_reenc.attr("fields", received.responses.len());
         span_reenc.end();
 
-        let route = evaluate_route_after(
+        let route = route(
             &received.definition.def,
             &received.key.activity,
-            received.key.iter,
+            Some(received.key.iter),
             &reader,
         )?;
         {

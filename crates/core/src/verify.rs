@@ -158,7 +158,7 @@ fn plan_verification(
             if let Some(crate::model::Cardinality::Static(k)) =
                 eff_def.multi_for(&cer.key.activity).map(|m| &m.cardinality)
             {
-                if cer.key.iter >= *k && !eff_def.on_cycle(&cer.key.activity) {
+                if cer.key.iter >= *k && !effective.net.cyclic(&cer.key.activity) {
                     return Err(WfError::Verify(format!(
                         "CER {}: multi-instance activity '{}' admits only {k} instances",
                         cer.key, cer.key.activity
@@ -429,25 +429,25 @@ impl<'a> Verifier<'a> {
     /// Verify a batch of independent documents (the auditor's path), each
     /// under this verifier's configuration on one thread, with up to
     /// [`threads`](Verifier::threads) documents in flight at once.
-    /// Failures are reported per document; workers write disjoint result
-    /// slots directly, no locking.
+    /// Failures are reported per document; each worker returns the
+    /// verdicts of its chunk, no locking.
     pub fn run_many(&self, docs: &[DraDocument]) -> Vec<WfResult<VerifyOutcome>> {
         let threads = self.threads.min(docs.len().max(1));
         if threads <= 1 {
             return docs.iter().map(|d| self.run(d)).collect();
         }
         let chunk = docs.len().div_ceil(threads);
-        let mut out: Vec<Option<WfResult<VerifyOutcome>>> = (0..docs.len()).map(|_| None).collect();
         std::thread::scope(|s| {
-            for (doc_chunk, slot_chunk) in docs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (doc, slot) in doc_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        *slot = Some(self.run(doc));
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|slot| slot.expect("every slot filled")).collect()
+            let workers: Vec<_> = docs
+                .chunks(chunk)
+                .map(|part| s.spawn(move || part.iter().map(|d| self.run(d)).collect::<Vec<_>>()))
+                .collect();
+            // a worker's panic is raised here, as leaving the scope would
+            let join = |w: std::thread::ScopedJoinHandle<'_, Vec<_>>| {
+                w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            };
+            workers.into_iter().flat_map(join).collect()
+        })
     }
 }
 

@@ -11,8 +11,8 @@
 //! structure every cross-engine access serializes on.
 
 use crate::engine::{EngineError, WorkflowEngine};
-use dra4wfms_core::flow::Route;
 use dra4wfms_core::model::WorkflowDefinition;
+use dra4wfms_core::semantics::Route;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -4,9 +4,9 @@
 //! instance itself — which is precisely the property the paper attacks.
 
 use dra4wfms_core::fields::FieldReader;
-use dra4wfms_core::flow::{evaluate_route, Route};
-use dra4wfms_core::model::{JoinKind, WorkflowDefinition};
-use dra4wfms_core::WfResult;
+use dra4wfms_core::model::WorkflowDefinition;
+use dra4wfms_core::semantics::{and_join_missing, route, Route};
+use dra4wfms_core::{WfError, WfResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -18,6 +18,12 @@ pub enum EngineError {
     UnknownProcess(u64),
     /// Activity/participant/flow errors, re-using the core error text.
     Workflow(String),
+}
+
+impl From<WfError> for EngineError {
+    fn from(e: WfError) -> EngineError {
+        EngineError::Workflow(e.to_string())
+    }
 }
 
 impl std::fmt::Display for EngineError {
@@ -130,7 +136,7 @@ impl WorkflowEngine {
 
     /// Start a new process instance; returns its id.
     pub fn start_process(&self, def: &WorkflowDefinition) -> Result<u64, EngineError> {
-        def.validate().map_err(|e| EngineError::Workflow(e.to_string()))?;
+        def.validate()?;
         let id = NEXT_PID.fetch_add(1, Ordering::Relaxed);
         let instance = ProcessInstance {
             id,
@@ -155,31 +161,22 @@ impl WorkflowEngine {
         self.executions.fetch_add(1, Ordering::Relaxed);
         let mut store = self.store.lock();
         let instance = store.get_mut(&pid).ok_or(EngineError::UnknownProcess(pid))?;
-        let act = instance
-            .workflow
-            .activity(activity)
-            .map_err(|e| EngineError::Workflow(e.to_string()))?
-            .clone();
+        let act = instance.workflow.activity(activity)?.clone();
         if act.participant != participant {
             return Err(EngineError::Workflow(format!(
                 "activity '{activity}' assigned to '{}', attempted by '{participant}'",
                 act.participant
             )));
         }
-        if act.join == JoinKind::All {
-            let next_iter = instance.latest_iter(activity).map_or(0, |i| i + 1);
-            for inc in instance.workflow.incoming(activity) {
-                if instance.latest_iter(inc).is_none_or(|i| i < next_iter) {
-                    return Err(EngineError::Workflow(format!("AND-join '{activity}' not ready")));
-                }
-            }
+        let latest_iter = |a: &str| Ok(instance.latest_iter(a));
+        if and_join_missing(&instance.workflow, activity, latest_iter)?.is_some() {
+            return Err(EngineError::Workflow(format!("AND-join '{activity}' not ready")));
         }
         let iter = instance.latest_iter(activity).map_or(0, |i| i + 1);
         let route = {
             let reader =
                 InstanceReader { instance, overlay_activity: activity, overlay: responses };
-            evaluate_route(&instance.workflow, activity, &reader)
-                .map_err(|e| EngineError::Workflow(e.to_string()))?
+            route(&instance.workflow, activity, Some(iter), &reader)?
         };
         instance.results.push(EngineResult {
             activity: activity.to_string(),
@@ -321,6 +318,30 @@ mod tests {
         let inst = e.get_instance(pid).unwrap();
         assert_eq!(inst.latest_iter("submit"), Some(1));
         assert_eq!(inst.field("submit", "amount"), Some("2"), "latest wins");
+    }
+
+    #[test]
+    fn multi_instance_activity_runs_k_times_then_routes_on() {
+        let def = WorkflowDefinition::builder("fan-out", "designer")
+            .simple_activity("plan", "alice", &["n"])
+            .simple_activity("review", "bob", &["verdict"])
+            .simple_activity("close", "carol", &[])
+            .flow("plan", "review")
+            .flow("review", "close")
+            .flow_end("close")
+            .multi_runtime("review", "plan", "n")
+            .build()
+            .unwrap();
+        let e = WorkflowEngine::new("e1");
+        let pid = e.start_process(&def).unwrap();
+        let r = e.execute_activity(pid, "plan", "alice", &[("n".into(), "3".into())]).unwrap();
+        assert_eq!(r.targets, vec!["review"]);
+        for (i, next) in ["review", "review", "close"].into_iter().enumerate() {
+            let verdict = [("verdict".into(), format!("v{i}"))];
+            let r = e.execute_activity(pid, "review", "bob", &verdict).unwrap();
+            assert_eq!(r.targets, vec![next], "after instance {i}");
+        }
+        assert_eq!(e.get_instance(pid).unwrap().latest_iter("review"), Some(2));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use dra4wfms::cloud::check_metric_invariants;
 use dra4wfms::obs::MetricsSnapshot;
 use dra4wfms::prelude::*;
 use dra_bench::fuzz::{self, GeneratedWorkflow};
-use dra_bench::rig::Rig;
+use dra_bench::rig::{cast, Rig};
 
 /// Drive `def` end to end through the scheduler with the fuzz cast
 /// (`designer`, `p0`–`p3`, `TFC`) and a fixed script; return the final
@@ -264,6 +264,88 @@ fn cancellation_guard_false_leaves_the_region_alone() {
     let keys = cer_keys(&doc);
     assert!(keys.contains(&"V#0".into()), "guarded cancel fired anyway: {keys:?}");
     assert_eq!(snap.counter("sched.cancelled"), 0);
+}
+
+/// A loop feeding a synchronizing merge: L delivers to the OR-join J on
+/// every lap and repeats through M while it answers "again"; J must wait
+/// for the loop to settle, then fire once into the AND-join K.
+fn loop_fed_or_join(advanced: bool) -> Rig {
+    let mut def = WorkflowDefinition::builder("loop-or", "designer")
+        .simple_activity("A", "p0", &["f"])
+        .simple_activity("L", "p1", &["f"])
+        .simple_activity("M", "p2", &["f"])
+        .simple_activity("Y", "p3", &["f"])
+        .activity(Activity {
+            id: "J".into(),
+            participant: "p0".into(),
+            join: JoinKind::Or,
+            requests: vec![],
+            responses: vec!["f".into()],
+        })
+        .activity(Activity {
+            id: "K".into(),
+            participant: "p1".into(),
+            join: JoinKind::All,
+            requests: vec![],
+            responses: vec!["f".into()],
+        })
+        .flow("A", "L")
+        .flow("A", "Y")
+        .flow("L", "J")
+        .flow_if("L", "M", Condition::field_equals("L", "f", "again"))
+        .flow("M", "L")
+        .flow("J", "K")
+        .flow("Y", "K")
+        .flow_end("K")
+        .build()
+        .unwrap();
+    if advanced {
+        def.tfc = Some("TFC".into());
+    }
+    let respond = |r: &ReceivedActivity| {
+        let again = r.activity == "L" && r.iter < 2;
+        vec![("f".to_string(), if again { "again" } else { "done" }.to_string())]
+    };
+    Rig::new(cast("fuzz", &fuzz::CAST), def, SecurityPolicy::public(), respond)
+}
+
+#[test]
+fn loop_fed_or_join_waits_for_the_loop_then_fires_once() {
+    for advanced in [false, true] {
+        let rig = loop_fed_or_join(advanced);
+        let sys = rig.cloud(2);
+        let initial = rig.initial("p-loop-or");
+        let out = rig.run(&sys, &initial).run().unwrap();
+        let keys = cer_keys(out.document.document());
+        if !advanced {
+            let expected = ["A#0", "Y#0", "L#0", "M#0", "L#1", "M#1", "L#2", "J#0", "K#0"];
+            assert_eq!(keys, expected);
+        }
+        assert_eq!(keys.iter().filter(|k| k.starts_with("J#")).count(), 1, "{keys:?}");
+        let snap = rig.metrics.snapshot();
+        assert!(snap.counter("sched.or_join_waits") >= 1, "the merge never deferred");
+        check_metric_invariants(&snap).unwrap();
+        reconcile(&rig.tracer.events(), out.document.document()).unwrap();
+    }
+}
+
+#[test]
+fn concurrent_deliveries_to_one_any_join_are_refused_at_admission() {
+    // A -> B and A -> X -> B: both copies of the document would run B as B#0
+    let def = WorkflowDefinition::builder("twice", "designer")
+        .simple_activity("A", "p0", &["f"])
+        .simple_activity("B", "p1", &["f"])
+        .simple_activity("X", "p2", &["f"])
+        .flow("A", "B")
+        .flow("A", "X")
+        .flow("X", "B")
+        .flow_end("B")
+        .build()
+        .unwrap();
+    match fuzz::admission_error(&def) {
+        Some(WfError::Unsound(diag)) => assert!(diag.contains("Any-join 'B'"), "{diag}"),
+        other => panic!("expected WfError::Unsound, got {other:?}"),
+    }
 }
 
 #[test]

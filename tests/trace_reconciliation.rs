@@ -288,6 +288,45 @@ fn phantom_branch_or_join_detected() {
 }
 
 #[test]
+fn hops_in_causal_order_reconcile_though_the_cascade_reads_in_merge_order() {
+    // A -> {L -> L2, Y} -> K (AND-join): the hops run A, L, Y, L2, K, but
+    // the merged cascade lists Y's branch first. Each hop still follows
+    // the executions it signed over, so the honest run reconciles.
+    let def = WorkflowDefinition::builder("recon-causal", "designer")
+        .simple_activity("A", "p0", &["f"])
+        .simple_activity("L", "p1", &["f"])
+        .simple_activity("L2", "p2", &["f"])
+        .simple_activity("Y", "p3", &["f"])
+        .activity(Activity {
+            id: "K".into(),
+            participant: "p0".into(),
+            join: JoinKind::All,
+            requests: vec![],
+            responses: vec!["f".into()],
+        })
+        .flow("A", "L")
+        .flow("A", "Y")
+        .flow("L", "L2")
+        .flow("L2", "K")
+        .flow("Y", "K")
+        .flow_end("K")
+        .build()
+        .unwrap();
+    let f: &[(&str, &str)] = &[("f", "x")];
+    let gw = GeneratedWorkflow::scripted(def, &[("A", f), ("L", f), ("L2", f), ("Y", f), ("K", f)]);
+    for advanced in [false, true] {
+        let art = fuzz::run_generated(&gw, advanced, fuzz::Variant::Honest).unwrap();
+        let cascade: Vec<String> =
+            art.document.cers().unwrap().iter().map(|c| c.key.activity.clone()).collect();
+        let hops: Vec<&str> =
+            ok_hops(&art.events).into_iter().map(|i| art.events[i].activity.as_str()).collect();
+        assert_eq!(cascade, ["A", "Y", "L", "L2", "K"]);
+        assert_eq!(hops, ["A", "L", "Y", "L2", "K"]);
+        assert_eq!(reconcile(&art.events, &art.document).unwrap().hops_matched, 5);
+    }
+}
+
+#[test]
 fn disabled_tracer_records_nothing_and_cannot_reconcile() {
     let tracer = Tracer::disabled();
     let mut span = tracer.span(stage::HOP).actor("x");
