@@ -26,6 +26,9 @@
 //!   `FederationController`, quarantines every portal of the indicted
 //!   cloud and fails the deployment over.
 //!
+//! Every cell also records the scan-counter delta of the latency
+//! statistic, which its view answers without reading a pool row.
+//!
 //! All numbers are virtual-time: `BENCH_dashboard.json` (held against
 //! `perf/BENCH_dashboard.baseline.json`), the 300-instance cell's
 //! `fleet_dashboard.json` and the alert stream
@@ -79,9 +82,15 @@ fn non_latest_doc_keys(pool: &HTable) -> Vec<String> {
         .collect()
 }
 
-/// The leading fields of a cell's row.
-fn cell(name: &str, instances: usize, completed: usize) -> Row {
-    Row::new().with("cell", name).with("instances", instances).with("completed", completed)
+/// The leading fields of a cell's row, with the rows the latency statistic
+/// scans on every member cloud: 0 while its view answers it. Taken before
+/// the `views ≡ scan` check, which would measure a lagging process first.
+fn cell(name: &str, instances: usize, completed: usize, sys: &CloudSystem) -> Row {
+    let scanned = || sys.audit_pools().iter().map(|(_, _, pool)| pool.scan_counters().0).sum();
+    let before: usize = scanned();
+    sys.activity_latency_stats(2);
+    let row = Row::new().with("cell", name).with("instances", instances);
+    row.with("completed", completed).with("latency_scanned_rows", scanned() - before)
 }
 
 /// Close a cell: export every layer's books — declaring the `forged` rows,
@@ -143,6 +152,7 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
     let statuses = sys.statistics_by_status(4);
     let (rows_after, regions_after) = sys.active_pool().scan_counters();
     let complete_statuses = statuses.get("complete").copied().unwrap_or(0);
+    let cell = cell(&format!("fleet-{n:04}"), n, completed, &sys);
 
     // incremental views vs a fresh full recompute: map and byte identity
     let views_identical = sys.views_match_scan(4).is_ok()
@@ -150,7 +160,6 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
         && complete_statuses == completed;
 
     let auditor = full_audit_sweep(&fx, &sys, 4);
-    let cell = cell(&format!("fleet-{n:04}"), n, completed);
     // nothing was forged: whatever the auditor indicts is a false positive
     let row = close(cell, &fx, &sys, &auditor, &[], views_identical, out)
         .set("agg_scanned_rows", rows_after - rows_before)
@@ -182,7 +191,7 @@ fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
     }
 
     let auditor = full_audit_sweep(&fx, &sys, 2);
-    let cell = cell(&format!("tamper-{seed}"), n, completed);
+    let cell = cell(&format!("tamper-{seed}"), n, completed, &sys);
     let views_identical = sys.views_match_scan(2).is_ok();
     close(cell, &fx, &sys, &auditor, &forged, views_identical, out)
 }
@@ -207,7 +216,7 @@ fn run_federated_cell(out: &mut ClaimOutput) -> Row {
     // auditor's alert is consumed on the next poll
     sys.federation_poll();
 
-    let cell = cell("federated-quarantine", n, completed);
+    let cell = cell("federated-quarantine", n, completed, &sys);
     let views_identical = sys.views_match_scan(2).is_ok();
     let row = close(cell, &fx, &sys, &auditor, &[key], views_identical, out);
     let stats = ctrl.stats();
@@ -240,6 +249,10 @@ pub(super) fn run() -> ClaimOutput {
         cells.iter().filter(|c| c.text("cell").starts_with("fleet-")).all(|c| {
             c.int("agg_scanned_rows") > 0 && c.int("agg_scanned_rows") < c.int("pool_rows")
         }),
+    );
+    out.verdict(
+        "the latency statistic reads no pool row in any cell",
+        cells.iter().all(|c| c.int("latency_scanned_rows") == 0),
     );
     out.verdict(
         "incremental views byte-identical to full recompute everywhere",

@@ -14,7 +14,7 @@ use crate::sched::{Activation, ActivationBus};
 use crate::schema::{self, Name, RowKey, SEQ, STATUS, STEPS, WORKFLOW};
 use crate::store::{CloudStore, Stored};
 use dra4wfms_core::faultpoint::site;
-use dra4wfms_core::monitor::ProcessStatus;
+use dra4wfms_core::monitor::{self, ProcessStatus};
 use dra4wfms_core::prelude::*;
 use dra_docpool::{map_reduce_scan, FleetViews, HTable, PutOp};
 use dra_obs::{stage, MetricsRegistry, Tracer};
@@ -105,10 +105,11 @@ pub struct CloudSystem {
     /// Span recorder for portal admissions; disabled (free) unless
     /// [`CloudSystem::with_tracer`] is used.
     tracer: Tracer,
-    /// Incrementally maintained fleet views — status and progress — fed by
-    /// the fold over applied mutations below. Dashboards read these in
-    /// O(view size); the differential check [`CloudSystem::views_match_scan`]
-    /// proves them equivalent to a fresh scan recompute.
+    /// Incrementally maintained fleet views — status and progress, fed by
+    /// the fold over applied mutations below, and timestamp gaps, fed by
+    /// admission. Dashboards read these in O(view size); the differential
+    /// check [`CloudSystem::views_match_scan`] proves them equivalent to a
+    /// fresh scan recompute.
     views: Arc<FleetViews>,
 }
 
@@ -487,6 +488,8 @@ impl CloudSystem {
         active.commit(&ops, 1, crash(site::PORTAL_BETWEEN_SEEN_AND_STORE))?;
         active.advance(pid, seq, Arc::clone(&wire), cut, route.is_final());
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
+        // the tree the verifier has just checked: attribute reads, no parse
+        self.views.record_gaps(pid.as_str(), seq as u64, monitor::gaps(sealed.document()));
         stats.stored.fetch_add(1, Ordering::Relaxed);
         // Replication: charge and commit the identical batch on every
         // reachable peer cloud before acking. A replica torn between append
@@ -619,43 +622,28 @@ impl CloudSystem {
         )
     }
 
-    /// MapReduce over the stored documents themselves: per-activity count
-    /// and mean TFC-timestamp gap to the previous CER (advanced model) —
-    /// the "statistics on the performance of one or more processes" that
-    /// §2.2 says monitoring must provide. Returns
-    /// `activity -> (executions, mean gap ms)`.
-    pub fn activity_latency_stats(&self, threads: usize) -> BTreeMap<String, (usize, f64)> {
+    /// Per-activity count and mean TFC-timestamp gap ([`monitor::gaps`]) over
+    /// the latest stored version of every process (advanced model) — the
+    /// "statistics on the performance of one or more processes" that §2.2
+    /// says monitoring must provide. Returns
+    /// `activity -> (executions, mean gap ms)`. A view: admission records
+    /// each version's gaps, and the pool is read only for a process whose
+    /// entry lags its progress. `_threads` is unused.
+    pub fn activity_latency_stats(&self, _threads: usize) -> BTreeMap<String, (usize, f64)> {
+        self.fill_lagging_gaps();
+        let totals = self.views.gap_totals().into_iter();
+        totals.map(|(activity, (n, sum))| (activity, (n as usize, sum as f64 / n as f64))).collect()
+    }
+
+    /// Measure each process whose gap entry is older than its progress — an
+    /// admission torn before it recorded, which replay repaired, or a cold
+    /// restart — once, on its latest stored version; the result is kept.
+    fn fill_lagging_gaps(&self) {
         let active = self.active_cloud();
-        map_reduce_scan(
-            active.pool(),
-            &schema::all_meta(),
-            threads,
-            |key, _| {
-                // load the latest stored document of this process
-                let Some(RowKey::Meta(pid)) = RowKey::parse(key) else { return vec![] };
-                let Some(xml) = active.latest(pid).and_then(|stored| stored.xml.ok()) else {
-                    return vec![];
-                };
-                let Ok(doc) = DraDocument::parse(&xml) else { return vec![] };
-                let Ok(cers) = doc.cers() else { return vec![] };
-                let mut out = Vec::new();
-                let mut prev_ts: Option<u64> = None;
-                for cer in cers {
-                    if let Some(ts) = cer.timestamp_millis() {
-                        if let Some(p) = prev_ts {
-                            out.push((cer.key.activity.clone(), ts.saturating_sub(p)));
-                        }
-                        prev_ts = Some(ts);
-                    }
-                }
-                out
-            },
-            |_, gaps| {
-                let n = gaps.len();
-                let mean = gaps.iter().sum::<u64>() as f64 / n as f64;
-                (n, mean)
-            },
-        )
+        for (pid, seq) in self.views.lagging_gaps() {
+            let gaps = Name::new(&pid).ok().and_then(|pid| latest_document(active, pid));
+            self.views.record_gaps(&pid, seq, gaps.as_ref().map(monitor::gaps).unwrap_or_default());
+        }
     }
 
     /// MapReduce: total executed steps per workflow name.
@@ -705,12 +693,27 @@ impl CloudSystem {
     }
 
     /// The differential check `views ≡ scan`: recompute the pool-derived
-    /// views (status counts, per-process progress) with a fresh MapReduce
-    /// over the scan API and compare cell by cell. `Ok(())` when identical;
-    /// `Err` names the first divergent cell.
+    /// views (status counts, per-process progress, and the latency answer as
+    /// per-activity gap count and sum, each latest stored version parsed
+    /// afresh) with a MapReduce over the scan API and compare cell by cell.
+    /// `Ok(())` when identical; `Err` names the first divergent cell.
     pub fn views_match_scan(&self, threads: usize) -> Result<(), String> {
         let (status, progress) = self.recompute_views_from_pool(threads);
-        self.views.diff_against(&status, &progress)
+        let active = self.active_cloud();
+        let gaps = map_reduce_scan(
+            active.pool(),
+            &schema::all_meta(),
+            threads,
+            |key, _| match RowKey::parse(key) {
+                Some(RowKey::Meta(pid)) => {
+                    latest_document(active, pid).map(|doc| monitor::gaps(&doc)).unwrap_or_default()
+                }
+                _ => vec![],
+            },
+            |_, gaps| (gaps.len() as u64, gaps.iter().sum()),
+        );
+        self.fill_lagging_gaps();
+        self.views.diff_against(&status, &progress, &gaps)
     }
 
     /// The scan-recomputed pool views rendered in the identical byte format
@@ -805,6 +808,11 @@ impl CloudSystem {
         sys.active_cloud().seed_views(&sys.views);
         Ok(sys)
     }
+}
+
+/// The latest stored version of `pid` on `cloud`, parsed.
+fn latest_document(cloud: &CloudStore, pid: Name<'_>) -> Option<DraDocument> {
+    DraDocument::parse(&cloud.latest(pid)?.xml.ok()?).ok()
 }
 
 /// Wire bytes as they arrived, parsed, carrying the mark their sender holds

@@ -6,9 +6,34 @@
 //! advanced model's TFC timestamps give finish times; the basic model still
 //! exposes execution order and participation.
 
-use crate::document::{CerKey, DraDocument};
+use crate::document::{CerKey, DraDocument, PredRef};
 use crate::error::WfResult;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// The TFC-timestamp gaps of a document, the one definition of a gap: each
+/// stamped CER, as `(activity, ms)`, measured from the latest-stamped CER its
+/// `preds` name. A CER with no stamped pred (the first activity, whose pred
+/// is `Def`) has none. Attribute reads only; a document whose CERs do not
+/// read has no gaps.
+pub fn gaps(doc: &DraDocument) -> Vec<(String, u64)> {
+    let Ok(cers) = doc.cers() else { return vec![] };
+    let stamps: HashMap<&CerKey, u64> =
+        cers.iter().filter_map(|c| Some((&c.key, c.timestamp_millis()?))).collect();
+    cers.iter()
+        .filter_map(|cer| {
+            let at = stamps.get(&cer.key)?;
+            let from = cer
+                .preds
+                .iter()
+                .filter_map(|p| match p {
+                    PredRef::Cer(key) => stamps.get(key),
+                    PredRef::Def => None,
+                })
+                .max()?;
+            Some((cer.key.activity.clone(), at.saturating_sub(*from)))
+        })
+        .collect()
+}
 
 /// One executed activity iteration, as seen by a monitor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -226,6 +251,46 @@ mod tests {
         assert!(trail.contains("A#0"));
         assert!(trail.contains("A#1"));
         assert!(trail.contains("t=250ms"));
+    }
+
+    fn stamped(activity: &str, preds: &str, time: u64) -> Element {
+        Element::new("CER")
+            .attr("activity", activity)
+            .attr("iter", "0")
+            .attr("participant", "p")
+            .attr("preds", preds)
+            .child(Element::new("Result"))
+            .child(Element::new("Timestamp").attr("time", time.to_string()).attr("by", "TFC"))
+    }
+
+    #[test]
+    fn a_merged_branch_is_measured_from_its_own_pred() {
+        let (_, def) = fixture_doc();
+        let designer = Credentials::from_seed("designer", "d");
+        let base =
+            DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "and")
+                .unwrap();
+        // A splits to B and C; the TFC stamps C before B
+        let branch = |cer: Element| {
+            let mut doc = base.clone();
+            doc.push_cer(stamped("A", "Def", 100)).unwrap();
+            doc.push_cer(cer).unwrap();
+            doc
+        };
+        let (b, c) = (branch(stamped("B", "A#0", 400)), branch(stamped("C", "A#0", 250)));
+        // the join merges B's branch first, so C follows B in document order
+        let mut joined = crate::flow::merge_documents(&[b, c]).unwrap();
+        joined.push_cer(stamped("D", "B#0,C#0", 500)).unwrap();
+        let keys: Vec<_> = joined.cers().unwrap().iter().map(|c| c.key.to_string()).collect();
+        assert_eq!(keys, ["A#0", "B#0", "C#0", "D#0"]);
+
+        let gaps = gaps(&joined);
+        assert_eq!(
+            gaps,
+            [("B".into(), 300), ("C".into(), 150), ("D".into(), 100)],
+            "C from A, not 0 from B; D from its latest-stamped pred"
+        );
+        assert_eq!(gaps.len(), keys.len() - 1, "one gap per stamped CER after the first");
     }
 
     #[test]

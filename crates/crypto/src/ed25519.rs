@@ -726,6 +726,13 @@ impl std::fmt::Debug for SecretKey {
     }
 }
 
+/// The two 32-byte halves of a 64-byte string — a signature's `R ‖ S`, a
+/// SHA-512 digest's `a ‖ prefix`: the sizes are types, so the split cannot
+/// fail.
+fn halves(bytes: &[u8; 64]) -> ([u8; 32], [u8; 32]) {
+    (std::array::from_fn(|i| bytes[i]), std::array::from_fn(|i| bytes[32 + i]))
+}
+
 fn clamp(mut a: [u8; 32]) -> [u8; 32] {
     a[0] &= 248;
     a[31] &= 127;
@@ -738,9 +745,8 @@ impl SecretKey {
     /// multiplication, paid here so that [`SecretKey::sign`] and
     /// [`SecretKey::public_key`] pay neither.
     pub fn from_seed(seed: [u8; 32]) -> SecretKey {
-        let h = crate::sha2::sha512(&seed);
-        let a = clamp(h[..32].try_into().expect("split"));
-        let prefix = h[32..].try_into().expect("split");
+        let (a, prefix) = halves(&crate::sha2::sha512(&seed));
+        let a = clamp(a);
         let public = PublicKey(Point::basepoint_mul(&a).compress());
         SecretKey { seed, a, prefix, public }
     }
@@ -810,8 +816,7 @@ impl PublicKey {
     /// invalid point encodings.
     #[must_use]
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        let r_enc: [u8; 32] = signature.0[..32].try_into().expect("split");
-        let s: [u8; 32] = signature.0[32..].try_into().expect("split");
+        let (r_enc, s) = halves(&signature.0);
         if !scalar_is_canonical(&s) {
             return false;
         }
@@ -838,8 +843,7 @@ impl PublicKey {
     /// as the oracle [`PublicKey::verify`]'s verdicts are held against.
     #[cfg(test)]
     fn verify_two_ladders(&self, message: &[u8], signature: &Signature) -> bool {
-        let r_enc: [u8; 32] = signature.0[..32].try_into().expect("split");
-        let s: [u8; 32] = signature.0[32..].try_into().expect("split");
+        let (r_enc, s) = halves(&signature.0);
         if !scalar_is_canonical(&s) {
             return false;
         }
@@ -919,8 +923,7 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> bool {
     let mut a_points = Vec::with_capacity(n);
     let mut ks = Vec::with_capacity(n);
     for (msg, sig, pk) in entries {
-        let r_enc: [u8; 32] = sig.0[..32].try_into().expect("split");
-        let s: [u8; 32] = sig.0[32..].try_into().expect("split");
+        let (r_enc, s) = halves(&sig.0);
         if !scalar_is_canonical(&s) {
             return false;
         }

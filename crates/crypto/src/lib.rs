@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod b64;
 pub mod chacha20;
@@ -80,6 +81,11 @@ pub fn random_bytes(buf: &mut [u8]) {
     });
 }
 
+// The crate's one `expect`. Its callers — key generation, nonces, the
+// ephemeral keys of sealed boxes — return bare keys and boxes all the way up
+// to the document layer: without an entropy source none of them can work,
+// and no caller could do anything but stop.
+#[allow(clippy::expect_used)]
 fn os_entropy() -> [u8; 32] {
     use std::io::Read;
     let mut seed = [0u8; 32];

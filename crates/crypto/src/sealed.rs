@@ -107,7 +107,7 @@ pub fn open(recipient: &X25519Secret, boxed: &[u8]) -> Result<Vec<u8>, SealError
     if boxed.len() < SEAL_OVERHEAD {
         return Err(SealError::Truncated);
     }
-    let eph_pub = X25519PublicKey(boxed[..32].try_into().expect("framing"));
+    let eph_pub = X25519PublicKey(std::array::from_fn(|i| boxed[i]));
     let shared = recipient.diffie_hellman(&eph_pub);
     let keys = derive_keys(&shared, &ecies_context(&eph_pub, &recipient.public_key()));
     check_then_decrypt(keys, boxed, 32)
@@ -145,7 +145,8 @@ pub fn seal_static_synthetic(secret: &[u8; 32], context: &[u8], plaintext: &[u8]
     h.update(&(context.len() as u64).to_be_bytes());
     h.update(context);
     h.update(plaintext);
-    let nonce = h.finalize()[..NONCE_LEN].try_into().expect("12 <= 32");
+    let digest = h.finalize();
+    let nonce = std::array::from_fn(|i| digest[i]);
     seal_static_with_nonce(secret, context, nonce, plaintext)
 }
 
@@ -163,7 +164,7 @@ pub fn open_static(secret: &[u8; 32], context: &[u8], boxed: &[u8]) -> Result<Ve
     if boxed.len() < SECRETBOX_OVERHEAD {
         return Err(SealError::Truncated);
     }
-    let nonce: [u8; NONCE_LEN] = boxed[..NONCE_LEN].try_into().expect("framing");
+    let nonce = std::array::from_fn(|i| boxed[i]);
     check_then_decrypt(static_keys(secret, context, &nonce), boxed, 0)
 }
 
@@ -231,8 +232,7 @@ fn check_then_decrypt(
     if !ct_eq(&hmac_sha256(&mac_key, body), tag) {
         return Err(SealError::BadTag);
     }
-    let nonce: [u8; NONCE_LEN] =
-        body[prefix_len..prefix_len + NONCE_LEN].try_into().expect("framing");
+    let nonce = std::array::from_fn(|i| body[prefix_len + i]);
     let mut pt = body[prefix_len + NONCE_LEN..].to_vec();
     ChaCha20::new(&enc_key, &nonce, 1).apply(&mut pt);
     Ok(pt)

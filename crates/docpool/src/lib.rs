@@ -44,4 +44,4 @@ pub use mapreduce::map_reduce_scan;
 pub use persist::PersistError;
 pub use row::RowSnapshot;
 pub use scan::{Scan, ScanResult};
-pub use views::FleetViews;
+pub use views::{FleetViews, GapTotals};

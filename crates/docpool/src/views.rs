@@ -14,14 +14,24 @@
 //! view — which is exactly what makes the views crash-consistent: recovery
 //! replays the journal through the same hook that live admissions use.
 //!
+//! The latency view keeps each process's timestamp gaps as measured on the
+//! version its admission stored, replaced only by a higher version. The
+//! cloud layer feeds it at admission; a process whose entry is older than
+//! its progress (a torn admission that replay repaired, a cold restart) is
+//! listed by [`FleetViews::lagging_gaps`] for the caller to measure once.
+//!
 //! The differential check (`views ≡ scan`) is the proof obligation: the
-//! pool-derived views (status counts, per-process progress) must stay
-//! byte-identical to a fresh [`crate::map_reduce_scan`] recompute after any
-//! schedule of admissions, crashes and failovers. The cloud layer exposes it
-//! as `CloudSystem::views_match_scan`.
+//! pool-derived views (status counts, per-process progress, per-activity
+//! gap totals) must equal a fresh [`crate::map_reduce_scan`] recompute after
+//! any schedule of admissions, crashes and failovers. The cloud layer
+//! exposes it as `CloudSystem::views_match_scan`.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
+
+/// Per activity: `(gaps counted, Σ gap ms)`.
+pub type GapTotals = BTreeMap<String, (u64, u64)>;
 
 #[derive(Default)]
 struct ViewState {
@@ -29,6 +39,18 @@ struct ViewState {
     process_status: BTreeMap<String, String>,
     /// pid → stored document versions (max seq + 1; max-merged).
     process_progress: BTreeMap<String, u64>,
+    /// pid → (seq of the version measured, `(activity, gap ms)` of it).
+    process_gaps: BTreeMap<String, (u64, Vec<(String, u64)>)>,
+}
+
+impl ViewState {
+    fn status_counts(&self) -> BTreeMap<String, u64> {
+        let mut counts = BTreeMap::new();
+        for status in self.process_status.values() {
+            *counts.entry(status.clone()).or_insert(0) += 1;
+        }
+        counts
+    }
 }
 
 /// Materialized monitoring aggregates, maintained incrementally.
@@ -57,14 +79,43 @@ impl FleetViews {
         *slot = (*slot).max(seq + 1);
     }
 
+    /// Record the timestamp gaps of a process's stored version `seq`. The
+    /// entry is replaced only by a higher `seq`, so a replay or a late
+    /// measurement of an older version cannot move it backwards.
+    pub fn record_gaps(&self, process_id: &str, seq: u64, gaps: Vec<(String, u64)>) {
+        let mut st = self.state.lock();
+        if st.process_gaps.get(process_id).is_none_or(|&(at, _)| at < seq) {
+            st.process_gaps.insert(process_id.to_string(), (seq, gaps));
+        }
+    }
+
+    /// Processes whose gap entry is older than their latest stored version,
+    /// as `(pid, latest seq)`: what [`FleetViews::record_gaps`] still has to
+    /// be told before [`FleetViews::gap_totals`] answers for the pool.
+    pub fn lagging_gaps(&self) -> Vec<(String, u64)> {
+        let st = self.state.lock();
+        let mut lagging = Vec::new();
+        for (pid, &versions) in &st.process_progress {
+            if st.process_gaps.get(pid).is_none_or(|&(at, _)| at + 1 < versions) {
+                lagging.push((pid.clone(), versions - 1));
+            }
+        }
+        lagging
+    }
+
+    /// Per-activity `(count, Σ gap ms)` over every process's entry.
+    pub fn gap_totals(&self) -> GapTotals {
+        let mut totals = GapTotals::new();
+        for (activity, gap) in self.state.lock().process_gaps.values().flat_map(|(_, gaps)| gaps) {
+            let slot = totals.entry(activity.clone()).or_insert((0, 0));
+            *slot = (slot.0 + 1, slot.1 + gap);
+        }
+        totals
+    }
+
     /// Per-status process counts, derived from the per-process status view.
     pub fn status_counts(&self) -> BTreeMap<String, u64> {
-        let st = self.state.lock();
-        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-        for status in st.process_status.values() {
-            *counts.entry(status.clone()).or_insert(0) += 1;
-        }
-        counts
+        self.state.lock().status_counts()
     }
 
     /// Stored document versions per process.
@@ -77,16 +128,7 @@ impl FleetViews {
     /// for the differential check against a scan recompute.
     pub fn pool_view_json(&self) -> String {
         let st = self.state.lock();
-        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
-        for status in st.process_status.values() {
-            *counts.entry(status.as_str()).or_insert(0) += 1;
-        }
-        let mut out = String::from("{\"status\":{");
-        push_map(&mut out, counts.iter().map(|(k, v)| (*k, *v)));
-        out.push_str("},\"progress\":{");
-        push_map(&mut out, st.process_progress.iter().map(|(k, v)| (k.as_str(), *v)));
-        out.push_str("}}");
-        out
+        Self::render_pool_view(&st.status_counts(), &st.process_progress)
     }
 
     /// Build the pool-derived sections from externally recomputed maps —
@@ -111,15 +153,11 @@ impl FleetViews {
     /// A portal or cloud with nothing to count yet is left out.
     pub fn dashboard_json(&self, portals: &[(u64, u64)], clouds: &[(&str, u64)]) -> String {
         let st = self.state.lock();
-        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
-        for status in st.process_status.values() {
-            *counts.entry(status.as_str()).or_insert(0) += 1;
-        }
         let head = clouds.iter().map(|&(_, w)| w).max().unwrap_or(0);
         let docs_total: u64 = st.process_progress.values().sum();
 
         let mut out = String::from("{\n\"status\":{");
-        push_map(&mut out, counts.iter().map(|(k, v)| (*k, *v)));
+        push_map(&mut out, st.status_counts().iter().map(|(k, v)| (k.as_str(), *v)));
         out.push_str("},\n\"portals\":{");
         let served = portals.iter().enumerate().filter(|(_, &portal)| portal != (0, 0));
         for (i, (p, (adm, ntf))) in served.enumerate() {
@@ -156,18 +194,11 @@ impl FleetViews {
         &self,
         status_scan: &BTreeMap<String, u64>,
         progress_scan: &BTreeMap<String, u64>,
+        gaps_scan: &GapTotals,
     ) -> Result<(), String> {
-        let view_status = self.status_counts();
-        if &view_status != status_scan {
-            let cell = first_diff(&view_status, status_scan);
-            return Err(format!("status view diverges from scan recompute at {cell}"));
-        }
-        let view_progress = self.progress();
-        if &view_progress != progress_scan {
-            let cell = first_diff(&view_progress, progress_scan);
-            return Err(format!("progress view diverges from scan recompute at {cell}"));
-        }
-        Ok(())
+        same("status", &self.status_counts(), status_scan)?;
+        same("progress", &self.progress(), progress_scan)?;
+        same("latency", &self.gap_totals(), gaps_scan)
     }
 }
 
@@ -180,20 +211,21 @@ fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, u64)>)
     }
 }
 
-fn first_diff(a: &BTreeMap<String, u64>, b: &BTreeMap<String, u64>) -> String {
-    for (k, va) in a {
-        match b.get(k) {
-            Some(vb) if vb == va => {}
-            Some(vb) => return format!("{k:?}: view={va} scan={vb}"),
-            None => return format!("{k:?}: view={va} scan=absent"),
-        }
+/// `Err` naming the first key at which `view` and `scan` differ.
+fn same<V: PartialEq + Debug>(
+    name: &str,
+    view: &BTreeMap<String, V>,
+    scan: &BTreeMap<String, V>,
+) -> Result<(), String> {
+    let mut keys = view.keys().chain(scan.keys());
+    match keys.find(|&k| view.get(k) != scan.get(k)) {
+        None => Ok(()),
+        Some(k) => Err(format!(
+            "{name} view diverges from scan recompute at {k:?}: view={:?} scan={:?}",
+            view.get(k),
+            scan.get(k)
+        )),
     }
-    for (k, vb) in b {
-        if !a.contains_key(k) {
-            return format!("{k:?}: view=absent scan={vb}");
-        }
-    }
-    "<equal>".to_string()
 }
 
 #[cfg(test)]
@@ -267,10 +299,34 @@ mod tests {
         let v = FleetViews::new();
         v.record_status("p1", "running");
         v.record_doc("p1", 0);
-        assert!(v.diff_against(&v.status_counts(), &v.progress()).is_ok());
+        v.record_gaps("p1", 0, vec![("B".into(), 7)]);
+        assert!(v.diff_against(&v.status_counts(), &v.progress(), &v.gap_totals()).is_ok());
         let mut bad = v.progress();
         bad.insert("p1".into(), 9);
-        let err = v.diff_against(&v.status_counts(), &bad).unwrap_err();
+        let err = v.diff_against(&v.status_counts(), &bad, &v.gap_totals()).unwrap_err();
         assert!(err.contains("p1"), "{err}");
+        let mut bad = v.gap_totals();
+        bad.insert("B".into(), (1, 8));
+        let err = v.diff_against(&v.status_counts(), &v.progress(), &bad).unwrap_err();
+        assert!(err.contains("latency") && err.contains("\"B\""), "{err}");
+    }
+
+    #[test]
+    fn gaps_move_only_forward_and_lag_behind_progress() {
+        let v = FleetViews::new();
+        v.record_doc("p1", 0);
+        v.record_doc("p1", 1);
+        v.record_doc("p2", 0);
+        assert_eq!(v.lagging_gaps(), [("p1".to_string(), 1), ("p2".to_string(), 0)]);
+        v.record_gaps("p1", 1, vec![("A".into(), 5), ("B".into(), 3)]);
+        v.record_gaps("p2", 0, vec![("A".into(), 2)]);
+        assert!(v.lagging_gaps().is_empty());
+        // an older version, replayed or late, does not replace a newer one
+        v.record_gaps("p1", 0, vec![]);
+        v.record_gaps("p1", 1, vec![]);
+        assert_eq!(v.gap_totals()["A"], (2, 7));
+        assert_eq!(v.gap_totals()["B"], (1, 3));
+        v.record_doc("p2", 1);
+        assert_eq!(v.lagging_gaps(), [("p2".to_string(), 1)]);
     }
 }

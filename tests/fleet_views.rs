@@ -23,18 +23,25 @@
 //! * on a federated deployment the same forgery trips the serve probe, and
 //!   the auditor's alert, pumped through the [`FederationController`],
 //!   quarantines every portal of the tampered cloud and fails admissions
-//!   over to the honest peer.
+//!   over to the honest peer;
+//! * the latency statistic, a view fed at admission, answers exactly what a
+//!   fresh parse of every latest stored version answers — on an advanced
+//!   fleet, after a torn admission, a cold restart and a failover — and
+//!   reads no pool row while no process lags.
 
 use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
     check_metric_invariants, AlertKind, AuditConfig, CloudSystem, Delivery, FaultPlan,
-    FaultProfile, HealthMonitor, PoolAuditor, Topology,
+    FaultProfile, HealthMonitor, PoolAuditor, Topology, Trigger,
 };
 use dra4wfms::core::faultpoint::site;
+use dra4wfms::core::monitor::gaps;
 use dra4wfms::docpool::{HTable, Scan};
 use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Drive instances `view-<id>` through the event-driven scheduler,
@@ -48,15 +55,48 @@ fn two_clouds() -> Topology {
     Topology::new().cloud("east", 2).cloud("west", 2)
 }
 
+/// The latency answer recomputed apart from the deployment: every process's
+/// latest stored version parsed afresh, its gaps summed per activity and
+/// the mean taken as the statistic takes it.
+fn latency_by_hand(sys: &CloudSystem) -> BTreeMap<String, (usize, f64)> {
+    let mut totals: BTreeMap<String, (usize, u64)> = BTreeMap::new();
+    for (pid, versions) in sys.fleet_views().progress() {
+        // a version that does not read has no gaps
+        let latest = sys.retrieve_version(&pid, versions as usize - 1);
+        let Some(doc) = latest.and_then(|xml| DraDocument::parse(&xml).ok()) else { continue };
+        for (activity, gap) in gaps(&doc) {
+            let slot = totals.entry(activity).or_default();
+            *slot = (slot.0 + 1, slot.1 + gap);
+        }
+    }
+    totals.into_iter().map(|(a, (n, sum))| (a, (n, sum as f64 / n as f64))).collect()
+}
+
 /// Every face of the `views ≡ scan` differential at once: the cell-by-cell
 /// diff and the byte-identity of the rendered pool view, at two thread
-/// counts (parallel merge must not perturb the bytes).
+/// counts (parallel merge must not perturb the bytes), and the latency
+/// answer, means compared exactly.
 fn assert_views_identical(sys: &CloudSystem) {
     sys.views_match_scan(1).expect("views ≡ scan (1 thread)");
     sys.views_match_scan(4).expect("views ≡ scan (4 threads)");
     let incremental = sys.fleet_views().pool_view_json();
     assert_eq!(incremental, sys.recompute_pool_view_json(1), "byte identity, 1 thread");
     assert_eq!(incremental, sys.recompute_pool_view_json(4), "byte identity, 4 threads");
+    assert_eq!(sys.activity_latency_stats(2), latency_by_hand(sys), "latency view ≡ recompute");
+}
+
+/// Fig. 9B on a TFC clock whose steps vary, so that gaps differ per hop.
+fn advanced_rig() -> Rig {
+    let tick = AtomicU64::new(0);
+    Rig::fig9(true).tfc_clock(Arc::new(move || {
+        let t = tick.fetch_add(1, Ordering::Relaxed);
+        1_000 + 10 * t + t * t % 7
+    }))
+}
+
+/// Rows the active pool's scans have touched so far.
+fn scanned_rows(sys: &CloudSystem) -> usize {
+    sys.active_pool().scan_counters().0
 }
 
 /// The keys of `pid`'s versions `seqs`, as rows of cloud `cloud`.
@@ -325,4 +365,77 @@ fn federated_forgery_quarantines_the_tampered_cloud_when_pumped() {
     let alerts = rig.monitor.alerts();
     assert_eq!(alerts.len(), 2, "one portal_tampered alert per indicted portal");
     assert!(alerts.iter().all(|a| matches!(a.kind, AlertKind::PortalTampered { .. })));
+}
+
+/// An advanced fleet: one gap per stamped CER after each instance's first,
+/// the means equal to a fresh parse of every latest version to the last
+/// bit, and a corrupted view entry caught by the differential check.
+#[test]
+fn advanced_fleet_latency_view_equals_recompute() {
+    let rig = advanced_rig();
+    let sys = rig.cloud(2);
+    drive(&rig, &sys, 0..4, sys.channel());
+    assert_views_identical(&sys);
+    let latency = sys.activity_latency_stats(2);
+    assert_eq!(latency.values().map(|(n, _)| n).sum::<usize>(), 4 * 8, "9 stamped CERs each");
+    assert!(latency.values().all(|&(_, mean)| mean >= 10.0), "{latency:?}");
+
+    // one view entry corrupted: the latency answer no longer matches
+    sys.fleet_views().record_gaps("view-0", 99, vec![("B1".into(), 1)]);
+    let err = sys.views_match_scan(2).unwrap_err();
+    assert!(err.contains("latency"), "{err}");
+}
+
+/// The last admission of an instance tears after its `seen/` row; the
+/// channel restarts the portal and replay stores the version, but nothing
+/// recorded its gaps. The next read measures that process once, from the
+/// pool, and keeps the result; a cold restart measures every process once.
+#[test]
+fn a_lagging_process_is_measured_once_after_a_torn_admission_and_a_restart() {
+    let plan = FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 10);
+    let rig = advanced_rig().with_faults(&plan);
+    let sys = rig.cloud(2);
+    drive(&rig, &sys, 0..1, sys.channel());
+    assert_eq!(plan.fired(), 1, "the final admission tore");
+    assert!(sys.journal_replays() > 0, "replay stored it");
+    assert_eq!(sys.fleet_views().lagging_gaps(), [("view-0".to_string(), 9)]);
+    assert_views_identical(&sys);
+    assert!(sys.fleet_views().lagging_gaps().is_empty(), "measured once, kept");
+    let before = scanned_rows(&sys);
+    let live = sys.activity_latency_stats(2);
+    assert_eq!(scanned_rows(&sys), before, "kept: no second read");
+
+    let restored =
+        CloudSystem::restore(rig.dir.clone(), 2, Arc::clone(&rig.network), &sys.snapshot_pool())
+            .unwrap();
+    assert_eq!(restored.fleet_views().lagging_gaps().len(), 1, "a restart seeds no gaps");
+    assert_views_identical(&restored);
+    assert_eq!(restored.activity_latency_stats(2), live, "a restart changes no answer");
+}
+
+/// East goes down mid-fleet: admissions fail over to west, whose replicas
+/// the statistic now reads, and the view still answers what they hold.
+#[test]
+fn latency_view_survives_a_federated_failover() {
+    let plan = FaultPlan::of([(site::cloud("east"), Trigger::From(10_000))]);
+    let rig = advanced_rig().with_faults(&plan);
+    let (sys, ctrl) = rig.federated(two_clouds());
+    drive(&rig, &sys, 0..3, sys.channel());
+    let stats = ctrl.stats();
+    assert!(stats.replicas_acked > 0, "east admitted and replicated before it went down");
+    assert_eq!((stats.failovers, stats.active_cloud), (1, 1), "then admissions failed over");
+    assert_views_identical(&sys);
+    assert_eq!(sys.activity_latency_stats(2).values().map(|(n, _)| n).sum::<usize>(), 3 * 8);
+}
+
+/// The operator's latency read touches no pool row: the view answers it.
+#[test]
+fn latency_statistic_on_a_fifty_instance_fleet_scans_no_row() {
+    let rig = advanced_rig();
+    let sys = rig.cloud(4);
+    drive(&rig, &sys, 0..50, sys.channel());
+    let before = scanned_rows(&sys);
+    let latency = sys.activity_latency_stats(4);
+    assert_eq!(scanned_rows(&sys) - before, 0, "no row scanned");
+    assert_eq!(latency.values().map(|(n, _)| n).sum::<usize>(), 50 * 8);
 }
