@@ -51,9 +51,10 @@ fn pids(prefix: &str, n: usize) -> impl Iterator<Item = String> + '_ {
 
 /// Drive the auditor through one complete sweep of every member cloud in
 /// virtual time: enough periodic passes to wrap the largest `doc/` range.
-fn full_audit_sweep(fx: &Rig, sys: &CloudSystem, threads: usize) -> PoolAuditor {
-    let auditor =
-        PoolAuditor::new(AuditConfig { batch: AUDIT_BATCH, period_us: AUDIT_PERIOD_US, threads });
+fn full_audit_sweep(fx: &Rig, sys: &CloudSystem) -> PoolAuditor {
+    let config =
+        AuditConfig { batch: AUDIT_BATCH, period_us: AUDIT_PERIOD_US, ..AuditConfig::default() };
+    let auditor = PoolAuditor::new(config);
     let doc_rows = sys
         .audit_pools()
         .iter()
@@ -156,10 +157,10 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
 
     // incremental views vs a fresh full recompute: map and byte identity
     let views_identical = sys.views_match_scan(4).is_ok()
-        && sys.fleet_views().pool_view_json() == sys.recompute_pool_view_json(4)
+        && sys.fleet_views().pool_view_json() == sys.recompute_pool_view_json()
         && complete_statuses == completed;
 
-    let auditor = full_audit_sweep(&fx, &sys, 4);
+    let auditor = full_audit_sweep(&fx, &sys);
     // nothing was forged: whatever the auditor indicts is a false positive
     let row = close(cell, &fx, &sys, &auditor, &[], views_identical, out)
         .set("agg_scanned_rows", rows_after - rows_before)
@@ -190,7 +191,7 @@ fn run_tamper_cell(seed: u64, out: &mut ClaimOutput) -> Row {
         }
     }
 
-    let auditor = full_audit_sweep(&fx, &sys, 2);
+    let auditor = full_audit_sweep(&fx, &sys);
     let cell = cell(&format!("tamper-{seed}"), n, completed, &sys);
     let views_identical = sys.views_match_scan(2).is_ok();
     close(cell, &fx, &sys, &auditor, &forged, views_identical, out)
@@ -211,7 +212,7 @@ fn run_federated_cell(out: &mut ClaimOutput) -> Row {
     let key = non_latest_doc_keys(active_pool).first().cloned().expect("non-latest row");
     forge_stored_row(active_pool, &key, flip_tail);
 
-    let auditor = full_audit_sweep(&fx, &sys, 2);
+    let auditor = full_audit_sweep(&fx, &sys);
     // the scheduler normally polls between dispatches; the background
     // auditor's alert is consumed on the next poll
     sys.federation_poll();

@@ -3,7 +3,8 @@
 //! sets with real-time random access.
 //!
 //! Loads N finished-workflow documents into the pool, then measures mixed
-//! random access and MapReduce statistics at several thread counts.
+//! random access at several thread counts and MapReduce statistics as one
+//! fold on the calling thread.
 
 use super::{on_threads, ClaimOutput};
 use crate::rig::Rig;
@@ -44,7 +45,7 @@ pub(super) fn run() -> ClaimOutput {
     );
 
     // mixed random access: 80% get, 20% prefix scan
-    println!("{:>8} {:>14} {:>16}", "threads", "random ops/s", "mapreduce (ms)");
+    println!("{:>8} {:>14}", "threads", "random ops/s");
     for threads in [1usize, 2, 4, 8] {
         let ops = 40_000usize;
         metrics.incr("pool.random_ops", ops as u64);
@@ -62,27 +63,21 @@ pub(super) fn run() -> ClaimOutput {
                 let _ = table.get(&format!("meta/{pid}"), "meta", "status");
             }
         });
-        let access = t.elapsed();
-
-        let t = Instant::now();
-        let counts = map_reduce_scan(
-            &table,
-            &Scan::prefix("meta/").family("meta"),
-            threads,
-            |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
-            |_, vs| vs.len(),
-        );
-        let mr = t.elapsed();
-        assert_eq!(counts.values().sum::<usize>(), n);
-        println!(
-            "{:>8} {:>14.0} {:>16.1}",
-            threads,
-            ops as f64 / access.as_secs_f64(),
-            mr.as_secs_f64() * 1e3
-        );
+        println!("{:>8} {:>14.0}", threads, ops as f64 / t.elapsed().as_secs_f64());
     }
+
+    let t = Instant::now();
+    let counts = map_reduce_scan(
+        &table,
+        &Scan::prefix("meta/").family("meta"),
+        |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
+        |_, vs| vs.len(),
+    );
+    let mr = t.elapsed();
+    assert_eq!(counts.values().sum::<usize>(), n);
+    println!("\nMapReduce status statistics over {n} meta/ rows, one fold: {mr:.1?}");
     println!("\nC5 verdict: random access stays flat as documents grow (range-partitioned");
-    println!("regions) and MapReduce statistics scale with threads — matching the role");
+    println!("regions) and MapReduce statistics run over the whole set — matching the role");
     println!("HBase+Hadoop played in the paper's deployment.");
     let mut out = ClaimOutput::default();
     out.invariants("run", &metrics);

@@ -48,13 +48,14 @@ pub struct AuditConfig {
     pub batch: usize,
     /// Virtual-time interval between passes ([`PoolAuditor::due`]).
     pub period_us: u64,
-    /// Worker threads for the batched signature checks.
+    /// Ignored (the auditor verifies its sample in order, on the calling
+    /// thread); `crates/e2e` still sets it, and ROADMAP item 1 removes it.
     pub threads: usize,
 }
 
 impl Default for AuditConfig {
     fn default() -> AuditConfig {
-        AuditConfig { batch: 16, period_us: 250_000, threads: 2 }
+        AuditConfig { batch: 16, period_us: 250_000, threads: 1 }
     }
 }
 
@@ -141,16 +142,12 @@ impl PoolAuditor {
             // The store's verdict binds each row to its admission and its
             // process; the signature pass below stays the authority on the
             // content, so a forged `seen/` row vouches for nothing.
-            let mut keys: Vec<&String> = Vec::new();
-            let mut docs: Vec<DraDocument> = Vec::new();
+            let mut survivors: Vec<(&String, DraDocument)> = Vec::new();
             let mut divergent: Vec<&String> = Vec::new();
             for stored in &sample {
                 st.sampled.insert((cloud.name.clone(), stored.key.clone()));
                 match cloud.honest(stored, &sys.directory) {
-                    Ok(doc) => {
-                        keys.push(&stored.key);
-                        docs.push(doc);
-                    }
+                    Ok(doc) => survivors.push((&stored.key, doc)),
                     Err(divergence) => {
                         if matches!(divergence.clause, Clause::Rejected(_)) {
                             st.seen_misses += 1;
@@ -160,13 +157,10 @@ impl PoolAuditor {
                 }
             }
 
-            // Batched spot-check: one bulk verifier run over the sample.
-            let outcomes = Verifier::new(&sys.directory)
-                .threads(self.config.threads)
-                .batched(true)
-                .run_many(&docs);
-            for (key, outcome) in keys.into_iter().zip(outcomes) {
-                match outcome {
+            // Batched spot-check of each survivor, in key order.
+            let verifier = Verifier::new(&sys.directory).batched(true);
+            for (key, doc) in survivors {
+                match verifier.run(&doc) {
                     Ok(_) => st.verified += 1,
                     Err(_) => divergent.push(key),
                 }
@@ -297,7 +291,8 @@ mod tests {
     #[test]
     fn honest_pool_audits_clean_across_full_sweep() {
         let sys = setup(5);
-        let auditor = PoolAuditor::new(AuditConfig { batch: 2, period_us: 100, threads: 2 });
+        let auditor =
+            PoolAuditor::new(AuditConfig { batch: 2, period_us: 100, ..AuditConfig::default() });
         assert!(auditor.due(0));
         let mut clock = 0;
         // batch 2 over 5 rows: 3 passes drain, a 4th wraps the sweep
@@ -327,7 +322,8 @@ mod tests {
         let key = "doc/a-01/000000";
         crate::federation::forge_stored_row(sys.active_pool(), key, crate::federation::flip_tail);
 
-        let auditor = PoolAuditor::new(AuditConfig { batch: 16, period_us: 100, threads: 2 });
+        let auditor =
+            PoolAuditor::new(AuditConfig { batch: 16, period_us: 100, ..AuditConfig::default() });
         let caught = auditor.run_pass(&sys, Some(&monitor), 7);
         assert_eq!(caught, 1);
         assert_eq!(auditor.divergent_rows(), vec![("cloud0".into(), key.to_string())]);

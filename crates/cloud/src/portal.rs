@@ -612,11 +612,12 @@ impl CloudSystem {
     /// status (the paper's "statistical analyses to workflow processes or
     /// instances stored in the DRA4WfMS cloud system"). Runs over a `meta/`
     /// prefix scan with family projection — document rows are never touched.
-    pub fn statistics_by_status(&self, threads: usize) -> BTreeMap<String, usize> {
+    /// `_threads` is ignored: `crates/e2e` still passes it, and ROADMAP item 1
+    /// removes it.
+    pub fn statistics_by_status(&self, _threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
             self.active_cloud().pool(),
             &schema::all_meta(),
-            threads,
             |_, row| STATUS.of(row).map(|s| (s, 1usize)).into_iter().collect(),
             |_, vs| vs.len(),
         )
@@ -628,7 +629,8 @@ impl CloudSystem {
     /// says monitoring must provide. Returns
     /// `activity -> (executions, mean gap ms)`. A view: admission records
     /// each version's gaps, and the pool is read only for a process whose
-    /// entry lags its progress. `_threads` is unused.
+    /// entry lags its progress. `_threads` is ignored: `crates/e2e` still passes
+    /// it, and ROADMAP item 1 removes it.
     pub fn activity_latency_stats(&self, _threads: usize) -> BTreeMap<String, (usize, f64)> {
         self.fill_lagging_gaps();
         let totals = self.views.gap_totals().into_iter();
@@ -647,11 +649,12 @@ impl CloudSystem {
     }
 
     /// MapReduce: total executed steps per workflow name.
-    pub fn steps_per_workflow(&self, threads: usize) -> BTreeMap<String, usize> {
+    /// `_threads` is ignored: `crates/e2e` still passes it, and ROADMAP item 1
+    /// removes it.
+    pub fn steps_per_workflow(&self, _threads: usize) -> BTreeMap<String, usize> {
         map_reduce_scan(
             self.active_cloud().pool(),
             &schema::all_meta(),
-            threads,
             |_, row| {
                 let steps = STEPS.of(row).and_then(|s| s.parse::<usize>().ok());
                 match (WORKFLOW.of(row), steps) {
@@ -683,13 +686,10 @@ impl CloudSystem {
     /// Full MapReduce recompute of the pool-derived views over the scan API
     /// — the oracle the incremental fold is held against, so it shares the
     /// key codec with it and nothing else.
-    fn recompute_views_from_pool(
-        &self,
-        threads: usize,
-    ) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
-        let status = self.statistics_by_status(threads);
+    fn recompute_views_from_pool(&self) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+        let status = self.statistics_by_status(1);
         let status = status.into_iter().map(|(status, n)| (status, n as u64)).collect();
-        (status, self.active_cloud().progress_by_scan(threads))
+        (status, self.active_cloud().progress_by_scan())
     }
 
     /// The differential check `views ≡ scan`: recompute the pool-derived
@@ -697,13 +697,14 @@ impl CloudSystem {
     /// per-activity gap count and sum, each latest stored version parsed
     /// afresh) with a MapReduce over the scan API and compare cell by cell.
     /// `Ok(())` when identical; `Err` names the first divergent cell.
-    pub fn views_match_scan(&self, threads: usize) -> Result<(), String> {
-        let (status, progress) = self.recompute_views_from_pool(threads);
+    /// `_threads` is ignored: `crates/e2e` still passes it, and ROADMAP item 1
+    /// removes it.
+    pub fn views_match_scan(&self, _threads: usize) -> Result<(), String> {
+        let (status, progress) = self.recompute_views_from_pool();
         let active = self.active_cloud();
         let gaps = map_reduce_scan(
             active.pool(),
             &schema::all_meta(),
-            threads,
             |key, _| match RowKey::parse(key) {
                 Some(RowKey::Meta(pid)) => {
                     latest_document(active, pid).map(|doc| monitor::gaps(&doc)).unwrap_or_default()
@@ -719,8 +720,8 @@ impl CloudSystem {
     /// The scan-recomputed pool views rendered in the identical byte format
     /// as [`FleetViews::pool_view_json`] — the byte-identity half of the
     /// differential check for benches that compare whole renderings.
-    pub fn recompute_pool_view_json(&self, threads: usize) -> String {
-        let (status, progress) = self.recompute_views_from_pool(threads);
+    pub fn recompute_pool_view_json(&self) -> String {
+        let (status, progress) = self.recompute_views_from_pool();
         FleetViews::render_pool_view(&status, &progress)
     }
 
@@ -1024,7 +1025,7 @@ mod tests {
         assert_eq!(counts["complete"], 3);
         assert_eq!(counts["running"], 2);
         sys.views_match_scan(4).expect("views ≡ scan");
-        assert_eq!(sys.fleet_views().pool_view_json(), sys.recompute_pool_view_json(4));
+        assert_eq!(sys.fleet_views().pool_view_json(), sys.recompute_pool_view_json());
         let dash = sys.fleet_dashboard_json();
         assert_eq!(dash, sys.fleet_dashboard_json(), "byte-deterministic");
         assert!(dash.contains("\"totals\":{\"processes\":5,\"docs\":5}"), "{dash}");
@@ -1087,7 +1088,7 @@ mod tests {
         assert!(live.status_counts().len() == 2 && live.progress().values().any(|&n| n == 2));
         assert_eq!(restored.fleet_views().pool_view_json(), live.pool_view_json());
         restored.views_match_scan(2).expect("seeded views ≡ scan");
-        assert_eq!(restored.recompute_pool_view_json(2), live.pool_view_json());
+        assert_eq!(restored.recompute_pool_view_json(), live.pool_view_json());
     }
 
     #[test]

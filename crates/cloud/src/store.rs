@@ -532,11 +532,10 @@ impl CloudStore {
 
     /// Versions stored per process, recomputed by a key-only MapReduce over
     /// the `doc/` rows — the scan side of `views ≡ scan`.
-    pub(crate) fn progress_by_scan(&self, threads: usize) -> BTreeMap<String, u64> {
+    pub(crate) fn progress_by_scan(&self) -> BTreeMap<String, u64> {
         map_reduce_scan(
             &self.pool,
             &schema::doc_keys(),
-            threads,
             |key, _| match RowKey::parse(key) {
                 Some(RowKey::Doc { pid, seq }) => vec![(pid.as_str().to_string(), seq as u64)],
                 _ => vec![],

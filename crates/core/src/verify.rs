@@ -306,8 +306,6 @@ fn plan_verification(
 /// legal as the final CER of an in-flight document.
 ///
 /// Knobs:
-/// * [`threads`](Verifier::threads) — how many documents
-///   [`run_many`](Verifier::run_many) verifies at once (default 1).
 /// * [`batched`](Verifier::batched) — verify signatures with the shared
 ///   multi-scalar batch equation, falling back to per-signature checks on
 ///   batch failure so the culprit and error variant match the sequential
@@ -318,7 +316,6 @@ fn plan_verification(
 #[derive(Clone, Copy)]
 pub struct Verifier<'a> {
     directory: &'a Directory,
-    threads: usize,
     batched: bool,
     mark: Option<&'a TrustMark>,
     incremental: bool,
@@ -343,18 +340,10 @@ pub struct VerifyOutcome {
 }
 
 impl<'a> Verifier<'a> {
-    /// A verifier resolving signers against `directory`: single-threaded,
-    /// batched, full (non-incremental) scope.
+    /// A verifier resolving signers against `directory`: batched, full
+    /// (non-incremental) scope, on the calling thread.
     pub fn new(directory: &'a Directory) -> Verifier<'a> {
-        Verifier { directory, threads: 1, batched: true, mark: None, incremental: false }
-    }
-
-    /// Let [`run_many`](Verifier::run_many) verify up to `n` documents at
-    /// once (clamped to at least 1). One document is always verified on one
-    /// thread.
-    pub fn threads(mut self, n: usize) -> Verifier<'a> {
-        self.threads = n.max(1);
-        self
+        Verifier { directory, batched: true, mark: None, incremental: false }
     }
 
     /// Enable or disable batch verification of the planned signature
@@ -424,30 +413,6 @@ impl<'a> Verifier<'a> {
                 + usable_prefix.and(self.mark).map_or(0, |m| m.signatures_verified),
         });
         Ok(VerifyOutcome { report, mark, reused_cers: usable_prefix.unwrap_or(0), fell_back })
-    }
-
-    /// Verify a batch of independent documents (the auditor's path), each
-    /// under this verifier's configuration on one thread, with up to
-    /// [`threads`](Verifier::threads) documents in flight at once.
-    /// Failures are reported per document; each worker returns the
-    /// verdicts of its chunk, no locking.
-    pub fn run_many(&self, docs: &[DraDocument]) -> Vec<WfResult<VerifyOutcome>> {
-        let threads = self.threads.min(docs.len().max(1));
-        if threads <= 1 {
-            return docs.iter().map(|d| self.run(d)).collect();
-        }
-        let chunk = docs.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let workers: Vec<_> = docs
-                .chunks(chunk)
-                .map(|part| s.spawn(move || part.iter().map(|d| self.run(d)).collect::<Vec<_>>()))
-                .collect();
-            // a worker's panic is raised here, as leaving the scope would
-            let join = |w: std::thread::ScopedJoinHandle<'_, Vec<_>>| {
-                w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            };
-            workers.into_iter().flat_map(join).collect()
-        })
     }
 }
 

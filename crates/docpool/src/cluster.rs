@@ -215,36 +215,29 @@ impl HTable {
         live
     }
 
-    /// Execute a scan region by region, returning one row vector per visited
-    /// region in region order, and the rows examined. The shared engine
-    /// behind [`HTable::query`], [`HTable::query_count`] and
-    /// `map_reduce_scan`.
-    pub(crate) fn query_partitions(
-        &self,
-        scan: &Scan,
-        count_only: bool,
-    ) -> (Vec<Vec<(String, RowSnapshot)>>, usize) {
+    /// Walk a scan's regions in key order, each up to the scan's limit,
+    /// appending their rows to `out` (or only counting them), and bill the
+    /// rows examined and regions visited. The shared engine behind
+    /// [`HTable::query`] and [`HTable::query_count`].
+    fn walk(&self, scan: &Scan, mut out: Option<&mut Vec<(String, RowSnapshot)>>) -> usize {
         let live = self.scan_windows(scan);
-        let mut parts = Vec::with_capacity(live.len());
+        let families = scan.families.as_deref();
         let mut examined = 0usize;
         for (region, lo, hi) in &live {
-            let families = scan.families.as_deref();
-            let (rows, ex) =
-                region.scan_select(lo, hi.as_deref(), families, scan.limit, count_only);
-            examined += ex;
-            parts.push(rows);
+            examined +=
+                region.scan_select(lo, hi.as_deref(), families, scan.limit, out.as_deref_mut());
         }
         self.scanned_rows.fetch_add(examined, Ordering::Relaxed);
         self.scanned_regions.fetch_add(live.len(), Ordering::Relaxed);
-        (parts, examined)
+        examined
     }
 
     /// Run a [`Scan`]: prune regions outside the window, walk the survivors,
     /// and return the matching rows in key order.
     pub fn query(&self, scan: &Scan) -> ScanResult {
-        let (parts, _) = self.query_partitions(scan, false);
-        let mut rows: Vec<(String, RowSnapshot)> = parts.into_iter().flatten().collect();
-        if scan.limit > 0 && rows.len() > scan.limit {
+        let mut rows = Vec::new();
+        self.walk(scan, Some(&mut rows));
+        if scan.limit > 0 {
             rows.truncate(scan.limit);
         }
         ScanResult { rows }
@@ -252,7 +245,7 @@ impl HTable {
 
     /// Count the rows a [`Scan`] matches without cloning any snapshots.
     pub fn query_count(&self, scan: &Scan) -> usize {
-        let (_, examined) = self.query_partitions(scan, true);
+        let examined = self.walk(scan, None);
         match scan.limit {
             0 => examined,
             l => examined.min(l),
@@ -367,12 +360,19 @@ mod tests {
     #[test]
     fn prefix_query_works() {
         let t = HTable::default();
-        for k in ["proc-1/doc-1", "proc-1/doc-2", "proc-2/doc-1", "other"] {
+        let multi_byte = ["x\u{FF}", "x\u{FF}a", "x\u{100}", "x\u{D7FF}z", "x\u{E000}"];
+        for k in
+            ["proc-1/doc-1", "proc-1/doc-2", "proc-2/doc-1", "other"].into_iter().chain(multi_byte)
+        {
             t.put(k, "f", "q", k);
         }
-        let hits = t.query(&Scan::prefix("proc-1/")).rows;
-        assert_eq!(hits.len(), 2);
-        assert!(hits.iter().all(|(k, _)| k.starts_with("proc-1/")));
+        let keys = |prefix: &str| -> Vec<String> {
+            t.query(&Scan::prefix(prefix)).rows.into_iter().map(|(k, _)| k).collect()
+        };
+        assert_eq!(keys("proc-1/"), ["proc-1/doc-1", "proc-1/doc-2"]);
+        // a prefix ending in a multi-byte char selects only its extensions
+        assert_eq!(keys("x\u{FF}"), ["x\u{FF}", "x\u{FF}a"]);
+        assert_eq!(keys("x\u{D7FF}"), ["x\u{D7FF}z"]);
     }
 
     fn seeded_table() -> HTable {

@@ -11,19 +11,19 @@
 //!   automatic region splits, point reads and writes
 //! * [`scan`] — typed bounded scans with family projection (the
 //!   monitoring-query path that replaces full-table reads)
-//! * [`mapreduce`] — a mini MapReduce framework running mappers per region
-//!   in parallel (the paper's "MapReduce computing model … can apply some
-//!   statistical analyses to workflow processes or instances stored in the
-//!   DRA4WfMS cloud system")
+//! * [`mapreduce`] — a mini MapReduce framework, one fold over a scan's rows
+//!   (the paper's "MapReduce computing model … can apply some statistical
+//!   analyses to workflow processes or instances stored in the DRA4WfMS
+//!   cloud system")
 //! * [`journal`] and [`persist`] — the write-ahead journal multi-row updates
 //!   commit through, and the table's snapshot format
 //! * [`views`] — incrementally maintained fleet views with a differential
 //!   `views ≡ scan` proof obligation
 //!
-//! Concurrency is reader-writer per region via `parking_lot`, with MapReduce
-//! fan-out via `std::thread::scope` — the document pool is the
-//! scalability substrate for the cloud experiments (claims C4/C5 in
-//! EXPERIMENTS.md).
+//! The crate spawns no thread: every operation runs on its caller's. A
+//! table is safe to share between callers, with a reader-writer lock per
+//! region via `parking_lot` — the document pool is the scalability
+//! substrate for the cloud experiments (claims C4/C5 in EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,9 +2,10 @@
 //!
 //! "The MapReduce computing model supported in the HBase system can apply
 //! some statistical analyses to workflow processes or instances stored in
-//! the DRA4WfMS cloud system" (§4.2). This module runs one mapper task per
-//! region a [`Scan`] visits, in parallel on scoped threads, shuffles by key,
-//! and reduces the key groups in order on the calling thread.
+//! the DRA4WfMS cloud system" (§4.2). The paper asks for the statistics,
+//! not for a mapper count: a job here is one fold over the rows
+//! [`HTable::query`] returns for a [`Scan`], on the calling thread — map
+//! each row, group by key, reduce the groups in key order.
 
 use crate::cluster::HTable;
 use crate::row::RowSnapshot;
@@ -15,47 +16,29 @@ use std::collections::BTreeMap;
 /// the monitoring paths never do a full table read.
 ///
 /// * `map` — called once per row, emits zero or more `(key, value)` pairs;
-/// * `reduce` — called once per distinct key with all its values;
-/// * `threads` — maximum parallel mapper tasks (≥1).
+/// * `reduce` — called once per distinct key with all its values, in key
+///   order.
 ///
-/// The scan's regions are walked (honouring projection and limit), producing
-/// one input split per visited region (region parallelism, like HBase's
-/// `TableInputFormat` splits); mappers then run one task per split. The
-/// reducers the pool's statistics need are counts, sums and means, so they
-/// run inline, in key order. Results are deterministic for any thread count.
-/// Rows touched are accounted in the table's scan counters.
+/// The rows are exactly [`HTable::query`]'s (projection and limit
+/// included), and they are billed to the table's scan counters as that
+/// query bills them.
 pub fn map_reduce_scan<K, V, O, M, R>(
     table: &HTable,
     scan: &Scan,
-    threads: usize,
     map: M,
     reduce: R,
 ) -> BTreeMap<K, O>
 where
-    K: Ord + Send,
-    V: Send,
-    M: Fn(&str, &RowSnapshot) -> Vec<(K, V)> + Sync,
+    K: Ord,
+    M: Fn(&str, &RowSnapshot) -> Vec<(K, V)>,
     R: Fn(&K, Vec<V>) -> O,
 {
-    let threads = threads.max(1);
-    let (splits, _) = table.query_partitions(scan, false);
-
     let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for chunk in splits.chunks(threads) {
-        // one output per split, each filled by its own mapper; the scope
-        // re-raises a mapper's panic once every mapper has stopped
-        let mut emitted: Vec<Vec<(K, V)>> = chunk.iter().map(|_| Vec::new()).collect();
-        std::thread::scope(|s| {
-            for (split, out) in chunk.iter().zip(&mut emitted) {
-                let map = &map;
-                s.spawn(move || out.extend(split.iter().flat_map(|(key, row)| map(key, row))));
-            }
-        });
-        for (k, v) in emitted.into_iter().flatten() {
+    for (key, row) in &table.query(scan).rows {
+        for (k, v) in map(key, row) {
             groups.entry(k).or_default().push(v);
         }
     }
-
     groups
         .into_iter()
         .map(|(k, vs)| {
@@ -70,6 +53,7 @@ mod tests {
     use super::*;
     use crate::cluster::TableConfig;
 
+    /// 200 rows over many regions (a region splits past 16 rows).
     fn table_with_statuses() -> HTable {
         let t = HTable::new(TableConfig { max_versions: 1, max_region_rows: 16 });
         for i in 0..200 {
@@ -77,6 +61,7 @@ mod tests {
             t.put(&format!("proc-{i:04}"), "meta", "status", status);
             t.put(&format!("proc-{i:04}"), "meta", "steps", format!("{}", i % 7));
         }
+        assert!(t.stats().regions > 1, "the rows span regions");
         t
     }
 
@@ -86,7 +71,6 @@ mod tests {
         let sums = map_reduce_scan(
             &t,
             &Scan::prefix("proc-"),
-            4,
             |_, row| {
                 let status = row.get_str("meta", "status");
                 let steps = row.get_str("meta", "steps").and_then(|s| s.parse::<u64>().ok());
@@ -106,53 +90,45 @@ mod tests {
     fn empty_table_yields_empty_result() {
         let t = HTable::default();
         let map = |k: &str, _: &RowSnapshot| vec![(k.to_string(), 1usize)];
-        assert!(map_reduce_scan(&t, &Scan::prefix("proc-"), 4, map, |_, vs| vs.len()).is_empty());
+        assert!(map_reduce_scan(&t, &Scan::prefix("proc-"), map, |_, vs| vs.len()).is_empty());
     }
 
     #[test]
     fn map_reduce_scan_matches_filtered_full_job() {
         let t = table_with_statuses();
-        // scan-backed job over a key window...
-        let windowed = map_reduce_scan(
-            &t,
-            &Scan::range("proc-0050", Some("proc-0100".to_string())),
-            4,
-            |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
-            |_, vs| vs.len(),
-        );
-        // ...must agree with a full-table job that filters in the mapper
-        let full = map_reduce_scan(
-            &t,
-            &Scan::prefix("proc-"),
-            4,
-            |key, row| {
-                if ("proc-0050".."proc-0100").contains(&key) {
-                    row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect()
-                } else {
-                    vec![]
-                }
-            },
-            |_, vs| vs.len(),
-        );
-        assert_eq!(windowed, full);
-        assert_eq!(windowed.values().sum::<usize>(), 50);
+        let statuses = |_: &str, row: &RowSnapshot| -> Vec<(String, usize)> {
+            row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect()
+        };
+        // (a scan-backed job's window, the same window as a key filter, its rows)
+        let inputs = [
+            (Scan::range("proc-0050", Some("proc-0100".to_string())), "proc-0050".."proc-0100", 50),
+            // a limit counts matches over the whole window, not per region
+            (Scan::prefix("proc-").limit(5), "proc-0000".."proc-0005", 5),
+        ];
+        for (scan, window, rows) in inputs {
+            let windowed = map_reduce_scan(&t, &scan, statuses, |_, vs| vs.len());
+            // ...must agree with a full-table job that filters in the mapper
+            let full = map_reduce_scan(
+                &t,
+                &Scan::prefix("proc-"),
+                |key, row| if window.contains(&key) { statuses(key, row) } else { vec![] },
+                |_, vs| vs.len(),
+            );
+            assert_eq!(windowed, full, "{scan:?}");
+            assert_eq!(windowed.values().sum::<usize>(), rows, "{scan:?}");
+        }
     }
 
     #[test]
-    fn map_reduce_scan_deterministic_across_threads() {
+    fn every_row_is_mapped_once() {
         let t = table_with_statuses();
-        let job = |threads: usize| {
-            map_reduce_scan(
-                &t,
-                &Scan::prefix("proc-"),
-                threads,
-                |k, _| vec![(k.to_string(), 1usize)],
-                |_, vs| vs.len(),
-            )
-        };
-        assert_eq!(job(1), job(8));
-        // and the mapper saw every row once
-        assert_eq!(job(4).len(), 200);
-        assert!(job(4).values().all(|&c| c == 1));
+        let seen = map_reduce_scan(
+            &t,
+            &Scan::prefix("proc-"),
+            |k, _| vec![(k.to_string(), 1usize)],
+            |_, vs| vs.len(),
+        );
+        assert_eq!(seen.len(), 200);
+        assert!(seen.values().all(|&c| c == 1));
     }
 }

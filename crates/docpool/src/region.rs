@@ -83,28 +83,25 @@ impl Region {
         self.rows.read().len()
     }
 
-    /// The scan-API primitive: walk `[from, to)` in key order and project
-    /// only the requested column families into the snapshots that are
-    /// returned.
+    /// The scan-API primitive: walk `[from, to)` in key order and append
+    /// the rows to `out`, projecting only the requested column families.
     ///
     /// * `families: None` keeps every family; `Some(list)` clones only those.
     /// * `limit: 0` means unbounded; otherwise the walk stops after `limit`
     ///   rows (the examined count still reflects rows looked at).
-    /// * `count_only` suppresses snapshot construction entirely — callers
+    /// * `out: None` suppresses snapshot construction entirely — callers
     ///   that only need cardinality pay no clone cost.
     ///
-    /// Returns `(rows, examined)`; with `count_only` the row vec is empty
-    /// but `examined` still counts the rows walked.
+    /// Returns the rows examined.
     pub(crate) fn scan_select(
         &self,
         from: &str,
         to: Option<&str>,
         families: Option<&[String]>,
         limit: usize,
-        count_only: bool,
-    ) -> (Vec<(String, RowSnapshot)>, usize) {
+        mut out: Option<&mut Vec<(String, RowSnapshot)>>,
+    ) -> usize {
         let rows = self.rows.read();
-        let mut out = Vec::new();
         let mut examined = 0usize;
         for (key, row) in rows.range(from.to_string()..) {
             if let Some(t) = to {
@@ -113,7 +110,7 @@ impl Region {
                 }
             }
             examined += 1;
-            if !count_only {
+            if let Some(out) = out.as_deref_mut() {
                 let snap = match families {
                     Some(fams) => row.snapshot_projected(fams),
                     None => row.snapshot(),
@@ -124,10 +121,10 @@ impl Region {
                 break;
             }
         }
-        (out, examined)
+        examined
     }
 
-    /// Snapshot every row (for MapReduce mappers).
+    /// Snapshot every row (for snapshot export).
     pub(crate) fn snapshot_all(&self) -> Vec<(String, RowSnapshot)> {
         let rows = self.rows.read();
         rows.iter().map(|(k, r)| (k.clone(), r.snapshot())).collect()
@@ -194,7 +191,8 @@ mod tests {
         for k in ["d", "a", "c", "b"] {
             r.put(k, "f", "q", b(k), 1, 1);
         }
-        let (hits, _) = r.scan_select("b", Some("d"), None, 0, false);
+        let mut hits = Vec::new();
+        r.scan_select("b", Some("d"), None, 0, Some(&mut hits));
         let keys: Vec<&str> = hits.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["b", "c"]);
         assert_eq!(r.snapshot_all().len(), 4);
@@ -209,7 +207,8 @@ mod tests {
             r.put(&format!("k{i}"), "meta", "status", b(status), 1, 1);
         }
         let fams = vec!["meta".to_string()];
-        let (rows, examined) = r.scan_select("", None, Some(&fams), 0, false);
+        let mut rows = Vec::new();
+        let examined = r.scan_select("", None, Some(&fams), 0, Some(&mut rows));
         assert_eq!((examined, rows.len()), (6, 6));
         assert!(
             rows.iter().all(|(_, s)| s.get("doc", "xml").is_none()),
@@ -217,12 +216,11 @@ mod tests {
         );
         assert!(rows.iter().all(|(_, s)| s.get_str("meta", "status").is_some()));
 
-        let (rows2, examined2) = r.scan_select("", None, None, 2, false);
+        let mut rows2 = Vec::new();
+        let examined2 = r.scan_select("", None, None, 2, Some(&mut rows2));
         assert_eq!((rows2.len(), examined2), (2, 2), "limit stops the walk early");
 
-        let (rows3, examined3) = r.scan_select("", None, None, 0, true);
-        assert!(rows3.is_empty(), "count_only builds no snapshots");
-        assert_eq!(examined3, 6);
+        assert_eq!(r.scan_select("", None, None, 0, None), 6, "counted, no snapshots built");
     }
 
     #[test]

@@ -70,18 +70,21 @@ pub struct ScanResult {
 }
 
 /// Exclusive upper bound for "every key starting with `prefix`": the prefix
-/// with its last byte incremented (trailing 0xff bytes are popped first).
-/// `None` means the prefix is unbounded above (empty or all-0xff).
+/// with its last char bumped to the next one. Code-point order is UTF-8
+/// byte order, so every extension of the prefix sorts below the bound and
+/// nothing else does. Trailing `char::MAX`s are popped first, and U+D7FF
+/// steps over the surrogates. `None` means the prefix is unbounded above
+/// (empty or all `char::MAX`).
 pub(crate) fn prefix_end(prefix: &str) -> Option<String> {
-    let mut bytes = prefix.as_bytes().to_vec();
-    while let Some(last) = bytes.pop() {
-        if last != 0xff {
-            bytes.push(last + 1);
-            // we only ever increment a byte that was part of a valid UTF-8
-            // string and below 0xff; the result can be invalid UTF-8 only
-            // for multi-byte sequences, so fall back to lossy which still
-            // sorts correctly for ASCII key schemas.
-            return Some(String::from_utf8_lossy(&bytes).into_owned());
+    let mut end = prefix.to_string();
+    while let Some(last) = end.pop() {
+        let next = match last {
+            '\u{D7FF}' => Some('\u{E000}'),
+            last => char::from_u32(u32::from(last) + 1),
+        };
+        if let Some(next) = next {
+            end.push(next);
+            return Some(end);
         }
     }
     None
@@ -92,10 +95,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prefix_end_increments_last_byte() {
+    fn prefix_end_bumps_the_last_char() {
         assert_eq!(prefix_end("doc/"), Some("doc0".to_string()));
         assert_eq!(prefix_end("meta/"), Some("meta0".to_string()));
+        assert_eq!(prefix_end("x\u{FF}"), Some("x\u{100}".to_string()));
+        assert_eq!(prefix_end("x\u{D7FF}"), Some("x\u{E000}".to_string()));
+        assert_eq!(prefix_end("x\u{10FFFF}"), Some("y".to_string()));
         assert_eq!(prefix_end(""), None);
+        assert_eq!(prefix_end("\u{10FFFF}"), None);
     }
 
     #[test]

@@ -109,8 +109,8 @@ fn main() -> WfResult<()> {
 
     // MapReduce statistics across every stored process (paper §4.2)
     let t = Instant::now();
-    let by_status = system.statistics_by_status(threads);
-    let steps = system.steps_per_workflow(threads);
+    let by_status = system.statistics_by_status(1);
+    let steps = system.steps_per_workflow(1);
     println!(
         "mapreduce over the pool in {:.2?}: status={by_status:?}, steps-per-workflow={steps:?}",
         t.elapsed()

@@ -73,15 +73,12 @@ fn latency_by_hand(sys: &CloudSystem) -> BTreeMap<String, (usize, f64)> {
 }
 
 /// Every face of the `views ≡ scan` differential at once: the cell-by-cell
-/// diff and the byte-identity of the rendered pool view, at two thread
-/// counts (parallel merge must not perturb the bytes), and the latency
+/// diff, the byte-identity of the rendered pool view, and the latency
 /// answer, means compared exactly.
 fn assert_views_identical(sys: &CloudSystem) {
-    sys.views_match_scan(1).expect("views ≡ scan (1 thread)");
-    sys.views_match_scan(4).expect("views ≡ scan (4 threads)");
+    sys.views_match_scan(4).expect("views ≡ scan");
     let incremental = sys.fleet_views().pool_view_json();
-    assert_eq!(incremental, sys.recompute_pool_view_json(1), "byte identity, 1 thread");
-    assert_eq!(incremental, sys.recompute_pool_view_json(4), "byte identity, 4 threads");
+    assert_eq!(incremental, sys.recompute_pool_view_json(), "byte identity");
     assert_eq!(sys.activity_latency_stats(2), latency_by_hand(sys), "latency view ≡ recompute");
 }
 
