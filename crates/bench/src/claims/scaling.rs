@@ -28,15 +28,17 @@
 //! timings on a shared box are indicative, and the deterministic cells
 //! behind the gate are what a regression actually trips.
 
-use super::{ClaimOutput, Row, Rows};
+use super::{ClaimOutput, Row, Rows, Value};
 use crate::rig::{cast, fig9_confidential, fig9_respond, ChainRecord, Handoff, Rig};
 use dra4wfms_core::prelude::*;
+use dra_cloud::{PortalStats, Topology};
 use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
 use dra_crypto::x25519::{fixed_base, ladders};
 use dra_crypto::{sha256_bytes, sha256_bytes_reset, verify_batch, BatchEntry, Keypair};
 use dra_xml::{
     canon_alloc_bytes, canon_alloc_reset, wire_written_bytes, wire_written_bytes_reset, Element,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Chain lengths for the deterministic counter cells.
@@ -153,6 +155,39 @@ fn key_agreement(cell: &str, rig: Rig) -> Row {
     Row::new().with("cell", cell).with("ladders", ladders).with("fixed_base", fixed_base)
 }
 
+/// Instances in each fleet cell.
+const FLEET: usize = 4;
+
+/// Per stored version of a fleet of Fig. 9A (or 9B, via the TFC) instances
+/// on two replicated clouds: the bytes the channel charged — deltas against
+/// the version each hop was served, the initial documents and the AEA → TFC
+/// leg whole —, the bytes replication shipped (everything else the network
+/// carried: a fleet serves nothing), what admission hashed to key `seen/`
+/// rows and compared to cut `doc/` rows, and the deltas answered whole.
+fn fleet_bytes(cell: &str, advanced: bool) -> Row {
+    let rig = Rig::fig9(advanced);
+    let (sys, _) = rig.federated(Topology::new().cloud("east", 2).cloud("west", 2));
+    let pids = (0..FLEET).map(|i| format!("scaling-fleet-{i}"));
+    assert_eq!(rig.fleet(&sys, pids, sys.channel()), FLEET, "every instance completes");
+    assert_eq!(sys.tips_held(), 0, "no branch head outlives its process");
+    let sent = sys.channel().stats();
+    let sum = |count: fn(&PortalStats) -> &AtomicUsize| {
+        sys.portals.iter().map(|p| count(p).load(Ordering::Relaxed)).sum::<usize>()
+    };
+    let per_hop = |n: u64| n as f64 / sys.total_stored() as f64;
+    let counts = [
+        ("handoff_bytes", per_hop(sent.bytes)),
+        ("replica_bytes", per_hop(rig.network.bytes() - sent.bytes)),
+        ("admit_sha256_bytes", per_hop(sum(|p| &p.sha256_bytes) as u64)),
+        ("admit_memcmp_bytes", per_hop(sum(|p| &p.memcmp_bytes) as u64)),
+        ("delta_fallbacks", per_hop(sent.delta_fallbacks)),
+    ];
+    let shown: Vec<String> = counts.iter().map(|(name, n)| format!("{name} {n:.1}")).collect();
+    println!("  {cell}, per stored version: {}", shown.join(", "));
+    let with = |row: Row, (name, n): &(&str, f64)| row.with(name, Value::Fixed(*n, 1));
+    counts.iter().fold(Row::new().with("cell", cell), with)
+}
+
 fn hop_bytes(max: usize) -> Vec<HopBytes> {
     let tfc_hash = tfc_hash_bytes(max);
     let rig = Rig::chain(max, false, |i| format!("value-{i:04}"));
@@ -170,7 +205,7 @@ fn hop_bytes(max: usize) -> Vec<HopBytes> {
         let next = rig.def.activities.get(step + 1).map(|a| a.id.clone());
         let route = Route { ends: next.is_none(), targets: next.into_iter().collect() };
         sha256_bytes_reset();
-        let ack = sys.channel().deliver(&sys, 0, &sealed, &route).expect("admitted");
+        let ack = sys.channel().deliver(&sys, 0, &sealed, None, &route).expect("admitted");
         assert_eq!((ack.seq, ack.duplicate), (step, false), "every step is one version");
         Some(HopBytes {
             inc_hash,
@@ -374,6 +409,7 @@ pub(super) fn run() -> ClaimOutput {
         let with_turn = |row: Row, turn| row.with(&format!("loop{turn}_sig_checks"), checks[turn]);
         (0..checks.len()).fold(Row::new().with("cell", name), with_turn)
     });
+    let fleet_rows = [fleet_bytes("fleet fig9a", false), fleet_bytes("fleet fig9b", true)];
     let confidential = |advanced| Rig::fig9(advanced).with_policy(fig9_confidential());
     let key_rows = [
         key_agreement("ladders fig9a", confidential(false)),
@@ -386,6 +422,10 @@ pub(super) fn run() -> ClaimOutput {
     metrics.incr("scaling.counter_cells", cells.len() as u64);
     out.invariants("run", &metrics);
     out.verdict("batched never does more group operations than sequential", batch_never_costs_more);
+    let fallbacks =
+        |row: &Row| matches!(row.get("delta_fallbacks"), Some(Value::Fixed(n, _)) if *n == 0.0);
+    let no_fallback = fleet_rows.iter().all(fallbacks);
+    out.verdict("every fleet hand-off travels as a delta: no fallback", no_fallback);
 
     let slope_ratio = late_slope / early_slope;
     let pass = a64 / a8 > 3.0
@@ -396,6 +436,7 @@ pub(super) fn run() -> ClaimOutput {
         && (inc64 - inc8) / 56 <= 64
         && (t64 - t8) / 56 <= 64;
     println!("\nC1 shape: {}", if pass { "REPRODUCED" } else { "NOT REPRODUCED" });
-    out.set_rows(Rows::array(cells.into_iter().chain(join_rows).chain(key_rows).collect()));
+    let rows = cells.into_iter().chain(join_rows).chain(key_rows).chain(fleet_rows);
+    out.set_rows(Rows::array(rows.collect()));
     out
 }

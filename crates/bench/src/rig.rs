@@ -373,6 +373,11 @@ impl Rig {
             .expect("initial document")
     }
 
+    /// What the cell's script answers to `received`.
+    pub fn answer(&self, received: &ReceivedActivity) -> Responses {
+        (self.respond)(received)
+    }
+
     /// A run of `initial` on `sys` with the cast, the script, the TFC (if
     /// any) and every instrument wired in; it hands off over `sys`'s own
     /// lossless channel unless the cell chains `.network(..)`.

@@ -22,10 +22,22 @@
 //! A fault can cost time — [`DeliveryStats::inflation`] reports how much —
 //! but never safety: every path into the pool still runs the full
 //! verification pipeline.
+//!
+//! A portal hand-off whose sender names a [`Base`] — the version it was
+//! served — travels as a **delta**: the base's chain digest, the bytes of it
+//! kept, the tail; the portal rebuilds the wire from its own head of that
+//! name. A portal that holds none refuses, and the whole wire follows as a
+//! second charged copy ([`DeliveryStats::delta_fallbacks`]). Faults are drawn
+//! per copy as for the whole wire, whichever form the copy takes, so a
+//! seeded schedule does not depend on it: a damaged delta flips the byte
+//! the whole copy's draw names where the tail carries it, else the byte as
+//! far into the tail, and a whole copy answering a refusal rides the draws
+//! of the copy that was refused.
 
 use crate::faults::FaultProfile;
 use crate::netsim::NetworkSim;
 use crate::portal::{parse_arrived, CloudSystem, StoreAck};
+use crate::store::kept;
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry, Tracer};
 use rand::rngs::StdRng;
@@ -96,6 +108,11 @@ pub struct DeliveryStats {
     /// Journal records replayed by portal recoveries
     /// (runner/[`CloudSystem::recover_portals`]-supplied).
     pub journal_replays: u64,
+    /// Delta copies refused for a base the portal held no copy of, each
+    /// answered with the whole wire.
+    pub delta_fallbacks: u64,
+    /// Bytes the channel charged for its copies.
+    pub bytes: u64,
     /// Faults the channel injected.
     pub faults: FaultCounts,
     /// Virtual time actually spent, in microseconds (transfers + injected
@@ -130,6 +147,7 @@ impl DeliveryStats {
         metrics.set_counter("delivery.crashes_injected", self.crashes_injected);
         metrics.set_counter("delivery.leases_expired", self.leases_expired);
         metrics.set_counter("delivery.journal_replays", self.journal_replays);
+        metrics.set_counter("delivery.delta_fallbacks", self.delta_fallbacks);
         metrics.set_counter("delivery.faults.dropped", self.faults.dropped);
         metrics.set_counter("delivery.faults.duplicated", self.faults.duplicated);
         metrics.set_counter("delivery.faults.corrupted", self.faults.corrupted);
@@ -140,30 +158,111 @@ impl DeliveryStats {
     }
 }
 
-/// A reordered portal-bound copy waiting in the redelivery queue, as it
-/// [`arrived`].
-struct Pending {
-    copy: WfResult<SealedDocument>,
-    portal: usize,
+/// The version a portal hand-off extends, as its sender holds it: the one
+/// it was served. A hand-off naming one travels as a delta against it.
+#[derive(Clone, Debug)]
+pub struct Base {
+    /// Its chain digest `dₖ` over every CER ([`prefix_digest`]): the name a
+    /// portal keeps its head under.
+    pub name: [u8; 32],
+    /// Its wire bytes.
+    pub wire: Arc<String>,
+}
+
+impl Base {
+    /// `sealed` as a base, named by the chain digest of all its CERs.
+    pub(crate) fn of(sealed: &SealedDocument) -> WfResult<Base> {
+        let name = prefix_digest(sealed.document(), usize::MAX)?;
+        Ok(Base { name, wire: sealed.wire() })
+    }
+}
+
+/// A portal hand-off: the sender's document, its route and, for a delta,
+/// the base's name and the bytes of it kept.
+#[derive(Clone)]
+struct Handoff {
+    sealed: SealedDocument,
+    delta: Option<([u8; 32], usize)>,
     route: Route,
 }
 
-/// What one physical copy reads as at its receiver. An intact copy *is* the
-/// sender's sealed document — tree, wire bytes and mark shared, nothing
-/// parsed again; a corrupted one is parsed from its own bytes and handed the
-/// sender's mark.
-fn arrived(sealed: &SealedDocument, payload: Option<&str>) -> WfResult<SealedDocument> {
-    match payload {
+/// A reordered portal-bound copy waiting in the redelivery queue.
+struct Pending {
+    handoff: Handoff,
+    damage: Option<Damage>,
+    portal: usize,
+}
+
+/// What one physical whole copy reads as at its receiver. An intact copy
+/// *is* the sender's sealed document — tree, wire bytes and mark shared,
+/// nothing parsed again; a damaged one is parsed from its own bytes and
+/// handed the sender's mark.
+fn arrived(sealed: &SealedDocument, damage: Option<Damage>) -> WfResult<SealedDocument> {
+    match damage {
         None => Ok(sealed.clone()),
-        Some(bytes) => parse_arrived(bytes, sealed.trust()),
+        Some(damage) => parse_arrived(&damage.applied(&sealed.wire(), 0), sealed.trust()),
     }
+}
+
+/// One corrupted byte, as the draws for a whole copy name it: its index in
+/// the wire (a single-byte character) and the printable ASCII byte it reads
+/// as. One byte is the minimal corruption — if the verification pipeline
+/// catches that, it catches anything larger.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Damage {
+    at: usize,
+    byte: u8,
+}
+
+impl Damage {
+    /// Draw the damage of a copy of `wire`: a position, moved forward
+    /// (wrapping) to the nearest single-byte character so the mutation
+    /// cannot split a multi-byte one, and a different printable byte.
+    fn draw(wire: &str, rng: &mut StdRng) -> Damage {
+        let bytes = wire.as_bytes();
+        if bytes.is_empty() {
+            return Damage { at: 0, byte: b'!' };
+        }
+        let at = ascii_from(bytes, rng.gen_range(0..bytes.len()));
+        let byte = loop {
+            let candidate = b'!' + (rng.gen_range(0..94u8)); // printable ASCII 0x21..=0x7e
+            if candidate != bytes[at] {
+                break candidate;
+            }
+        };
+        Damage { at, byte }
+    }
+
+    /// The bytes a copy carrying `wire[from..]` reads as: the damaged byte
+    /// where the copy carries it, else the byte as far into what it carries
+    /// (the next single-byte character from there), made to differ.
+    fn applied(self, wire: &str, from: usize) -> String {
+        let mut bytes = wire.as_bytes()[from..].to_vec();
+        if bytes.is_empty() {
+            return String::new();
+        }
+        let at = ascii_from(&bytes, self.at.checked_sub(from).unwrap_or(self.at) % bytes.len());
+        bytes[at] = if bytes[at] == self.byte { self.byte ^ 1 } else { self.byte };
+        // ASCII for ASCII keeps UTF-8; a wire without ASCII (no XML wire) comes out lossy
+        String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+}
+
+/// The first single-byte character of `bytes` from `start` on, wrapping;
+/// `start` itself when there is none.
+fn ascii_from(bytes: &[u8], start: usize) -> usize {
+    (0..bytes.len())
+        .map(|off| (start + off) % bytes.len())
+        .find(|&i| bytes[i].is_ascii())
+        .unwrap_or(start)
 }
 
 /// One physical copy of a sent message that reaches the receiver.
 struct Arrival {
-    /// Corrupted wire bytes, or `None` when the copy arrived intact (the
-    /// receiver then uses the original bytes without cloning them).
-    payload: Option<String>,
+    /// The byte corrupted in flight, or `None` when the copy arrived intact
+    /// (the receiver then uses the original bytes without cloning them).
+    damage: Option<Damage>,
     /// Fault-injected extra virtual delay for this copy, in microseconds.
     delay_us: u64,
     /// True when the copy was reordered: it must not be processed now but
@@ -240,11 +339,11 @@ impl Delivery {
         Delivery::unchecked(sim, FaultProfile::lossless(), 0)
     }
 
-    /// Put one logical message of `wire` bytes on the channel: the physical
-    /// copies that reach the receiver — possibly none (dropped), possibly two
-    /// (duplicated), each possibly corrupted, delayed or deferred. Every
-    /// copy, delivered or not, is charged to the network.
-    fn send(&self, wire: &str) -> Vec<Arrival> {
+    /// Put one logical message of `len` bytes, a copy of `wire`, on the
+    /// channel: the physical copies that reach the receiver — possibly none
+    /// (dropped), possibly two (duplicated), each possibly damaged, delayed
+    /// or deferred. Every copy, delivered or not, is charged to the network.
+    fn send(&self, wire: &str, len: usize) -> Vec<Arrival> {
         let profile = &self.profile;
         let mut state = self.state();
         let State { fault_rng: rng, stats, .. } = &mut *state;
@@ -259,45 +358,44 @@ impl Delivery {
         for _ in 0..copies {
             // the copy left the sender: it consumes wire and latency even
             // when it never arrives
-            self.sim.transfer(wire.len());
+            self.charge(stats, len);
             if rng.gen::<f64>() < profile.drop {
-                counts.dropped += 1;
+                stats.faults.dropped += 1;
                 continue;
             }
-            let payload = if rng.gen::<f64>() < profile.corrupt {
-                counts.corrupted += 1;
-                Some(corrupt_one_byte(wire, rng))
-            } else {
-                None
-            };
+            let damage = (rng.gen::<f64>() < profile.corrupt).then(|| {
+                stats.faults.corrupted += 1;
+                Damage::draw(wire, rng)
+            });
             let delay_us = if profile.delay_max_us > 0 {
                 let d = rng.gen_range(0..=profile.delay_max_us);
-                counts.delayed_us += d;
+                stats.faults.delayed_us += d;
                 d
             } else {
                 0
             };
             let late = rng.gen::<f64>() < profile.reorder;
             if late {
-                counts.reordered += 1;
+                stats.faults.reordered += 1;
             }
-            arrivals.push(Arrival { payload, delay_us, late });
+            arrivals.push(Arrival { damage, delay_us, late });
         }
         arrivals
     }
 
     /// The hand-off skeleton both paths share: the `deliver` span, the
     /// attempt and retry counters, the backoff after an unacked attempt and
-    /// the undeliverable error. `attempt` puts one copy of the wire bytes on
-    /// the channel, handles whatever arrives and returns the receiver's
-    /// ack if one came; its error is the receiver's refusal and ends the
-    /// hand-off at once.
+    /// the undeliverable error. `attempt` puts one copy of the message, `len`
+    /// bytes, on the channel, handles whatever arrives and returns the
+    /// receiver's ack if one came; its error is the receiver's refusal and
+    /// ends the hand-off at once.
     fn with_retries<T>(
         &self,
         sealed: &SealedDocument,
+        len: usize,
         target: std::fmt::Arguments<'_>,
         what: std::fmt::Arguments<'_>,
-        mut attempt: impl FnMut(&Arc<String>) -> WfResult<Option<T>>,
+        mut attempt: impl FnMut() -> WfResult<Option<T>>,
     ) -> WfResult<T> {
         let mut span = self.tracer.span(stage::DELIVER).actor("delivery");
         if span.enabled() {
@@ -306,11 +404,10 @@ impl Delivery {
             }
             span.attr("target", target);
         }
-        let wire = sealed.wire();
         {
             let mut state = self.state();
             state.stats.sends += 1;
-            state.ideal_bytes += wire.len() as u64;
+            state.ideal_bytes += len as u64;
         }
         let mut backoff = BASE_BACKOFF_US;
         for n in 1..=MAX_ATTEMPTS {
@@ -320,7 +417,7 @@ impl Delivery {
             });
             // the receiver answered: with its ack, or with a refusal that
             // retrying the same bytes can never cure
-            if let Some(answer) = attempt(&wire).transpose() {
+            if let Some(answer) = attempt().transpose() {
                 self.count(|stats| stats.delivered += 1);
                 if answer.is_ok() {
                     span.attr("attempts", n);
@@ -333,45 +430,55 @@ impl Delivery {
         span.attr("attempts", MAX_ATTEMPTS);
         span.end_with("undeliverable");
         Err(WfError::Delivery(format!(
-            "{what} undeliverable after {MAX_ATTEMPTS} attempts ({} bytes)",
-            wire.len()
+            "{what} undeliverable after {MAX_ATTEMPTS} attempts ({len} bytes)"
         )))
     }
 
     /// Deliver a sealed document to portal `portal` through the faulty
     /// channel, retrying with exponential backoff until the portal acks or
-    /// the attempt budget is exhausted.
+    /// the attempt budget is exhausted: as a delta against `base` when the
+    /// sender names the version it was served, else whole.
     pub fn deliver(
         &self,
         system: &CloudSystem,
         portal: usize,
         sealed: &SealedDocument,
+        base: Option<&Base>,
         route: &Route,
     ) -> WfResult<StoreAck> {
         // reordered copies of *earlier* sends arrive before this one
         self.flush(system);
-        let attempt = |wire: &Arc<String>| {
+        let wire = sealed.wire();
+        // one comparison against the base the sender holds
+        let delta = base.map(|base| (base.name, kept(&base.wire, &wire)));
+        // the base's name, then a `doc/` cell's form: `keep`, a line feed, the tail
+        let len = match delta {
+            Some((name, keep)) => name.len() + keep.to_string().len() + 1 + (wire.len() - keep),
+            None => wire.len(),
+        };
+        let handoff = Handoff { sealed: sealed.clone(), delta, route: route.clone() };
+        let attempt = || {
             let mut ack: Option<StoreAck> = None;
-            for arrival in self.send(wire) {
-                let copy = arrived(sealed, arrival.payload.as_deref());
-                if arrival.late {
-                    self.enqueue_pending(Pending { copy, portal, route: route.clone() });
+            for Arrival { damage, delay_us, late } in self.send(&wire, len) {
+                if late {
+                    self.enqueue_pending(Pending { handoff: handoff.clone(), damage, portal });
                     continue;
                 }
-                self.sim.advance(arrival.delay_us);
-                let corrupted = arrival.payload.is_some();
-                if let Some(a) = self.to_portal(system, portal, copy, route, corrupted)? {
+                self.sim.advance(delay_us);
+                if let Some(a) =
+                    self.to_portal(system, portal, &handoff, damage, damage.is_some())?
+                {
                     ack.get_or_insert(a);
                 }
             }
             Ok(ack)
         };
         let what = format_args!("document for portal {portal}");
-        self.with_retries(sealed, format_args!("portal:{portal}"), what, attempt)
+        self.with_retries(sealed, len, format_args!("portal:{portal}"), what, attempt)
     }
 
     /// Deliver a sealed document to an arbitrary receiver (the AEA → TFC
-    /// link) through the faulty channel. `ingest` is invoked once per
+    /// link) through the faulty channel, whole. `ingest` is invoked once per
     /// arriving copy until it acks; corrupted copies failing ingestion are
     /// counted and retried, duplicate copies after the first ack are
     /// suppressed sender-side.
@@ -380,11 +487,13 @@ impl Delivery {
         sealed: &SealedDocument,
         mut ingest: impl FnMut(SealedDocument) -> WfResult<T>,
     ) -> WfResult<T> {
-        self.with_retries(sealed, format_args!("transfer"), format_args!("hand-off"), |wire| {
+        let wire = sealed.wire();
+        let what = (format_args!("transfer"), format_args!("hand-off"));
+        self.with_retries(sealed, wire.len(), what.0, what.1, || {
             let mut acked: Option<T> = None;
             // a point-to-point link has no shared redelivery queue: process
             // reordered copies after the on-time ones within this attempt
-            let mut arrivals = self.send(wire);
+            let mut arrivals = self.send(&wire, wire.len());
             arrivals.sort_by_key(|a| a.late);
             for arrival in arrivals {
                 self.sim.advance(arrival.delay_us);
@@ -395,8 +504,8 @@ impl Delivery {
                 if arrival.late {
                     self.count(|stats| stats.late_deliveries += 1);
                 }
-                let corrupted = arrival.payload.is_some();
-                let copy = arrived(sealed, arrival.payload.as_deref());
+                let corrupted = arrival.damage.is_some();
+                let copy = arrived(sealed, arrival.damage);
                 // (a corrupted copy that still verifies is canonically
                 // identical — accept it)
                 acked = self.settle(copy.and_then(&mut ingest), corrupted, || ())?;
@@ -452,29 +561,53 @@ impl Delivery {
             // send that never acked lands here as a fresh (valid) store,
             // which is exactly redelivery; a late corrupted or stale copy is
             // rejected by verification, so every rejection counts as one
-            let _ = self.to_portal(system, p.portal, p.copy, &p.route, true);
+            let _ = self.to_portal(system, p.portal, &p.handoff, p.damage, true);
         }
     }
 
     /// Hand one arrived copy to its portal and [`settle`](Self::settle) the
     /// outcome; a dead portal is restarted (journal replay completes the
-    /// half-done store, so the retry acks a duplicate).
+    /// half-done store, so the retry acks a duplicate). A delta whose base
+    /// the portal lacks is answered with the whole wire: a second copy,
+    /// charged, with the refused copy's `damage`.
     fn to_portal(
         &self,
         system: &CloudSystem,
         portal: usize,
-        copy: WfResult<SealedDocument>,
-        route: &Route,
-        corrupted: bool,
+        handoff: &Handoff,
+        damage: Option<Damage>,
+        rejectable: bool,
     ) -> WfResult<Option<StoreAck>> {
-        let admitted = copy.and_then(|copy| system.admit(portal, &copy, route));
-        let ack = self.settle(admitted, corrupted, || {
+        let Handoff { sealed, delta, route } = handoff;
+        let admitted = match *delta {
+            None => arrived(sealed, damage).and_then(|copy| system.admit(portal, &copy, route)),
+            Some((name, keep)) => {
+                let wire = sealed.wire();
+                let tail = damage.map(|damage| damage.applied(&wire, keep));
+                let whole = |_refusal| {
+                    self.count(|stats| {
+                        stats.delta_fallbacks += 1;
+                        self.charge(stats, wire.len());
+                    });
+                    arrived(sealed, damage)
+                };
+                system.admit_delta(portal, sealed, (&name, keep), tail.as_deref(), whole, route)
+            }
+        };
+        let ack = self.settle(admitted, rejectable, || {
             system.recover_portals();
         })?;
         if ack.is_some_and(|a| a.duplicate) {
             self.count(|stats| stats.duplicates_suppressed += 1);
         }
         Ok(ack)
+    }
+
+    /// Charge one physical copy of `len` bytes to the network: the channel's
+    /// one meter.
+    fn charge(&self, stats: &mut DeliveryStats, len: usize) {
+        self.sim.transfer(len);
+        stats.bytes += len as u64;
     }
 
     /// What one arrived copy's ingestion means for its hand-off, counted:
@@ -506,33 +639,6 @@ impl Delivery {
     }
 }
 
-/// Replace one byte of `wire` with a different printable ASCII byte at a
-/// position chosen to hold a single-byte UTF-8 character, keeping the copy
-/// a valid (if tampered) `String`. One byte is the minimal corruption — if
-/// the verification pipeline catches that, it catches anything larger.
-fn corrupt_one_byte(wire: &str, rng: &mut StdRng) -> String {
-    let mut bytes = wire.as_bytes().to_vec();
-    if bytes.is_empty() {
-        return String::new();
-    }
-    let start = rng.gen_range(0..bytes.len());
-    // scan forward (wrapping) to the nearest ASCII byte so the mutation
-    // cannot split a multi-byte character
-    let idx = (0..bytes.len())
-        .map(|off| (start + off) % bytes.len())
-        .find(|&i| bytes[i].is_ascii())
-        .unwrap_or(start);
-    let replacement = loop {
-        let candidate = b'!' + (rng.gen_range(0..94u8)); // printable ASCII 0x21..=0x7e
-        if candidate != bytes[idx] {
-            break candidate;
-        }
-    };
-    bytes[idx] = replacement;
-    // ASCII for ASCII keeps UTF-8; a wire without ASCII (no XML wire) comes out lossy
-    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,9 +651,9 @@ mod tests {
     fn lossless_profile_delivers_everything_intact() {
         let n = channel(FaultProfile::lossless(), 1);
         for _ in 0..100 {
-            let arrivals = n.send("<doc>payload</doc>");
+            let arrivals = n.send("<doc>payload</doc>", 18);
             assert_eq!(arrivals.len(), 1);
-            assert!(arrivals[0].payload.is_none());
+            assert!(arrivals[0].damage.is_none());
             assert_eq!(arrivals[0].delay_us, 0);
             assert!(!arrivals[0].late);
         }
@@ -560,11 +666,11 @@ mod tests {
         let a = channel(FaultProfile::hostile(), 42);
         let b = channel(FaultProfile::hostile(), 42);
         for _ in 0..200 {
-            let xa = a.send("0123456789abcdef");
-            let xb = b.send("0123456789abcdef");
+            let xa = a.send("0123456789abcdef", 16);
+            let xb = b.send("0123456789abcdef", 16);
             assert_eq!(xa.len(), xb.len());
             for (pa, pb) in xa.iter().zip(&xb) {
-                assert_eq!(pa.payload, pb.payload);
+                assert_eq!(pa.damage, pb.damage);
                 assert_eq!(pa.delay_us, pb.delay_us);
                 assert_eq!(pa.late, pb.late);
             }
@@ -577,7 +683,7 @@ mod tests {
         let n = channel(FaultProfile { drop: 0.3, ..FaultProfile::lossless() }, 7);
         let mut delivered = 0;
         for _ in 0..1000 {
-            delivered += n.send("x".repeat(64).as_str()).len();
+            delivered += n.send("x".repeat(64).as_str(), 64).len();
         }
         let dropped = n.stats().faults.dropped;
         assert_eq!(delivered as u64 + dropped, 1000);
@@ -588,13 +694,21 @@ mod tests {
     fn corruption_changes_exactly_one_byte() {
         let n =
             channel(FaultProfile { corrupt: 1.0 - f64::EPSILON, ..FaultProfile::lossless() }, 3);
-        let wire = "<Element attr=\"value\">text content</Element>";
+        let wire = "<Element attr=\"value\">text côntent</Element>";
         for _ in 0..50 {
-            let arrivals = n.send(wire);
-            let corrupted = arrivals[0].payload.as_ref().expect("always corrupted");
-            assert_eq!(corrupted.len(), wire.len());
-            let diffs = corrupted.bytes().zip(wire.bytes()).filter(|(a, b)| a != b).count();
-            assert_eq!(diffs, 1, "exactly one byte flipped");
+            let damage = n.send(wire, wire.len())[0].damage.expect("always corrupted");
+            // whole, and as the tail of a delta keeping every prefix
+            for from in (0..wire.len()).filter(|&from| wire.is_char_boundary(from)) {
+                let carried = &wire[from..];
+                let corrupted = damage.applied(wire, from);
+                assert_eq!(corrupted.len(), carried.len());
+                let diffs = corrupted.bytes().zip(carried.bytes()).filter(|(a, b)| a != b);
+                assert_eq!(diffs.count(), 1, "exactly one byte flipped, from {from}");
+                // where the tail carries the flipped byte, it is the whole copy's
+                if damage.at >= from {
+                    assert_eq!(corrupted, damage.applied(wire, 0)[from..]);
+                }
+            }
         }
     }
 
@@ -614,7 +728,7 @@ mod tests {
     fn dropped_copies_still_consume_the_wire() {
         let n = channel(FaultProfile { drop: 0.5, ..FaultProfile::lossless() }, 11);
         for _ in 0..100 {
-            n.send("0123456789");
+            n.send("0123456789", 10);
         }
         assert_eq!(n.sim.messages(), 100, "every copy is charged, delivered or not");
         assert_eq!(n.sim.bytes(), 1000);

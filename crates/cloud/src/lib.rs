@@ -83,7 +83,7 @@ pub(crate) mod schema;
 pub(crate) mod store;
 
 pub use audit::{AuditConfig, PoolAuditor};
-pub use delivery::{Delivery, DeliveryStats, FaultCounts};
+pub use delivery::{Base, Delivery, DeliveryStats, FaultCounts};
 pub use faults::{FaultPlan, FaultProfile, Trigger};
 pub use federation::{CloudSpec, FederationController, FederationStats, Topology};
 pub use monitor::{alerts_to_jsonl, Alert, AlertKind, HealthMonitor};

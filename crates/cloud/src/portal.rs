@@ -12,11 +12,11 @@ use crate::federation::{tamper_bytes, FederationController, Topology};
 use crate::netsim::NetworkSim;
 use crate::sched::{Activation, ActivationBus};
 use crate::schema::{self, Name, RowKey, SEQ, STATUS, STEPS, WORKFLOW};
-use crate::store::{CloudStore, Stored};
+use crate::store::{CloudStore, Proved, Stored, Tip};
 use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::monitor::{self, ProcessStatus};
 use dra4wfms_core::prelude::*;
-use dra_docpool::{map_reduce_scan, FleetViews, HTable, PutOp};
+use dra_docpool::{map_reduce_scan, record_bytes, FleetViews, HTable, PutOp};
 use dra_obs::{stage, MetricsRegistry, Tracer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,6 +70,12 @@ pub struct PortalStats {
     /// re-notifications. Must equal the bus's emission count
     /// (`sched.activations == portal.notifications`).
     pub notifications: AtomicUsize,
+    /// Bytes SHA-256 absorbed keying admissions' `seen/` rows: what a digest
+    /// resumed from a tip's checkpoint spares.
+    pub sha256_bytes: AtomicUsize,
+    /// Bytes admissions compared against a tip to cut their `doc/` rows:
+    /// what a delta whose base is the latest version spares.
+    pub memcmp_bytes: AtomicUsize,
 }
 
 /// The DRA4WfMS cloud system: a pool of documents behind `n` portal servers.
@@ -370,29 +376,86 @@ impl CloudSystem {
         self.admit(portal, &parse_arrived(wire, trust)?, route)
     }
 
-    /// The portal's admission pipeline (steps 4–6 of Fig. 7): duplicate
-    /// suppression by wire digest, verification (incremental when the
-    /// document's [`TrustMark`] still pins its prefix), storage of the wire
-    /// bytes as they are, TO-DO notification.
+    /// The portal's admission pipeline (steps 4–6 of Fig. 7) for a whole
+    /// copy: duplicate suppression by wire digest, verification (incremental
+    /// when the document's [`TrustMark`] still pins its prefix), storage of
+    /// the wire bytes as they are, TO-DO notification.
     pub(crate) fn admit(
         &self,
         portal: usize,
         sealed: &SealedDocument,
         route: &Route,
     ) -> WfResult<StoreAck> {
-        // On a federated deployment the controller owns the final portal
-        // choice: it runs the outage dance for the target cloud (touches of
-        // an unconfirmed-dead cloud surface as retriable crashes), then
-        // re-routes past quarantined portals and down clouds. Single-cloud:
-        // plain modulo.
-        let portal_idx = match &self.controller {
-            Some(controller) => controller.resolve_admission(
-                portal,
-                self.network.virtual_time_us(),
-                &self.faults,
-            )?,
-            None => portal % self.portals.len(),
+        let portal_idx = self.resolve(portal)?;
+        self.store(portal_idx, sealed, None, route)
+    }
+
+    /// [`CloudSystem::admit`] for a copy that travelled as a delta: `keep`
+    /// bytes of the version named `base`, then the sender's bytes past
+    /// `keep` — or, when the copy was damaged, the `damaged` ones it carried.
+    /// The wire is rebuilt from the active cloud's head of that name: intact,
+    /// it is the sender's (equal chain digests name equal bytes, and the
+    /// parser accepts one spelling), so the sender's document is admitted as
+    /// an intact whole copy is; damaged, it is parsed and verified from the
+    /// rebuilt bytes. A base the cloud holds no head for is refused with
+    /// [`WfError::UnknownBase`] before a byte is read: `whole` answers the
+    /// refusal with the whole wire, admitted on the portal already chosen.
+    pub(crate) fn admit_delta(
+        &self,
+        portal: usize,
+        sender: &SealedDocument,
+        (base, keep): (&[u8; 32], usize),
+        damaged: Option<&str>,
+        whole: impl FnOnce(WfError) -> WfResult<SealedDocument>,
+        route: &Route,
+    ) -> WfResult<StoreAck> {
+        let portal_idx = self.resolve(portal)?;
+        let Some(tip) = self.active_cloud().head(base) else {
+            let refusal = WfError::UnknownBase(dra_crypto::hex::encode(base));
+            return self.store(portal_idx, &whole(refusal)?, None, route);
         };
+        let sealed = match damaged {
+            None => {
+                debug_assert_eq!(
+                    tip.rebuild(keep, &sender.wire()[keep..]).as_deref(),
+                    Some(sender.wire().as_str()),
+                    "rebuilt delta ≠ sender's wire"
+                );
+                sender.clone()
+            }
+            Some(tail) => {
+                let unbuilt =
+                    || WfError::Malformed(format!("a delta keeps {keep} bytes of its base"));
+                parse_arrived(&tip.rebuild(keep, tail).ok_or_else(unbuilt)?, sender.trust())?
+            }
+        };
+        self.store(portal_idx, &sealed, Some((&tip, keep)), route)
+    }
+
+    /// The portal an admission addressed to `portal` runs on. On a federated
+    /// deployment the controller owns the final choice: it runs the outage
+    /// dance for the target cloud (touches of an unconfirmed-dead cloud
+    /// surface as retriable crashes), then re-routes past quarantined
+    /// portals and down clouds. Single-cloud: plain modulo.
+    fn resolve(&self, portal: usize) -> WfResult<usize> {
+        match &self.controller {
+            Some(controller) => {
+                controller.resolve_admission(portal, self.network.virtual_time_us(), &self.faults)
+            }
+            None => Ok(portal % self.portals.len()),
+        }
+    }
+
+    /// The admission pipeline on portal `portal_idx`, for `sealed` as it
+    /// arrived — rebuilt from `base`, keeping the given bytes of it, when it
+    /// travelled as a delta.
+    fn store(
+        &self,
+        portal_idx: usize,
+        sealed: &SealedDocument,
+        base: Option<(&Tip, usize)>,
+        route: &Route,
+    ) -> WfResult<StoreAck> {
         let active = self.active_cloud();
         let stats = &self.portals[portal_idx];
         let mut span = self.tracer.span(stage::PORTAL_ADMIT).actor(&format!("portal:{portal_idx}"));
@@ -402,12 +465,14 @@ impl CloudSystem {
             span.set_process(pid);
         }
         let wire = sealed.wire();
-        // one measurement of the wire against the last version of the process
-        // it claims: the digest for the `seen/` key, the bytes kept for the
-        // `doc/` row. No tip answers to a claim nothing was committed under.
-        let mut cut = active.cut(claimed.as_deref().unwrap_or_default(), &wire);
+        // one measurement of the wire against the version it extends and the
+        // latest version of the process it claims: the digest for the `seen/`
+        // key, the bytes kept for the `doc/` row. No tip answers to a claim
+        // nothing was committed under.
+        let mut cut = active.cut(claimed.as_deref().unwrap_or_default(), &wire, base);
         let digest = cut.digest;
         debug_assert_eq!(digest, dra_crypto::sha256(wire.as_bytes()), "resumed ≠ cold digest");
+        stats.sha256_bytes.fetch_add(cut.hashed, Ordering::Relaxed);
 
         // idempotency: bytes we have already stored are acked, not
         // re-stored — a duplicated or retransmitted copy costs nothing but
@@ -453,6 +518,7 @@ impl CloudSystem {
         // process's prefix and be served as that process's versions
         let pid = Name::new(&report.process_id)?;
         let seq = active.next_seq(pid, &mut cut, &wire);
+        stats.memcmp_bytes.fetch_add(cut.compared, Ordering::Relaxed);
         let definition = dra4wfms_core::amendment::effective_definition(sealed)?;
         // design-time soundness gate: a definition that can deadlock, starve
         // an activity or orphan a join is rejected *here*, before any row is
@@ -484,27 +550,18 @@ impl CloudSystem {
         // row lands before the crash point), is folded into the fleet views
         // through the same fold crash replay uses, and is counted as stored:
         // a retry after a torn replica commit is a duplicate on this cloud
-        let crash = |site| move || self.faults.check(site);
-        active.commit(&ops, 1, crash(site::PORTAL_BETWEEN_SEEN_AND_STORE))?;
-        active.advance(pid, seq, Arc::clone(&wire), cut, route.is_final());
+        let crash = || self.faults.check(site::PORTAL_BETWEEN_SEEN_AND_STORE);
+        active.commit(&ops, 1, crash)?;
+        if let Some(mark) = &outcome.mark {
+            let executed = report.cers.last().map(|cer| cer.activity.as_str());
+            let proved = Proved { name: mark.prefix_digest, executed, route };
+            active.advance(pid, seq, Arc::clone(&wire), cut, proved);
+        }
         schema::fold_into_views(&self.views, ops.iter().map(schema::applied));
         // the tree the verifier has just checked: attribute reads, no parse
         self.views.record_gaps(pid.as_str(), seq as u64, monitor::gaps(sealed.document()));
         stats.stored.fetch_add(1, Ordering::Relaxed);
-        // Replication: charge and commit the identical batch on every
-        // reachable peer cloud before acking. A replica torn between append
-        // and commit (the `PORTAL_REPLICA_BEFORE_COMMIT` site) is repaired
-        // by its own journal's replay in [`CloudSystem::recover_portals`];
-        // the views were fed by the primary's commit already.
-        if let Some(controller) = &self.controller {
-            let now_us = self.network.virtual_time_us();
-            for cloud in controller.replica_targets(now_us, &self.faults) {
-                let replica = &self.clouds[cloud];
-                self.network.transfer(wire.len());
-                replica.commit(&ops, 0, crash(site::PORTAL_REPLICA_BEFORE_COMMIT))?;
-                controller.ack_replica();
-            }
-        }
+        self.replicate(&ops)?;
         // notify after commit: an activation must never outrun its TO-DO
         // row. The crash window above never reaches this point — replay
         // re-emits the repaired admission's notifications instead.
@@ -516,6 +573,24 @@ impl CloudSystem {
         span.attr("signatures", report.signatures_verified);
         span.end();
         Ok(StoreAck { seq, duplicate: false })
+    }
+
+    /// Replication: ship, charge and commit an admission's batch on every
+    /// reachable peer cloud before acking — the journal record, whose `doc/`
+    /// row holds what the hop appended. A replica torn between append and
+    /// commit (the `PORTAL_REPLICA_BEFORE_COMMIT` site) is repaired by its
+    /// own journal's replay in [`CloudSystem::recover_portals`]; the views
+    /// were fed by the primary's commit already.
+    fn replicate(&self, ops: &[PutOp]) -> WfResult<()> {
+        let Some(controller) = &self.controller else { return Ok(()) };
+        let now_us = self.network.virtual_time_us();
+        for cloud in controller.replica_targets(now_us, &self.faults) {
+            self.network.transfer(record_bytes(ops));
+            let crash = || self.faults.check(site::PORTAL_REPLICA_BEFORE_COMMIT);
+            self.clouds[cloud].commit(ops, 0, crash)?;
+            controller.ack_replica();
+        }
+        Ok(())
     }
 
     /// Retrieve the latest stored document of a process (step 2 of Fig. 7).
@@ -733,6 +808,12 @@ impl CloudSystem {
             .enumerate()
             .map(|(i, c)| (c.name.clone(), i, Arc::clone(c.pool())))
             .collect()
+    }
+
+    /// Branch heads the clouds hold (see `store`): what a delta hand-off is
+    /// rebuilt from, none once every process has ended.
+    pub fn tips_held(&self) -> usize {
+        self.clouds.iter().map(CloudStore::tips_held).sum()
     }
 
     /// Total documents stored across portals.

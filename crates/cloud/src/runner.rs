@@ -36,7 +36,7 @@
 //!   if the dead agent's send did land, the portal's wire-digest
 //!   idempotency suppresses the duplicate.
 
-use crate::delivery::{Delivery, DeliveryStats};
+use crate::delivery::{Base, Delivery, DeliveryStats};
 use crate::monitor::HealthMonitor;
 use crate::portal::CloudSystem;
 use dra4wfms_core::flow::merge_documents;
@@ -223,21 +223,22 @@ impl<'a> InstanceRun<'a> {
         Ok(merged)
     }
 
-    /// Execute one hop end to end: open the activity, respond, complete
-    /// (via the TFC on the advanced model), store and notify. Returns the
-    /// resulting document, its route, the signature checks spent and the
-    /// activity iteration executed — or the [`WfError::Crash`] of whichever
-    /// component died.
+    /// Execute one hop end to end: open the activity on `merged`, the merge
+    /// of `inputs`, respond, complete (via the TFC on the advanced model),
+    /// store and notify. Returns the resulting document, its route, the
+    /// signature checks spent and the activity iteration executed — or the
+    /// [`WfError::Crash`] of whichever component died.
     pub(crate) fn execute_hop(
         &self,
         aea: &Aea,
         activity: &str,
+        inputs: &[SealedDocument],
         merged: &SealedDocument,
         respond: &Responder,
-        use_tfc: bool,
         portal: usize,
     ) -> WfResult<(SealedDocument, Route, usize, u32)> {
         let received = aea.receive(merged.clone(), activity)?;
+        let use_tfc = received.definition.def.tfc.is_some();
         let mut checks = received.report.signatures_verified;
         let iter = received.iter;
         let mut span_exec = self
@@ -265,8 +266,18 @@ impl<'a> InstanceRun<'a> {
             }
         };
 
-        // store + notify (portal chosen by hash of (process, step))
-        self.delivery.deliver(self.system, portal, &document, &route)?;
+        // store + notify (portal chosen by hash of (process, step)), as a
+        // delta against the version the hop was served: the first input,
+        // named by the chain digest the output's mark carries — or after a
+        // join, whose mark covers the merge, by its own
+        let base = match inputs {
+            [single] => {
+                document.trust().map(|mark| Base { name: mark.prefix_digest, wire: single.wire() })
+            }
+            [first, ..] => Some(Base::of(first)?),
+            [] => None,
+        };
+        self.delivery.deliver(self.system, portal, &document, base.as_ref(), &route)?;
         Ok((document, route, checks, iter))
     }
 

@@ -264,6 +264,7 @@ impl<'a> Scheduler<'a> {
             self.system,
             self.system.route_portal(self.system.portal_for(&pid, 0)),
             &sealed_initial,
+            None,
             &Route { targets: vec![def.start.clone()], ends: false },
         )?;
         // only an instance the pool holds is watched: a refused admission
@@ -537,7 +538,6 @@ fn dispatch_one<'a>(
     dspan.attr("process", &inst.pid);
     dspan.attr("activity", &act.activity);
     dspan.attr("seq", act.seq);
-    let use_tfc = def_now.tfc.is_some();
     let mut takeovers_left = MAX_TAKEOVERS;
     let (document, route, hop_checks, _hop_iter) = loop {
         let hop_start = inst.run.tracer.now_us();
@@ -548,7 +548,7 @@ fn dispatch_one<'a>(
         // the activation was emitted. Identity on single-cloud systems.
         system.federation_poll();
         let portal = system.route_portal(system.portal_for(&inst.pid, inst.steps + 1));
-        match inst.run.execute_hop(aea, &act.activity, &merged, inst.respond, use_tfc, portal) {
+        match inst.run.execute_hop(aea, &act.activity, &inputs, &merged, inst.respond, portal) {
             Ok(done) => {
                 hop_span.set_activity(&act.activity, done.3);
                 hop_span.attr("signature_checks", done.2);

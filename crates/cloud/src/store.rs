@@ -12,22 +12,36 @@
 //! * **the write of a version** — a `doc/` row costs what the hop appended,
 //!   not the document: [`CloudStore::version_rows`] stores version k as a
 //!   `schema::Delta` against version k−1 — the bytes of k−1 it keeps, then
-//!   the tail. The version below comes from the **tip**, `pid → (seq, wire)`
-//!   of the last version this cloud committed as primary, holding the `Arc`
-//!   the sealed document already holds. The tip is derived, the pool is the
-//!   truth: any commit that writes a version of a process drops its tip,
+//!   the tail. Version k−1 is the **latest tip**, `pid → (seq, wire)` of the
+//!   last version this cloud committed as primary, holding the `Arc` the
+//!   sealed document already holds. Tips are derived, the pool is the truth:
+//!   any commit that writes a version of a process drops its latest tip,
 //!   [`CloudStore::advance`] installs the new one only after the commit
 //!   returned and not at all once the route is final, and a miss (restart,
 //!   restore, failover to this cloud, a replayed crash) folds the pool's
-//!   rows. While the tip is there [`CloudStore::next_seq`] scans nothing.
-//!   [`CloudStore::cut`] measures an arriving wire against it once: the bytes
-//!   kept and, in the same pass, the `seen/` key. The tip holds the SHA-256
-//!   state after `wire[..at]`, where its append ended; a wire whose first
-//!   `keep ≥ at` bytes this store just compared equal has that state after
-//!   its own first `at` bytes, so absorbing the rest yields SHA-256(wire) by
-//!   definition — of bytes read here, nothing sent. Otherwise (`keep < at`:
-//!   seq 0, an AND-split sibling; no tip in memory; a claimed process with
-//!   none) the wire is hashed whole. The state dies with the tip, unstored;
+//!   rows, measuring the bytes kept and hashing nothing. While it is there
+//!   [`CloudStore::next_seq`] scans nothing. `advance` also keeps the version
+//!   as a **branch head**, named by the chain digest `dₖ` its admission's
+//!   verifier computed, while a routed target of it has still to run: an
+//!   admission executing activity X strikes X off every head of its process,
+//!   a head waiting for nothing is dropped and a final route drops them all,
+//!   so a process holds at most one head per live branch and none once it
+//!   ended. A delta hand-off (`delivery`) names the head it extends and the
+//!   portal rebuilds the wire from it ([`CloudStore::head`],
+//!   [`Tip::rebuild`]); heads live in memory only, so after a cold restart,
+//!   on a failover, or for a join whose first arrival is no stored version
+//!   the sender resends the whole wire. [`CloudStore::cut`] measures an
+//!   arriving wire once: against the version it extends — a delta's head, or
+//!   for a whole wire the latest tip, compared here — for the `seen/` key,
+//!   and against the latest tip for the `doc/` row: the delta's `keep` when
+//!   its head *is* the latest version, one comparison otherwise. Every tip
+//!   holds the SHA-256 state after `wire[..at]`, where its append ended; a
+//!   wire whose first `keep ≥ at` bytes are that version's has that state
+//!   after its own first `at` bytes, so absorbing the rest yields
+//!   SHA-256(wire) by definition — of bytes read here, nothing sent.
+//!   Otherwise (`keep < at`: seq 0, a tip folded from the pool, a whole wire
+//!   from an AND-split sibling) the wire is hashed whole, once. The state
+//!   dies with the tip, unstored;
 //! * **the read path** — a stored version is a [`Stored`]: its `doc/` row
 //!   with the bytes of that version, reassembled by a `Fold` over the rows
 //!   below it. One prefix query, a buffer reserved once, every tail copied
@@ -196,7 +210,7 @@ impl Fold {
 
 /// The bytes of `wire` a delta against `below` keeps: their longest common
 /// prefix that ends between two characters.
-fn kept(below: &str, wire: &str) -> usize {
+pub(crate) fn kept(below: &str, wire: &str) -> usize {
     const STRIDE: usize = 128;
     let (a, b) = (below.as_bytes(), wire.as_bytes());
     let same = |(x, y): &(&[u8], &[u8])| x == y;
@@ -210,10 +224,10 @@ fn kept(below: &str, wire: &str) -> usize {
     keep
 }
 
-/// The last version of a process this cloud committed as primary: what the
-/// next one is cut against.
+/// A version this cloud committed as primary, with the SHA-256 checkpoint a
+/// wire that extends it resumes from.
 #[derive(Clone)]
-struct Tip {
+pub(crate) struct Tip {
     seq: usize,
     wire: Arc<String>,
     /// Where this version's append ended: its length less the suffix it
@@ -225,41 +239,110 @@ struct Tip {
     state: Sha256,
 }
 
-/// An arriving wire measured against the [`Tip`] of the process it claims —
-/// once per admission: duplicate suppression reads the digest, the `doc/`
-/// row the bytes kept, the next tip the state to resume from.
+impl Tip {
+    /// The wire a delta against this version rebuilds: `keep` bytes of it,
+    /// then `tail`; `None` when `keep` lies past its end or inside one of
+    /// its characters.
+    pub(crate) fn rebuild(&self, keep: usize, tail: &str) -> Option<String> {
+        let kept = self.wire.get(..keep)?;
+        Some([kept, tail].concat())
+    }
+}
+
+/// A branch head: a version some of whose routed targets have still to
+/// extend it, named by the chain digest its admission's verifier computed.
+struct Head {
+    name: [u8; 32],
+    /// The routed targets no admission has executed yet.
+    pending: Vec<String>,
+    tip: Tip,
+}
+
+/// The tips of one cloud (see the module doc).
+#[derive(Default)]
+struct Tips {
+    /// `pid →` the latest version committed here as primary: what the next
+    /// `doc/` row of the process is cut against.
+    latest: HashMap<String, Tip>,
+    /// `pid →` its branch heads: what a delta hand-off is rebuilt from.
+    heads: HashMap<String, Vec<Head>>,
+    /// The chain digest of every head `→` its process.
+    named: HashMap<[u8; 32], String>,
+}
+
+impl Tips {
+    /// Drop the heads of `pid` that `keep` rejects, with their names.
+    fn drop_heads(&mut self, pid: &str, keep: impl Fn(&Head) -> bool) {
+        let Some(heads) = self.heads.get_mut(pid) else { return };
+        for head in heads.iter().filter(|head| !keep(head)) {
+            self.named.remove(&head.name);
+        }
+        heads.retain(keep);
+        if heads.is_empty() {
+            self.heads.remove(pid);
+        }
+    }
+}
+
+/// What an admission proved of the version it commits.
+pub(crate) struct Proved<'a> {
+    /// The chain digest its verifier computed: the name of its head.
+    pub name: [u8; 32],
+    /// The activity its newest CER executed; `None` for the initial document.
+    pub executed: Option<&'a str>,
+    pub route: &'a Route,
+}
+
+/// An arriving wire measured once per admission: duplicate suppression reads
+/// the digest, the `doc/` row the bytes of the latest version kept, the next
+/// tip the state to resume from.
 pub(crate) struct Cut {
     /// SHA-256 of the wire.
     pub digest: [u8; 32],
-    /// The `seq` of the tip and the bytes of it the wire keeps; `None` when
-    /// no tip was there to measure against.
+    /// The `seq` of the latest version and the bytes of it the wire keeps;
+    /// `None` until one was there to measure against.
     below: Option<(usize, usize)>,
     /// The [`Tip::at`] and [`Tip::state`] of this wire, were it committed.
     at: usize,
     state: Sha256,
+    /// Bytes SHA-256 absorbed and bytes compared to measure the wire.
+    pub hashed: usize,
+    pub compared: usize,
 }
 
 impl Cut {
-    fn of(tip: Option<&Tip>, wire: &str) -> Cut {
+    /// Measure `wire` against `latest`, the version its `doc/` row is cut
+    /// against, and against the version it extends: `base` with the bytes
+    /// of it a delta kept, else `latest`.
+    fn of(base: Option<(&Tip, usize)>, latest: Option<&Tip>, wire: &str) -> Cut {
         let bytes = wire.as_bytes();
-        let (below, mut hash, from, at) = match tip {
-            Some(tip) => {
-                let keep = kept(&tip.wire, wire);
-                let ends = tip.wire.as_bytes()[keep..].iter().rev().zip(bytes[keep..].iter().rev());
-                let at = bytes.len() - ends.take_while(|(x, y)| x == y).count();
-                // `wire[..keep]` was just compared: up to there the tip's
-                // state is this wire's
-                let resumed = tip.at <= keep;
-                let (hash, from) =
-                    if resumed { (tip.state.clone(), tip.at) } else { (Sha256::new(), 0) };
-                (Some((tip.seq, keep)), hash, from, at)
+        let mut compared = 0;
+        let below = latest.map(|latest| match base {
+            Some((base, keep)) if Arc::ptr_eq(&base.wire, &latest.wire) => (latest, keep),
+            _ => {
+                compared = kept(&latest.wire, wire);
+                (latest, compared)
             }
-            None => (None, Sha256::new(), 0, 0),
+        });
+        let (mut hash, from, at) = match base.or(below) {
+            Some((base, keep)) => {
+                let ends =
+                    base.wire.as_bytes()[keep..].iter().rev().zip(bytes[keep..].iter().rev());
+                let at = bytes.len() - ends.take_while(|(x, y)| x == y).count();
+                // `wire[..keep]` is the base's: up to there its state is this wire's
+                let resumed = base.at <= keep;
+                let (hash, from) =
+                    if resumed { (base.state.clone(), base.at) } else { (Sha256::new(), 0) };
+                (hash, from, at)
+            }
+            None => (Sha256::new(), 0, 0),
         };
+        let below = below.map(|(latest, keep)| (latest.seq, keep));
         hash.update(&bytes[from..at]);
         let state = hash.clone();
         hash.update(&bytes[at..]);
-        Cut { digest: hash.finalize(), below, at, state }
+        let hashed = bytes.len() - from;
+        Cut { digest: hash.finalize(), below, at, state, hashed, compared }
     }
 }
 
@@ -269,9 +352,9 @@ pub(crate) struct CloudStore {
     pub name: String,
     pool: Arc<HTable>,
     journal: Journal,
-    /// `pid →` the last version committed here as primary, while its process
-    /// runs (see the module doc).
-    tips: Mutex<HashMap<String, Tip>>,
+    /// The versions committed here as primary that a later one may extend,
+    /// while their process runs (see the module doc).
+    tips: Mutex<Tips>,
 }
 
 impl CloudStore {
@@ -320,7 +403,7 @@ impl CloudStore {
     ) -> WfResult<()> {
         for op in ops.iter().filter(|op| op.key.starts_with(DOC_ROWS)) {
             if let Some(RowKey::Doc { pid, .. }) = RowKey::parse(&op.key) {
-                self.tips().remove(pid.as_str());
+                self.tips().latest.remove(pid.as_str());
             }
         }
         let record = self.journal.append(ops.to_vec());
@@ -356,7 +439,7 @@ impl CloudStore {
 
     // -- stored versions: the write ------------------------------------------
 
-    fn tips(&self) -> std::sync::MutexGuard<'_, HashMap<String, Tip>> {
+    fn tips(&self) -> std::sync::MutexGuard<'_, Tips> {
         self.tips.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -365,33 +448,52 @@ impl CloudStore {
     /// A latest row that yields no bytes is a tip of none, so the version
     /// above it is cut against nothing: a full copy.
     fn tip(&self, pid: Name<'_>) -> Option<Tip> {
-        if let Some(tip) = self.tips().get(pid.as_str()) {
+        if let Some(tip) = self.tips().latest.get(pid.as_str()) {
             return Some(tip.clone());
         }
         let Stored { key, xml } = self.latest(pid)?;
         let RowKey::Doc { seq, .. } = RowKey::parse(&key)? else { return None };
         let tip = Tip { seq, wire: Arc::new(xml.unwrap_or_default()), at: 0, state: Sha256::new() };
-        self.tips().insert(pid.as_str().to_string(), tip.clone());
+        self.tips().latest.insert(pid.as_str().to_string(), tip.clone());
         Some(tip)
     }
 
-    /// Measure an arriving `wire` against the tip this cloud holds in memory
-    /// for the process it claims to be of. Nothing is read from the pool: a
-    /// wire that may yet be a duplicate or a forgery costs its bytes.
-    pub(crate) fn cut(&self, claimed: &str, wire: &str) -> Cut {
-        let tip = self.tips().get(claimed).cloned();
-        Cut::of(tip.as_ref(), wire)
+    /// The branch head named by the chain digest `name`, if this cloud holds
+    /// one: the version a delta hand-off naming it is rebuilt from.
+    pub(crate) fn head(&self, name: &[u8; 32]) -> Option<Tip> {
+        let tips = self.tips();
+        let heads = tips.heads.get(tips.named.get(name)?)?;
+        heads.iter().find(|head| head.name == *name).map(|head| head.tip.clone())
+    }
+
+    /// Branch heads held: at most one per live branch of each running
+    /// process.
+    pub(crate) fn tips_held(&self) -> usize {
+        self.tips().heads.values().map(Vec::len).sum()
+    }
+
+    /// Measure an arriving `wire` — a whole copy, or one rebuilt from `base`
+    /// keeping `keep` bytes of it — against the latest version this cloud
+    /// holds in memory for the process it claims to be of. Nothing is read
+    /// from the pool: a wire that may yet be a duplicate or a forgery costs
+    /// its bytes.
+    pub(crate) fn cut(&self, claimed: &str, wire: &str, base: Option<(&Tip, usize)>) -> Cut {
+        let latest = self.tips().latest.get(claimed).cloned();
+        Cut::of(base, latest.as_ref(), wire)
     }
 
     /// The next admission's `seq`, for the wire `cut` measured, now proved to
     /// be of `pid`: one past the latest version stored (parallel AND-split
     /// branches have equal CER counts, so the CER count alone would
-    /// collide). A cut that met no tip in memory is taken again, against the
-    /// version the pool's rows fold to, if they hold one.
+    /// collide). A cut that met no latest version in memory measures the
+    /// bytes kept of the one the pool's rows fold to, if they hold one; its
+    /// digest stands.
     pub(crate) fn next_seq(&self, pid: Name<'_>, cut: &mut Cut, wire: &str) -> usize {
         if cut.below.is_none() {
             if let Some(tip) = self.tip(pid) {
-                *cut = Cut::of(Some(&tip), wire);
+                let keep = kept(&tip.wire, wire);
+                cut.compared += keep;
+                cut.below = Some((tip.seq, keep));
             }
         }
         cut.below.map_or(0, |(below, _)| below.saturating_add(1))
@@ -424,20 +526,40 @@ impl CloudStore {
         ]
     }
 
-    /// `wire`, which `cut` measured, was committed as version `seq` of
-    /// `pid`: it is what the next version is cut against, unless the route
-    /// ended there.
+    /// `wire`, which `cut` measured, was committed as version `seq` of `pid`,
+    /// as `proved`. Each branch head of the process has the activity it
+    /// executed to wait for no more, and one that waits for nothing is
+    /// dropped; the version becomes the latest, and a head for its routed
+    /// targets — unless the route ended there, which drops every tip of the
+    /// process.
     pub(crate) fn advance(
         &self,
         pid: Name<'_>,
         seq: usize,
         wire: Arc<String>,
         cut: Cut,
-        ended: bool,
+        proved: Proved<'_>,
     ) {
-        if !ended {
-            let tip = Tip { seq, wire, at: cut.at, state: cut.state };
-            self.tips().insert(pid.as_str().to_string(), tip);
+        let Proved { name, executed, route } = proved;
+        let mut tips = self.tips();
+        let pid = pid.as_str();
+        if route.is_final() {
+            tips.latest.remove(pid);
+            tips.drop_heads(pid, |_| false);
+            return;
+        }
+        if let Some(executed) = executed {
+            for head in tips.heads.get_mut(pid).into_iter().flatten() {
+                head.pending.retain(|target| target != executed);
+            }
+        }
+        tips.drop_heads(pid, |head| !head.pending.is_empty() && head.name != name);
+        let tip = Tip { seq, wire, at: cut.at, state: cut.state };
+        tips.latest.insert(pid.to_string(), tip.clone());
+        if !route.targets.is_empty() {
+            let head = Head { name, pending: route.targets.clone(), tip };
+            tips.heads.entry(pid.to_string()).or_default().push(head);
+            tips.named.insert(name, pid.to_string());
         }
     }
 
@@ -611,15 +733,15 @@ mod tests {
     use std::sync::atomic::Ordering;
 
     impl CloudStore {
-        /// Processes with a tip in memory.
-        fn tips_held(&self) -> usize {
-            self.tips().len()
+        /// Processes whose latest version is in memory.
+        fn latest_held(&self) -> usize {
+            self.tips().latest.len()
         }
 
         /// What `wire` would be admitted with as the next version of `pid`:
         /// its `seq` and its two rows.
         fn rows_for(&self, pid: Name<'_>, wire: &str) -> (usize, [PutOp; 2]) {
-            let mut cut = self.cut(pid.as_str(), wire);
+            let mut cut = self.cut(pid.as_str(), wire, None);
             let seq = self.next_seq(pid, &mut cut, wire);
             (seq, self.version_rows(pid, seq, &cut, wire))
         }
@@ -778,7 +900,7 @@ mod tests {
         assert!(resumed < whole / 2, "{resumed} B of {whole}");
         let (cold, whole) = hashed(0, StoreAck { seq: 0, duplicate: true });
         assert!(cold >= whole, "{cold} B of {whole}");
-        assert_eq!(sys.clouds[0].tips()["p"].seq, 1);
+        assert_eq!(sys.clouds[0].tips().latest["p"].seq, 1);
         assert_eq!(admit(2), StoreAck { seq: 2, duplicate: false });
         assert_eq!(sys.portals[0].duplicates_suppressed.load(Ordering::Relaxed), 2);
     }
@@ -800,13 +922,17 @@ mod tests {
     fn store(cloud: &CloudStore, wire: &str) -> (usize, [u8; 32], u64) {
         let p = Name::new("p").unwrap();
         dra_crypto::sha256_bytes_reset();
-        let mut cut = cloud.cut("p", wire);
+        let mut cut = cloud.cut("p", wire, None);
         let seq = cloud.next_seq(p, &mut cut, wire);
         let (digest, hashed) = (cut.digest, dra_crypto::sha256_bytes());
+        assert_eq!(hashed, cut.hashed as u64, "the cut counts what it hashed");
+        assert!(cut.hashed <= wire.len(), "no admission hashes more bytes than its wire is long");
         cloud.commit(&cloud.version_rows(p, seq, &cut, wire), 1, || Ok(())).unwrap();
-        cloud.advance(p, seq, Arc::new(wire.to_string()), cut, false);
+        let route = Route { targets: vec!["next".into()], ends: false };
+        let proved = Proved { name: digest, executed: Some("next"), route: &route };
+        cloud.advance(p, seq, Arc::new(wire.to_string()), cut, proved);
         // the tip's checkpoint is the state after the bytes it says it covers
-        let tip = cloud.tips()["p"].clone();
+        let tip = cloud.tips().latest["p"].clone();
         assert_eq!(tip.state.finalize(), dra_crypto::sha256(&wire.as_bytes()[..tip.at]));
         (seq, digest, hashed)
     }
@@ -826,7 +952,7 @@ mod tests {
         }
 
         // one byte before the checkpoint differs: nothing of it is used
-        let at = cloud.tips()["p"].at;
+        let at = cloud.tips().latest["p"].at;
         let mut forked = synthetic(6);
         forked.replace_range(at - 1..at, "y");
         let (seq, digest, hashed) = store(&cloud, &forked);
@@ -846,22 +972,25 @@ mod tests {
         for n in 0..4 {
             store(&cloud, &synthetic(n));
         }
-        assert!(cloud.tips()["p"].at > 0);
+        assert!(cloud.tips().latest["p"].at > 0);
 
         // any commit of the process drops the tip, checkpoint and all: the
-        // next version is measured against the pool's rows and hashed whole
+        // next version is hashed whole, once, and then measured against the
+        // pool's rows — no admission hashes more bytes than its wire is long
         let p = Name::new("p").unwrap();
         cloud.commit(&[XML.put(RowKey::Doc { pid: p, seq: 4 }, "0\n<x/>")], 0, || Ok(())).unwrap();
-        assert_eq!(cloud.tips_held(), 0);
+        assert_eq!(cloud.latest_held(), 0);
         let wire = synthetic(5);
         let (seq, digest, hashed) = store(&cloud, &wire);
         assert_eq!((seq, digest), (5, dra_crypto::sha256(wire.as_bytes())));
-        assert_eq!(hashed, 2 * wire.len() as u64, "once with no tip, once against the folded one");
+        assert_eq!(hashed, wire.len() as u64, "hashed once, though the rows were folded after");
+        let doc = XML.get(cloud.pool(), RowKey::Doc { pid: p, seq: 5 }).unwrap();
+        assert_eq!(doc, format!("1\n{}", &wire[1..]), "cut against the folded version 4, `<x/>`");
 
         // a snapshot holds rows: a cloud restarted from it has neither
         let restarted = CloudStore::from_snapshot("c", &cloud.snapshot()).unwrap();
-        assert_eq!(restarted.tips_held(), 0);
-        assert_eq!(restarted.cut("p", &wire).below, None);
+        assert_eq!(restarted.latest_held() + restarted.tips_held(), 0);
+        assert_eq!(restarted.cut("p", &wire, None).below, None);
         let folded = restarted.tip(p).unwrap();
         assert_eq!((folded.seq, folded.at), (5, 0), "a folded tip resumes from nothing");
         let wire = synthetic(6);
@@ -873,13 +1002,13 @@ mod tests {
     fn the_tip_spares_the_scan_and_goes_with_the_process() {
         let (sys, wires) = three_versions();
         let (cloud, p) = (&sys.clouds[0], Name::new("p").unwrap());
-        assert_eq!(cloud.tips_held(), 0, "dropped with the final route");
+        assert_eq!(cloud.latest_held(), 0, "dropped with the final route");
         let regions = || cloud.pool.scan_counters().1;
 
         // a miss folds the pool's rows, once; then the tip answers
         let scans = regions();
         assert_eq!(cloud.rows_for(p, "<x/>").0, 3);
-        assert_eq!((regions(), cloud.tips_held()), (scans + 1, 1));
+        assert_eq!((regions(), cloud.latest_held()), (scans + 1, 1));
         let (seq, [_, doc]) = cloud.rows_for(p, &format!("{}<more/>", wires[2]));
         assert_eq!((seq, regions()), (3, scans + 1), "no scan while the tip is there");
         assert_eq!(doc.value.as_ref(), format!("{}\n<more/>", wires[2].len()).as_bytes());
@@ -898,13 +1027,68 @@ mod tests {
         assert!(cloud
             .commit(&[XML.put(RowKey::Doc { pid: p, seq: 3 }, "0\n<x/>")], 0, crash)
             .is_err());
-        assert_eq!(cloud.tips_held(), 0);
+        assert_eq!(cloud.latest_held(), 0);
         assert_eq!(cloud.rows_for(p, "<x/>").0, 3, "the row never landed");
         assert_eq!(cloud.replay(|_| ()), 1);
-        assert_eq!(cloud.tips_held(), 1, "(rebuilt by the miss above …");
+        assert_eq!(cloud.latest_held(), 1, "(rebuilt by the miss above …");
         cloud.commit(&[XML.put(RowKey::Doc { pid: p, seq: 3 }, "0\n<x/>")], 0, || Ok(())).unwrap();
-        assert_eq!(cloud.tips_held(), 0, "… and dropped by any commit)");
+        assert_eq!(cloud.latest_held(), 0, "… and dropped by any commit)");
         assert_eq!(cloud.rows_for(p, "<x/>").0, 4);
+    }
+
+    /// A Fig. 9A-shaped process over synthetic versions: a chain into the
+    /// split `B1, B2`, the join `C`, the end `D` — each admitted the way
+    /// `admit` does less the verification, as a delta against its base.
+    #[test]
+    fn each_sibling_finds_its_own_base_and_a_head_goes_with_its_targets() {
+        let cloud = CloudStore::new("c");
+        let p = Name::new("p").unwrap();
+        // admit `wire` against the head `base`, executing `executed`, routed
+        // to `targets` (none: the end); its name, and what its cut cost
+        let admit = |wire: &str, base: Option<[u8; 32]>, executed: &str, targets: &[&str]| {
+            let tip = base.map(|name| cloud.head(&name).expect("the base is held"));
+            let mut cut =
+                cloud.cut("p", wire, tip.as_ref().map(|tip| (tip, kept(&tip.wire, wire))));
+            assert_eq!(cut.digest, dra_crypto::sha256(wire.as_bytes()));
+            let seq = cloud.next_seq(p, &mut cut, wire);
+            cloud.commit(&cloud.version_rows(p, seq, &cut, wire), 1, || Ok(())).unwrap();
+            let (name, cost) = (dra_crypto::sha256(wire.as_bytes()), (cut.hashed, cut.compared));
+            let targets = targets.iter().map(|t| t.to_string()).collect();
+            let route = Route { ends: executed == "D", targets };
+            let proved =
+                Proved { name, executed: Some(executed).filter(|a| !a.is_empty()), route: &route };
+            cloud.advance(p, seq, Arc::new(wire.to_string()), cut, proved);
+            (name, cost)
+        };
+        let with = |wire: &str, label: &str| {
+            wire.replace("</r></d>", &format!("<c n=\"{label}\">{}</c></r></d>", "y".repeat(100)))
+        };
+        let (v0, _) = admit(&synthetic(0), None, "", &["A"]);
+        let (v1, _) = admit(&synthetic(1), Some(v0), "A", &["A2"]);
+        assert_eq!((cloud.tips_held(), cloud.head(&v0).is_none()), (1, true), "A consumed it");
+        let (split, _) = admit(&synthetic(2), Some(v1), "A2", &["B1", "B2"]);
+
+        // the siblings extend the same version: each resumes its digest from
+        // it; the second cuts its row against the first, the latest
+        let (b1, b2) = (with(&synthetic(2), "b1"), with(&synthetic(2), "b2"));
+        let (v_b1, (hashed, compared)) = admit(&b1, Some(split), "B1", &["C"]);
+        assert!(hashed < 200 && compared == 0, "{hashed} B hashed, {compared} B compared");
+        assert_eq!(cloud.tips_held(), 2, "B2 still waits for the split");
+        let (_, (hashed, compared)) = admit(&b2, Some(split), "B2", &["C"]);
+        assert!(hashed < 200 && compared == kept(&b1, &b2), "{hashed} B, {compared} B");
+        assert!(cloud.head(&split).is_none(), "every routed target extended the split");
+        assert_eq!(cloud.tips_held(), 2, "one head per live branch");
+
+        // the join names its first arrival; both branches' heads go with it
+        let join = with(&with(&b1, "b2"), "c");
+        let (v_c, (hashed, _)) = admit(&join, Some(v_b1), "C", &["D"]);
+        assert!(hashed < 400, "{hashed} B");
+        assert_eq!(cloud.tips_held(), 1);
+        admit(&with(&join, "d"), Some(v_c), "D", &[]);
+        assert_eq!((cloud.tips_held(), cloud.latest_held()), (0, 0), "gone with the process");
+        for seq in 0..7 {
+            assert!(cloud.version(p, seq).is_some(), "version {seq} reads back");
+        }
     }
 
     /// Row 1 of `p` holding `cell`: what rows 1 and 2 then fail with. Every

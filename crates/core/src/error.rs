@@ -52,6 +52,10 @@ pub enum WfError {
     /// policy's retry budget (the simulated channel dropped or corrupted
     /// every attempt).
     Delivery(String),
+    /// A hand-off travelled as a delta against a version, named by its
+    /// chain digest, that the receiving cloud holds no copy of (a cold
+    /// restart, a failover): the sender resends the whole wire.
+    UnknownBase(String),
     /// A simulated crash fault killed the component mid-operation: every
     /// in-flight state it held is gone, and only what had already reached
     /// stable storage (the document pool, a write-ahead journal, the TFC
@@ -87,6 +91,7 @@ impl std::fmt::Display for WfError {
             WfError::Delivery(m) => write!(f, "delivery failed: {m}"),
             WfError::Crash(m) => write!(f, "simulated crash: {m}"),
             WfError::Unsound(m) => write!(f, "unsound workflow definition: {m}"),
+            WfError::UnknownBase(m) => write!(f, "no base version {m} to rebuild a delta on"),
         }
     }
 }

@@ -75,6 +75,13 @@ struct JournalState {
     committed: usize,
 }
 
+/// The bytes [`Journal::export`] writes for one record of `ops`: its length
+/// prefix, its op count, and each op's four length-prefixed fields.
+pub fn record_bytes(ops: &[PutOp]) -> usize {
+    let op = |op: &PutOp| 16 + op.key.len() + op.family.len() + op.qualifier.len() + op.value.len();
+    8 + ops.iter().map(op).sum::<usize>()
+}
+
 /// The write-ahead journal: an append-only record log with a committed
 /// watermark. Thread-safe; shared by every portal of a deployment the same
 /// way the pool is.
@@ -182,7 +189,7 @@ impl Journal {
     }
 
     /// Serialize the journal: magic, committed watermark, then one
-    /// length-prefixed record per batch.
+    /// length-prefixed record per batch ([`record_bytes`] each).
     pub fn export(&self) -> Vec<u8> {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let mut buf = BytesMut::new();
@@ -334,6 +341,8 @@ mod tests {
         journal.commit_through(a);
 
         let restored = Journal::import(&journal.export()).unwrap();
+        let records = record_bytes(&batch(0)) + record_bytes(&batch(1));
+        assert_eq!(journal.export().len(), MAGIC.len() + 8 + records, "what a replica is charged");
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.uncommitted(), 1);
         let table = HTable::new(TableConfig::default());

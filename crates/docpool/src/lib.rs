@@ -39,7 +39,7 @@ pub mod scan;
 pub mod views;
 
 pub use cluster::{HTable, PoolStats, TableConfig};
-pub use journal::{Journal, PutOp};
+pub use journal::{record_bytes, Journal, PutOp};
 pub use mapreduce::map_reduce_scan;
 pub use persist::PersistError;
 pub use row::RowSnapshot;

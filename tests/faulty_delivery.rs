@@ -111,6 +111,37 @@ fn heavy_duplication_never_grows_the_pool() {
     Verifier::new(&Rig::fig9(false).dir).run(&doc).unwrap();
 }
 
+/// Every hop travels as a delta against the version it was served, and
+/// every fault lands on a delta copy as on a whole one: corrupted,
+/// duplicated, dropped and reordered copies leave exactly the lossless run's
+/// versions in the pool, and each corrupted copy is rejected, and counted,
+/// once.
+#[test]
+fn faulty_delta_copies_store_no_phantom_and_count_each_corruption_once() {
+    let (clean_sys, clean_doc, clean) = run("delta", None);
+    let whole: usize = stored_versions(&clean_sys, "delta").iter().map(String::len).sum();
+    assert!(clean.bytes * 3 < whole as u64, "{} B charged for {whole} B of versions", clean.bytes);
+    assert_eq!(clean.delta_fallbacks, 0);
+    let only = |fault: fn(&mut FaultProfile)| {
+        let mut profile = FaultProfile::lossless();
+        fault(&mut profile);
+        profile
+    };
+    for (profile, seed) in [
+        (only(|p| p.corrupt = 0.3), 3),
+        (only(|p| p.duplicate = 0.5), 4),
+        (only(|p| p.drop = 0.3), 5),
+        (only(|p| p.reorder = 0.3), 6),
+        (FaultProfile::hostile(), 7),
+    ] {
+        let (sys, doc, stats) = run("delta", Some((profile, seed)));
+        assert_eq!(*doc.wire(), *clean_doc.wire());
+        assert_eq!(stored_versions(&sys, "delta"), stored_versions(&clean_sys, "delta"));
+        assert_eq!(sys.total_stored(), 10, "{profile:?}: no phantom version");
+        assert_eq!(stats.corruptions_rejected, stats.faults.corrupted, "{profile:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -31,13 +31,13 @@
 
 use dra4wfms::cloud::federation::forge_stored_row;
 use dra4wfms::cloud::{
-    alerts_to_jsonl, check_metric_invariants, AuditConfig, CloudSystem, Delivery, FaultPlan,
+    alerts_to_jsonl, check_metric_invariants, AuditConfig, Base, CloudSystem, Delivery, FaultPlan,
     FaultProfile, PoolAuditor, Topology, Trigger,
 };
 use dra4wfms::core::faultpoint::site;
 use dra4wfms::docpool::Scan;
 use dra4wfms::prelude::*;
-use dra_bench::rig::Rig;
+use dra_bench::rig::{Handoff, Rig};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
@@ -69,6 +69,24 @@ fn healthy_digest(n: usize) -> &'static str {
 
 fn two_cloud_topology() -> Topology {
     Topology::new().cloud("east", 2).cloud("west", 2)
+}
+
+/// The hand-offs of a 6-step chain of process `chain-0`, walked AEA by AEA:
+/// each version with its route and, from the second on, the version it was
+/// served as its [`Base`].
+fn chain_handoffs(rig: &Rig) -> Vec<(SealedDocument, Route, Option<Base>)> {
+    let ids: Vec<String> = rig.def.activities.iter().map(|a| a.id.clone()).collect();
+    let route = |k: usize| Route {
+        ends: k == ids.len(),
+        targets: ids.get(k).cloned().into_iter().collect(),
+    };
+    let mut out = vec![(SealedDocument::new(rig.initial("chain-0")), route(0), None)];
+    for (k, record) in rig.walk("chain-0", Handoff::Sealed, true).enumerate() {
+        let name = record.document.trust().expect("a hop carries its mark").prefix_digest;
+        let base = Base { name, wire: out[k].0.wire() };
+        out.push((record.document, route(k + 1), Some(base)));
+    }
+    out
 }
 
 /// One auditor pass over every stored version of every cloud; returns the
@@ -380,4 +398,34 @@ proptest! {
         let stats = ctrl.stats();
         prop_assert!(stats.failovers <= stats.quarantines + stats.outages);
     }
+}
+
+/// The surviving cloud of a failover holds no head of any version it only
+/// replicated: the first delta it is sent is answered with the whole wire,
+/// and its pool ends as the one a run handing every version off whole
+/// leaves.
+#[test]
+fn after_a_failover_the_first_delta_falls_back_to_the_whole_wire() {
+    let run = |delta: bool, outage_us: u64| {
+        let plan = FaultPlan::of([(site::cloud("east"), Trigger::From(outage_us))]);
+        let rig = Rig::chain(6, false, |i| format!("value-{i}")).with_faults(&plan);
+        let (sys, controller) = rig.federated(two_cloud_topology());
+        for (k, (sealed, route, base)) in chain_handoffs(&rig).iter().enumerate() {
+            sys.channel().deliver(&sys, 0, sealed, base.as_ref().filter(|_| delta), route).unwrap();
+            if k == 2 {
+                // the instant the outage is timed at, on a run without one
+                assert_eq!(controller.stats().failovers, 0);
+                if outage_us == u64::MAX {
+                    return (String::new(), 0, rig.network.virtual_time_us());
+                }
+            }
+        }
+        assert_eq!((controller.stats().failovers, controller.stats().active_cloud), (1, 1));
+        (sys.pool_digest(), sys.channel().stats().delta_fallbacks, 0)
+    };
+    let (_, _, outage_us) = run(true, u64::MAX);
+    let (whole, none, _) = run(false, outage_us);
+    let (delta, fallbacks, _) = run(true, outage_us);
+    assert_eq!((none, fallbacks), (0, 1), "the first delta west is sent");
+    assert_eq!(delta, whole, "the pool a whole-wire run leaves");
 }

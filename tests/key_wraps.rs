@@ -258,14 +258,14 @@ fn a_re_executed_advanced_hop_reseals_identically_and_is_a_duplicate() {
     let tfc = rig.tfc.as_ref().unwrap();
     let initial = SealedDocument::new(rig.initial("re-executed"));
     let start = Route { targets: vec!["A".into()], ends: false };
-    sys.channel().deliver(&sys, 0, &initial, &start).unwrap();
+    sys.channel().deliver(&sys, 0, &initial, None, &start).unwrap();
     let hop = |aea: &Aea| {
         let received = aea.receive(initial.clone(), "A").unwrap();
         let responses = [("attachment".to_string(), "contract.pdf".to_string())];
         let inter = aea.complete_via_tfc(&received, &responses).unwrap().document;
         let sealed = inter.cers().unwrap().last().unwrap().tfc_sealed().unwrap().text_content();
         let done = tfc.process(inter).unwrap();
-        let ack = sys.channel().deliver(&sys, 0, &done.document, &done.route).unwrap();
+        let ack = sys.channel().deliver(&sys, 0, &done.document, None, &done.route).unwrap();
         (sealed, done.document.to_xml_string(), ack)
     };
     let (sealed, wire, ack) = hop(rig.agents["p_a"].as_ref());

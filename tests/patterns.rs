@@ -10,6 +10,8 @@ use dra4wfms::obs::MetricsSnapshot;
 use dra4wfms::prelude::*;
 use dra_bench::fuzz::{self, GeneratedWorkflow};
 use dra_bench::rig::{cast, Rig};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Drive `def` end to end through the scheduler with the fuzz cast
 /// (`designer`, `p0`–`p3`, `TFC`) and a fixed script; return the final
@@ -326,6 +328,45 @@ fn loop_fed_or_join_waits_for_the_loop_then_fires_once() {
         assert!(snap.counter("sched.or_join_waits") >= 1, "the merge never deferred");
         check_metric_invariants(&snap).unwrap();
         reconcile(&rig.tracer.events(), out.document.document()).unwrap();
+    }
+}
+
+/// A branch head — a stored version a delta hand-off is rebuilt from —
+/// lives while a routed target of it has still to run: read between hops,
+/// the heads held never exceed the process's live branches (two on Fig. 9A,
+/// 9B and the OR-join; on the loop, the three laps the OR-join collects
+/// and the AND-split's other branch), and none is left once a fleet of
+/// each has completed.
+#[test]
+fn branch_heads_are_bounded_by_live_branches_and_end_with_their_process() {
+    let or_join = GeneratedWorkflow::scripted(asymmetric_or_join(), OR_SCRIPT);
+    let cells = [
+        ("fig. 9A", Rig::fig9(false), 2),
+        ("fig. 9B", Rig::fig9(true), 2),
+        ("a loop into an OR-join", loop_fed_or_join(false), 4),
+        ("an OR-join", Rig::generated(&or_join, false), 2),
+    ];
+    for (cell, rig, live_branches) in cells {
+        let rig = Arc::new(rig);
+        let sys = Arc::new(rig.cloud(2));
+        let most = Arc::new(AtomicUsize::new(0));
+        let answer = {
+            let (rig, sys, most) = (Arc::clone(&rig), Arc::clone(&sys), Arc::clone(&most));
+            move |received: &ReceivedActivity| {
+                most.fetch_max(sys.tips_held(), Ordering::Relaxed);
+                rig.answer(received)
+            }
+        };
+        let initial = rig.initial("p-heads");
+        rig.run(&sys, &initial).respond(&answer).run().unwrap();
+        let most = most.load(Ordering::Relaxed);
+        assert!(most > 0 && most <= live_branches, "{cell}: {most} heads held at once");
+        assert_eq!(sys.tips_held(), 0, "{cell}: the process ended");
+
+        let pids = (0..4).map(|i| format!("p-fleet-{i}"));
+        assert_eq!(rig.fleet(&sys, pids, sys.channel()), 4, "{cell}");
+        assert_eq!(sys.tips_held(), 0, "{cell}: the fleet completed");
+        assert_eq!(sys.channel().stats().delta_fallbacks, 0, "{cell}: every base was held");
     }
 }
 

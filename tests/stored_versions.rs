@@ -25,14 +25,14 @@
 
 use dra4wfms::cloud::federation::{flip_tail, forge_stored_row};
 use dra4wfms::cloud::{
-    check_metric_invariants, AuditConfig, CloudSystem, FaultPlan, FaultProfile, PoolAuditor,
+    check_metric_invariants, AuditConfig, Base, CloudSystem, FaultPlan, FaultProfile, PoolAuditor,
     Topology, Trigger,
 };
 use dra4wfms::core::faultpoint::site;
 use dra4wfms::docpool::{HTable, Scan};
 use dra4wfms::prelude::*;
 use dra_bench::fuzz;
-use dra_bench::rig::{cast, fig9_definition, Responses, Rig};
+use dra_bench::rig::{cast, fig9_definition, Handoff, Responses, Rig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -178,7 +178,7 @@ proptest! {
         let plan = match deployment {
             Deployment::TornStore => FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, nth),
             Deployment::TornReplica => FaultPlan::once(site::PORTAL_REPLICA_BEFORE_COMMIT, nth),
-            // a hop or two in (a hop is ~240 virtual µs on this network)
+            // a hop or two in (a hop is ~205 virtual µs on this network)
             Deployment::Failover => FaultPlan::of([(site::cloud("east"), Trigger::From(100 * nth))]),
             _ => FaultPlan::none(),
         };
@@ -297,7 +297,7 @@ fn resumed_digests_and_assembled_wires_leave_every_version_and_counter_as_they_w
     let (rig, _) = subject(1, false);
     let sys = rig.cloud(1);
     let deliver = |sealed: &SealedDocument, route: &Route| {
-        sys.channel().deliver(&sys, 0, sealed, route).unwrap();
+        sys.channel().deliver(&sys, 0, sealed, None, route).unwrap();
     };
     let mut sealed = SealedDocument::new(rig.initial(PID));
     let mut route = Route { targets: vec!["s1".into()], ends: false };
@@ -318,6 +318,64 @@ fn resumed_digests_and_assembled_wires_leave_every_version_and_counter_as_they_w
     assert!(route.is_final());
     deliver(&sealed, &route);
     assert_eq!(books(&sys, "amended mid-run"), [5, 5, 0]);
+}
+
+// -- a delta without its base ---------------------------------------------------
+
+/// The hand-offs of `rig`'s chain of process [`PID`], walked AEA by AEA: each
+/// version with its route and, from the second on, the version it was served
+/// as its [`Base`].
+fn handoffs(rig: &Rig) -> Vec<(SealedDocument, Route, Option<Base>)> {
+    let ids: Vec<String> = rig.def.activities.iter().map(|a| a.id.clone()).collect();
+    let route = |k: usize| Route {
+        ends: k == ids.len(),
+        targets: ids.get(k).cloned().into_iter().collect(),
+    };
+    let mut out = vec![(SealedDocument::new(rig.initial(PID)), route(0), None)];
+    for (k, record) in rig.walk(PID, Handoff::Sealed, true).enumerate() {
+        let name = record.document.trust().expect("a hop carries its mark").prefix_digest;
+        let base = Base { name, wire: out[k].0.wire() };
+        out.push((record.document, route(k + 1), Some(base)));
+    }
+    out
+}
+
+/// A delta whose base the portal holds no head for is answered with the
+/// whole wire: after a cold restart from a snapshot, and after one whose
+/// newest row was tampered with, so that the whole copy is cut against a
+/// forged row. Either way the pool ends as it does when every version was
+/// handed off whole.
+#[test]
+fn a_delta_without_its_base_falls_back_to_the_whole_wire() {
+    let rig = Rig::chain(6, false, |i| format!("value-{i}"));
+    let hand = handoffs(&rig);
+    // three versions, a restart, the rest: as deltas or whole
+    let run = |delta: bool, tamper: bool| {
+        let deliver =
+            |sys: &CloudSystem, (sealed, route, base): &(SealedDocument, Route, Option<Base>)| {
+                sys.channel()
+                    .deliver(sys, 0, sealed, base.as_ref().filter(|_| delta), route)
+                    .unwrap();
+            };
+        let sys = rig.cloud(1);
+        hand[..3].iter().for_each(|handoff| deliver(&sys, handoff));
+        assert_eq!(sys.channel().stats().delta_fallbacks, 0, "the first cloud holds every base");
+        if tamper {
+            forge_stored_row(sys.active_pool(), &key(PID, 2), flip_tail);
+        }
+        let network = Arc::clone(&rig.network);
+        let restored =
+            CloudSystem::restore(rig.dir.clone(), 1, network, &sys.snapshot_pool()).unwrap();
+        assert_eq!(restored.tips_held(), 0, "a snapshot holds rows, not heads");
+        hand[3..].iter().for_each(|handoff| deliver(&restored, handoff));
+        (restored.pool_digest(), restored.channel().stats().delta_fallbacks)
+    };
+    for tamper in [false, true] {
+        let (whole, none) = run(false, tamper);
+        let (delta, fallbacks) = run(true, tamper);
+        assert_eq!((none, fallbacks), (0, 1), "tamper {tamper}: the first hop after the restart");
+        assert_eq!(delta, whole, "tamper {tamper}: the pool a whole-wire run leaves");
+    }
 }
 
 // -- what the layout costs ---------------------------------------------------
