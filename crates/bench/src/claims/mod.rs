@@ -157,11 +157,8 @@ pub fn held(invariants_ok: bool) -> &'static str {
 /// A fault's visit or instant drawn from `seed` in `[1, max]` — the one
 /// draw the seeded fault sweeps (`claim crash`, `claim federation`) use:
 /// `1 + splitmix64(seed) % max`.
-fn draw(seed: u64, max: u64) -> u64 {
-    let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    1 + (x ^ (x >> 31)) % max
+fn draw(mut seed: u64, max: u64) -> u64 {
+    1 + dra_cloud::delivery::splitmix64(&mut seed) % max
 }
 
 /// Run `work(i)` for every `i < total` on `threads` scoped threads pulling

@@ -14,9 +14,8 @@
 use super::{ClaimOutput, Row, Rows};
 use crate::rig::Rig;
 use dra4wfms_core::prelude::*;
+use dra_cloud::delivery::SeededStream;
 use dra_engine::WorkflowEngine;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 42;
 const TRIALS: usize = 200;
@@ -25,17 +24,17 @@ const STEPS: usize = 5;
 /// Tamper a DRA4WfMS document: overwrite one random letter or digit —
 /// of a tag, an attribute, a field value, a signature — somewhere in the
 /// serialized form.
-fn tamper_document(xml: &str, rng: &mut StdRng) -> Option<String> {
+fn tamper_document(xml: &str, rng: &mut SeededStream) -> Option<String> {
     let mut bytes = xml.as_bytes().to_vec();
     let at = (0..200)
-        .map(|_| rng.gen_range(0..bytes.len()))
+        .map(|_| rng.below(bytes.len() as u64) as usize)
         .find(|&i| bytes[i].is_ascii_alphanumeric())?;
     bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
     String::from_utf8(bytes).ok()
 }
 
 pub(super) fn run() -> ClaimOutput {
-    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut rng = SeededStream::new(SEED);
 
     // --- DRA4WfMS ---------------------------------------------------------
     let rig = Rig::chain(STEPS, false, |i| format!("data-{i}"));
@@ -72,7 +71,7 @@ pub(super) fn run() -> ClaimOutput {
             engine.execute_activity(pid, &format!("S{i}"), &format!("p{i}"), &fields).unwrap();
         }
         // superuser rewrites a random stored field
-        let target = format!("S{}", rng.gen_range(0..STEPS));
+        let target = format!("S{}", rng.below(STEPS as u64));
         engine.superuser().alter_result(pid, &target, "payload", "FORGED").unwrap();
         // is there any way for an auditor to notice? the instance carries no
         // cryptographic anchor — re-reading yields the forged value as truth.

@@ -33,11 +33,11 @@ use dra4wfms_core::faultpoint::site;
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::semantics::{cancelled, route, Net};
 use dra4wfms_core::soundness::{check_soundness, SoundnessError};
+use dra_cloud::delivery::SeededStream;
 use dra_cloud::{
     check_metric_invariants, AuditConfig, FaultPlan, FaultProfile, PoolAuditor, Scheduler,
 };
 use dra_obs::TraceEvent;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// The cast shared by every generated workflow: a designer, the
@@ -114,7 +114,7 @@ fn participant(id: &str) -> String {
 /// well-structured (each segment has one entry and one exit), so every
 /// generated definition is sound by construction.
 pub fn generate(seed: u64) -> GeneratedWorkflow {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+    let mut rng = SeededStream::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
     let mut n = 0usize;
     let mut script: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
     let mut b = WorkflowDefinition::builder(format!("fuzz-{seed:04}"), "designer");
@@ -125,16 +125,15 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
     script.insert(start.clone(), vec![("f".into(), format!("v{}", seed % 89))]);
     let mut exit = start;
 
-    let segments = 2 + (rng.gen_range(0usize..3)); // 2..=4
+    let segments = 2 + rng.below(3); // 2..=4
     for _ in 0..segments {
-        let kind = rng.gen_range(0u32..10);
+        let kind = rng.below(10);
         match kind {
             // plain sequence step
             0..=2 => {
                 let x = aid(&mut n);
                 b = b.simple_activity(&x, participant(&x), &["f"]);
-                script
-                    .insert(x.clone(), vec![("f".into(), format!("s{}", rng.gen_range(0u32..97)))]);
+                script.insert(x.clone(), vec![("f".into(), format!("s{}", rng.below(97)))]);
                 b = b.flow(&exit, &x);
                 exit = x;
             }
@@ -144,7 +143,7 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
                 b = b.simple_activity(&fork, participant(&fork), &["f"]);
                 script.insert(fork.clone(), vec![("f".into(), "fork".into())]);
                 b = b.flow(&exit, &fork);
-                let branches = 2 + rng.gen_range(0usize..2);
+                let branches = 2 + rng.below(2);
                 let mut ids = Vec::new();
                 for _ in 0..branches {
                     let br = aid(&mut n);
@@ -171,7 +170,7 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
             5..=6 => {
                 let fork = aid(&mut n);
                 b = b.simple_activity(&fork, participant(&fork), &["f", "pick"]);
-                let pick = if rng.gen::<bool>() { "left" } else { "right" };
+                let pick = if rng.coin() { "left" } else { "right" };
                 script.insert(
                     fork.clone(),
                     vec![("f".into(), "fork".into()), ("pick".into(), pick.into())],
@@ -200,10 +199,10 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
             // parallel (or partially conditional) branches into an OR-join
             7 => {
                 let fork = aid(&mut n);
-                let conditional = rng.gen::<bool>();
+                let conditional = rng.coin();
                 if conditional {
                     b = b.simple_activity(&fork, participant(&fork), &["f", "go"]);
-                    let go = if rng.gen::<bool>() { "yes" } else { "no" };
+                    let go = if rng.coin() { "yes" } else { "no" };
                     script.insert(
                         fork.clone(),
                         vec![("f".into(), "fork".into()), ("go".into(), go.into())],
@@ -246,9 +245,9 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
             }
             // multi-instance activity, static or runtime cardinality
             8 => {
-                if rng.gen::<bool>() {
+                if rng.coin() {
                     let m = aid(&mut n);
-                    let k = 2 + rng.gen_range(0u32..2); // 2..=3
+                    let k = 2 + rng.below(2) as u32; // 2..=3
                     b = b.simple_activity(&m, participant(&m), &["f"]);
                     script.insert(m.clone(), vec![("f".into(), "mi".into())]);
                     b = b.flow(&exit, &m).multi_static(&m, k);
@@ -256,7 +255,7 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
                 } else {
                     let p = aid(&mut n);
                     let m = aid(&mut n);
-                    let k = 1 + rng.gen_range(0u32..3); // 1..=3
+                    let k = 1 + rng.below(3) as u32; // 1..=3
                     b = b.simple_activity(&p, participant(&p), &["f", "n"]);
                     script.insert(
                         p.clone(),
@@ -276,10 +275,10 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
                 b = b.flow(&exit, &fork);
                 let trig = aid(&mut n);
                 let victim = aid(&mut n);
-                let conditional = rng.gen::<bool>();
+                let conditional = rng.coin();
                 if conditional {
                     b = b.simple_activity(&trig, participant(&trig), &["f", "cond"]);
-                    let cond = if rng.gen::<bool>() { "yes" } else { "no" };
+                    let cond = if rng.coin() { "yes" } else { "no" };
                     script.insert(
                         trig.clone(),
                         vec![("f".into(), "trig".into()), ("cond".into(), cond.into())],
@@ -292,7 +291,7 @@ pub fn generate(seed: u64) -> GeneratedWorkflow {
                 script.insert(victim.clone(), vec![("f".into(), "victim".into())]);
                 // flow order decides which branch is announced (and thus
                 // dispatched) first — cover both races
-                if rng.gen::<bool>() {
+                if rng.coin() {
                     b = b.flow(&fork, &trig).flow(&fork, &victim);
                 } else {
                     b = b.flow(&fork, &victim).flow(&fork, &trig);

@@ -40,8 +40,6 @@ use crate::portal::{parse_arrived, CloudSystem, StoreAck};
 use crate::store::kept;
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry, Tracer};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -218,14 +216,14 @@ impl Damage {
     /// Draw the damage of a copy of `wire`: a position, moved forward
     /// (wrapping) to the nearest single-byte character so the mutation
     /// cannot split a multi-byte one, and a different printable byte.
-    fn draw(wire: &str, rng: &mut StdRng) -> Damage {
+    fn draw(wire: &str, rng: &mut SeededStream) -> Damage {
         let bytes = wire.as_bytes();
         if bytes.is_empty() {
             return Damage { at: 0, byte: b'!' };
         }
-        let at = ascii_from(bytes, rng.gen_range(0..bytes.len()));
+        let at = ascii_from(bytes, rng.below(bytes.len() as u64) as usize);
         let byte = loop {
-            let candidate = b'!' + (rng.gen_range(0..94u8)); // printable ASCII 0x21..=0x7e
+            let candidate = b'!' + rng.below(94) as u8; // printable ASCII 0x21..=0x7e
             if candidate != bytes[at] {
                 break candidate;
             }
@@ -275,10 +273,10 @@ struct Arrival {
 struct State {
     /// The fault stream: every duplicate, drop, corruption, delay and
     /// reorder decision, in send order.
-    fault_rng: StdRng,
+    fault_rng: SeededStream,
     /// Jitter randomness, seeded independently of the fault stream so
     /// retry timing never perturbs the fault schedule.
-    jitter_rng: StdRng,
+    jitter_rng: SeededStream,
     pending: VecDeque<Pending>,
     /// The counters of [`Delivery::stats`], kept in the struct it returns;
     /// the fields derived from the network's clock stay zero here.
@@ -317,9 +315,9 @@ impl Delivery {
     /// [`Delivery::new`] for a profile already known to be valid.
     fn unchecked(sim: Arc<NetworkSim>, profile: FaultProfile, seed: u64) -> Delivery {
         let state = State {
-            fault_rng: StdRng::seed_from_u64(seed),
+            fault_rng: SeededStream::new(seed),
             // distinct, fixed offset: decouples jitter from fault decisions
-            jitter_rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
+            jitter_rng: SeededStream::new(seed ^ 0x9E37_79B9_7F4A_7C15),
             pending: VecDeque::new(),
             stats: DeliveryStats::default(),
             ideal_bytes: 0,
@@ -348,7 +346,7 @@ impl Delivery {
         let mut state = self.state();
         let State { fault_rng: rng, stats, .. } = &mut *state;
         let counts = &mut stats.faults;
-        let copies = if rng.gen::<f64>() < profile.duplicate {
+        let copies = if rng.unit() < profile.duplicate {
             counts.duplicated += 1;
             2
         } else {
@@ -359,22 +357,22 @@ impl Delivery {
             // the copy left the sender: it consumes wire and latency even
             // when it never arrives
             self.charge(stats, len);
-            if rng.gen::<f64>() < profile.drop {
+            if rng.unit() < profile.drop {
                 stats.faults.dropped += 1;
                 continue;
             }
-            let damage = (rng.gen::<f64>() < profile.corrupt).then(|| {
+            let damage = (rng.unit() < profile.corrupt).then(|| {
                 stats.faults.corrupted += 1;
                 Damage::draw(wire, rng)
             });
             let delay_us = if profile.delay_max_us > 0 {
-                let d = rng.gen_range(0..=profile.delay_max_us);
+                let d = rng.below(profile.delay_max_us.saturating_add(1));
                 stats.faults.delayed_us += d;
                 d
             } else {
                 0
             };
-            let late = rng.gen::<f64>() < profile.reorder;
+            let late = rng.unit() < profile.reorder;
             if late {
                 stats.faults.reordered += 1;
             }
@@ -535,7 +533,7 @@ impl Delivery {
     }
 
     fn wait_before_retry(&self, backoff: &mut u64) {
-        let draw = self.state().jitter_rng.gen::<f64>();
+        let draw = self.state().jitter_rng.unit();
         let jitter = (*backoff as f64 * JITTER * draw) as u64;
         self.sim.advance(ACK_TIMEOUT_US + *backoff + jitter);
         *backoff = (*backoff * 2).min(MAX_BACKOFF_US);
@@ -637,6 +635,75 @@ impl Delivery {
             Err(e) => Err(e),
         }
     }
+}
+
+/// The one seeded generator of the workspace: xoshiro256** from four
+/// [`splitmix64`] words of the seed. A channel's fault and jitter streams,
+/// the fuzz generator and the tamper claim each draw from one, so the same
+/// seed replays the same draws.
+#[derive(Clone, Debug)]
+pub struct SeededStream {
+    s: [u64; 4],
+}
+
+impl SeededStream {
+    /// The stream of `seed`.
+    pub fn new(mut seed: u64) -> SeededStream {
+        let mut s = [0; 4];
+        for word in &mut s {
+            *word = splitmix64(&mut seed);
+        }
+        // xoshiro must not start from the all-zero state
+        if s == [0; 4] {
+            s[0] = 1;
+        }
+        SeededStream { s }
+    }
+
+    /// The next 64 bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform draw in `[0, 1)`: the top 53 bits of the next word.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A fair coin: bit 32 of the next word.
+    pub fn coin(&mut self) -> bool {
+        (self.next_u64() >> 32) & 1 == 1
+    }
+
+    /// A uniform draw in `[0, n)` for `n > 0`, by rejection: a word in the
+    /// top `u64::MAX % n` values is drawn again, so no residue is favoured.
+    pub fn below(&mut self, n: u64) -> u64 {
+        let zone = u64::MAX - u64::MAX % n;
+        loop {
+            let v = self.next_u64();
+            if v < zone {
+                return v % n;
+            }
+        }
+    }
+}
+
+/// One step of splitmix64: advance `state` and return its mixed word.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -785,5 +852,36 @@ mod tests {
         assert!(matches!(lossless.transfer(&sealed, refusal), Err(WfError::Malformed(_))));
         let stats = lossless.stats();
         assert_eq!((stats.sends, stats.delivered, stats.attempts), (1, 1, 1));
+    }
+
+    #[test]
+    fn seeded_stream_replays_the_recorded_words() {
+        let mut s = SeededStream::new(42);
+        let words: Vec<u64> = (0..4).map(|_| s.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x1578_0b2e_0c2e_c716,
+                0x6104_d986_6d11_3a7e,
+                0xae17_5332_39e4_99a1,
+                0xecb8_ad47_03b3_60a1
+            ]
+        );
+        let mut zero = SeededStream::new(0);
+        assert_eq!(
+            [zero.next_u64(), zero.next_u64()],
+            [0x99ec_5f36_cb75_f2b4, 0xbf6e_1f78_4956_452a]
+        );
+    }
+
+    #[test]
+    fn seeded_draws_stay_in_range() {
+        let mut s = SeededStream::new(7);
+        for n in [1, 2, 3, 17, 94, 1 << 40, u64::MAX] {
+            for _ in 0..200 {
+                assert!(s.below(n) < n);
+                assert!((0.0..1.0).contains(&s.unit()));
+            }
+        }
     }
 }

@@ -1139,20 +1139,20 @@ mod tests {
 
     #[test]
     fn cold_restore_seeds_the_views_the_live_fold_built() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use crate::delivery::SeededStream;
         let (sys, def, pol, designer, alice) = setup();
         let aea = Aea::new(alice, sys.directory.clone());
-        let mut rng = StdRng::seed_from_u64(16);
+        let mut rng = SeededStream::new(16);
         for i in 0..24 {
             let pid = format!("s-{i:02}");
             let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, &pid).unwrap();
             let submit = Route { targets: vec!["submit".into()], ends: false };
             sys.ingest_wire(i, &doc.to_xml_string(), &submit, None).unwrap();
             // a random share of the instances takes a hop, some of them the last
-            if rng.gen_range(0..3u32) > 0 {
+            if rng.below(3) > 0 {
                 let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
                 let done = aea.complete(&recv, &[("amount".into(), i.to_string())]).unwrap();
-                let ends = rng.gen_range(0..2u32) == 0;
+                let ends = rng.below(2) == 0;
                 let targets = if ends { vec![] } else { vec!["approve".into()] };
                 let xml = done.document.to_xml_string();
                 sys.ingest_wire(i, &xml, &Route { targets, ends }, None).unwrap();

@@ -4,10 +4,8 @@
 use crate::region::{KeyRange, Region};
 use crate::row::RowSnapshot;
 use crate::scan::{Scan, ScanResult};
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One region a scan window intersects, with its clamped `[lo, hi)` bounds.
 type ScanWindow = (Arc<Region>, String, Option<String>);
@@ -80,7 +78,7 @@ impl HTable {
     /// would land in the dropped region and be lost. Splits take the list's
     /// write lock, so they serialize with in-flight operations.
     fn with_region<R>(&self, key: &str, f: impl FnOnce(&Region) -> R) -> (R, Arc<Region>) {
-        let regions = self.regions.read();
+        let regions = self.read();
         // binary search over start keys
         let idx = regions.partition_point(|r| r.range.start.as_str() <= key);
         let region = &regions[idx.saturating_sub(1)];
@@ -98,31 +96,33 @@ impl HTable {
         &self.config
     }
 
-    /// Store a cell with an explicit timestamp (snapshot restore). Advances
-    /// the logical clock past `ts` so later puts stay newer.
+    /// Store a cell with an explicit timestamp (snapshot restore), which
+    /// must be below `u64::MAX`. Advances the logical clock past `ts` so
+    /// later puts stay newer.
     pub(crate) fn put_with_timestamp(
         &self,
         key: &str,
         family: &str,
         qualifier: &str,
-        value: impl Into<Bytes>,
+        value: Arc<[u8]>,
         ts: u64,
     ) {
         self.clock.fetch_max(ts + 1, Ordering::Relaxed);
-        let value = value.into();
-        let (needs_split, region) = self.with_region(key, |region| {
-            region.put(key, family, qualifier, value, ts, self.config.max_versions);
-            region.row_count() > self.config.max_region_rows
-        });
-        if needs_split {
-            self.try_split(&region);
-        }
+        self.store(key, family, qualifier, value, ts);
     }
 
     /// Store a cell. Returns the version timestamp assigned.
-    pub fn put(&self, key: &str, family: &str, qualifier: &str, value: impl Into<Bytes>) -> u64 {
+    pub fn put(&self, key: &str, family: &str, qualifier: &str, value: impl Into<Vec<u8>>) -> u64 {
+        self.put_shared(key, family, qualifier, Arc::from(value.into()))
+    }
+
+    fn put_shared(&self, key: &str, family: &str, qualifier: &str, value: Arc<[u8]>) -> u64 {
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
-        let value = value.into();
+        self.store(key, family, qualifier, value, ts);
+        ts
+    }
+
+    fn store(&self, key: &str, family: &str, qualifier: &str, value: Arc<[u8]>, ts: u64) {
         let (needs_split, region) = self.with_region(key, |region| {
             region.put(key, family, qualifier, value, ts, self.config.max_versions);
             region.row_count() > self.config.max_region_rows
@@ -130,11 +130,10 @@ impl HTable {
         if needs_split {
             self.try_split(&region);
         }
-        ts
     }
 
     fn try_split(&self, region: &Arc<Region>) {
-        let mut regions = self.regions.write();
+        let mut regions = self.write();
         // someone may have split it already — find it by identity
         let Some(pos) = regions.iter().position(|r| Arc::ptr_eq(r, region)) else {
             return;
@@ -158,18 +157,17 @@ impl HTable {
         key: &str,
         family: &str,
         qualifier: &str,
-        value: impl Into<Bytes>,
+        value: &Arc<[u8]>,
     ) -> bool {
-        let value = value.into();
-        if self.get(key, family, qualifier).as_ref() == Some(&value) {
+        if self.get(key, family, qualifier).as_ref() == Some(value) {
             return false;
         }
-        self.put(key, family, qualifier, value);
+        self.put_shared(key, family, qualifier, value.clone());
         true
     }
 
     /// Latest value of a cell.
-    pub fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Bytes> {
+    pub fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Arc<[u8]>> {
         self.region_for(key).get(key, family, qualifier)
     }
 
@@ -186,7 +184,7 @@ impl HTable {
     /// Clamp a [`Scan`] window to the current region layout: the regions
     /// the window intersects, with per-region `[lo, hi)` bounds.
     fn scan_windows(&self, scan: &Scan) -> Vec<ScanWindow> {
-        let regions: Vec<Arc<Region>> = self.regions.read().clone();
+        let regions: Vec<Arc<Region>> = self.read().clone();
         let mut live = Vec::new();
         for region in regions {
             if let Some(t) = &scan.to {
@@ -261,12 +259,12 @@ impl HTable {
 
     /// Total row count.
     pub fn row_count(&self) -> usize {
-        self.regions.read().iter().map(|r| r.row_count()).sum()
+        self.read().iter().map(|r| r.row_count()).sum()
     }
 
     /// Cluster statistics.
     pub fn stats(&self) -> PoolStats {
-        let regions = self.regions.read();
+        let regions = self.read();
         PoolStats {
             regions: regions.len(),
             rows: regions.iter().map(|r| r.row_count()).sum(),
@@ -276,7 +274,15 @@ impl HTable {
 
     /// Clone the current region list (for snapshot export).
     pub(crate) fn regions(&self) -> Vec<Arc<Region>> {
-        self.regions.read().clone()
+        self.read().clone()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Arc<Region>>> {
+        self.regions.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<Arc<Region>>> {
+        self.regions.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

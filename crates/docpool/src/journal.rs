@@ -25,11 +25,10 @@
 //! applied, so discarding it is the correct recovery.
 
 use crate::cluster::HTable;
-use crate::persist::PersistError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::persist::{get_str, get_u32, get_u64, put_bytes, put_u32, take, PersistError};
 use dra_obs::{stage, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const MAGIC: &[u8; 8] = b"DRAWAL01";
 
@@ -43,7 +42,7 @@ pub struct PutOp {
     /// Column qualifier.
     pub qualifier: String,
     /// Cell value.
-    pub value: Bytes,
+    pub value: Arc<[u8]>,
 }
 
 impl PutOp {
@@ -52,20 +51,20 @@ impl PutOp {
         key: impl Into<String>,
         family: impl Into<String>,
         qualifier: impl Into<String>,
-        value: impl Into<Bytes>,
+        value: impl Into<Vec<u8>>,
     ) -> PutOp {
         PutOp {
             key: key.into(),
             family: family.into(),
             qualifier: qualifier.into(),
-            value: value.into(),
+            value: Arc::from(value.into()),
         }
     }
 
     /// Apply this put idempotently: a no-op when the cell's latest value
     /// already equals `value` (the replay path after a mid-batch crash).
     pub fn apply(&self, table: &HTable) {
-        table.put_idempotent(&self.key, &self.family, &self.qualifier, self.value.clone());
+        table.put_idempotent(&self.key, &self.family, &self.qualifier, &self.value);
     }
 }
 
@@ -192,24 +191,20 @@ impl Journal {
     /// length-prefixed record per batch ([`record_bytes`] each).
     pub fn export(&self) -> Vec<u8> {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64(state.committed as u64);
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&(state.committed as u64).to_be_bytes());
         for record in &state.records {
-            let mut body = BytesMut::new();
-            body.put_u32(record.len() as u32);
+            // the body: everything of the record behind its own length prefix
+            put_u32(&mut buf, (record_bytes(record) - 4) as u32);
+            put_u32(&mut buf, record.len() as u32);
             for op in record {
-                for s in [&op.key, &op.family, &op.qualifier] {
-                    body.put_u32(s.len() as u32);
-                    body.put_slice(s.as_bytes());
+                for field in [op.key.as_bytes(), op.family.as_bytes(), op.qualifier.as_bytes()] {
+                    put_bytes(&mut buf, field);
                 }
-                body.put_u32(op.value.len() as u32);
-                body.put_slice(&op.value);
+                put_bytes(&mut buf, &op.value);
             }
-            buf.put_u32(body.len() as u32);
-            buf.put_slice(&body);
         }
-        buf.to_vec()
+        buf
     }
 
     /// Deserialize a journal. A torn final record (length prefix promising
@@ -217,24 +212,19 @@ impl Journal {
     /// dropped; corruption *inside* a complete record is an error. The
     /// committed watermark is clamped to the records that survived.
     pub fn import(data: &[u8]) -> Result<Journal, PersistError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        if buf.remaining() < MAGIC.len() + 8 {
+        let mut buf = data;
+        if buf.len() < MAGIC.len() + 8 {
             return Err(PersistError::Truncated);
         }
-        if buf.split_to(MAGIC.len()).as_ref() != MAGIC {
+        if take(&mut buf, MAGIC.len())? != MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let committed = buf.get_u64() as usize;
+        let committed = get_u64(&mut buf)? as usize;
         let mut records = Vec::new();
-        loop {
-            if buf.remaining() < 4 {
-                break; // torn length prefix (or clean end)
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() < len {
-                break; // torn record body: the intent never fully landed
-            }
-            let mut body = buf.split_to(len);
+        // a torn length prefix or record body (or the clean end) ends the
+        // log: a torn intent never fully landed
+        while let Ok(len) = get_u32(&mut buf) {
+            let Ok(mut body) = take(&mut buf, len as usize) else { break };
             records.push(parse_record(&mut body)?);
         }
         let committed = committed.min(records.len());
@@ -246,38 +236,20 @@ impl Journal {
     }
 }
 
-fn parse_record(body: &mut Bytes) -> Result<Vec<PutOp>, PersistError> {
-    let take = |body: &mut Bytes, n: usize| -> Result<Bytes, PersistError> {
-        if body.remaining() < n {
-            return Err(PersistError::Truncated);
-        }
-        Ok(body.split_to(n))
-    };
-    let take_u32 = |body: &mut Bytes| -> Result<usize, PersistError> {
-        if body.remaining() < 4 {
-            return Err(PersistError::Truncated);
-        }
-        Ok(body.get_u32() as usize)
-    };
-    let take_str = |body: &mut Bytes| -> Result<String, PersistError> {
-        let n = take_u32(body)?;
-        let raw = take(body, n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| PersistError::BadString)
-    };
-
-    let nops = take_u32(body)?;
+fn parse_record(body: &mut &[u8]) -> Result<Vec<PutOp>, PersistError> {
+    let nops = get_u32(body)? as usize;
     // the count is input: reserve for no more ops than the bytes left could
     // encode (four length prefixes each), whatever it claims
-    let mut ops = Vec::with_capacity(nops.min(body.remaining() / 16));
+    let mut ops = Vec::with_capacity(nops.min(body.len() / 16));
     for _ in 0..nops {
-        let key = take_str(body)?;
-        let family = take_str(body)?;
-        let qualifier = take_str(body)?;
-        let vlen = take_u32(body)?;
-        let value = take(body, vlen)?;
+        let key = get_str(body)?;
+        let family = get_str(body)?;
+        let qualifier = get_str(body)?;
+        let len = get_u32(body)? as usize;
+        let value = Arc::from(take(body, len)?);
         ops.push(PutOp { key, family, qualifier, value });
     }
-    if body.has_remaining() {
+    if !body.is_empty() {
         return Err(PersistError::TrailingGarbage);
     }
     Ok(ops)
@@ -375,6 +347,27 @@ mod tests {
         bytes.extend_from_slice(&4u32.to_be_bytes());
         bytes.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(Journal::import(&bytes), Err(PersistError::Truncated)));
+    }
+
+    #[test]
+    fn malformed_journals_are_refused_by_kind() {
+        let mut spliced = MAGIC.to_vec();
+        spliced.extend_from_slice(&0u64.to_be_bytes());
+        let ops = [PutOp::new("k", "f", "q", "v")];
+        put_u32(&mut spliced, record_bytes(&ops) as u32 - 4 + 3); // three bytes too many
+        put_u32(&mut spliced, 1);
+        for field in ["k", "f", "q", "v"] {
+            put_bytes(&mut spliced, field.as_bytes());
+        }
+        spliced.extend_from_slice(b"xyz");
+        let cases: [(&[u8], PersistError); 3] = [
+            (b"NOTAWAL0\0\0\0\0\0\0\0\0", PersistError::BadMagic),
+            (b"DRAWAL01\0\0\0", PersistError::Truncated),
+            (&spliced, PersistError::TrailingGarbage),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(Journal::import(bytes).err(), Some(want));
+        }
     }
 
     #[test]

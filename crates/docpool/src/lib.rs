@@ -21,9 +21,9 @@
 //!   `views ≡ scan` proof obligation
 //!
 //! The crate spawns no thread: every operation runs on its caller's. A
-//! table is safe to share between callers, with a reader-writer lock per
-//! region via `parking_lot` — the document pool is the scalability
-//! substrate for the cloud experiments (claims C4/C5 in EXPERIMENTS.md).
+//! table is safe to share between callers, with a `std::sync` reader-writer
+//! lock per region — the document pool is the scalability substrate for
+//! the cloud experiments (claims C4/C5 in EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

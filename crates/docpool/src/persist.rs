@@ -8,7 +8,7 @@
 
 use crate::cluster::{HTable, TableConfig};
 use crate::row::Cell;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"DRAPOOL1";
 
@@ -25,6 +25,9 @@ pub enum PersistError {
     TrailingGarbage,
     /// A string field was not valid UTF-8.
     BadString,
+    /// A cell carried timestamp `u64::MAX`, which the table's clock never
+    /// issues: restoring it would leave no newer timestamp for later puts.
+    BadTimestamp,
     /// I/O error text (file operations).
     Io(String),
 }
@@ -38,6 +41,7 @@ impl std::fmt::Display for PersistError {
                 write!(f, "snapshot has trailing bytes after the last record")
             }
             PersistError::BadString => write!(f, "snapshot contains invalid UTF-8"),
+            PersistError::BadTimestamp => write!(f, "snapshot holds timestamp u64::MAX"),
             PersistError::Io(m) => write!(f, "io error: {m}"),
         }
     }
@@ -45,82 +49,83 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Append `n` big-endian: the byte order of every integer both codecs
+/// write.
+pub(crate) fn put_u32(buf: &mut Vec<u8>, n: u32) {
+    buf.extend_from_slice(&n.to_be_bytes());
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
+/// Append `bytes` behind their `u32` length.
+pub(crate) fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
 }
 
-fn get_exact(buf: &mut Bytes, n: usize) -> Result<Bytes, PersistError> {
-    if buf.remaining() < n {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.split_to(n))
+/// Split the next `n` bytes off `buf`.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], PersistError> {
+    let (head, rest) = buf.split_at_checked(n).ok_or(PersistError::Truncated)?;
+    *buf = rest;
+    Ok(head)
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_u32())
+/// Read a big-endian `u32` off `buf`.
+pub(crate) fn get_u32(buf: &mut &[u8]) -> Result<u32, PersistError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(PersistError::Truncated)?;
+    *buf = rest;
+    Ok(u32::from_be_bytes(*head))
 }
 
-fn get_u64(buf: &mut Bytes) -> Result<u64, PersistError> {
-    if buf.remaining() < 8 {
-        return Err(PersistError::Truncated);
-    }
-    Ok(buf.get_u64())
+/// Read a big-endian `u64` off `buf`.
+pub(crate) fn get_u64(buf: &mut &[u8]) -> Result<u64, PersistError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(PersistError::Truncated)?;
+    *buf = rest;
+    Ok(u64::from_be_bytes(*head))
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, PersistError> {
+/// Read a `u32`-length-prefixed UTF-8 string off `buf`.
+pub(crate) fn get_str(buf: &mut &[u8]) -> Result<String, PersistError> {
     let len = get_u32(buf)? as usize;
-    let raw = get_exact(buf, len)?;
+    let raw = take(buf, len)?;
     String::from_utf8(raw.to_vec()).map_err(|_| PersistError::BadString)
 }
 
 impl HTable {
     /// Serialize every row (all regions, all versions) into a snapshot.
     pub fn export_snapshot(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+        let mut buf = MAGIC.to_vec();
         // config
-        buf.put_u32(self.config().max_versions as u32);
-        buf.put_u32(self.config().max_region_rows as u32);
+        put_u32(&mut buf, self.config().max_versions as u32);
+        put_u32(&mut buf, self.config().max_region_rows as u32);
 
         let regions = self.regions();
         let all: Vec<(String, crate::RowSnapshot)> =
             regions.iter().flat_map(|r| r.snapshot_all()).collect();
-        buf.put_u64(all.len() as u64);
+        buf.extend_from_slice(&(all.len() as u64).to_be_bytes());
         for (key, row) in &all {
-            put_str(&mut buf, key);
+            put_bytes(&mut buf, key.as_bytes());
             let cols: Vec<(&str, &str)> = {
                 let mut seen = std::collections::BTreeSet::new();
                 row.columns().map(|(f, q, _)| (f, q)).filter(|fq| seen.insert(*fq)).collect()
             };
-            buf.put_u32(cols.len() as u32);
+            put_u32(&mut buf, cols.len() as u32);
             for (family, qualifier) in cols {
-                put_str(&mut buf, family);
-                put_str(&mut buf, qualifier);
+                put_bytes(&mut buf, family.as_bytes());
+                put_bytes(&mut buf, qualifier.as_bytes());
                 let versions = row.versions(family, qualifier);
-                buf.put_u32(versions.len() as u32);
+                put_u32(&mut buf, versions.len() as u32);
                 for Cell { value, timestamp } in versions {
-                    buf.put_u64(*timestamp);
+                    buf.extend_from_slice(&timestamp.to_be_bytes());
                     put_bytes(&mut buf, value);
                 }
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Restore a table from a snapshot.
     pub fn import_snapshot(data: &[u8]) -> Result<HTable, PersistError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        let magic = get_exact(&mut buf, MAGIC.len())?;
-        if magic.as_ref() != MAGIC {
+        let mut buf = data;
+        if take(&mut buf, MAGIC.len())? != MAGIC {
             return Err(PersistError::BadMagic);
         }
         let max_versions = get_u32(&mut buf)? as usize;
@@ -139,19 +144,21 @@ impl HTable {
                 // the restored order matches. The count is input: reserve for
                 // no more versions than the bytes left could encode (a
                 // timestamp and a length each), whatever it claims
-                let mut cells = Vec::with_capacity(versions.min(buf.remaining() / 12));
+                let mut cells = Vec::with_capacity(versions.min(buf.len() / 12));
                 for _ in 0..versions {
                     let ts = get_u64(&mut buf)?;
+                    if ts == u64::MAX {
+                        return Err(PersistError::BadTimestamp);
+                    }
                     let len = get_u32(&mut buf)? as usize;
-                    let value = get_exact(&mut buf, len)?;
-                    cells.push((ts, value));
+                    cells.push((ts, take(&mut buf, len)?));
                 }
                 for (ts, value) in cells.into_iter().rev() {
-                    table.put_with_timestamp(&key, &family, &qualifier, value, ts);
+                    table.put_with_timestamp(&key, &family, &qualifier, Arc::from(value), ts);
                 }
             }
         }
-        if buf.has_remaining() {
+        if !buf.is_empty() {
             return Err(PersistError::TrailingGarbage);
         }
         Ok(table)
@@ -211,20 +218,41 @@ mod tests {
         assert!(matches!(HTable::import_snapshot(&snap), Err(PersistError::TrailingGarbage)));
     }
 
+    /// A snapshot of one row "k" and one column f:q, up to its version
+    /// count.
+    fn one_column_header() -> Vec<u8> {
+        let mut snap = MAGIC.to_vec();
+        for n in [1, 16] {
+            put_u32(&mut snap, n); // max_versions, max_region_rows
+        }
+        snap.extend_from_slice(&1u64.to_be_bytes()); // rows
+        put_bytes(&mut snap, b"k");
+        put_u32(&mut snap, 1); // columns
+        put_bytes(&mut snap, b"f");
+        put_bytes(&mut snap, b"q");
+        snap
+    }
+
     #[test]
     fn hostile_version_count_is_truncation_not_an_allocation() {
-        // header, one row "k", one column f:q claiming u32::MAX versions
-        let mut snap = BytesMut::new();
-        snap.put_slice(MAGIC);
-        for n in [1, 16] {
-            snap.put_u32(n); // max_versions, max_region_rows
-        }
-        snap.put_u64(1); // rows
-        snap.put_slice(b"\0\0\0\x01k");
-        snap.put_u32(1); // columns
-        snap.put_slice(b"\0\0\0\x01f\0\0\0\x01q");
-        snap.put_u32(u32::MAX); // versions
+        let mut snap = one_column_header();
+        put_u32(&mut snap, u32::MAX); // versions
         assert!(matches!(HTable::import_snapshot(&snap), Err(PersistError::Truncated)));
+    }
+
+    #[test]
+    fn a_timestamp_the_clock_never_issues_is_refused() {
+        let mut snap = one_column_header();
+        put_u32(&mut snap, 1); // versions
+        snap.extend_from_slice(&u64::MAX.to_be_bytes());
+        put_bytes(&mut snap, b"v");
+        assert_eq!(HTable::import_snapshot(&snap).err(), Some(PersistError::BadTimestamp));
+        // one below is the newest the clock can issue: the next put is newer
+        let at = snap.len() - 13;
+        snap[at..at + 8].copy_from_slice(&(u64::MAX - 1).to_be_bytes());
+        let restored = HTable::import_snapshot(&snap).unwrap();
+        assert_eq!(restored.put("k", "f", "q", "w"), u64::MAX);
+        assert_eq!(restored.get_str("k", "f", "q").unwrap(), "w");
     }
 
     #[test]

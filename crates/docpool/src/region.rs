@@ -6,9 +6,8 @@
 //! that grow past a threshold.
 
 use crate::row::{Row, RowSnapshot};
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A half-open row-key range `[start, end)`; `None` end means unbounded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,12 +53,12 @@ impl Region {
         key: &str,
         family: &str,
         qualifier: &str,
-        value: Bytes,
+        value: Arc<[u8]>,
         timestamp: u64,
         max_versions: usize,
     ) {
         debug_assert!(self.range.contains(key));
-        self.rows.write().entry(key.to_string()).or_default().put(
+        self.write().entry(key.to_string()).or_default().put(
             family,
             qualifier,
             value,
@@ -69,18 +68,18 @@ impl Region {
     }
 
     /// Latest value of a cell.
-    pub(crate) fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Bytes> {
-        self.rows.read().get(key).and_then(|r| r.get(family, qualifier)).map(|c| c.value.clone())
+    pub(crate) fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Arc<[u8]>> {
+        self.read().get(key).and_then(|r| r.get(family, qualifier)).map(|c| c.value.clone())
     }
 
     /// Delete an entire row; true if it existed.
     pub(crate) fn delete_row(&self, key: &str) -> bool {
-        self.rows.write().remove(key).is_some()
+        self.write().remove(key).is_some()
     }
 
     /// Number of rows held.
     pub(crate) fn row_count(&self) -> usize {
-        self.rows.read().len()
+        self.read().len()
     }
 
     /// The scan-API primitive: walk `[from, to)` in key order and append
@@ -101,7 +100,7 @@ impl Region {
         limit: usize,
         mut out: Option<&mut Vec<(String, RowSnapshot)>>,
     ) -> usize {
-        let rows = self.rows.read();
+        let rows = self.read();
         let mut examined = 0usize;
         for (key, row) in rows.range(from.to_string()..) {
             if let Some(t) = to {
@@ -126,14 +125,14 @@ impl Region {
 
     /// Snapshot every row (for snapshot export).
     pub(crate) fn snapshot_all(&self) -> Vec<(String, RowSnapshot)> {
-        let rows = self.rows.read();
+        let rows = self.read();
         rows.iter().map(|(k, r)| (k.clone(), r.snapshot())).collect()
     }
 
     /// Split this region at its median key, returning the two halves.
     /// The caller (cluster) replaces this region with the pair.
     pub(crate) fn split(&self) -> Option<(Region, Region)> {
-        let rows = self.rows.read();
+        let rows = self.read();
         if rows.len() < 2 {
             return None;
         }
@@ -142,8 +141,8 @@ impl Region {
             Region::new(KeyRange { start: self.range.start.clone(), end: Some(mid_key.clone()) });
         let right = Region::new(KeyRange { start: mid_key.clone(), end: self.range.end.clone() });
         {
-            let mut lw = left.rows.write();
-            let mut rw = right.rows.write();
+            let mut lw = left.write();
+            let mut rw = right.write();
             for (k, v) in rows.iter() {
                 if k < &mid_key {
                     lw.insert(k.clone(), v.clone());
@@ -154,14 +153,22 @@ impl Region {
         }
         Some((left, right))
     }
+
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Row>> {
+        self.rows.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Row>> {
+        self.rows.write().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn b(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+    fn b(s: &str) -> Arc<[u8]> {
+        Arc::from(s.as_bytes())
     }
 
     #[test]

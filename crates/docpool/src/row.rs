@@ -1,14 +1,14 @@
 //! Rows, column families and versioned cells — the HBase data model.
 
-use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One stored value with its version timestamp (a logical, monotonically
 /// increasing sequence number assigned by the table).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Cell {
-    /// The stored bytes.
-    pub value: Bytes,
+    /// The stored bytes, shared by every snapshot that holds the cell.
+    pub value: Arc<[u8]>,
     /// Logical write timestamp (newer = larger).
     pub timestamp: u64,
 }
@@ -25,7 +25,7 @@ impl Row {
         &mut self,
         family: &str,
         qualifier: &str,
-        value: Bytes,
+        value: Arc<[u8]>,
         timestamp: u64,
         max_versions: usize,
     ) {
@@ -73,7 +73,7 @@ pub struct RowSnapshot {
 
 impl RowSnapshot {
     /// Latest value of a qualified column.
-    pub fn get(&self, family: &str, qualifier: &str) -> Option<&Bytes> {
+    pub fn get(&self, family: &str, qualifier: &str) -> Option<&Arc<[u8]>> {
         Some(&self.families.get(family)?.get(qualifier)?.first()?.value)
     }
 
@@ -101,8 +101,8 @@ impl RowSnapshot {
 mod tests {
     use super::*;
 
-    fn b(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+    fn b(s: &str) -> Arc<[u8]> {
+        Arc::from(s.as_bytes())
     }
 
     #[test]

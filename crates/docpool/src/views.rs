@@ -26,9 +26,9 @@
 //! any schedule of admissions, crashes and failovers. The cloud layer
 //! exposes it as `CloudSystem::views_match_scan`.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Per activity: `(gaps counted, Σ gap ms)`.
 pub type GapTotals = BTreeMap<String, (u64, u64)>;
@@ -65,16 +65,20 @@ impl FleetViews {
         FleetViews::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, ViewState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record (or overwrite) a process's status. Idempotent per process.
     pub fn record_status(&self, process_id: &str, status: &str) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         st.process_status.insert(process_id.to_string(), status.to_string());
     }
 
     /// Record a stored document version `seq` for a process. Progress is
     /// max-merged, so replays and out-of-order applies cannot double-count.
     pub fn record_doc(&self, process_id: &str, seq: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let slot = st.process_progress.entry(process_id.to_string()).or_insert(0);
         *slot = (*slot).max(seq + 1);
     }
@@ -83,7 +87,7 @@ impl FleetViews {
     /// entry is replaced only by a higher `seq`, so a replay or a late
     /// measurement of an older version cannot move it backwards.
     pub fn record_gaps(&self, process_id: &str, seq: u64, gaps: Vec<(String, u64)>) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         if st.process_gaps.get(process_id).is_none_or(|&(at, _)| at < seq) {
             st.process_gaps.insert(process_id.to_string(), (seq, gaps));
         }
@@ -93,7 +97,7 @@ impl FleetViews {
     /// as `(pid, latest seq)`: what [`FleetViews::record_gaps`] still has to
     /// be told before [`FleetViews::gap_totals`] answers for the pool.
     pub fn lagging_gaps(&self) -> Vec<(String, u64)> {
-        let st = self.state.lock();
+        let st = self.lock();
         let mut lagging = Vec::new();
         for (pid, &versions) in &st.process_progress {
             if st.process_gaps.get(pid).is_none_or(|&(at, _)| at + 1 < versions) {
@@ -106,7 +110,7 @@ impl FleetViews {
     /// Per-activity `(count, Σ gap ms)` over every process's entry.
     pub fn gap_totals(&self) -> GapTotals {
         let mut totals = GapTotals::new();
-        for (activity, gap) in self.state.lock().process_gaps.values().flat_map(|(_, gaps)| gaps) {
+        for (activity, gap) in self.lock().process_gaps.values().flat_map(|(_, gaps)| gaps) {
             let slot = totals.entry(activity.clone()).or_insert((0, 0));
             *slot = (slot.0 + 1, slot.1 + gap);
         }
@@ -115,19 +119,19 @@ impl FleetViews {
 
     /// Per-status process counts, derived from the per-process status view.
     pub fn status_counts(&self) -> BTreeMap<String, u64> {
-        self.state.lock().status_counts()
+        self.lock().status_counts()
     }
 
     /// Stored document versions per process.
     pub fn progress(&self) -> BTreeMap<String, u64> {
-        self.state.lock().process_progress.clone()
+        self.lock().process_progress.clone()
     }
 
     /// The pool-derived sections of the dashboard (status counts and
     /// per-process progress) as canonical JSON — the byte-comparison target
     /// for the differential check against a scan recompute.
     pub fn pool_view_json(&self) -> String {
-        let st = self.state.lock();
+        let st = self.lock();
         Self::render_pool_view(&st.status_counts(), &st.process_progress)
     }
 
@@ -152,7 +156,7 @@ impl FleetViews {
     /// furthest-ahead cloud, and progress of the still-active instances.
     /// A portal or cloud with nothing to count yet is left out.
     pub fn dashboard_json(&self, portals: &[(u64, u64)], clouds: &[(&str, u64)]) -> String {
-        let st = self.state.lock();
+        let st = self.lock();
         let head = clouds.iter().map(|&(_, w)| w).max().unwrap_or(0);
         let docs_total: u64 = st.process_progress.values().sum();
 

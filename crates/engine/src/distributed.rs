@@ -13,10 +13,9 @@
 use crate::engine::{EngineError, WorkflowEngine};
 use dra4wfms_core::model::WorkflowDefinition;
 use dra4wfms_core::semantics::Route;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A distributed engine-based WfMS deployment.
 pub struct DistributedWfms {
@@ -48,8 +47,12 @@ impl DistributedWfms {
     pub fn start_process(&self, def: &WorkflowDefinition) -> Result<(u64, usize), EngineError> {
         let idx = self.least_loaded();
         let pid = self.engines[idx].start_process(def)?;
-        self.ownership.lock().insert(pid, idx);
+        self.lock().insert(pid, idx);
         Ok((pid, idx))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, usize>> {
+        self.ownership.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn least_loaded(&self) -> usize {
@@ -75,7 +78,7 @@ impl DistributedWfms {
         assert!(at < self.engines.len(), "engine index in range");
         {
             // coherence: resolve/transfer ownership under the global lock
-            let mut ownership = self.ownership.lock();
+            let mut ownership = self.lock();
             let owner = *ownership.get(&pid).ok_or(EngineError::UnknownProcess(pid))?;
             if owner != at {
                 let instance = self.engines[owner].take_instance(pid)?;
@@ -90,13 +93,12 @@ impl DistributedWfms {
 
     /// Current owner of a process instance.
     pub fn owner_of(&self, pid: u64) -> Option<usize> {
-        self.ownership.lock().get(&pid).copied()
+        self.lock().get(&pid).copied()
     }
 
     /// Read an instance (from its current owner).
     pub fn get_instance(&self, pid: u64) -> Result<crate::engine::ProcessInstance, EngineError> {
-        let owner =
-            self.ownership.lock().get(&pid).copied().ok_or(EngineError::UnknownProcess(pid))?;
+        let owner = self.lock().get(&pid).copied().ok_or(EngineError::UnknownProcess(pid))?;
         self.engines[owner].get_instance(pid)
     }
 }

@@ -7,9 +7,9 @@ use dra4wfms_core::fields::FieldReader;
 use dra4wfms_core::model::WorkflowDefinition;
 use dra4wfms_core::semantics::{and_join_missing, route, Route};
 use dra4wfms_core::{WfError, WfResult};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Errors of the engine baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,7 +144,7 @@ impl WorkflowEngine {
             results: Vec::new(),
             log: vec![format!("process started on engine {}", self.name)],
         };
-        self.store.lock().insert(id, instance);
+        self.lock().insert(id, instance);
         Ok(id)
     }
 
@@ -159,7 +159,7 @@ impl WorkflowEngine {
         responses: &[(String, String)],
     ) -> Result<Route, EngineError> {
         self.executions.fetch_add(1, Ordering::Relaxed);
-        let mut store = self.store.lock();
+        let mut store = self.lock();
         let instance = store.get_mut(&pid).ok_or(EngineError::UnknownProcess(pid))?;
         let act = instance.workflow.activity(activity)?.clone();
         if act.participant != participant {
@@ -190,22 +190,26 @@ impl WorkflowEngine {
 
     /// Read a stored instance (what a participant later sees when disputing).
     pub fn get_instance(&self, pid: u64) -> Result<ProcessInstance, EngineError> {
-        self.store.lock().get(&pid).cloned().ok_or(EngineError::UnknownProcess(pid))
+        self.lock().get(&pid).cloned().ok_or(EngineError::UnknownProcess(pid))
     }
 
     /// Remove an instance, returning it (used for migration between engines).
     pub fn take_instance(&self, pid: u64) -> Result<ProcessInstance, EngineError> {
-        self.store.lock().remove(&pid).ok_or(EngineError::UnknownProcess(pid))
+        self.lock().remove(&pid).ok_or(EngineError::UnknownProcess(pid))
     }
 
     /// Install an instance (migration target).
     pub fn install_instance(&self, instance: ProcessInstance) {
-        self.store.lock().insert(instance.id, instance);
+        self.lock().insert(instance.id, instance);
     }
 
     /// Number of instances currently stored (load metric).
     pub fn instance_count(&self) -> usize {
-        self.store.lock().len()
+        self.lock().len()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, ProcessInstance>> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Obtain superuser powers over this engine — the administration-domain
@@ -231,7 +235,7 @@ impl Superuser<'_> {
         field: &str,
         new_value: &str,
     ) -> Result<(), EngineError> {
-        let mut store = self.engine.store.lock();
+        let mut store = self.engine.lock();
         let instance = store.get_mut(&pid).ok_or(EngineError::UnknownProcess(pid))?;
         for r in instance.results.iter_mut().rev() {
             if r.activity == activity {
@@ -253,7 +257,7 @@ impl Superuser<'_> {
         activity: &str,
         new_participant: &str,
     ) -> Result<(), EngineError> {
-        let mut store = self.engine.store.lock();
+        let mut store = self.engine.lock();
         let instance = store.get_mut(&pid).ok_or(EngineError::UnknownProcess(pid))?;
         for r in instance.results.iter_mut().rev() {
             if r.activity == activity {
@@ -267,7 +271,7 @@ impl Superuser<'_> {
     /// Rewrite the audit log wholesale ("the administrator … always has the
     /// privilege to update the contents and logs in the database").
     pub fn rewrite_log(&self, pid: u64, new_log: Vec<String>) -> Result<(), EngineError> {
-        let mut store = self.engine.store.lock();
+        let mut store = self.engine.lock();
         let instance = store.get_mut(&pid).ok_or(EngineError::UnknownProcess(pid))?;
         instance.log = new_log;
         Ok(())

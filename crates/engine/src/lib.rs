@@ -21,15 +21,15 @@
 //!   accesses." The distributed baseline implements the single-primary
 //!   ownership protocol with instance migration that engine-based systems
 //!   need, and the benches measure its cost against document routing.
-//! * **Transport security is not enough** ([`transport`]) — an SSL-like
-//!   channel protects documents in flight but not at rest in the engine.
+//! * **Transport security is not enough** ([`engine::Superuser`]) — a
+//!   channel that protects documents in flight leaves them in the clear at
+//!   rest in the engine, where the superuser rewrites them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distributed;
 pub mod engine;
-pub mod transport;
 
 pub use distributed::DistributedWfms;
 pub use engine::{EngineError, EngineResult, ProcessInstance, Superuser, WorkflowEngine};

@@ -14,28 +14,47 @@
 pub mod test_runner {
     //! Config, error type, RNG, and the case-execution loop.
 
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
-
-    /// Deterministic per-case random source handed to strategies.
+    /// Deterministic per-case random source handed to strategies: the
+    /// crate's own xoshiro256** generator, seeded by four splitmix64 words.
     pub struct TestRng {
-        inner: StdRng,
+        s: [u64; 4],
     }
 
     impl TestRng {
         /// Build from a 64-bit seed.
-        pub fn from_seed(seed: u64) -> TestRng {
-            TestRng { inner: StdRng::seed_from_u64(seed) }
+        pub fn from_seed(mut seed: u64) -> TestRng {
+            let mut s = [0; 4];
+            for word in &mut s {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                *word = z ^ (z >> 31);
+            }
+            // xoshiro must not start from the all-zero state
+            if s == [0; 4] {
+                s[0] = 1;
+            }
+            TestRng { s }
         }
 
         /// Next 64 random bits.
         pub fn next_u64(&mut self) -> u64 {
-            self.inner.next_u64()
+            let s = &mut self.s;
+            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
         }
 
         /// Next 32 random bits.
         pub fn next_u32(&mut self) -> u32 {
-            self.inner.next_u32()
+            (self.next_u64() >> 32) as u32
         }
 
         /// Uniform value in `[0, bound)`; `bound` must be nonzero.
@@ -962,6 +981,21 @@ mod tests {
 
     fn rng() -> TestRng {
         TestRng::from_seed(0xDEAD_BEEF)
+    }
+
+    #[test]
+    fn test_rng_replays_the_recorded_words() {
+        let mut r = TestRng::from_seed(42);
+        let words: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x1578_0b2e_0c2e_c716,
+                0x6104_d986_6d11_3a7e,
+                0xae17_5332_39e4_99a1,
+                0xecb8_ad47_03b3_60a1
+            ]
+        );
     }
 
     #[test]
