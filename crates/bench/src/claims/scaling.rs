@@ -160,8 +160,9 @@ const FLEET: usize = 4;
 
 /// Per stored version of a fleet of Fig. 9A (or 9B, via the TFC) instances
 /// on two replicated clouds: the bytes the channel charged — deltas against
-/// the version each hop was served, the initial documents and the AEA → TFC
-/// leg whole —, the bytes replication shipped (everything else the network
+/// the version each hop was served, on the portal leg and the AEA → TFC leg
+/// alike, the initial documents and each instance's first TFC hand-off
+/// whole —, the bytes replication shipped (everything else the network
 /// carried: a fleet serves nothing), what admission hashed to key `seen/`
 /// rows and compared to cut `doc/` rows, and the deltas answered whole.
 fn fleet_bytes(cell: &str, advanced: bool) -> Row {
@@ -170,6 +171,8 @@ fn fleet_bytes(cell: &str, advanced: bool) -> Row {
     let pids = (0..FLEET).map(|i| format!("scaling-fleet-{i}"));
     assert_eq!(rig.fleet(&sys, pids, sys.channel()), FLEET, "every instance completes");
     assert_eq!(sys.tips_held(), 0, "no branch head outlives its process");
+    let tfc_heads = rig.tfc.as_ref().map_or(0, TfcServer::heads_held);
+    assert_eq!(tfc_heads, 0, "nor one of the TFC's");
     let sent = sys.channel().stats();
     let sum = |count: fn(&PortalStats) -> &AtomicUsize| {
         sys.portals.iter().map(|p| count(p).load(Ordering::Relaxed)).sum::<usize>()
@@ -425,7 +428,7 @@ pub(super) fn run() -> ClaimOutput {
     let fallbacks =
         |row: &Row| matches!(row.get("delta_fallbacks"), Some(Value::Fixed(n, _)) if *n == 0.0);
     let no_fallback = fleet_rows.iter().all(fallbacks);
-    out.verdict("every fleet hand-off travels as a delta: no fallback", no_fallback);
+    out.verdict("every fleet hand-off, to a portal or the TFC, travels as a delta", no_fallback);
 
     let slope_ratio = late_slope / early_slope;
     let pass = a64 / a8 > 3.0

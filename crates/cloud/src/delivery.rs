@@ -23,20 +23,23 @@
 //! but never safety: every path into the pool still runs the full
 //! verification pipeline.
 //!
-//! A portal hand-off whose sender names a [`Base`] — the version it was
-//! served — travels as a **delta**: the base's chain digest, the bytes of it
-//! kept, the tail; the portal rebuilds the wire from its own head of that
-//! name. A portal that holds none refuses, and the whole wire follows as a
-//! second charged copy ([`DeliveryStats::delta_fallbacks`]). Faults are drawn
-//! per copy as for the whole wire, whichever form the copy takes, so a
-//! seeded schedule does not depend on it: a damaged delta flips the byte
-//! the whole copy's draw names where the tail carries it, else the byte as
-//! far into the tail, and a whole copy answering a refusal rides the draws
-//! of the copy that was refused.
+//! A hand-off whose sender names a [`Base`] — the version it was served —
+//! travels as a **delta**: the base's chain digest, the bytes of it kept, the
+//! tail; the receiver (a portal, or the TFC for the AEA → TFC leg) rebuilds
+//! the wire from its own branch head of that name ([`Heads::arrived`]). A
+//! receiver that holds none refuses, and the whole wire follows as a second
+//! charged copy ([`DeliveryStats::delta_fallbacks`]). Faults are drawn per
+//! copy as for the whole wire, whichever form the copy takes, so a seeded
+//! schedule does not depend on it: a damaged delta flips the byte the whole
+//! copy's draw names where the tail carries it, else the byte as far into
+//! the tail, and a whole copy answering a refusal rides the draws of the
+//! copy that was refused.
+//!
+//! [`Heads::arrived`]: dra4wfms_core::sealed::Heads::arrived
 
 use crate::faults::FaultProfile;
 use crate::netsim::NetworkSim;
-use crate::portal::{parse_arrived, CloudSystem, StoreAck};
+use crate::portal::{CloudSystem, StoreAck};
 use crate::store::kept;
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry, Tracer};
@@ -106,7 +109,7 @@ pub struct DeliveryStats {
     /// Journal records replayed by portal recoveries
     /// (runner/[`CloudSystem::recover_portals`]-supplied).
     pub journal_replays: u64,
-    /// Delta copies refused for a base the portal held no copy of, each
+    /// Delta copies refused for a base the receiver held no head of, each
     /// answered with the whole wire.
     pub delta_fallbacks: u64,
     /// Bytes the channel charged for its copies.
@@ -156,12 +159,12 @@ impl DeliveryStats {
     }
 }
 
-/// The version a portal hand-off extends, as its sender holds it: the one
-/// it was served. A hand-off naming one travels as a delta against it.
+/// The version a hand-off extends, as its sender holds it: the one it was
+/// served. A hand-off naming one travels as a delta against it.
 #[derive(Clone, Debug)]
 pub struct Base {
     /// Its chain digest `dₖ` over every CER ([`prefix_digest`]): the name a
-    /// portal keeps its head under.
+    /// receiver keeps its head under.
     pub name: [u8; 32],
     /// Its wire bytes.
     pub wire: Arc<String>,
@@ -175,12 +178,28 @@ impl Base {
     }
 }
 
+/// A delta's base name and the bytes of the base it keeps.
+type Delta = ([u8; 32], usize);
+
+/// The delta `wire` travels as against `base`, if the sender names one, and
+/// the bytes one copy is charged: the base's name, then a `doc/` cell's form
+/// (`keep`, a line feed, the tail) — else the whole wire.
+fn sized(base: Option<&Base>, wire: &str) -> (Option<Delta>, usize) {
+    // one comparison against the base the sender holds
+    let delta = base.map(|base| (base.name, kept(&base.wire, wire)));
+    let len = match delta {
+        Some((name, keep)) => name.len() + keep.to_string().len() + 1 + (wire.len() - keep),
+        None => wire.len(),
+    };
+    (delta, len)
+}
+
 /// A portal hand-off: the sender's document, its route and, for a delta,
 /// the base's name and the bytes of it kept.
 #[derive(Clone)]
 struct Handoff {
     sealed: SealedDocument,
-    delta: Option<([u8; 32], usize)>,
+    delta: Option<Delta>,
     route: Route,
 }
 
@@ -198,7 +217,7 @@ struct Pending {
 fn arrived(sealed: &SealedDocument, damage: Option<Damage>) -> WfResult<SealedDocument> {
     match damage {
         None => Ok(sealed.clone()),
-        Some(damage) => parse_arrived(&damage.applied(&sealed.wire(), 0), sealed.trust()),
+        Some(damage) => SealedDocument::arrived(&damage.applied(&sealed.wire(), 0), sealed.trust()),
     }
 }
 
@@ -447,13 +466,7 @@ impl Delivery {
         // reordered copies of *earlier* sends arrive before this one
         self.flush(system);
         let wire = sealed.wire();
-        // one comparison against the base the sender holds
-        let delta = base.map(|base| (base.name, kept(&base.wire, &wire)));
-        // the base's name, then a `doc/` cell's form: `keep`, a line feed, the tail
-        let len = match delta {
-            Some((name, keep)) => name.len() + keep.to_string().len() + 1 + (wire.len() - keep),
-            None => wire.len(),
-        };
+        let (delta, len) = sized(base, &wire);
         let handoff = Handoff { sealed: sealed.clone(), delta, route: route.clone() };
         let attempt = || {
             let mut ack: Option<StoreAck> = None;
@@ -475,23 +488,28 @@ impl Delivery {
         self.with_retries(sealed, len, format_args!("portal:{portal}"), what, attempt)
     }
 
-    /// Deliver a sealed document to an arbitrary receiver (the AEA → TFC
-    /// link) through the faulty channel, whole. `ingest` is invoked once per
-    /// arriving copy until it acks; corrupted copies failing ingestion are
-    /// counted and retried, duplicate copies after the first ack are
-    /// suppressed sender-side.
+    /// Deliver a sealed document to a point-to-point receiver (the AEA →
+    /// TFC link) through the faulty channel: as a delta against `base` when
+    /// the sender names one, which `rebuild` turns back into the document at
+    /// the receiver (the TFC's [`TfcServer::arrived`]), else whole. `ingest`
+    /// is invoked once per arriving copy until it acks; corrupted copies
+    /// failing ingestion are counted and retried, duplicate copies after the
+    /// first ack are suppressed sender-side.
     pub fn transfer<T>(
         &self,
         sealed: &SealedDocument,
+        base: Option<&Base>,
+        rebuild: impl Fn((&[u8; 32], usize), Option<&str>) -> WfResult<SealedDocument>,
         mut ingest: impl FnMut(SealedDocument) -> WfResult<T>,
     ) -> WfResult<T> {
         let wire = sealed.wire();
+        let (delta, len) = sized(base, &wire);
         let what = (format_args!("transfer"), format_args!("hand-off"));
-        self.with_retries(sealed, wire.len(), what.0, what.1, || {
+        self.with_retries(sealed, len, what.0, what.1, || {
             let mut acked: Option<T> = None;
             // a point-to-point link has no shared redelivery queue: process
             // reordered copies after the on-time ones within this attempt
-            let mut arrivals = self.send(&wire, wire.len());
+            let mut arrivals = self.send(&wire, len);
             arrivals.sort_by_key(|a| a.late);
             for arrival in arrivals {
                 self.sim.advance(arrival.delay_us);
@@ -502,8 +520,18 @@ impl Delivery {
                 if arrival.late {
                     self.count(|stats| stats.late_deliveries += 1);
                 }
-                let corrupted = arrival.damage.is_some();
-                let copy = arrived(sealed, arrival.damage);
+                let damage = arrival.damage;
+                let copy = match delta {
+                    None => arrived(sealed, damage),
+                    Some((name, keep)) => {
+                        let tail = damage.map(|damage| damage.applied(&wire, keep));
+                        match rebuild((&name, keep), tail.as_deref()) {
+                            Err(WfError::UnknownBase(_)) => self.whole(sealed, damage),
+                            copy => copy,
+                        }
+                    }
+                };
+                let corrupted = damage.is_some();
                 // (a corrupted copy that still verifies is canonically
                 // identical — accept it)
                 acked = self.settle(copy.and_then(&mut ingest), corrupted, || ())?;
@@ -563,11 +591,20 @@ impl Delivery {
         }
     }
 
+    /// The whole wire answering a delta its receiver refused for want of the
+    /// base: a second copy, charged, with the refused copy's `damage`.
+    fn whole(&self, sealed: &SealedDocument, damage: Option<Damage>) -> WfResult<SealedDocument> {
+        self.count(|stats| {
+            stats.delta_fallbacks += 1;
+            self.charge(stats, sealed.wire().len());
+        });
+        arrived(sealed, damage)
+    }
+
     /// Hand one arrived copy to its portal and [`settle`](Self::settle) the
     /// outcome; a dead portal is restarted (journal replay completes the
     /// half-done store, so the retry acks a duplicate). A delta whose base
-    /// the portal lacks is answered with the whole wire: a second copy,
-    /// charged, with the refused copy's `damage`.
+    /// the portal lacks is answered [`whole`](Self::whole).
     fn to_portal(
         &self,
         system: &CloudSystem,
@@ -580,15 +617,8 @@ impl Delivery {
         let admitted = match *delta {
             None => arrived(sealed, damage).and_then(|copy| system.admit(portal, &copy, route)),
             Some((name, keep)) => {
-                let wire = sealed.wire();
-                let tail = damage.map(|damage| damage.applied(&wire, keep));
-                let whole = |_refusal| {
-                    self.count(|stats| {
-                        stats.delta_fallbacks += 1;
-                        self.charge(stats, wire.len());
-                    });
-                    arrived(sealed, damage)
-                };
+                let tail = damage.map(|damage| damage.applied(&sealed.wire(), keep));
+                let whole = |_refusal| self.whole(sealed, damage);
                 system.admit_delta(portal, sealed, (&name, keep), tail.as_deref(), whole, route)
             }
         };
@@ -838,7 +868,7 @@ mod tests {
                 }
                 Verifier::new(&dir).with_mark(copy.trust()).run(&copy).map(|_| ())
             };
-            delivery.transfer(&sealed, receive).unwrap();
+            delivery.transfer(&sealed, None, |_, _| unreachable!("whole"), receive).unwrap();
         }
         let stats = delivery.stats();
         assert_eq!((intact, stats.delivered), (32, 32), "only intact copies were accepted");
@@ -849,7 +879,8 @@ mod tests {
         // comes back at once and the hand-off is not left open
         let lossless = Delivery::lossless(Arc::new(NetworkSim::lan()));
         let refusal = |_| Err::<(), _>(WfError::Malformed("refused".into()));
-        assert!(matches!(lossless.transfer(&sealed, refusal), Err(WfError::Malformed(_))));
+        let refused = lossless.transfer(&sealed, None, |_, _| unreachable!("whole"), refusal);
+        assert!(matches!(refused, Err(WfError::Malformed(_))));
         let stats = lossless.stats();
         assert_eq!((stats.sends, stats.delivered, stats.attempts), (1, 1, 1));
     }

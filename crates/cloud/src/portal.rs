@@ -373,7 +373,7 @@ impl CloudSystem {
         route: &Route,
         trust: Option<&TrustMark>,
     ) -> WfResult<StoreAck> {
-        self.admit(portal, &parse_arrived(wire, trust)?, route)
+        self.admit(portal, &SealedDocument::arrived(wire, trust)?, route)
     }
 
     /// The portal's admission pipeline (steps 4–6 of Fig. 7) for a whole
@@ -393,13 +393,13 @@ impl CloudSystem {
     /// [`CloudSystem::admit`] for a copy that travelled as a delta: `keep`
     /// bytes of the version named `base`, then the sender's bytes past
     /// `keep` — or, when the copy was damaged, the `damaged` ones it carried.
-    /// The wire is rebuilt from the active cloud's head of that name: intact,
-    /// it is the sender's (equal chain digests name equal bytes, and the
-    /// parser accepts one spelling), so the sender's document is admitted as
-    /// an intact whole copy is; damaged, it is parsed and verified from the
-    /// rebuilt bytes. A base the cloud holds no head for is refused with
-    /// [`WfError::UnknownBase`] before a byte is read: `whole` answers the
-    /// refusal with the whole wire, admitted on the portal already chosen.
+    /// The wire is rebuilt from the active cloud's head of that name
+    /// ([`Heads::arrived`](dra4wfms_core::sealed::Heads::arrived)): intact,
+    /// the sender's document is admitted as an intact whole copy is; damaged,
+    /// it is parsed and verified from the rebuilt bytes. A base the cloud
+    /// holds no head for is refused with [`WfError::UnknownBase`] before a
+    /// byte is read: `whole` answers the refusal with the whole wire,
+    /// admitted on the portal already chosen.
     pub(crate) fn admit_delta(
         &self,
         portal: usize,
@@ -410,26 +410,15 @@ impl CloudSystem {
         route: &Route,
     ) -> WfResult<StoreAck> {
         let portal_idx = self.resolve(portal)?;
-        let Some(tip) = self.active_cloud().head(base) else {
-            let refusal = WfError::UnknownBase(dra_crypto::hex::encode(base));
-            return self.store(portal_idx, &whole(refusal)?, None, route);
-        };
-        let sealed = match damaged {
-            None => {
-                debug_assert_eq!(
-                    tip.rebuild(keep, &sender.wire()[keep..]).as_deref(),
-                    Some(sender.wire().as_str()),
-                    "rebuilt delta ≠ sender's wire"
-                );
-                sender.clone()
+        match self.active_cloud().arrived((base, keep), damaged, sender) {
+            Err(refusal @ WfError::UnknownBase(_)) => {
+                self.store(portal_idx, &whole(refusal)?, None, route)
             }
-            Some(tail) => {
-                let unbuilt =
-                    || WfError::Malformed(format!("a delta keeps {keep} bytes of its base"));
-                parse_arrived(&tip.rebuild(keep, tail).ok_or_else(unbuilt)?, sender.trust())?
+            arrived => {
+                let (tip, sealed) = arrived?;
+                self.store(portal_idx, &sealed, Some((&tip, keep)), route)
             }
-        };
-        self.store(portal_idx, &sealed, Some((&tip, keep)), route)
+        }
     }
 
     /// The portal an admission addressed to `portal` runs on. On a federated
@@ -458,7 +447,8 @@ impl CloudSystem {
     ) -> WfResult<StoreAck> {
         let active = self.active_cloud();
         let stats = &self.portals[portal_idx];
-        let mut span = self.tracer.span(stage::PORTAL_ADMIT).actor(&format!("portal:{portal_idx}"));
+        let actor = format!("portal:{portal_idx}");
+        let mut span = self.tracer.span(stage::PORTAL_ADMIT).actor(&actor);
         // claimed, not proved: verification is further down
         let claimed = sealed.document().process_id().ok();
         if let Some(pid) = &claimed {
@@ -505,7 +495,14 @@ impl CloudSystem {
         // document never enters the pool. A trust mark only ever *narrows*
         // the work: its prefix digest must match byte-identically, and any
         // mismatch falls back to the full signature pass.
+        let mut span_verify = self.tracer.span(stage::VERIFY).actor(&actor);
+        if let Some(pid) = &claimed {
+            span_verify.set_process(pid);
+        }
         let outcome = Verifier::new(&self.directory).with_mark(sealed.trust()).run(sealed)?;
+        span_verify.attr("signatures_verified", outcome.report.signatures_verified);
+        span_verify.attr("reused_cers", outcome.reused_cers);
+        span_verify.end();
         stats.verifications.fetch_add(1, Ordering::Relaxed);
         stats.signature_checks.fetch_add(outcome.report.signatures_verified, Ordering::Relaxed);
         if outcome.reused_cers > 0 {
@@ -895,16 +892,6 @@ impl CloudSystem {
 /// The latest stored version of `pid` on `cloud`, parsed.
 fn latest_document(cloud: &CloudStore, pid: Name<'_>) -> Option<DraDocument> {
     DraDocument::parse(&cloud.latest(pid)?.xml.ok()?).ok()
-}
-
-/// Wire bytes as they arrived, parsed, carrying the mark their sender holds
-/// (why that is safe: [`CloudSystem::ingest_wire`]).
-pub(crate) fn parse_arrived(wire: &str, trust: Option<&TrustMark>) -> WfResult<SealedDocument> {
-    let mut sealed = SealedDocument::from_wire(wire)?;
-    if let Some(mark) = trust {
-        sealed.set_trust(mark.clone());
-    }
-    Ok(sealed)
 }
 
 #[cfg(test)]

@@ -251,11 +251,28 @@ impl<'a> InstanceRun<'a> {
         span_exec.attr("responses", responses.len());
         span_exec.end();
 
+        // both legs hand off a delta against the version the hop was served:
+        // the first input, named by the chain digest of the mark its receive
+        // issued — or after a join, whose mark covers the merge, by its own
+        let base = match inputs {
+            [single] => Some(Base { name: received.trust.prefix_digest, wire: single.wire() }),
+            [first, ..] => Some(Base::of(first)?),
+            [] => None,
+        };
+
         // basic vs advanced model
         let (document, route) = match self.tfc {
             Some(server) if use_tfc => {
                 let inter = aea.complete_via_tfc(&received, &responses)?;
-                let processed = self.delivery.transfer(&inter.document, |s| server.receive(s))?;
+                let sent = &inter.document;
+                // the initial document is no TFC output: it goes whole
+                let tfc_base = base.as_ref().filter(|_| received.trust.verified_cers > 0);
+                let processed = self.delivery.transfer(
+                    sent,
+                    tfc_base,
+                    |delta, damaged| server.arrived(delta, damaged, sent),
+                    |copy| server.receive(copy),
+                )?;
                 checks += processed.report.signatures_verified;
                 let finalized = server.finalize(&processed)?;
                 (finalized.document, finalized.route)
@@ -266,17 +283,7 @@ impl<'a> InstanceRun<'a> {
             }
         };
 
-        // store + notify (portal chosen by hash of (process, step)), as a
-        // delta against the version the hop was served: the first input,
-        // named by the chain digest the output's mark carries — or after a
-        // join, whose mark covers the merge, by its own
-        let base = match inputs {
-            [single] => {
-                document.trust().map(|mark| Base { name: mark.prefix_digest, wire: single.wire() })
-            }
-            [first, ..] => Some(Base::of(first)?),
-            [] => None,
-        };
+        // store + notify (portal chosen by hash of (process, step))
         self.delivery.deliver(self.system, portal, &document, base.as_ref(), &route)?;
         Ok((document, route, checks, iter))
     }

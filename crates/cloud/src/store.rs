@@ -21,14 +21,11 @@
 //!   restore, failover to this cloud, a replayed crash) folds the pool's
 //!   rows, measuring the bytes kept and hashing nothing. While it is there
 //!   [`CloudStore::next_seq`] scans nothing. `advance` also keeps the version
-//!   as a **branch head**, named by the chain digest `dₖ` its admission's
-//!   verifier computed, while a routed target of it has still to run: an
-//!   admission executing activity X strikes X off every head of its process,
-//!   a head waiting for nothing is dropped and a final route drops them all,
-//!   so a process holds at most one head per live branch and none once it
-//!   ended. A delta hand-off (`delivery`) names the head it extends and the
-//!   portal rebuilds the wire from it ([`CloudStore::head`],
-//!   [`Tip::rebuild`]); heads live in memory only, so after a cold restart,
+//!   as a **branch head** ([`Heads`], the TFC keeps its own by the same
+//!   rules), named by the chain digest `dₖ` its admission's verifier
+//!   computed, while a routed target of it has still to run. A delta
+//!   hand-off (`delivery`) names the head it extends and the portal rebuilds
+//!   the wire from it; heads live in memory only, so after a cold restart,
 //!   on a failover, or for a join whose first arrival is no stored version
 //!   the sender resends the whole wire. [`CloudStore::cut`] measures an
 //!   arriving wire once: against the version it extends — a delta's head, or
@@ -87,6 +84,7 @@
 use crate::portal::TodoEntry;
 use crate::schema::{self, Delta, Name, RowKey, DOC_ROWS, SEQ, XML};
 use dra4wfms_core::prelude::*;
+use dra4wfms_core::sealed::Heads;
 use dra_crypto::Sha256;
 use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, RowSnapshot, TableConfig};
 use dra_obs::Tracer;
@@ -239,23 +237,10 @@ pub(crate) struct Tip {
     state: Sha256,
 }
 
-impl Tip {
-    /// The wire a delta against this version rebuilds: `keep` bytes of it,
-    /// then `tail`; `None` when `keep` lies past its end or inside one of
-    /// its characters.
-    pub(crate) fn rebuild(&self, keep: usize, tail: &str) -> Option<String> {
-        let kept = self.wire.get(..keep)?;
-        Some([kept, tail].concat())
+impl AsRef<String> for Tip {
+    fn as_ref(&self) -> &String {
+        &self.wire
     }
-}
-
-/// A branch head: a version some of whose routed targets have still to
-/// extend it, named by the chain digest its admission's verifier computed.
-struct Head {
-    name: [u8; 32],
-    /// The routed targets no admission has executed yet.
-    pending: Vec<String>,
-    tip: Tip,
 }
 
 /// The tips of one cloud (see the module doc).
@@ -264,24 +249,8 @@ struct Tips {
     /// `pid →` the latest version committed here as primary: what the next
     /// `doc/` row of the process is cut against.
     latest: HashMap<String, Tip>,
-    /// `pid →` its branch heads: what a delta hand-off is rebuilt from.
-    heads: HashMap<String, Vec<Head>>,
-    /// The chain digest of every head `→` its process.
-    named: HashMap<[u8; 32], String>,
-}
-
-impl Tips {
-    /// Drop the heads of `pid` that `keep` rejects, with their names.
-    fn drop_heads(&mut self, pid: &str, keep: impl Fn(&Head) -> bool) {
-        let Some(heads) = self.heads.get_mut(pid) else { return };
-        for head in heads.iter().filter(|head| !keep(head)) {
-            self.named.remove(&head.name);
-        }
-        heads.retain(keep);
-        if heads.is_empty() {
-            self.heads.remove(pid);
-        }
-    }
+    /// Its branch heads: what a delta hand-off is rebuilt from.
+    heads: Heads<Tip>,
 }
 
 /// What an admission proved of the version it commits.
@@ -458,18 +427,21 @@ impl CloudStore {
         Some(tip)
     }
 
-    /// The branch head named by the chain digest `name`, if this cloud holds
-    /// one: the version a delta hand-off naming it is rebuilt from.
-    pub(crate) fn head(&self, name: &[u8; 32]) -> Option<Tip> {
-        let tips = self.tips();
-        let heads = tips.heads.get(tips.named.get(name)?)?;
-        heads.iter().find(|head| head.name == *name).map(|head| head.tip.clone())
+    /// What a delta hand-off from `sender` reads as here, with the branch
+    /// head it was rebuilt from ([`Heads::arrived`]).
+    pub(crate) fn arrived(
+        &self,
+        delta: (&[u8; 32], usize),
+        damaged: Option<&str>,
+        sender: &SealedDocument,
+    ) -> WfResult<(Tip, SealedDocument)> {
+        self.tips().heads.arrived(delta, damaged, sender)
     }
 
     /// Branch heads held: at most one per live branch of each running
     /// process.
     pub(crate) fn tips_held(&self) -> usize {
-        self.tips().heads.values().map(Vec::len).sum()
+        self.tips().heads.held()
     }
 
     /// Measure an arriving `wire` — a whole copy, or one rebuilt from `base`
@@ -527,11 +499,9 @@ impl CloudStore {
     }
 
     /// `wire`, which `cut` measured, was committed as version `seq` of `pid`,
-    /// as `proved`. Each branch head of the process has the activity it
-    /// executed to wait for no more, and one that waits for nothing is
-    /// dropped; the version becomes the latest, and a head for its routed
-    /// targets — unless the route ended there, which drops every tip of the
-    /// process.
+    /// as `proved`: the version becomes the latest, and a branch head
+    /// ([`Heads::advance`]) — unless the route ended there, which drops every
+    /// tip of the process.
     pub(crate) fn advance(
         &self,
         pid: Name<'_>,
@@ -543,24 +513,13 @@ impl CloudStore {
         let Proved { name, executed, route } = proved;
         let mut tips = self.tips();
         let pid = pid.as_str();
+        let tip = Tip { seq, wire, at: cut.at, state: cut.state };
         if route.is_final() {
             tips.latest.remove(pid);
-            tips.drop_heads(pid, |_| false);
-            return;
+        } else {
+            tips.latest.insert(pid.to_string(), tip.clone());
         }
-        if let Some(executed) = executed {
-            for head in tips.heads.get_mut(pid).into_iter().flatten() {
-                head.pending.retain(|target| target != executed);
-            }
-        }
-        tips.drop_heads(pid, |head| !head.pending.is_empty() && head.name != name);
-        let tip = Tip { seq, wire, at: cut.at, state: cut.state };
-        tips.latest.insert(pid.to_string(), tip.clone());
-        if !route.targets.is_empty() {
-            let head = Head { name, pending: route.targets.clone(), tip };
-            tips.heads.entry(pid.to_string()).or_default().push(head);
-            tips.named.insert(name, pid.to_string());
-        }
+        tips.heads.advance(pid, name, executed, route, tip);
     }
 
     // -- stored versions: the reads ------------------------------------------
@@ -1046,7 +1005,7 @@ mod tests {
         // admit `wire` against the head `base`, executing `executed`, routed
         // to `targets` (none: the end); its name, and what its cut cost
         let admit = |wire: &str, base: Option<[u8; 32]>, executed: &str, targets: &[&str]| {
-            let tip = base.map(|name| cloud.head(&name).expect("the base is held"));
+            let tip = base.map(|name| cloud.tips().heads.get(&name).expect("the base").clone());
             let mut cut =
                 cloud.cut("p", wire, tip.as_ref().map(|tip| (tip, kept(&tip.wire, wire))));
             assert_eq!(cut.digest, dra_crypto::sha256(wire.as_bytes()));
@@ -1065,7 +1024,8 @@ mod tests {
         };
         let (v0, _) = admit(&synthetic(0), None, "", &["A"]);
         let (v1, _) = admit(&synthetic(1), Some(v0), "A", &["A2"]);
-        assert_eq!((cloud.tips_held(), cloud.head(&v0).is_none()), (1, true), "A consumed it");
+        let held = |name| cloud.tips().heads.get(&name).is_some();
+        assert_eq!((cloud.tips_held(), held(v0)), (1, false), "A consumed it");
         let (split, _) = admit(&synthetic(2), Some(v1), "A2", &["B1", "B2"]);
 
         // the siblings extend the same version: each resumes its digest from
@@ -1076,7 +1036,7 @@ mod tests {
         assert_eq!(cloud.tips_held(), 2, "B2 still waits for the split");
         let (_, (hashed, compared)) = admit(&b2, Some(split), "B2", &["C"]);
         assert!(hashed < 200 && compared == kept(&b1, &b2), "{hashed} B, {compared} B");
-        assert!(cloud.head(&split).is_none(), "every routed target extended the split");
+        assert!(!held(split), "every routed target extended the split");
         assert_eq!(cloud.tips_held(), 2, "one head per live branch");
 
         // the join names its first arrival; both branches' heads go with it

@@ -57,9 +57,11 @@
 //! already hashed tree skip the walk.
 
 use crate::document::DraDocument;
-use crate::error::WfResult;
+use crate::error::{WfError, WfResult};
+use crate::semantics::Route;
 use dra_crypto::Sha256;
-use dra_xml::canon_digest;
+use dra_xml::{canon_digest, Element};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Evidence that a prefix of a document has already been fully verified.
@@ -94,16 +96,22 @@ pub(crate) fn prefix_chain(doc: &DraDocument, at: usize) -> WfResult<(Option<[u8
     let mut d_at = (at == 0).then_some(d);
     let mut cers = 0;
     for cer in doc.results()?.find_children("CER") {
-        let mut h = Sha256::new();
-        h.update(&d);
-        h.update(&canon_digest(cer));
-        d = h.finalize();
+        d = chain_next(&d, cer);
         cers += 1;
         if cers == at {
             d_at = Some(d);
         }
     }
     Ok((d_at, d))
+}
+
+/// `dᵢ₊₁` from `dᵢ` and CERᵢ: the chain digest of a document one CER longer
+/// than the one `d` names, the rest hashed no more.
+pub fn chain_next(d: &[u8; 32], cer: &Element) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(d);
+    h.update(&canon_digest(cer));
+    h.finalize()
 }
 
 /// Compute the chained prefix digest a [`TrustMark`] pins: header and
@@ -145,6 +153,16 @@ impl SealedDocument {
         let doc = DraDocument::parse(xml)?;
         let sealed = SealedDocument::new(doc);
         let _ = sealed.wire.set(Arc::new(xml.to_string()));
+        Ok(sealed)
+    }
+
+    /// What `wire`, as it arrived, reads as at a receiver: parsed from its
+    /// own bytes and handed `trust`, the mark its sender holds. Safe because
+    /// the mark pins a prefix digest: a damaged copy no longer matches it,
+    /// so verification falls back to the full pass and rejects it.
+    pub fn arrived(wire: &str, trust: Option<&TrustMark>) -> WfResult<SealedDocument> {
+        let mut sealed = SealedDocument::from_wire(wire)?;
+        sealed.trust = trust.cloned();
         Ok(sealed)
     }
 
@@ -194,6 +212,134 @@ impl std::ops::Deref for SealedDocument {
 impl From<DraDocument> for SealedDocument {
     fn from(doc: DraDocument) -> SealedDocument {
         SealedDocument::new(doc)
+    }
+}
+
+/// The branch heads a receiver holds: versions some routed target of which
+/// has still to extend them, each named by its chain digest `dₖ` and kept as
+/// a `T` that holds its wire. A delta hand-off names the head it extends and
+/// is rebuilt from it ([`Heads::arrived`]). The portals keep one per cloud,
+/// the TFC its own; the rules are the same:
+///
+/// * executing X strikes X off every head of the process;
+/// * a head that waits for nothing goes;
+/// * a final route drops every head of the process;
+/// * a new head waits for its route's targets.
+///
+/// So a process holds at most one head per live branch, and none once it
+/// ended. Heads live in memory: a receiver rebuilt empty refuses the names
+/// it lost, and the sender answers with the whole wire.
+pub struct Heads<T> {
+    /// `pid →` its heads.
+    by_process: HashMap<String, Vec<Head<T>>>,
+    /// The name of every head `→` its process.
+    named: HashMap<[u8; 32], String>,
+}
+
+struct Head<T> {
+    name: [u8; 32],
+    /// The routed targets no version has executed yet.
+    pending: Vec<String>,
+    value: T,
+}
+
+impl<T> Default for Heads<T> {
+    fn default() -> Heads<T> {
+        Heads { by_process: HashMap::new(), named: HashMap::new() }
+    }
+}
+
+impl<T> Heads<T> {
+    /// `value`, named `name`, is a version of `pid` that executed `executed`
+    /// (`None` for the initial document) and was routed as `route`.
+    pub fn advance(
+        &mut self,
+        pid: &str,
+        name: [u8; 32],
+        executed: Option<&str>,
+        route: &Route,
+        value: T,
+    ) {
+        if route.is_final() {
+            self.drop_where(pid, |_| true);
+            return;
+        }
+        if let Some(executed) = executed {
+            for head in self.by_process.get_mut(pid).into_iter().flatten() {
+                head.pending.retain(|target| target != executed);
+            }
+        }
+        self.drop_where(pid, |head| head.pending.is_empty() || head.name == name);
+        let head = Head { name, pending: route.targets.clone(), value };
+        self.by_process.entry(pid.to_string()).or_default().push(head);
+        self.named.insert(name, pid.to_string());
+    }
+
+    /// Drop the heads of `pid` that `gone` picks, with their names.
+    fn drop_where(&mut self, pid: &str, gone: impl Fn(&Head<T>) -> bool) {
+        let Some(heads) = self.by_process.get_mut(pid) else { return };
+        for head in heads.iter().filter(|head| gone(head)) {
+            self.named.remove(&head.name);
+        }
+        heads.retain(|head| !gone(head));
+        if heads.is_empty() {
+            self.by_process.remove(pid);
+        }
+    }
+
+    /// The head named `name`, if one is held.
+    pub fn get(&self, name: &[u8; 32]) -> Option<&T> {
+        let heads = self.by_process.get(self.named.get(name)?)?;
+        heads.iter().find(|head| head.name == *name).map(|head| &head.value)
+    }
+
+    /// Heads held: at most one per live branch of each running process.
+    pub fn held(&self) -> usize {
+        self.named.len()
+    }
+
+    /// Forget every head, as a receiver rebuilt empty does.
+    pub fn clear(&mut self) {
+        *self = Heads::default();
+    }
+}
+
+impl<T: Clone + AsRef<String>> Heads<T> {
+    /// The head named `base` and what a delta against it reads as here:
+    /// intact (`damaged` is `None`), the sender's document, nothing rebuilt
+    /// or parsed (equal chain digests name equal bytes, and the parser
+    /// accepts one spelling); damaged, `keep` bytes of the head and the
+    /// `damaged` tail, parsed and handed the sender's mark.
+    ///
+    /// # Errors
+    ///
+    /// [`WfError::UnknownBase`] for a name no head has, before a byte is
+    /// read; [`WfError::Malformed`] for a `keep` past the head's end or
+    /// inside one of its characters; a parse error for rebuilt non-documents.
+    pub fn arrived(
+        &self,
+        (base, keep): (&[u8; 32], usize),
+        damaged: Option<&str>,
+        sender: &SealedDocument,
+    ) -> WfResult<(T, SealedDocument)> {
+        let head =
+            self.get(base).ok_or_else(|| WfError::UnknownBase(dra_crypto::hex::encode(base)))?;
+        let rebuild = |tail: &str| match head.as_ref().get(..keep) {
+            Some(kept) => Ok([kept, tail].concat()),
+            None => Err(WfError::Malformed(format!("a delta keeps {keep} bytes of its base"))),
+        };
+        let sealed = match damaged {
+            None => {
+                debug_assert_eq!(
+                    rebuild(&sender.wire()[keep..]).ok().as_deref(),
+                    Some(sender.wire().as_str()),
+                    "rebuilt delta ≠ sender's wire"
+                );
+                sender.clone()
+            }
+            Some(tail) => SealedDocument::arrived(&rebuild(tail)?, sender.trust())?,
+        };
+        Ok((head.clone(), sealed))
     }
 }
 
@@ -251,6 +397,74 @@ mod tests {
             DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "pid")
                 .unwrap();
         assert_ne!(d0, prefix_digest(&other, 0).unwrap());
+    }
+
+    fn route(targets: &[&str]) -> Route {
+        Route { targets: targets.iter().map(|t| t.to_string()).collect(), ends: targets.is_empty() }
+    }
+
+    #[test]
+    fn a_head_waits_for_its_targets_and_goes_with_its_process() {
+        let mut heads = Heads::<u8>::default();
+        let name = |n: u8| [n; 32];
+        heads.advance("p", name(0), None, &route(&["A"]), 0);
+        heads.advance("q", name(9), None, &route(&["A"]), 9);
+        heads.advance("p", name(1), Some("A"), &route(&["B1", "B2"]), 1);
+        assert_eq!((heads.get(&name(0)), heads.held()), (None, 2), "A struck, v0 waits for none");
+        heads.advance("p", name(2), Some("B1"), &route(&["C"]), 2);
+        assert_eq!(heads.get(&name(1)), Some(&1), "the split still waits for B2");
+        heads.advance("p", name(3), Some("B2"), &route(&["C"]), 3);
+        assert_eq!((heads.get(&name(1)), heads.held()), (None, 3), "one head per live branch");
+        // the same version again replaces its head; a final route drops all
+        heads.advance("p", name(3), Some("B2"), &route(&["C"]), 3);
+        assert_eq!(heads.held(), 3);
+        heads.advance("p", name(4), Some("C"), &route(&[]), 4);
+        assert_eq!((heads.held(), heads.get(&name(9))), (1, Some(&9)), "q is untouched");
+        heads.clear();
+        assert_eq!(heads.held(), 0);
+    }
+
+    /// Every delta a hostile or damaged sender can name comes back as a
+    /// typed error, never a panic; the one that rebuilds a document is it.
+    #[test]
+    fn hostile_deltas_are_refused_with_typed_errors() {
+        let designer = Credentials::from_seed("designer", "d");
+        let def = WorkflowDefinition::builder("w", "designer")
+            .simple_activity("A", "peter", &["x"])
+            .flow_end("A")
+            .build()
+            .unwrap();
+        let doc =
+            DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "café")
+                .unwrap();
+        let sender = SealedDocument::new(doc);
+        let wire = sender.wire();
+        let name = prefix_digest(&sender, usize::MAX).unwrap();
+        let mut heads = Heads::default();
+        heads.advance("café", name, None, &route(&["A"]), Arc::clone(&wire));
+
+        let inside = wire.find('é').unwrap() + 1;
+        let half = wire.len() / 2;
+        let kind = |e: &WfError| match e {
+            WfError::UnknownBase(_) => "unknown base",
+            WfError::Malformed(_) => "malformed",
+            WfError::Parse(_) => "parse",
+            _ => "another",
+        };
+        let cases: [(&str, [u8; 32], usize, &str, &str); 4] = [
+            ("an unknown name", [7; 32], 0, &wire, "unknown base"),
+            ("keep past the end", name, wire.len() + 1, "", "malformed"),
+            ("keep inside a character", name, inside, &wire[inside + 1..], "malformed"),
+            ("an empty tail", name, half, "", "parse"),
+        ];
+        for (case, base, keep, tail, expected) in cases {
+            let refused = heads.arrived((&base, keep), Some(tail), &sender);
+            assert_eq!(refused.as_ref().err().map(kind), Some(expected), "{case}: {refused:?}");
+        }
+        let (head, rebuilt) = heads.arrived((&name, half), Some(&wire[half..]), &sender).unwrap();
+        assert_eq!((head, rebuilt.wire()), (Arc::clone(&wire), Arc::clone(&wire)));
+        let (_, intact) = heads.arrived((&name, half), None, &sender).unwrap();
+        assert!(Arc::ptr_eq(&intact.wire(), &wire), "an intact copy is the sender's");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! per the security policy — resolving conditional audiences and evaluating
 //! OR-split guards the participant was not allowed to see (the Fig. 4
 //! problem) — embeds a timestamp, signs its attestation, and routes the
-//! final document.
+//! final document. It keeps that document's wire as a branch head
+//! ([`Heads`]) while a routed target has still to extend it, so the next
+//! AEA's hand-off travels as a delta against it ([`TfcServer::arrived`]).
 //!
 //! The API mirrors the Table 2 measurement boundaries:
 //! [`TfcServer::receive`] is the TFC's share of the α column and
@@ -27,7 +29,7 @@ use crate::fields::{build_result_element, plain_fields};
 use crate::flow::DocFieldReader;
 use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
 use crate::ingest::Inbound;
-use crate::sealed::{prefix_digest, SealedDocument, TrustMark};
+use crate::sealed::{chain_next, prefix_digest, Heads, SealedDocument, TrustMark};
 use crate::semantics::{route, Route};
 use crate::verify::{tfc_attest_bytes, Verifier};
 use dra_obs::{stage, Tracer};
@@ -68,6 +70,10 @@ pub struct TfcServer {
     /// finalized CER per document finalized over the server's lifetime.
     redo: Mutex<HashMap<[u8; 32], RedoEntry>>,
     redo_reuses: AtomicU64,
+    /// The wire of every document it finalized that a routed target has
+    /// still to extend: what an AEA's delta hand-off is rebuilt from. Memory,
+    /// not stable storage.
+    heads: Mutex<Heads<Arc<String>>>,
     /// The static Diffie-Hellman secret shared with each participant: opens
     /// its sealed results and keys its copy of what it produced.
     peers: PeerSecrets,
@@ -146,6 +152,7 @@ impl TfcServer {
             crash_hook: None,
             redo: Mutex::new(HashMap::new()),
             redo_reuses: AtomicU64::new(0),
+            heads: Mutex::default(),
             peers: PeerSecrets::default(),
             tracer: Tracer::disabled(),
         }
@@ -184,6 +191,34 @@ impl TfcServer {
     /// drawn a second timestamp without the log.
     pub fn redo_reuses(&self) -> u64 {
         self.redo_reuses.load(Ordering::Relaxed)
+    }
+
+    fn heads(&self) -> std::sync::MutexGuard<'_, Heads<Arc<String>>> {
+        self.heads.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Branch heads held: at most one per live branch of each running
+    /// process.
+    pub fn heads_held(&self) -> usize {
+        self.heads().held()
+    }
+
+    /// Forget every branch head, as a TFC restarted from its keys and redo
+    /// log would: the delta hand-offs naming them are refused and answered
+    /// whole.
+    pub fn forget_heads(&self) {
+        self.heads().clear();
+    }
+
+    /// What a delta hand-off from `sender` reads as here, for
+    /// [`TfcServer::receive`]: see [`Heads::arrived`], errors included.
+    pub fn arrived(
+        &self,
+        delta: (&[u8; 32], usize),
+        damaged: Option<&str>,
+        sender: &SealedDocument,
+    ) -> WfResult<SealedDocument> {
+        Ok(self.heads().arrived(delta, damaged, sender)?.1)
     }
 
     /// Verify an incoming intermediate document and unseal its fresh result
@@ -303,6 +338,9 @@ impl TfcServer {
         };
         self.span_timestamp(received, timestamp, reused);
         let emit = |cer: Element, route: Route| -> WfResult<TfcProcessed> {
+            // the output's chain digest, resumed from the mark's: the
+            // finalized CER is its last
+            let name = chain_next(&received.trust.prefix_digest, &cer);
             // shares every node with `received.doc`; replacing the
             // intermediate CER copies the ActivityResults child vector
             let mut document = received.doc.clone();
@@ -310,6 +348,10 @@ impl TfcServer {
                 .find_cer_element_mut(&received.key)?
                 .ok_or_else(|| WfError::Malformed("intermediate CER vanished".into()))? = cer;
             let document = SealedDocument::with_trust(document, received.trust.clone());
+            debug_assert_eq!(Some(name), prefix_digest(&document, usize::MAX).ok());
+            let executed = Some(received.key.activity.as_str());
+            let pid = &received.report.process_id;
+            self.heads().advance(pid, name, executed, &route, document.wire());
             Ok(TfcProcessed { document, route, key: received.key.clone(), timestamp })
         };
         // fully finalized before a crash cut off the forwarding

@@ -12,13 +12,15 @@
 //!   admitted to the pool.
 
 use dra4wfms::cloud::delivery::MAX_ATTEMPTS;
-use dra4wfms::cloud::{CloudSystem, DeliveryStats, FaultProfile};
+use dra4wfms::cloud::{Base, CloudSystem, DeliveryStats, FaultProfile};
 use dra4wfms::prelude::*;
-use dra_bench::rig::Rig;
+use dra_bench::rig::{fig9_respond, Rig};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Run a Fig. 9A instance over `profile` (None = the system's own lossless
-/// channel). Public
+/// channel); [`run_as`] runs 9B too. Public
 /// policy: signatures are deterministic, so independent runs of the same
 /// instance produce byte-identical documents — the basis of every
 /// byte-equality assertion below. (Encrypted fields use random nonces and
@@ -28,7 +30,16 @@ fn run(
     pid: &str,
     profile: Option<(FaultProfile, u64)>,
 ) -> (CloudSystem, SealedDocument, DeliveryStats) {
-    let rig = Rig::fig9(false);
+    run_as(false, pid, profile)
+}
+
+/// [`run`] for Fig. 9A, or 9B through the TFC when `advanced`.
+fn run_as(
+    advanced: bool,
+    pid: &str,
+    profile: Option<(FaultProfile, u64)>,
+) -> (CloudSystem, SealedDocument, DeliveryStats) {
+    let rig = Rig::fig9(advanced);
     let sys = rig.cloud(3);
     let initial = rig.initial(pid);
     let delivery = profile.map(|(p, seed)| rig.channel(p, seed));
@@ -140,6 +151,125 @@ fn faulty_delta_copies_store_no_phantom_and_count_each_corruption_once() {
         assert_eq!(sys.total_stored(), 10, "{profile:?}: no phantom version");
         assert_eq!(stats.corruptions_rejected, stats.faults.corrupted, "{profile:?}");
     }
+}
+
+/// The AEA → TFC leg travels as a delta against the TFC's own head too, and
+/// a fault lands on it as on the portal leg: a hostile channel leaves the
+/// lossless run's pool, rejects each corrupted copy once, and the same seed
+/// replays the same [`DeliveryStats`].
+#[test]
+fn tfc_deltas_replay_and_leave_the_lossless_pool() {
+    let (clean_sys, clean_doc, clean) = run_as(true, "tfc-delta", None);
+    assert_eq!(clean.delta_fallbacks, 0, "every head a hop names is held");
+    let hostile = Some((FaultProfile::hostile(), 7));
+    let (sys, doc, stats) = run_as(true, "tfc-delta", hostile);
+    let (_, _, again) = run_as(true, "tfc-delta", hostile);
+    assert_eq!(stats, again, "same seed ⇒ same DeliveryStats");
+    assert_eq!(*doc.wire(), *clean_doc.wire());
+    assert_eq!(sys.pool_digest(), clean_sys.pool_digest());
+    assert_eq!(stats.corruptions_rejected, stats.faults.corrupted);
+}
+
+/// A TFC that lost its heads between the hop that made one and the one hop
+/// that extends it — the loop's `A` and `D` — is sent the whole wire once
+/// per head lost, and the instance ends as the lossless run does.
+#[test]
+fn a_tfc_rebuilt_empty_costs_one_whole_copy_per_head_it_lost() {
+    let (clean_sys, _, _) = run_as(true, "tfc-empty", None);
+    let rig = Arc::new(Rig::fig9(true));
+    let lost = Arc::new(AtomicUsize::new(0));
+    let respond = {
+        let (rig, lost) = (Arc::clone(&rig), Arc::clone(&lost));
+        move |r: &ReceivedActivity| {
+            let tfc = rig.tfc.as_ref().expect("9B has a TFC");
+            if r.activity == "A" || r.activity == "D" {
+                lost.fetch_add(tfc.heads_held(), Ordering::Relaxed);
+                tfc.forget_heads();
+            }
+            rig.answer(r)
+        }
+    };
+    let sys = rig.cloud(3);
+    let initial = rig.initial("tfc-empty");
+    let out = rig.run(&sys, &initial).respond(&respond).run().unwrap();
+    let lost = lost.load(Ordering::Relaxed);
+    assert_eq!(lost, 2, "C's head for A's second turn, and its head for D");
+    assert_eq!(out.delivery.delta_fallbacks, lost as u64);
+    assert_eq!(sys.pool_digest(), clean_sys.pool_digest());
+    assert_eq!(rig.tfc.as_ref().unwrap().heads_held(), 0, "none outlives the process");
+}
+
+/// A 9B rig whose `A` answers with a two-byte character, the document its
+/// TFC finalized for `A` (and holds a head of), and what `B1` sends the TFC
+/// against it.
+fn tfc_leg() -> (Rig, Base, SealedDocument) {
+    let fig9 = Rig::fig9(true);
+    let respond = |r: &ReceivedActivity| {
+        let answer = fig9_respond(r);
+        answer.into_iter().map(|(field, value)| (field, format!("{value} é"))).collect()
+    };
+    let rig = Rig::new(fig9.creds, fig9.def, SecurityPolicy::public(), respond);
+    let tfc = rig.tfc.as_ref().expect("9B has a TFC");
+    let hop = |agent: &str, input: SealedDocument, activity: &str| {
+        let received = rig.agents[agent].receive(input, activity).unwrap();
+        let sent = rig.agents[agent].complete_via_tfc(&received, &rig.answer(&received)).unwrap();
+        (received.trust.prefix_digest, sent.document)
+    };
+    let (_, sent) = hop("p_a", SealedDocument::new(rig.initial("tfc-leg")), "A");
+    let finalized = tfc.process(sent).unwrap().document;
+    let (name, sent) = hop("p_b1", finalized.clone(), "B1");
+    (rig, Base { name, wire: finalized.wire() }, sent)
+}
+
+/// Every delta a damaged or hostile copy can name is refused by the TFC
+/// with a typed error, never a panic.
+#[test]
+fn the_tfc_refuses_hostile_deltas_with_typed_errors() {
+    let (rig, base, sent) = tfc_leg();
+    let tfc = rig.tfc.as_ref().unwrap();
+    let head = &base.wire;
+    let inside = head.find('é').expect("A's answer is in the head") + 1;
+    let half = (0..=head.len() / 2).rev().find(|&at| head.is_char_boundary(at)).unwrap();
+    let kind = |e: &WfError| match e {
+        WfError::UnknownBase(_) => "unknown base",
+        WfError::Malformed(_) => "malformed",
+        WfError::Parse(_) => "parse",
+        _ => "another",
+    };
+    let cases: [(&str, [u8; 32], usize, &str, &str); 4] = [
+        ("an unknown name", [7; 32], 0, &sent.wire(), "unknown base"),
+        ("keep past the end", base.name, head.len() + 1, "", "malformed"),
+        ("keep inside a character", base.name, inside, &head[inside + 1..], "malformed"),
+        ("an empty tail", base.name, half, "", "parse"),
+    ];
+    for (case, name, keep, tail, expected) in cases {
+        let refused = tfc.arrived((&name, keep), Some(tail), &sent);
+        assert_eq!(refused.as_ref().err().map(kind), Some(expected), "{case}: {refused:?}");
+    }
+}
+
+/// A damaged delta to the TFC is rejected, counted, and the retry's intact
+/// bytes are received; every copy is charged as a delta.
+#[test]
+fn a_damaged_tfc_delta_is_rejected_and_retried_intact() {
+    let (rig, base, sent) = tfc_leg();
+    let tfc = rig.tfc.as_ref().unwrap();
+    let delivery = rig.channel(FaultProfile { corrupt: 0.5, ..FaultProfile::lossless() }, 5);
+    for _ in 0..16 {
+        let received = delivery.transfer(
+            &sent,
+            Some(&base),
+            |delta, damaged| tfc.arrived(delta, damaged, &sent),
+            |copy| tfc.receive(copy),
+        );
+        assert_eq!(received.unwrap().doc.to_xml_string(), *sent.wire(), "the intact bytes");
+    }
+    let stats = delivery.stats();
+    assert!(stats.faults.corrupted > 0, "the channel damaged some copies");
+    assert_eq!(stats.corruptions_rejected, stats.faults.corrupted, "each one rejected");
+    assert_eq!((stats.delivered, stats.retries), (16, stats.corruptions_rejected));
+    assert_eq!(stats.delta_fallbacks, 0);
+    assert!(stats.bytes * 2 < stats.attempts * sent.wire().len() as u64, "charged as deltas");
 }
 
 proptest! {

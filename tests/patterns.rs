@@ -335,8 +335,8 @@ fn loop_fed_or_join_waits_for_the_loop_then_fires_once() {
 /// lives while a routed target of it has still to run: read between hops,
 /// the heads held never exceed the process's live branches (two on Fig. 9A,
 /// 9B and the OR-join; on the loop, the three laps the OR-join collects
-/// and the AND-split's other branch), and none is left once a fleet of
-/// each has completed.
+/// and the AND-split's other branch), on the portals' side as on 9B's
+/// TFC's, and none is left once a fleet of each has completed.
 #[test]
 fn branch_heads_are_bounded_by_live_branches_and_end_with_their_process() {
     let or_join = GeneratedWorkflow::scripted(asymmetric_or_join(), OR_SCRIPT);
@@ -350,10 +350,11 @@ fn branch_heads_are_bounded_by_live_branches_and_end_with_their_process() {
         let rig = Arc::new(rig);
         let sys = Arc::new(rig.cloud(2));
         let most = Arc::new(AtomicUsize::new(0));
+        let tfc_heads = |rig: &Rig| rig.tfc.as_ref().map_or(0, TfcServer::heads_held);
         let answer = {
             let (rig, sys, most) = (Arc::clone(&rig), Arc::clone(&sys), Arc::clone(&most));
             move |received: &ReceivedActivity| {
-                most.fetch_max(sys.tips_held(), Ordering::Relaxed);
+                most.fetch_max(sys.tips_held().max(tfc_heads(&rig)), Ordering::Relaxed);
                 rig.answer(received)
             }
         };
@@ -361,11 +362,11 @@ fn branch_heads_are_bounded_by_live_branches_and_end_with_their_process() {
         rig.run(&sys, &initial).respond(&answer).run().unwrap();
         let most = most.load(Ordering::Relaxed);
         assert!(most > 0 && most <= live_branches, "{cell}: {most} heads held at once");
-        assert_eq!(sys.tips_held(), 0, "{cell}: the process ended");
+        assert_eq!(sys.tips_held() + tfc_heads(&rig), 0, "{cell}: the process ended");
 
         let pids = (0..4).map(|i| format!("p-fleet-{i}"));
         assert_eq!(rig.fleet(&sys, pids, sys.channel()), 4, "{cell}");
-        assert_eq!(sys.tips_held(), 0, "{cell}: the fleet completed");
+        assert_eq!(sys.tips_held() + tfc_heads(&rig), 0, "{cell}: the fleet completed");
         assert_eq!(sys.channel().stats().delta_fallbacks, 0, "{cell}: every base was held");
     }
 }
