@@ -7,10 +7,10 @@
 //!
 //! The machinery under test: the portals' write-ahead journal (replayed on
 //! restart), the TFC redo log (re-emits the same timestamped document), the
-//! runner's lease-based hop takeover (re-dispatches from the pool copy) and
-//! deterministic signing + sealing (the re-executed hop is byte-identical,
-//! so the wire-digest idempotency suppresses any copy the dead agent did
-//! land).
+//! runner's lease-based hop takeover (re-dispatches the acked input it
+//! holds) and deterministic signing + sealing (the re-executed hop is
+//! byte-identical, so the wire-digest idempotency suppresses any copy the
+//! dead agent did land).
 //!
 //! The sweep is fully deterministic (virtual time only, one seeded
 //! [`FaultPlan`] per cell): `BENCH_crash.json` and the alert stream
@@ -67,7 +67,6 @@ fn run_cell(
     let sys = fx.cloud(3);
 
     let mut completed = 0usize;
-    let mut leases_expired = 0u64;
     for i in 0..INSTANCES {
         let initial = fx.initial(&format!("crash-{i:02}"));
         if let Ok(run) = fx.run(&sys, &initial).run() {
@@ -75,9 +74,10 @@ fn run_cell(
                 Verifier::new(&fx.dir).run(&run.document).expect("final document verifies");
                 completed += 1;
             }
-            leases_expired += run.delivery.leases_expired;
         }
     }
+    // the successful runs' expired leases: the scheduler's, not the channel's
+    let leases_expired = fx.metrics.snapshot().counter("run.timeouts");
 
     let stats = sys.channel().stats();
     let (invariants_ok, alerts) = out.close_cell(&format!("{mode}/{point}/{seed}"), &fx);

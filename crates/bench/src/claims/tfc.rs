@@ -10,6 +10,7 @@
 use super::{on_threads, ClaimOutput};
 use crate::fig9::walk;
 use crate::rig::Rig;
+use dra4wfms_core::prelude::SealedDocument;
 use std::time::{Duration, Instant};
 
 pub(super) fn run() -> ClaimOutput {
@@ -46,7 +47,8 @@ pub(super) fn run() -> ClaimOutput {
         metrics.incr("tfc.docs_finalized", total as u64);
         let started = Instant::now();
         on_threads(threads, total, &|i| {
-            server.process(&inters[i % inters.len()]).expect("tfc process");
+            let arrived = SealedDocument::from_wire(&inters[i % inters.len()]);
+            arrived.and_then(|arrived| server.process(arrived)).expect("tfc process");
         });
         let wall = started.elapsed();
         println!("{:>8} {:>12} {:>14.1}", threads, total, total as f64 / wall.as_secs_f64());

@@ -1,6 +1,7 @@
 //! The paper's experimental workflow (Fig. 9) and its measured trace.
 
 use crate::rig::{fig9_confidential, Rig};
+use dra4wfms_core::prelude::*;
 use std::time::{Duration, Instant};
 
 /// One measured step of the Fig. 9 trace (one activity execution). The
@@ -53,12 +54,12 @@ impl Rig {
         let responses = [(field.to_string(), value.to_string())];
 
         let t0 = Instant::now();
-        let received = if inputs.len() == 1 {
-            aea.receive(inputs[0], activity)
-        } else {
-            aea.receive_merged(inputs, activity)
-        }
-        .unwrap_or_else(|e| panic!("receive {label}: {e}"));
+        let arrived: WfResult<Vec<SealedDocument>> =
+            inputs.iter().map(|xml| SealedDocument::from_wire(xml)).collect();
+        let received = arrived
+            .and_then(|arrived| merge_sealed(&arrived))
+            .and_then(|merged| aea.receive(merged, activity))
+            .unwrap_or_else(|e| panic!("receive {label}: {e}"));
         let alpha_aea = t0.elapsed();
 
         let t1 = Instant::now();
@@ -77,8 +78,9 @@ impl Rig {
                 let inter_xml = inter.document.to_xml_string();
 
                 let t2 = Instant::now();
-                let tfc_recv =
-                    tfc.receive(&inter_xml).unwrap_or_else(|e| panic!("tfc receive {label}: {e}"));
+                let tfc_recv = SealedDocument::from_wire(&inter_xml)
+                    .and_then(|arrived| tfc.receive(arrived))
+                    .unwrap_or_else(|e| panic!("tfc receive {label}: {e}"));
                 let alpha_tfc = t2.elapsed();
 
                 let t3 = Instant::now();
@@ -191,7 +193,8 @@ mod tests {
         let rig = Rig::fig9(true);
         let tfc = rig.tfc.as_ref().unwrap();
         for xml in &inters {
-            tfc.process(xml).expect("every intermediate processable");
+            tfc.process(SealedDocument::from_wire(xml).unwrap())
+                .expect("every intermediate processable");
         }
     }
 }

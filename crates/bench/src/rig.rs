@@ -432,14 +432,16 @@ impl Rig {
         let mut sealed = SealedDocument::new(self.initial(pid));
         self.def.activities.iter().enumerate().map(move |(step, activity)| {
             let aea = self.agent(&activity.participant).with_batched(batched);
-            let inbound = match handoff {
-                Handoff::Wire => Inbound::Wire(sealed.to_xml_string()),
-                Handoff::Sealed => Inbound::Sealed(sealed.clone()),
-            };
+            let wire = (handoff == Handoff::Wire).then(|| sealed.to_xml_string());
             dra_crypto::ed25519::ec_ops_reset();
             dra_xml::canon_alloc_reset();
             let t0 = Instant::now();
-            let received = aea.receive(inbound, &activity.id).expect("receive");
+            // α includes the parse of what arrived as bytes
+            let input = match &wire {
+                Some(xml) => SealedDocument::from_wire(xml).expect("the wire parses"),
+                None => sealed.clone(),
+            };
+            let received = aea.receive(input, &activity.id).expect("receive");
             let alpha = t0.elapsed();
             let ec_ops = dra_crypto::ed25519::ec_ops();
             let canon_alloc = dra_xml::canon_alloc_bytes();

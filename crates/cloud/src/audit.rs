@@ -283,7 +283,7 @@ mod tests {
                 DraDocument::new_initial_with_pid(&def, &pol, &designer, &format!("a-{i:02}"))
                     .unwrap();
             let route = Route { targets: vec!["submit".into()], ends: false };
-            sys.ingest_wire(i % 2, &doc.to_xml_string(), &route, None).unwrap();
+            sys.ingest_wire(i % 2, &doc.to_xml_string(), &route).unwrap();
         }
         sys
     }

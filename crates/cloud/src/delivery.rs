@@ -99,16 +99,12 @@ pub struct DeliveryStats {
     pub late_deliveries: u64,
     /// Reordered copies dropped because the redelivery queue was full.
     pub queue_overflow_dropped: u64,
-    /// Crash faults injected during the run (by a [`crate::FaultPlan`]);
-    /// the delivery layer counts the portal crashes it repaired, the runner
-    /// folds in the AEA and TFC crashes it supervised.
+    /// Crashes the channel absorbed: a receiver that died mid-ingest (a
+    /// portal mid-store, a cloud in an outage), restarted and sent to
+    /// again. An AEA or TFC dying outside the channel is the scheduler's
+    /// takeover (`run.takeovers`), and the records a restart replayed are
+    /// `journal.replayed_records`.
     pub crashes_injected: u64,
-    /// Hop leases that expired and triggered a supervisor takeover
-    /// (runner-supervised; 0 for bare delivery use).
-    pub leases_expired: u64,
-    /// Journal records replayed by portal recoveries
-    /// (runner/[`CloudSystem::recover_portals`]-supplied).
-    pub journal_replays: u64,
     /// Delta copies refused for a base the receiver held no head of, each
     /// answered with the whole wire.
     pub delta_fallbacks: u64,
@@ -146,8 +142,6 @@ impl DeliveryStats {
         metrics.set_counter("delivery.late_deliveries", self.late_deliveries);
         metrics.set_counter("delivery.queue_overflow_dropped", self.queue_overflow_dropped);
         metrics.set_counter("delivery.crashes_injected", self.crashes_injected);
-        metrics.set_counter("delivery.leases_expired", self.leases_expired);
-        metrics.set_counter("delivery.journal_replays", self.journal_replays);
         metrics.set_counter("delivery.delta_fallbacks", self.delta_fallbacks);
         metrics.set_counter("delivery.faults.dropped", self.faults.dropped);
         metrics.set_counter("delivery.faults.duplicated", self.faults.duplicated);
@@ -217,7 +211,7 @@ struct Pending {
 fn arrived(sealed: &SealedDocument, damage: Option<Damage>) -> WfResult<SealedDocument> {
     match damage {
         None => Ok(sealed.clone()),
-        Some(damage) => SealedDocument::arrived(&damage.applied(&sealed.wire(), 0), sealed.trust()),
+        Some(damage) => SealedDocument::arrived(&damage.applied(&sealed.wire(), 0), sealed),
     }
 }
 
@@ -541,8 +535,7 @@ impl Delivery {
     }
 
     /// Snapshot the accumulated statistics: the counters kept here plus
-    /// the network's clock (the runner folds in the leases and replays it
-    /// supervised).
+    /// the network's clock.
     pub fn stats(&self) -> DeliveryStats {
         let state = self.state();
         DeliveryStats {
@@ -851,8 +844,11 @@ mod tests {
         let doc =
             DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "p")
                 .unwrap();
-        let mark = Verifier::new(&dir).with_mark(None).run(&doc).unwrap().mark.unwrap();
-        let sealed = SealedDocument::with_trust(doc, mark);
+        // a mark only an actor's verifier puts on: the AEA that ran `a`
+        let aea = Aea::new(designer, dir.clone());
+        let received = aea.receive(SealedDocument::new(doc), "a").unwrap();
+        let sealed = aea.complete(&received, &[("x".into(), "1".into())]).unwrap().document;
+        assert!(sealed.trust().is_some());
 
         let profile = FaultProfile { corrupt: 0.5, ..FaultProfile::lossless() };
         let delivery = channel(profile, 5);

@@ -27,14 +27,16 @@ pub fn tracer_for(network: &Arc<NetworkSim>) -> Tracer {
 ///   may re-deliver, so the left side can exceed the right);
 /// * `delivery.attempts ≥ delivery.sends` — each send costs at least one
 ///   attempt;
-/// * `delivery.journal_replays ≤ delivery.crashes_injected` — replay only
-///   ever repairs a crash that was actually injected;
+/// * `journal.replayed_records ≤ delivery.crashes_injected` — replay only
+///   ever repairs a crash the channel absorbed (a portal dies mid-store, the
+///   channel restarts it); an AEA or TFC crash is the scheduler's,
+///   `run.takeovers`, and replays nothing;
 /// * `alerts.stuck ≤ run.takeovers` — every observed stall is matched by a
 ///   supervisor takeover: the monitor may act early, but never sees more
 ///   stalls than the supervisor handled (`run.timeouts` counts the same
 ///   crashes' leases, so adding it would double the bound);
 /// * on a fault-free run (no injected faults, no crashes, no retries, no
-///   supervisor takeovers or lease timeouts, no journal replays) the
+///   supervisor takeovers or lease timeouts, no `journal.replayed_records`) the
 ///   monitor must stay silent: `alerts.stuck + alerts.retry_storm +
 ///   alerts.crash_loop == 0`. `alerts.slo_breach` is deliberately exempt —
 ///   an SLO can be missed by honest slowness with nothing injected at all;
@@ -105,11 +107,11 @@ pub fn check_metric_invariants(snapshot: &MetricsSnapshot) -> Result<(), String>
     if sends > 0 && attempts < sends {
         return Err(format!("attempts ({attempts}) < sends ({sends}): a send cost no attempt"));
     }
-    let replays = snapshot.counter("delivery.journal_replays");
+    let replays = snapshot.counter("journal.replayed_records");
     let crashes = snapshot.counter("delivery.crashes_injected");
     if replays > crashes {
         return Err(format!(
-            "journal_replays ({replays}) > crashes_injected ({crashes}): \
+            "journal.replayed_records ({replays}) > crashes_injected ({crashes}): \
              replay repaired more crashes than were injected"
         ));
     }
@@ -122,9 +124,9 @@ pub fn check_metric_invariants(snapshot: &MetricsSnapshot) -> Result<(), String>
              the monitor saw stalls the supervisor never handled"
         ));
     }
-    // takeovers/timeouts/replays count as crash evidence too: agent, TFC
-    // and portal crashes are injected outside the delivery layer, so
-    // `delivery.crashes_injected` alone would miss them and falsely demand
+    // takeovers/timeouts/replays count as crash evidence too: an AEA or
+    // TFC crash is the scheduler's, not the channel's, so
+    // `delivery.crashes_injected` alone would miss it and falsely demand
     // silence from a monitor that correctly flagged a stalled hop
     let fault_free = crashes == 0
         && takeovers == 0
@@ -291,7 +293,7 @@ mod tests {
     #[test]
     fn invariants_catch_phantom_replays() {
         let metrics = MetricsRegistry::new();
-        metrics.set_counter("delivery.journal_replays", 3);
+        metrics.set_counter("journal.replayed_records", 3);
         metrics.set_counter("delivery.crashes_injected", 1);
         let err = check_metric_invariants(&metrics.snapshot()).unwrap_err();
         assert!(err.contains("replay"), "got: {err}");

@@ -354,26 +354,15 @@ impl CloudSystem {
     }
 
     /// The one byte-level admission entry — the deployment's trust boundary:
-    /// parse `wire` as it arrived and run the admission pipeline on it.
-    /// Charges nothing: whoever put the bytes on a channel was charged for
-    /// every physical copy ([`Delivery`]).
-    ///
-    /// `trust` is the mark the *sender* holds for the bytes it transmitted.
-    /// Attaching it to whatever arrived is safe because the mark pins a
-    /// prefix digest: a corrupted copy no longer digest-matches, so
-    /// verification falls back to the full signature pass and rejects it —
-    /// corrupted bytes can never ride the original's trust into the pool.
+    /// parse `wire` as it arrived and run the admission pipeline on it, the
+    /// full signature pass included: bytes carry no mark. Charges nothing:
+    /// whoever put the bytes on a channel was charged for every physical
+    /// copy ([`Delivery`]).
     ///
     /// Idempotent: re-presenting bytes already stored acks the original
     /// sequence number with `duplicate = true` and grows nothing.
-    pub fn ingest_wire(
-        &self,
-        portal: usize,
-        wire: &str,
-        route: &Route,
-        trust: Option<&TrustMark>,
-    ) -> WfResult<StoreAck> {
-        self.admit(portal, &SealedDocument::arrived(wire, trust)?, route)
+    pub fn ingest_wire(&self, portal: usize, wire: &str, route: &Route) -> WfResult<StoreAck> {
+        self.admit(portal, &SealedDocument::from_wire(wire)?, route)
     }
 
     /// The portal's admission pipeline (steps 4–6 of Fig. 7) for a whole
@@ -923,7 +912,7 @@ mod tests {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-1").unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        let ack = sys.ingest_wire(0, &doc.to_xml_string(), &route, None).unwrap();
+        let ack = sys.ingest_wire(0, &doc.to_xml_string(), &route).unwrap();
         assert_eq!(ack, StoreAck { seq: 0, duplicate: false });
         let xml = sys.retrieve_latest(0, "p-1").unwrap();
         assert_eq!(xml, doc.to_xml_string());
@@ -948,7 +937,7 @@ mod tests {
         let admit = |def: &WorkflowDefinition, pid: &str| {
             let doc = DraDocument::new_initial_with_pid(def, &pol, &designer, pid).unwrap();
             let route = Route { targets: vec![def.start.clone()], ends: false };
-            sys.ingest_wire(0, &doc.to_xml_string(), &route, None).map(|_| doc)
+            sys.ingest_wire(0, &doc.to_xml_string(), &route).map(|_| doc)
         };
 
         let first = admit(&variant(0), "tenant-0").unwrap();
@@ -1001,34 +990,119 @@ mod tests {
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-2").unwrap();
         let tampered = doc.to_xml_string().replace("alice", "mallory");
         let route = Route::default();
-        assert!(sys.ingest_wire(0, &tampered, &route, None).is_err());
+        assert!(sys.ingest_wire(0, &tampered, &route).is_err());
         assert!(sys.retrieve_latest(0, "p-2").is_none());
         assert_eq!(sys.total_stored(), 0);
     }
 
     #[test]
     fn stale_mark_on_the_senders_own_copy_is_rejected_by_admit() {
-        // what `Delivery::arrived` hands over for an intact copy: the sender's
-        // in-memory `SealedDocument`, tree and mark, no byte re-parse between
+        // what `Delivery::arrived` hands over for a damaged copy: its own
+        // bytes parsed, under the mark the sender holds
         let (sys, def, pol, designer, alice) = setup();
+        let bob = Credentials::from_seed("bob", "b");
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-lm").unwrap();
-        let aea = Aea::new(alice, sys.directory.clone());
-        let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
-        let done = aea.complete(&recv, &[("amount".into(), "100".into())]).unwrap();
-        let genuine = done.document.into_document();
-        let mark =
-            Verifier::new(&sys.directory).with_mark(None).run(&genuine).unwrap().mark.unwrap();
+        let hop = |aea: &Aea, input: SealedDocument, activity: &str, value: &str| {
+            let recv = aea.receive(input, activity).unwrap();
+            let field = recv.definition.def.activity(activity).unwrap().responses[0].clone();
+            aea.complete(&recv, &[(field, value.into())]).unwrap().document
+        };
+        let submitted =
+            hop(&Aea::new(alice, sys.directory.clone()), SealedDocument::new(doc), "submit", "100");
+        // bob's AEA verified the submit CER: its mark pins it
+        let genuine = hop(&Aea::new(bob, sys.directory.clone()), submitted, "approve", "ok");
+        assert_eq!(genuine.trust().map(|mark| mark.verified_cers), Some(1));
 
-        // a tampered tree under the genuine document's mark
-        let tampered =
-            DraDocument::parse(&genuine.to_xml_string().replace(">100<", ">1000000<")).unwrap();
-        let route = Route { targets: vec!["approve".into()], ends: false };
-        let laundered = SealedDocument::with_trust(tampered, mark.clone());
+        // a tampered copy, inside the pinned prefix, under the genuine mark
+        let tampered = genuine.to_xml_string().replace(">100<", ">1000000<");
+        let route = Route { targets: vec![], ends: true };
+        let laundered = SealedDocument::arrived(&tampered, &genuine).unwrap();
+        assert_eq!(laundered.trust(), genuine.trust());
         assert!(sys.admit(0, &laundered, &route).is_err());
         assert_eq!(sys.total_stored(), 0);
         // the mark itself is good: the genuine tree enters on it
-        sys.admit(0, &SealedDocument::with_trust(genuine, mark), &route).unwrap();
+        sys.admit(0, &genuine, &route).unwrap();
         assert_eq!(sys.total_stored(), 1);
+        assert_eq!(sys.portals[0].incremental_verifications.load(Ordering::Relaxed), 1);
+    }
+
+    /// A mark reaches a receiver on a document a core actor sealed, or on a
+    /// copy [`SealedDocument::arrived`] rebuilt from one — no other way. A
+    /// copy damaged (a) inside the sender's verified prefix or (b) inside
+    /// its newest CER is refused by the AEA, the TFC and a portal alike with
+    /// a typed error; only the full pass checks the prefix, so (a) names the
+    /// prefix's CER.
+    #[test]
+    fn a_copy_damaged_under_its_senders_mark_is_refused_by_every_receiver() {
+        let cast: Vec<Credentials> = ["designer", "alice", "bob", "carol", "TFC"]
+            .iter()
+            .map(|n| Credentials::from_seed(*n, &format!("seam-{n}")))
+            .collect();
+        let dir = Directory::from_credentials(&cast);
+        let def = WorkflowDefinition::builder("seam", "designer")
+            .simple_activity("submit", "alice", &["amount"])
+            .simple_activity("approve", "bob", &["decision"])
+            .simple_activity("file", "carol", &["ref"])
+            .flow("submit", "approve")
+            .flow("approve", "file")
+            .flow_end("file")
+            .with_tfc("TFC")
+            .build()
+            .unwrap();
+        let pol = SecurityPolicy::public().with_tfc_access("TFC", &def);
+        let doc = DraDocument::new_initial_with_pid(&def, &pol, &cast[0], "seam").unwrap();
+        let aea = |i: usize| Aea::new(cast[i].clone(), dir.clone());
+        let tfc = TfcServer::with_clock(cast[4].clone(), dir.clone(), Arc::new(|| 7));
+        let submitted = {
+            let recv = aea(1).receive(SealedDocument::new(doc), "submit").unwrap();
+            let inter = aea(1).complete_via_tfc(&recv, &[("amount".into(), "100".into())]);
+            tfc.process(inter.unwrap().document).unwrap().document
+        };
+        let recv = aea(2).receive(submitted, "approve").unwrap();
+        let responses = [("decision".to_string(), "granted".to_string())];
+        // the TFC's sender: [submit, approve (sealed to the TFC)], submit pinned
+        let inter = aea(2).complete_via_tfc(&recv, &responses).unwrap().document;
+        // the AEA's and the portal's: [submit, approve], submit pinned
+        let approved = tfc.process(inter.clone()).unwrap().document;
+        for sender in [&inter, &approved] {
+            assert_eq!(sender.trust().map(|mark| mark.verified_cers), Some(1));
+        }
+        let sys = CloudSystem::new(dir.clone(), 1, Arc::new(NetworkSim::lan()));
+        let route = Route { targets: vec!["file".into()], ends: false };
+
+        type Receiver<'r> = Box<dyn Fn(SealedDocument) -> WfResult<()> + 'r>;
+        let receivers: [(&str, &SealedDocument, Receiver); 3] = [
+            ("aea", &approved, Box::new(|copy| aea(3).receive(copy, "file").map(|_| ()))),
+            ("tfc", &inter, Box::new(|copy| tfc.receive(copy).map(|_| ()))),
+            ("portal", &approved, Box::new(|copy| sys.admit(0, &copy, &route).map(|_| ()))),
+        ];
+        for (who, sender, receive) in &receivers {
+            let wire = sender.wire();
+            // (b): the newest CER's result, plain or sealed to the TFC
+            let newest = match wire.rfind("<TfcSealed") {
+                Some(at) => {
+                    let text = at + wire[at..].find('>').unwrap() + 1;
+                    let flipped = if &wire[text..=text] == "A" { "B" } else { "A" };
+                    [&wire[..text], flipped, &wire[text + 1..]].concat()
+                }
+                None => wire.replace(">granted<", ">grantee<"),
+            };
+            let cases = [("inside the pinned prefix", wire.replace(">100<", ">101<"), "submit#0")];
+            let cases = cases.into_iter().chain([("inside the newest CER", newest, "approve#0")]);
+            for (case, damaged, culprit) in cases {
+                assert_ne!(damaged, *wire, "{who}, {case}");
+                let copy = SealedDocument::arrived(&damaged, sender).unwrap();
+                assert_eq!(copy.trust(), sender.trust(), "{who}, {case}: the sender's mark");
+                match receive(copy) {
+                    Err(WfError::Verify(why)) => {
+                        assert!(why.contains(culprit), "{who}, {case}: {why}")
+                    }
+                    other => panic!("{who}, {case}: {other:?}"),
+                }
+            }
+            receive((*sender).clone()).unwrap_or_else(|e| panic!("{who}: the intact copy: {e}"));
+        }
+        assert_eq!(sys.total_stored(), 1, "only the intact copy was stored");
     }
 
     #[test]
@@ -1039,7 +1113,6 @@ mod tests {
             0,
             &doc.to_xml_string(),
             &Route { targets: vec!["submit".into()], ends: false },
-            None,
         )
         .unwrap();
         // alice is notified
@@ -1064,7 +1137,7 @@ mod tests {
             } else {
                 Route { targets: vec!["submit".into()], ends: false }
             };
-            sys.ingest_wire(i, &doc.to_xml_string(), &route, None).unwrap();
+            sys.ingest_wire(i, &doc.to_xml_string(), &route).unwrap();
         }
         let stats = sys.statistics_by_status(4);
         assert_eq!(stats["complete"], 3);
@@ -1087,7 +1160,7 @@ mod tests {
             } else {
                 Route { targets: vec!["submit".into()], ends: false }
             };
-            sys.ingest_wire(i, &doc.to_xml_string(), &route, None).unwrap();
+            sys.ingest_wire(i, &doc.to_xml_string(), &route).unwrap();
         }
         let counts = sys.fleet_views().status_counts();
         assert_eq!(counts["complete"], 3);
@@ -1105,7 +1178,7 @@ mod tests {
         let sys = sys.with_faults(FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 1));
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "v-cr").unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        assert!(sys.ingest_wire(0, &doc.to_xml_string(), &route, None).is_err());
+        assert!(sys.ingest_wire(0, &doc.to_xml_string(), &route).is_err());
         // torn admission: neither the pool nor the views saw the meta rows
         sys.views_match_scan(2).expect("views ≡ scan in the crash window");
         sys.recover_portals();
@@ -1134,15 +1207,17 @@ mod tests {
             let pid = format!("s-{i:02}");
             let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, &pid).unwrap();
             let submit = Route { targets: vec!["submit".into()], ends: false };
-            sys.ingest_wire(i, &doc.to_xml_string(), &submit, None).unwrap();
+            sys.ingest_wire(i, &doc.to_xml_string(), &submit).unwrap();
             // a random share of the instances takes a hop, some of them the last
             if rng.below(3) > 0 {
-                let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
+                let recv = aea
+                    .receive(SealedDocument::from_wire(&doc.to_xml_string()).unwrap(), "submit")
+                    .unwrap();
                 let done = aea.complete(&recv, &[("amount".into(), i.to_string())]).unwrap();
                 let ends = rng.below(2) == 0;
                 let targets = if ends { vec![] } else { vec!["approve".into()] };
                 let xml = done.document.to_xml_string();
-                sys.ingest_wire(i, &xml, &Route { targets, ends }, None).unwrap();
+                sys.ingest_wire(i, &xml, &Route { targets, ends }).unwrap();
             }
         }
         let restored = CloudSystem::restore(
@@ -1166,11 +1241,11 @@ mod tests {
         let wire = |pid: &str| {
             DraDocument::new_initial_with_pid(&def, &pol, &designer, pid).unwrap().to_xml_string()
         };
-        sys.ingest_wire(0, &wire("P"), &route, None).unwrap();
+        sys.ingest_wire(0, &wire("P"), &route).unwrap();
         let rows = sys.active_pool().row_count();
 
         // `P/zzz` would store under `doc/P/zzz/…`, inside `P`'s own prefix
-        let err = sys.ingest_wire(0, &wire("P/zzz"), &route, None).unwrap_err();
+        let err = sys.ingest_wire(0, &wire("P/zzz"), &route).unwrap_err();
         assert!(matches!(err, WfError::Malformed(_)), "{err}");
         assert_eq!(sys.active_pool().row_count(), rows, "no row written for it");
 
@@ -1184,7 +1259,7 @@ mod tests {
     fn deeply_nested_wire_bytes_are_a_parse_error_not_a_stack_overflow() {
         let (sys, ..) = setup();
         // the parser runs before any signature check, on whatever arrived
-        let err = sys.ingest_wire(0, &"<a>".repeat(10_000), &Route::default(), None).unwrap_err();
+        let err = sys.ingest_wire(0, &"<a>".repeat(10_000), &Route::default()).unwrap_err();
         assert!(matches!(err, WfError::Parse(_)), "{err}");
         assert_eq!(sys.active_pool().row_count(), 0, "pool untouched");
     }
@@ -1197,7 +1272,6 @@ mod tests {
             0,
             &doc.to_xml_string(),
             &Route { targets: vec!["submit".into()], ends: false },
-            None,
         )
         .unwrap();
         let snapshot = sys.snapshot_pool();
@@ -1226,9 +1300,9 @@ mod tests {
         let wire = doc.to_xml_string();
         let route = Route { targets: vec!["submit".into()], ends: false };
 
-        let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
+        let ack = sys.ingest_wire(0, &wire, &route).unwrap();
         assert!(!ack.duplicate);
-        let again = sys.ingest_wire(1, &wire, &route, None).unwrap();
+        let again = sys.ingest_wire(1, &wire, &route).unwrap();
         assert_eq!(again, StoreAck { seq: ack.seq, duplicate: true }, "whichever the portal");
         assert_eq!((sys.total_stored(), sys.total_duplicates_suppressed()), (1, 1));
         // admission charges nothing (the channel charged each copy); a serve does
@@ -1238,7 +1312,7 @@ mod tests {
 
         // a tampered copy is rejected, stored nothing
         let tampered = wire.replace("alice", "mallory");
-        assert!(sys.ingest_wire(0, &tampered, &route, None).is_err());
+        assert!(sys.ingest_wire(0, &tampered, &route).is_err());
         assert_eq!(versions(&sys, "p-iw"), 1);
     }
 
@@ -1247,7 +1321,7 @@ mod tests {
         let (sys, def, pol, designer, _) = setup();
         let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, "p-sr").unwrap();
         let route = Route { targets: vec!["submit".into()], ends: false };
-        let seq = sys.ingest_wire(0, &doc.to_xml_string(), &route, None).unwrap().seq;
+        let seq = sys.ingest_wire(0, &doc.to_xml_string(), &route).unwrap().seq;
         let snapshot = sys.snapshot_pool();
 
         let restored =
@@ -1255,7 +1329,7 @@ mod tests {
                 .unwrap();
         // the digest → seq binding lives in the pool, so a replayed copy is
         // still recognised after a cold restart
-        let ack = restored.ingest_wire(0, &doc.to_xml_string(), &route, None).unwrap();
+        let ack = restored.ingest_wire(0, &doc.to_xml_string(), &route).unwrap();
         assert!(ack.duplicate);
         assert_eq!(ack.seq, seq);
     }
@@ -1270,7 +1344,7 @@ mod tests {
 
         // the portal dies after the seen row, before the document row: the
         // dangerous window where the pool claims "stored" with nothing stored
-        let err = sys.ingest_wire(0, &wire, &route, None).unwrap_err();
+        let err = sys.ingest_wire(0, &wire, &route).unwrap_err();
         assert!(matches!(err, WfError::Crash(_)));
         assert!(sys.retrieve_latest(0, "p-cr").is_none(), "document row missing");
         assert_eq!(sys.stored_seq_for(&wire), Some(0), "seen row landed");
@@ -1285,7 +1359,7 @@ mod tests {
 
         // the sender's retry is now a clean duplicate, and the crashed
         // schedule is disarmed so the revisit gets through
-        let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
+        let ack = sys.ingest_wire(0, &wire, &route).unwrap();
         assert!(ack.duplicate);
         assert_eq!(ack.seq, 0);
         assert_eq!(versions(&sys, "p-cr"), 1);

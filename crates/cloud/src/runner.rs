@@ -28,10 +28,10 @@
 //! * an **AEA**, or the **TFC** dying in `finalize` (which runs outside the
 //!   channel), surfaces as [`WfError::Crash`] from the hop. Every dispatched
 //!   hop carries a virtual-time lease ([`LEASE_US`]): the scheduler — as
-//!   supervisor, at most [`MAX_TAKEOVERS`] times per hop — waits it out,
-//!   re-fetches the hop's inputs from the pool (*document-anchored
-//!   recovery*: the pool copy, not the dead agent's memory, is the truth)
-//!   and re-dispatches to a recovered agent. Deterministic signing, sealing
+//!   supervisor, at most [`MAX_TAKEOVERS`] times per hop — waits it out
+//!   and re-dispatches the inputs it holds to a recovered agent: a portal
+//!   acked each one after storing exactly its bytes, so they are the pool's
+//!   copy, not the dead agent's memory. Deterministic signing, sealing
 //!   and the TFC's redo log make the re-executed result byte-identical, so
 //!   if the dead agent's send did land, the portal's wire-digest
 //!   idempotency suppresses the duplicate.
@@ -39,7 +39,6 @@
 use crate::delivery::{Base, Delivery, DeliveryStats};
 use crate::monitor::HealthMonitor;
 use crate::portal::CloudSystem;
-use dra4wfms_core::flow::merge_documents;
 use dra4wfms_core::prelude::*;
 use dra_obs::{stage, MetricsRegistry, Tracer};
 use std::collections::HashMap;
@@ -72,9 +71,9 @@ pub struct RunOutcome {
     /// instead of the O(n²) of re-verifying every cascade from scratch.
     pub signature_checks: usize,
     /// Delivery accounting of the channel the run handed off over, read at
-    /// the end of the run (cumulative over the channel's life), with this
-    /// instance's supervised crashes, expired leases and journal replays
-    /// folded in.
+    /// the end of the run (cumulative over the channel's life): what the
+    /// channel counted, and nothing else — the scheduler's takeovers are
+    /// `run.takeovers` in [`InstanceRun::metrics`].
     pub delivery: DeliveryStats,
 }
 
@@ -179,10 +178,12 @@ impl<'a> InstanceRun<'a> {
         self
     }
 
-    /// Export end-of-run counters into `metrics`: `run.steps`, the
-    /// `delivery.*` family, the portal / journal / pool family via
-    /// [`CloudSystem::export_metrics`], `tfc.redo_reuses` (advanced model)
-    /// and a `hop.duration_us` histogram in virtual time.
+    /// Export end-of-run counters into `metrics`: the `run.*` family and a
+    /// `hop.duration_us` histogram in virtual time, added per instance; and
+    /// once per registry, after every instance of the drain is finalized,
+    /// the channel's `delivery.*` family, the portal / journal / pool family
+    /// via [`CloudSystem::export_metrics`], `tfc.redo_reuses` (advanced
+    /// model) and the monitor's `alerts.*`.
     pub fn metrics(mut self, metrics: &'a MetricsRegistry) -> InstanceRun<'a> {
         self.metrics = Some(metrics);
         self
@@ -202,25 +203,6 @@ impl<'a> InstanceRun<'a> {
         results.into_iter().find_map(|(p, r)| (p == pid).then_some(r)).unwrap_or_else(|| {
             Err(WfError::Flow(format!("scheduler lost track of instance '{pid}'")))
         })
-    }
-
-    /// Merge branch documents: a single arrival keeps its seal and trust
-    /// mark; a true merge rides the **first arrival's** mark, whose prefix
-    /// [`merge_documents`] keeps as a prefix of the merge, so the join checks
-    /// the CERs past it — the branches' new ones. The mark is a claim, not a
-    /// credential: the verifier recomputes the chained digest over the merge
-    /// and runs the full pass on a mismatch, as it does without a mark.
-    /// Either way the result shares the inputs' nodes.
-    pub fn merge_inputs(inputs: &[SealedDocument]) -> WfResult<SealedDocument> {
-        if inputs.len() == 1 {
-            return Ok(inputs[0].clone());
-        }
-        let docs: Vec<DraDocument> = inputs.iter().map(|s| s.document().clone()).collect();
-        let mut merged = SealedDocument::new(merge_documents(&docs)?);
-        if let Some(mark) = inputs[0].trust() {
-            merged.set_trust(mark.clone());
-        }
-        Ok(merged)
     }
 
     /// Execute one hop end to end: open the activity on `merged`, the merge
@@ -286,25 +268,6 @@ impl<'a> InstanceRun<'a> {
         // store + notify (portal chosen by hash of (process, step))
         self.delivery.deliver(self.system, portal, &document, base.as_ref(), &route)?;
         Ok((document, route, checks, iter))
-    }
-
-    /// Document-anchored recovery: swap each input for the copy the pool
-    /// holds for these exact bytes (found via the wire-digest row), carrying
-    /// over the input's own trust mark — the bytes are the ones it pins, and
-    /// an input without a mark gets the full signature pass. An input the
-    /// pool has no completed admission for is kept as-is (none should be:
-    /// every input was acked by a portal before its hop was dispatched).
-    pub(crate) fn refetch(&self, pid: &str, inputs: Vec<SealedDocument>) -> Vec<SealedDocument> {
-        let pooled = |sealed: &SealedDocument| {
-            let seq = self.system.stored_seq_for(&sealed.wire())?;
-            let mut fresh =
-                SealedDocument::from_wire(&self.system.retrieve_version(pid, seq)?).ok()?;
-            if let Some(mark) = sealed.trust() {
-                fresh.set_trust(mark.clone());
-            }
-            Some(fresh)
-        };
-        inputs.into_iter().map(|sealed| pooled(&sealed).unwrap_or(sealed)).collect()
     }
 }
 
@@ -467,10 +430,10 @@ mod tests {
         let pinned = b1.trust().expect("a completed hop carries its mark").verified_cers;
         assert_eq!(pinned, 1, "B1's AEA verified A's CER");
 
-        let single = InstanceRun::merge_inputs(std::slice::from_ref(&b1)).unwrap();
+        let single = merge_sealed(std::slice::from_ref(&b1)).unwrap();
         assert_eq!(single.trust(), b1.trust(), "a single arrival keeps its mark");
 
-        let merged = InstanceRun::merge_inputs(&[b1.clone(), b2.clone()]).unwrap();
+        let merged = merge_sealed(&[b1.clone(), b2.clone()]).unwrap();
         assert_eq!(merged.trust(), b1.trust(), "the merge rides the first arrival's mark");
         let received = agents["p_c"].receive(merged, "C").unwrap();
         assert_eq!(received.reused_cers, pinned);
@@ -478,7 +441,7 @@ mod tests {
 
         // no mark on the first arrival: the full pass, as before
         let unmarked = SealedDocument::new(b1.document().clone());
-        let merged = InstanceRun::merge_inputs(&[unmarked, b2]).unwrap();
+        let merged = merge_sealed(&[unmarked, b2]).unwrap();
         assert!(merged.trust().is_none(), "the second arrival's mark pins no prefix of the merge");
         let received = agents["p_c"].receive(merged, "C").unwrap();
         assert_eq!(received.reused_cers, 0);
@@ -531,7 +494,7 @@ mod tests {
         // nth 3 kills a mid-run hop whose input carries its sender's mark;
         // nth 1 kills the first hop, whose input — the initial document —
         // carries none, so the taken-over hop does the full signature pass
-        // from the pool's bytes
+        // on the input it holds
         for nth in [3, 1] {
             let creds = people();
             let dir = Directory::from_credentials(&creds);
@@ -548,19 +511,15 @@ mod tests {
             )
             .unwrap();
             // every AEA shares the fault plan; exactly one dies, once
-            let ags: HashMap<String, Arc<Aea>> = creds
-                .iter()
-                .map(|c| {
-                    let aea = Aea::new(c.clone(), dir.clone()).with_crash_hook(plan.hook());
-                    (c.name.clone(), Arc::new(aea))
-                })
-                .collect();
+            let ags = crashing_agents(&creds, &dir, &plan);
             let responder = fig9a_responder();
+            let metrics = MetricsRegistry::new();
             let t0 = network.virtual_time_us();
             let out = InstanceRun::new(&sys, &initial)
                 .agents(&ags)
                 .respond(&responder)
                 .max_steps(100)
+                .metrics(&metrics)
                 .run()
                 .unwrap();
             assert_eq!(out.steps, 9, "nth {nth}: the run completes despite the crash");
@@ -568,8 +527,14 @@ mod tests {
                 out.signature_checks, 11,
                 "nth {nth}: the taken-over hop verifies what a crash-free hop does"
             );
-            assert_eq!(out.delivery.crashes_injected, 1);
-            assert_eq!(out.delivery.leases_expired, 1);
+            let counted = metrics.snapshot();
+            assert_eq!(plan.fired(), 1);
+            assert_eq!(out.delivery.crashes_injected, 0, "nth {nth}: none reached the channel");
+            assert_eq!(
+                (counted.counter("run.takeovers"), counted.counter("run.timeouts")),
+                (1, 1),
+                "nth {nth}: one takeover, after one expired lease"
+            );
             assert!(
                 network.virtual_time_us() - t0 >= LEASE_US,
                 "nth {nth}: the takeover waited out the lease"
@@ -577,6 +542,62 @@ mod tests {
             // no version lost, none duplicated
             assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/crash-run/")), 10);
             Verifier::new(&dir).run(&out.document).unwrap();
+        }
+    }
+
+    /// Every AEA of `creds`, each consulting `plan` at its crash sites.
+    fn crashing_agents(
+        creds: &[Credentials],
+        dir: &Directory,
+        plan: &Arc<crate::FaultPlan>,
+    ) -> HashMap<String, Arc<Aea>> {
+        let aea = |c: &Credentials| Aea::new(c.clone(), dir.clone()).with_crash_hook(plan.hook());
+        creds.iter().map(|c| (c.name.clone(), Arc::new(aea(c)))).collect()
+    }
+
+    #[test]
+    fn fig9b_takeover_re_dispatches_the_held_input_on_both_legs() {
+        // an AEA dying after its verify, and the TFC dying between its
+        // timestamp and its re-encrypt (the redo path): each takeover
+        // re-dispatches the input the scheduler holds, and the run ends as
+        // the crash-free one does
+        use dra4wfms_core::faultpoint::site;
+        let creds = people();
+        let dir = Directory::from_credentials(&creds);
+        let def = {
+            let mut d = fig9a();
+            d.tfc = Some("TFC".into());
+            d
+        };
+        let policy = SecurityPolicy::public().with_tfc_access("TFC", &def);
+        let initial = DraDocument::new_initial_with_pid(&def, &policy, &creds[0], "9b").unwrap();
+        let tfc_creds = creds.iter().find(|c| c.name == "TFC").unwrap().clone();
+        let run = |plan: Arc<crate::FaultPlan>| {
+            let sys = CloudSystem::new(dir.clone(), 3, Arc::new(NetworkSim::lan()))
+                .with_faults(Arc::clone(&plan));
+            let tfc = TfcServer::with_clock(tfc_creds.clone(), dir.clone(), Arc::new(|| 1_000))
+                .with_crash_hook(plan.hook());
+            let responder = fig9a_responder();
+            let metrics = MetricsRegistry::new();
+            let out = InstanceRun::new(&sys, &initial)
+                .agents(&crashing_agents(&creds, &dir, &plan))
+                .tfc(&tfc)
+                .respond(&responder)
+                .max_steps(100)
+                .metrics(&metrics)
+                .run()
+                .unwrap();
+            assert_eq!(plan.fired(), metrics.snapshot().counter("run.takeovers"));
+            (sys.pool_digest(), out.document.wire(), out.signature_checks, plan.fired())
+        };
+        let (digest, wire, checks, fired) = run(crate::FaultPlan::none());
+        assert_eq!(fired, 0);
+        for site in [site::AEA_AFTER_VERIFY, site::TFC_AFTER_TIMESTAMP] {
+            let crashed = run(crate::FaultPlan::once(site, 3));
+            assert_eq!(crashed.3, 1, "{site}: the crash fired");
+            assert_eq!(crashed.0, digest, "{site}: the crash-free pool");
+            assert_eq!(crashed.1, wire, "{site}: the crash-free final wire");
+            assert_eq!(crashed.2, checks, "{site}: the crash-free signature checks");
         }
     }
 

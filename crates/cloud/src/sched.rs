@@ -37,7 +37,7 @@ use crate::portal::CloudSystem;
 use crate::runner::{InstanceRun, RunOutcome, LEASE_US, MAX_TAKEOVERS};
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::semantics::{and_join_missing, cancelled};
-use dra_obs::{stage, MetricsRegistry};
+use dra_obs::stage;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -186,10 +186,10 @@ struct Instance<'a> {
     steps: usize,
     signature_checks: usize,
     last_doc: SealedDocument,
-    leases_expired: u64,
-    crashes_supervised: u64,
+    /// Hops taken over, each after its lease ran out (or the monitor saw
+    /// the instance stuck): `run.takeovers` and `run.timeouts`.
+    takeovers: u64,
     early_takeovers: u64,
-    replays_at_start: u64,
     finished: bool,
     failed: Option<WfError>,
 }
@@ -277,7 +277,6 @@ impl<'a> Scheduler<'a> {
                 fed.set_monitor(mon);
             }
         }
-        let replays_at_start = self.system.journal_replays();
 
         let mut inbox: HashMap<String, Vec<SealedDocument>> = HashMap::new();
         inbox.entry(def.start.clone()).or_default().push(sealed_initial.clone());
@@ -296,10 +295,8 @@ impl<'a> Scheduler<'a> {
                 steps: 0,
                 signature_checks: 0,
                 last_doc: sealed_initial,
-                leases_expired: 0,
-                crashes_supervised: 0,
+                takeovers: 0,
                 early_takeovers: 0,
-                replays_at_start,
                 finished: false,
                 failed: None,
             },
@@ -308,9 +305,9 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Drain the bus to empty, then finalize every admitted instance in
-    /// admission order: flush delivery, fold crash/recovery accounting,
-    /// export metrics (the `run.*` family per instance, the `sched.*`
-    /// family once per registry) and build each [`RunOutcome`].
+    /// admission order: flush delivery, add the `run.*` family per instance,
+    /// build each [`RunOutcome`] — then export the deployment-wide counters
+    /// and the `sched.*` family once per registry.
     pub fn run_to_completion(&mut self) -> Vec<(String, WfResult<RunOutcome>)> {
         let bus = self.system.activation_bus();
         loop {
@@ -372,7 +369,7 @@ impl<'a> Scheduler<'a> {
         let system = self.system;
         let bus = system.activation_bus();
         let mut results = Vec::with_capacity(self.order.len());
-        let mut exported: Vec<&'a MetricsRegistry> = Vec::new();
+        let mut exported: Vec<InstanceRun<'a>> = Vec::new();
         // parked OR-joins remaining at finalize: non-zero on a fault-free
         // drain means a synchronizing merge never resolved (a scheduler
         // bug — sound definitions guarantee quiescence by drain end)
@@ -388,15 +385,8 @@ impl<'a> Scheduler<'a> {
             // the same seed + profile always reports the same numbers; any
             // re-notification they triggered is stale by now
             inst.run.delivery.flush(system);
-            let mut delivery = inst.run.delivery.stats();
+            let delivery = inst.run.delivery.stats();
             self.stats.skipped += bus.drain_process(&pid) as u64;
-
-            // fold in crash/recovery accounting: the delivery layer counted
-            // the crashes it absorbed on its own paths, the supervisor
-            // counted the ones that reached the takeover loop — disjoint
-            delivery.crashes_injected += inst.crashes_supervised;
-            delivery.leases_expired = inst.leases_expired;
-            delivery.journal_replays = system.journal_replays() - inst.replays_at_start;
 
             if !inst.finished {
                 if let Some(mon) = &inst.run.monitor {
@@ -405,26 +395,19 @@ impl<'a> Scheduler<'a> {
             }
 
             if let Some(m) = inst.run.metrics {
-                delivery.export_metrics(m);
-                system.export_metrics(m);
                 // additive, not overwriting: bench cells run many instances
                 // against one shared registry (and one shared monitor), and
                 // the alert-accounting invariants compare *cumulative*
                 // alert counts against these — so they must accumulate too
                 m.incr("run.steps", inst.steps as u64);
                 m.incr("run.signature_checks", inst.signature_checks as u64);
-                m.incr("run.takeovers", inst.crashes_supervised);
-                m.incr("run.timeouts", inst.leases_expired);
+                m.incr("run.takeovers", inst.takeovers);
+                m.incr("run.timeouts", inst.takeovers);
                 m.incr("run.early_takeovers", inst.early_takeovers);
-                if let Some(tfc) = inst.run.tfc {
-                    m.set_counter("tfc.redo_reuses", tfc.redo_reuses());
-                }
-                if let Some(mon) = &inst.run.monitor {
-                    mon.export_metrics(m);
-                }
-                if !exported.iter().any(|p| std::ptr::eq(*p, m)) {
-                    exported.push(m);
-                }
+                // the registry's deployment-wide counters are read once, from
+                // the last instance finalized into it
+                exported.retain(|run| !run.metrics.is_some_and(|e| std::ptr::eq(e, m)));
+                exported.push(inst.run);
             }
 
             results.push((
@@ -438,8 +421,18 @@ impl<'a> Scheduler<'a> {
                 }),
             ));
         }
-        // scheduler-side accounting, once per registry per drain
-        for m in exported {
+        // deployment-wide totals and scheduler-side accounting, once per
+        // registry per drain
+        for run in exported {
+            let Some(m) = run.metrics else { continue };
+            run.delivery.stats().export_metrics(m);
+            system.export_metrics(m);
+            if let Some(tfc) = run.tfc {
+                m.set_counter("tfc.redo_reuses", tfc.redo_reuses());
+            }
+            if let Some(mon) = &run.monitor {
+                mon.export_metrics(m);
+            }
             m.incr("sched.dispatched", self.stats.dispatched);
             m.incr("sched.skipped", self.stats.skipped);
             m.incr("sched.deferred", self.stats.deferred);
@@ -478,7 +471,7 @@ fn dispatch_one<'a>(
         stats.cancelled += 1;
         return Ok(());
     }
-    let Some(arrived) = inst.inbox.remove(&act.activity) else {
+    let Some(inputs) = inst.inbox.remove(&act.activity) else {
         // duplicate notification (retransmitted copy, replay re-emission):
         // the inbox was already drained by the first activation
         stats.skipped += 1;
@@ -491,8 +484,7 @@ fn dispatch_one<'a>(
         )));
     }
 
-    let mut inputs = arrived;
-    let mut merged = InstanceRun::merge_inputs(&inputs)?;
+    let merged = merge_sealed(&inputs)?;
 
     // re-fold amendments: a designer may have amended the definition
     // mid-run, and routing must follow the rules now in force
@@ -566,8 +558,7 @@ fn dispatch_one<'a>(
                 hop_span.attr("site", &site);
                 hop_span.end_with(dra_obs::OUTCOME_CRASH);
                 takeovers_left -= 1;
-                inst.leases_expired += 1;
-                inst.crashes_supervised += 1;
+                inst.takeovers += 1;
                 // the dead agent's lease runs out in virtual time — unless
                 // a monitor is watching, in which case the supervisor moves
                 // the moment the instance is *observed* stuck
@@ -585,12 +576,11 @@ fn dispatch_one<'a>(
                         inst.early_takeovers += 1;
                     }
                 }
-                // the hop is re-anchored on the documents in the pool, not
-                // the dead agent's memory (the portals have nothing to
-                // replay: the channel repaired a torn store before its
-                // hand-off returned)
-                inputs = inst.run.refetch(&inst.pid, inputs);
-                merged = InstanceRun::merge_inputs(&inputs)?;
+                // the hop is re-dispatched with the inputs it holds: a
+                // portal acked each one after storing exactly its bytes, so
+                // they are the pool's copy, not the dead agent's memory (the
+                // portals have nothing to replay: the channel repaired a
+                // torn store before its hand-off returned)
             }
             Err(e) => {
                 dspan.end_with(dra_obs::OUTCOME_CRASH);

@@ -761,10 +761,12 @@ mod tests {
         let submit = Route { targets: vec!["submit".into()], ends: false };
         for pid in ["p", "q"] {
             let doc = DraDocument::new_initial_with_pid(&def, &pol, &designer, pid).unwrap();
-            sys.ingest_wire(0, &doc.to_xml_string(), &submit, None).unwrap();
-            let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
+            sys.ingest_wire(0, &doc.to_xml_string(), &submit).unwrap();
+            let recv = aea
+                .receive(SealedDocument::from_wire(&doc.to_xml_string()).unwrap(), "submit")
+                .unwrap();
             let done = aea.complete(&recv, &[("amount".into(), "1".into())]).unwrap();
-            sys.ingest_wire(0, &done.document.to_xml_string(), &done.route, None).unwrap();
+            sys.ingest_wire(0, &done.document.to_xml_string(), &done.route).unwrap();
         }
         let cloud = &sys.clouds[0];
         let (p, q) = (Name::new("p").unwrap(), Name::new("q").unwrap());

@@ -36,7 +36,6 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
         0,
         &rig.initial("race-1").to_xml_string(),
         &Route { targets: vec!["submit".into()], ends: false },
-        None,
     )
     .unwrap();
 
@@ -62,15 +61,11 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
         "re-executed hop is byte-identical"
     );
 
-    let ack = sys
-        .ingest_wire(1, &takeover.document.wire(), &takeover.route, takeover.document.trust())
-        .unwrap();
+    let ack = sys.ingest_wire(1, &takeover.document.wire(), &takeover.route).unwrap();
     assert!(!ack.duplicate, "takeover copy stores first");
 
     // now the dead agent's delayed copy limps in — suppressed, not re-stored
-    let late = sys
-        .ingest_wire(0, &in_flight.document.wire(), &in_flight.route, in_flight.document.trust())
-        .unwrap();
+    let late = sys.ingest_wire(0, &in_flight.document.wire(), &in_flight.route).unwrap();
     assert!(late.duplicate, "delayed copy recognised by wire digest");
     assert_eq!(late.seq, ack.seq);
     assert_eq!(
@@ -99,7 +94,6 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
         0,
         &rig.initial("race-2").to_xml_string(),
         &Route { targets: vec!["submit".into()], ends: false },
-        None,
     )
     .unwrap();
 
@@ -140,13 +134,9 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
     );
 
     // both copies head for the portal; only one version lands
-    let ack = sys
-        .ingest_wire(0, &final2.document.wire(), &final2.route, final2.document.trust())
-        .unwrap();
+    let ack = sys.ingest_wire(0, &final2.document.wire(), &final2.route).unwrap();
     assert!(!ack.duplicate);
-    let late = sys
-        .ingest_wire(1, &final1.document.wire(), &final1.route, final1.document.trust())
-        .unwrap();
+    let late = sys.ingest_wire(1, &final1.document.wire(), &final1.route).unwrap();
     assert!(late.duplicate);
     assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/race-2/")), 2);
 }
@@ -161,13 +151,15 @@ fn a_dead_portal_is_restarted_by_the_channel_not_waited_out_by_the_scheduler() {
         let sys = rig.cloud(3);
         let out = rig.run(&sys, &rig.initial("portal-dies")).run().unwrap();
         assert_eq!(out.steps, 9);
-        (out.delivery, sys.pool_digest())
+        let timeouts = rig.metrics.snapshot().counter("run.timeouts");
+        (out.delivery, sys.pool_digest(), sys.journal_replays(), timeouts)
     };
-    let (clean, clean_digest) = run(FaultPlan::none());
-    let (stats, digest) = run(FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 2));
+    let (clean, clean_digest, ..) = run(FaultPlan::none());
+    let (stats, digest, replays, timeouts) =
+        run(FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 2));
     assert_eq!((clean.crashes_injected, clean.retries), (0, 0));
-    assert_eq!((stats.crashes_injected, stats.journal_replays), (1, 1));
+    assert_eq!((stats.crashes_injected, replays), (1, 1));
     assert_eq!(stats.retries, 1, "the channel sent the same bytes again");
-    assert_eq!(stats.leases_expired, 0, "the scheduler never saw the crash");
+    assert_eq!(timeouts, 0, "the scheduler never saw the crash");
     assert_eq!(digest, clean_digest, "same pool as the crash-free run");
 }

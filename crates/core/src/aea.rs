@@ -21,9 +21,8 @@ use crate::document::{preds_to_attr, CerKey, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_plain_result_element, build_result_element};
-use crate::flow::{merge_documents, DocFieldReader};
+use crate::flow::DocFieldReader;
 use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
-use crate::ingest::Inbound;
 use crate::model::FieldRef;
 use crate::sealed::{SealedDocument, TrustMark};
 use crate::semantics::{and_join_missing, route, Route};
@@ -157,24 +156,18 @@ impl Aea {
         ActorKeys { creds: &self.creds, directory: &self.directory, peers: &self.peers }
     }
 
-    /// Receive a routed document and open `activity` for execution — the
-    /// single ingest entry point.
+    /// Receive a routed document and open `activity` for execution.
     ///
-    /// This is the paper's α phase: parse, verify every embedded signature,
-    /// check the executor, decrypt the request fields. Accepts anything
-    /// convertible to [`Inbound`] — wire XML (`&str`/`String`), a parsed
-    /// [`DraDocument`], or a [`SealedDocument`] hand-off. A sealed document
+    /// This is the paper's α phase: verify every embedded signature, check
+    /// the executor, decrypt the request fields. A caller holding wire bytes
+    /// parses them first ([`SealedDocument::from_wire`]); an AND-join's
+    /// arrivals are merged first ([`crate::flow::merge_sealed`]). A document
     /// carrying a [`TrustMark`] is verified incrementally: only the CERs
     /// appended since the mark was issued are re-checked (after proving the
-    /// marked prefix byte-identical via its digest). Every other form takes
-    /// the full verification pass — there is no way to skip it.
-    pub fn receive(
-        &self,
-        inbound: impl Into<Inbound>,
-        activity: &str,
-    ) -> WfResult<ReceivedActivity> {
+    /// marked prefix byte-identical via its digest). A document without one
+    /// takes the full verification pass — there is no way to skip it.
+    pub fn receive(&self, sealed: SealedDocument, activity: &str) -> WfResult<ReceivedActivity> {
         let mut span_verify = self.tracer.span(stage::VERIFY).actor(&self.creds.name);
-        let sealed = inbound.into().into_sealed()?;
         let outcome = Verifier::new(&self.directory)
             .batched(self.batched)
             .with_mark(sealed.trust())
@@ -260,15 +253,6 @@ impl Aea {
             trust,
             reused_cers,
         })
-    }
-
-    /// AND-join variant: receive one document per incoming branch, merge
-    /// their CER sets, then open the join activity.
-    pub fn receive_merged(&self, xmls: &[&str], activity: &str) -> WfResult<ReceivedActivity> {
-        let docs: Vec<DraDocument> =
-            xmls.iter().map(|x| DraDocument::parse(x)).collect::<WfResult<_>>()?;
-        let merged = merge_documents(&docs)?;
-        self.receive(merged, activity)
     }
 
     fn check_responses(
@@ -462,8 +446,17 @@ mod tests {
         (def, policy, designer, vec![peter, amy], dir)
     }
 
-    fn initial(def: &WorkflowDefinition, pol: &SecurityPolicy, designer: &Credentials) -> String {
-        DraDocument::new_initial_with_pid(def, pol, designer, "pid-test").unwrap().to_xml_string()
+    fn initial(
+        def: &WorkflowDefinition,
+        pol: &SecurityPolicy,
+        designer: &Credentials,
+    ) -> SealedDocument {
+        wire(&DraDocument::new_initial_with_pid(def, pol, designer, "pid-test").unwrap())
+    }
+
+    /// What a receiver of `doc`'s bytes holds: the wire parsed, no mark.
+    fn wire(doc: &DraDocument) -> SealedDocument {
+        SealedDocument::from_wire(&doc.to_xml_string()).unwrap()
     }
 
     #[test]
@@ -483,7 +476,7 @@ mod tests {
         assert_eq!(done.key, CerKey::new("A", 0));
 
         // Amy executes B; sees both fields (amount encrypted to her).
-        let recv = aea_amy.receive(done.document.to_xml_string(), "B").unwrap();
+        let recv = aea_amy.receive(wire(&done.document), "B").unwrap();
         assert_eq!(recv.report.signatures_verified, 2, "designer + peter");
         assert_eq!(recv.visible.len(), 2);
         assert!(recv.visible.iter().any(|(f, v)| f.field == "amount" && v == "9000"));
@@ -514,7 +507,7 @@ mod tests {
         // Mallory intercepts the document in flight and alters the public note.
         let tampered = done.document.to_xml_string().replace(">x<", ">y<");
         assert_ne!(tampered, done.document.to_xml_string());
-        let err = aea_amy.receive(&tampered, "B").unwrap_err();
+        let err = aea_amy.receive(SealedDocument::from_wire(&tampered).unwrap(), "B").unwrap_err();
         assert!(matches!(err, WfError::Verify(_)), "alteration detected: {err}");
     }
 
@@ -553,7 +546,7 @@ mod tests {
         let stolen = done.document.cers().unwrap().first().unwrap().element.clone();
         other.push_cer(stolen).unwrap();
         let aea_amy = Aea::new(people[1].clone(), dir);
-        let err = aea_amy.receive(other.to_xml_string(), "B").unwrap_err();
+        let err = aea_amy.receive(wire(&other), "B").unwrap_err();
         assert!(matches!(err, WfError::Verify(_)), "replay detected: {err}");
     }
 
@@ -583,15 +576,13 @@ mod tests {
         let aea_peter = Aea::new(peter, dir.clone());
         let recv = aea_peter
             .receive(
-                DraDocument::new_initial_with_pid(&def, &pol, &designer, "pid")
-                    .unwrap()
-                    .to_xml_string(),
+                wire(&DraDocument::new_initial_with_pid(&def, &pol, &designer, "pid").unwrap()),
                 "A",
             )
             .unwrap();
         let done = aea_peter.complete(&recv, &[("amount".into(), "5".into())]).unwrap();
         let aea_tony = Aea::new(tony, dir);
-        let recv = aea_tony.receive(done.document.to_xml_string(), "B").unwrap();
+        let recv = aea_tony.receive(wire(&done.document), "B").unwrap();
         assert!(recv.visible.is_empty());
         assert_eq!(recv.hidden, vec![FieldRef::new("A", "amount")]);
     }

@@ -306,6 +306,7 @@ mod tests {
     use crate::identity::Directory;
     use crate::model::{Condition, FieldRef, JoinKind};
     use crate::policy::Readers;
+    use crate::sealed::SealedDocument;
     use crate::verify::Verifier;
 
     fn setup() -> (WorkflowDefinition, Credentials, Vec<Credentials>, Directory) {
@@ -507,7 +508,9 @@ mod tests {
 
         // alice executes s1
         let aea_alice = Aea::new(people[0].clone(), dir.clone());
-        let recv = aea_alice.receive(doc.to_xml_string(), "s1").unwrap();
+        let recv = aea_alice
+            .receive(SealedDocument::from_wire(&doc.to_xml_string()).unwrap(), "s1")
+            .unwrap();
         let done = aea_alice.complete(&recv, &[("x".into(), "1".into())]).unwrap();
 
         // designer amends mid-flight: append an audit step after s2
@@ -516,14 +519,18 @@ mod tests {
 
         // bob executes s2 — the route now goes to audit, not End
         let aea_bob = Aea::new(people[1].clone(), dir.clone());
-        let recv = aea_bob.receive(amended.to_xml_string(), "s2").unwrap();
+        let recv = aea_bob
+            .receive(SealedDocument::from_wire(&amended.to_xml_string()).unwrap(), "s2")
+            .unwrap();
         let done = aea_bob.complete(&recv, &[("y".into(), "2".into())]).unwrap();
         assert_eq!(done.route.targets, vec!["audit"]);
         assert!(!done.route.ends);
 
         // carol executes the dynamically added activity
         let aea_carol = Aea::new(people[2].clone(), dir.clone());
-        let recv = aea_carol.receive(done.document.to_xml_string(), "audit").unwrap();
+        let recv = aea_carol
+            .receive(SealedDocument::from_wire(&done.document.to_xml_string()).unwrap(), "audit")
+            .unwrap();
         let done = aea_carol.complete(&recv, &[("stamp".into(), "sealed".into())]).unwrap();
         assert!(done.route.ends);
 
@@ -579,7 +586,9 @@ mod tests {
         let amended = amend_document(&doc, &designer, &audit_delta()).unwrap();
         // alice executes s1 AFTER the amendment: her cascade covers it
         let aea_alice = Aea::new(people[0].clone(), dir.clone());
-        let recv = aea_alice.receive(amended.to_xml_string(), "s1").unwrap();
+        let recv = aea_alice
+            .receive(SealedDocument::from_wire(&amended.to_xml_string()).unwrap(), "s1")
+            .unwrap();
         let done = aea_alice.complete(&recv, &[("x".into(), "1".into())]).unwrap();
         // attacker strips the amendment CER
         let mut stripped = done.document.clone().into_document();

@@ -586,10 +586,20 @@ flow approve -> end
             DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &designer, "dsl")
                 .unwrap();
         let aea = Aea::new(alice, dir.clone());
-        let recv = aea.receive(doc.to_xml_string(), "submit").unwrap();
+        let recv = aea
+            .receive(
+                crate::sealed::SealedDocument::from_wire(&doc.to_xml_string()).unwrap(),
+                "submit",
+            )
+            .unwrap();
         let done = aea.complete(&recv, &[("amount".into(), "5".into())]).unwrap();
         let aea = Aea::new(bob, dir.clone());
-        let recv = aea.receive(done.document.to_xml_string(), "approve").unwrap();
+        let recv = aea
+            .receive(
+                crate::sealed::SealedDocument::from_wire(&done.document.to_xml_string()).unwrap(),
+                "approve",
+            )
+            .unwrap();
         assert_eq!(recv.visible.len(), 1);
         let done = aea.complete(&recv, &[("decision".into(), "ok".into())]).unwrap();
         assert!(done.route.ends);

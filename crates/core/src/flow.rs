@@ -13,6 +13,7 @@ use crate::document::DraDocument;
 use crate::error::{WfError, WfResult};
 use crate::fields::{read_field_from_result, FieldReader};
 use crate::identity::ActorKeys;
+use crate::sealed::SealedDocument;
 use dra_xml::enc::ReaderKeys;
 use std::collections::HashMap;
 
@@ -52,6 +53,25 @@ pub fn merge_documents(docs: &[DraDocument]) -> WfResult<DraDocument> {
         }
     }
     Ok(merged)
+}
+
+/// Merge the arrivals of a join: a single arrival keeps its seal and trust
+/// mark; a true merge rides the **first arrival's** mark, whose prefix
+/// [`merge_documents`] keeps as a prefix of the merge, so the join checks
+/// the CERs past it — the branches' new ones. The mark is a claim, not a
+/// credential: the verifier recomputes the chained digest over the merge
+/// and runs the full pass on a mismatch, as it does without a mark.
+/// Either way the result shares the inputs' nodes.
+pub fn merge_sealed(inputs: &[SealedDocument]) -> WfResult<SealedDocument> {
+    if let [single] = inputs {
+        return Ok(single.clone());
+    }
+    let docs: Vec<DraDocument> = inputs.iter().map(|s| s.document().clone()).collect();
+    let merged = merge_documents(&docs)?;
+    Ok(match inputs.first().and_then(SealedDocument::trust) {
+        Some(mark) => SealedDocument::with_trust(merged, mark.clone()),
+        None => SealedDocument::new(merged),
+    })
 }
 
 /// A [`FieldReader`] over a DRA4WfMS document from one actor's viewpoint:

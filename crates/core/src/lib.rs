@@ -57,13 +57,15 @@
 //!
 //! // alice executes "submit"
 //! let aea = Aea::new(alice, directory.clone());
-//! let received = aea.receive(&doc.to_xml_string(), "submit").unwrap();
+//! let wire = doc.to_xml_string();
+//! let received = aea.receive(SealedDocument::from_wire(&wire).unwrap(), "submit").unwrap();
 //! let done = aea.complete(&received, &[("amount".into(), "120".into())]).unwrap();
 //! assert_eq!(done.route.targets, vec!["approve".to_string()]);
 //!
 //! // bob executes "approve" — seeing amount, verifying the whole cascade
 //! let aea = Aea::new(bob, directory.clone());
-//! let received = aea.receive(&done.document.to_xml_string(), "approve").unwrap();
+//! let wire = done.document.to_xml_string();
+//! let received = aea.receive(SealedDocument::from_wire(&wire).unwrap(), "approve").unwrap();
 //! let done = aea.complete(&received, &[("decision".into(), "ok".into())]).unwrap();
 //! assert!(done.route.ends);
 //! ```
@@ -81,7 +83,6 @@ pub mod faultpoint;
 pub mod fields;
 pub mod flow;
 pub mod identity;
-pub mod ingest;
 pub mod model;
 pub mod monitor;
 pub mod policy;
@@ -102,9 +103,8 @@ pub mod prelude {
     pub use crate::error::{WfError, WfResult};
     pub use crate::faultpoint::CrashHook;
     pub use crate::fields::FieldReader;
-    pub use crate::flow::{merge_documents, DocFieldReader};
+    pub use crate::flow::{merge_documents, merge_sealed, DocFieldReader};
     pub use crate::identity::{Credentials, Directory, Identity};
-    pub use crate::ingest::Inbound;
     pub use crate::model::{
         Activity, CancelRegion, Cardinality, Condition, FieldRef, JoinKind, MultiInstance, Target,
         Transition, WorkflowDefinition,

@@ -47,7 +47,7 @@
 //! writer fills that memo.
 //!
 //! **What a receiver of raw bytes still pays.** A tree parsed from the
-//! wire (`ingest_wire`, `refetch`, `retrieve_*`) has no memos: whoever
+//! wire (`ingest_wire`, `retrieve_*`) has no memos: whoever
 //! receives bytes writes and hashes every node once, when it first
 //! verifies it. The parser accepts only the writer's form, so those bytes
 //! are the received ones, and a receiver that hands the tree on with a CER
@@ -143,7 +143,10 @@ impl SealedDocument {
     }
 
     /// Seal a document together with a [`TrustMark`] covering its prefix.
-    pub fn with_trust(doc: DraDocument, trust: TrustMark) -> SealedDocument {
+    /// Only a party that just ran a [`Verifier`](crate::verify::Verifier)
+    /// pass holds one to give: an AEA completing a hop, the TFC finalizing
+    /// one, a join merging verified arrivals ([`crate::flow::merge_sealed`]).
+    pub(crate) fn with_trust(doc: DraDocument, trust: TrustMark) -> SealedDocument {
         SealedDocument { doc, wire: OnceLock::new(), trust: Some(trust) }
     }
 
@@ -156,13 +159,14 @@ impl SealedDocument {
         Ok(sealed)
     }
 
-    /// What `wire`, as it arrived, reads as at a receiver: parsed from its
-    /// own bytes and handed `trust`, the mark its sender holds. Safe because
-    /// the mark pins a prefix digest: a damaged copy no longer matches it,
-    /// so verification falls back to the full pass and rejects it.
-    pub fn arrived(wire: &str, trust: Option<&TrustMark>) -> WfResult<SealedDocument> {
+    /// What `wire`, a damaged or rebuilt copy of `sender`'s document, reads
+    /// as at a receiver: parsed from its own bytes and handed the mark
+    /// `sender` holds, and no other. Safe because the mark pins a prefix
+    /// digest: a copy damaged inside the prefix no longer matches it, so
+    /// verification falls back to the full pass and rejects it.
+    pub fn arrived(wire: &str, sender: &SealedDocument) -> WfResult<SealedDocument> {
         let mut sealed = SealedDocument::from_wire(wire)?;
-        sealed.trust = trust.cloned();
+        sealed.trust = sender.trust.clone();
         Ok(sealed)
     }
 
@@ -174,11 +178,6 @@ impl SealedDocument {
     /// The trust mark, when one travels with the document.
     pub fn trust(&self) -> Option<&TrustMark> {
         self.trust.as_ref()
-    }
-
-    /// Attach (or replace) the trust mark.
-    pub fn set_trust(&mut self, trust: TrustMark) {
-        self.trust = Some(trust);
     }
 
     /// The wire serialization, computed once and shared across clones.
@@ -337,7 +336,7 @@ impl<T: Clone + AsRef<String>> Heads<T> {
                 );
                 sender.clone()
             }
-            Some(tail) => SealedDocument::arrived(&rebuild(tail)?, sender.trust())?,
+            Some(tail) => SealedDocument::arrived(&rebuild(tail)?, sender)?,
         };
         Ok((head.clone(), sealed))
     }

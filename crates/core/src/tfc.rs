@@ -28,7 +28,6 @@ use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_result_element, plain_fields};
 use crate::flow::DocFieldReader;
 use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
-use crate::ingest::Inbound;
 use crate::sealed::{chain_next, prefix_digest, Heads, SealedDocument, TrustMark};
 use crate::semantics::{route, Route};
 use crate::verify::{tfc_attest_bytes, Verifier};
@@ -222,15 +221,12 @@ impl TfcServer {
     }
 
     /// Verify an incoming intermediate document and unseal its fresh result
-    /// (the TFC's α phase in Table 2) — the single ingest entry point.
-    ///
-    /// Accepts anything convertible to [`Inbound`]: wire XML, a parsed
-    /// [`DraDocument`], or a [`SealedDocument`] straight from the executing
-    /// AEA. A carried [`TrustMark`] reduces verification to the intermediate
-    /// CER just appended; every other form takes the full pass.
-    pub fn receive(&self, inbound: impl Into<Inbound>) -> WfResult<TfcReceived> {
+    /// (the TFC's α phase in Table 2). A caller holding wire bytes parses
+    /// them first ([`SealedDocument::from_wire`]). A [`TrustMark`] the
+    /// executing AEA sealed on reduces verification to the intermediate CER
+    /// just appended; a document without one takes the full pass.
+    pub fn receive(&self, sealed: SealedDocument) -> WfResult<TfcReceived> {
         let mut span_verify = self.tracer.span(stage::VERIFY).actor(&self.creds.name);
-        let sealed = inbound.into().into_sealed()?;
         let base = EffectiveDefinition::base(&sealed)?;
         let tfc_name = base
             .def
@@ -434,10 +430,9 @@ impl TfcServer {
         span.end();
     }
 
-    /// Convenience: receive + finalize in one call. Accepts the same forms
-    /// as [`TfcServer::receive`].
-    pub fn process(&self, inbound: impl Into<Inbound>) -> WfResult<TfcProcessed> {
-        let received = self.receive(inbound)?;
+    /// Convenience: receive + finalize in one call.
+    pub fn process(&self, sealed: SealedDocument) -> WfResult<TfcProcessed> {
+        let received = self.receive(sealed)?;
         self.finalize(&received)
     }
 }
@@ -505,6 +500,11 @@ mod tests {
         Fig4 { def, policy, designer, peter, tony, dir, tfc }
     }
 
+    /// What a receiver of `doc`'s bytes holds: the wire parsed, no mark.
+    fn wire(doc: &DraDocument) -> SealedDocument {
+        SealedDocument::from_wire(&doc.to_xml_string()).unwrap()
+    }
+
     fn fixed_clock(t: u64) -> Clock {
         Arc::new(move || t)
     }
@@ -518,18 +518,18 @@ mod tests {
 
         // Peter executes A1 with X = "true", sealed to the TFC.
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "true".into())]).unwrap();
-        let done = tfc.process(inter.document.to_xml_string()).unwrap();
+        let done = tfc.process(wire(&inter.document)).unwrap();
         assert_eq!(done.route.targets, vec!["A3"]);
         assert_eq!(done.timestamp, 1000);
 
         // Tony executes A3. He cannot read X — and does not need to.
         let aea_tony = Aea::new(f.tony.clone(), f.dir.clone());
-        let recv = aea_tony.receive(done.document.to_xml_string(), "A3").unwrap();
+        let recv = aea_tony.receive(wire(&done.document), "A3").unwrap();
         let inter =
             aea_tony.complete_via_tfc(&recv, &[("Y".into(), "payload-for-john".into())]).unwrap();
-        let done = tfc.process(inter.document.to_xml_string()).unwrap();
+        let done = tfc.process(wire(&inter.document)).unwrap();
         // TFC evaluated Func(X): X == "true" routes to A4 (john).
         assert_eq!(done.route.targets, vec!["A4"]);
 
@@ -557,13 +557,13 @@ mod tests {
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid2").unwrap();
         let tfc = TfcServer::with_clock(f.tfc.clone(), f.dir.clone(), fixed_clock(1));
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "false".into())]).unwrap();
-        let done = tfc.process(inter.document.to_xml_string()).unwrap();
+        let done = tfc.process(wire(&inter.document)).unwrap();
         let aea_tony = Aea::new(f.tony.clone(), f.dir.clone());
-        let recv = aea_tony.receive(done.document.to_xml_string(), "A3").unwrap();
+        let recv = aea_tony.receive(wire(&done.document), "A3").unwrap();
         let inter = aea_tony.complete_via_tfc(&recv, &[("Y".into(), "v".into())]).unwrap();
-        let done = tfc.process(inter.document.to_xml_string()).unwrap();
+        let done = tfc.process(wire(&inter.document)).unwrap();
         assert_eq!(done.route.targets, vec!["A5"]);
         let cer = done.document.find_cer(&CerKey::new("A3", 0)).unwrap().unwrap();
         let enc = cer
@@ -583,10 +583,10 @@ mod tests {
         let initial =
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid3").unwrap();
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let done = aea_peter.complete(&recv, &[("X".into(), "true".into())]).unwrap();
         let aea_tony = Aea::new(f.tony.clone(), f.dir.clone());
-        let recv = aea_tony.receive(done.document.to_xml_string(), "A3").unwrap();
+        let recv = aea_tony.receive(wire(&done.document), "A3").unwrap();
         let err = aea_tony.complete(&recv, &[("Y".into(), "v".into())]).unwrap_err();
         assert!(
             matches!(err, WfError::FieldNotReadable { ref field, .. } if field == "X"),
@@ -600,7 +600,7 @@ mod tests {
         let initial =
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid4").unwrap();
         let tfc = TfcServer::with_clock(f.tfc.clone(), f.dir.clone(), fixed_clock(1));
-        assert!(matches!(tfc.receive(initial.to_xml_string()), Err(WfError::Malformed(_))));
+        assert!(matches!(tfc.receive(wire(&initial)), Err(WfError::Malformed(_))));
     }
 
     #[test]
@@ -611,12 +611,9 @@ mod tests {
         let initial =
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid5").unwrap();
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "t".into())]).unwrap();
-        assert!(matches!(
-            tfc.receive(inter.document.to_xml_string()),
-            Err(WfError::NotParticipant { .. })
-        ));
+        assert!(matches!(tfc.receive(wire(&inter.document)), Err(WfError::NotParticipant { .. })));
     }
 
     #[test]
@@ -626,10 +623,10 @@ mod tests {
         let initial =
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid6").unwrap();
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "t".into())]).unwrap();
         let aea_tony = Aea::new(f.tony.clone(), f.dir.clone());
-        let err = aea_tony.receive(inter.document.to_xml_string(), "A3").unwrap_err();
+        let err = aea_tony.receive(wire(&inter.document), "A3").unwrap_err();
         assert!(matches!(err, WfError::Malformed(_)));
     }
 
@@ -654,31 +651,29 @@ mod tests {
         });
         let tfc = TfcServer::with_clock(f.tfc.clone(), f.dir.clone(), clock).with_crash_hook(hook);
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "true".into())]).unwrap();
 
-        let received = tfc.receive(inter.document.to_xml_string()).unwrap();
+        let received = tfc.receive(wire(&inter.document)).unwrap();
         let err = tfc.finalize(&received).unwrap_err();
         assert!(matches!(err, WfError::Crash(_)));
 
         // recovery: the hop is re-dispatched with the same intermediate doc
-        let received = tfc.receive(inter.document.to_xml_string()).unwrap();
+        let received = tfc.receive(wire(&inter.document)).unwrap();
         let done = tfc.finalize(&received).unwrap();
         assert_eq!(done.timestamp, 100, "the logged intent, not a second draw");
         assert_eq!(counter.load(Ordering::SeqCst), 101, "clock consulted exactly once");
         assert_eq!(tfc.redo_reuses(), 1);
         Verifier::new(&f.dir).run(&done.document).unwrap();
         // exactly one Timestamp element on the finalized CER
-        let wire = done.document.to_xml_string();
-        assert_eq!(wire.matches("<Timestamp").count(), 1, "no double-timestamp");
+        let bytes = done.document.to_xml_string();
+        assert_eq!(bytes.matches("<Timestamp").count(), 1, "no double-timestamp");
 
         // a resend after the completed finalize — as the wire, or as the
         // sender's own tree — is answered from the logged CER: same
         // timestamp, same route, byte-identical output, no clock consulted
         for (pass, resend) in
-            [Inbound::from(inter.document.to_xml_string()), inter.document.clone().into()]
-                .into_iter()
-                .enumerate()
+            [wire(&inter.document), inter.document.clone()].into_iter().enumerate()
         {
             let again = tfc.finalize(&tfc.receive(resend).unwrap()).unwrap();
             assert_eq!(again.document.wire(), done.document.wire());
@@ -695,7 +690,7 @@ mod tests {
         let (cer, route) = redo.values().next().unwrap().finalized.as_ref().unwrap();
         assert_eq!(route.targets, done.route.targets);
         assert_eq!(cer, done.document.cers().unwrap().last().unwrap().element);
-        assert!(dra_xml::writer::to_string(cer).len() < wire.len(), "a CER, not the wire");
+        assert!(dra_xml::writer::to_string(cer).len() < bytes.len(), "a CER, not the wire");
     }
 
     #[test]
@@ -711,16 +706,16 @@ mod tests {
             Arc::new(move || c.fetch_add(1, Ordering::SeqCst)),
         );
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "true".into())]).unwrap();
         let done = tfc.process(inter.document.clone()).unwrap();
 
         // white space between two sections is a second spelling of one
         // signed document: refused before it reaches the redo log
-        let wire = inter.document.to_xml_string();
-        let spaced = wire.replacen("<ActivityResults>", "\n <ActivityResults>", 1);
-        assert!(matches!(tfc.process(spaced), Err(WfError::Parse(_))));
-        let again = tfc.process(wire).unwrap();
+        let bytes = inter.document.to_xml_string();
+        let spaced = bytes.replacen("<ActivityResults>", "\n <ActivityResults>", 1);
+        assert!(matches!(SealedDocument::from_wire(&spaced), Err(WfError::Parse(_))));
+        let again = tfc.process(wire(&inter.document)).unwrap();
         assert_eq!((again.timestamp, tfc.redo_reuses()), (done.timestamp, 1));
 
         // a different result is a different document: its own timestamp
@@ -738,7 +733,7 @@ mod tests {
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid-seed").unwrap();
         let responses = [("X".to_string(), "true".to_string())];
         let mut warm = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = warm.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = warm.receive(wire(&initial), "A1").unwrap();
         let first = warm.complete_via_tfc(&recv, &responses).unwrap().document;
         let second = warm.complete_via_tfc(&recv, &responses).unwrap().document;
         let cold = Aea::new(f.peter.clone(), f.dir.clone());
@@ -768,9 +763,9 @@ mod tests {
             DraDocument::new_initial_with_pid(&f.def, &f.policy, &f.designer, "pid7").unwrap();
         let tfc = TfcServer::with_clock(f.tfc.clone(), f.dir.clone(), fixed_clock(777));
         let aea_peter = Aea::new(f.peter.clone(), f.dir.clone());
-        let recv = aea_peter.receive(initial.to_xml_string(), "A1").unwrap();
+        let recv = aea_peter.receive(wire(&initial), "A1").unwrap();
         let inter = aea_peter.complete_via_tfc(&recv, &[("X".into(), "t".into())]).unwrap();
-        let done = tfc.process(inter.document.to_xml_string()).unwrap();
+        let done = tfc.process(wire(&inter.document)).unwrap();
         let tampered = done.document.to_xml_string().replace("time=\"777\"", "time=\"778\"");
         let doc = DraDocument::parse(&tampered).unwrap();
         assert!(matches!(Verifier::new(&f.dir).run(&doc), Err(WfError::Verify(_))));

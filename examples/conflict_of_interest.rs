@@ -74,10 +74,11 @@ fn main() -> WfResult<()> {
     let def = definition(false)?;
     let initial = DraDocument::new_initial(&def, &policy(&def, false), &c.designer)?;
     let aea_peter = Aea::new(c.peter.clone(), c.directory.clone());
-    let received = aea_peter.receive(initial.to_xml_string(), "A1")?;
+    let received = aea_peter.receive(SealedDocument::from_wire(&initial.to_xml_string())?, "A1")?;
     let done = aea_peter.complete(&received, &[("X".into(), "true".into())])?;
     let aea_tony = Aea::new(c.tony.clone(), c.directory.clone());
-    let received = aea_tony.receive(done.document.to_xml_string(), "A3")?;
+    let received =
+        aea_tony.receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "A3")?;
     match aea_tony.complete(&received, &[("Y".into(), "the payload".into())]) {
         Err(e) => println!("as the paper predicts, Tony cannot proceed:\n  {e}\n"),
         Ok(_) => unreachable!("basic model must fail on Fig. 4"),
@@ -88,18 +89,19 @@ fn main() -> WfResult<()> {
     let initial = DraDocument::new_initial(&def, &policy(&def, true), &c.designer)?;
     let tfc = TfcServer::new(c.tfc.clone(), c.directory.clone());
 
-    let received = aea_peter.receive(initial.to_xml_string(), "A1")?;
+    let received = aea_peter.receive(SealedDocument::from_wire(&initial.to_xml_string())?, "A1")?;
     let inter = aea_peter.complete_via_tfc(&received, &[("X".into(), "true".into())])?;
-    let done = tfc.process(inter.document.to_xml_string())?;
+    let done = tfc.process(SealedDocument::from_wire(&inter.document.to_xml_string())?)?;
     println!("A1 finalized by TFC at t={} -> route {:?}", done.timestamp, done.route.targets);
 
-    let received = aea_tony.receive(done.document.to_xml_string(), "A3")?;
+    let received =
+        aea_tony.receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "A3")?;
     println!(
         "Tony opens A3; hidden fields (cannot decrypt): {:?}",
         received.hidden.iter().map(|f| format!("{}.{}", f.activity, f.field)).collect::<Vec<_>>()
     );
     let inter = aea_tony.complete_via_tfc(&received, &[("Y".into(), "the payload".into())])?;
-    let done = tfc.process(inter.document.to_xml_string())?;
+    let done = tfc.process(SealedDocument::from_wire(&inter.document.to_xml_string())?)?;
     println!(
         "A3 finalized by TFC -> route {:?} (Func(X) evaluated by the notary)",
         done.route.targets

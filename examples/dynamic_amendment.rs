@@ -28,7 +28,8 @@ fn main() -> WfResult<()> {
 
     // alice drafts the contract — the process is now in flight
     let aea_alice = Aea::new(alice, directory.clone());
-    let received = aea_alice.receive(initial.to_xml_string(), "draft")?;
+    let received =
+        aea_alice.receive(SealedDocument::from_wire(&initial.to_xml_string())?, "draft")?;
     let done = aea_alice.complete(&received, &[("text".into(), "the contract".into())])?;
     println!("draft executed; route = {:?}", done.route.targets);
 
@@ -64,14 +65,15 @@ fn main() -> WfResult<()> {
 
     // bob signs — and is routed to the NEW activity, not End
     let aea_bob = Aea::new(bob, directory.clone());
-    let received = aea_bob.receive(amended.to_xml_string(), "sign")?;
+    let received = aea_bob.receive(SealedDocument::from_wire(&amended.to_xml_string())?, "sign")?;
     let done = aea_bob.complete(&received, &[("signature-ref".into(), "sig-0042".into())])?;
     println!("sign executed; route = {:?} (dynamically added)", done.route.targets);
     assert_eq!(done.route.targets, vec!["compliance-review"]);
 
     // compliance reviews; the dynamic policy encrypts notes for alice
     let aea_comp = Aea::new(compliance, directory.clone());
-    let received = aea_comp.receive(done.document.to_xml_string(), "compliance-review")?;
+    let received = aea_comp
+        .receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "compliance-review")?;
     println!(
         "compliance sees the draft text: {:?}",
         received.visible.iter().map(|(f, v)| format!("{}={v}", f.field)).collect::<Vec<_>>()

@@ -63,7 +63,8 @@ fn main() -> WfResult<()> {
     };
 
     // intake
-    let received = aea("claimant").receive(initial.to_xml_string(), "intake")?;
+    let received =
+        aea("claimant").receive(SealedDocument::from_wire(&initial.to_xml_string())?, "intake")?;
     let done = aea("claimant").complete(
         &received,
         &[
@@ -74,7 +75,8 @@ fn main() -> WfResult<()> {
     println!("intake routed to {:?}", done.route.targets);
 
     // parallel branches
-    let received = aea("adjuster-1").receive(done.document.to_xml_string(), "adjust")?;
+    let received = aea("adjuster-1")
+        .receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "adjust")?;
     println!(
         "adjuster-1 (via the 'adjusters' group) sees: {:?}",
         received.visible.iter().map(|(f, v)| format!("{}={v}", f.field)).collect::<Vec<_>>()
@@ -83,17 +85,19 @@ fn main() -> WfResult<()> {
     let adjust_done =
         aea("adjuster-1").complete(&received, &[("assessment".into(), "plausible".into())])?;
 
-    let received = aea("examiner").receive(done.document.to_xml_string(), "medical")?;
+    let received = aea("examiner")
+        .receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "medical")?;
     // the examiner reads the medical details but NOT the amount
     assert!(received.visible.iter().any(|(f, _)| f.field == "medical-details"));
     let medical_done =
         aea("examiner").complete(&received, &[("med-report".into(), "consistent".into())])?;
 
     // AND-join at settlement
-    let received = aea("settlement-office").receive_merged(
-        &[&adjust_done.document.to_xml_string(), &medical_done.document.to_xml_string()],
-        "settle",
-    )?;
+    let arrivals = [
+        SealedDocument::from_wire(&adjust_done.document.to_xml_string())?,
+        SealedDocument::from_wire(&medical_done.document.to_xml_string())?,
+    ];
+    let received = aea("settlement-office").receive(merge_sealed(&arrivals)?, "settle")?;
     println!(
         "settlement sees both branches: {:?}",
         received.visible.iter().map(|(f, _)| f.field.clone()).collect::<Vec<_>>()

@@ -37,7 +37,8 @@ fn main() -> WfResult<()> {
 
     // 5. Alice's AEA: verify, execute, encrypt, sign, route.
     let aea_alice = Aea::new(alice, directory.clone());
-    let received = aea_alice.receive(initial.to_xml_string(), "submit")?;
+    let received =
+        aea_alice.receive(SealedDocument::from_wire(&initial.to_xml_string())?, "submit")?;
     println!(
         "alice opens 'submit' (verified {} signature(s))",
         received.report.signatures_verified
@@ -55,7 +56,8 @@ fn main() -> WfResult<()> {
     // 6. Bob's AEA: the cascade (designer + alice) verifies, the encrypted
     //    amount decrypts with bob's key.
     let aea_bob = Aea::new(bob, directory.clone());
-    let received = aea_bob.receive(done.document.to_xml_string(), "approve")?;
+    let received =
+        aea_bob.receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "approve")?;
     println!(
         "bob opens 'approve' (verified {} signatures), sees:",
         received.report.signatures_verified

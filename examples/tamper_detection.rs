@@ -74,10 +74,12 @@ fn main() -> WfResult<()> {
 
     let initial = DraDocument::new_initial(&def, &SecurityPolicy::public(), &designer)?;
     let aea_alice = Aea::new(alice, directory.clone());
-    let received = aea_alice.receive(initial.to_xml_string(), "request")?;
+    let received =
+        aea_alice.receive(SealedDocument::from_wire(&initial.to_xml_string())?, "request")?;
     let done = aea_alice.complete(&received, &[("amount".into(), "100".into())])?;
     let aea_bob = Aea::new(bob, directory.clone());
-    let received = aea_bob.receive(done.document.to_xml_string(), "sign-off")?;
+    let received =
+        aea_bob.receive(SealedDocument::from_wire(&done.document.to_xml_string())?, "sign-off")?;
     let done = aea_bob.complete(&received, &[("approval".into(), "granted".into())])?;
 
     // a "superuser" holding the stored document rewrites alice's 100

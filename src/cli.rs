@@ -240,17 +240,16 @@ fn cmd_execute(opts: &Opts) -> Result<String, CliError> {
     let directory = load_directory(&keys)?;
     let aea = Aea::new(creds, directory);
 
-    let xmls: Vec<String> = docs
+    let arrived: Vec<SealedDocument> = docs
         .iter()
-        .map(|p| std::fs::read_to_string(p).map_err(|e| err(format!("{p}: {e}"))))
+        .map(|p| {
+            let xml = std::fs::read_to_string(p).map_err(|e| err(format!("{p}: {e}")))?;
+            SealedDocument::from_wire(&xml).map_err(|e| err(e.to_string()))
+        })
         .collect::<Result<_, _>>()?;
-    let refs: Vec<&str> = xmls.iter().map(String::as_str).collect();
-    let received = if refs.len() == 1 {
-        aea.receive(refs[0], activity)
-    } else {
-        aea.receive_merged(&refs, activity)
-    }
-    .map_err(|e| err(e.to_string()))?;
+    let received = merge_sealed(&arrived)
+        .and_then(|merged| aea.receive(merged, activity))
+        .map_err(|e| err(e.to_string()))?;
 
     let mut output = String::new();
     writeln!(
@@ -316,7 +315,9 @@ fn cmd_tfc(opts: &Opts) -> Result<String, CliError> {
     let directory = load_directory(&keys)?;
     let server = TfcServer::new(creds, directory);
     let xml = std::fs::read_to_string(doc_path).map_err(|e| err(format!("{doc_path}: {e}")))?;
-    let processed = server.process(&xml).map_err(|e| err(e.to_string()))?;
+    let processed = SealedDocument::from_wire(&xml)
+        .and_then(|arrived| server.process(arrived))
+        .map_err(|e| err(e.to_string()))?;
     std::fs::write(out, processed.document.to_xml_string()).map_err(|e| err(e.to_string()))?;
     let mut output = format!(
         "TFC finalized {} at t={}ms; document written to {out} ({} bytes)\n",

@@ -99,6 +99,6 @@ fn tampered_amendment_rejected_by_portal() {
     let amended = amend_document(&rig.initial("acr-3"), &rig.creds[0], &extension()).unwrap();
     let forged = amended.to_xml_string().replace("participant=\"carol\"", "participant=\"bob\"");
     assert_ne!(forged, amended.to_xml_string());
-    assert!(sys.ingest_wire(0, &forged, &Route::default(), None).is_err());
+    assert!(sys.ingest_wire(0, &forged, &Route::default()).is_err());
     assert_eq!(sys.total_stored(), 0);
 }

@@ -71,16 +71,15 @@ fn todo_lifecycle_across_portal() {
         0,
         &initial.to_xml_string(),
         &Route { targets: vec!["open".into()], ends: false },
-        None,
     )
     .unwrap();
     assert_eq!(sys.search_todo("alice").len(), 1);
 
     let alice = &rig.agents["alice"];
     let xml = sys.retrieve_latest(0, "todo-1").unwrap();
-    let recv = alice.receive(&xml, "open").unwrap();
+    let recv = alice.receive(SealedDocument::from_wire(&xml).unwrap(), "open").unwrap();
     let done = alice.complete(&recv, &[("sev".into(), "low".into())]).unwrap();
-    sys.ingest_wire(1, &done.document.to_xml_string(), &done.route, None).unwrap();
+    sys.ingest_wire(1, &done.document.to_xml_string(), &done.route).unwrap();
     sys.consume_todo("alice", "todo-1", "open");
 
     assert!(sys.search_todo("alice").is_empty());
@@ -97,7 +96,7 @@ fn pool_survives_region_splits_under_document_load() {
     // push enough instances to force region splits (max_region_rows = 1024)
     for i in 0..700 {
         let initial = rig.initial(&format!("bulk-{i:05}"));
-        sys.ingest_wire(0, &initial.to_xml_string(), &Route::default(), None).unwrap();
+        sys.ingest_wire(0, &initial.to_xml_string(), &Route::default()).unwrap();
     }
     let stats = sys.active_pool().stats();
     assert!(stats.regions > 1, "split under load: {stats:?}");

@@ -275,7 +275,7 @@ fn torn_replication_is_repaired_by_replica_journal_replay() {
 
     // the replica (west) dies after journalling the admission, before
     // committing it: the primary is durable, the replica is torn
-    let err = sys.ingest_wire(0, &wire, &route, None).unwrap_err();
+    let err = sys.ingest_wire(0, &wire, &route).unwrap_err();
     assert!(matches!(err, WfError::Crash(_)), "got: {err:?}");
     assert_eq!(sys.retrieve_version("t-1", 0).unwrap(), wire, "primary committed");
     assert!(!sys.replicas_consistent(), "west is missing the admission");
@@ -297,7 +297,7 @@ fn torn_replication_is_repaired_by_replica_journal_replay() {
     assert_eq!(sys.journal_replays(), 1);
 
     // the sender's retry is a clean duplicate on the primary
-    let ack = sys.ingest_wire(0, &wire, &route, None).unwrap();
+    let ack = sys.ingest_wire(0, &wire, &route).unwrap();
     assert!(ack.duplicate);
 }
 

@@ -7,6 +7,11 @@ use dra_bench::rig::{fig9_confidential, Rig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// What a receiver of `doc`'s bytes holds: the wire parsed, no mark.
+fn wire(doc: &DraDocument) -> SealedDocument {
+    SealedDocument::from_wire(&doc.to_xml_string()).unwrap()
+}
+
 /// Fig. 9 under the element-wise encryption of the paper's experiments. C
 /// routes on its own decision: C can read it (it is in the audience).
 fn fig9(advanced: bool) -> Rig {
@@ -118,22 +123,18 @@ fn and_join_requires_both_branches() {
     let rig = fig9(false);
     let (initial, ags) = (rig.initial("t4"), &rig.agents);
     // A executes, then only B1 — C must refuse
-    let recv = ags["p_a"].receive(initial.to_xml_string(), "A").unwrap();
+    let recv = ags["p_a"].receive(wire(&initial), "A").unwrap();
     let a_done = ags["p_a"].complete(&recv, &[("attachment".into(), "f".into())]).unwrap();
-    let recv = ags["p_b1"].receive(a_done.document.to_xml_string(), "B1").unwrap();
+    let recv = ags["p_b1"].receive(wire(&a_done.document), "B1").unwrap();
     let b1_done = ags["p_b1"].complete(&recv, &[("review1".into(), "ok".into())]).unwrap();
-    let err = ags["p_c"].receive(b1_done.document.to_xml_string(), "C").unwrap_err();
+    let err = ags["p_c"].receive(wire(&b1_done.document), "C").unwrap_err();
     assert!(matches!(err, WfError::Flow(m) if m.contains("AND-join")));
 
     // with B2's branch merged in, C proceeds
-    let recv = ags["p_b2"].receive(a_done.document.to_xml_string(), "B2").unwrap();
+    let recv = ags["p_b2"].receive(wire(&a_done.document), "B2").unwrap();
     let b2_done = ags["p_b2"].complete(&recv, &[("review2".into(), "ok".into())]).unwrap();
-    let recv = ags["p_c"]
-        .receive_merged(
-            &[&b1_done.document.to_xml_string(), &b2_done.document.to_xml_string()],
-            "C",
-        )
-        .unwrap();
+    let arrivals = [wire(&b1_done.document), wire(&b2_done.document)];
+    let recv = ags["p_c"].receive(merge_sealed(&arrivals).unwrap(), "C").unwrap();
     assert_eq!(recv.preds.len(), 2, "C signs both branches");
     let c_done = ags["p_c"].complete(&recv, &[("decision".into(), "accept".into())]).unwrap();
     assert_eq!(c_done.route.targets, vec!["D"]);

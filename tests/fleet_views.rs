@@ -201,7 +201,7 @@ fn torn_store_recovery_keeps_views_and_fleet_consistent() {
     // the very first admission tears mid-store
     let torn = rig.initial("view-7");
     let route = Route { targets: vec!["A".into()], ends: false };
-    assert!(sys.ingest_wire(0, &torn.to_xml_string(), &route, None).is_err());
+    assert!(sys.ingest_wire(0, &torn.to_xml_string(), &route).is_err());
     assert_views_identical(&sys);
 
     assert_eq!(sys.recover_portals(), 1, "journal replay repairs the torn admission");
@@ -260,7 +260,8 @@ fn auditor_catches_a_forged_stored_row_the_serve_path_never_sees() {
     // verification that refuses to work on it
     let served = sys.retrieve_latest(0, "view-1").expect("served unprobed");
     assert_ne!(served, honest_latest, "every later version keeps what row 1 appended");
-    let err = rig.agents["p_d"].receive(served, "D").unwrap_err();
+    let err =
+        rig.agents["p_d"].receive(SealedDocument::from_wire(&served).unwrap(), "D").unwrap_err();
     assert!(matches!(err, WfError::Verify(_) | WfError::Malformed(_) | WfError::Parse(_)), "{err}");
     assert!(monitor.alerts().is_empty(), "no alert before the auditor runs");
     // and the forgery is invisible to the views: same keys, same statuses

@@ -22,7 +22,6 @@
 //! * an AND-join input rides the first arrival's mark: the marked pass
 //!   agrees with a cold one and checks exactly the branches' new CERs.
 
-use dra4wfms::cloud::InstanceRun;
 use dra4wfms::core::sealed::prefix_digest;
 use dra4wfms::prelude::*;
 use dra4wfms::xml::canon::canonicalize_shared;
@@ -38,6 +37,14 @@ fn run_chain(n: usize, values: &[String]) -> (Vec<DraDocument>, Directory) {
     let rig = Rig::chain(n, false, move |i| values[i].clone());
     let steps = rig.walk("iv-pid", Handoff::Sealed, true).map(|step| step.document.into_document());
     (std::iter::once(rig.initial("iv-pid")).chain(steps).collect(), rig.dir.clone())
+}
+
+/// The `n`-step chain's final document as its last AEA handed it on: under
+/// the mark that AEA sealed on, which pins every CER but its own.
+fn handed_on(n: usize, values: &[String]) -> SealedDocument {
+    let values = values.to_vec();
+    let rig = Rig::chain(n, false, move |i| values[i].clone());
+    rig.walk("iv-pid", Handoff::Sealed, true).last().unwrap().document
 }
 
 /// A mark a hop would legitimately hold after fully verifying `doc`.
@@ -109,7 +116,10 @@ fn tampered_prefix_detected_despite_stale_mark() {
 
     // the same attack against a sealed, trust-marked hand-off: the receiving
     // AEA must reject it even though the seal claims a verified prefix
-    let sealed = SealedDocument::with_trust(tampered, mark);
+    let sender = handed_on(n, &values);
+    assert_eq!(*sender.wire(), snapshots[n].to_xml_string());
+    let sealed = SealedDocument::arrived(&tampered_xml, &sender).unwrap();
+    assert_eq!(sealed.trust().map(|mark| mark.verified_cers), Some(n - 1));
     let aea = Aea::new(Credentials::from_seed("p0", "chain-p0"), dir.clone());
     assert!(aea.receive(sealed, "S0").is_err());
 }
@@ -156,8 +166,11 @@ fn tampered_copy_sharing_nodes_leaves_the_sibling_untouched() {
         let err = Verifier::new(&dir).with_mark(mark).run(&tampered).unwrap_err();
         assert!(matches!(err, WfError::Verify(_)), "tamper detected: {err}");
     }
+    let sender = handed_on(n, &values);
+    assert_eq!(*sender.wire(), wire_before);
+    let arrived = SealedDocument::arrived(&tampered.to_xml_string(), &sender).unwrap();
     let aea = Aea::new(Credentials::from_seed("p0", "chain-p0"), dir.clone());
-    assert!(aea.receive(SealedDocument::with_trust(tampered, whole.clone()), "S0").is_err());
+    assert!(aea.receive(arrived, "S0").is_err());
 
     // the sibling: same bytes, same memo, same digests, same verdict
     assert_eq!(sibling.to_xml_string(), wire_before);
@@ -352,11 +365,11 @@ proptest! {
             let pinned = arrivals[0].trust().unwrap().verified_cers;
             prop_assert_eq!(pinned, turn * (ways + 2) + 1, "all but the branch's own CER");
             let merged = if at_once {
-                InstanceRun::merge_inputs(&arrivals).unwrap()
+                merge_sealed(&arrivals).unwrap()
             } else {
                 let (first, rest) = arrivals.split_first().unwrap();
                 rest.iter().fold(first.clone(), |parked, next| {
-                    InstanceRun::merge_inputs(&[parked, next.clone()]).unwrap()
+                    merge_sealed(&[parked, next.clone()]).unwrap()
                 })
             };
             let cold = Verifier::new(&rig.dir).run(&merged).unwrap().report;

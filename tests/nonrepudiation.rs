@@ -5,6 +5,11 @@ use dra4wfms::prelude::*;
 use dra_bench::rig::Rig;
 use std::collections::BTreeSet;
 
+/// What a receiver of `doc`'s bytes holds: the wire parsed, no mark.
+fn wire(doc: &DraDocument) -> SealedDocument {
+    SealedDocument::from_wire(&doc.to_xml_string()).unwrap()
+}
+
 /// A linear chain of n activities, executed fully; returns the document.
 fn run_chain(n: usize) -> (DraDocument, Directory) {
     let rig = Rig::chain(n, false, |i| format!("value-{i}"));
@@ -91,15 +96,14 @@ fn parallel_branches_do_not_bind_each_other() {
         DraDocument::new_initial_with_pid(&def, &SecurityPolicy::public(), &creds[0], "nrb")
             .unwrap();
     let aea = |i: usize| Aea::new(creds[i].clone(), dir.clone());
-    let recv = aea(1).receive(initial.to_xml_string(), "A").unwrap();
+    let recv = aea(1).receive(wire(&initial), "A").unwrap();
     let a = aea(1).complete(&recv, &[("x".into(), "1".into())]).unwrap();
-    let recv = aea(2).receive(a.document.to_xml_string(), "B1").unwrap();
+    let recv = aea(2).receive(wire(&a.document), "B1").unwrap();
     let b1 = aea(2).complete(&recv, &[("y".into(), "2".into())]).unwrap();
-    let recv = aea(3).receive(a.document.to_xml_string(), "B2").unwrap();
+    let recv = aea(3).receive(wire(&a.document), "B2").unwrap();
     let b2 = aea(3).complete(&recv, &[("z".into(), "3".into())]).unwrap();
-    let recv = aea(4)
-        .receive_merged(&[&b1.document.to_xml_string(), &b2.document.to_xml_string()], "C")
-        .unwrap();
+    let arrivals = [wire(&b1.document), wire(&b2.document)];
+    let recv = aea(4).receive(merge_sealed(&arrivals).unwrap(), "C").unwrap();
     let c = aea(4).complete(&recv, &[("w".into(), "4".into())]).unwrap();
     Verifier::new(&dir).run(&c.document).unwrap();
 
@@ -133,14 +137,14 @@ fn scope_grows_through_loop_iterations() {
     let pa = Aea::new(creds[1].clone(), dir.clone());
     let pb = Aea::new(creds[2].clone(), dir.clone());
     for round in 0..3 {
-        let recv = pa.receive(doc.to_xml_string(), "A").unwrap();
+        let recv = pa.receive(wire(&doc), "A").unwrap();
         assert_eq!(recv.iter, round);
         doc = pa
             .complete(&recv, &[("v".into(), format!("r{round}"))])
             .unwrap()
             .document
             .into_document();
-        let recv = pb.receive(doc.to_xml_string(), "B").unwrap();
+        let recv = pb.receive(wire(&doc), "B").unwrap();
         let ok = if round < 2 { "no" } else { "yes" };
         doc = pb.complete(&recv, &[("ok".into(), ok.into())]).unwrap().document.into_document();
     }

@@ -410,7 +410,7 @@ fn unsound_definition_rejected_at_portal_store() {
     let sys = rig.cloud(1);
     let (def, initial) = (&rig.def, rig.initial("p-unsound-l"));
     let route = Route { targets: vec![def.start.clone()], ends: false };
-    let err = sys.ingest_wire(0, &initial.to_xml_string(), &route, None).unwrap_err();
+    let err = sys.ingest_wire(0, &initial.to_xml_string(), &route).unwrap_err();
     match err {
         WfError::Unsound(_) => {}
         other => panic!("expected WfError::Unsound, got {other}"),

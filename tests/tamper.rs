@@ -2,7 +2,6 @@
 //! DRA4WfMS document is detected, while the identical rewrite in the
 //! engine-based baseline passes silently.
 
-use dra4wfms::cloud::InstanceRun;
 use dra4wfms::engine::WorkflowEngine;
 use dra4wfms::prelude::*;
 use dra_bench::rig::{cast, fig9_respond, Rig};
@@ -131,7 +130,12 @@ fn encrypted_field_swap_detected() {
     let rig = setup().with_policy(pol);
     let (alice, dir) = (&rig.agents["alice"], &rig.dir);
     let make = |pid: &str, amount: &str| {
-        let recv = alice.receive(rig.initial(pid).to_xml_string(), "request").unwrap();
+        let recv = alice
+            .receive(
+                SealedDocument::from_wire(&rig.initial(pid).to_xml_string()).unwrap(),
+                "request",
+            )
+            .unwrap();
         alice
             .complete(&recv, &[("amount".into(), amount.into()), ("iban".into(), "X".into())])
             .unwrap()
@@ -165,24 +169,28 @@ fn stale_trust_mark_does_not_launder_prefix_tamper() {
     // attaches it to a tampered copy, hoping the verified-prefix fast path
     // skips the signature that would expose the rewrite.
     let rig = setup();
-    let (doc, dir) = (run(&rig), &rig.dir);
-    let mark = Verifier::new(dir).with_mark(None).run(&doc).unwrap().mark.unwrap();
+    let (sender, dir) = (rig.walked("tp"), &rig.dir);
+    let mark = Verifier::new(dir).with_mark(None).run(&sender).unwrap().mark.unwrap();
 
-    let tampered_xml = doc.to_xml_string().replace(">100<", ">1000000<");
-    assert_ne!(tampered_xml, doc.to_xml_string());
+    let tampered_xml = sender.to_xml_string().replace(">100<", ">1000000<");
+    assert_ne!(tampered_xml, sender.to_xml_string());
     let tampered = DraDocument::parse(&tampered_xml).unwrap();
 
     // the prefix digest no longer matches, so the full pass runs and fails
-    let sealed = SealedDocument::with_trust(tampered, mark);
     assert!(
-        Verifier::new(dir).with_mark(sealed.trust()).run(&sealed).is_err(),
+        Verifier::new(dir).with_mark(&mark).run(&tampered).is_err(),
         "stale mark must not make a tampered prefix verify"
     );
 
-    // the same laundering attempt against a portal is rejected at the door
+    // the same laundering attempt against a portal is rejected at the door:
+    // as bytes, which carry no mark, and as a copy under the mark the
+    // sender's AEA sealed on, which pins the rewritten CER
     let sys = rig.cloud(1);
     let route = Route { targets: vec![], ends: true };
-    assert!(sys.ingest_wire(0, &sealed.wire(), &route, sealed.trust()).is_err());
+    assert!(sys.ingest_wire(0, &tampered_xml, &route).is_err());
+    let laundered = SealedDocument::arrived(&tampered_xml, &sender).unwrap();
+    assert_eq!(laundered.trust().map(|mark| mark.verified_cers), Some(1));
+    assert!(sys.channel().deliver(&sys, 0, &laundered, None, &route).is_err());
     assert_eq!(sys.total_stored(), 0);
 }
 
@@ -194,7 +202,8 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
     // expose the edit to the verifier and keep it out of the genuine
     // sibling, which a portal still admits on the same mark.
     let rig = setup();
-    let (genuine, dir) = (run(&rig), &rig.dir);
+    let (sender, dir) = (rig.walked("tp"), &rig.dir);
+    let genuine = sender.document().clone();
     let mark = Verifier::new(dir).with_mark(None).run(&genuine).unwrap().mark.unwrap();
     let wire_before = genuine.to_xml_string();
 
@@ -208,17 +217,17 @@ fn stale_mark_on_a_tree_shared_with_the_genuine_document() {
 
     let sys = rig.cloud(1);
     let route = Route { targets: vec![], ends: true };
-    let laundered = SealedDocument::with_trust(tampered, mark.clone());
-    assert!(Verifier::new(dir).with_mark(laundered.trust()).run(&laundered).is_err());
-    assert!(sys.ingest_wire(0, &laundered.wire(), &route, laundered.trust()).is_err());
+    assert!(Verifier::new(dir).with_mark(&mark).run(&tampered).is_err());
+    let laundered = SealedDocument::arrived(&tampered.to_xml_string(), &sender).unwrap();
+    assert!(sys.channel().deliver(&sys, 0, &laundered, None, &route).is_err());
     assert_eq!(sys.total_stored(), 0);
 
     // the sibling never saw the edit: same bytes, and the mark still holds
     assert_eq!(genuine.to_xml_string(), wire_before);
-    let sealed = SealedDocument::with_trust(genuine, mark);
-    let outcome = Verifier::new(dir).with_mark(sealed.trust()).run(&sealed).unwrap();
+    let outcome = Verifier::new(dir).with_mark(&mark).run(&genuine).unwrap();
     assert_eq!((outcome.reused_cers, outcome.report.signatures_verified), (2, 0));
-    sys.ingest_wire(0, &sealed.wire(), &route, sealed.trust()).unwrap();
+    assert_eq!(*sender.wire(), wire_before, "the sender's tree is the sibling's");
+    sys.channel().deliver(&sys, 0, &sender, None, &route).unwrap();
     assert_eq!(sys.total_stored(), 1);
 }
 
@@ -238,8 +247,9 @@ fn branches(rig: &Rig, pid: &str) -> (SealedDocument, SealedDocument) {
 fn rewritten(branch: &SealedDocument, from: &str, to: &str) -> SealedDocument {
     let wire = branch.to_xml_string().replace(from, to);
     assert_ne!(wire, *branch.wire());
-    let doc = DraDocument::parse(&wire).unwrap();
-    SealedDocument::with_trust(doc, branch.trust().unwrap().clone())
+    let copy = SealedDocument::arrived(&wire, branch).unwrap();
+    assert_eq!(copy.trust(), branch.trust());
+    copy
 }
 
 #[test]
@@ -247,7 +257,7 @@ fn the_first_arrivals_mark_launders_nothing_through_a_join() {
     let rig = Rig::fig9(false);
     let (b1, b2) = branches(&rig, "join");
     let join = |inputs: &[SealedDocument]| {
-        let merged = InstanceRun::merge_inputs(inputs).unwrap();
+        let merged = merge_sealed(inputs).unwrap();
         let cold = Verifier::new(&rig.dir).run(&merged).map(|o| o.report.cers);
         let marked = rig.agents["p_c"].receive(merged, "C");
         assert_eq!(cold.is_ok(), marked.is_ok(), "the marked pass judges as the cold one");
@@ -276,7 +286,8 @@ fn the_first_arrivals_mark_launders_nothing_through_a_join() {
 
     // a mark issued for another process pins nothing here: full pass
     let (other, _) = branches(&rig, "another");
-    let foreign = SealedDocument::with_trust(b1.document().clone(), other.trust().unwrap().clone());
+    let foreign = SealedDocument::arrived(&b1.wire(), &other).unwrap();
+    assert_eq!(foreign.trust(), other.trust());
     let full = join(&[foreign, b2]).unwrap();
     assert_eq!((full.reused_cers, full.report.signatures_verified), (0, 4));
 }
@@ -292,14 +303,14 @@ fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
     let route = Route { targets: vec![], ends: true };
 
     // genuine store: full pass (designer + 2 CERs) writes the seen row
-    sys.ingest_wire(0, &xml, &route, None).unwrap();
+    sys.ingest_wire(0, &xml, &route).unwrap();
     let stats = &sys.portals[0];
     let after_first = stats.signature_checks.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(after_first, 3);
 
     // byte-identical re-store: recognized as a duplicate by wire digest —
     // zero signature checks, and no second version enters the pool
-    sys.ingest_wire(0, &xml, &route, None).unwrap();
+    sys.ingest_wire(0, &xml, &route).unwrap();
     assert_eq!(
         stats.signature_checks.load(std::sync::atomic::Ordering::Relaxed),
         after_first,
@@ -310,7 +321,7 @@ fn seen_row_dedups_identical_bytes_and_never_vouches_for_tampered_ones() {
     // full pass fails loudly
     let t = xml.replace(">100<", ">1000000<");
     assert_ne!(t, xml);
-    assert!(sys.ingest_wire(0, &t, &route, None).is_err());
+    assert!(sys.ingest_wire(0, &t, &route).is_err());
     assert_eq!(sys.total_stored(), 1, "only the genuine copy was admitted, once");
 }
 
@@ -360,7 +371,9 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
     tfc_def.tfc = Some("TFC".into());
     let tfc_creds = cast("tamper", &["designer", "alice", "bob", "TFC"]);
     let tfc_rig = Rig::new(tfc_creds, tfc_def, SecurityPolicy::public(), |_| vec![]);
-    let received = tfc_rig.agents["alice"].receive(tfc_rig.initial("tp"), "request").unwrap();
+    let received = tfc_rig.agents["alice"]
+        .receive(SealedDocument::new(tfc_rig.initial("tp")), "request")
+        .unwrap();
     let fields = [("amount".into(), "100".into()), ("iban".into(), "DE02...".into())];
     let sent = tfc_rig.agents["alice"].complete_via_tfc(&received, &fields).unwrap();
     let tfc = tfc_rig.tfc.as_ref().unwrap();
@@ -370,7 +383,7 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
     for (wire, rig) in [(basic, &rig), (advanced, &tfc_rig)] {
         let (sys, dir) = (rig.cloud(1), &rig.dir);
         let route = Route { targets: vec!["approve".into()], ends: false };
-        assert_eq!(sys.ingest_wire(0, &wire, &route, None).unwrap().seq, 0);
+        assert_eq!(sys.ingest_wire(0, &wire, &route).unwrap().seq, 0);
         for signer_attr in [false, true] {
             let twin = reencode_newest_signature(&wire, signer_attr);
             assert_ne!(twin, wire);
@@ -381,7 +394,7 @@ fn reencoded_hex_of_the_newest_signature_is_no_second_document() {
             let err = Verifier::new(dir).run(&DraDocument::parse(&twin).unwrap()).unwrap_err();
             assert!(malformed(&err), "{err}");
             // admission: an error, not version 1 of the process
-            let err = sys.ingest_wire(0, &twin, &route, None).unwrap_err();
+            let err = sys.ingest_wire(0, &twin, &route).unwrap_err();
             assert!(malformed(&err), "{err}");
             assert_eq!(sys.stored_seq_for(&twin), None);
             assert!(sys.retrieve_version("tp", 1).is_none(), "no new row");
@@ -420,8 +433,8 @@ fn every_other_spelling_of_a_stored_wire_is_refused_at_parse() {
 
         let sys = rig.cloud(1);
         let route = Route { targets: vec![], ends: true };
-        assert_eq!(sys.ingest_wire(0, &wire, &route, None).unwrap().seq, 0);
-        assert!(sys.ingest_wire(0, &wire, &route, None).unwrap().duplicate, "the one spelling");
+        assert_eq!(sys.ingest_wire(0, &wire, &route).unwrap().seq, 0);
+        assert!(sys.ingest_wire(0, &wire, &route).unwrap().duplicate, "the one spelling");
 
         let empty = wire.find("/>").unwrap();
         let open = wire[..empty].rfind('<').unwrap() + 1;
@@ -444,7 +457,7 @@ fn every_other_spelling_of_a_stored_wire_is_refused_at_parse() {
         for (what, twin) in twins {
             assert_ne!(twin, wire, "{what}");
             let before = checks();
-            let err = sys.ingest_wire(0, &twin, &route, None).unwrap_err();
+            let err = sys.ingest_wire(0, &twin, &route).unwrap_err();
             assert!(matches!(err, WfError::Parse(_)), "{what}: {err}");
             assert_eq!(sys.stored_seq_for(&twin), None, "{what}");
             assert!(sys.retrieve_version(pid, 1).is_none(), "{what}: no new version");
