@@ -121,9 +121,9 @@ pub(super) fn run() -> ClaimOutput {
         }),
     );
     out.verdict(
-        "every stored history costs under 1.5 × the documents it ends in",
+        "every stored history costs under 0.9 × the documents it ends in",
         all(&|c| {
-            c.int("final_doc_bytes") > 0 && 2 * c.int("doc_bytes") < 3 * c.int("final_doc_bytes")
+            c.int("final_doc_bytes") > 0 && 10 * c.int("doc_bytes") < 9 * c.int("final_doc_bytes")
         }),
     );
     out.verdict(

@@ -40,7 +40,8 @@
 
 use crate::faults::FaultPlan;
 use crate::monitor::{Alert, AlertKind, HealthMonitor};
-use crate::schema::{Delta, RowKey, XML};
+use crate::schema::{Cell, RowKey, XML};
+use crate::store::{kept, version_in};
 use dra4wfms_core::error::{WfError, WfResult};
 use dra4wfms_core::faultpoint::site;
 use dra_docpool::HTable;
@@ -510,27 +511,31 @@ pub(crate) fn tamper_bytes(xml: &str) -> String {
 
 /// Test support: rewrite the stored row `key` of a member cloud's `pool` in
 /// place, as a superuser of that cloud could — no journal record, no
-/// `seen/` row, no replica. A `doc/` row holds how many bytes of the version
-/// below it the version keeps and the tail that follows them (`store`);
-/// `forge` is given the two and returns what the row is to hold instead:
-/// [`flip_tail`] flips a byte the hop appended, `|_, _| (0, doc)` plants a
-/// whole document, `|_, _| (below.len(), String::new())` rolls the row back
-/// to the version below. The cell format stays `schema`'s.
+/// `seen/` row, no replica. `forge` is given the version the row stores as
+/// the bytes it keeps of the version below it and the tail that follows
+/// them, and returns what the row is to hold instead: [`flip_tail`] flips a
+/// byte the hop appended, `|_, _| (0, doc)` plants a whole document,
+/// `|_, _| (below.len(), String::new())` rolls the row back to the version
+/// below. The row is written as that `keep` and tail, in `schema`'s cell
+/// format; the rows above it still copy from it.
 ///
 /// # Panics
 ///
-/// When the row holds no such cell.
+/// When `key` names no version that reads back.
 #[allow(clippy::expect_used)] // test support: forging a row that is not there is a broken test
 pub fn forge_stored_row(
     pool: &HTable,
     key: &str,
     forge: impl FnOnce(usize, &str) -> (usize, String),
 ) {
-    let row = RowKey::parse(key).expect("a pool row key");
-    let cell = XML.get(pool, row).expect("the row holds a cell");
-    let Delta { keep, tail } = Delta::parse(cell.as_bytes()).expect("the cell is a delta");
-    let (keep, tail) = forge(keep, tail);
-    XML.write(pool, row, &Delta { keep, tail: &tail }.cell());
+    let Some(row @ RowKey::Doc { pid, seq }) = RowKey::parse(key) else {
+        panic!("{key} is no doc/ row key")
+    };
+    let version = version_in(pool, pid, seq).expect("the row holds a version");
+    let below = seq.checked_sub(1).and_then(|below| version_in(pool, pid, below));
+    let keep = below.map_or(0, |below| kept(&below, &version));
+    let (keep, tail) = forge(keep, &version[keep..]);
+    XML.write(pool, row, &Cell::write(keep, &[], &[&tail]));
 }
 
 /// The forgery tests and claims apply most, for [`forge_stored_row`]: one

@@ -203,10 +203,21 @@ impl HealthMonitor {
     /// instance idle past the deadline. Call whenever virtual time has
     /// advanced without spans closing.
     pub fn tick(&self, now_us: u64) {
+        self.sweep(now_us, |_| true);
+    }
+
+    /// [`tick`](HealthMonitor::tick) for one instance: what a supervisor
+    /// waiting out that instance's lease observes. The other instances'
+    /// clocks stand still while it waits, so they are not judged by it.
+    pub fn tick_instance(&self, process_id: &str, now_us: u64) {
+        self.sweep(now_us, |pid| pid == process_id);
+    }
+
+    fn sweep(&self, now_us: u64, judged: impl Fn(&str) -> bool) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let deadline_us = PROGRESS_DEADLINE_US;
         let mut fired: Vec<Alert> = Vec::new();
-        for (pid, st) in &mut inner.instances {
+        for (pid, st) in inner.instances.iter_mut().filter(|(pid, _)| judged(pid)) {
             let idle_us = now_us.saturating_sub(st.last_progress_us);
             if st.watched && !st.stuck_flagged && idle_us > deadline_us {
                 st.stuck_flagged = true;

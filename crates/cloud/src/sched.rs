@@ -571,7 +571,7 @@ fn dispatch_one<'a>(
                 };
                 system.network.advance(wait_us);
                 if let Some(mon) = &inst.run.monitor {
-                    mon.tick(inst.run.tracer.now_us());
+                    mon.tick_instance(&inst.pid, inst.run.tracer.now_us());
                     if wait_us < LEASE_US {
                         inst.early_takeovers += 1;
                     }

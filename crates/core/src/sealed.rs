@@ -292,6 +292,11 @@ impl<T> Heads<T> {
         heads.iter().find(|head| head.name == *name).map(|head| &head.value)
     }
 
+    /// The heads of `pid`, oldest first.
+    pub fn of(&self, pid: &str) -> impl Iterator<Item = &T> {
+        self.by_process.get(pid).into_iter().flatten().map(|head| &head.value)
+    }
+
     /// Heads held: at most one per live branch of each running process.
     pub fn held(&self) -> usize {
         self.named.len()
