@@ -17,10 +17,11 @@
 //! * `tamper-S` (seeded) — a small fleet, then 3 stored **non-latest**
 //!   rows forged in place (rows below the latest, which nobody reads
 //!   directly; one byte of what the hop appended is flipped); a full auditor sweep must indict forged rows
-//!   only and leave no forged row unaccounted for. A stored version is the
-//!   version below it plus its hop's bytes, so a forged row fails the rows
-//!   above it that keep the flipped byte: those are `tainted`, not alerts,
-//!   and a second forged row among them is not `detected` on its own;
+//!   only and leave no forged row unaccounted for. A stored version copies
+//!   the bytes of the versions below it, so a forged row fails the rows
+//!   that copy the flipped byte: those are `tainted`, not alerts, while a
+//!   second forged row among them is `detected` on its own when its hop's
+//!   CER no longer verifies and the rows between verify;
 //! * `federated-quarantine` — a 2-cloud fleet with one forged row on the
 //!   active cloud: the auditor's typed alert, pumped through the
 //!   `FederationController`, quarantines every portal of the indicted

@@ -185,6 +185,45 @@ fn cloud_outage_fails_over_and_preserves_the_pool() {
     check_metric_invariants(&rig.metrics.snapshot()).unwrap();
 }
 
+/// West misses the one batch that wrote the definition's `def/` row — it is
+/// skipped once, not confirmed down — and a failover makes it the cloud that
+/// serves before any initial document is admitted there: every instance of
+/// that definition it replicated since still reads back, because each
+/// initial document's batch brought the row along while west lacked it.
+#[test]
+fn a_peer_that_missed_the_def_row_gets_it_with_the_next_initial_document() {
+    const OUTAGE_US: u64 = 1 << 40;
+    let plan = FaultPlan::of([
+        (site::cloud("west"), Trigger::Visit(1)),
+        (site::cloud("east"), Trigger::From(OUTAGE_US)),
+    ]);
+    let rig = Rig::fig9(false).with_faults(&plan);
+    let (sys, ctrl) = rig.federated(two_cloud_topology());
+    // an initial document that goes no further, and the first replication
+    let wire = rig.initial("fed-9").to_xml_string();
+    sys.ingest_wire(0, &wire, &Route::default()).unwrap();
+    assert_eq!(plan.fired(), 1, "west was skipped once");
+    drive(&rig, &sys, 0..2, sys.channel());
+    assert_eq!(ctrl.stats().outages, 0);
+
+    // east goes dark; a retransmitted final version confirms it and is
+    // acked by west as the duplicate it is, writing nothing
+    rig.network.advance(OUTAGE_US);
+    let last = sys.retrieve_version("fed-1", 9).unwrap();
+    assert!(sys.ingest_wire(0, &last, &Route::default()).is_err(), "east unreachable");
+    assert!(sys.ingest_wire(0, &last, &Route::default()).unwrap().duplicate);
+    assert_eq!((ctrl.active_cloud(), ctrl.stats().failovers), (1, 1));
+
+    for (pid, portal) in [("fed-0", 0), ("fed-1", 3)] {
+        let served = sys.retrieve_latest(portal, pid).expect("west serves it");
+        assert_eq!(Some(served), sys.retrieve_version(pid, 9), "{pid}");
+    }
+    assert_eq!(sys.retrieve_latest(0, "fed-9"), None, "west never stored it");
+    assert_eq!((ctrl.stats().quarantines, ctrl.stats().tampered_serves), (0, 0));
+    assert_eq!(sys.pool_digest(), healthy_digest(2), "west reads as a healthy run");
+    assert_eq!(audit_everything(&sys), vec![], "no row of either cloud diverges");
+}
+
 #[test]
 fn tampered_portal_is_quarantined_and_the_honest_bytes_reserved() {
     // portal 1 serves corrupted bytes on its first serve, after the fleet
