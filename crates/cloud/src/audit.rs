@@ -18,13 +18,13 @@
 //! bytes do not hash to its name is indicted once, however many rows name
 //! it; a failing row that copies from a failing one is **tainted**, it
 //! inherits the break — unless the bytes of its own hop diverge as well: its
-//! newest CER's signatures fail over bytes that no indicted row holds, nor
-//! a tainted one whose own CER fails over such bytes too (its own bytes
-//! are in doubt). So a forged row above another forged one is indicted on
-//! its own where the rows between verify; where they do not, signatures
-//! cannot tell which of the two was forged, and no honest row is indicted
-//! for it. Nothing stored serves this: the sources are judged again when a
-//! row fails.
+//! newest CER fails the verifier's rule over bytes that no indicted row
+//! holds, nor a tainted one whose own CER fails over such bytes too (its
+//! own bytes are in doubt). So a forged row above another forged one is
+//! indicted on its own where the rows between verify; where they do not,
+//! signatures cannot tell which of the two was forged, and no honest row is
+//! indicted for it. Nothing stored serves this: the sources are judged
+//! again when a row fails.
 //!
 //! An indicted row raises a typed [`AlertKind::AuditDivergence`] into the
 //! [`HealthMonitor`]; on federated deployments the
@@ -45,11 +45,8 @@ use crate::monitor::{Alert, AlertKind, HealthMonitor};
 use crate::portal::CloudSystem;
 use crate::schema::{Name, RowKey};
 use crate::store::{Clause, CloudStore, Stored};
-use dra4wfms_core::document::CerView;
 use dra4wfms_core::prelude::*;
-use dra4wfms_core::verify::tfc_attest_bytes;
 use dra_obs::MetricsRegistry;
-use dra_xml::sig::parse_signature;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, PoisonError};
 
@@ -303,12 +300,13 @@ impl PoolAuditor {
     /// Does the failing row `key` of process `pid` diverge in bytes of its
     /// own hop, besides those it copies from its failing sources (`failing`:
     /// whether each parses)? It does when its bytes do not parse while they
-    /// all do, or when the signatures of its newest CER — the hop's — do not
-    /// verify over the bytes they cover and no row that holds some of those
-    /// is indicted or doubtful: the initial document, which holds the
-    /// header, or the row that appended a CER it follows. `None` when such a
-    /// row is, or when the row is an initial document over a failing
-    /// definition: its own bytes cannot be told apart from those.
+    /// all do, or when the signatures of its newest CER — the hop's — fail
+    /// the verifier's rule ([`Verifier::check_cer`]: expected signer,
+    /// pinned `covers` label, the bytes they cover) and no row that holds
+    /// some of those is indicted or doubtful: the initial document, which
+    /// holds the header, or the row that appended a CER it follows. `None`
+    /// when such a row is, or when the row is an initial document over a
+    /// failing definition: its own bytes cannot be told apart from those.
     fn own_divergence(
         st: &AuditState,
         cloud: &CloudStore,
@@ -327,7 +325,7 @@ impl PoolAuditor {
             _ => return failing.iter().all(|&parses| parses).then_some(true),
         };
         let cer = cers.last()?;
-        if newest_verifies(doc, cer, directory) {
+        if Verifier::new(directory).check_cer(doc, cer).is_ok() {
             return Some(false);
         }
         let initial = RowKey::Doc { pid, seq: 0 }.to_string();
@@ -353,26 +351,6 @@ impl PoolAuditor {
 /// The document `stored` reads as, if it parses.
 fn parsed(stored: &Stored) -> Option<DraDocument> {
     DraDocument::parse(stored.xml.as_deref().ok()?).ok()
-}
-
-/// Do the signatures of `cer`, the newest CER of `doc`, verify over the
-/// bytes they cover: its participant's over the header, its body and the
-/// signatures of the CERs it follows, and the TFC's attestation if it
-/// carries one?
-fn newest_verifies(doc: &DraDocument, cer: &CerView<'_>, directory: &Directory) -> bool {
-    let participant = || {
-        let block = parse_signature(cer.participant_signature().ok()?).ok()?;
-        let signer = directory.get(&cer.participant).ok()?.sign;
-        let body = cer.tfc_sealed().or(cer.result())?;
-        let bytes = doc.cascade_bytes(body, &cer.preds).ok()?;
-        Some(block.signer == signer && signer.verify(&bytes, &block.signature))
-    };
-    let tfc = |sig| {
-        let block = parse_signature(sig).ok()?;
-        let bytes = tfc_attest_bytes(doc.header().ok()?, cer).ok()?;
-        Some(block.signer.verify(&bytes, &block.signature))
-    };
-    participant() == Some(true) && cer.tfc_signature().is_none_or(|sig| tfc(sig) == Some(true))
 }
 
 #[cfg(test)]

@@ -236,17 +236,9 @@ impl CloudSystem {
     /// Publish one TO-DO notification on the bus, counting it against
     /// portal `portal_idx` so `portal.notifications` and the bus's
     /// emission counter move in lock-step.
-    fn notify(
-        &self,
-        portal_idx: usize,
-        participant: &str,
-        process_id: &str,
-        activity: &str,
-        seq: usize,
-    ) {
+    fn notify(&self, portal_idx: usize, process_id: &str, activity: &str, seq: usize) {
         self.portals[portal_idx % self.portals.len()].notifications.fetch_add(1, Ordering::Relaxed);
         self.bus.emit(Activation {
-            participant: participant.to_string(),
             process_id: process_id.to_string(),
             activity: activity.to_string(),
             seq,
@@ -328,11 +320,11 @@ impl CloudSystem {
             // use, so a torn admission leaves the views exactly as
             // consistent as the pool it repaired
             schema::fold_into_views(&self.views, [schema::applied(op)]);
-            let Some(RowKey::Todo { participant, pid, activity }) = RowKey::parse(&op.key) else {
+            let Some(RowKey::Todo { pid, activity, .. }) = RowKey::parse(&op.key) else {
                 return;
             };
             let seq = std::str::from_utf8(&op.value).ok().and_then(|s| s.parse().ok()).unwrap_or(0);
-            self.notify(0, participant.as_str(), pid.as_str(), activity.as_str(), seq);
+            self.notify(0, pid.as_str(), activity.as_str(), seq);
         };
         // every cloud replays its own journal into its own pool: a replica
         // torn between journal-append and commit is repaired exactly like a
@@ -471,7 +463,7 @@ impl CloudSystem {
                     // (names no key can hold have no TO-DO row to re-notify)
                     let todo = RowKey::todo(&act.participant, pid, target);
                     if todo.is_ok_and(|todo| active.todo_pending(todo)) {
-                        self.notify(portal_idx, &act.participant, pid, target, seq);
+                        self.notify(portal_idx, pid, target, seq);
                     }
                 }
             }
@@ -526,11 +518,9 @@ impl CloudSystem {
         ops.push(STATUS.put(RowKey::Meta(pid), status));
         ops.push(STEPS.put(RowKey::Meta(pid), report.cers.len().to_string()));
         ops.push(WORKFLOW.put(RowKey::Meta(pid), def.name.clone()));
-        let mut notified: Vec<(&str, &str)> = Vec::with_capacity(route.targets.len());
         for target in &route.targets {
             let participant = &def.activity(target)?.participant;
             ops.push(SEQ.put(RowKey::todo(participant, pid.as_str(), target)?, seq.to_string()));
-            notified.push((participant, target));
         }
 
         // the admission becomes durable on the active cloud (the `seen/`
@@ -552,8 +542,8 @@ impl CloudSystem {
         // notify after commit: an activation must never outrun its TO-DO
         // row. The crash window above never reaches this point — replay
         // re-emits the repaired admission's notifications instead.
-        for (participant, target) in notified {
-            self.notify(portal_idx, participant, pid.as_str(), target, seq);
+        for target in &route.targets {
+            self.notify(portal_idx, pid.as_str(), target, seq);
         }
         span.attr("seq", seq);
         span.attr("duplicate", false);

@@ -42,12 +42,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One portal notification, typed: "participant, your activity of this
-/// process is ready as of seq".
+/// One portal notification, typed: "this activity of this process is
+/// ready as of seq" — dispatch finds its participant in the definition in
+/// force.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Activation {
-    /// The participant whose TO-DO list grew.
-    pub participant: String,
     /// Process instance id.
     pub process_id: String,
     /// The activity awaiting execution.
@@ -349,7 +348,6 @@ impl<'a> Scheduler<'a> {
             }
             let Some(activity) = inst.or_parked.iter().next().cloned() else { continue };
             let synthetic = Activation {
-                participant: String::new(),
                 process_id: pid.clone(),
                 activity,
                 seq: 0,
@@ -627,13 +625,7 @@ mod tests {
     use super::*;
 
     fn act(pid: &str, activity: &str, at_us: u64) -> Activation {
-        Activation {
-            participant: "p".into(),
-            process_id: pid.into(),
-            activity: activity.into(),
-            seq: 0,
-            at_us,
-        }
+        Activation { process_id: pid.into(), activity: activity.into(), seq: 0, at_us }
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::model::{required_attr, Activity, Target, Transition, WorkflowDefiniti
 use crate::policy::{FieldRule, SecurityPolicy};
 use crate::semantics::Net;
 use dra_xml::canon_digest;
-use dra_xml::sig::sign_detached;
 use dra_xml::Element;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -286,16 +285,7 @@ pub fn amend_document(
     let result = Element::new("Result").child(delta.to_xml());
     let mut document = doc.clone();
     let key = CerKey::new(AMEND_PREFIX.to_string(), iter);
-    let cascade = document.cascade_bytes(&result, &preds)?;
-    let sig = sign_detached(&designer.sign, &cascade, &format!("{key}"));
-    let cer = Element::new("CER")
-        .attr("activity", AMEND_PREFIX)
-        .attr("iter", iter.to_string())
-        .attr("participant", designer.name.clone())
-        .attr("preds", crate::document::preds_to_attr(&preds))
-        .child(result)
-        .child(sig);
-    document.push_cer(cer)?;
+    document.push_signed_cer(&key, designer, result, &preds)?;
     Ok(document)
 }
 

@@ -29,12 +29,13 @@
 //! signature to the unique process id (replay defense); covering predecessor
 //! signatures builds the nonrepudiation cascade of §2.3.2.
 
+use crate::covers::Covers;
 use crate::error::{WfError, WfResult};
 use crate::identity::Credentials;
 use crate::model::WorkflowDefinition;
 use crate::policy::SecurityPolicy;
 use dra_xml::canon::canonicalize_all;
-use dra_xml::sig::{sign_detached, SIGNATURE};
+use dra_xml::sig::SIGNATURE;
 use dra_xml::{parse, Element, Node};
 use std::sync::Arc;
 
@@ -229,16 +230,18 @@ impl DraDocument {
         let header = Element::new("Header")
             .child(Element::new("ProcessId").text(process_id))
             .child(Element::new("Schema").text(SCHEMA));
-        let def_el = def.to_xml();
-        let pol_el = policy.to_xml();
-        let signed = canonicalize_all([&header, &def_el, &pol_el]);
-        let sig = sign_detached(&designer.sign, &signed, "Def");
-        let app = Element::new("ApplicationDefinition").child(def_el).child(pol_el).child(sig);
+        let app = Element::new("ApplicationDefinition").child(def.to_xml()).child(policy.to_xml());
         let root = Element::new("DRA4WfMS")
             .child(header)
             .child(app)
             .child(Element::new("ActivityResults"));
-        Ok(DraDocument { root })
+        let mut doc = DraDocument { root };
+        let sig = Covers::Def.sign(&doc, &designer.sign)?;
+        doc.root
+            .find_child_mut("ApplicationDefinition")
+            .ok_or_else(|| WfError::Malformed("missing ApplicationDefinition".into()))?
+            .push_child(sig);
+        Ok(doc)
     }
 
     /// Parse a document from its wire form. The parts outside the signed
@@ -406,36 +409,24 @@ impl DraDocument {
         }))
     }
 
-    /// Resolve the `<Signature>` elements a cascade signature must cover for
-    /// the given predecessor list: for `Def` the designer's signature, for a
-    /// CER every signature embedded in it (participant + TFC).
-    pub fn pred_signature_elements(&self, preds: &[PredRef]) -> WfResult<Vec<&Element>> {
-        let mut out = Vec::new();
-        for p in preds {
-            match p {
-                PredRef::Def => out.push(self.designer_signature()?),
-                PredRef::Cer(k) => {
-                    let cer = self
-                        .find_cer(k)?
-                        .ok_or_else(|| WfError::Malformed(format!("pred CER {k} not found")))?;
-                    let sigs = cer.signatures();
-                    if sigs.is_empty() {
-                        return Err(WfError::Malformed(format!("pred CER {k} unsigned")));
-                    }
-                    out.extend(sigs);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The canonical bytes a CER's participant signature covers:
-    /// `[Header, body, predecessor signatures…]`.
-    pub fn cascade_bytes(&self, body: &Element, preds: &[PredRef]) -> WfResult<Vec<u8>> {
-        let header = self.header()?;
-        let mut parts: Vec<&Element> = vec![header, body];
-        parts.extend(self.pred_signature_elements(preds)?);
-        Ok(canonicalize_all(parts))
+    /// Append CER `key`, executed by `signer` over `body` (`<Result>`, or
+    /// `<TfcSealed>` in the advanced model) after `preds`, with its cascade
+    /// signature: the one place a `<CER>` is assembled.
+    pub(crate) fn push_signed_cer(
+        &mut self,
+        key: &CerKey,
+        signer: &Credentials,
+        body: Element,
+        preds: &[PredRef],
+    ) -> WfResult<()> {
+        let cer = Element::new("CER")
+            .attr("activity", key.activity.clone())
+            .attr("iter", key.iter.to_string())
+            .attr("participant", signer.name.clone())
+            .attr("preds", preds_to_attr(preds))
+            .child(body);
+        let sig = Covers::Cer(&CerView::from_element(&cer)?).sign(self, &signer.sign)?;
+        self.push_cer(cer.child(sig))
     }
 
     /// Compute the cascade predecessors for executing `activity` now:
@@ -471,8 +462,9 @@ impl DraDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identity::Directory;
     use crate::model::Condition;
-    use dra_xml::sig::verify_detached;
+    use crate::verify::Verifier;
 
     fn fixture() -> (WorkflowDefinition, SecurityPolicy, Credentials) {
         let def = WorkflowDefinition::builder("order", "designer")
@@ -502,9 +494,8 @@ mod tests {
     fn designer_signature_verifies() {
         let (def, policy, designer) = fixture();
         let doc = DraDocument::new_initial_with_pid(&def, &policy, &designer, "pid-1").unwrap();
-        let bytes = doc.definition_bytes().unwrap();
-        let signer = verify_detached(doc.designer_signature().unwrap(), &bytes, None).unwrap();
-        assert_eq!(signer, designer.sign.public);
+        let dir = Directory::from_credentials([&designer]);
+        assert_eq!(Verifier::new(&dir).run(&doc).unwrap().report.signatures_verified, 1);
     }
 
     #[test]
@@ -533,8 +524,8 @@ mod tests {
         let parsed = DraDocument::parse(&wire).unwrap();
         assert_eq!(parsed.process_id().unwrap(), "pid-2");
         // signature still verifies against re-canonicalized bytes
-        let bytes = parsed.definition_bytes().unwrap();
-        assert!(verify_detached(parsed.designer_signature().unwrap(), &bytes, None).is_ok());
+        let dir = Directory::from_credentials([&designer]);
+        assert!(Verifier::new(&dir).run(&parsed).is_ok());
         // white space between two sections is a second spelling: refused
         let twin = wire.replacen("<ActivityResults", "\n<ActivityResults", 1);
         let err = DraDocument::parse(&twin).unwrap_err();

@@ -76,6 +76,7 @@
 
 pub mod aea;
 pub mod amendment;
+mod covers;
 pub mod document;
 pub mod dsl;
 pub mod error;

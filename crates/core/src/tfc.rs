@@ -22,6 +22,7 @@
 
 use crate::aea::result_context;
 use crate::amendment::EffectiveDefinition;
+use crate::covers::Covers;
 use crate::document::{CerKey, CerView, DraDocument};
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
@@ -30,9 +31,8 @@ use crate::flow::DocFieldReader;
 use crate::identity::{ActorKeys, Credentials, Directory, PeerSecrets};
 use crate::sealed::{chain_next, prefix_digest, Heads, SealedDocument, TrustMark};
 use crate::semantics::{route, Route};
-use crate::verify::{tfc_attest_bytes, Verifier};
+use crate::verify::Verifier;
 use dra_obs::{stage, Tracer};
-use dra_xml::sig::sign_detached;
 use dra_xml::Element;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -393,9 +393,9 @@ impl TfcServer {
         let mut cer = intermediate.element.clone();
         cer.push_child(result);
         cer.push_child(ts_el);
-        let attest =
-            tfc_attest_bytes(received.doc.header()?, &CerView { element: &cer, ..intermediate })?;
-        cer.push_child(sign_detached(&self.creds.sign, &attest, &format!("tfc:{}", received.key)));
+        let finalized = CerView { element: &cer, ..intermediate };
+        let attestation = Covers::Tfc(&finalized).sign(&received.doc, &self.creds.sign)?;
+        cer.push_child(attestation);
         span_reenc.attr("fields", received.responses.len());
         span_reenc.end();
 

@@ -6,15 +6,14 @@
 //! document into the pool.
 
 use crate::amendment::EffectiveDefinition;
-use crate::document::{CerKey, CerView, DraDocument, PredRef};
+use crate::covers::{in_order, Covers, FindCer, SigTask};
+use crate::document::{CerKey, CerView, DraDocument};
 use crate::error::{WfError, WfResult};
 use crate::identity::Directory;
 use crate::sealed::{prefix_chain, TrustMark};
-use dra_xml::canon::canonicalize_all;
+use dra_xml::Element;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use dra_xml::Element;
 
 /// Outcome of a successful verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,41 +27,6 @@ pub struct VerificationReport {
     pub signatures_verified: usize,
     /// True when the last CER is an intermediate (TFC-bound) one.
     pub ends_with_intermediate: bool,
-}
-
-/// The canonical bytes the TFC's attestation signature covers:
-/// `[Header, TfcSealed, participant signature, Result, Timestamp]`.
-pub fn tfc_attest_bytes(header: &Element, cer: &CerView<'_>) -> WfResult<Vec<u8>> {
-    let sealed = cer
-        .tfc_sealed()
-        .ok_or_else(|| WfError::Malformed(format!("CER {} lacks TfcSealed", cer.key)))?;
-    let psig = cer.participant_signature()?;
-    let result =
-        cer.result().ok_or_else(|| WfError::Malformed(format!("CER {} lacks Result", cer.key)))?;
-    let ts = cer
-        .timestamp()
-        .ok_or_else(|| WfError::Malformed(format!("CER {} lacks Timestamp", cer.key)))?;
-    Ok(canonicalize_all([header, sealed, psig, result, ts]))
-}
-
-/// One planned signature check: verify `signature` over `bytes` under
-/// `signer`. Tasks are independent once planned, which is what makes them
-/// batch-schedulable (see [`Verifier::batched`]).
-struct SigTask {
-    label: String,
-    signer: dra_crypto::ed25519::PublicKey,
-    bytes: Vec<u8>,
-    signature: dra_crypto::ed25519::Signature,
-}
-
-impl SigTask {
-    fn run(&self) -> WfResult<()> {
-        if self.signer.verify(&self.bytes, &self.signature) {
-            Ok(())
-        } else {
-            Err(WfError::Verify(format!("{} signature invalid", self.label)))
-        }
-    }
 }
 
 /// How much of the document still needs cryptographic checks.
@@ -79,7 +43,7 @@ enum VerifyScope {
 }
 
 /// Sequential structural pass: check participants and document structure,
-/// fold amendments, and emit one [`SigTask`] per embedded signature inside
+/// fold amendments, and plan one [`SigTask`] per embedded signature inside
 /// `scope`.
 fn plan_verification(
     doc: &DraDocument,
@@ -87,8 +51,6 @@ fn plan_verification(
     base: &Arc<EffectiveDefinition>,
     scope: VerifyScope,
 ) -> WfResult<(Vec<SigTask>, VerificationReport)> {
-    use dra_xml::sig::parse_signature;
-
     let def = &base.def;
 
     let skip_cers = match scope {
@@ -99,24 +61,8 @@ fn plan_verification(
 
     // (2) designer signature — pinned by the prefix digest when trusted
     if scope == VerifyScope::Full {
-        let designer = directory.get(&def.designer)?;
-        let block = parse_signature(doc.designer_signature()?)
-            .map_err(|e| WfError::Verify(format!("designer signature: {e}")))?;
-        if block.signer != designer.sign {
-            return Err(WfError::Verify("designer signature: unexpected signer".into()));
-        }
-        if block.covers != "Def" {
-            return Err(WfError::Verify(format!(
-                "designer signature: covers label '{}' is not 'Def'",
-                block.covers
-            )));
-        }
-        tasks.push(SigTask {
-            label: "designer".into(),
-            signer: block.signer,
-            bytes: doc.definition_bytes()?,
-            signature: block.signature,
-        });
+        let (designer, sig) = (&directory.get(&def.designer)?.sign, doc.designer_signature()?);
+        tasks.push(Covers::Def.check(sig, designer, doc, &in_order(doc))?);
     }
 
     // the definition in force, replaced (never edited: it is shared) as
@@ -124,18 +70,16 @@ fn plan_verification(
     let mut effective = Arc::clone(base);
 
     let cers = doc.cers()?;
-    // Pred lookup map, built once: resolving predecessors through
-    // `DraDocument::find_cer` re-scans every CER per lookup, which turns
-    // planning into an O(n²) pass on long cascades. First match wins, as
-    // in document-order search.
-    let mut by_key: HashMap<&CerKey, &CerView<'_>> = HashMap::with_capacity(cers.len());
+    // Pred lookup map, built once: resolving predecessors by document-order
+    // search re-scans every CER per lookup, which turns planning into an
+    // O(n²) pass on long cascades. First match wins, as in that search.
+    let mut by_key: HashMap<&CerKey, &Element> = HashMap::with_capacity(cers.len());
     for cer in &cers {
-        by_key.entry(&cer.key).or_insert(cer);
+        by_key.entry(&cer.key).or_insert(cer.element);
     }
+    let find = |key: &CerKey| by_key.get(key).copied();
     let mut ends_with_intermediate = false;
-    let header = doc.header()?;
     for (idx, cer) in cers.iter().enumerate() {
-        let trusted = idx < skip_cers;
         // (3) participant assignment — amendments are executed by the
         // workflow designer; regular activities by their assigned
         // participant under the definition in force at that point
@@ -167,54 +111,16 @@ fn plan_verification(
             }
         }
 
-        let sealed = cer.tfc_sealed();
-        let result = cer.result();
-        let body = sealed.or(result).ok_or_else(|| {
-            WfError::Malformed(format!("CER {} has neither Result nor TfcSealed", cer.key))
-        })?;
-        if !trusted {
-            let pid = directory.get(&cer.participant)?;
-            let block = parse_signature(cer.participant_signature()?)
-                .map_err(|e| WfError::Verify(format!("CER {}: {e}", cer.key)))?;
-            if block.signer != pid.sign {
-                return Err(WfError::Verify(format!(
-                    "CER {} participant signature: unexpected signer",
-                    cer.key
-                )));
-            }
-            // pin the covers label to the CER key: the label itself is not
-            // under the signature, so without this check those attribute
-            // bytes would be malleable in stored documents
-            if block.covers != format!("{}", cer.key) {
-                return Err(WfError::Verify(format!(
-                    "CER {} participant signature: covers label '{}' does not match the CER key",
-                    cer.key, block.covers
-                )));
-            }
-            // cascade bytes with preds resolved through the map — same
-            // parts as `DraDocument::cascade_bytes`
-            let mut parts: Vec<&Element> = vec![header, body];
-            for p in &cer.preds {
-                match p {
-                    PredRef::Def => parts.push(doc.designer_signature()?),
-                    PredRef::Cer(k) => {
-                        let pred = by_key
-                            .get(k)
-                            .ok_or_else(|| WfError::Malformed(format!("pred CER {k} not found")))?;
-                        let sigs = pred.signatures();
-                        if sigs.is_empty() {
-                            return Err(WfError::Malformed(format!("pred CER {k} unsigned")));
-                        }
-                        parts.extend(sigs);
-                    }
-                }
-            }
-            tasks.push(SigTask {
-                label: format!("CER {} participant", cer.key),
-                signer: block.signer,
-                bytes: canonicalize_all(parts),
-                signature: block.signature,
-            });
+        let (sealed, result) = (cer.tfc_sealed(), cer.result());
+        if sealed.is_none() && result.is_none() {
+            return Err(WfError::Malformed(format!(
+                "CER {} has neither Result nor TfcSealed",
+                cer.key
+            )));
+        }
+        // (3, 4) the CER's own signatures, unless the mark pins them
+        if idx >= skip_cers {
+            tasks.extend(plan_cer(doc, cer, directory, def.tfc.as_deref(), &find)?);
         }
 
         // fold verified amendments into the effective definition
@@ -222,8 +128,8 @@ fn plan_verification(
             effective = effective.amended(cer)?;
         }
 
-        let is_intermediate = sealed.is_some() && result.is_none();
-        if is_intermediate {
+        // an intermediate CER (sealed for the TFC, not yet finalized)
+        if sealed.is_some() && result.is_none() {
             if idx + 1 != cers.len() {
                 return Err(WfError::Malformed(format!(
                     "intermediate CER {} is not the last CER",
@@ -231,38 +137,6 @@ fn plan_verification(
                 )));
             }
             ends_with_intermediate = true;
-        } else if sealed.is_some() && !trusted {
-            // advanced-model final CER: TFC attestation required
-            let tfc_name = def.tfc.as_deref().ok_or_else(|| {
-                WfError::Verify(format!(
-                    "CER {} carries TFC data but definition names no TFC",
-                    cer.key
-                ))
-            })?;
-            let tfc_id = directory.get(tfc_name)?;
-            let tfc_sig = cer
-                .tfc_signature()
-                .ok_or_else(|| WfError::Verify(format!("CER {} missing TFC signature", cer.key)))?;
-            let block = parse_signature(tfc_sig)
-                .map_err(|e| WfError::Verify(format!("CER {} TFC: {e}", cer.key)))?;
-            if block.signer != tfc_id.sign {
-                return Err(WfError::Verify(format!(
-                    "CER {} TFC signature: unexpected signer",
-                    cer.key
-                )));
-            }
-            if block.covers != format!("tfc:{}", cer.key) {
-                return Err(WfError::Verify(format!(
-                    "CER {} TFC signature: covers label '{}' does not match the CER key",
-                    cer.key, block.covers
-                )));
-            }
-            tasks.push(SigTask {
-                label: format!("CER {} TFC", cer.key),
-                signer: block.signer,
-                bytes: tfc_attest_bytes(header, cer)?,
-                signature: block.signature,
-            });
         }
     }
 
@@ -273,6 +147,32 @@ fn plan_verification(
         ends_with_intermediate,
     };
     Ok((tasks, report))
+}
+
+/// Plan the checks of the signatures `cer` carries itself: its
+/// participant's cascade signature and, once the TFC finalized the CER, the
+/// attestation of `tfc`, the TFC the definition names.
+fn plan_cer<'d>(
+    doc: &'d DraDocument,
+    cer: &CerView<'d>,
+    directory: &Directory,
+    tfc: Option<&str>,
+    find: &FindCer<'d>,
+) -> WfResult<Vec<SigTask>> {
+    let participant = &directory.get(&cer.participant)?.sign;
+    let psig = cer.participant_signature()?;
+    let mut tasks = vec![Covers::Cer(cer).check(psig, participant, doc, find)?];
+    if cer.tfc_sealed().is_some() && cer.result().is_some() {
+        let tfc = tfc.ok_or_else(|| {
+            WfError::Verify(format!("CER {} carries TFC data but definition names no TFC", cer.key))
+        })?;
+        let tfc = &directory.get(tfc)?.sign;
+        let tsig = cer
+            .tfc_signature()
+            .ok_or_else(|| WfError::Verify(format!("CER {} missing TFC signature", cer.key)))?;
+        tasks.push(Covers::Tfc(cer).check(tsig, tfc, doc, find)?);
+    }
+    Ok(tasks)
 }
 
 /// Unified verification entry point — a builder covering full, incremental
@@ -374,6 +274,16 @@ impl<'a> Verifier<'a> {
         self.mark = mark.into();
         self.incremental = true;
         self
+    }
+
+    /// Check only the signatures `cer`, a CER of `doc`, carries itself, by
+    /// the rule [`Verifier::run`] holds every CER to: the pool auditor asks
+    /// this of a failing row's newest CER, to tell whether that row's own
+    /// hop diverges.
+    pub fn check_cer(&self, doc: &DraDocument, cer: &CerView<'_>) -> WfResult<()> {
+        let tfc = EffectiveDefinition::base(doc)?.def.tfc.clone();
+        let tasks = plan_cer(doc, cer, self.directory, tfc.as_deref(), &in_order(doc))?;
+        run_tasks(&tasks, self.batched)
     }
 
     /// Verify `doc`, returning the unified outcome.

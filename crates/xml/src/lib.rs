@@ -35,5 +35,5 @@ pub use canon::{canon_alloc_bytes, canon_alloc_reset, canon_digest};
 pub use enc::{decrypt_element, encrypt_element, EncryptError, Recipient};
 pub use node::{Canon, Element, Node};
 pub use parser::{parse, ParseError};
-pub use sig::{sign_detached, verify_detached, SignatureBlock};
+pub use sig::{sign_detached, SignatureBlock};
 pub use writer::{wire_written_bytes, wire_written_bytes_reset};

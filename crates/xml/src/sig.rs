@@ -10,11 +10,11 @@
 //! `covers` labels the covered content; cryptographic verification is always
 //! against the canonical bytes recomputed by the verifier, exactly as XML
 //! Signature verifies against re-canonicalized references. Because the label
-//! itself sits outside the signed bytes, document-level verifiers must pin
-//! it to the content they recomputed (`dra4wfms-core` checks it against the
-//! CER key) — otherwise the attribute is malleable in stored documents. The
-//! cascade construction of the paper (each signature signs the predecessor
-//! signatures) is built on top of this in `dra4wfms-core`.
+//! itself sits outside the signed bytes, the document-level rule must pin it
+//! to the content it recomputed — otherwise the attribute is malleable in
+//! stored documents. That rule, and the cascade construction of the paper
+//! (each signature signs the predecessor signatures), live in
+//! `dra4wfms-core`'s `covers` module, this module's one caller.
 
 use crate::node::Element;
 use dra_crypto::ed25519::{Keypair, PublicKey, Signature};
@@ -30,28 +30,21 @@ pub struct SignatureBlock {
     pub signer: PublicKey,
     /// The detached signature value.
     pub signature: Signature,
-    /// Informational description of the covered content.
+    /// The label naming the covered content (outside the signed bytes).
     pub covers: String,
 }
 
-/// Errors from reading or verifying a signature block.
+/// A block that is not a well-formed `<Signature>` element.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SigError {
     /// Not a `<Signature>` element or fields missing/malformed.
     Malformed(String),
-    /// Signature did not verify over the provided bytes.
-    Invalid,
-    /// The signer differs from the expected key.
-    WrongSigner,
 }
 
 impl std::fmt::Display for SigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SigError::Malformed(m) => write!(f, "malformed Signature: {m}"),
-            SigError::Invalid => write!(f, "signature verification failed"),
-            SigError::WrongSigner => write!(f, "unexpected signer"),
-        }
+        let SigError::Malformed(m) = self;
+        write!(f, "malformed Signature: {m}")
     }
 }
 
@@ -86,25 +79,6 @@ pub fn parse_signature(el: &Element) -> Result<SignatureBlock, SigError> {
     })
 }
 
-/// Verify a `<Signature>` element over `bytes`. Returns the signer on
-/// success; if `expected_signer` is given, also enforces key identity.
-pub fn verify_detached(
-    el: &Element,
-    bytes: &[u8],
-    expected_signer: Option<&PublicKey>,
-) -> Result<PublicKey, SigError> {
-    let block = parse_signature(el)?;
-    if let Some(expected) = expected_signer {
-        if *expected != block.signer {
-            return Err(SigError::WrongSigner);
-        }
-    }
-    if !block.signer.verify(bytes, &block.signature) {
-        return Err(SigError::Invalid);
-    }
-    Ok(block.signer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,61 +90,20 @@ mod tests {
     }
 
     #[test]
-    fn sign_verify_roundtrip() {
-        let k = kp(1);
-        let el = sign_detached(&k, b"canonical bytes", "Def");
-        let signer = verify_detached(&el, b"canonical bytes", None).unwrap();
-        assert_eq!(signer, k.public);
-    }
-
-    #[test]
-    fn expected_signer_enforced() {
-        let k = kp(1);
-        let other = kp(2);
-        let el = sign_detached(&k, b"data", "x");
-        assert_eq!(verify_detached(&el, b"data", Some(&other.public)), Err(SigError::WrongSigner));
-        assert!(verify_detached(&el, b"data", Some(&k.public)).is_ok());
-    }
-
-    #[test]
-    fn wrong_bytes_rejected() {
-        let k = kp(1);
-        let el = sign_detached(&k, b"data", "x");
-        assert_eq!(verify_detached(&el, b"DATA", None), Err(SigError::Invalid));
-    }
-
-    #[test]
     fn survives_wire_roundtrip() {
         let k = kp(3);
         let el = sign_detached(&k, b"payload", "CER(A1)");
-        let reparsed = parse(&to_string(&el)).unwrap();
-        assert!(verify_detached(&reparsed, b"payload", Some(&k.public)).is_ok());
-        let block = parse_signature(&reparsed).unwrap();
-        assert_eq!(block.covers, "CER(A1)");
+        let block = parse_signature(&parse(&to_string(&el)).unwrap()).unwrap();
+        assert_eq!(block, parse_signature(&el).unwrap());
+        assert_eq!((block.signer, block.covers.as_str()), (k.public, "CER(A1)"));
+        assert!(block.signer.verify(b"payload", &block.signature));
     }
 
     #[test]
     fn malformed_rejected() {
-        assert!(matches!(
-            verify_detached(&Element::new("NotSig"), b"", None),
-            Err(SigError::Malformed(_))
-        ));
-        let no_signer = Element::new(SIGNATURE).text("00");
-        assert!(matches!(verify_detached(&no_signer, b"", None), Err(SigError::Malformed(_))));
-        let bad_len = Element::new(SIGNATURE).attr("signer", "0".repeat(64)).text("beef");
-        assert!(matches!(verify_detached(&bad_len, b"", None), Err(SigError::Malformed(_))));
-    }
-
-    #[test]
-    fn tampered_signature_text_rejected() {
-        let k = kp(4);
-        let mut el = sign_detached(&k, b"data", "x");
-        let text = el.text_content();
-        let flipped = if text.as_bytes()[0] == b'0' { "1" } else { "0" };
-        let mut new_text = text.clone();
-        new_text.replace_range(0..1, flipped);
-        el.children.clear();
-        el.children.push(crate::node::Node::Text(new_text));
-        assert_eq!(verify_detached(&el, b"data", None), Err(SigError::Invalid));
+        let malformed = |el: &Element| matches!(parse_signature(el), Err(SigError::Malformed(_)));
+        assert!(malformed(&Element::new("NotSig")));
+        assert!(malformed(&Element::new(SIGNATURE).text("00")));
+        assert!(malformed(&Element::new(SIGNATURE).attr("signer", "0".repeat(64)).text("beef")));
     }
 }

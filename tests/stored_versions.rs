@@ -551,6 +551,63 @@ fn a_forged_row_above_a_tainted_one_is_indicted_when_the_rows_between_verify() {
     assert_eq!(fx.monitor.alerts().len(), 3, "one alert per indicted row");
 }
 
+/// The auditor holds a failing row's newest CER to the verifier's rule —
+/// the expected signer and the pinned `covers` label. Row 2, a branch, is
+/// flipped in a kept byte, so rows 4–9 fail for what they keep of it, and
+/// row 7, a branch of the loop's second turn, is rewritten in its own CER:
+///
+/// * `label` (basic model) — its participant signature's `covers` label is
+///   the other branch's, the signature itself untouched;
+/// * `attest` (advanced model) — its TFC attestation is signed again, over
+///   the same bytes under the same label, with a participant's key.
+///
+/// Either is row 7's own divergence, so it is indicted with row 2; the
+/// join above it, whose signature covers row 7's, cannot be told apart and
+/// is tainted with the rest. A check that let row 7 pass would indict the
+/// honest join instead.
+#[test]
+fn a_newest_cer_is_held_to_the_verifiers_signer_and_label() {
+    use dra4wfms::xml::{canon::canonicalize_all, sign_detached, writer::to_string};
+    for (pid, advanced) in [("label", false), ("attest", true)] {
+        let fx = Rig::fig9(advanced);
+        let sys = fx.cloud(2);
+        assert_eq!(fx.fleet(&sys, [pid.to_string()].into_iter(), sys.channel()), 1);
+        let row = DraDocument::parse(&sys.retrieve_version(pid, 7).unwrap()).unwrap();
+        let cers = row.cers().unwrap();
+        let newest = cers.last().unwrap();
+        let (genuine, forged) = if advanced {
+            // what the attestation covers: [Header, TfcSealed, participant
+            // signature, Result, Timestamp]
+            let psig = newest.participant_signature().ok();
+            let header = row.header().ok();
+            let parts = [header, newest.tfc_sealed(), psig, newest.result(), newest.timestamp()];
+            let tfc = newest.tfc_signature().unwrap();
+            let p_d = fx.creds.iter().find(|c| c.name == "p_d").unwrap();
+            let covers = tfc.get_attr("covers").unwrap();
+            let resigned =
+                sign_detached(&p_d.sign, &canonicalize_all(parts.map(Option::unwrap)), covers);
+            (to_string(tfc), to_string(&resigned))
+        } else {
+            // the other branch's: as long, so the join's copy of this CER
+            // still applies
+            let sibling = if newest.key.activity == "B1" { "B2" } else { "B1" };
+            let sibling = CerKey::new(sibling, newest.key.iter);
+            (format!("covers=\"{}\"", newest.key), format!("covers=\"{sibling}\""))
+        };
+        let pool = sys.active_pool();
+        flip_kept(pool, &key(pid, 2));
+        forge_stored_row(pool, &key(pid, 7), |keep, tail| {
+            let forged = tail.replacen(&genuine, &forged, 1);
+            assert_ne!(forged, tail);
+            (keep, forged)
+        });
+
+        let auditor = sweep_twice(&fx, &sys);
+        assert_eq!(auditor.divergent_rows(), rows_of(pid, [2, 7]), "{pid}");
+        assert_eq!(auditor.tainted_rows(), rows_of(pid, [4, 5, 6, 8, 9]), "{pid}");
+    }
+}
+
 /// Rolling a stored version back. `doc/p/k` is rewritten to reproduce
 /// version k−1, every byte of it validly signed, with the `seen/` row of
 /// those bytes …
