@@ -59,7 +59,7 @@ fn full_audit_sweep(fx: &Rig, sys: &CloudSystem) -> PoolAuditor {
     let doc_rows = sys
         .audit_pools()
         .iter()
-        .map(|(_, _, pool)| pool.query_count(&Scan::prefix("doc/")))
+        .map(|(_, _, pool)| pool.query(&Scan::prefix("doc/")).rows.len())
         .max()
         .unwrap_or(0);
     let passes = doc_rows.div_ceil(AUDIT_BATCH) + 1;
@@ -76,11 +76,11 @@ fn full_audit_sweep(fx: &Rig, sys: &CloudSystem) -> PoolAuditor {
 /// process — rows the serve path never touches, in key order: a version is
 /// not the latest exactly when the next key is its own process's.
 fn non_latest_doc_keys(pool: &HTable) -> Vec<String> {
-    let rows = pool.query(&Scan::prefix("doc/").family("doc")).rows;
+    let rows = pool.query(&Scan::prefix("doc/")).rows;
     let process = |key: &str| key.rfind('/').map(|slash| key[..=slash].to_string());
     rows.windows(2)
         .filter(|pair| process(&pair[0].0) == process(&pair[1].0))
-        .map(|pair| pair[0].0.clone())
+        .map(|pair| pair[0].0.to_string())
         .collect()
 }
 
@@ -150,9 +150,9 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
     let completed = fx.fleet(&sys, pids("dash-", n), sys.channel());
 
     // the monitoring aggregation's scan cost, isolated as a counter delta
-    let (rows_before, regions_before) = sys.active_pool().scan_counters();
+    let (rows_before, scans_before) = sys.active_pool().scan_counters();
     let statuses = sys.statistics_by_status(4);
-    let (rows_after, regions_after) = sys.active_pool().scan_counters();
+    let (rows_after, scans_after) = sys.active_pool().scan_counters();
     let complete_statuses = statuses.get("complete").copied().unwrap_or(0);
     let cell = cell(&format!("fleet-{n:04}"), n, completed, &sys);
 
@@ -165,7 +165,7 @@ fn run_fleet_cell(n: usize, out: &mut ClaimOutput) -> (Row, String) {
     // nothing was forged: whatever the auditor indicts is a false positive
     let row = close(cell, &fx, &sys, &auditor, &[], views_identical, out)
         .set("agg_scanned_rows", rows_after - rows_before)
-        .set("agg_scanned_regions", regions_after - regions_before);
+        .set("agg_scanned_regions", scans_after - scans_before);
     (row, sys.fleet_dashboard_json())
 }
 

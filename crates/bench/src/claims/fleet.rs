@@ -39,7 +39,7 @@ fn run_cell(n: usize, out: &mut ClaimOutput) -> Row {
         stored
     );
 
-    // end-of-run aggregation rides the typed scan API: a projected `meta/`
+    // end-of-run aggregation rides the typed scan API: a `meta/`
     // prefix scan feeds MapReduce, never a full table read
     let statuses = sys.statistics_by_status(4);
     sys.export_metrics(&fx.metrics);

@@ -71,7 +71,7 @@ pub const CLAIMS: [Claim; 16] = [
     Claim { name: "tfc", id: "C2", deterministic: false, run: tfc::run },
     Claim { name: "tamper", id: "C3", deterministic: true, run: tamper::run },
     Claim { name: "scalability", id: "C4", deterministic: false, run: scalability::run },
-    Claim { name: "pool", id: "C5", deterministic: false, run: pool::run },
+    Claim { name: "pool", id: "C5", deterministic: true, run: pool::run },
     Claim { name: "dos", id: "C6", deterministic: true, run: dos::run },
     Claim { name: "faults", id: "C7", deterministic: true, run: faults::run },
     Claim { name: "crash", id: "C8", deterministic: true, run: crash::run },

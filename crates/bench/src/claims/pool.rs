@@ -1,85 +1,90 @@
-//! Claim C5 (§4.2): the pool of DRA4WfMS documents supports search /
-//! retrieve / store / notify and MapReduce statistics over large document
-//! sets with real-time random access.
+//! Claim C5 (§4.2): the pool of DRA4WfMS documents serves retrieve and
+//! MapReduce statistics over a fleet's stored documents, each read touching
+//! only the rows it asks for.
 //!
-//! Loads N finished-workflow documents into the pool, then measures mixed
-//! random access at several thread counts and MapReduce statistics as one
-//! fold on the calling thread.
+//! A fleet of Fig. 9A instances runs through the cloud's own admission
+//! path, so the pool holds the layout a cloud writes: `doc/`, `def/`,
+//! `seen/` and `meta/` rows. The rows are counts — rows held per prefix,
+//! rows each latest-version read scanned, rows each MapReduce statistic
+//! mapped — held against `perf/BENCH_pool.baseline.json`; wall clock goes to
+//! stdout only.
 
-use super::{on_threads, ClaimOutput};
+use super::{ClaimOutput, Row, Rows};
 use crate::rig::Rig;
-use dra_docpool::{map_reduce_scan, HTable, Scan, TableConfig};
+use dra_docpool::{HTable, Scan};
 use std::time::Instant;
 
+/// Fig. 9A instances stored: ten versions each, 21 rows a process.
+const INSTANCES: usize = 1000;
+const PORTALS: usize = 4;
+
 pub(super) fn run() -> ClaimOutput {
-    let n: usize = 20_000;
-    let xml = Rig::chain(4, false, |i| format!("data-{i}")).walked("chain-doc").to_xml_string();
-    println!("document template: {} bytes; loading {n} documents…", xml.len());
-
-    let table = HTable::new(TableConfig { max_versions: 2, max_region_rows: 2048 });
-    let t = Instant::now();
-    for i in 0..n {
-        let pid = format!("proc-{i:07}");
-        table.put(&format!("doc/{pid}/000000"), "doc", "xml", xml.clone());
-        table.put(
-            &format!("meta/{pid}"),
-            "meta",
-            "status",
-            if i % 5 == 0 { "running" } else { "complete" },
-        );
-        table.put(&format!("meta/{pid}"), "meta", "steps", "4");
-    }
-    let load = t.elapsed();
-    let stats = table.stats();
-    let metrics = dra_obs::MetricsRegistry::new();
-    metrics.incr("pool.documents_loaded", n as u64);
-    metrics.incr("pool.rows", stats.rows as u64);
-    metrics.incr("pool.regions", stats.regions as u64);
-    println!(
-        "loaded in {:.2?} ({:.0} puts/s) — {} rows across {} regions ({} splits)\n",
-        load,
-        (3 * n) as f64 / load.as_secs_f64(),
-        stats.rows,
-        stats.regions,
-        stats.splits
-    );
-
-    // mixed random access: 80% get, 20% prefix scan
-    println!("{:>8} {:>14}", "threads", "random ops/s");
-    for threads in [1usize, 2, 4, 8] {
-        let ops = 40_000usize;
-        metrics.incr("pool.random_ops", ops as u64);
-        let t = Instant::now();
-        on_threads(threads, ops, &|i| {
-            // xorshift of the op number: a pid anywhere in the table
-            let mut x = i as u64 * 2654435761 + 1;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let pid = format!("proc-{:07}", (x as usize) % n);
-            if i.is_multiple_of(5) {
-                let _ = table.query(&Scan::prefix(&format!("doc/{pid}/")));
-            } else {
-                let _ = table.get(&format!("meta/{pid}"), "meta", "status");
-            }
-        });
-        println!("{:>8} {:>14.0}", threads, ops as f64 / t.elapsed().as_secs_f64());
+    let fx = Rig::fig9(false);
+    let sys = fx.cloud(PORTALS);
+    let pids: Vec<String> = (0..INSTANCES).map(|i| format!("pool-{i:04}")).collect();
+    let completed = fx.fleet(&sys, pids.iter().cloned(), sys.channel());
+    let pool = sys.active_pool();
+    let mut load = Row::new().with("cell", "load").with("completed", completed);
+    load = load.with("rows", pool.row_count());
+    for rows in ["doc", "def", "meta", "seen", "todo"] {
+        let held = pool.query(&Scan::prefix(&format!("{rows}/"))).rows.len();
+        load = load.with(&format!("{rows}_rows"), held);
     }
 
     let t = Instant::now();
-    let counts = map_reduce_scan(
-        &table,
-        &Scan::prefix("meta/").family("meta"),
-        |_, row| row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect(),
-        |_, vs| vs.len(),
-    );
-    let mr = t.elapsed();
-    assert_eq!(counts.values().sum::<usize>(), n);
-    println!("\nMapReduce status statistics over {n} meta/ rows, one fold: {mr:.1?}");
-    println!("\nC5 verdict: random access stays flat as documents grow (range-partitioned");
-    println!("regions) and MapReduce statistics run over the whole set — matching the role");
-    println!("HBase+Hadoop played in the paper's deployment.");
+    let read = |pid: &&String| sys.retrieve_latest(0, pid).is_some();
+    let (found, scans, rows) = billed(pool, || pids.iter().filter(read).count());
+    println!("C5: {INSTANCES} latest-version reads in {:.2?}", t.elapsed());
+    let retrieve = Row::new()
+        .with("cell", "retrieve_latest")
+        .with("found", found)
+        .with("scans", scans)
+        .with("scanned_rows", rows);
+
+    let t = Instant::now();
+    let (counts, scans, rows) = billed(pool, || sys.statistics_by_status(1));
+    let status = Row::new()
+        .with("cell", "statistics_by_status")
+        .with("scans", scans)
+        .with("mapped_rows", rows)
+        .with("complete", counts.get("complete").copied().unwrap_or(0));
+    let (sums, scans, rows) = billed(pool, || sys.steps_per_workflow(1));
+    let steps = Row::new()
+        .with("cell", "steps_per_workflow")
+        .with("scans", scans)
+        .with("mapped_rows", rows)
+        .with("steps", sums.values().sum::<usize>());
+    println!("C5: two MapReduce statistics over the meta/ rows in {:.2?}", t.elapsed());
+
+    sys.export_metrics(&fx.metrics);
     let mut out = ClaimOutput::default();
-    out.invariants("run", &metrics);
+    out.close_cell("pool", &fx);
+    out.verdict("every instance completed", completed == INSTANCES);
+    // a read folds every version of its process, so one scan a read and no
+    // more rows than the `doc/` rows is one scan of its own versions each
+    out.verdict(
+        "a latest-version read is one scan of its own process's versions",
+        retrieve.int("found") == INSTANCES as i64
+            && retrieve.int("scans") == INSTANCES as i64
+            && retrieve.int("scanned_rows") == load.int("doc_rows"),
+    );
+    out.verdict(
+        "a statistic is one scan that maps each meta/ row once",
+        [&status, &steps]
+            .iter()
+            .all(|cell| cell.int("scans") == 1 && cell.int("mapped_rows") == load.int("meta_rows"))
+            && status.int("complete") == INSTANCES as i64,
+    );
+    let header =
+        Row::new().with("claim", "C5").with("instances", INSTANCES).with("portals", PORTALS);
+    out.set_rows(Rows::object(header.fields, 0, vec![load, retrieve, status, steps]));
     out
+}
+
+/// What `f` returned, with the scans and rows `pool` served while it ran.
+fn billed<T>(pool: &HTable, f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (rows, scans) = pool.scan_counters();
+    let out = f();
+    let (rows_after, scans_after) = pool.scan_counters();
+    (out, scans_after - scans, rows_after - rows)
 }

@@ -4,8 +4,8 @@
 //! asks for — a forged row that is *never served* sits in the pool
 //! unchallenged. This module closes that gap: a [`PoolAuditor`] runs a
 //! background pass in virtual time that samples stored `doc/` rows through
-//! the typed scan API (bounded batches, family projection — never a full
-//! table read), holds every sampled version to the store's verdict
+//! the typed scan API (bounded batches, shared rows — never a full table
+//! read), holds every sampled version to the store's verdict
 //! (`store::CloudStore::honest`, the one the serve probe uses) and
 //! spot-checks the survivors with the batched [`Verifier`].
 //!
@@ -121,7 +121,7 @@ impl PoolAuditor {
 
     /// Run one audit pass at virtual instant `now_us`: per member cloud,
     /// sample the next [`AuditConfig::batch`] `doc/` rows after the cloud's
-    /// cursor (projection-scanned, never a full table read), judge every
+    /// cursor (a bounded scan, never a full table read), judge every
     /// sampled version and verify the honest ones with the batched
     /// [`Verifier`], and raise a typed
     /// [`AlertKind::AuditDivergence`] into `monitor` for each newly indicted
@@ -414,7 +414,7 @@ mod tests {
         let sys = setup(4);
         let monitor = HealthMonitor::new();
         let pool = sys.active_pool();
-        let defs = pool.query(&dra_docpool::Scan::prefix("def/").family("doc")).rows;
+        let defs = pool.query(&dra_docpool::Scan::prefix("def/")).rows;
         let [(key, _)] = &defs[..] else { panic!("one definition, one def/ row: {defs:?}") };
         let def = pool.get_str(key, "doc", "xml").unwrap();
         pool.put(key, "doc", "xml", crate::federation::tamper_bytes(&def));
@@ -424,13 +424,13 @@ mod tests {
         let caught: usize =
             (0..4).map(|pass| auditor.run_pass(&sys, Some(&monitor), pass * 100)).sum();
         assert_eq!(caught, 1);
-        assert_eq!(auditor.divergent_rows(), vec![("cloud0".into(), key.clone())]);
+        assert_eq!(auditor.divergent_rows(), vec![("cloud0".into(), key.to_string())]);
         let instances = (0..4).map(|i| ("cloud0".to_string(), format!("doc/a-{i:02}/000000")));
         assert_eq!(auditor.tainted_rows(), instances.collect::<Vec<_>>());
         let (alerts, _) = monitor.alerts_since(0);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert!(
-            matches!(&alerts[0].kind, AlertKind::AuditDivergence { cloud: 0, key: k } if k == key)
+            matches!(&alerts[0].kind, AlertKind::AuditDivergence { cloud: 0, key: k } if **k == **key)
         );
     }
 

@@ -298,15 +298,16 @@ impl CloudSystem {
             metrics.set_gauge("federation.clouds", self.clouds.len() as i64);
         }
         // pool inventory and scan-API accounting: how many rows the
-        // deployment holds vs how many monitoring queries actually touched
-        let (rows, scanned_rows, scanned_regions) =
+        // deployment holds vs how many monitoring queries actually touched;
+        // `pool.scanned_regions` counts scans, one map being one region
+        let (rows, scanned_rows, scans) =
             self.clouds.iter().fold((0, 0, 0), |(rows, sr, sg), c| {
                 let (a, b) = c.pool().scan_counters();
                 (rows + c.pool().row_count(), sr + a, sg + b)
             });
         metrics.set_counter("pool.rows", rows as u64);
         metrics.set_counter("pool.scanned_rows", scanned_rows as u64);
-        metrics.set_counter("pool.scanned_regions", scanned_regions as u64);
+        metrics.set_counter("pool.scanned_regions", scans as u64);
     }
 
     /// Portal restart: replay every journaled-but-uncommitted admission
@@ -671,7 +672,7 @@ impl CloudSystem {
     /// MapReduce statistics over every stored process: instance counts per
     /// status (the paper's "statistical analyses to workflow processes or
     /// instances stored in the DRA4WfMS cloud system"). Runs over a `meta/`
-    /// prefix scan with family projection — document rows are never touched.
+    /// prefix scan — document rows are never touched.
     /// `_threads` is ignored: `crates/e2e` still passes it, and ROADMAP item 1
     /// removes it.
     pub fn statistics_by_status(&self, _threads: usize) -> BTreeMap<String, usize> {
@@ -1347,8 +1348,9 @@ mod tests {
         let err = sys.ingest_wire(0, &wire, &route).unwrap_err();
         assert!(matches!(err, WfError::Crash(_)));
         assert!(sys.retrieve_latest(0, "p-cr").is_none(), "document row missing");
-        let def_rows =
-            |sys: &CloudSystem| sys.active_pool().query_count(&dra_docpool::Scan::prefix("def/"));
+        let def_rows = |sys: &CloudSystem| {
+            sys.active_pool().query(&dra_docpool::Scan::prefix("def/")).rows.len()
+        };
         assert_eq!(def_rows(&sys), 0, "def row missing");
         assert_eq!(sys.stored_seq_for(&wire), Some(0), "seen row landed");
         let journal = dra_docpool::Journal::import(&sys.journal_snapshots()[0].1).unwrap();

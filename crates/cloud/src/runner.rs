@@ -367,7 +367,7 @@ mod tests {
         let report = Verifier::new(&dir).run(&out.document).unwrap().report;
         assert_eq!(report.signatures_verified, 10, "designer + 9 CERs");
         // and the pool has every intermediate version
-        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/fig9a-run/")), 10);
+        assert_eq!(sys.active_pool().query(&Scan::prefix("doc/fig9a-run/")).rows.len(), 10);
     }
 
     #[test]
@@ -540,7 +540,7 @@ mod tests {
                 "nth {nth}: the takeover waited out the lease"
             );
             // no version lost, none duplicated
-            assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/crash-run/")), 10);
+            assert_eq!(sys.active_pool().query(&Scan::prefix("doc/crash-run/")).rows.len(), 10);
             Verifier::new(&dir).run(&out.document).unwrap();
         }
     }
@@ -628,7 +628,7 @@ mod tests {
         assert_eq!(stats.sends, 10, "initial + 9 stores");
         assert!(stats.attempts >= stats.sends);
         // the pool holds exactly the 10 versions despite duplicated copies
-        assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/faulty-run/")), 10);
+        assert_eq!(sys.active_pool().query(&Scan::prefix("doc/faulty-run/")).rows.len(), 10);
         // the final document still verifies end to end
         Verifier::new(&dir).run(&out.document).unwrap();
     }

@@ -19,7 +19,7 @@
 
 use dra4wfms_core::prelude::{WfError, WfResult};
 use dra_crypto::hex;
-use dra_docpool::{FleetViews, HTable, PutOp, RowSnapshot, Scan};
+use dra_docpool::{FleetViews, HTable, PutOp, Row, Scan};
 use std::fmt;
 use std::sync::Arc;
 
@@ -167,13 +167,13 @@ impl Column {
     }
 
     /// This column of a scanned row.
-    pub(crate) fn of(self, row: &RowSnapshot) -> Option<String> {
+    pub(crate) fn of(self, row: &Row) -> Option<String> {
         row.get_str(self.family, self.qualifier)
     }
 
-    /// This column of a scanned row, as the bytes the row shares with the
-    /// pool: nothing is copied.
-    pub(crate) fn bytes_of(self, row: &RowSnapshot) -> Option<&[u8]> {
+    /// This column of a scanned row, as the bytes the pool holds: nothing
+    /// is copied.
+    pub(crate) fn bytes_of(self, row: &Row) -> Option<&[u8]> {
         row.get(self.family, self.qualifier).map(|cell| &cell[..])
     }
 }
@@ -295,42 +295,36 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// Every stored version of every process, bytes included.
+/// Every stored version of every process.
 pub(crate) fn all_docs() -> Scan {
-    Scan::prefix(DOC_ROWS).family(XML.family)
+    Scan::prefix(DOC_ROWS)
 }
 
-/// Every `def/` row, bytes included.
+/// Every `def/` row.
 pub(crate) fn all_defs() -> Scan {
-    Scan::prefix(DEF_ROWS).family(XML.family)
-}
-
-/// The `doc/` rows, keys only: projecting a family `doc/` rows do not carry
-/// means no XML bytes are cloned.
-pub(crate) fn doc_keys() -> Scan {
-    Scan::prefix(DOC_ROWS).family(STATUS.family)
+    Scan::prefix(DEF_ROWS)
 }
 
 /// Every process's `meta/` row.
 pub(crate) fn all_meta() -> Scan {
-    Scan::prefix("meta/").family(STATUS.family)
+    Scan::prefix("meta/")
 }
 
 /// A participant's TO-DO rows.
 pub(crate) fn todos_of(participant: Name<'_>) -> Scan {
-    Scan::prefix(&format!("todo/{participant}/")).family(SEQ.family)
+    Scan::prefix(&format!("todo/{participant}/"))
 }
 
-/// The stored versions of `pid`, bytes included.
+/// The stored versions of `pid`.
 pub(crate) fn versions_of(pid: Name<'_>) -> Scan {
-    Scan::prefix(&format!("{DOC_ROWS}{pid}/")).family(XML.family)
+    Scan::prefix(&format!("{DOC_ROWS}{pid}/"))
 }
 
-/// The stored versions of `pid` below `seq`, bytes included: what version
-/// `seq` is folded from.
+/// The stored versions of `pid` below `seq`: what version `seq` is folded
+/// from.
 pub(crate) fn versions_below(pid: Name<'_>, seq: usize) -> Scan {
     let end = RowKey::Doc { pid, seq }.to_string();
-    Scan::range(format!("{DOC_ROWS}{pid}/"), Some(end)).family(XML.family)
+    Scan::range(format!("{DOC_ROWS}{pid}/"), Some(end))
 }
 
 /// An applied cell as the views see it: `(row key, qualifier, value)`.
@@ -365,11 +359,11 @@ pub(crate) fn fold_into_views<'a>(
 /// Cold restart: the views are memory, the pool is truth — feed the fold
 /// from one bounded scan per view.
 pub(crate) fn seed_views(views: &FleetViews, pool: &HTable) {
-    let (meta, docs) = (pool.query(&all_meta()).rows, pool.query(&doc_keys()).rows);
+    let (meta, docs) = (pool.query(&all_meta()).rows, pool.query(&all_docs()).rows);
     let statuses = meta.iter().filter_map(|(key, row)| {
-        Some((key.as_str(), STATUS.qualifier, row.get(STATUS.family, STATUS.qualifier)?.as_ref()))
+        Some((&**key, STATUS.qualifier, row.get(STATUS.family, STATUS.qualifier)?.as_ref()))
     });
-    let versions = docs.iter().map(|(key, _)| (key.as_str(), XML.qualifier, &[][..]));
+    let versions = docs.iter().map(|(key, _)| (&**key, XML.qualifier, &[][..]));
     fold_into_views(views, statuses.chain(versions));
 }
 

@@ -94,7 +94,7 @@ use crate::schema::{self, Cell, Name, Op, RowKey, Source, DOC_ROWS, SEQ, XML};
 use dra4wfms_core::prelude::*;
 use dra4wfms_core::sealed::Heads;
 use dra_crypto::Sha256;
-use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, RowSnapshot, TableConfig};
+use dra_docpool::{map_reduce_scan, FleetViews, HTable, Journal, PutOp, Row};
 use dra_obs::Tracer;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -226,7 +226,7 @@ impl<'r> Fold<'r> {
 
     /// Check the version stored in `row` under `key`; its `seq`. A row that
     /// yields none leaves nothing for a row above it to copy from.
-    fn apply(&mut self, key: &str, row: &'r RowSnapshot) -> Result<usize, Clause> {
+    fn apply(&mut self, key: &str, row: &'r Row) -> Result<usize, Clause> {
         let (Some(RowKey::Doc { pid, seq }), Some(cell)) = (RowKey::parse(key), XML.bytes_of(row))
         else {
             return Err(Clause::NotAVersion);
@@ -606,21 +606,20 @@ fn branches(
 }
 
 /// The row of `pid` that `rows` (its rows from seq 0 on) end with.
-fn last_of(pool: &HTable, rows: Vec<(String, RowSnapshot)>) -> Option<Stored> {
+fn last_of(pool: &HTable, rows: &[(Arc<str>, Arc<Row>)]) -> Option<Stored> {
     let mut fold = Fold::new(pool);
     let mut last = Err(Clause::NotAVersion);
-    for (key, row) in &rows {
+    for (key, row) in rows {
         last = fold.apply(key, row);
     }
     let xml = last.map(|seq| fold.text(seq));
-    let (key, _) = rows.into_iter().next_back()?;
-    Some(Stored { key, xml })
+    Some(Stored { key: rows.last()?.0.to_string(), xml })
 }
 
 /// The bytes of version `seq` of `pid` in `pool`.
 pub(crate) fn version_in(pool: &HTable, pid: Name<'_>, seq: usize) -> Option<String> {
     let through = schema::versions_below(pid, seq.checked_add(1)?);
-    let stored = last_of(pool, pool.query(&through).rows)?;
+    let stored = last_of(pool, &pool.query(&through).rows)?;
     if stored.key != (RowKey::Doc { pid, seq }).to_string() {
         return None;
     }
@@ -641,10 +640,9 @@ pub(crate) struct CloudStore {
 impl CloudStore {
     /// An empty cloud named `name`.
     pub(crate) fn new(name: &str) -> CloudStore {
-        let pool = HTable::new(TableConfig { max_versions: 4, max_region_rows: 1024 });
         CloudStore {
             name: name.to_string(),
-            pool: Arc::new(pool),
+            pool: Arc::default(),
             journal: Journal::new(),
             tips: Mutex::default(),
         }
@@ -938,7 +936,7 @@ impl CloudStore {
 
     /// The latest stored version of `pid`.
     pub(crate) fn latest(&self, pid: Name<'_>) -> Option<Stored> {
-        last_of(&self.pool, self.pool.query(&schema::versions_of(pid)).rows)
+        last_of(&self.pool, &self.pool.query(&schema::versions_of(pid)).rows)
     }
 
     /// The bytes of version `seq` of `pid`.
@@ -947,7 +945,7 @@ impl CloudStore {
     }
 
     /// Up to `batch` stored versions in key order, from `cursor` on (from
-    /// the first one without a cursor) — a bounded, projected scan, plus the
+    /// the first one without a cursor) — a bounded scan, plus the
     /// rows below the first one's when the cursor stands inside a process.
     pub(crate) fn sample(&self, cursor: Option<&str>, batch: usize) -> Vec<Stored> {
         let from = cursor.unwrap_or(DOC_ROWS);
@@ -966,7 +964,7 @@ impl CloudStore {
         let mut stored = Vec::with_capacity(rows.len());
         for (key, row) in &rows {
             let xml = fold.apply(key, row).map(|seq| fold.text(seq));
-            stored.push(Stored { key: key.clone(), xml });
+            stored.push(Stored { key: key.to_string(), xml });
         }
         stored
     }
@@ -1032,12 +1030,12 @@ impl CloudStore {
         bytes.is_some_and(|bytes| dra_crypto::sha256(&bytes) == digest)
     }
 
-    /// Versions stored per process, recomputed by a key-only MapReduce over
-    /// the `doc/` rows — the scan side of `views ≡ scan`.
+    /// Versions stored per process, recomputed by a MapReduce over the keys
+    /// of the `doc/` rows — the scan side of `views ≡ scan`.
     pub(crate) fn progress_by_scan(&self) -> BTreeMap<String, u64> {
         map_reduce_scan(
             &self.pool,
-            &schema::doc_keys(),
+            &schema::all_docs(),
             |key, _| match RowKey::parse(key) {
                 Some(RowKey::Doc { pid, seq }) => vec![(pid.as_str().to_string(), seq as u64)],
                 _ => vec![],
@@ -1390,21 +1388,21 @@ mod tests {
         let (sys, wires) = three_versions();
         let (cloud, p) = (&sys.clouds[0], Name::new("p").unwrap());
         assert_eq!(cloud.latest_held(), 0, "dropped with the final route");
-        let regions = || cloud.pool.scan_counters().1;
+        let scans_run = || cloud.pool.scan_counters().1;
 
         // a miss folds the pool's rows, once; then the tip answers
-        let scans = regions();
+        let scans = scans_run();
         assert_eq!(cloud.rows_for(p, "<x/>").0, 3);
-        assert_eq!((regions(), cloud.latest_held()), (scans + 1, 1));
+        assert_eq!((scans_run(), cloud.latest_held()), (scans + 1, 1));
         let (seq, rows) = cloud.rows_for(p, &format!("{}<more/>", wires[2]));
         let doc = &rows[1];
-        assert_eq!((seq, regions()), (3, scans + 1), "no scan while the tip is there");
+        assert_eq!((seq, scans_run()), (3, scans + 1), "no scan while the tip is there");
         assert_eq!(doc.value.as_ref(), format!("{}\n<more/>", wires[2].len()).as_bytes());
 
         // a read is one prefix query and yields exactly the admitted bytes
-        let scans = regions();
+        let scans = scans_run();
         assert_eq!(cloud.latest(p).unwrap().xml.as_ref(), Ok(&*wires[2]));
-        assert_eq!(regions(), scans + 1);
+        assert_eq!(scans_run(), scans + 1);
         for (seq, wire) in wires.iter().enumerate() {
             assert_eq!(cloud.version(p, seq).as_ref(), Some(&**wire));
         }

@@ -69,7 +69,7 @@ fn takeover_copy_wins_race_with_dead_agents_delayed_send() {
     assert!(late.duplicate, "delayed copy recognised by wire digest");
     assert_eq!(late.seq, ack.seq);
     assert_eq!(
-        sys.active_pool().query_count(&Scan::prefix("doc/race-1/")),
+        sys.active_pool().query(&Scan::prefix("doc/race-1/")).rows.len(),
         2,
         "initial + one CER, no phantom"
     );
@@ -138,7 +138,7 @@ fn tfc_redo_keeps_reexecuted_hop_byte_identical() {
     assert!(!ack.duplicate);
     let late = sys.ingest_wire(1, &final1.document.wire(), &final1.route).unwrap();
     assert!(late.duplicate);
-    assert_eq!(sys.active_pool().query_count(&Scan::prefix("doc/race-2/")), 2);
+    assert_eq!(sys.active_pool().query(&Scan::prefix("doc/race-2/")).rows.len(), 2);
 }
 
 /// A portal that dies mid-store has one recovery owner on every run, the

@@ -1,288 +1,116 @@
-//! The range-partitioned table (the "HBase cluster" of the paper's Fig. 7):
-//! routing, automatic region splits, scans and statistics.
+//! The table (the "HBase cluster" of the paper's Fig. 7): one ordered map
+//! of rows behind one reader-writer lock — point reads and writes, scans and
+//! their counters.
 
-use crate::region::{KeyRange, Region};
-use crate::row::RowSnapshot;
+use crate::row::Row;
 use crate::scan::{Scan, ScanResult};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// One region a scan window intersects, with its clamped `[lo, hi)` bounds.
-type ScanWindow = (Arc<Region>, String, Option<String>);
-
-/// Tuning knobs of a table.
-#[derive(Clone, Debug)]
+/// Ignored, both fields: a table holds one value per column in one map.
+/// Kept because `crates/e2e` builds its probe table with it; ROADMAP item 1
+/// removes it.
 pub struct TableConfig {
-    /// Maximum stored versions per cell.
+    /// Ignored.
     pub max_versions: usize,
-    /// A region splits once it holds more rows than this.
+    /// Ignored.
     pub max_region_rows: usize,
 }
 
-impl Default for TableConfig {
-    fn default() -> Self {
-        TableConfig { max_versions: 3, max_region_rows: 4096 }
-    }
-}
-
-/// Aggregate statistics of a table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Number of regions (grows through splits).
-    pub regions: usize,
-    /// Total rows.
-    pub rows: usize,
-    /// Region splits performed.
-    pub splits: usize,
-}
-
-/// A sharded, versioned table of rows — the pool of DRA4WfMS documents.
+/// The pool of DRA4WfMS documents: rows in key order, one value per column.
 ///
-/// Thread-safe: many readers and writers may operate concurrently; each
-/// region has its own reader-writer lock, and the region list itself is
-/// read-mostly.
+/// Safe to share: many readers and writers may call it at once. A read
+/// takes the lock only long enough to bump the reference counts of the rows
+/// it returns, so a caller may read the table again while it holds them.
+#[derive(Default)]
 pub struct HTable {
-    config: TableConfig,
-    /// Regions sorted by start key; ranges tile the keyspace.
-    regions: RwLock<Vec<Arc<Region>>>,
-    clock: AtomicU64,
-    splits: AtomicUsize,
-    /// Cumulative rows examined by scan-API queries (monitoring evidence).
+    rows: RwLock<BTreeMap<Arc<str>, Arc<Row>>>,
+    /// Cumulative rows returned by [`HTable::query`] (monitoring evidence).
     scanned_rows: AtomicUsize,
-    /// Cumulative regions visited by scan-API queries.
-    scanned_regions: AtomicUsize,
-}
-
-impl Default for HTable {
-    fn default() -> Self {
-        Self::new(TableConfig::default())
-    }
+    /// Cumulative [`HTable::query`] calls.
+    scans: AtomicUsize,
 }
 
 impl HTable {
-    /// Create a table with one region covering the whole keyspace.
-    pub fn new(config: TableConfig) -> HTable {
-        HTable {
-            config,
-            regions: RwLock::new(vec![Arc::new(Region::new(KeyRange::all()))]),
-            clock: AtomicU64::new(1),
-            splits: AtomicUsize::new(0),
-            scanned_rows: AtomicUsize::new(0),
-            scanned_regions: AtomicUsize::new(0),
+    /// An empty table; `config` is ignored (see [`TableConfig`]).
+    pub fn new(_config: TableConfig) -> HTable {
+        HTable::default()
+    }
+
+    /// Set a column of row `key`.
+    pub fn put(&self, key: &str, family: &str, qualifier: &str, value: impl Into<Vec<u8>>) {
+        self.put_shared(key, family, qualifier, Arc::from(value.into()));
+    }
+
+    /// Set a column of row `key` to bytes the caller already shares. A row
+    /// a reader still holds is copied first, so the reader's stays as read.
+    pub(crate) fn put_shared(&self, key: &str, family: &str, qualifier: &str, value: Arc<[u8]>) {
+        let mut rows = self.write();
+        match rows.get_mut(key) {
+            Some(row) => Arc::make_mut(row).put(family, qualifier, value),
+            None => {
+                let mut row = Row::default();
+                row.put(family, qualifier, value);
+                rows.insert(Arc::from(key), Arc::new(row));
+            }
         }
     }
 
-    /// Run `f` against the region owning `key`, while holding the region
-    /// list's read lock. Mutations MUST go through this: a concurrent split
-    /// replaces the region object, and a write that raced past the lookup
-    /// would land in the dropped region and be lost. Splits take the list's
-    /// write lock, so they serialize with in-flight operations.
-    fn with_region<R>(&self, key: &str, f: impl FnOnce(&Region) -> R) -> (R, Arc<Region>) {
-        let regions = self.read();
-        // binary search over start keys
-        let idx = regions.partition_point(|r| r.range.start.as_str() <= key);
-        let region = &regions[idx.saturating_sub(1)];
-        debug_assert!(region.range.contains(key), "routing invariant");
-        let out = f(region);
-        (out, region.clone())
-    }
-
-    fn region_for(&self, key: &str) -> Arc<Region> {
-        self.with_region(key, |_| ()).1
-    }
-
-    /// The table configuration.
-    pub(crate) fn config(&self) -> &TableConfig {
-        &self.config
-    }
-
-    /// Store a cell with an explicit timestamp (snapshot restore), which
-    /// must be below `u64::MAX`. Advances the logical clock past `ts` so
-    /// later puts stay newer.
-    pub(crate) fn put_with_timestamp(
-        &self,
-        key: &str,
-        family: &str,
-        qualifier: &str,
-        value: Arc<[u8]>,
-        ts: u64,
-    ) {
-        self.clock.fetch_max(ts + 1, Ordering::Relaxed);
-        self.store(key, family, qualifier, value, ts);
-    }
-
-    /// Store a cell. Returns the version timestamp assigned.
-    pub fn put(&self, key: &str, family: &str, qualifier: &str, value: impl Into<Vec<u8>>) -> u64 {
-        self.put_shared(key, family, qualifier, Arc::from(value.into()))
-    }
-
-    fn put_shared(&self, key: &str, family: &str, qualifier: &str, value: Arc<[u8]>) -> u64 {
-        let ts = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.store(key, family, qualifier, value, ts);
-        ts
-    }
-
-    fn store(&self, key: &str, family: &str, qualifier: &str, value: Arc<[u8]>, ts: u64) {
-        let (needs_split, region) = self.with_region(key, |region| {
-            region.put(key, family, qualifier, value, ts, self.config.max_versions);
-            region.row_count() > self.config.max_region_rows
-        });
-        if needs_split {
-            self.try_split(&region);
-        }
-    }
-
-    fn try_split(&self, region: &Arc<Region>) {
-        let mut regions = self.write();
-        // someone may have split it already — find it by identity
-        let Some(pos) = regions.iter().position(|r| Arc::ptr_eq(r, region)) else {
-            return;
-        };
-        if regions[pos].row_count() <= self.config.max_region_rows {
-            return;
-        }
-        if let Some((left, right)) = regions[pos].split() {
-            regions[pos] = Arc::new(left);
-            regions.insert(pos + 1, Arc::new(right));
-            self.splits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Store a cell only if its latest value differs; returns whether a
-    /// write happened. This is the journal-replay primitive: re-applying a
-    /// batch after a mid-batch crash must not grow phantom versions on the
-    /// rows the dying writer already reached.
-    pub(crate) fn put_idempotent(
-        &self,
-        key: &str,
-        family: &str,
-        qualifier: &str,
-        value: &Arc<[u8]>,
-    ) -> bool {
-        if self.get(key, family, qualifier).as_ref() == Some(value) {
-            return false;
-        }
-        self.put_shared(key, family, qualifier, value.clone());
-        true
-    }
-
-    /// Latest value of a cell.
+    /// A column's value.
     pub fn get(&self, key: &str, family: &str, qualifier: &str) -> Option<Arc<[u8]>> {
-        self.region_for(key).get(key, family, qualifier)
+        self.read().get(key)?.get(family, qualifier).cloned()
     }
 
-    /// Latest value decoded as UTF-8.
+    /// A column's value decoded as UTF-8.
     pub fn get_str(&self, key: &str, family: &str, qualifier: &str) -> Option<String> {
         self.get(key, family, qualifier).map(|b| String::from_utf8_lossy(&b).into_owned())
     }
 
     /// Delete a row; true if it existed.
     pub fn delete_row(&self, key: &str) -> bool {
-        self.with_region(key, |r| r.delete_row(key)).0
+        self.write().remove(key).is_some()
     }
 
-    /// Clamp a [`Scan`] window to the current region layout: the regions
-    /// the window intersects, with per-region `[lo, hi)` bounds.
-    fn scan_windows(&self, scan: &Scan) -> Vec<ScanWindow> {
-        let regions: Vec<Arc<Region>> = self.read().clone();
-        let mut live = Vec::new();
-        for region in regions {
-            if let Some(t) = &scan.to {
-                if region.range.start.as_str() >= t.as_str() {
-                    break;
-                }
-            }
-            if let Some(e) = &region.range.end {
-                if e.as_str() <= scan.from.as_str() {
-                    continue;
-                }
-            }
-            let lo = if scan.from.as_str() > region.range.start.as_str() {
-                scan.from.clone()
-            } else {
-                region.range.start.clone()
-            };
-            let hi = match (&region.range.end, &scan.to) {
-                (Some(e), Some(t)) => Some(if e < t { e.clone() } else { t.clone() }),
-                (Some(e), None) => Some(e.clone()),
-                (None, Some(t)) => Some(t.clone()),
-                (None, None) => None,
-            };
-            live.push((region, lo, hi));
-        }
-        live
-    }
-
-    /// Walk a scan's regions in key order, each up to the scan's limit,
-    /// appending their rows to `out` (or only counting them), and bill the
-    /// rows examined and regions visited. The shared engine behind
-    /// [`HTable::query`] and [`HTable::query_count`].
-    fn walk(&self, scan: &Scan, mut out: Option<&mut Vec<(String, RowSnapshot)>>) -> usize {
-        let live = self.scan_windows(scan);
-        let families = scan.families.as_deref();
-        let mut examined = 0usize;
-        for (region, lo, hi) in &live {
-            examined +=
-                region.scan_select(lo, hi.as_deref(), families, scan.limit, out.as_deref_mut());
-        }
-        self.scanned_rows.fetch_add(examined, Ordering::Relaxed);
-        self.scanned_regions.fetch_add(live.len(), Ordering::Relaxed);
-        examined
-    }
-
-    /// Run a [`Scan`]: prune regions outside the window, walk the survivors,
-    /// and return the matching rows in key order.
+    /// Run a [`Scan`]: the rows of its window in key order, up to its limit,
+    /// as the handles the table holds — no key or value is copied. Bills the
+    /// rows and the scan to [`HTable::scan_counters`].
     pub fn query(&self, scan: &Scan) -> ScanResult {
-        let mut rows = Vec::new();
-        self.walk(scan, Some(&mut rows));
-        if scan.limit > 0 {
-            rows.truncate(scan.limit);
-        }
+        let limit = if scan.limit == 0 { usize::MAX } else { scan.limit };
+        let to = scan.to.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        // `BTreeMap::range` panics on a window that ends before it starts
+        let empty = matches!(to, Bound::Excluded(to) if to <= scan.from.as_str());
+        let rows: Vec<(Arc<str>, Arc<Row>)> = if empty {
+            Vec::new()
+        } else {
+            let all = self.read();
+            let window = all.range::<str, _>((Bound::Included(scan.from.as_str()), to));
+            window.take(limit).map(|(key, row)| (Arc::clone(key), Arc::clone(row))).collect()
+        };
+        self.scanned_rows.fetch_add(rows.len(), Ordering::Relaxed);
+        self.scans.fetch_add(1, Ordering::Relaxed);
         ScanResult { rows }
     }
 
-    /// Count the rows a [`Scan`] matches without cloning any snapshots.
-    pub fn query_count(&self, scan: &Scan) -> usize {
-        let examined = self.walk(scan, None);
-        match scan.limit {
-            0 => examined,
-            l => examined.min(l),
-        }
-    }
-
-    /// Cumulative `(rows examined, regions visited)` across every scan-API
-    /// query this table has served — exported as the `pool.scanned_rows` /
-    /// `pool.scanned_regions` metric pair.
+    /// Cumulative `(rows returned, scans run)` across every
+    /// [`HTable::query`] this table has served — exported as the
+    /// `pool.scanned_rows` / `pool.scanned_regions` metric pair.
     pub fn scan_counters(&self) -> (usize, usize) {
-        (self.scanned_rows.load(Ordering::Relaxed), self.scanned_regions.load(Ordering::Relaxed))
+        (self.scanned_rows.load(Ordering::Relaxed), self.scans.load(Ordering::Relaxed))
     }
 
     /// Total row count.
     pub fn row_count(&self) -> usize {
-        self.read().iter().map(|r| r.row_count()).sum()
+        self.read().len()
     }
 
-    /// Cluster statistics.
-    pub fn stats(&self) -> PoolStats {
-        let regions = self.read();
-        PoolStats {
-            regions: regions.len(),
-            rows: regions.iter().map(|r| r.row_count()).sum(),
-            splits: self.splits.load(Ordering::Relaxed),
-        }
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, BTreeMap<Arc<str>, Arc<Row>>> {
+        self.rows.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Clone the current region list (for snapshot export).
-    pub(crate) fn regions(&self) -> Vec<Arc<Region>> {
-        self.read().clone()
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, Vec<Arc<Region>>> {
-        self.regions.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, Vec<Arc<Region>>> {
-        self.regions.write().unwrap_or_else(PoisonError::into_inner)
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<Arc<str>, Arc<Row>>> {
+        self.rows.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -299,68 +127,42 @@ mod tests {
     }
 
     #[test]
-    fn versions_are_assigned_monotonically() {
+    fn a_put_keeps_one_value_per_column() {
         let t = HTable::default();
-        let t1 = t.put("k", "f", "q", "1");
-        let t2 = t.put("k", "f", "q", "2");
-        assert!(t2 > t1);
+        t.put("k", "f", "q", "1");
+        t.put("k", "f", "q", "2");
         assert_eq!(t.get_str("k", "f", "q").unwrap(), "2");
         let rows = t.query(&Scan::prefix("k")).rows;
-        assert_eq!(rows[0].1.versions("f", "q").len(), 2);
+        assert_eq!(rows[0].1.columns().count(), 1);
     }
 
     #[test]
-    fn scans_ignore_region_layout_but_see_content() {
-        let small = HTable::new(TableConfig { max_versions: 3, max_region_rows: 4 });
-        let big = HTable::new(TableConfig { max_versions: 3, max_region_rows: 1_000 });
-        for i in 0..50 {
-            small.put(&format!("doc/p/{i:03}"), "doc", "xml", format!("<v{i}/>"));
-            big.put(&format!("doc/p/{i:03}"), "doc", "xml", format!("<v{i}/>"));
-        }
-        assert!(small.stats().regions > big.stats().regions, "layouts actually differ");
-        let docs = Scan::prefix("doc/");
-        assert_eq!(small.query(&docs).rows, big.query(&docs).rows);
-        // one diverged cell shows
-        big.put("doc/p/007", "doc", "xml", "<tampered/>");
-        assert_ne!(small.query(&docs).rows, big.query(&docs).rows);
+    fn reads_share_the_stored_row_and_a_later_put_leaves_them_as_read() {
+        let t = HTable::default();
+        t.put("k", "f", "q", "1");
+        let (first, second) = (t.query(&Scan::prefix("k")).rows, t.query(&Scan::prefix("k")).rows);
+        assert!(Arc::ptr_eq(&first[0].0, &second[0].0), "one key allocation");
+        assert!(Arc::ptr_eq(&first[0].1, &second[0].1), "one row allocation");
+        t.put("k", "f", "q", "2");
+        t.put("k", "f", "r", "3");
+        assert_eq!(first[0].1.get_str("f", "q").unwrap(), "1");
+        assert!(first[0].1.get("f", "r").is_none());
+        assert_eq!(t.query(&Scan::prefix("k")).rows[0].1.get_str("f", "q").unwrap(), "2");
     }
 
     #[test]
-    fn auto_split_keeps_all_rows_reachable() {
-        let t = HTable::new(TableConfig { max_versions: 1, max_region_rows: 8 });
-        for i in 0..100 {
-            t.put(&format!("row-{i:03}"), "f", "q", format!("v{i}"));
-        }
-        let stats = t.stats();
-        assert!(stats.regions > 1, "splits happened: {stats:?}");
-        assert_eq!(stats.rows, 100);
-        assert!(stats.splits >= 1);
-        for i in 0..100 {
-            assert_eq!(
-                t.get_str(&format!("row-{i:03}"), "f", "q").unwrap(),
-                format!("v{i}"),
-                "row {i} reachable after splits"
-            );
-        }
-        // scans still see everything in order
-        let all = t.query(&Scan::prefix("row-")).rows;
-        assert_eq!(all.len(), 100);
-        let keys: Vec<&String> = all.iter().map(|(k, _)| k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn scan_window_spans_regions() {
-        let t = HTable::new(TableConfig { max_region_rows: 2, ..TableConfig::default() });
+    fn scan_windows_are_half_open() {
+        let t = HTable::default();
         for k in ["a", "b", "n", "z"] {
             t.put(k, "f", "q", k);
         }
-        assert!(t.stats().regions > 1);
-        let hits = t.query(&Scan::range("b", Some("z".to_string())));
-        let keys: Vec<&str> = hits.rows.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["b", "n"]);
+        let keys = |scan: Scan| -> Vec<String> {
+            t.query(&scan).rows.iter().map(|(k, _)| k.to_string()).collect()
+        };
+        assert_eq!(keys(Scan::range("b", Some("z".to_string()))), ["b", "n"]);
+        assert_eq!(keys(Scan::range("n", None)), ["n", "z"]);
+        assert!(keys(Scan::range("n", Some("b".to_string()))).is_empty(), "ends before it starts");
+        assert!(keys(Scan::range("n", Some("n".to_string()))).is_empty());
     }
 
     #[test]
@@ -373,7 +175,7 @@ mod tests {
             t.put(k, "f", "q", k);
         }
         let keys = |prefix: &str| -> Vec<String> {
-            t.query(&Scan::prefix(prefix)).rows.into_iter().map(|(k, _)| k).collect()
+            t.query(&Scan::prefix(prefix)).rows.into_iter().map(|(k, _)| k.to_string()).collect()
         };
         assert_eq!(keys("proc-1/"), ["proc-1/doc-1", "proc-1/doc-2"]);
         // a prefix ending in a multi-byte char selects only its extensions
@@ -382,7 +184,7 @@ mod tests {
     }
 
     fn seeded_table() -> HTable {
-        let t = HTable::new(TableConfig { max_region_rows: 8, ..TableConfig::default() });
+        let t = HTable::default();
         for i in 0..30 {
             let key = format!("doc/p{:02}/000000", i % 10);
             t.put(&key, "doc", "xml", format!("<v{i}/>"));
@@ -400,24 +202,25 @@ mod tests {
     }
 
     #[test]
-    fn query_prunes_regions_and_projects_families() {
+    fn a_query_bills_the_rows_it_returns_and_one_scan() {
         let t = seeded_table();
-        let (rows, regions) = t.scan_counters();
-        let res = t.query(&Scan::prefix("meta/").family("meta"));
+        let before = t.scan_counters();
+        let res = t.query(&Scan::prefix("meta/"));
         assert_eq!(res.rows.len(), 10);
         assert!(res.rows.iter().all(|(k, _)| k.starts_with("meta/")));
-        let (rows, regions) = (t.scan_counters().0 - rows, t.scan_counters().1 - regions);
-        assert_eq!(rows, 10, "only meta rows touched, of {}", t.row_count());
-        assert!(regions < t.stats().regions, "doc-only regions skipped: {regions} visited");
+        let after = t.scan_counters();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (10, 1), "of {}", t.row_count());
+        t.query(&Scan::prefix("meta/").limit(3));
+        assert_eq!(t.scan_counters().0 - after.0, 3, "a limited scan stops at its limit");
     }
 
     #[test]
-    fn query_count_and_limit() {
+    fn limit_and_cursor_resume() {
         let t = seeded_table();
-        assert_eq!(t.query_count(&Scan::prefix("meta/")), 10);
+        assert_eq!(t.query(&Scan::prefix("meta/")).rows.len(), 10);
         let limited = t.query(&Scan::prefix("meta/").limit(3));
         assert_eq!(limited.rows.len(), 3);
-        assert_eq!(limited.rows[0].0, "meta/p00");
+        assert_eq!(&*limited.rows[0].0, "meta/p00");
         let resumed = t.query(&Scan::prefix("meta/").starting_at(&limited.rows[2].0).limit(100));
         assert_eq!(resumed.rows.len(), 8, "cursor resume overlaps by one key");
     }
@@ -435,7 +238,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_readers() {
-        let t = Arc::new(HTable::new(TableConfig { max_versions: 1, max_region_rows: 64 }));
+        let t = Arc::new(HTable::default());
         let threads = 8;
         let per = 250;
         std::thread::scope(|s| {
@@ -444,13 +247,14 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..per {
                         t.put(&format!("w{w}-i{i:04}"), "f", "q", format!("{w}/{i}"));
+                        if i % 50 == 0 {
+                            assert!(!t.query(&Scan::prefix(&format!("w{w}-"))).rows.is_empty());
+                        }
                     }
                 });
             }
         });
         assert_eq!(t.row_count(), threads * per);
-        let stats = t.stats();
-        assert!(stats.regions > 1, "splits under concurrency: {stats:?}");
         for w in 0..threads {
             for i in (0..per).step_by(50) {
                 assert_eq!(

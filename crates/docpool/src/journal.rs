@@ -14,9 +14,9 @@
 //! 3. [`Journal::commit_through`] the record once every put landed.
 //!
 //! Recovery ([`Journal::replay_into_with`]) re-applies every record past the
-//! committed watermark. Replay is idempotent — each put lands only where the
-//! cell's latest value differs ([`PutOp::apply`]), so rows the dying portal
-//! already wrote are left untouched instead of growing phantom versions.
+//! committed watermark. Replay is idempotent: a put sets its column to one
+//! value ([`PutOp::apply`]), so re-applying one the dying portal already
+//! reached leaves the row as it was.
 //!
 //! The serialized form ([`Journal::export`] / [`Journal::import`]) is
 //! length-prefixed throughout, like the pool snapshot format. A torn final
@@ -61,10 +61,9 @@ impl PutOp {
         }
     }
 
-    /// Apply this put idempotently: a no-op when the cell's latest value
-    /// already equals `value` (the replay path after a mid-batch crash).
+    /// Apply this put: set the column to `value`, sharing its bytes.
     pub fn apply(&self, table: &HTable) {
-        table.put_idempotent(&self.key, &self.family, &self.qualifier, &self.value);
+        table.put_shared(&self.key, &self.family, &self.qualifier, Arc::clone(&self.value));
     }
 }
 
@@ -160,7 +159,7 @@ impl Journal {
         self.replayed.load(Ordering::Relaxed)
     }
 
-    /// Recovery: idempotently re-apply every uncommitted record, in append
+    /// Recovery: re-apply every uncommitted record, in append
     /// order, then advance the watermark. Returns how many records were
     /// replayed (0 when the last writer committed cleanly). `observe` is
     /// called for every replayed [`PutOp`] after it lands: recovery paths use
@@ -258,7 +257,6 @@ fn parse_record(body: &mut &[u8]) -> Result<Vec<PutOp>, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::TableConfig;
 
     fn batch(i: usize) -> Vec<PutOp> {
         vec![
@@ -297,8 +295,7 @@ mod tests {
         ops[0].apply(&table);
 
         journal.replay_into_with(&table, |_| {});
-        // the half-applied row did not grow a second version: the pool is
-        // the one a clean apply leaves, timestamps included
+        // the pool is the one a clean apply leaves
         let clean = HTable::default();
         ops.iter().for_each(|op| op.apply(&clean));
         assert_eq!(table.export_snapshot(), clean.export_snapshot());
@@ -317,7 +314,7 @@ mod tests {
         assert_eq!(journal.export().len(), MAGIC.len() + 8 + records, "what a replica is charged");
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.uncommitted(), 1);
-        let table = HTable::new(TableConfig::default());
+        let table = HTable::default();
         assert_eq!(restored.replay_into_with(&table, |_| {}), 1);
         assert!(table.get("doc/p/000000", "doc", "xml").is_none(), "committed not replayed");
         assert!(table.get("doc/p/000001", "doc", "xml").is_some());

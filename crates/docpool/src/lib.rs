@@ -7,9 +7,9 @@
 //! (§4.2). This crate reproduces the slice of that stack the system relies
 //! on, in-process:
 //!
-//! * [`cluster`] — the range-partitioned table of versioned rows: routing,
-//!   automatic region splits, point reads and writes
-//! * [`scan`] — typed bounded scans with family projection (the
+//! * [`cluster`] — the table: one ordered map of rows, one value per
+//!   column, point reads and writes
+//! * [`scan`] — typed bounded scans that hand back the stored rows (the
 //!   monitoring-query path that replaces full-table reads)
 //! * [`mapreduce`] — a mini MapReduce framework, one fold over a scan's rows
 //!   (the paper's "MapReduce computing model … can apply some statistical
@@ -21,9 +21,10 @@
 //!   `views ≡ scan` proof obligation
 //!
 //! The crate spawns no thread: every operation runs on its caller's. A
-//! table is safe to share between callers, with a `std::sync` reader-writer
-//! lock per region — the document pool is the scalability substrate for
-//! the cloud experiments (claims C4/C5 in EXPERIMENTS.md).
+//! table is safe to share between callers, behind one `std::sync`
+//! reader-writer lock that no read holds past its return — the document
+//! pool is the scalability substrate for the cloud experiments (claims
+//! C4/C5 in EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,15 +34,14 @@ pub mod cluster;
 pub mod journal;
 pub mod mapreduce;
 pub mod persist;
-mod region;
 mod row;
 pub mod scan;
 pub mod views;
 
-pub use cluster::{HTable, PoolStats, TableConfig};
+pub use cluster::{HTable, TableConfig};
 pub use journal::{record_bytes, Journal, PutOp};
 pub use mapreduce::map_reduce_scan;
 pub use persist::PersistError;
-pub use row::RowSnapshot;
+pub use row::Row;
 pub use scan::{Scan, ScanResult};
 pub use views::{FleetViews, GapTotals};

@@ -8,7 +8,7 @@
 //! each row, group by key, reduce the groups in key order.
 
 use crate::cluster::HTable;
-use crate::row::RowSnapshot;
+use crate::row::Row;
 use crate::scan::Scan;
 use std::collections::BTreeMap;
 
@@ -19,9 +19,9 @@ use std::collections::BTreeMap;
 /// * `reduce` — called once per distinct key with all its values, in key
 ///   order.
 ///
-/// The rows are exactly [`HTable::query`]'s (projection and limit
-/// included), and they are billed to the table's scan counters as that
-/// query bills them.
+/// The rows are exactly [`HTable::query`]'s (limit included), and they are
+/// billed to the table's scan counters as that query bills them. The table
+/// is not locked while `map` runs, so a mapper may read it again.
 pub fn map_reduce_scan<K, V, O, M, R>(
     table: &HTable,
     scan: &Scan,
@@ -30,7 +30,7 @@ pub fn map_reduce_scan<K, V, O, M, R>(
 ) -> BTreeMap<K, O>
 where
     K: Ord,
-    M: Fn(&str, &RowSnapshot) -> Vec<(K, V)>,
+    M: Fn(&str, &Row) -> Vec<(K, V)>,
     R: Fn(&K, Vec<V>) -> O,
 {
     let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
@@ -51,17 +51,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::TableConfig;
 
-    /// 200 rows over many regions (a region splits past 16 rows).
     fn table_with_statuses() -> HTable {
-        let t = HTable::new(TableConfig { max_versions: 1, max_region_rows: 16 });
+        let t = HTable::default();
         for i in 0..200 {
             let status = if i % 3 == 0 { "done" } else { "running" };
             t.put(&format!("proc-{i:04}"), "meta", "status", status);
             t.put(&format!("proc-{i:04}"), "meta", "steps", format!("{}", i % 7));
         }
-        assert!(t.stats().regions > 1, "the rows span regions");
         t
     }
 
@@ -89,20 +86,19 @@ mod tests {
     #[test]
     fn empty_table_yields_empty_result() {
         let t = HTable::default();
-        let map = |k: &str, _: &RowSnapshot| vec![(k.to_string(), 1usize)];
+        let map = |k: &str, _: &Row| vec![(k.to_string(), 1usize)];
         assert!(map_reduce_scan(&t, &Scan::prefix("proc-"), map, |_, vs| vs.len()).is_empty());
     }
 
     #[test]
     fn map_reduce_scan_matches_filtered_full_job() {
         let t = table_with_statuses();
-        let statuses = |_: &str, row: &RowSnapshot| -> Vec<(String, usize)> {
+        let statuses = |_: &str, row: &Row| -> Vec<(String, usize)> {
             row.get_str("meta", "status").map(|s| (s, 1usize)).into_iter().collect()
         };
         // (a scan-backed job's window, the same window as a key filter, its rows)
         let inputs = [
             (Scan::range("proc-0050", Some("proc-0100".to_string())), "proc-0050".."proc-0100", 50),
-            // a limit counts matches over the whole window, not per region
             (Scan::prefix("proc-").limit(5), "proc-0000".."proc-0005", 5),
         ];
         for (scan, window, rows) in inputs {
@@ -130,5 +126,17 @@ mod tests {
         );
         assert_eq!(seen.len(), 200);
         assert!(seen.values().all(|&c| c == 1));
+    }
+
+    #[test]
+    fn a_mapper_that_reads_the_table_again_returns() {
+        let t = table_with_statuses();
+        let steps = map_reduce_scan(
+            &t,
+            &Scan::prefix("proc-").limit(10),
+            |key, _| t.get_str(key, "meta", "steps").map(|s| (s, 1usize)).into_iter().collect(),
+            |_, vs| vs.len(),
+        );
+        assert_eq!(steps.values().sum::<usize>(), 10);
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! In the paper the pool's durability comes from HDFS underneath HBase.
 //! Here a table can be serialized to a compact binary snapshot and restored
-//! — the recovery path a production deployment would run at region-server
-//! restart. The format is length-prefixed throughout, so truncated or
-//! corrupted snapshots fail loudly instead of loading partial state.
+//! — the recovery path a production deployment would run at restart. The
+//! format is the rows in key order, each its key and its columns, and it is
+//! length-prefixed throughout, so truncated or corrupted snapshots fail
+//! loudly instead of loading partial state.
 
-use crate::cluster::{HTable, TableConfig};
-use crate::row::Cell;
+use crate::cluster::HTable;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"DRAPOOL1";
+const MAGIC: &[u8; 8] = b"DRAPOOL2";
 
 /// Errors from loading a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,9 +25,6 @@ pub enum PersistError {
     TrailingGarbage,
     /// A string field was not valid UTF-8.
     BadString,
-    /// A cell carried timestamp `u64::MAX`, which the table's clock never
-    /// issues: restoring it would leave no newer timestamp for later puts.
-    BadTimestamp,
     /// I/O error text (file operations).
     Io(String),
 }
@@ -41,7 +38,6 @@ impl std::fmt::Display for PersistError {
                 write!(f, "snapshot has trailing bytes after the last record")
             }
             PersistError::BadString => write!(f, "snapshot contains invalid UTF-8"),
-            PersistError::BadTimestamp => write!(f, "snapshot holds timestamp u64::MAX"),
             PersistError::Io(m) => write!(f, "io error: {m}"),
         }
     }
@@ -90,33 +86,20 @@ pub(crate) fn get_str(buf: &mut &[u8]) -> Result<String, PersistError> {
 }
 
 impl HTable {
-    /// Serialize every row (all regions, all versions) into a snapshot.
+    /// Serialize every row, in key order: magic, row count, then per row
+    /// its key, its column count and each column's family, qualifier and
+    /// value.
     pub fn export_snapshot(&self) -> Vec<u8> {
+        let rows = self.read();
         let mut buf = MAGIC.to_vec();
-        // config
-        put_u32(&mut buf, self.config().max_versions as u32);
-        put_u32(&mut buf, self.config().max_region_rows as u32);
-
-        let regions = self.regions();
-        let all: Vec<(String, crate::RowSnapshot)> =
-            regions.iter().flat_map(|r| r.snapshot_all()).collect();
-        buf.extend_from_slice(&(all.len() as u64).to_be_bytes());
-        for (key, row) in &all {
+        buf.extend_from_slice(&(rows.len() as u64).to_be_bytes());
+        for (key, row) in rows.iter() {
             put_bytes(&mut buf, key.as_bytes());
-            let cols: Vec<(&str, &str)> = {
-                let mut seen = std::collections::BTreeSet::new();
-                row.columns().map(|(f, q, _)| (f, q)).filter(|fq| seen.insert(*fq)).collect()
-            };
-            put_u32(&mut buf, cols.len() as u32);
-            for (family, qualifier) in cols {
+            put_u32(&mut buf, row.columns().count() as u32);
+            for (family, qualifier, value) in row.columns() {
                 put_bytes(&mut buf, family.as_bytes());
                 put_bytes(&mut buf, qualifier.as_bytes());
-                let versions = row.versions(family, qualifier);
-                put_u32(&mut buf, versions.len() as u32);
-                for Cell { value, timestamp } in versions {
-                    buf.extend_from_slice(&timestamp.to_be_bytes());
-                    put_bytes(&mut buf, value);
-                }
+                put_bytes(&mut buf, value);
             }
         }
         buf
@@ -128,34 +111,14 @@ impl HTable {
         if take(&mut buf, MAGIC.len())? != MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let max_versions = get_u32(&mut buf)? as usize;
-        let max_region_rows = get_u32(&mut buf)? as usize;
-        let table = HTable::new(TableConfig { max_versions, max_region_rows });
-
-        let rows = get_u64(&mut buf)?;
-        for _ in 0..rows {
+        let table = HTable::default();
+        for _ in 0..get_u64(&mut buf)? {
             let key = get_str(&mut buf)?;
-            let cols = get_u32(&mut buf)?;
-            for _ in 0..cols {
+            for _ in 0..get_u32(&mut buf)? {
                 let family = get_str(&mut buf)?;
                 let qualifier = get_str(&mut buf)?;
-                let versions = get_u32(&mut buf)? as usize;
-                // versions are stored newest-first; insert oldest-first so
-                // the restored order matches. The count is input: reserve for
-                // no more versions than the bytes left could encode (a
-                // timestamp and a length each), whatever it claims
-                let mut cells = Vec::with_capacity(versions.min(buf.len() / 12));
-                for _ in 0..versions {
-                    let ts = get_u64(&mut buf)?;
-                    if ts == u64::MAX {
-                        return Err(PersistError::BadTimestamp);
-                    }
-                    let len = get_u32(&mut buf)? as usize;
-                    cells.push((ts, take(&mut buf, len)?));
-                }
-                for (ts, value) in cells.into_iter().rev() {
-                    table.put_with_timestamp(&key, &family, &qualifier, Arc::from(value), ts);
-                }
+                let len = get_u32(&mut buf)? as usize;
+                table.put_shared(&key, &family, &qualifier, Arc::from(take(&mut buf, len)?));
             }
         }
         if !buf.is_empty() {
@@ -170,13 +133,13 @@ mod tests {
     use super::*;
 
     fn sample_table() -> HTable {
-        let t = HTable::new(TableConfig { max_versions: 3, max_region_rows: 16 });
+        let t = HTable::default();
         for i in 0..50 {
             let key = format!("row-{i:03}");
             t.put(&key, "doc", "xml", format!("<doc v=\"{i}\"/>"));
             t.put(&key, "meta", "status", if i % 2 == 0 { "open" } else { "done" });
         }
-        // multiple versions on one row
+        // an overwritten column: only its last value is kept
         for v in 0..5 {
             t.put("row-000", "doc", "xml", format!("version {v}"));
         }
@@ -197,7 +160,6 @@ mod tests {
                 "{key}"
             );
         }
-        // every version preserved, timestamps included
         assert_eq!(restored.export_snapshot(), snap);
         assert_eq!(restored.get_str("row-000", "doc", "xml").unwrap(), "version 4");
     }
@@ -218,41 +180,32 @@ mod tests {
         assert!(matches!(HTable::import_snapshot(&snap), Err(PersistError::TrailingGarbage)));
     }
 
-    /// A snapshot of one row "k" and one column f:q, up to its version
-    /// count.
-    fn one_column_header() -> Vec<u8> {
-        let mut snap = MAGIC.to_vec();
-        for n in [1, 16] {
-            put_u32(&mut snap, n); // max_versions, max_region_rows
+    #[test]
+    fn the_format_is_rows_in_key_order_with_one_value_per_column() {
+        let t = HTable::default();
+        t.put("k", "f", "q", "old");
+        t.put("k", "f", "q", "v");
+        let mut want = MAGIC.to_vec();
+        want.extend_from_slice(&1u64.to_be_bytes()); // rows
+        put_bytes(&mut want, b"k");
+        put_u32(&mut want, 1); // columns
+        for field in ["f", "q", "v"] {
+            put_bytes(&mut want, field.as_bytes());
         }
-        snap.extend_from_slice(&1u64.to_be_bytes()); // rows
-        put_bytes(&mut snap, b"k");
-        put_u32(&mut snap, 1); // columns
-        put_bytes(&mut snap, b"f");
-        put_bytes(&mut snap, b"q");
-        snap
+        assert_eq!(t.export_snapshot(), want);
     }
 
     #[test]
-    fn hostile_version_count_is_truncation_not_an_allocation() {
-        let mut snap = one_column_header();
-        put_u32(&mut snap, u32::MAX); // versions
-        assert!(matches!(HTable::import_snapshot(&snap), Err(PersistError::Truncated)));
-    }
-
-    #[test]
-    fn a_timestamp_the_clock_never_issues_is_refused() {
-        let mut snap = one_column_header();
-        put_u32(&mut snap, 1); // versions
-        snap.extend_from_slice(&u64::MAX.to_be_bytes());
-        put_bytes(&mut snap, b"v");
-        assert_eq!(HTable::import_snapshot(&snap).err(), Some(PersistError::BadTimestamp));
-        // one below is the newest the clock can issue: the next put is newer
-        let at = snap.len() - 13;
-        snap[at..at + 8].copy_from_slice(&(u64::MAX - 1).to_be_bytes());
-        let restored = HTable::import_snapshot(&snap).unwrap();
-        assert_eq!(restored.put("k", "f", "q", "w"), u64::MAX);
-        assert_eq!(restored.get_str("k", "f", "q").unwrap(), "w");
+    fn hostile_counts_are_truncation_not_an_allocation() {
+        let mut rows = MAGIC.to_vec();
+        rows.extend_from_slice(&u64::MAX.to_be_bytes());
+        let mut columns = MAGIC.to_vec();
+        columns.extend_from_slice(&1u64.to_be_bytes());
+        put_bytes(&mut columns, b"k");
+        put_u32(&mut columns, u32::MAX);
+        for snap in [rows, columns] {
+            assert_eq!(HTable::import_snapshot(&snap).err(), Some(PersistError::Truncated));
+        }
     }
 
     #[test]
@@ -272,7 +225,7 @@ mod tests {
         use proptest::prelude::*;
 
         fn table_from(rows: &[(u8, String)]) -> HTable {
-            let t = HTable::new(TableConfig { max_versions: 2, max_region_rows: 8 });
+            let t = HTable::default();
             for (k, v) in rows {
                 t.put(&format!("row-{k:03}"), "doc", "xml", v.clone());
             }
@@ -317,14 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn restored_table_still_splits_and_serves() {
+    fn restored_table_still_serves() {
         let t = sample_table();
         let restored = HTable::import_snapshot(&t.export_snapshot()).unwrap();
-        // keep writing past the split threshold
         for i in 50..200 {
             restored.put(&format!("row-{i:03}"), "doc", "xml", "x");
         }
-        assert!(restored.stats().regions > 1);
-        assert_eq!(restored.query_count(&crate::Scan::prefix("row-")), 200);
+        assert_eq!(restored.query(&crate::Scan::prefix("row-")).rows.len(), 200);
     }
 }

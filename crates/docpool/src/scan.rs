@@ -1,33 +1,29 @@
-//! Typed pool scans: bounded key windows with column-family projection and
-//! predicate pushdown.
+//! Typed pool scans: bounded key windows.
 //!
 //! A [`Scan`] describes *what* to read — a `[from, to)` key window (or a key
-//! prefix), an optional family projection, an optional match limit — and
-//! [`crate::HTable::query`] decides *how*:
-//! regions wholly outside the window are pruned without being touched, and
-//! the surviving regions are walked one after another on the calling thread,
-//! in region (= key) order. (A thread per region measured 5–10 × slower than
-//! this inline walk on the prefix scans the cloud issues.)
+//! prefix) and an optional match limit — and [`crate::HTable::query`] hands
+//! back the rows in it, in key order, as the handles the table stores.
 //!
 //! This is the monitoring-path replacement for full-table MapReduce reads:
-//! a dashboard query over `meta/` rows examines only the regions and rows
-//! that can hold `meta/` keys, and the table's cumulative
-//! [`crate::HTable::scan_counters`] say how many rows and regions every scan
-//! touched, so benches can prove the saving.
+//! a dashboard query over `meta/` rows examines only `meta/` rows, and the
+//! table's cumulative [`crate::HTable::scan_counters`] say how many rows
+//! every scan touched, so benches can prove the saving.
+
+use crate::row::Row;
+use std::sync::Arc;
 
 /// Declarative description of a pool scan.
 #[derive(Clone, Debug)]
 pub struct Scan {
     pub(crate) from: String,
     pub(crate) to: Option<String>,
-    pub(crate) families: Option<Vec<String>>,
     pub(crate) limit: usize,
 }
 
 impl Scan {
     /// Scan the half-open key window `[from, to)`; `None` end = unbounded.
     pub fn range(from: impl Into<String>, to: Option<String>) -> Scan {
-        Scan { from: from.into(), to, families: None, limit: 0 }
+        Scan { from: from.into(), to, limit: 0 }
     }
 
     /// Scan every key starting with `prefix`.
@@ -35,17 +31,14 @@ impl Scan {
         Scan::range(prefix, prefix_end(prefix))
     }
 
-    /// Project only this column family into the returned snapshots (may be
-    /// called repeatedly to keep several families). Rows are still matched
-    /// on their full live contents; projection only trims what gets cloned.
-    pub fn family(mut self, family: &str) -> Scan {
-        self.families.get_or_insert_with(Vec::new).push(family.to_string());
+    /// Ignored: a scan hands back whole rows, which it does not copy. Kept
+    /// because `crates/e2e` calls it; ROADMAP item 1 removes it.
+    pub fn family(self, _family: &str) -> Scan {
         self
     }
 
-    /// Stop after `limit` matching rows (0 = unbounded). The limit applies
-    /// per region and again globally after concatenation, so the result is
-    /// the first `limit` matches in key order.
+    /// Stop after `limit` matching rows (0 = unbounded): the result is the
+    /// first `limit` rows of the window in key order.
     pub fn limit(mut self, limit: usize) -> Scan {
         self.limit = limit;
         self
@@ -65,8 +58,9 @@ impl Scan {
 /// A scan's rows, in key order.
 #[derive(Clone, Debug)]
 pub struct ScanResult {
-    /// Matching rows as `(key, snapshot)`, ascending by key.
-    pub rows: Vec<(String, crate::RowSnapshot)>,
+    /// Matching rows as `(key, row)`, ascending by key: the table's own
+    /// handles, shared, not copies.
+    pub rows: Vec<(Arc<str>, Arc<Row>)>,
 }
 
 /// Exclusive upper bound for "every key starting with `prefix`": the prefix
@@ -107,10 +101,9 @@ mod tests {
 
     #[test]
     fn builder_accumulates() {
-        let s = Scan::prefix("doc/").family("doc").family("meta").limit(5);
+        let s = Scan::prefix("doc/").limit(5);
         assert_eq!(s.from, "doc/");
         assert_eq!(s.to, Some("doc0".to_string()));
-        assert_eq!(s.families.as_deref(), Some(&["doc".to_string(), "meta".to_string()][..]));
         assert_eq!(s.limit, 5);
     }
 

@@ -89,7 +89,6 @@ fn main() -> WfResult<()> {
     });
     let wall = started.elapsed();
 
-    let pool_stats = system.active_pool().stats();
     println!(
         "completed {} instances ({} activity executions) in {:.2?} — {:.1} exec/s",
         instances,
@@ -97,10 +96,7 @@ fn main() -> WfResult<()> {
         wall,
         (instances * 3) as f64 / wall.as_secs_f64()
     );
-    println!(
-        "pool: {} rows in {} regions ({} splits)",
-        pool_stats.rows, pool_stats.regions, pool_stats.splits
-    );
+    println!("pool: {} rows", system.active_pool().row_count());
     println!(
         "network: {} messages, {:.1} MB",
         system.network.messages(),

@@ -18,7 +18,7 @@
 //! | [`crypto`] | `dra-crypto` | Ed25519, X25519, ChaCha20, SHA-2, sealed boxes |
 //! | [`xml`] | `dra-xml` | XML tree, canonicalization, element encryption, signatures |
 //! | [`engine`] | `dra-engine` | the engine-based baseline WfMS (the comparator) |
-//! | [`docpool`] | `dra-docpool` | HBase-style document pool + mini MapReduce |
+//! | [`docpool`] | `dra-docpool` | document pool (one ordered map) + mini MapReduce |
 //! | [`cloud`] | `dra-cloud` | portal servers, network sim, scenario runner |
 //! | [`obs`] | `dra-obs` | virtual-time spans, metrics registry, trace exporters |
 //!

@@ -104,9 +104,9 @@ fn rows_of(cloud: &str, pid: &str, seqs: std::ops::RangeInclusive<usize>) -> Vec
 /// A stored version of `pid` that is *not* the latest — the serve path
 /// (always the max sequence) never reads it, only the auditor will.
 fn mid_version_key(pool: &Arc<HTable>, pid: &str) -> String {
-    let rows = pool.query(&Scan::prefix(&format!("doc/{pid}/")).family("meta")).rows;
+    let rows = pool.query(&Scan::prefix(&format!("doc/{pid}/"))).rows;
     assert!(rows.len() > 2, "{pid} stored too few versions to pick a non-latest one");
-    rows[1].0.clone()
+    rows[1].0.to_string()
 }
 
 /// Run enough auditor passes to complete at least one full sweep of every
@@ -122,7 +122,7 @@ fn full_sweep(
     let rows = sys
         .audit_pools()
         .iter()
-        .map(|(_, _, pool)| pool.query_count(&Scan::prefix("doc/")))
+        .map(|(_, _, pool)| pool.query(&Scan::prefix("doc/")).rows.len())
         .max()
         .unwrap_or(0);
     for _ in 0..rows.div_ceil(batch) + 1 {

@@ -150,7 +150,7 @@ const DEPLOYMENTS: [Deployment; 5] = [
 /// `seen/` row names that version, and there is one per `doc/` row. Returns
 /// how many there are.
 fn assert_versions_read_back(sys: &CloudSystem, whose: &str) -> usize {
-    let rows = sys.active_pool().query_count(&Scan::prefix(&format!("doc/{PID}/")));
+    let rows = sys.active_pool().query(&Scan::prefix(&format!("doc/{PID}/"))).rows.len();
     for seq in 0..rows {
         let version = sys
             .retrieve_version(PID, seq)
@@ -330,7 +330,7 @@ fn a_torn_first_initial_document_replays_to_the_crash_free_pool() {
         let sys = rig.cloud(2);
         let pids = ["d-0", "d-1"].map(String::from);
         assert_eq!(rig.fleet(&sys, pids.into_iter(), sys.channel()), 2);
-        let defs = sys.active_pool().query_count(&Scan::prefix("def/"));
+        let defs = sys.active_pool().query(&Scan::prefix("def/")).rows.len();
         (sys.pool_digest(), defs, sys.journal_replays())
     };
     let plan = FaultPlan::once(site::PORTAL_BETWEEN_SEEN_AND_STORE, 1);
@@ -438,7 +438,7 @@ fn a_stored_history_costs_about_its_final_version() {
 /// crosses batch borders, and the second sweep has the chance to re-alert).
 fn sweep_twice(fx: &Rig, sys: &CloudSystem) -> PoolAuditor {
     let auditor = PoolAuditor::new(AuditConfig { batch: 3, period_us: 100, threads: 1 });
-    let rows = sys.active_pool().query_count(&Scan::prefix("doc/"));
+    let rows = sys.active_pool().query(&Scan::prefix("doc/")).rows.len();
     for pass in 0..2 * (rows / 3 + 2) {
         auditor.run_pass(sys, Some(&fx.monitor), pass as u64 * 100);
     }
