@@ -16,8 +16,8 @@
 //! verification absorbs, the wire bytes a hop formats and the SHA-256 bytes
 //! its admission and (routed via the TFC) `TfcServer::receive` absorb, plus
 //! the signatures the Fig. 9 AND-join checks at each turn of the loop, and
-//! the X25519 ladders and fixed-base multiplications an encrypted instance
-//! runs (Fig. 9A, 9B, a 16-step chain; counts, whatever keys it drew) — so
+//! the key agreement work an encrypted instance runs (Fig. 9A, 9B, a
+//! 16-step chain; counts, whatever keys it drew) — so
 //! the file is byte-identical across runs and machines and can sit behind
 //! the perf gate (`perf/BENCH_scaling.baseline.json`). The live
 //! chain run cannot serve that purpose: ephemeral encryption keys and CER
@@ -32,8 +32,8 @@ use super::{ClaimOutput, Row, Rows, Value};
 use crate::rig::{cast, fig9_confidential, fig9_respond, ChainRecord, Handoff, Rig};
 use dra4wfms_core::prelude::*;
 use dra_cloud::{PortalStats, Topology};
-use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
-use dra_crypto::x25519::{fixed_base, ladders};
+use dra_crypto::ed25519::{ec_ops, ec_ops_reset, table_builds};
+use dra_crypto::x25519::{fixed_base, ladders, table_walks};
 use dra_crypto::{sha256_bytes, sha256_bytes_reset, verify_batch, BatchEntry, Keypair};
 use dra_xml::{
     canon_alloc_bytes, canon_alloc_reset, wire_written_bytes, wire_written_bytes_reset, Element,
@@ -140,19 +140,21 @@ fn join_sig_checks(advanced: bool) -> Vec<usize> {
         .collect()
 }
 
-/// X25519 ladders and fixed-base multiplications one instance of `rig`
-/// costs, counted on a second instance, once the first has filled every
-/// memo: the steady state a fleet runs in.
+/// Key agreement (X25519 ladders, table walks, tables built, fixed-base) of an
+/// instance of `rig` once a first one has filled every memo: a fleet's steady state.
 fn key_agreement(cell: &str, rig: Rig) -> Row {
+    let read = || [ladders(), table_walks(), table_builds(), fixed_base()];
     let count = |pid: &str| {
-        let before = (ladders(), fixed_base());
+        let before = read();
         rig.run(&rig.cloud(1), &rig.initial(pid)).run().expect("the instance completes");
-        (ladders() - before.0, fixed_base() - before.1)
+        let after = read();
+        std::array::from_fn::<u64, 4, _>(|i| after[i] - before[i])
     };
     count("scaling-keys-warm");
-    let (ladders, fixed_base) = count("scaling-keys");
-    println!("  {cell}: {ladders} X25519 ladders, {fixed_base} fixed-base multiplications");
-    Row::new().with("cell", cell).with("ladders", ladders).with("fixed_base", fixed_base)
+    let [ladders, walks, builds, fixed] = count("scaling-keys");
+    println!("  {cell}: {ladders} ladders, {walks} table walks, {builds} tables built, {fixed} fixed-base");
+    let row = Row::new().with("cell", cell).with("ladders", ladders).with("table_walks", walks);
+    row.with("table_builds", builds).with("fixed_base", fixed)
 }
 
 /// Instances in each fleet cell.

@@ -486,7 +486,8 @@ mod tests {
 
     #[test]
     fn batched_walk_matches_sequential_walk() {
-        let rig = Rig::chain(5, true, |_| "x".into());
+        // 16 steps: the last hop checks 16 signatures, past `BATCH_MIN` (15)
+        let rig = Rig::chain(16, true, |_| "x".into());
         let seq: Vec<ChainRecord> = rig.walk("chain-run", Handoff::Wire, false).collect();
         let bat: Vec<ChainRecord> = rig.walk("chain-run", Handoff::Wire, true).collect();
         assert_eq!(seq.len(), bat.len());
@@ -494,7 +495,7 @@ mod tests {
             assert_eq!(s.sigs_verified, b.sigs_verified, "step {}", s.step);
         }
         // the batch equation needs fewer group operations than n separate
-        // double-scalar checks once the cascade is non-trivial
+        // checks once the cascade is past the crossover
         let (s, b) = (seq.last().unwrap().ec_ops, bat.last().unwrap().ec_ops);
         assert!(b < s, "batched {b} ops vs sequential {s} ops");
     }

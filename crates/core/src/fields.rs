@@ -11,7 +11,7 @@
 //! Whoever builds the result picks each reader's wrap ([`Recipient`]): its
 //! own copy is keyed from its own secret, the author's copy — when the TFC
 //! builds — from the secret TFC and author share, and every other reader's
-//! is sealed to its public key. So only the other readers cost a ladder.
+//! is sealed to its public key: a table walk to seal, a ladder to open.
 
 use crate::error::{WfError, WfResult};
 use crate::identity::{ActorKeys, Identity};
@@ -111,8 +111,8 @@ pub fn build_result_element(
 /// How `id`'s copy is wrapped when the holder of `keys` builds a result of
 /// `author`'s: from a secret both already hold where there is one (its own
 /// copy; the author's, when the TFC builds), to its public key otherwise.
-/// Readers other than these keep their ladder: a static secret with every
-/// reader would let one leaked builder key open all it ever sealed.
+/// Other readers get a sealed box (a table walk; a ladder to open): a
+/// static secret with each would let one leaked builder key open all it sealed.
 fn recipient(keys: &ActorKeys<'_>, author: &str, id: &Identity) -> Recipient {
     let builder = &keys.creds.name;
     if id.name == *builder {

@@ -12,38 +12,44 @@
 //!
 //! One group-arithmetic kernel serves every caller in the crate:
 //!
-//! * [`Point::basepoint_mul`] — fixed base: a radix-16 signed-digit walk
+//! * [`Point::basepoint_mul`] — `[scalar]B`: a radix-16 signed-digit walk
 //!   over a once-built table of `j·16^i·B`, 65 additions and no doubling.
-//!   Key derivation, the `R = [r]B` of signing and X25519 public keys (via
-//!   the birational map) all go through it. The table entry is picked by a
-//!   masked scan, so the walk has no secret-indexed load and no
-//!   secret-dependent branch.
-//! * [`Point::double_scalar_mul_basepoint`] — `[a]A + [b]B` in one pass of
-//!   shared doublings (width-5 NAF over eight odd multiples of `A` built per
-//!   call, width-8 NAF over a static table of 64 odd multiples of `B`);
-//!   variable time, for verification, where every input is public. About
-//!   330 point operations against 768 for two separate ladders.
+//!   Key derivation, the `R = [r]B` of signing, the `[s]B` of verification
+//!   and X25519 public keys (via the birational map) all go through it.
+//! * A per-key fixed-base table — `[scalar]P` for a point the thread meets
+//!   again: rows `j·16^(4q)·P` for j = 1…8, q = 0…16, built once on first
+//!   use (about two X25519 ladders' work) and walked in 4 passes of 16–17
+//!   additions with 12 doublings between them, 77 operations against about
+//!   253 doublings. Verification's `[k](−A)` walks the signer's table
+//!   ([`PublicKey::verify`]: 143 operations a signature); sealing to a
+//!   reader walks the table of an Edwards preimage of the reader's X25519
+//!   key ([`crate::x25519::X25519Secret::diffie_hellman_known`]). A table
+//!   is 17 × 8 entries of 120 bytes, 16 320 bytes; the thread-local memo
+//!   keyed by the 32-byte encoding holds at most `KEY_TABLES_CAP` of
+//!   them, so a stream of fresh keys costs at most one build a key.
 //! * [`multiscalar_mul`] — Pippenger buckets for batch verification.
 //!
-//! [`Point::scalar_mul`], the bit-by-bit double-and-add, remains as the one
-//! generic variable-base routine and as the oracle the tests hold the three
-//! above against; no signing, verifying or key-derivation path calls it.
-//! A [`SecretKey`] expands its seed once, at construction, so a signature is
-//! two SHA-512 passes over the message plus one table walk.
+//! Both walks pick every table entry by a masked scan, so the scalar shows
+//! in no branch and no address. [`Point::scalar_mul`], the bit-by-bit
+//! double-and-add, remains as the one generic variable-base routine and as
+//! the oracle the tests hold the walks against; no signing, verifying or
+//! key-derivation path calls it. A [`SecretKey`] expands its seed once, at
+//! construction, so a signature is two SHA-512 passes over the message plus
+//! one table walk.
 //!
 //! **What runs in constant time, and what does not.** The field below
 //! ([`crate::field`]) has no data-dependent branch or address in any
-//! operation, so the two routines that handle secret scalars — the
-//! fixed-base walk here and the X25519 ladder with its masked swap — execute
-//! the same instructions on the same addresses whatever the scalar. Still
-//! variable-time, each on public inputs only:
+//! operation, so the routines that handle secret scalars — the two table
+//! walks and the X25519 ladder with its masked swap — execute the same
+//! instructions on the same addresses whatever the scalar. Still variable
+//! time, each on public inputs only:
 //!
-//! * [`Point::double_scalar_mul_basepoint`], [`multiscalar_mul`] and with
-//!   them [`PublicKey::verify`] and [`verify_batch`]: which NAF digits and
-//!   buckets are zero decides which additions happen. Their inputs are
-//!   signatures, public keys and message hashes.
-//! * The [`Point::decompress_cached`] memo: a hash-map lookup keyed by an
-//!   encoding that arrived on the wire.
+//! * [`multiscalar_mul`] and with it [`verify_batch`]: which buckets are
+//!   empty decides which additions happen. Its inputs are signatures,
+//!   public keys and message hashes.
+//! * The memos ([`Point::decompress_cached`], the key tables): hash-map
+//!   lookups keyed by a public encoding — one that arrived on the wire, or
+//!   a reader's public key.
 //! * [`Fe`] equality, `is_zero` and `is_negative`: canonicalising is
 //!   branch-free, but the bytes are compared with an early exit and the
 //!   caller branches on the answer — curve membership, the sign of x, a
@@ -185,12 +191,27 @@ impl Point {
         Point { x: e.mul(&f), y: g.mul(&h), z: f.mul(&g), t: e.mul(&h) }
     }
 
+    /// Addition against a table entry in affine Niels form: the formulas
+    /// of [`Point::add_cached`] with the addend's z = 1, one multiplication
+    /// fewer.
+    fn add_affine(&self, other: &AffineNiels) -> Point {
+        count_ec_op();
+        let a = self.y.sub(&self.x).mul(&other.y_minus_x);
+        let b = self.y.add(&self.x).mul(&other.y_plus_x);
+        let c = self.t.mul(&other.xy2d);
+        let dd = self.z.add(&self.z);
+        let e = b.sub(&a);
+        let f = dd.sub(&c);
+        let g = dd.add(&c);
+        let h = b.add(&a);
+        Point { x: e.mul(&f), y: g.mul(&h), z: f.mul(&g), t: e.mul(&h) }
+    }
+
     /// Scalar multiplication, MSB-first double-and-add over a 32-byte
     /// little-endian scalar: 256 doublings plus one addition per set bit,
     /// branching on every bit. The generic variable-base routine and the
-    /// oracle the faster entry points are tested against; signing,
-    /// verification and key derivation use [`Point::basepoint_mul`] and
-    /// [`Point::double_scalar_mul_basepoint`] instead.
+    /// oracle the table walks are tested against; signing, verification and
+    /// key derivation walk fixed-base tables instead.
     pub fn scalar_mul(&self, scalar: &[u8; 32]) -> Point {
         let mut acc = Point::identity();
         for byte in scalar.iter().rev() {
@@ -210,40 +231,7 @@ impl Point {
     /// scan over the whole row, so the scalar shows in no branch and no
     /// address of this walk.
     pub fn basepoint_mul(scalar: &[u8; 32]) -> Point {
-        let mut acc = Point::identity();
-        for (row, &digit) in basepoint_table().iter().zip(&recode_signed(scalar, 4)) {
-            acc = acc.add_cached(&select(row, digit));
-        }
-        acc
-    }
-
-    /// `[a]A + [b]B` for the basepoint B in one pass of shared doublings:
-    /// a width-5 NAF of `a` over eight odd multiples of `A` (built here),
-    /// a width-8 NAF of `b` over the static odd multiples of B. Variable
-    /// time — which digits are zero decides which additions happen — so it
-    /// is for public inputs only (signature verification).
-    pub fn double_scalar_mul_basepoint(a: &[u8; 32], point: &Point, b: &[u8; 32]) -> Point {
-        let (a_naf, b_naf) = (naf(a, 5), naf(b, 8));
-        let a_table: [CachedPoint; 8] = odd_multiples(point);
-        let b_table = basepoint_odd_multiples();
-        let mut acc = Point::identity();
-        let top = (0..a_naf.len()).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0);
-        for i in (0..=top.unwrap_or(0)).rev() {
-            acc = acc.double();
-            acc = acc.add_odd_multiple(&a_table, a_naf[i]);
-            acc = acc.add_odd_multiple(b_table, b_naf[i]);
-        }
-        acc
-    }
-
-    /// Add `digit·P` given `table[j] = (2j+1)·P`; `digit` is zero or odd.
-    fn add_odd_multiple(&self, table: &[CachedPoint], digit: i8) -> Point {
-        let entry = &table[usize::from(digit.unsigned_abs() / 2)];
-        match digit.cmp(&0) {
-            std::cmp::Ordering::Greater => self.add_cached(entry),
-            std::cmp::Ordering::Less => self.add_cached(&entry.neg()),
-            std::cmp::Ordering::Equal => *self,
-        }
+        basepoint_table().mul(scalar)
     }
 
     /// Compress to the 32-byte encoding: y with the sign of x in bit 255.
@@ -287,11 +275,12 @@ impl Point {
         Some(Point { x, y, z: Fe::ONE, t: x.mul(&y) })
     }
 
-    /// [`Point::decompress`] through a thread-local memo. Decompression is
-    /// a pure function whose cost is one field exponentiation, and
-    /// verification workloads decode the same encodings over and over —
-    /// every hop of a cascade re-checks the whole prefix, so each key and
-    /// each signature's R point recurs on every later hop. Invalid
+    /// [`Point::decompress`] through a thread-local memo, for the R points
+    /// of signatures (a public key's point lives in its fixed-base table).
+    /// Decompression is a pure function whose cost is one field
+    /// exponentiation, and one signature is checked by every party it
+    /// passes on a thread — the portal that admits a version, the AEA or
+    /// TFC that receives it, an auditor — so its R recurs. Invalid
     /// encodings are memoized as `None` too. The memo is bounded: it is
     /// cleared wholesale when full (verification working sets are far
     /// smaller than the cap, so eviction order does not matter).
@@ -358,69 +347,147 @@ impl CachedPoint {
             t2d: self.t2d.neg(),
         }
     }
+}
 
-    /// The identity (0, 1) in Niels form.
-    const IDENTITY: CachedPoint =
-        CachedPoint { y_plus_x: Fe::ONE, y_minus_x: Fe::ONE, z: Fe::ONE, t2d: Fe::ZERO };
+/// A table entry: a point in Niels form normalised to z = 1 when its table
+/// is built, `(y+x, y−x, 2d·x·y)` — 120 bytes, and one multiplication
+/// cheaper to add ([`Point::add_affine`]) than a [`CachedPoint`].
+#[derive(Clone, Copy, Debug)]
+struct AffineNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl AffineNiels {
+    /// The identity (0, 1).
+    const IDENTITY: AffineNiels =
+        AffineNiels { y_plus_x: Fe::ONE, y_minus_x: Fe::ONE, xy2d: Fe::ZERO };
+
+    /// Negation swaps `y+x`/`y−x` and flips `2d·x·y`.
+    fn neg(&self) -> AffineNiels {
+        AffineNiels { y_plus_x: self.y_minus_x, y_minus_x: self.y_plus_x, xy2d: self.xy2d.neg() }
+    }
 
     /// Masked move: become `other` where `mask` is all-ones.
-    fn cmov(&mut self, other: &CachedPoint, mask: u64) {
+    fn cmov(&mut self, other: &AffineNiels, mask: u64) {
         self.y_plus_x.cmov(&other.y_plus_x, mask);
         self.y_minus_x.cmov(&other.y_minus_x, mask);
-        self.z.cmov(&other.z, mask);
-        self.t2d.cmov(&other.t2d, mask);
+        self.xy2d.cmov(&other.xy2d, mask);
+    }
+
+    /// Every point in affine Niels form, for one inversion in all
+    /// (Montgomery's trick: the running products of the z's, one inverse of
+    /// the last, and back down multiplying each z out again).
+    fn normalise(points: &[Point]) -> Vec<AffineNiels> {
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut product = Fe::ONE;
+        for p in points {
+            prefix.push(product);
+            product = product.mul(&p.z);
+        }
+        // complete formulas over valid points never give z = 0
+        let mut inverse = product.invert();
+        let mut out = vec![AffineNiels::IDENTITY; points.len()];
+        for ((p, before), entry) in points.iter().zip(&prefix).zip(&mut out).rev() {
+            let zi = inverse.mul(before);
+            inverse = inverse.mul(&p.z);
+            let (x, y) = (p.x.mul(&zi), p.y.mul(&zi));
+            *entry =
+                AffineNiels { y_plus_x: y.add(&x), y_minus_x: y.sub(&x), xy2d: x.mul(&y).mul(&D2) };
+        }
+        out
     }
 }
 
 // ---------------------------------------------------------------------------
-// Precomputed multiples of the basepoint
+// Fixed-base tables
 // ---------------------------------------------------------------------------
 
-/// One row of the fixed-base table: `j·16^i·B` for j = 1…8.
-type BaseRow = [CachedPoint; 8];
+/// One row of a fixed-base table: `j·Q` for j = 1…8.
+type Row = [AffineNiels; 8];
 
-/// Run a once-per-process table build without charging it to the calling
-/// thread's [`ec_ops`]: the count stays a function of the work asked for,
-/// not of which thread happened to touch a table first.
-fn uncounted<T>(build: impl FnOnce() -> T) -> T {
-    let before = ec_ops();
-    let built = build();
-    EC_OPS.with(|c| c.set(before));
-    built
+/// Signed radix-16 digits of a 256-bit scalar: 64 plus the carry window.
+const DIGITS: usize = 256 / 4 + 1;
+
+/// A fixed-base table of a point P for `[scalar]P` by table walk. With `w`
+/// digits a row, row q holds `j·16^(w·q)·P` for j = 1…8, and a walk makes
+/// `w` passes over the rows — pass r adds digit `w·q + r` out of row q —
+/// with four doublings between passes: Horner's rule over the `w` interleaved
+/// digit sequences. The basepoint table has `w` = 1 (65 rows, no doubling),
+/// a key's table `w` = 4 (17 rows; 65 additions and 12 doublings).
+pub(crate) struct Table {
+    /// P itself, for a caller that needs the point too.
+    point: Point,
+    rows: Box<[Row]>,
+    digits_per_row: usize,
 }
 
-/// The fixed-base table behind [`Point::basepoint_mul`]: row `i` holds
-/// `j·16^i·B` for j = 1…8, one row per signed radix-16 digit of a 256-bit
-/// scalar (64 digits plus the carry window) — 81 KB, built at first use.
-fn basepoint_table() -> &'static [BaseRow] {
-    static TABLE: std::sync::OnceLock<Vec<BaseRow>> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        uncounted(|| {
-            let mut base = BASEPOINT; // 16^i·B
-            (0..=256 / 4)
-                .map(|_| {
-                    let step = CachedPoint::from_point(&base);
-                    let mut multiple = Point::identity();
-                    let row: BaseRow = core::array::from_fn(|_| {
-                        multiple = multiple.add_cached(&step);
-                        CachedPoint::from_point(&multiple)
-                    });
-                    base = multiple.double(); // 2·(8·16^i·B)
-                    row
-                })
-                .collect()
-        })
-    })
+impl Table {
+    /// Build the table of `p` — 7 additions and 4w − 3 doublings a row,
+    /// then one inversion for all entries — charged to no thread's
+    /// [`ec_ops`]: the count stays a function of the work asked for, not of
+    /// which call happened to build a table first.
+    fn build(p: &Point, digits_per_row: usize) -> Table {
+        let before = ec_ops();
+        let rows = DIGITS.div_ceil(digits_per_row);
+        let mut points: Vec<Point> = Vec::with_capacity(rows * 8);
+        let mut base = *p; // 16^(w·q)·P
+        for q in 0..rows {
+            if q > 0 {
+                // from 8·16^(w·(q−1))·P: 4w − 3 doublings
+                base = points[points.len() - 1];
+                for _ in 0..4 * digits_per_row - 3 {
+                    base = base.double();
+                }
+            }
+            let step = CachedPoint::from_point(&base);
+            points.push(base);
+            for _ in 1..8 {
+                points.push(points[points.len() - 1].add_cached(&step));
+            }
+        }
+        let entries = AffineNiels::normalise(&points);
+        let rows = entries.chunks_exact(8).map(|row| std::array::from_fn(|j| row[j])).collect();
+        EC_OPS.with(|c| c.set(before));
+        Table { point: *p, rows, digits_per_row }
+    }
+
+    /// `[scalar]P`, any 256-bit `scalar`: the same additions and doublings
+    /// whatever the scalar, each entry picked by [`select`]'s masked scan.
+    pub(crate) fn mul(&self, scalar: &[u8; 32]) -> Point {
+        let digits = recode_signed(scalar, 4);
+        let w = self.digits_per_row;
+        let mut acc = Point::identity();
+        for pass in (0..w).rev() {
+            if pass + 1 < w {
+                for _ in 0..4 {
+                    acc = acc.double();
+                }
+            }
+            for (row, &digit) in self.rows.iter().zip(digits.iter().skip(pass).step_by(w)) {
+                acc = acc.add_affine(&select(row, digit));
+            }
+        }
+        acc
+    }
 }
 
-/// `digit·16^i·B` out of row `i`, for a signed radix-16 `digit` in
+/// The basepoint's table, behind [`Point::basepoint_mul`]: one row per
+/// digit, 65 × 8 entries, 62 KB, built at first use.
+fn basepoint_table() -> &'static Table {
+    static TABLE: std::sync::OnceLock<Table> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| Table::build(&BASEPOINT, 1))
+}
+
+/// `digit·Q` out of the row of `j·Q`, for a signed radix-16 `digit` in
 /// [−8, 8]. Every entry of the row is read and masked in or out, then the
 /// result is negated under a mask, so neither the magnitude nor the sign of
 /// the digit picks a branch or an address.
-fn select(row: &BaseRow, digit: i32) -> CachedPoint {
+fn select(row: &Row, digit: i32) -> AffineNiels {
     let sign = digit >> 31; // 0 or −1
     let magnitude = ((digit ^ sign) - sign) as u64;
-    let mut out = CachedPoint::IDENTITY;
+    let mut out = AffineNiels::IDENTITY;
     for (j, entry) in (1u64..).zip(row) {
         // all-ones iff magnitude == j: only then does x − 1 borrow into bit 63
         let hit = ((magnitude ^ j).wrapping_sub(1) >> 63).wrapping_neg();
@@ -431,23 +498,60 @@ fn select(row: &BaseRow, digit: i32) -> CachedPoint {
     out
 }
 
-/// `P, 3P, 5P, …, (2N−1)P` in Niels form.
-fn odd_multiples<const N: usize>(p: &Point) -> [CachedPoint; N] {
-    let p2 = CachedPoint::from_point(&p.double());
-    let mut multiple = *p;
-    core::array::from_fn(|i| {
-        if i > 0 {
-            multiple = multiple.add_cached(&p2);
+/// Tables a key-table memo holds before it is cleared wholesale: well above
+/// the largest directory a deployment here runs (48 participants and the
+/// designer), so a steady workload never rebuilds one, and at most
+/// 256 × 16 KB per memo and thread.
+pub(crate) const KEY_TABLES_CAP: usize = 256;
+
+/// A thread's fixed-base tables of the public keys it meets, keyed by the
+/// key's 32-byte encoding alone; an encoding that is no point is memoised
+/// as `None`. Each build adds one to [`table_builds`].
+pub(crate) struct KeyTables(std::cell::RefCell<std::collections::HashMap<[u8; 32], Option<Table>>>);
+
+impl KeyTables {
+    pub(crate) fn new() -> KeyTables {
+        KeyTables(Default::default())
+    }
+
+    /// `walk` over the table of the point `decode` makes of `enc`, built on
+    /// the first call for `enc`; `None` (and no walk) when it makes none.
+    pub(crate) fn with<R>(
+        &self,
+        enc: &[u8; 32],
+        decode: impl FnOnce() -> Option<Point>,
+        walk: impl FnOnce(&Table) -> R,
+    ) -> Option<R> {
+        let mut memo = self.0.borrow_mut();
+        if !memo.contains_key(enc) {
+            if memo.len() >= KEY_TABLES_CAP {
+                memo.clear();
+            }
+            let table = decode().map(|p| {
+                TABLE_BUILDS.with(|c| c.set(c.get() + 1));
+                Table::build(&p, 4)
+            });
+            memo.insert(*enc, table);
         }
-        CachedPoint::from_point(&multiple)
-    })
+        memo.get(enc)?.as_ref().map(walk)
+    }
+
+    /// Forget every table (the tests' mid-stream eviction).
+    #[cfg(test)]
+    pub(crate) fn clear(&self) {
+        self.0.borrow_mut().clear();
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
 }
 
-/// The 64 odd multiples `B, 3B, …, 127B` a width-8 NAF indexes — 10 KB,
-/// built at first use.
-fn basepoint_odd_multiples() -> &'static [CachedPoint; 64] {
-    static TABLE: std::sync::OnceLock<[CachedPoint; 64]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| uncounted(|| odd_multiples(&BASEPOINT)))
+/// Key tables this thread has built so far (verification and sealing
+/// alike). Like [`ec_ops`], a count that repeats for a fixed workload.
+pub fn table_builds() -> u64 {
+    TABLE_BUILDS.with(std::cell::Cell::get)
 }
 
 // ---------------------------------------------------------------------------
@@ -462,6 +566,12 @@ thread_local! {
     /// Memoized decompressions for [`Point::decompress_cached`].
     static DECOMPRESS_MEMO: std::cell::RefCell<std::collections::HashMap<[u8; 32], Option<Point>>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
+
+    /// Key tables built by this thread, for [`table_builds`].
+    static TABLE_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+
+    /// The tables of the keys this thread verifies under, each of −A.
+    static VERIFY_TABLES: KeyTables = KeyTables::new();
 }
 
 #[inline]
@@ -510,29 +620,6 @@ fn recode_signed(s: &[u8; 32], c: usize) -> Vec<i32> {
         *d = v - (carry << c);
     }
     debug_assert_eq!(carry, 0, "a 256-bit scalar fits in the extra window");
-    digits
-}
-
-/// Width-`w` non-adjacent form of a 256-bit scalar, least-significant
-/// first (2 ≤ w ≤ 8): every nonzero digit is odd with |d| < 2^(w−1) and is
-/// followed by at least w−1 zeros, so a scalar has about 256/(w+1) nonzero
-/// digits. The 257th slot takes the carry out of bit 255. Variable time.
-fn naf(s: &[u8; 32], w: usize) -> [i8; 257] {
-    let mut digits = [0i8; 257];
-    let (mut pos, mut carry) = (0usize, 0i32);
-    while pos < digits.len() {
-        let window = carry + scalar_bits(s, pos, w) as i32;
-        if window & 1 == 0 {
-            // bit `pos` and the carry cancel or are both zero; the carry
-            // (unchanged) moves on to the next bit
-            pos += 1;
-            continue;
-        }
-        carry = window >> (w - 1); // 1 iff window ≥ 2^(w−1): take window − 2^w
-        digits[pos] = (window - (carry << w)) as i8;
-        pos += w;
-    }
-    debug_assert_eq!(carry, 0, "the last window is too short to carry out");
     digits
 }
 
@@ -774,12 +861,7 @@ impl SecretKey {
         let r = scalar_reduce(&h.finalize());
 
         let r_point = Point::basepoint_mul(&r).compress();
-
-        let mut h = Sha512::new();
-        h.update(&r_point);
-        h.update(&self.public.0);
-        h.update(message);
-        let k = scalar_reduce(&h.finalize());
+        let k = challenge(&r_point, &self.public.0, message);
 
         let s = scalar_muladd(&k, &self.a, &r);
 
@@ -811,36 +893,43 @@ impl Keypair {
     }
 }
 
+/// The challenge `k = SHA-512(R ‖ A ‖ M) mod L`.
+fn challenge(r_enc: &[u8; 32], key: &[u8; 32], message: &[u8]) -> [u8; 32] {
+    let mut h = Sha512::new();
+    h.update(r_enc);
+    h.update(key);
+    h.update(message);
+    scalar_reduce(&h.finalize())
+}
+
 impl PublicKey {
-    /// Verify `signature` over `message`. Rejects non-canonical scalars and
-    /// invalid point encodings.
+    /// Verify `signature` over `message`: `[s]B + [k](−A) == R`, `[s]B`
+    /// off the basepoint table and `[k](−A)` off the signer's own table,
+    /// built the first time this thread meets the key — 143 point
+    /// operations. Rejects non-canonical scalars and invalid point
+    /// encodings.
     #[must_use]
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
         let (r_enc, s) = halves(&signature.0);
         if !scalar_is_canonical(&s) {
             return false;
         }
-        let a = match Point::decompress_cached(&self.0) {
-            Some(p) => p,
-            None => return false,
+        let check = |neg_a: &Table| {
+            let r = Point::decompress_cached(&r_enc)?;
+            let k = challenge(&r_enc, &self.0, message);
+            Some(Point::basepoint_mul(&s).add(&neg_a.mul(&k)).eq_affine(&r))
         };
-        let r = match Point::decompress_cached(&r_enc) {
-            Some(p) => p,
-            None => return false,
-        };
-        let mut h = Sha512::new();
-        h.update(&r_enc);
-        h.update(&self.0);
-        h.update(message);
-        let k = scalar_reduce(&h.finalize());
-
-        // Check [S]B == R + [k]A, as [S]B + [k](−A) == R.
-        Point::double_scalar_mul_basepoint(&k, &a.neg(), &s).eq_affine(&r)
+        VERIFY_TABLES.with(|m| m.with(&self.0, || self.neg_point(), check)).flatten() == Some(true)
     }
 
-    /// The verification this crate shipped before the interleaved kernel:
-    /// two independent bit-by-bit ladders, `[S]B` against `R + [k]A`. Kept
-    /// as the oracle [`PublicKey::verify`]'s verdicts are held against.
+    /// −A, the point the verification tables are built from.
+    fn neg_point(&self) -> Option<Point> {
+        Point::decompress(&self.0).map(|a| a.neg())
+    }
+
+    /// The verification this crate shipped before the table walks: two
+    /// independent bit-by-bit ladders, `[S]B` against `R + [k]A`. Kept as
+    /// the oracle [`PublicKey::verify`]'s verdicts are held against.
     #[cfg(test)]
     fn verify_two_ladders(&self, message: &[u8], signature: &Signature) -> bool {
         let (r_enc, s) = halves(&signature.0);
@@ -850,11 +939,7 @@ impl PublicKey {
         let (Some(a), Some(r)) = (Point::decompress(&self.0), Point::decompress(&r_enc)) else {
             return false;
         };
-        let mut h = Sha512::new();
-        h.update(&r_enc);
-        h.update(&self.0);
-        h.update(message);
-        let k = scalar_reduce(&h.finalize());
+        let k = challenge(&r_enc, &self.0, message);
         let lhs = Point::basepoint().scalar_mul(&s);
         let rhs = r.add(&a.scalar_mul(&k));
         lhs.eq_affine(&rhs)
@@ -875,14 +960,15 @@ impl PublicKey {
 pub type BatchEntry<'a> = (&'a [u8], Signature, PublicKey);
 
 /// Smallest batch the aggregate equation is used for. A sequential check is
-/// one interleaved double-scalar pass, about 333 point operations per
-/// signature; the Pippenger pass over `2n+1` points has a fixed cost that
-/// only amortizes from three signatures on. `claim scaling`'s counts, point
-/// operations sequential vs batched: 2 signatures 666 vs 808, 3 signatures
-/// 990 vs 936, 5 signatures 1 662 vs 1 341. The crossover is sized in group
-/// operations, not in time: a faster field makes both sides cheaper by the
-/// same factor and does not move it.
-const BATCH_MIN: usize = 3;
+/// two table walks, 143 point operations per signature; the Pippenger pass
+/// over `2n+1` points has a fixed cost that only amortizes from fifteen
+/// signatures on. Point operations sequential vs batched, 8 seeded sets
+/// each: 14 signatures 2 002 vs 2 052–2 069, 15 signatures 2 145 vs
+/// 2 125–2 145, 16 signatures 2 288 vs 2 199–2 218; `claim scaling`'s
+/// cells read 1 287 vs 1 661 at 9 signatures and 2 431 vs 2 288 at 17. The
+/// crossover is sized in group operations, not in time: a faster field
+/// makes both sides cheaper by the same factor and does not move it.
+const BATCH_MIN: usize = 15;
 
 /// Verify a batch of independent Ed25519 signatures with one shared
 /// multi-scalar multiplication.
@@ -920,27 +1006,24 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> bool {
     // rejects (non-canonical s, invalid point encodings).
     let mut s_scalars = Vec::with_capacity(n);
     let mut r_points = Vec::with_capacity(n);
-    let mut a_points = Vec::with_capacity(n);
+    let mut neg_a_points = Vec::with_capacity(n);
     let mut ks = Vec::with_capacity(n);
     for (msg, sig, pk) in entries {
         let (r_enc, s) = halves(&sig.0);
         if !scalar_is_canonical(&s) {
             return false;
         }
-        let Some(a) = Point::decompress_cached(&pk.0) else {
+        let neg_a = VERIFY_TABLES.with(|m| m.with(&pk.0, || pk.neg_point(), |t| t.point));
+        let Some(neg_a) = neg_a else {
             return false;
         };
         let Some(r) = Point::decompress_cached(&r_enc) else {
             return false;
         };
-        let mut h = Sha512::new();
-        h.update(&r_enc);
-        h.update(&pk.0);
-        h.update(msg);
-        ks.push(scalar_reduce(&h.finalize()));
+        ks.push(challenge(&r_enc, &pk.0, msg));
         s_scalars.push(s);
         r_points.push(r);
-        a_points.push(a);
+        neg_a_points.push(neg_a);
     }
 
     // Batch transcript seed: binds n and every signature + key; the
@@ -983,7 +1066,7 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> bool {
         scalars.push(zs[i]);
         points.push(r_points[i].neg());
         scalars.push(scalar_muladd(&zs[i], &ks[i], &zero));
-        points.push(a_points[i].neg());
+        points.push(neg_a_points[i]);
     }
     multiscalar_mul(&scalars, &points).is_identity()
 }
@@ -1298,50 +1381,25 @@ mod tests {
     }
 
     #[test]
-    fn double_scalar_mul_matches_ladders_on_edge_cases() {
-        let b = Point::basepoint();
+    fn key_table_walk_matches_ladder_on_edge_cases() {
         for p in edge_points() {
+            let table = Table::build(&p, 4);
+            assert!(table.point.eq_affine(&p));
             for a in edge_scalars() {
-                for s in [ZERO, L, ONES, scalar(0x1234_5678_9abc_def1)] {
-                    let expect = p.scalar_mul(&a).add(&b.scalar_mul(&s));
-                    let got = Point::double_scalar_mul_basepoint(&a, &p, &s);
-                    assert!(
-                        got.eq_affine(&expect),
-                        "a = {} b = {}",
-                        hex::encode(&a),
-                        hex::encode(&s)
-                    );
-                }
+                ec_ops_reset();
+                let got = table.mul(&a);
+                assert_eq!(ec_ops(), 77, "65 additions and 12 doublings");
+                assert!(got.eq_affine(&p.scalar_mul(&a)), "a = {}", hex::encode(&a));
             }
         }
     }
 
     #[test]
-    fn naf_digits_are_odd_sparse_and_sum_to_the_scalar() {
-        for w in [5usize, 8] {
-            for s in edge_scalars() {
-                let digits = naf(&s, w);
-                // Σ dᵢ·2^i, accumulated from the top in a signed 320-bit
-                // little-endian value: v ← 2v + d
-                let mut v = [0i64; 5];
-                for (i, &d) in digits.iter().enumerate().rev() {
-                    if d != 0 {
-                        assert!(d & 1 == 1 && i16::from(d).abs() < 1 << (w - 1), "w={w} d={d}");
-                        let next = &digits[i + 1..(i + w).min(digits.len())];
-                        assert!(next.iter().all(|&z| z == 0), "w={w}: zeros follow a digit");
-                    }
-                    let mut carry = i64::from(d);
-                    for limb in v.iter_mut() {
-                        let t = i128::from(*limb as u64) * 2 + i128::from(carry);
-                        *limb = t as u64 as i64;
-                        carry = (t >> 64) as i64;
-                    }
-                }
-                let bytes: Vec<u8> = v.iter().flat_map(|l| l.to_le_bytes()).collect();
-                assert_eq!(&bytes[..32], &s, "w={w}");
-                assert!(bytes[32..].iter().all(|&b| b == 0), "w={w}");
-            }
-        }
+    fn a_table_is_17_rows_of_8_entries_of_120_bytes() {
+        let table = Table::build(&Point::basepoint(), 4);
+        assert_eq!(table.rows.len(), 17);
+        assert_eq!(std::mem::size_of_val(&*table.rows), 17 * 8 * 120);
+        assert_eq!(basepoint_table().rows.len(), 65);
     }
 
     proptest! {
@@ -1357,16 +1415,16 @@ mod tests {
         }
 
         #[test]
-        fn prop_double_scalar_mul_matches_ladders(
+        fn prop_key_table_walk_matches_ladder(
             a in arb_scalar(),
-            b in arb_scalar(),
             p in arb_scalar(),
             torsion in 0usize..4,
         ) {
             // a random prime-order point, plus a small-order one (0: none)
             let point = Point::basepoint_mul(&p).add(&small_order_points()[torsion]);
-            let expect = point.scalar_mul(&a).add(&Point::basepoint().scalar_mul(&b));
-            prop_assert!(Point::double_scalar_mul_basepoint(&a, &point, &b).eq_affine(&expect));
+            let table = Table::build(&point, 4);
+            prop_assert!(table.mul(&a).eq_affine(&point.scalar_mul(&a)));
+            prop_assert!(table.mul(&clamp(a)).eq_affine(&point.scalar_mul(&clamp(a))));
         }
     }
 
@@ -1495,6 +1553,115 @@ mod tests {
                 prop_assert!(!same_verdict(&key, &msg, &sig));
             }
         }
+    }
+
+    /// Encodings a hostile signer or relay might send as A or R: small
+    /// order, y ≥ p, no point at all.
+    fn hostile_encodings() -> Vec<[u8; 32]> {
+        let mut p_plus_1 = ONES;
+        p_plus_1[0] = 0xee;
+        p_plus_1[31] = 0x7f;
+        let mut p_enc = p_plus_1;
+        p_enc[0] = 0xed;
+        let mut identity = ZERO;
+        identity[0] = 1;
+        let mut order2 = ONES;
+        order2[0] = 0xec;
+        order2[31] = 0x7f;
+        let mut non_point = ZERO;
+        non_point[0] = 2;
+        let order8: [u8; 32] = hex::decode_array(ORDER8).unwrap();
+        let mut negative_zero = identity;
+        negative_zero[31] |= 0x80;
+        vec![p_plus_1, p_enc, identity, order2, ZERO, order8, non_point, negative_zero]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_verdicts_equal_on_hostile_encodings(
+            seed in arb_scalar(),
+            msg in proptest::collection::vec(any::<u8>(), 0..32),
+            which in 0usize..8,
+            slot in 0usize..3,
+            random in arb_scalar(),
+        ) {
+            let kp = Keypair::from_seed(seed);
+            let sig = kp.sign(&msg);
+            // the hostile encoding, or 32 random bytes, as A, as R, or as
+            // both (a signature whose R is its own key)
+            let enc = if which < 7 { hostile_encodings()[which] } else { random };
+            let (mut key, mut forged) = (kp.public, sig);
+            if slot != 1 {
+                key = PublicKey(enc);
+            }
+            if slot != 0 {
+                forged.0[..32].copy_from_slice(&enc);
+            }
+            same_verdict(&key, &msg, &forged);
+            same_verdict(&key, &msg, &sig);
+        }
+    }
+
+    #[test]
+    fn clearing_the_key_tables_mid_stream_changes_no_verdict() {
+        let (msgs, mut sigs, mut keys) = batch_of(6);
+        sigs[1].0[3] ^= 1;
+        keys[4] = PublicKey(hostile_encodings()[6]);
+        keys.push(PublicKey(hostile_encodings()[2]));
+        let mut identity_sig = [0u8; 64];
+        identity_sig[..32].copy_from_slice(&hostile_encodings()[2]);
+        sigs.push(Signature(identity_sig));
+        let msgs: Vec<Vec<u8>> = msgs.into_iter().chain([b"anything".to_vec()]).collect();
+        let verdicts = |clear_every: usize| -> Vec<bool> {
+            VERIFY_TABLES.with(KeyTables::clear);
+            (0..3 * msgs.len())
+                .map(|i| {
+                    if clear_every > 0 && i % clear_every == 0 {
+                        VERIFY_TABLES.with(KeyTables::clear);
+                    }
+                    let j = i % msgs.len();
+                    keys[j].verify(&msgs[j], &sigs[j])
+                })
+                .collect()
+        };
+        let steady = verdicts(0);
+        assert_eq!(&steady[..7], [true, false, true, true, false, true, true]);
+        for every in [1, 2, 5] {
+            assert_eq!(verdicts(every), steady, "cleared every {every}");
+        }
+        let honest = [0, 2, 3, 5].map(|j| (msgs[j].as_slice(), sigs[j], keys[j]));
+        assert!(verify_batch(&honest));
+        VERIFY_TABLES.with(KeyTables::clear);
+        assert!(verify_batch(&honest));
+        let with_bad_key = [0, 2, 3, 4].map(|j| (msgs[j].as_slice(), sigs[j], keys[j]));
+        assert!(!verify_batch(&with_bad_key));
+    }
+
+    #[test]
+    fn the_key_table_memo_never_outgrows_its_cap() {
+        let tables = KeyTables::new();
+        for i in 0..=KEY_TABLES_CAP as u32 {
+            let mut enc = [0u8; 32];
+            enc[..4].copy_from_slice(&i.to_le_bytes());
+            let _ = tables.with(&enc, || None, |t| t.point);
+            assert!(tables.len() <= KEY_TABLES_CAP, "after {i}");
+        }
+        assert_eq!(tables.len(), 1, "cleared wholesale at the cap");
+    }
+
+    #[test]
+    fn a_verify_is_143_point_operations_and_a_build_is_counted_apart() {
+        let kp = Keypair::from_seed([0x71; 32]);
+        let sig = kp.sign(b"m");
+        let builds = table_builds();
+        for round in 0..3 {
+            ec_ops_reset();
+            assert!(kp.public.verify(b"m", &sig));
+            assert_eq!(ec_ops(), 65 + 77 + 1, "round {round}");
+        }
+        assert_eq!(table_builds() - builds, 1, "one build for the key");
     }
 
     // --- secrets stay out of Debug ---
@@ -1636,7 +1803,7 @@ mod tests {
 
     #[test]
     fn batch_valid_batches_pass() {
-        for n in [2usize, 3, 9, 33] {
+        for n in [2usize, 3, 9, BATCH_MIN, 33] {
             let (msgs, sigs, keys) = batch_of(n);
             assert!(verify_batch(&entries(&msgs, &sigs, &keys)), "n={n}");
         }
@@ -1644,8 +1811,8 @@ mod tests {
 
     #[test]
     fn batch_detects_single_tamper() {
-        for tampered in [0usize, 3, 7] {
-            let (mut msgs, sigs, keys) = batch_of(8);
+        for tampered in [0usize, 3, 7, BATCH_MIN] {
+            let (mut msgs, sigs, keys) = batch_of(BATCH_MIN + 1);
             msgs[tampered][0] ^= 1;
             assert!(!verify_batch(&entries(&msgs, &sigs, &keys)), "tampered={tampered}");
         }
@@ -1653,18 +1820,18 @@ mod tests {
 
     #[test]
     fn batch_detects_tampered_signature_and_wrong_key() {
-        let (msgs, mut sigs, mut keys) = batch_of(5);
+        let (msgs, mut sigs, mut keys) = batch_of(BATCH_MIN);
         sigs[2].0[40] ^= 0x10;
         assert!(!verify_batch(&entries(&msgs, &sigs, &keys)));
 
-        let (msgs, sigs2, _) = batch_of(5);
+        let (msgs, sigs2, _) = batch_of(BATCH_MIN);
         keys[4] = Keypair::from_seed([99u8; 32]).public;
         assert!(!verify_batch(&entries(&msgs, &sigs2, &keys)));
     }
 
     #[test]
     fn batch_rejects_non_canonical_s() {
-        let (msgs, mut sigs, keys) = batch_of(3);
+        let (msgs, mut sigs, keys) = batch_of(BATCH_MIN);
         let s = plus_l(sigs[1].0[32..].try_into().unwrap());
         sigs[1].0[32..].copy_from_slice(&s);
         assert!(!verify_batch(&entries(&msgs, &sigs, &keys)));
@@ -1672,7 +1839,7 @@ mod tests {
 
     #[test]
     fn batch_rejects_bad_point_encoding() {
-        let (msgs, sigs, mut keys) = batch_of(3);
+        let (msgs, sigs, mut keys) = batch_of(BATCH_MIN);
         let mut enc = [0u8; 32];
         enc[0] = 2; // not on the curve
         keys[0] = PublicKey(enc);
@@ -1681,15 +1848,14 @@ mod tests {
 
     #[test]
     fn batch_with_rfc8032_vectors() {
-        // The three RFC test keys/messages batched together must pass.
+        // The three RFC test keys/messages batched together, with enough
+        // others to reach the batch equation, must pass.
         let cases: [(&str, &[u8]); 3] = [
             ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60", b""),
             ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb", &[0x72]),
             ("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7", &[0xaf, 0x82]),
         ];
-        let mut msgs = Vec::new();
-        let mut sigs = Vec::new();
-        let mut keys = Vec::new();
+        let (mut msgs, mut sigs, mut keys) = batch_of(BATCH_MIN - 3);
         for (seed_hex, msg) in cases {
             let kp = Keypair::from_seed(hex::decode_array::<32>(seed_hex).unwrap());
             sigs.push(kp.sign(msg));
@@ -1701,8 +1867,10 @@ mod tests {
 
     #[test]
     fn batch_shares_work() {
-        // The whole point: batch verification must cost far fewer curve
-        // operations than per-signature verification.
+        // The whole point: batch verification must cost fewer curve
+        // operations than per-signature verification. Against two table
+        // walks a signature (143 operations) the batch saves a quarter at
+        // 32 signatures: 3 398 vs 4 576.
         let (msgs, sigs, keys) = batch_of(32);
         let es = entries(&msgs, &sigs, &keys);
         ec_ops_reset();
@@ -1714,8 +1882,8 @@ mod tests {
         assert!(verify_batch(&es));
         let batched = ec_ops();
         assert!(
-            batched * 3 < sequential,
-            "batch must be ≥3× cheaper in point ops: {batched} vs {sequential}"
+            batched * 4 < sequential * 3,
+            "batch must be > 4/3× cheaper in point ops: {batched} vs {sequential}"
         );
     }
 }

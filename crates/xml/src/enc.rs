@@ -18,12 +18,10 @@
 //! only a limited number of users able to read the data" (§2.3.1) with a
 //! single ciphertext.
 //!
-//! **What a wrap costs.** A wrap costs a ladder only when its reader is
-//! neither the party building the element nor one that party already
-//! shares a static secret with ([`WrapKey`]):
+//! **What a wrap costs** ([`WrapKey`]):
 //!
-//! * to a public key (no `from`): an ECIES sealed box, a ladder to write
-//!   and a ladder to read;
+//! * to a public key (no `from`): an ECIES sealed box, a walk of the
+//!   reader's fixed-base table to write and a ladder to read;
 //! * keyed from a secret builder and reader both hold (`from` names the
 //!   party the reader shares it with; the reader itself for its own copy):
 //!   a static box, no curve work on either side. The builder's own copy is
@@ -32,7 +30,7 @@
 //!
 //! **One ephemeral key per element.** The public-key wraps of one element
 //! share one ephemeral X25519 key (their first 32 bytes): n such readers
-//! cost one fixed-base multiplication and n ladders instead of n of each,
+//! cost one fixed-base multiplication and n table walks, not n of each,
 //! and an element whose every reader holds a secret already draws none.
 //! This is the randomness reuse of multi-recipient ElGamal/ECIES (Kurosawa
 //! 2002; Bellare, Boldyreva, Staddon 2003): reader i's wrap key is derived
@@ -59,7 +57,7 @@ const ALG: &str = "chacha20+hmac-sha256";
 #[derive(Clone)]
 pub enum WrapKey {
     /// An ECIES box to the reader's public key, under the element's one
-    /// ephemeral key: a ladder to write, a ladder to read.
+    /// ephemeral key: a table walk to write, a ladder to read.
     Public(X25519PublicKey),
     /// A static box under `secret`, 32 bytes builder and reader both hold:
     /// the reader's own X25519 secret when `from` is the reader itself,
