@@ -328,7 +328,7 @@ impl<'a> Verifier<'a> {
 
 /// Execute one document's planned signature checks on the calling thread.
 /// Batched mode hands them all to [`dra_crypto::verify_batch`] first — one
-/// shared multi-scalar multiplication instead of `len` double-scalar ones,
+/// shared multi-scalar multiplication instead of `len` table-walk checks,
 /// or plain per-signature checks when it judges the set too small to batch —
 /// and on failure falls back to per-signature checks, so the reported
 /// culprit and error variant are identical to the sequential path.
