@@ -35,7 +35,7 @@ fn engine_run(rig: &Rig, instances: usize, threads: usize) -> (f64, usize) {
 fn dra_run(rig: &Rig, instances: usize, threads: usize) -> f64 {
     let started = Instant::now();
     on_threads(threads, instances, &|i| {
-        assert_eq!(rig.walk(&format!("c4-{i}"), Handoff::Wire, true).count(), 3);
+        assert_eq!(rig.walk(&format!("c4-{i}"), Handoff::Wire).count(), 3);
     });
     instances as f64 * 3.0 / started.elapsed().as_secs_f64()
 }

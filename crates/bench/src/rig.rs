@@ -421,17 +421,11 @@ impl Rig {
     /// Walk process `pid` through the definition's activities in order,
     /// AEA by AEA with no cloud in between — the definition must be linear.
     /// Each item is one executed step, measured; the last one carries the
-    /// finished document. `batched` is the AEAs' verification mode: one
-    /// batch equation per receive, or the per-signature baseline.
-    pub fn walk(
-        &self,
-        pid: &str,
-        handoff: Handoff,
-        batched: bool,
-    ) -> impl Iterator<Item = ChainRecord> + '_ {
+    /// finished document.
+    pub fn walk(&self, pid: &str, handoff: Handoff) -> impl Iterator<Item = ChainRecord> + '_ {
         let mut sealed = SealedDocument::new(self.initial(pid));
         self.def.activities.iter().enumerate().map(move |(step, activity)| {
-            let aea = self.agent(&activity.participant).with_batched(batched);
+            let aea = self.agent(&activity.participant);
             let wire = (handoff == Handoff::Wire).then(|| sealed.to_xml_string());
             dra_crypto::ed25519::ec_ops_reset();
             dra_xml::canon_alloc_reset();
@@ -464,7 +458,7 @@ impl Rig {
 
     /// [`Rig::walk`] to the end: the finished document.
     pub fn walked(&self, pid: &str) -> SealedDocument {
-        self.walk(pid, Handoff::Wire, true).last().expect("a definition has activities").document
+        self.walk(pid, Handoff::Wire).last().expect("a definition has activities").document
     }
 }
 
@@ -475,7 +469,7 @@ mod tests {
     #[test]
     fn chain_walks_and_scales() {
         let records: Vec<ChainRecord> =
-            Rig::chain(6, true, |_| "x".into()).walk("chain-run", Handoff::Wire, false).collect();
+            Rig::chain(6, true, |_| "x".into()).walk("chain-run", Handoff::Wire).collect();
         assert_eq!(records.len(), 6);
         // sizes strictly increase
         assert!(records.windows(2).all(|w| w[1].size > w[0].size));
@@ -485,28 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_walk_matches_sequential_walk() {
-        // 16 steps: the last hop checks 16 signatures, past `BATCH_MIN` (15)
-        let rig = Rig::chain(16, true, |_| "x".into());
-        let seq: Vec<ChainRecord> = rig.walk("chain-run", Handoff::Wire, false).collect();
-        let bat: Vec<ChainRecord> = rig.walk("chain-run", Handoff::Wire, true).collect();
-        assert_eq!(seq.len(), bat.len());
-        for (s, b) in seq.iter().zip(bat.iter()) {
-            assert_eq!(s.sigs_verified, b.sigs_verified, "step {}", s.step);
-        }
-        // the batch equation needs fewer group operations than n separate
-        // checks once the cascade is past the crossover
-        let (s, b) = (seq.last().unwrap().ec_ops, bat.last().unwrap().ec_ops);
-        assert!(b < s, "batched {b} ops vs sequential {s} ops");
-    }
-
-    #[test]
     fn walked_document_verifies_and_a_sealed_walk_rechecks_one_cer_a_hop() {
         let rig = Rig::chain(4, false, |i| format!("data-{i}"));
-        let report = Verifier::new(&rig.dir).batched(false).run(&rig.walked("chain-doc")).unwrap();
+        let report = Verifier::new(&rig.dir).run(&rig.walked("chain-doc")).unwrap();
         assert_eq!(report.report.cers.len(), 4);
         let sigs: Vec<usize> =
-            rig.walk("chain-doc", Handoff::Sealed, true).map(|r| r.sigs_verified).collect();
+            rig.walk("chain-doc", Handoff::Sealed).map(|r| r.sigs_verified).collect();
         assert_eq!(sigs, vec![1, 1, 1, 1], "the designer's, then one new CER per hop");
     }
 }

@@ -7,7 +7,7 @@
 //! the typed scan API (bounded batches, shared rows — never a full table
 //! read), holds every sampled version to the store's verdict
 //! (`store::CloudStore::honest`, the one the serve probe uses) and
-//! spot-checks the survivors with the batched [`Verifier`].
+//! spot-checks the survivors with the [`Verifier`].
 //!
 //! A stored version copies bytes from the versions below it and from its
 //! definition's `def/` row (`store`), so one forged row fails every later
@@ -122,10 +122,9 @@ impl PoolAuditor {
     /// Run one audit pass at virtual instant `now_us`: per member cloud,
     /// sample the next [`AuditConfig::batch`] `doc/` rows after the cloud's
     /// cursor (a bounded scan, never a full table read), judge every
-    /// sampled version and verify the honest ones with the batched
-    /// [`Verifier`], and raise a typed
-    /// [`AlertKind::AuditDivergence`] into `monitor` for each newly indicted
-    /// row. A cloud whose cursor runs off the end of its `doc/` range
+    /// sampled version and verify the honest ones with the [`Verifier`],
+    /// and raise a typed [`AlertKind::AuditDivergence`] into `monitor` for
+    /// each newly indicted row. A cloud whose cursor runs off the end of its `doc/` range
     /// completes a sweep and wraps. Returns the number of rows this pass
     /// newly indicted.
     pub fn run_pass(
@@ -170,8 +169,8 @@ impl PoolAuditor {
                 }
             }
 
-            // Batched spot-check of each survivor, in key order.
-            let verifier = Verifier::new(&sys.directory).batched(true);
+            // Spot-check of each survivor, in key order.
+            let verifier = Verifier::new(&sys.directory);
             for (key, doc) in survivors {
                 match verifier.run(&doc) {
                     Ok(_) => st.verified += 1,

@@ -56,7 +56,7 @@
 //!   never safety,
 //! * [`audit`] — a continuous nonrepudiation auditor: a [`PoolAuditor`]
 //!   samples stored rows through the scan API in virtual time, spot-checks
-//!   them with the batched verifier, and raises a typed `audit_divergence`
+//!   them with the verifier, and raises a typed `audit_divergence`
 //!   alert the federation pump turns into quarantine — forged rows are
 //!   caught even when nobody ever serves them.
 //!

@@ -42,10 +42,6 @@ pub struct Aea {
     crash_hook: Option<CrashHook>,
     /// Span recorder; disabled (free) unless [`Aea::with_tracer`] is used.
     tracer: Tracer,
-    /// Batch the signature checks of [`Aea::receive`] (default on); see
-    /// [`crate::verify::Verifier::batched`]. Off reproduces the paper's
-    /// per-signature baseline for measurements.
-    batched: bool,
     /// The static Diffie-Hellman secrets shared with peers. The one shared
     /// with the TFC keys [`Aea::complete_via_tfc`]'s result and opens this
     /// participant's copy of a field the TFC re-encrypted. One ladder per
@@ -114,7 +110,6 @@ impl Aea {
             directory,
             crash_hook: None,
             tracer: Tracer::disabled(),
-            batched: true,
             peers: PeerSecrets::default(),
         }
     }
@@ -122,14 +117,6 @@ impl Aea {
     /// Record `verify` / `decrypt` / `seal` / `sign` spans into `tracer`.
     pub fn with_tracer(mut self, tracer: Tracer) -> Aea {
         self.tracer = tracer;
-        self
-    }
-
-    /// Enable or disable batched signature verification on receive
-    /// (default on). The verdict is identical either way; off measures the
-    /// paper's per-signature baseline.
-    pub fn with_batched(mut self, on: bool) -> Aea {
-        self.batched = on;
         self
     }
 
@@ -167,10 +154,7 @@ impl Aea {
     /// takes the full verification pass — there is no way to skip it.
     pub fn receive(&self, sealed: SealedDocument, activity: &str) -> WfResult<ReceivedActivity> {
         let mut span_verify = self.tracer.span(stage::VERIFY).actor(&self.creds.name);
-        let outcome = Verifier::new(&self.directory)
-            .batched(self.batched)
-            .with_mark(sealed.trust())
-            .run(&sealed)?;
+        let outcome = Verifier::new(&self.directory).with_mark(sealed.trust()).run(&sealed)?;
         let report = outcome.report;
         if report.ends_with_intermediate {
             return Err(WfError::Malformed(

@@ -33,13 +33,12 @@ pub(crate) enum Covers<'a> {
 }
 
 /// One planned signature check: verify `signature` over `bytes` under
-/// `signer`. Tasks are independent once planned, which is what makes them
-/// batch-schedulable (see [`crate::verify::Verifier::batched`]).
+/// `signer`, naming `who` signed it when it fails.
 pub(crate) struct SigTask {
-    pub(crate) who: String,
-    pub(crate) signer: PublicKey,
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) signature: Signature,
+    who: String,
+    signer: PublicKey,
+    bytes: Vec<u8>,
+    signature: Signature,
 }
 
 impl SigTask {

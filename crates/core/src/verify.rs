@@ -175,9 +175,10 @@ fn plan_cer<'d>(
     Ok(tasks)
 }
 
-/// Unified verification entry point — a builder covering full, incremental
-/// (trust-marked) and batched verification, of one document or many,
-/// behind one configuration surface.
+/// Unified verification entry point — a builder covering full and
+/// incremental (trust-marked) verification behind one configuration
+/// surface. Every planned signature is checked on its own, in the planner's
+/// order, so a failing pass names the first culprit.
 ///
 /// ```
 /// # use dra4wfms_core::prelude::*;
@@ -187,7 +188,7 @@ fn plan_cer<'d>(
 /// #     .simple_activity("A", "designer", &["x"]).flow_end("A").build().unwrap();
 /// # let directory = Directory::from_credentials([&designer]);
 /// # let doc = DraDocument::new_initial(&def, &SecurityPolicy::public(), &designer).unwrap();
-/// let outcome = Verifier::new(&directory).batched(true).run(&doc)?;
+/// let outcome = Verifier::new(&directory).run(&doc)?;
 /// assert_eq!(outcome.report.signatures_verified, 1);
 /// # Ok::<(), dra4wfms_core::error::WfError>(())
 /// ```
@@ -206,17 +207,12 @@ fn plan_cer<'d>(
 /// legal as the final CER of an in-flight document.
 ///
 /// Knobs:
-/// * [`batched`](Verifier::batched) — verify signatures with the shared
-///   multi-scalar batch equation, falling back to per-signature checks on
-///   batch failure so the culprit and error variant match the sequential
-///   path exactly (default on).
 /// * [`with_mark`](Verifier::with_mark) — incremental mode: skip the CERs a
 ///   [`TrustMark`] pins (when its prefix digest still matches) and issue a
 ///   fresh mark covering the whole document.
 #[derive(Clone, Copy)]
 pub struct Verifier<'a> {
     directory: &'a Directory,
-    batched: bool,
     mark: Option<&'a TrustMark>,
     incremental: bool,
 }
@@ -240,19 +236,10 @@ pub struct VerifyOutcome {
 }
 
 impl<'a> Verifier<'a> {
-    /// A verifier resolving signers against `directory`: batched, full
+    /// A verifier resolving signers against `directory`: full
     /// (non-incremental) scope, on the calling thread.
     pub fn new(directory: &'a Directory) -> Verifier<'a> {
-        Verifier { directory, batched: true, mark: None, incremental: false }
-    }
-
-    /// Enable or disable batch verification of the planned signature
-    /// checks. Batched and sequential verification always agree on the
-    /// verdict: a failing batch falls back to per-signature checks, which
-    /// report the same culprit with the same error variant.
-    pub fn batched(mut self, on: bool) -> Verifier<'a> {
-        self.batched = on;
-        self
+        Verifier { directory, mark: None, incremental: false }
     }
 
     /// Incremental mode: prove the prefix a [`TrustMark`] pins is
@@ -283,7 +270,7 @@ impl<'a> Verifier<'a> {
     pub fn check_cer(&self, doc: &DraDocument, cer: &CerView<'_>) -> WfResult<()> {
         let tfc = EffectiveDefinition::base(doc)?.def.tfc.clone();
         let tasks = plan_cer(doc, cer, self.directory, tfc.as_deref(), &in_order(doc))?;
-        run_tasks(&tasks, self.batched)
+        tasks.iter().try_for_each(SigTask::run)
     }
 
     /// Verify `doc`, returning the unified outcome.
@@ -312,7 +299,7 @@ impl<'a> Verifier<'a> {
         };
 
         let (tasks, report) = plan_verification(doc, self.directory, &base, scope)?;
-        run_tasks(&tasks, self.batched)?;
+        tasks.iter().try_for_each(SigTask::run)?;
 
         let mark = chain.map(|(_, at_end)| TrustMark {
             process_id: report.process_id.clone(),
@@ -324,26 +311,6 @@ impl<'a> Verifier<'a> {
         });
         Ok(VerifyOutcome { report, mark, reused_cers: usable_prefix.unwrap_or(0), fell_back })
     }
-}
-
-/// Execute one document's planned signature checks on the calling thread.
-/// Batched mode hands them all to [`dra_crypto::verify_batch`] first — one
-/// shared multi-scalar multiplication instead of `len` table-walk checks,
-/// or plain per-signature checks when it judges the set too small to batch —
-/// and on failure falls back to per-signature checks, so the reported
-/// culprit and error variant are identical to the sequential path.
-fn run_tasks(tasks: &[SigTask], batched: bool) -> WfResult<()> {
-    if batched {
-        let entries: Vec<dra_crypto::BatchEntry<'_>> =
-            tasks.iter().map(|t| (t.bytes.as_slice(), t.signature, t.signer)).collect();
-        if dra_crypto::verify_batch(&entries) {
-            return Ok(());
-        }
-    }
-    for t in tasks {
-        t.run()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@
 //!   is 17 × 8 entries of 120 bytes, 16 320 bytes; the thread-local memo
 //!   keyed by the 32-byte encoding holds at most `KEY_TABLES_CAP` of
 //!   them, so a stream of fresh keys costs at most one build a key.
-//! * [`multiscalar_mul`] — Pippenger buckets for batch verification.
 //!
 //! Both walks pick every table entry by a masked scan, so the scalar shows
 //! in no branch and no address. [`Point::scalar_mul`], the bit-by-bit
@@ -44,9 +43,6 @@
 //! instructions on the same addresses whatever the scalar. Still variable
 //! time, each on public inputs only:
 //!
-//! * [`multiscalar_mul`] and with it [`verify_batch`]: which buckets are
-//!   empty decides which additions happen. Its inputs are signatures,
-//!   public keys and message hashes.
 //! * The memos ([`Point::decompress_cached`], the key tables): hash-map
 //!   lookups keyed by a public encoding — one that arrived on the wire, or
 //!   a reader's public key.
@@ -174,9 +170,8 @@ impl Point {
 
     /// Addition against a precomputed [`CachedPoint`]: the same complete
     /// formulas as [`Point::add`] with the addend's `y±x` and `t·2d`
-    /// factored out, saving two multiplications per addition — the form
-    /// the multi-scalar bucket accumulation uses, where each input point
-    /// is added many times.
+    /// factored out, saving two multiplications per addition — the form a
+    /// table build uses, where each row's step is added seven times.
     fn add_cached(&self, other: &CachedPoint) -> Point {
         count_ec_op();
         let a = self.y.sub(&self.x).mul(&other.y_minus_x);
@@ -313,12 +308,6 @@ impl Point {
         // x1/z1 == x2/z2  <=>  x1*z2 == x2*z1, same for y.
         self.x.mul(&other.z) == other.x.mul(&self.z) && self.y.mul(&other.z) == other.y.mul(&self.z)
     }
-
-    /// True if this is the identity element (0, 1) — x = 0 and y = z in
-    /// projective coordinates. No inversion needed.
-    pub fn is_identity(&self) -> bool {
-        self.x.is_zero() && self.y.sub(&self.z).is_zero()
-    }
 }
 
 /// A point pre-arranged for repeated addition ("Niels coordinates"):
@@ -336,16 +325,6 @@ struct CachedPoint {
 impl CachedPoint {
     fn from_point(p: &Point) -> CachedPoint {
         CachedPoint { y_plus_x: p.y.add(&p.x), y_minus_x: p.y.sub(&p.x), z: p.z, t2d: p.t.mul(&D2) }
-    }
-
-    /// Negation swaps `y+x`/`y−x` and flips `t·2d`.
-    fn neg(&self) -> CachedPoint {
-        CachedPoint {
-            y_plus_x: self.y_minus_x,
-            y_minus_x: self.y_plus_x,
-            z: self.z,
-            t2d: self.t2d.neg(),
-        }
     }
 }
 
@@ -417,8 +396,6 @@ const DIGITS: usize = 256 / 4 + 1;
 /// digit sequences. The basepoint table has `w` = 1 (65 rows, no doubling),
 /// a key's table `w` = 4 (17 rows; 65 additions and 12 doublings).
 pub(crate) struct Table {
-    /// P itself, for a caller that needs the point too.
-    point: Point,
     rows: Box<[Row]>,
     digits_per_row: usize,
 }
@@ -450,13 +427,13 @@ impl Table {
         let entries = AffineNiels::normalise(&points);
         let rows = entries.chunks_exact(8).map(|row| std::array::from_fn(|j| row[j])).collect();
         EC_OPS.with(|c| c.set(before));
-        Table { point: *p, rows, digits_per_row }
+        Table { rows, digits_per_row }
     }
 
     /// `[scalar]P`, any 256-bit `scalar`: the same additions and doublings
     /// whatever the scalar, each entry picked by [`select`]'s masked scan.
     pub(crate) fn mul(&self, scalar: &[u8; 32]) -> Point {
-        let digits = recode_signed(scalar, 4);
+        let digits = recode_signed(scalar);
         let w = self.digits_per_row;
         let mut acc = Point::identity();
         for pass in (0..w).rev() {
@@ -555,7 +532,7 @@ pub fn table_builds() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-scalar multiplication (the batch-verification workhorse)
+// Thread-local state and scalar recoding
 // ---------------------------------------------------------------------------
 
 thread_local! {
@@ -592,112 +569,22 @@ pub fn ec_ops_reset() {
     EC_OPS.with(|c| c.set(0));
 }
 
-/// Extract `width` bits of a little-endian scalar starting at bit `pos`.
-fn scalar_bits(s: &[u8; 32], pos: usize, width: usize) -> u32 {
-    let mut v: u32 = 0;
-    for i in 0..width {
-        let bit = pos + i;
-        if bit < 256 {
-            v |= u32::from((s[bit / 8] >> (bit % 8)) & 1) << i;
-        }
-    }
-    v
-}
-
-/// Recode a scalar into base-2^c signed digits in `[−2^(c−1), 2^(c−1))`,
-/// least-significant first. One extra window absorbs the final carry, so
+/// Recode a scalar into [`DIGITS`] signed radix-16 digits in `[−8, 8)`,
+/// least-significant first. The extra digit absorbs the final carry, so
 /// any 256-bit scalar recodes exactly.
-fn recode_signed(s: &[u8; 32], c: usize) -> Vec<i32> {
-    let windows = 256usize.div_ceil(c) + 1;
-    let half = 1i32 << (c - 1);
-    let mut digits = vec![0i32; windows];
+fn recode_signed(s: &[u8; 32]) -> [i32; DIGITS] {
+    let mut digits = [0i32; DIGITS];
     let mut carry = 0i32;
     for (w, d) in digits.iter_mut().enumerate() {
-        let v = carry + scalar_bits(s, w * c, c) as i32;
-        // v in [0, 2^c]: borrow 2^c from the next window iff v ≥ 2^(c−1),
-        // without branching on v — the fixed-base walk recodes secrets
-        carry = (v + half) >> c;
-        *d = v - (carry << c);
+        let nibble = s.get(w / 2).map_or(0, |b| i32::from((b >> (4 * (w % 2))) & 15));
+        let v = carry + nibble;
+        // v in [0, 16]: borrow 16 from the next digit iff v ≥ 8, without
+        // branching on v — the fixed-base walk recodes secrets
+        carry = (v + 8) >> 4;
+        *d = v - (carry << 4);
     }
-    debug_assert_eq!(carry, 0, "a 256-bit scalar fits in the extra window");
+    debug_assert_eq!(carry, 0, "a 256-bit scalar fits in the extra digit");
     digits
-}
-
-/// Σ `scalars[i]·points[i]` via a signed-digit Pippenger bucket method: all
-/// points share one run of doublings per window, so the per-point cost is a
-/// handful of additions instead of a full double-and-add ladder. This is
-/// what makes batch signature verification cheaper than checking each
-/// signature alone.
-pub fn multiscalar_mul(scalars: &[[u8; 32]], points: &[Point]) -> Point {
-    assert_eq!(scalars.len(), points.len(), "multiscalar_mul: length mismatch");
-    let n = points.len();
-    if n == 0 {
-        return Point::identity();
-    }
-    // Window size tuned for the bucket-aggregation trade-off: larger
-    // windows amortize better once there are enough points to fill them.
-    let c: usize = match n {
-        1..=7 => 4,
-        8..=99 => 5,
-        _ => 6,
-    };
-    let digits: Vec<Vec<i32>> = scalars.iter().map(|s| recode_signed(s, c)).collect();
-    let windows = digits[0].len();
-    let negs: Vec<Point> = points.iter().map(Point::neg).collect();
-    // Niels form of every input (and its negation): one multiplication
-    // each up front, two saved on every bucket accumulation below.
-    let cached: Vec<CachedPoint> = points.iter().map(CachedPoint::from_point).collect();
-    let cached_negs: Vec<CachedPoint> = cached.iter().map(CachedPoint::neg).collect();
-    let half = 1usize << (c - 1);
-
-    let mut acc: Option<Point> = None;
-    let mut buckets: Vec<Option<Point>> = vec![None; half];
-    for w in (0..windows).rev() {
-        if let Some(a) = &acc {
-            let mut d = *a;
-            for _ in 0..c {
-                d = d.double();
-            }
-            acc = Some(d);
-        }
-        buckets.fill(None);
-        for i in 0..n {
-            let d = digits[i][w];
-            let (idx, first, rest) = match d.cmp(&0) {
-                std::cmp::Ordering::Greater => ((d - 1) as usize, &points[i], &cached[i]),
-                std::cmp::Ordering::Less => ((-d - 1) as usize, &negs[i], &cached_negs[i]),
-                std::cmp::Ordering::Equal => continue,
-            };
-            buckets[idx] = Some(match &buckets[idx] {
-                Some(b) => b.add_cached(rest),
-                None => *first,
-            });
-        }
-        // Σ (j+1)·buckets[j] via running partial sums, highest bucket first.
-        let mut running: Option<Point> = None;
-        let mut total: Option<Point> = None;
-        for b in buckets.iter().rev() {
-            if let Some(p) = b {
-                running = Some(match &running {
-                    Some(r) => r.add(p),
-                    None => *p,
-                });
-            }
-            if let Some(r) = &running {
-                total = Some(match &total {
-                    Some(t) => t.add(r),
-                    None => *r,
-                });
-            }
-        }
-        if let Some(t) = total {
-            acc = Some(match &acc {
-                Some(a) => a.add(&t),
-                None => t,
-            });
-        }
-    }
-    acc.unwrap_or_else(Point::identity)
 }
 
 // ---------------------------------------------------------------------------
@@ -951,124 +838,16 @@ impl PublicKey {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batch verification
-// ---------------------------------------------------------------------------
-
-/// One batch-verification input: message, signature, and the public key the
-/// signature must verify under.
+/// One entry of [`verify_batch`]: message, signature, and the public key
+/// the signature must verify under.
 pub type BatchEntry<'a> = (&'a [u8], Signature, PublicKey);
 
-/// Smallest batch the aggregate equation is used for. A sequential check is
-/// two table walks, 143 point operations per signature; the Pippenger pass
-/// over `2n+1` points has a fixed cost that only amortizes from fifteen
-/// signatures on. Point operations sequential vs batched, 8 seeded sets
-/// each: 14 signatures 2 002 vs 2 052–2 069, 15 signatures 2 145 vs
-/// 2 125–2 145, 16 signatures 2 288 vs 2 199–2 218; `claim scaling`'s
-/// cells read 1 287 vs 1 661 at 9 signatures and 2 431 vs 2 288 at 17. The
-/// crossover is sized in group operations, not in time: a faster field
-/// makes both sides cheaper by the same factor and does not move it.
-const BATCH_MIN: usize = 15;
-
-/// Verify a batch of independent Ed25519 signatures with one shared
-/// multi-scalar multiplication.
-///
-/// Instead of checking `[Sᵢ]B == Rᵢ + [kᵢ]Aᵢ` once per signature, the batch
-/// draws a deterministic 128-bit coefficient `zᵢ` per entry and checks the
-/// aggregate
-///
-/// ```text
-/// [Σ zᵢ·sᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢ·kᵢ]Aᵢ == identity
-/// ```
-///
-/// in a single [`multiscalar_mul`] over `2n+1` points, whose shared
-/// doublings make the per-signature cost a few point additions. The
-/// coefficients are derived by hashing the whole batch transcript (every
-/// `Rᵢ`, `Aᵢ`, `sᵢ` and the message-binding scalar `kᵢ`), so an adversary
-/// cannot pick signatures whose defects cancel without breaking SHA-512 —
-/// the standard deterministic replacement for a random-coefficient batch.
-///
-/// Verdicts agree with [`PublicKey::verify`]: if every signature is
-/// individually valid the aggregate holds identically, and a `false` here
-/// means at least one entry is invalid — re-check entries individually to
-/// identify the culprit (that is what `dra4wfms-core`'s verifier does on
-/// fallback). An empty batch is vacuously valid, and a batch of fewer than
-/// `BATCH_MIN` entries is checked one signature at a time: this is the one
-/// place that decides what is too small to batch.
+/// True when every entry verifies, checked one signature at a time with
+/// [`PublicKey::verify`]; an empty set is vacuously valid. A shell kept for
+/// the end-to-end harness's per-layer probe, which still calls it by name.
 #[must_use]
 pub fn verify_batch(entries: &[BatchEntry<'_>]) -> bool {
-    let n = entries.len();
-    if n < BATCH_MIN {
-        return entries.iter().all(|(msg, sig, pk)| pk.verify(msg, sig));
-    }
-
-    // Decode every entry, rejecting exactly what the single verifier
-    // rejects (non-canonical s, invalid point encodings).
-    let mut s_scalars = Vec::with_capacity(n);
-    let mut r_points = Vec::with_capacity(n);
-    let mut neg_a_points = Vec::with_capacity(n);
-    let mut ks = Vec::with_capacity(n);
-    for (msg, sig, pk) in entries {
-        let (r_enc, s) = halves(&sig.0);
-        if !scalar_is_canonical(&s) {
-            return false;
-        }
-        let neg_a = VERIFY_TABLES.with(|m| m.with(&pk.0, || pk.neg_point(), |t| t.point));
-        let Some(neg_a) = neg_a else {
-            return false;
-        };
-        let Some(r) = Point::decompress_cached(&r_enc) else {
-            return false;
-        };
-        ks.push(challenge(&r_enc, &pk.0, msg));
-        s_scalars.push(s);
-        r_points.push(r);
-        neg_a_points.push(neg_a);
-    }
-
-    // Batch transcript seed: binds n and every signature + key; the
-    // per-entry kᵢ (hashed in below) binds the messages.
-    let mut seed_h = Sha512::new();
-    seed_h.update(b"dra4wfms.ed25519.batchv1");
-    seed_h.update(&(n as u64).to_le_bytes());
-    for (_, sig, pk) in entries {
-        seed_h.update(&sig.0);
-        seed_h.update(&pk.0);
-    }
-    let seed = seed_h.finalize();
-
-    // zᵢ: 128-bit nonzero coefficients — half-width scalars keep the Rᵢ
-    // columns out of the upper windows of the multi-scalar multiplication.
-    let mut zs: Vec<[u8; 32]> = Vec::with_capacity(n);
-    for (i, k) in ks.iter().enumerate() {
-        let mut h = Sha512::new();
-        h.update(&seed);
-        h.update(&(i as u64).to_le_bytes());
-        h.update(k);
-        let wide = h.finalize();
-        let mut z = [0u8; 32];
-        z[..16].copy_from_slice(&wide[..16]);
-        z[0] |= 1; // never zero — a zero coefficient would drop the entry
-        zs.push(z);
-    }
-
-    // Scalars: Σ zᵢ·sᵢ on B, zᵢ on −Rᵢ, zᵢ·kᵢ on −Aᵢ.
-    let zero = [0u8; 32];
-    let mut s_coeff = zero;
-    for i in 0..n {
-        s_coeff = scalar_muladd(&zs[i], &s_scalars[i], &s_coeff);
-    }
-    let mut scalars = Vec::with_capacity(2 * n + 1);
-    let mut points = Vec::with_capacity(2 * n + 1);
-    scalars.push(s_coeff);
-    points.push(Point::basepoint());
-    for i in 0..n {
-        scalars.push(zs[i]);
-        points.push(r_points[i].neg());
-        scalars.push(scalar_muladd(&zs[i], &ks[i], &zero));
-        points.push(neg_a_points[i]);
-    }
-    multiscalar_mul(&scalars, &points).is_identity()
+    entries.iter().all(|(m, s, k)| k.verify(m, s))
 }
 
 impl Signature {
@@ -1346,7 +1125,8 @@ mod tests {
     fn small_order_points() -> [Point; 4] {
         let order8 = Point::decompress(&hex::decode_array(ORDER8).unwrap()).expect("on the curve");
         let (order4, order2) = (order8.double(), order8.double().double());
-        assert!(!order2.is_identity() && order2.double().is_identity());
+        let id = Point::identity();
+        assert!(!order2.eq_affine(&id) && order2.double().eq_affine(&id));
         [Point::identity(), order2, order4, order8]
     }
 
@@ -1368,7 +1148,7 @@ mod tests {
             let expect = Point::basepoint().scalar_mul(&s);
             assert!(Point::basepoint_mul(&s).eq_affine(&expect), "s = {}", hex::encode(&s));
         }
-        assert!(Point::basepoint_mul(&L).is_identity());
+        assert!(Point::basepoint_mul(&L).eq_affine(&Point::identity()));
     }
 
     #[test]
@@ -1384,7 +1164,6 @@ mod tests {
     fn key_table_walk_matches_ladder_on_edge_cases() {
         for p in edge_points() {
             let table = Table::build(&p, 4);
-            assert!(table.point.eq_affine(&p));
             for a in edge_scalars() {
                 ec_ops_reset();
                 let got = table.mul(&a);
@@ -1606,7 +1385,7 @@ mod tests {
 
     #[test]
     fn clearing_the_key_tables_mid_stream_changes_no_verdict() {
-        let (msgs, mut sigs, mut keys) = batch_of(6);
+        let (msgs, mut sigs, mut keys) = signed_set(6);
         sigs[1].0[3] ^= 1;
         keys[4] = PublicKey(hostile_encodings()[6]);
         keys.push(PublicKey(hostile_encodings()[2]));
@@ -1631,12 +1410,6 @@ mod tests {
         for every in [1, 2, 5] {
             assert_eq!(verdicts(every), steady, "cleared every {every}");
         }
-        let honest = [0, 2, 3, 5].map(|j| (msgs[j].as_slice(), sigs[j], keys[j]));
-        assert!(verify_batch(&honest));
-        VERIFY_TABLES.with(KeyTables::clear);
-        assert!(verify_batch(&honest));
-        let with_bad_key = [0, 2, 3, 4].map(|j| (msgs[j].as_slice(), sigs[j], keys[j]));
-        assert!(!verify_batch(&with_bad_key));
     }
 
     #[test]
@@ -1645,7 +1418,7 @@ mod tests {
         for i in 0..=KEY_TABLES_CAP as u32 {
             let mut enc = [0u8; 32];
             enc[..4].copy_from_slice(&i.to_le_bytes());
-            let _ = tables.with(&enc, || None, |t| t.point);
+            tables.with(&enc, || None, |_| ());
             assert!(tables.len() <= KEY_TABLES_CAP, "after {i}");
         }
         assert_eq!(tables.len(), 1, "cleared wholesale at the cap");
@@ -1677,7 +1450,7 @@ mod tests {
         assert!(!shown.contains(|c: char| c.is_ascii_digit()), "not even one byte: {shown}");
     }
 
-    // --- multi-scalar multiplication ---
+    // --- scalar recoding ---
 
     fn scalar(v: u64) -> [u8; 32] {
         let mut s = [0u8; 32];
@@ -1686,93 +1459,47 @@ mod tests {
     }
 
     #[test]
-    fn msm_empty_is_identity() {
-        assert!(multiscalar_mul(&[], &[]).is_identity());
-    }
-
-    #[test]
-    fn msm_matches_naive_small() {
-        let b = Point::basepoint();
-        let p2 = b.double();
-        let p3 = p2.add(&b);
-        // 5·B + 7·2B + 11·3B = 52·B
-        let got = multiscalar_mul(&[scalar(5), scalar(7), scalar(11)], &[b, p2, p3]);
-        assert!(got.eq_affine(&b.scalar_mul(&scalar(52))));
-    }
-
-    #[test]
-    fn msm_matches_naive_wide_scalars() {
-        // Full-width pseudo-random scalars across the small/large window cut.
-        for n in [1usize, 2, 7, 8, 20] {
-            let mut scalars = Vec::new();
-            let mut points = Vec::new();
-            let mut expect: Option<Point> = None;
-            for i in 0..n {
-                let s = scalar_reduce(&crate::sha2::sha512(&[i as u8, n as u8, 0x5a]));
-                let p = Point::basepoint()
-                    .scalar_mul(&scalar_reduce(&crate::sha2::sha512(&[i as u8, n as u8, 0xa5])));
-                let term = p.scalar_mul(&s);
-                expect = Some(match &expect {
-                    Some(e) => e.add(&term),
-                    None => term,
-                });
-                scalars.push(s);
-                points.push(p);
-            }
-            let got = multiscalar_mul(&scalars, &points);
-            assert!(got.eq_affine(&expect.unwrap()), "n={n}");
-        }
-    }
-
-    #[test]
-    fn msm_cancellation_hits_identity() {
-        let b = Point::basepoint();
-        // 3·B + 3·(−B) = identity
-        let got = multiscalar_mul(&[scalar(3), scalar(3)], &[b, b.neg()]);
-        assert!(got.is_identity());
-    }
-
-    #[test]
     fn recode_signed_roundtrip() {
-        for c in [4usize, 5, 6] {
-            for seed in 0u8..8 {
-                let s = scalar_reduce(&crate::sha2::sha512(&[seed, c as u8]));
-                let digits = recode_signed(&s, c);
-                // Reconstruct the scalar as Σ dᵢ·2^(c·i) over i128 chunks and
-                // compare against the little-endian value (fits: < 2^253).
-                let mut acc = [0i64; 64];
-                for (i, &d) in digits.iter().enumerate() {
-                    let bit = i * c;
-                    // add d · 2^bit in byte-granular pieces
-                    let byte = bit / 8;
-                    let shift = bit % 8;
-                    let v = i64::from(d) << shift;
-                    acc[byte] += v & 0xff;
-                    acc[byte + 1] += (v >> 8) & 0xff;
-                    acc[byte + 2] += v >> 16;
-                }
-                // normalize carries (signed)
-                let mut carry = 0i64;
-                let mut bytes = [0u8; 32];
-                for i in 0..64 {
-                    let v = acc[i] + carry;
-                    let b = v & 0xff;
-                    carry = (v - b) >> 8;
-                    if i < 32 {
-                        bytes[i] = b as u8;
-                    } else {
-                        assert_eq!(b, 0, "no overflow past 256 bits");
-                    }
-                }
-                assert_eq!(carry, 0);
-                assert_eq!(bytes, s, "c={c} seed={seed}");
+        let hashed = (0u8..8).map(|seed| scalar_reduce(&crate::sha2::sha512(&[seed, 4])));
+        for s in hashed.chain(edge_scalars()) {
+            let digits = recode_signed(&s);
+            assert!(digits.iter().all(|d| (-8..8).contains(d)), "{digits:?}");
+            // Σ dᵢ·16^i back into bytes: two digits a byte, then the signed
+            // carries up; anything past 256 bits lands in the 33rd byte
+            let mut acc = [0i64; 33];
+            for (i, &d) in digits.iter().enumerate() {
+                acc[i / 2] += i64::from(d) << (4 * (i % 2));
             }
+            let mut carry = 0i64;
+            let mut bytes = [0u8; 32];
+            for (i, a) in acc.iter().enumerate() {
+                let v = a + carry;
+                carry = v >> 8;
+                if i < 32 {
+                    bytes[i] = (v & 0xff) as u8;
+                } else {
+                    assert_eq!(v, 0, "no overflow past 256 bits");
+                }
+            }
+            assert_eq!(bytes, s, "s = {}", hex::encode(&s));
         }
     }
 
-    // --- batch verification ---
+    #[test]
+    fn verify_batch_is_every_signature_verifying() {
+        let (msgs, mut sigs, keys) = signed_set(3);
+        let entries = |sigs: &[Signature]| -> Vec<BatchEntry<'_>> {
+            msgs.iter().zip(sigs).zip(&keys).map(|((m, s), k)| (m.as_slice(), *s, *k)).collect()
+        };
+        assert!(verify_batch(&[]));
+        assert!(verify_batch(&entries(&sigs)));
+        sigs[2].0[0] ^= 1;
+        assert!(!verify_batch(&entries(&sigs)));
+    }
 
-    fn batch_of(n: usize) -> (Vec<Vec<u8>>, Vec<Signature>, Vec<PublicKey>) {
+    // --- signed sets ---
+
+    fn signed_set(n: usize) -> (Vec<Vec<u8>>, Vec<Signature>, Vec<PublicKey>) {
         let mut msgs = Vec::new();
         let mut sigs = Vec::new();
         let mut keys = Vec::new();
@@ -1784,106 +1511,5 @@ mod tests {
             msgs.push(msg);
         }
         (msgs, sigs, keys)
-    }
-
-    fn entries<'a>(
-        msgs: &'a [Vec<u8>],
-        sigs: &[Signature],
-        keys: &[PublicKey],
-    ) -> Vec<BatchEntry<'a>> {
-        msgs.iter().zip(sigs).zip(keys).map(|((m, s), k)| (m.as_slice(), *s, *k)).collect()
-    }
-
-    #[test]
-    fn batch_empty_and_singleton() {
-        assert!(verify_batch(&[]));
-        let (msgs, sigs, keys) = batch_of(1);
-        assert!(verify_batch(&entries(&msgs, &sigs, &keys)));
-    }
-
-    #[test]
-    fn batch_valid_batches_pass() {
-        for n in [2usize, 3, 9, BATCH_MIN, 33] {
-            let (msgs, sigs, keys) = batch_of(n);
-            assert!(verify_batch(&entries(&msgs, &sigs, &keys)), "n={n}");
-        }
-    }
-
-    #[test]
-    fn batch_detects_single_tamper() {
-        for tampered in [0usize, 3, 7, BATCH_MIN] {
-            let (mut msgs, sigs, keys) = batch_of(BATCH_MIN + 1);
-            msgs[tampered][0] ^= 1;
-            assert!(!verify_batch(&entries(&msgs, &sigs, &keys)), "tampered={tampered}");
-        }
-    }
-
-    #[test]
-    fn batch_detects_tampered_signature_and_wrong_key() {
-        let (msgs, mut sigs, mut keys) = batch_of(BATCH_MIN);
-        sigs[2].0[40] ^= 0x10;
-        assert!(!verify_batch(&entries(&msgs, &sigs, &keys)));
-
-        let (msgs, sigs2, _) = batch_of(BATCH_MIN);
-        keys[4] = Keypair::from_seed([99u8; 32]).public;
-        assert!(!verify_batch(&entries(&msgs, &sigs2, &keys)));
-    }
-
-    #[test]
-    fn batch_rejects_non_canonical_s() {
-        let (msgs, mut sigs, keys) = batch_of(BATCH_MIN);
-        let s = plus_l(sigs[1].0[32..].try_into().unwrap());
-        sigs[1].0[32..].copy_from_slice(&s);
-        assert!(!verify_batch(&entries(&msgs, &sigs, &keys)));
-    }
-
-    #[test]
-    fn batch_rejects_bad_point_encoding() {
-        let (msgs, sigs, mut keys) = batch_of(BATCH_MIN);
-        let mut enc = [0u8; 32];
-        enc[0] = 2; // not on the curve
-        keys[0] = PublicKey(enc);
-        assert!(!verify_batch(&entries(&msgs, &sigs, &keys)));
-    }
-
-    #[test]
-    fn batch_with_rfc8032_vectors() {
-        // The three RFC test keys/messages batched together, with enough
-        // others to reach the batch equation, must pass.
-        let cases: [(&str, &[u8]); 3] = [
-            ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60", b""),
-            ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb", &[0x72]),
-            ("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7", &[0xaf, 0x82]),
-        ];
-        let (mut msgs, mut sigs, mut keys) = batch_of(BATCH_MIN - 3);
-        for (seed_hex, msg) in cases {
-            let kp = Keypair::from_seed(hex::decode_array::<32>(seed_hex).unwrap());
-            sigs.push(kp.sign(msg));
-            keys.push(kp.public);
-            msgs.push(msg.to_vec());
-        }
-        assert!(verify_batch(&entries(&msgs, &sigs, &keys)));
-    }
-
-    #[test]
-    fn batch_shares_work() {
-        // The whole point: batch verification must cost fewer curve
-        // operations than per-signature verification. Against two table
-        // walks a signature (143 operations) the batch saves a quarter at
-        // 32 signatures: 3 398 vs 4 576.
-        let (msgs, sigs, keys) = batch_of(32);
-        let es = entries(&msgs, &sigs, &keys);
-        ec_ops_reset();
-        for (m, s, k) in &es {
-            assert!(k.verify(m, s));
-        }
-        let sequential = ec_ops();
-        ec_ops_reset();
-        assert!(verify_batch(&es));
-        let batched = ec_ops();
-        assert!(
-            batched * 4 < sequential * 3,
-            "batch must be > 4/3× cheaper in point ops: {batched} vs {sequential}"
-        );
     }
 }

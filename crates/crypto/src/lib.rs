@@ -27,10 +27,9 @@
 //! the routines that see a secret scalar — the fixed-base table walks
 //! behind signing, key derivation and sealing, the X25519 ladder behind
 //! opening — take no branch and no address from it. What is still
-//! variable-time works on public inputs only: batch verification (which
-//! additions happen depends on the scalars' digits), the memo lookups
-//! (keyed by public encodings), and field equality on public values;
-//! [`ed25519`]'s module documentation has the list. None of it is
+//! variable-time works on public inputs only: the memo lookups (keyed by
+//! public encodings) and field equality on public values; [`ed25519`]'s
+//! module documentation has the list. None of it is
 //! audited. For a research reproduction that is acceptable; for production
 //! deployments swap in audited primitives behind the same traits.
 

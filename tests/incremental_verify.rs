@@ -35,7 +35,7 @@ use std::sync::Arc;
 fn run_chain(n: usize, values: &[String]) -> (Vec<DraDocument>, Directory) {
     let values = values.to_vec();
     let rig = Rig::chain(n, false, move |i| values[i].clone());
-    let steps = rig.walk("iv-pid", Handoff::Sealed, true).map(|step| step.document.into_document());
+    let steps = rig.walk("iv-pid", Handoff::Sealed).map(|step| step.document.into_document());
     (std::iter::once(rig.initial("iv-pid")).chain(steps).collect(), rig.dir.clone())
 }
 
@@ -44,7 +44,7 @@ fn run_chain(n: usize, values: &[String]) -> (Vec<DraDocument>, Directory) {
 fn handed_on(n: usize, values: &[String]) -> SealedDocument {
     let values = values.to_vec();
     let rig = Rig::chain(n, false, move |i| values[i].clone());
-    rig.walk("iv-pid", Handoff::Sealed, true).last().unwrap().document
+    rig.walk("iv-pid", Handoff::Sealed).last().unwrap().document
 }
 
 /// A mark a hop would legitimately hold after fully verifying `doc`.

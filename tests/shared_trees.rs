@@ -37,7 +37,7 @@ fn rig(tfc: bool) -> Rig {
 #[test]
 fn basic_hop_appends_one_cer_and_shares_the_rest() {
     let rig = rig(false);
-    let mut steps = rig.walk("sh-basic", Handoff::Sealed, true);
+    let mut steps = rig.walk("sh-basic", Handoff::Sealed);
     let mut sealed = steps.next().unwrap().document;
     for (i, step) in (1..).zip(steps) {
         // Header and ApplicationDefinition are the received nodes; the

@@ -351,7 +351,7 @@ fn handoffs(rig: &Rig) -> Vec<(SealedDocument, Route, Option<Base>)> {
         targets: ids.get(k).cloned().into_iter().collect(),
     };
     let mut out = vec![(SealedDocument::new(rig.initial(PID)), route(0), None)];
-    for (k, record) in rig.walk(PID, Handoff::Sealed, true).enumerate() {
+    for (k, record) in rig.walk(PID, Handoff::Sealed).enumerate() {
         let name = record.document.trust().expect("a hop carries its mark").prefix_digest;
         let base = Base { name, wire: out[k].0.wire() };
         out.push((record.document, route(k + 1), Some(base)));

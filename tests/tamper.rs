@@ -110,6 +110,27 @@ fn signature_transplant_detected() {
     assert_detected(&t, dir, "signature transplant");
 }
 
+/// A CER rewritten at any index of a 1–6-step chain fails verification as
+/// a `WfError::Verify` that names that CER: signatures are checked one at a
+/// time in document order, so the first that fails is the culprit's.
+#[test]
+fn a_tampered_cer_is_named_as_the_culprit() {
+    for len in 1..=6 {
+        let values: Vec<String> = (0..len).map(|i| format!("value-{len}-{i}")).collect();
+        let payload = values.clone();
+        let rig = Rig::chain(len, false, move |i| payload[i].clone());
+        let xml = run(&rig).to_xml_string();
+        for (i, value) in values.iter().enumerate() {
+            let tampered = xml.replace(value, "EVIL");
+            assert_ne!(tampered, xml);
+            let doc = DraDocument::parse(&tampered).unwrap();
+            let err = Verifier::new(&rig.dir).run(&doc).unwrap_err();
+            assert!(matches!(err, WfError::Verify(_)), "{len} steps, S{i}: {err}");
+            assert!(err.to_string().contains(&format!("S{i}")), "{len} steps: '{err}' names S{i}");
+        }
+    }
+}
+
 #[test]
 fn cross_instance_replay_detected() {
     let rig = setup();
